@@ -101,9 +101,9 @@
 // With -follow <leader-addr> (requires -data-dir) the daemon runs as a
 // warm-standby follower: it installs the leader's checkpoint into its
 // own data dir on first contact (later starts resume from its own
-// state), replays the streamed tail through the same journal-then-apply
-// path recovery uses — so follower state is bit-identical to the
-// leader's quiesced history — and serves /v1/lookup from its own
+// state), replays the streamed tail through the same record-apply entry
+// recovery uses (serve.Store.ApplyRecord) — so follower state is
+// bit-identical to the leader's quiesced history — and serves /v1/lookup from its own
 // atomically-swapped snapshots. External writes refuse with 503
 // {"code":"read_only"}. /v1/stats exposes the watermark: "applied_seq",
 // "leader_seq" and "staleness_ms" (time since the follower last
@@ -136,8 +136,8 @@
 // and its complete CRC-framed wire frame are memoized in the ring entry
 // at publish time, and every connected stream writes the same immutable
 // bytes — one encode and one CRC per publication whether one stream or
-// ten thousand are attached (BenchmarkWatchFanout / make bench-watch
-// records the curve into BENCH_pr10.json). Idle streams park on
+// ten thousand are attached (BenchmarkWatchFanout; BENCH_pr10.json holds
+// the recorded curve). Idle streams park on
 // per-subscriber coalesced wakeups (a single-slot channel each) rather
 // than a shared broadcast channel, so a publication wakes each stream
 // at most once — a stream that fell several publications behind wakes
@@ -155,10 +155,8 @@
 //
 // # HTTP API (v1)
 //
-// Every endpoint lives under /v1/; the pre-versioning paths (/lookup,
-// /mutate, /resize, /stats, /healthz, /replicate, /replicate/checkpoint,
-// /promote) remain as aliases with identical shapes. Success responses
-// are JSON; error responses are JSON too, shaped {"error": msg} with the
+// Every endpoint lives under /v1/; there are no unversioned routes (a
+// path without the prefix answers 404). Success responses are JSON; error responses are JSON too, shaped {"error": msg} with the
 // status carrying the class (400 malformed, 404 unknown vertex, 409
 // conflict, 410 gone, 429 quota/backpressure, 503 overload/fault/
 // shutdown). Machine-actionable rejections add a stable "code" field
@@ -177,8 +175,7 @@
 //	                         follower lagging past -max-staleness
 //	GET  /v1/lookup        → 200 {"k":K,"vertices":N,"labels":[...],"from_seq":S}
 //	                         (no v parameter: the full map + the watch cursor to resume
-//	                         the change feed from — the resync path after a 410; the
-//	                         legacy /lookup alias keeps answering 400 here)
+//	                         the change feed from — the resync path after a 410)
 //	POST /v1/mutate        → 202 {"queued":true,"adds":A,"removes":R,"vertices":N}
 //	                         400 {"error":"line L: ..."}
 //	                         429 {"error":...,"code":"quota_exceeded"|"log_full"} + Retry-After
@@ -201,7 +198,8 @@
 //	                         replication_error, replica_epoch; last_error after a fault)
 //	GET  /v1/watch?from_seq=N[&limit=M]
 //	                       → 200 chunked application/octet-stream of CRC frames
-//	                         (u8 kind | u32 len | u32 crc | payload): a handshake
+//	                         (u8 kind | u32 len | u32 crc | payload — the
+//	                         internal/frame envelope): a handshake
 //	                         frame (floor+next), then one frame per delta record
 //	                         from sequence N+1 on, with heartbeat frames while
 //	                         idle. from_seq names the last delta the consumer has
@@ -232,7 +230,6 @@
 //	                         not running with -follow
 //	GET  /v1/metrics       → 200 Prometheus text exposition (version 0.0.4,
 //	                         Content-Type text/plain) of every metric below.
-//	                         New surface; no legacy alias.
 //
 // The typed Go client for this surface is internal/api/client; the
 // spinnerctl command wraps it for shell use (spinnerctl metrics

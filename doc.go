@@ -39,9 +39,9 @@
 //     one flat, sorted target array, keeping LPA edge scans cache-friendly
 //     and giving binary-search HasEdge.
 //
-// The `make bench` target records BenchmarkSpinnerIteration under
-// -benchmem into BENCH_pr1.json; future performance work is measured
-// against that trajectory.
+// BENCH_pr1.json holds the recorded BenchmarkSpinnerIteration -benchmem
+// trajectory; performance work is now judged end to end by the repo's
+// one benchmark (`make bench`, BENCHMARK.json, benchmark/README.md).
 //
 // # Serving architecture
 //
@@ -88,13 +88,12 @@
 // drift, rebalances) and the durability path (journal appends/bytes/
 // fsyncs, checkpoints, recovery replay length);
 // cluster.MigrationVolume/MigrationTime price the migration traffic under
-// the cost model. `make bench-serve` records
+// the cost model. BENCH_pr2.json records
 // BenchmarkServeLookupUnderChurn (sustained lookup latency under live
-// churn and restabilization) into BENCH_pr2.json; `make bench-mutate`
-// records BenchmarkServeMutateThroughput (the sharded write plane:
-// shards=1/2/4 fan-out plus incremental-vs-exact cut tracking) into
-// BENCH_pr3.json; `make test-race` runs the concurrency-bearing packages
-// under the race detector.
+// churn and restabilization) and BENCH_pr3.json
+// BenchmarkServeMutateThroughput (the sharded write plane: shards=1/2/4
+// fan-out plus incremental-vs-exact cut tracking); `make test-race` runs
+// every package under the race detector.
 //
 // # Durability
 //
@@ -119,8 +118,8 @@
 //   - Fsync policy: never (page cache — survives process death, the
 //     common crash), interval (bounded loss window against OS/power
 //     death), always (every acknowledged batch survives power loss).
-//     BenchmarkServeMutateDurable (`make bench-durable` → BENCH_pr5.json;
-//     PR 4's serial numbers remain in BENCH_pr4.json) prices each policy
+//     BenchmarkServeMutateDurable (recorded in BENCH_pr5.json; PR 4's
+//     serial numbers remain in BENCH_pr4.json) prices each policy
 //     against the in-memory write plane along a concurrent-submitters
 //     axis: the framing itself (fsync=never) costs well under 2x, and
 //     with ≥8 submitters group commit amortizes fsync=always toward the
@@ -155,11 +154,13 @@
 //
 // .github/workflows/ci.yml enforces the contract on every push and PR, on
 // the Go version pinned in go.mod with module/build caching: `make lint`
-// (gofmt -l + go vet), `make check` (build + vet + tier-1 tests + race
-// pass), `make bench-quick` (every recorded benchmark compiled and run
-// once, -benchtime=1x, no timing or JSON), and `make recovery-smoke`
-// (kill -9 a durable spinnerd mid-churn — additionally simulating a
-// crash during an in-flight background checkpoint — reopen the data
-// dir, assert health and lookup consistency); BENCH_pr4.json and
-// BENCH_pr5.json are uploaded as workflow artifacts.
+// (gofmt -l + go vet), `make check` (build + vet + tier-1 tests + the
+// race detector over every package), `make bench-test` (vet + unit tests
+// of the benchmark module), `make bench-quick` (every micro-benchmark
+// compiled and run once, -benchtime=1x), `make fuzz` (20s each on the
+// wire envelope and the delta codec), and the daemon smokes, starting
+// with `make recovery-smoke` (kill -9 a durable spinnerd mid-churn —
+// additionally simulating a crash during an in-flight background
+// checkpoint — reopen the data dir, assert health and lookup
+// consistency).
 package repro

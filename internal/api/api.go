@@ -1,6 +1,6 @@
 // Package api is spinnerd's versioned HTTP surface: every endpoint lives
-// under /v1/ with the pre-versioning paths kept as aliases, success and
-// error bodies are both JSON (errors share one envelope —
+// under /v1/ (there are no unversioned routes), success and error bodies
+// are both JSON (errors share one envelope —
 // {"error": msg, "code": c} with the status carrying the class and a
 // Retry-After header wherever a backoff hint exists), and the change
 // feed (/v1/watch) streams the store's delta records as CRC-checked
@@ -86,32 +86,24 @@ func NewServer(st *serve.Store, rep *Replica) *Server {
 		)}
 }
 
-// Mux builds the route table: every endpoint under /v1/ plus the legacy
-// unversioned aliases the pre-/v1 daemon exposed (same handlers, same
-// shapes — existing scripts and followers keep working). /v1/watch is
-// new surface and has no legacy alias.
-// Every route is wrapped by the latency middleware (middleware.go);
-// /v1/watch and the replication stream record time-to-first-byte.
-// /v1/metrics and /v1/watch are new surface and have no legacy alias.
+// Mux builds the route table: every endpoint lives under /v1/, wrapped
+// by the latency middleware (middleware.go); /v1/watch and the
+// replication stream record time-to-first-byte.
 func (s *Server) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	route := func(pattern, name string, h http.HandlerFunc) {
-		method, path, _ := strings.Cut(pattern, " ")
-		wrapped := s.instrument(name, false, h)
-		mux.HandleFunc(method+" /v1"+path, wrapped)
-		mux.HandleFunc(pattern, wrapped)
+	route := func(pattern, name string, streaming bool, h http.HandlerFunc) {
+		mux.HandleFunc(pattern, s.instrument(name, streaming, h))
 	}
-	route("GET /healthz", "healthz", s.handleHealthz)
-	route("GET /lookup", "lookup", s.handleLookup)
-	route("POST /mutate", "mutate", s.handleMutate)
-	route("POST /resize", "resize", s.handleResize)
-	route("GET /stats", "stats", s.handleStats)
-	mux.HandleFunc("GET /v1/replicate", s.instrument("replicate", true, s.handleReplicate))
-	mux.HandleFunc("GET /replicate", s.instrument("replicate", true, s.handleReplicate))
-	route("GET /replicate/checkpoint", "replicate_checkpoint", s.handleReplicateCheckpoint)
-	route("POST /promote", "promote", s.handlePromote)
-	mux.HandleFunc("GET /v1/watch", s.instrument("watch", true, s.handleWatch))
-	mux.HandleFunc("GET /v1/metrics", s.instrument("metrics", false, s.handleMetrics))
+	route("GET /v1/healthz", "healthz", false, s.handleHealthz)
+	route("GET /v1/lookup", "lookup", false, s.handleLookup)
+	route("POST /v1/mutate", "mutate", false, s.handleMutate)
+	route("POST /v1/resize", "resize", false, s.handleResize)
+	route("GET /v1/stats", "stats", false, s.handleStats)
+	route("GET /v1/replicate", "replicate", true, s.replicated((*replica.Server).ServeStream))
+	route("GET /v1/replicate/checkpoint", "replicate_checkpoint", false, s.replicated((*replica.Server).ServeCheckpoint))
+	route("POST /v1/promote", "promote", false, s.handlePromote)
+	route("GET /v1/watch", "watch", true, s.handleWatch)
+	route("GET /v1/metrics", "metrics", false, s.handleMetrics)
 	return mux
 }
 
@@ -157,10 +149,9 @@ type ResyncResponse struct {
 func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	raw := q.Get("v")
-	if !q.Has("v") && strings.HasPrefix(r.URL.Path, "/v1/") {
+	if !q.Has("v") {
 		// Full resync for change-feed consumers that fell past the
-		// compaction floor. Only on the /v1 path: the legacy /lookup
-		// contract keeps answering 400 here.
+		// compaction floor.
 		if !s.checkStaleness(w) {
 			return
 		}
@@ -225,23 +216,33 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	}
 	mut.Tenant = r.Header.Get("X-Tenant")
 	if err := s.st.TrySubmit(mut); err != nil {
-		var qe *serve.QuotaError
-		switch {
-		case errors.As(err, &qe):
-			writeErrorCode(w, http.StatusTooManyRequests, "quota_exceeded", err.Error(), qe.RetryAfter)
-		case errors.Is(err, serve.ErrLogFull):
-			writeErrorCode(w, http.StatusTooManyRequests, "log_full", err.Error(), s.st.RetryAfter())
-		case errors.Is(err, serve.ErrDegraded):
-			writeErrorCode(w, http.StatusServiceUnavailable, "degraded", err.Error(), 0)
-		case errors.Is(err, serve.ErrReadOnly):
-			writeErrorCode(w, http.StatusServiceUnavailable, "read_only", err.Error(), 0)
-		default:
-			writeErrorCode(w, http.StatusServiceUnavailable, "unavailable", err.Error(), 0)
-		}
+		s.writeStoreError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, MutateResponse{Queued: true,
 		Adds: len(mut.NewEdges), Removes: len(mut.RemovedEdges), Vertices: mut.NewVertices})
+}
+
+// writeStoreError maps a refused write (TrySubmit or Resize) onto the
+// status, stable code and Retry-After hint the API documents for it.
+func (s *Server) writeStoreError(w http.ResponseWriter, err error) {
+	var qe *serve.QuotaError
+	switch {
+	case errors.As(err, &qe):
+		writeErrorCode(w, http.StatusTooManyRequests, "quota_exceeded", err.Error(), qe.RetryAfter)
+	case errors.Is(err, serve.ErrLogFull):
+		writeErrorCode(w, http.StatusTooManyRequests, "log_full", err.Error(), s.st.RetryAfter())
+	case errors.Is(err, serve.ErrKUnchanged):
+		// The unchanged-k check lives inside Resize so concurrent
+		// duplicate resizes race atomically, not via a stale snapshot.
+		writeErrorCode(w, http.StatusBadRequest, "k_unchanged", "k unchanged", 0)
+	case errors.Is(err, serve.ErrDegraded):
+		writeErrorCode(w, http.StatusServiceUnavailable, "degraded", err.Error(), 0)
+	case errors.Is(err, serve.ErrReadOnly):
+		writeErrorCode(w, http.StatusServiceUnavailable, "read_only", err.Error(), 0)
+	default:
+		writeErrorCode(w, http.StatusServiceUnavailable, "unavailable", err.Error(), 0)
+	}
 }
 
 // ResizeResponse is the POST /v1/resize body.
@@ -265,18 +266,7 @@ func (s *Server) handleResize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.st.Resize(k); err != nil {
-		switch {
-		case errors.Is(err, serve.ErrKUnchanged):
-			// The unchanged-k check lives inside Resize so concurrent
-			// duplicate resizes race atomically, not via a stale K().
-			writeErrorCode(w, http.StatusBadRequest, "k_unchanged", "k unchanged", 0)
-		case errors.Is(err, serve.ErrDegraded):
-			writeErrorCode(w, http.StatusServiceUnavailable, "degraded", err.Error(), 0)
-		case errors.Is(err, serve.ErrReadOnly):
-			writeErrorCode(w, http.StatusServiceUnavailable, "read_only", err.Error(), 0)
-		default:
-			writeErrorCode(w, http.StatusServiceUnavailable, "unavailable", err.Error(), 0)
-		}
+		s.writeStoreError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, ResizeResponse{Queued: true, K: k})
@@ -375,35 +365,23 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// replicating gates the replication endpoints: only a durable
-// non-following node serves the journal stream.
-func (s *Server) replicating(w http.ResponseWriter) bool {
-	if s.rep == nil || s.rep.Srv == nil {
-		writeErrorCode(w, http.StatusServiceUnavailable, "not_durable", "replication requires -data-dir", 0)
-		return false
+// replicated mounts one of the leader-side replication handlers behind
+// the gate both share: only a durable non-following node serves the
+// journal stream.
+func (s *Server) replicated(h func(*replica.Server, http.ResponseWriter, *http.Request)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case s.rep == nil || s.rep.Srv == nil:
+			writeErrorCode(w, http.StatusServiceUnavailable, "not_durable", "replication requires -data-dir", 0)
+		case s.rep.Following():
+			// A tailing follower does not serve the stream: chaining
+			// replicas from a replica would hide leader truncation and
+			// staleness behind a second hop. Promote first.
+			writeErrorCode(w, http.StatusServiceUnavailable, "follower", "node is a follower; promote it to serve replication", 0)
+		default:
+			h(s.rep.Srv, w, r)
+		}
 	}
-	if s.rep.Following() {
-		// A tailing follower does not serve the stream: chaining
-		// replicas from a replica would hide leader truncation and
-		// staleness behind a second hop. Promote first.
-		writeErrorCode(w, http.StatusServiceUnavailable, "follower", "node is a follower; promote it to serve replication", 0)
-		return false
-	}
-	return true
-}
-
-func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	if !s.replicating(w) {
-		return
-	}
-	s.rep.Srv.ServeStream(w, r)
-}
-
-func (s *Server) handleReplicateCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if !s.replicating(w) {
-		return
-	}
-	s.rep.Srv.ServeCheckpoint(w, r)
 }
 
 // PromoteResponse is the POST /v1/promote body.

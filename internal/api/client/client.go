@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/frame"
 	"repro/internal/serve"
 )
 
@@ -265,7 +266,7 @@ func (c *Client) Watch(ctx context.Context, fromSeq uint64) (*Watcher, error) {
 		w.Close()
 		return nil, err
 	}
-	if f.Kind != api.WatchHandshake {
+	if f.Kind != serve.WatchHandshake {
 		w.Close()
 		return nil, fmt.Errorf("client: watch stream opened with frame kind %d, want handshake", f.Kind)
 	}
@@ -282,15 +283,15 @@ func (w *Watcher) Floor() uint64 { return w.floor }
 func (w *Watcher) Next() uint64 { return w.next }
 
 // readFrame blocks until one full frame is buffered and decodes it.
-func (w *Watcher) readFrame() (api.WatchFrame, error) {
+func (w *Watcher) readFrame() (serve.WatchFrame, error) {
 	for {
-		f, n, err := api.DecodeWatchFrame(w.buf)
+		f, n, err := serve.DecodeWatchFrame(w.buf)
 		if err == nil {
 			w.buf = w.buf[n:]
 			return f, nil
 		}
-		if !errors.Is(err, api.ErrShortFrame) {
-			return api.WatchFrame{}, err
+		if !errors.Is(err, frame.ErrShort) {
+			return serve.WatchFrame{}, err
 		}
 		chunk := make([]byte, 4096)
 		m, rerr := w.br.Read(chunk)
@@ -300,9 +301,9 @@ func (w *Watcher) readFrame() (api.WatchFrame, error) {
 		}
 		if rerr != nil {
 			if errors.Is(rerr, io.EOF) && len(w.buf) > 0 {
-				return api.WatchFrame{}, io.ErrUnexpectedEOF
+				return serve.WatchFrame{}, io.ErrUnexpectedEOF
 			}
-			return api.WatchFrame{}, rerr
+			return serve.WatchFrame{}, rerr
 		}
 	}
 }
@@ -320,7 +321,7 @@ func (w *Watcher) Recv() (Event, error) {
 		return Event{}, err
 	}
 	switch f.Kind {
-	case api.WatchDelta:
+	case serve.WatchDelta:
 		d, err := serve.DecodeDelta(f.Delta)
 		if err != nil {
 			return Event{}, err
@@ -329,10 +330,10 @@ func (w *Watcher) Recv() (Event, error) {
 			w.next = d.Seq + 1
 		}
 		return Event{Delta: d, Floor: w.floor, Next: w.next}, nil
-	case api.WatchHeartbeat:
+	case serve.WatchHeartbeat:
 		w.floor, w.next = f.Floor, f.Next
 		return Event{Floor: w.floor, Next: w.next}, nil
-	case api.WatchEnd:
+	case serve.WatchEnd:
 		w.floor, w.next = f.Floor, f.Next
 		return Event{Floor: w.floor, Next: w.next},
 			fmt.Errorf("client: cursor compacted away mid-stream (floor now %d): %w", f.Floor, ErrCompacted)

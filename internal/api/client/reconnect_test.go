@@ -49,10 +49,10 @@ func (f *fakeFeed) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.WriteHeader(http.StatusOK)
-	buf := api.AppendWatchFrame(nil, api.WatchFrame{Kind: api.WatchHandshake, Floor: f.floor, Next: f.next})
+	buf := serve.AppendWatchFrame(nil, serve.WatchFrame{Kind: serve.WatchHandshake, Floor: f.floor, Next: f.next})
 	for n := 0; n < f.perConn && after+1 < f.next; n++ {
 		after++
-		buf = api.AppendWatchFrame(buf, api.WatchFrame{Kind: api.WatchDelta, Delta: f.deltas[after]})
+		buf = serve.AppendWatchFrame(buf, serve.WatchFrame{Kind: serve.WatchDelta, Delta: f.deltas[after]})
 	}
 	w.Write(buf) // then drop the connection: the client must reconnect
 }
@@ -62,8 +62,8 @@ func (f *fakeFeed) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func TestWatcherEndFrameSurfacesCompacted(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
-		buf := api.AppendWatchFrame(nil, api.WatchFrame{Kind: api.WatchHandshake, Floor: 1, Next: 4})
-		buf = api.AppendWatchFrame(buf, api.WatchFrame{Kind: api.WatchEnd, Floor: 42, Next: 99})
+		buf := serve.AppendWatchFrame(nil, serve.WatchFrame{Kind: serve.WatchHandshake, Floor: 1, Next: 4})
+		buf = serve.AppendWatchFrame(buf, serve.WatchFrame{Kind: serve.WatchEnd, Floor: 42, Next: 99})
 		w.Write(buf)
 	}))
 	defer srv.Close()

@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"repro/internal/serve"
 )
 
 // watchBatch bounds the deltas fetched (and written) per iteration so a
@@ -106,7 +108,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Delta-Floor", strconv.FormatUint(floor, 10))
 	w.Header().Set("X-Delta-Next", strconv.FormatUint(next, 10))
 	w.WriteHeader(http.StatusOK)
-	buf = AppendWatchFrame(buf, WatchFrame{Kind: WatchHandshake, Floor: floor, Next: next})
+	buf = serve.AppendWatchFrame(buf, serve.WatchFrame{Kind: serve.WatchHandshake, Floor: floor, Next: next})
 	if _, err := w.Write(buf); err != nil {
 		return
 	}
@@ -131,7 +133,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 				// "resync required" from a dropped connection — then end
 				// the stream; the /v1/lookup resync path takes over.
 				f, n := s.feed.DeltaBounds()
-				buf = AppendWatchFrame(buf[:0], WatchFrame{Kind: WatchEnd, Floor: f, Next: n})
+				buf = serve.AppendWatchFrame(buf[:0], serve.WatchFrame{Kind: serve.WatchEnd, Floor: f, Next: n})
 				if _, err := w.Write(buf); err != nil {
 					return
 				}
@@ -180,7 +182,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		case <-hb.C():
 			hb.Fired()
 			f, n := s.feed.DeltaBounds()
-			buf = AppendWatchFrame(buf[:0], WatchFrame{Kind: WatchHeartbeat, Floor: f, Next: n})
+			buf = serve.AppendWatchFrame(buf[:0], serve.WatchFrame{Kind: serve.WatchHeartbeat, Floor: f, Next: n})
 			if _, err := w.Write(buf); err != nil {
 				return
 			}

@@ -90,12 +90,14 @@ func BarabasiAlbert(n, m int, seed uint64) *graph.Graph {
 		clear(chosen)
 		for len(chosen) < m {
 			v := targets[src.Intn(len(targets))]
-			if int(v) == u {
+			if _, dup := chosen[v]; dup || int(v) == u {
 				continue
 			}
 			chosen[v] = struct{}{}
-		}
-		for v := range chosen {
+			// Append in draw order (never by ranging over the map): the
+			// order of targets feeds every later draw, so map iteration
+			// order here would make one seed yield a different graph per
+			// call.
 			g.AddEdge(graph.VertexID(u), v)
 			targets = append(targets, graph.VertexID(u), v)
 		}

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -100,6 +101,27 @@ func TestBarabasiAlbertNewVertexDegree(t *testing.T) {
 		if g.OutDegree(graph.VertexID(u)) != 4 {
 			t.Fatalf("vertex %d out-degree %d, want 4", u, g.OutDegree(graph.VertexID(u)))
 		}
+	}
+}
+
+// One seed is one graph: the edge list (in insertion order) must repeat
+// call for call, and a different seed must give a different one.
+func TestBarabasiAlbertDeterministic(t *testing.T) {
+	edges := func(seed uint64) [][2]graph.VertexID {
+		var out [][2]graph.VertexID
+		BarabasiAlbert(2000, 6, seed).Edges(func(u, v graph.VertexID) {
+			out = append(out, [2]graph.VertexID{u, v})
+		})
+		return out
+	}
+	a := edges(17)
+	for call := 0; call < 3; call++ {
+		if b := edges(17); !slices.Equal(a, b) {
+			t.Fatalf("call %d with the same seed produced a different edge list", call+2)
+		}
+	}
+	if slices.Equal(a, edges(18)) {
+		t.Fatal("a different seed produced the same edge list")
 	}
 }
 

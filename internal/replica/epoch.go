@@ -11,9 +11,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+
+	"repro/internal/frame"
 )
 
 const (
@@ -38,7 +39,7 @@ func SaveEpoch(dir string, e Epoch) error {
 	binary.LittleEndian.PutUint32(buf[0:], epochMagic)
 	binary.LittleEndian.PutUint64(buf[4:], e.Epoch)
 	binary.LittleEndian.PutUint64(buf[12:], e.SealedSeq)
-	binary.LittleEndian.PutUint32(buf[20:], crc32.Checksum(buf[:20], crcTable))
+	binary.LittleEndian.PutUint32(buf[20:], frame.Checksum(buf[:20]))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -80,7 +81,7 @@ func LoadEpoch(dir string) (e Epoch, ok bool, err error) {
 	if binary.LittleEndian.Uint32(buf) != epochMagic {
 		return Epoch{}, false, errors.New("replica: epoch file bad magic")
 	}
-	if crc32.Checksum(buf[:20], crcTable) != binary.LittleEndian.Uint32(buf[20:]) {
+	if frame.Checksum(buf[:20]) != binary.LittleEndian.Uint32(buf[20:]) {
 		return Epoch{}, false, errors.New("replica: epoch file fails CRC")
 	}
 	return Epoch{

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/metrics"
 	"repro/internal/serve"
 	"repro/internal/wal"
@@ -144,7 +145,7 @@ func normalizeLeader(addr string) string {
 // bootstrap installs the leader's latest checkpoint (and its epoch) into
 // the follower's empty data dir.
 func (f *Follower) bootstrap() error {
-	req, err := http.NewRequestWithContext(f.ctx, http.MethodGet, f.cfg.Leader+"/replicate/checkpoint", nil)
+	req, err := http.NewRequestWithContext(f.ctx, http.MethodGet, f.cfg.Leader+"/v1/replicate/checkpoint", nil)
 	if err != nil {
 		return err
 	}
@@ -209,12 +210,12 @@ func (f *Follower) run() {
 	}
 }
 
-// streamOnce opens one /replicate stream at the applied position and
+// streamOnce opens one /v1/replicate stream at the applied position and
 // applies frames until the connection drops. A partial frame at the end
 // of the connection is discarded (it re-arrives whole on the next
 // attempt), so a torn stream can never apply a torn group.
 func (f *Follower) streamOnce() error {
-	u := fmt.Sprintf("%s/replicate?after_seq=%d", f.cfg.Leader, f.appliedSeq.Load())
+	u := fmt.Sprintf("%s/v1/replicate?after_seq=%d", f.cfg.Leader, f.appliedSeq.Load())
 	if e := f.epoch.Load(); e > 0 {
 		u += "&epoch=" + strconv.FormatUint(e, 10)
 	}
@@ -245,7 +246,7 @@ func (f *Follower) streamOnce() error {
 			buf = append(buf, chunk[:n]...)
 			for len(buf) > 0 {
 				fr, consumed, err := DecodeFrame(buf)
-				if errors.Is(err, ErrShortFrame) {
+				if errors.Is(err, frame.ErrShort) {
 					break // torn read; complete it with the next chunk
 				}
 				if err != nil {
@@ -295,9 +296,9 @@ func (f *Follower) handleFrame(fr Frame) error {
 }
 
 // applyRecord pushes one leader journal record through the store's
-// replicated apply path, quiescing after it exactly as recovery does (the
-// bit-identity contract), and verifies the follower's own journal stayed
-// sequence-aligned with the leader's.
+// ApplyRecord — the same apply-then-quiesce entry recovery replays the
+// journal through (the bit-identity contract) — and verifies the
+// follower's own journal stayed sequence-aligned with the leader's.
 func (f *Follower) applyRecord(rec wal.Record) error {
 	want := f.appliedSeq.Load() + 1
 	if rec.Seq < want {
@@ -306,22 +307,9 @@ func (f *Follower) applyRecord(rec wal.Record) error {
 	if rec.Seq > want {
 		return fmt.Errorf("replica: stream gap: record %d, want %d", rec.Seq, want)
 	}
-	switch rec.Type {
-	case wal.RecordMutation:
-		if err := f.st.SubmitReplicated(rec.Mut); err != nil {
-			return fatalErr{err}
-		}
-	case wal.RecordResize:
-		if err := f.st.ResizeReplicated(rec.NewK); err != nil {
-			return fatalErr{err}
-		}
-	default:
-		return fatalErr{fmt.Errorf("replica: unknown record type %d", rec.Type)}
+	if err := f.st.ApplyRecord(rec); err != nil {
+		return fatalErr{err}
 	}
-	// Deterministic re-rejections of batches the leader rejected stay
-	// observable via Err without failing replication — same contract as
-	// recovery replay.
-	_ = f.st.Quiesce()
 	if f.st.Degraded() {
 		return fatalErr{errors.New("replica: follower storage degraded")}
 	}

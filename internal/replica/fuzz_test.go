@@ -22,11 +22,11 @@ func journalFrames(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if _, _, err := j.AppendMutation(&graph.Mutation{NewVertices: 2,
-		NewEdges: []graph.WeightedEdgeRecord{{U: 0, V: 1, Weight: 3}}}); err != nil {
+	if _, _, err := j.AppendGroup([]wal.GroupEntry{{Mut: &graph.Mutation{NewVertices: 2,
+		NewEdges: []graph.WeightedEdgeRecord{{U: 0, V: 1, Weight: 3}}}}}); err != nil {
 		tb.Fatal(err)
 	}
-	if _, _, err := j.AppendResize(5); err != nil {
+	if _, _, err := j.AppendGroup([]wal.GroupEntry{{NewK: 5}}); err != nil {
 		tb.Fatal(err)
 	}
 	if err := j.Close(); err != nil {

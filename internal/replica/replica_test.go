@@ -95,7 +95,8 @@ func leaderHTTP(t testing.TB, st *serve.Store, dir string) (*httptest.Server, *S
 	t.Helper()
 	srv := fastServer(st, dir, func() uint64 { return 1 })
 	mux := http.NewServeMux()
-	srv.Register(mux)
+	mux.HandleFunc("GET /v1/replicate", srv.ServeStream)
+	mux.HandleFunc("GET /v1/replicate/checkpoint", srv.ServeCheckpoint)
 	hs := httptest.NewServer(mux)
 	t.Cleanup(hs.Close)
 	return hs, srv
@@ -251,9 +252,6 @@ func TestFollowerBitIdenticalToLeader(t *testing.T) {
 			if fl.Store().JournalSeq() != leader.JournalSeq() {
 				t.Fatalf("follower journal at seq %d, leader at %d", fl.Store().JournalSeq(), leader.JournalSeq())
 			}
-			if !fl.Store().ReadOnly() {
-				t.Fatal("follower store is not read-only")
-			}
 			if err := fl.Store().Submit(&graph.Mutation{NewVertices: 1}); err != serve.ErrReadOnly {
 				t.Fatalf("follower Submit err = %v, want ErrReadOnly", err)
 			}
@@ -296,8 +294,8 @@ func TestFollowerResumesAfterTornStream(t *testing.T) {
 
 	var attempts atomic.Int64
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /replicate/checkpoint", srv.ServeCheckpoint)
-	mux.HandleFunc("GET /replicate", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/replicate/checkpoint", srv.ServeCheckpoint)
+	mux.HandleFunc("GET /v1/replicate", func(w http.ResponseWriter, r *http.Request) {
 		a := attempts.Add(1)
 		if a <= 4 {
 			// Grow the budget per attempt so each connection makes some
@@ -347,9 +345,6 @@ func TestPromoteFencesDeposedLeader(t *testing.T) {
 	if ep.Epoch != oldEpoch+1 || ep.SealedSeq != sealed {
 		t.Fatalf("promoted to %+v, want epoch %d sealing seq %d", ep, oldEpoch+1, sealed)
 	}
-	if fl.Store().ReadOnly() {
-		t.Fatal("promoted store still read-only")
-	}
 	// The new epoch is durable before writes open.
 	if e, ok, err := LoadEpoch(fdir); err != nil || !ok || e != ep {
 		t.Fatalf("LoadEpoch = %+v,%v,%v want %+v", e, ok, err, ep)
@@ -382,7 +377,7 @@ func TestPromoteFencesDeposedLeader(t *testing.T) {
 		t.Fatalf("second Promote = %+v,%v want %+v", again, err, ep)
 	}
 	// Stream handshake fencing on the leader side: a stale epoch is 409.
-	resp, err := http.Get(hs.URL + "/replicate?after_seq=0&epoch=99")
+	resp, err := http.Get(hs.URL + "/v1/replicate?after_seq=0&epoch=99")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,8 +396,8 @@ func TestFollowerCrashResumesFromOwnCheckpoint(t *testing.T) {
 
 	var ckptFetches atomic.Int64
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /replicate", srv.ServeStream)
-	mux.HandleFunc("GET /replicate/checkpoint", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/replicate", srv.ServeStream)
+	mux.HandleFunc("GET /v1/replicate/checkpoint", func(w http.ResponseWriter, r *http.Request) {
 		ckptFetches.Add(1)
 		srv.ServeCheckpoint(w, r)
 	})

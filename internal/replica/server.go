@@ -12,12 +12,12 @@ import (
 )
 
 // Server is the leader side of the replication plane: it serves checkpoint
-// bootstrap (GET /replicate/checkpoint) and the live journal tail as a
-// chunked stream (GET /replicate?after_seq=N[&epoch=E]). While a follower
-// is connected, the Server pins the leader's journal retention at the
-// lowest sequence any connected follower still needs, so checkpoint
-// truncation cannot reclaim segments out from under the stream (the
-// truncate-under-replication race).
+// bootstrap (GET /v1/replicate/checkpoint) and the live journal tail as a
+// chunked stream (GET /v1/replicate?after_seq=N[&epoch=E]); internal/api
+// mounts both handlers. While a follower is connected, the Server pins
+// the leader's journal retention at the lowest sequence any connected
+// follower still needs, so checkpoint truncation cannot reclaim segments
+// out from under the stream (the truncate-under-replication race).
 type Server struct {
 	st    *serve.Store
 	dir   string
@@ -101,7 +101,7 @@ func (s *Server) ServeCheckpoint(w http.ResponseWriter, r *http.Request) {
 	w.Write(payload)
 }
 
-// ServeStream handles GET /replicate?after_seq=N[&epoch=E]: a chunked
+// ServeStream handles GET /v1/replicate?after_seq=N[&epoch=E]: a chunked
 // stream opening with a handshake frame and then pushing records frames
 // as the journal grows, heartbeats when it is idle. An epoch parameter
 // that does not match the node's current epoch is refused with 409 (the
@@ -197,10 +197,4 @@ func (s *Server) ServeStream(w http.ResponseWriter, r *http.Request) {
 			return // corruption or gap mid-stream: drop; the client rehandshakes
 		}
 	}
-}
-
-// Register installs the replication endpoints on mux.
-func (s *Server) Register(mux *http.ServeMux) {
-	mux.HandleFunc("GET /replicate", s.ServeStream)
-	mux.HandleFunc("GET /replicate/checkpoint", s.ServeCheckpoint)
 }

@@ -8,9 +8,10 @@
 // full read-write coordinator.
 //
 // The wire protocol carries the journal's on-disk frames verbatim inside
-// stream frames of its own:
+// stream frames that ride the shared envelope in internal/frame (u8 kind |
+// u32 len | u32 CRC-32C | payload — the same one /v1/watch uses); this
+// package owns only the kinds and the payload layout:
 //
-//	u8 kind | u32 payload len | u32 CRC-32C(payload) | payload
 //	payload = u64 epoch | u64 leaderSeq | [records: raw WAL frames]
 //
 // kinds: handshake (1, opens every stream), records (2, one or more
@@ -19,13 +20,21 @@
 // epoch, so fencing is per-frame, not just per-connection: after a
 // follower promotes, any frame still in flight from the deposed leader
 // fails the epoch check and is dropped with the connection.
+//
+// A follower is recovery that never stops: Follower.applyRecord and
+// serve.Open's journal replay push every record through the same
+// (*serve.Store).ApplyRecord, which is what makes follower state
+// bit-identical to the leader's quiesced history; only what legitimately
+// differs (sequence alignment, the lag histogram, which counter ticks)
+// stays with the caller.
 package replica
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+
+	"repro/internal/frame"
 )
 
 // Stream frame kinds.
@@ -40,18 +49,9 @@ const (
 	FrameHeartbeat byte = 3
 )
 
-const (
-	frameHeader  = 9  // u8 kind + u32 len + u32 crc
-	frameFixed   = 16 // u64 epoch + u64 leaderSeq
-	maxFrameSize = 1 << 28
-)
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// ErrShortFrame reports that a buffer holds only a prefix of a frame:
-// read more bytes and retry. Every other decode error is corruption (or a
-// version skew) and must drop the connection.
-var ErrShortFrame = errors.New("replica: short frame")
+// frameFixed is the payload prefix every frame carries: u64 epoch + u64
+// leaderSeq.
+const frameFixed = 16
 
 // Frame is one decoded replication stream frame.
 type Frame struct {
@@ -63,42 +63,30 @@ type Frame struct {
 
 // AppendFrame encodes f onto dst and returns the extended slice.
 func AppendFrame(dst []byte, f Frame) []byte {
-	start := len(dst)
-	dst = append(dst, f.Kind, 0, 0, 0, 0, 0, 0, 0, 0)
-	dst = binary.LittleEndian.AppendUint64(dst, f.Epoch)
-	dst = binary.LittleEndian.AppendUint64(dst, f.LeaderSeq)
-	dst = append(dst, f.Records...)
-	payload := dst[start+frameHeader:]
-	binary.LittleEndian.PutUint32(dst[start+1:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+5:], crc32.Checksum(payload, crcTable))
-	return dst
+	var fixed [frameFixed]byte
+	binary.LittleEndian.PutUint64(fixed[:], f.Epoch)
+	binary.LittleEndian.PutUint64(fixed[8:], f.LeaderSeq)
+	return frame.Append(dst, f.Kind, fixed[:], f.Records)
 }
 
 // DecodeFrame parses one frame from the front of b, returning it and the
-// number of bytes consumed. ErrShortFrame means b ends mid-frame (a torn
+// number of bytes consumed. frame.ErrShort means b ends mid-frame (a torn
 // read — wait for more bytes); any other error means the bytes can never
 // parse and the stream must be abandoned. Records aliases b.
 func DecodeFrame(b []byte) (Frame, int, error) {
-	if len(b) < frameHeader {
-		return Frame{}, 0, ErrShortFrame
+	kind, payload, n, err := frame.Decode(b)
+	if err != nil {
+		return Frame{}, 0, err
 	}
-	kind := b[0]
-	if kind < FrameHandshake || kind > FrameHeartbeat {
+	switch {
+	case kind < FrameHandshake || kind > FrameHeartbeat:
 		return Frame{}, 0, fmt.Errorf("replica: unknown frame kind %d", kind)
-	}
-	n := int(binary.LittleEndian.Uint32(b[1:]))
-	if n < frameFixed || n > maxFrameSize {
-		return Frame{}, 0, fmt.Errorf("replica: frame payload of %d bytes", n)
-	}
-	if kind != FrameRecords && n != frameFixed {
-		return Frame{}, 0, fmt.Errorf("replica: %d-byte payload on control frame kind %d", n, kind)
-	}
-	if len(b) < frameHeader+n {
-		return Frame{}, 0, ErrShortFrame
-	}
-	payload := b[frameHeader : frameHeader+n]
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(b[5:]) {
-		return Frame{}, 0, errors.New("replica: frame fails CRC")
+	case len(payload) < frameFixed:
+		return Frame{}, 0, fmt.Errorf("replica: frame payload of %d bytes", len(payload))
+	case kind != FrameRecords && len(payload) != frameFixed:
+		return Frame{}, 0, fmt.Errorf("replica: %d-byte payload on control frame kind %d", len(payload), kind)
+	case kind == FrameRecords && len(payload) == frameFixed:
+		return Frame{}, 0, errors.New("replica: empty records frame")
 	}
 	f := Frame{
 		Kind:      kind,
@@ -107,9 +95,6 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 	}
 	if kind == FrameRecords {
 		f.Records = payload[frameFixed:]
-		if len(f.Records) == 0 {
-			return Frame{}, 0, errors.New("replica: empty records frame")
-		}
 	}
-	return f, frameHeader + n, nil
+	return f, n, nil
 }

@@ -34,7 +34,7 @@ func TestQuotaTokenBucket(t *testing.T) {
 	if err := cfg.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := newStore(w, labels, cfg)
+	st, err := newFresh(w, labels, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestQuotaTenantDepth(t *testing.T) {
 	if err := cfg.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := newStore(w, labels, cfg)
+	st, err := newFresh(w, labels, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func starvationHarness(t *testing.T, cfg Config) (st *Store, stop func()) {
 		t.Fatal(err)
 	}
 	w, labels := twoClusters(50)
-	st, err := newStore(w, append([]int32(nil), labels...), cfg)
+	st, err := newFresh(w, append([]int32(nil), labels...), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestResizeKUnchangedAtomic(t *testing.T) {
 	if err := st.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.K(); got != 3 {
+	if got := st.Snapshot().K; got != 3 {
 		t.Fatalf("K = %d after resize, want 3", got)
 	}
 	if err := st.Resize(2); err != nil {
@@ -344,7 +344,7 @@ func TestResizeKUnchangedAtomic(t *testing.T) {
 	if err := st.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.K(); got != 2 {
+	if got := st.Snapshot().K; got != 2 {
 		t.Fatalf("K = %d after resize back, want 2", got)
 	}
 	if got := st.ctr.ElasticResizes.Load(); got != 2 {

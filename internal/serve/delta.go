@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/graph"
 )
 
@@ -262,7 +263,7 @@ type FramedDelta struct {
 
 // Payload returns the EncodeDelta bytes inside Frame (aliased, not
 // copied).
-func (f *FramedDelta) Payload() []byte { return f.Frame[watchHeader:] }
+func (f *FramedDelta) Payload() []byte { return f.Frame[frame.HeaderSize:] }
 
 // Elapsed returns the time since the delta was published — the fan-out
 // delivery latency when sampled right after writing Frame to a stream.
@@ -326,13 +327,6 @@ type deltaHub struct {
 	// ring swap, and by subscribe/unsubscribe on stream open/close.
 	subMu sync.Mutex
 	subs  map[*DeltaSub]struct{}
-
-	// notify is the legacy close-and-replace broadcast channel, kept for
-	// DeltaNotify. Allocated lazily on first waitCh so stores whose
-	// watchers all use DeltaSub never pay the per-publication channel
-	// churn.
-	notifyMu sync.Mutex
-	notify   chan struct{}
 }
 
 func newDeltaHub(max int) *deltaHub {
@@ -349,9 +343,9 @@ func (h *deltaHub) publish(d *Delta) {
 	d.Seq = h.next.Load()
 	payload := EncodeDelta(d)
 	h.encodes.Add(1)
-	frame := make([]byte, 0, watchHeader+len(payload))
-	frame = AppendWatchFrame(frame, WatchFrame{Kind: WatchDelta, Delta: payload})
-	entry := FramedDelta{Delta: d, Frame: frame, pub: time.Since(hubEpoch)}
+	framed := make([]byte, 0, frame.HeaderSize+len(payload))
+	framed = AppendWatchFrame(framed, WatchFrame{Kind: WatchDelta, Delta: payload})
+	entry := FramedDelta{Delta: d, Frame: framed, pub: time.Since(hubEpoch)}
 	var keep []FramedDelta
 	if old := h.ring.Load(); old != nil {
 		keep = old.entries
@@ -369,13 +363,6 @@ func (h *deltaHub) publish(d *Delta) {
 	h.ring.Store(&deltaRing{entries: append(keep, entry)})
 	h.next.Add(1)
 	h.mu.Unlock()
-
-	h.notifyMu.Lock()
-	if h.notify != nil {
-		close(h.notify)
-		h.notify = nil
-	}
-	h.notifyMu.Unlock()
 
 	h.subMu.Lock()
 	for sub := range h.subs {
@@ -426,32 +413,6 @@ func (h *deltaHub) framedSince(after uint64, max int) (fds []FramedDelta, floor 
 	return ents, floor
 }
 
-// since is framedSince projected onto bare deltas, for consumers that
-// do not need the memoized frames.
-func (h *deltaHub) since(after uint64, max int) (ds []*Delta, floor uint64) {
-	fds, floor := h.framedSince(after, max)
-	if len(fds) > 0 {
-		ds = make([]*Delta, len(fds))
-		for i := range fds {
-			ds[i] = fds[i].Delta
-		}
-	}
-	return ds, floor
-}
-
-// waitCh returns a channel closed by the next publication — the legacy
-// single-channel broadcast. Each publication closes and discards it, so
-// every parked waiter wakes and re-calls waitCh (a thundering herd at
-// scale); high-fan-out consumers should use subscribe instead.
-func (h *deltaHub) waitCh() <-chan struct{} {
-	h.notifyMu.Lock()
-	defer h.notifyMu.Unlock()
-	if h.notify == nil {
-		h.notify = make(chan struct{})
-	}
-	return h.notify
-}
-
 // subscribe registers a coalesced-wakeup subscriber.
 func (h *deltaHub) subscribe() *DeltaSub {
 	sub := &DeltaSub{hub: h, c: make(chan struct{}, 1)}
@@ -484,65 +445,25 @@ func (h *deltaHub) subscribers() int {
 // floor-1 <= from_seq <= next-1; anything older was compacted away.
 func (s *Store) DeltaBounds() (floor, next uint64) { return s.deltas.bounds() }
 
-// DeltasSince returns up to max (0 = all) retained deltas with
-// Seq > after, and the current compaction floor. When the first returned
-// delta's Seq is not after+1 the gap was compacted: resync.
-func (s *Store) DeltasSince(after uint64, max int) ([]*Delta, uint64) {
-	return s.deltas.since(after, max)
-}
-
-// FramedDeltasSince is DeltasSince with the memoized watch-frame bytes:
-// up to max (0 = all) retained entries with Seq > after, plus the
-// floor. The returned entries alias the hub's immutable ring snapshot —
-// every caller shares the same Frame bytes and must not mutate them.
-// When the first entry's Seq is not after+1 the gap was compacted:
-// resync.
+// FramedDeltasSince returns up to max (0 = all) retained deltas with
+// Seq > after, each with its memoized watch-frame bytes, plus the
+// current compaction floor. The returned entries alias the hub's
+// immutable ring snapshot — every caller shares the same Frame bytes and
+// must not mutate them. When the first entry's Seq is not after+1 the gap
+// was compacted: resync.
 func (s *Store) FramedDeltasSince(after uint64, max int) ([]FramedDelta, uint64) {
 	return s.deltas.framedSince(after, max)
 }
 
 // SubscribeDeltas registers a publication subscriber with a coalesced
-// single-slot wakeup channel — the scalable watch-stream hook (the
-// legacy DeltaNotify channel wakes every waiter on every publication).
-// Callers must Cancel when done.
+// single-slot wakeup channel — the watch-stream hook. Callers must
+// Cancel when done.
 func (s *Store) SubscribeDeltas() *DeltaSub { return s.deltas.subscribe() }
-
-// DeltaNotify returns a channel closed by the next delta publication —
-// the legacy long-poll hook. Prefer SubscribeDeltas for long-lived
-// streams: this channel is re-allocated per publication and wakes all
-// waiters at once.
-func (s *Store) DeltaNotify() <-chan struct{} { return s.deltas.waitCh() }
-
-// emitBaselineDelta publishes the full-state delta every store starts its
-// feed with. Called before the goroutines start (construction/recovery),
-// while the caller owns the state exclusively.
-func (s *Store) emitBaselineDelta() {
-	var cross, total int64
-	for _, sh := range s.shards {
-		cross += sh.cross
-		total += sh.total
-	}
-	d := &Delta{
-		Epoch: s.epoch, Gen: s.gen, K: s.k, N: s.w.NumVertices(),
-		Bounds: append([]int(nil), s.bounds...),
-		Cross:  cross, Total: total,
-	}
-	if n := len(s.labels); n > 0 {
-		d.Runs = []LabelRun{{Start: 0, Labels: append([]int32(nil), s.labels...)}}
-	}
-	s.deltas.publish(d)
-	s.ctr.DeltasPublished.Add(1)
-	s.ctr.DeltaEncodes.Add(1)
-}
 
 // emitBarrierDelta publishes an exact delta from coordinator-owned state.
 // Coordinator-only, under a barrier (or with the goroutines stopped).
 func (s *Store) emitBarrierDelta(runs []LabelRun, includeBounds bool) {
-	var cross, total int64
-	for _, sh := range s.shards {
-		cross += sh.cross
-		total += sh.total
-	}
+	cross, total := s.ownedCounters()
 	d := &Delta{
 		Epoch: s.epoch, Gen: s.gen, K: s.k, N: s.w.NumVertices(),
 		Runs: runs, Cross: cross, Total: total,
@@ -550,6 +471,12 @@ func (s *Store) emitBarrierDelta(runs []LabelRun, includeBounds bool) {
 	if includeBounds {
 		d.Bounds = append([]int(nil), s.bounds...)
 	}
+	s.publishDelta(d)
+}
+
+// publishDelta hands d to the hub and counts the publication and its one
+// encode.
+func (s *Store) publishDelta(d *Delta) {
 	s.deltas.publish(d)
 	s.ctr.DeltasPublished.Add(1)
 	s.ctr.DeltaEncodes.Add(1)
@@ -571,7 +498,5 @@ func (s *Store) emitCounterDelta() {
 			epoch = sn.epoch
 		}
 	}
-	s.deltas.publish(&Delta{Epoch: epoch, Cross: cross, Total: total})
-	s.ctr.DeltasPublished.Add(1)
-	s.ctr.DeltaEncodes.Add(1)
+	s.publishDelta(&Delta{Epoch: epoch, Cross: cross, Total: total})
 }

@@ -26,37 +26,23 @@ func TestDeltaHubPublishCompactionAndBounds(t *testing.T) {
 	}
 
 	// A live cursor gets the dense tail.
-	ds, f := h.since(8, 0)
-	if f != 7 || len(ds) != 2 || ds[0].Seq != 9 || ds[1].Seq != 10 {
-		t.Fatalf("since(8) = %d deltas floor %d", len(ds), f)
+	ds, f := h.framedSince(8, 0)
+	if f != 7 || len(ds) != 2 || ds[0].Delta.Seq != 9 || ds[1].Delta.Seq != 10 {
+		t.Fatalf("framedSince(8) = %d deltas floor %d", len(ds), f)
 	}
 	// max truncates.
-	ds, _ = h.since(6, 1)
-	if len(ds) != 1 || ds[0].Seq != 7 {
-		t.Fatalf("since(6, max 1) = %v", ds)
+	ds, _ = h.framedSince(6, 1)
+	if len(ds) != 1 || ds[0].Delta.Seq != 7 {
+		t.Fatalf("framedSince(6, max 1) = %v", ds)
 	}
 	// A compacted cursor sees a gap it must detect: first seq != after+1.
-	ds, f = h.since(2, 0)
-	if f != 7 || len(ds) != 4 || ds[0].Seq == 3 {
-		t.Fatalf("since(2) = %d deltas starting %d, floor %d", len(ds), ds[0].Seq, f)
+	ds, f = h.framedSince(2, 0)
+	if f != 7 || len(ds) != 4 || ds[0].Delta.Seq == 3 {
+		t.Fatalf("framedSince(2) = %d deltas starting %d, floor %d", len(ds), ds[0].Delta.Seq, f)
 	}
 	// A caught-up cursor gets nothing.
-	if ds, _ := h.since(10, 0); len(ds) != 0 {
-		t.Fatalf("since(10) = %v, want empty", ds)
-	}
-
-	// notify fires on publish.
-	ch := h.waitCh()
-	select {
-	case <-ch:
-		t.Fatal("notify closed before publish")
-	default:
-	}
-	h.publish(&Delta{})
-	select {
-	case <-ch:
-	default:
-		t.Fatal("notify not closed by publish")
+	if ds, _ := h.framedSince(10, 0); len(ds) != 0 {
+		t.Fatalf("framedSince(10) = %v, want empty", ds)
 	}
 }
 
@@ -107,7 +93,7 @@ func TestDeltaHubFramedSinceSharesMemoizedFrames(t *testing.T) {
 		}
 	}
 
-	// framedSince matches since on cursor/max/gap semantics.
+	// Cursor and max semantics on the shared entries.
 	fds, floor := h.framedSince(2, 2)
 	if floor != 1 || len(fds) != 2 || fds[0].Delta.Seq != 3 || fds[1].Delta.Seq != 4 {
 		t.Fatalf("framedSince(2, max 2) = %d entries starting %d, floor %d", len(fds), fds[0].Delta.Seq, floor)
@@ -388,11 +374,14 @@ func TestBaselineDeltaReconstructsLabels(t *testing.T) {
 	}
 	defer st.Close()
 
-	ds, _ := st.DeltasSince(0, 1)
-	if len(ds) != 1 || ds[0].Seq != 1 {
+	ds, _ := st.FramedDeltasSince(0, 1)
+	if len(ds) != 1 || ds[0].Delta.Seq != 1 {
 		t.Fatalf("first delta = %+v", ds)
 	}
-	base := ds[0]
+	base, err := DecodeDelta(ds[0].Payload())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if base.K != 4 || base.N != 300 || len(base.Bounds) == 0 || base.RunVertices() != 300 {
 		t.Fatalf("baseline delta k=%d n=%d bounds=%d runs cover %d", base.K, base.N, len(base.Bounds), base.RunVertices())
 	}

@@ -70,15 +70,12 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
 	"slices"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/wal"
@@ -202,7 +199,7 @@ func NewDurable(dir string, w *graph.Weighted, labels []int32, cfg Config) (*Sto
 	if HasState(dir) {
 		return nil, fmt.Errorf("serve: %s already holds store state; use Open to recover it", dir)
 	}
-	s, err := newStore(w, labels, cfg)
+	s, err := newFresh(w, labels, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -226,19 +223,11 @@ func NewDurable(dir string, w *graph.Weighted, labels []int32, cfg Config) (*Sto
 // BootstrapDurable partitions g from scratch and starts a durable Store
 // over the result — the one-call path for drivers with a -data-dir.
 func BootstrapDurable(dir string, g *graph.Graph, cfg Config) (*Store, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
-	w := graph.Convert(g)
-	p, err := core.NewPartitioner(cfg.Options)
+	w, labels, err := partitionFromScratch(g, cfg)
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.PartitionWeighted(w)
-	if err != nil {
-		return nil, err
-	}
-	return NewDurable(dir, w, res.Labels, cfg)
+	return NewDurable(dir, w, labels, cfg)
 }
 
 // Open recovers a Store from dir: it loads the newest valid base
@@ -288,7 +277,7 @@ func Open(dir string, cfg Config) (*Store, error) {
 			if idx >= len(chain) {
 				return nil
 			}
-			return applyStructural(st, rec)
+			return applyStructural(st.w, rec)
 		}); err != nil {
 			return nil, fmt.Errorf("serve: composing checkpoint chain in %s: %w", dir, err)
 		}
@@ -311,7 +300,15 @@ func Open(dir string, cfg Config) (*Store, error) {
 		return nil, err
 	}
 	cfg.Durability.normalize()
-	s, err := newStoreFromCheckpoint(st, cfg)
+	s, err := newStore(st, cfg)
+	if err == nil {
+		// The stored composed counters must match the exact per-shard
+		// recompute — for a chain, this checks every link's integrity.
+		if cross, total := s.ownedCounters(); cross != st.cross || total != st.total {
+			err = fmt.Errorf("recomputed cut counters (cut=%d,total=%d) disagree with checkpoint (cut=%d,total=%d)",
+				cross, total, st.cross, st.total)
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("serve: checkpoint %d in %s: %w", seq, dir, err)
 	}
@@ -325,29 +322,15 @@ func Open(dir string, cfg Config) (*Store, error) {
 	// here re-runs it from the same graph, epoch and generation.
 	_ = s.Quiesce()
 	next, err := wal.Replay(journalDir(dir), seq, func(rec wal.Record) error {
-		switch rec.Type {
-		case wal.RecordMutation:
-			// submitReplay bypasses admission: these records were admitted
-			// by the live process that journaled them.
-			if err := s.submitReplay(rec.Mut); err != nil {
-				return err
-			}
-		case wal.RecordResize:
-			// Journals written before Resize claimed the target k can hold
-			// duplicate resizes (the coordinator dropped them as no-ops);
-			// replaying one is likewise a no-op.
-			if err := s.Resize(rec.NewK); err != nil && !errors.Is(err, ErrKUnchanged) {
-				return err
-			}
-		default:
-			return fmt.Errorf("serve: replaying unknown record type %d", rec.Type)
+		// ApplyRecord is the entry a follower feeds the leader's stream
+		// through; it quiesces after each record, so replay reproduces the
+		// quiesced apply order, and batch-application errors (deterministic
+		// re-rejections of batches rejected live) stay observable via Err
+		// without failing recovery.
+		if err := s.ApplyRecord(rec); err != nil {
+			return err
 		}
 		s.ctr.ReplayedRecords.Add(1)
-		// Quiesce between records: replay reproduces the quiesced apply
-		// order, and batch-application errors (deterministic re-rejections
-		// of batches rejected live) stay observable without failing
-		// recovery.
-		_ = s.Quiesce()
 		return nil
 	})
 	if err != nil {
@@ -374,20 +357,20 @@ func Open(dir string, cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// control sends one coordinator-control entry through the ordered log and
-// waits for its reply.
+// control sends one coordinator-control entry (quiesce, attach, forced
+// reconcile) through the ordered log and waits for its reply.
 func (s *Store) control(e logEntry) error {
 	var reply chan error
 	switch {
+	case e.quiesce != nil:
+		reply = e.quiesce
 	case e.attach != nil:
 		reply = e.attach.reply
 	case e.reconcile != nil:
 		reply = e.reconcile
 	}
-	select {
-	case s.log <- e:
-	case <-s.closed:
-		return ErrClosed
+	if err := s.enqueue(e, false); err != nil {
+		return err
 	}
 	select {
 	case err := <-reply:
@@ -638,19 +621,56 @@ func (s *Store) finishDurable() {
 	}
 }
 
-// Checkpoint payload layout (all little-endian; the file header, CRC and
-// covering sequence live in internal/wal):
+// Checkpoint payload layouts (all little-endian; the file headers, CRCs
+// and covering sequences live in internal/wal). Both formats are the same
+// metadata block wrapped around a label section — the one thing that
+// differs — and only the full format carries the graph:
 //
 //	u16 version | u64 seq | u64 applied | i64 appliedAtRestab
 //	i64 lastReconcile | u64 gen | u64 epoch | f64 baseline | u8 flags
 //	u32 k | u32 shards | (shards+1) × u64 bounds
-//	u32 n | n × u32 labels
+//	u32 n | labels: n × u32 (full)  or  label runs, appendRuns layout (delta)
 //	i64 cross | i64 total   (composed counters, verified on recovery)
 //	u32 affected | affected × u32 vertex
-//	graph (graph.Weighted).EncodeBinary
-const ckptVersion = 1
+//	graph (graph.Weighted).EncodeBinary   (full only)
+//
+// A delta link holds the changed label runs against the previous encoding
+// and NO graph — recovery rebuilds the graph by structurally replaying the
+// journal across the chain (see Open), which is what makes its bytes scale
+// with churn instead of |E|; the metadata block is re-encoded whole (it is
+// tens of bytes).
+const (
+	ckptVersion = 1
+	dckpVersion = 1
 
-const flagWantRestab = 1 << 0
+	flagWantRestab = 1 << 0
+)
+
+// ckptMeta is the metadata block both checkpoint formats carry: the
+// coordinator's trigger and counter state at sequence seq.
+type ckptMeta struct {
+	seq             uint64
+	applied         int64
+	appliedAtRestab int64
+	lastReconcile   int64
+	gen, epoch      uint64
+	baseline        float64
+	wantRestab      bool
+	k               int
+	bounds          []int
+	n               int // vertex (and label) count
+	cross, total    int64
+	affected        []graph.VertexID
+}
+
+// ckptState is both the capture a checkpoint writes and the composed
+// state a recovery reads: the metadata block, the full label array and
+// the graph.
+type ckptState struct {
+	ckptMeta
+	labels []int32
+	w      *graph.Weighted
+}
 
 // captureState snapshots the coordinator-owned state into a ckptState —
 // the barrier-time half of a background checkpoint. With clone set the
@@ -663,28 +683,27 @@ const flagWantRestab = 1 << 0
 // wantRestab flag: recovery re-runs it from the same graph, epoch and
 // generation, which reproduces the same labels.
 func (s *Store) captureState(clone bool) *ckptState {
-	var cross, total int64
-	for _, sh := range s.shards {
-		cross += sh.cross
-		total += sh.total
-	}
+	cross, total := s.ownedCounters()
 	st := &ckptState{
-		seq:             s.d.lastSeq,
-		applied:         s.applied.Load(),
-		appliedAtRestab: s.appliedAtRestab,
-		lastReconcile:   s.lastReconcile,
-		gen:             s.gen,
-		epoch:           s.epoch,
-		baseline:        s.baseline,
-		wantRestab:      s.wantRestab || s.inflight,
-		k:               s.k,
-		bounds:          s.bounds,
-		labels:          s.labels,
-		cross:           cross,
-		total:           total,
-		w:               s.w,
+		ckptMeta: ckptMeta{
+			seq:             s.d.lastSeq,
+			applied:         s.applied.Load(),
+			appliedAtRestab: s.appliedAtRestab,
+			lastReconcile:   s.lastReconcile,
+			gen:             s.gen,
+			epoch:           s.epoch,
+			baseline:        s.baseline,
+			wantRestab:      s.wantRestab || s.inflight,
+			k:               s.k,
+			bounds:          s.bounds,
+			n:               len(s.labels),
+			cross:           cross,
+			total:           total,
+			affected:        make([]graph.VertexID, 0, len(s.affected)),
+		},
+		labels: s.labels,
+		w:      s.w,
 	}
-	st.affected = make([]graph.VertexID, 0, len(s.affected))
 	for v := range s.affected {
 		st.affected = append(st.affected, v)
 	}
@@ -697,38 +716,99 @@ func (s *Store) captureState(clone bool) *ckptState {
 	return st
 }
 
-// encodeCheckpoint serializes a captured state into the checkpoint
-// payload (layout above).
-func encodeCheckpoint(st *ckptState) []byte {
-	buf := make([]byte, 0, 64+4*len(st.labels)+16*len(st.bounds))
-	buf = binary.LittleEndian.AppendUint16(buf, ckptVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, st.seq)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.applied))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.appliedAtRestab))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.lastReconcile))
-	buf = binary.LittleEndian.AppendUint64(buf, st.gen)
-	buf = binary.LittleEndian.AppendUint64(buf, st.epoch)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.baseline))
+// appendMeta encodes the metadata block around the label section the
+// caller supplies — the one codec behind both checkpoint formats.
+func appendMeta(buf []byte, version uint16, m *ckptMeta, labelSection func([]byte) []byte) []byte {
+	buf = binary.LittleEndian.AppendUint16(buf, version)
+	buf = binary.LittleEndian.AppendUint64(buf, m.seq)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.applied))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.appliedAtRestab))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.lastReconcile))
+	buf = binary.LittleEndian.AppendUint64(buf, m.gen)
+	buf = binary.LittleEndian.AppendUint64(buf, m.epoch)
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.baseline))
 	var flags byte
-	if st.wantRestab {
+	if m.wantRestab {
 		flags |= flagWantRestab
 	}
 	buf = append(buf, flags)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(st.k))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.bounds)-1))
-	for _, b := range st.bounds {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.k))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.bounds)-1))
+	for _, b := range m.bounds {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(b))
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.labels)))
-	for _, l := range st.labels {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(l))
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.cross))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.total))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.affected)))
-	for _, v := range st.affected {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.n))
+	buf = labelSection(buf)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.cross))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.total))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.affected)))
+	for _, v := range m.affected {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 	}
+	return buf
+}
+
+// readMeta decodes the metadata block, calling labelSection (with the
+// declared label count) where the format's label section sits. what
+// names the format in errors; failures land in r.err.
+func readMeta(r *ckptReader, what string, version uint16, labelSection func(n int)) ckptMeta {
+	var m ckptMeta
+	if v := r.u16(); v != version {
+		r.fail("%s version %d, want %d", what, v, version)
+	}
+	m.seq = r.u64()
+	m.applied = int64(r.u64())
+	m.appliedAtRestab = int64(r.u64())
+	m.lastReconcile = int64(r.u64())
+	m.gen = r.u64()
+	m.epoch = r.u64()
+	m.baseline = math.Float64frombits(r.u64())
+	if flags := r.take(1); r.err == nil {
+		m.wantRestab = flags[0]&flagWantRestab != 0
+	}
+	m.k = int(int32(r.u32()))
+	nShards := int(r.u32())
+	if nShards < 1 || nShards > 1<<20 {
+		r.fail("%s declares %d shards", what, nShards)
+	}
+	if r.err == nil {
+		m.bounds = make([]int, nShards+1)
+		for i := range m.bounds {
+			m.bounds[i] = int(r.u64())
+		}
+	}
+	m.n = int(r.u32())
+	if m.n < 0 || m.n > graph.MaxVertices {
+		r.fail("%s declares %d labels", what, m.n)
+	}
+	if r.err == nil {
+		labelSection(m.n)
+	}
+	m.cross = int64(r.u64())
+	m.total = int64(r.u64())
+	nAffected := int(r.u32())
+	if nAffected < 0 || nAffected > m.n {
+		r.fail("%s declares %d affected vertices for %d labels", what, nAffected, m.n)
+	}
+	if raw := r.take(4 * nAffected); r.err == nil && nAffected > 0 {
+		m.affected = make([]graph.VertexID, nAffected)
+		for i := range m.affected {
+			m.affected[i] = graph.VertexID(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+	}
+	return m
+}
+
+// encodeCheckpoint serializes a captured state into the full checkpoint
+// payload.
+func encodeCheckpoint(st *ckptState) []byte {
+	buf := make([]byte, 0, 64+4*len(st.labels)+16*len(st.bounds))
+	buf = appendMeta(buf, ckptVersion, &st.ckptMeta, func(b []byte) []byte {
+		for _, l := range st.labels {
+			b = binary.LittleEndian.AppendUint32(b, uint32(l))
+		}
+		return b
+	})
 	var gb bytes.Buffer
 	gb.Grow(int(16*st.w.NumEdges()) + 4*st.w.NumVertices() + 32)
 	// bytes.Buffer writes cannot fail.
@@ -736,22 +816,50 @@ func encodeCheckpoint(st *ckptState) []byte {
 	return append(buf, gb.Bytes()...)
 }
 
-// ckptState is both the capture a checkpoint writes and the decoded
-// checkpoint payload a recovery reads.
-type ckptState struct {
-	seq             uint64
-	applied         int64
-	appliedAtRestab int64
-	lastReconcile   int64
-	gen, epoch      uint64
-	baseline        float64
-	wantRestab      bool
-	k               int
-	bounds          []int
-	labels          []int32
-	cross, total    int64
-	affected        []graph.VertexID
-	w               *graph.Weighted
+func decodeCheckpoint(payload []byte) (*ckptState, error) {
+	r := &ckptReader{b: payload}
+	st := &ckptState{}
+	st.ckptMeta = readMeta(r, "checkpoint", ckptVersion, func(n int) {
+		if raw := r.take(4 * n); r.err == nil {
+			st.labels = make([]int32, n)
+			for i := range st.labels {
+				st.labels[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
+			}
+		}
+	})
+	if r.err != nil {
+		return nil, r.err
+	}
+	w, err := graph.DecodeWeightedBinary(bytes.NewReader(r.b))
+	if err != nil {
+		return nil, err
+	}
+	st.w = w
+	return st, nil
+}
+
+// encodeDeltaCheckpoint serializes a captured state as a chain link:
+// runs are the label changes since the previous encoding.
+func encodeDeltaCheckpoint(st *ckptState, runs []LabelRun) []byte {
+	size := 64 + 8*len(st.bounds) + 4*len(st.affected)
+	for _, r := range runs {
+		size += 8 + 4*len(r.Labels)
+	}
+	return appendMeta(make([]byte, 0, size), dckpVersion, &st.ckptMeta, func(b []byte) []byte {
+		return appendRuns(b, runs)
+	})
+}
+
+// decodeDeltaCheckpoint parses a chain link: the metadata block at its
+// sequence plus the label runs taking the previous encoding's labels to
+// its own.
+func decodeDeltaCheckpoint(payload []byte) (m ckptMeta, runs []LabelRun, err error) {
+	r := &ckptReader{b: payload}
+	m = readMeta(r, "delta checkpoint", dckpVersion, func(int) { runs = readRuns(r) })
+	if r.err == nil && len(r.b) != 0 {
+		r.fail("delta checkpoint has %d trailing bytes", len(r.b))
+	}
+	return m, runs, r.err
 }
 
 type ckptReader struct {
@@ -759,12 +867,19 @@ type ckptReader struct {
 	err error
 }
 
+// fail records the first decode error; later reads return zeros.
+func (r *ckptReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, args...)
+	}
+}
+
 func (r *ckptReader) take(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
 	if len(r.b) < n {
-		r.err = fmt.Errorf("truncated payload (%d bytes left, need %d)", len(r.b), n)
+		r.fail("truncated payload (%d bytes left, need %d)", len(r.b), n)
 		return nil
 	}
 	out := r.b[:n]
@@ -793,383 +908,66 @@ func (r *ckptReader) u64() uint64 {
 	return 0
 }
 
-func decodeCheckpoint(payload []byte) (*ckptState, error) {
-	r := &ckptReader{b: payload}
-	if v := r.u16(); r.err == nil && v != ckptVersion {
-		return nil, fmt.Errorf("checkpoint version %d, want %d", v, ckptVersion)
-	}
-	st := &ckptState{}
-	st.seq = r.u64()
-	st.applied = int64(r.u64())
-	st.appliedAtRestab = int64(r.u64())
-	st.lastReconcile = int64(r.u64())
-	st.gen = r.u64()
-	st.epoch = r.u64()
-	st.baseline = math.Float64frombits(r.u64())
-	flags := r.take(1)
-	if r.err == nil {
-		st.wantRestab = flags[0]&flagWantRestab != 0
-	}
-	st.k = int(int32(r.u32()))
-	nShards := int(r.u32())
-	if r.err == nil && (nShards < 1 || nShards > 1<<20) {
-		return nil, fmt.Errorf("checkpoint declares %d shards", nShards)
-	}
-	if r.err == nil {
-		st.bounds = make([]int, nShards+1)
-		for i := range st.bounds {
-			st.bounds[i] = int(r.u64())
-		}
-	}
-	nLabels := int(r.u32())
-	if r.err == nil && (nLabels < 0 || nLabels > graph.MaxVertices) {
-		return nil, fmt.Errorf("checkpoint declares %d labels", nLabels)
-	}
-	if r.err == nil {
-		if raw := r.take(4 * nLabels); r.err == nil {
-			st.labels = make([]int32, nLabels)
-			for i := range st.labels {
-				st.labels[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
-			}
-		}
-	}
-	st.cross = int64(r.u64())
-	st.total = int64(r.u64())
-	nAffected := int(r.u32())
-	if r.err == nil && (nAffected < 0 || nAffected > nLabels) {
-		return nil, fmt.Errorf("checkpoint declares %d affected vertices for %d labels", nAffected, nLabels)
-	}
-	if r.err == nil && nAffected > 0 {
-		if raw := r.take(4 * nAffected); r.err == nil {
-			st.affected = make([]graph.VertexID, nAffected)
-			for i := range st.affected {
-				st.affected[i] = graph.VertexID(binary.LittleEndian.Uint32(raw[4*i:]))
-			}
-		}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	w, err := graph.DecodeWeightedBinary(bytes.NewReader(r.b))
-	if err != nil {
-		return nil, err
-	}
-	st.w = w
-	return st, nil
-}
-
-// Delta-checkpoint payload layout (little-endian; the file header with
-// the chained-from sequence and CRC lives in internal/wal): the full
-// checkpoint's metadata block re-encoded whole (it is tens of bytes),
-// changed label runs instead of the full label array, and NO graph —
-// recovery rebuilds the graph by structurally replaying the journal
-// across the chain (see Open), which is what makes the bytes scale with
-// churn instead of |E|.
-//
-//	u16 version | u64 seq | u64 applied | i64 appliedAtRestab
-//	i64 lastReconcile | u64 gen | u64 epoch | f64 baseline | u8 flags
-//	u32 k | u32 shards | (shards+1) × u64 bounds
-//	u32 n | label runs (delta.go appendRuns layout)
-//	i64 cross | i64 total
-//	u32 affected | affected × u32 vertex
-const dckpVersion = 1
-
-// encodeDeltaCheckpoint serializes a captured state as a chain link:
-// runs are the label changes since the previous encoding.
-func encodeDeltaCheckpoint(st *ckptState, runs []LabelRun) []byte {
-	size := 64 + 8*len(st.bounds) + 4*len(st.affected)
-	for _, r := range runs {
-		size += 8 + 4*len(r.Labels)
-	}
-	buf := make([]byte, 0, size)
-	buf = binary.LittleEndian.AppendUint16(buf, dckpVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, st.seq)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.applied))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.appliedAtRestab))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.lastReconcile))
-	buf = binary.LittleEndian.AppendUint64(buf, st.gen)
-	buf = binary.LittleEndian.AppendUint64(buf, st.epoch)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.baseline))
-	var flags byte
-	if st.wantRestab {
-		flags |= flagWantRestab
-	}
-	buf = append(buf, flags)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(st.k))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.bounds)-1))
-	for _, b := range st.bounds {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(b))
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.labels)))
-	buf = appendRuns(buf, runs)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.cross))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.total))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.affected)))
-	for _, v := range st.affected {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
-	}
-	return buf
-}
-
-// ckptDelta is a decoded chain link: the metadata block at its sequence
-// plus the label runs taking the previous encoding's labels to its own.
-type ckptDelta struct {
-	seq             uint64
-	applied         int64
-	appliedAtRestab int64
-	lastReconcile   int64
-	gen, epoch      uint64
-	baseline        float64
-	wantRestab      bool
-	k               int
-	bounds          []int
-	n               int
-	runs            []LabelRun
-	cross, total    int64
-	affected        []graph.VertexID
-}
-
-func decodeDeltaCheckpoint(payload []byte) (*ckptDelta, error) {
-	r := &ckptReader{b: payload}
-	if v := r.u16(); r.err == nil && v != dckpVersion {
-		return nil, fmt.Errorf("delta checkpoint version %d, want %d", v, dckpVersion)
-	}
-	d := &ckptDelta{}
-	d.seq = r.u64()
-	d.applied = int64(r.u64())
-	d.appliedAtRestab = int64(r.u64())
-	d.lastReconcile = int64(r.u64())
-	d.gen = r.u64()
-	d.epoch = r.u64()
-	d.baseline = math.Float64frombits(r.u64())
-	flags := r.take(1)
-	if r.err == nil {
-		d.wantRestab = flags[0]&flagWantRestab != 0
-	}
-	d.k = int(int32(r.u32()))
-	nShards := int(r.u32())
-	if r.err == nil && (nShards < 1 || nShards > 1<<20) {
-		return nil, fmt.Errorf("delta checkpoint declares %d shards", nShards)
-	}
-	if r.err == nil {
-		d.bounds = make([]int, nShards+1)
-		for i := range d.bounds {
-			d.bounds[i] = int(r.u64())
-		}
-	}
-	d.n = int(r.u32())
-	if r.err == nil && (d.n < 0 || d.n > graph.MaxVertices) {
-		return nil, fmt.Errorf("delta checkpoint declares %d labels", d.n)
-	}
-	d.runs = readRuns(r)
-	d.cross = int64(r.u64())
-	d.total = int64(r.u64())
-	nAffected := int(r.u32())
-	if r.err == nil && (nAffected < 0 || nAffected > d.n) {
-		return nil, fmt.Errorf("delta checkpoint declares %d affected vertices for %d labels", nAffected, d.n)
-	}
-	if r.err == nil && nAffected > 0 {
-		if raw := r.take(4 * nAffected); r.err == nil {
-			d.affected = make([]graph.VertexID, nAffected)
-			for i := range d.affected {
-				d.affected[i] = graph.VertexID(binary.LittleEndian.Uint32(raw[4*i:]))
-			}
-		}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("delta checkpoint has %d trailing bytes", len(r.b))
-	}
-	return d, nil
-}
-
-// applyCkptDelta overlays one decoded chain link onto the composing
-// state. The caller has structurally replayed the journal up to the
-// link's sequence, so the graph's vertex count must already match the
-// link's — a mismatch means the chain and journal disagree, which is
-// corruption, not a recoverable tear.
+// applyCkptDelta overlays one chain link onto the composing state: apply
+// its label runs, adopt its metadata block. The caller has structurally
+// replayed the journal up to the link's sequence, so the graph's vertex
+// count must already match the link's — a mismatch means the chain and
+// journal disagree, which is corruption, not a recoverable tear.
 func applyCkptDelta(st *ckptState, link wal.DeltaLink) error {
-	d, err := decodeDeltaCheckpoint(link.Payload)
+	m, runs, err := decodeDeltaCheckpoint(link.Payload)
 	if err != nil {
 		return fmt.Errorf("delta checkpoint %d: %w", link.Seq, err)
 	}
-	if d.seq != link.Seq {
-		return fmt.Errorf("delta checkpoint file %d declares inner seq %d", link.Seq, d.seq)
+	if m.seq != link.Seq {
+		return fmt.Errorf("delta checkpoint file %d declares inner seq %d", link.Seq, m.seq)
 	}
-	if d.n != st.w.NumVertices() {
+	if m.n != st.w.NumVertices() {
 		return fmt.Errorf("delta checkpoint %d covers %d vertices, journal replay produced %d",
-			link.Seq, d.n, st.w.NumVertices())
+			link.Seq, m.n, st.w.NumVertices())
 	}
-	labels := st.labels
-	if d.n > len(labels) {
-		grown := make([]int32, d.n)
-		copy(grown, labels)
-		labels = grown
-	} else if d.n < len(labels) {
-		return fmt.Errorf("delta checkpoint %d shrinks %d labels to %d", link.Seq, len(labels), d.n)
+	if m.n < len(st.labels) {
+		return fmt.Errorf("delta checkpoint %d shrinks %d labels to %d", link.Seq, len(st.labels), m.n)
 	}
-	for _, r := range d.runs {
-		if r.Start < 0 || r.Start+len(r.Labels) > len(labels) {
-			return fmt.Errorf("delta checkpoint %d run [%d,%d) outside %d labels",
-				link.Seq, r.Start, r.Start+len(r.Labels), len(labels))
-		}
-		copy(labels[r.Start:], r.Labels)
+	d := Delta{Seq: link.Seq, N: m.n, Runs: runs}
+	if st.labels, err = d.Apply(st.labels); err != nil {
+		return err
 	}
-	st.labels = labels
-	st.seq = d.seq
-	st.applied = d.applied
-	st.appliedAtRestab = d.appliedAtRestab
-	st.lastReconcile = d.lastReconcile
-	st.gen, st.epoch = d.gen, d.epoch
-	st.baseline = d.baseline
-	st.wantRestab = d.wantRestab
-	st.k = d.k
-	st.bounds = d.bounds
-	st.cross, st.total = d.cross, d.total
-	st.affected = d.affected
+	st.ckptMeta = m
 	return nil
 }
 
 // applyStructural replays one journal record's effect on the graph
-// TOPOLOGY only, mirroring the live apply paths bit-for-bit: labels, k,
-// bounds and counters come from the chain-link overlays, so resizes are
-// no-ops here and label seeding is skipped. Fast-path-eligible batches
-// (the same graph-independent test the live coordinator ran, so
-// eligibility replays identically) insert arcs exactly as the shard scan
-// does — per edge: clamp non-positive weight to 1, normalize u<v, row u
-// then row v, one AdjustTotals fold; each row receives its arcs in
-// submission order live (single owner shard, FIFO), so the rebuilt
-// adjacency is byte-identical. Barrier-path batches go through
-// Mutation.Apply, the same validate-then-apply the live barrier ran —
-// a batch rejected live re-rejects identically, leaving the graph
-// untouched.
-func applyStructural(st *ckptState, rec wal.Record) error {
+// TOPOLOGY only: labels, k, bounds and counters come from the chain-link
+// overlays, so resizes are no-ops here and label seeding is skipped.
+// Fast-path-eligible batches (fastPathEligible is graph-independent
+// beyond the vertex count, so eligibility replays identically) insert the
+// same normalized arcs the shard scan does (normArc), row u then row v
+// with one AdjustTotals fold; live, each row receives its arcs in
+// submission order (single owner shard, FIFO), so the rebuilt adjacency
+// is byte-identical. Barrier-path batches go through Mutation.Apply, the
+// same validate-then-apply the live barrier ran — a batch rejected live
+// re-rejects identically, leaving the graph untouched.
+func applyStructural(w *graph.Weighted, rec wal.Record) error {
 	switch rec.Type {
 	case wal.RecordResize:
 		return nil
 	case wal.RecordMutation:
 		m := rec.Mut
-		fast := m.NewVertices == 0 && len(m.RemovedEdges) == 0
-		if fast {
-			n := graph.VertexID(st.w.NumVertices())
-			for _, e := range m.NewEdges {
-				if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n || e.U == e.V {
-					fast = false
-					break
-				}
-			}
-		}
-		if fast {
-			for _, e := range m.NewEdges {
-				u, v, wgt := e.U, e.V, e.Weight
-				if wgt <= 0 {
-					wgt = 1
-				}
-				if u > v {
-					u, v = v, u
-				}
-				st.w.InsertArc(u, v, wgt)
-				st.w.InsertArc(v, u, wgt)
-				st.w.AdjustTotals(1, int64(wgt))
-			}
+		if !fastPathEligible(m, w.NumVertices()) {
+			// Rejected batches rejected live too, with the graph untouched;
+			// the error stays observable via Err after the live replay phase
+			// re-runs any post-tip records.
+			_, _ = m.Apply(w)
 			return nil
 		}
-		// Rejected batches rejected live too, with the graph untouched;
-		// the error stays observable via Err after the live replay phase
-		// re-runs any post-tip records.
-		_, _ = m.Apply(st.w)
+		for _, e := range m.NewEdges {
+			u, v, wgt := normArc(e)
+			w.InsertArc(u, v, wgt)
+			w.InsertArc(v, u, wgt)
+			w.AdjustTotals(1, int64(wgt))
+		}
 		return nil
 	default:
 		return fmt.Errorf("replaying unknown record type %d", rec.Type)
 	}
-}
-
-// newStoreFromCheckpoint rebuilds the coordinator state a checkpoint
-// captured. The stored shard ranges are restored when cfg asks for the
-// same shard count (the bit-identical recovery contract); a different
-// cfg.Shards is honored with freshly balanced ranges. The per-shard cut
-// counters are recomputed exactly and verified against the stored
-// composed totals — a mismatch means the checkpoint is inconsistent.
-func newStoreFromCheckpoint(st *ckptState, cfg Config) (*Store, error) {
-	n := st.w.NumVertices()
-	if len(st.labels) != n {
-		return nil, fmt.Errorf("%d labels for %d vertices", len(st.labels), n)
-	}
-	if st.k < 1 {
-		return nil, fmt.Errorf("k=%d", st.k)
-	}
-	if err := metrics.ValidateLabels(st.labels, st.k); err != nil {
-		return nil, err
-	}
-	storedShards := len(st.bounds) - 1
-	if st.bounds[0] != 0 || st.bounds[storedShards] != n || !slices.IsSorted(st.bounds) {
-		return nil, fmt.Errorf("shard bounds %v do not tile %d vertices", st.bounds, n)
-	}
-	if cfg.Shards > n {
-		cfg.Shards = max(1, n)
-	}
-	s := &Store{
-		cfg:             cfg,
-		deltas:          newDeltaHub(cfg.DeltaRing),
-		log:             make(chan logEntry, cfg.LogDepth),
-		batchDone:       make(chan struct{}, 1),
-		closed:          make(chan struct{}),
-		done:            make(chan struct{}),
-		w:               st.w,
-		labels:          st.labels,
-		k:               st.k,
-		targetK:         st.k,
-		gen:             st.gen,
-		epoch:           st.epoch,
-		baseline:        st.baseline,
-		wantRestab:      st.wantRestab,
-		appliedAtRestab: st.appliedAtRestab,
-		lastReconcile:   st.lastReconcile,
-		affected:        make(map[graph.VertexID]struct{}, len(st.affected)),
-		restabDone:      make(chan restabResult, 1),
-		midrun:          make(chan midrunNote, 1),
-		ckptDone:        make(chan ckptResult, 1),
-	}
-	s.initMetrics()
-	for _, v := range st.affected {
-		s.affected[v] = struct{}{}
-	}
-	s.applied.Store(st.applied)
-	s.submitted.Store(st.applied)
-	switch {
-	case cfg.Shards == storedShards:
-		s.bounds = append([]int(nil), st.bounds...)
-	case n == 0:
-		s.bounds = []int{0, 0}
-	default:
-		s.bounds = cluster.BalancedRanges(st.w, cfg.Shards)
-	}
-	var cross, total int64
-	for i := 0; i < len(s.bounds)-1; i++ {
-		sh := &shard{
-			st: s, id: i,
-			log:  make(chan shardEntry, cfg.ShardLogDepth),
-			done: make(chan struct{}),
-			w:    st.w, labels: st.labels,
-			lo: s.bounds[i], hi: s.bounds[i+1],
-			k: s.k, epoch: s.epoch,
-		}
-		sh.cross, sh.total, sh.perPart = metrics.CutWeightsRange(st.w, st.labels, s.k, sh.lo, sh.hi)
-		cross += sh.cross
-		total += sh.total
-		sh.publishFresh()
-		s.shards = append(s.shards, sh)
-	}
-	if cross != st.cross || total != st.total {
-		return nil, fmt.Errorf("recomputed cut counters (cut=%d,total=%d) disagree with checkpoint (cut=%d,total=%d)",
-			cross, total, st.cross, st.total)
-	}
-	s.publishRouter()
-	// Delta sequences are per-process: the recovered store starts its
-	// change feed with a fresh baseline, and watch consumers holding
-	// sequences from the previous incarnation are told to resync.
-	s.emitBaselineDelta()
-	return s, nil
 }

@@ -1,9 +1,9 @@
 package serve
 
-// The /v1/watch wire format reuses the CRC frame discipline of the
-// replication stream (internal/replica): every frame is
-//
-//	u8 kind | u32 payload len | u32 CRC-32C(payload) | payload
+// The /v1/watch wire format: every frame rides the shared envelope in
+// internal/frame (u8 kind | u32 len | u32 CRC-32C | payload — the same
+// one the replication stream uses); this file owns only the watch kinds
+// and their payload layouts.
 //
 // kinds: handshake (1, opens every stream), delta (2, one encoded
 // serve.Delta — see EncodeDelta), heartbeat (3, keeps an idle
@@ -15,16 +15,17 @@ package serve
 // up" (cursor == next-1) from "falling toward the floor" without a
 // second request.
 //
-// The codec lives in serve (not internal/api, which re-exports it) so
-// the delta hub can memoize fully framed bytes at publish time: framing
-// is deterministic, so one AppendWatchFrame per publication serves
-// every watch stream with the byte-identical frame.
+// The codec lives in serve (not internal/api) so the delta hub can
+// memoize fully framed bytes at publish time: framing is deterministic,
+// so one AppendWatchFrame per publication serves every watch stream
+// with the byte-identical frame.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+
+	"repro/internal/frame"
 )
 
 // Watch stream frame kinds.
@@ -43,18 +44,8 @@ const (
 	WatchEnd byte = 4
 )
 
-const (
-	watchHeader   = 9  // u8 kind + u32 len + u32 crc
-	watchFixed    = 16 // u64 floor + u64 next
-	maxWatchFrame = 1 << 28
-)
-
-var watchCRC = crc32.MakeTable(crc32.Castagnoli)
-
-// ErrShortFrame reports that a buffer holds only a prefix of a frame:
-// read more bytes and retry. Every other decode error is corruption (or
-// a version skew) and must drop the connection.
-var ErrShortFrame = errors.New("serve: short watch frame")
+// watchFixed is the control-frame payload: u64 floor + u64 next.
+const watchFixed = 16
 
 // WatchFrame is one decoded /v1/watch stream frame.
 type WatchFrame struct {
@@ -66,55 +57,39 @@ type WatchFrame struct {
 
 // AppendWatchFrame encodes f onto dst and returns the extended slice.
 func AppendWatchFrame(dst []byte, f WatchFrame) []byte {
-	start := len(dst)
-	dst = append(dst, f.Kind, 0, 0, 0, 0, 0, 0, 0, 0)
 	if f.Kind == WatchDelta {
-		dst = append(dst, f.Delta...)
-	} else {
-		dst = binary.LittleEndian.AppendUint64(dst, f.Floor)
-		dst = binary.LittleEndian.AppendUint64(dst, f.Next)
+		return frame.Append(dst, f.Kind, f.Delta)
 	}
-	payload := dst[start+watchHeader:]
-	binary.LittleEndian.PutUint32(dst[start+1:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(dst[start+5:], crc32.Checksum(payload, watchCRC))
-	return dst
+	var fixed [watchFixed]byte
+	binary.LittleEndian.PutUint64(fixed[:], f.Floor)
+	binary.LittleEndian.PutUint64(fixed[8:], f.Next)
+	return frame.Append(dst, f.Kind, fixed[:])
 }
 
 // DecodeWatchFrame parses one frame from the front of b, returning it
-// and the number of bytes consumed. ErrShortFrame means b ends mid-frame
-// (a torn read — wait for more bytes); any other error means the bytes
-// can never parse and the stream must be abandoned. Delta aliases b.
+// and the number of bytes consumed. frame.ErrShort means b ends
+// mid-frame (a torn read — wait for more bytes); any other error means
+// the bytes can never parse and the stream must be abandoned. Delta
+// aliases b.
 func DecodeWatchFrame(b []byte) (WatchFrame, int, error) {
-	if len(b) < watchHeader {
-		return WatchFrame{}, 0, ErrShortFrame
+	kind, payload, n, err := frame.Decode(b)
+	if err != nil {
+		return WatchFrame{}, 0, err
 	}
-	kind := b[0]
-	if kind < WatchHandshake || kind > WatchEnd {
+	switch {
+	case kind < WatchHandshake || kind > WatchEnd:
 		return WatchFrame{}, 0, fmt.Errorf("serve: unknown watch frame kind %d", kind)
-	}
-	n := int(binary.LittleEndian.Uint32(b[1:]))
-	if n < 0 || n > maxWatchFrame {
-		return WatchFrame{}, 0, fmt.Errorf("serve: watch frame payload of %d bytes", n)
-	}
-	if kind != WatchDelta && n != watchFixed {
-		return WatchFrame{}, 0, fmt.Errorf("serve: %d-byte payload on control frame kind %d", n, kind)
-	}
-	if len(b) < watchHeader+n {
-		return WatchFrame{}, 0, ErrShortFrame
-	}
-	payload := b[watchHeader : watchHeader+n]
-	if crc32.Checksum(payload, watchCRC) != binary.LittleEndian.Uint32(b[5:]) {
-		return WatchFrame{}, 0, errors.New("serve: watch frame fails CRC")
-	}
-	f := WatchFrame{Kind: kind}
-	if kind == WatchDelta {
-		if n == 0 {
+	case kind == WatchDelta:
+		if len(payload) == 0 {
 			return WatchFrame{}, 0, errors.New("serve: empty delta frame")
 		}
-		f.Delta = payload
-	} else {
-		f.Floor = binary.LittleEndian.Uint64(payload)
-		f.Next = binary.LittleEndian.Uint64(payload[8:])
+		return WatchFrame{Kind: kind, Delta: payload}, n, nil
+	case len(payload) != watchFixed:
+		return WatchFrame{}, 0, fmt.Errorf("serve: %d-byte payload on control frame kind %d", len(payload), kind)
 	}
-	return f, watchHeader + n, nil
+	return WatchFrame{
+		Kind:  kind,
+		Floor: binary.LittleEndian.Uint64(payload),
+		Next:  binary.LittleEndian.Uint64(payload[8:]),
+	}, n, nil
 }

@@ -1,0 +1,303 @@
+package serve
+
+// Golden-bytes tests: the expected values below (and everything under
+// testdata/parent-21e3f19) were captured by running this file's fixtures
+// at commit 21e3f19, before the watch-frame envelope moved to
+// internal/frame, the checkpoint metadata block got one codec, and
+// recovery/follower replay got one entry point. They pin the /v1/watch
+// wire bytes, both checkpoint payload layouts, and — through the
+// checked-in data dir — the on-disk files a whole quiesced history
+// leaves behind. A diff here means a format changed, which is a
+// compatibility break, not a refactor.
+
+import (
+	"bytes"
+	"encoding/hex"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"slices"
+	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/wal"
+)
+
+func requireHex(t *testing.T, name string, got []byte, want string) {
+	t.Helper()
+	if g := hex.EncodeToString(got); g != want {
+		t.Errorf("%s bytes changed:\n got %s\nwant %s", name, g, want)
+	}
+}
+
+func TestGoldenWatchFrames(t *testing.T) {
+	delta := &Delta{
+		Seq: 5, Epoch: 2, Gen: 1, K: 4, N: 6,
+		Bounds: []int{0, 3, 6},
+		Runs:   []LabelRun{{Start: 1, Labels: []int32{2, 0}}, {Start: 5, Labels: []int32{3}}},
+		Cross:  7, Total: 40,
+	}
+	frames := []struct {
+		name string
+		f    WatchFrame
+		want string
+	}{
+		{"handshake", WatchFrame{Kind: WatchHandshake, Floor: 3, Next: 17},
+			"0110000000" + "8a8ec29c" + "0300000000000000" + "1100000000000000"},
+		{"delta", WatchFrame{Kind: WatchDelta, Delta: EncodeDelta(delta)},
+			"026e000000" + "7e0845fa" +
+				"0100" + "0500000000000000" + "0200000000000000" + "0100000000000000" +
+				"04000000" + "06000000" + "0700000000000000" + "2800000000000000" +
+				"03000000" + "0000000000000000" + "0300000000000000" + "0600000000000000" +
+				"02000000" + "01000000" + "02000000" + "02000000" + "00000000" +
+				"05000000" + "01000000" + "03000000"},
+		{"heartbeat", WatchFrame{Kind: WatchHeartbeat, Floor: 3, Next: 18},
+			"0310000000" + "e3098647" + "0300000000000000" + "1200000000000000"},
+		{"end", WatchFrame{Kind: WatchEnd, Floor: 9, Next: 20},
+			"0410000000" + "ea33f29c" + "0900000000000000" + "1400000000000000"},
+	}
+	for _, tc := range frames {
+		enc := AppendWatchFrame(nil, tc.f)
+		requireHex(t, tc.name, enc, tc.want)
+		got, n, err := DecodeWatchFrame(enc)
+		if err != nil || n != len(enc) {
+			t.Fatalf("%s: decode n=%d err=%v", tc.name, n, err)
+		}
+		if got.Kind != tc.f.Kind || got.Floor != tc.f.Floor || got.Next != tc.f.Next || !bytes.Equal(got.Delta, tc.f.Delta) {
+			t.Fatalf("%s: round trip %+v, want %+v", tc.name, got, tc.f)
+		}
+	}
+}
+
+// goldenCkptState is a fixed 6-vertex state with every metadata field
+// set to a distinct value, plus the label runs a chain link against the
+// all-zero labeling would carry.
+func goldenCkptState() (*ckptState, []LabelRun) {
+	w := graph.NewWeighted(6)
+	w.AddEdge(0, 1, 2)
+	w.AddEdge(1, 2, 3)
+	w.AddEdge(2, 3, 1)
+	w.AddEdge(3, 4, 2)
+	w.AddEdge(4, 5, 5)
+	w.AddEdge(0, 5, 2)
+	st := &ckptState{
+		ckptMeta: ckptMeta{
+			seq: 11, applied: 9, appliedAtRestab: 6, lastReconcile: 4,
+			gen: 2, epoch: 3, baseline: 0.125, wantRestab: true,
+			k: 3, bounds: []int{0, 2, 6}, n: 6, cross: 5, total: 15,
+			affected: []graph.VertexID{1, 4},
+		},
+		labels: []int32{0, 0, 1, 1, 2, 2},
+		w:      w,
+	}
+	return st, []LabelRun{{Start: 2, Labels: []int32{1, 1, 2, 2}}}
+}
+
+const goldenMetaHead = "0100" + // version
+	"0b00000000000000" + "0900000000000000" + "0600000000000000" + "0400000000000000" +
+	"0200000000000000" + "0300000000000000" + "000000000000c03f" + "01" +
+	"03000000" + "02000000" + "0000000000000000" + "0200000000000000" + "0600000000000000" +
+	"06000000" // n
+const goldenMetaTail = "0500000000000000" + "0f00000000000000" +
+	"02000000" + "01000000" + "04000000"
+
+func TestGoldenCheckpointPayloads(t *testing.T) {
+	st, runs := goldenCkptState()
+	full := encodeCheckpoint(st)
+	requireHex(t, "full checkpoint", full, goldenMetaHead+
+		"00000000"+"00000000"+"01000000"+"01000000"+"02000000"+"02000000"+
+		goldenMetaTail+
+		// graph.Weighted.EncodeBinary: u64 vertices | arcs | edges | total
+		// arc weight, then per row u32 degree + (u32 to, u32 weight) arcs.
+		"0600000000000000"+"0c00000000000000"+"0600000000000000"+"1e00000000000000"+
+		"02000000"+"0100000002000000"+"0500000002000000"+
+		"02000000"+"0000000002000000"+"0200000003000000"+
+		"02000000"+"0100000003000000"+"0300000001000000"+
+		"02000000"+"0200000001000000"+"0400000002000000"+
+		"02000000"+"0300000002000000"+"0500000005000000"+
+		"02000000"+"0400000005000000"+"0000000002000000")
+	link := encodeDeltaCheckpoint(st, runs)
+	requireHex(t, "delta checkpoint", link, goldenMetaHead+
+		"01000000"+"02000000"+"04000000"+"01000000"+"01000000"+"02000000"+"02000000"+
+		goldenMetaTail)
+
+	dec, err := decodeCheckpoint(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeCheckpoint(dec), full) {
+		t.Fatal("full checkpoint does not re-encode to the same bytes")
+	}
+	// A chain link overlays onto the previous encoding: same graph, the
+	// all-zero labels the runs were diffed against.
+	prev := &ckptState{labels: make([]int32, 6), w: st.w}
+	if err := applyCkptDelta(prev, wal.DeltaLink{Seq: 11, Payload: link}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeCheckpoint(prev), full) {
+		t.Fatal("base + chain link does not compose to the full checkpoint's bytes")
+	}
+}
+
+// parentDir is a data dir written at commit 21e3f19 by playParentHistory
+// with NoFinalCheckpoint: a full base checkpoint, two .dckp chain links
+// and a journal tail past the tip, plus the state that commit recovered
+// from it (expect.json).
+const parentDir = "testdata/parent-21e3f19"
+
+func parentCfg() Config {
+	cfg := durableCfg(2, 4)
+	cfg.Durability.MaxDeltaChain = 4
+	cfg.Durability.SegmentBytes = 0 // default: one segment per process start
+	return cfg
+}
+
+// playParentHistory is the quiesced history behind parentDir: add-only
+// batches (including a non-positive weight and a u>v edge, the fast
+// path's two normalizations), vertex growth, a removal, an absent-edge
+// removal that rejects, and two elastic resizes — one below and one
+// above the chain tip.
+func playParentHistory(t *testing.T, st *Store) {
+	t.Helper()
+	edges := func(step, n int) []graph.WeightedEdgeRecord {
+		var es []graph.WeightedEdgeRecord
+		for i := 0; i < n; i++ {
+			es = append(es, graph.WeightedEdgeRecord{
+				U: graph.VertexID((i*5 + 11*step) % 20), V: graph.VertexID(20 + (i*3+step)%20), Weight: 2})
+		}
+		return es
+	}
+	submit := func(m *graph.Mutation) {
+		t.Helper()
+		if err := st.Submit(m); err != nil {
+			t.Fatal(err)
+		}
+		_ = st.Quiesce() // the rejected batch's error stays sticky in Err
+	}
+	resize := func(k int) {
+		t.Helper()
+		if err := st.Resize(k); err != nil {
+			t.Fatal(err)
+		}
+		_ = st.Quiesce()
+	}
+	for step := 0; step < 4; step++ {
+		submit(&graph.Mutation{NewEdges: edges(step, 8)})
+	}
+	grow := &graph.Mutation{NewVertices: 3, NewEdges: edges(4, 4)}
+	for i := 0; i < 3; i++ {
+		grow.NewEdges = append(grow.NewEdges, graph.WeightedEdgeRecord{
+			U: graph.VertexID(40 + i), V: graph.VertexID(7 * i), Weight: 3})
+	}
+	submit(grow)
+	resize(3)
+	submit(&graph.Mutation{RemovedEdges: []graph.Edge{{From: 0, To: 20}}, NewEdges: edges(5, 3)})
+	submit(&graph.Mutation{NewEdges: []graph.WeightedEdgeRecord{
+		{U: 35, V: 2, Weight: 0}, {U: 41, V: 5, Weight: -4}, {U: 3, V: 30, Weight: 2}}})
+	submit(&graph.Mutation{NewEdges: edges(6, 8)})
+	// Past the chain tip: the journal tail recovery replays live.
+	submit(&graph.Mutation{RemovedEdges: []graph.Edge{{From: 1, To: 42}}}) // absent: rejected
+	submit(&graph.Mutation{NewEdges: edges(7, 6)})
+	resize(2)
+	submit(&graph.Mutation{NewVertices: 1, NewEdges: []graph.WeightedEdgeRecord{{U: 43, V: 12, Weight: 2}}})
+}
+
+type parentExpect struct {
+	K           int
+	Labels      []int32
+	Bounds      []int
+	Applied     uint64
+	CutWeight   int64
+	TotalWeight int64
+	JournalSeq  uint64
+	Replayed    int64
+}
+
+func dirFiles(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	files := make(map[string][]byte)
+	for _, sub := range []string{"checkpoints", "journal"} {
+		ents, err := os.ReadDir(filepath.Join(root, sub))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			b, err := os.ReadFile(filepath.Join(root, sub, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[sub+"/"+e.Name()] = b
+		}
+	}
+	return files
+}
+
+func TestParentDataDir(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join(parentDir, "expect.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want parentExpect
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	parentFiles := dirFiles(t, parentDir)
+
+	// Today's code, playing the same history, must leave the same bytes
+	// on disk as the parent commit did.
+	t.Run("writes-identical-files", func(t *testing.T) {
+		dir := t.TempDir()
+		w, labels := twoClusters(20)
+		st, err := NewDurable(dir, w, labels, parentCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		playParentHistory(t, st)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		got := dirFiles(t, dir)
+		for name, b := range parentFiles {
+			if !bytes.Equal(got[name], b) {
+				t.Errorf("%s: %d bytes written, differ from the parent's %d", name, len(got[name]), len(b))
+			}
+		}
+		if len(got) != len(parentFiles) {
+			t.Errorf("wrote %d files, parent wrote %d", len(got), len(parentFiles))
+		}
+	})
+
+	// And it must recover the parent's files to the state the parent did.
+	t.Run("recovers-parent-state", func(t *testing.T) {
+		dir := t.TempDir()
+		for name, b := range parentFiles {
+			path := filepath.Join(dir, name)
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := Open(dir, parentCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		_ = st.Quiesce()
+		snap, ctr := st.Snapshot(), st.Counters().Snapshot()
+		got := parentExpect{
+			K: snap.K, Labels: snap.Labels, Bounds: st.Bounds(), Applied: snap.AppliedBatches,
+			CutWeight: snap.CutWeight, TotalWeight: snap.TotalWeight,
+			JournalSeq: st.JournalSeq(), Replayed: ctr.ReplayedRecords,
+		}
+		if got.K != want.K || !slices.Equal(got.Labels, want.Labels) || !slices.Equal(got.Bounds, want.Bounds) ||
+			got.Applied != want.Applied || got.CutWeight != want.CutWeight || got.TotalWeight != want.TotalWeight ||
+			got.JournalSeq != want.JournalSeq || got.Replayed != want.Replayed {
+			t.Fatalf("recovered %+v\nwant %+v", got, want)
+		}
+		if ctr.CutDrift != 0 {
+			t.Fatalf("CutDrift = %d after recovering the parent's data dir", ctr.CutDrift)
+		}
+	})
+}

@@ -39,8 +39,8 @@ var stageNames = [numStages]string{
 // plane's own series. The registry is process-scoped by convention: the
 // API layer and the replication follower register their series into the
 // same registry (via Store.Metrics) so one /v1/metrics endpoint covers
-// the whole process. Called from both constructors (newStore and
-// newStoreFromCheckpoint) before any goroutine can observe the store.
+// the whole process. Called from newStore before any goroutine can
+// observe the store.
 func (s *Store) initMetrics() {
 	s.reg = metrics.NewRegistry()
 	for i := range s.stageHist {

@@ -37,7 +37,7 @@ func TestHandleGroupCoalescesRuns(t *testing.T) {
 	if err := cfg.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := newStore(w, append([]int32(nil), labels...), cfg)
+	st, err := newFresh(w, append([]int32(nil), labels...), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

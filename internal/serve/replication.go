@@ -2,8 +2,8 @@
 // the replicated serving plane on. A follower is a durable Store over its
 // own data directory, flipped read-only (SetReadOnly) so external writes
 // refuse with ErrReadOnly while the streamed leader records flow through
-// SubmitReplicated/ResizeReplicated — the same journal-before-apply path
-// recovery uses, which is what makes follower state bit-identical to the
+// ApplyRecord (store.go) — the same entry recovery replays the journal
+// through, which is what makes follower state bit-identical to the
 // leader's quiesced history. JournalSeq exposes the replication watermark
 // (the follower's applied_seq, the leader's leader_seq), and
 // SetJournalRetention pins the leader's journal tail under connected
@@ -11,12 +11,7 @@
 
 package serve
 
-import (
-	"errors"
-	"fmt"
-
-	"repro/internal/graph"
-)
+import "errors"
 
 // ErrReadOnly is returned by Submit, TrySubmit and Resize on a follower
 // store: replicas apply the leader's journal only, until promotion flips
@@ -33,17 +28,14 @@ func JournalDir(dir string) string { return journalDir(dir) }
 func CheckpointDir(dir string) string { return ckptDir(dir) }
 
 // SetReadOnly flips the external write paths on or off. Lookups, stats
-// and the replicated apply paths are unaffected.
+// and ApplyRecord are unaffected.
 func (s *Store) SetReadOnly(v bool) { s.readOnly.Store(v) }
-
-// ReadOnly reports whether the store currently refuses external writes.
-func (s *Store) ReadOnly() bool { return s.readOnly.Load() }
 
 // JournalSeq returns the sequence number of the last record this store
 // journaled — 0 on in-memory stores and before the first durable append.
 // On a leader this is the replication high-water mark; on a follower it
-// equals the applied sequence, because the replicated apply path journals
-// exactly one record per leader record.
+// equals the applied sequence, because ApplyRecord journals exactly one
+// record per leader record.
 func (s *Store) JournalSeq() uint64 { return s.journalSeq.Load() }
 
 // SetJournalRetention pins the store's journal so records with sequence
@@ -63,46 +55,4 @@ func (s *Store) SetJournalRetention(floor uint64) {
 func (s *Store) Bounds() []int {
 	rt := s.router.Load()
 	return append([]int(nil), rt.bounds...)
-}
-
-// SubmitReplicated appends a leader-journaled mutation batch, bypassing
-// admission control and the read-only gate: the record was already
-// admitted and acknowledged by the leader, so refusing it here would fork
-// the replica. Blocks for backpressure like Submit. ErrDegraded still
-// applies — a follower with a poisoned journal must stop applying, not
-// silently drop durability.
-func (s *Store) SubmitReplicated(m *graph.Mutation) error {
-	if s.degraded.Load() {
-		return ErrDegraded
-	}
-	return s.submitReplay(m)
-}
-
-// ResizeReplicated applies a leader-journaled resize record. Unlike
-// Resize it does not claim newK against the target (a duplicate resize in
-// the leader's journal must still be journaled here, one record per
-// leader record, to keep the sequence numbers aligned) — the coordinator
-// drops a same-k resize as a no-op after journaling it, exactly as the
-// leader did.
-func (s *Store) ResizeReplicated(newK int) error {
-	if newK < 1 {
-		return fmt.Errorf("serve: resize to k=%d", newK)
-	}
-	select {
-	case <-s.closed:
-		return ErrClosed
-	default:
-	}
-	if s.degraded.Load() {
-		return ErrDegraded
-	}
-	s.kMu.Lock()
-	s.targetK = newK
-	s.kMu.Unlock()
-	select {
-	case s.log <- logEntry{newK: newK}:
-		return nil
-	case <-s.closed:
-		return ErrClosed
-	}
 }

@@ -307,8 +307,8 @@ type Store struct {
 	lookupRate atomic.Uint64 // EWMA lookups/sec (float64 bits)
 
 	// Replication state (see replication.go). readOnly marks a follower
-	// store: external writes refuse with ErrReadOnly while the replicated
-	// apply path keeps flowing. journalSeq mirrors durable.lastSeq for
+	// store: external writes refuse with ErrReadOnly while ApplyRecord
+	// keeps flowing. journalSeq mirrors durable.lastSeq for
 	// lock-free readers, and jrnLive exposes the attached journal to the
 	// retention plumbing without entering the coordinator.
 	readOnly   atomic.Bool
@@ -358,7 +358,7 @@ func New(w *graph.Weighted, labels []int32, cfg Config) (*Store, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	s, err := newStore(w, labels, cfg)
+	s, err := newFresh(w, labels, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -366,57 +366,108 @@ func New(w *graph.Weighted, labels []int32, cfg Config) (*Store, error) {
 	return s, nil
 }
 
-// newStore builds the store and its shards without starting the
-// goroutines, so the durable constructors can checkpoint or restore state
-// while they still own it exclusively. cfg must already be normalized.
-func newStore(w *graph.Weighted, labels []int32, cfg Config) (*Store, error) {
-	if len(labels) != w.NumVertices() {
-		return nil, fmt.Errorf("serve: %d labels for %d vertices", len(labels), w.NumVertices())
-	}
-	if err := metrics.ValidateLabels(labels, cfg.Options.K); err != nil {
+// newFresh builds an unstarted store over a partitioning no entry has
+// touched yet: the state a checkpoint at sequence 0 would hold (zero
+// counters, k = Options.K, one range that newStore splits into
+// cfg.Shards balanced ones), with the degradation baseline taken from the
+// labels as given. cfg must already be normalized.
+func newFresh(w *graph.Weighted, labels []int32, cfg Config) (*Store, error) {
+	s, err := newStore(&ckptState{
+		ckptMeta: ckptMeta{k: cfg.Options.K, bounds: []int{0, w.NumVertices()}},
+		labels:   labels,
+		w:        w,
+	}, cfg)
+	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	if n := w.NumVertices(); cfg.Shards > n {
+	s.baseline = cutRatio(s.ownedCounters())
+	return s, nil
+}
+
+// newStore rebuilds the coordinator state st describes — a decoded
+// checkpoint (Open) or a fresh partitioning (newFresh) — without starting
+// the goroutines, so the durable constructors can checkpoint or replay
+// while they still own the state exclusively. cfg must already be
+// normalized. The stored shard ranges are restored when cfg asks for the
+// same shard count (the bit-identical recovery contract); a different
+// cfg.Shards is honored with freshly balanced ranges. The per-shard cut
+// counters are always recomputed exactly.
+func newStore(st *ckptState, cfg Config) (*Store, error) {
+	n := st.w.NumVertices()
+	if len(st.labels) != n {
+		return nil, fmt.Errorf("%d labels for %d vertices", len(st.labels), n)
+	}
+	if st.k < 1 {
+		return nil, fmt.Errorf("k=%d", st.k)
+	}
+	if err := metrics.ValidateLabels(st.labels, st.k); err != nil {
+		return nil, err
+	}
+	storedShards := len(st.bounds) - 1
+	if st.bounds[0] != 0 || st.bounds[storedShards] != n || !slices.IsSorted(st.bounds) {
+		return nil, fmt.Errorf("shard bounds %v do not tile %d vertices", st.bounds, n)
+	}
+	if cfg.Shards > n {
 		cfg.Shards = max(1, n)
 	}
 	s := &Store{
-		cfg:        cfg,
-		deltas:     newDeltaHub(cfg.DeltaRing),
-		log:        make(chan logEntry, cfg.LogDepth),
-		batchDone:  make(chan struct{}, 1),
-		closed:     make(chan struct{}),
-		done:       make(chan struct{}),
-		w:          w,
-		labels:     labels,
-		k:          cfg.Options.K,
-		targetK:    cfg.Options.K,
-		affected:   make(map[graph.VertexID]struct{}),
-		restabDone: make(chan restabResult, 1),
-		midrun:     make(chan midrunNote, 1),
-		ckptDone:   make(chan ckptResult, 1),
+		cfg:             cfg,
+		deltas:          newDeltaHub(cfg.DeltaRing),
+		log:             make(chan logEntry, cfg.LogDepth),
+		batchDone:       make(chan struct{}, 1),
+		closed:          make(chan struct{}),
+		done:            make(chan struct{}),
+		w:               st.w,
+		labels:          st.labels,
+		k:               st.k,
+		targetK:         st.k,
+		gen:             st.gen,
+		epoch:           st.epoch,
+		baseline:        st.baseline,
+		wantRestab:      st.wantRestab,
+		appliedAtRestab: st.appliedAtRestab,
+		lastReconcile:   st.lastReconcile,
+		affected:        make(map[graph.VertexID]struct{}, len(st.affected)),
+		restabDone:      make(chan restabResult, 1),
+		midrun:          make(chan midrunNote, 1),
+		ckptDone:        make(chan ckptResult, 1),
 	}
 	s.initMetrics()
-	if w.NumVertices() == 0 {
-		s.bounds = []int{0, 0}
-	} else {
-		s.bounds = cluster.BalancedRanges(w, cfg.Shards)
+	for _, v := range st.affected {
+		s.affected[v] = struct{}{}
 	}
-	for i := 0; i < cfg.Shards; i++ {
+	s.applied.Store(st.applied)
+	s.submitted.Store(st.applied)
+	switch {
+	case cfg.Shards == storedShards:
+		s.bounds = append([]int(nil), st.bounds...)
+	case n == 0:
+		s.bounds = []int{0, 0}
+	default:
+		s.bounds = cluster.BalancedRanges(st.w, cfg.Shards)
+	}
+	for i := 0; i < len(s.bounds)-1; i++ {
 		sh := &shard{
 			st: s, id: i,
 			log:  make(chan shardEntry, cfg.ShardLogDepth),
 			done: make(chan struct{}),
-			w:    w, labels: labels,
+			w:    st.w, labels: st.labels,
 			lo: s.bounds[i], hi: s.bounds[i+1],
-			k: s.k,
+			k: s.k, epoch: s.epoch,
 		}
-		sh.cross, sh.total, sh.perPart = metrics.CutWeightsRange(w, labels, s.k, sh.lo, sh.hi)
+		sh.cross, sh.total, sh.perPart = metrics.CutWeightsRange(st.w, st.labels, s.k, sh.lo, sh.hi)
 		sh.publishFresh()
 		s.shards = append(s.shards, sh)
 	}
 	s.publishRouter()
-	s.baseline = s.ownedCut()
-	s.emitBaselineDelta()
+	// Every store starts its change feed with a full-state baseline. Delta
+	// sequences are per-process: watch consumers holding sequences from a
+	// previous incarnation are told to resync.
+	var runs []LabelRun
+	if n > 0 {
+		runs = []LabelRun{{Start: 0, Labels: append([]int32(nil), s.labels...)}}
+	}
+	s.emitBarrierDelta(runs, true)
 	return s, nil
 }
 
@@ -431,19 +482,30 @@ func (s *Store) start() {
 // Bootstrap partitions g from scratch and starts a Store over the result —
 // the one-call path for drivers.
 func Bootstrap(g *graph.Graph, cfg Config) (*Store, error) {
-	if err := cfg.normalize(); err != nil {
+	w, labels, err := partitionFromScratch(g, cfg)
+	if err != nil {
 		return nil, err
 	}
-	w := graph.Convert(g)
+	return New(w, labels, cfg)
+}
+
+// partitionFromScratch is the batch run behind Bootstrap and
+// BootstrapDurable. It validates the whole config first, so a bad one
+// fails before the partitioning is paid for.
+func partitionFromScratch(g *graph.Graph, cfg Config) (*graph.Weighted, []int32, error) {
+	if err := cfg.normalize(); err != nil {
+		return nil, nil, err
+	}
 	p, err := core.NewPartitioner(cfg.Options)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	w := graph.Convert(g)
 	res, err := p.PartitionWeighted(w)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return New(w, res.Labels, cfg)
+	return w, res.Labels, nil
 }
 
 // Lookup returns the partition of v in the owning shard's current
@@ -560,20 +622,6 @@ func (s *Store) Snapshot() *Snapshot {
 	}
 }
 
-// K returns the current partition count without composing a full
-// snapshot: O(shards) atomic loads, no label copying. During an elastic
-// transition it reports the larger of the two k-spaces, matching the
-// composed Snapshot.K.
-func (s *Store) K() int {
-	k := 1
-	for _, sh := range s.router.Load().shards {
-		if sn := sh.snap.Load(); sn.k > k {
-			k = sn.k
-		}
-	}
-	return k
-}
-
 // Counters exposes the serving metrics.
 func (s *Store) Counters() *metrics.ServeCounters { return &s.ctr }
 
@@ -596,37 +644,30 @@ func (s *Store) Err() error {
 // while the log is full. The Store takes ownership of m; m.Tenant
 // attributes the batch for admission control and fair draining (empty is
 // the default tenant). Returns ErrClosed after Close, ErrDegraded after
-// a storage fault, and a QuotaError (errors.Is ErrQuotaExceeded) when
-// the tenant's admission bucket is empty.
-func (s *Store) Submit(m *graph.Mutation) error {
-	select {
-	case <-s.closed:
-		return ErrClosed
-	default:
-	}
-	if s.degraded.Load() {
-		return ErrDegraded
-	}
-	if s.readOnly.Load() {
-		return ErrReadOnly
-	}
-	t := s.tenant(m.Tenant)
-	if err := s.admit(t, false); err != nil {
-		return err
-	}
-	select {
-	case s.log <- logEntry{mut: m, ten: t}:
-		s.noteSubmitted(t)
-		return nil
-	case <-s.closed:
-		return ErrClosed
-	}
-}
+// a storage fault, ErrReadOnly on a follower, and a QuotaError (errors.Is
+// ErrQuotaExceeded) when the tenant's admission bucket is empty.
+func (s *Store) Submit(m *graph.Mutation) error { return s.submit(m, false) }
 
 // TrySubmit is the non-blocking Submit: ErrLogFull when the bounded log
 // is at capacity or the tenant's backlog cap (Quota.TenantDepth) is
 // reached.
-func (s *Store) TrySubmit(m *graph.Mutation) error {
+func (s *Store) TrySubmit(m *graph.Mutation) error { return s.submit(m, true) }
+
+// submit is the external write path: the writable gate, per-tenant
+// admission, then the log.
+func (s *Store) submit(m *graph.Mutation, try bool) error {
+	if err := s.writable(); err != nil {
+		return err
+	}
+	e := logEntry{mut: m, ten: s.tenant(m.Tenant)}
+	if err := s.admit(e.ten, try); err != nil {
+		return err
+	}
+	return s.enqueue(e, try)
+}
+
+// writable gates the external write paths (Submit, TrySubmit, Resize).
+func (s *Store) writable() error {
 	select {
 	case <-s.closed:
 		return ErrClosed
@@ -638,46 +679,74 @@ func (s *Store) TrySubmit(m *graph.Mutation) error {
 	if s.readOnly.Load() {
 		return ErrReadOnly
 	}
-	t := s.tenant(m.Tenant)
-	if err := s.admit(t, true); err != nil {
+	return nil
+}
+
+// enqueue appends e to the ordered log — blocking for backpressure, or
+// with try failing fast with ErrLogFull — and counts a mutation as
+// submitted against the store and its tenant. No gate, no admission:
+// callers that need them (submit, Resize) run them first.
+func (s *Store) enqueue(e logEntry, try bool) error {
+	if try {
+		select {
+		case s.log <- e:
+		case <-s.closed:
+			return ErrClosed
+		default:
+			return ErrLogFull
+		}
+	} else {
+		select {
+		case s.log <- e:
+		case <-s.closed:
+			return ErrClosed
+		}
+	}
+	if e.mut != nil {
+		s.submitted.Add(1)
+		e.ten.submitted.Add(1)
+		e.ten.backlog.Add(1)
+	}
+	return nil
+}
+
+// ApplyRecord applies one already-journaled record and waits until the
+// store is quiescent again — the one entry both journal replay (Open) and
+// a replication follower feed records through, which is what makes a
+// follower "recovery that never stops" and its state bit-identical to the
+// leader's quiesced history. The record was admitted and acknowledged by
+// the process that journaled it, so it bypasses admission control (quota
+// state is not persisted; re-running it could refuse a durably committed
+// record) and the read-only gate (refusing it would fork the replica). A
+// resize does not claim the target k: a journal may legitimately hold a
+// same-k resize, which must still be journaled here — one local record
+// per source record keeps follower sequence numbers aligned — and which
+// the coordinator then drops as a no-op exactly as the source did.
+// ErrDegraded still applies: a store with a poisoned journal must stop
+// applying, not silently drop durability. Batch-application errors
+// (deterministic re-rejections of batches rejected at the source) do not
+// fail the call; they stay observable via Err.
+func (s *Store) ApplyRecord(rec wal.Record) error {
+	if s.degraded.Load() {
+		return ErrDegraded
+	}
+	var e logEntry
+	switch {
+	case rec.Type == wal.RecordMutation && rec.Mut != nil:
+		e = logEntry{mut: rec.Mut, ten: s.tenant(rec.Mut.Tenant)}
+	case rec.Type == wal.RecordResize && rec.NewK >= 1:
+		e = logEntry{newK: rec.NewK}
+		s.kMu.Lock()
+		s.targetK = rec.NewK
+		s.kMu.Unlock()
+	default:
+		return fmt.Errorf("serve: applying malformed record %d (type %d)", rec.Seq, rec.Type)
+	}
+	if err := s.enqueue(e, false); err != nil {
 		return err
 	}
-	select {
-	case s.log <- logEntry{mut: m, ten: t}:
-		s.noteSubmitted(t)
-		return nil
-	case <-s.closed:
-		return ErrClosed
-	default:
-		return ErrLogFull
-	}
-}
-
-// submitReplay is Submit without admission control: recovery (Open)
-// replays records the live process already admitted and journaled, and
-// quota state is not persisted, so re-running admission could refuse a
-// durably committed record.
-func (s *Store) submitReplay(m *graph.Mutation) error {
-	select {
-	case <-s.closed:
-		return ErrClosed
-	default:
-	}
-	t := s.tenant(m.Tenant)
-	select {
-	case s.log <- logEntry{mut: m, ten: t}:
-		s.noteSubmitted(t)
-		return nil
-	case <-s.closed:
-		return ErrClosed
-	}
-}
-
-// noteSubmitted counts one admitted batch against the store and tenant.
-func (s *Store) noteSubmitted(t *tenantState) {
-	s.submitted.Add(1)
-	t.submitted.Add(1)
-	t.backlog.Add(1)
+	_ = s.Quiesce()
+	return nil
 }
 
 // Resize requests an elastic change to newK partitions (§III-E). The
@@ -692,16 +761,8 @@ func (s *Store) Resize(newK int) error {
 	if newK < 1 {
 		return fmt.Errorf("serve: resize to k=%d", newK)
 	}
-	select {
-	case <-s.closed:
-		return ErrClosed
-	default:
-	}
-	if s.degraded.Load() {
-		return ErrDegraded
-	}
-	if s.readOnly.Load() {
-		return ErrReadOnly
+	if err := s.writable(); err != nil {
+		return err
 	}
 	s.kMu.Lock()
 	if newK == s.targetK {
@@ -711,10 +772,8 @@ func (s *Store) Resize(newK int) error {
 	prev := s.targetK
 	s.targetK = newK
 	s.kMu.Unlock()
-	select {
-	case s.log <- logEntry{newK: newK}:
-		return nil
-	case <-s.closed:
+	err := s.enqueue(logEntry{newK: newK}, false)
+	if err != nil {
 		// The claim never reached the log; restore it unless another
 		// Resize raced past us (then the target is theirs to keep).
 		s.kMu.Lock()
@@ -722,28 +781,17 @@ func (s *Store) Resize(newK int) error {
 			s.targetK = prev
 		}
 		s.kMu.Unlock()
-		return ErrClosed
 	}
+	return err
 }
 
 // Quiesce blocks until every entry submitted before the call has been
 // applied and no restabilization is in flight or pending — the state in
 // which the snapshot is fully stabilized. It returns the store's most
-// recent batch-application error, if any. Used by tests and orderly
-// shutdown; a serving deployment never needs it.
+// recent batch-application error, if any. Used by tests, replay and
+// orderly shutdown; a serving deployment never needs it.
 func (s *Store) Quiesce() error {
-	reply := make(chan error, 1)
-	select {
-	case s.log <- logEntry{quiesce: reply}:
-	case <-s.closed:
-		return ErrClosed
-	}
-	select {
-	case err := <-reply:
-		return err
-	case <-s.done:
-		return ErrClosed
-	}
+	return s.control(logEntry{quiesce: make(chan error, 1)})
 }
 
 // Close stops the coordinator and the shard goroutines and waits for them
@@ -779,20 +827,14 @@ func (s *Store) publishRouter() {
 	})
 }
 
-// shardIndexOf routes a vertex on the coordinator's authoritative bounds.
-func (s *Store) shardIndexOf(v graph.VertexID) int {
-	return rangeIndex(s.bounds, v)
-}
-
-// ownedCut composes the cut ratio from the shard-owned counters. Only
-// valid under a barrier (or before the shards start).
-func (s *Store) ownedCut() float64 {
-	var cross, total int64
+// ownedCounters composes the integer cut counters from the shard-owned
+// values. Only valid under a barrier (or with the shards stopped).
+func (s *Store) ownedCounters() (cross, total int64) {
 	for _, sh := range s.shards {
 		cross += sh.cross
 		total += sh.total
 	}
-	return cutRatio(cross, total)
+	return cross, total
 }
 
 // currentCut composes the cut ratio from the published shard snapshots —
@@ -1036,14 +1078,8 @@ func (s *Store) handleGroup(entries []logEntry) {
 // submission order: the vertex bound only changes on the barrier path,
 // which always flushes the run first.
 func (s *Store) stageFastPath(m *graph.Mutation, run *[]*graph.Mutation) bool {
-	if m.NewVertices != 0 || len(m.RemovedEdges) != 0 {
+	if !fastPathEligible(m, s.w.NumVertices()) {
 		return false
-	}
-	n := graph.VertexID(s.w.NumVertices())
-	for _, e := range m.NewEdges {
-		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n || e.U == e.V {
-			return false
-		}
 	}
 	if len(m.NewEdges) == 0 { // empty batch: resolve immediately
 		s.ctr.BatchesApplied.Add(1)
@@ -1156,7 +1192,7 @@ func (s *Store) applyGlobalBatch(m *graph.Mutation, ten *tenantState) {
 		}
 		touched := make([]bool, len(s.shards))
 		for _, ed := range edits {
-			sh := s.shards[s.shardIndexOf(ed.U)]
+			sh := s.shards[rangeIndex(s.bounds, ed.U)]
 			wgt := int64(ed.Weight)
 			if !ed.Add {
 				wgt = -wgt
@@ -1376,7 +1412,7 @@ func (s *Store) merge(res restabResult) {
 		s.epoch++
 		s.ctr.Restabilizations.Add(1)
 		s.recomputeShardCuts()
-		s.baseline = s.ownedCut()
+		s.baseline = cutRatio(s.ownedCounters())
 		s.emitBarrierDelta(runs, false)
 	})
 }

@@ -13,15 +13,17 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+
+	"repro/internal/frame"
 )
 
 const (
 	ckptPrefix = "ckpt-"
 	ckptSuffix = ".ckpt"
 	ckptMagic  = 0x53504b31 // "SPK1"
+	ckptHdr    = 16         // u32 magic | u64 seq | u32 crc
 )
 
 // ErrNoCheckpoint is returned by LatestCheckpoint when the directory
@@ -35,6 +37,18 @@ func ckptName(seq uint64) string {
 // WriteCheckpoint atomically installs a checkpoint covering journal
 // sequence seq with the given payload.
 func WriteCheckpoint(dir string, seq uint64, payload []byte) error {
+	var hdr [ckptHdr]byte
+	binary.LittleEndian.PutUint32(hdr[0:], ckptMagic)
+	binary.LittleEndian.PutUint64(hdr[4:], seq)
+	return installFile(dir, ckptName(seq), hdr[:], payload)
+}
+
+// installFile atomically installs a checkpoint-family file — full or
+// delta: hdr (whose last four bytes receive the payload's CRC-32C) then
+// payload go to a temp file that is fsynced, renamed to name, and the
+// directory fsynced.
+func installFile(dir, name string, hdr, payload []byte) error {
+	binary.LittleEndian.PutUint32(hdr[len(hdr)-4:], frame.Checksum(payload))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -43,11 +57,7 @@ func WriteCheckpoint(dir string, seq uint64, payload []byte) error {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:], ckptMagic)
-	binary.LittleEndian.PutUint64(hdr[4:], seq)
-	binary.LittleEndian.PutUint32(hdr[12:], crc32.Checksum(payload, crcTable))
-	if _, err := tmp.Write(hdr[:]); err != nil {
+	if _, err := tmp.Write(hdr); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -62,7 +72,7 @@ func WriteCheckpoint(dir string, seq uint64, payload []byte) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, ckptName(seq))); err != nil {
+	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
 		return err
 	}
 	return syncDir(dir)
@@ -71,31 +81,43 @@ func WriteCheckpoint(dir string, seq uint64, payload []byte) error {
 // ReadCheckpoint loads and verifies the checkpoint covering seq,
 // returning its payload.
 func ReadCheckpoint(dir string, seq uint64) ([]byte, error) {
-	data, err := os.ReadFile(filepath.Join(dir, ckptName(seq)))
+	_, payload, err := readInstalled(dir, ckptName(seq), "checkpoint", ckptMagic, ckptHdr, seq)
+	return payload, err
+}
+
+// readInstalled loads a file installFile wrote and verifies its magic,
+// the sequence its header declares against the one its name carries, and
+// the payload CRC in the header's last four bytes.
+func readInstalled(dir, name, what string, magic uint32, hdrLen int, seq uint64) (hdr, payload []byte, err error) {
+	data, err := os.ReadFile(filepath.Join(dir, name))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if len(data) < 16 {
-		return nil, fmt.Errorf("wal: checkpoint %d truncated at %d bytes", seq, len(data))
+	if len(data) < hdrLen {
+		return nil, nil, fmt.Errorf("wal: %s %d truncated at %d bytes", what, seq, len(data))
 	}
-	if binary.LittleEndian.Uint32(data) != ckptMagic {
-		return nil, fmt.Errorf("wal: checkpoint %d has bad magic", seq)
+	if binary.LittleEndian.Uint32(data) != magic {
+		return nil, nil, fmt.Errorf("wal: %s %d has bad magic", what, seq)
 	}
 	if got := binary.LittleEndian.Uint64(data[4:]); got != seq {
-		return nil, fmt.Errorf("wal: checkpoint file for seq %d declares seq %d", seq, got)
+		return nil, nil, fmt.Errorf("wal: %s file for seq %d declares seq %d", what, seq, got)
 	}
-	payload := data[16:]
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(data[12:]) {
-		return nil, fmt.Errorf("wal: checkpoint %d fails CRC", seq)
+	hdr, payload = data[:hdrLen], data[hdrLen:]
+	if frame.Checksum(payload) != binary.LittleEndian.Uint32(hdr[hdrLen-4:]) {
+		return nil, nil, fmt.Errorf("wal: %s %d fails CRC", what, seq)
 	}
-	return payload, nil
+	return hdr, payload, nil
 }
 
 // Checkpoints lists the checkpoint sequence numbers present in dir,
 // ascending. Files that do not match the naming scheme (including
 // leftover temp files) are ignored.
-func Checkpoints(dir string) ([]uint64, error) {
-	files, err := scanSeqFiles(dir, ckptPrefix, ckptSuffix)
+func Checkpoints(dir string) ([]uint64, error) { return listSeqs(dir, ckptSuffix) }
+
+// listSeqs lists the sequence numbers of the ckpt-*suffix files in dir,
+// ascending.
+func listSeqs(dir, suffix string) ([]uint64, error) {
+	files, err := scanSeqFiles(dir, ckptPrefix, suffix)
 	if err != nil {
 		return nil, err
 	}

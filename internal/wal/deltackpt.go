@@ -19,7 +19,6 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 )
@@ -37,77 +36,26 @@ func dckpName(seq uint64) string {
 // WriteDeltaCheckpoint atomically installs a delta checkpoint covering
 // journal sequence seq, chained onto the encoding at prevSeq.
 func WriteDeltaCheckpoint(dir string, seq, prevSeq uint64, payload []byte) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, ckptPrefix+"*.tmp")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	var hdr [dckpHdr]byte
 	binary.LittleEndian.PutUint32(hdr[0:], dckpMagic)
 	binary.LittleEndian.PutUint64(hdr[4:], seq)
 	binary.LittleEndian.PutUint64(hdr[12:], prevSeq)
-	binary.LittleEndian.PutUint32(hdr[20:], crc32.Checksum(payload, crcTable))
-	if _, err := tmp.Write(hdr[:]); err != nil {
-		tmp.Close()
-		return err
-	}
-	if _, err := tmp.Write(payload); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, dckpName(seq))); err != nil {
-		return err
-	}
-	return syncDir(dir)
+	return installFile(dir, dckpName(seq), hdr[:], payload)
 }
 
 // ReadDeltaCheckpoint loads and verifies the delta checkpoint covering
 // seq, returning the sequence it chains from and its payload.
 func ReadDeltaCheckpoint(dir string, seq uint64) (prevSeq uint64, payload []byte, err error) {
-	data, err := os.ReadFile(filepath.Join(dir, dckpName(seq)))
+	hdr, payload, err := readInstalled(dir, dckpName(seq), "delta checkpoint", dckpMagic, dckpHdr, seq)
 	if err != nil {
 		return 0, nil, err
 	}
-	if len(data) < dckpHdr {
-		return 0, nil, fmt.Errorf("wal: delta checkpoint %d truncated at %d bytes", seq, len(data))
-	}
-	if binary.LittleEndian.Uint32(data) != dckpMagic {
-		return 0, nil, fmt.Errorf("wal: delta checkpoint %d has bad magic", seq)
-	}
-	if got := binary.LittleEndian.Uint64(data[4:]); got != seq {
-		return 0, nil, fmt.Errorf("wal: delta checkpoint file for seq %d declares seq %d", seq, got)
-	}
-	prevSeq = binary.LittleEndian.Uint64(data[12:])
-	payload = data[dckpHdr:]
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(data[20:]) {
-		return 0, nil, fmt.Errorf("wal: delta checkpoint %d fails CRC", seq)
-	}
-	return prevSeq, payload, nil
+	return binary.LittleEndian.Uint64(hdr[12:]), payload, nil
 }
 
 // DeltaCheckpoints lists the delta checkpoint sequence numbers in dir,
 // ascending. Non-matching files (including temp leftovers) are ignored.
-func DeltaCheckpoints(dir string) ([]uint64, error) {
-	files, err := scanSeqFiles(dir, ckptPrefix, dckpSuffix)
-	if err != nil {
-		return nil, err
-	}
-	seqs := make([]uint64, len(files))
-	for i, f := range files {
-		seqs[i] = f.first
-	}
-	return seqs, nil
-}
+func DeltaCheckpoints(dir string) ([]uint64, error) { return listSeqs(dir, dckpSuffix) }
 
 // DeltaLink is one verified link of a checkpoint chain.
 type DeltaLink struct {

@@ -43,14 +43,14 @@ func TestWriteFaultPoisonsJournalAndLosesNothingAcked(t *testing.T) {
 		t.Fatal(err)
 	}
 	for step := 0; step < 3; step++ {
-		if _, _, err := j.AppendMutation(faultMut(step)); err != nil {
+		if _, _, err := j.AppendGroup([]GroupEntry{{Mut: faultMut(step)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	boom := errors.New("injected: write fault")
 	restore := InjectFaults(func(*os.File, []byte) (int, error) { return 0, boom }, nil)
-	if _, _, err := j.AppendMutation(faultMut(3)); !errors.Is(err, boom) {
+	if _, _, err := j.AppendGroup([]GroupEntry{{Mut: faultMut(3)}}); !errors.Is(err, boom) {
 		t.Fatalf("faulted append err = %v, want injected fault", err)
 	}
 	restore()
@@ -61,7 +61,7 @@ func TestWriteFaultPoisonsJournalAndLosesNothingAcked(t *testing.T) {
 	if err := j.Err(); !errors.Is(err, boom) {
 		t.Fatalf("Err() = %v, want the injected fault", err)
 	}
-	if _, _, err := j.AppendMutation(faultMut(4)); !errors.Is(err, boom) {
+	if _, _, err := j.AppendGroup([]GroupEntry{{Mut: faultMut(4)}}); !errors.Is(err, boom) {
 		t.Fatalf("append after restore err = %v, want sticky poison", err)
 	}
 	j.Close()
@@ -79,7 +79,7 @@ func TestWriteFaultPoisonsJournalAndLosesNothingAcked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := j2.AppendMutation(faultMut(5)); err != nil {
+	if _, _, err := j2.AppendGroup([]GroupEntry{{Mut: faultMut(5)}}); err != nil {
 		t.Fatalf("append after reopen: %v", err)
 	}
 	if err := j2.Close(); err != nil {
@@ -96,7 +96,7 @@ func TestShortWritePoisonsJournalAndTornTailIsDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := j.AppendMutation(faultMut(0)); err != nil {
+	if _, _, err := j.AppendGroup([]GroupEntry{{Mut: faultMut(0)}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -105,14 +105,14 @@ func TestShortWritePoisonsJournalAndTornTailIsDropped(t *testing.T) {
 	restore := InjectFaults(func(f *os.File, b []byte) (int, error) {
 		return f.Write(b[:len(b)-3])
 	}, nil)
-	if _, _, err := j.AppendMutation(faultMut(1)); !errors.Is(err, io.ErrShortWrite) {
+	if _, _, err := j.AppendGroup([]GroupEntry{{Mut: faultMut(1)}}); !errors.Is(err, io.ErrShortWrite) {
 		t.Fatalf("short-counted append err = %v, want io.ErrShortWrite", err)
 	}
 	restore()
 	if err := j.Err(); !errors.Is(err, io.ErrShortWrite) {
 		t.Fatalf("Err() = %v, want io.ErrShortWrite", err)
 	}
-	if _, _, err := j.AppendMutation(faultMut(2)); !errors.Is(err, io.ErrShortWrite) {
+	if _, _, err := j.AppendGroup([]GroupEntry{{Mut: faultMut(2)}}); !errors.Is(err, io.ErrShortWrite) {
 		t.Fatalf("append after short write err = %v, want sticky poison", err)
 	}
 	j.Close()
@@ -132,7 +132,7 @@ func TestFsyncFaultUnderSyncAlwaysNeverAcknowledges(t *testing.T) {
 		t.Fatal(err)
 	}
 	for step := 0; step < 2; step++ {
-		if _, _, err := j.AppendMutation(faultMut(step)); err != nil {
+		if _, _, err := j.AppendGroup([]GroupEntry{{Mut: faultMut(step)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -148,14 +148,14 @@ func TestFsyncFaultUnderSyncAlwaysNeverAcknowledges(t *testing.T) {
 		}
 		return f.Sync()
 	})
-	if _, _, err := j.AppendMutation(faultMut(2)); !errors.Is(err, boom) {
+	if _, _, err := j.AppendGroup([]GroupEntry{{Mut: faultMut(2)}}); !errors.Is(err, boom) {
 		t.Fatalf("append over failed fsync err = %v, want injected fault", err)
 	}
 	restore()
 	if err := j.Err(); !errors.Is(err, boom) {
 		t.Fatalf("Err() = %v, want the injected fault", err)
 	}
-	if _, _, err := j.AppendMutation(faultMut(3)); !errors.Is(err, boom) {
+	if _, _, err := j.AppendGroup([]GroupEntry{{Mut: faultMut(3)}}); !errors.Is(err, boom) {
 		t.Fatalf("append after fsync fault err = %v, want sticky poison", err)
 	}
 	j.Close()
@@ -184,7 +184,7 @@ func TestFsyncFaultFailsForever(t *testing.T) {
 	restore := InjectFaults(nil, func(*os.File) error { return boom })
 	defer restore()
 	for step := 0; step < 4; step++ {
-		if _, _, err := j.AppendMutation(faultMut(step)); !errors.Is(err, boom) {
+		if _, _, err := j.AppendGroup([]GroupEntry{{Mut: faultMut(step)}}); !errors.Is(err, boom) {
 			t.Fatalf("append %d err = %v, want injected fault every time", step, err)
 		}
 	}

@@ -16,12 +16,12 @@ func buildSeedJournal(tb testing.TB, dir string) []byte {
 	}
 	for i := 0; i < 6; i++ {
 		if i == 3 {
-			if _, _, err := j.AppendResize(7); err != nil {
+			if _, _, err := j.AppendGroup([]GroupEntry{{NewK: 7}}); err != nil {
 				tb.Fatal(err)
 			}
 			continue
 		}
-		if _, _, err := j.AppendMutation(testMutation(i)); err != nil {
+		if _, _, err := j.AppendGroup([]GroupEntry{{Mut: testMutation(i)}}); err != nil {
 			tb.Fatal(err)
 		}
 	}

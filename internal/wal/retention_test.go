@@ -47,7 +47,7 @@ func TestTruncateBelowRespectsRetentionFloor(t *testing.T) {
 
 	mut := &graph.Mutation{NewEdges: []graph.WeightedEdgeRecord{{U: 0, V: 1, Weight: 2}}}
 	for i := 0; i < 40; i++ {
-		if _, _, err := j.AppendMutation(mut); err != nil {
+		if _, _, err := j.AppendGroup([]GroupEntry{{Mut: mut}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -105,7 +105,7 @@ func TestTruncateBelowFloorAboveSeq(t *testing.T) {
 	defer j.Close()
 	mut := &graph.Mutation{NewEdges: []graph.WeightedEdgeRecord{{U: 0, V: 1, Weight: 2}}}
 	for i := 0; i < 20; i++ {
-		if _, _, err := j.AppendMutation(mut); err != nil {
+		if _, _, err := j.AppendGroup([]GroupEntry{{Mut: mut}}); err != nil {
 			t.Fatal(err)
 		}
 	}

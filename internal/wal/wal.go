@@ -50,9 +50,9 @@
 // into one staging buffer and lands them with a single write syscall and
 // (under SyncAlways) a single fsync — the serving coordinator drains its
 // whole pending mutation log into one group, so the barrier is paid per
-// burst, not per record. Independently, concurrent Append*/AppendGroup
-// callers combine fsyncs: the first caller needing durability becomes the
-// sync leader and fsyncs once for every record written before the sync
+// burst, not per record. Independently, concurrent AppendGroup callers
+// combine fsyncs: the first caller needing durability becomes the sync
+// leader and fsyncs once for every record written before the sync
 // started, while later callers park on a condition variable; when the
 // leader finishes it wakes all waiters, whose records are either already
 // covered (they return) or lead the next combined sync. Records are never
@@ -63,7 +63,6 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -73,6 +72,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/graph"
 )
 
@@ -167,8 +167,6 @@ const (
 	segPrefix = "wal-"
 	segSuffix = ".log"
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // fsyncFile is the fsync used by the combined-sync path
 // (ensureDurableLocked); a package variable so tests can gate it to
@@ -278,17 +276,6 @@ type GroupEntry struct {
 	NewK int
 }
 
-// AppendMutation journals one mutation batch and returns its sequence
-// number and encoded frame size.
-func (j *Journal) AppendMutation(m *graph.Mutation) (seq uint64, n int, err error) {
-	return j.AppendGroup([]GroupEntry{{Mut: m}})
-}
-
-// AppendResize journals one elastic resize to newK partitions.
-func (j *Journal) AppendResize(newK int) (seq uint64, n int, err error) {
-	return j.AppendGroup([]GroupEntry{{NewK: newK}})
-}
-
 // AppendGroup journals a group of records with consecutive sequence
 // numbers (the first is returned), framed into one staging buffer and
 // written with a single syscall; under SyncAlways the whole group rides
@@ -337,7 +324,7 @@ func (j *Journal) AppendGroup(entries []GroupEntry) (firstSeq uint64, n int, err
 				return 0, 0, fmt.Errorf("wal: record of %d bytes exceeds MaxRecordBytes", len(payload))
 			}
 			binary.LittleEndian.PutUint32(buf[off:], uint32(len(payload)))
-			binary.LittleEndian.PutUint32(buf[off+4:], crc32.Checksum(payload, crcTable))
+			binary.LittleEndian.PutUint32(buf[off+4:], frame.Checksum(payload))
 		}
 		j.buf = buf
 		if j.segBytes == 0 || j.segBytes+int64(len(buf)) <= j.opt.SegmentBytes {
@@ -732,7 +719,7 @@ func readFrame(b []byte) (frameLen int, payload []byte, ok bool) {
 		return 0, nil, false
 	}
 	payload = b[frameHeader : frameHeader+n]
-	if crc32.Checksum(payload, crcTable) != crc {
+	if frame.Checksum(payload) != crc {
 		return 0, nil, false
 	}
 	return frameHeader + n, payload, true

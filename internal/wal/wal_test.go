@@ -54,14 +54,14 @@ func TestJournalRoundTrip(t *testing.T) {
 	want := make([]*graph.Mutation, 0, n)
 	for i := 0; i < n; i++ {
 		if i%9 == 8 {
-			if _, _, err := j.AppendResize(4 + i); err != nil {
+			if _, _, err := j.AppendGroup([]GroupEntry{{NewK: 4 + i}}); err != nil {
 				t.Fatal(err)
 			}
 			want = append(want, nil)
 			continue
 		}
 		m := testMutation(i)
-		seq, frameLen, err := j.AppendMutation(m)
+		seq, frameLen, err := j.AppendGroup([]GroupEntry{{Mut: m}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +128,7 @@ func TestJournalTornTailAndCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 30; i++ {
-			if _, _, err := j.AppendMutation(testMutation(i)); err != nil {
+			if _, _, err := j.AppendGroup([]GroupEntry{{Mut: testMutation(i)}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -202,7 +202,7 @@ func TestReplayJournalEndingBelowCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ { // records 1..4 survive; 5..10 died with the page cache
-		if _, _, err := j.AppendMutation(testMutation(i)); err != nil {
+		if _, _, err := j.AppendGroup([]GroupEntry{{Mut: testMutation(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -230,7 +230,7 @@ func TestReplayJournalEndingBelowCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		seq, _, err := j2.AppendMutation(testMutation(10 + i))
+		seq, _, err := j2.AppendGroup([]GroupEntry{{Mut: testMutation(10 + i)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +259,7 @@ func TestJournalTruncateBelow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
-		if _, _, err := j.AppendMutation(testMutation(i)); err != nil {
+		if _, _, err := j.AppendGroup([]GroupEntry{{Mut: testMutation(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -301,7 +301,7 @@ func TestJournalSyncPoliciesAndClose(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < 10; i++ {
-				if _, _, err := j.AppendMutation(testMutation(i)); err != nil {
+				if _, _, err := j.AppendGroup([]GroupEntry{{Mut: testMutation(i)}}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -314,7 +314,7 @@ func TestJournalSyncPoliciesAndClose(t *testing.T) {
 			if err := j.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := j.AppendMutation(testMutation(0)); err == nil {
+			if _, _, err := j.AppendGroup([]GroupEntry{{Mut: testMutation(0)}}); err == nil {
 				t.Fatal("append after Close succeeded")
 			}
 			count := 0
@@ -356,7 +356,7 @@ func TestJournalAppendGroup(t *testing.T) {
 	if first, _, err := j.AppendGroup(nil); err != nil || first != 0 {
 		t.Fatalf("empty group: seq %d, err %v", first, err)
 	}
-	if _, _, err := j.AppendMutation(testMutation(9)); err != nil {
+	if _, _, err := j.AppendGroup([]GroupEntry{{Mut: testMutation(9)}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -392,7 +392,7 @@ func TestJournalAppendGroupOversized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := j.AppendMutation(testMutation(0)); err != nil {
+	if _, _, err := j.AppendGroup([]GroupEntry{{Mut: testMutation(0)}}); err != nil {
 		t.Fatal(err)
 	}
 	big := make([]GroupEntry, 16)
@@ -406,7 +406,7 @@ func TestJournalAppendGroupOversized(t *testing.T) {
 	if first != 2 {
 		t.Fatalf("group landed at %d, want 2", first)
 	}
-	if _, _, err := j.AppendMutation(testMutation(20)); err != nil {
+	if _, _, err := j.AppendGroup([]GroupEntry{{Mut: testMutation(20)}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -430,7 +430,7 @@ func TestJournalSyncEveryCloseFlushes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, _, err := j.AppendMutation(testMutation(i)); err != nil {
+		if _, _, err := j.AppendGroup([]GroupEntry{{Mut: testMutation(i)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -449,7 +449,7 @@ func TestJournalSyncEveryCloseFlushes(t *testing.T) {
 	default:
 		t.Fatal("Close returned with the background syncer still running")
 	}
-	if _, _, err := j.AppendMutation(testMutation(9)); err == nil {
+	if _, _, err := j.AppendGroup([]GroupEntry{{Mut: testMutation(9)}}); err == nil {
 		t.Fatal("append after Close succeeded")
 	}
 	count := 0
@@ -484,7 +484,7 @@ func TestJournalFsyncCombining(t *testing.T) {
 	var wg sync.WaitGroup
 	appendOne := func(i int) {
 		defer wg.Done()
-		if _, _, err := j.AppendMutation(testMutation(i)); err != nil {
+		if _, _, err := j.AppendGroup([]GroupEntry{{Mut: testMutation(i)}}); err != nil {
 			t.Error(err)
 		}
 	}
@@ -545,7 +545,7 @@ func TestJournalConcurrentGroupCommit(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				if _, _, err := j.AppendMutation(testMutation(w*perWriter + i)); err != nil {
+				if _, _, err := j.AppendGroup([]GroupEntry{{Mut: testMutation(w*perWriter + i)}}); err != nil {
 					t.Error(err)
 					return
 				}

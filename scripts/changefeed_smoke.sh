@@ -21,7 +21,7 @@
 #   4. the churn forced delta checkpoints (.dckp files) onto disk;
 #   5. after a kill -9 mid-chain, a second spinnerd over the same data
 #      dir recovers from the base checkpoint + delta chain, answers
-#      /healthz, reports zero cut drift, and the feed-vs-lookup
+#      /v1/healthz, reports zero cut drift, and the feed-vs-lookup
 #      convergence holds again on the recovered incarnation.
 #
 # Usage: scripts/changefeed_smoke.sh [port]
@@ -46,7 +46,7 @@ CTL="$BINDIR/spinnerctl -addr $BASE"
 
 wait_healthy() {
   for _ in $(seq 1 100); do
-    if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then return 0; fi
+    if curl -fsS "$BASE/v1/healthz" >/dev/null 2>&1; then return 0; fi
     sleep 0.1
   done
   echo "spinnerd never became healthy" >&2
@@ -54,7 +54,7 @@ wait_healthy() {
 }
 
 stat_field() { # crude JSON number extraction, no jq dependency
-  curl -fsS "$BASE/stats" | tr ',{}' '\n\n\n' | grep -m1 "\"$1\":" | sed 's/.*: *//'
+  curl -fsS "$BASE/v1/stats" | tr ',{}' '\n\n\n' | grep -m1 "\"$1\":" | sed 's/.*: *//'
 }
 
 churn() { # churn <rounds> <salt>

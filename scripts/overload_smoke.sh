@@ -8,7 +8,7 @@
 #      {"code":"quota_exceeded"} bodies and a Retry-After header —
 #      while trickle tenants' writes keep landing with 202;
 #   2. asserts the duplicate-resize rejection is typed (400 +
-#      {"code":"k_unchanged"}), and that /stats exposes the overload
+#      {"code":"k_unchanged"}), and that /v1/stats exposes the overload
 #      view: QuotaRejections, FairnessPasses, and the per-tenant map
 #      with the abuser's quota_rejected count;
 #   3. kill -9s the daemon while the abuser is still firing, reopens the
@@ -38,7 +38,7 @@ go build -o "$BIN" ./cmd/spinnerd
 
 wait_healthy() {
   for _ in $(seq 1 100); do
-    if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then return 0; fi
+    if curl -fsS "$BASE/v1/healthz" >/dev/null 2>&1; then return 0; fi
     sleep 0.1
   done
   echo "spinnerd never became healthy" >&2
@@ -46,13 +46,13 @@ wait_healthy() {
 }
 
 stat_field() { # stat_field <key> — crude JSON number extraction, no jq dependency
-  curl -fsS "$BASE/stats" | tr ',{}' '\n\n\n' | grep -m1 "\"$1\":" | sed 's/.*: *//'
+  curl -fsS "$BASE/v1/stats" | tr ',{}' '\n\n\n' | grep -m1 "\"$1\":" | sed 's/.*: *//'
 }
 
 # mutate <tenant> — POST one small batch; prints the HTTP status code.
 mutate() {
   curl -s -o /dev/null -w '%{http_code}' -H "X-Tenant: $1" \
-    -X POST --data-binary "+ $((RANDOM % 2000)) $((RANDOM % 2000)) 2" "$BASE/mutate"
+    -X POST --data-binary "+ $((RANDOM % 2000)) $((RANDOM % 2000)) 2" "$BASE/v1/mutate"
 }
 
 echo "== boot durable spinnerd with per-tenant quotas (rate=2, burst=3, weights trickle=2)"
@@ -79,7 +79,7 @@ echo "   abuser: $ACCEPTED accepted, $REJECTED rejected"
 
 echo "== a 429 carries Retry-After and a machine-readable code"
 HDRS=$(mktemp)
-BODY=$(curl -s -D "$HDRS" -H "X-Tenant: abuser" -X POST --data-binary "+ 1 2 2" "$BASE/mutate")
+BODY=$(curl -s -D "$HDRS" -H "X-Tenant: abuser" -X POST --data-binary "+ 1 2 2" "$BASE/v1/mutate")
 grep -qi '^retry-after: *[1-9]' "$HDRS" || { echo "FAIL: 429 without Retry-After header" >&2; cat "$HDRS" >&2; exit 1; }
 echo "$BODY" | grep -q '"code": *"quota_exceeded"' || { echo "FAIL: 429 body lacks code quota_exceeded: $BODY" >&2; exit 1; }
 rm -f "$HDRS"
@@ -91,12 +91,12 @@ for tenant in trickle-a trickle-b; do
 done
 
 echo "== duplicate resize is a typed 400"
-RESIZE=$(curl -s -w '\n%{http_code}' -X POST "$BASE/resize?k=4")
+RESIZE=$(curl -s -w '\n%{http_code}' -X POST "$BASE/v1/resize?k=4")
 RESIZE_CODE=$(echo "$RESIZE" | tail -1)
 [ "$RESIZE_CODE" = "400" ] || { echo "FAIL: resize to current k got HTTP $RESIZE_CODE, want 400" >&2; exit 1; }
 echo "$RESIZE" | grep -q '"code": *"k_unchanged"' || { echo "FAIL: duplicate resize body lacks code k_unchanged" >&2; exit 1; }
 
-echo "== /stats exposes the overload view"
+echo "== /v1/stats exposes the overload view"
 sleep 0.5 # let the accepted writes drain so fairness passes are counted
 QUOTA_REJ=$(stat_field QuotaRejections)
 FAIR=$(stat_field FairnessPasses)
@@ -105,10 +105,10 @@ echo "   quota-rejections=$QUOTA_REJ fairness-passes=$FAIR degraded=$DEGRADED"
 [ "$QUOTA_REJ" -ge 10 ] || { echo "FAIL: QuotaRejections=$QUOTA_REJ, want >= 10" >&2; exit 1; }
 [ "$FAIR" -ge 1 ] || { echo "FAIL: FairnessPasses=$FAIR, want >= 1" >&2; exit 1; }
 [ "$DEGRADED" = "false" ] || { echo "FAIL: store degraded during quota smoke" >&2; exit 1; }
-STATS=$(curl -fsS "$BASE/stats")
-echo "$STATS" | grep -q '"abuser"' || { echo "FAIL: /stats tenants map lacks the abuser" >&2; exit 1; }
+STATS=$(curl -fsS "$BASE/v1/stats")
+echo "$STATS" | grep -q '"abuser"' || { echo "FAIL: /v1/stats tenants map lacks the abuser" >&2; exit 1; }
 echo "$STATS" | tr '{}' '\n\n' | grep -A1 '"abuser"' | grep -q '"quota_rejected": *[1-9]' \
-  || { echo "FAIL: abuser quota_rejected not surfaced in /stats" >&2; exit 1; }
+  || { echo "FAIL: abuser quota_rejected not surfaced in /v1/stats" >&2; exit 1; }
 
 echo "== crash: kill -9 while the abuser is still firing"
 ( while :; do mutate abuser >/dev/null 2>&1 || true; done ) &

@@ -10,7 +10,7 @@
 # is atomic, so an interrupted checkpoint simply never appears — and a
 # torn temp file is left in the checkpoint directory. A second spinnerd
 # over the same data dir must recover (previous checkpoint + LONGER
-# journal tail replay, temp file ignored), answer /healthz, report zero
+# journal tail replay, temp file ignored), answer /v1/healthz, report zero
 # cut drift from the post-recovery exact reconcile, and resolve every
 # sampled vertex to a valid partition — identical to the pre-crash
 # answer for the quiesced prefix.
@@ -35,7 +35,7 @@ go build -o "$BIN" ./cmd/spinnerd
 
 wait_healthy() {
   for _ in $(seq 1 100); do
-    if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then return 0; fi
+    if curl -fsS "$BASE/v1/healthz" >/dev/null 2>&1; then return 0; fi
     sleep 0.1
   done
   echo "spinnerd never became healthy" >&2
@@ -43,19 +43,26 @@ wait_healthy() {
 }
 
 stat_field() { # stat_field <jq-ish key> — crude JSON number extraction, no jq dependency
-  curl -fsS "$BASE/stats" | tr ',{}' '\n\n\n' | grep -m1 "\"$1\":" | sed 's/.*: *//'
+  curl -fsS "$BASE/v1/stats" | tr ',{}' '\n\n\n' | grep -m1 "\"$1\":" | sed 's/.*: *//'
 }
 
 echo "== boot durable spinnerd (fsync=never, checkpoint-every=4, keep-checkpoints=2)"
 # -degrade suppresses background restabilization: an unquiesced crash
 # recovers to *a* valid state, and with relabeling events excluded that
 # state's labels must match the pre-crash lookups exactly.
-# -keep-checkpoints/-fsync-interval exercise the ISSUE-5 durability knobs.
+# -keep-checkpoints/-fsync-interval exercise the ISSUE-5 durability knobs;
+# -max-delta-chain -1 makes every checkpoint a full one, so there is a
+# newest .ckpt to lose below (the incremental chain has its own drill in
+# changefeed_smoke.sh).
 "$BIN" -k 4 -synthetic 2000 -seed 11 -shards 2 -addr "127.0.0.1:$PORT" \
   -degrade 999999 -data-dir "$DIR" -fsync never -fsync-interval 25ms \
-  -checkpoint-every 4 -keep-checkpoints 2 &
+  -checkpoint-every 4 -keep-checkpoints 2 -max-delta-chain -1 &
 PID=$!
 wait_healthy
+
+# The API is /v1 only: the pre-versioning aliases are gone.
+CODE=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/healthz")
+[ "$CODE" = "404" ] || { echo "FAIL: unversioned /healthz returned $CODE, want 404" >&2; exit 1; }
 
 echo "== churn: 24 mutation batches over HTTP"
 for i in $(seq 1 24); do
@@ -66,7 +73,7 @@ for i in $(seq 1 24); do
     [ "$u" -eq "$v" ] && v=$(( (v + 1) % 2000 ))
     body+="+ $u $v 2"$'\n'
   done
-  curl -fsS -X POST --data-binary "$body" "$BASE/mutate" >/dev/null
+  curl -fsS -X POST --data-binary "$body" "$BASE/v1/mutate" >/dev/null
 done
 
 # Let the store drain far enough that a checkpoint exists, then record
@@ -76,12 +83,12 @@ APPLIED_BEFORE=$(stat_field applied)
 SAMPLE="1 42 500 999 1500 1999"
 declare -A BEFORE
 for v in $SAMPLE; do
-  BEFORE[$v]=$(curl -fsS "$BASE/lookup?v=$v" | tr ',{}' '\n\n\n' | grep -m1 '"partition":' | sed 's/.*: *//')
+  BEFORE[$v]=$(curl -fsS "$BASE/v1/lookup?v=$v" | tr ',{}' '\n\n\n' | grep -m1 '"partition":' | sed 's/.*: *//')
 done
 echo "   applied=$APPLIED_BEFORE before crash"
 
 echo "== crash: kill -9 mid-churn"
-curl -fsS -X POST --data-binary "+ 3 4 2" "$BASE/mutate" >/dev/null || true
+curl -fsS -X POST --data-binary "+ 3 4 2" "$BASE/v1/mutate" >/dev/null || true
 kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 PID=""
@@ -100,7 +107,7 @@ printf 'torn checkpoint write' > "$DIR/checkpoints/ckpt-0123456789abcdef.tmp"
 
 echo "== recover from $DIR"
 "$BIN" -addr "127.0.0.1:$PORT" -degrade 999999 -data-dir "$DIR" -fsync never -fsync-interval 25ms \
-  -checkpoint-every 4 -keep-checkpoints 2 &
+  -checkpoint-every 4 -keep-checkpoints 2 -max-delta-chain -1 &
 PID=$!
 wait_healthy
 
@@ -123,7 +130,7 @@ echo "   vertices=$VERTICES durable=$DURABLE applied=$APPLIED_AFTER reconciles=$
 
 echo "== lookup consistency on $SAMPLE"
 for v in $SAMPLE; do
-  part=$(curl -fsS "$BASE/lookup?v=$v" | tr ',{}' '\n\n\n' | grep -m1 '"partition":' | sed 's/.*: *//')
+  part=$(curl -fsS "$BASE/v1/lookup?v=$v" | tr ',{}' '\n\n\n' | grep -m1 '"partition":' | sed 's/.*: *//')
   if [ -z "$part" ] || [ "$part" -lt 0 ] || [ "$part" -ge 4 ]; then
     echo "FAIL: lookup($v) = '$part' out of [0,4)" >&2; exit 1
   fi

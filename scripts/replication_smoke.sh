@@ -8,7 +8,7 @@
 # with bounded staleness, serves lookups from its own snapshots, and
 # refuses writes (503 read_only). Then the failover drill: record the
 # leader's acknowledged-and-replicated watermark plus a lookup sample,
-# kill -9 the leader, POST /promote on the follower, and assert the
+# kill -9 the leader, POST /v1/promote on the follower, and assert the
 # promoted node reports role=leader, has lost no acknowledged batch
 # (applied_seq >= the pre-kill watermark), answers the sample lookups
 # identically, and accepts writes.
@@ -38,7 +38,7 @@ go build -o "$BIN" ./cmd/spinnerd
 
 wait_healthy() { # wait_healthy <base-url>
   for _ in $(seq 1 100); do
-    if curl -fsS "$1/healthz" >/dev/null 2>&1; then return 0; fi
+    if curl -fsS "$1/v1/healthz" >/dev/null 2>&1; then return 0; fi
     sleep 0.1
   done
   echo "spinnerd at $1 never became healthy" >&2
@@ -46,7 +46,7 @@ wait_healthy() { # wait_healthy <base-url>
 }
 
 stat_field() { # stat_field <base-url> <key> — crude JSON extraction, no jq dependency
-  curl -fsS "$1/stats" | tr ',{}' '\n\n\n' | grep -m1 "\"$2\":" | sed 's/.*: *//' | tr -d '"'
+  curl -fsS "$1/v1/stats" | tr ',{}' '\n\n\n' | grep -m1 "\"$2\":" | sed 's/.*: *//' | tr -d '"'
 }
 
 churn() { # churn <rounds> <salt> — mutation batches against the leader
@@ -58,7 +58,7 @@ churn() { # churn <rounds> <salt> — mutation batches against the leader
       [ "$u" -eq "$v" ] && v=$(( (v + 1) % 2000 ))
       body+="+ $u $v 2"$'\n'
     done
-    curl -fsS -X POST --data-binary "$body" "$LBASE/mutate" >/dev/null
+    curl -fsS -X POST --data-binary "$body" "$LBASE/v1/mutate" >/dev/null
   done
 }
 
@@ -105,15 +105,15 @@ echo "   follower caught up (applied_seq=$(stat_field "$FBASE" applied_seq), sta
 [ -n "$STALE" ] && [ "$STALE" -lt 5000 ] || { echo "FAIL: follower staleness ${STALE}ms, want < 5000" >&2; exit 1; }
 
 echo "== follower refuses writes while tailing"
-CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST --data-binary "+ 1 2 2" "$FBASE/mutate")
-[ "$CODE" = "503" ] || { echo "FAIL: follower /mutate returned $CODE, want 503 read_only" >&2; exit 1; }
+CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST --data-binary "+ 1 2 2" "$FBASE/v1/mutate")
+[ "$CODE" = "503" ] || { echo "FAIL: follower /v1/mutate returned $CODE, want 503 read_only" >&2; exit 1; }
 
 echo "== lookup sample served from the follower's own snapshots"
 SAMPLE="1 42 500 999 1500 1999"
 declare -A BEFORE
 for v in $SAMPLE; do
-  lpart=$(curl -fsS "$LBASE/lookup?v=$v" | tr ',{}' '\n\n\n' | grep -m1 '"partition":' | sed 's/.*: *//')
-  fpart=$(curl -fsS "$FBASE/lookup?v=$v" | tr ',{}' '\n\n\n' | grep -m1 '"partition":' | sed 's/.*: *//')
+  lpart=$(curl -fsS "$LBASE/v1/lookup?v=$v" | tr ',{}' '\n\n\n' | grep -m1 '"partition":' | sed 's/.*: *//')
+  fpart=$(curl -fsS "$FBASE/v1/lookup?v=$v" | tr ',{}' '\n\n\n' | grep -m1 '"partition":' | sed 's/.*: *//')
   [ "$fpart" = "$lpart" ] || { echo "FAIL: lookup($v) leader=$lpart follower=$fpart" >&2; exit 1; }
   BEFORE[$v]=$fpart
 done
@@ -124,7 +124,7 @@ sleep 0.5
 wait_caught_up
 WATERMARK=$(stat_field "$FBASE" applied_seq)
 for v in $SAMPLE; do
-  BEFORE[$v]=$(curl -fsS "$FBASE/lookup?v=$v" | tr ',{}' '\n\n\n' | grep -m1 '"partition":' | sed 's/.*: *//')
+  BEFORE[$v]=$(curl -fsS "$FBASE/v1/lookup?v=$v" | tr ',{}' '\n\n\n' | grep -m1 '"partition":' | sed 's/.*: *//')
 done
 echo "   watermark=$WATERMARK (acknowledged and replicated)"
 
@@ -134,7 +134,7 @@ wait "$LPID" 2>/dev/null || true
 LPID=""
 
 echo "== promote the follower"
-PROMOTE=$(curl -fsS -X POST "$FBASE/promote")
+PROMOTE=$(curl -fsS -X POST "$FBASE/v1/promote")
 echo "   $PROMOTE"
 echo "$PROMOTE" | grep -q '"promoted": *true' || { echo "FAIL: promote response: $PROMOTE" >&2; exit 1; }
 [ "$(stat_field "$FBASE" role)" = "leader" ] || { echo "FAIL: promoted node still role=$(stat_field "$FBASE" role)" >&2; exit 1; }
@@ -144,7 +144,7 @@ APPLIED=$(stat_field "$FBASE" applied_seq)
 
 echo "== lookup consistency across failover"
 for v in $SAMPLE; do
-  part=$(curl -fsS "$FBASE/lookup?v=$v" | tr ',{}' '\n\n\n' | grep -m1 '"partition":' | sed 's/.*: *//')
+  part=$(curl -fsS "$FBASE/v1/lookup?v=$v" | tr ',{}' '\n\n\n' | grep -m1 '"partition":' | sed 's/.*: *//')
   if [ -z "$part" ] || [ "$part" -lt 0 ] || [ "$part" -ge 4 ]; then
     echo "FAIL: lookup($v) = '$part' out of [0,4)" >&2; exit 1
   fi
@@ -154,7 +154,7 @@ for v in $SAMPLE; do
 done
 
 echo "== promoted node accepts writes"
-curl -fsS -X POST --data-binary "+ 5 6 2" "$FBASE/mutate" >/dev/null || { echo "FAIL: promoted node refused a write" >&2; exit 1; }
+curl -fsS -X POST --data-binary "+ 5 6 2" "$FBASE/v1/mutate" >/dev/null || { echo "FAIL: promoted node refused a write" >&2; exit 1; }
 NEW_APPLIED=$(stat_field "$FBASE" applied_seq)
 [ "$NEW_APPLIED" -gt "$APPLIED" ] || sleep 0.5
 NEW_APPLIED=$(stat_field "$FBASE" applied_seq)
