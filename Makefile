@@ -10,11 +10,13 @@
 #   make bench-test  — vet + unit tests of the benchmark module (its own
 #                      go.mod, so tier-1 does not see it)
 #   make bench-quick — every Go micro-benchmark compiles and runs once
+#   make profile-core — CPU profile of the LPA loop (BenchmarkSpinnerIteration)
+#                      into out/, top 15 functions printed
 #   make fuzz        — 20s each on the wire-envelope and delta-codec targets
 #   make *-smoke     — kill -9 / overload / failover / change-feed / metrics
 #                      drills against a real spinnerd over /v1 (scripts/)
 
-.PHONY: all check build vet lint test test-race bench bench-test bench-quick fuzz recovery-smoke overload-smoke replication-smoke changefeed-smoke metrics-smoke
+.PHONY: all check build vet lint test test-race bench bench-test bench-quick profile-core fuzz recovery-smoke overload-smoke replication-smoke changefeed-smoke metrics-smoke
 
 all: check
 
@@ -49,6 +51,11 @@ bench-test:
 
 bench-quick:
 	go test -run='^$$' -bench=. -benchtime=1x ./...
+
+profile-core:
+	mkdir -p out
+	go test -run '^$$' -bench BenchmarkSpinnerIteration -benchtime 5x -cpuprofile out/core.prof -o out/core.test .
+	go tool pprof -top -nodecount 15 out/core.test out/core.prof
 
 fuzz:
 	go test -run='^$$' -fuzz=FuzzDecode -fuzztime=20s ./internal/frame

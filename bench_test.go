@@ -254,21 +254,28 @@ func BenchmarkAblationRandomTieBreak(b *testing.B) {
 // --- Microbenchmarks -------------------------------------------------------
 
 // BenchmarkSpinnerIteration measures the core partitioning loop on a
-// mid-size small-world graph (whole run, conversion included).
+// mid-size small-world graph (whole run, conversion included). Besides
+// ns/op it reports ns/arc-iter — wall time over (arcs of the undirected
+// support graph × LPA iterations) — which reads across graph sizes.
 func BenchmarkSpinnerIteration(b *testing.B) {
 	g := gen.WattsStrogatz(20000, 16, 0.3, 1)
+	arcs := 2 * graph.Convert(g).NumEdges()
 	opts := core.DefaultOptions(32)
 	opts.Seed = 1
 	p, err := core.NewPartitioner(opts)
 	if err != nil {
 		b.Fatal(err)
 	}
+	var iterations int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Partition(g); err != nil {
+		res, err := p.Partition(g)
+		if err != nil {
 			b.Fatal(err)
 		}
+		iterations += int64(res.Iterations)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(arcs*iterations), "ns/arc-iter")
 }
 
 // BenchmarkBaselineMultilevel measures the METIS-style comparator on the

@@ -1,0 +1,291 @@
+package core
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/pregel"
+	"repro/internal/rng"
+)
+
+// scanHistogram is the reference the incremental histogram must equal: the
+// per-iteration edge scan ComputeScores ran before it kept one — a bar per
+// distinct announced label, in order of first appearance, weights summed.
+func scanHistogram(edges []pregel.Edge[eval], ignoreWeights bool) []bar {
+	var out []bar
+	at := map[int32]int{}
+	for i, e := range edges {
+		l := e.Value.label
+		if l < 0 {
+			continue
+		}
+		j, ok := at[l]
+		if !ok {
+			j = len(out)
+			at[l] = j
+			out = append(out, bar{label: l, first: int32(i)})
+		}
+		if ignoreWeights {
+			out[j].weight++
+		} else {
+			out[j].weight += int64(e.Value.weight)
+		}
+	}
+	return out
+}
+
+// runChecked drives prog over vs as Partitioner.run does and, after every
+// ComputeScores superstep, compares every vertex's histogram with a fresh
+// scan of its edges: same labels, same weights, same order. It returns the
+// number of vertex-histograms compared.
+func runChecked(t *testing.T, what string, opts Options, prog *program, vs []pregel.Vertex[vval, eval]) int {
+	t.Helper()
+	var eng *pregel.Engine[vval, eval, msg]
+	checked := 0
+	cfg := pregel.Config{
+		NumWorkers:    opts.NumWorkers,
+		Seed:          opts.Seed,
+		MaxSupersteps: 3 + 2*opts.MaxIterations + 2,
+		AfterSuperstep: func(step int) {
+			// The master has already advanced the phase: ComputeMigrations
+			// next means ComputeScores just ran.
+			if prog.phase != phaseComputeMigrations || t.Failed() {
+				return
+			}
+			for i := range eng.Vertices() {
+				v := &eng.Vertices()[i]
+				want := scanHistogram(v.Edges, opts.IgnoreEdgeWeights)
+				if !slices.Equal(v.Value.hist, want) {
+					t.Errorf("%s: superstep %d (iteration %d) vertex %d:\nhistogram %v\nedge scan %v",
+						what, step, prog.iter, i, v.Value.hist, want)
+					return
+				}
+				if c := min(len(v.Edges), opts.K); cap(v.Value.hist) != c {
+					t.Errorf("%s: vertex %d histogram capacity %d, want min(deg, k) = %d", what, i, cap(v.Value.hist), c)
+					return
+				}
+				checked++
+			}
+		},
+	}
+	eng = pregel.NewEngine[vval, eval, msg](cfg, prog)
+	prog.register(eng)
+	if err := eng.SetVertices(vs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return checked
+}
+
+// TestHistogramMatchesEdgeScanProperty: on random graphs (duplicate arcs,
+// hubs above k, k above every degree), from every entry point (conversion
+// supersteps, weighted, a churned and grown graph, a resize either way) and
+// under random option mixes, the incrementally maintained histogram equals
+// the edge scan after every ComputeScores superstep.
+func TestHistogramMatchesEdgeScanProperty(t *testing.T) {
+	total := 0
+	for seed := uint64(1); seed <= 40; seed++ {
+		s := rng.New(seed)
+		n := 60 + s.Intn(400)
+		var g *graph.Graph
+		var gname string
+		switch s.Intn(3) {
+		case 0:
+			g, gname = gen.ErdosRenyi(n, int64((1+s.Intn(6))*n), true, seed), "er"
+		case 1:
+			g, gname = gen.BarabasiAlbert(n, 2+s.Intn(8), seed), "ba"
+		default:
+			g, gname = gen.WattsStrogatz(n, 2+s.Intn(10), 0.5, seed), "ws" // rewiring leaves duplicate arcs
+		}
+		k := 2 + s.Intn(24)
+		opts := DefaultOptions(k)
+		opts.Seed = seed
+		opts.NumWorkers = 1 + s.Intn(4)
+		opts.MaxIterations = 12 + s.Intn(20)
+		opts.IgnoreEdgeWeights = s.Bool(0.25)
+		opts.RandomTieBreak = s.Bool(0.25)
+		opts.DisableAsyncWorkerState = s.Bool(0.25)
+		opts.UnboundedMigration = s.Bool(0.15)
+		opts.AffectedOnly = s.Bool(0.25)
+		if s.Bool(0.25) {
+			opts.CapacityFractions = make([]float64, k)
+			for l := range opts.CapacityFractions {
+				opts.CapacityFractions[l] = 1 + float64(s.Intn(4))
+			}
+		}
+		if err := opts.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		what := fmt.Sprintf("seed %d %s n=%d k=%d %+v", seed, gname, n, k, opts)
+
+		// From scratch, with and without the conversion supersteps.
+		total += runChecked(t, what+" Partition", opts, newProgram(opts, true, nil, nil), verticesFromGraph(g))
+		w := graph.Convert(g)
+		base := newProgram(opts, false, nil, nil)
+		vs := verticesFromWeighted(w)
+		total += runChecked(t, what+" PartitionWeighted", opts, base, vs)
+		prev := make([]int32, len(vs))
+		for i := range vs {
+			prev[i] = vs[i].Value.label
+		}
+
+		// Adapt after churn that also appends vertices.
+		grown := w.Clone()
+		mut := gen.ChurnBatch(grown, 0.05, 0.03, seed+1000)
+		mut.NewVertices = 1 + s.Intn(10)
+		for i := 0; i < mut.NewVertices; i++ {
+			mut.NewEdges = append(mut.NewEdges, graph.WeightedEdgeRecord{
+				U: graph.VertexID(n + i), V: graph.VertexID(s.Intn(n)), Weight: int32(1 + s.Intn(3)),
+			})
+		}
+		if _, err := mut.Apply(grown); err != nil {
+			t.Fatal(err)
+		}
+		init := make([]int32, grown.NumVertices())
+		copy(init, prev)
+		SeedNewVertices(grown, init, n, k)
+		var mask []bool
+		if opts.AffectedOnly {
+			mask = make([]bool, len(init))
+			for _, v := range mut.TouchedVertices() {
+				mask[v] = true
+			}
+		}
+		total += runChecked(t, what+" Adapt", opts, newProgram(opts, false, init, mask), verticesFromWeighted(grown))
+
+		// Resize up or down.
+		newK := max(1, k+s.Intn(7)-3)
+		relabeled, err := ElasticRelabel(prev, k, newK, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ropts := opts
+		ropts.K = newK
+		ropts.CapacityFractions = nil // sized for k
+		total += runChecked(t, what+" Resize", ropts, newProgram(ropts, false, relabeled, nil), verticesFromWeighted(w))
+		if t.Failed() {
+			return
+		}
+	}
+	if total < 100_000 {
+		t.Fatalf("only %d histograms compared; the probe is not running", total)
+	}
+}
+
+// TestCarveHandsOutDisjointWindows: histograms carved from one worker's
+// arena never overlap, whatever the mix of sizes, and a request larger than
+// a chunk gets a chunk of its own.
+func TestCarveHandsOutDisjointWindows(t *testing.T) {
+	ws := &workerScratch{}
+	s := rng.New(3)
+	var hists [][]bar
+	for i := 0; i < 5000; i++ {
+		n := s.Intn(40)
+		if i%1000 == 999 {
+			n = histChunkMax + 7
+		}
+		h := ws.carve(n)
+		if len(h) != 0 || cap(h) != n {
+			t.Fatalf("carve(%d) returned len %d cap %d", n, len(h), cap(h))
+		}
+		for j := 0; j < n; j++ {
+			h = append(h, bar{label: int32(i), first: int32(j)})
+		}
+		hists = append(hists, h)
+	}
+	for i, h := range hists {
+		for j, b := range h {
+			if b.label != int32(i) || b.first != int32(j) {
+				t.Fatalf("histogram %d bar %d overwritten: %+v", i, j, b)
+			}
+		}
+	}
+}
+
+// TestAffectedOnlyRestricts pins §III-D's first strategy: only vertices
+// affected by the change, and vertices that later see a neighbour migrate,
+// evaluate migration. The Initialization announcements every vertex
+// receives in iteration 1 are not label changes and must not count.
+func TestAffectedOnlyRestricts(t *testing.T) {
+	const n, k = 5000, 8
+	w := graph.Convert(gen.WattsStrogatz(n, 8, 0.3, 7))
+	o := DefaultOptions(k)
+	o.Seed = 42
+	o.NumWorkers = 2
+	o.MaxIterations = 3 // far from converged: every vertex would like to move
+	start, err := mustPartitioner(t, o).PartitionWeighted(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	o.MaxIterations = 50
+	o.AffectedOnly = true
+	p := mustPartitioner(t, o)
+
+	// Unchanged graph, nothing listed: nobody is affected, nobody moves.
+	res, err := p.Adapt(w, start.Labels, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var migrations int64
+	for _, it := range res.History {
+		migrations += it.Migrations
+	}
+	if migrations != 0 || !slices.Equal(res.Labels, start.Labels) {
+		t.Fatalf("AffectedOnly on an unchanged graph made %d migrations", migrations)
+	}
+
+	// A growth batch with new vertices: a vertex may move in iteration t
+	// only if it is new, listed, or adjacent to a vertex that moved before t.
+	grown := w.Clone()
+	mut := gen.GrowthBatch(grown, 0.01, 99)
+	mut.NewVertices = 20
+	for i := 0; i < mut.NewVertices; i++ {
+		mut.NewEdges = append(mut.NewEdges, graph.WeightedEdgeRecord{U: graph.VertexID(n + i), V: graph.VertexID(i * 97 % n), Weight: 2})
+	}
+	if _, err := mut.Apply(grown); err != nil {
+		t.Fatal(err)
+	}
+	eligible := make([]bool, grown.NumVertices())
+	for v := n; v < len(eligible); v++ {
+		eligible[v] = true
+	}
+	for _, v := range mut.TouchedVertices() {
+		eligible[v] = true
+	}
+	// The snapshot of iteration 1 is compared with the seeded start.
+	prev := make([]int32, grown.NumVertices())
+	copy(prev, start.Labels)
+	SeedNewVertices(grown, prev, n, k)
+	moved := 0
+	o.IterationSnapshot = func(iter int, labels []int32) {
+		var movers []int
+		for v := range labels {
+			if labels[v] == prev[v] {
+				continue
+			}
+			if !eligible[v] {
+				t.Errorf("iteration %d: vertex %d moved, but it is not new, not listed and no neighbour had migrated", iter, v)
+			}
+			movers = append(movers, v)
+		}
+		moved += len(movers)
+		for _, v := range movers {
+			for _, a := range grown.Neighbors(graph.VertexID(v)) {
+				eligible[a.To] = true
+			}
+		}
+		prev = labels
+	}
+	if _, err := mustPartitioner(t, o).Adapt(grown, start.Labels, mut.TouchedVertices()); err != nil {
+		t.Fatal(err)
+	}
+	if moved == 0 {
+		t.Fatal("no affected vertex moved: the restriction test saw nothing")
+	}
+}

@@ -17,6 +17,37 @@
 //   - a score-based halting heuristic (ε, w) over score(G) (Eq. 10);
 //   - incremental adaptation after graph mutations (§III-D) and elastic
 //     adaptation after partition count changes (§III-E).
+//
+// # The neighbour-label histogram
+//
+// §IV-A of the paper stores each neighbour's last announced label in the
+// edge value so that only label changes travel. ComputeScores takes the
+// next step: a vertex does not rescan its edges every iteration either. It
+// keeps a histogram of them — one bar per distinct neighbour label, holding
+// the summed weight of the edges that carry the label (their count under
+// IgnoreEdgeWeights) and the index of the first such edge — carved at
+// Initialization, with capacity min(degree, k), from an arena of the worker
+// that owns the vertex. One edge scan builds it in iteration 1, when every
+// neighbour has announced its starting label; from then on each incoming
+// message moves one edge from the bar of the label it carried to the bar
+// of the label announced. Scoring walks the bars, so a ComputeScores call
+// costs O(messages received + distinct neighbour labels), not O(degree).
+//
+// The bars are kept sorted by first edge. That is the order in which an
+// edge scan meets the labels, and the order matters: labels whose scores
+// tie are resolved by one random draw per tied label, in the order the
+// labels are visited, so another order consumes the worker's random stream
+// differently and yields different labels. An edge that leaves a bar it was
+// the first edge of hands the role to the next edge carrying the label, and
+// the bar moves back past the bars that now start before it; an edge that
+// joins a bar ahead of its first edge moves the bar forward. Weights are
+// positive — graph.Weighted's invariant: Convert assigns 1 or 2,
+// Mutation.Apply raises anything lower to 1, DecodeWeightedBinary refuses
+// it — and integral, so the sums are exact and a bar is empty exactly when
+// its weight is 0.
+// TestHistogramMatchesEdgeScanProperty compares every histogram with a
+// fresh edge scan after every ComputeScores superstep; TestGoldenLabels
+// pins the labels recorded before the histogram existed.
 package core
 
 import (

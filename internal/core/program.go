@@ -17,23 +17,16 @@ const (
 	phaseComputeMigrations          // probabilistic migration (Eq. 14)
 )
 
-// Aggregator names.
-const (
-	aggLoads  = "loads"  // persistent: b(l) per label (Eq. 6)
-	aggCand   = "cand"   // per-iteration: m(l), load wanting to migrate to l (Eq. 13)
-	aggProbs  = "probs"  // master-published migration probabilities (Eq. 14)
-	aggScore  = "score"  // per-iteration: score(G) (Eq. 10)
-	aggLocalW = "localw" // per-iteration: Σ_v (weight to same-label neighbors)
-	aggMigs   = "migs"   // per-iteration: number of migrations
-	aggTotal  = "total"  // persistent: total load T = Σ_v deg_w(v)
-)
-
 // vval is the per-vertex state.
 type vval struct {
 	label int32
 	cand  int32   // candidate label for this iteration, -1 if none
 	degW  float64 // weighted degree, fixed at Initialization
 	dirty bool    // AffectedOnly: may evaluate migration
+	// hist is the vertex's neighbour-label histogram, ordered by bar.first
+	// (see the package doc). Built in iteration 1, then moved one edge at a
+	// time by the label-change messages; capacity min(deg, k).
+	hist []bar
 }
 
 // eval is the per-edge state: the edge weight of Eq. 3 and the neighbor's
@@ -44,6 +37,13 @@ type eval struct {
 	label  int32
 }
 
+// bar is one label of a vertex's neighbour-label histogram.
+type bar struct {
+	label  int32
+	first  int32 // index in Edges of the first edge carrying label
+	weight int64 // Σ weight of the edges carrying label (their count under IgnoreEdgeWeights)
+}
+
 // msg announces the sender and its (new) label. During the conversion
 // phase the label field is unused.
 type msg struct {
@@ -52,13 +52,32 @@ type msg struct {
 }
 
 // workerScratch is the per-worker shared state of §IV-A4: an
-// asynchronously updated view of the partition loads, plus reusable
-// scratch buffers for per-label neighborhood weights.
+// asynchronously updated view of the partition loads, plus the arena the
+// worker's vertices carve their histograms from.
 type workerScratch struct {
 	refreshedAt int // superstep for which localLoads is current
 	localLoads  []float64
-	labelW      []float64
-	touched     []int32
+	penalty     []float64 // −localLoads[l]/C_l, the balance term of Eq. 8, kept in step with localLoads
+	slot        []int32   // buildHistogram scratch: label → 1 + its bar's index, zero between calls
+	arena       []bar     // current chunk; carve hands out its tail
+}
+
+// Histogram arena chunks double from histChunkMin up to histChunkMax bars,
+// so a small run allocates little and a large one wastes under 1 MB a worker.
+const (
+	histChunkMin = 1 << 8
+	histChunkMax = 1 << 16
+)
+
+// carve returns an empty histogram of capacity n from the worker's arena.
+func (ws *workerScratch) carve(n int) []bar {
+	if n > cap(ws.arena)-len(ws.arena) {
+		size := min(max(2*cap(ws.arena), histChunkMin), histChunkMax)
+		ws.arena = make([]bar, 0, max(n, size))
+	}
+	off := len(ws.arena)
+	ws.arena = ws.arena[:off+n]
+	return ws.arena[off : off : off+n]
 }
 
 // program is the Spinner vertex program plus its master state. One
@@ -69,6 +88,15 @@ type program struct {
 	convert    bool    // run NeighborPropagation/Discovery first
 	initLabels []int32 // nil → uniform random initialization
 	affected   []bool  // AffectedOnly: initially-dirty vertices (nil → all dirty)
+
+	// Aggregator handles, set by register.
+	aggLoads  pregel.Aggregator // persistent: b(l) per label (Eq. 6)
+	aggCand   pregel.Aggregator // per-iteration: m(l), load wanting to migrate to l (Eq. 13)
+	aggProbs  pregel.Aggregator // master-published migration probabilities (Eq. 14)
+	aggScore  pregel.Aggregator // per-iteration: score(G) (Eq. 10)
+	aggLocalW pregel.Aggregator // per-iteration: Σ_v (weight to same-label neighbors)
+	aggMigs   pregel.Aggregator // per-iteration: number of migrations
+	aggTotal  pregel.Aggregator // persistent: total load T = Σ_v deg_w(v)
 
 	// Master state (written only in MasterCompute, read by workers in the
 	// following superstep).
@@ -97,15 +125,16 @@ func newProgram(opts Options, convert bool, initLabels []int32, affected []bool)
 	return p
 }
 
-// register declares the aggregators on the engine.
+// register declares the aggregators on the engine. The names identify them
+// to Engine.AggregatedValue; the program itself goes through the handles.
 func (p *program) register(e *pregel.Engine[vval, eval, msg]) {
-	e.RegisterAggregator(aggLoads, pregel.AggSum, p.k, true)
-	e.RegisterAggregator(aggCand, pregel.AggSum, p.k, false)
-	e.RegisterAggregator(aggProbs, pregel.AggSum, p.k, false)
-	e.RegisterAggregator(aggScore, pregel.AggSum, 1, false)
-	e.RegisterAggregator(aggLocalW, pregel.AggSum, 1, false)
-	e.RegisterAggregator(aggMigs, pregel.AggSum, 1, false)
-	e.RegisterAggregator(aggTotal, pregel.AggSum, 1, true)
+	p.aggLoads = e.RegisterAggregator("loads", pregel.AggSum, p.k, true)
+	p.aggCand = e.RegisterAggregator("cand", pregel.AggSum, p.k, false)
+	p.aggProbs = e.RegisterAggregator("probs", pregel.AggSum, p.k, false)
+	p.aggScore = e.RegisterAggregator("score", pregel.AggSum, 1, false)
+	p.aggLocalW = e.RegisterAggregator("localw", pregel.AggSum, 1, false)
+	p.aggMigs = e.RegisterAggregator("migs", pregel.AggSum, 1, false)
+	p.aggTotal = e.RegisterAggregator("total", pregel.AggSum, 1, true)
 }
 
 // InitWorker implements pregel.WorkerInitializer. The scratch buffers are
@@ -114,8 +143,8 @@ func (p *program) InitWorker(workerID, numWorkers int) any {
 	return &workerScratch{
 		refreshedAt: -1,
 		localLoads:  make([]float64, p.k),
-		labelW:      make([]float64, p.k),
-		touched:     make([]int32, 0, p.k),
+		penalty:     make([]float64, p.k),
+		slot:        make([]int32, p.k),
 	}
 }
 
@@ -188,32 +217,127 @@ func (p *program) initialize(ctx *pregel.Context[vval, eval, msg], v *pregel.Ver
 	if p.affected != nil {
 		dirty = p.affected[v.ID]
 	}
-	v.Value = vval{label: label, cand: -1, degW: degW, dirty: dirty}
-	ctx.Aggregate(aggLoads, int(label), degW)
-	ctx.Aggregate(aggTotal, 0, degW)
+	ws := ctx.WorkerState().(*workerScratch)
+	v.Value = vval{label: label, cand: -1, degW: degW, dirty: dirty, hist: ws.carve(min(len(v.Edges), p.k))}
+	ctx.Aggregate(p.aggLoads, int(label), degW)
+	ctx.Aggregate(p.aggTotal, 0, degW)
 	for i := range v.Edges {
 		ctx.SendTo(v.Edges[i].To, msg{src: v.ID, label: label})
 	}
 	ctx.CountEdges(len(v.Edges))
 }
 
-// updateEdgeLabels applies incoming label announcements to the edge values
-// (edges are sorted by target; binary search).
-func updateEdgeLabels(v *pregel.Vertex[vval, eval], msgs []msg) {
-	for _, m := range msgs {
-		lo, hi := 0, len(v.Edges)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if v.Edges[mid].To < m.src {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < len(v.Edges) && v.Edges[lo].To == m.src {
-			v.Edges[lo].Value.label = m.label
+// findEdge returns the index of the first edge to dst (edges are sorted by
+// target; binary search), or -1.
+func findEdge(edges []pregel.Edge[eval], dst pregel.VertexID) int {
+	lo, hi := 0, len(edges)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if edges[mid].To < dst {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
+	if lo < len(edges) && edges[lo].To == dst {
+		return lo
+	}
+	return -1
+}
+
+// edgeWeight is what an edge adds to its label's bar.
+func (p *program) edgeWeight(e *eval) int64 {
+	if p.opts.IgnoreEdgeWeights {
+		return 1
+	}
+	return int64(e.weight)
+}
+
+// buildHistogram fills v's histogram with one scan of its edges: a bar per
+// distinct neighbour label, in order of first appearance. It runs once per
+// vertex, in iteration 1, when every neighbour has just announced its
+// Initialization label.
+func (p *program) buildHistogram(ws *workerScratch, v *pregel.Vertex[vval, eval]) {
+	h := v.Value.hist[:0]
+	for i := range v.Edges {
+		e := &v.Edges[i].Value
+		if e.label < 0 {
+			continue // neighbor never announced: its edge has no reverse
+		}
+		at := ws.slot[e.label]
+		if at == 0 {
+			h = append(h, bar{label: e.label, first: int32(i)})
+			at = int32(len(h))
+			ws.slot[e.label] = at
+		}
+		h[at-1].weight += p.edgeWeight(e)
+	}
+	for i := range h {
+		ws.slot[h[i].label] = 0
+	}
+	v.Value.hist = h
+}
+
+// moveEdge applies one label announcement to v's histogram: edge i leaves
+// the bar of the label it carried and joins the bar of label to, and both
+// bars keep their place in the order by first edge. Weights are positive
+// (graph.Weighted's invariant), so a bar is empty exactly at weight 0.
+func (p *program) moveEdge(v *pregel.Vertex[vval, eval], i int, to int32) {
+	e := &v.Edges[i].Value
+	from := e.label
+	if from == to {
+		return
+	}
+	e.label = to
+	w := p.edgeWeight(e)
+	h := v.Value.hist
+	at := int32(i)
+
+	if from >= 0 {
+		j := 0
+		for h[j].label != from {
+			j++
+		}
+		h[j].weight -= w
+		switch {
+		case h[j].weight == 0:
+			h = append(h[:j], h[j+1:]...)
+		case h[j].first == at:
+			// The bar lost its first edge: the next edge carrying the label
+			// takes over, and the bar moves back past the bars that now
+			// start before it.
+			b := h[j]
+			f := i + 1
+			for v.Edges[f].Value.label != from {
+				f++
+			}
+			b.first = int32(f)
+			for ; j+1 < len(h) && h[j+1].first < b.first; j++ {
+				h[j] = h[j+1]
+			}
+			h[j] = b
+		}
+	}
+
+	j := 0
+	for j < len(h) && h[j].label != to {
+		j++
+	}
+	if j == len(h) {
+		h = append(h, bar{label: to, first: at}) // within capacity: at most min(deg, k) distinct labels
+	}
+	h[j].weight += w
+	if at <= h[j].first {
+		// A new bar, or a new first edge: the bar moves forward past the bars
+		// that start after edge i.
+		b := h[j]
+		b.first = at
+		for ; j > 0 && h[j-1].first > at; j-- {
+			h[j] = h[j-1]
+		}
+		h[j] = b
+	}
+	v.Value.hist = h
 }
 
 // computeScores is the first superstep of an LPA iteration: each vertex
@@ -223,76 +347,78 @@ func updateEdgeLabels(v *pregel.Vertex[vval, eval], msgs []msg) {
 func (p *program) computeScores(ctx *pregel.Context[vval, eval, msg], v *pregel.Vertex[vval, eval], msgs []msg) {
 	ws := ctx.WorkerState().(*workerScratch)
 	if ws.refreshedAt != ctx.Superstep() {
-		ctx.AggregatedVector(aggLoads, ws.localLoads)
+		ctx.AggregatedVector(p.aggLoads, ws.localLoads)
+		for l := range ws.penalty {
+			p.setPenalty(ws, int32(l))
+		}
 		ws.refreshedAt = ctx.Superstep()
 	}
-	if len(msgs) > 0 {
-		updateEdgeLabels(v, msgs)
+	if p.iter == 1 {
+		// The Initialization announcements: every edge learns its label.
+		for _, m := range msgs {
+			if i := findEdge(v.Edges, m.src); i >= 0 {
+				v.Edges[i].Value.label = m.label
+			}
+		}
+		p.buildHistogram(ws, v)
+	} else if len(msgs) > 0 {
+		// A neighbor migrated (§III-D: that, not the announcements above, is
+		// what makes a vertex affected).
+		for _, m := range msgs {
+			if i := findEdge(v.Edges, m.src); i >= 0 {
+				p.moveEdge(v, i, m.label)
+			}
+		}
 		v.Value.dirty = true
 	}
 	ctx.CountEdges(len(v.Edges) + len(msgs))
 
 	cur := v.Value.label
 	degW := v.Value.degW
-
-	// Accumulate per-label neighborhood weight into worker scratch.
-	labelW := ws.labelW
-	touched := ws.touched[:0]
-	for i := range v.Edges {
-		l := v.Edges[i].Value.label
-		if l < 0 {
-			continue // neighbor not yet announced (cannot happen after iter 1)
+	hist := v.Value.hist
+	var curW float64
+	for i := range hist {
+		if hist[i].label == cur {
+			curW = float64(hist[i].weight)
+			break
 		}
-		w := float64(v.Edges[i].Value.weight)
-		if p.opts.IgnoreEdgeWeights {
-			w = 1
-		}
-		if labelW[l] == 0 {
-			touched = append(touched, l)
-		}
-		labelW[l] += w
 	}
 
-	// score''(v, l) = labelW[l]/degW − b(l)/C  (Eq. 8). When degW is zero
-	// the locality term is defined as 0 and only the penalty drives the
-	// choice, sending isolated vertices toward the least-loaded partition.
+	// score''(v, l) = w(v, l)/degW − b(l)/C  (Eq. 8), w(v, l) the bar of l.
+	// When degW is zero the locality term is defined as 0 and only the
+	// penalty drives the choice, sending isolated vertices toward the
+	// least-loaded partition.
 	normDeg := degW
 	if p.opts.IgnoreEdgeWeights {
 		normDeg = float64(len(v.Edges))
 	}
-	loads := ws.localLoads
-	if p.opts.DisableAsyncWorkerState {
-		// Score against the synchronized loads directly.
-		loads = nil
-	}
+	penalty := ws.penalty
 
-	curScore := p.labelScore(ctx, loads, labelW, normDeg, cur)
-	ctx.Aggregate(aggScore, 0, curScore)
-	ctx.Aggregate(aggLocalW, 0, labelW[cur])
+	curScore := labelScore(penalty[cur], curW, normDeg)
+	ctx.Aggregate(p.aggScore, 0, curScore)
+	ctx.Aggregate(p.aggLocalW, 0, curW)
 
 	v.Value.cand = -1
 	if p.opts.AffectedOnly && !v.Value.dirty {
 		// Clean vertex: contributes to the global score but does not
 		// evaluate migration.
-		for _, l := range touched {
-			labelW[l] = 0
-		}
-		ws.touched = touched[:0]
 		return
 	}
 
 	// Find the best label among the neighborhood labels and the current
 	// label, with the paper's tie-break: prefer the current label, else
-	// choose uniformly among the tied maxima.
+	// choose uniformly among the tied maxima. The bars come in order of
+	// first edge, which fixes the sequence of tie draws.
 	const tieEps = 1e-12
 	best := cur
 	bestScore := curScore
 	var ties int
-	for _, l := range touched {
+	for i := range hist {
+		l := hist[i].label
 		if l == cur {
 			continue
 		}
-		s := p.labelScore(ctx, loads, labelW, normDeg, l)
+		s := labelScore(penalty[l], float64(hist[i].weight), normDeg)
 		switch {
 		case s > bestScore+tieEps:
 			best, bestScore, ties = l, s, 1
@@ -308,37 +434,32 @@ func (p *program) computeScores(ctx *pregel.Context[vval, eval, msg], v *pregel.
 	}
 	if best != cur {
 		v.Value.cand = best
-		ctx.Aggregate(aggCand, int(best), degW)
+		ctx.Aggregate(p.aggCand, int(best), degW)
 		if !p.opts.DisableAsyncWorkerState {
 			// Asynchronous per-worker view (§IV-A4): subsequent vertices on
 			// this worker see the tentative move.
 			ws.localLoads[best] += degW
 			ws.localLoads[cur] -= degW
+			p.setPenalty(ws, best)
+			p.setPenalty(ws, cur)
 		}
 	}
-
-	for _, l := range touched {
-		labelW[l] = 0
-	}
-	ws.touched = touched[:0]
 }
 
-// labelScore evaluates score”(v, l) (Eq. 8) against either the worker's
-// asynchronous load view (loads non-nil) or the synchronized aggregator.
-// It is a method, not a closure, to keep the per-vertex hot path free of
-// capture allocations.
-func (p *program) labelScore(ctx *pregel.Context[vval, eval, msg], loads, labelW []float64, normDeg float64, l int32) float64 {
-	b := 0.0
-	if loads != nil {
-		b = loads[l]
-	} else {
-		b = ctx.AggregatedValue(aggLoads, int(l))
-	}
-	s := -b / p.capacities[l]
+// labelScore evaluates score”(v, l) (Eq. 8) from the penalty of l and the
+// weight w of v's edges to l.
+func labelScore(penalty, w, normDeg float64) float64 {
 	if normDeg > 0 {
-		s += labelW[l] / normDeg
+		return penalty + w/normDeg
 	}
-	return s
+	return penalty
+}
+
+// setPenalty recomputes the balance term of label l from the worker's view
+// of its load. With DisableAsyncWorkerState that view is the synchronized
+// aggregator for the whole superstep.
+func (p *program) setPenalty(ws *workerScratch, l int32) {
+	ws.penalty[l] = -ws.localLoads[l] / p.capacities[l]
 }
 
 // computeMigrations is the second superstep of an iteration: each candidate
@@ -352,16 +473,16 @@ func (p *program) computeMigrations(ctx *pregel.Context[vval, eval, msg], v *pre
 	v.Value.cand = -1
 	prob := 1.0
 	if !p.opts.UnboundedMigration {
-		prob = ctx.AggregatedValue(aggProbs, int(cand))
+		prob = ctx.AggregatedValue(p.aggProbs, int(cand))
 	}
 	if prob < 1 && !ctx.Rand().Bool(prob) {
 		return // retry in a later iteration
 	}
 	old := v.Value.label
 	v.Value.label = cand
-	ctx.Aggregate(aggLoads, int(old), -v.Value.degW)
-	ctx.Aggregate(aggLoads, int(cand), v.Value.degW)
-	ctx.Aggregate(aggMigs, 0, 1)
+	ctx.Aggregate(p.aggLoads, int(old), -v.Value.degW)
+	ctx.Aggregate(p.aggLoads, int(cand), v.Value.degW)
+	ctx.Aggregate(p.aggMigs, 0, 1)
 	for i := range v.Edges {
 		ctx.SendTo(v.Edges[i].To, msg{src: v.ID, label: cand})
 	}
@@ -380,7 +501,7 @@ func (p *program) MasterCompute(m *pregel.Master) {
 		p.phase = phaseInitialization
 
 	case phaseInitialization:
-		p.totalLoad = m.Agg(aggTotal)[0]
+		p.totalLoad = m.Agg(p.aggTotal)[0]
 		if p.totalLoad == 0 {
 			// Edgeless graph: any labeling is optimal.
 			p.converged = true
@@ -400,8 +521,8 @@ func (p *program) MasterCompute(m *pregel.Master) {
 
 	case phaseComputeScores:
 		// Publish migration probabilities for the coming superstep.
-		loads := m.Agg(aggLoads)
-		cand := m.Agg(aggCand)
+		loads := m.Agg(p.aggLoads)
+		cand := m.Agg(p.aggCand)
 		probs := make([]float64, p.k)
 		var candTotal float64
 		for l := 0; l < p.k; l++ {
@@ -416,14 +537,14 @@ func (p *program) MasterCompute(m *pregel.Master) {
 				probs[l] = r / cand[l]
 			}
 		}
-		m.SetAgg(aggProbs, probs)
-		p.pendingScore = m.Agg(aggScore)[0]
-		p.pendingPhi = m.Agg(aggLocalW)[0] / p.totalLoad
+		m.SetAgg(p.aggProbs, probs)
+		p.pendingScore = m.Agg(p.aggScore)[0]
+		p.pendingPhi = m.Agg(p.aggLocalW)[0] / p.totalLoad
 		p.pendingCand = candTotal
 		p.phase = phaseComputeMigrations
 
 	case phaseComputeMigrations:
-		loads := m.Agg(aggLoads)
+		loads := m.Agg(p.aggLoads)
 		maxLoad := 0.0
 		for _, b := range loads {
 			if b > maxLoad {
@@ -436,7 +557,7 @@ func (p *program) MasterCompute(m *pregel.Master) {
 			Score:         p.pendingScore,
 			Phi:           p.pendingPhi,
 			Rho:           rho,
-			Migrations:    int64(m.Agg(aggMigs)[0]),
+			Migrations:    int64(m.Agg(p.aggMigs)[0]),
 			CandidateLoad: p.pendingCand,
 			Loads:         append([]float64(nil), loads...),
 		})

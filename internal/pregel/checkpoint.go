@@ -54,8 +54,8 @@ func (e *Engine[V, E, M]) Checkpoint(w io.Writer) error {
 			Halted: e.vertices[i].halted,
 		}
 	}
-	for name, a := range e.aggs {
-		data.Aggs[name] = checkpointAgg{Current: a.current}
+	for _, a := range e.aggs.list {
+		data.Aggs[a.name] = checkpointAgg{Current: a.current}
 	}
 	if err := gob.NewEncoder(w).Encode(&data); err != nil {
 		return fmt.Errorf("pregel: encoding checkpoint: %w", err)
@@ -73,12 +73,12 @@ func (e *Engine[V, E, M]) Restore(r io.Reader) error {
 	if err := gob.NewDecoder(r).Decode(&data); err != nil {
 		return fmt.Errorf("pregel: decoding checkpoint: %w", err)
 	}
-	if len(e.aggs) != len(data.Aggs) {
-		return fmt.Errorf("pregel: checkpoint has %d aggregators, engine has %d", len(data.Aggs), len(e.aggs))
+	if len(e.aggs.list) != len(data.Aggs) {
+		return fmt.Errorf("pregel: checkpoint has %d aggregators, engine has %d", len(data.Aggs), len(e.aggs.list))
 	}
 	for name, ca := range data.Aggs {
-		a, ok := e.aggs[name]
-		if !ok {
+		a := e.aggs.byName(name)
+		if a == nil {
 			return fmt.Errorf("pregel: checkpoint aggregator %q not registered", name)
 		}
 		if len(ca.Current) != a.size {
@@ -93,7 +93,7 @@ func (e *Engine[V, E, M]) Restore(r io.Reader) error {
 	e.restoredInbox = data.Inbox
 	e.restoredStep = data.Superstep + 1
 	for name, ca := range data.Aggs {
-		copy(e.aggs[name].current, ca.Current)
+		copy(e.aggs.byName(name).current, ca.Current)
 	}
 	return nil
 }

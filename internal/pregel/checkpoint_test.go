@@ -16,6 +16,7 @@ type ckptProg struct {
 	buf       *bytes.Buffer
 	engine    *Engine[int64, struct{}, int64]
 	ckptErr   error
+	steps     Aggregator
 }
 
 func (p *ckptProg) Compute(ctx *Context[int64, struct{}, int64], v *Vertex[int64, struct{}], msgs []int64) {
@@ -25,7 +26,7 @@ func (p *ckptProg) Compute(ctx *Context[int64, struct{}, int64], v *Vertex[int64
 	for _, e := range v.Edges {
 		ctx.SendTo(e.To, 1)
 	}
-	ctx.Aggregate("steps", 0, 1)
+	ctx.Aggregate(p.steps, 0, 1)
 }
 
 func (p *ckptProg) MasterCompute(m *Master) {
@@ -58,7 +59,7 @@ func TestCheckpointRestoreMatchesUninterrupted(t *testing.T) {
 	// Uninterrupted run.
 	ref := &ckptProg{stopAfter: stopAfter}
 	refEng := NewEngine[int64, struct{}, int64](cfg, ref)
-	refEng.RegisterAggregator("steps", AggSum, 1, false)
+	ref.steps = refEng.RegisterAggregator("steps", AggSum, 1, false)
 	if err := refEng.SetVertices(buildCkptVertices(n)); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestCheckpointRestoreMatchesUninterrupted(t *testing.T) {
 	first := &ckptProg{stopAfter: ckptAt + 1, ckptAt: ckptAt, buf: &buf}
 	firstEng := NewEngine[int64, struct{}, int64](cfg, first)
 	first.engine = firstEng
-	firstEng.RegisterAggregator("steps", AggSum, 1, false)
+	first.steps = firstEng.RegisterAggregator("steps", AggSum, 1, false)
 	if err := firstEng.SetVertices(buildCkptVertices(n)); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestCheckpointRestoreMatchesUninterrupted(t *testing.T) {
 	rec := &ckptProg{stopAfter: stopAfter}
 	recEng := NewEngine[int64, struct{}, int64](cfg, rec)
 	rec.engine = recEng
-	recEng.RegisterAggregator("steps", AggSum, 1, false)
+	rec.steps = recEng.RegisterAggregator("steps", AggSum, 1, false)
 	if err := recEng.Restore(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestCheckpointAfterRun(t *testing.T) {
 	// Checkpointing a finished run and restoring it preserves the values.
 	prog := &ckptProg{stopAfter: 4}
 	eng := NewEngine[int64, struct{}, int64](Config{NumWorkers: 2}, prog)
-	eng.RegisterAggregator("steps", AggSum, 1, false)
+	prog.steps = eng.RegisterAggregator("steps", AggSum, 1, false)
 	if err := eng.SetVertices(buildCkptVertices(50)); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestCheckpointAfterRun(t *testing.T) {
 func TestRestoreValidation(t *testing.T) {
 	prog := &ckptProg{stopAfter: 2}
 	eng := NewEngine[int64, struct{}, int64](Config{NumWorkers: 1}, prog)
-	eng.RegisterAggregator("steps", AggSum, 1, false)
+	prog.steps = eng.RegisterAggregator("steps", AggSum, 1, false)
 	if err := eng.SetVertices(buildCkptVertices(20)); err != nil {
 		t.Fatal(err)
 	}

@@ -48,8 +48,19 @@
 //     stay active at compute time and vertices they reactivate at delivery
 //     time, so the engine never rescans the vertex set to decide whether
 //     to run another superstep.
-//   - Aggregator merging reuses per-aggregator scratch vectors and runs
-//     the independent aggregators in parallel at the barrier.
+//   - Aggregators are reached by handle, never by name. RegisterAggregator
+//     returns an Aggregator that Context.Aggregate, AggregatedValue and
+//     AggregatedVector and Master.Agg and SetAgg take; a call costs a
+//     pointer comparison (the handle must be this engine's), a bounds check
+//     and one add, with no map lookup. A worker's partial accumulators of
+//     all aggregators lie side by side in one slab, each aggregator at a
+//     fixed offset; every worker's slab is its own allocation with a cache
+//     line of padding at both ends, so two workers never write the same
+//     line however small the aggregators are. Names survive where a run
+//     meets the outside: Engine.AggregatedValue(name) and checkpoints.
+//   - Aggregator merging reuses per-aggregator scratch vectors, walks the
+//     workers' slabs in worker order, and runs the independent aggregators
+//     in parallel at the barrier when the vectors are large.
 package pregel
 
 import (
@@ -153,32 +164,99 @@ const (
 	AggMax
 )
 
-type aggregator struct {
-	op         aggOp
-	size       int
-	persistent bool
-	current    []float64   // readable value (previous superstep's merge)
-	partials   [][]float64 // one accumulator per worker
-	scratch    []float64   // reusable merge buffer (barrier only)
-}
-
-func (a *aggregator) resetPartials() {
-	for w := range a.partials {
-		p := a.partials[w]
-		for i := range p {
-			switch a.op {
-			case AggSum:
-				p[i] = 0
-			case AggMin:
-				p[i] = inf
-			case AggMax:
-				p[i] = -inf
-			}
-		}
+// identity returns the neutral element of the reduction.
+func (op aggOp) identity() float64 {
+	switch op {
+	case AggMin:
+		return inf
+	case AggMax:
+		return -inf
 	}
+	return 0
 }
 
 const inf = 1e308
+
+// Aggregator is the handle RegisterAggregator returns: the only way Compute
+// and MasterCompute reach an aggregator. It is valid for the engine that
+// issued it; the zero value is not a handle.
+type Aggregator struct{ a *aggregator }
+
+type aggregator struct {
+	name       string
+	plane      *aggPlane // the issuing engine's table, checked on every access
+	op         aggOp
+	size       int
+	off        int // this aggregator's window in every worker's slab is [off, off+size)
+	persistent bool
+	current    []float64 // readable value (previous superstep's merge)
+	scratch    []float64 // reusable merge buffer (barrier only)
+}
+
+// aggPlane is one engine's aggregator table. It is not generic, so handles,
+// the Master and every Engine[V, E, M] share it.
+type aggPlane struct {
+	list  []*aggregator // registration order
+	width int           // Σ size: the length of one worker's slab
+	// slabs[w] holds worker w's partial accumulators of every aggregator.
+	// Each is its own allocation, a cache line of padding at both ends, so
+	// two workers never write the same line (see initSlabs).
+	slabs [][]float64
+}
+
+// cacheLinePad is one 64-byte cache line, in float64s.
+const cacheLinePad = 8
+
+func (pl *aggPlane) initSlabs(workers int) {
+	pl.slabs = make([][]float64, workers)
+	for w := range pl.slabs {
+		buf := make([]float64, cacheLinePad+pl.width+cacheLinePad)
+		pl.slabs[w] = buf[cacheLinePad : cacheLinePad+pl.width : cacheLinePad+pl.width]
+	}
+	for _, a := range pl.list {
+		a.scratch = make([]float64, a.size)
+		a.resetPartials(pl.slabs)
+	}
+}
+
+// get resolves a handle issued by this plane's engine.
+func (pl *aggPlane) get(h Aggregator) *aggregator {
+	if h.a == nil || h.a.plane != pl {
+		badHandle(h)
+	}
+	return h.a
+}
+
+func (pl *aggPlane) byName(name string) *aggregator {
+	for _, a := range pl.list {
+		if a.name == name {
+			return a
+		}
+	}
+	return nil
+}
+
+// badHandle and badIndex keep the panics out of the inlined hot path.
+func badHandle(h Aggregator) {
+	if h.a == nil {
+		panic("pregel: zero Aggregator handle")
+	}
+	panic(fmt.Sprintf("pregel: aggregator %q belongs to another engine", h.a.name))
+}
+
+func badIndex(a *aggregator, idx int) {
+	panic(fmt.Sprintf("pregel: aggregator %q index %d out of range [0,%d)", a.name, idx, a.size))
+}
+
+func (a *aggregator) resetPartials(slabs [][]float64) {
+	id := a.op.identity()
+	for _, slab := range slabs {
+		p := slab[a.off : a.off+a.size]
+		for i := range p {
+			p[i] = id
+		}
+	}
+}
 
 // SuperstepStats records one superstep's accounting, per worker, for the
 // cluster cost model and the scalability figures.
@@ -219,8 +297,7 @@ type Engine[V, E, M any] struct {
 	ctxs       []*Context[V, E, M] // reusable per-worker contexts (outbox arenas)
 	active     int64               // incremental active count for the next superstep
 
-	aggs     map[string]*aggregator
-	aggOrder []string
+	aggs *aggPlane
 
 	workerState []any
 	workerRand  []*rng.Source
@@ -241,37 +318,34 @@ func NewEngine[V, E, M any](cfg Config, prog Program[V, E, M]) *Engine[V, E, M] 
 	if cfg.MaxSupersteps <= 0 {
 		cfg.MaxSupersteps = 10000
 	}
-	return &Engine[V, E, M]{cfg: cfg, prog: prog, aggs: map[string]*aggregator{}}
+	return &Engine[V, E, M]{cfg: cfg, prog: prog, aggs: &aggPlane{}}
 }
 
 // SetCombiner installs a message combiner.
 func (e *Engine[V, E, M]) SetCombiner(c Combiner[M]) { e.combiner = c }
 
 // RegisterAggregator declares a named aggregator holding a vector of size
-// values reduced with op. Persistent aggregators carry their value across
-// supersteps, merging each superstep's contributions into it (sum op only);
-// non-persistent aggregators are reset every superstep.
-func (e *Engine[V, E, M]) RegisterAggregator(name string, op aggOp, size int, persistent bool) {
-	if _, dup := e.aggs[name]; dup {
+// values reduced with op, and returns the handle that Context and Master
+// take. Persistent aggregators carry their value across supersteps, merging
+// each superstep's contributions into it (sum op only); non-persistent
+// aggregators are reset every superstep. The name identifies the aggregator
+// in checkpoints and to Engine.AggregatedValue. Must be called before Run.
+func (e *Engine[V, E, M]) RegisterAggregator(name string, op aggOp, size int, persistent bool) Aggregator {
+	pl := e.aggs
+	if pl.byName(name) != nil {
 		panic(fmt.Sprintf("pregel: duplicate aggregator %q", name))
 	}
 	if persistent && op != AggSum {
 		panic("pregel: persistent aggregators must use AggSum")
 	}
-	a := &aggregator{op: op, size: size, persistent: persistent}
+	a := &aggregator{name: name, plane: pl, op: op, size: size, off: pl.width, persistent: persistent}
 	a.current = make([]float64, size)
-	if op == AggMin {
-		for i := range a.current {
-			a.current[i] = inf
-		}
+	for i := range a.current {
+		a.current[i] = op.identity()
 	}
-	if op == AggMax {
-		for i := range a.current {
-			a.current[i] = -inf
-		}
-	}
-	e.aggs[name] = a
-	e.aggOrder = append(e.aggOrder, name)
+	pl.list = append(pl.list, a)
+	pl.width += size
+	return Aggregator{a}
 }
 
 // SetVertices loads the vertex set. Vertex IDs must equal slice indices.
@@ -301,8 +375,8 @@ func (e *Engine[V, E, M]) Stats() []SuperstepStats { return e.stats }
 // AggregatedValue returns the current merged value of the named aggregator
 // (a copy).
 func (e *Engine[V, E, M]) AggregatedValue(name string) []float64 {
-	a, ok := e.aggs[name]
-	if !ok {
+	a := e.aggs.byName(name)
+	if a == nil {
 		panic(fmt.Sprintf("pregel: unknown aggregator %q", name))
 	}
 	out := make([]float64, a.size)
@@ -382,14 +456,7 @@ func (e *Engine[V, E, M]) initWorkers() {
 			e.workerState[i] = wi.InitWorker(i, w)
 		}
 	}
-	for _, a := range e.aggs {
-		a.partials = make([][]float64, w)
-		for i := 0; i < w; i++ {
-			a.partials[i] = make([]float64, a.size)
-		}
-		a.scratch = make([]float64, a.size)
-		a.resetPartials()
-	}
+	e.aggs.initSlabs(w)
 }
 
 // initMessagePlane builds the reusable per-worker contexts and the pending
@@ -408,7 +475,7 @@ func (e *Engine[V, E, M]) initMessagePlane() {
 	}
 	e.ctxs = make([]*Context[V, E, M], w)
 	for wk := 0; wk < w; wk++ {
-		ctx := &Context[V, E, M]{engine: e, workerID: wk, rand: e.workerRand[wk]}
+		ctx := &Context[V, E, M]{engine: e, workerID: wk, rand: e.workerRand[wk], partials: e.aggs.slabs[wk]}
 		ctx.out = make([][]addrMsg[M], w)
 		if e.combiner != nil {
 			ctx.combVal = make([]M, n)

@@ -129,25 +129,33 @@ func TestMaxSuperstepsBound(t *testing.T) {
 }
 
 // aggProg exercises sum/min/max and persistent aggregators.
-type aggProg struct{}
+type aggProg struct{ sum, min, max, persist Aggregator }
 
-func (aggProg) Compute(ctx *Context[int64, struct{}, int64], v *Vertex[int64, struct{}], msgs []int64) {
-	ctx.Aggregate("sum", 0, 1)
-	ctx.Aggregate("min", 0, float64(v.ID))
-	ctx.Aggregate("max", 0, float64(v.ID))
-	ctx.Aggregate("persist", 0, 1)
+func (p *aggProg) Compute(ctx *Context[int64, struct{}, int64], v *Vertex[int64, struct{}], msgs []int64) {
+	ctx.Aggregate(p.sum, 0, 1)
+	ctx.Aggregate(p.min, 0, float64(v.ID))
+	ctx.Aggregate(p.max, 0, float64(v.ID))
+	ctx.Aggregate(p.persist, 0, 1)
 	if ctx.Superstep() == 2 {
 		v.halted = true
 	}
 }
 
+// newAggEngine registers aggProg's four aggregators, "sum" with sumSize
+// elements.
+func newAggEngine(workers, sumSize int) *Engine[int64, struct{}, int64] {
+	p := &aggProg{}
+	e := NewEngine[int64, struct{}, int64](Config{NumWorkers: workers}, p)
+	p.sum = e.RegisterAggregator("sum", AggSum, sumSize, false)
+	p.min = e.RegisterAggregator("min", AggMin, 1, false)
+	p.max = e.RegisterAggregator("max", AggMax, 1, false)
+	p.persist = e.RegisterAggregator("persist", AggSum, 1, true)
+	return e
+}
+
 func TestAggregators(t *testing.T) {
 	g := graph.New(10, false)
-	e := NewEngine[int64, struct{}, int64](Config{NumWorkers: 3}, aggProg{})
-	e.RegisterAggregator("sum", AggSum, 1, false)
-	e.RegisterAggregator("min", AggMin, 1, false)
-	e.RegisterAggregator("max", AggMax, 1, false)
-	e.RegisterAggregator("persist", AggSum, 1, true)
+	e := newAggEngine(3, 1)
 	if err := e.SetVertices(buildVertices(g, func(VertexID) int64 { return 0 })); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +181,7 @@ func TestAggregators(t *testing.T) {
 }
 
 func TestRegisterAggregatorValidation(t *testing.T) {
-	e := NewEngine[int64, struct{}, int64](Config{}, aggProg{})
+	e := NewEngine[int64, struct{}, int64](Config{}, &aggProg{})
 	e.RegisterAggregator("a", AggSum, 1, false)
 	func() {
 		defer func() {
@@ -441,11 +449,7 @@ func TestEdgeMutation(t *testing.T) {
 }
 
 func TestAggregatedVectorCopy(t *testing.T) {
-	e := NewEngine[int64, struct{}, int64](Config{NumWorkers: 1}, aggProg{})
-	e.RegisterAggregator("sum", AggSum, 3, false)
-	e.RegisterAggregator("min", AggMin, 1, false)
-	e.RegisterAggregator("max", AggMax, 1, false)
-	e.RegisterAggregator("persist", AggSum, 1, true)
+	e := newAggEngine(1, 3)
 	g := graph.New(2, false)
 	if err := e.SetVertices(buildVertices(g, func(VertexID) int64 { return 0 })); err != nil {
 		t.Fatal(err)

@@ -22,6 +22,7 @@ type addrMsg[M any] struct {
 type Context[V, E, M any] struct {
 	engine   *Engine[V, E, M]
 	workerID int
+	partials []float64      // this worker's aggregator slab (aggPlane.slabs[workerID])
 	out      [][]addrMsg[M] // indexed by destination worker (no-combiner path)
 
 	// Send-side combining plane, allocated only when a combiner is set:
@@ -110,46 +111,42 @@ func (c *Context[V, E, M]) SendTo(dst VertexID, msg M) {
 	}
 }
 
-// Aggregate contributes value to element idx of the named aggregator. The
+// Aggregate contributes value to element idx of the aggregator. The
 // contribution becomes visible in the merged value after the barrier.
-func (c *Context[V, E, M]) Aggregate(name string, idx int, value float64) {
-	a, ok := c.engine.aggs[name]
-	if !ok {
-		panic(fmt.Sprintf("pregel: unknown aggregator %q", name))
+func (c *Context[V, E, M]) Aggregate(h Aggregator, idx int, value float64) {
+	a := c.engine.aggs.get(h)
+	if uint(idx) >= uint(a.size) {
+		badIndex(a, idx)
 	}
-	p := a.partials[c.workerID]
+	p := &c.partials[a.off+idx]
 	switch a.op {
 	case AggSum:
-		p[idx] += value
+		*p += value
 	case AggMin:
-		if value < p[idx] {
-			p[idx] = value
+		if value < *p {
+			*p = value
 		}
 	case AggMax:
-		if value > p[idx] {
-			p[idx] = value
+		if value > *p {
+			*p = value
 		}
 	}
 }
 
-// AggregatedValue returns element idx of the named aggregator as merged at
-// the end of the previous superstep (Pregel semantics).
-func (c *Context[V, E, M]) AggregatedValue(name string, idx int) float64 {
-	a, ok := c.engine.aggs[name]
-	if !ok {
-		panic(fmt.Sprintf("pregel: unknown aggregator %q", name))
+// AggregatedValue returns element idx of the aggregator as merged at the
+// end of the previous superstep (Pregel semantics).
+func (c *Context[V, E, M]) AggregatedValue(h Aggregator, idx int) float64 {
+	a := c.engine.aggs.get(h)
+	if uint(idx) >= uint(a.size) {
+		badIndex(a, idx)
 	}
 	return a.current[idx]
 }
 
-// AggregatedVector copies the named aggregator's full merged vector into
-// dst (which must have the aggregator's size) and returns it.
-func (c *Context[V, E, M]) AggregatedVector(name string, dst []float64) []float64 {
-	a, ok := c.engine.aggs[name]
-	if !ok {
-		panic(fmt.Sprintf("pregel: unknown aggregator %q", name))
-	}
-	copy(dst, a.current)
+// AggregatedVector copies the aggregator's full merged vector into dst
+// (which must have the aggregator's size) and returns it.
+func (c *Context[V, E, M]) AggregatedVector(h Aggregator, dst []float64) []float64 {
+	copy(dst, c.engine.aggs.get(h).current)
 	return dst
 }
 
@@ -163,7 +160,7 @@ type Master struct {
 	superstep   int
 	numVertices int
 	halted      bool
-	aggs        map[string]*aggregator
+	aggs        *aggPlane
 }
 
 // Superstep returns the superstep that just finished.
@@ -175,26 +172,17 @@ func (m *Master) NumVertices() int { return m.numVertices }
 // Halt stops the computation after this master compute.
 func (m *Master) Halt() { m.halted = true }
 
-// Agg returns the merged value of the named aggregator (live slice; treat
-// as read-only and use SetAgg to modify).
-func (m *Master) Agg(name string) []float64 {
-	a, ok := m.aggs[name]
-	if !ok {
-		panic(fmt.Sprintf("pregel: unknown aggregator %q", name))
-	}
-	return a.current
-}
+// Agg returns the merged value of the aggregator (live slice; treat as
+// read-only and use SetAgg to modify).
+func (m *Master) Agg(h Aggregator) []float64 { return m.aggs.get(h).current }
 
-// SetAgg overwrites the named aggregator's merged value; vertices read it
-// during the next superstep. The Spinner master uses this to publish the
+// SetAgg overwrites the aggregator's merged value; vertices read it during
+// the next superstep. The Spinner master uses this to publish the
 // migration probabilities.
-func (m *Master) SetAgg(name string, v []float64) {
-	a, ok := m.aggs[name]
-	if !ok {
-		panic(fmt.Sprintf("pregel: unknown aggregator %q", name))
-	}
+func (m *Master) SetAgg(h Aggregator, v []float64) {
+	a := m.aggs.get(h)
 	if len(v) != a.size {
-		panic(fmt.Sprintf("pregel: SetAgg(%q) size %d != %d", name, len(v), a.size))
+		panic(fmt.Sprintf("pregel: SetAgg(%q) size %d != %d", a.name, len(v), a.size))
 	}
 	copy(a.current, v)
 }
@@ -344,24 +332,18 @@ func (e *Engine[V, E, M]) runSuperstep() {
 	// parallel, each still walking workers in order (deterministic either
 	// way). Small vectors — the common case — merge serially: the spawn
 	// plus WaitGroup costs more than the few KB of folding they would hide.
-	parallelMerge := false
-	if len(e.aggOrder) > 1 {
-		var elems int
-		for _, name := range e.aggOrder {
-			elems += e.aggs[name].size
-		}
-		parallelMerge = elems*w >= 1<<14
-	}
-	for _, name := range e.aggOrder {
+	pl := e.aggs
+	parallelMerge := len(pl.list) > 1 && pl.width*w >= 1<<14
+	for _, a := range pl.list {
 		if !parallelMerge {
-			e.aggs[name].merge(w)
+			a.merge(pl.slabs)
 			continue
 		}
 		wg.Add(1)
 		go func(a *aggregator) {
 			defer wg.Done()
-			a.merge(w)
-		}(e.aggs[name])
+			a.merge(pl.slabs)
+		}(a)
 	}
 	if parallelMerge {
 		wg.Wait()
@@ -379,21 +361,16 @@ func (e *Engine[V, E, M]) runSuperstep() {
 }
 
 // merge folds the per-worker partials into current via the reusable
-// scratch buffer and resets the partials for the next superstep.
-func (a *aggregator) merge(w int) {
+// scratch buffer, walking workers in order, and resets the partials for the
+// next superstep.
+func (a *aggregator) merge(slabs [][]float64) {
 	merged := a.scratch
+	id := a.op.identity()
 	for i := range merged {
-		switch a.op {
-		case AggSum:
-			merged[i] = 0
-		case AggMin:
-			merged[i] = inf
-		case AggMax:
-			merged[i] = -inf
-		}
+		merged[i] = id
 	}
-	for wk := 0; wk < w; wk++ {
-		p := a.partials[wk]
+	for _, slab := range slabs {
+		p := slab[a.off : a.off+a.size]
 		for i := range merged {
 			switch a.op {
 			case AggSum:
@@ -416,5 +393,5 @@ func (a *aggregator) merge(w int) {
 	} else {
 		copy(a.current, merged)
 	}
-	a.resetPartials()
+	a.resetPartials(slabs)
 }
