@@ -12,7 +12,8 @@
 #   make bench-quick — every Go micro-benchmark compiles and runs once
 #   make profile-core — CPU profile of the LPA loop (BenchmarkSpinnerIteration)
 #                      into out/, top 15 functions printed
-#   make fuzz        — 20s each on the wire-envelope and delta-codec targets
+#   make fuzz        — 20s each on the wire-envelope, delta-codec and
+#                      journal-tail targets
 #   make *-smoke     — kill -9 / overload / failover / change-feed / metrics
 #                      drills against a real spinnerd over /v1 (scripts/)
 
@@ -60,6 +61,7 @@ profile-core:
 fuzz:
 	go test -run='^$$' -fuzz=FuzzDecode -fuzztime=20s ./internal/frame
 	go test -run='^$$' -fuzz=FuzzDeltaCodec -fuzztime=20s ./internal/serve
+	go test -run='^$$' -fuzz=FuzzTail -fuzztime=20s ./internal/wal
 
 recovery-smoke:
 	./scripts/recovery_smoke.sh

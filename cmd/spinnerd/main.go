@@ -98,6 +98,16 @@
 // epoch is stale (fenced), 410 means the journal no longer holds
 // after_seq+1 and the follower must re-bootstrap.
 //
+// The stream is pushed, not polled. The coordinator wakes every parked
+// stream when a commit group advances the journal sequence — after the
+// group's write and, under -fsync always, its fsync have returned — and
+// each stream keeps a cursor (the open segment plus a byte offset) from
+// which it reads only the bytes appended since its last frame, never past
+// that acknowledged sequence, so it cannot see a half-written record.
+// Wake-ups coalesce: under a flood one frame carries several groups; idle,
+// a heartbeat frame goes out every 500ms. Follower visibility is leader
+// visibility plus that one hop of work.
+//
 // With -follow <leader-addr> (requires -data-dir) the daemon runs as a
 // warm-standby follower: it installs the leader's checkpoint into its
 // own data dir on first contact (later starts resume from its own

@@ -72,7 +72,7 @@ type Server struct {
 type watchFeed interface {
 	DeltaBounds() (floor, next uint64)
 	FramedDeltasSince(after uint64, max int) ([]serve.FramedDelta, uint64)
-	SubscribeDeltas() *serve.DeltaSub
+	SubscribeDeltas() *serve.WakeSub
 }
 
 // NewServer wires a store (and its optional replication role) into an

@@ -1,6 +1,8 @@
 package replica
 
 import (
+	"fmt"
+	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -100,4 +102,75 @@ func BenchmarkFollowerLookupStaleness(b *testing.B) {
 		b.Fatalf("follower died during bench: %v", err)
 	}
 	b.ReportMetric(float64(maxStale.Load())/1e6, "max-staleness-ms")
+}
+
+// procReadBytes is this process's rchar from /proc/self/io: bytes it has
+// asked read syscalls for, page cache or not.
+func procReadBytes(b *testing.B) int64 {
+	data, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		b.Skipf("no /proc/self/io: %v", err)
+	}
+	var n int64
+	if _, err := fmt.Sscanf(string(data), "rchar: %d", &n); err != nil {
+		b.Skipf("parsing /proc/self/io: %v", err)
+	}
+	return n
+}
+
+// BenchmarkReplicationTail is the leader-side cost of streaming one more
+// commit to a caught-up follower, 1 MiB into the active segment: append a
+// record, read it back through the stream's cursor. read-B/record is what
+// the read path asks the kernel for per record streamed — about the
+// record's own size, however deep into the segment the journal is (a
+// rescanning reader pays the segment offset every time).
+func BenchmarkReplicationTail(b *testing.B) {
+	dir := b.TempDir()
+	j, err := wal.Open(dir, 1, wal.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer j.Close()
+	group := []wal.GroupEntry{{Mut: &graph.Mutation{NewEdges: []graph.WeightedEdgeRecord{
+		{U: 1, V: 2, Weight: 2}, {U: 3, V: 4, Weight: 1}}}}}
+	var seq uint64
+	for bytes := 0; bytes < 1<<20; {
+		first, n, err := j.AppendGroup(group)
+		if err != nil {
+			b.Fatal(err)
+		}
+		seq, bytes = first, bytes+n
+	}
+	tail, err := wal.OpenTail(dir, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer tail.Close()
+	const chunk = 256 << 10 // Server.ChunkBytes
+	for {
+		frames, _, err := tail.Next(seq, chunk)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(frames) == 0 {
+			break
+		}
+	}
+	// Reading the counter is itself a read; take its own cost out.
+	self := procReadBytes(b)
+	self = procReadBytes(b) - self
+	var read int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if seq, _, err = j.AppendGroup(group); err != nil {
+			b.Fatal(err)
+		}
+		before := procReadBytes(b)
+		frames, last, err := tail.Next(seq, chunk)
+		read += procReadBytes(b) - before - self
+		if err != nil || last != seq || len(frames) == 0 {
+			b.Fatalf("Next(%d) = %d bytes, last %d, err %v", seq, len(frames), last, err)
+		}
+	}
+	b.ReportMetric(float64(read)/float64(b.N), "read-B/record")
 }

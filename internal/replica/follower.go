@@ -244,8 +244,9 @@ func (f *Follower) streamOnce() error {
 		n, err := resp.Body.Read(chunk)
 		if n > 0 {
 			buf = append(buf, chunk[:n]...)
-			for len(buf) > 0 {
-				fr, consumed, err := DecodeFrame(buf)
+			off := 0
+			for off < len(buf) {
+				fr, consumed, err := DecodeFrame(buf[off:])
 				if errors.Is(err, frame.ErrShort) {
 					break // torn read; complete it with the next chunk
 				}
@@ -255,8 +256,11 @@ func (f *Follower) streamOnce() error {
 				if err := f.handleFrame(fr); err != nil {
 					return err
 				}
-				buf = buf[consumed:]
+				off += consumed
 			}
+			// Compact the unread remainder to the front: slicing it forward
+			// walks buf through its backing array and forces regrows.
+			buf = buf[:copy(buf, buf[off:])]
 		}
 		if err != nil {
 			return err // io.EOF and friends: reconnect from appliedSeq

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"testing"
 
@@ -32,11 +33,33 @@ func journalFrames(tb testing.TB) []byte {
 	if err := j.Close(); err != nil {
 		tb.Fatal(err)
 	}
-	frames, _, _, err := wal.ReadFramesAfter(dir, 0, 1<<20)
+	frames, _, _ := readJournal(tb, dir, 2)
+	return frames
+}
+
+// readJournal tails the journal in dir from seq 1 through upTo, as a
+// stream opened at after_seq=0 would: the frames, the last sequence read,
+// and whether seq 1 was already reclaimed (the 410 case).
+func readJournal(tb testing.TB, dir string, upTo uint64) (frames []byte, last uint64, gap bool) {
+	tb.Helper()
+	tail, err := wal.OpenTail(dir, 0)
+	if errors.Is(err, wal.ErrGap) {
+		return nil, 0, true
+	}
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return frames
+	defer tail.Close()
+	for {
+		chunk, l, err := tail.Next(upTo, 1<<20)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if len(chunk) == 0 {
+			return frames, last, false
+		}
+		frames, last = append(frames, chunk...), l
+	}
 }
 
 // FuzzStreamFrame hammers the stream-frame decoder with arbitrary bytes:

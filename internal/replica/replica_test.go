@@ -1,7 +1,9 @@
 package replica
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -12,7 +14,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/serve"
-	"repro/internal/wal"
 )
 
 // twoClusters mirrors the serve test graph: two dense pseudo-random
@@ -86,7 +87,6 @@ func newLeader(t *testing.T, dir string, shards, checkpointEvery int) *serve.Sto
 // fastServer is a leader Server tuned for test latency.
 func fastServer(st *serve.Store, dir string, epoch func() uint64) *Server {
 	srv := NewServer(st, dir, epoch)
-	srv.Poll = 2 * time.Millisecond
 	srv.Heartbeat = 20 * time.Millisecond
 	return srv
 }
@@ -463,22 +463,128 @@ func TestRetentionProtectsConnectedFollower(t *testing.T) {
 		return leader.Counters().Checkpoints.Load() >= 3
 	})
 	// Everything from seq 1 must still be readable despite the checkpoints.
-	_, first, last, err := wal.ReadFramesAfter(serve.JournalDir(ldir), 0, 1<<30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != 1 || last < 10 {
-		t.Fatalf("retained frames cover [%d,%d], want [1,>=10]", first, last)
+	if _, last, gap := readJournal(t, serve.JournalDir(ldir), leader.JournalSeq()); gap || last < 10 {
+		t.Fatalf("retained frames from seq 1: gap=%v, through %d, want no gap and >= 10", gap, last)
 	}
 
 	// Disconnect: the pin clears and the next checkpoint reclaims.
 	srv.untrack(id)
 	waitFor(t, 30*time.Second, "journal truncation after disconnect", func() bool {
 		churn(2)
-		_, first, _, err := wal.ReadFramesAfter(serve.JournalDir(ldir), 0, 1<<30)
+		_, _, gap := readJournal(t, serve.JournalDir(ldir), 1)
+		return gap
+	})
+}
+
+// streamCount reports how many streams the server is tracking.
+func (s *Server) streamCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.followers)
+}
+
+// edgeBatch is a one-edge mutation distinct per i.
+func edgeBatch(i int) *graph.Mutation {
+	return &graph.Mutation{NewEdges: []graph.WeightedEdgeRecord{
+		{U: graph.VertexID(i % 100), V: graph.VertexID((i*7 + 1) % 100), Weight: 2}}}
+}
+
+// The stream is pushed, not polled: with the heartbeat an hour away the
+// only things that can move a parked stream are the coordinator's journal
+// wake-up and the request context. A batch submitted to an idle leader
+// reaches the follower, a burst of N commits arrives in at most N frames
+// with every record applied exactly once (coalesced wake-ups lose
+// nothing), and a stream still ends when its epoch changes or its client
+// goes away.
+func TestStreamDeliversWithoutPolling(t *testing.T) {
+	ldir, fdir := t.TempDir(), t.TempDir()
+	leader := newLeader(t, ldir, 2, -1)
+	var epoch atomic.Uint64
+	epoch.Store(1)
+	srv := NewServer(leader, ldir, epoch.Load)
+	srv.Heartbeat = time.Hour
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/replicate", srv.ServeStream)
+	mux.HandleFunc("GET /v1/replicate/checkpoint", srv.ServeCheckpoint)
+	hs := httptest.NewServer(mux)
+	t.Cleanup(hs.Close)
+	fl := startFollower(t, hs.URL, fdir, followerCfg(-1))
+	waitFor(t, 30*time.Second, "the follower's stream", func() bool { return srv.streamCount() == 1 })
+
+	// Idle leader, one batch.
+	if err := leader.Submit(edgeBatch(0)); err != nil {
+		t.Fatal(err)
+	}
+	waitApplied(t, fl, 1)
+
+	// A burst: the coordinator groups what it drains, the stream coalesces
+	// the wake-ups it was too busy to take.
+	const burst = 64
+	lctr, fctr := leader.Counters(), fl.Store().Counters()
+	frames0, applied0 := lctr.ReplicaFramesSent.Load(), fctr.ReplicaRecordsApplied.Load()
+	for i := 1; i <= burst; i++ {
+		if err := leader.Submit(edgeBatch(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := leader.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	waitApplied(t, fl, 1+burst)
+	if got := fctr.ReplicaRecordsApplied.Load() - applied0; got != burst {
+		t.Fatalf("follower applied %d records for a burst of %d", got, burst)
+	}
+	if got := lctr.ReplicaFramesSent.Load() - frames0; got < 1 || got > burst {
+		t.Fatalf("burst of %d commits sent %d frames, want between 1 and %d", burst, got, burst)
+	}
+	requireSameState(t, "pushed follower", fl.Store(), leader)
+
+	// A second, raw stream parked at the head of the journal.
+	openStream := func(ctx context.Context) *http.Response {
+		t.Helper()
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet,
+			fmt.Sprintf("%s/v1/replicate?after_seq=%d&epoch=%d", hs.URL, leader.JournalSeq(), epoch.Load()), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return first > 1
-	})
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("raw stream: %s", resp.Status)
+		}
+		waitFor(t, 30*time.Second, "the raw stream", func() bool { return srv.streamCount() == 2 })
+		return resp
+	}
+
+	// Hang-up: the request context alone unparks the handler.
+	ctx, cancel := context.WithCancel(context.Background())
+	resp := openStream(ctx)
+	cancel()
+	resp.Body.Close()
+	waitFor(t, 30*time.Second, "the hung-up stream to end", func() bool { return srv.streamCount() == 1 })
+
+	// Epoch change: the next commit wakes the stream, which must end
+	// rather than ship that commit under the epoch it was opened with.
+	resp = openStream(context.Background())
+	defer resp.Body.Close()
+	epoch.Store(2)
+	if err := leader.Submit(edgeBatch(burst + 1)); err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body) // returns once the handler has
+	if err != nil {
+		t.Fatal(err)
+	}
+	for len(body) > 0 {
+		fr, n, err := DecodeFrame(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fr.Kind != FrameHandshake {
+			t.Fatalf("deposed stream sent a kind-%d frame under epoch %d", fr.Kind, fr.Epoch)
+		}
+		body = body[n:]
+	}
 }

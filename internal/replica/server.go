@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -25,8 +26,7 @@ type Server struct {
 
 	// Tuning, settable before the first request (tests shorten these).
 	Heartbeat  time.Duration // idle heartbeat period (default 500ms)
-	Poll       time.Duration // journal poll interval (default 20ms)
-	ChunkBytes int           // target records-frame size (default 256 KiB)
+	ChunkBytes int           // largest records frame (default 256 KiB)
 
 	mu        sync.Mutex
 	followers map[int]uint64 // stream id → next sequence it needs
@@ -43,7 +43,6 @@ func NewServer(st *serve.Store, dir string, epoch func() uint64) *Server {
 		dir:        dir,
 		epoch:      epoch,
 		Heartbeat:  500 * time.Millisecond,
-		Poll:       20 * time.Millisecond,
 		ChunkBytes: 256 << 10,
 		followers:  make(map[int]uint64),
 	}
@@ -109,6 +108,12 @@ func (s *Server) ServeCheckpoint(w http.ResponseWriter, r *http.Request) {
 // truncated journal that no longer holds after_seq+1 is refused with 410
 // (the follower must re-bootstrap from a checkpoint). The stream ends
 // when the client disconnects or the node's epoch changes under it.
+//
+// Nothing polls (see the package doc): the stream reads its wal.Tail up
+// to the store's JournalSeq and, caught up, parks on the coordinator's
+// journal wake-up, the request context and the heartbeat timer, as
+// /v1/watch parks on the delta hub. Wake-ups coalesce: a stream that was
+// busy writing finds every group committed meanwhile in its next read.
 func (s *Server) ServeStream(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	after, err := strconv.ParseUint(q.Get("after_seq"), 10, 64)
@@ -129,20 +134,22 @@ func (s *Server) ServeStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	jdir := serve.JournalDir(s.dir)
-	frames, first, last, err := wal.ReadFramesAfter(jdir, after, s.ChunkBytes)
+	tail, err := wal.OpenTail(serve.JournalDir(s.dir), after)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		// A gap means the journal was truncated below the follower's
+		// position before this stream could pin retention.
+		code := http.StatusInternalServerError
+		if errors.Is(err, wal.ErrGap) {
+			code = http.StatusGone
+		}
+		http.Error(w, err.Error(), code)
 		return
 	}
-	if first != 0 && first > after+1 {
-		// The journal starts past the follower's position: truncated
-		// below it before this stream could pin retention.
-		http.Error(w, fmt.Sprintf("journal starts at seq %d, follower needs %d", first, after+1), http.StatusGone)
-		return
-	}
+	defer tail.Close()
 	id := s.track(after + 1)
 	defer s.untrack(id)
+	sub := s.st.SubscribeJournal()
+	defer sub.Cancel()
 
 	flusher, _ := w.(http.Flusher)
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -150,8 +157,9 @@ func (s *Server) ServeStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 
 	ctr := s.st.Counters()
-	send := func(f Frame) bool {
-		buf := AppendFrame(nil, f)
+	var buf []byte // every frame of the stream is built here
+	send := func(kind byte, records []byte) bool {
+		buf = AppendFrame(buf[:0], Frame{Kind: kind, Epoch: epoch, LeaderSeq: s.st.JournalSeq(), Records: records})
 		if _, err := w.Write(buf); err != nil {
 			return false
 		}
@@ -162,39 +170,35 @@ func (s *Server) ServeStream(w http.ResponseWriter, r *http.Request) {
 		ctr.ReplicaBytesSent.Add(int64(len(buf)))
 		return true
 	}
-	if !send(Frame{Kind: FrameHandshake, Epoch: epoch, LeaderSeq: s.st.JournalSeq()}) {
+	if !send(FrameHandshake, nil) {
 		return
 	}
-	lastBeat := time.Now()
+	hb := time.NewTimer(s.Heartbeat)
+	defer hb.Stop()
 	for {
-		if len(frames) > 0 {
-			if !send(Frame{Kind: FrameRecords, Epoch: epoch, LeaderSeq: s.st.JournalSeq(), Records: frames}) {
-				return
-			}
-			after = last
-			s.advance(id, after+1)
-			lastBeat = time.Now()
-		} else if time.Since(lastBeat) >= s.Heartbeat {
-			if !send(Frame{Kind: FrameHeartbeat, Epoch: epoch, LeaderSeq: s.st.JournalSeq()}) {
-				return
-			}
-			lastBeat = time.Now()
-		}
 		if s.epoch() != epoch {
 			return // deposed under this stream; end it so the client re-handshakes
 		}
-		if s.st.JournalSeq() <= after {
-			select {
-			case <-r.Context().Done():
-				return
-			case <-time.After(s.Poll):
-			}
-		} else if r.Context().Err() != nil {
-			return
+		frames, last, err := tail.Next(s.st.JournalSeq(), s.ChunkBytes)
+		if err != nil {
+			return // corruption or a reclaimed segment mid-stream: drop; the client re-handshakes
 		}
-		frames, first, last, err = wal.ReadFramesAfter(jdir, after, s.ChunkBytes)
-		if err != nil || (first != 0 && first > after+1) {
-			return // corruption or gap mid-stream: drop; the client rehandshakes
+		if len(frames) > 0 {
+			if !send(FrameRecords, frames) {
+				return
+			}
+			s.advance(id, last+1)
+			continue
+		}
+		hb.Reset(s.Heartbeat)
+		select {
+		case <-r.Context().Done():
+			return
+		case <-sub.C():
+		case <-hb.C:
+			if !send(FrameHeartbeat, nil) {
+				return
+			}
 		}
 	}
 }

@@ -21,6 +21,18 @@
 // follower promotes, any frame still in flight from the deposed leader
 // fails the epoch check and is dropped with the connection.
 //
+// The leader pushes; nothing polls. Each stream (Server.ServeStream) owns
+// a wal.Tail — the journal segment it is in, held open, and the byte
+// offset of the first frame it has not sent — and is woken by the serving
+// coordinator each time a commit group advances serve.Store.JournalSeq
+// (Store.SubscribeJournal: the coalesced single-slot wake-up /v1/watch
+// gets from the delta hub). A woken stream reads from its offset up to
+// that sequence and no further. The coordinator stores the sequence only
+// after the group's write (and fsync, under SyncAlways) has returned, so
+// every byte the cursor parses was written in full: a torn tail cannot be
+// seen, and a frame that fails its CRC there is corruption, which drops
+// the stream. Per commit the leader reads the new bytes, not the segment.
+//
 // A follower is recovery that never stops: Follower.applyRecord and
 // serve.Open's journal replay push every record through the same
 // (*serve.Store).ApplyRecord, which is what makes follower state
@@ -42,8 +54,8 @@ const (
 	// FrameHandshake opens a stream: epoch + the leader's current journal
 	// sequence, sent before any records.
 	FrameHandshake byte = 1
-	// FrameRecords carries raw journal frames (wal.ReadFramesAfter
-	// format) in sequence order.
+	// FrameRecords carries raw journal frames (wal.Tail.Next format) in
+	// sequence order.
 	FrameRecords byte = 2
 	// FrameHeartbeat refreshes leaderSeq during idle periods.
 	FrameHeartbeat byte = 3

@@ -287,25 +287,6 @@ type deltaRing struct {
 	entries []FramedDelta
 }
 
-// DeltaSub is one subscriber registration on the delta hub's broadcast
-// plane. C carries coalesced wakeups: publish puts at most one token in
-// the single-slot channel, so a subscriber that fell several
-// publications behind wakes once and drains the ring, and a publisher
-// never blocks on a slow subscriber. The publish ordering guarantee is:
-// the ring snapshot containing a delta is visible before its token is
-// sent, so "read the ring, then park on C" never misses a publication.
-type DeltaSub struct {
-	hub *deltaHub
-	c   chan struct{}
-}
-
-// C returns the coalesced wakeup channel.
-func (s *DeltaSub) C() <-chan struct{} { return s.c }
-
-// Cancel removes the registration. Safe to call more than once; the
-// channel is left open (a buffered token may still be pending).
-func (s *DeltaSub) Cancel() { s.hub.unsubscribe(s) }
-
 // deltaHub is the bounded publication ring. Publications come from the
 // coordinator (barrier events, exact) and from shard goroutines
 // (counter-only fast-path publications); the mutex serializes
@@ -323,10 +304,10 @@ type deltaHub struct {
 	// subscribers.
 	encodes atomic.Int64
 
-	// subMu guards the subscriber set; it is taken by publish after the
-	// ring swap, and by subscribe/unsubscribe on stream open/close.
-	subMu sync.Mutex
-	subs  map[*DeltaSub]struct{}
+	// subs is woken by publish after the ring swap: the snapshot holding
+	// a delta is visible before its token is sent, so "read the ring,
+	// then park on C" never misses a publication.
+	subs wakeSet
 }
 
 func newDeltaHub(max int) *deltaHub {
@@ -364,14 +345,7 @@ func (h *deltaHub) publish(d *Delta) {
 	h.next.Add(1)
 	h.mu.Unlock()
 
-	h.subMu.Lock()
-	for sub := range h.subs {
-		select {
-		case sub.c <- struct{}{}:
-		default: // wakeup already pending; coalesce
-		}
-	}
-	h.subMu.Unlock()
+	h.subs.wake()
 }
 
 // bounds returns the compaction floor (seq of the oldest retained delta;
@@ -413,32 +387,6 @@ func (h *deltaHub) framedSince(after uint64, max int) (fds []FramedDelta, floor 
 	return ents, floor
 }
 
-// subscribe registers a coalesced-wakeup subscriber.
-func (h *deltaHub) subscribe() *DeltaSub {
-	sub := &DeltaSub{hub: h, c: make(chan struct{}, 1)}
-	h.subMu.Lock()
-	if h.subs == nil {
-		h.subs = make(map[*DeltaSub]struct{})
-	}
-	h.subs[sub] = struct{}{}
-	h.subMu.Unlock()
-	return sub
-}
-
-func (h *deltaHub) unsubscribe(sub *DeltaSub) {
-	h.subMu.Lock()
-	delete(h.subs, sub)
-	h.subMu.Unlock()
-}
-
-// subscribers returns the current registration count (the
-// spinner_watch_subscribers gauge).
-func (h *deltaHub) subscribers() int {
-	h.subMu.Lock()
-	defer h.subMu.Unlock()
-	return len(h.subs)
-}
-
 // DeltaBounds returns the change feed's compaction floor (the oldest
 // delta sequence still in the ring) and the next sequence to be
 // published. A consumer may resume from any from_seq with
@@ -458,7 +406,7 @@ func (s *Store) FramedDeltasSince(after uint64, max int) ([]FramedDelta, uint64)
 // SubscribeDeltas registers a publication subscriber with a coalesced
 // single-slot wakeup channel — the watch-stream hook. Callers must
 // Cancel when done.
-func (s *Store) SubscribeDeltas() *DeltaSub { return s.deltas.subscribe() }
+func (s *Store) SubscribeDeltas() *WakeSub { return s.deltas.subs.subscribe() }
 
 // emitBarrierDelta publishes an exact delta from coordinator-owned state.
 // Coordinator-only, under a barrier (or with the goroutines stopped).

@@ -108,8 +108,8 @@ func TestDeltaHubFramedSinceSharesMemoizedFrames(t *testing.T) {
 // blocks on a full slot, and Cancel removes the registration.
 func TestDeltaHubSubscribeCoalescedWakeups(t *testing.T) {
 	h := newDeltaHub(8)
-	sub := h.subscribe()
-	if n := h.subscribers(); n != 1 {
+	sub := h.subs.subscribe()
+	if n := h.subs.len(); n != 1 {
 		t.Fatalf("subscribers = %d, want 1", n)
 	}
 	select {
@@ -142,7 +142,7 @@ func TestDeltaHubSubscribeCoalescedWakeups(t *testing.T) {
 	}
 
 	sub.Cancel()
-	if n := h.subscribers(); n != 0 {
+	if n := h.subs.len(); n != 0 {
 		t.Fatalf("subscribers = %d after Cancel, want 0", n)
 	}
 	h.publish(&Delta{})
@@ -184,7 +184,7 @@ func TestDeltaHubBroadcastUnderConcurrentPublish(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			// Churn the registration: resubscribe every few drains.
-			sub := h.subscribe()
+			sub := h.subs.subscribe()
 			defer func() { sub.Cancel() }()
 			cursor := uint64(0)
 			drains := 0
@@ -218,7 +218,7 @@ func TestDeltaHubBroadcastUnderConcurrentPublish(t *testing.T) {
 				cursor = fds[len(fds)-1].Delta.Seq
 				if drains++; drains%5 == 0 {
 					sub.Cancel()
-					sub = h.subscribe()
+					sub = h.subs.subscribe()
 				}
 			}
 		}()
@@ -244,7 +244,7 @@ func TestDeltaHubBroadcastUnderConcurrentPublish(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if n := h.subscribers(); n != 0 {
+	if n := h.subs.len(); n != 0 {
 		t.Fatalf("subscribers = %d after all cancelled, want 0", n)
 	}
 	floor, next := h.bounds()

@@ -440,6 +440,7 @@ func (s *Store) journalGroup(entries []logEntry) bool {
 	}
 	s.d.lastSeq = firstSeq + uint64(len(ge)) - 1
 	s.journalSeq.Store(s.d.lastSeq)
+	s.journalWake.wake() // after the store: a woken stream reads the new position
 	s.ctr.GroupCommits.Add(1)
 	s.ctr.GroupedEntries.Add(int64(len(ge)))
 	return true

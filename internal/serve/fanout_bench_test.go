@@ -39,9 +39,9 @@ func benchWatchFanout(b *testing.B, subs int, encodePerSub bool) {
 	lastSeq := uint64(b.N)
 	var wg sync.WaitGroup
 	for i := 0; i < subs; i++ {
-		sub := h.subscribe()
+		sub := h.subs.subscribe()
 		wg.Add(1)
-		go func(sub *DeltaSub) {
+		go func(sub *WakeSub) {
 			defer wg.Done()
 			defer sub.Cancel()
 			var cursor uint64

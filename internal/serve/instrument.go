@@ -59,7 +59,7 @@ func (s *Store) initMetrics() {
 	s.reg.NewGaugeFunc(
 		"spinner_watch_subscribers",
 		"Delta-hub broadcast registrations (watch streams currently parked on or draining the change feed).",
-		func() float64 { return float64(s.deltas.subscribers()) },
+		func() float64 { return float64(s.deltas.subs.len()) },
 	)
 	// Sampling mask: a lookup is timed when its Lookups-counter value has
 	// all mask bits zero, i.e. one in every (mask+1) lookups. The counter

@@ -5,9 +5,10 @@
 // ApplyRecord (store.go) — the same entry recovery replays the journal
 // through, which is what makes follower state bit-identical to the
 // leader's quiesced history. JournalSeq exposes the replication watermark
-// (the follower's applied_seq, the leader's leader_seq), and
-// SetJournalRetention pins the leader's journal tail under connected
-// followers so checkpoints cannot truncate records they still need.
+// (the follower's applied_seq, the leader's leader_seq), SubscribeJournal
+// wakes a parked stream when it advances, and SetJournalRetention pins
+// the leader's journal tail under connected followers so checkpoints
+// cannot truncate records they still need.
 
 package serve
 
@@ -19,7 +20,7 @@ import "errors"
 var ErrReadOnly = errors.New("serve: read-only follower (promote to accept writes)")
 
 // JournalDir returns the journal subdirectory of a durable store's data
-// dir — the leader-side path wal.ReadFramesAfter streams frames from.
+// dir — the leader-side path a wal.Tail streams frames from.
 func JournalDir(dir string) string { return journalDir(dir) }
 
 // CheckpointDir returns the checkpoint subdirectory of a durable store's
@@ -37,6 +38,12 @@ func (s *Store) SetReadOnly(v bool) { s.readOnly.Store(v) }
 // equals the applied sequence, because ApplyRecord journals exactly one
 // record per leader record.
 func (s *Store) JournalSeq() uint64 { return s.journalSeq.Load() }
+
+// SubscribeJournal registers a subscriber woken (coalesced, single slot —
+// the WakeSub contract) each time a commit group advances JournalSeq: the
+// replication stream's hook, as SubscribeDeltas is the watch stream's.
+// Callers must Cancel when done.
+func (s *Store) SubscribeJournal() *WakeSub { return s.journalWake.subscribe() }
 
 // SetJournalRetention pins the store's journal so records with sequence
 // numbers >= floor survive checkpoint truncation (0 clears the pin). A

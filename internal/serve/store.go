@@ -309,11 +309,13 @@ type Store struct {
 	// Replication state (see replication.go). readOnly marks a follower
 	// store: external writes refuse with ErrReadOnly while ApplyRecord
 	// keeps flowing. journalSeq mirrors durable.lastSeq for
-	// lock-free readers, and jrnLive exposes the attached journal to the
+	// lock-free readers (journalWake is signalled each time a commit
+	// group advances it), and jrnLive exposes the attached journal to the
 	// retention plumbing without entering the coordinator.
-	readOnly   atomic.Bool
-	journalSeq atomic.Uint64
-	jrnLive    atomic.Pointer[wal.Journal]
+	readOnly    atomic.Bool
+	journalSeq  atomic.Uint64
+	journalWake wakeSet
+	jrnLive     atomic.Pointer[wal.Journal]
 
 	// Coordinator state (no locks: single owner between barriers).
 	w               *graph.Weighted

@@ -137,3 +137,57 @@ func FuzzReplayAfterSeq(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTail hands the tail cursor arbitrary segment bytes and arbitrary
+// read boundaries (start position, acknowledged sequence, chunk size).
+// It must never panic or over-allocate, and whatever it does return is
+// whole CRC-good frames with the contiguous sequence numbers the caller
+// asked for: after the start position, at or below the acknowledged one.
+func FuzzTail(f *testing.F) {
+	seed := buildSeedJournal(f, f.TempDir())
+	f.Add(seed, uint64(0), uint64(6), 64)
+	f.Add(seed, uint64(2), uint64(4), 1)
+	f.Add(seed[:len(seed)-1], uint64(0), uint64(6), 1<<20) // acknowledged past a torn tail
+	f.Add(seed, uint64(9), uint64(3), 0)
+	f.Add([]byte("not a journal!"), uint64(0), uint64(1), 8)
+	flipped := append([]byte(nil), seed...)
+	flipped[len(flipped)/3] ^= 0x10
+	f.Add(flipped, uint64(0), uint64(6), 4096)
+	huge := append([]byte(nil), seed...)
+	binary.LittleEndian.PutUint32(huge, MaxRecordBytes) // hostile length prefix
+	f.Add(huge, uint64(0), uint64(6), 16)
+
+	f.Fuzz(func(t *testing.T, data []byte, after, upTo uint64, maxBytes int) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, segName(1)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		after, upTo, maxBytes = after%16, upTo%16, maxBytes%(1<<16)
+		tail, err := OpenTail(dir, after)
+		if err != nil {
+			t.Fatalf("OpenTail over one segment starting at 1: %v", err)
+		}
+		defer tail.Close()
+		want := after + 1
+		for {
+			frames, last, err := tail.Next(upTo, maxBytes)
+			if err != nil || len(frames) == 0 {
+				return
+			}
+			for off := 0; off < len(frames); {
+				frameLen, payload, ok := readFrame(frames[off:])
+				if !ok {
+					t.Fatalf("Next returned a bad or partial frame at +%d of %d bytes", off, len(frames))
+				}
+				if seq := binary.LittleEndian.Uint64(payload); seq != want || seq > upTo {
+					t.Fatalf("Next(upTo=%d) returned seq %d, want %d", upTo, seq, want)
+				}
+				want++
+				off += frameLen
+			}
+			if last != want-1 {
+				t.Fatalf("Next reported last=%d after returning through %d", last, want-1)
+			}
+		}
+	})
+}

@@ -23,15 +23,30 @@ func segmentCount(t *testing.T, dir string) int {
 	return n
 }
 
-// retainedRange reports the [first, last] sequence range still readable
-// from the journal directory.
-func retainedRange(t *testing.T, dir string) (uint64, uint64) {
+// retainedRange reports the [first, last] sequence range a tail reader
+// can still get from the journal's directory.
+func retainedRange(t *testing.T, j *Journal) (first, last uint64) {
 	t.Helper()
-	_, first, last, err := ReadFramesAfter(dir, 0, 1<<30)
+	segs, err := listSegments(j.dir)
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("listing %s: %d segments, err %v", j.dir, len(segs), err)
+	}
+	first = segs[0].first
+	tail, err := OpenTail(j.dir, first-1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return first, last
+	defer tail.Close()
+	for {
+		frames, l, err := tail.Next(j.NextSeq()-1, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(frames) == 0 {
+			return first, last
+		}
+		last = l
+	}
 }
 
 // The truncate-under-replication race: a checkpoint-driven TruncateBelow
@@ -65,7 +80,7 @@ func TestTruncateBelowRespectsRetentionFloor(t *testing.T) {
 	if _, err := j.TruncateBelow(30); err != nil {
 		t.Fatal(err)
 	}
-	first, last := retainedRange(t, dir)
+	first, last := retainedRange(t, j)
 	if first == 0 || first > 5 {
 		t.Fatalf("journal starts at seq %d after pinned truncation, want <= 5 (retention floor ignored)", first)
 	}
@@ -79,7 +94,7 @@ func TestTruncateBelowRespectsRetentionFloor(t *testing.T) {
 	if _, err := j.TruncateBelow(30); err != nil {
 		t.Fatal(err)
 	}
-	first, last = retainedRange(t, dir)
+	first, last = retainedRange(t, j)
 	if first <= 5 {
 		t.Fatalf("journal still starts at seq %d after clearing retention, want > 5 (nothing reclaimed)", first)
 	}
@@ -116,7 +131,7 @@ func TestTruncateBelowFloorAboveSeq(t *testing.T) {
 	if _, err := j.TruncateBelow(10); err != nil {
 		t.Fatal(err)
 	}
-	first, last := retainedRange(t, dir)
+	first, last := retainedRange(t, j)
 	if first == 0 || first > 10 {
 		t.Fatalf("journal starts at seq %d, want <= 10 (truncation overshot seq)", first)
 	}

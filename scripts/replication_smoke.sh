@@ -4,10 +4,12 @@
 #
 # Boots a durable leader on a synthetic graph plus a warm-standby
 # follower tailing its journal stream (-follow). Drives mutation churn at
-# the leader, asserts the follower converges to the same applied sequence
-# with bounded staleness, serves lookups from its own snapshots, and
-# refuses writes (503 read_only). Then the failover drill: record the
-# leader's acknowledged-and-replicated watermark plus a lookup sample,
+# the leader, asserts the follower's lag gauge reads 0 within 100 ms of the
+# churn stopping (the stream is commit-woken), that it converges to the
+# same applied sequence with bounded staleness, serves lookups from its
+# own snapshots, and refuses writes (503 read_only). Then the failover
+# drill: record the leader's acknowledged-and-replicated watermark plus a
+# lookup sample,
 # kill -9 the leader, POST /v1/promote on the follower, and assert the
 # promoted node reports role=leader, has lost no acknowledged batch
 # (applied_seq >= the pre-kill watermark), answers the sample lookups
@@ -97,7 +99,12 @@ wait_healthy "$FBASE"
 
 echo "== churn: 24 mutation batches at the leader"
 churn 24 0
-sleep 0.5
+# The stream is pushed on commit, not polled: once the churn stops, the
+# follower's own lag gauge must read 0 on the first scrape after a short
+# settle, not after some number of poll periods.
+sleep 0.1
+LAG=$(curl -fsS "$FBASE/v1/metrics" | awk '$1 == "spinner_replica_lag_records" {print $2}')
+[ "$LAG" = "0" ] || { echo "FAIL: spinner_replica_lag_records=$LAG 100ms after the churn stopped, want 0" >&2; exit 1; }
 wait_caught_up
 
 STALE=$(stat_field "$FBASE" staleness_ms)
