@@ -10,8 +10,10 @@
 #   make bench-test  — vet + unit tests of the benchmark module (its own
 #                      go.mod, so tier-1 does not see it)
 #   make bench-quick — every Go micro-benchmark compiles and runs once
-#   make profile-core — CPU profile of the LPA loop (BenchmarkSpinnerIteration)
-#                      into out/, top 15 functions printed
+#   make profile-core — CPU and allocation profiles of the LPA loop, from
+#                      scratch and from warm starts (BenchmarkSpinnerIteration,
+#                      BenchmarkWarmStart), into out/; top 15 functions by CPU
+#                      and top 10 by allocated bytes printed
 #   make fuzz        — 20s each on the wire-envelope, delta-codec and
 #                      journal-tail targets
 #   make *-smoke     — kill -9 / overload / failover / change-feed / metrics
@@ -55,8 +57,10 @@ bench-quick:
 
 profile-core:
 	mkdir -p out
-	go test -run '^$$' -bench BenchmarkSpinnerIteration -benchtime 5x -cpuprofile out/core.prof -o out/core.test .
+	go test -run '^$$' -bench 'BenchmarkSpinnerIteration|BenchmarkWarmStart' -benchtime 5x \
+		-cpuprofile out/core.prof -memprofile out/core.mem -o out/core.test .
 	go tool pprof -top -nodecount 15 out/core.test out/core.prof
+	go tool pprof -sample_index=alloc_space -top -nodecount 10 out/core.test out/core.mem
 
 fuzz:
 	go test -run='^$$' -fuzz=FuzzDecode -fuzztime=20s ./internal/frame

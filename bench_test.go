@@ -15,6 +15,7 @@ package repro
 
 import (
 	"os"
+	"runtime"
 	"testing"
 
 	"repro/internal/baselines"
@@ -276,6 +277,58 @@ func BenchmarkSpinnerIteration(b *testing.B) {
 		iterations += int64(res.Iterations)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(arcs*iterations), "ns/arc-iter")
+}
+
+// BenchmarkWarmStart measures the two warm starts from converged labels on a
+// graph whose arcs do not fit in cache (WS(100 000, 16, 0.3), 3.2 M arcs):
+// Adapt after a 2 % growth batch (§III-D) and Resize 32→40 (§III-E). A warm
+// start runs few iterations, so what a run costs before any vertex moves —
+// loading the graph, Initialization, the first ComputeScores — dominates it;
+// B/arc and ns/arc read across graph sizes.
+func BenchmarkWarmStart(b *testing.B) {
+	const k = 32
+	part := func(k int) *core.Partitioner {
+		opts := core.DefaultOptions(k)
+		opts.Seed = 1
+		p, err := core.NewPartitioner(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return p
+	}
+	w := graph.Convert(gen.WattsStrogatz(100_000, 16, 0.3, 1))
+	base, err := part(k).PartitionWeighted(w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	grown := w.Clone()
+	if _, err := gen.GrowthBatch(grown, 0.02, 2).Apply(grown); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		on   *graph.Weighted
+		run  func() (*core.Result, error)
+	}{
+		{"Adapt", grown, func() (*core.Result, error) { return part(k).Adapt(grown, base.Labels, nil) }},
+		{"Resize-32-40", w, func() (*core.Result, error) { return part(40).Resize(w, base.Labels, k) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			arcRuns := float64(2*c.on.NumEdges()) * float64(b.N)
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/arcRuns, "B/arc")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/arcRuns, "ns/arc")
+		})
+	}
 }
 
 // BenchmarkBaselineMultilevel measures the METIS-style comparator on the

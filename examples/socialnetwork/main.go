@@ -4,7 +4,9 @@
 // A Tuenti-like social graph receives batches of new friendships (70%
 // triadic closure). After each batch we adapt the partitioning
 // incrementally and compare against what a from-scratch repartitioning
-// would have cost.
+// would have cost. Messages are label-change announcements only (a run
+// reads its starting labels from memory), so the savings are over what
+// actually moves.
 //
 //	go run ./examples/socialnetwork
 package main

@@ -124,15 +124,12 @@ func TestHistogramMatchesEdgeScanProperty(t *testing.T) {
 		what := fmt.Sprintf("seed %d %s n=%d k=%d %+v", seed, gname, n, k, opts)
 
 		// From scratch, with and without the conversion supersteps.
-		total += runChecked(t, what+" Partition", opts, newProgram(opts, true, nil, nil), verticesFromGraph(g))
+		total += runChecked(t, what+" Partition", opts, newProgram(opts, true, n, nil, nil), verticesFromGraph(g))
 		w := graph.Convert(g)
-		base := newProgram(opts, false, nil, nil)
+		base := newProgram(opts, false, n, nil, nil)
 		vs := verticesFromWeighted(w)
 		total += runChecked(t, what+" PartitionWeighted", opts, base, vs)
-		prev := make([]int32, len(vs))
-		for i := range vs {
-			prev[i] = vs[i].Value.label
-		}
+		prev := base.labels
 
 		// Adapt after churn that also appends vertices.
 		grown := w.Clone()
@@ -156,7 +153,7 @@ func TestHistogramMatchesEdgeScanProperty(t *testing.T) {
 				mask[v] = true
 			}
 		}
-		total += runChecked(t, what+" Adapt", opts, newProgram(opts, false, init, mask), verticesFromWeighted(grown))
+		total += runChecked(t, what+" Adapt", opts, newProgram(opts, false, len(init), init, mask), verticesFromWeighted(grown))
 
 		// Resize up or down.
 		newK := max(1, k+s.Intn(7)-3)
@@ -167,7 +164,7 @@ func TestHistogramMatchesEdgeScanProperty(t *testing.T) {
 		ropts := opts
 		ropts.K = newK
 		ropts.CapacityFractions = nil // sized for k
-		total += runChecked(t, what+" Resize", ropts, newProgram(ropts, false, relabeled, nil), verticesFromWeighted(w))
+		total += runChecked(t, what+" Resize", ropts, newProgram(ropts, false, n, relabeled, nil), verticesFromWeighted(w))
 		if t.Failed() {
 			return
 		}
@@ -209,8 +206,8 @@ func TestCarveHandsOutDisjointWindows(t *testing.T) {
 
 // TestAffectedOnlyRestricts pins §III-D's first strategy: only vertices
 // affected by the change, and vertices that later see a neighbour migrate,
-// evaluate migration. The Initialization announcements every vertex
-// receives in iteration 1 are not label changes and must not count.
+// evaluate migration. The starting labels every vertex reads in iteration 1
+// are not label changes and must not count.
 func TestAffectedOnlyRestricts(t *testing.T) {
 	const n, k = 5000, 8
 	w := graph.Convert(gen.WattsStrogatz(n, 8, 0.3, 7))

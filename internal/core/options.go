@@ -18,20 +18,43 @@
 //   - incremental adaptation after graph mutations (§III-D) and elastic
 //     adaptation after partition count changes (§III-E).
 //
-// # The neighbour-label histogram
+// # Labels, and the neighbour-label histogram
 //
-// §IV-A of the paper stores each neighbour's last announced label in the
-// edge value so that only label changes travel. ComputeScores takes the
-// next step: a vertex does not rescan its edges every iteration either. It
+// A vertex's label has one home: slot v of a dense []int32 that the run
+// owns, indexed by vertex (program.labels). A warm start (Adapt, Resize)
+// hands in the array it seeded; a from-scratch run fills it in the
+// Initialization superstep, each vertex drawing its own slot's label.
+// Result.Labels is that array, and an IterationSnapshot gets a copy.
+//
+// §IV-A of the paper stores each neighbour's last known label in the edge
+// value so that only label changes travel. Here the starting labels do not
+// travel either. Initialization sends nothing; the first ComputeScores
+// reads, for every edge, the target's slot of the label array into the edge
+// value. From iteration 2 on, a vertex that migrated announces its new
+// label to its neighbours as msg{src, label}, and that is the only kind of
+// message an LPA iteration sends — Result.Messages counts label changes
+// (times degree), not starting labels. The array needs no lock and no
+// atomics, for the reason the master state needs none: a slot is written
+// only by its own vertex and only in Initialization and ComputeMigrations
+// supersteps; slots are read only in ComputeScores supersteps (a vertex's
+// own in every iteration, its neighbours' in the first); and the engine's
+// barrier separates any two supersteps. TestInitialLabelsAreReadNotSent
+// checks the message counts and runs under the race detector. Reading a
+// neighbour's slot is what an in-process engine with one address space can
+// do; a distributed Pregel would pay one round of messages, one per arc,
+// for the same information, and the counts recorded before this was
+// changed (golden.broadcast in the tests) include that round.
+//
+// ComputeScores does not rescan its edges every iteration either. A vertex
 // keeps a histogram of them — one bar per distinct neighbour label, holding
 // the summed weight of the edges that carry the label (their count under
 // IgnoreEdgeWeights) and the index of the first such edge — carved at
 // Initialization, with capacity min(degree, k), from an arena of the worker
-// that owns the vertex. One edge scan builds it in iteration 1, when every
-// neighbour has announced its starting label; from then on each incoming
-// message moves one edge from the bar of the label it carried to the bar
-// of the label announced. Scoring walks the bars, so a ComputeScores call
-// costs O(messages received + distinct neighbour labels), not O(degree).
+// that owns the vertex. The edge scan that reads the starting labels in
+// iteration 1 builds it; from then on each incoming message moves one edge
+// from the bar of the label it carried to the bar of the label announced.
+// Scoring walks the bars, so a ComputeScores call costs O(messages received
+// + distinct neighbour labels), not O(degree).
 //
 // The bars are kept sorted by first edge. That is the order in which an
 // edge scan meets the labels, and the order matters: labels whose scores
@@ -48,6 +71,24 @@
 // TestHistogramMatchesEdgeScanProperty compares every histogram with a
 // fresh edge scan after every ComputeScores superstep; TestGoldenLabels
 // pins the labels recorded before the histogram existed.
+//
+// # Known defect: parallel arcs
+//
+// graph.Weighted does not deduplicate, and neither does Partition's
+// in-engine conversion of a directed input that repeats an arc. When a
+// vertex has two arcs to the same neighbour, only the first ever learns
+// the neighbour's label: a label announcement is matched to the first arc
+// to its sender (findEdge), and the iteration-1 read skips the later arcs
+// on purpose, to keep the labels this package has always produced. The
+// later arc's edge label stays −1 for the whole run. Its weight counts in
+// the vertex's weighted degree, hence in the partition loads and in the
+// normalisation of Eq. 8, but never in a histogram bar, so the locality
+// term is under-scored for that neighbour. Among the pinned runs this
+// reaches Partition's conversion of gen.WattsStrogatz graphs (rewiring
+// repeats arcs) and every graph grown by gen.GrowthBatch.
+// TestParallelArcKeepsItsBlindSpot pins the behaviour; counting the weight
+// (or merging parallel arcs at load) changes labels, so it is a deliberate
+// re-record of TestGoldenLabels and not a side effect of anything else.
 package core
 
 import (

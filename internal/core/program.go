@@ -17,9 +17,9 @@ const (
 	phaseComputeMigrations          // probabilistic migration (Eq. 14)
 )
 
-// vval is the per-vertex state.
+// vval is the per-vertex state. The vertex's label is not in it: labels
+// live in program.labels.
 type vval struct {
-	label int32
 	cand  int32   // candidate label for this iteration, -1 if none
 	degW  float64 // weighted degree, fixed at Initialization
 	dirty bool    // AffectedOnly: may evaluate migration
@@ -30,8 +30,11 @@ type vval struct {
 }
 
 // eval is the per-edge state: the edge weight of Eq. 3 and the neighbor's
-// last announced label (the Giraph implementation stores exactly this in
-// the edge value to avoid re-sending labels every superstep).
+// last known label (the Giraph implementation stores exactly this in the
+// edge value to avoid re-sending labels every superstep) — read from
+// program.labels in iteration 1, announced by msg from then on. It is −1
+// before iteration 1, and for good on the later of parallel arcs to one
+// neighbour (see the package doc).
 type eval struct {
 	weight int32
 	label  int32
@@ -44,8 +47,9 @@ type bar struct {
 	weight int64 // Σ weight of the edges carrying label (their count under IgnoreEdgeWeights)
 }
 
-// msg announces the sender and its (new) label. During the conversion
-// phase the label field is unused.
+// msg announces a label change: the sender and the label it migrated to.
+// Starting labels are never sent (computeScores reads them). During the
+// conversion phase the label field is unused.
 type msg struct {
 	src   pregel.VertexID
 	label int32
@@ -83,11 +87,19 @@ func (ws *workerScratch) carve(n int) []bar {
 // program is the Spinner vertex program plus its master state. One
 // instance drives one partitioning run.
 type program struct {
-	opts       Options
-	k          int
-	convert    bool    // run NeighborPropagation/Discovery first
-	initLabels []int32 // nil → uniform random initialization
-	affected   []bool  // AffectedOnly: initially-dirty vertices (nil → all dirty)
+	opts     Options
+	k        int
+	convert  bool   // run NeighborPropagation/Discovery first
+	affected []bool // AffectedOnly: initially-dirty vertices (nil → all dirty)
+
+	// labels is the one home of every vertex's label, indexed by vertex ID.
+	// A vertex writes its own slot, in Initialization and ComputeMigrations
+	// supersteps only; slots are read in ComputeScores supersteps only — a
+	// vertex's own every iteration, its neighbours' in iteration 1. The
+	// engine's barrier lies between any write and any read, which is all the
+	// synchronization the array needs (as for the master state below).
+	labels []int32
+	seeded bool // labels came with the starting labels (a warm start); else Initialization draws them
 
 	// Aggregator handles, set by register.
 	aggLoads  pregel.Aggregator // persistent: b(l) per label (Eq. 6)
@@ -104,6 +116,7 @@ type program struct {
 	iter       int // 1-based LPA iteration, set when entering ComputeScores
 	totalLoad  float64
 	capacities []float64 // C_l = c·T·f_l (Eq. 5; homogeneous f_l = 1/k)
+	probs      []float64 // MasterCompute scratch: the migration probabilities it publishes
 
 	pendingScore float64
 	pendingPhi   float64
@@ -115,8 +128,16 @@ type program struct {
 	converged    bool
 }
 
-func newProgram(opts Options, convert bool, initLabels []int32, affected []bool) *program {
-	p := &program{opts: opts, k: opts.K, convert: convert, initLabels: initLabels, affected: affected}
+// newProgram prepares a run over n vertices. start holds the starting
+// labels of a warm start and becomes the run's label array (the program
+// owns it from here on); nil means a from-scratch run, whose Initialization
+// superstep draws them uniformly at random.
+func newProgram(opts Options, convert bool, n int, start []int32, affected []bool) *program {
+	p := &program{opts: opts, k: opts.K, convert: convert, affected: affected,
+		labels: start, seeded: start != nil, probs: make([]float64, opts.K)}
+	if !p.seeded {
+		p.labels = make([]int32, n)
+	}
 	if convert {
 		p.phase = phaseNeighborPropagation
 	} else {
@@ -197,33 +218,29 @@ func (p *program) neighborDiscovery(ctx *pregel.Context[vval, eval, msg], v *pre
 	ctx.CountEdges(len(msgs))
 }
 
-// initialize: assign the starting label, cache the weighted degree,
-// contribute it to the load counters, and announce the label to all
-// neighbors. Edges are sorted by target so later label updates can use
-// binary search.
+// initialize: settle the starting label in the vertex's slot of p.labels
+// (a warm start seeded it; a from-scratch run draws it here), cache the
+// weighted degree and contribute it to the load counters. Nothing is sent:
+// the neighbours read the slot in iteration 1, after this superstep's
+// barrier. Edges are sorted by target so label announcements can use binary
+// search and parallel arcs lie side by side.
 func (p *program) initialize(ctx *pregel.Context[vval, eval, msg], v *pregel.Vertex[vval, eval]) {
 	slices.SortFunc(v.Edges, func(a, b pregel.Edge[eval]) int { return int(a.To) - int(b.To) })
 	var degW float64
 	for i := range v.Edges {
 		degW += float64(v.Edges[i].Value.weight)
 	}
-	var label int32
-	if p.initLabels != nil {
-		label = p.initLabels[v.ID]
-	} else {
-		label = ctx.Rand().Int31n(int32(p.k))
+	if !p.seeded {
+		p.labels[v.ID] = ctx.Rand().Int31n(int32(p.k))
 	}
 	dirty := true
 	if p.affected != nil {
 		dirty = p.affected[v.ID]
 	}
 	ws := ctx.WorkerState().(*workerScratch)
-	v.Value = vval{label: label, cand: -1, degW: degW, dirty: dirty, hist: ws.carve(min(len(v.Edges), p.k))}
-	ctx.Aggregate(p.aggLoads, int(label), degW)
+	v.Value = vval{cand: -1, degW: degW, dirty: dirty, hist: ws.carve(min(len(v.Edges), p.k))}
+	ctx.Aggregate(p.aggLoads, int(p.labels[v.ID]), degW)
 	ctx.Aggregate(p.aggTotal, 0, degW)
-	for i := range v.Edges {
-		ctx.SendTo(v.Edges[i].To, msg{src: v.ID, label: label})
-	}
 	ctx.CountEdges(len(v.Edges))
 }
 
@@ -253,17 +270,23 @@ func (p *program) edgeWeight(e *eval) int64 {
 	return int64(e.weight)
 }
 
-// buildHistogram fills v's histogram with one scan of its edges: a bar per
-// distinct neighbour label, in order of first appearance. It runs once per
-// vertex, in iteration 1, when every neighbour has just announced its
-// Initialization label.
+// buildHistogram runs once per vertex, in iteration 1. One scan of v's
+// edges reads every neighbour's starting label out of p.labels into the
+// edge value — the Initialization superstep wrote the slots and its barrier
+// has passed; nothing writes them during ComputeScores — and fills the
+// histogram: a bar per distinct neighbour label, in order of first
+// appearance. Of parallel arcs to one neighbour only the first is read:
+// findEdge hands every later announcement to the first too, so the others
+// keep label −1 and stay out of every bar for the whole run (the package
+// doc's known defect; reading them would change the labels).
 func (p *program) buildHistogram(ws *workerScratch, v *pregel.Vertex[vval, eval]) {
 	h := v.Value.hist[:0]
 	for i := range v.Edges {
-		e := &v.Edges[i].Value
-		if e.label < 0 {
-			continue // neighbor never announced: its edge has no reverse
+		if i > 0 && v.Edges[i].To == v.Edges[i-1].To {
+			continue
 		}
+		e := &v.Edges[i].Value
+		e.label = p.labels[v.Edges[i].To]
 		at := ws.slot[e.label]
 		if at == 0 {
 			h = append(h, bar{label: e.label, first: int32(i)})
@@ -341,9 +364,11 @@ func (p *program) moveEdge(v *pregel.Vertex[vval, eval], i int, to int32) {
 }
 
 // computeScores is the first superstep of an LPA iteration: each vertex
-// refreshes its view of neighbor labels, evaluates score”(v, l) (Eq. 8)
-// for every label in its neighborhood, and becomes a migration candidate
-// if some label beats its current one.
+// refreshes its view of neighbor labels — in iteration 1 by reading their
+// starting labels, afterwards from the announcements of those that
+// migrated — evaluates score”(v, l) (Eq. 8) for every label in its
+// neighborhood, and becomes a migration candidate if some label beats its
+// current one.
 func (p *program) computeScores(ctx *pregel.Context[vval, eval, msg], v *pregel.Vertex[vval, eval], msgs []msg) {
 	ws := ctx.WorkerState().(*workerScratch)
 	if ws.refreshedAt != ctx.Superstep() {
@@ -353,17 +378,13 @@ func (p *program) computeScores(ctx *pregel.Context[vval, eval, msg], v *pregel.
 		}
 		ws.refreshedAt = ctx.Superstep()
 	}
+	updates := len(msgs)
 	if p.iter == 1 {
-		// The Initialization announcements: every edge learns its label.
-		for _, m := range msgs {
-			if i := findEdge(v.Edges, m.src); i >= 0 {
-				v.Edges[i].Value.label = m.label
-			}
-		}
 		p.buildHistogram(ws, v)
+		updates = len(v.Edges) // one label read per edge
 	} else if len(msgs) > 0 {
-		// A neighbor migrated (§III-D: that, not the announcements above, is
-		// what makes a vertex affected).
+		// A neighbor migrated (§III-D: that, not reading its starting label,
+		// is what makes a vertex affected).
 		for _, m := range msgs {
 			if i := findEdge(v.Edges, m.src); i >= 0 {
 				p.moveEdge(v, i, m.label)
@@ -371,9 +392,9 @@ func (p *program) computeScores(ctx *pregel.Context[vval, eval, msg], v *pregel.
 		}
 		v.Value.dirty = true
 	}
-	ctx.CountEdges(len(v.Edges) + len(msgs))
+	ctx.CountEdges(len(v.Edges) + updates)
 
-	cur := v.Value.label
+	cur := p.labels[v.ID]
 	degW := v.Value.degW
 	hist := v.Value.hist
 	var curW float64
@@ -478,8 +499,8 @@ func (p *program) computeMigrations(ctx *pregel.Context[vval, eval, msg], v *pre
 	if prob < 1 && !ctx.Rand().Bool(prob) {
 		return // retry in a later iteration
 	}
-	old := v.Value.label
-	v.Value.label = cand
+	old := p.labels[v.ID]
+	p.labels[v.ID] = cand
 	ctx.Aggregate(p.aggLoads, int(old), -v.Value.degW)
 	ctx.Aggregate(p.aggLoads, int(cand), v.Value.degW)
 	ctx.Aggregate(p.aggMigs, 0, 1)
@@ -523,7 +544,7 @@ func (p *program) MasterCompute(m *pregel.Master) {
 		// Publish migration probabilities for the coming superstep.
 		loads := m.Agg(p.aggLoads)
 		cand := m.Agg(p.aggCand)
-		probs := make([]float64, p.k)
+		probs := p.probs
 		var candTotal float64
 		for l := 0; l < p.k; l++ {
 			candTotal += cand[l]

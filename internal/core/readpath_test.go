@@ -1,0 +1,247 @@
+package core
+
+import (
+	"runtime"
+	"slices"
+	"testing"
+
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/pregel"
+)
+
+// runProbed drives prog over vs as Partitioner.run does, calling probe
+// single-threaded after every superstep's barrier and master computation,
+// when the engine's state is quiescent.
+func runProbed(t *testing.T, opts Options, prog *program, vs []pregel.Vertex[vval, eval],
+	probe func(eng *pregel.Engine[vval, eval, msg], step int)) {
+	t.Helper()
+	var eng *pregel.Engine[vval, eval, msg]
+	eng = pregel.NewEngine[vval, eval, msg](pregel.Config{
+		NumWorkers:     opts.NumWorkers,
+		Seed:           opts.Seed,
+		MaxSupersteps:  3 + 2*opts.MaxIterations + 2,
+		AfterSuperstep: func(step int) { probe(eng, step) },
+	}, prog)
+	prog.register(eng)
+	if err := eng.SetVertices(vs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// doubledArcGraph is a ring lattice (each vertex joined to the next three)
+// in which every fifth vertex's edge to its successor is stored twice, with
+// different weights: graph.Weighted does not deduplicate.
+func doubledArcGraph(n int) *graph.Weighted {
+	w := graph.NewWeighted(n)
+	for u := 0; u < n; u++ {
+		for j := 1; j <= 3; j++ {
+			w.AddEdge(graph.VertexID(u), graph.VertexID((u+j)%n), int32(1+(u+j)%2))
+		}
+		if u%5 == 0 {
+			w.AddEdge(graph.VertexID(u), graph.VertexID((u+1)%n), 3)
+		}
+	}
+	return w
+}
+
+// TestParallelArcKeepsItsBlindSpot pins what the program does with the
+// second of two parallel arcs to one neighbour: it never learns a label.
+// Announcements are matched to the first arc to their sender, so the second
+// keeps label −1 for the whole run and its weight — counted in degW and in
+// the load — never enters a histogram bar (see the package doc). The labels
+// were recorded at 6cea36b, when starting labels were still broadcast.
+func TestParallelArcKeepsItsBlindSpot(t *testing.T) {
+	const n, k = 120, 4
+	want := map[int]uint64{1: 0xe97a6d7d0e985b85, 4: 0xbbea226e90c6eb85}
+	for _, workers := range []int{1, 4} {
+		opts := DefaultOptions(k)
+		opts.Seed = 42
+		opts.NumWorkers = workers
+		if err := opts.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		prog := newProgram(opts, false, n, nil, nil)
+		blind, supersteps := 0, 0
+		runProbed(t, opts, prog, verticesFromWeighted(doubledArcGraph(n)), func(eng *pregel.Engine[vval, eval, msg], step int) {
+			// The master has already advanced the phase: ComputeMigrations
+			// next means ComputeScores just ran.
+			if prog.phase != phaseComputeMigrations {
+				return
+			}
+			supersteps++
+			for _, v := range eng.Vertices() {
+				for i, e := range v.Edges {
+					second := i > 0 && v.Edges[i-1].To == e.To
+					if second {
+						blind++
+					}
+					if (e.Value.label == -1) != second {
+						t.Fatalf("workers=%d superstep %d: vertex %d arc %d to %d (parallel: %v) has label %d",
+							workers, step, v.ID, i, e.To, second, e.Value.label)
+					}
+				}
+			}
+		})
+		if supersteps == 0 || blind != supersteps*2*(n/5) {
+			t.Fatalf("workers=%d: %d blind arcs seen over %d ComputeScores supersteps, want %d each", workers, blind, supersteps, 2*(n/5))
+		}
+		if got := hashLabels(prog.labels); got != want[workers] {
+			t.Errorf("workers=%d: labels %#x, recorded %#x", workers, got, want[workers])
+		}
+	}
+}
+
+// TestInitialLabelsAreReadNotSent pins the read path from both ends. Inside
+// the engine: the Initialization superstep sends nothing and the first
+// ComputeScores receives nothing, yet after it every first arc carries its
+// target's starting label; and every message of the run is a label-change
+// announcement, so each ComputeMigrations superstep sends exactly the
+// degrees of the vertices that moved in it. From outside: Result.Messages of
+// a warm start is that sum, and the caller's previous labels are not the
+// run's array.
+func TestInitialLabelsAreReadNotSent(t *testing.T) {
+	const n, k = 2000, 8
+	g := gen.WattsStrogatz(n, 8, 0.3, 7) // rewiring leaves parallel arcs
+	w := graph.Convert(g)
+	for _, workers := range []int{1, 2, 4} {
+		opts := DefaultOptions(k)
+		opts.Seed = 42
+		opts.NumWorkers = workers
+		if err := opts.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		for name, convert := range map[string]bool{"Partition": true, "PartitionWeighted": false} {
+			prog, vs := newProgram(opts, convert, n, nil, nil), verticesFromWeighted(w)
+			if convert {
+				vs = verticesFromGraph(g)
+			}
+			var before []int32 // the labels before the current iteration's migrations
+			var announced int64
+			iterations, firstArcs := 0, 0
+			runProbed(t, opts, prog, vs, func(eng *pregel.Engine[vval, eval, msg], step int) {
+				st := &eng.Stats()[step]
+				switch {
+				case before == nil && prog.phase == phaseComputeScores: // Initialization just ran
+					var received int64
+					for _, r := range st.Received {
+						received += r
+					}
+					if st.TotalSent() != 0 || received != 0 {
+						t.Fatalf("%s workers=%d: Initialization sent %d messages, %d delivered to iteration 1", name, workers, st.TotalSent(), received)
+					}
+					before = slices.Clone(prog.labels)
+				case len(prog.history) > iterations: // a ComputeMigrations just ran
+					iterations = len(prog.history)
+					var want int64
+					for v, l := range prog.labels {
+						if l != before[v] {
+							want += int64(len(eng.Vertices()[v].Edges))
+						}
+					}
+					if st.TotalSent() != want {
+						t.Fatalf("%s workers=%d iteration %d: %d messages sent, the migrated vertices have %d arcs",
+							name, workers, iterations, st.TotalSent(), want)
+					}
+					announced += want
+					copy(before, prog.labels)
+				case prog.iter == 1: // the first ComputeScores just ran
+					for _, v := range eng.Vertices() {
+						for i, e := range v.Edges {
+							if i > 0 && v.Edges[i-1].To == e.To {
+								continue
+							}
+							firstArcs++
+							if e.Value.label != prog.labels[e.To] {
+								t.Fatalf("%s workers=%d: vertex %d arc %d carries label %d, vertex %d starts at %d",
+									name, workers, v.ID, i, e.Value.label, e.To, prog.labels[e.To])
+							}
+						}
+					}
+				}
+			})
+			if announced == 0 || iterations < 5 || firstArcs == 0 {
+				t.Fatalf("%s workers=%d: %d announcements over %d iterations, %d first arcs checked; the probe saw no run",
+					name, workers, announced, iterations, firstArcs)
+			}
+		}
+
+		// Warm starts through the public API.
+		base, err := mustPartitioner(t, opts).PartitionWeighted(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grown := w.Clone()
+		if _, err := gen.GrowthBatch(grown, 0.02, 99).Apply(grown); err != nil {
+			t.Fatal(err)
+		}
+		prev := slices.Clone(base.Labels)
+		ropts := opts
+		ropts.K = k + 2
+		relabeled, err := ElasticRelabel(prev, k, ropts.K, ropts.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, c := range map[string]struct {
+			opts  Options
+			on    *graph.Weighted
+			start []int32
+			run   func(*Partitioner) (*Result, error)
+		}{
+			"Adapt":  {opts, grown, prev, func(p *Partitioner) (*Result, error) { return p.Adapt(grown, prev, nil) }},
+			"Resize": {ropts, w, relabeled, func(p *Partitioner) (*Result, error) { return p.Resize(w, prev, k) }},
+		} {
+			before := slices.Clone(c.start)
+			var want int64
+			c.opts.IterationSnapshot = func(_ int, labels []int32) {
+				for v, l := range labels {
+					if l != before[v] {
+						want += int64(c.on.Degree(graph.VertexID(v)))
+					}
+				}
+				before = labels
+			}
+			res, err := c.run(mustPartitioner(t, c.opts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Messages != want || want == 0 {
+				t.Errorf("%s workers=%d: Result.Messages = %d, the migrated vertices have %d arcs", name, workers, res.Messages, want)
+			}
+			if !slices.Equal(prev, base.Labels) {
+				t.Fatalf("%s workers=%d: the run wrote into the caller's previous labels", name, workers)
+			}
+			if &res.Labels[0] == &prev[0] {
+				t.Fatalf("%s workers=%d: Result.Labels is the caller's slice", name, workers)
+			}
+		}
+	}
+}
+
+// TestPartitionAllocationBudget: a from-scratch run allocates its vertex and
+// edge arenas (24 B/arc), the histogram arena and the engine's message
+// buffers, which hold label-change announcements only — at most 60 B per arc
+// on WS(50 000, 16, 0.3), k = 32 (37 measured; 106 when every arc also
+// carried a starting label through an outbox and an inbox arena). A per-arc
+// buffer that comes back fails here rather than in a benchmark.
+func TestPartitionAllocationBudget(t *testing.T) {
+	w := graph.Convert(gen.WattsStrogatz(50_000, 16, 0.3, 7))
+	opts := DefaultOptions(32)
+	opts.Seed = 42
+	opts.NumWorkers = 2
+	p := mustPartitioner(t, opts)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := p.PartitionWeighted(w); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perArc := float64(after.TotalAlloc-before.TotalAlloc) / float64(2*w.NumEdges())
+	t.Logf("%.1f B/arc", perArc)
+	if perArc > 60 {
+		t.Fatalf("PartitionWeighted allocated %.1f B per arc, budget 60", perArc)
+	}
+}

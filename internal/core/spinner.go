@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -31,17 +32,13 @@ func (p *Partitioner) Options() Options { return p.opts }
 // NeighborDiscovery supersteps (Eq. 3); g should be deduplicated (use
 // graph.Builder) since reciprocal detection assumes simple graphs.
 func (p *Partitioner) Partition(g *graph.Graph) (*Result, error) {
-	vs := verticesFromGraph(g)
-	prog := newProgram(p.opts, true, nil, nil)
-	return p.run(prog, vs)
+	return p.run(newProgram(p.opts, true, g.NumVertices(), nil, nil), verticesFromGraph(g))
 }
 
 // PartitionWeighted partitions an already-converted weighted undirected
 // graph from scratch, skipping the conversion supersteps.
 func (p *Partitioner) PartitionWeighted(w *graph.Weighted) (*Result, error) {
-	vs := verticesFromWeighted(w)
-	prog := newProgram(p.opts, false, nil, nil)
-	return p.run(prog, vs)
+	return p.run(newProgram(p.opts, false, w.NumVertices(), nil, nil), verticesFromWeighted(w))
 }
 
 // Adapt incrementally repartitions w after graph changes (§III-D). prev
@@ -77,8 +74,7 @@ func (p *Partitioner) Adapt(w *graph.Weighted, prev []int32, affected []graph.Ve
 			}
 		}
 	}
-	prog := newProgram(p.opts, false, init, mask)
-	return p.run(prog, verticesFromWeighted(w))
+	return p.run(newProgram(p.opts, false, n, init, mask), verticesFromWeighted(w))
 }
 
 // Resize adapts a partitioning from oldK partitions to Options.K
@@ -97,8 +93,7 @@ func (p *Partitioner) Resize(w *graph.Weighted, prev []int32, oldK int) (*Result
 	if err != nil {
 		return nil, err
 	}
-	prog := newProgram(p.opts, false, init, nil)
-	return p.run(prog, verticesFromWeighted(w))
+	return p.run(newProgram(p.opts, false, len(init), init, nil), verticesFromWeighted(w))
 }
 
 // run drives the Pregel engine and packages the Result.
@@ -109,25 +104,20 @@ func (p *Partitioner) run(prog *program, vs []pregel.Vertex[vval, eval]) (*Resul
 		Seed:          p.opts.Seed,
 		MaxSupersteps: 3 + 2*p.opts.MaxIterations + 2,
 	}
-	var eng *pregel.Engine[vval, eval, msg]
 	if hook := p.opts.IterationSnapshot; hook != nil {
 		// An LPA iteration completes when the master appends its metrics
 		// entry, so history growth is the snapshot signal; the engine calls
-		// this after the barrier, when vertex values are quiescent.
+		// this after the barrier, when the labels are quiescent.
 		snapped := 0
 		cfg.AfterSuperstep = func(int) {
 			if len(prog.history) == snapped {
 				return
 			}
 			snapped = len(prog.history)
-			labels := make([]int32, len(vs))
-			for i := range eng.Vertices() {
-				labels[i] = eng.Vertices()[i].Value.label
-			}
-			hook(snapped, labels)
+			hook(snapped, slices.Clone(prog.labels))
 		}
 	}
-	eng = pregel.NewEngine[vval, eval, msg](cfg, prog)
+	eng := pregel.NewEngine[vval, eval, msg](cfg, prog)
 	prog.register(eng)
 	if err := eng.SetVertices(vs); err != nil {
 		return nil, err
@@ -136,10 +126,6 @@ func (p *Partitioner) run(prog *program, vs []pregel.Vertex[vval, eval]) (*Resul
 	if err != nil {
 		return nil, err
 	}
-	labels := make([]int32, len(vs))
-	for i := range eng.Vertices() {
-		labels[i] = eng.Vertices()[i].Value.label
-	}
 	var msgs int64
 	durations := make([]time.Duration, 0, len(eng.Stats()))
 	for _, st := range eng.Stats() {
@@ -147,7 +133,7 @@ func (p *Partitioner) run(prog *program, vs []pregel.Vertex[vval, eval]) (*Resul
 		durations = append(durations, st.Duration)
 	}
 	return &Result{
-		Labels:             labels,
+		Labels:             prog.labels,
 		K:                  p.opts.K,
 		Iterations:         len(prog.history),
 		Converged:          prog.converged,

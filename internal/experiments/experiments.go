@@ -358,7 +358,10 @@ func Fig5(cfg Config, runs int) ([]Fig5Row, error) {
 
 // --- Figure 7: adapting to dynamic graph changes --------------------------
 
-// Fig7Row measures adaptation vs scratch for one change fraction.
+// Fig7Row measures adaptation vs scratch for one change fraction. The
+// message counts are core.Result.Messages: label-change announcements only
+// (a run reads its starting labels from memory), so MsgSavings — here and
+// in Fig8Row — is a saving over what actually moves.
 type Fig7Row struct {
 	NewEdgeFrac   float64
 	TimeSavings   float64 // 1 − adaptTime/scratchTime
