@@ -14,8 +14,8 @@
 #                      scratch and from warm starts (BenchmarkSpinnerIteration,
 #                      BenchmarkWarmStart), into out/; top 15 functions by CPU
 #                      and top 10 by allocated bytes printed
-#   make fuzz        — 20s each on the wire-envelope, delta-codec and
-#                      journal-tail targets
+#   make fuzz        — 20s each on the wire-envelope, delta-codec,
+#                      journal-tail and mutation-batch targets
 #   make *-smoke     — kill -9 / overload / failover / change-feed / metrics
 #                      drills against a real spinnerd over /v1 (scripts/)
 
@@ -66,6 +66,7 @@ fuzz:
 	go test -run='^$$' -fuzz=FuzzDecode -fuzztime=20s ./internal/frame
 	go test -run='^$$' -fuzz=FuzzDeltaCodec -fuzztime=20s ./internal/serve
 	go test -run='^$$' -fuzz=FuzzTail -fuzztime=20s ./internal/wal
+	go test -run='^$$' -fuzz=FuzzMutationApply -fuzztime=20s ./internal/graph
 
 recovery-smoke:
 	./scripts/recovery_smoke.sh

@@ -63,9 +63,10 @@
 //     incremental cut deltas in parallel (labels are frozen between
 //     barriers), publishing O(k) snapshots that reuse the previous label
 //     copy. Batches that append vertices or remove edges apply atomically
-//     under a full shard barrier, seed new vertices least-loaded, and
-//     advance the counters by the batch's exact deltas
-//     (graph.Mutation.CutEdits) — never an O(E) recompute per swap.
+//     under a full shard barrier, place new vertices on the least loaded
+//     partitions from per-shard load counters, and advance the counters by
+//     the batch's exact deltas (graph.Mutation.CutEdits) — never an O(E)
+//     scan or recompute per batch.
 //   - Every Config.ReconcileEvery applied batches, a reconciliation pass
 //     recomputes the per-shard counters exactly (bit-identical to the
 //     incremental values — metrics.CutWeightsRange over each owned range)

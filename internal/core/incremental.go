@@ -13,21 +13,38 @@ import (
 // "we initially assign them to the least loaded partition, to ensure we do
 // not violate the balance constraint"). Loads are measured in weighted
 // degree, consistent with b(l), and updated greedily as vertices are
-// placed. Besides Adapt, the serving layer (internal/serve) calls this
-// directly to label vertices arriving in mutation batches without waiting
-// for a restabilization run.
+// placed. It is the composition of an O(E) load scan over the existing
+// vertices and PlaceNewVertices; Adapt, whose run reads every edge anyway,
+// calls it. The serving layer (internal/serve) keeps b(l) as counters, as
+// the paper's implementation keeps them as aggregators, and calls
+// PlaceNewVertices alone.
 func SeedNewVertices(w *graph.Weighted, init []int32, firstNew, k int) {
-	if firstNew >= len(init) {
-		return
+	if firstNew < len(init) {
+		PlaceNewVertices(w, init, firstNew, ScanLoads(w, init[:firstNew], k))
 	}
-	loads := make([]float64, k)
-	for v := 0; v < firstNew; v++ {
-		loads[init[v]] += float64(w.WeightedDegree(graph.VertexID(v)))
+}
+
+// ScanLoads returns b(l) (Eq. 6) over the vertices labels covers — a prefix
+// of w's vertices when the rest are still to be placed.
+func ScanLoads(w *graph.Weighted, labels []int32, k int) []int64 {
+	loads := make([]int64, k)
+	for v, l := range labels {
+		loads[l] += w.WeightedDegree(graph.VertexID(v))
 	}
+	return loads
+}
+
+// PlaceNewVertices labels init[firstNew:] greedily from loads, the b(l) of
+// the vertices below firstNew in w (a new vertex's edges to them included).
+// Loads are sums of int32 weights, exact as integers and as float64, so the
+// placement depends on their values only — not on whether a scan or a
+// maintained counter produced them. O((len(init)−firstNew)·log k + k) plus
+// the new vertices' rows.
+func PlaceNewVertices(w *graph.Weighted, init []int32, firstNew int, loads []int64) {
 	// A heap keeps placement O(log k) per vertex even for large k.
 	h := &loadHeap{}
-	for l := 0; l < k; l++ {
-		h.items = append(h.items, loadItem{label: int32(l), load: loads[l]})
+	for l, b := range loads {
+		h.items = append(h.items, loadItem{label: int32(l), load: float64(b)})
 	}
 	heap.Init(h)
 	for v := firstNew; v < len(init); v++ {

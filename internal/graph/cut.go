@@ -28,6 +28,15 @@ type CutEdit struct {
 	Add    bool
 }
 
+// Signed returns the weight as a counter folds it: positive for an
+// addition, negative for a removal.
+func (e CutEdit) Signed() int64 {
+	if e.Add {
+		return int64(e.Weight)
+	}
+	return -int64(e.Weight)
+}
+
 // CutEdits enumerates the edge-level effects of applying m to w, without
 // mutating w. Folding each edit's signed weight into counters produced by
 // metrics.CutWeights — total += ±weight, and for edits whose endpoint
@@ -45,6 +54,9 @@ type CutEdit struct {
 // An out-of-range endpoint, a self-loop, or a removal with no matching arc
 // yields an error; Apply would reject such a batch, so callers should
 // discard the edits and let Apply report the canonical validation error.
+//
+// Cost: O(|batch| + Σ deg of the removed pairs' lower endpoints) — the
+// batch is indexed once (removable), never rescanned per removal.
 func (m *Mutation) CutEdits(w *Weighted) ([]CutEdit, error) {
 	if m.NewVertices < 0 {
 		return nil, fmt.Errorf("graph: mutation appends %d vertices", m.NewVertices)
@@ -68,74 +80,28 @@ func (m *Mutation) CutEdits(w *Weighted) ([]CutEdit, error) {
 		}
 		edits = append(edits, CutEdit{U: u, V: v, Weight: weight, Add: true})
 	}
-	if len(m.RemovedEdges) == 0 {
-		return edits, nil
-	}
 	// Per removed pair, replay RemoveEdge's first-match rule: Apply scans
 	// adj[From] in row order, then the batch's own additions become
 	// removable. Repeated removals of the same pair consume successive
 	// instances.
-	taken := make(map[Edge]int, len(m.RemovedEdges))
+	pairs := m.removable(w)
 	for _, e := range m.RemovedEdges {
 		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
 			return nil, fmt.Errorf("graph: removal (%d,%d) out of range [0,%d)", e.From, e.To, n)
 		}
 		key := normEdge(e.From, e.To)
-		skip := taken[key]
-		taken[key]++
-		weight, uniform, ok := m.removalWeight(w, e, skip)
-		if !ok {
+		p := pairs[key]
+		if !p.take() {
 			return nil, fmt.Errorf("graph: removal of absent edge {%d,%d}", key.From, key.To)
 		}
-		if !uniform {
+		if p.mixed {
 			// Several instances of the pair with differing weights: swap
 			// deletes reorder rows, and RemoveEdge picks by the written
 			// From row while cut recomputes read the lower endpoint's row,
 			// so no orientation-independent prediction exists.
 			return nil, ErrCutAmbiguous
 		}
-		edits = append(edits, CutEdit{U: key.From, V: key.To, Weight: weight, Add: false})
+		edits = append(edits, CutEdit{U: key.From, V: key.To, Weight: p.weight, Add: false})
 	}
 	return edits, nil
-}
-
-// removalWeight resolves the weight of the skip-th arc instance that
-// removing e would delete: existing arcs in adj[e.From] row order first,
-// then the batch's own additions of the same unordered pair. The second
-// return reports whether every candidate instance of the pair carries the
-// same weight — when they differ and skip > 0, the prediction is unsafe
-// (see ErrCutAmbiguous).
-func (m *Mutation) removalWeight(w *Weighted, e Edge, skip int) (weight int32, uniform, ok bool) {
-	uniform = true
-	var first int32
-	seen := 0
-	consider := func(cand int32) {
-		if seen == 0 {
-			first = cand
-		} else if cand != first {
-			uniform = false
-		}
-		if seen == skip {
-			weight, ok = cand, true
-		}
-		seen++
-	}
-	if int(e.From) < w.NumVertices() && int(e.To) < w.NumVertices() {
-		for _, a := range w.Neighbors(e.From) {
-			if a.To == e.To {
-				consider(a.Weight)
-			}
-		}
-	}
-	key := normEdge(e.From, e.To)
-	for _, add := range m.NewEdges {
-		if normEdge(add.U, add.V) == key {
-			cand := add.Weight
-			if cand <= 0 {
-				cand = 1
-			}
-			consider(cand)
-		}
-	}
-	return weight, uniform, ok
 }

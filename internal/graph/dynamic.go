@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Mutation describes a batch of changes to apply to a weighted undirected
 // graph: new vertices and new edges. It models the "graphs are naturally
@@ -36,6 +39,10 @@ type WeightedEdgeRecord struct {
 // self-loop, or removal of an absent edge (a stale batch) — leaves w
 // unchanged. Duplicate additions are the caller's responsibility: mutation
 // generators in internal/gen only emit fresh edges.
+//
+// Cost: O(|batch| + Σ deg of removed endpoints) — validation indexes the
+// batch once and scans one row per distinct removed pair, and each removal
+// scans its two endpoints' rows; nothing is |removed| × |added|.
 func (m *Mutation) Apply(w *Weighted) (firstNew VertexID, err error) {
 	if err := m.validate(w); err != nil {
 		return -1, err
@@ -65,7 +72,8 @@ func (m *Mutation) Apply(w *Weighted) (firstNew VertexID, err error) {
 // the vertex append, additions must not be self-loops, and every removal
 // must find a distinct edge instance among the pre-existing edges plus the
 // batch's own additions (Weighted does not deduplicate, so multiplicity is
-// counted, not just presence).
+// counted, not just presence). An absent-edge error names the first removal,
+// in batch order, that finds its pair used up.
 func (m *Mutation) validate(w *Weighted) error {
 	if m.NewVertices < 0 {
 		return fmt.Errorf("graph: mutation appends %d vertices", m.NewVertices)
@@ -84,35 +92,76 @@ func (m *Mutation) validate(w *Weighted) error {
 			return fmt.Errorf("graph: mutation self-loop at %d", e.U)
 		}
 	}
-	if len(m.RemovedEdges) == 0 {
-		return nil
-	}
-	need := make(map[Edge]int, len(m.RemovedEdges))
 	for _, e := range m.RemovedEdges {
 		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
 			return fmt.Errorf("graph: removal (%d,%d) out of range [0,%d)", e.From, e.To, n)
 		}
-		need[normEdge(e.From, e.To)]++
 	}
-	for key, cnt := range need {
-		avail := 0
-		if key.From < old && key.To < old {
-			for _, a := range w.Neighbors(key.From) {
-				if a.To == key.To {
-					avail++
-				}
-			}
-		}
-		for _, e := range m.NewEdges {
-			if normEdge(e.U, e.V) == key {
-				avail++
-			}
-		}
-		if avail < cnt {
+	pairs := m.removable(w)
+	for _, e := range m.RemovedEdges {
+		if key := normEdge(e.From, e.To); !pairs[key].take() {
 			return fmt.Errorf("graph: removal of absent edge {%d,%d}", key.From, key.To)
 		}
 	}
 	return nil
+}
+
+// pairArcs counts the instances of one vertex pair a batch may remove: the
+// arcs the graph holds, then the batch's own additions (Weighted does not
+// deduplicate, so a pair can have several, of differing weights).
+type pairArcs struct {
+	n, taken int   // instances available; removals that have claimed one
+	weight   int32 // the first instance's weight
+	mixed    bool  // some instance's weight differs from it
+}
+
+func (p *pairArcs) add(weight int32) {
+	if p.n == 0 {
+		p.weight = weight
+	} else if weight != p.weight {
+		p.mixed = true
+	}
+	p.n++
+}
+
+// take claims the pair's next instance for one removal; false means the
+// batch removes the pair more often than it exists.
+func (p *pairArcs) take() bool {
+	p.taken++
+	return p.taken <= p.n
+}
+
+// removable indexes the batch once, in O(|batch| + Σ deg of the removed
+// pairs' lower endpoints): for every pair RemovedEdges names, its arcs in
+// w in row order, then the batch's additions of it at the weight Apply
+// inserts. Pairs outside w's range have no arcs; the callers range-check.
+func (m *Mutation) removable(w *Weighted) map[Edge]*pairArcs {
+	if len(m.RemovedEdges) == 0 {
+		return nil
+	}
+	old := VertexID(w.NumVertices())
+	pairs := make(map[Edge]*pairArcs, len(m.RemovedEdges))
+	for _, e := range m.RemovedEdges {
+		key := normEdge(e.From, e.To)
+		if pairs[key] != nil {
+			continue
+		}
+		p := &pairArcs{}
+		pairs[key] = p
+		if key.From >= 0 && key.To < old {
+			for _, a := range w.Neighbors(key.From) {
+				if a.To == key.To {
+					p.add(a.Weight)
+				}
+			}
+		}
+	}
+	for _, e := range m.NewEdges {
+		if p := pairs[normEdge(e.U, e.V)]; p != nil {
+			p.add(max(e.Weight, 1))
+		}
+	}
+	return pairs
 }
 
 // normEdge orders an undirected edge's endpoints canonically.
@@ -123,28 +172,18 @@ func normEdge(u, v VertexID) Edge {
 	return Edge{From: u, To: v}
 }
 
-// TouchedVertices returns the set of pre-existing vertices adjacent to a
-// mutation edge, as a sorted-unique slice. The incremental restart strategy
-// that migrates only affected vertices (§III-D, first strategy) uses this.
+// TouchedVertices returns the set of vertices adjacent to a mutation edge,
+// as a sorted-unique slice, in O(|batch| log |batch|). The incremental
+// restart strategy that migrates only affected vertices (§III-D, first
+// strategy) uses this.
 func (m *Mutation) TouchedVertices() []VertexID {
-	seen := make(map[VertexID]struct{}, 2*(len(m.NewEdges)+len(m.RemovedEdges)))
+	out := make([]VertexID, 0, 2*(len(m.NewEdges)+len(m.RemovedEdges)))
 	for _, e := range m.NewEdges {
-		seen[e.U] = struct{}{}
-		seen[e.V] = struct{}{}
+		out = append(out, e.U, e.V)
 	}
 	for _, e := range m.RemovedEdges {
-		seen[e.From] = struct{}{}
-		seen[e.To] = struct{}{}
+		out = append(out, e.From, e.To)
 	}
-	out := make([]VertexID, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	// Insertion sort is fine for typical batch sizes; keep deterministic order.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -242,4 +245,275 @@ func TestMutationTouchedVerticesProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// validateOracle is Mutation.validate as it stood at a8d944e — one rescan
+// of NewEdges per removed pair — kept as the reference the indexed
+// validation is checked against. It returns the error texts Apply may
+// report, nil for a valid batch: the old body walked the removed pairs in
+// map order, so with several absent pairs any one of them could be named.
+func validateOracle(m *Mutation, w *Weighted) []string {
+	if m.NewVertices < 0 {
+		return []string{fmt.Sprintf("graph: mutation appends %d vertices", m.NewVertices)}
+	}
+	old := VertexID(w.NumVertices())
+	n := old + VertexID(m.NewVertices)
+	for _, e := range m.NewEdges {
+		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
+			return []string{fmt.Sprintf("graph: mutation edge (%d,%d) out of range [0,%d)", e.U, e.V, n)}
+		}
+		if e.U == e.V {
+			return []string{fmt.Sprintf("graph: mutation self-loop at %d", e.U)}
+		}
+	}
+	need := make(map[Edge]int, len(m.RemovedEdges))
+	for _, e := range m.RemovedEdges {
+		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
+			return []string{fmt.Sprintf("graph: removal (%d,%d) out of range [0,%d)", e.From, e.To, n)}
+		}
+		need[normEdge(e.From, e.To)]++
+	}
+	var absent []string
+	for key, cnt := range need {
+		avail := 0
+		if key.From < old && key.To < old {
+			for _, a := range w.Neighbors(key.From) {
+				if a.To == key.To {
+					avail++
+				}
+			}
+		}
+		for _, e := range m.NewEdges {
+			if normEdge(e.U, e.V) == key {
+				avail++
+			}
+		}
+		if avail < cnt {
+			absent = append(absent, fmt.Sprintf("graph: removal of absent edge {%d,%d}", key.From, key.To))
+		}
+	}
+	return absent
+}
+
+// removalWeightOracle is Mutation.removalWeight as it stood at a8d944e:
+// the weight of the skip-th instance removing e would delete (existing
+// arcs in adj[e.From] row order, then the batch's additions of the pair),
+// and whether every instance carries the same weight.
+func removalWeightOracle(m *Mutation, w *Weighted, e Edge, skip int) (weight int32, uniform, ok bool) {
+	uniform = true
+	var first int32
+	seen := 0
+	consider := func(cand int32) {
+		if seen == 0 {
+			first = cand
+		} else if cand != first {
+			uniform = false
+		}
+		if seen == skip {
+			weight, ok = cand, true
+		}
+		seen++
+	}
+	if int(e.From) < w.NumVertices() && int(e.To) < w.NumVertices() {
+		for _, a := range w.Neighbors(e.From) {
+			if a.To == e.To {
+				consider(a.Weight)
+			}
+		}
+	}
+	key := normEdge(e.From, e.To)
+	for _, add := range m.NewEdges {
+		if normEdge(add.U, add.V) == key {
+			consider(max(add.Weight, 1))
+		}
+	}
+	return weight, uniform, ok
+}
+
+// cutEditsOracle is CutEdits as it stood at a8d944e, over the oracle above.
+func cutEditsOracle(m *Mutation, w *Weighted) ([]CutEdit, error) {
+	if m.NewVertices < 0 {
+		return nil, fmt.Errorf("graph: mutation appends %d vertices", m.NewVertices)
+	}
+	n := VertexID(w.NumVertices() + m.NewVertices)
+	edits := make([]CutEdit, 0, len(m.NewEdges)+len(m.RemovedEdges))
+	for _, e := range m.NewEdges {
+		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
+			return nil, fmt.Errorf("graph: mutation edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
+		}
+		if e.U == e.V {
+			return nil, fmt.Errorf("graph: mutation self-loop at %d", e.U)
+		}
+		key := normEdge(e.U, e.V)
+		edits = append(edits, CutEdit{U: key.From, V: key.To, Weight: max(e.Weight, 1), Add: true})
+	}
+	taken := make(map[Edge]int, len(m.RemovedEdges))
+	for _, e := range m.RemovedEdges {
+		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
+			return nil, fmt.Errorf("graph: removal (%d,%d) out of range [0,%d)", e.From, e.To, n)
+		}
+		key := normEdge(e.From, e.To)
+		skip := taken[key]
+		taken[key]++
+		weight, uniform, ok := removalWeightOracle(m, w, e, skip)
+		if !ok {
+			return nil, fmt.Errorf("graph: removal of absent edge {%d,%d}", key.From, key.To)
+		}
+		if !uniform {
+			return nil, ErrCutAmbiguous
+		}
+		edits = append(edits, CutEdit{U: key.From, V: key.To, Weight: weight, Add: false})
+	}
+	return edits, nil
+}
+
+// diffCase draws a small multigraph and a batch over it from intn (a
+// seeded source, or fuzzed bytes). The graph is not deduplicated, so pairs
+// come in parallel arcs of equal and of differing weights; the batch
+// removes existing arcs, its own additions, one pair repeatedly, stale
+// pairs and pairs touching the vertices it appends, and now and then names
+// a self-loop or an id just outside the range.
+func diffCase(intn func(int) int) (*Weighted, *Mutation) {
+	n := 2 + intn(6)
+	w := NewWeighted(n)
+	for i := intn(14); i > 0; i-- {
+		if u, v := VertexID(intn(n)), VertexID(intn(n)); u != v {
+			w.AddEdge(u, v, int32(1+intn(2)))
+		}
+	}
+	m := &Mutation{NewVertices: intn(3)}
+	hi := n + m.NewVertices
+	pair := func() (VertexID, VertexID) {
+		u, v := VertexID(intn(hi)), VertexID(intn(hi))
+		switch intn(40) {
+		case 39:
+			u = VertexID(hi)
+		case 38:
+			v = -1
+		case 37: // keep a self-loop if one was drawn
+		default:
+			if u == v {
+				v = (u + 1) % VertexID(hi)
+			}
+		}
+		return u, v
+	}
+	for i := intn(7); i > 0; i-- {
+		u, v := pair()
+		m.NewEdges = append(m.NewEdges, WeightedEdgeRecord{U: u, V: v, Weight: int32(intn(4) - 1)})
+	}
+	for i := intn(6); i > 0; i-- {
+		var e Edge
+		switch mode := intn(5); {
+		case mode == 0 && len(m.RemovedEdges) > 0:
+			e = m.RemovedEdges[intn(len(m.RemovedEdges))]
+		case mode == 1 && len(m.NewEdges) > 0:
+			add := m.NewEdges[intn(len(m.NewEdges))]
+			e = Edge{From: add.V, To: add.U}
+		case mode <= 3:
+			u := VertexID(intn(n))
+			if w.Degree(u) == 0 {
+				continue
+			}
+			e = Edge{From: u, To: w.Neighbors(u)[intn(w.Degree(u))].To}
+		default:
+			e.From, e.To = pair()
+		}
+		m.RemovedEdges = append(m.RemovedEdges, e)
+	}
+	return w, m
+}
+
+// checkAgainstOracles applies m to w and reports which way the batch went:
+// "valid", "ambiguous" (valid, but CutEdits cannot predict the removed
+// weights) or "rejected". Apply must report an error the a8d944e validation
+// could have reported and leave the graph untouched, or produce the graph
+// that adding and removing the batch's edges one by one produces, arc for
+// arc; CutEdits must return the a8d944e edits or the a8d944e error.
+func checkAgainstOracles(t *testing.T, w *Weighted, m *Mutation) string {
+	t.Helper()
+	wantEdits, wantEditErr := cutEditsOracle(m, w)
+	gotEdits, gotEditErr := m.CutEdits(w)
+	if fmt.Sprint(gotEditErr) != fmt.Sprint(wantEditErr) || errors.Is(gotEditErr, ErrCutAmbiguous) != errors.Is(wantEditErr, ErrCutAmbiguous) {
+		t.Fatalf("CutEdits error %v, oracle %v\nbatch %+v", gotEditErr, wantEditErr, m)
+	}
+	if !slices.Equal(gotEdits, wantEdits) {
+		t.Fatalf("CutEdits %v, oracle %v\nbatch %+v", gotEdits, wantEdits, m)
+	}
+
+	wantErrs := validateOracle(m, w)
+	want := w.Clone()
+	if wantErrs == nil {
+		if m.NewVertices > 0 {
+			want.AddVertices(m.NewVertices)
+		}
+		for _, e := range m.NewEdges {
+			want.AddEdge(e.U, e.V, max(e.Weight, 1))
+		}
+		for _, e := range m.RemovedEdges {
+			if !want.RemoveEdge(e.From, e.To) {
+				t.Fatalf("oracle accepted a batch whose removal {%d,%d} is absent: %+v", e.From, e.To, m)
+			}
+		}
+	}
+	firstNew, err := m.Apply(w)
+	switch {
+	case wantErrs == nil && err != nil:
+		t.Fatalf("Apply rejected a valid batch: %v\nbatch %+v", err, m)
+	case wantErrs != nil && (err == nil || !slices.Contains(wantErrs, err.Error()) || firstNew != -1):
+		t.Fatalf("Apply = (%d, %v), oracle rejects with one of %q\nbatch %+v", firstNew, err, wantErrs, m)
+	}
+	if w.NumVertices() != want.NumVertices() || w.NumEdges() != want.NumEdges() || w.TotalWeight() != want.TotalWeight() {
+		t.Fatalf("graph totals differ from the reference after Apply (err %v)\nbatch %+v", err, m)
+	}
+	for v := 0; v < w.NumVertices(); v++ {
+		if !slices.Equal(w.Neighbors(VertexID(v)), want.Neighbors(VertexID(v))) {
+			t.Fatalf("row %d = %v, reference %v (err %v)\nbatch %+v", v, w.Neighbors(VertexID(v)), want.Neighbors(VertexID(v)), err, m)
+		}
+	}
+	switch {
+	case err != nil:
+		return "rejected"
+	case gotEditErr != nil:
+		return "ambiguous"
+	}
+	return "valid"
+}
+
+// Differential property: over seeded random batches on small multigraphs
+// the indexed validate and CutEdits agree with their a8d944e bodies.
+func TestMutationMatchesOracles(t *testing.T) {
+	outcomes := map[string]int{}
+	for seed := uint64(1); seed <= 4000; seed++ {
+		w, m := diffCase(rng.New(seed).Intn)
+		outcomes[checkAgainstOracles(t, w, m)]++
+	}
+	for _, o := range []string{"valid", "ambiguous", "rejected"} {
+		if outcomes[o] < 100 {
+			t.Fatalf("only %d %s batches among %v: the generator no longer covers that outcome", outcomes[o], o, outcomes)
+		}
+	}
+}
+
+// FuzzMutationApply runs the same differential check on a graph and batch
+// decoded from fuzzed bytes.
+func FuzzMutationApply(f *testing.F) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		src, data := rng.New(seed), make([]byte, 96)
+		for i := range data {
+			data[i] = byte(src.Intn(256))
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w, m := diffCase(func(n int) int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b) % n
+		})
+		checkAgainstOracles(t, w, m)
+	})
 }

@@ -66,7 +66,8 @@ func CutEdges(w *graph.Weighted, labels []int32) int64 {
 // float64(cross)/float64(total); keeping the counters in integers makes
 // incremental deltas bit-exactly reconcilable against this recompute.
 func CutWeights(w *graph.Weighted, labels []int32, k int) (cross, total int64, perPart []int64) {
-	return CutWeightsRange(w, labels, k, 0, w.NumVertices())
+	cross, total, perPart, _ = CutWeightsRange(w, labels, k, 0, w.NumVertices())
+	return cross, total, perPart
 }
 
 // CutWeightsRange is CutWeights restricted to the edges owned by the
@@ -74,8 +75,12 @@ func CutWeights(w *graph.Weighted, labels []int32, k int) (cross, total int64, p
 // the range containing u. Summing the results over a partition of the
 // vertex space into disjoint ranges reproduces CutWeights exactly — the
 // sharded store reconciles each shard's incremental counters this way.
-func CutWeightsRange(w *graph.Weighted, labels []int32, k, lo, hi int) (cross, total int64, perPart []int64) {
-	perPart = make([]int64, k)
+// load is the owned edges' share of b(l) (Eq. 6): every owned edge, cut or
+// not, adds its weight at both endpoints' labels, so the ranges' loads sum
+// to Loads on a graph without self-loops (which no mutation, Convert or
+// decode admits).
+func CutWeightsRange(w *graph.Weighted, labels []int32, k, lo, hi int) (cross, total int64, perPart, load []int64) {
+	perPart, load = make([]int64, k), make([]int64, k)
 	for u := lo; u < hi; u++ {
 		lu := labels[u]
 		for _, a := range w.Neighbors(graph.VertexID(u)) {
@@ -83,14 +88,17 @@ func CutWeightsRange(w *graph.Weighted, labels []int32, k, lo, hi int) (cross, t
 				continue
 			}
 			total += int64(a.Weight)
-			if lv := labels[a.To]; lu != lv {
+			lv := labels[a.To]
+			load[lu] += int64(a.Weight)
+			load[lv] += int64(a.Weight)
+			if lu != lv {
 				cross += int64(a.Weight)
 				perPart[lu] += int64(a.Weight)
 				perPart[lv] += int64(a.Weight)
 			}
 		}
 	}
-	return cross, total, perPart
+	return cross, total, perPart, load
 }
 
 // Rho returns the maximum normalized load: max_l b(l) / (Σ_l b(l) / k).

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -268,14 +269,18 @@ func TestCutWeightsMatchPhiAndCompose(t *testing.T) {
 
 	bounds := []int{0, 97, 213, w.NumVertices()}
 	var rc, rt int64
-	rpp := make([]int64, 3)
+	rpp, rload := make([]int64, 3), make([]int64, 3)
 	for i := 0; i+1 < len(bounds); i++ {
-		c, tt, pp := CutWeightsRange(w, labels, 3, bounds[i], bounds[i+1])
+		c, tt, pp, load := CutWeightsRange(w, labels, 3, bounds[i], bounds[i+1])
 		rc += c
 		rt += tt
 		for l := range pp {
 			rpp[l] += pp[l]
+			rload[l] += load[l]
 		}
+	}
+	if want := Loads(w, labels, 3); !slices.Equal(rload, want) {
+		t.Fatalf("range loads sum to %v, Loads gives %v", rload, want)
 	}
 	if rc != cross || rt != total {
 		t.Fatalf("range sums (%d,%d) != global (%d,%d)", rc, rt, cross, total)

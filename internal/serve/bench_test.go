@@ -433,3 +433,43 @@ func BenchmarkServeFairness(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBarrierBatch is one batch, submitted and quiesced, on a graph of
+// the benchmark's serving size (50 000 vertices, 1.0 M arcs): an add-only
+// batch rides the fast path; one that appends a vertex takes the barrier,
+// where it is placed from the shards' maintained loads. The second must
+// stay within a small multiple of the first — it cost an O(E) scan, 100
+// times the first, while placement re-derived the loads from the graph.
+func BenchmarkBarrierBatch(b *testing.B) {
+	const n, k = 50_000, 8
+	for _, mode := range []string{"add-only", "append-vertex"} {
+		b.Run("batch="+mode, func(b *testing.B) {
+			w := graph.Convert(gen.WattsStrogatz(n, 20, 0.1, 7))
+			labels := make([]int32, n)
+			for v := range labels {
+				labels[v] = int32(v * k / n)
+			}
+			st, err := New(w, labels, Config{Options: storeOpts(k, 7), DegradeFactor: 1e9, ReconcileEvery: -1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				u := i % n
+				m := &graph.Mutation{NewEdges: []graph.WeightedEdgeRecord{{
+					U: graph.VertexID(u), V: graph.VertexID((u + 1 + i%97) % n), Weight: 2}}}
+				if mode == "append-vertex" {
+					m.NewVertices = 1
+					m.NewEdges[0].U = graph.VertexID(n + i)
+				}
+				if err := st.Submit(m); err != nil {
+					b.Fatal(err)
+				}
+				if err := st.Quiesce(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

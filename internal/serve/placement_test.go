@@ -1,0 +1,191 @@
+package serve
+
+import (
+	"fmt"
+	"hash/fnv"
+	"slices"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/metrics"
+)
+
+// placementBatch draws one batch of the mixed history: half are add-only
+// (the fast path) and one in eight is empty; the rest append 1–3 vertices
+// with 0–5 edges each, remove 1–3 existing edges, or do all three. Weights
+// are 1–2 and derive from the pair, so parallel arcs agree and CutEdits can
+// predict every removal (the test plants the ErrCutAmbiguous corner by
+// hand).
+func placementBatch(shadow *graph.Weighted, src *testRng) *graph.Mutation {
+	n := shadow.NumVertices()
+	m := &graph.Mutation{}
+	add := func(u, v int) {
+		if u != v {
+			m.NewEdges = append(m.NewEdges, graph.WeightedEdgeRecord{
+				U: graph.VertexID(u), V: graph.VertexID(v), Weight: int32(1 + (u+v)%2)})
+		}
+	}
+	kind := src.Intn(8)
+	if kind&1 == 0 || kind == 7 {
+		for i := 2 + src.Intn(8); i > 0; i-- {
+			add(src.Intn(n), src.Intn(n))
+		}
+	}
+	if kind == 1 || kind == 7 {
+		m.NewVertices = 1 + src.Intn(3)
+		for v := n; v < n+m.NewVertices; v++ {
+			for i := src.Intn(6); i > 0; i-- {
+				add(v, src.Intn(n+m.NewVertices))
+			}
+		}
+	}
+	if kind == 3 || kind == 7 {
+		seen := map[graph.Edge]bool{}
+		for i := 1 + src.Intn(3); i > 0; i-- {
+			u := graph.VertexID(src.Intn(n))
+			if shadow.Degree(u) == 0 {
+				continue
+			}
+			to := shadow.Neighbors(u)[src.Intn(shadow.Degree(u))].To
+			if key := (graph.Edge{From: min(u, to), To: max(u, to)}); !seen[key] {
+				seen[key] = true
+				m.RemovedEdges = append(m.RemovedEdges, graph.Edge{From: u, To: to})
+			}
+		}
+	}
+	return m
+}
+
+// An appended vertex is placed from the shards' maintained loads, and must
+// land where the O(E) scan (core.SeedNewVertices) puts it. Over a mixed,
+// quiesced-every-batch history with a Resize and restabilizations firing,
+// at three shard counts: the shards' load counters always sum to a scan of
+// the live graph; every appended vertex enters the change feed with the
+// label SeedNewVertices computes on a sequentially maintained shadow graph
+// from the labels the feed held just before; and the final labels hash to
+// the value this same history produced at a8d944e, when the store still
+// scanned — unchanged from the parent, not merely self-consistent.
+func TestAppendedVertexPlacementMatchesScan(t *testing.T) {
+	const wantHash = 0x2cd250b9fc14bc33 // recorded at a8d944e
+	for _, shards := range []int{1, 3, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			w, labels := twoClusters(60)
+			for v := range labels {
+				labels[v] = int32(v / 40)
+			}
+			shadow := w.Clone()
+			st, err := New(w, labels, Config{
+				Options:        storeOpts(3, 21),
+				Shards:         shards,
+				DegradeFactor:  1.05,
+				ReconcileEvery: -1, // forced below instead: a periodic pass could still be running when Quiesce returns
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+
+			var feed []int32 // labels rebuilt from the change feed
+			var cursor uint64
+			k, placed := 3, 0
+			settle := func(step int) {
+				t.Helper()
+				if err := st.Quiesce(); err != nil {
+					t.Fatal(err)
+				}
+				fds, _ := st.FramedDeltasSince(cursor, 0)
+				for _, fd := range fds {
+					d := fd.Delta
+					oldN := len(feed)
+					var want []int32
+					if oldN > 0 && d.N > oldN {
+						want = append(slices.Clone(feed), make([]int32, d.N-oldN)...)
+						core.SeedNewVertices(shadow, want, oldN, k)
+					}
+					if feed, err = d.Apply(feed); err != nil {
+						t.Fatal(err)
+					}
+					if want != nil {
+						if !slices.Equal(feed[oldN:], want[oldN:]) {
+							t.Fatalf("step %d: appended vertices placed on %v, the scan places them on %v", step, feed[oldN:], want[oldN:])
+						}
+						placed += d.N - oldN
+					}
+					if d.K != 0 {
+						k = d.K
+					}
+					cursor = d.Seq
+				}
+				snap := st.Snapshot()
+				if !slices.Equal(snap.Labels, feed) || snap.K != k {
+					t.Fatalf("step %d: feed-rebuilt labels differ from the snapshot", step)
+				}
+				// Quiesced, and no periodic pass: nothing touches the shards.
+				sum := make([]int64, k)
+				for _, sh := range st.shards {
+					for l, b := range sh.load {
+						sum[l] += b
+					}
+				}
+				if scan := metrics.Loads(shadow, feed, k); !slices.Equal(sum, scan) {
+					t.Fatalf("step %d: shards' loads sum to %v, a scan gives %v", step, sum, scan)
+				}
+			}
+			submit := func(step int, m *graph.Mutation) {
+				t.Helper()
+				if _, err := copyMutation(m).Apply(shadow); err != nil {
+					t.Fatalf("step %d: shadow apply: %v", step, err)
+				}
+				if err := st.Submit(m); err != nil {
+					t.Fatal(err)
+				}
+				settle(step)
+			}
+
+			settle(-1)
+			src := newTestRng(5, 0)
+			for step := 0; step < 160; step++ {
+				switch step {
+				case 70:
+					if err := st.Resize(5); err != nil {
+						t.Fatal(err)
+					}
+					settle(step)
+				case 110:
+					// The corner without edits: {3,4} gains a second arc of
+					// another weight, then one batch removes an instance and
+					// appends two vertices — placement falls back to the scan.
+					submit(step, &graph.Mutation{NewEdges: []graph.WeightedEdgeRecord{{U: 3, V: 4, Weight: 1}, {U: 4, V: 3, Weight: 2}}})
+					submit(step, &graph.Mutation{
+						NewVertices:  2,
+						NewEdges:     []graph.WeightedEdgeRecord{{U: graph.VertexID(shadow.NumVertices()), V: 9, Weight: 2}},
+						RemovedEdges: []graph.Edge{{From: 4, To: 3}},
+					})
+				}
+				submit(step, placementBatch(shadow, src))
+				if step%16 == 15 { // the exact pass compares load too
+					if err := st.control(logEntry{reconcile: make(chan error, 1)}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+
+			c := st.Counters().Snapshot()
+			if c.BatchesRejected != 0 || c.CutDrift != 0 {
+				t.Fatalf("rejected %d batches, drift %d; want 0, 0", c.BatchesRejected, c.CutDrift)
+			}
+			if placed < 60 || c.Restabilizations < 2 || c.CutReconciles == 0 {
+				t.Fatalf("history too quiet: %d vertices placed, %d restabilizations, %d reconciles",
+					placed, c.Restabilizations, c.CutReconciles)
+			}
+			h := fnv.New64a()
+			for _, l := range feed {
+				h.Write([]byte{byte(l)})
+			}
+			if got := h.Sum64(); got != wantHash {
+				t.Fatalf("final labels hash to %#x, the parent's run of this history gave %#x", got, uint64(wantHash))
+			}
+		})
+	}
+}

@@ -65,12 +65,13 @@ func (sn *shardSnap) lookup(v graph.VertexID) (int32, bool) {
 }
 
 // shard owns a contiguous vertex range: the adjacency rows of the shared
-// graph in [lo, hi), and the incremental cut counters of the edges it owns
-// (an undirected edge {u,v} with u < v belongs to the shard whose range
-// contains u). Between barriers the shard goroutine is the sole writer of
-// this state and the shared label slice is frozen, so locality tests need
-// no synchronization; during a barrier the parked shard cedes everything
-// to the coordinator.
+// graph in [lo, hi), and the incremental counters of the edges it owns (an
+// undirected edge {u,v} with u < v belongs to the shard whose range
+// contains u): the cut counters, and load, those edges' share of b(l) —
+// each adds its weight at both endpoints' labels. Between barriers the
+// shard goroutine is the sole writer of this state and the shared label
+// slice is frozen, so locality tests need no synchronization; during a
+// barrier the parked shard cedes everything to the coordinator.
 type shard struct {
 	st *Store
 	id int
@@ -88,6 +89,7 @@ type shard struct {
 	cross   int64
 	total   int64
 	perPart []int64
+	load    []int64
 	dEdges  int64 // owned edges inserted since the last barrier fold
 	dWeight int64 // their total weight
 	dirty   bool  // counters changed since the last publication
@@ -170,7 +172,10 @@ func (sh *shard) apply(e shardEntry) {
 				sh.total += w64
 				sh.dEdges++
 				sh.dWeight += w64
-				if lu, lv := sh.labels[u], sh.labels[v]; lu != lv {
+				lu, lv := sh.labels[u], sh.labels[v]
+				sh.load[lu] += w64
+				sh.load[lv] += w64
+				if lu != lv {
 					sh.cross += w64
 					sh.perPart[lu] += w64
 					sh.perPart[lv] += w64

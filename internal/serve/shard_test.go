@@ -202,6 +202,25 @@ func TestReconcileRebalance(t *testing.T) {
 			t.Fatalf("post-rebalance lookup(%d) = %d,%v want %d,true", v, l, ok, snap.Labels[v])
 		}
 	}
+
+	// The exact pass guards the maintained partition loads too: a corrupted
+	// entry is caught, counted as drift and repaired. (Every batch above took
+	// the barrier path, so the quiesced coordinator is parked and nothing
+	// reads the shards until the forced pass.)
+	forceReconcile := func() int64 {
+		t.Helper()
+		if err := st.control(logEntry{reconcile: make(chan error, 1)}); err != nil {
+			t.Fatal(err)
+		}
+		return st.Counters().CutDrift.Load()
+	}
+	st.shards[1].load[0] += 3
+	if drift := forceReconcile(); drift != 1 {
+		t.Fatalf("corrupted load entry counted as drift %d times, want 1", drift)
+	}
+	if drift := forceReconcile(); drift != 1 {
+		t.Fatalf("drift %d after the repairing pass, want still 1", drift)
+	}
 }
 
 // A quiesced entry sequence must produce bit-identical labels regardless

@@ -32,9 +32,11 @@
 //     no synchronization is needed), then publishes an O(k) snapshot that
 //     reuses the previous label copy. Batches that append vertices or
 //     remove edges take the barrier path: the coordinator parks every
-//     shard, applies the batch atomically to the merged graph, seeds new
-//     vertices least-loaded (§III-D), folds the batch's exact cut deltas
-//     into the owning shards (graph.Mutation.CutEdits), and republishes.
+//     shard, applies the batch atomically to the merged graph, places new
+//     vertices on the least loaded partitions (§III-D) from the shards'
+//     maintained loads, folds the batch's exact cut deltas into the owning
+//     shards (graph.Mutation.CutEdits), and republishes — O(batch) under
+//     the barrier, never a scan of the graph.
 //   - Maintenance plane: the coordinator tracks the composed cut ratio
 //     cross/total from integer per-shard counters — O(shards) per check
 //     instead of the seed's exact O(E) recompute per swap. Past the
@@ -49,6 +51,25 @@
 //     counters exactly (they must match bit-for-bit — the deltas are
 //     integer arithmetic) and rebalances shard boundaries by weighted
 //     degree (cluster.BalancedRanges).
+//
+// Shard counters: for the edges it owns a shard keeps the integer cut
+// counters (cross, total, perPart) and load, the owned edges' share of the
+// partition loads b(l) (Eq. 6): every edge adds its weight at both
+// endpoints' labels. All four are written at the same three places — by the
+// shard goroutine as it applies a fast-path edge (shard.apply), by the
+// coordinator folding a barrier batch's CutEdits (applyGlobalBatch), and by
+// the exact recompute (metrics.CutWeightsRange) at open, after every
+// relabeling event and in reconciliation, whose drift comparison covers all
+// four. The loads are why a batch that appends vertices never reads the
+// graph: the paper's implementation has b(l) to hand as aggregators, and
+// applyGlobalBatch sums the shards' load (O(shards·k)), adds the batch's own
+// edits at their pre-existing endpoints and passes that to
+// core.PlaceNewVertices. Loads are sums of int32 weights, hence exact: equal
+// to what a scan of the graph (core.SeedNewVertices) sums, whatever the
+// shard count or the order the edges arrived in. Placement is a function of
+// the loads alone, so leader, follower and replay place every vertex alike,
+// and where the scan placed it. Nothing new is checkpointed; counters are
+// recomputed at open.
 //
 // Determinism: with a fixed Options.Seed, a quiesced submit/await sequence
 // yields identical labels regardless of worker count, shard count, or
@@ -457,7 +478,7 @@ func newStore(st *ckptState, cfg Config) (*Store, error) {
 			lo: s.bounds[i], hi: s.bounds[i+1],
 			k: s.k, epoch: s.epoch,
 		}
-		sh.cross, sh.total, sh.perPart = metrics.CutWeightsRange(st.w, st.labels, s.k, sh.lo, sh.hi)
+		sh.cross, sh.total, sh.perPart, sh.load = metrics.CutWeightsRange(st.w, st.labels, s.k, sh.lo, sh.hi)
 		sh.publishFresh()
 		s.shards = append(s.shards, sh)
 	}
@@ -1123,9 +1144,10 @@ func (s *Store) broadcast(run []*graph.Mutation) {
 // removals, and invalid batches land here. Application is atomic
 // (Mutation.Apply validates first); a rejected batch is counted, recorded
 // and dropped with the graph untouched. Cut counters advance by the
-// batch's O(batch) exact deltas, never an O(E) recompute — except the
+// batch's O(batch) exact deltas, never an O(E) recompute, and appended
+// vertices are placed from the maintained loads (loadsBelow) — except the
 // ErrCutAmbiguous corner (duplicate-pair removals with differing weights),
-// which falls back to reconciliation.
+// which falls back to reconciliation and a load scan.
 func (s *Store) applyGlobalBatch(m *graph.Mutation, ten *tenantState) {
 	s.withBarrier(func() {
 		oldN := s.w.NumVertices()
@@ -1145,7 +1167,7 @@ func (s *Store) applyGlobalBatch(m *graph.Mutation, ten *tenantState) {
 			newN := s.w.NumVertices()
 			grown := make([]int32, newN)
 			copy(grown, s.labels)
-			core.SeedNewVertices(s.w, grown, oldN, s.k)
+			core.PlaceNewVertices(s.w, grown, oldN, s.loadsBelow(oldN, edits, editErr))
 			s.labels = grown
 			for _, sh := range s.shards {
 				sh.labels = grown
@@ -1162,10 +1184,11 @@ func (s *Store) applyGlobalBatch(m *graph.Mutation, ten *tenantState) {
 			}
 		}
 		if s.cfg.Options.AffectedOnly {
-			for _, v := range m.TouchedVertices() {
-				if int(v) < s.w.NumVertices() {
-					s.affected[v] = struct{}{}
-				}
+			for _, e := range m.NewEdges {
+				s.affected[e.U], s.affected[e.V] = struct{}{}, struct{}{}
+			}
+			for _, e := range m.RemovedEdges {
+				s.affected[e.From], s.affected[e.To] = struct{}{}, struct{}{}
 			}
 		}
 		s.ctr.EdgesAdded.Add(int64(len(m.NewEdges)))
@@ -1195,12 +1218,12 @@ func (s *Store) applyGlobalBatch(m *graph.Mutation, ten *tenantState) {
 		touched := make([]bool, len(s.shards))
 		for _, ed := range edits {
 			sh := s.shards[rangeIndex(s.bounds, ed.U)]
-			wgt := int64(ed.Weight)
-			if !ed.Add {
-				wgt = -wgt
-			}
+			wgt := ed.Signed()
 			sh.total += wgt
-			if lu, lv := s.labels[ed.U], s.labels[ed.V]; lu != lv {
+			lu, lv := s.labels[ed.U], s.labels[ed.V]
+			sh.load[lu] += wgt
+			sh.load[lv] += wgt
+			if lu != lv {
 				sh.cross += wgt
 				sh.perPart[lu] += wgt
 				sh.perPart[lv] += wgt
@@ -1221,6 +1244,31 @@ func (s *Store) applyGlobalBatch(m *graph.Mutation, ten *tenantState) {
 		}
 		s.emitBarrierDelta(runs, grew)
 	})
+}
+
+// loadsBelow returns b(l) over the vertices below oldN in the graph a batch
+// has just been applied to — exactly what scanning them would sum — in
+// O(shards·k + batch): the shards' maintained loads plus the batch's own
+// edits at those endpoints (an edge to an appended vertex loads its old end
+// only). The ErrCutAmbiguous corner has no edits and does scan.
+func (s *Store) loadsBelow(oldN int, edits []graph.CutEdit, editErr error) []int64 {
+	if editErr != nil {
+		return core.ScanLoads(s.w, s.labels[:oldN], s.k)
+	}
+	loads := make([]int64, s.k)
+	for _, sh := range s.shards {
+		for l, b := range sh.load {
+			loads[l] += b
+		}
+	}
+	for _, ed := range edits {
+		for _, v := range [2]graph.VertexID{ed.U, ed.V} {
+			if int(v) < oldN {
+				loads[s.labels[v]] += ed.Signed()
+			}
+		}
+	}
+	return loads
 }
 
 // resize performs the elastic step of §III-E under a barrier: relabel the
@@ -1270,7 +1318,7 @@ func (s *Store) recomputeShardCuts() {
 		sh.k = s.k
 		sh.epoch = s.epoch
 		sh.pubGen = s.pubGen
-		sh.cross, sh.total, sh.perPart = metrics.CutWeightsRange(s.w, s.labels, s.k, sh.lo, sh.hi)
+		sh.cross, sh.total, sh.perPart, sh.load = metrics.CutWeightsRange(s.w, s.labels, s.k, sh.lo, sh.hi)
 		sh.publishFresh()
 	}
 }
@@ -1462,24 +1510,24 @@ func (s *Store) reconcile(rebalance bool) {
 		return
 	}
 	type exact struct {
-		cross, total int64
-		perPart      []int64
+		cross, total  int64
+		perPart, load []int64
 	}
 	// Computed over the CURRENT ownership before any boundary moves — a
 	// moved boundary transfers edges between shards, which is not drift.
 	// Indexed writes from the shard goroutines never alias.
 	results := make([]exact, len(s.shards))
 	s.withBarrierWork(func(sh *shard) {
-		cross, total, perPart := metrics.CutWeightsRange(sh.w, sh.labels, sh.k, sh.lo, sh.hi)
-		results[sh.id] = exact{cross: cross, total: total, perPart: perPart}
+		cross, total, perPart, load := metrics.CutWeightsRange(sh.w, sh.labels, sh.k, sh.lo, sh.hi)
+		results[sh.id] = exact{cross, total, perPart, load}
 	}, func() {
 		drifted := make([]bool, len(s.shards))
 		for i, sh := range s.shards {
 			r := results[i]
-			if r.cross != sh.cross || r.total != sh.total || !slices.Equal(r.perPart, sh.perPart) {
+			if r.cross != sh.cross || r.total != sh.total || !slices.Equal(r.perPart, sh.perPart) || !slices.Equal(r.load, sh.load) {
 				drifted[i] = true
 				s.ctr.CutDrift.Add(1)
-				sh.cross, sh.total, sh.perPart = r.cross, r.total, r.perPart
+				sh.cross, sh.total, sh.perPart, sh.load = r.cross, r.total, r.perPart, r.load
 			}
 		}
 		rebalanced := false
@@ -1496,7 +1544,7 @@ func (s *Store) reconcile(rebalance bool) {
 			if rebalanced {
 				sh.lo, sh.hi = s.bounds[i], s.bounds[i+1]
 				sh.pubGen = s.pubGen
-				sh.cross, sh.total, sh.perPart = metrics.CutWeightsRange(s.w, s.labels, s.k, sh.lo, sh.hi)
+				sh.cross, sh.total, sh.perPart, sh.load = metrics.CutWeightsRange(s.w, s.labels, s.k, sh.lo, sh.hi)
 			}
 			if rebalanced || drifted[i] {
 				sh.publishFresh()
