@@ -14,8 +14,8 @@
 #                      scratch and from warm starts (BenchmarkSpinnerIteration,
 #                      BenchmarkWarmStart), into out/; top 15 functions by CPU
 #                      and top 10 by allocated bytes printed
-#   make fuzz        — 20s each on the wire-envelope, delta-codec,
-#                      journal-tail and mutation-batch targets
+#   make fuzz        — 10s on every Fuzz target in the module, found by
+#                      go test -list (a new target needs no edit here)
 #   make *-smoke     — kill -9 / overload / failover / change-feed / metrics
 #                      drills against a real spinnerd over /v1 (scripts/)
 
@@ -63,10 +63,12 @@ profile-core:
 	go tool pprof -sample_index=alloc_space -top -nodecount 10 out/core.test out/core.mem
 
 fuzz:
-	go test -run='^$$' -fuzz=FuzzDecode -fuzztime=20s ./internal/frame
-	go test -run='^$$' -fuzz=FuzzDeltaCodec -fuzztime=20s ./internal/serve
-	go test -run='^$$' -fuzz=FuzzTail -fuzztime=20s ./internal/wal
-	go test -run='^$$' -fuzz=FuzzMutationApply -fuzztime=20s ./internal/graph
+	@for pkg in $$(go list ./...); do \
+		for target in $$(go test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "== $$pkg $$target"; \
+			go test -run='^$$' -fuzz="^$$target\$$" -fuzztime=10s $$pkg || exit 1; \
+		done; \
+	done
 
 recovery-smoke:
 	./scripts/recovery_smoke.sh

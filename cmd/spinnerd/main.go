@@ -247,9 +247,13 @@
 //
 // # Metrics reference
 //
-// GET /v1/metrics renders two planes into one exposition. The first is
-// the registry of histograms and gauges; observations are nanoseconds
-// internally, exposed in seconds with power-of-two bucket boundaries:
+// GET /v1/metrics renders one registry (internal/metrics.Registry), in
+// which every metric of the process is declared once. The order of the
+// families in the exposition, like the order of the keys of the
+// /v1/stats "counters" object, is not part of the contract; names, TYPE
+// and HELP are. First its histograms and computed gauges; observations
+// are nanoseconds internally, exposed in seconds with power-of-two
+// bucket boundaries:
 //
 //	spinner_http_request_duration_seconds  histogram {route,status}
 //	    request latency per route (healthz, lookup, mutate, resize,
@@ -280,9 +284,10 @@
 //	    watch streams currently registered on (or still draining) the
 //	    delta hub's broadcast plane.
 //
-// The second plane is every counter /v1/stats carries under "counters",
-// one series per field, CamelCase mapped to snake_case with the
-// Prometheus _total suffix on monotonic counters — e.g. Lookups →
+// Then every counter /v1/stats carries under "counters" (keyed there by
+// Go field name), one series per metrics.ServeCounters field, CamelCase
+// mapped to snake_case with the Prometheus _total suffix on monotonic
+// counters — e.g. Lookups →
 // spinner_lookups_total, GroupCommits → spinner_group_commits_total,
 // ReplicaRecordsApplied → spinner_replica_records_applied_total. The two
 // non-monotonic fields are gauges: spinner_checkpoints_pending (1 while
@@ -293,9 +298,10 @@
 // spinner_delta_encodes_total tracks spinner_deltas_published_total
 // exactly, independent of how many streams are attached, and
 // spinner_watch_bytes_sent_total totals the frame bytes written across
-// all watch streams. The full
-// name table lives in internal/metrics (ServeMetrics), and
-// /v1/stats.latency carries headline p50/p90/p99/max per histogram for
+// all watch streams. The full name table is the `metric` and `help`
+// struct tags on the metrics.ServeCounters fields — a field's one
+// declaration; a name ending in _total is a counter, any other a gauge —
+// and /v1/stats.latency carries headline p50/p90/p99/max per histogram for
 // humans who want quantiles without a scraper.
 //
 // With -pprof-addr the daemon additionally serves net/http/pprof
@@ -630,7 +636,7 @@ func runDemo(st *serve.Store, d time.Duration, seed uint64, out io.Writer) error
 		fmt.Fprintf(out, "spinnerd: batch error during demo: %v\n", err)
 	}
 	fmt.Fprintf(out, "spinnerd demo: %d lookups alongside %d batches\n", lookups.Load(), batch)
-	fmt.Fprintf(out, "spinnerd demo: %v\n", st.Counters().Snapshot())
+	fmt.Fprintf(out, "spinnerd demo: %v\n", st.Counters())
 	fmt.Fprintf(out, "spinnerd demo: final %s\n", describe(st.Snapshot()))
 	return nil
 }

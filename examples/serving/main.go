@@ -174,7 +174,7 @@ func main() {
 	fmt.Printf("\nserved %d lookups throughout; /v1/watch consumer applied %d deltas (retention [%d,%d))\n",
 		served.Load(), feed.applied.Load(), stats.DeltaFloor, stats.DeltaNext)
 	fmt.Printf("  feed-reconstructed labels identical to /v1/lookup truth: %v\n", same)
-	fmt.Printf("  counters: %v\n", st.Counters().Snapshot())
+	fmt.Printf("  counters: %v\n", st.Counters())
 	cancel()
 	consumer.Wait()
 

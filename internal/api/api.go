@@ -274,6 +274,8 @@ func (s *Server) handleResize(w http.ResponseWriter, r *http.Request) {
 
 // StatsResponse is the GET /v1/stats body — one struct so the field
 // names are a stable, documented contract rather than ad-hoc map keys.
+// Counters holds every metrics.ServeCounters field under its Go field
+// name; the key set is contract, the key order is not.
 type StatsResponse struct {
 	Vertices       int     `json:"vertices"`
 	K              int     `json:"k"`
@@ -289,7 +291,7 @@ type StatsResponse struct {
 	// JournalGroupDepth is the mean journal records framed per group
 	// append — the entries amortizing each fsync under -fsync always.
 	JournalGroupDepth float64                      `json:"journal_group_depth"`
-	Counters          metrics.ServeSnapshot        `json:"counters"`
+	Counters          map[string]int64             `json:"counters"`
 	Degraded          bool                         `json:"degraded"`
 	Overloaded        bool                         `json:"overloaded"`
 	DrainRate         float64                      `json:"drain_rate"`
@@ -318,7 +320,6 @@ type StatsResponse struct {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	snap := s.st.Snapshot()
-	ctr := s.st.Counters().Snapshot()
 	floor, next := s.st.DeltaBounds()
 	resp := StatsResponse{
 		Vertices:          len(snap.Labels),
@@ -332,8 +333,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		CutByPartition:    snap.CutByPartition,
 		Shards:            snap.Shards,
 		Durable:           s.st.Durable(),
-		JournalGroupDepth: ctr.GroupCommitDepth(),
-		Counters:          ctr,
+		JournalGroupDepth: s.st.Counters().GroupCommitDepth(),
+		Counters:          s.st.Metrics().Counters(),
 		Degraded:          s.st.Degraded(),
 		Overloaded:        s.st.Overloaded(),
 		DrainRate:         s.st.DrainRate(),

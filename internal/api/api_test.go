@@ -265,7 +265,7 @@ func TestHTTPErrorPathsLeaveStoreUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := st.Snapshot()
-	beforeCtr := st.Counters().Snapshot()
+	beforeCtr := st.Metrics().Counters()
 
 	cases := []struct {
 		method, path, body string
@@ -312,14 +312,14 @@ func TestHTTPErrorPathsLeaveStoreUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := st.Snapshot()
-	afterCtr := st.Counters().Snapshot()
+	afterCtr := st.Metrics().Counters()
 	if after.Version != before.Version || after.K != before.K ||
 		after.AppliedBatches != before.AppliedBatches || len(after.Labels) != len(before.Labels) {
 		t.Fatalf("error paths mutated the store: %+v -> %+v", before, after)
 	}
-	if afterCtr.BatchesApplied != beforeCtr.BatchesApplied ||
-		afterCtr.BatchesRejected != beforeCtr.BatchesRejected ||
-		afterCtr.ElasticResizes != beforeCtr.ElasticResizes {
+	if afterCtr["BatchesApplied"] != beforeCtr["BatchesApplied"] ||
+		afterCtr["BatchesRejected"] != beforeCtr["BatchesRejected"] ||
+		afterCtr["ElasticResizes"] != beforeCtr["ElasticResizes"] {
 		t.Fatalf("error paths reached the maintenance plane: %v -> %v", beforeCtr, afterCtr)
 	}
 }
@@ -437,8 +437,8 @@ func TestHTTPQuotaRejection(t *testing.T) {
 	if beta := stats.Tenants["beta"]; beta.Submitted != 1 || beta.QuotaRejected != 0 {
 		t.Fatalf("beta stats %+v, want submitted=1 quota_rejected=0", beta)
 	}
-	if stats.Counters.QuotaRejections != 1 {
-		t.Fatalf("QuotaRejections = %d, want 1", stats.Counters.QuotaRejections)
+	if stats.Counters["QuotaRejections"] != 1 {
+		t.Fatalf("QuotaRejections = %d, want 1", stats.Counters["QuotaRejections"])
 	}
 }
 

@@ -11,16 +11,14 @@ import (
 // /v1/metrics endpoint emits.
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// handleMetrics serves GET /v1/metrics: the registry's histograms and
-// gauges followed by every ServeCounters field, all in Prometheus text
-// format. Rendering is two appends into one buffer — no reflection, no
-// dependencies — so scraping is cheap enough for tight intervals.
+// handleMetrics serves GET /v1/metrics: every series of the store's
+// registry (counters, gauges, histograms) in Prometheus text format.
+// Rendering is one append into one buffer — no reflection, no
+// dependencies — so scraping is cheap enough for tight intervals. Family
+// order is registration order and not part of the contract.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	buf := s.st.Metrics().AppendProm(nil)
-	snap := s.st.Counters().Snapshot()
-	buf = metrics.AppendServeProm(buf, &snap)
 	w.Header().Set("Content-Type", PromContentType)
-	_, _ = w.Write(buf)
+	_, _ = w.Write(s.st.Metrics().AppendProm(nil))
 }
 
 // LatencySummary is the /v1/stats headline view of one histogram:

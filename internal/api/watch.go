@@ -119,7 +119,9 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	if heartbeat <= 0 {
 		heartbeat = time.Second
 	}
-	hb := newHeartbeatTimer()
+	// Since Go 1.23 Reset and Stop leave no stale tick behind, so the
+	// timer is re-armed with a bare Reset on every idle turn.
+	hb := time.NewTimer(heartbeat)
 	defer hb.Stop()
 	ctx := r.Context()
 	sent := 0
@@ -167,20 +169,19 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		}
 		// A wakeup that raced the ring read is already pending: loop
 		// straight back to the read without re-arming the heartbeat
-		// timer (arming costs a stop/drain/reset; skipping it matters at
-		// publication rates where the slot is almost always full).
+		// timer (skipping the reset matters at publication rates where
+		// the slot is almost always full).
 		select {
 		case <-sub.C():
 			continue
 		default:
 		}
-		hb.Arm(heartbeat)
+		hb.Reset(heartbeat)
 		select {
 		case <-ctx.Done():
 			return
 		case <-sub.C():
-		case <-hb.C():
-			hb.Fired()
+		case <-hb.C:
 			f, n := s.feed.DeltaBounds()
 			buf = serve.AppendWatchFrame(buf[:0], serve.WatchFrame{Kind: serve.WatchHeartbeat, Floor: f, Next: n})
 			if _, err := w.Write(buf); err != nil {

@@ -82,7 +82,7 @@ func (h *Histogram) RecordValue(v int64) {
 // Snapshot copies the histogram into a plain-value, mergeable view. Buckets
 // are read individually (not under a barrier), so a snapshot racing writers
 // is consistent per-bucket with bounded cross-bucket skew — the usual
-// monitoring contract, matching ServeCounters.Snapshot.
+// monitoring contract, as for ServeCounters.
 func (h *Histogram) Snapshot() HistSnapshot {
 	s := HistSnapshot{
 		Counts: make([]int64, numBuckets),

@@ -54,7 +54,7 @@ func (r *Registry) AppendProm(buf []byte) []byte {
 				if s.GaugeFn != nil {
 					buf = strconv.AppendFloat(buf, s.GaugeFn(), 'g', -1, 64)
 				} else {
-					buf = strconv.AppendInt(buf, s.Gauge.Load(), 10)
+					buf = strconv.AppendInt(buf, s.Int.Load(), 10)
 				}
 				buf = append(buf, '\n')
 			}
@@ -148,85 +148,4 @@ func sumValue(sum int64, u Unit) float64 {
 		return float64(sum) / 1e9
 	}
 	return float64(sum)
-}
-
-// ServeMetric maps one ServeSnapshot field onto its exported Prometheus
-// identity. The table is the single source of truth for the flat-counter
-// half of /v1/metrics; a reflection test asserts it covers every
-// ServeSnapshot field exactly once.
-type ServeMetric struct {
-	// Field is the ServeSnapshot (and /stats "counters") field name.
-	Field string
-	// Name is the exported metric family name.
-	Name string
-	Kind Kind
-	Help string
-	Get  func(*ServeSnapshot) int64
-}
-
-// ServeMetrics lists every ServeCounters field's exposition. Order is the
-// exposition order (grouped as the struct is).
-var ServeMetrics = []ServeMetric{
-	{"Lookups", "spinner_lookups_total", KindCounter, "Vertex-to-partition lookups served.", func(s *ServeSnapshot) int64 { return s.Lookups }},
-	{"LookupMisses", "spinner_lookup_misses_total", KindCounter, "Lookups for vertices outside the snapshot.", func(s *ServeSnapshot) int64 { return s.LookupMisses }},
-	{"StalenessSum", "spinner_lookup_staleness_batches_total", KindCounter, "Per-lookup sum of the mutation-batch backlog observed (mean staleness = this / spinner_lookups_total).", func(s *ServeSnapshot) int64 { return s.StalenessSum }},
-	{"BatchesApplied", "spinner_batches_applied_total", KindCounter, "Mutation batches applied to the authoritative graph.", func(s *ServeSnapshot) int64 { return s.BatchesApplied }},
-	{"BatchesRejected", "spinner_batches_rejected_total", KindCounter, "Mutation batches refused by validation or a failed journal append.", func(s *ServeSnapshot) int64 { return s.BatchesRejected }},
-	{"EdgesAdded", "spinner_edges_added_total", KindCounter, "Edges added by applied batches.", func(s *ServeSnapshot) int64 { return s.EdgesAdded }},
-	{"EdgesRemoved", "spinner_edges_removed_total", KindCounter, "Edges removed by applied batches.", func(s *ServeSnapshot) int64 { return s.EdgesRemoved }},
-	{"VerticesAdded", "spinner_vertices_added_total", KindCounter, "Vertices appended by applied batches.", func(s *ServeSnapshot) int64 { return s.VerticesAdded }},
-	{"SnapshotSwaps", "spinner_snapshot_swaps_total", KindCounter, "Atomic snapshot publications of any kind.", func(s *ServeSnapshot) int64 { return s.SnapshotSwaps }},
-	{"Restabilizations", "spinner_restabilizations_total", KindCounter, "Completed background restabilization runs merged.", func(s *ServeSnapshot) int64 { return s.Restabilizations }},
-	{"RestabDiscarded", "spinner_restabs_discarded_total", KindCounter, "Background runs discarded because the partition count changed mid-flight.", func(s *ServeSnapshot) int64 { return s.RestabDiscarded }},
-	{"MidRunSnapshots", "spinner_midrun_snapshots_total", KindCounter, "Snapshots published from in-flight restabilization runs.", func(s *ServeSnapshot) int64 { return s.MidRunSnapshots }},
-	{"MigratedVertices", "spinner_migrated_vertices_total", KindCounter, "Vertices that changed partition when restabilization results merged.", func(s *ServeSnapshot) int64 { return s.MigratedVertices }},
-	{"MigratedWeight", "spinner_migrated_weight_total", KindCounter, "Weighted degree dragged across partitions by merges.", func(s *ServeSnapshot) int64 { return s.MigratedWeight }},
-	{"ElasticResizes", "spinner_elastic_resizes_total", KindCounter, "Elastic partition-count changes applied.", func(s *ServeSnapshot) int64 { return s.ElasticResizes }},
-	{"ElasticSeedMoved", "spinner_elastic_seed_moved_total", KindCounter, "Vertices moved by the probabilistic elastic relabeling itself.", func(s *ServeSnapshot) int64 { return s.ElasticSeedMoved }},
-	{"ShardBatches", "spinner_shard_batches_total", KindCounter, "Per-shard sub-batch applications on the sharded fast path.", func(s *ServeSnapshot) int64 { return s.ShardBatches }},
-	{"CutReconciles", "spinner_cut_reconciles_total", KindCounter, "Periodic exact cut recomputations.", func(s *ServeSnapshot) int64 { return s.CutReconciles }},
-	{"CutDrift", "spinner_cut_drift_total", KindCounter, "Shards whose incremental cut counters disagreed with an exact pass.", func(s *ServeSnapshot) int64 { return s.CutDrift }},
-	{"ShardRebalances", "spinner_shard_rebalances_total", KindCounter, "Shard-boundary recomputations that moved a boundary.", func(s *ServeSnapshot) int64 { return s.ShardRebalances }},
-	{"JournalAppends", "spinner_journal_appends_total", KindCounter, "Records durably framed into the write-ahead journal.", func(s *ServeSnapshot) int64 { return s.JournalAppends }},
-	{"JournalBytes", "spinner_journal_bytes_total", KindCounter, "Encoded bytes appended to the journal.", func(s *ServeSnapshot) int64 { return s.JournalBytes }},
-	{"JournalSyncs", "spinner_journal_syncs_total", KindCounter, "Journal fsyncs issued under the configured policy.", func(s *ServeSnapshot) int64 { return s.JournalSyncs }},
-	{"Checkpoints", "spinner_checkpoints_total", KindCounter, "Checkpoints atomically installed (full and incremental).", func(s *ServeSnapshot) int64 { return s.Checkpoints }},
-	{"CheckpointBytes", "spinner_checkpoint_bytes_total", KindCounter, "Checkpoint payload bytes written.", func(s *ServeSnapshot) int64 { return s.CheckpointBytes }},
-	{"IncrCheckpointBytes", "spinner_checkpoint_incr_bytes_total", KindCounter, "Payload bytes of the incremental (delta) checkpoints.", func(s *ServeSnapshot) int64 { return s.IncrCheckpointBytes }},
-	{"CheckpointRebases", "spinner_checkpoint_rebases_total", KindCounter, "Full checkpoint re-encodes forced while a delta chain was open.", func(s *ServeSnapshot) int64 { return s.CheckpointRebases }},
-	{"ReplayedRecords", "spinner_replayed_records_total", KindCounter, "Journal records re-applied during crash recovery.", func(s *ServeSnapshot) int64 { return s.ReplayedRecords }},
-	{"GroupCommits", "spinner_group_commits_total", KindCounter, "Journal group appends (one write, at most one fsync each).", func(s *ServeSnapshot) int64 { return s.GroupCommits }},
-	{"GroupedEntries", "spinner_grouped_entries_total", KindCounter, "Records framed into group appends.", func(s *ServeSnapshot) int64 { return s.GroupedEntries }},
-	{"ApplyCoalesces", "spinner_apply_coalesces_total", KindCounter, "Shard broadcasts that merged two or more consecutive add-only batches.", func(s *ServeSnapshot) int64 { return s.ApplyCoalesces }},
-	{"CoalescedBatches", "spinner_coalesced_batches_total", KindCounter, "Batches merged by coalesced broadcasts.", func(s *ServeSnapshot) int64 { return s.CoalescedBatches }},
-	{"CheckpointsPending", "spinner_checkpoints_pending", KindGauge, "1 while a background checkpoint is being encoded/written/installed.", func(s *ServeSnapshot) int64 { return s.CheckpointsPending }},
-	{"QuotaRejections", "spinner_quota_rejections_total", KindCounter, "Submissions refused by per-tenant token-bucket admission control.", func(s *ServeSnapshot) int64 { return s.QuotaRejections }},
-	{"ShedRequests", "spinner_shed_requests_total", KindCounter, "HTTP requests shed under overload with 503 + Retry-After.", func(s *ServeSnapshot) int64 { return s.ShedRequests }},
-	{"DeferredRestabs", "spinner_deferred_restabs_total", KindCounter, "Restabilization passes deferred by the degradation budget.", func(s *ServeSnapshot) int64 { return s.DeferredRestabs }},
-	{"DeferredReconciles", "spinner_deferred_reconciles_total", KindCounter, "Reconcile passes deferred by the degradation budget.", func(s *ServeSnapshot) int64 { return s.DeferredReconciles }},
-	{"FairnessPasses", "spinner_fairness_passes_total", KindCounter, "Deficit-round-robin passes over the tenant ring.", func(s *ServeSnapshot) int64 { return s.FairnessPasses }},
-	{"DeltasPublished", "spinner_deltas_published_total", KindCounter, "Delta records published into the change-feed ring.", func(s *ServeSnapshot) int64 { return s.DeltasPublished }},
-	{"DeltaEncodes", "spinner_delta_encodes_total", KindCounter, "EncodeDelta calls on the publish path (equals spinner_deltas_published_total under encode-once fan-out, independent of watch-stream count).", func(s *ServeSnapshot) int64 { return s.DeltaEncodes }},
-	{"WatchStreams", "spinner_watch_streams", KindGauge, "Currently open /v1/watch streams.", func(s *ServeSnapshot) int64 { return s.WatchStreams }},
-	{"WatchStreamsTotal", "spinner_watch_streams_total", KindCounter, "/v1/watch streams ever accepted.", func(s *ServeSnapshot) int64 { return s.WatchStreamsTotal }},
-	{"WatchBytesSent", "spinner_watch_bytes_sent_total", KindCounter, "Frame bytes written to /v1/watch streams.", func(s *ServeSnapshot) int64 { return s.WatchBytesSent }},
-	{"ReplicaFramesSent", "spinner_replica_frames_sent_total", KindCounter, "Replication stream frames pushed to followers.", func(s *ServeSnapshot) int64 { return s.ReplicaFramesSent }},
-	{"ReplicaBytesSent", "spinner_replica_bytes_sent_total", KindCounter, "Encoded bytes pushed over replication streams.", func(s *ServeSnapshot) int64 { return s.ReplicaBytesSent }},
-	{"ReplicaRecordsApplied", "spinner_replica_records_applied_total", KindCounter, "Leader journal records applied through the replicated apply path.", func(s *ServeSnapshot) int64 { return s.ReplicaRecordsApplied }},
-	{"ReplicaFencedFrames", "spinner_replica_fenced_frames_total", KindCounter, "Replication frames rejected by the epoch check.", func(s *ServeSnapshot) int64 { return s.ReplicaFencedFrames }},
-	{"ReplicaReconnects", "spinner_replica_reconnects_total", KindCounter, "Follower stream re-establishments after a dropped connection.", func(s *ServeSnapshot) int64 { return s.ReplicaReconnects }},
-	{"StaleLookups", "spinner_stale_lookups_total", KindCounter, "Follower lookups refused with 503 stale_replica.", func(s *ServeSnapshot) int64 { return s.StaleLookups }},
-}
-
-// AppendServeProm renders every ServeCounters field from the snapshot in
-// Prometheus text format.
-func AppendServeProm(buf []byte, s *ServeSnapshot) []byte {
-	for _, m := range ServeMetrics {
-		buf = appendHeader(buf, m.Name, m.Help, m.Kind)
-		buf = append(buf, m.Name...)
-		buf = append(buf, ' ')
-		buf = strconv.AppendInt(buf, m.Get(s), 10)
-		buf = append(buf, '\n')
-	}
-	return buf
 }

@@ -19,16 +19,12 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if h1 == h3 {
 		t.Fatal("distinct label sets shared a histogram")
 	}
-	g1 := r.NewGauge("spinner_test_gauge", "g")
-	if g2 := r.NewGauge("spinner_test_gauge", "g"); g1 != g2 {
-		t.Fatal("duplicate gauge registration minted a new gauge")
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("kind mismatch did not panic")
 		}
 	}()
-	r.NewGauge("spinner_test_seconds", "clash", Label{"route", "lookup"})
+	r.NewGaugeFunc("spinner_test_seconds", "clash", func() float64 { return 0 }, Label{"route", "lookup"})
 }
 
 // TestAppendPromExposition checks the hand-rolled writer's structural
@@ -38,19 +34,23 @@ func TestAppendPromExposition(t *testing.T) {
 	r := NewRegistry()
 	h := r.NewHistogram("spinner_req_seconds", "request latency", UnitSeconds, Label{"route", "lookup"})
 	h2 := r.NewHistogram("spinner_req_seconds", "request latency", UnitSeconds, Label{"route", "mutate"})
-	g := r.NewGauge("spinner_open_things", "open things")
+	var c ServeCounters
+	r.RegisterCounters(&c)
 	r.NewGaugeFunc("spinner_lag_seconds", "computed lag", func() float64 { return 1.5 })
 	for i := 0; i < 1000; i++ {
 		h.Record(time.Duration(i) * time.Microsecond)
 	}
 	h2.Record(3 * time.Millisecond)
-	g.Set(7)
+	c.WatchStreams.Store(7)
+	c.Lookups.Add(5)
 
 	out := string(r.AppendProm(nil))
 	for _, want := range []string{
 		"# TYPE spinner_req_seconds histogram",
-		"# TYPE spinner_open_things gauge",
-		"spinner_open_things 7",
+		"# TYPE spinner_watch_streams gauge",
+		"spinner_watch_streams 7",
+		"# TYPE spinner_lookups_total counter",
+		"spinner_lookups_total 5",
 		"spinner_lag_seconds 1.5",
 		`spinner_req_seconds_bucket{route="lookup",le="+Inf"} 1000`,
 		`spinner_req_seconds_count{route="lookup"} 1000`,
@@ -94,47 +94,32 @@ func TestAppendPromExposition(t *testing.T) {
 
 func TestEscapeLabel(t *testing.T) {
 	r := NewRegistry()
-	g := r.NewGauge("spinner_esc", "", Label{"path", `a"b\c` + "\n"})
-	g.Set(1)
+	r.NewGaugeFunc("spinner_esc", "", func() float64 { return 1 }, Label{"path", `a"b\c` + "\n"})
 	out := string(r.AppendProm(nil))
 	if !strings.Contains(out, `path="a\"b\\c\n"`) {
 		t.Fatalf("label not escaped: %s", out)
 	}
 }
 
-// TestServeMetricsCoverage asserts the exposition table covers every
-// ServeSnapshot field exactly once — adding a counter without exporting
-// it (or exporting a stale name) fails here.
-func TestServeMetricsCoverage(t *testing.T) {
-	covered := map[string]int{}
-	names := map[string]int{}
-	for _, m := range ServeMetrics {
-		covered[m.Field]++
-		names[m.Name]++
-	}
-	typ := reflect.TypeOf(ServeSnapshot{})
-	for i := 0; i < typ.NumField(); i++ {
-		f := typ.Field(i).Name
-		if covered[f] != 1 {
-			t.Errorf("ServeSnapshot.%s covered %d times in ServeMetrics, want exactly 1", f, covered[f])
+// TestCounterTags checks the one declaration: every ServeCounters field
+// registers under a unique spinner_-prefixed name with help text.
+func TestCounterTags(t *testing.T) {
+	var c ServeCounters
+	r := NewRegistry()
+	r.RegisterCounters(&c)
+	registered := 0
+	r.Each(func(s *Series) {
+		registered++
+		if !strings.HasPrefix(s.Name, "spinner_") {
+			t.Errorf("%s: metric name %s lacks the spinner_ prefix", s.Field, s.Name)
 		}
-		delete(covered, f)
-	}
-	for f := range covered {
-		t.Errorf("ServeMetrics names unknown field %s", f)
-	}
-	for n, c := range names {
-		if c != 1 {
-			t.Errorf("metric name %s used %d times", n, c)
+		if s.Help == "" {
+			t.Errorf("%s: no help tag", s.Field)
 		}
-		if !strings.HasPrefix(n, "spinner_") {
-			t.Errorf("metric name %s lacks the spinner_ prefix", n)
-		}
-	}
-	// The rendered text must carry every name.
-	snap := ServeSnapshot{Lookups: 5, WatchStreams: 2}
-	out := string(AppendServeProm(nil, &snap))
-	if !strings.Contains(out, "spinner_lookups_total 5") || !strings.Contains(out, "spinner_watch_streams 2") {
-		t.Fatalf("serve exposition missing values:\n%s", out)
+	})
+	// Registration is get-or-create, so a metric name used twice would
+	// collapse into one series and show up as a short count.
+	if want := reflect.TypeOf(&c).Elem().NumField(); registered != want || len(r.Counters()) != want {
+		t.Fatalf("%d series and %d counters keys for %d fields", registered, len(r.Counters()), want)
 	}
 }

@@ -44,19 +44,6 @@ const (
 // Label is one metric label pair.
 type Label struct{ Key, Value string }
 
-// Gauge is a registry-owned instantaneous value (Set) or up/down counter
-// (Add). Lock-free; safe for concurrent use.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add moves the gauge by delta.
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
 // Series is one registered metric series: a family name, an optional label
 // set, and exactly one backing instrument.
 type Series struct {
@@ -67,14 +54,17 @@ type Series struct {
 	Labels []Label
 
 	Hist    *Histogram
-	Gauge   *Gauge
 	GaugeFn func() float64
+	// Int backs a counter or gauge held in a ServeCounters field; Field is
+	// that field's Go name, its key in the /v1/stats "counters" object.
+	Int   *atomic.Int64
+	Field string
 }
 
-// Registry names histograms and gauges alongside the flat ServeCounters:
-// serving subsystems register series once at construction and record into
-// the returned instruments lock-free; the exposition layer walks the
-// registry to render /v1/metrics and the /stats latency section.
+// Registry names every metric of the process: serving subsystems register
+// series once at construction and record into the instruments lock-free;
+// the exposition layer walks the registry to render /v1/metrics and the
+// /v1/stats counters and latency sections.
 // Registration is get-or-create on (name, labels): re-registering an
 // identical series returns the existing instrument (so rebuilding an API
 // server over the same store is idempotent), while re-registering with a
@@ -123,11 +113,26 @@ func (r *Registry) NewHistogram(name, help string, unit Unit, labels ...Label) *
 	return s.Hist
 }
 
-// NewGauge registers (or returns) an instantaneous-value series.
-func (r *Registry) NewGauge(name, help string, labels ...Label) *Gauge {
-	s := r.register(&Series{Name: name, Help: help, Kind: KindGauge,
-		Labels: labels, Gauge: &Gauge{}})
-	return s.Gauge
+// RegisterCounters registers every field of c as the integer series its
+// tags name, reflecting over the struct once; writers keep using the typed
+// fields. Registration is get-or-create, so a second struct would never be
+// read: call it from one place per registry.
+func (r *Registry) RegisterCounters(c *ServeCounters) {
+	for _, s := range c.series() {
+		r.register(s)
+	}
+}
+
+// Counters reads every series RegisterCounters registered, keyed by Go
+// field name: the /v1/stats "counters" object.
+func (r *Registry) Counters() map[string]int64 {
+	out := make(map[string]int64)
+	r.Each(func(s *Series) {
+		if s.Int != nil {
+			out[s.Field] = s.Int.Load()
+		}
+	})
+	return out
 }
 
 // NewGaugeFunc registers a computed gauge sampled at exposition time. On a

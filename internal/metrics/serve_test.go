@@ -1,59 +1,36 @@
 package metrics
 
 import (
-	"strings"
 	"sync"
 	"testing"
 )
 
+// The plain-value copy of the counters is Registry.Counters; the derived
+// figures and the one-line rendering read the fields directly.
 func TestServeCountersSnapshot(t *testing.T) {
 	var c ServeCounters
+	if c.GroupCommitDepth() != 0 || c.String() != "" {
+		t.Fatalf("zero counters: depth %v, %q", c.GroupCommitDepth(), c.String())
+	}
+	r := NewRegistry()
+	r.RegisterCounters(&c)
 	c.Lookups.Add(10)
 	c.StalenessSum.Add(5)
-	c.BatchesApplied.Add(3)
-	c.BatchesRejected.Add(1)
-	c.MigratedVertices.Add(7)
-	c.ElasticResizes.Add(2)
-
-	c.ShardBatches.Add(6)
-	c.CutReconciles.Add(4)
 	c.CutDrift.Add(1)
-	c.ShardRebalances.Add(2)
-
 	c.GroupCommits.Add(4)
 	c.GroupedEntries.Add(10)
-	c.ApplyCoalesces.Add(2)
-	c.CoalescedBatches.Add(5)
 	c.CheckpointsPending.Store(1)
 
-	s := c.Snapshot()
-	if s.Lookups != 10 || s.BatchesApplied != 3 || s.BatchesRejected != 1 ||
-		s.MigratedVertices != 7 || s.ElasticResizes != 2 {
-		t.Fatalf("snapshot lost counts: %+v", s)
+	s := r.Counters()
+	if s["Lookups"] != 10 || s["StalenessSum"] != 5 || s["CutDrift"] != 1 ||
+		s["GroupCommits"] != 4 || s["GroupedEntries"] != 10 || s["CheckpointsPending"] != 1 || s["BatchesApplied"] != 0 {
+		t.Fatalf("snapshot lost counts: %v", s)
 	}
-	if s.ShardBatches != 6 || s.CutReconciles != 4 || s.CutDrift != 1 || s.ShardRebalances != 2 {
-		t.Fatalf("snapshot lost shard counts: %+v", s)
-	}
-	if s.GroupCommits != 4 || s.GroupedEntries != 10 || s.ApplyCoalesces != 2 ||
-		s.CoalescedBatches != 5 || s.CheckpointsPending != 1 {
-		t.Fatalf("snapshot lost commit-pipeline counts: %+v", s)
-	}
-	if got := s.GroupCommitDepth(); got != 2.5 {
+	if got := c.GroupCommitDepth(); got != 2.5 {
 		t.Fatalf("GroupCommitDepth = %v, want 2.5", got)
 	}
-	if (ServeSnapshot{}).GroupCommitDepth() != 0 {
-		t.Fatal("GroupCommitDepth must be 0 with no group commits")
-	}
-	if got := s.MeanStaleness(); got != 0.5 {
-		t.Fatalf("MeanStaleness = %v, want 0.5", got)
-	}
-	if (ServeSnapshot{}).MeanStaleness() != 0 {
-		t.Fatal("MeanStaleness must be 0 with no lookups")
-	}
-	if str := s.String(); !strings.Contains(str, "lookups=10") || !strings.Contains(str, "batches=3/4") ||
-		!strings.Contains(str, "reconciles=4") || !strings.Contains(str, "groups=4 (depth 2.50)") ||
-		!strings.Contains(str, "coalesced=5/2") {
-		t.Fatalf("String() missing headline figures: %q", str)
+	if got, want := c.String(), "Lookups=10 StalenessSum=5 CutDrift=1 GroupCommits=4 GroupedEntries=10 CheckpointsPending=1"; got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
 	}
 }
 
@@ -69,7 +46,7 @@ func TestServeCountersConcurrent(t *testing.T) {
 			for j := 0; j < 1000; j++ {
 				c.Lookups.Add(1)
 				c.StalenessSum.Add(2)
-				_ = c.Snapshot()
+				_ = c.String()
 			}
 		}()
 	}
@@ -77,7 +54,7 @@ func TestServeCountersConcurrent(t *testing.T) {
 	if got := c.Lookups.Load(); got != 8000 {
 		t.Fatalf("Lookups = %d, want 8000", got)
 	}
-	if got := c.Snapshot().MeanStaleness(); got != 2 {
-		t.Fatalf("MeanStaleness = %v, want 2", got)
+	if got := c.StalenessSum.Load(); got != 16000 {
+		t.Fatalf("StalenessSum = %d, want 16000", got)
 	}
 }

@@ -1,7 +1,6 @@
 package pregel
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -133,40 +132,5 @@ func TestAggregatorSlabsDoNotShareCacheLines(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestCheckpointRoundTripsAggregatorsByName: a checkpoint names its
-// aggregators, so an engine that registered them in another order — other
-// handles, other slab offsets — restores each value into the right one.
-func TestCheckpointRoundTripsAggregatorsByName(t *testing.T) {
-	e := newAggEngine(2, 3)
-	if err := e.SetVertices(buildVertices(graph.New(10, false), func(VertexID) int64 { return 0 })); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := e.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	r := NewEngine[int64, struct{}, int64](Config{NumWorkers: 2}, &aggProg{})
-	r.RegisterAggregator("persist", AggSum, 1, true)
-	r.RegisterAggregator("max", AggMax, 1, false)
-	r.RegisterAggregator("min", AggMin, 1, false)
-	r.RegisterAggregator("sum", AggSum, 3, false)
-	if err := r.Restore(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"sum", "min", "max", "persist"} {
-		got, want := r.AggregatedValue(name), e.AggregatedValue(name)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("%s: restored %v, checkpointed %v", name, got, want)
-		}
-	}
-	if got := r.AggregatedValue("persist")[0]; got != 30 {
-		t.Errorf("persist = %v, want 30", got)
 	}
 }

@@ -57,7 +57,7 @@
 //     fixed offset; every worker's slab is its own allocation with a cache
 //     line of padding at both ends, so two workers never write the same
 //     line however small the aggregators are. Names survive where a run
-//     meets the outside: Engine.AggregatedValue(name) and checkpoints.
+//     meets the outside: Engine.AggregatedValue(name).
 //   - Aggregator merging reuses per-aggregator scratch vectors, walks the
 //     workers' slabs in worker order, and runs the independent aggregators
 //     in parallel at the barrier when the vectors are large.
@@ -304,10 +304,6 @@ type Engine[V, E, M any] struct {
 
 	superstep int
 	stats     []SuperstepStats
-
-	// Checkpoint restore state (see checkpoint.go).
-	restoredInbox [][]M
-	restoredStep  int
 }
 
 // NewEngine builds an engine over the given program.
@@ -329,7 +325,7 @@ func (e *Engine[V, E, M]) SetCombiner(c Combiner[M]) { e.combiner = c }
 // take. Persistent aggregators carry their value across supersteps, merging
 // each superstep's contributions into it (sum op only); non-persistent
 // aggregators are reset every superstep. The name identifies the aggregator
-// in checkpoints and to Engine.AggregatedValue. Must be called before Run.
+// to Engine.AggregatedValue. Must be called before Run.
 func (e *Engine[V, E, M]) RegisterAggregator(name string, op aggOp, size int, persistent bool) Aggregator {
 	pl := e.aggs
 	if pl.byName(name) != nil {
@@ -461,8 +457,7 @@ func (e *Engine[V, E, M]) initWorkers() {
 
 // initMessagePlane builds the reusable per-worker contexts and the pending
 // lists, and seeds the incremental active count with one full scan (the
-// only one the engine ever performs; the scan is non-trivial only when
-// resuming from a checkpoint with restored halted flags and inboxes).
+// only one the engine ever performs).
 func (e *Engine[V, E, M]) initMessagePlane() {
 	w := e.cfg.NumWorkers
 	n := len(e.vertices)

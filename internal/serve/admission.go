@@ -361,9 +361,9 @@ func (s *Store) updateLoad(now time.Time) {
 	}
 }
 
-// route stamps an entry's arrival order and parks it: control entries
-// (quiesce, attach, reconcile, resize) on the control queue, mutations
-// on their tenant's queue. Coordinator-only.
+// route stamps an entry's arrival order and parks it: controls and
+// resizes on the control queue, mutations on their tenant's queue.
+// Coordinator-only.
 func (s *Store) route(e logEntry) {
 	e.seq = s.arrival
 	s.arrival++

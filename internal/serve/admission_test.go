@@ -279,12 +279,12 @@ func TestOverloadDefersMaintenance(t *testing.T) {
 	if st.inflight {
 		t.Fatal("restabilization started while overloaded")
 	}
-	c := st.ctr.Snapshot()
-	if c.DeferredRestabs != 1 || c.DeferredReconciles != 1 {
+	c := &st.ctr
+	if c.DeferredRestabs.Load() != 1 || c.DeferredReconciles.Load() != 1 {
 		t.Fatalf("deferrals = %d/%d, want 1/1 (one per episode, not per turn)",
-			c.DeferredRestabs, c.DeferredReconciles)
+			c.DeferredRestabs.Load(), c.DeferredReconciles.Load())
 	}
-	if c.CutReconciles != 0 || c.Restabilizations != 0 {
+	if c.CutReconciles.Load() != 0 || c.Restabilizations.Load() != 0 {
 		t.Fatal("maintenance ran while overloaded")
 	}
 
@@ -303,10 +303,9 @@ func TestOverloadDefersMaintenance(t *testing.T) {
 		t.Fatal("restabilization did not start after overload cleared")
 	}
 	st.merge(<-st.restabDone)
-	c = st.ctr.Snapshot()
-	if c.CutReconciles != 1 || c.Restabilizations != 1 {
+	if c.CutReconciles.Load() != 1 || c.Restabilizations.Load() != 1 {
 		t.Fatalf("reconciles=%d restabs=%d after overload cleared, want 1/1",
-			c.CutReconciles, c.Restabilizations)
+			c.CutReconciles.Load(), c.Restabilizations.Load())
 	}
 }
 

@@ -89,11 +89,11 @@ func BenchmarkServeLookupUnderChurn(b *testing.B) {
 	if err := st.Quiesce(); err != nil {
 		b.Fatal(err)
 	}
-	c := st.Counters().Snapshot()
-	b.ReportMetric(float64(c.BatchesApplied), "batches")
-	b.ReportMetric(float64(c.Restabilizations), "restabs")
-	b.ReportMetric(float64(c.MidRunSnapshots), "midrun-swaps")
-	b.ReportMetric(c.MeanStaleness(), "staleness")
+	c := st.Counters()
+	b.ReportMetric(float64(c.BatchesApplied.Load()), "batches")
+	b.ReportMetric(float64(c.Restabilizations.Load()), "restabs")
+	b.ReportMetric(float64(c.MidRunSnapshots.Load()), "midrun-swaps")
+	b.ReportMetric(float64(c.StalenessSum.Load())/float64(max(c.Lookups.Load(), 1)), "staleness")
 	if err := st.Close(); err != nil {
 		b.Fatal(err)
 	}
@@ -299,10 +299,10 @@ func BenchmarkServeMutateDurable(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(batchEdges)*float64(b.N)/b.Elapsed().Seconds(), "edges/s")
-			c := st.Counters().Snapshot()
+			c := st.Counters()
 			if tc.durable {
-				b.ReportMetric(float64(c.JournalBytes)/float64(b.N), "journalB/op")
-				b.ReportMetric(float64(c.JournalSyncs), "fsyncs")
+				b.ReportMetric(float64(c.JournalBytes.Load())/float64(b.N), "journalB/op")
+				b.ReportMetric(float64(c.JournalSyncs.Load()), "fsyncs")
 				b.ReportMetric(c.GroupCommitDepth(), "group-depth")
 			}
 			if err := st.Close(); err != nil {

@@ -157,15 +157,6 @@ type durable struct {
 	fullBytes  int     // payload size of the last full checkpoint
 }
 
-// attachReq hands Open's freshly opened journal to the coordinator
-// through the ordered log, so journaling activates only after every
-// replayed entry was applied and without racing coordinator reads.
-type attachReq struct {
-	jrn     *wal.Journal
-	lastSeq uint64
-	reply   chan error
-}
-
 func journalDir(dir string) string { return filepath.Join(dir, "journal") }
 func ckptDir(dir string) string    { return filepath.Join(dir, "checkpoints") }
 
@@ -342,7 +333,18 @@ func Open(dir string, cfg Config) (*Store, error) {
 		s.Close()
 		return nil, err
 	}
-	if err := s.control(logEntry{attach: &attachReq{jrn: jrn, lastSeq: next - 1, reply: make(chan error, 1)}}); err != nil {
+	// The freshly opened journal is handed to the coordinator through the
+	// ordered log, so journaling activates only after every replayed
+	// entry was applied and without racing coordinator reads.
+	if err := s.control(func() error {
+		s.d.jrn = jrn
+		s.d.lastSeq = next - 1
+		s.d.ckptApplied = s.applied.Load()
+		s.d.active = true
+		s.jrnLive.Store(jrn)
+		s.journalSeq.Store(next - 1)
+		return nil
+	}); err != nil {
 		jrn.Close()
 		s.Close()
 		return nil, err
@@ -350,26 +352,18 @@ func Open(dir string, cfg Config) (*Store, error) {
 	// Post-recovery reconcile: every shard recomputes its counters exactly
 	// inside the barrier; a mismatch with the incremental values recovered
 	// from checkpoint+replay would surface as CutDrift (it must stay 0).
-	if err := s.control(logEntry{reconcile: make(chan error, 1)}); err != nil {
+	if err := s.control(s.reconcileNow); err != nil {
 		s.Close()
 		return nil, err
 	}
 	return s, nil
 }
 
-// control sends one coordinator-control entry (quiesce, attach, forced
-// reconcile) through the ordered log and waits for its reply.
-func (s *Store) control(e logEntry) error {
-	var reply chan error
-	switch {
-	case e.quiesce != nil:
-		reply = e.quiesce
-	case e.attach != nil:
-		reply = e.attach.reply
-	case e.reconcile != nil:
-		reply = e.reconcile
-	}
-	if err := s.enqueue(e, false); err != nil {
+// control sends run through the ordered log as a control entry and waits
+// for its reply (see the control type; a nil run is a quiesce).
+func (s *Store) control(run func() error) error {
+	reply := make(chan error, 1)
+	if err := s.enqueue(logEntry{ctl: control{run: run, reply: reply}}, false); err != nil {
 		return err
 	}
 	select {
@@ -378,6 +372,13 @@ func (s *Store) control(e logEntry) error {
 	case <-s.done:
 		return ErrClosed
 	}
+}
+
+// reconcileNow is the forced exact pass (reconcile without the rebalance)
+// as a control.
+func (s *Store) reconcileNow() error {
+	s.reconcile(false)
+	return nil
 }
 
 // Durable reports whether the store journals and checkpoints to disk.

@@ -129,12 +129,12 @@ func TestDurableRecoveryBitIdentical(t *testing.T) {
 			}
 			runScript(t, st)
 			requireSameState(t, "durable-vs-inmemory", st, ref)
-			preCrash := st.Counters().Snapshot()
-			if preCrash.Checkpoints < 2 {
-				t.Fatalf("only %d periodic checkpoints; the test must exercise checkpoint+tail, not tail-only", preCrash.Checkpoints)
+			preCrash := st.Counters()
+			if preCrash.Checkpoints.Load() < 2 {
+				t.Fatalf("only %d periodic checkpoints; the test must exercise checkpoint+tail, not tail-only", preCrash.Checkpoints.Load())
 			}
-			if preCrash.JournalAppends != 7 {
-				t.Fatalf("journaled %d records, want 7 (6 batches + 1 resize)", preCrash.JournalAppends)
+			if preCrash.JournalAppends.Load() != 7 {
+				t.Fatalf("journaled %d records, want 7 (6 batches + 1 resize)", preCrash.JournalAppends.Load())
 			}
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
@@ -150,15 +150,15 @@ func TestDurableRecoveryBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameState(t, "recovered", rec, ref)
-			c := rec.Counters().Snapshot()
-			if c.ReplayedRecords == 0 {
+			c := rec.Counters()
+			if c.ReplayedRecords.Load() == 0 {
 				t.Fatal("recovery replayed nothing; the journal tail was not exercised")
 			}
-			if c.CutReconciles == 0 {
+			if c.CutReconciles.Load() == 0 {
 				t.Fatal("post-recovery reconcile did not run")
 			}
-			if c.CutDrift != 0 {
-				t.Fatalf("post-recovery reconcile repaired drift %d times; recovered counters must be exact", c.CutDrift)
+			if c.CutDrift.Load() != 0 {
+				t.Fatalf("post-recovery reconcile repaired drift %d times; recovered counters must be exact", c.CutDrift.Load())
 			}
 			// And the recovered store keeps working: one more quiesced step
 			// must match the reference continuing the same script.
@@ -245,16 +245,16 @@ func TestDurableRecoveryCrashDuringCheckpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameState(t, "crash-during-checkpoint", rec, ref)
-			c := rec.Counters().Snapshot()
+			c := rec.Counters()
 			// 7 journaled records, surviving checkpoint at seq 3: the tail is
 			// records 4..7 — strictly longer than the 1-record tail the lost
 			// checkpoint at seq 6 would have left.
-			if c.ReplayedRecords != int64(7-int(seqs[len(seqs)-2])) {
+			if c.ReplayedRecords.Load() != int64(7-int(seqs[len(seqs)-2])) {
 				t.Fatalf("replayed %d records from the fallback checkpoint at seq %d, want %d",
-					c.ReplayedRecords, seqs[len(seqs)-2], 7-int(seqs[len(seqs)-2]))
+					c.ReplayedRecords.Load(), seqs[len(seqs)-2], 7-int(seqs[len(seqs)-2]))
 			}
-			if c.CutDrift != 0 {
-				t.Fatalf("cut drift %d after fallback recovery", c.CutDrift)
+			if c.CutDrift.Load() != 0 {
+				t.Fatalf("cut drift %d after fallback recovery", c.CutDrift.Load())
 			}
 			// The recovered store keeps working identically.
 			for _, target := range []*Store{rec, ref} {
@@ -292,9 +292,9 @@ func TestDurableGracefulReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Close()
-	c := rec.Counters().Snapshot()
-	if c.ReplayedRecords != 0 {
-		t.Fatalf("replayed %d records past a final checkpoint", c.ReplayedRecords)
+	c := rec.Counters()
+	if c.ReplayedRecords.Load() != 0 {
+		t.Fatalf("replayed %d records past a final checkpoint", c.ReplayedRecords.Load())
 	}
 	got := rec.Snapshot()
 	if got.K != want.K || got.CutWeight != want.CutWeight || got.TotalWeight != want.TotalWeight {
@@ -369,8 +369,8 @@ func TestDurableTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameState(t, "torn-tail", rec, ref)
-	if c := rec.Counters().Snapshot(); c.ReplayedRecords != 5 || c.CutDrift != 0 {
-		t.Fatalf("replayed %d records (drift %d), want 5 (0)", c.ReplayedRecords, c.CutDrift)
+	if c := rec.Counters(); c.ReplayedRecords.Load() != 5 || c.CutDrift.Load() != 0 {
+		t.Fatalf("replayed %d records (drift %d), want 5 (0)", c.ReplayedRecords.Load(), c.CutDrift.Load())
 	}
 }
 
@@ -468,9 +468,9 @@ func TestDurableCheckpointTruncatesJournal(t *testing.T) {
 			}
 		}
 	}
-	c := st.Counters().Snapshot()
-	if c.Checkpoints < 5 {
-		t.Fatalf("only %d checkpoints after 20 quiesced batches at cadence 2", c.Checkpoints)
+	c := st.Counters()
+	if c.Checkpoints.Load() < 5 {
+		t.Fatalf("only %d checkpoints after 20 quiesced batches at cadence 2", c.Checkpoints.Load())
 	}
 	ckpts, err := wal.Checkpoints(filepath.Join(dir, "checkpoints"))
 	if err != nil {

@@ -285,19 +285,19 @@ func TestParentDataDir(t *testing.T) {
 		}
 		defer st.Close()
 		_ = st.Quiesce()
-		snap, ctr := st.Snapshot(), st.Counters().Snapshot()
+		snap, ctr := st.Snapshot(), st.Counters()
 		got := parentExpect{
 			K: snap.K, Labels: snap.Labels, Bounds: st.Bounds(), Applied: snap.AppliedBatches,
 			CutWeight: snap.CutWeight, TotalWeight: snap.TotalWeight,
-			JournalSeq: st.JournalSeq(), Replayed: ctr.ReplayedRecords,
+			JournalSeq: st.JournalSeq(), Replayed: ctr.ReplayedRecords.Load(),
 		}
 		if got.K != want.K || !slices.Equal(got.Labels, want.Labels) || !slices.Equal(got.Bounds, want.Bounds) ||
 			got.Applied != want.Applied || got.CutWeight != want.CutWeight || got.TotalWeight != want.TotalWeight ||
 			got.JournalSeq != want.JournalSeq || got.Replayed != want.Replayed {
 			t.Fatalf("recovered %+v\nwant %+v", got, want)
 		}
-		if ctr.CutDrift != 0 {
-			t.Fatalf("CutDrift = %d after recovering the parent's data dir", ctr.CutDrift)
+		if ctr.CutDrift.Load() != 0 {
+			t.Fatalf("CutDrift = %d after recovering the parent's data dir", ctr.CutDrift.Load())
 		}
 	})
 }

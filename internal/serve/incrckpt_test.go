@@ -106,7 +106,7 @@ func TestIncrementalRecoveryBitIdenticalToFull(t *testing.T) {
 				if dseqs, err := wal.DeltaCheckpoints(filepath.Join(incrDir, "checkpoints")); err != nil || len(dseqs) == 0 {
 					t.Fatalf("incremental run wrote no delta checkpoints (%v, %v)", dseqs, err)
 				}
-				if got := incrSt.Counters().Snapshot().IncrCheckpointBytes; got == 0 {
+				if got := incrSt.Counters().IncrCheckpointBytes.Load(); got == 0 {
 					t.Fatal("IncrCheckpointBytes = 0 on the incremental run")
 				}
 				if dseqs, err := wal.DeltaCheckpoints(filepath.Join(fullDir, "checkpoints")); err != nil || len(dseqs) != 0 {
@@ -130,8 +130,8 @@ func TestIncrementalRecoveryBitIdenticalToFull(t *testing.T) {
 				recFull := recover(fullDir, -1)
 				requireSameState(t, "incr-recovery-vs-full-recovery", recIncr, recFull)
 				requireSameState(t, "incr-recovery-vs-precrash", recIncr, incrSt)
-				if c := recIncr.Counters().Snapshot(); c.CutDrift != 0 {
-					t.Fatalf("incremental recovery reconciled drift %d times; must be exact", c.CutDrift)
+				if c := recIncr.Counters(); c.CutDrift.Load() != 0 {
+					t.Fatalf("incremental recovery reconciled drift %d times; must be exact", c.CutDrift.Load())
 				}
 
 				// Both recoveries keep working identically.
@@ -157,7 +157,7 @@ func TestIncrementalChainRebase(t *testing.T) {
 	}
 	muts := randomHistory(rand.New(rand.NewSource(99)), 10)
 	playHistory(t, st, muts, -1, 0)
-	rebases := st.Counters().Snapshot().CheckpointRebases
+	rebases := st.Counters().CheckpointRebases.Load()
 	if rebases == 0 {
 		t.Fatal("10 checkpointed batches with MaxDeltaChain=2 forced no rebase")
 	}

@@ -43,6 +43,7 @@ var stageNames = [numStages]string{
 // observe the store.
 func (s *Store) initMetrics() {
 	s.reg = metrics.NewRegistry()
+	s.reg.RegisterCounters(&s.ctr)
 	for i := range s.stageHist {
 		s.stageHist[i] = s.reg.NewHistogram(
 			"spinner_stage_duration_seconds",

@@ -70,15 +70,15 @@ func TestHandleGroupCoalescesRuns(t *testing.T) {
 	st.handleGroup(entries)
 	st.withBarrier(func() {}) // drain the shard logs
 
-	c := st.ctr.Snapshot()
-	if c.ApplyCoalesces != 1 || c.CoalescedBatches != 3 {
-		t.Fatalf("coalesces=%d batches=%d, want 1 coalesced broadcast of 3", c.ApplyCoalesces, c.CoalescedBatches)
+	c := &st.ctr
+	if c.ApplyCoalesces.Load() != 1 || c.CoalescedBatches.Load() != 3 {
+		t.Fatalf("coalesces=%d batches=%d, want 1 coalesced broadcast of 3", c.ApplyCoalesces.Load(), c.CoalescedBatches.Load())
 	}
-	if c.BatchesApplied != 6 || st.applied.Load() != 6 {
-		t.Fatalf("applied %d batches (counter %d), want 6", c.BatchesApplied, st.applied.Load())
+	if c.BatchesApplied.Load() != 6 || st.applied.Load() != 6 {
+		t.Fatalf("applied %d batches (counter %d), want 6", c.BatchesApplied.Load(), st.applied.Load())
 	}
-	if c.EdgesAdded != 85 {
-		t.Fatalf("EdgesAdded=%d, want 85", c.EdgesAdded)
+	if c.EdgesAdded.Load() != 85 {
+		t.Fatalf("EdgesAdded=%d, want 85", c.EdgesAdded.Load())
 	}
 
 	// Reference: the same batches, one per submit, fully quiesced.
@@ -148,12 +148,12 @@ func TestDurableGroupCommitBurstRecovery(t *testing.T) {
 	if err := st.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-	c := st.Counters().Snapshot()
-	if c.JournalAppends != batches || c.GroupedEntries != batches {
-		t.Fatalf("journaled %d records in %d grouped entries, want %d", c.JournalAppends, c.GroupedEntries, batches)
+	c := st.Counters()
+	if c.JournalAppends.Load() != batches || c.GroupedEntries.Load() != batches {
+		t.Fatalf("journaled %d records in %d grouped entries, want %d", c.JournalAppends.Load(), c.GroupedEntries.Load(), batches)
 	}
-	if c.GroupCommits < 1 || c.GroupCommits > batches {
-		t.Fatalf("GroupCommits=%d outside [1,%d]", c.GroupCommits, batches)
+	if c.GroupCommits.Load() < 1 || c.GroupCommits.Load() > batches {
+		t.Fatalf("GroupCommits=%d outside [1,%d]", c.GroupCommits.Load(), batches)
 	}
 	requireSameState(t, "burst-vs-sequential", st, ref)
 	if err := st.Close(); err != nil {

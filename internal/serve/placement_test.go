@@ -165,19 +165,19 @@ func TestAppendedVertexPlacementMatchesScan(t *testing.T) {
 				}
 				submit(step, placementBatch(shadow, src))
 				if step%16 == 15 { // the exact pass compares load too
-					if err := st.control(logEntry{reconcile: make(chan error, 1)}); err != nil {
+					if err := st.control(st.reconcileNow); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
 
-			c := st.Counters().Snapshot()
-			if c.BatchesRejected != 0 || c.CutDrift != 0 {
-				t.Fatalf("rejected %d batches, drift %d; want 0, 0", c.BatchesRejected, c.CutDrift)
+			c := st.Counters()
+			if c.BatchesRejected.Load() != 0 || c.CutDrift.Load() != 0 {
+				t.Fatalf("rejected %d batches, drift %d; want 0, 0", c.BatchesRejected.Load(), c.CutDrift.Load())
 			}
-			if placed < 60 || c.Restabilizations < 2 || c.CutReconciles == 0 {
+			if placed < 60 || c.Restabilizations.Load() < 2 || c.CutReconciles.Load() == 0 {
 				t.Fatalf("history too quiet: %d vertices placed, %d restabilizations, %d reconciles",
-					placed, c.Restabilizations, c.CutReconciles)
+					placed, c.Restabilizations.Load(), c.CutReconciles.Load())
 			}
 			h := fnv.New64a()
 			for _, l := range feed {

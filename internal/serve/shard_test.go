@@ -181,14 +181,14 @@ func TestReconcileRebalance(t *testing.T) {
 	if err := st.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-	c := st.Counters().Snapshot()
-	if c.CutReconciles == 0 {
+	c := st.Counters()
+	if c.CutReconciles.Load() == 0 {
 		t.Fatal("no reconciliation ran")
 	}
-	if c.CutDrift != 0 {
-		t.Fatalf("reconciliation repaired drift %d times; deltas must be exact", c.CutDrift)
+	if c.CutDrift.Load() != 0 {
+		t.Fatalf("reconciliation repaired drift %d times; deltas must be exact", c.CutDrift.Load())
 	}
-	if c.ShardRebalances == 0 {
+	if c.ShardRebalances.Load() == 0 {
 		t.Fatal("growth skewed the ranges but boundaries never rebalanced")
 	}
 	snap := st.Snapshot()
@@ -209,7 +209,7 @@ func TestReconcileRebalance(t *testing.T) {
 	// reads the shards until the forced pass.)
 	forceReconcile := func() int64 {
 		t.Helper()
-		if err := st.control(logEntry{reconcile: make(chan error, 1)}); err != nil {
+		if err := st.control(st.reconcileNow); err != nil {
 			t.Fatal(err)
 		}
 		return st.Counters().CutDrift.Load()
@@ -343,12 +343,12 @@ func TestShardedConcurrentLookups(t *testing.T) {
 	if invalid.Load() != 0 {
 		t.Fatalf("%d invalid lookups observed", invalid.Load())
 	}
-	c := st.Counters().Snapshot()
-	if c.ShardBatches < c.BatchesApplied {
-		t.Fatalf("fast path never fanned out: sub=%d batches=%d", c.ShardBatches, c.BatchesApplied)
+	c := st.Counters()
+	if c.ShardBatches.Load() < c.BatchesApplied.Load() {
+		t.Fatalf("fast path never fanned out: sub=%d batches=%d", c.ShardBatches.Load(), c.BatchesApplied.Load())
 	}
-	if c.CutDrift != 0 {
-		t.Fatalf("cut drift under concurrency: %d", c.CutDrift)
+	if c.CutDrift.Load() != 0 {
+		t.Fatalf("cut drift under concurrency: %d", c.CutDrift.Load())
 	}
 	snap := st.Snapshot()
 	if err := metrics.ValidateLabels(snap.Labels, snap.K); err != nil {

@@ -36,7 +36,10 @@
 //     vertices on the least loaded partitions (§III-D) from the shards'
 //     maintained loads, folds the batch's exact cut deltas into the owning
 //     shards (graph.Mutation.CutEdits), and republishes — O(batch) under
-//     the barrier, never a scan of the graph.
+//     the barrier, never a scan of the graph. Anything else that must
+//     happen at a position in that order (a quiesce, recovery's journal
+//     attach and forced reconcile) rides the same log as a control: a
+//     function the coordinator runs there, whose error is the reply.
 //   - Maintenance plane: the coordinator tracks the composed cut ratio
 //     cross/total from integer per-shard counters — O(shards) per check
 //     instead of the seed's exact O(E) recompute per swap. Past the
@@ -46,7 +49,10 @@
 //     barrier and scatter per shard; mid-run per-iteration labelings
 //     publish the same way. Elastic k→k′ (§III-E) relabels the n/(k+n)
 //     fraction under a barrier and repairs in the background; in-flight
-//     runs from the old k-space are discarded. Every ReconcileEvery
+//     runs from the old k-space are discarded. All three land through one
+//     function, relabel: it swaps the full label array in, recomputes the
+//     shard counters, publishes the barrier delta and returns the label
+//     runs that changed. Every ReconcileEvery
 //     applied batches a reconciliation pass recomputes the per-shard
 //     counters exactly (they must match bit-for-bit — the deltas are
 //     integer arithmetic) and rebalances shard boundaries by weighted
@@ -252,16 +258,23 @@ func (s *Snapshot) Lookup(v graph.VertexID) (int32, bool) {
 }
 
 // logEntry is one unit of maintenance work: a mutation batch, an elastic
-// resize, a quiesce sentinel, or a recovery-control message (journal
-// attach / forced reconcile), all ordered through the same log.
+// resize or a control, all ordered through the same log.
 type logEntry struct {
-	mut       *graph.Mutation
-	newK      int        // >0: elastic resize
-	quiesce   chan error // non-nil: reply when drained and stable
-	attach    *attachReq // non-nil: adopt the journal after replay
-	reconcile chan error // non-nil: run the exact pass now and reply
-	ten       *tenantState
-	seq       uint64 // arrival order, stamped by route; restores FIFO after DRR picking
+	mut  *graph.Mutation
+	newK int     // >0: elastic resize
+	ctl  control // reply non-nil: a control entry
+	ten  *tenantState
+	seq  uint64 // arrival order, stamped by route; restores FIFO after DRR picking
+}
+
+// control is the one completion type of the log: run executes on the
+// coordinator goroutine at the entry's log position (every earlier entry
+// applied, no later one started) and its error is the reply. A nil run is
+// a quiesce: the reply is parked until the store is drained and stable
+// (maybeReleaseQuiescers). A closing store replies ErrClosed instead.
+type control struct {
+	run   func() error
+	reply chan error
 }
 
 // restabResult carries a completed background run back to the loop.
@@ -814,7 +827,7 @@ func (s *Store) Resize(newK int) error {
 // recent batch-application error, if any. Used by tests, replay and
 // orderly shutdown; a serving deployment never needs it.
 func (s *Store) Quiesce() error {
-	return s.control(logEntry{quiesce: make(chan error, 1)})
+	return s.control(nil)
 }
 
 // Close stops the coordinator and the shard goroutines and waits for them
@@ -983,13 +996,8 @@ func (s *Store) drainAndExit() {
 	}
 	s.finishDurable()
 	failControl := func(e logEntry) {
-		switch {
-		case e.quiesce != nil:
-			e.quiesce <- ErrClosed
-		case e.attach != nil:
-			e.attach.reply <- ErrClosed
-		case e.reconcile != nil:
-			e.reconcile <- ErrClosed
+		if e.ctl.reply != nil {
+			e.ctl.reply <- ErrClosed
 		}
 	}
 	for {
@@ -1026,8 +1034,8 @@ func (s *Store) drainAndExit() {
 // paying at most one fsync for the group. Stage 2 (coalesced apply): the
 // entries are applied strictly in submission order, with each maximal
 // run of consecutive fast-path-eligible add-only batches merged into a
-// single shard broadcast. Control entries (quiesce, attach, reconcile)
-// are interleaved at their submitted positions.
+// single shard broadcast. Control entries run at their submitted
+// positions.
 func (s *Store) handleGroup(entries []logEntry) {
 	var ok bool
 	if s.d != nil && s.d.active {
@@ -1048,21 +1056,11 @@ func (s *Store) handleGroup(entries []logEntry) {
 	}
 	for _, e := range entries {
 		switch {
-		case e.quiesce != nil:
-			s.quiescers = append(s.quiescers, e.quiesce)
-		case e.attach != nil:
+		case e.ctl.reply != nil && e.ctl.run == nil:
+			s.quiescers = append(s.quiescers, e.ctl.reply)
+		case e.ctl.reply != nil:
 			flush()
-			s.d.jrn = e.attach.jrn
-			s.d.lastSeq = e.attach.lastSeq
-			s.d.ckptApplied = s.applied.Load()
-			s.d.active = true
-			s.jrnLive.Store(e.attach.jrn)
-			s.journalSeq.Store(e.attach.lastSeq)
-			e.attach.reply <- nil
-		case e.reconcile != nil:
-			flush()
-			s.reconcile(false)
-			e.reconcile <- nil
+			e.ctl.reply <- e.ctl.run()
 		case e.newK > 0:
 			if !ok {
 				continue // group journal failed; entry was never durable
@@ -1287,22 +1285,40 @@ func (s *Store) resize(newK int) {
 			s.lastErr.Store(&err)
 			return
 		}
-		moved := 0
-		for v := range relabeled {
-			if relabeled[v] != s.labels[v] {
-				moved++
-			}
-		}
-		runs := labelDiffRuns(s.labels, relabeled)
-		s.labels = relabeled
 		s.k = newK
 		s.gen++
 		s.wantRestab = true
 		s.ctr.ElasticResizes.Add(1)
+		moved := 0
+		for _, run := range s.relabel(relabeled) {
+			moved += len(run.Labels)
+		}
 		s.ctr.ElasticSeedMoved.Add(int64(moved))
-		s.recomputeShardCuts()
-		s.emitBarrierDelta(runs, false)
 	})
+}
+
+// overlay returns a background run's labeling laid over the live one: the
+// run's labels for the base vertices it saw, the live (seeded) labels for
+// any appended since.
+func (s *Store) overlay(run []int32, base int) []int32 {
+	merged := make([]int32, len(s.labels))
+	copy(merged, run[:base])
+	copy(merged[base:], s.labels[base:])
+	return merged
+}
+
+// relabel adopts a full relabeling: it swaps merged in, recomputes every
+// shard's counters and snapshot, publishes the barrier delta and returns
+// the label runs that changed (exact, see labelDiffRuns) — the whole of
+// what a replica needs to land the same relabeling. Coordinator-only,
+// under a barrier, after the caller has set the k, gen and epoch the new
+// labels live in.
+func (s *Store) relabel(merged []int32) []LabelRun {
+	runs := labelDiffRuns(s.labels, merged)
+	s.labels = merged
+	s.recomputeShardCuts()
+	s.emitBarrierDelta(runs, false)
+	return runs
 }
 
 // recomputeShardCuts refreshes every shard's labels view, counters (exact)
@@ -1423,14 +1439,8 @@ func (s *Store) mergeMidrun(note midrunNote) {
 		return
 	}
 	s.withBarrier(func() {
-		merged := make([]int32, len(s.labels))
-		copy(merged, note.labels[:note.base])
-		copy(merged[note.base:], s.labels[note.base:])
-		runs := labelDiffRuns(s.labels, merged)
-		s.labels = merged
 		s.ctr.MidRunSnapshots.Add(1)
-		s.recomputeShardCuts()
-		s.emitBarrierDelta(runs, false)
+		s.relabel(s.overlay(note.labels, note.base))
 	})
 }
 
@@ -1451,19 +1461,14 @@ func (s *Store) merge(res restabResult) {
 		return
 	}
 	s.withBarrier(func() {
-		merged := make([]int32, len(s.labels))
-		copy(merged, res.labels[:res.base])
-		copy(merged[res.base:], s.labels[res.base:])
+		merged := s.overlay(res.labels, res.base)
 		verts, weight := cluster.MigrationVolume(s.w, s.labels, merged)
 		s.ctr.MigratedVertices.Add(verts)
 		s.ctr.MigratedWeight.Add(weight)
-		runs := labelDiffRuns(s.labels, merged)
-		s.labels = merged
 		s.epoch++
 		s.ctr.Restabilizations.Add(1)
-		s.recomputeShardCuts()
+		s.relabel(merged)
 		s.baseline = cutRatio(s.ownedCounters())
-		s.emitBarrierDelta(runs, false)
 	})
 }
 

@@ -79,8 +79,8 @@ func TestStoreLookupAndSnapshot(t *testing.T) {
 	if snap.K != 2 || len(snap.Labels) != 80 || snap.Version == 0 {
 		t.Fatalf("bad initial snapshot %+v", snap)
 	}
-	c := st.Counters().Snapshot()
-	if c.Lookups != 4 || c.LookupMisses != 2 {
+	c := st.Counters()
+	if c.Lookups.Load() != 4 || c.LookupMisses.Load() != 2 {
 		t.Fatalf("counters %v", c)
 	}
 }
@@ -135,8 +135,8 @@ func TestStoreSeedsNewVertices(t *testing.T) {
 			t.Fatalf("existing vertex %d moved without a restabilization", v)
 		}
 	}
-	c := st.Counters().Snapshot()
-	if c.VerticesAdded != 10 || c.BatchesApplied != 1 || c.Restabilizations != 0 {
+	c := st.Counters()
+	if c.VerticesAdded.Load() != 10 || c.BatchesApplied.Load() != 1 || c.Restabilizations.Load() != 0 {
 		t.Fatalf("counters %v", c)
 	}
 }
@@ -166,8 +166,8 @@ func TestStoreRejectsBadBatchAtomically(t *testing.T) {
 	if st.Err() == nil {
 		t.Fatal("Err() empty after rejection")
 	}
-	c := st.Counters().Snapshot()
-	if c.BatchesRejected != 1 || c.BatchesApplied != 0 {
+	c := st.Counters()
+	if c.BatchesRejected.Load() != 1 || c.BatchesApplied.Load() != 0 {
 		t.Fatalf("counters %v", c)
 	}
 
@@ -206,8 +206,8 @@ func TestStoreRestabilizationTrigger(t *testing.T) {
 	if err := st.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-	c := st.Counters().Snapshot()
-	if c.Restabilizations < 1 {
+	c := st.Counters()
+	if c.Restabilizations.Load() < 1 {
 		t.Fatalf("no restabilization ran (counters %v)", c)
 	}
 	snap := st.Snapshot()
@@ -217,7 +217,7 @@ func TestStoreRestabilizationTrigger(t *testing.T) {
 	if err := metrics.ValidateLabels(snap.Labels, 2); err != nil {
 		t.Fatal(err)
 	}
-	if c.MigratedVertices > 0 && c.MigratedWeight == 0 {
+	if c.MigratedVertices.Load() > 0 && c.MigratedWeight.Load() == 0 {
 		t.Fatal("migrated vertices with zero dragged weight")
 	}
 	// The run must not leave the cut materially worse than where the batch
@@ -278,12 +278,12 @@ func TestStoreElasticResizeIncremental(t *testing.T) {
 	if err := metrics.ValidateLabels(snap.Labels, newK); err != nil {
 		t.Fatal(err)
 	}
-	c := st.Counters().Snapshot()
-	if c.ElasticResizes != 1 {
+	c := st.Counters()
+	if c.ElasticResizes.Load() != 1 {
 		t.Fatalf("counters %v", c)
 	}
 	// The probabilistic relabeling moves ≈ n/(k+n) = 20% of vertices.
-	seedFrac := float64(c.ElasticSeedMoved) / 4000
+	seedFrac := float64(c.ElasticSeedMoved.Load()) / 4000
 	if seedFrac < 0.1 || seedFrac > 0.35 {
 		t.Fatalf("elastic seed moved %.1f%% of vertices, want ≈20%%", 100*seedFrac)
 	}
@@ -395,8 +395,8 @@ func TestStoreConcurrentLookupsDuringRestabilization(t *testing.T) {
 	if invalid.Load() != 0 {
 		t.Fatalf("%d invalid lookups observed", invalid.Load())
 	}
-	c := st.Counters().Snapshot()
-	if c.Lookups == 0 || c.BatchesApplied == 0 || c.Restabilizations == 0 {
+	c := st.Counters()
+	if c.Lookups.Load() == 0 || c.BatchesApplied.Load() == 0 || c.Restabilizations.Load() == 0 {
 		t.Fatalf("concurrency test exercised nothing: %v", c)
 	}
 	if err := metrics.ValidateLabels(st.Snapshot().Labels, st.Snapshot().K); err != nil {
