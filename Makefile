@@ -14,12 +14,15 @@
 #                      scratch and from warm starts (BenchmarkSpinnerIteration,
 #                      BenchmarkWarmStart), into out/; top 15 functions by CPU
 #                      and top 10 by allocated bytes printed
+#   make profile-api — the same two profiles of the /v1/lookup read path
+#                      (BenchmarkHandleLookup point and whole map,
+#                      BenchmarkParseResync) into out/; top 10 of each
 #   make fuzz        — 10s on every Fuzz target in the module, found by
 #                      go test -list (a new target needs no edit here)
 #   make *-smoke     — kill -9 / overload / failover / change-feed / metrics
 #                      drills against a real spinnerd over /v1 (scripts/)
 
-.PHONY: all check build vet lint test test-race bench bench-test bench-quick profile-core fuzz recovery-smoke overload-smoke replication-smoke changefeed-smoke metrics-smoke
+.PHONY: all check build vet lint test test-race bench bench-test bench-quick profile-core profile-api fuzz recovery-smoke overload-smoke replication-smoke changefeed-smoke metrics-smoke
 
 all: check
 
@@ -61,6 +64,13 @@ profile-core:
 		-cpuprofile out/core.prof -memprofile out/core.mem -o out/core.test .
 	go tool pprof -top -nodecount 15 out/core.test out/core.prof
 	go tool pprof -sample_index=alloc_space -top -nodecount 10 out/core.test out/core.mem
+
+profile-api:
+	mkdir -p out
+	go test -run '^$$' -bench 'BenchmarkHandleLookup|BenchmarkParseResync' -benchtime 2000x \
+		-cpuprofile out/api.prof -memprofile out/api.mem -o out/api.test ./internal/api
+	go tool pprof -top -nodecount 10 out/api.test out/api.prof
+	go tool pprof -sample_index=alloc_space -top -nodecount 10 out/api.test out/api.mem
 
 fuzz:
 	@for pkg in $$(go list ./...); do \

@@ -186,6 +186,11 @@
 //	GET  /v1/lookup        → 200 {"k":K,"vertices":N,"labels":[...],"from_seq":S}
 //	                         (no v parameter: the full map + the watch cursor to resume
 //	                         the change feed from — the resync path after a 410)
+//	                         Both 200s carry Content-Length (the whole map used to be
+//	                         chunked); the bodies are byte for byte what encoding/json
+//	                         writes. version and k are read from the shard headers:
+//	                         answering for one vertex never composes the label map,
+//	                         and neither does /v1/stats.
 //	POST /v1/mutate        → 202 {"queued":true,"adds":A,"removes":R,"vertices":N}
 //	                         400 {"error":"line L: ..."}
 //	                         429 {"error":...,"code":"quota_exceeded"|"log_full"} + Retry-After
@@ -509,7 +514,7 @@ func run(dc daemonConfig, out io.Writer) error {
 				return err
 			}
 			fmt.Fprintf(out, "spinnerd: recovered %d vertices (replayed %d journal records)\n",
-				len(st.Snapshot().Labels), st.Counters().ReplayedRecords.Load())
+				st.Summary().Vertices, st.Counters().ReplayedRecords.Load())
 		} else {
 			g, err := loadGraph()
 			if err != nil {
@@ -545,8 +550,7 @@ func run(dc daemonConfig, out io.Writer) error {
 		}
 		rep = &api.Replica{Srv: replica.NewServer(st, dc.dataDir, func() uint64 { return ep.Epoch })}
 	}
-	snap := st.Snapshot()
-	fmt.Fprintf(out, "spinnerd: serving (cut ratio %.4f)\n", snap.CutRatio)
+	fmt.Fprintf(out, "spinnerd: serving (cut ratio %.4f)\n", st.Summary().CutRatio)
 
 	if dc.demo > 0 {
 		return runDemo(st, dc.demo, dc.seed, out)
@@ -594,7 +598,7 @@ func run(dc daemonConfig, out io.Writer) error {
 // runDemo drives synthetic churn + lookups against the store and prints
 // the counters — the no-network smoke mode.
 func runDemo(st *serve.Store, d time.Duration, seed uint64, out io.Writer) error {
-	n := len(st.Snapshot().Labels)
+	n := st.Summary().Vertices
 	src := rng.New(seed ^ 0xdeadbeef)
 	var lookups atomic.Int64
 	stop := make(chan struct{})
@@ -611,7 +615,7 @@ func runDemo(st *serve.Store, d time.Duration, seed uint64, out io.Writer) error
 			if _, ok := st.Lookup(v); ok {
 				lookups.Add(1)
 			}
-			v = (v + 13) % graph.VertexID(len(st.Snapshot().Labels))
+			v = (v + 13) % graph.VertexID(n)
 		}
 	}()
 	deadline := time.Now().Add(d)
@@ -637,13 +641,13 @@ func runDemo(st *serve.Store, d time.Duration, seed uint64, out io.Writer) error
 	}
 	fmt.Fprintf(out, "spinnerd demo: %d lookups alongside %d batches\n", lookups.Load(), batch)
 	fmt.Fprintf(out, "spinnerd demo: %v\n", st.Counters())
-	fmt.Fprintf(out, "spinnerd demo: final %s\n", describe(st.Snapshot()))
+	fmt.Fprintf(out, "spinnerd demo: final %s\n", describe(st.Summary()))
 	return nil
 }
 
-func describe(s *serve.Snapshot) string {
+func describe(s serve.Summary) string {
 	return fmt.Sprintf("snapshot v%d: %d vertices, k=%d, cut=%.4f, epoch=%d",
-		s.Version, len(s.Labels), s.K, s.CutRatio, s.Epoch)
+		s.Version, s.Vertices, s.K, s.CutRatio, s.Epoch)
 }
 
 // parseWeights parses the -quota-weights "tenant=weight,..." CSV.

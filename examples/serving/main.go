@@ -74,7 +74,7 @@ func main() {
 	go httpSrv.Serve(ln)
 	defer httpSrv.Close()
 	cli := client.New("http://" + ln.Addr().String())
-	fmt.Printf("serving /v1 on %s: %s\n\n", ln.Addr(), line(st.Snapshot()))
+	fmt.Printf("serving /v1 on %s: %s\n\n", ln.Addr(), line(st.Summary()))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -92,7 +92,7 @@ func main() {
 				if _, err := cli.Lookup(ctx, v); err == nil {
 					served.Add(1)
 				}
-				v = (v + 37) % int64(len(st.Snapshot().Labels))
+				v = (v + 37) % int64(st.Summary().Vertices)
 			}
 		}(r)
 	}
@@ -127,7 +127,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("after 12 growth batches over POST /v1/mutate (%.0fms): %s\n",
-		time.Since(start).Seconds()*1000, line(st.Snapshot()))
+		time.Since(start).Seconds()*1000, line(st.Summary()))
 
 	// Elastic scale-out: k -> k+2 machines, incremental migration only.
 	before := st.Snapshot().Labels
@@ -145,7 +145,7 @@ func main() {
 			moved++
 		}
 	}
-	fmt.Printf("after elastic repair: %s\n", line(after))
+	fmt.Printf("after elastic repair: %s\n", line(after.Summary))
 	fmt.Printf("  moved %.1f%% of vertices (from-scratch would reshuffle nearly all)\n",
 		100*float64(moved)/float64(len(before)))
 
@@ -197,7 +197,7 @@ func main() {
 		same = got.Labels[v] == want.Labels[v]
 	}
 	fmt.Printf("recovered: %s\n  labels bit-identical to pre-shutdown state: %v (replayed %d journal records)\n",
-		line(got), same, rec.Counters().ReplayedRecords.Load())
+		line(got.Summary), same, rec.Counters().ReplayedRecords.Load())
 }
 
 // feedState is the watch consumer's view: a label map reconstructed
@@ -274,7 +274,7 @@ func mutationText(edges []graph.WeightedEdgeRecord) string {
 	return sb.String()
 }
 
-func line(s *serve.Snapshot) string {
+func line(s serve.Summary) string {
 	return fmt.Sprintf("snapshot v%d: %d vertices, k=%d, cut=%.4f, restab epoch %d",
-		s.Version, len(s.Labels), s.K, s.CutRatio, s.Epoch)
+		s.Version, s.Vertices, s.K, s.CutRatio, s.Epoch)
 }

@@ -157,8 +157,8 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		}
 		fromSeq := s.resyncFromSeq()
 		snap := s.st.Snapshot()
-		writeJSON(w, http.StatusOK, ResyncResponse{
-			K: snap.K, Vertices: len(snap.Labels), Labels: snap.Labels, FromSeq: fromSeq})
+		writeBody(w, AppendResync(nil, ResyncResponse{
+			K: snap.K, Vertices: snap.Vertices, Labels: snap.Labels, FromSeq: fromSeq}))
 		return
 	}
 	v, err := strconv.ParseInt(raw, 10, 32)
@@ -174,8 +174,11 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "vertex not found")
 		return
 	}
-	snap := s.st.Snapshot()
-	writeJSON(w, http.StatusOK, LookupResponse{Vertex: v, Partition: part, Version: snap.Version, K: snap.K})
+	// Version and k come from the shard headers: answering for one vertex
+	// never composes the label map.
+	sum := s.st.Summary()
+	var buf [128]byte
+	writeBody(w, AppendLookup(buf[:0], LookupResponse{Vertex: v, Partition: part, Version: sum.Version, K: sum.K}))
 }
 
 // resyncFromSeq returns the watch cursor a fresh full dump pairs with:
@@ -319,19 +322,19 @@ type StatsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	snap := s.st.Snapshot()
+	sum := s.st.Summary()
 	floor, next := s.st.DeltaBounds()
 	resp := StatsResponse{
-		Vertices:          len(snap.Labels),
-		K:                 snap.K,
-		Version:           snap.Version,
-		Epoch:             snap.Epoch,
-		Applied:           snap.AppliedBatches,
-		Cut:               snap.CutRatio,
-		CutWeight:         snap.CutWeight,
-		TotalWeight:       snap.TotalWeight,
-		CutByPartition:    snap.CutByPartition,
-		Shards:            snap.Shards,
+		Vertices:          sum.Vertices,
+		K:                 sum.K,
+		Version:           sum.Version,
+		Epoch:             sum.Epoch,
+		Applied:           sum.AppliedBatches,
+		Cut:               sum.CutRatio,
+		CutWeight:         sum.CutWeight,
+		TotalWeight:       sum.TotalWeight,
+		CutByPartition:    sum.CutByPartition,
+		Shards:            sum.Shards,
 		Durable:           s.st.Durable(),
 		JournalGroupDepth: s.st.Counters().GroupCommitDepth(),
 		Counters:          s.st.Metrics().Counters(),
@@ -415,6 +418,16 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// writeBody sends a 200 whose JSON body is already encoded (the
+// /v1/lookup answers, lookupcodec.go), with an explicit Content-Length
+// so that no answer is chunked, whatever its size.
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 // writeError emits the JSON error shape every endpoint shares:

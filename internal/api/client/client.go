@@ -8,6 +8,7 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -110,9 +111,21 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// do issues the request and decodes a JSON success body into out (when
-// non-nil), converting error envelopes into *APIError.
+// do issues the request and decodes a JSON success body into out,
+// converting error envelopes into *APIError.
 func (c *Client) do(ctx context.Context, method, path string, body io.Reader, out any) error {
+	return c.roundTrip(ctx, method, path, body, func(resp *http.Response) error {
+		return json.NewDecoder(resp.Body).Decode(out)
+	})
+}
+
+// roundTrip issues the request, converts an error envelope into an
+// *APIError and hands a success response to decode. Whatever decode left
+// unread (a json.Decoder stops at the end of its value, short of a
+// chunked body's terminator) is drained before Close, so the transport
+// keeps the connection; the drain is bounded, since a body much longer
+// than its value is not worth the connection.
+func (c *Client) roundTrip(ctx context.Context, method, path string, body io.Reader, decode func(*http.Response) error) error {
 	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
 	if err != nil {
 		return err
@@ -126,13 +139,12 @@ func (c *Client) do(ctx context.Context, method, path string, body io.Reader, ou
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 400 {
-		return decodeError(resp)
+		err = decodeError(resp)
+	} else {
+		err = decode(resp)
 	}
-	if out == nil {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	_, _ = io.CopyN(io.Discard, resp.Body, 4<<10)
+	return err
 }
 
 // decodeError converts an error response into an *APIError, consuming
@@ -178,7 +190,22 @@ func (c *Client) Lookup(ctx context.Context, v int64) (*api.LookupResponse, erro
 // the change feed from — the resync path after ErrCompacted.
 func (c *Client) LookupAll(ctx context.Context) (*api.ResyncResponse, error) {
 	var out api.ResyncResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/lookup", nil, &out); err != nil {
+	err := c.roundTrip(ctx, http.MethodGet, "/v1/lookup", nil, func(resp *http.Response) error {
+		// One buffer, sized by Content-Length (plus the spare room ReadFrom
+		// wants before it sees EOF; capped, as a header is only a claim),
+		// scanned in place.
+		var buf bytes.Buffer
+		if resp.ContentLength > 0 {
+			buf.Grow(int(min(resp.ContentLength, 1<<28)) + bytes.MinRead)
+		}
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			return err
+		}
+		var err error
+		out, err = api.ParseResync(buf.Bytes())
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -212,5 +215,74 @@ func TestClientWatchCompactedResync(t *testing.T) {
 		if labels[v] != all.Labels[v] {
 			t.Fatalf("post-resync label[%d] = %d, lookup = %d", v, labels[v], all.Labels[v])
 		}
+	}
+}
+
+// Every call leaves its connection reusable: the /v1/lookup answers carry
+// Content-Length, and do drains what a json.Decoder leaves unread of a
+// chunked body (here 3 KB of whitespace after the value, more than the
+// decoder buffers). Sixty calls on the real routes, twenty on the tail:
+// one dial each.
+func TestClientReusesConnection(t *testing.T) {
+	dials := func(cli *Client, calls func(ctx context.Context)) int {
+		cli.HTTPClient = &http.Client{Transport: &http.Transport{MaxConnsPerHost: 1, MaxIdleConnsPerHost: 1}}
+		fresh := 0
+		calls(httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+			GotConn: func(info httptrace.GotConnInfo) {
+				if !info.Reused {
+					fresh++
+				}
+			},
+		}))
+		return fresh
+	}
+	cli, _ := testClient(t, serve.Config{})
+	if n := dials(cli, func(ctx context.Context) {
+		for i := 0; i < 20; i++ {
+			if all, err := cli.LookupAll(ctx); err != nil || len(all.Labels) != 600 {
+				t.Fatalf("LookupAll %d: %v", i, err)
+			}
+			if _, err := cli.Lookup(ctx, int64(i)); err != nil {
+				t.Fatalf("Lookup %d: %v", i, err)
+			}
+			if _, err := cli.Stats(ctx); err != nil {
+				t.Fatalf("Stats %d: %v", i, err)
+			}
+		}
+	}); n != 1 {
+		t.Fatalf("60 calls on one client dialed %d connections, want 1", n)
+	}
+
+	tail := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"status":"ok"}`)
+		w.(http.Flusher).Flush()
+		io.WriteString(w, strings.Repeat(" ", 3000)+"\n")
+	}))
+	defer tail.Close()
+	tailCli := New(tail.URL)
+	if n := dials(tailCli, func(ctx context.Context) {
+		for i := 0; i < 20; i++ {
+			if h, err := tailCli.Health(ctx); err != nil || h.Status != "ok" {
+				t.Fatalf("Health %d: %+v, %v", i, h, err)
+			}
+		}
+	}); n != 1 {
+		t.Fatalf("20 calls answered with a chunked tail dialed %d connections, want 1", n)
+	}
+}
+
+// LookupAll does not need the Content-Length it sizes its buffer by: a
+// chunked body with the keys in another order and whitespace reads the same.
+func TestLookupAllReadsChunkedBody(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "{ \"from_seq\": 9,\n \"labels\": [1, 0, 3],")
+		w.(http.Flusher).Flush()
+		io.WriteString(w, " \"vertices\": 3, \"k\": 4 }\n")
+	}))
+	defer srv.Close()
+	all, err := New(srv.URL).LookupAll(context.Background())
+	want := &api.ResyncResponse{K: 4, Vertices: 3, Labels: []int32{1, 0, 3}, FromSeq: 9}
+	if err != nil || !reflect.DeepEqual(all, want) {
+		t.Fatalf("LookupAll = %+v, %v; want %+v", all, err, want)
 	}
 }

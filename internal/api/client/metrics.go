@@ -12,26 +12,15 @@ import (
 )
 
 // MetricsText fetches the raw Prometheus exposition from GET /v1/metrics.
-// Unlike every other endpoint the body is text, not JSON, so it bypasses
-// the do helper; error statuses still decode the shared envelope.
+// Unlike every other endpoint the body is text, not JSON; error statuses
+// still decode the shared envelope.
 func (c *Client) MetricsText(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		return "", decodeError(resp)
-	}
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		return "", err
-	}
-	return string(raw), nil
+	var raw []byte
+	err := c.roundTrip(ctx, http.MethodGet, "/v1/metrics", nil, func(resp *http.Response) (err error) {
+		raw, err = io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+		return err
+	})
+	return string(raw), err
 }
 
 // Sample is one parsed exposition line: a series (name + label set) and

@@ -16,6 +16,10 @@
 //     through one atomic pointer and the target shard's immutable snapshot
 //     through another. No locks, no contention with writers; a published
 //     snapshot is never mutated, so readers hold it as long as they like.
+//     Lookups and stats never compose: Summary reads the shard headers of
+//     one consistent sweep (vertex count, k, version, cut) in O(shards·k);
+//     Snapshot is that Summary plus an O(n) copy of every label, for the
+//     callers that read labels (the /v1/lookup whole-map dump).
 //   - Write plane: graph.Mutation batches enter a bounded mutation log (a
 //     buffered channel). Submit blocks for backpressure, TrySubmit fails
 //     fast with ErrLogFull. The coordinator runs a staged commit pipeline:
@@ -218,15 +222,15 @@ func (c *Config) normalize() error {
 	return c.Overload.normalize()
 }
 
-// Snapshot is an immutable composed view of the partitioning. Lookups
-// resolve against exactly one per-shard snapshot; Snapshot composes all of
-// them for callers that want the global labeling and counters.
-type Snapshot struct {
-	// Labels maps vertex → partition; len(Labels) is the vertex count at
-	// publication. The slice is immutable: neither the Store nor callers
-	// may write to it.
-	Labels []int32
-	// K is the partition count this snapshot's labels live in.
+// Summary is the header of a composed view: everything a Snapshot says
+// about the partitioning except the labels themselves. It costs
+// O(shards·k) and copies no label, so lookups and stats never compose:
+// callers that want a count, k, the version or the cut read Summary;
+// only callers that read labels pay for Snapshot.
+type Summary struct {
+	// Vertices is the vertex count at publication (len(Snapshot.Labels)).
+	Vertices int
+	// K is the partition count the view's labels live in.
 	K int
 	// Version counts snapshot publications, summed over shards
 	// (monotonically increasing).
@@ -234,7 +238,7 @@ type Snapshot struct {
 	// AppliedBatches counts mutation batches resolved (applied or
 	// rejected) at composition time.
 	AppliedBatches uint64
-	// Epoch counts restabilization merges reflected in this snapshot.
+	// Epoch counts restabilization merges reflected in this view.
 	Epoch uint64
 	// CutRatio is CutWeight/TotalWeight: the fraction of edge weight
 	// crossing partitions (1−φ), tracked incrementally in integers.
@@ -247,6 +251,17 @@ type Snapshot struct {
 	CutByPartition []int64
 	// Shards is the shard count the view was composed from.
 	Shards int
+}
+
+// Snapshot is an immutable composed view of the partitioning: the
+// Summary of one consistent shard sweep plus the global labeling copied
+// out of the same sweep. Lookups resolve against exactly one per-shard
+// snapshot and never compose one.
+type Snapshot struct {
+	// Labels maps vertex → partition; len(Labels) == Vertices. The slice
+	// is immutable: neither the Store nor callers may write to it.
+	Labels []int32
+	Summary
 }
 
 // Lookup resolves one vertex against the composed snapshot.
@@ -584,15 +599,13 @@ func (s *Store) Lookup(v graph.VertexID) (int32, bool) {
 	}
 }
 
-// Snapshot composes the per-shard snapshots into one immutable global
-// view. A sweep that interleaves with a boundary republication (growth or
-// rebalance, both rare) can catch shards from different layouts; the
-// sweep retries until the captured ranges tile the vertex space exactly,
-// so the composed labels have no gaps or overlaps and every edge is
-// counted by exactly one owner. Each composition allocates; lookups
-// should use Lookup, which resolves against a single shard without
-// composing.
-func (s *Store) Snapshot() *Snapshot {
+// sweep captures one consistent publication round of the per-shard
+// snapshots and sums their headers. A sweep that interleaves with a
+// boundary republication (growth or rebalance, both rare) can catch
+// shards from different layouts; it retries until the captured ranges
+// tile the vertex space exactly, so labels composed from it have no gaps
+// or overlaps and every edge is counted by exactly one owner.
+func (s *Store) sweep() ([]*shardSnap, Summary) {
 	rt := s.router.Load()
 	snaps := make([]*shardSnap, len(rt.shards))
 	for {
@@ -616,46 +629,52 @@ func (s *Store) Snapshot() *Snapshot {
 		// Mid-republication; the coordinator finishes in straight-line
 		// code, so a re-sweep converges promptly.
 	}
-	k := 1
-	var version, epoch uint64
-	var cross, total int64
-	maxEnd := 0
+	sum := Summary{K: 1, AppliedBatches: uint64(s.applied.Load()), Shards: len(snaps)}
 	for _, sn := range snaps {
-		if end := sn.lo + len(sn.labels); end > maxEnd {
-			maxEnd = end
+		if end := sn.lo + len(sn.labels); end > sum.Vertices {
+			sum.Vertices = end
 		}
-		if sn.k > k {
-			k = sn.k
+		if sn.k > sum.K {
+			sum.K = sn.k
 		}
-		if sn.epoch > epoch {
-			epoch = sn.epoch
+		if sn.epoch > sum.Epoch {
+			sum.Epoch = sn.epoch
 		}
-		version += sn.version
-		cross += sn.cross
-		total += sn.total
+		sum.Version += sn.version
+		sum.CutWeight += sn.cross
+		sum.TotalWeight += sn.total
 	}
-	labels := make([]int32, maxEnd)
-	perPart := make([]int64, k)
+	sum.CutRatio = cutRatio(sum.CutWeight, sum.TotalWeight)
+	sum.CutByPartition = make([]int64, sum.K)
 	for _, sn := range snaps {
-		copy(labels[sn.lo:], sn.labels)
 		for l, wgt := range sn.perPart {
-			if l < k {
-				perPart[l] += wgt
+			if l < sum.K {
+				sum.CutByPartition[l] += wgt
 			}
 		}
 	}
-	return &Snapshot{
-		Labels:         labels,
-		K:              k,
-		Version:        version,
-		AppliedBatches: uint64(s.applied.Load()),
-		Epoch:          epoch,
-		CutRatio:       cutRatio(cross, total),
-		CutWeight:      cross,
-		TotalWeight:    total,
-		CutByPartition: perPart,
-		Shards:         len(rt.shards),
+	return snaps, sum
+}
+
+// Summary returns the header of the current composed view without
+// composing it: one consistent sweep of the shard headers, O(shards·k),
+// no label copied.
+func (s *Store) Summary() Summary {
+	_, sum := s.sweep()
+	return sum
+}
+
+// Snapshot composes the per-shard snapshots into one immutable global
+// view: Summary's sweep plus a copy of every label. Each composition
+// allocates O(n); callers that do not read labels should use Summary,
+// and lookups Lookup, which resolves against a single shard.
+func (s *Store) Snapshot() *Snapshot {
+	snaps, sum := s.sweep()
+	labels := make([]int32, sum.Vertices)
+	for _, sn := range snaps {
+		copy(labels[sn.lo:], sn.labels)
 	}
+	return &Snapshot{Labels: labels, Summary: sum}
 }
 
 // Counters exposes the serving metrics.

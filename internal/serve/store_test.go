@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -522,5 +523,77 @@ func TestBootstrap(t *testing.T) {
 	}
 	if err := metrics.ValidateLabels(snap.Labels, 4); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Summary is Snapshot without the labels, from the same sweep: equal field
+// for field at quiescence, and under concurrent growth and a resize its
+// version never goes back and its (K, Vertices) is a pair the log's order
+// allows a Snapshot to hold.
+func TestSummaryMatchesSnapshot(t *testing.T) {
+	const n0, before, after, oldK, newK = 600, 10, 10, 4, 6
+	st, err := Bootstrap(gen.WattsStrogatz(n0, 8, 0.2, 7), Config{Options: storeOpts(oldK, 7), Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	quiescent := func() {
+		t.Helper()
+		if err := st.Quiesce(); err != nil {
+			t.Fatal(err)
+		}
+		snap, sum := st.Snapshot(), st.Summary()
+		if !reflect.DeepEqual(snap.Summary, sum) || sum.Vertices != len(snap.Labels) {
+			t.Fatalf("Summary %+v\nSnapshot %+v with %d labels", sum, snap.Summary, len(snap.Labels))
+		}
+	}
+	quiescent()
+
+	// The log orders: `before` one-vertex batches, the resize, `after` more.
+	var stop atomic.Bool
+	var readers sync.WaitGroup
+	defer func() {
+		stop.Store(true)
+		readers.Wait()
+	}()
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var last uint64
+			for !stop.Load() {
+				sum := st.Summary()
+				if sum.Version < last {
+					t.Errorf("Summary version went back: %d after %d", sum.Version, last)
+				}
+				last = sum.Version
+				lo, hi := n0, n0+before
+				if sum.K == newK {
+					lo, hi = n0+before, n0+before+after
+				}
+				if (sum.K != oldK && sum.K != newK) || sum.Vertices < lo || sum.Vertices > hi {
+					t.Errorf("Summary holds k=%d with %d vertices: no Snapshot could", sum.K, sum.Vertices)
+				}
+				if snap := st.Snapshot(); snap.Vertices != len(snap.Labels) {
+					t.Errorf("Snapshot says %d vertices and holds %d labels", snap.Vertices, len(snap.Labels))
+				}
+			}
+		}()
+	}
+	for i := 0; i < before+after; i++ {
+		if i == before {
+			if err := st.Resize(newK); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v := graph.VertexID(n0 + i)
+		if err := st.Submit(&graph.Mutation{NewVertices: 1,
+			NewEdges: []graph.WeightedEdgeRecord{{U: v, V: v / 2, Weight: 2}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	quiescent()
+	if sum := st.Summary(); sum.K != newK || sum.Vertices != n0+before+after {
+		t.Fatalf("settled at k=%d with %d vertices", sum.K, sum.Vertices)
 	}
 }
