@@ -12,8 +12,9 @@
 #   make bench-quick — every Go micro-benchmark compiles and runs once
 #   make profile-core — CPU and allocation profiles of the LPA loop, from
 #                      scratch and from warm starts (BenchmarkSpinnerIteration,
-#                      BenchmarkWarmStart), into out/; top 15 functions by CPU
-#                      and top 10 by allocated bytes printed
+#                      BenchmarkPartitionWeighted at partition-scratch's
+#                      out-of-cache size, BenchmarkWarmStart), into out/; top
+#                      15 functions by CPU and top 10 by allocated bytes printed
 #   make profile-api — the same two profiles of the /v1/lookup read path
 #                      (BenchmarkHandleLookup point and whole map,
 #                      BenchmarkParseResync) into out/; top 10 of each
@@ -60,7 +61,7 @@ bench-quick:
 
 profile-core:
 	mkdir -p out
-	go test -run '^$$' -bench 'BenchmarkSpinnerIteration|BenchmarkWarmStart' -benchtime 5x \
+	go test -run '^$$' -bench 'BenchmarkSpinnerIteration|BenchmarkPartitionWeighted|BenchmarkWarmStart' -benchtime 5x \
 		-cpuprofile out/core.prof -memprofile out/core.mem -o out/core.test .
 	go tool pprof -top -nodecount 15 out/core.test out/core.prof
 	go tool pprof -sample_index=alloc_space -top -nodecount 10 out/core.test out/core.mem

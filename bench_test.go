@@ -279,6 +279,50 @@ func BenchmarkSpinnerIteration(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(arcs*iterations), "ns/arc-iter")
 }
 
+// BenchmarkPartitionWeighted measures PartitionWeighted from scratch in the
+// benchmark's partition-scratch shape — WS(200 000, 16, 0.3) and BA(100 000,
+// 10), k = 32, two workers, 8.4 M arcs between them — where the arcs do not
+// fit in cache and what an arc costs per iteration shows, unlike in the
+// 20 000-vertex BenchmarkSpinnerIteration. It reports ns/arc-iter (wall time
+// over arcs × LPA iterations) and B/arc (bytes allocated per arc and run).
+func BenchmarkPartitionWeighted(b *testing.B) {
+	opts := core.DefaultOptions(32)
+	opts.Seed = 1
+	opts.NumWorkers = 2
+	p, err := core.NewPartitioner(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		g    func() *graph.Graph
+	}{
+		{"ws-200k", func() *graph.Graph { return gen.WattsStrogatz(200_000, 16, 0.3, 1) }},
+		{"ba-100k", func() *graph.Graph { return gen.BarabasiAlbert(100_000, 10, 1) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			w := graph.Convert(c.g())
+			arcs := float64(2 * w.NumEdges())
+			var iterations int64
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := p.PartitionWeighted(w)
+				if err != nil {
+					b.Fatal(err)
+				}
+				iterations += int64(res.Iterations)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(arcs*float64(iterations)), "ns/arc-iter")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/(arcs*float64(b.N)), "B/arc")
+		})
+	}
+}
+
 // BenchmarkWarmStart measures the two warm starts from converged labels on a
 // graph whose arcs do not fit in cache (WS(100 000, 16, 0.3), 3.2 M arcs):
 // Adapt after a 2 % growth batch (§III-D) and Resize 32→40 (§III-E). A warm

@@ -88,7 +88,7 @@ func (r *Result) RemoteMessages() int64 {
 
 type prProg struct{ iterations int }
 
-func (p *prProg) Compute(ctx *pregel.Context[float64, struct{}, float64], v *pregel.Vertex[float64, struct{}], msgs []float64) {
+func (p *prProg) Compute(ctx *pregel.Context[float64, graph.VertexID, float64], v *pregel.Vertex[float64, graph.VertexID], msgs []float64) {
 	if ctx.Superstep() > 0 {
 		sum := 0.0
 		for _, m := range msgs {
@@ -100,8 +100,8 @@ func (p *prProg) Compute(ctx *pregel.Context[float64, struct{}, float64], v *pre
 	if ctx.Superstep() < p.iterations {
 		if len(v.Edges) > 0 {
 			share := v.Value / float64(len(v.Edges))
-			for _, e := range v.Edges {
-				ctx.SendTo(e.To, share)
+			for _, to := range v.Edges {
+				ctx.SendTo(to, share)
 			}
 		}
 	}
@@ -120,15 +120,13 @@ func PageRank(g *graph.Graph, iterations int, cfg RunConfig) ([]float64, *Result
 		return nil, nil, errors.New("apps: PageRank needs iterations >= 1")
 	}
 	n := g.NumVertices()
-	vs := make([]pregel.Vertex[float64, struct{}], n)
+	vs := make([]pregel.Vertex[float64, graph.VertexID], n)
 	for i := range vs {
 		vs[i].ID = graph.VertexID(i)
 		vs[i].Value = 1 / float64(n)
-		for _, to := range g.Neighbors(graph.VertexID(i)) {
-			vs[i].Edges = append(vs[i].Edges, pregel.Edge[struct{}]{To: to})
-		}
+		vs[i].Edges = g.Neighbors(graph.VertexID(i)) // read in place, never written
 	}
-	eng := pregel.NewEngine[float64, struct{}, float64](pregel.Config{
+	eng := pregel.NewEngine[float64, graph.VertexID, float64](pregel.Config{
 		NumWorkers: cfg.NumWorkers, Placement: cfg.Placement, Seed: cfg.Seed,
 		MaxSupersteps: iterations + 2,
 	}, &prProg{iterations: iterations})
@@ -151,7 +149,7 @@ func PageRank(g *graph.Graph, iterations int, cfg RunConfig) ([]float64, *Result
 
 type ssspProg struct{ source graph.VertexID }
 
-func (p *ssspProg) Compute(ctx *pregel.Context[float64, struct{}, float64], v *pregel.Vertex[float64, struct{}], msgs []float64) {
+func (p *ssspProg) Compute(ctx *pregel.Context[float64, graph.VertexID, float64], v *pregel.Vertex[float64, graph.VertexID], msgs []float64) {
 	ctx.CountEdges(len(v.Edges))
 	best := v.Value
 	if ctx.Superstep() == 0 {
@@ -167,8 +165,8 @@ func (p *ssspProg) Compute(ctx *pregel.Context[float64, struct{}, float64], v *p
 	}
 	if best < v.Value || (ctx.Superstep() == 0 && v.ID == p.source) {
 		v.Value = best
-		for _, e := range v.Edges {
-			ctx.SendTo(e.To, best+1)
+		for _, to := range v.Edges {
+			ctx.SendTo(to, best+1)
 		}
 	}
 	// Vote to halt; a better distance reactivates the vertex.
@@ -191,15 +189,13 @@ func SSSP(g *graph.Graph, source graph.VertexID, cfg RunConfig) ([]float64, *Res
 			sym[v] = append(sym[v], u)
 		}
 	})
-	vs := make([]pregel.Vertex[float64, struct{}], n)
+	vs := make([]pregel.Vertex[float64, graph.VertexID], n)
 	for i := range vs {
 		vs[i].ID = graph.VertexID(i)
 		vs[i].Value = math.Inf(1)
-		for _, to := range sym[i] {
-			vs[i].Edges = append(vs[i].Edges, pregel.Edge[struct{}]{To: to})
-		}
+		vs[i].Edges = sym[i]
 	}
-	eng := pregel.NewEngine[float64, struct{}, float64](pregel.Config{
+	eng := pregel.NewEngine[float64, graph.VertexID, float64](pregel.Config{
 		NumWorkers: cfg.NumWorkers, Placement: cfg.Placement, Seed: cfg.Seed,
 	}, &ssspProg{source: source})
 	eng.SetCombiner(func(a, b float64) float64 {
@@ -226,7 +222,7 @@ func SSSP(g *graph.Graph, source graph.VertexID, cfg RunConfig) ([]float64, *Res
 
 type wccProg struct{}
 
-func (wccProg) Compute(ctx *pregel.Context[float64, struct{}, float64], v *pregel.Vertex[float64, struct{}], msgs []float64) {
+func (wccProg) Compute(ctx *pregel.Context[float64, graph.VertexID, float64], v *pregel.Vertex[float64, graph.VertexID], msgs []float64) {
 	ctx.CountEdges(len(v.Edges))
 	best := v.Value
 	if ctx.Superstep() == 0 {
@@ -239,8 +235,8 @@ func (wccProg) Compute(ctx *pregel.Context[float64, struct{}, float64], v *prege
 	}
 	if best < v.Value || ctx.Superstep() == 0 {
 		v.Value = best
-		for _, e := range v.Edges {
-			ctx.SendTo(e.To, best)
+		for _, to := range v.Edges {
+			ctx.SendTo(to, best)
 		}
 	}
 	v.VoteToHalt()
@@ -259,15 +255,13 @@ func WCC(g *graph.Graph, cfg RunConfig) ([]int32, *Result, error) {
 			sym[v] = append(sym[v], u)
 		}
 	})
-	vs := make([]pregel.Vertex[float64, struct{}], n)
+	vs := make([]pregel.Vertex[float64, graph.VertexID], n)
 	for i := range vs {
 		vs[i].ID = graph.VertexID(i)
 		vs[i].Value = math.Inf(1)
-		for _, to := range sym[i] {
-			vs[i].Edges = append(vs[i].Edges, pregel.Edge[struct{}]{To: to})
-		}
+		vs[i].Edges = sym[i]
 	}
-	eng := pregel.NewEngine[float64, struct{}, float64](pregel.Config{
+	eng := pregel.NewEngine[float64, graph.VertexID, float64](pregel.Config{
 		NumWorkers: cfg.NumWorkers, Placement: cfg.Placement, Seed: cfg.Seed,
 	}, wccProg{})
 	eng.SetCombiner(func(a, b float64) float64 {

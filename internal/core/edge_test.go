@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -116,6 +117,49 @@ func TestConvertPathMatchesWeightedPath(t *testing.T) {
 	got := res.FinalRho()
 	if diff := want - got; diff > 1e-6 || diff < -1e-6 {
 		t.Fatalf("engine-tracked rho %.6f != recomputed %.6f: conversion paths disagree", got, want)
+	}
+}
+
+// TestPartitionMatchesConvertedPartition: Partition loads a directed graph
+// as graph.Convert converts it — repeated arcs dropped, then Eq. 3 — so on
+// graphs whose generators repeat arcs it produces exactly the labels of
+// PartitionWeighted(Convert(g)), at any worker count.
+func TestPartitionMatchesConvertedPartition(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"ws-0.3", gen.WattsStrogatz(3000, 10, 0.3, 11)},
+		{"ws-0.6", gen.WattsStrogatz(2000, 6, 0.6, 5)},
+		{"ba", gen.BarabasiAlbert(2000, 6, 13)},
+	} {
+		arcs, distinct := 0, map[graph.Edge]bool{}
+		c.g.Edges(func(u, v graph.VertexID) {
+			arcs++
+			distinct[graph.Edge{From: u, To: v}] = true
+		})
+		if c.name != "ba" && arcs == len(distinct) {
+			t.Fatalf("%s: no repeated arc; the case tests nothing", c.name)
+		}
+		w := graph.Convert(c.g)
+		for _, workers := range []int{1, 2, 4} {
+			opts := DefaultOptions(8)
+			opts.Seed = 17
+			opts.NumWorkers = workers
+			p := mustPartitioner(t, opts)
+			direct, err := p.Partition(c.g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			converted, err := p.PartitionWeighted(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(direct.Labels, converted.Labels) || direct.Iterations != converted.Iterations {
+				t.Errorf("%s workers=%d: Partition and PartitionWeighted(Convert) differ (%d vs %d iterations)",
+					c.name, workers, direct.Iterations, converted.Iterations)
+			}
+		}
 	}
 }
 

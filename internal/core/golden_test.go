@@ -10,15 +10,14 @@ import (
 	"repro/internal/graph"
 )
 
-// golden is one run's fingerprint as recorded at c8519d1. hash (FNV-64a over
-// the little-endian labels) and iterations are the gate a performance change
-// must pass untouched. broadcast is that commit's Result.Messages, from when
-// the Initialization superstep still sent every starting label along every
-// arc; the count a run reports now is in goldenMessages.
+// golden is one run's fingerprint: the hash of its labels (FNV-64a over
+// the little-endian labels), its iteration count, and Result.Messages —
+// migration announcements only, plus, for Partition, the conversion
+// announcements. The count moves first when a tie or a migration differs.
 type golden struct {
 	hash       uint64
 	iterations int
-	broadcast  int64
+	messages   int64
 }
 
 func hashLabels(labels []int32) uint64 {
@@ -31,99 +30,55 @@ func hashLabels(labels []int32) uint64 {
 	return h.Sum64()
 }
 
-// goldenLabels were recorded at c8519d1 (the commit before ComputeScores
-// kept a neighbour-label histogram): hash and iterations of every entry
-// must repeat exactly, since the histogram, the aggregator slab, the
-// Convert arena and reading the starting labels are pure performance
-// changes. AffectedOnly is absent on purpose — that option's labels changed
-// with the fix pinned by TestAffectedOnlyRestricts.
+// goldenLabels were recorded when the histogram's bars moved to label
+// order, the change after 64e4504. Ties are drawn in the order the bars are
+// visited, so that change moved every entry, deliberately; CHANGES.md lists
+// the entries before and after with φ, ρ and iterations. Every entry must
+// now repeat exactly: a performance change to core or pregel leaves this
+// table untouched. Partition loads a graph as graph.Convert does, so each
+// Partition entry has its weighted twin's labels. AffectedOnly is absent on
+// purpose: TestAffectedOnlyRestricts covers it.
 var goldenLabels = map[string]golden{
-	"ws/w1/partition":               {0xaec0c4525d7b93c2, 50, 95745},
-	"ws/w1/weighted":                {0x2570178853dbf0e7, 36, 80681},
-	"ws/w1/adapt":                   {0xdc15f5788e4b6fe2, 10, 40220},
-	"ws/w1/resize-8-10":             {0x9caf3c8d28385909, 25, 56147},
-	"ws/w1/resize-8-6":              {0xbcd63c9cb81ed005, 14, 47809},
-	"ws/w4/partition":               {0xbdf3d397a1511e66, 42, 96700},
-	"ws/w4/weighted":                {0xdef20b904cf86896, 40, 88268},
-	"ws/w4/adapt":                   {0xe9127bfde6c8ede4, 11, 42895},
-	"ws/w4/resize-8-10":             {0x6d334b0f66d9ce0f, 25, 59056},
-	"ws/w4/resize-8-6":              {0xa6dbb000b6340be6, 18, 47062},
-	"ba/w1/partition":               {0x9067be93e1156522, 66, 189867},
-	"ba/w1/weighted":                {0x9067be93e1156522, 66, 169966},
-	"ba/w1/adapt":                   {0x782652037f6b3bc3, 18, 75725},
-	"ba/w1/resize-8-10":             {0xf9a19d1b98bb136e, 31, 102073},
-	"ba/w1/resize-8-6":              {0x13909f8e33e8aad0, 32, 101411},
-	"ba/w4/partition":               {0x7d2bf667d8c9fc24, 57, 173708},
-	"ba/w4/weighted":                {0x7d2bf667d8c9fc24, 57, 153807},
-	"ba/w4/adapt":                   {0x4dd117256508af65, 20, 80568},
-	"ba/w4/resize-8-10":             {0x1454793b9aa0a1e, 34, 107326},
-	"ba/w4/resize-8-6":              {0x37e2ea3a166e7dd1, 26, 92296},
-	"ws/ignore-edge-weights":        {0x472e6ff700c19426, 38, 76180},
-	"ws/random-tie-break":           {0xa96119c30b2dffb1, 46, 83745},
-	"ws/disable-async-worker-state": {0x437addedca357c16, 37, 78707},
-	"ws/capacity-fractions":         {0x6a6c12c5defad381, 52, 86217},
-	"ba/ignore-edge-weights":        {0xcec426cb36d002b5, 63, 166341},
-	"ba/random-tie-break":           {0x97ce743de8db0c10, 43, 126210},
-	"ba/disable-async-worker-state": {0xa5d677a6104354d0, 46, 135161},
-	"ba/capacity-fractions":         {0xad9467c00ccfa9f0, 49, 139769},
+	"ws/w1/partition":               {0x66a2bed499824b71, 48, 74041},
+	"ws/w1/weighted":                {0x66a2bed499824b71, 48, 58055},
+	"ws/w1/adapt":                   {0xfd1ec95fca259f56, 13, 8442},
+	"ws/w1/resize-8-10":             {0x40d70c82876535ef, 23, 23604},
+	"ws/w1/resize-8-6":              {0x6afa253d438825c1, 19, 16125},
+	"ws/w4/partition":               {0xf3c2a22180a4c6d1, 38, 64071},
+	"ws/w4/weighted":                {0xf3c2a22180a4c6d1, 38, 48085},
+	"ws/w4/adapt":                   {0xc5b5f813a44f8ab7, 14, 8723},
+	"ws/w4/resize-8-10":             {0x89a1c5f022384a05, 32, 29104},
+	"ws/w4/resize-8-6":              {0x8e5d652a989f4291, 21, 20514},
+	"ws/ignore-edge-weights":        {0x2450dce705d51e55, 56, 62659},
+	"ws/random-tie-break":           {0x71ce23b0471bae60, 47, 53904},
+	"ws/disable-async-worker-state": {0x339100138668e971, 40, 53870},
+	"ws/capacity-fractions":         {0x39e089be962e0163, 36, 46414},
+	"ba/w1/partition":               {0x96ec8c437e1bf646, 58, 134346},
+	"ba/w1/weighted":                {0x96ec8c437e1bf646, 58, 114445},
+	"ba/w1/adapt":                   {0xdabc817c319c7760, 23, 46113},
+	"ba/w1/resize-8-10":             {0x8ccba2700480b47a, 29, 58073},
+	"ba/w1/resize-8-6":              {0x664aff19a0321c2, 20, 38860},
+	"ba/w4/partition":               {0xdb4c29c0950b377, 54, 127470},
+	"ba/w4/weighted":                {0xdb4c29c0950b377, 54, 107569},
+	"ba/w4/adapt":                   {0x3fc7300911ba0b07, 37, 73291},
+	"ba/w4/resize-8-10":             {0xe5af9f16834125cb, 37, 73979},
+	"ba/w4/resize-8-6":              {0x4f7001da89a74337, 33, 66027},
+	"ba/ignore-edge-weights":        {0xc341e141377de5c3, 54, 109848},
+	"ba/random-tie-break":           {0xe12660dd42e015f3, 56, 112078},
+	"ba/disable-async-worker-state": {0xb4a91b535abad093, 47, 97227},
+	"ba/capacity-fractions":         {0x11bef916f9722335, 55, 104556},
 }
 
-// goldenMessages is Result.Messages of the same runs since starting labels
-// are read, not sent: label-change announcements only (and, for Partition,
-// the conversion announcements). The count moves first when a tie or a
-// migration differs. Re-recorded when the broadcast was deleted;
-// TestGoldenLabels checks the derivation — every entry is golden.broadcast
-// minus the arc count of the run's graph.
-var goldenMessages = map[string]int64{
-	"ws/w1/partition":               63797,
-	"ws/w1/weighted":                48747,
-	"ws/w1/adapt":                   7648,
-	"ws/w1/resize-8-10":             24213,
-	"ws/w1/resize-8-6":              15875,
-	"ws/w4/partition":               64752,
-	"ws/w4/weighted":                56334,
-	"ws/w4/adapt":                   10323,
-	"ws/w4/resize-8-10":             27122,
-	"ws/w4/resize-8-6":              15128,
-	"ba/w1/partition":               150065,
-	"ba/w1/weighted":                130164,
-	"ba/w1/adapt":                   35127,
-	"ba/w1/resize-8-10":             62271,
-	"ba/w1/resize-8-6":              61609,
-	"ba/w4/partition":               133906,
-	"ba/w4/weighted":                114005,
-	"ba/w4/adapt":                   39970,
-	"ba/w4/resize-8-10":             67524,
-	"ba/w4/resize-8-6":              52494,
-	"ws/ignore-edge-weights":        44246,
-	"ws/random-tie-break":           51811,
-	"ws/disable-async-worker-state": 46773,
-	"ws/capacity-fractions":         54283,
-	"ba/ignore-edge-weights":        126539,
-	"ba/random-tie-break":           86408,
-	"ba/disable-async-worker-state": 95359,
-	"ba/capacity-fractions":         99967,
-}
-
-// convertedArcCount is Σ degree after Partition's conversion supersteps:
-// every stored arc of g stays (parallel ones too, self-loops dropped), and
-// NeighborDiscovery adds one reverse arc for every adjacent ordered pair
-// that has none.
-func convertedArcCount(g *graph.Graph) int64 {
+// distinctArcs counts g's arcs without repeats and self-loops: what
+// Partition's NeighborPropagation superstep announces.
+func distinctArcs(g *graph.Graph) int64 {
 	has := map[[2]graph.VertexID]bool{}
-	var arcs int64
 	g.Edges(func(u, v graph.VertexID) {
 		if u != v {
 			has[[2]graph.VertexID{u, v}] = true
-			arcs++
 		}
 	})
-	for uv := range has {
-		if !has[[2]graph.VertexID{uv[1], uv[0]}] {
-			arcs++
-		}
-	}
-	return arcs
+	return int64(len(has))
 }
 
 // TestGoldenLabels pins the labels of every entry point and every scoring
@@ -132,23 +87,18 @@ func convertedArcCount(g *graph.Graph) int64 {
 func TestGoldenLabels(t *testing.T) {
 	const k = 8
 	runs := 0
-	record := func(name string, arcs int64, res *Result, err error) *Result {
+	record := func(name string, res *Result, err error) *Result {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		runs++
-		want, messages := goldenLabels[name], goldenMessages[name]
-		// The gate: labels and iteration count as recorded at c8519d1.
+		want := goldenLabels[name]
 		if h := hashLabels(res.Labels); h != want.hash || res.Iterations != want.iterations {
 			t.Errorf("%q: labels %#x after %d iterations, recorded %#x after %d", name, h, res.Iterations, want.hash, want.iterations)
 		}
-		if res.Messages != messages {
-			t.Errorf("%q: %d messages, recorded %d", name, res.Messages, messages)
-		}
-		// The re-record is the old count less one starting label per arc.
-		if want.broadcast-messages != arcs {
-			t.Errorf("%q: recorded %d messages with the broadcast and %d without, but the graph has %d arcs", name, want.broadcast, messages, arcs)
+		if res.Messages != want.messages {
+			t.Errorf("%q: %d messages, recorded %d", name, res.Messages, want.messages)
 		}
 		return res
 	}
@@ -170,25 +120,29 @@ func TestGoldenLabels(t *testing.T) {
 	}
 	for _, ng := range graphs {
 		w := graph.Convert(ng.g)
-		arcs := 2 * w.NumEdges() // Σ degree
 		for _, workers := range []int{1, 4} {
 			pre := fmt.Sprintf("%s/w%d/", ng.name, workers)
 			p := part(k, workers, nil)
-			res, err := p.Partition(ng.g) // directed input: conversion supersteps
-			record(pre+"partition", convertedArcCount(ng.g), res, err)
-			res, err = p.PartitionWeighted(w)
-			base := record(pre+"weighted", arcs, res, err)
+			converted, err := p.Partition(ng.g) // directed input: conversion supersteps
+			record(pre+"partition", converted, err)
+			res, err := p.PartitionWeighted(w)
+			base := record(pre+"weighted", res, err)
+			// The same labels, so the same migrations: the runs differ by the
+			// conversion announcements alone.
+			if d := converted.Messages - base.Messages; d != distinctArcs(ng.g) {
+				t.Errorf("%s: Partition sent %d messages more than PartitionWeighted, g has %d distinct arcs", pre, d, distinctArcs(ng.g))
+			}
 
 			grown := w.Clone()
 			if _, err := gen.GrowthBatch(grown, 0.02, 99).Apply(grown); err != nil {
 				t.Fatal(err)
 			}
 			res, err = p.Adapt(grown, base.Labels, nil)
-			record(pre+"adapt", 2*grown.NumEdges(), res, err)
+			record(pre+"adapt", res, err)
 			res, err = part(10, workers, nil).Resize(w, base.Labels, k)
-			record(pre+"resize-8-10", arcs, res, err)
+			record(pre+"resize-8-10", res, err)
 			res, err = part(6, workers, nil).Resize(w, base.Labels, k)
-			record(pre+"resize-8-6", arcs, res, err)
+			record(pre+"resize-8-6", res, err)
 		}
 		for _, opt := range []struct {
 			name string
@@ -200,11 +154,11 @@ func TestGoldenLabels(t *testing.T) {
 			{"capacity-fractions", func(o *Options) { o.CapacityFractions = []float64{4, 3, 2, 2, 1, 1, 1, 1} }},
 		} {
 			res, err := part(k, 2, opt.mod).PartitionWeighted(w)
-			record(ng.name+"/"+opt.name, arcs, res, err)
+			record(ng.name+"/"+opt.name, res, err)
 		}
 	}
 
-	if runs != len(goldenLabels) || runs != len(goldenMessages) {
-		t.Errorf("%d runs, %d golden entries, %d message counts", runs, len(goldenLabels), len(goldenMessages))
+	if runs != len(goldenLabels) {
+		t.Errorf("%d runs, %d golden entries", runs, len(goldenLabels))
 	}
 }

@@ -11,39 +11,34 @@ import (
 	"repro/internal/rng"
 )
 
-// scanHistogram is the reference the incremental histogram must equal: the
-// per-iteration edge scan ComputeScores ran before it kept one — a bar per
-// distinct announced label, in order of first appearance, weights summed.
-func scanHistogram(edges []pregel.Edge[eval], ignoreWeights bool) []bar {
-	var out []bar
-	at := map[int32]int{}
-	for i, e := range edges {
-		l := e.Value.label
-		if l < 0 {
-			continue
-		}
-		j, ok := at[l]
-		if !ok {
-			j = len(out)
-			at[l] = j
-			out = append(out, bar{label: l, first: int32(i)})
-		}
+// scanHistogram is the reference the incremental histogram must equal: a
+// fresh scan of every arc over the current labels — a bar per distinct
+// neighbour label, weights summed, sorted by label.
+func scanHistogram(arcs []graph.WeightedArc, labels []int32, ignoreWeights bool) []bar {
+	sum := map[int32]int64{}
+	for _, a := range arcs {
 		if ignoreWeights {
-			out[j].weight++
+			sum[labels[a.To]]++
 		} else {
-			out[j].weight += int64(e.Value.weight)
+			sum[labels[a.To]] += int64(a.Weight)
 		}
 	}
+	out := make([]bar, 0, len(sum))
+	for l, w := range sum {
+		out = append(out, bar{label: l, weight: w})
+	}
+	slices.SortFunc(out, func(a, b bar) int { return int(a.label) - int(b.label) })
 	return out
 }
 
 // runChecked drives prog over vs as Partitioner.run does and, after every
 // ComputeScores superstep, compares every vertex's histogram with a fresh
-// scan of its edges: same labels, same weights, same order. It returns the
-// number of vertex-histograms compared.
-func runChecked(t *testing.T, what string, opts Options, prog *program, vs []pregel.Vertex[vval, eval]) int {
+// scan of its arcs over the labels they had when the superstep ran (the
+// migrations it announced have not run yet): same labels, same weights,
+// same order. It returns the number of vertex-histograms compared.
+func runChecked(t *testing.T, what string, opts Options, prog *program, vs []vertex) int {
 	t.Helper()
-	var eng *pregel.Engine[vval, eval, msg]
+	var eng *engine
 	checked := 0
 	cfg := pregel.Config{
 		NumWorkers:    opts.NumWorkers,
@@ -51,15 +46,17 @@ func runChecked(t *testing.T, what string, opts Options, prog *program, vs []pre
 		MaxSupersteps: 3 + 2*opts.MaxIterations + 2,
 		AfterSuperstep: func(step int) {
 			// The master has already advanced the phase: ComputeMigrations
-			// next means ComputeScores just ran.
-			if prog.phase != phaseComputeMigrations || t.Failed() {
+			// next means ComputeScores just ran — unless the iteration's
+			// ComputeMigrations ran and the master halted there, which its
+			// metrics entry tells.
+			if prog.phase != phaseComputeMigrations || len(prog.history) == prog.iter || t.Failed() {
 				return
 			}
 			for i := range eng.Vertices() {
 				v := &eng.Vertices()[i]
-				want := scanHistogram(v.Edges, opts.IgnoreEdgeWeights)
+				want := scanHistogram(v.Edges, prog.labels, opts.IgnoreEdgeWeights)
 				if !slices.Equal(v.Value.hist, want) {
-					t.Errorf("%s: superstep %d (iteration %d) vertex %d:\nhistogram %v\nedge scan %v",
+					t.Errorf("%s: superstep %d (iteration %d) vertex %d:\nhistogram %v\narc scan  %v",
 						what, step, prog.iter, i, v.Value.hist, want)
 					return
 				}
@@ -71,7 +68,7 @@ func runChecked(t *testing.T, what string, opts Options, prog *program, vs []pre
 			}
 		},
 	}
-	eng = pregel.NewEngine[vval, eval, msg](cfg, prog)
+	eng = pregel.NewEngine[vval, graph.WeightedArc, msg](cfg, prog)
 	prog.register(eng)
 	if err := eng.SetVertices(vs); err != nil {
 		t.Fatal(err)
@@ -82,13 +79,14 @@ func runChecked(t *testing.T, what string, opts Options, prog *program, vs []pre
 	return checked
 }
 
-// TestHistogramMatchesEdgeScanProperty: on random graphs (duplicate arcs,
-// hubs above k, k above every degree), from every entry point (conversion
-// supersteps, weighted, a churned and grown graph, a resize either way) and
-// under random option mixes, the incrementally maintained histogram equals
-// the edge scan after every ComputeScores superstep.
+// TestHistogramMatchesEdgeScanProperty: on random graphs (hubs above k, k
+// above every degree, parallel arcs from the churn batch), from every entry
+// point (conversion supersteps, weighted, a churned and grown graph, a
+// resize either way) and under random option mixes, the histogram that the
+// migration announcements maintain equals a scan of every arc over the
+// labels after every ComputeScores superstep.
 func TestHistogramMatchesEdgeScanProperty(t *testing.T) {
-	total := 0
+	total, mixed := 0, 0
 	for seed := uint64(1); seed <= 40; seed++ {
 		s := rng.New(seed)
 		n := 60 + s.Intn(400)
@@ -100,7 +98,7 @@ func TestHistogramMatchesEdgeScanProperty(t *testing.T) {
 		case 1:
 			g, gname = gen.BarabasiAlbert(n, 2+s.Intn(8), seed), "ba"
 		default:
-			g, gname = gen.WattsStrogatz(n, 2+s.Intn(10), 0.5, seed), "ws" // rewiring leaves duplicate arcs
+			g, gname = gen.WattsStrogatz(n, 2+s.Intn(10), 0.5, seed), "ws" // rewiring repeats arcs, which Partition's load drops
 		}
 		k := 2 + s.Intn(24)
 		opts := DefaultOptions(k)
@@ -127,11 +125,13 @@ func TestHistogramMatchesEdgeScanProperty(t *testing.T) {
 		total += runChecked(t, what+" Partition", opts, newProgram(opts, true, n, nil, nil), verticesFromGraph(g))
 		w := graph.Convert(g)
 		base := newProgram(opts, false, n, nil, nil)
-		vs := verticesFromWeighted(w)
+		vs := verticesOn(w)
 		total += runChecked(t, what+" PartitionWeighted", opts, base, vs)
 		prev := base.labels
 
-		// Adapt after churn that also appends vertices.
+		// Adapt after churn that also appends vertices. Triadic closure
+		// re-adds existing pairs at weight 2, and a new vertex may draw one
+		// neighbour twice: parallel arcs of differing weights.
 		grown := w.Clone()
 		mut := gen.ChurnBatch(grown, 0.05, 0.03, seed+1000)
 		mut.NewVertices = 1 + s.Intn(10)
@@ -143,6 +143,15 @@ func TestHistogramMatchesEdgeScanProperty(t *testing.T) {
 		if _, err := mut.Apply(grown); err != nil {
 			t.Fatal(err)
 		}
+		for u := range grown.NumVertices() {
+			weight := map[graph.VertexID]int32{}
+			for _, a := range grown.Neighbors(graph.VertexID(u)) {
+				if x, ok := weight[a.To]; ok && x != a.Weight {
+					mixed++
+				}
+				weight[a.To] = a.Weight
+			}
+		}
 		init := make([]int32, grown.NumVertices())
 		copy(init, prev)
 		SeedNewVertices(grown, init, n, k)
@@ -153,7 +162,7 @@ func TestHistogramMatchesEdgeScanProperty(t *testing.T) {
 				mask[v] = true
 			}
 		}
-		total += runChecked(t, what+" Adapt", opts, newProgram(opts, false, len(init), init, mask), verticesFromWeighted(grown))
+		total += runChecked(t, what+" Adapt", opts, newProgram(opts, false, len(init), init, mask), verticesOn(grown))
 
 		// Resize up or down.
 		newK := max(1, k+s.Intn(7)-3)
@@ -164,13 +173,13 @@ func TestHistogramMatchesEdgeScanProperty(t *testing.T) {
 		ropts := opts
 		ropts.K = newK
 		ropts.CapacityFractions = nil // sized for k
-		total += runChecked(t, what+" Resize", ropts, newProgram(ropts, false, n, relabeled, nil), verticesFromWeighted(w))
+		total += runChecked(t, what+" Resize", ropts, newProgram(ropts, false, n, relabeled, nil), verticesOn(w))
 		if t.Failed() {
 			return
 		}
 	}
-	if total < 100_000 {
-		t.Fatalf("only %d histograms compared; the probe is not running", total)
+	if total < 100_000 || mixed == 0 {
+		t.Fatalf("only %d histograms compared, %d parallel arcs of differing weights: the probe is not running", total, mixed)
 	}
 }
 
@@ -191,13 +200,13 @@ func TestCarveHandsOutDisjointWindows(t *testing.T) {
 			t.Fatalf("carve(%d) returned len %d cap %d", n, len(h), cap(h))
 		}
 		for j := 0; j < n; j++ {
-			h = append(h, bar{label: int32(i), first: int32(j)})
+			h = append(h, bar{label: int32(i), weight: int64(j)})
 		}
 		hists = append(hists, h)
 	}
 	for i, h := range hists {
 		for j, b := range h {
-			if b.label != int32(i) || b.first != int32(j) {
+			if b.label != int32(i) || b.weight != int64(j) {
 				t.Fatalf("histogram %d bar %d overwritten: %+v", i, j, b)
 			}
 		}

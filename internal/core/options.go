@@ -27,68 +27,64 @@
 // Result.Labels is that array, and an IterationSnapshot gets a copy.
 //
 // §IV-A of the paper stores each neighbour's last known label in the edge
-// value so that only label changes travel. Here the starting labels do not
-// travel either. Initialization sends nothing; the first ComputeScores
-// reads, for every edge, the target's slot of the label array into the edge
-// value. From iteration 2 on, a vertex that migrated announces its new
-// label to its neighbours as msg{src, label}, and that is the only kind of
-// message an LPA iteration sends — Result.Messages counts label changes
-// (times degree), not starting labels. The array needs no lock and no
+// value so that only label changes travel. Here no arc holds any state:
+// what a vertex needs to know about its neighbours' labels is its
+// histogram, one bar per distinct neighbour label holding the summed weight
+// of the arcs to neighbours that carry it (their count under
+// IgnoreEdgeWeights), carved at Initialization, with capacity min(degree,
+// k), from an arena of the worker that owns the vertex. The starting labels
+// do not travel either. Initialization sends nothing; the first
+// ComputeScores scans the vertex's arcs once, reads each target's slot of
+// the label array, and builds the histogram. The array needs no lock and no
 // atomics, for the reason the master state needs none: a slot is written
 // only by its own vertex and only in Initialization and ComputeMigrations
 // supersteps; slots are read only in ComputeScores supersteps (a vertex's
 // own in every iteration, its neighbours' in the first); and the engine's
-// barrier separates any two supersteps. TestInitialLabelsAreReadNotSent
-// checks the message counts and runs under the race detector. Reading a
-// neighbour's slot is what an in-process engine with one address space can
-// do; a distributed Pregel would pay one round of messages, one per arc,
-// for the same information, and the counts recorded before this was
-// changed (golden.broadcast in the tests) include that round.
+// barrier separates any two supersteps. Reading a neighbour's slot is what
+// an in-process engine with one address space can do; a distributed Pregel
+// would pay one round of messages, one per arc, for the same information.
 //
-// ComputeScores does not rescan its edges every iteration either. A vertex
-// keeps a histogram of them — one bar per distinct neighbour label, holding
-// the summed weight of the edges that carry the label (their count under
-// IgnoreEdgeWeights) and the index of the first such edge — carved at
-// Initialization, with capacity min(degree, k), from an arena of the worker
-// that owns the vertex. The edge scan that reads the starting labels in
-// iteration 1 builds it; from then on each incoming message moves one edge
-// from the bar of the label it carried to the bar of the label announced.
-// Scoring walks the bars, so a ComputeScores call costs O(messages received
-// + distinct neighbour labels), not O(degree).
+// Three rules keep the histogram exact without a per-arc record.
 //
-// The bars are kept sorted by first edge. That is the order in which an
-// edge scan meets the labels, and the order matters: labels whose scores
-// tie are resolved by one random draw per tied label, in the order the
-// labels are visited, so another order consumes the worker's random stream
-// differently and yields different labels. An edge that leaves a bar it was
-// the first edge of hands the role to the next edge carrying the label, and
-// the bar moves back past the bars that now start before it; an edge that
-// joins a bar ahead of its first edge moves the bar forward. Weights are
-// positive — graph.Weighted's invariant: Convert assigns 1 or 2,
-// Mutation.Apply raises anything lower to 1, DecodeWeightedBinary refuses
-// it — and integral, so the sums are exact and a bar is empty exactly when
-// its weight is 0.
+// Messages carry old, new and w. A vertex that migrates sends
+// msg{old, new, w} along each of its arcs, w being that arc's weight (1
+// under IgnoreEdgeWeights), and that is the only kind of message an LPA
+// iteration sends — Result.Messages counts migrations times degree. The
+// receiver moves w from bar old to bar new and looks up no arc. This is
+// exact because graph.Weighted's rows mirror each other: the arcs of u's
+// row to v have the weights of v's row's arcs to u, so the sender's weight
+// is the receiver's. Two parallel arcs to one neighbour send two messages,
+// and both weights reach the bar. A receiver whose bar old holds less than
+// w has met rows that do not mirror, and panics naming itself and the
+// labels rather than score from a wrong histogram. A ComputeScores call
+// costs O(messages received + distinct neighbour labels), not O(degree).
+//
+// Bars are in label order. The order matters: labels whose scores tie are
+// resolved by the paper's rule — keep the current label, else draw
+// uniformly among the tied maxima — with one reservoir draw per tied label
+// in the order the bars are visited, so the order fixes how the worker's
+// random stream is spent, though not the distribution of the outcome.
+// Label order is the order a run can keep without per-arc state: a move
+// finds its bars by binary search, drops a bar whose weight reaches 0
+// (weights are positive — graph.Weighted's invariant: Convert assigns 1 or
+// 2, Mutation.Apply raises anything lower to 1, DecodeWeightedBinary refuses
+// it — and integral, so the sums are exact) and inserts a new one in place.
+//
+// Rows are read in place and never written. With no per-arc state, a
+// vertex's arcs are graph.WeightedArc, so PartitionWeighted, Adapt and
+// Resize hand the engine the graph's rows by reference and allocate no arc
+// storage; the graph must not change until the run returns. Partition's
+// in-engine conversion is the one phase that writes arcs (NeighborDiscovery
+// raises weights and appends reverse arcs), in an arena of its own that it
+// loads with each row sorted and its repeated arcs dropped, as Convert
+// drops them, so Partition(g) and PartitionWeighted(Convert(g)) produce the
+// same labels.
+//
 // TestHistogramMatchesEdgeScanProperty compares every histogram with a
-// fresh edge scan after every ComputeScores superstep; TestGoldenLabels
-// pins the labels recorded before the histogram existed.
-//
-// # Known defect: parallel arcs
-//
-// graph.Weighted does not deduplicate, and neither does Partition's
-// in-engine conversion of a directed input that repeats an arc. When a
-// vertex has two arcs to the same neighbour, only the first ever learns
-// the neighbour's label: a label announcement is matched to the first arc
-// to its sender (findEdge), and the iteration-1 read skips the later arcs
-// on purpose, to keep the labels this package has always produced. The
-// later arc's edge label stays −1 for the whole run. Its weight counts in
-// the vertex's weighted degree, hence in the partition loads and in the
-// normalisation of Eq. 8, but never in a histogram bar, so the locality
-// term is under-scored for that neighbour. Among the pinned runs this
-// reaches Partition's conversion of gen.WattsStrogatz graphs (rewiring
-// repeats arcs) and every graph grown by gen.GrowthBatch.
-// TestParallelArcKeepsItsBlindSpot pins the behaviour; counting the weight
-// (or merging parallel arcs at load) changes labels, so it is a deliberate
-// re-record of TestGoldenLabels and not a side effect of anything else.
+// fresh scan of every arc over the labels after every ComputeScores
+// superstep; TestParallelArcsReachTheHistogram checks that every arc's
+// weight reaches a bar; TestInitialLabelsAreReadNotSent checks the message
+// counts and runs under the race detector; TestGoldenLabels pins the labels.
 package core
 
 import (

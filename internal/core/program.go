@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
+	"repro/internal/graph"
 	"repro/internal/pregel"
 )
 
@@ -20,40 +23,39 @@ const (
 // vval is the per-vertex state. The vertex's label is not in it: labels
 // live in program.labels.
 type vval struct {
-	cand  int32   // candidate label for this iteration, -1 if none
+	// hist is the vertex's neighbour-label histogram, sorted by label (see
+	// the package doc). Built in iteration 1, then moved by the migration
+	// announcements; capacity min(deg, k).
+	hist  []bar
 	degW  float64 // weighted degree, fixed at Initialization
+	cand  int32   // candidate label for this iteration, -1 if none
 	dirty bool    // AffectedOnly: may evaluate migration
-	// hist is the vertex's neighbour-label histogram, ordered by bar.first
-	// (see the package doc). Built in iteration 1, then moved one edge at a
-	// time by the label-change messages; capacity min(deg, k).
-	hist []bar
-}
-
-// eval is the per-edge state: the edge weight of Eq. 3 and the neighbor's
-// last known label (the Giraph implementation stores exactly this in the
-// edge value to avoid re-sending labels every superstep) — read from
-// program.labels in iteration 1, announced by msg from then on. It is −1
-// before iteration 1, and for good on the later of parallel arcs to one
-// neighbour (see the package doc).
-type eval struct {
-	weight int32
-	label  int32
 }
 
 // bar is one label of a vertex's neighbour-label histogram.
 type bar struct {
 	label  int32
-	first  int32 // index in Edges of the first edge carrying label
-	weight int64 // Σ weight of the edges carrying label (their count under IgnoreEdgeWeights)
+	weight int64 // Σ weight of the arcs to neighbours carrying label (their count under IgnoreEdgeWeights)
 }
 
-// msg announces a label change: the sender and the label it migrated to.
-// Starting labels are never sent (computeScores reads them). During the
-// conversion phase the label field is unused.
+// msg is what a vertex sends along an arc. In an LPA iteration it announces
+// a migration: the sender left label old for label new, and w is the arc's
+// weight as a bar counts it (1 under IgnoreEdgeWeights) — rows mirror each
+// other, so that is what the receiver moves from bar old to bar new, with no
+// arc lookup. Starting labels are never sent (computeScores reads them). In
+// the conversion supersteps a message announces the sender, whose ID
+// travels in old.
 type msg struct {
-	src   pregel.VertexID
-	label int32
+	old, new, w int32
 }
+
+// The engine's types for this program: a vertex's arcs are
+// graph.WeightedArc, so a graph.Weighted's rows serve as they are.
+type (
+	engine     = pregel.Engine[vval, graph.WeightedArc, msg]
+	vertex     = pregel.Vertex[vval, graph.WeightedArc]
+	computeCtx = pregel.Context[vval, graph.WeightedArc, msg]
+)
 
 // workerScratch is the per-worker shared state of §IV-A4: an
 // asynchronously updated view of the partition loads, plus the arena the
@@ -62,7 +64,8 @@ type workerScratch struct {
 	refreshedAt int // superstep for which localLoads is current
 	localLoads  []float64
 	penalty     []float64 // −localLoads[l]/C_l, the balance term of Eq. 8, kept in step with localLoads
-	slot        []int32   // buildHistogram scratch: label → 1 + its bar's index, zero between calls
+	sum         []int64   // buildHistogram scratch: label → its weight so far, zero between calls
+	seen        []uint64  // buildHistogram scratch: bitmap of the labels met, zero between calls
 	arena       []bar     // current chunk; carve hands out its tail
 }
 
@@ -148,7 +151,7 @@ func newProgram(opts Options, convert bool, n int, start []int32, affected []boo
 
 // register declares the aggregators on the engine. The names identify them
 // to Engine.AggregatedValue; the program itself goes through the handles.
-func (p *program) register(e *pregel.Engine[vval, eval, msg]) {
+func (p *program) register(e *engine) {
 	p.aggLoads = e.RegisterAggregator("loads", pregel.AggSum, p.k, true)
 	p.aggCand = e.RegisterAggregator("cand", pregel.AggSum, p.k, false)
 	p.aggProbs = e.RegisterAggregator("probs", pregel.AggSum, p.k, false)
@@ -165,12 +168,13 @@ func (p *program) InitWorker(workerID, numWorkers int) any {
 		refreshedAt: -1,
 		localLoads:  make([]float64, p.k),
 		penalty:     make([]float64, p.k),
-		slot:        make([]int32, p.k),
+		sum:         make([]int64, p.k),
+		seen:        make([]uint64, (p.k+63)/64),
 	}
 }
 
 // Compute implements pregel.Program.
-func (p *program) Compute(ctx *pregel.Context[vval, eval, msg], v *pregel.Vertex[vval, eval], msgs []msg) {
+func (p *program) Compute(ctx *computeCtx, v *vertex, msgs []msg) {
 	switch p.phase {
 	case phaseNeighborPropagation:
 		p.neighborPropagation(ctx, v)
@@ -188,10 +192,9 @@ func (p *program) Compute(ctx *pregel.Context[vval, eval, msg], v *pregel.Vertex
 // neighborPropagation: every vertex announces its ID along its out-edges so
 // the reverse direction can be discovered (the Pregel data model only
 // stores out-edges).
-func (p *program) neighborPropagation(ctx *pregel.Context[vval, eval, msg], v *pregel.Vertex[vval, eval]) {
-	for i := range v.Edges {
-		v.Edges[i].Value = eval{weight: 1, label: -1}
-		ctx.SendTo(v.Edges[i].To, msg{src: v.ID})
+func (p *program) neighborPropagation(ctx *computeCtx, v *vertex) {
+	for _, a := range v.Edges {
+		ctx.SendTo(a.To, msg{old: int32(v.ID)})
 	}
 	ctx.CountEdges(len(v.Edges))
 }
@@ -199,20 +202,21 @@ func (p *program) neighborPropagation(ctx *pregel.Context[vval, eval, msg], v *p
 // neighborDiscovery: for each received announcement, either bump an
 // existing reciprocal edge to weight 2 (Eq. 3, AND case) or create the
 // missing reverse edge with weight 1 (XOR case).
-func (p *program) neighborDiscovery(ctx *pregel.Context[vval, eval, msg], v *pregel.Vertex[vval, eval], msgs []msg) {
+func (p *program) neighborDiscovery(ctx *computeCtx, v *vertex, msgs []msg) {
 	for _, m := range msgs {
+		src := graph.VertexID(m.old)
 		found := false
 		for i := range v.Edges {
-			if v.Edges[i].To == m.src {
+			if v.Edges[i].To == src {
 				if !p.opts.IgnoreEdgeWeights {
-					v.Edges[i].Value.weight = 2
+					v.Edges[i].Weight = 2
 				}
 				found = true
 				break
 			}
 		}
 		if !found {
-			v.Edges = append(v.Edges, pregel.Edge[eval]{To: m.src, Value: eval{weight: 1, label: -1}})
+			v.Edges = append(v.Edges, graph.WeightedArc{To: src, Weight: 1})
 		}
 	}
 	ctx.CountEdges(len(msgs))
@@ -222,13 +226,11 @@ func (p *program) neighborDiscovery(ctx *pregel.Context[vval, eval, msg], v *pre
 // (a warm start seeded it; a from-scratch run draws it here), cache the
 // weighted degree and contribute it to the load counters. Nothing is sent:
 // the neighbours read the slot in iteration 1, after this superstep's
-// barrier. Edges are sorted by target so label announcements can use binary
-// search and parallel arcs lie side by side.
-func (p *program) initialize(ctx *pregel.Context[vval, eval, msg], v *pregel.Vertex[vval, eval]) {
-	slices.SortFunc(v.Edges, func(a, b pregel.Edge[eval]) int { return int(a.To) - int(b.To) })
+// barrier.
+func (p *program) initialize(ctx *computeCtx, v *vertex) {
 	var degW float64
-	for i := range v.Edges {
-		degW += float64(v.Edges[i].Value.weight)
+	for _, a := range v.Edges {
+		degW += float64(a.Weight)
 	}
 	if !p.seeded {
 		p.labels[v.ID] = ctx.Rand().Int31n(int32(p.k))
@@ -244,122 +246,82 @@ func (p *program) initialize(ctx *pregel.Context[vval, eval, msg], v *pregel.Ver
 	ctx.CountEdges(len(v.Edges))
 }
 
-// findEdge returns the index of the first edge to dst (edges are sorted by
-// target; binary search), or -1.
-func findEdge(edges []pregel.Edge[eval], dst pregel.VertexID) int {
-	lo, hi := 0, len(edges)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if edges[mid].To < dst {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(edges) && edges[lo].To == dst {
-		return lo
-	}
-	return -1
-}
-
-// edgeWeight is what an edge adds to its label's bar.
-func (p *program) edgeWeight(e *eval) int64 {
+// arcWeight is what an arc adds to the bar of its target's label.
+func (p *program) arcWeight(a graph.WeightedArc) int32 {
 	if p.opts.IgnoreEdgeWeights {
 		return 1
 	}
-	return int64(e.weight)
+	return a.Weight
 }
 
 // buildHistogram runs once per vertex, in iteration 1. One scan of v's
-// edges reads every neighbour's starting label out of p.labels into the
-// edge value — the Initialization superstep wrote the slots and its barrier
-// has passed; nothing writes them during ComputeScores — and fills the
-// histogram: a bar per distinct neighbour label, in order of first
-// appearance. Of parallel arcs to one neighbour only the first is read:
-// findEdge hands every later announcement to the first too, so the others
-// keep label −1 and stay out of every bar for the whole run (the package
-// doc's known defect; reading them would change the labels).
-func (p *program) buildHistogram(ws *workerScratch, v *pregel.Vertex[vval, eval]) {
-	h := v.Value.hist[:0]
-	for i := range v.Edges {
-		if i > 0 && v.Edges[i].To == v.Edges[i-1].To {
-			continue
-		}
-		e := &v.Edges[i].Value
-		e.label = p.labels[v.Edges[i].To]
-		at := ws.slot[e.label]
-		if at == 0 {
-			h = append(h, bar{label: e.label, first: int32(i)})
-			at = int32(len(h))
-			ws.slot[e.label] = at
-		}
-		h[at-1].weight += p.edgeWeight(e)
+// arcs reads every neighbour's starting label out of p.labels — the
+// Initialization superstep wrote the slots and its barrier has passed;
+// nothing writes them during ComputeScores — summing each label's weight in
+// the worker's scratch and marking it in the worker's label bitmap; a walk
+// of the bitmap's set bits then emits the bars in label order, with no
+// sort.
+func (p *program) buildHistogram(ws *workerScratch, v *vertex) {
+	for _, a := range v.Edges {
+		l := p.labels[a.To]
+		ws.sum[l] += int64(p.arcWeight(a))
+		ws.seen[l>>6] |= 1 << (l & 63)
 	}
-	for i := range h {
-		ws.slot[h[i].label] = 0
+	h := v.Value.hist[:0]
+	for i, word := range ws.seen {
+		for ; word != 0; word &= word - 1 {
+			l := int32(i<<6 + bits.TrailingZeros64(word))
+			h = append(h, bar{label: l, weight: ws.sum[l]})
+			ws.sum[l] = 0
+		}
+		ws.seen[i] = 0
 	}
 	v.Value.hist = h
 }
 
-// moveEdge applies one label announcement to v's histogram: edge i leaves
-// the bar of the label it carried and joins the bar of label to, and both
-// bars keep their place in the order by first edge. Weights are positive
-// (graph.Weighted's invariant), so a bar is empty exactly at weight 0.
-func (p *program) moveEdge(v *pregel.Vertex[vval, eval], i int, to int32) {
-	e := &v.Edges[i].Value
-	from := e.label
-	if from == to {
-		return
+// seekBar returns the index of label's bar in the sorted histogram h, or
+// where it belongs, and whether it is there. It runs for every message and
+// every vertex scored, on a few dozen bars at most, so its steps are
+// branch-free: a mispredicted comparison costs more than the whole search.
+func seekBar(h []bar, label int32) (int, bool) {
+	if len(h) == 0 {
+		return 0, false
 	}
-	e.label = to
-	w := p.edgeWeight(e)
+	base, n := 0, len(h)
+	for n > 1 {
+		half := n >> 1
+		// Labels lie in [0, k), so the difference is negative exactly when
+		// h[base+half].label <= label.
+		base += half & int((h[base+half].label-label-1)>>31)
+		n -= half
+	}
+	if h[base].label < label {
+		base++
+	}
+	return base, base < len(h) && h[base].label == label
+}
+
+// move applies one migration announcement to v's histogram: m.w leaves bar
+// m.old and joins bar m.new, and the bars stay sorted by label. Weights are
+// positive (graph.Weighted's invariant), so a bar is empty exactly at weight
+// 0 and is then dropped. The sender's arc weighs what v's arc to it weighs,
+// so bar m.old holds at least m.w; if it does not, the rows were not mirror
+// images and the histogram cannot be trusted.
+func move(v *vertex, m msg) {
 	h := v.Value.hist
-	at := int32(i)
-
-	if from >= 0 {
-		j := 0
-		for h[j].label != from {
-			j++
-		}
-		h[j].weight -= w
-		switch {
-		case h[j].weight == 0:
-			h = append(h[:j], h[j+1:]...)
-		case h[j].first == at:
-			// The bar lost its first edge: the next edge carrying the label
-			// takes over, and the bar moves back past the bars that now
-			// start before it.
-			b := h[j]
-			f := i + 1
-			for v.Edges[f].Value.label != from {
-				f++
-			}
-			b.first = int32(f)
-			for ; j+1 < len(h) && h[j+1].first < b.first; j++ {
-				h[j] = h[j+1]
-			}
-			h[j] = b
-		}
+	i, ok := seekBar(h, m.old)
+	if !ok || h[i].weight < int64(m.w) {
+		panic(fmt.Sprintf("core: vertex %d heard a neighbour move %d from label %d to %d, but its bar for %d holds less: "+
+			"the graph's rows do not mirror each other", v.ID, m.w, m.old, m.new, m.old))
 	}
-
-	j := 0
-	for j < len(h) && h[j].label != to {
-		j++
+	if h[i].weight -= int64(m.w); h[i].weight == 0 {
+		h = slices.Delete(h, i, i+1)
 	}
-	if j == len(h) {
-		h = append(h, bar{label: to, first: at}) // within capacity: at most min(deg, k) distinct labels
+	j, ok := seekBar(h, m.new)
+	if !ok {
+		h = slices.Insert(h, j, bar{label: m.new}) // within capacity: at most min(deg, k) distinct labels
 	}
-	h[j].weight += w
-	if at <= h[j].first {
-		// A new bar, or a new first edge: the bar moves forward past the bars
-		// that start after edge i.
-		b := h[j]
-		b.first = at
-		for ; j > 0 && h[j-1].first > at; j-- {
-			h[j] = h[j-1]
-		}
-		h[j] = b
-	}
+	h[j].weight += int64(m.w)
 	v.Value.hist = h
 }
 
@@ -369,7 +331,7 @@ func (p *program) moveEdge(v *pregel.Vertex[vval, eval], i int, to int32) {
 // migrated — evaluates score”(v, l) (Eq. 8) for every label in its
 // neighborhood, and becomes a migration candidate if some label beats its
 // current one.
-func (p *program) computeScores(ctx *pregel.Context[vval, eval, msg], v *pregel.Vertex[vval, eval], msgs []msg) {
+func (p *program) computeScores(ctx *computeCtx, v *vertex, msgs []msg) {
 	ws := ctx.WorkerState().(*workerScratch)
 	if ws.refreshedAt != ctx.Superstep() {
 		ctx.AggregatedVector(p.aggLoads, ws.localLoads)
@@ -381,14 +343,12 @@ func (p *program) computeScores(ctx *pregel.Context[vval, eval, msg], v *pregel.
 	updates := len(msgs)
 	if p.iter == 1 {
 		p.buildHistogram(ws, v)
-		updates = len(v.Edges) // one label read per edge
+		updates = len(v.Edges) // one label read per arc
 	} else if len(msgs) > 0 {
 		// A neighbor migrated (§III-D: that, not reading its starting label,
 		// is what makes a vertex affected).
 		for _, m := range msgs {
-			if i := findEdge(v.Edges, m.src); i >= 0 {
-				p.moveEdge(v, i, m.label)
-			}
+			move(v, m)
 		}
 		v.Value.dirty = true
 	}
@@ -398,11 +358,8 @@ func (p *program) computeScores(ctx *pregel.Context[vval, eval, msg], v *pregel.
 	degW := v.Value.degW
 	hist := v.Value.hist
 	var curW float64
-	for i := range hist {
-		if hist[i].label == cur {
-			curW = float64(hist[i].weight)
-			break
-		}
+	if i, ok := seekBar(hist, cur); ok {
+		curW = float64(hist[i].weight)
 	}
 
 	// score''(v, l) = w(v, l)/degW − b(l)/C  (Eq. 8), w(v, l) the bar of l.
@@ -428,8 +385,8 @@ func (p *program) computeScores(ctx *pregel.Context[vval, eval, msg], v *pregel.
 
 	// Find the best label among the neighborhood labels and the current
 	// label, with the paper's tie-break: prefer the current label, else
-	// choose uniformly among the tied maxima. The bars come in order of
-	// first edge, which fixes the sequence of tie draws.
+	// choose uniformly among the tied maxima (reservoir sampling). The bars
+	// come in label order, which fixes the sequence of tie draws.
 	const tieEps = 1e-12
 	best := cur
 	bestScore := curScore
@@ -485,8 +442,8 @@ func (p *program) setPenalty(ws *workerScratch, l int32) {
 
 // computeMigrations is the second superstep of an iteration: each candidate
 // migrates with probability p = r(l)/m(l) (Eq. 14), updates the load
-// counters, and announces its new label.
-func (p *program) computeMigrations(ctx *pregel.Context[vval, eval, msg], v *pregel.Vertex[vval, eval]) {
+// counters, and announces the move along every arc.
+func (p *program) computeMigrations(ctx *computeCtx, v *vertex) {
 	cand := v.Value.cand
 	if cand < 0 {
 		return
@@ -504,8 +461,8 @@ func (p *program) computeMigrations(ctx *pregel.Context[vval, eval, msg], v *pre
 	ctx.Aggregate(p.aggLoads, int(old), -v.Value.degW)
 	ctx.Aggregate(p.aggLoads, int(cand), v.Value.degW)
 	ctx.Aggregate(p.aggMigs, 0, 1)
-	for i := range v.Edges {
-		ctx.SendTo(v.Edges[i].To, msg{src: v.ID, label: cand})
+	for _, a := range v.Edges {
+		ctx.SendTo(a.To, msg{old: old, new: cand, w: p.arcWeight(a)})
 	}
 	ctx.CountEdges(len(v.Edges))
 }

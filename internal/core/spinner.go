@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -29,16 +30,19 @@ func (p *Partitioner) Options() Options { return p.opts }
 
 // Partition partitions g from scratch. Directed graphs are first converted
 // to the weighted undirected form with the in-engine NeighborPropagation /
-// NeighborDiscovery supersteps (Eq. 3); g should be deduplicated (use
-// graph.Builder) since reciprocal detection assumes simple graphs.
+// NeighborDiscovery supersteps (Eq. 3). Eq. 3 is defined over a simple
+// graph, so repeated arcs and self-loops of g are dropped as it is loaded,
+// as graph.Convert drops them: Partition(g) and PartitionWeighted(Convert(g))
+// produce the same labels.
 func (p *Partitioner) Partition(g *graph.Graph) (*Result, error) {
 	return p.run(newProgram(p.opts, true, g.NumVertices(), nil, nil), verticesFromGraph(g))
 }
 
 // PartitionWeighted partitions an already-converted weighted undirected
-// graph from scratch, skipping the conversion supersteps.
+// graph from scratch, skipping the conversion supersteps. The run reads w's
+// rows in place and never writes them; w must not change until it returns.
 func (p *Partitioner) PartitionWeighted(w *graph.Weighted) (*Result, error) {
-	return p.run(newProgram(p.opts, false, w.NumVertices(), nil, nil), verticesFromWeighted(w))
+	return p.run(newProgram(p.opts, false, w.NumVertices(), nil, nil), verticesOn(w))
 }
 
 // Adapt incrementally repartitions w after graph changes (§III-D). prev
@@ -74,7 +78,7 @@ func (p *Partitioner) Adapt(w *graph.Weighted, prev []int32, affected []graph.Ve
 			}
 		}
 	}
-	return p.run(newProgram(p.opts, false, n, init, mask), verticesFromWeighted(w))
+	return p.run(newProgram(p.opts, false, n, init, mask), verticesOn(w))
 }
 
 // Resize adapts a partitioning from oldK partitions to Options.K
@@ -93,11 +97,11 @@ func (p *Partitioner) Resize(w *graph.Weighted, prev []int32, oldK int) (*Result
 	if err != nil {
 		return nil, err
 	}
-	return p.run(newProgram(p.opts, false, len(init), init, nil), verticesFromWeighted(w))
+	return p.run(newProgram(p.opts, false, len(init), init, nil), verticesOn(w))
 }
 
 // run drives the Pregel engine and packages the Result.
-func (p *Partitioner) run(prog *program, vs []pregel.Vertex[vval, eval]) (*Result, error) {
+func (p *Partitioner) run(prog *program, vs []vertex) (*Result, error) {
 	start := time.Now()
 	cfg := pregel.Config{
 		NumWorkers:    p.opts.NumWorkers,
@@ -117,7 +121,7 @@ func (p *Partitioner) run(prog *program, vs []pregel.Vertex[vval, eval]) (*Resul
 			hook(snapped, slices.Clone(prog.labels))
 		}
 	}
-	eng := pregel.NewEngine[vval, eval, msg](cfg, prog)
+	eng := pregel.NewEngine[vval, graph.WeightedArc, msg](cfg, prog)
 	prog.register(eng)
 	if err := eng.SetVertices(vs); err != nil {
 		return nil, err
@@ -145,22 +149,21 @@ func (p *Partitioner) run(prog *program, vs []pregel.Vertex[vval, eval]) (*Resul
 	}, nil
 }
 
-// verticesFromGraph loads a (possibly directed) graph as weight-1 edges;
-// the conversion supersteps then fix up weights and reverse edges.
-// Self-loops are dropped.
-func verticesFromGraph(g *graph.Graph) []pregel.Vertex[vval, eval] {
+// verticesFromGraph loads a (possibly directed) graph as weight-1 arcs,
+// each row sorted by target with repeated arcs and self-loops dropped; the
+// conversion supersteps then fix up weights and reverse arcs.
+func verticesFromGraph(g *graph.Graph) []vertex {
 	n := g.NumVertices()
-	vs := make([]pregel.Vertex[vval, eval], n)
-	// All edge lists live in one flat arena, each vertex owning a
-	// capacity-clamped window with 2× headroom so NeighborDiscovery can
-	// append reverse edges in place; a vertex whose in-degree outruns the
-	// headroom copies out of the arena on growth, which is safe because the
-	// windows cannot overlap.
+	vs := make([]vertex, n)
+	// All rows live in one flat arena, each vertex owning a capacity-clamped
+	// window with 2× headroom so NeighborDiscovery can append reverse arcs in
+	// place; a vertex whose in-degree outruns the headroom copies out of the
+	// arena on growth, which is safe because the windows cannot overlap.
 	var totalDeg int
 	for i := 0; i < n; i++ {
 		totalDeg += g.OutDegree(graph.VertexID(i))
 	}
-	arena := make([]pregel.Edge[eval], 0, 2*totalDeg)
+	arena := make([]graph.WeightedArc, 0, 2*totalDeg)
 	off := 0
 	for i := range vs {
 		vs[i].ID = graph.VertexID(i)
@@ -169,12 +172,12 @@ func verticesFromGraph(g *graph.Graph) []pregel.Vertex[vval, eval] {
 		es := arena[off : off : off+window]
 		off += window
 		for _, to := range nbrs {
-			if to == graph.VertexID(i) {
-				continue
+			if to != graph.VertexID(i) {
+				es = append(es, graph.WeightedArc{To: to, Weight: 1})
 			}
-			es = append(es, pregel.Edge[eval]{To: to, Value: eval{weight: 1, label: -1}})
 		}
-		vs[i].Edges = es
+		slices.SortFunc(es, func(a, b graph.WeightedArc) int { return cmp.Compare(a.To, b.To) })
+		vs[i].Edges = slices.CompactFunc(es, func(a, b graph.WeightedArc) bool { return a.To == b.To })
 	}
 	// Undirected graphs store both directions, so NeighborDiscovery sees a
 	// reciprocal announcement for every edge and assigns weight 2, matching
@@ -182,27 +185,14 @@ func verticesFromGraph(g *graph.Graph) []pregel.Vertex[vval, eval] {
 	return vs
 }
 
-// verticesFromWeighted loads a converted weighted undirected graph. The
-// weighted path skips the conversion supersteps, so edge lists never grow
-// and the arena windows are exact.
-func verticesFromWeighted(w *graph.Weighted) []pregel.Vertex[vval, eval] {
-	n := w.NumVertices()
-	vs := make([]pregel.Vertex[vval, eval], n)
-	var totalDeg int
-	for i := 0; i < n; i++ {
-		totalDeg += w.Degree(graph.VertexID(i))
-	}
-	arena := make([]pregel.Edge[eval], totalDeg)
-	off := 0
+// verticesOn hands the engine w's rows by reference: a vertex's arcs are
+// its row of w. No program phase that runs on a converted graph writes an
+// arc, so the run costs no per-arc storage of its own.
+func verticesOn(w *graph.Weighted) []vertex {
+	vs := make([]vertex, w.NumVertices())
 	for i := range vs {
 		vs[i].ID = graph.VertexID(i)
-		arcs := w.Neighbors(graph.VertexID(i))
-		es := arena[off : off+len(arcs) : off+len(arcs)]
-		off += len(arcs)
-		for j, a := range arcs {
-			es[j] = pregel.Edge[eval]{To: a.To, Value: eval{weight: a.Weight, label: -1}}
-		}
-		vs[i].Edges = es
+		vs[i].Edges = w.Neighbors(graph.VertexID(i))
 	}
 	return vs
 }

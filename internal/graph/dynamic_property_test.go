@@ -471,6 +471,7 @@ func checkAgainstOracles(t *testing.T, w *Weighted, m *Mutation) string {
 			t.Fatalf("row %d = %v, reference %v (err %v)\nbatch %+v", v, w.Neighbors(VertexID(v)), want.Neighbors(VertexID(v)), err, m)
 		}
 	}
+	requireMirrored(t, w, m)
 	switch {
 	case err != nil:
 		return "rejected"
@@ -478,6 +479,35 @@ func checkAgainstOracles(t *testing.T, w *Weighted, m *Mutation) string {
 		return "ambiguous"
 	}
 	return "valid"
+}
+
+// requireMirrored fails unless w's rows mirror each other — row u holds
+// the arc (v, x) exactly as often as row v holds (u, x) — and the weighted
+// degrees sum to twice the total weight: the invariant that lets the LPA
+// program (internal/core) announce an arc's weight from the sender's row.
+func requireMirrored(t *testing.T, w *Weighted, m *Mutation) {
+	t.Helper()
+	type arc struct {
+		from, to VertexID
+		weight   int32
+	}
+	count := map[arc]int{}
+	var degW int64
+	for u := 0; u < w.NumVertices(); u++ {
+		for _, a := range w.Neighbors(VertexID(u)) {
+			count[arc{VertexID(u), a.To, a.Weight}]++
+		}
+		degW += w.WeightedDegree(VertexID(u))
+	}
+	for a, c := range count {
+		if back := count[arc{a.to, a.from, a.weight}]; back != c {
+			t.Fatalf("row %d holds (%d,%d) %d times, row %d holds (%d,%d) %d times\nbatch %+v",
+				a.from, a.to, a.weight, c, a.to, a.from, a.weight, back, m)
+		}
+	}
+	if degW != 2*w.TotalWeight() {
+		t.Fatalf("weighted degrees sum to %d, total weight is %d\nbatch %+v", degW, w.TotalWeight(), m)
+	}
 }
 
 // Differential property: over seeded random batches on small multigraphs

@@ -1,6 +1,9 @@
 package graph
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestRemoveEdge(t *testing.T) {
 	w := NewWeighted(3)
@@ -44,6 +47,33 @@ func TestRemoveEdgeParallel(t *testing.T) {
 	}
 	if w.TotalWeight() != 0 {
 		t.Fatalf("residual weight %d", w.TotalWeight())
+	}
+}
+
+// TestRemoveEdgeKeepsRowsMirrored: u holds parallel arcs to v of weights 1
+// and 2, and a swap-delete elsewhere has put v's weight-2 arc to u first in
+// v's row. Removing {u,v} takes u's first arc, of weight 1, and must take
+// v's weight-1 arc too — not v's first arc — so that each row keeps the
+// other's remaining weight and the total drops by what was removed.
+func TestRemoveEdgeKeepsRowsMirrored(t *testing.T) {
+	w := NewWeighted(3)
+	w.AddEdge(1, 2, 1)
+	w.AddEdge(0, 1, 1)
+	w.AddEdge(0, 1, 2)
+	if !w.RemoveEdge(1, 2) { // row 1 [(2,1) (0,1) (0,2)] becomes [(0,2) (0,1)]
+		t.Fatal("removal of {1,2} failed")
+	}
+	if got := w.Neighbors(1); !slices.Equal(got, []WeightedArc{{0, 2}, {0, 1}}) {
+		t.Fatalf("row 1 = %v before the removal under test", got)
+	}
+	if !w.RemoveEdge(0, 1) {
+		t.Fatal("removal of {0,1} failed")
+	}
+	if r0, r1 := w.Neighbors(0), w.Neighbors(1); !slices.Equal(r0, []WeightedArc{{1, 2}}) || !slices.Equal(r1, []WeightedArc{{0, 2}}) {
+		t.Fatalf("rows after removal: 0 %v, 1 %v; want (1,2) and (0,2)", r0, r1)
+	}
+	if w.NumEdges() != 1 || w.TotalWeight() != 2 || w.WeightedDegree(0)+w.WeightedDegree(1) != 2*w.TotalWeight() {
+		t.Fatalf("edges %d, total weight %d, weighted degrees %d+%d", w.NumEdges(), w.TotalWeight(), w.WeightedDegree(0), w.WeightedDegree(1))
 	}
 }
 

@@ -66,14 +66,18 @@ func (w *Weighted) AddEdge(u, v VertexID, weight int32) {
 	w.numEdges++
 }
 
-// RemoveEdge deletes one undirected edge {u,v} (the first matching arc in
-// each direction) and reports whether it was present.
+// RemoveEdge deletes one undirected edge {u,v} and reports whether it was
+// present: the first arc u→v in u's row, and then the first arc v→u of the
+// same weight in v's row. Matching the weight keeps the rows mirror images
+// of each other — every (neighbour, weight) arc of u's row has its (u,
+// weight) twin in the neighbour's — even when parallel arcs of differing
+// weights sit in rows that earlier swap-deletes ordered differently.
 func (w *Weighted) RemoveEdge(u, v VertexID) bool {
-	weight, ok := w.removeArc(u, v)
+	weight, ok := w.removeArc(u, v, 0)
 	if !ok {
 		return false
 	}
-	if _, ok := w.removeArc(v, u); !ok {
+	if _, ok := w.removeArc(v, u, weight); !ok {
 		// Symmetry is a structural invariant; a one-sided edge means the
 		// graph was corrupted by the caller.
 		panic("graph: asymmetric adjacency in RemoveEdge")
@@ -83,11 +87,13 @@ func (w *Weighted) RemoveEdge(u, v VertexID) bool {
 	return true
 }
 
-// removeArc removes the first arc u→v, returning its weight.
-func (w *Weighted) removeArc(u, v VertexID) (int32, bool) {
+// removeArc swap-deletes the first arc u→v of the given weight — of any
+// weight when weight is 0, arc weights being positive — and returns the
+// weight it removed.
+func (w *Weighted) removeArc(u, v VertexID, weight int32) (int32, bool) {
 	arcs := w.adj[u]
 	for i, a := range arcs {
-		if a.To == v {
+		if a.To == v && (weight == 0 || a.Weight == weight) {
 			arcs[i] = arcs[len(arcs)-1]
 			w.adj[u] = arcs[:len(arcs)-1]
 			return a.Weight, true

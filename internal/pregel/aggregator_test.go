@@ -36,7 +36,7 @@ type misuseProg struct {
 	idx int
 }
 
-func (p *misuseProg) Compute(ctx *Context[int64, struct{}, int64], v *Vertex[int64, struct{}], _ []int64) {
+func (p *misuseProg) Compute(ctx *Context[int64, VertexID, int64], v *Vertex[int64, VertexID], _ []int64) {
 	ctx.Aggregate(p.h, p.idx, 1)
 }
 
@@ -44,33 +44,33 @@ func (p *misuseProg) Compute(ctx *Context[int64, struct{}, int64], v *Vertex[int
 // the vector and the zero handle all panic, the first two naming the
 // aggregator. One worker, so the panic surfaces on the test's goroutine.
 func TestAggregatorHandleMisuse(t *testing.T) {
-	run := func(mod func(e, other *Engine[int64, struct{}, int64], p *misuseProg)) func() {
+	run := func(mod func(e, other *Engine[int64, VertexID, int64], p *misuseProg)) func() {
 		return func() {
 			p := &misuseProg{}
-			e := NewEngine[int64, struct{}, int64](Config{NumWorkers: 1}, p)
-			other := NewEngine[int64, struct{}, int64](Config{NumWorkers: 1}, p)
+			e := NewEngine[int64, VertexID, int64](Config{NumWorkers: 1}, p)
+			other := NewEngine[int64, VertexID, int64](Config{NumWorkers: 1}, p)
 			mod(e, other, p)
 			vs := buildVertices(graph.New(1, false), func(VertexID) int64 { return 0 })
 			runInline(e, vs)
 		}
 	}
-	mustPanicWith(t, "foreign handle", run(func(e, other *Engine[int64, struct{}, int64], p *misuseProg) {
+	mustPanicWith(t, "foreign handle", run(func(e, other *Engine[int64, VertexID, int64], p *misuseProg) {
 		e.RegisterAggregator("mine", AggSum, 2, false)
 		p.h = other.RegisterAggregator("theirs", AggSum, 2, false)
 	}), `"theirs"`, "another engine")
-	mustPanicWith(t, "index past the end", run(func(e, _ *Engine[int64, struct{}, int64], p *misuseProg) {
+	mustPanicWith(t, "index past the end", run(func(e, _ *Engine[int64, VertexID, int64], p *misuseProg) {
 		p.h, p.idx = e.RegisterAggregator("loads", AggSum, 2, false), 2
 	}), `"loads"`, "index 2", "[0,2)")
-	mustPanicWith(t, "negative index", run(func(e, _ *Engine[int64, struct{}, int64], p *misuseProg) {
+	mustPanicWith(t, "negative index", run(func(e, _ *Engine[int64, VertexID, int64], p *misuseProg) {
 		p.h, p.idx = e.RegisterAggregator("loads", AggSum, 2, false), -1
 	}), `"loads"`, "index -1")
-	mustPanicWith(t, "zero handle", run(func(e, _ *Engine[int64, struct{}, int64], _ *misuseProg) {
+	mustPanicWith(t, "zero handle", run(func(e, _ *Engine[int64, VertexID, int64], _ *misuseProg) {
 		e.RegisterAggregator("loads", AggSum, 2, false)
 	}), "zero Aggregator")
 
 	// The master's accessors check the handle the same way.
-	e := NewEngine[int64, struct{}, int64](Config{}, &misuseProg{})
-	other := NewEngine[int64, struct{}, int64](Config{}, &misuseProg{})
+	e := NewEngine[int64, VertexID, int64](Config{}, &misuseProg{})
+	other := NewEngine[int64, VertexID, int64](Config{}, &misuseProg{})
 	h := other.RegisterAggregator("theirs", AggSum, 2, false)
 	m := &Master{aggs: e.aggs}
 	mustPanicWith(t, "Master.Agg", func() { m.Agg(h) }, `"theirs"`)
@@ -80,7 +80,7 @@ func TestAggregatorHandleMisuse(t *testing.T) {
 
 // runInline computes every vertex of a one-worker engine on the calling
 // goroutine, so a panic in Compute reaches the caller's recover.
-func runInline(e *Engine[int64, struct{}, int64], vs []Vertex[int64, struct{}]) {
+func runInline(e *Engine[int64, VertexID, int64], vs []Vertex[int64, VertexID]) {
 	if err := e.SetVertices(vs); err != nil {
 		panic(err)
 	}

@@ -9,7 +9,7 @@ import (
 // selfSender sends a message to itself each superstep.
 type selfSender struct{}
 
-func (selfSender) Compute(ctx *Context[int64, struct{}, int64], v *Vertex[int64, struct{}], msgs []int64) {
+func (selfSender) Compute(ctx *Context[int64, VertexID, int64], v *Vertex[int64, VertexID], msgs []int64) {
 	for _, m := range msgs {
 		v.Value += m
 	}
@@ -20,8 +20,8 @@ func (selfSender) Compute(ctx *Context[int64, struct{}, int64], v *Vertex[int64,
 }
 
 func TestSelfMessages(t *testing.T) {
-	e := NewEngine[int64, struct{}, int64](Config{NumWorkers: 2}, selfSender{})
-	vs := make([]Vertex[int64, struct{}], 4)
+	e := NewEngine[int64, VertexID, int64](Config{NumWorkers: 2}, selfSender{})
+	vs := make([]Vertex[int64, VertexID], 4)
 	for i := range vs {
 		vs[i].ID = VertexID(i)
 	}
@@ -47,8 +47,8 @@ func TestSelfMessages(t *testing.T) {
 }
 
 func TestMoreWorkersThanVertices(t *testing.T) {
-	e := NewEngine[int64, struct{}, int64](Config{NumWorkers: 16}, selfSender{})
-	vs := make([]Vertex[int64, struct{}], 3)
+	e := NewEngine[int64, VertexID, int64](Config{NumWorkers: 16}, selfSender{})
+	vs := make([]Vertex[int64, VertexID], 3)
 	for i := range vs {
 		vs[i].ID = VertexID(i)
 	}
@@ -68,11 +68,11 @@ func TestMoreWorkersThanVertices(t *testing.T) {
 func TestPlacementOutOfRangeNormalized(t *testing.T) {
 	// A placement returning out-of-range workers must be wrapped, not
 	// crash.
-	e := NewEngine[int64, struct{}, int64](Config{
+	e := NewEngine[int64, VertexID, int64](Config{
 		NumWorkers: 2,
 		Placement:  func(v VertexID) int { return int(v) - 100 },
 	}, selfSender{})
-	vs := make([]Vertex[int64, struct{}], 5)
+	vs := make([]Vertex[int64, VertexID], 5)
 	for i := range vs {
 		vs[i].ID = VertexID(i)
 	}
@@ -85,8 +85,8 @@ func TestPlacementOutOfRangeNormalized(t *testing.T) {
 }
 
 func TestSingleVertexGraph(t *testing.T) {
-	e := NewEngine[int64, struct{}, int64](Config{NumWorkers: 4}, selfSender{})
-	if err := e.SetVertices([]Vertex[int64, struct{}]{{ID: 0}}); err != nil {
+	e := NewEngine[int64, VertexID, int64](Config{NumWorkers: 4}, selfSender{})
+	if err := e.SetVertices([]Vertex[int64, VertexID]{{ID: 0}}); err != nil {
 		t.Fatal(err)
 	}
 	steps, err := e.Run()
@@ -101,7 +101,7 @@ func TestSingleVertexGraph(t *testing.T) {
 // reactivator tests halted-vertex reactivation by incoming messages.
 type reactivator struct{}
 
-func (reactivator) Compute(ctx *Context[int64, struct{}, int64], v *Vertex[int64, struct{}], msgs []int64) {
+func (reactivator) Compute(ctx *Context[int64, VertexID, int64], v *Vertex[int64, VertexID], msgs []int64) {
 	v.Value++
 	if ctx.Superstep() == 0 && v.ID == 0 {
 		// Vertex 0 pokes vertex 1 three supersteps from now... it can only
@@ -115,8 +115,8 @@ func (reactivator) Compute(ctx *Context[int64, struct{}, int64], v *Vertex[int64
 }
 
 func TestReactivation(t *testing.T) {
-	e := NewEngine[int64, struct{}, int64](Config{NumWorkers: 2}, reactivator{})
-	vs := make([]Vertex[int64, struct{}], 4)
+	e := NewEngine[int64, VertexID, int64](Config{NumWorkers: 2}, reactivator{})
+	vs := make([]Vertex[int64, VertexID], 4)
 	for i := range vs {
 		vs[i].ID = VertexID(i)
 	}
@@ -143,7 +143,7 @@ func TestSentEqualsReceivedInvariant(t *testing.T) {
 	for i := 0; i < 99; i++ {
 		g.AddEdge(VertexID(i), VertexID(i+1))
 	}
-	e := NewEngine[int64, struct{}, int64](Config{NumWorkers: 3}, &stepCounter{stopAfter: 5})
+	e := NewEngine[int64, VertexID, int64](Config{NumWorkers: 3}, &stepCounter{stopAfter: 5})
 	if err := e.SetVertices(buildVertices(g, func(VertexID) int64 { return 0 })); err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ func TestSuperstepAllocationBudget(t *testing.T) {
 	}
 	const steps = 100
 	avg := testing.AllocsPerRun(3, func() {
-		e := NewEngine[int64, struct{}, int64](Config{NumWorkers: 2, MaxSupersteps: steps}, &stepCounter{stopAfter: 1 << 30})
+		e := NewEngine[int64, VertexID, int64](Config{NumWorkers: 2, MaxSupersteps: steps}, &stepCounter{stopAfter: 1 << 30})
 		if err := e.SetVertices(buildVertices(g, func(VertexID) int64 { return 0 })); err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func TestCombinerAllocationBudget(t *testing.T) {
 	}
 	const steps = 100
 	avg := testing.AllocsPerRun(3, func() {
-		e := NewEngine[int64, struct{}, int64](Config{NumWorkers: 2, MaxSupersteps: steps}, &stepCounter{stopAfter: 1 << 30})
+		e := NewEngine[int64, VertexID, int64](Config{NumWorkers: 2, MaxSupersteps: steps}, &stepCounter{stopAfter: 1 << 30})
 		e.SetCombiner(func(a, b int64) int64 { return a + b })
 		if err := e.SetVertices(buildVertices(g, func(VertexID) int64 { return 0 })); err != nil {
 			t.Fatal(err)
@@ -69,7 +69,7 @@ func TestStatsDeterministicAcrossRuns(t *testing.T) {
 			g.AddEdge(VertexID(i), VertexID(i+1))
 			g.AddEdge(VertexID(i), VertexID((i*13+5)%200))
 		}
-		e := NewEngine[int64, struct{}, int64](Config{NumWorkers: workers, Seed: 11}, &stepCounter{stopAfter: 6})
+		e := NewEngine[int64, VertexID, int64](Config{NumWorkers: workers, Seed: 11}, &stepCounter{stopAfter: 6})
 		if err := e.SetVertices(buildVertices(g, func(VertexID) int64 { return 0 })); err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestSendSideCombiningReducesTraffic(t *testing.T) {
 	for i := 1; i < 10; i++ {
 		g.AddEdge(VertexID(i), 0)
 	}
-	e := NewEngine[int64, struct{}, int64](Config{NumWorkers: 2}, combinerProg{})
+	e := NewEngine[int64, VertexID, int64](Config{NumWorkers: 2}, combinerProg{})
 	e.SetCombiner(func(a, b int64) int64 { return a + b })
 	if err := e.SetVertices(buildVertices(g, func(VertexID) int64 { return 0 })); err != nil {
 		t.Fatal(err)

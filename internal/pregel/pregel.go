@@ -7,8 +7,8 @@
 //     superstep s are visible at superstep s+1);
 //   - a vertex-centric Compute function with vote-to-halt semantics and
 //     reactivation on message receipt;
-//   - edge mutation by the owning vertex (Spinner's NeighborDiscovery step
-//     creates reverse edges);
+//   - out-arcs of a type each program chooses, which the owning vertex may
+//     mutate (Spinner's NeighborDiscovery step creates reverse edges);
 //   - sharded aggregators: commutative/associative reductions accumulated
 //     per worker and merged at the barrier, with optional persistence
 //     across supersteps (Giraph's persistent aggregators, which Spinner
@@ -76,37 +76,35 @@ import (
 // VertexID aliases the graph package's vertex identifier.
 type VertexID = graph.VertexID
 
-// Edge is an outgoing edge with a mutable per-edge value (Giraph edge
-// value). Spinner stores the neighbor's last-known label and the edge
-// weight in E.
-type Edge[E any] struct {
-	To    VertexID
-	Value E
-}
-
-// Vertex is the unit of computation. The Value and Edges fields may be
-// mutated freely by the owning vertex during Compute.
-type Vertex[V, E any] struct {
+// Vertex is the unit of computation. Edges holds its outgoing arcs, of
+// whatever type A the program chooses: the engine never reads them, it only
+// hands them to Compute. A bare target (VertexID) serves the analytics
+// apps; Spinner uses graph.WeightedArc, so a graph.Weighted's rows can be
+// handed in as they are. Value may be mutated freely by the owning vertex
+// during Compute, and so may Edges when the program owns them (Spinner's
+// NeighborDiscovery appends reverse arcs); rows the caller shares with
+// something else are the program's to read only.
+type Vertex[V, A any] struct {
 	ID     VertexID
 	Value  V
-	Edges  []Edge[E]
+	Edges  []A
 	halted bool
 }
 
 // Halted reports whether the vertex has voted to halt and received no
 // message since.
-func (v *Vertex[V, E]) Halted() bool { return v.halted }
+func (v *Vertex[V, A]) Halted() bool { return v.halted }
 
 // VoteToHalt marks the vertex inactive; it is reactivated when a message
 // arrives (standard Pregel semantics).
-func (v *Vertex[V, E]) VoteToHalt() { v.halted = true }
+func (v *Vertex[V, A]) VoteToHalt() { v.halted = true }
 
 // Program is the user computation. Compute is invoked for every active
 // vertex every superstep; msgs holds the messages delivered this superstep
 // (nil if none). Implementations may retain no references to msgs after
 // returning.
-type Program[V, E, M any] interface {
-	Compute(ctx *Context[V, E, M], v *Vertex[V, E], msgs []M)
+type Program[V, A, M any] interface {
+	Compute(ctx *Context[V, A, M], v *Vertex[V, A], msgs []M)
 }
 
 // MasterProgram is implemented by programs that need a master computation
@@ -194,7 +192,7 @@ type aggregator struct {
 }
 
 // aggPlane is one engine's aggregator table. It is not generic, so handles,
-// the Master and every Engine[V, E, M] share it.
+// the Master and every Engine[V, A, M] share it.
 type aggPlane struct {
 	list  []*aggregator // registration order
 	width int           // Σ size: the length of one worker's slab
@@ -281,12 +279,12 @@ func (s *SuperstepStats) TotalSent() int64 {
 }
 
 // Engine executes a Program over a vertex set with BSP semantics.
-type Engine[V, E, M any] struct {
+type Engine[V, A, M any] struct {
 	cfg      Config
-	prog     Program[V, E, M]
+	prog     Program[V, A, M]
 	combiner Combiner[M]
 
-	vertices []Vertex[V, E] // indexed by VertexID
+	vertices []Vertex[V, A] // indexed by VertexID
 	place    []int32        // vertex -> worker
 	byWorker [][]VertexID   // worker -> owned vertices (deterministic order)
 
@@ -294,7 +292,7 @@ type Engine[V, E, M any] struct {
 	inboxArena [][]M               // worker -> flat reusable message storage backing its inboxes
 	inboxCount []int32             // vertex -> messages delivered this superstep (zeroed after use)
 	pending    [][]VertexID        // worker -> owned vertices with non-empty inboxes
-	ctxs       []*Context[V, E, M] // reusable per-worker contexts (outbox arenas)
+	ctxs       []*Context[V, A, M] // reusable per-worker contexts (outbox arenas)
 	active     int64               // incremental active count for the next superstep
 
 	aggs *aggPlane
@@ -307,18 +305,18 @@ type Engine[V, E, M any] struct {
 }
 
 // NewEngine builds an engine over the given program.
-func NewEngine[V, E, M any](cfg Config, prog Program[V, E, M]) *Engine[V, E, M] {
+func NewEngine[V, A, M any](cfg Config, prog Program[V, A, M]) *Engine[V, A, M] {
 	if cfg.NumWorkers <= 0 {
 		cfg.NumWorkers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.MaxSupersteps <= 0 {
 		cfg.MaxSupersteps = 10000
 	}
-	return &Engine[V, E, M]{cfg: cfg, prog: prog, aggs: &aggPlane{}}
+	return &Engine[V, A, M]{cfg: cfg, prog: prog, aggs: &aggPlane{}}
 }
 
 // SetCombiner installs a message combiner.
-func (e *Engine[V, E, M]) SetCombiner(c Combiner[M]) { e.combiner = c }
+func (e *Engine[V, A, M]) SetCombiner(c Combiner[M]) { e.combiner = c }
 
 // RegisterAggregator declares a named aggregator holding a vector of size
 // values reduced with op, and returns the handle that Context and Master
@@ -326,7 +324,7 @@ func (e *Engine[V, E, M]) SetCombiner(c Combiner[M]) { e.combiner = c }
 // each superstep's contributions into it (sum op only); non-persistent
 // aggregators are reset every superstep. The name identifies the aggregator
 // to Engine.AggregatedValue. Must be called before Run.
-func (e *Engine[V, E, M]) RegisterAggregator(name string, op aggOp, size int, persistent bool) Aggregator {
+func (e *Engine[V, A, M]) RegisterAggregator(name string, op aggOp, size int, persistent bool) Aggregator {
 	pl := e.aggs
 	if pl.byName(name) != nil {
 		panic(fmt.Sprintf("pregel: duplicate aggregator %q", name))
@@ -346,7 +344,7 @@ func (e *Engine[V, E, M]) RegisterAggregator(name string, op aggOp, size int, pe
 
 // SetVertices loads the vertex set. Vertex IDs must equal slice indices.
 // Must be called before Run.
-func (e *Engine[V, E, M]) SetVertices(vs []Vertex[V, E]) error {
+func (e *Engine[V, A, M]) SetVertices(vs []Vertex[V, A]) error {
 	for i := range vs {
 		if vs[i].ID != VertexID(i) {
 			return fmt.Errorf("pregel: vertex at index %d has ID %d; IDs must be dense", i, vs[i].ID)
@@ -357,20 +355,20 @@ func (e *Engine[V, E, M]) SetVertices(vs []Vertex[V, E]) error {
 }
 
 // NumVertices returns the number of loaded vertices.
-func (e *Engine[V, E, M]) NumVertices() int { return len(e.vertices) }
+func (e *Engine[V, A, M]) NumVertices() int { return len(e.vertices) }
 
 // NumWorkers returns the configured worker count.
-func (e *Engine[V, E, M]) NumWorkers() int { return e.cfg.NumWorkers }
+func (e *Engine[V, A, M]) NumWorkers() int { return e.cfg.NumWorkers }
 
 // Vertices exposes the vertex slice after a run (read-only by convention).
-func (e *Engine[V, E, M]) Vertices() []Vertex[V, E] { return e.vertices }
+func (e *Engine[V, A, M]) Vertices() []Vertex[V, A] { return e.vertices }
 
 // Stats returns per-superstep accounting collected during Run.
-func (e *Engine[V, E, M]) Stats() []SuperstepStats { return e.stats }
+func (e *Engine[V, A, M]) Stats() []SuperstepStats { return e.stats }
 
 // AggregatedValue returns the current merged value of the named aggregator
 // (a copy).
-func (e *Engine[V, E, M]) AggregatedValue(name string) []float64 {
+func (e *Engine[V, A, M]) AggregatedValue(name string) []float64 {
 	a := e.aggs.byName(name)
 	if a == nil {
 		panic(fmt.Sprintf("pregel: unknown aggregator %q", name))
@@ -381,7 +379,7 @@ func (e *Engine[V, E, M]) AggregatedValue(name string) []float64 {
 }
 
 // WorkerOf returns the worker owning vertex v (valid after Run starts).
-func (e *Engine[V, E, M]) WorkerOf(v VertexID) int { return int(e.place[v]) }
+func (e *Engine[V, A, M]) WorkerOf(v VertexID) int { return int(e.place[v]) }
 
 // ErrNoVertices is returned by Run when no vertex set was loaded.
 var ErrNoVertices = errors.New("pregel: no vertices loaded")
@@ -389,7 +387,7 @@ var ErrNoVertices = errors.New("pregel: no vertices loaded")
 // Run executes supersteps until every vertex has halted with no messages in
 // flight, the master halts the computation, or MaxSupersteps is reached.
 // It returns the number of supersteps executed.
-func (e *Engine[V, E, M]) Run() (int, error) {
+func (e *Engine[V, A, M]) Run() (int, error) {
 	if len(e.vertices) == 0 {
 		return 0, ErrNoVertices
 	}
@@ -419,7 +417,7 @@ func (e *Engine[V, E, M]) Run() (int, error) {
 	return e.superstep, nil
 }
 
-func (e *Engine[V, E, M]) initPlacement() {
+func (e *Engine[V, A, M]) initPlacement() {
 	n := len(e.vertices)
 	w := e.cfg.NumWorkers
 	e.place = make([]int32, n)
@@ -439,7 +437,7 @@ func (e *Engine[V, E, M]) initPlacement() {
 	}
 }
 
-func (e *Engine[V, E, M]) initWorkers() {
+func (e *Engine[V, A, M]) initWorkers() {
 	w := e.cfg.NumWorkers
 	e.workerState = make([]any, w)
 	e.workerRand = make([]*rng.Source, w)
@@ -458,7 +456,7 @@ func (e *Engine[V, E, M]) initWorkers() {
 // initMessagePlane builds the reusable per-worker contexts and the pending
 // lists, and seeds the incremental active count with one full scan (the
 // only one the engine ever performs).
-func (e *Engine[V, E, M]) initMessagePlane() {
+func (e *Engine[V, A, M]) initMessagePlane() {
 	w := e.cfg.NumWorkers
 	n := len(e.vertices)
 	e.pending = make([][]VertexID, w)
@@ -468,9 +466,9 @@ func (e *Engine[V, E, M]) initMessagePlane() {
 		e.inboxArena = make([][]M, w)
 		e.inboxCount = make([]int32, n)
 	}
-	e.ctxs = make([]*Context[V, E, M], w)
+	e.ctxs = make([]*Context[V, A, M], w)
 	for wk := 0; wk < w; wk++ {
-		ctx := &Context[V, E, M]{engine: e, workerID: wk, rand: e.workerRand[wk], partials: e.aggs.slabs[wk]}
+		ctx := &Context[V, A, M]{engine: e, workerID: wk, rand: e.workerRand[wk], partials: e.aggs.slabs[wk]}
 		ctx.out = make([][]addrMsg[M], w)
 		if e.combiner != nil {
 			ctx.combVal = make([]M, n)

@@ -11,7 +11,7 @@ import (
 // through the graph. Exercises vote-to-halt and reactivation.
 type maxProg struct{}
 
-func (maxProg) Compute(ctx *Context[int64, struct{}, int64], v *Vertex[int64, struct{}], msgs []int64) {
+func (maxProg) Compute(ctx *Context[int64, VertexID, int64], v *Vertex[int64, VertexID], msgs []int64) {
 	changed := ctx.Superstep() == 0
 	for _, m := range msgs {
 		if m > v.Value {
@@ -20,21 +20,20 @@ func (maxProg) Compute(ctx *Context[int64, struct{}, int64], v *Vertex[int64, st
 		}
 	}
 	if changed {
-		for _, e := range v.Edges {
-			ctx.SendTo(e.To, v.Value)
+		for _, to := range v.Edges {
+			ctx.SendTo(to, v.Value)
 		}
 	}
 	v.halted = true
 }
 
-func buildVertices(g *graph.Graph, val func(VertexID) int64) []Vertex[int64, struct{}] {
-	vs := make([]Vertex[int64, struct{}], g.NumVertices())
+// buildVertices hands the engine g's rows in place, as bare targets.
+func buildVertices(g *graph.Graph, val func(VertexID) int64) []Vertex[int64, VertexID] {
+	vs := make([]Vertex[int64, VertexID], g.NumVertices())
 	for i := range vs {
 		vs[i].ID = VertexID(i)
 		vs[i].Value = val(VertexID(i))
-		for _, to := range g.Neighbors(VertexID(i)) {
-			vs[i].Edges = append(vs[i].Edges, Edge[struct{}]{To: to})
-		}
+		vs[i].Edges = g.Neighbors(VertexID(i))
 	}
 	return vs
 }
@@ -44,7 +43,7 @@ func TestMaxPropagation(t *testing.T) {
 	// Symmetrize so the max can reach everyone.
 	und := graph.New(500, false)
 	g.Edges(func(u, v VertexID) { und.AddEdge(u, v) })
-	e := NewEngine[int64, struct{}, int64](Config{NumWorkers: 4, Seed: 1}, maxProg{})
+	e := NewEngine[int64, VertexID, int64](Config{NumWorkers: 4, Seed: 1}, maxProg{})
 	if err := e.SetVertices(buildVertices(und, func(v VertexID) int64 { return int64(v) })); err != nil {
 		t.Fatal(err)
 	}
@@ -63,15 +62,15 @@ func TestMaxPropagation(t *testing.T) {
 }
 
 func TestRunWithoutVertices(t *testing.T) {
-	e := NewEngine[int64, struct{}, int64](Config{}, maxProg{})
+	e := NewEngine[int64, VertexID, int64](Config{}, maxProg{})
 	if _, err := e.Run(); err != ErrNoVertices {
 		t.Fatalf("err=%v, want ErrNoVertices", err)
 	}
 }
 
 func TestSetVerticesRejectsSparseIDs(t *testing.T) {
-	e := NewEngine[int64, struct{}, int64](Config{}, maxProg{})
-	vs := []Vertex[int64, struct{}]{{ID: 5}}
+	e := NewEngine[int64, VertexID, int64](Config{}, maxProg{})
+	vs := []Vertex[int64, VertexID]{{ID: 5}}
 	if err := e.SetVertices(vs); err == nil {
 		t.Fatal("sparse IDs accepted")
 	}
@@ -80,10 +79,10 @@ func TestSetVerticesRejectsSparseIDs(t *testing.T) {
 // stepCounter runs a fixed number of supersteps using master halting.
 type stepCounter struct{ stopAfter int }
 
-func (p *stepCounter) Compute(ctx *Context[int64, struct{}, int64], v *Vertex[int64, struct{}], msgs []int64) {
+func (p *stepCounter) Compute(ctx *Context[int64, VertexID, int64], v *Vertex[int64, VertexID], msgs []int64) {
 	v.Value++
-	for _, e := range v.Edges {
-		ctx.SendTo(e.To, 1)
+	for _, to := range v.Edges {
+		ctx.SendTo(to, 1)
 	}
 }
 
@@ -97,7 +96,7 @@ func TestMasterHalt(t *testing.T) {
 	g := graph.New(4, false)
 	g.AddEdge(0, 1)
 	g.AddEdge(2, 3)
-	e := NewEngine[int64, struct{}, int64](Config{NumWorkers: 2}, &stepCounter{stopAfter: 7})
+	e := NewEngine[int64, VertexID, int64](Config{NumWorkers: 2}, &stepCounter{stopAfter: 7})
 	if err := e.SetVertices(buildVertices(g, func(VertexID) int64 { return 0 })); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +117,7 @@ func TestMasterHalt(t *testing.T) {
 func TestMaxSuperstepsBound(t *testing.T) {
 	g := graph.New(2, false)
 	g.AddEdge(0, 1)
-	e := NewEngine[int64, struct{}, int64](Config{NumWorkers: 1, MaxSupersteps: 3}, &stepCounter{stopAfter: 1 << 30})
+	e := NewEngine[int64, VertexID, int64](Config{NumWorkers: 1, MaxSupersteps: 3}, &stepCounter{stopAfter: 1 << 30})
 	if err := e.SetVertices(buildVertices(g, func(VertexID) int64 { return 0 })); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +130,7 @@ func TestMaxSuperstepsBound(t *testing.T) {
 // aggProg exercises sum/min/max and persistent aggregators.
 type aggProg struct{ sum, min, max, persist Aggregator }
 
-func (p *aggProg) Compute(ctx *Context[int64, struct{}, int64], v *Vertex[int64, struct{}], msgs []int64) {
+func (p *aggProg) Compute(ctx *Context[int64, VertexID, int64], v *Vertex[int64, VertexID], msgs []int64) {
 	ctx.Aggregate(p.sum, 0, 1)
 	ctx.Aggregate(p.min, 0, float64(v.ID))
 	ctx.Aggregate(p.max, 0, float64(v.ID))
@@ -143,9 +142,9 @@ func (p *aggProg) Compute(ctx *Context[int64, struct{}, int64], v *Vertex[int64,
 
 // newAggEngine registers aggProg's four aggregators, "sum" with sumSize
 // elements.
-func newAggEngine(workers, sumSize int) *Engine[int64, struct{}, int64] {
+func newAggEngine(workers, sumSize int) *Engine[int64, VertexID, int64] {
 	p := &aggProg{}
-	e := NewEngine[int64, struct{}, int64](Config{NumWorkers: workers}, p)
+	e := NewEngine[int64, VertexID, int64](Config{NumWorkers: workers}, p)
 	p.sum = e.RegisterAggregator("sum", AggSum, sumSize, false)
 	p.min = e.RegisterAggregator("min", AggMin, 1, false)
 	p.max = e.RegisterAggregator("max", AggMax, 1, false)
@@ -181,7 +180,7 @@ func TestAggregators(t *testing.T) {
 }
 
 func TestRegisterAggregatorValidation(t *testing.T) {
-	e := NewEngine[int64, struct{}, int64](Config{}, &aggProg{})
+	e := NewEngine[int64, VertexID, int64](Config{}, &aggProg{})
 	e.RegisterAggregator("a", AggSum, 1, false)
 	func() {
 		defer func() {
@@ -204,10 +203,10 @@ func TestRegisterAggregatorValidation(t *testing.T) {
 // combinerProg sums incoming messages into the vertex value.
 type combinerProg struct{}
 
-func (combinerProg) Compute(ctx *Context[int64, struct{}, int64], v *Vertex[int64, struct{}], msgs []int64) {
+func (combinerProg) Compute(ctx *Context[int64, VertexID, int64], v *Vertex[int64, VertexID], msgs []int64) {
 	if ctx.Superstep() == 0 {
-		for _, e := range v.Edges {
-			ctx.SendTo(e.To, 2)
+		for _, to := range v.Edges {
+			ctx.SendTo(to, 2)
 		}
 		return
 	}
@@ -228,7 +227,7 @@ func TestCombiner(t *testing.T) {
 	for i := 1; i < 6; i++ {
 		g.AddEdge(VertexID(i), 0)
 	}
-	e := NewEngine[int64, struct{}, int64](Config{NumWorkers: 3}, combinerProg{})
+	e := NewEngine[int64, VertexID, int64](Config{NumWorkers: 3}, combinerProg{})
 	e.SetCombiner(func(a, b int64) int64 { return a + b })
 	if err := e.SetVertices(buildVertices(g, func(VertexID) int64 { return 0 })); err != nil {
 		t.Fatal(err)
@@ -248,7 +247,7 @@ type wsCounter struct{ n int }
 
 func (workerStateProg) InitWorker(workerID, numWorkers int) any { return &wsCounter{} }
 
-func (workerStateProg) Compute(ctx *Context[int64, struct{}, int64], v *Vertex[int64, struct{}], msgs []int64) {
+func (workerStateProg) Compute(ctx *Context[int64, VertexID, int64], v *Vertex[int64, VertexID], msgs []int64) {
 	ws := ctx.WorkerState().(*wsCounter)
 	ws.n++
 	v.Value = int64(ws.n) // order within a worker is deterministic
@@ -257,7 +256,7 @@ func (workerStateProg) Compute(ctx *Context[int64, struct{}, int64], v *Vertex[i
 
 func TestWorkerState(t *testing.T) {
 	g := graph.New(8, false)
-	e := NewEngine[int64, struct{}, int64](Config{NumWorkers: 2}, workerStateProg{})
+	e := NewEngine[int64, VertexID, int64](Config{NumWorkers: 2}, workerStateProg{})
 	if err := e.SetVertices(buildVertices(g, func(VertexID) int64 { return 0 })); err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +275,7 @@ func TestWorkerState(t *testing.T) {
 
 func TestPlacementCustom(t *testing.T) {
 	g := graph.New(10, false)
-	e := NewEngine[int64, struct{}, int64](Config{
+	e := NewEngine[int64, VertexID, int64](Config{
 		NumWorkers: 2,
 		Placement:  func(v VertexID) int { return int(v) % 2 },
 	}, workerStateProg{})
@@ -295,7 +294,7 @@ func TestStatsAccounting(t *testing.T) {
 	// Two vertices on different workers exchanging one message each way.
 	g := graph.New(2, false)
 	g.AddEdge(0, 1)
-	e := NewEngine[int64, struct{}, int64](Config{NumWorkers: 2, MaxSupersteps: 2}, &stepCounter{stopAfter: 2})
+	e := NewEngine[int64, VertexID, int64](Config{NumWorkers: 2, MaxSupersteps: 2}, &stepCounter{stopAfter: 2})
 	if err := e.SetVertices(buildVertices(g, func(VertexID) int64 { return 0 })); err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +332,7 @@ func TestLocalVsRemoteAccounting(t *testing.T) {
 	// Both vertices on one worker → messages are local.
 	g := graph.New(2, false)
 	g.AddEdge(0, 1)
-	e := NewEngine[int64, struct{}, int64](Config{NumWorkers: 1, MaxSupersteps: 1}, &stepCounter{stopAfter: 1})
+	e := NewEngine[int64, VertexID, int64](Config{NumWorkers: 1, MaxSupersteps: 1}, &stepCounter{stopAfter: 1})
 	if err := e.SetVertices(buildVertices(g, func(VertexID) int64 { return 0 })); err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +351,7 @@ func TestEngineDeterminism(t *testing.T) {
 		g := gen.WattsStrogatz(300, 4, 0.3, 2)
 		und := graph.New(300, false)
 		g.Edges(func(u, v VertexID) { und.AddEdge(u, v) })
-		e := NewEngine[int64, struct{}, int64](Config{NumWorkers: 4, Seed: 9}, maxProg{})
+		e := NewEngine[int64, VertexID, int64](Config{NumWorkers: 4, Seed: 9}, maxProg{})
 		if err := e.SetVertices(buildVertices(und, func(v VertexID) int64 { return int64(v * 7 % 301) })); err != nil {
 			t.Fatal(err)
 		}
@@ -379,7 +378,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		g := gen.WattsStrogatz(200, 4, 0.3, 3)
 		und := graph.New(200, false)
 		g.Edges(func(u, v VertexID) { und.AddEdge(u, v) })
-		e := NewEngine[int64, struct{}, int64](Config{NumWorkers: workers, Seed: 5}, maxProg{})
+		e := NewEngine[int64, VertexID, int64](Config{NumWorkers: workers, Seed: 5}, maxProg{})
 		if err := e.SetVertices(buildVertices(und, func(v VertexID) int64 { return int64(v) })); err != nil {
 			t.Fatal(err)
 		}
@@ -401,25 +400,26 @@ func TestWorkerCountInvariance(t *testing.T) {
 }
 
 // Edge mutation: vertices may add edges to themselves during compute
-// (Spinner's NeighborDiscovery does exactly this).
+// (Spinner's NeighborDiscovery does exactly this), here with a weighted arc
+// type the program chose.
 type edgeAdder struct{}
 
-func (edgeAdder) Compute(ctx *Context[int64, int64, int64], v *Vertex[int64, int64], msgs []int64) {
+func (edgeAdder) Compute(ctx *Context[int64, graph.WeightedArc, int64], v *Vertex[int64, graph.WeightedArc], msgs []int64) {
 	if ctx.Superstep() == 0 {
-		for _, e := range v.Edges {
-			ctx.SendTo(e.To, int64(v.ID))
+		for _, a := range v.Edges {
+			ctx.SendTo(a.To, int64(v.ID))
 		}
 		return
 	}
 	for _, src := range msgs {
 		found := false
-		for _, e := range v.Edges {
-			if e.To == VertexID(src) {
+		for _, a := range v.Edges {
+			if a.To == VertexID(src) {
 				found = true
 			}
 		}
 		if !found {
-			v.Edges = append(v.Edges, Edge[int64]{To: VertexID(src), Value: 1})
+			v.Edges = append(v.Edges, graph.WeightedArc{To: VertexID(src), Weight: 1})
 		}
 	}
 	v.halted = true
@@ -428,14 +428,14 @@ func (edgeAdder) Compute(ctx *Context[int64, int64, int64], v *Vertex[int64, int
 func TestEdgeMutation(t *testing.T) {
 	g := graph.New(3, true)
 	g.AddEdge(0, 1) // one-way: vertex 1 should discover reverse edge to 0
-	vs := make([]Vertex[int64, int64], 3)
+	vs := make([]Vertex[int64, graph.WeightedArc], 3)
 	for i := range vs {
 		vs[i].ID = VertexID(i)
 		for _, to := range g.Neighbors(VertexID(i)) {
-			vs[i].Edges = append(vs[i].Edges, Edge[int64]{To: to})
+			vs[i].Edges = append(vs[i].Edges, graph.WeightedArc{To: to, Weight: 1})
 		}
 	}
-	e := NewEngine[int64, int64, int64](Config{NumWorkers: 2}, edgeAdder{})
+	e := NewEngine[int64, graph.WeightedArc, int64](Config{NumWorkers: 2}, edgeAdder{})
 	if err := e.SetVertices(vs); err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func TestEdgeMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	v1 := e.Vertices()[1]
-	if len(v1.Edges) != 1 || v1.Edges[0].To != 0 {
+	if len(v1.Edges) != 1 || v1.Edges[0] != (graph.WeightedArc{To: 0, Weight: 1}) {
 		t.Fatalf("vertex 1 edges=%v, want reverse edge to 0", v1.Edges)
 	}
 }

@@ -19,8 +19,8 @@ type addrMsg[M any] struct {
 // retained. The engine keeps one Context per worker alive across
 // supersteps so its outbox arenas retain their capacity; reset truncates
 // them between supersteps.
-type Context[V, E, M any] struct {
-	engine   *Engine[V, E, M]
+type Context[V, A, M any] struct {
+	engine   *Engine[V, A, M]
 	workerID int
 	partials []float64      // this worker's aggregator slab (aggPlane.slabs[workerID])
 	out      [][]addrMsg[M] // indexed by destination worker (no-combiner path)
@@ -46,7 +46,7 @@ type Context[V, E, M any] struct {
 
 // reset prepares the context for the next superstep, truncating the
 // outbox arenas in place so their capacity is reused.
-func (c *Context[V, E, M]) reset() {
+func (c *Context[V, A, M]) reset() {
 	c.sentLoc, c.sentRem, c.edges, c.computed = 0, 0, 0, 0
 	c.stayActive, c.reactivated = 0, 0
 	for i := range c.out {
@@ -59,32 +59,32 @@ func (c *Context[V, E, M]) reset() {
 }
 
 // Superstep returns the current superstep number (0-based).
-func (c *Context[V, E, M]) Superstep() int { return c.engine.superstep }
+func (c *Context[V, A, M]) Superstep() int { return c.engine.superstep }
 
 // NumVertices returns the global vertex count.
-func (c *Context[V, E, M]) NumVertices() int { return len(c.engine.vertices) }
+func (c *Context[V, A, M]) NumVertices() int { return len(c.engine.vertices) }
 
 // NumWorkers returns the worker count.
-func (c *Context[V, E, M]) NumWorkers() int { return c.engine.cfg.NumWorkers }
+func (c *Context[V, A, M]) NumWorkers() int { return c.engine.cfg.NumWorkers }
 
 // WorkerID returns the executing worker's ID.
-func (c *Context[V, E, M]) WorkerID() int { return c.workerID }
+func (c *Context[V, A, M]) WorkerID() int { return c.workerID }
 
 // WorkerState returns this worker's shared state, created by the program's
 // InitWorker (nil if the program is not a WorkerInitializer). All vertices
 // computed on the same worker see the same value — this is the mechanism
 // behind §IV-A4's asynchronous per-worker computation.
-func (c *Context[V, E, M]) WorkerState() any { return c.engine.workerState[c.workerID] }
+func (c *Context[V, A, M]) WorkerState() any { return c.engine.workerState[c.workerID] }
 
 // Rand returns this worker's deterministic random stream.
-func (c *Context[V, E, M]) Rand() *rng.Source { return c.rand }
+func (c *Context[V, A, M]) Rand() *rng.Source { return c.rand }
 
 // SendTo queues a message for delivery to dst at the next superstep. When
 // a combiner is installed the message is merged into this worker's staging
 // slot for dst instead of being queued, so at most one message per
 // (worker, destination) pair travels to the barrier; the sent counters
 // then reflect post-combining traffic.
-func (c *Context[V, E, M]) SendTo(dst VertexID, msg M) {
+func (c *Context[V, A, M]) SendTo(dst VertexID, msg M) {
 	e := c.engine
 	if e.combiner != nil {
 		if c.combEpoch[dst] == c.epoch {
@@ -113,7 +113,7 @@ func (c *Context[V, E, M]) SendTo(dst VertexID, msg M) {
 
 // Aggregate contributes value to element idx of the aggregator. The
 // contribution becomes visible in the merged value after the barrier.
-func (c *Context[V, E, M]) Aggregate(h Aggregator, idx int, value float64) {
+func (c *Context[V, A, M]) Aggregate(h Aggregator, idx int, value float64) {
 	a := c.engine.aggs.get(h)
 	if uint(idx) >= uint(a.size) {
 		badIndex(a, idx)
@@ -135,7 +135,7 @@ func (c *Context[V, E, M]) Aggregate(h Aggregator, idx int, value float64) {
 
 // AggregatedValue returns element idx of the aggregator as merged at the
 // end of the previous superstep (Pregel semantics).
-func (c *Context[V, E, M]) AggregatedValue(h Aggregator, idx int) float64 {
+func (c *Context[V, A, M]) AggregatedValue(h Aggregator, idx int) float64 {
 	a := c.engine.aggs.get(h)
 	if uint(idx) >= uint(a.size) {
 		badIndex(a, idx)
@@ -145,7 +145,7 @@ func (c *Context[V, E, M]) AggregatedValue(h Aggregator, idx int) float64 {
 
 // AggregatedVector copies the aggregator's full merged vector into dst
 // (which must have the aggregator's size) and returns it.
-func (c *Context[V, E, M]) AggregatedVector(h Aggregator, dst []float64) []float64 {
+func (c *Context[V, A, M]) AggregatedVector(h Aggregator, dst []float64) []float64 {
 	copy(dst, c.engine.aggs.get(h).current)
 	return dst
 }
@@ -153,7 +153,7 @@ func (c *Context[V, E, M]) AggregatedVector(h Aggregator, dst []float64) []float
 // CountEdges lets Compute report how many edges it scanned; the cluster
 // cost model uses it as the compute term. Programs may skip it; the engine
 // then falls back to counting processed vertices.
-func (c *Context[V, E, M]) CountEdges(n int) { c.edges += int64(n) }
+func (c *Context[V, A, M]) CountEdges(n int) { c.edges += int64(n) }
 
 // Master is the interface handed to MasterCompute between supersteps.
 type Master struct {
@@ -191,7 +191,7 @@ func (m *Master) SetAgg(h Aggregator, v []float64) {
 // routing, aggregator merge. All message buffers are engine-owned arenas
 // reused across supersteps; in steady state the only per-superstep
 // allocations are the stats record and the worker goroutines themselves.
-func (e *Engine[V, E, M]) runSuperstep() {
+func (e *Engine[V, A, M]) runSuperstep() {
 	start := time.Now()
 	w := e.cfg.NumWorkers
 	var wg sync.WaitGroup
@@ -199,7 +199,7 @@ func (e *Engine[V, E, M]) runSuperstep() {
 		ctx := e.ctxs[wk]
 		ctx.reset()
 		wg.Add(1)
-		go func(wk int, ctx *Context[V, E, M]) {
+		go func(wk int, ctx *Context[V, A, M]) {
 			defer wg.Done()
 			for _, vid := range e.byWorker[wk] {
 				v := &e.vertices[vid]

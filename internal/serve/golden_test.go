@@ -6,7 +6,7 @@ package serve
 // internal/frame, the checkpoint metadata block got one codec, and
 // recovery/follower replay got one entry point. They pin the /v1/watch
 // wire bytes, both checkpoint payload layouts, and — through the
-// checked-in data dir — the on-disk files a whole quiesced history
+// checked-in data dirs — the on-disk files a whole quiesced history
 // leaves behind. A diff here means a format changed, which is a
 // compatibility break, not a refactor.
 
@@ -145,6 +145,16 @@ func TestGoldenCheckpointPayloads(t *testing.T) {
 // from it (expect.json).
 const parentDir = "testdata/parent-21e3f19"
 
+// writtenDir is the same history written by the first commit after
+// 64e4504, where the LPA program's histogram bars moved to label order.
+// The history's first resize runs an LPA repair, whose ties are now drawn
+// in another order, so the chain link at seq 9 carries other label runs —
+// and the cut and restabilization baseline its labels imply — than
+// parentDir's; the journal, the base checkpoint and the seq 4 link are
+// byte-identical. The formats did not change: recovery still reads
+// parentDir.
+const writtenDir = "testdata/child-64e4504"
+
 func parentCfg() Config {
 	cfg := durableCfg(2, 4)
 	cfg.Durability.MaxDeltaChain = 4
@@ -244,8 +254,9 @@ func TestParentDataDir(t *testing.T) {
 	parentFiles := dirFiles(t, parentDir)
 
 	// Today's code, playing the same history, must leave the same bytes
-	// on disk as the parent commit did.
+	// on disk as when the labels last changed.
 	t.Run("writes-identical-files", func(t *testing.T) {
+		wantFiles := dirFiles(t, writtenDir)
 		dir := t.TempDir()
 		w, labels := twoClusters(20)
 		st, err := NewDurable(dir, w, labels, parentCfg())
@@ -257,13 +268,13 @@ func TestParentDataDir(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := dirFiles(t, dir)
-		for name, b := range parentFiles {
+		for name, b := range wantFiles {
 			if !bytes.Equal(got[name], b) {
-				t.Errorf("%s: %d bytes written, differ from the parent's %d", name, len(got[name]), len(b))
+				t.Errorf("%s: %d bytes written, differ from the recorded %d", name, len(got[name]), len(b))
 			}
 		}
-		if len(got) != len(parentFiles) {
-			t.Errorf("wrote %d files, parent wrote %d", len(got), len(parentFiles))
+		if len(got) != len(wantFiles) {
+			t.Errorf("wrote %d files, %d recorded", len(got), len(wantFiles))
 		}
 	})
 
