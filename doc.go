@@ -59,10 +59,11 @@
 //     snapshot is never mutated.
 //   - graph.Mutation batches flow through a bounded mutation log into a
 //     coordinator goroutine. Add-only batches between existing vertices
-//     broadcast to the shards, which append their rows and fold O(batch)
-//     incremental cut deltas in parallel (labels are frozen between
-//     barriers), publishing O(k) snapshots that reuse the previous label
-//     copy. Batches that append vertices or remove edges apply atomically
+//     broadcast to the shards, which add to their rows (an existing edge
+//     gains weight: graph.Weighted keeps one arc per neighbour) and fold
+//     O(batch) incremental cut deltas in parallel (labels are frozen
+//     between barriers), publishing O(k) snapshots that reuse the previous
+//     label copy. Batches that append vertices or remove edges apply atomically
 //     under a full shard barrier, place new vertices on the least loaded
 //     partitions from per-shard load counters, and advance the counters by
 //     the batch's exact deltas (graph.Mutation.CutEdits) — never an O(E)
@@ -141,8 +142,8 @@
 //     back past a damaged newest file — or one that never finished
 //     installing because the crash hit mid-checkpoint, in which case the
 //     longer journal tail replays to the identical state), rebuilds the
-//     shards, verifies the cut counters bit-for-bit, replays the journal
-//     tail through the normal shard-broadcast apply path, and runs an
+//     shards (counting the cut afresh), replays the journal tail through
+//     the normal shard-broadcast apply path, and runs an
 //     exact reconcile (CutDrift stays 0). Torn tails — the crash shape —
 //     are truncated; mid-log corruption fails recovery loudly rather
 //     than silently dropping acknowledged batches. For quiesced

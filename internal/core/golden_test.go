@@ -37,16 +37,19 @@ func hashLabels(labels []int32) uint64 {
 // now repeat exactly: a performance change to core or pregel leaves this
 // table untouched. Partition loads a graph as graph.Convert does, so each
 // Partition entry has its weighted twin's labels. AffectedOnly is absent on
-// purpose: TestAffectedOnlyRestricts covers it.
+// purpose: TestAffectedOnlyRestricts covers it. The adapt entries' message
+// counts fell when graph.Weighted became simple (the change after
+// 5fbc4f6): the growth batch re-adds pairs, whose weight now sits on one
+// arc, so a migrating vertex announces it once; labels and iterations held.
 var goldenLabels = map[string]golden{
 	"ws/w1/partition":               {0x66a2bed499824b71, 48, 74041},
 	"ws/w1/weighted":                {0x66a2bed499824b71, 48, 58055},
-	"ws/w1/adapt":                   {0xfd1ec95fca259f56, 13, 8442},
+	"ws/w1/adapt":                   {0xfd1ec95fca259f56, 13, 8387},
 	"ws/w1/resize-8-10":             {0x40d70c82876535ef, 23, 23604},
 	"ws/w1/resize-8-6":              {0x6afa253d438825c1, 19, 16125},
 	"ws/w4/partition":               {0xf3c2a22180a4c6d1, 38, 64071},
 	"ws/w4/weighted":                {0xf3c2a22180a4c6d1, 38, 48085},
-	"ws/w4/adapt":                   {0xc5b5f813a44f8ab7, 14, 8723},
+	"ws/w4/adapt":                   {0xc5b5f813a44f8ab7, 14, 8706},
 	"ws/w4/resize-8-10":             {0x89a1c5f022384a05, 32, 29104},
 	"ws/w4/resize-8-6":              {0x8e5d652a989f4291, 21, 20514},
 	"ws/ignore-edge-weights":        {0x2450dce705d51e55, 56, 62659},
@@ -55,12 +58,12 @@ var goldenLabels = map[string]golden{
 	"ws/capacity-fractions":         {0x39e089be962e0163, 36, 46414},
 	"ba/w1/partition":               {0x96ec8c437e1bf646, 58, 134346},
 	"ba/w1/weighted":                {0x96ec8c437e1bf646, 58, 114445},
-	"ba/w1/adapt":                   {0xdabc817c319c7760, 23, 46113},
+	"ba/w1/adapt":                   {0xdabc817c319c7760, 23, 46104},
 	"ba/w1/resize-8-10":             {0x8ccba2700480b47a, 29, 58073},
 	"ba/w1/resize-8-6":              {0x664aff19a0321c2, 20, 38860},
 	"ba/w4/partition":               {0xdb4c29c0950b377, 54, 127470},
 	"ba/w4/weighted":                {0xdb4c29c0950b377, 54, 107569},
-	"ba/w4/adapt":                   {0x3fc7300911ba0b07, 37, 73291},
+	"ba/w4/adapt":                   {0x3fc7300911ba0b07, 37, 73272},
 	"ba/w4/resize-8-10":             {0xe5af9f16834125cb, 37, 73979},
 	"ba/w4/resize-8-6":              {0x4f7001da89a74337, 33, 66027},
 	"ba/ignore-edge-weights":        {0xc341e141377de5c3, 54, 109848},

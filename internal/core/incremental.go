@@ -13,25 +13,20 @@ import (
 // "we initially assign them to the least loaded partition, to ensure we do
 // not violate the balance constraint"). Loads are measured in weighted
 // degree, consistent with b(l), and updated greedily as vertices are
-// placed. It is the composition of an O(E) load scan over the existing
-// vertices and PlaceNewVertices; Adapt, whose run reads every edge anyway,
-// calls it. The serving layer (internal/serve) keeps b(l) as counters, as
-// the paper's implementation keeps them as aggregators, and calls
-// PlaceNewVertices alone.
+// placed. It is the composition of an O(E) scan of b(l) (Eq. 6) over the
+// existing vertices and PlaceNewVertices; Adapt, whose run reads every edge
+// anyway, calls it. The serving layer (internal/serve) keeps b(l) as
+// counters, as the paper's implementation keeps them as aggregators, and
+// calls PlaceNewVertices alone.
 func SeedNewVertices(w *graph.Weighted, init []int32, firstNew, k int) {
-	if firstNew < len(init) {
-		PlaceNewVertices(w, init, firstNew, ScanLoads(w, init[:firstNew], k))
+	if firstNew >= len(init) {
+		return
 	}
-}
-
-// ScanLoads returns b(l) (Eq. 6) over the vertices labels covers — a prefix
-// of w's vertices when the rest are still to be placed.
-func ScanLoads(w *graph.Weighted, labels []int32, k int) []int64 {
 	loads := make([]int64, k)
-	for v, l := range labels {
+	for v, l := range init[:firstNew] {
 		loads[l] += w.WeightedDegree(graph.VertexID(v))
 	}
-	return loads
+	PlaceNewVertices(w, init, firstNew, loads)
 }
 
 // PlaceNewVertices labels init[firstNew:] greedily from loads, the b(l) of

@@ -51,12 +51,12 @@
 // under IgnoreEdgeWeights), and that is the only kind of message an LPA
 // iteration sends — Result.Messages counts migrations times degree. The
 // receiver moves w from bar old to bar new and looks up no arc. This is
-// exact because graph.Weighted's rows mirror each other: the arcs of u's
-// row to v have the weights of v's row's arcs to u, so the sender's weight
-// is the receiver's. Two parallel arcs to one neighbour send two messages,
-// and both weights reach the bar. A receiver whose bar old holds less than
-// w has met rows that do not mirror, and panics naming itself and the
-// labels rather than score from a wrong histogram. A ComputeScores call
+// exact because graph.Weighted's rows mirror each other: u's arc to v has
+// the weight of v's arc to u, so the sender's weight is the receiver's. A
+// row holds one arc per neighbour — an edge added twice is one arc holding
+// both weights — so one message moves all of it. A receiver whose bar old
+// holds less than w has met rows that do not mirror, and panics naming
+// itself and the labels rather than score from a wrong histogram. A ComputeScores call
 // costs O(messages received + distinct neighbour labels), not O(degree).
 //
 // Bars are in label order. The order matters: labels whose scores tie are
@@ -82,9 +82,10 @@
 //
 // TestHistogramMatchesEdgeScanProperty compares every histogram with a
 // fresh scan of every arc over the labels after every ComputeScores
-// superstep; TestParallelArcsReachTheHistogram checks that every arc's
-// weight reaches a bar; TestInitialLabelsAreReadNotSent checks the message
-// counts and runs under the race detector; TestGoldenLabels pins the labels.
+// superstep; TestReAddedEdgesReachTheHistogram checks that a re-added
+// edge's whole weight reaches a bar; TestInitialLabelsAreReadNotSent checks
+// the message counts and runs under the race detector; TestGoldenLabels
+// pins the labels.
 package core
 
 import (

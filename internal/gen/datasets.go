@@ -86,9 +86,11 @@ func Load(d Dataset, n int, seed uint64) *graph.Graph {
 // Fig. 7 experiments ("we add a varying number of edges that correspond to
 // actual new friendships"). New edges are triadic-closure biased: with
 // probability 0.7 an edge closes a length-2 path (friend-of-friend),
-// otherwise it is uniform random. Existing-duplicate collisions are not
-// filtered; they are rare and harmless (they bump an edge's weight role in
-// the load model, as a refreshed friendship would).
+// otherwise it is uniform random. An addition of a pair w already holds
+// (or the batch already added) is kept: applied, it adds its weight to the
+// edge, as a refreshed friendship would. Triadic closure makes such
+// additions common: on WS(2000, 8, 0.3) at frac 0.02, 54 of 319 (17 %);
+// on BA(2000, 10), 9 of 398.
 func GrowthBatch(w *graph.Weighted, frac float64, seed uint64) *graph.Mutation {
 	if frac < 0 {
 		panic("gen: negative growth fraction")

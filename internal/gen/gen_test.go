@@ -255,15 +255,36 @@ func TestGrowthBatchDeterministic(t *testing.T) {
 	}
 }
 
+// freshPairs counts the distinct pairs mut adds that w does not hold yet:
+// the edges Apply creates, the other additions adding weight to an edge.
+func freshPairs(w *graph.Weighted, mut *graph.Mutation) int64 {
+	fresh := map[graph.Edge]bool{}
+	for _, e := range mut.NewEdges {
+		held := false
+		for _, a := range w.Neighbors(e.U) {
+			held = held || a.To == e.V
+		}
+		if !held {
+			fresh[graph.Edge{From: min(e.U, e.V), To: max(e.U, e.V)}] = true
+		}
+	}
+	return int64(len(fresh))
+}
+
 func TestGrowthBatchApplies(t *testing.T) {
 	w := graph.Convert(WattsStrogatz(1000, 6, 0.2, 29))
-	before := w.NumEdges()
+	before, weight := w.NumEdges(), w.TotalWeight()
 	mut := GrowthBatch(w, 0.1, 7)
+	fresh := freshPairs(w, mut)
+	if fresh == int64(len(mut.NewEdges)) {
+		t.Fatal("no addition re-adds a pair: the merge is not exercised")
+	}
 	if _, err := mut.Apply(w); err != nil {
 		t.Fatal(err)
 	}
-	if w.NumEdges() != before+int64(len(mut.NewEdges)) {
-		t.Fatal("mutation did not apply cleanly")
+	if w.NumEdges() != before+fresh || w.TotalWeight() != weight+2*int64(len(mut.NewEdges)) {
+		t.Fatalf("%d additions, %d of new pairs: edges %d → %d, weight %d → %d",
+			len(mut.NewEdges), fresh, before, w.NumEdges(), weight, w.TotalWeight())
 	}
 }
 
@@ -279,10 +300,11 @@ func TestChurnBatch(t *testing.T) {
 	if len(mut.RemovedEdges) != wantRemovals {
 		t.Fatalf("removals=%d, want %d", len(mut.RemovedEdges), wantRemovals)
 	}
+	fresh := freshPairs(w, mut)
 	if _, err := mut.Apply(w); err != nil {
 		t.Fatal(err)
 	}
-	if w.NumEdges() != before+int64(wantAdds)-int64(wantRemovals) {
+	if w.NumEdges() != before+fresh-int64(wantRemovals) {
 		t.Fatalf("edges=%d after churn", w.NumEdges())
 	}
 }

@@ -10,18 +10,12 @@ import (
 
 // convertByAppend is Convert as it was before it counted degrees first:
 // every pair appended to two growing rows. It defines the row order that
-// EncodeBinary, the serving layer's checkpoints and Mutation.Apply see.
+// EncodeBinary, the serving layer's checkpoints and Mutation.Apply see. An
+// undirected input takes the same path — each stored edge is an out- and an
+// in-arc of both ends — so an edge it stores twice still appends once.
 func convertByAppend(g *Graph) *Weighted {
 	n := g.NumVertices()
 	w := NewWeighted(n)
-	if !g.Directed() {
-		g.Edges(func(u, v VertexID) {
-			if u < v {
-				w.AddEdge(u, v, 2)
-			}
-		})
-		return w
-	}
 	in := make([][]VertexID, n)
 	g.Edges(func(u, v VertexID) {
 		if u != v {
@@ -66,8 +60,8 @@ func encoded(t *testing.T, w *Weighted) []byte {
 }
 
 // TestConvertLayout: the arena-backed Convert yields byte-for-byte the
-// graph the appending one did (duplicate arcs, self-loops and isolated
-// vertices included), every row is a capacity-clamped window with the slack
+// graph the appending one did (repeated arcs, repeated undirected edges,
+// self-loops and isolated vertices included), every row is a capacity-clamped window with the slack
 // doubling would have left it, and growing rows afterwards — within the
 // window and past it — leaves the others intact.
 func TestConvertLayout(t *testing.T) {

@@ -1,27 +1,18 @@
 package graph
 
 import (
-	"errors"
 	"fmt"
+	"math"
 )
-
-// ErrCutAmbiguous is returned by CutEdits when a batch removes an edge of
-// a vertex pair that exists in several instances with differing weights:
-// RemoveEdge's swap-delete makes the consumed instance order-dependent, so
-// no pre-apply enumeration can predict the exact weight. The batch itself
-// is valid — callers should apply it and fall back to an exact cut
-// recompute instead of an incremental delta. Well-behaved mutation sources
-// (internal/gen, the serving protocol) never duplicate a pair with
-// differing weights, so this is a safety valve, not a steady-state path.
-var ErrCutAmbiguous = errors.New("graph: duplicate removals of a pair with differing weights")
 
 // CutEdit is one edge-level effect of applying a Mutation: an undirected
 // edge inserted (Add) or deleted (!Add), with canonically ordered endpoints
-// (U < V) and the effective weight — for additions the normalized weight
-// Apply would insert (non-positive weights default to 1), for removals the
-// weight of the exact arc RemoveEdge would delete. The incremental cut
-// trackers in internal/serve fold these into per-partition counters in
-// O(batch) instead of recomputing the cut over all edges per snapshot.
+// (U < V) and the weight it adds or removes — for additions the normalized
+// weight Apply adds (non-positive weights default to 1, and a sum saturates
+// at math.MaxInt32), for removals the whole weight of the edge RemoveEdge
+// deletes. The incremental cut trackers in internal/serve fold these into
+// per-partition counters in O(batch) instead of recomputing the cut over
+// all edges per snapshot.
 type CutEdit struct {
 	U, V   VertexID
 	Weight int32
@@ -44,25 +35,42 @@ func (e CutEdit) Signed() int64 {
 // likewise — keeps them exactly equal to a fresh recompute; the sharded
 // store (internal/serve) does this per owning shard.
 //
-// CutEdits must be called against the pre-mutation graph: removal
-// weights are resolved by replaying RemoveEdge's first-match rule against
-// the current adjacency (pre-existing arcs in row order, then the batch's
-// own additions), so repeated removals of the same pair consume successive
-// arc instances exactly as Apply will. Additions may reference vertices the
-// batch itself appends.
+// CutEdits must be called against the pre-mutation graph. It replays the
+// batch's effect on each pair it names, in Apply's order: an addition adds
+// the weight AddEdge would add (the normalized weight, less where the
+// edge's weight saturates), and a removal removes the weight the edge then
+// holds — its weight in w plus the batch's additions of it. Additions may
+// reference vertices the batch itself appends.
 //
-// An out-of-range endpoint, a self-loop, or a removal with no matching arc
-// yields an error; Apply would reject such a batch, so callers should
-// discard the edits and let Apply report the canonical validation error.
+// A batch Apply would reject yields the error Apply reports: both check it
+// with effects.
 //
-// Cost: O(|batch| + Σ deg of the removed pairs' lower endpoints) — the
-// batch is indexed once (removable), never rescanned per removal.
+// Cost: O(|batch| + Σ over distinct removed pairs of the shorter endpoint
+// row) — one row scan per pair, never one per batch entry. Added pairs are
+// looked up too only when the graph's and the batch's weight together
+// could push an edge past math.MaxInt32.
 func (m *Mutation) CutEdits(w *Weighted) ([]CutEdit, error) {
+	return m.effects(w, true)
+}
+
+// effects is the one definition of a valid batch, which Apply, ApplyEdits
+// and CutEdits share: the vertex append must stay within MaxVertices,
+// every endpoint must be in range after it, additions must not be
+// self-loops, and every removal must name an edge that exists when it runs
+// — in w or added by the batch, and not deleted by an earlier removal. An
+// absent-edge error names the first removal, in batch order, that finds
+// its pair gone. With emit set it also returns the batch's cut edits.
+func (m *Mutation) effects(w *Weighted, emit bool) ([]CutEdit, error) {
 	if m.NewVertices < 0 {
 		return nil, fmt.Errorf("graph: mutation appends %d vertices", m.NewVertices)
 	}
-	n := VertexID(w.NumVertices() + m.NewVertices)
-	edits := make([]CutEdit, 0, len(m.NewEdges)+len(m.RemovedEdges))
+	if m.NewVertices > MaxVertices-w.NumVertices() {
+		return nil, fmt.Errorf("graph: mutation grows graph to %d vertices, past MaxVertices=%d",
+			w.NumVertices()+m.NewVertices, MaxVertices)
+	}
+	old := VertexID(w.NumVertices())
+	n := old + VertexID(m.NewVertices)
+	var batchWeight int64
 	for _, e := range m.NewEdges {
 		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
 			return nil, fmt.Errorf("graph: mutation edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
@@ -70,38 +78,59 @@ func (m *Mutation) CutEdits(w *Weighted) ([]CutEdit, error) {
 		if e.U == e.V {
 			return nil, fmt.Errorf("graph: mutation self-loop at %d", e.U)
 		}
-		weight := e.Weight
-		if weight <= 0 {
-			weight = 1
-		}
-		u, v := e.U, e.V
-		if u > v {
-			u, v = v, u
-		}
-		edits = append(edits, CutEdit{U: u, V: v, Weight: weight, Add: true})
+		batchWeight += int64(max(e.Weight, 1))
 	}
-	// Per removed pair, replay RemoveEdge's first-match rule: Apply scans
-	// adj[From] in row order, then the batch's own additions become
-	// removable. Repeated removals of the same pair consume successive
-	// instances.
-	pairs := m.removable(w)
 	for _, e := range m.RemovedEdges {
 		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
 			return nil, fmt.Errorf("graph: removal (%d,%d) out of range [0,%d)", e.From, e.To, n)
 		}
+	}
+	weightIn := func(key Edge) int32 {
+		if key.To < old {
+			return w.EdgeWeight(key.From, key.To)
+		}
+		return 0
+	}
+	// The weight each followed pair holds as the batch runs. A removal takes
+	// what its pair then holds, so every pair a removal names is followed.
+	// An addition adds less than its weight only where the edge's sum passes
+	// math.MaxInt32 — which no edge can reach unless the graph's total
+	// weight and the batch's together do; then, if edits are emitted, every
+	// added pair is followed too.
+	held := make(map[Edge]int32, len(m.RemovedEdges))
+	for _, e := range m.RemovedEdges {
 		key := normEdge(e.From, e.To)
-		p := pairs[key]
-		if !p.take() {
+		held[key] = weightIn(key)
+	}
+	followAll := emit && w.TotalWeight()+batchWeight > math.MaxInt32
+	var edits []CutEdit
+	if emit {
+		edits = make([]CutEdit, 0, len(m.NewEdges)+len(m.RemovedEdges))
+	}
+	for _, e := range m.NewEdges {
+		key := normEdge(e.U, e.V)
+		added := max(e.Weight, 1)
+		x, followed := held[key]
+		if !followed && followAll {
+			x, followed = weightIn(key), true
+		}
+		if followed {
+			added = min(added, math.MaxInt32-x)
+			held[key] = x + added
+		}
+		if emit {
+			edits = append(edits, CutEdit{U: key.From, V: key.To, Weight: added, Add: true})
+		}
+	}
+	for _, e := range m.RemovedEdges {
+		key := normEdge(e.From, e.To)
+		if held[key] == 0 {
 			return nil, fmt.Errorf("graph: removal of absent edge {%d,%d}", key.From, key.To)
 		}
-		if p.mixed {
-			// Several instances of the pair with differing weights: swap
-			// deletes reorder rows, and RemoveEdge picks by the written
-			// From row while cut recomputes read the lower endpoint's row,
-			// so no orientation-independent prediction exists.
-			return nil, ErrCutAmbiguous
+		if emit {
+			edits = append(edits, CutEdit{U: key.From, V: key.To, Weight: held[key]})
 		}
-		edits = append(edits, CutEdit{U: key.From, V: key.To, Weight: p.weight, Add: false})
+		held[key] = 0
 	}
 	return edits, nil
 }

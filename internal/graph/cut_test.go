@@ -1,7 +1,8 @@
 package graph
 
 import (
-	"errors"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -22,21 +23,19 @@ func cutWeightsExact(w *Weighted, labels []int32, k int) (cross, total int64, pe
 	return cross, total, perPart
 }
 
-// Randomized sequences of add/remove/grow batches: folding each batch's
-// CutDelta into running counters must stay exactly equal to a fresh
-// recompute after every application.
+// Randomized sequences of add/remove/grow batches, re-adding existing
+// pairs at differing weights: folding each batch's CutDelta into running
+// counters must stay exactly equal to a fresh recompute after every
+// application.
 func TestCutDeltaMatchesExactRecompute(t *testing.T) {
 	const k = 4
 	src := rng.New(99)
-	// Weights derive from the pair so duplicate instances stay uniform —
-	// the contract real mutation sources keep (differing-weight duplicates
-	// are the ErrCutAmbiguous path, tested separately). A zero weight
-	// exercises Apply's default-to-1 normalization.
+	// A zero weight exercises Apply's default-to-1 normalization.
 	pairWeight := func(u, v VertexID) int32 {
 		if (u+v)%5 == 0 {
 			return 0
 		}
-		return int32(1 + (u+v)%3)
+		return int32(1 + src.Intn(3))
 	}
 	w := NewWeighted(30)
 	labels := make([]int32, 30)
@@ -91,18 +90,14 @@ func TestCutDeltaMatchesExactRecompute(t *testing.T) {
 		}
 		edits, derr := m.CutEdits(w)
 		if _, err := m.Apply(w); err != nil {
-			// Random removals can collide (same edge twice when it exists
-			// once); the batch is rejected atomically, so skip the step —
-			// but the delta path must not have claimed success with a
-			// wrong prediction either way.
+			// Random removals can collide (one edge twice); the batch is
+			// rejected atomically, for the reason CutEdits gives.
+			if derr == nil || derr.Error() != err.Error() {
+				t.Fatalf("step %d: Apply rejected the batch with %v, CutEdits with %v", step, err, derr)
+			}
 			continue
 		}
 		labels = grown
-		if errors.Is(derr, ErrCutAmbiguous) {
-			// Valid batch, unpredictable removal weights: callers recompute.
-			cross, total, perPart = cutWeightsExact(w, labels, k)
-			continue
-		}
 		if derr != nil {
 			t.Fatalf("step %d: CutEdits failed on a batch Apply accepted: %v", step, derr)
 		}
@@ -146,21 +141,25 @@ func TestCutEditsErrors(t *testing.T) {
 			t.Fatalf("CutEdits(%+v) accepted an invalid batch", m)
 		}
 	}
-	// Duplicate instances with differing weights: removing two is ambiguous.
+	// A re-added edge is one edge: its added weights, then all of it, leave
+	// with one removal — and a second removal finds it gone.
 	w.AddEdge(0, 1, 5)
-	w.AddEdge(0, 1, 7)
-	amb := &Mutation{RemovedEdges: []Edge{{From: 0, To: 1}, {From: 0, To: 1}}}
-	if _, err := amb.CutEdits(w); !errors.Is(err, ErrCutAmbiguous) {
-		t.Fatalf("ambiguous duplicate removal: err = %v, want ErrCutAmbiguous", err)
+	readd := &Mutation{NewEdges: []WeightedEdgeRecord{{U: 1, V: 0, Weight: 3}}, RemovedEdges: []Edge{{From: 0, To: 1}}}
+	edits, err := readd.CutEdits(w)
+	if want := []CutEdit{{U: 0, V: 1, Weight: 3, Add: true}, {U: 0, V: 1, Weight: 10}}; err != nil || !slices.Equal(edits, want) {
+		t.Fatalf("re-add then remove: edits=%v err=%v, want %v", edits, err, want)
 	}
-	// Uniform duplicate weights stay predictable.
+	readd.RemovedEdges = append(readd.RemovedEdges, Edge{From: 1, To: 0})
+	if _, err := readd.CutEdits(w); err == nil {
+		t.Fatal("a second removal of a merged edge accepted")
+	}
+	// Weights saturate: an edit carries the weight actually added.
 	w2 := NewWeighted(2)
-	w2.AddEdge(0, 1, 3)
-	w2.AddEdge(0, 1, 3)
-	uni := &Mutation{RemovedEdges: []Edge{{From: 0, To: 1}, {From: 1, To: 0}}}
-	edits, err := uni.CutEdits(w2)
-	if err != nil || len(edits) != 2 || edits[0].Weight != 3 || edits[1].Weight != 3 {
-		t.Fatalf("uniform duplicate removal: edits=%v err=%v", edits, err)
+	w2.AddEdge(0, 1, math.MaxInt32-1)
+	sat := &Mutation{NewEdges: []WeightedEdgeRecord{{U: 0, V: 1, Weight: 5}, {U: 1, V: 0, Weight: 5}}}
+	edits, err = sat.CutEdits(w2)
+	if want := []CutEdit{{U: 0, V: 1, Weight: 1, Add: true}, {U: 0, V: 1, Weight: 0, Add: true}}; err != nil || !slices.Equal(edits, want) {
+		t.Fatalf("saturating additions: edits=%v err=%v, want %v", edits, err, want)
 	}
 }
 
@@ -175,6 +174,12 @@ func TestInsertArcAndAdjustTotals(t *testing.T) {
 	if w.WeightedDegree(0) != 4 || w.WeightedDegree(1) != 4 {
 		t.Fatalf("degrees %d,%d", w.WeightedDegree(0), w.WeightedDegree(1))
 	}
+	// A second insertion merges into the arc and says so.
+	if added, isNew := w.InsertArc(0, 1, 3); added != 3 || isNew || len(w.Neighbors(0)) != 1 || w.Neighbors(0)[0].Weight != 7 {
+		t.Fatalf("re-insert: added %d, new %v, row %v", added, isNew, w.Neighbors(0))
+	}
+	w.InsertArc(1, 0, 3)
+	w.AdjustTotals(0, 3)
 	if !w.RemoveEdge(0, 1) {
 		t.Fatal("arc-inserted edge not removable")
 	}

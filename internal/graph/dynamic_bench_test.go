@@ -62,9 +62,9 @@ func TestMutationCostIsLinearInBatch(t *testing.T) {
 	}
 }
 
-// BenchmarkMutationApply is the barrier path's graph work, CutEdits then
-// Apply, on a 100 000-vertex graph for batches of 1 k, 10 k and 100 k edges,
-// a quarter of them removals. ns/edge must stay flat across the sizes.
+// BenchmarkMutationApply is the barrier path's graph work, ApplyEdits, on a
+// 100 000-vertex graph for batches of 1 k, 10 k and 100 k edges, a quarter
+// of them removals. ns/edge must stay flat across the sizes.
 func BenchmarkMutationApply(b *testing.B) {
 	for _, edges := range []int{1_000, 10_000, 100_000} {
 		b.Run(fmt.Sprintf("edges=%d", edges), func(b *testing.B) {
@@ -72,12 +72,9 @@ func BenchmarkMutationApply(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				w := base.Clone() // Apply consumes the graph
+				w := base.Clone() // ApplyEdits consumes the graph
 				b.StartTimer()
-				if _, err := m.CutEdits(w); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := m.Apply(w); err != nil {
+				if _, _, err := m.ApplyEdits(w); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // AppendMutationBinary appends m's binary encoding to buf and returns the
@@ -131,7 +132,15 @@ func (w *Weighted) EncodeBinary(out io.Writer) error {
 // within MaxVertices, arc targets in range, positive weights, the arc
 // count exactly twice the edge count (every undirected edge is stored as
 // two symmetric arcs), and the stored total weight matching the arcs.
-func DecodeWeightedBinary(r io.Reader) (*Weighted, error) {
+//
+// A graph written before Weighted kept one arc per neighbour may repeat an
+// arc within a row. Decoding merges the repeats into the row's first arc to
+// that neighbour, summing their weights as AddEdge would have, and counts
+// the edges that remain; a graph without repeats decodes to its encoding
+// arc for arc. If repeat is not nil, it is called for each merge: row u
+// repeats its arc to v, of the given weight, onto an arc whose weight so
+// far is held.
+func DecodeWeightedBinary(r io.Reader, repeat func(u, v VertexID, held, weight int32)) (*Weighted, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var hdr [32]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -147,11 +156,14 @@ func DecodeWeightedBinary(r io.Reader) (*Weighted, error) {
 	if numEdges < 0 || totalArcs != uint64(2*numEdges) {
 		return nil, fmt.Errorf("graph: %d arcs for %d undirected edges", totalArcs, numEdges)
 	}
-	w := &Weighted{adj: make([][]WeightedArc, n), numEdges: numEdges, totalWeight: totalWeight}
+	w := &Weighted{adj: make([][]WeightedArc, n)}
 	// One backing array for all arcs keeps the decode allocation-light and
 	// the rows cache-adjacent, like the CSR builders elsewhere.
 	arcs := make([]WeightedArc, totalArcs)
-	var used uint64
+	// at[t] is 1 + the index of the current row's arc to t, 0 if none yet;
+	// each row clears the entries it set.
+	at := make([]int32, n)
+	var used, kept uint64
 	var weightSum int64
 	var rec [8]byte
 	for v := range w.adj {
@@ -162,9 +174,9 @@ func DecodeWeightedBinary(r io.Reader) (*Weighted, error) {
 		if used+deg > totalArcs {
 			return nil, fmt.Errorf("graph: rows overflow the declared %d arcs at vertex %d", totalArcs, v)
 		}
-		row := arcs[used : used+deg : used+deg]
+		row := arcs[used : used : used+deg]
 		used += deg
-		for i := range row {
+		for range deg {
 			if _, err := io.ReadFull(br, rec[:8]); err != nil {
 				return nil, fmt.Errorf("graph: reading arcs of %d: %w", v, err)
 			}
@@ -176,9 +188,23 @@ func DecodeWeightedBinary(r io.Reader) (*Weighted, error) {
 			if weight < 1 {
 				return nil, fmt.Errorf("graph: arc %d→%d has weight %d", v, to, weight)
 			}
-			row[i] = WeightedArc{To: to, Weight: weight}
 			weightSum += int64(weight)
+			if i := at[to]; i > 0 {
+				a := &row[i-1]
+				if repeat != nil {
+					repeat(VertexID(v), to, a.Weight, weight)
+				}
+				a.Weight += min(weight, math.MaxInt32-a.Weight)
+				continue
+			}
+			row = append(row, WeightedArc{To: to, Weight: weight})
+			at[to] = int32(len(row))
 		}
+		for _, a := range row {
+			at[a.To] = 0
+			w.totalWeight += int64(a.Weight)
+		}
+		kept += uint64(len(row))
 		w.adj[v] = row
 	}
 	if used != totalArcs {
@@ -187,5 +213,6 @@ func DecodeWeightedBinary(r io.Reader) (*Weighted, error) {
 	if weightSum != totalWeight {
 		return nil, fmt.Errorf("graph: arc weights sum to %d, header declared %d", weightSum, totalWeight)
 	}
+	w.numEdges = int64(kept / 2)
 	return w, nil
 }

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"slices"
 	"testing"
 )
 
@@ -76,7 +78,7 @@ func TestWeightedBinaryRoundTrip(t *testing.T) {
 	if err := w.EncodeBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeWeightedBinary(bytes.NewReader(buf.Bytes()))
+	got, err := DecodeWeightedBinary(bytes.NewReader(buf.Bytes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +103,7 @@ func TestWeightedBinaryRoundTrip(t *testing.T) {
 	if err := NewWeighted(0).EncodeBinary(&empty); err != nil {
 		t.Fatal(err)
 	}
-	if g, err := DecodeWeightedBinary(bytes.NewReader(empty.Bytes())); err != nil || g.NumVertices() != 0 {
+	if g, err := DecodeWeightedBinary(bytes.NewReader(empty.Bytes()), nil); err != nil || g.NumVertices() != 0 {
 		t.Fatalf("empty graph: %v", err)
 	}
 }
@@ -116,7 +118,7 @@ func TestDecodeWeightedBinaryRejectsDamage(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for cut := 1; cut < len(full); cut += 3 {
-		if _, err := DecodeWeightedBinary(bytes.NewReader(full[:len(full)-cut])); err == nil {
+		if _, err := DecodeWeightedBinary(bytes.NewReader(full[:len(full)-cut]), nil); err == nil {
 			t.Fatalf("truncation by %d accepted", cut)
 		}
 	}
@@ -124,7 +126,54 @@ func TestDecodeWeightedBinaryRejectsDamage(t *testing.T) {
 	bad := append([]byte(nil), full...)
 	bad[36] = 0xee // first row's first arc target
 	bad[37] = 0xee
-	if _, err := DecodeWeightedBinary(bytes.NewReader(bad)); err == nil {
+	if _, err := DecodeWeightedBinary(bytes.NewReader(bad), nil); err == nil {
 		t.Fatal("out-of-range arc accepted")
+	}
+}
+
+// TestDecodeWeightedBinaryMergesRepeatedArcs: an encoding written before
+// Weighted kept one arc per neighbour, by hand — rows 0 and 1 each hold
+// two arcs to the other, of weights 1 and 2, and one arc of weight 5 to
+// vertex 2 — decodes to the simple graph AddEdge builds from the same
+// edges: one arc per pair holding the pair's summed weight, the first arc's
+// place in the row, and the edge count of the merged graph. The repeat
+// callback hears of each merge, with the weight the arc held before it.
+func TestDecodeWeightedBinaryMergesRepeatedArcs(t *testing.T) {
+	le := binary.LittleEndian
+	var enc []byte
+	for _, x := range []uint64{3, 8, 4, 26} { // vertices, arcs, edges, 2 × total weight
+		enc = le.AppendUint64(enc, x)
+	}
+	for _, row := range [][]uint32{
+		{1, 1, 2, 5, 1, 2},
+		{0, 2, 2, 5, 0, 1},
+		{0, 5, 1, 5},
+	} {
+		enc = le.AppendUint32(enc, uint32(len(row)/2))
+		for _, x := range row {
+			enc = le.AppendUint32(enc, x)
+		}
+	}
+	var repeats [][4]int32
+	got, err := DecodeWeightedBinary(bytes.NewReader(enc), func(u, v VertexID, held, weight int32) {
+		repeats = append(repeats, [4]int32{int32(u), int32(v), held, weight})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][4]int32{{0, 1, 1, 2}, {1, 0, 2, 1}}; !slices.Equal(repeats, want) {
+		t.Fatalf("repeats reported %v, want %v", repeats, want)
+	}
+	want := NewWeighted(3)
+	want.AddEdge(0, 1, 1)
+	want.AddEdge(0, 2, 5)
+	want.AddEdge(1, 0, 2)
+	want.AddEdge(2, 1, 5)
+	if !bytes.Equal(encoded(t, got), encoded(t, want)) {
+		t.Fatalf("decoded rows %v %v %v, want %v %v %v", got.Neighbors(0), got.Neighbors(1), got.Neighbors(2),
+			want.Neighbors(0), want.Neighbors(1), want.Neighbors(2))
+	}
+	if got.NumEdges() != 3 || got.TotalWeight() != 13 {
+		t.Fatalf("decoded %d edges of weight %d, want 3 of 13", got.NumEdges(), got.TotalWeight())
 	}
 }

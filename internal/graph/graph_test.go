@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -271,6 +272,13 @@ func TestConvertUndirectedInput(t *testing.T) {
 	}
 	if w.Neighbors(0)[0].Weight != 2 {
 		t.Fatalf("undirected edge weight=%d, want 2", w.Neighbors(0)[0].Weight)
+	}
+	// An edge stored twice, once each way, is still one edge of weight 2.
+	g.AddEdge(1, 0)
+	g.AddEdge(1, 2)
+	w = Convert(g)
+	if w.NumEdges() != 2 || w.TotalWeight() != 4 || !slices.Equal(w.Neighbors(1), []WeightedArc{{0, 2}, {2, 2}}) {
+		t.Fatalf("repeated edge: %d edges of weight %d, row 1 %v", w.NumEdges(), w.TotalWeight(), w.Neighbors(1))
 	}
 }
 

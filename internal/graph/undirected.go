@@ -1,6 +1,9 @@
 package graph
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // WeightedArc is one endpoint-ordered record of a weighted undirected edge.
 type WeightedArc struct {
@@ -16,8 +19,11 @@ type WeightedArc struct {
 // across {u,v} per superstep, which is exactly the quantity whose cut
 // Spinner minimizes.
 //
-// The adjacency is symmetric: {u,v} with weight w appears as (v,w) in
-// adj[u] and (u,w) in adj[v].
+// The graph is simple, as Eq. 3 defines it: a row holds at most one arc per
+// neighbour, and every path that writes rows keeps it so. Adding an edge
+// that exists adds its weight to the one arc (AddEdge). The adjacency is
+// symmetric: {u,v} with weight w appears as (v,w) in adj[u] and (u,w) in
+// adj[v].
 type Weighted struct {
 	adj         [][]WeightedArc
 	totalWeight int64 // sum of weights over all arcs = 2 * sum over edges
@@ -32,7 +38,8 @@ func NewWeighted(n int) *Weighted {
 // NumVertices returns the number of vertices.
 func (w *Weighted) NumVertices() int { return len(w.adj) }
 
-// NumEdges returns the number of undirected edges.
+// NumEdges returns the number of undirected edges: of adjacent pairs, the
+// graph being simple.
 func (w *Weighted) NumEdges() int64 { return w.numEdges }
 
 // TotalWeight returns the sum of edge weights counted once per edge.
@@ -50,34 +57,42 @@ func (w *Weighted) WeightedDegree(u VertexID) int64 {
 	return d
 }
 
-// Degree returns the number of distinct neighbors of u.
+// Degree returns the number of distinct neighbors of u: the length of its
+// row, which holds one arc per neighbour.
 func (w *Weighted) Degree(u VertexID) int { return len(w.adj[u]) }
 
 // Neighbors returns the weighted adjacency of u. The slice is owned by the
 // graph and must not be modified.
 func (w *Weighted) Neighbors(u VertexID) []WeightedArc { return w.adj[u] }
 
-// AddEdge inserts the undirected edge {u,v} with the given weight. It does
-// not deduplicate; construction paths are responsible for uniqueness.
+// AddEdge adds the undirected edge {u,v} with the given positive weight. If
+// the edge exists, its weight grows by weight instead, saturating at
+// math.MaxInt32, so a row never holds two arcs to one neighbour. Adding
+// rather than clamping to the paper's 2 keeps every weighted degree, every
+// b(l) and every bar of the LPA's histograms (internal/core) at the sum the
+// two arcs would have held, and with them every label.
 func (w *Weighted) AddEdge(u, v VertexID, weight int32) {
-	w.adj[u] = append(w.adj[u], WeightedArc{To: v, Weight: weight})
-	w.adj[v] = append(w.adj[v], WeightedArc{To: u, Weight: weight})
-	w.totalWeight += 2 * int64(weight)
-	w.numEdges++
+	if len(w.adj[u]) > len(w.adj[v]) {
+		u, v = v, u // scan the shorter row; the other is scanned only to merge
+	}
+	added, isNew := w.InsertArc(u, v, weight)
+	if isNew {
+		w.adj[v] = append(w.adj[v], WeightedArc{To: u, Weight: weight})
+		w.numEdges++
+	} else {
+		w.InsertArc(v, u, added)
+	}
+	w.totalWeight += 2 * int64(added)
 }
 
-// RemoveEdge deletes one undirected edge {u,v} and reports whether it was
-// present: the first arc u→v in u's row, and then the first arc v→u of the
-// same weight in v's row. Matching the weight keeps the rows mirror images
-// of each other — every (neighbour, weight) arc of u's row has its (u,
-// weight) twin in the neighbour's — even when parallel arcs of differing
-// weights sit in rows that earlier swap-deletes ordered differently.
+// RemoveEdge deletes the undirected edge {u,v}, whatever weight it has
+// gathered, and reports whether it was present.
 func (w *Weighted) RemoveEdge(u, v VertexID) bool {
-	weight, ok := w.removeArc(u, v, 0)
+	weight, ok := w.removeArc(u, v)
 	if !ok {
 		return false
 	}
-	if _, ok := w.removeArc(v, u, weight); !ok {
+	if _, ok := w.removeArc(v, u); !ok {
 		// Symmetry is a structural invariant; a one-sided edge means the
 		// graph was corrupted by the caller.
 		panic("graph: asymmetric adjacency in RemoveEdge")
@@ -87,13 +102,11 @@ func (w *Weighted) RemoveEdge(u, v VertexID) bool {
 	return true
 }
 
-// removeArc swap-deletes the first arc u→v of the given weight — of any
-// weight when weight is 0, arc weights being positive — and returns the
-// weight it removed.
-func (w *Weighted) removeArc(u, v VertexID, weight int32) (int32, bool) {
+// removeArc swap-deletes u's arc to v and returns its weight.
+func (w *Weighted) removeArc(u, v VertexID) (int32, bool) {
 	arcs := w.adj[u]
 	for i, a := range arcs {
-		if a.To == v && (weight == 0 || a.Weight == weight) {
+		if a.To == v {
 			arcs[i] = arcs[len(arcs)-1]
 			w.adj[u] = arcs[:len(arcs)-1]
 			return a.Weight, true
@@ -102,19 +115,44 @@ func (w *Weighted) removeArc(u, v VertexID, weight int32) (int32, bool) {
 	return 0, false
 }
 
-// InsertArc appends the single directed arc u→v to u's row without touching
-// the symmetric row or the edge/weight totals. It exists for sharded
-// writers (internal/serve): two shards owning u's and v's rows insert the
-// two arcs of an undirected edge independently — appends to distinct rows
-// never race — and the owner reconciles the totals via AdjustTotals. Any
-// other use breaks the symmetry invariant the rest of the package relies
-// on; prefer AddEdge.
-func (w *Weighted) InsertArc(u, v VertexID, weight int32) {
-	w.adj[u] = append(w.adj[u], WeightedArc{To: v, Weight: weight})
+// EdgeWeight returns the weight of the edge {u,v}, 0 if absent, scanning
+// the shorter of the two rows. u and v must be vertices of w.
+func (w *Weighted) EdgeWeight(u, v VertexID) int32 {
+	if len(w.adj[u]) > len(w.adj[v]) {
+		u, v = v, u
+	}
+	for _, a := range w.adj[u] {
+		if a.To == v {
+			return a.Weight
+		}
+	}
+	return 0
 }
 
-// AdjustTotals folds dEdges undirected edges of total weight dWeight into
-// the graph's edge and weight totals — the bookkeeping counterpart of
+// InsertArc adds weight to u's arc to v, appending the arc if u's row has
+// none, without touching v's row or the edge/weight totals. It returns the
+// weight actually added — less than weight where the sum saturates at
+// math.MaxInt32 — and whether the arc is new. It exists for sharded writers
+// (internal/serve): two shards owning u's and v's rows insert the two arcs
+// of an undirected edge independently — writes to distinct rows never race,
+// and rows that mirror each other merge alike — and the owner reconciles
+// the totals via AdjustTotals. Any other use breaks the symmetry invariant
+// the rest of the package relies on; prefer AddEdge.
+func (w *Weighted) InsertArc(u, v VertexID, weight int32) (added int32, isNew bool) {
+	row := w.adj[u]
+	for i := range row {
+		if row[i].To == v {
+			added = min(weight, math.MaxInt32-row[i].Weight)
+			row[i].Weight += added
+			return added, false
+		}
+	}
+	w.adj[u] = append(row, WeightedArc{To: v, Weight: weight})
+	return weight, true
+}
+
+// AdjustTotals folds dEdges new undirected edges and dWeight added weight
+// into the graph's edge and weight totals — the bookkeeping counterpart of
 // InsertArc, applied once per edge (not per arc) by the coordinating
 // owner after concurrent shard writers have quiesced.
 func (w *Weighted) AdjustTotals(dEdges, dWeight int64) {
@@ -159,22 +197,24 @@ func (w *Weighted) EdgesOnce(fn func(u, v VertexID, weight int32)) {
 // For an already-undirected input every edge simply gets weight 2: an
 // undirected edge carries messages in both directions in a Pregel system,
 // matching the paper's Tuenti/Friendster treatment where |E| counts
-// bidirectional friendships. Self-loops in the input are ignored.
+// bidirectional friendships. The one enumeration serves both inputs: an
+// undirected graph stores each edge as two arcs, which is what a directed
+// pair of weight 2 is. Self-loops in the input are ignored, and an edge the
+// input stores more than once converts to one.
 //
-// The edges are enumerated twice: once to count degrees, once to fill. All
-// rows are capacity-clamped windows of one arena, so no row is grown while
-// it fills, and a later AddEdge past a row's capacity copies that row out
-// of the arena without touching its neighbours. A window is as large as
+// The edges are enumerated twice: once to count degrees, once to fill. Each
+// pair comes up once, so the fill appends without the merging scan of
+// AddEdge, which would cost O(Σ deg²) on hubs. All rows are
+// capacity-clamped windows of one arena, so no row is grown while it fills,
+// and a later AddEdge past a row's capacity copies that row out of the
+// arena without touching its neighbours. A window is as large as
 // append-doubling would have left the row — the next power of two at or
 // above its degree — because the serving layer appends to these rows on
 // its apply path: with exact windows every first append copied a row out,
 // and the benchmark's serve-write visibility latency rose by a tenth.
 func Convert(g *Graph) *Weighted {
 	n := g.NumVertices()
-	pairs := g.undirectedPairs
-	if g.directed {
-		pairs = g.directedPairs()
-	}
+	pairs := g.adjacentPairs()
 	deg := make([]int, n)
 	pairs(func(u, v VertexID, _ int32) {
 		deg[u]++
@@ -194,25 +234,20 @@ func Convert(g *Graph) *Weighted {
 		w.adj[u] = arena[off : off : off+c]
 		off += c
 	}
-	pairs(w.AddEdge)
+	pairs(func(u, v VertexID, weight int32) {
+		w.adj[u] = append(w.adj[u], WeightedArc{To: v, Weight: weight})
+		w.adj[v] = append(w.adj[v], WeightedArc{To: u, Weight: weight})
+		w.totalWeight += 2 * int64(weight)
+		w.numEdges++
+	})
 	return w
 }
 
-// undirectedPairs calls emit once per stored edge of an undirected graph,
-// from its smaller endpoint.
-func (g *Graph) undirectedPairs(emit func(u, v VertexID, weight int32)) {
-	g.Edges(func(u, v VertexID) {
-		if u < v {
-			emit(u, v, 2)
-		}
-	})
-}
-
-// directedPairs returns the enumeration of a directed graph's unordered
-// adjacent pairs {u,v}, u < v, each once with its Eq. 3 weight, in
-// ascending u. It builds the in-neighbour lists once; the enumeration may
-// then run any number of times and always yields the same sequence.
-func (g *Graph) directedPairs() func(emit func(u, v VertexID, weight int32)) {
+// adjacentPairs returns the enumeration of g's unordered adjacent pairs
+// {u,v}, u < v, each once with its Eq. 3 weight, in ascending u. It builds
+// the in-neighbour lists once; the enumeration may then run any number of
+// times and always yields the same sequence.
+func (g *Graph) adjacentPairs() func(emit func(u, v VertexID, weight int32)) {
 	n := len(g.adj)
 	// In-neighbour lists in CSR form: in[inOff[v]:inOff[v+1]], ascending.
 	inOff := make([]int, n+1)

@@ -235,6 +235,12 @@ func BootstrapDurable(dir string, g *graph.Graph, cfg Config) (*Store, error) {
 // exactly the pre-delta recovery. Returns wal.ErrNoCheckpoint (wrapped)
 // when dir holds no state.
 //
+// A directory whose checkpoints carry version 1 was written while
+// graph.Weighted kept parallel arcs. Open composes its chain as that
+// writer applied the journal (see legacyArcs), refuses a record past the
+// chain that the writer applied otherwise than the live replay would,
+// and writes a full checkpoint of the current version before journaling.
+//
 // Batches that were rejected live re-reject identically during replay
 // (both phases); such errors are observable via Err, as they were, and
 // do not fail recovery. Journal or checkpoint corruption does — except a
@@ -253,11 +259,15 @@ func Open(dir string, cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("serve: checkpoint file %d declares inner seq %d", baseSeq, st.seq)
 	}
 	seq := baseSeq
-	if len(chain) > 0 {
+	if len(chain) > 0 || st.legacy != nil {
 		// Compose base+chain: walk the journal once from the base,
 		// overlaying each link when the replay cursor passes its sequence.
-		// Records past the tip are left to the live replay phase below.
+		// Records past the tip are left to the live replay phase below,
+		// which applies the merge rule — so above a version-1 base they
+		// first replay on a copy of the graph, and one its writer applied
+		// otherwise refuses recovery.
 		idx := 0
+		var tail *graph.Weighted
 		if _, err := wal.Replay(journalDir(dir), baseSeq, func(rec wal.Record) error {
 			for idx < len(chain) && rec.Seq > chain[idx].Seq {
 				if err := applyCkptDelta(st, chain[idx]); err != nil {
@@ -265,10 +275,29 @@ func Open(dir string, cfg Config) (*Store, error) {
 				}
 				idx++
 			}
-			if idx >= len(chain) {
-				return nil
+			if st.legacy == nil {
+				if idx == len(chain) {
+					return nil
+				}
+				return applyStructural(st.w, rec)
 			}
-			return applyStructural(st.w, rec)
+			w := st.w
+			if idx == len(chain) {
+				if tail == nil {
+					tail = st.w.Clone()
+				}
+				w = tail
+			}
+			differs, err := st.legacy.replay(w, rec)
+			if err == nil && differs && w == tail {
+				err = fmt.Errorf("past the checkpoint chain, it removes one of several arcs of a pair, " +
+					"which replay cannot apply as its writer did; recover the directory with the release " +
+					"that wrote it and close that cleanly first")
+			}
+			if err != nil {
+				return fmt.Errorf("record %d: %w", rec.Seq, err)
+			}
+			return nil
 		}); err != nil {
 			return nil, fmt.Errorf("serve: composing checkpoint chain in %s: %w", dir, err)
 		}
@@ -278,9 +307,11 @@ func Open(dir string, cfg Config) (*Store, error) {
 				return nil, fmt.Errorf("serve: composing checkpoint chain in %s: %w", dir, err)
 			}
 		}
-		// applyCkptDelta advanced st.seq to the tip; recovery resumes the
-		// journal (and the attach handshake) from there.
-		seq = chain[len(chain)-1].Seq
+		if len(chain) > 0 {
+			// applyCkptDelta advanced st.seq to the tip; recovery resumes
+			// the journal (and the attach handshake) from there.
+			seq = chain[len(chain)-1].Seq
+		}
 	}
 	if cfg.Shards == 0 {
 		// Default to the checkpointed layout: recovery restores the shard
@@ -355,6 +386,18 @@ func Open(dir string, cfg Config) (*Store, error) {
 	if err := s.control(s.reconcileNow); err != nil {
 		s.Close()
 		return nil, err
+	}
+	if st.legacy != nil {
+		// Rebase a version-1 directory before anything is journaled above
+		// it, so no later recovery replays a record written under the merge
+		// rule as the old writer's.
+		if err := s.control(func() (err error) {
+			s.withBarrier(func() { err = s.checkpointNow() })
+			return err
+		}); err != nil {
+			s.Close()
+			return nil, fmt.Errorf("serve: rebasing %s: %w", dir, err)
+		}
 	}
 	return s, nil
 }
@@ -582,9 +625,10 @@ func (s *Store) noteCheckpoint(res ckptResult) {
 
 // checkpointNow captures, encodes and installs a checkpoint
 // synchronously. The caller must hold exclusive access to the state:
-// before start, or after drainAndExit stopped the shards (the initial
-// and final checkpoints). The live graph is encoded directly — no clone
-// — since nothing else is running.
+// before start, after drainAndExit stopped the shards (the initial and
+// final checkpoints), or inside a barrier (Open's rebase of a version-1
+// directory). The live graph is encoded directly — no clone — since
+// nothing else is running.
 func (s *Store) checkpointNow() error {
 	res := s.writeCheckpointState(s.captureState(false))
 	if res.err != nil {
@@ -641,9 +685,15 @@ func (s *Store) finishDurable() {
 // journal across the chain (see Open), which is what makes its bytes scale
 // with churn instead of |E|; the metadata block is re-encoded whole (it is
 // tens of bytes).
+//
+// Version 2 is the layout of version 1; the number says which rule the
+// graph and the journal above it were written under. Version 1 was
+// written while graph.Weighted kept parallel arcs, and is still read (see
+// legacyArcs).
 const (
-	ckptVersion = 1
-	dckpVersion = 1
+	ckptVersion   = 2
+	dckpVersion   = 2
+	legacyVersion = 1
 
 	flagWantRestab = 1 << 0
 )
@@ -672,6 +722,7 @@ type ckptState struct {
 	ckptMeta
 	labels []int32
 	w      *graph.Weighted
+	legacy legacyArcs // non-nil when read from a version-1 checkpoint
 }
 
 // captureState snapshots the coordinator-owned state into a ckptState —
@@ -751,11 +802,12 @@ func appendMeta(buf []byte, version uint16, m *ckptMeta, labelSection func([]byt
 }
 
 // readMeta decodes the metadata block, calling labelSection (with the
-// declared label count) where the format's label section sits. what
-// names the format in errors; failures land in r.err.
-func readMeta(r *ckptReader, what string, version uint16, labelSection func(n int)) ckptMeta {
-	var m ckptMeta
-	if v := r.u16(); v != version {
+// declared label count) where the format's label section sits, and
+// reports whether it carries legacyVersion. what names the format in
+// errors; failures land in r.err.
+func readMeta(r *ckptReader, what string, version uint16, labelSection func(n int)) (m ckptMeta, legacy bool) {
+	v := r.u16()
+	if legacy = v == legacyVersion; v != version && !legacy {
 		r.fail("%s version %d, want %d", what, v, version)
 	}
 	m.seq = r.u64()
@@ -798,7 +850,7 @@ func readMeta(r *ckptReader, what string, version uint16, labelSection func(n in
 			m.affected[i] = graph.VertexID(binary.LittleEndian.Uint32(raw[4*i:]))
 		}
 	}
-	return m
+	return m, legacy
 }
 
 // encodeCheckpoint serializes a captured state into the full checkpoint
@@ -821,7 +873,8 @@ func encodeCheckpoint(st *ckptState) []byte {
 func decodeCheckpoint(payload []byte) (*ckptState, error) {
 	r := &ckptReader{b: payload}
 	st := &ckptState{}
-	st.ckptMeta = readMeta(r, "checkpoint", ckptVersion, func(n int) {
+	var legacy bool
+	st.ckptMeta, legacy = readMeta(r, "checkpoint", ckptVersion, func(n int) {
 		if raw := r.take(4 * n); r.err == nil {
 			st.labels = make([]int32, n)
 			for i := range st.labels {
@@ -832,7 +885,12 @@ func decodeCheckpoint(payload []byte) (*ckptState, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	w, err := graph.DecodeWeightedBinary(bytes.NewReader(r.b))
+	var repeated func(u, v graph.VertexID, held, weight int32)
+	if legacy {
+		st.legacy = legacyArcs{}
+		repeated = st.legacy.repeated
+	}
+	w, err := graph.DecodeWeightedBinary(bytes.NewReader(r.b), repeated)
 	if err != nil {
 		return nil, err
 	}
@@ -857,7 +915,7 @@ func encodeDeltaCheckpoint(st *ckptState, runs []LabelRun) []byte {
 // its own.
 func decodeDeltaCheckpoint(payload []byte) (m ckptMeta, runs []LabelRun, err error) {
 	r := &ckptReader{b: payload}
-	m = readMeta(r, "delta checkpoint", dckpVersion, func(int) { runs = readRuns(r) })
+	m, _ = readMeta(r, "delta checkpoint", dckpVersion, func(int) { runs = readRuns(r) })
 	if r.err == nil && len(r.b) != 0 {
 		r.fail("delta checkpoint has %d trailing bytes", len(r.b))
 	}
@@ -942,13 +1000,13 @@ func applyCkptDelta(st *ckptState, link wal.DeltaLink) error {
 // TOPOLOGY only: labels, k, bounds and counters come from the chain-link
 // overlays, so resizes are no-ops here and label seeding is skipped.
 // Fast-path-eligible batches (fastPathEligible is graph-independent
-// beyond the vertex count, so eligibility replays identically) insert the
-// same normalized arcs the shard scan does (normArc), row u then row v
-// with one AdjustTotals fold; live, each row receives its arcs in
-// submission order (single owner shard, FIFO), so the rebuilt adjacency
-// is byte-identical. Barrier-path batches go through Mutation.Apply, the
-// same validate-then-apply the live barrier ran — a batch rejected live
-// re-rejects identically, leaving the graph untouched.
+// beyond the vertex count, so eligibility replays identically) add the
+// same normalized edges the shard scan inserts (normArc), merging alike;
+// live, each row receives its arcs in submission order (single owner
+// shard, FIFO), so the rebuilt adjacency is byte-identical. Barrier-path
+// batches go through Mutation.Apply, the same validate-then-apply the live
+// barrier ran — a batch rejected live re-rejects identically, leaving the
+// graph untouched.
 func applyStructural(w *graph.Weighted, rec wal.Record) error {
 	switch rec.Type {
 	case wal.RecordResize:
@@ -963,10 +1021,7 @@ func applyStructural(w *graph.Weighted, rec wal.Record) error {
 			return nil
 		}
 		for _, e := range m.NewEdges {
-			u, v, wgt := normArc(e)
-			w.InsertArc(u, v, wgt)
-			w.InsertArc(v, u, wgt)
-			w.AdjustTotals(1, int64(wgt))
+			w.AddEdge(normArc(e))
 		}
 		return nil
 	default:

@@ -93,7 +93,9 @@ func goldenCkptState() (*ckptState, []LabelRun) {
 	return st, []LabelRun{{Start: 2, Labels: []int32{1, 1, 2, 2}}}
 }
 
-const goldenMetaHead = "0100" + // version
+// The version is 2 since graph.Weighted became simple; the layout is
+// version 1's, which parentDir holds and recovery still reads.
+const goldenMetaHead = "0200" + // version
 	"0b00000000000000" + "0900000000000000" + "0600000000000000" + "0400000000000000" +
 	"0200000000000000" + "0300000000000000" + "000000000000c03f" + "01" +
 	"03000000" + "02000000" + "0000000000000000" + "0200000000000000" + "0600000000000000" +
@@ -146,14 +148,16 @@ func TestGoldenCheckpointPayloads(t *testing.T) {
 const parentDir = "testdata/parent-21e3f19"
 
 // writtenDir is the same history written by the first commit after
-// 64e4504, where the LPA program's histogram bars moved to label order.
-// The history's first resize runs an LPA repair, whose ties are now drawn
-// in another order, so the chain link at seq 9 carries other label runs —
-// and the cut and restabilization baseline its labels imply — than
-// parentDir's; the journal, the base checkpoint and the seq 4 link are
-// byte-identical. The formats did not change: recovery still reads
-// parentDir.
-const writtenDir = "testdata/child-64e4504"
+// 5fbc4f6, where graph.Weighted became simple. Every checkpoint carries
+// version 2 (and so another CRC). Step 0 re-adds twoClusters' bridge
+// {0,20}, and the batch after the first resize removes it: the removal now
+// takes the merged edge, weight 4, where it took one of two parallel arcs.
+// So the chain link at seq 9 also carries a total weight 2 lower, the
+// label runs of restabilizations that saw the lighter graph, and the cut
+// and restabilization baseline those labels imply. The journal is
+// byte-identical to parentDir's. Recovery still reads parentDir, replaying
+// its journal as its writer applied it.
+const writtenDir = "testdata/child-5fbc4f6"
 
 func parentCfg() Config {
 	cfg := durableCfg(2, 4)

@@ -14,9 +14,8 @@ import (
 // placementBatch draws one batch of the mixed history: half are add-only
 // (the fast path) and one in eight is empty; the rest append 1–3 vertices
 // with 0–5 edges each, remove 1–3 existing edges, or do all three. Weights
-// are 1–2 and derive from the pair, so parallel arcs agree and CutEdits can
-// predict every removal (the test plants the ErrCutAmbiguous corner by
-// hand).
+// are 1–2 and derive from the pair; a pair added again gains weight, and a
+// removal takes all of it.
 func placementBatch(shadow *graph.Weighted, src *testRng) *graph.Mutation {
 	n := shadow.NumVertices()
 	m := &graph.Mutation{}
@@ -67,9 +66,13 @@ func placementBatch(shadow *graph.Weighted, src *testRng) *graph.Mutation {
 // a recorded value, not merely a self-consistent one. The value was
 // 0x2cd250b9fc14bc33 from a8d944e, when the store still scanned, until the
 // commit after 64e4504 moved the LPA's histogram bars to label order,
-// which draws the restabilizations' ties in another order.
+// which draws the restabilizations' ties in another order; then
+// 0xc5d0892f0d1cfa14 until the commit after 5fbc4f6 made graph.Weighted
+// simple: the history removes pairs it added more than once (step 110 on
+// purpose), which now takes the merged edge, where it took one of the
+// parallel arcs, so the restabilizations see other graphs.
 func TestAppendedVertexPlacementMatchesScan(t *testing.T) {
-	const wantHash = 0xc5d0892f0d1cfa14
+	const wantHash = 0x59a3991e12213f94
 	for _, shards := range []int{1, 3, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			w, labels := twoClusters(60)
@@ -155,9 +158,9 @@ func TestAppendedVertexPlacementMatchesScan(t *testing.T) {
 					}
 					settle(step)
 				case 110:
-					// The corner without edits: {3,4} gains a second arc of
-					// another weight, then one batch removes an instance and
-					// appends two vertices — placement falls back to the scan.
+					// {3,4} is added twice, at weights 1 and 2, in one batch;
+					// the next removes the merged edge and appends two
+					// vertices, placed from loads that lose all its weight.
 					submit(step, &graph.Mutation{NewEdges: []graph.WeightedEdgeRecord{{U: 3, V: 4, Weight: 1}, {U: 4, V: 3, Weight: 2}}})
 					submit(step, &graph.Mutation{
 						NewVertices:  2,

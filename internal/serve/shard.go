@@ -90,8 +90,8 @@ type shard struct {
 	total   int64
 	perPart []int64
 	load    []int64
-	dEdges  int64 // owned edges inserted since the last barrier fold
-	dWeight int64 // their total weight
+	dEdges  int64 // owned edges new since the last barrier fold
+	dWeight int64 // the weight owned insertions added since then
 	dirty   bool  // counters changed since the last publication
 
 	snap atomic.Pointer[shardSnap]
@@ -150,9 +150,11 @@ func normArc(e graph.WeightedEdgeRecord) (u, v graph.VertexID, wgt int32) {
 
 // apply lands one broadcast of coalesced fast-path batches: the shard
 // scans each (coordinator-validated, shared, read-only) edge list,
-// inserts the arcs whose rows it owns, and folds O(batch) cut-counter
-// deltas for the edges it owns (lower endpoint in range) — the
-// incremental replacement for the seed's exact O(E) recompute per swap.
+// inserts the arcs whose rows it owns — merging into an existing arc as
+// AddEdge does — and folds O(batch) cut-counter deltas, of the weight each
+// insertion actually added, for the edges it owns (lower endpoint in
+// range) — the incremental replacement for the seed's exact O(E)
+// recompute per swap.
 // A multi-batch broadcast pays the queue hop, the counter fold and the
 // snapshot publication once for the whole run. Scanning in the shard
 // rather than routing in the coordinator keeps the serial per-batch work
@@ -166,11 +168,13 @@ func (sh *shard) apply(e shardEntry) {
 		for _, ed := range m.NewEdges {
 			u, v, wgt := normArc(ed)
 			if u >= lo && u < hi {
-				sh.w.InsertArc(u, v, wgt)
+				added, isNew := sh.w.InsertArc(u, v, wgt)
 				owned = true
-				w64 := int64(wgt)
+				if isNew {
+					sh.dEdges++
+				}
+				w64 := int64(added)
 				sh.total += w64
-				sh.dEdges++
 				sh.dWeight += w64
 				lu, lv := sh.labels[u], sh.labels[v]
 				sh.load[lu] += w64

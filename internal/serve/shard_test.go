@@ -14,8 +14,8 @@ import (
 
 // randomBatch builds a mutation against the shadow graph: mostly edge
 // additions (the fast path), sometimes removals of existing edges or
-// vertex growth (the barrier path). Weights derive from the endpoint pair
-// so duplicate instances stay uniform, matching real mutation sources.
+// vertex growth (the barrier path). Weights derive from the endpoint pair;
+// a pair added again gains weight, and a removal takes all of it.
 func randomBatch(shadow *graph.Weighted, seed uint64, step int) *graph.Mutation {
 	src := newTestRng(seed, step)
 	m := &graph.Mutation{}
@@ -41,7 +41,7 @@ func randomBatch(shadow *graph.Weighted, seed uint64, step int) *graph.Mutation 
 			}
 			a := shadow.Neighbors(u)[src.Intn(shadow.Degree(u))]
 			key := graph.Edge{From: min(u, a.To), To: max(u, a.To)}
-			if seen[key] { // removing one pair twice needs two instances
+			if seen[key] { // a pair is removed once
 				continue
 			}
 			seen[key] = true

@@ -1159,17 +1159,15 @@ func (s *Store) broadcast(run []*graph.Mutation) {
 
 // applyGlobalBatch applies one batch under a barrier: vertex growth,
 // removals, and invalid batches land here. Application is atomic
-// (Mutation.Apply validates first); a rejected batch is counted, recorded
-// and dropped with the graph untouched. Cut counters advance by the
-// batch's O(batch) exact deltas, never an O(E) recompute, and appended
-// vertices are placed from the maintained loads (loadsBelow) — except the
-// ErrCutAmbiguous corner (duplicate-pair removals with differing weights),
-// which falls back to reconciliation and a load scan.
+// (Mutation.ApplyEdits validates first); a rejected batch is counted,
+// recorded and dropped with the graph untouched. Cut counters advance by
+// the batch's O(batch) exact deltas (the CutEdits ApplyEdits returns),
+// never an O(E) recompute, and appended vertices are placed from the
+// maintained loads (loadsBelow).
 func (s *Store) applyGlobalBatch(m *graph.Mutation, ten *tenantState) {
 	s.withBarrier(func() {
 		oldN := s.w.NumVertices()
-		edits, editErr := m.CutEdits(s.w)
-		firstNew, err := m.Apply(s.w)
+		firstNew, edits, err := m.ApplyEdits(s.w)
 		if err != nil {
 			s.ctr.BatchesRejected.Add(1)
 			s.lastErr.Store(&err)
@@ -1184,7 +1182,7 @@ func (s *Store) applyGlobalBatch(m *graph.Mutation, ten *tenantState) {
 			newN := s.w.NumVertices()
 			grown := make([]int32, newN)
 			copy(grown, s.labels)
-			core.PlaceNewVertices(s.w, grown, oldN, s.loadsBelow(oldN, edits, editErr))
+			core.PlaceNewVertices(s.w, grown, oldN, s.loadsBelow(oldN, edits))
 			s.labels = grown
 			for _, sh := range s.shards {
 				sh.labels = grown
@@ -1221,17 +1219,6 @@ func (s *Store) applyGlobalBatch(m *graph.Mutation, ten *tenantState) {
 		if grew {
 			runs = []LabelRun{{Start: oldN, Labels: append([]int32(nil), s.labels[oldN:]...)}}
 		}
-
-		if editErr != nil {
-			// Valid batch whose removal weights were unpredictable:
-			// recompute exactly (rare safety valve, see ErrCutAmbiguous).
-			s.recomputeShardCuts()
-			if grew {
-				s.publishRouter()
-			}
-			s.emitBarrierDelta(runs, grew)
-			return
-		}
 		touched := make([]bool, len(s.shards))
 		for _, ed := range edits {
 			sh := s.shards[rangeIndex(s.bounds, ed.U)]
@@ -1267,11 +1254,8 @@ func (s *Store) applyGlobalBatch(m *graph.Mutation, ten *tenantState) {
 // has just been applied to — exactly what scanning them would sum — in
 // O(shards·k + batch): the shards' maintained loads plus the batch's own
 // edits at those endpoints (an edge to an appended vertex loads its old end
-// only). The ErrCutAmbiguous corner has no edits and does scan.
-func (s *Store) loadsBelow(oldN int, edits []graph.CutEdit, editErr error) []int64 {
-	if editErr != nil {
-		return core.ScanLoads(s.w, s.labels[:oldN], s.k)
-	}
+// only).
+func (s *Store) loadsBelow(oldN int, edits []graph.CutEdit) []int64 {
 	loads := make([]int64, s.k)
 	for _, sh := range s.shards {
 		for l, b := range sh.load {

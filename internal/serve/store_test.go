@@ -2,6 +2,8 @@ package serve
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -595,5 +597,73 @@ func TestSummaryMatchesSnapshot(t *testing.T) {
 	quiescent()
 	if sum := st.Summary(); sum.K != newK || sum.Vertices != n0+before+after {
 		t.Fatalf("settled at k=%d with %d vertices", sum.K, sum.Vertices)
+	}
+}
+
+// An edge re-added at weight MaxInt32 saturates instead of wrapping, on the
+// fast path (add-only batches, the same pair twice in one of them) and on
+// the barrier path (a batch that also appends a vertex): the graph holds
+// MaxInt32 on one arc per row, every shard counter folds the weight the
+// insertion actually added, and an exact pass finds no drift.
+func TestSaturatedWeightKeepsCountersExact(t *testing.T) {
+	const big = math.MaxInt32
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			w, labels := twoClusters(20)
+			shadow := w.Clone()
+			st, err := New(w, labels, Config{
+				Options:        storeOpts(2, 3),
+				Shards:         shards,
+				DegradeFactor:  1e9, // no restabilization: the counters alone move
+				ReconcileEvery: -1,
+				MidRunOff:      true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			for i, m := range []*graph.Mutation{
+				{NewEdges: []graph.WeightedEdgeRecord{{U: 0, V: 20, Weight: big}, {U: 20, V: 0, Weight: big}}},
+				{NewEdges: []graph.WeightedEdgeRecord{{U: 1, V: 21, Weight: big}}},
+				{NewEdges: []graph.WeightedEdgeRecord{{U: 21, V: 1, Weight: 7}}},
+				{NewVertices: 1, NewEdges: []graph.WeightedEdgeRecord{{U: 0, V: 20, Weight: big}, {U: 40, V: 0, Weight: big}}},
+				{NewEdges: []graph.WeightedEdgeRecord{{U: 0, V: 40, Weight: big}, {U: 2, V: 22, Weight: 1}}},
+			} {
+				if _, err := copyMutation(m).Apply(shadow); err != nil {
+					t.Fatalf("batch %d: shadow apply: %v", i, err)
+				}
+				if err := st.Submit(m); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.Quiesce(); err != nil {
+					t.Fatal(err)
+				}
+				snap := st.Snapshot()
+				cross, total, _ := metrics.CutWeights(shadow, snap.Labels, snap.K)
+				if snap.CutWeight != cross || snap.TotalWeight != total {
+					t.Fatalf("batch %d: incremental (cut=%d,total=%d) != exact (cut=%d,total=%d)",
+						i, snap.CutWeight, snap.TotalWeight, cross, total)
+				}
+			}
+			if err := st.control(st.reconcileNow); err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range [][2]graph.VertexID{{0, 20}, {20, 0}, {1, 21}, {0, 40}, {40, 0}} {
+				var arcs []graph.WeightedArc
+				for _, a := range st.w.Neighbors(e[0]) {
+					if a.To == e[1] {
+						arcs = append(arcs, a)
+					}
+				}
+				if len(arcs) != 1 || arcs[0].Weight != big {
+					t.Fatalf("row %d holds %v to %d, want one arc of weight MaxInt32", e[0], arcs, e[1])
+				}
+			}
+			c := st.Counters()
+			if c.CutReconciles.Load() == 0 || c.CutDrift.Load() != 0 || c.BatchesRejected.Load() != 0 {
+				t.Fatalf("%d reconciles, drift %d, %d rejected; want ≥ 1, 0, 0",
+					c.CutReconciles.Load(), c.CutDrift.Load(), c.BatchesRejected.Load())
+			}
+		})
 	}
 }

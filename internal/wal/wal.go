@@ -58,6 +58,18 @@
 // covered (they return) or lead the next combined sync. Records are never
 // acknowledged before the fsync that covers them completes, so the
 // durability guarantee of SyncAlways is unchanged — only its price.
+//
+// # Replaying mutations
+//
+// A record holds a batch as it was submitted; what the batch does to the
+// graph is graph.Mutation's rule when it is replayed. graph.Weighted keeps
+// one arc per neighbour, so a record that re-adds an existing edge replays
+// to the one arc with the weights summed, and a removal removes that merged
+// edge with all its weight. A journal written while Weighted still kept
+// parallel arcs — re-adding an edge appended an arc, and a removal took one
+// arc of its pair — sits above checkpoints of an older version, which
+// internal/serve tells apart: it replays such a journal as its writer did,
+// or refuses to open the directory.
 package wal
 
 import (

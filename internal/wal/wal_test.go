@@ -636,3 +636,40 @@ func TestCheckpointLifecycle(t *testing.T) {
 		t.Fatalf("after prune: %v", seqs)
 	}
 }
+
+// A journal that re-adds an edge and then removes it replays, batch by
+// batch through graph.Mutation, to one merged arc and then to no edge.
+func TestReplayMergesReAddedEdge(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(dir, 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*graph.Mutation{
+		{NewEdges: []graph.WeightedEdgeRecord{{U: 0, V: 1, Weight: 2}}},
+		{NewEdges: []graph.WeightedEdgeRecord{{U: 1, V: 0, Weight: 2}, {U: 1, V: 2, Weight: 1}}},
+		{RemovedEdges: []graph.Edge{{From: 0, To: 1}}},
+	} {
+		if _, _, err := j.AppendGroup([]GroupEntry{{Mut: m}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w := graph.NewWeighted(3)
+	if _, err := Replay(dir, 0, func(r Record) error {
+		if _, err := r.Mut.Apply(w); err != nil {
+			return err
+		}
+		if r.Seq == 2 && (w.NumEdges() != 2 || len(w.Neighbors(0)) != 1 || w.Neighbors(0)[0] != (graph.WeightedArc{To: 1, Weight: 4})) {
+			t.Fatalf("after the re-add: %d edges, row 0 %v; want 2 edges, one arc (1,4)", w.NumEdges(), w.Neighbors(0))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if w.NumEdges() != 1 || w.TotalWeight() != 1 || len(w.Neighbors(0)) != 0 {
+		t.Fatalf("after the removal: %d edges of weight %d, row 0 %v; want {1,2} alone", w.NumEdges(), w.TotalWeight(), w.Neighbors(0))
+	}
+}
