@@ -7,8 +7,8 @@
 // Pregel/Giraph BSP engine (internal/pregel). Baseline partitioners,
 // dataset analogues, analytical applications and a cluster cost model
 // complete the substrate needed to regenerate every table and figure of
-// the paper's evaluation; see DESIGN.md for the inventory and
-// EXPERIMENTS.md for paper-vs-measured results.
+// the paper's evaluation; internal/experiments names each one and runs
+// it.
 //
 // The benchmarks in bench_test.go regenerate each experiment:
 //
@@ -33,8 +33,9 @@
 //     the barrier (see internal/pregel's package comment for when each
 //     path is taken).
 //   - Active-vertex tracking is incremental — workers count survivors at
-//     compute time and reactivations at delivery time — so the engine
-//     never rescans the vertex set between supersteps.
+//     compute time and messages at delivery time, and a next superstep
+//     runs iff either is nonzero — so the engine never rescans the vertex
+//     set between supersteps, and delivery never reads a vertex record.
 //   - Graphs built via graph.Builder are CSR-backed: adjacency lives in
 //     one flat, sorted target array, keeping LPA edge scans cache-friendly
 //     and giving binary-search HasEdge.
@@ -159,10 +160,10 @@
 // (gofmt -l + go vet), `make check` (build + vet + tier-1 tests + the
 // race detector over every package), `make bench-test` (vet + unit tests
 // of the benchmark module), `make bench-quick` (every micro-benchmark
-// compiled and run once, -benchtime=1x), `make fuzz` (20s each on the
-// wire envelope and the delta codec), and the daemon smokes, starting
-// with `make recovery-smoke` (kill -9 a durable spinnerd mid-churn —
-// additionally simulating a crash during an in-flight background
-// checkpoint — reopen the data dir, assert health and lookup
+// compiled and run once, -benchtime=1x), `make fuzz` (10s on every Fuzz
+// target in the module, found by go test -list), and the daemon smokes,
+// starting with `make recovery-smoke` (kill -9 a durable spinnerd
+// mid-churn — additionally simulating a crash during an in-flight
+// background checkpoint — reopen the data dir, assert health and lookup
 // consistency).
 package repro

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -120,6 +121,43 @@ func TestWCCMatchesReference(t *testing.T) {
 			repr[refLabels[v]] = comp[v]
 		} else if r != comp[v] {
 			t.Fatalf("vertex %d: WCC disagrees with reference", v)
+		}
+	}
+}
+
+// TestHaltingPinned pins when SSSP (min-combiner) and WCC stop and how many
+// vertices each superstep computes, at 1 and 3 workers: the engine decides
+// whether another superstep runs from the vertices that stayed active and
+// the messages it delivered, and that must halt where the vote-to-halt
+// count at delivery did. The last superstep computes the vertices woken by
+// the previous one's messages, which send nothing.
+func TestHaltingPinned(t *testing.T) {
+	g := gen.ErdosRenyi(400, 500, true, 9) // sparse → several components
+	ssspActive := []int64{400, 5, 20, 44, 103, 178, 176, 89, 20, 5, 2}
+	wccActive := []int64{400, 340, 299, 288, 278, 256, 208, 100, 24, 7, 2}
+	for _, workers := range []int{1, 3} {
+		cfg := RunConfig{NumWorkers: workers}
+		_, sssp, err := SSSP(g, 0, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, wcc, err := WCC(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			res  *Result
+			want []int64
+		}{{"SSSP", sssp, ssspActive}, {"WCC", wcc, wccActive}} {
+			var active []int64
+			for _, st := range c.res.Stats {
+				active = append(active, st.Active)
+			}
+			if c.res.Supersteps != len(c.want) || !slices.Equal(active, c.want) {
+				t.Errorf("%s, %d workers: %d supersteps computing %v vertices, want %d computing %v",
+					c.name, workers, c.res.Supersteps, active, len(c.want), c.want)
+			}
 		}
 	}
 }

@@ -35,11 +35,13 @@ func scanHistogram(arcs []graph.WeightedArc, labels []int32, ignoreWeights bool)
 // ComputeScores superstep, compares every vertex's histogram with a fresh
 // scan of its arcs over the labels they had when the superstep ran (the
 // migrations it announced have not run yet): same labels, same weights,
-// same order. It returns the number of vertex-histograms compared.
-func runChecked(t *testing.T, what string, opts Options, prog *program, vs []vertex) int {
+// same order, and a held bitmap whose set bits are exactly the bars'
+// labels. It returns the number of vertex-histograms compared, and how many
+// of their bars sit at a bitmap word boundary past the first word's start
+// (labels 63, 64, 127, 128, …), where a rank must count the words before.
+func runChecked(t *testing.T, what string, opts Options, prog *program, vs []vertex) (checked, boundary int) {
 	t.Helper()
 	var eng *engine
-	checked := 0
 	cfg := pregel.Config{
 		NumWorkers:    opts.NumWorkers,
 		Seed:          opts.Seed,
@@ -64,6 +66,21 @@ func runChecked(t *testing.T, what string, opts Options, prog *program, vs []ver
 					t.Errorf("%s: vertex %d histogram capacity %d, want min(deg, k) = %d", what, i, cap(v.Value.hist), c)
 					return
 				}
+				held := make([]uint64, (opts.K+63)/64)
+				for j, b := range want {
+					held[b.label>>6] |= 1 << (b.label & 63)
+					if b.label >= 63 && (b.label%64 == 63 || b.label%64 == 0) {
+						boundary++
+					}
+					if r, _ := rank(v.Value.held, b.label); r != j {
+						t.Errorf("%s: vertex %d: rank of label %d is %d, want %d", what, i, b.label, r, j)
+						return
+					}
+				}
+				if !slices.Equal(v.Value.held, held) {
+					t.Errorf("%s: vertex %d: held labels %x, bars hold %x", what, i, v.Value.held, held)
+					return
+				}
 				checked++
 			}
 		},
@@ -76,7 +93,7 @@ func runChecked(t *testing.T, what string, opts Options, prog *program, vs []ver
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return checked
+	return checked, boundary
 }
 
 // TestHistogramMatchesEdgeScanProperty: on random graphs (hubs above k, k
@@ -84,10 +101,18 @@ func runChecked(t *testing.T, what string, opts Options, prog *program, vs []ver
 // point (conversion supersteps, weighted, a churned and grown graph, a
 // resize either way) and under random option mixes, the histogram that the
 // migration announcements maintain equals a scan of every arc over the
-// labels after every ComputeScores superstep.
+// labels after every ComputeScores superstep. Seeds 1–40 draw k below 26;
+// the fixed cases after them run k = 63, 64, 65 and 130 at 1 and 4 workers,
+// so a label bitmap spans one, two and three words.
 func TestHistogramMatchesEdgeScanProperty(t *testing.T) {
-	total := 0
-	for seed := uint64(1); seed <= 40; seed++ {
+	type fixed struct{ k, workers int }
+	cases := make([]fixed, 40)
+	for _, k := range []int{63, 64, 65, 130} {
+		cases = append(cases, fixed{k, 1}, fixed{k, 4})
+	}
+	total, wide := 0, 0
+	for i, c := range cases {
+		seed := uint64(i + 1)
 		s := rng.New(seed)
 		n := 60 + s.Intn(400)
 		var g *graph.Graph
@@ -104,6 +129,9 @@ func TestHistogramMatchesEdgeScanProperty(t *testing.T) {
 		opts := DefaultOptions(k)
 		opts.Seed = seed
 		opts.NumWorkers = 1 + s.Intn(4)
+		if c.k > 0 {
+			k, opts.K, opts.NumWorkers = c.k, c.k, c.workers
+		}
 		opts.MaxIterations = 12 + s.Intn(20)
 		opts.IgnoreEdgeWeights = s.Bool(0.25)
 		opts.RandomTieBreak = s.Bool(0.25)
@@ -122,11 +150,18 @@ func TestHistogramMatchesEdgeScanProperty(t *testing.T) {
 		what := fmt.Sprintf("seed %d %s n=%d k=%d %+v", seed, gname, n, k, opts)
 
 		// From scratch, with and without the conversion supersteps.
-		total += runChecked(t, what+" Partition", opts, newProgram(opts, true, n, nil, nil), verticesFromGraph(g))
+		check := func(what string, opts Options, prog *program, vs []vertex) {
+			checked, boundary := runChecked(t, what, opts, prog, vs)
+			total += checked
+			if opts.K > 64 {
+				wide += boundary
+			}
+		}
+		check(what+" Partition", opts, newProgram(opts, true, n, nil, nil), verticesFromGraph(g))
 		w := graph.Convert(g)
 		base := newProgram(opts, false, n, nil, nil)
 		vs := verticesOn(w)
-		total += runChecked(t, what+" PartitionWeighted", opts, base, vs)
+		check(what+" PartitionWeighted", opts, base, vs)
 		prev := base.labels
 
 		// Adapt after churn that also appends vertices. Triadic closure
@@ -163,7 +198,7 @@ func TestHistogramMatchesEdgeScanProperty(t *testing.T) {
 				mask[v] = true
 			}
 		}
-		total += runChecked(t, what+" Adapt", opts, newProgram(opts, false, len(init), init, mask), verticesOn(grown))
+		check(what+" Adapt", opts, newProgram(opts, false, len(init), init, mask), verticesOn(grown))
 
 		// Resize up or down.
 		newK := max(1, k+s.Intn(7)-3)
@@ -174,13 +209,16 @@ func TestHistogramMatchesEdgeScanProperty(t *testing.T) {
 		ropts := opts
 		ropts.K = newK
 		ropts.CapacityFractions = nil // sized for k
-		total += runChecked(t, what+" Resize", ropts, newProgram(ropts, false, n, relabeled, nil), verticesOn(w))
+		check(what+" Resize", ropts, newProgram(ropts, false, n, relabeled, nil), verticesOn(w))
 		if t.Failed() {
 			return
 		}
 	}
 	if total < 100_000 {
 		t.Fatalf("only %d histograms compared: the probe is not running", total)
+	}
+	if wide < 1000 {
+		t.Fatalf("only %d bars at a word boundary with k > 64: multiword rank is barely exercised", wide)
 	}
 }
 
@@ -196,7 +234,7 @@ func TestCarveHandsOutDisjointWindows(t *testing.T) {
 		if i%1000 == 999 {
 			n = histChunkMax + 7
 		}
-		h := ws.carve(n)
+		h := carve(&ws.bars, n)
 		if len(h) != 0 || cap(h) != n {
 			t.Fatalf("carve(%d) returned len %d cap %d", n, len(h), cap(h))
 		}

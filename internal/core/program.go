@@ -27,9 +27,10 @@ type vval struct {
 	// the package doc). Built in iteration 1, then moved by the migration
 	// announcements; capacity min(deg, k).
 	hist  []bar
-	degW  float64 // weighted degree, fixed at Initialization
-	cand  int32   // candidate label for this iteration, -1 if none
-	dirty bool    // AffectedOnly: may evaluate migration
+	held  []uint64 // the labels hist has a bar for, a bitmap of ⌈k/64⌉ words (see rank)
+	degW  float64  // weighted degree, fixed at Initialization
+	cand  int32    // candidate label for this iteration, -1 if none
+	dirty bool     // AffectedOnly: may evaluate migration
 }
 
 // bar is one label of a vertex's neighbour-label histogram.
@@ -58,33 +59,36 @@ type (
 )
 
 // workerScratch is the per-worker shared state of §IV-A4: an
-// asynchronously updated view of the partition loads, plus the arena the
-// worker's vertices carve their histograms from.
+// asynchronously updated view of the partition loads, plus the arenas the
+// worker's vertices carve their histograms and label bitmaps from.
 type workerScratch struct {
 	refreshedAt int // superstep for which localLoads is current
 	localLoads  []float64
 	penalty     []float64 // −localLoads[l]/C_l, the balance term of Eq. 8, kept in step with localLoads
 	sum         []int64   // buildHistogram scratch: label → its weight so far, zero between calls
 	seen        []uint64  // buildHistogram scratch: bitmap of the labels met, zero between calls
-	arena       []bar     // current chunk; carve hands out its tail
+	bars        []bar     // current chunk of bars; carve hands out its tail
+	words       []uint64  // current chunk of bitmap words, likewise
 }
 
-// Histogram arena chunks double from histChunkMin up to histChunkMax bars,
-// so a small run allocates little and a large one wastes under 1 MB a worker.
+// Arena chunks double from histChunkMin up to histChunkMax elements, so a
+// small run allocates little and a large one wastes under 1 MB a worker.
 const (
 	histChunkMin = 1 << 8
 	histChunkMax = 1 << 16
 )
 
-// carve returns an empty histogram of capacity n from the worker's arena.
-func (ws *workerScratch) carve(n int) []bar {
-	if n > cap(ws.arena)-len(ws.arena) {
-		size := min(max(2*cap(ws.arena), histChunkMin), histChunkMax)
-		ws.arena = make([]bar, 0, max(n, size))
+// carve returns an empty window of capacity n from the tail of *arena,
+// starting a new chunk when the tail is too short. A chunk is zeroed when
+// made and never reused.
+func carve[T any](arena *[]T, n int) []T {
+	if n > cap(*arena)-len(*arena) {
+		size := min(max(2*cap(*arena), histChunkMin), histChunkMax)
+		*arena = make([]T, 0, max(n, size))
 	}
-	off := len(ws.arena)
-	ws.arena = ws.arena[:off+n]
-	return ws.arena[off : off : off+n]
+	off := len(*arena)
+	*arena = (*arena)[:off+n]
+	return (*arena)[off : off : off+n]
 }
 
 // program is the Spinner vertex program plus its master state. One
@@ -240,7 +244,9 @@ func (p *program) initialize(ctx *computeCtx, v *vertex) {
 		dirty = p.affected[v.ID]
 	}
 	ws := ctx.WorkerState().(*workerScratch)
-	v.Value = vval{cand: -1, degW: degW, dirty: dirty, hist: ws.carve(min(len(v.Edges), p.k))}
+	nw := len(ws.seen)
+	v.Value = vval{cand: -1, degW: degW, dirty: dirty,
+		hist: carve(&ws.bars, min(len(v.Edges), p.k)), held: carve(&ws.words, nw)[:nw]}
 	ctx.Aggregate(p.aggLoads, int(p.labels[v.ID]), degW)
 	ctx.Aggregate(p.aggTotal, 0, degW)
 	ctx.CountEdges(len(v.Edges))
@@ -258,9 +264,9 @@ func (p *program) arcWeight(a graph.WeightedArc) int32 {
 // arcs reads every neighbour's starting label out of p.labels — the
 // Initialization superstep wrote the slots and its barrier has passed;
 // nothing writes them during ComputeScores — summing each label's weight in
-// the worker's scratch and marking it in the worker's label bitmap; a walk
-// of the bitmap's set bits then emits the bars in label order, with no
-// sort.
+// the worker's scratch and marking it in the worker's label bitmap; the
+// bitmap becomes the vertex's held set, and a walk of its set bits emits
+// the bars in label order, with no sort.
 func (p *program) buildHistogram(ws *workerScratch, v *vertex) {
 	for _, a := range v.Edges {
 		l := p.labels[a.To]
@@ -269,6 +275,7 @@ func (p *program) buildHistogram(ws *workerScratch, v *vertex) {
 	}
 	h := v.Value.hist[:0]
 	for i, word := range ws.seen {
+		v.Value.held[i] = word
 		for ; word != 0; word &= word - 1 {
 			l := int32(i<<6 + bits.TrailingZeros64(word))
 			h = append(h, bar{label: l, weight: ws.sum[l]})
@@ -279,26 +286,16 @@ func (p *program) buildHistogram(ws *workerScratch, v *vertex) {
 	v.Value.hist = h
 }
 
-// seekBar returns the index of label's bar in the sorted histogram h, or
-// where it belongs, and whether it is there. It runs for every message and
-// every vertex scored, on a few dozen bars at most, so its steps are
-// branch-free: a mispredicted comparison costs more than the whole search.
-func seekBar(h []bar, label int32) (int, bool) {
-	if len(h) == 0 {
-		return 0, false
+// rank returns the index of label l's bar in a histogram sorted by label
+// whose labels are the set bits of held — the number of set bits below l —
+// and whether l has a bar. The loop runs only for l ≥ 64.
+func rank(held []uint64, l int32) (int, bool) {
+	word, bit := held[l>>6], uint64(1)<<(l&63)
+	n := bits.OnesCount64(word & (bit - 1))
+	for _, below := range held[:l>>6] {
+		n += bits.OnesCount64(below)
 	}
-	base, n := 0, len(h)
-	for n > 1 {
-		half := n >> 1
-		// Labels lie in [0, k), so the difference is negative exactly when
-		// h[base+half].label <= label.
-		base += half & int((h[base+half].label-label-1)>>31)
-		n -= half
-	}
-	if h[base].label < label {
-		base++
-	}
-	return base, base < len(h) && h[base].label == label
+	return n, word&bit != 0
 }
 
 // move applies one migration announcement to v's histogram: m.w leaves bar
@@ -308,20 +305,35 @@ func seekBar(h []bar, label int32) (int, bool) {
 // so bar m.old holds at least m.w; if it does not, the rows were not mirror
 // images and the histogram cannot be trusted.
 func move(v *vertex, m msg) {
-	h := v.Value.hist
-	i, ok := seekBar(h, m.old)
-	if !ok || h[i].weight < int64(m.w) {
+	h, held, w := v.Value.hist, v.Value.held, int64(m.w)
+	i, ok := rank(held, m.old)
+	if !ok || h[i].weight < w {
 		panic(fmt.Sprintf("core: vertex %d heard a neighbour move %d from label %d to %d, but its bar for %d holds less: "+
 			"the graph's rows do not mirror each other", v.ID, m.w, m.old, m.new, m.old))
 	}
-	if h[i].weight -= int64(m.w); h[i].weight == 0 {
-		h = slices.Delete(h, i, i+1)
+	h[i].weight -= w
+	emptied := h[i].weight == 0
+	if emptied {
+		held[m.old>>6] &^= 1 << (m.old & 63)
 	}
-	j, ok := seekBar(h, m.new)
+	j, ok := rank(held, m.new) // counting no emptied bar m.old
+	switch {
+	case ok:
+		if emptied {
+			h = slices.Delete(h, i, i+1)
+		}
+	case !emptied:
+		h = slices.Insert(h, j, bar{}) // within capacity: at most min(deg, k) distinct labels
+	case j > i: // bar m.old leaves and bar m.new arrives: the bars between shift once
+		copy(h[i:j], h[i+1:j+1])
+	case j < i:
+		copy(h[j+1:i+1], h[j:i])
+	}
 	if !ok {
-		h = slices.Insert(h, j, bar{label: m.new}) // within capacity: at most min(deg, k) distinct labels
+		held[m.new>>6] |= 1 << (m.new & 63)
+		h[j] = bar{label: m.new}
 	}
-	h[j].weight += int64(m.w)
+	h[j].weight += w
 	v.Value.hist = h
 }
 
@@ -356,9 +368,9 @@ func (p *program) computeScores(ctx *computeCtx, v *vertex, msgs []msg) {
 
 	cur := p.labels[v.ID]
 	degW := v.Value.degW
-	hist := v.Value.hist
+	hist, held := v.Value.hist, v.Value.held
 	var curW float64
-	if i, ok := seekBar(hist, cur); ok {
+	if i, ok := rank(held, cur); ok {
 		curW = float64(hist[i].weight)
 	}
 

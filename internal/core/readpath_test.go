@@ -225,10 +225,11 @@ func TestInitialLabelsAreReadNotSent(t *testing.T) {
 }
 
 // TestPartitionAllocationBudget: a from-scratch run allocates its vertex
-// array, the histogram arena and the engine's message buffers, which hold
-// migration announcements only; the arcs are the graph's rows, read in
-// place. At most 31 B per arc on WS(50 000, 16, 0.3), k = 32 (26.8
-// measured; 37 when the run copied every arc into an edge arena of its own,
+// array, the histogram and label-bitmap arenas and the engine's message
+// buffers, which hold migration announcements only; the arcs are the
+// graph's rows, read in place. At most 31 B per arc on WS(50 000, 16, 0.3),
+// k = 32 (27.9 measured; 26.8 before each vertex kept a label bitmap; 37
+// when the run copied every arc into an edge arena of its own,
 // 106 when every arc also carried a starting label through an outbox and an
 // inbox arena). A per-arc buffer that comes back fails here rather than in
 // a benchmark.

@@ -114,24 +114,45 @@ func (reactivator) Compute(ctx *Context[int64, VertexID, int64], v *Vertex[int64
 	v.VoteToHalt()
 }
 
+// TestReactivation: every vertex votes to halt in every superstep, so from
+// superstep 1 on the only deliveries go to halted vertices, and each must
+// still make the next superstep run and wake its vertex — on the arena
+// path and on the combiner path, with the chain crossing workers.
 func TestReactivation(t *testing.T) {
-	e := NewEngine[int64, VertexID, int64](Config{NumWorkers: 2}, reactivator{})
-	vs := make([]Vertex[int64, VertexID], 4)
-	for i := range vs {
-		vs[i].ID = VertexID(i)
-	}
-	if err := e.SetVertices(vs); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Everyone computes at superstep 0; then the poke chain wakes 1, 2, 3
-	// one at a time.
-	want := []int64{1, 2, 2, 2}
-	for i, v := range e.Vertices() {
-		if v.Value != want[i] {
-			t.Fatalf("vertex %d computed %d times, want %d", i, v.Value, want[i])
+	for _, combine := range []bool{false, true} {
+		e := NewEngine[int64, VertexID, int64](Config{NumWorkers: 2}, reactivator{})
+		if combine {
+			e.SetCombiner(func(a, b int64) int64 { return a + b })
+		}
+		vs := make([]Vertex[int64, VertexID], 4)
+		for i := range vs {
+			vs[i].ID = VertexID(i)
+		}
+		if err := e.SetVertices(vs); err != nil {
+			t.Fatal(err)
+		}
+		steps, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Everyone computes at superstep 0; then the poke chain wakes 1, 2, 3
+		// one at a time, and the superstep after 3's finds no work.
+		want := []int64{1, 2, 2, 2}
+		for i, v := range e.Vertices() {
+			if v.Value != want[i] {
+				t.Fatalf("combiner %v: vertex %d computed %d times, want %d", combine, i, v.Value, want[i])
+			}
+			if !v.halted {
+				t.Fatalf("combiner %v: vertex %d not halted at the end", combine, i)
+			}
+		}
+		if steps != 4 {
+			t.Fatalf("combiner %v: %d supersteps, want 4", combine, steps)
+		}
+		for s, st := range e.Stats() {
+			if wantActive := []int64{4, 1, 1, 1}[s]; st.Active != wantActive {
+				t.Fatalf("combiner %v: superstep %d computed %d vertices, want %d", combine, s, st.Active, wantActive)
+			}
 		}
 	}
 }

@@ -44,10 +44,10 @@
 //     Received then count post-combining traffic, which is what would
 //     cross the wire. Without a combiner every message is queued and
 //     delivered individually, uncombined.
-//   - Vote-to-halt bookkeeping is incremental: workers count vertices that
-//     stay active at compute time and vertices they reactivate at delivery
-//     time, so the engine never rescans the vertex set to decide whether
-//     to run another superstep.
+//   - Vote-to-halt bookkeeping is incremental: another superstep runs iff
+//     a computed vertex did not vote to halt or a message was delivered,
+//     counted at compute and delivery time, so the engine never rescans
+//     the vertex set, and delivery never reads a vertex record.
 //   - Aggregators are reached by handle, never by name. RegisterAggregator
 //     returns an Aggregator that Context.Aggregate, AggregatedValue and
 //     AggregatedVector and Master.Agg and SetAgg take; a call costs a
@@ -91,12 +91,8 @@ type Vertex[V, A any] struct {
 	halted bool
 }
 
-// Halted reports whether the vertex has voted to halt and received no
-// message since.
-func (v *Vertex[V, A]) Halted() bool { return v.halted }
-
-// VoteToHalt marks the vertex inactive; it is reactivated when a message
-// arrives (standard Pregel semantics).
+// VoteToHalt marks the vertex inactive; a message arriving wakes it
+// (standard Pregel semantics).
 func (v *Vertex[V, A]) VoteToHalt() { v.halted = true }
 
 // Program is the user computation. Compute is invoked for every active
@@ -290,10 +286,10 @@ type Engine[V, A, M any] struct {
 
 	inbox      [][]M               // vertex -> pending messages (delivered next superstep)
 	inboxArena [][]M               // worker -> flat reusable message storage backing its inboxes
-	inboxCount []int32             // vertex -> messages delivered this superstep (zeroed after use)
+	inboxCount []int32             // vertex -> its message count, then its inbox's write cursor, during delivery (zero otherwise)
 	pending    [][]VertexID        // worker -> owned vertices with non-empty inboxes
 	ctxs       []*Context[V, A, M] // reusable per-worker contexts (outbox arenas)
-	active     int64               // incremental active count for the next superstep
+	active     int64               // vertices staying active + messages delivered: nonzero iff the next superstep has work
 
 	aggs *aggPlane
 
@@ -356,9 +352,6 @@ func (e *Engine[V, A, M]) SetVertices(vs []Vertex[V, A]) error {
 
 // NumVertices returns the number of loaded vertices.
 func (e *Engine[V, A, M]) NumVertices() int { return len(e.vertices) }
-
-// NumWorkers returns the configured worker count.
-func (e *Engine[V, A, M]) NumWorkers() int { return e.cfg.NumWorkers }
 
 // Vertices exposes the vertex slice after a run (read-only by convention).
 func (e *Engine[V, A, M]) Vertices() []Vertex[V, A] { return e.vertices }

@@ -35,20 +35,19 @@ type Context[V, A, M any] struct {
 	combDst   [][]VertexID
 	epoch     uint32
 
-	sentLoc     int64
-	sentRem     int64
-	edges       int64
-	computed    int64
-	stayActive  int64 // computed vertices that did not vote to halt
-	reactivated int64 // owned halted vertices woken by a delivery
-	rand        *rng.Source
+	sentLoc    int64
+	sentRem    int64
+	edges      int64
+	computed   int64
+	stayActive int64 // computed vertices that did not vote to halt
+	rand       *rng.Source
 }
 
 // reset prepares the context for the next superstep, truncating the
 // outbox arenas in place so their capacity is reused.
 func (c *Context[V, A, M]) reset() {
 	c.sentLoc, c.sentRem, c.edges, c.computed = 0, 0, 0, 0
-	c.stayActive, c.reactivated = 0, 0
+	c.stayActive = 0
 	for i := range c.out {
 		c.out[i] = c.out[i][:0]
 	}
@@ -63,12 +62,6 @@ func (c *Context[V, A, M]) Superstep() int { return c.engine.superstep }
 
 // NumVertices returns the global vertex count.
 func (c *Context[V, A, M]) NumVertices() int { return len(c.engine.vertices) }
-
-// NumWorkers returns the worker count.
-func (c *Context[V, A, M]) NumWorkers() int { return c.engine.cfg.NumWorkers }
-
-// WorkerID returns the executing worker's ID.
-func (c *Context[V, A, M]) WorkerID() int { return c.workerID }
 
 // WorkerState returns this worker's shared state, created by the program's
 // InitWorker (nil if the program is not a WorkerInitializer). All vertices
@@ -239,8 +232,9 @@ func (e *Engine[V, A, M]) runSuperstep() {
 	// its vertices consumed this superstep (the pending list makes this
 	// O(delivered vertices), not O(n)), then drains, in source-worker order
 	// for determinism, the outboxes — or combiner staging slots — addressed
-	// to it. Halted vertices woken by a delivery are counted for the
-	// incremental active tracking.
+	// to it. Delivery reads no vertex record: a halted vertex that received
+	// messages is woken by the compute loop, which runs any vertex whose
+	// inbox is not empty.
 	for wk := 0; wk < w; wk++ {
 		wg.Add(1)
 		go func(wk int) {
@@ -250,7 +244,7 @@ func (e *Engine[V, A, M]) runSuperstep() {
 				e.inbox[vid] = e.inbox[vid][:0]
 			}
 			pend = pend[:0]
-			var received, receivedRemote, reactivated int64
+			var received, receivedRemote int64
 			if e.combiner != nil {
 				for src := 0; src < w; src++ {
 					remote := src != wk
@@ -268,18 +262,15 @@ func (e *Engine[V, A, M]) runSuperstep() {
 							pend = append(pend, dst)
 						}
 						e.inbox[dst] = box
-						if e.vertices[dst].halted {
-							e.vertices[dst].halted = false
-							reactivated++
-						}
 					}
 				}
 			} else {
 				// Two-pass arena delivery: count messages per destination,
-				// carve capacity-clamped windows out of this worker's flat
-				// arena, then fill in source-worker order. Inboxes are views
-				// into the arena, so a superstep costs zero allocations once
-				// the arena has grown to the high-water message volume.
+				// carve windows out of this worker's flat arena, then fill
+				// them in source-worker order, the count slot serving as each
+				// window's write cursor. Inboxes are views into the arena, so
+				// a superstep costs zero allocations once the arena has grown
+				// to the high-water message volume.
 				counts := e.inboxCount
 				var total int32
 				for src := 0; src < w; src++ {
@@ -287,10 +278,6 @@ func (e *Engine[V, A, M]) runSuperstep() {
 					for _, am := range e.ctxs[src].out[wk] {
 						if counts[am.to] == 0 {
 							pend = append(pend, am.to)
-							if e.vertices[am.to].halted {
-								e.vertices[am.to].halted = false
-								reactivated++
-							}
 						}
 						counts[am.to]++
 						total++
@@ -301,25 +288,28 @@ func (e *Engine[V, A, M]) runSuperstep() {
 				}
 				received = int64(total)
 				arena := e.inboxArena[wk]
-				if int(total) > cap(arena) {
-					arena = make([]M, 0, total)
+				if int(total) > len(arena) {
+					arena = make([]M, total)
 					e.inboxArena[wk] = arena
 				}
 				var off int32
 				for _, vid := range pend {
 					c := counts[vid]
-					e.inbox[vid] = arena[off : off : off+c]
+					e.inbox[vid] = arena[off : off+c : off+c]
+					counts[vid] = off
 					off += c
-					counts[vid] = 0
 				}
 				for src := 0; src < w; src++ {
 					for _, am := range e.ctxs[src].out[wk] {
-						e.inbox[am.to] = append(e.inbox[am.to], am.payload)
+						arena[counts[am.to]] = am.payload
+						counts[am.to]++
 					}
+				}
+				for _, vid := range pend {
+					counts[vid] = 0
 				}
 			}
 			e.pending[wk] = pend
-			e.ctxs[wk].reactivated = reactivated
 			st.Received[wk] = received
 			st.ReceivedRemote[wk] = receivedRemote
 		}(wk)
@@ -349,10 +339,12 @@ func (e *Engine[V, A, M]) runSuperstep() {
 		wg.Wait()
 	}
 
+	// The next superstep has work iff a vertex stayed active or a message
+	// was delivered: e.active counts both, which is all Run asks of it.
 	var active, nextActive int64
-	for _, ctx := range e.ctxs {
+	for wk, ctx := range e.ctxs {
 		active += ctx.computed
-		nextActive += ctx.stayActive + ctx.reactivated
+		nextActive += ctx.stayActive + st.Received[wk]
 	}
 	e.active = nextActive
 	st.Active = active
