@@ -22,8 +22,18 @@
 #                      go test -list (a new target needs no edit here)
 #   make *-smoke     — kill -9 / overload / failover / change-feed / metrics
 #                      drills against a real spinnerd over /v1 (scripts/)
+#   make loc         — code lines (non-test .go files, skipping blank lines
+#                      and lines that start with //) per package under
+#                      internal/ and cmd/, then the serving-core total over
+#                      internal/{serve,api,api/client,replica,wal,frame};
+#                      the size figure ROADMAP quotes, not a gate
 
-.PHONY: all check build vet lint test test-race bench bench-test bench-quick profile-core profile-api fuzz recovery-smoke overload-smoke replication-smoke changefeed-smoke metrics-smoke
+.PHONY: all check build vet lint test test-race bench bench-test bench-quick profile-core profile-api fuzz loc recovery-smoke overload-smoke replication-smoke changefeed-smoke metrics-smoke
+
+CORE := internal/serve internal/api internal/api/client internal/replica internal/wal internal/frame
+# codelines prints the code lines of the non-test Go files of the package
+# directories it is given.
+codelines = for d in $(1); do ls $$d/*.go | grep -v '_test\.go$$'; done | xargs cat | awk '!/^[ \t]*(\/\/.*)?$$/' | wc -l
 
 all: check
 
@@ -80,6 +90,12 @@ fuzz:
 			go test -run='^$$' -fuzz="^$$target\$$" -fuzztime=10s $$pkg || exit 1; \
 		done; \
 	done
+
+loc:
+	@for d in $$(ls internal/*/*.go internal/*/*/*.go cmd/*/*.go | grep -v '_test\.go$$' | xargs -n1 dirname | sort -u); do \
+		printf '%6d  %s\n' $$($(call codelines,$$d)) $$d; \
+	done
+	@printf '%6d  serving core\n' $$($(call codelines,$(CORE)))
 
 recovery-smoke:
 	./scripts/recovery_smoke.sh

@@ -11,7 +11,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 )
 
 // AppendMutationBinary appends m's binary encoding to buf and returns the
@@ -127,92 +126,75 @@ func (w *Weighted) EncodeBinary(out io.Writer) error {
 	return bw.Flush()
 }
 
-// DecodeWeightedBinary reads a graph written by EncodeBinary, validating
-// the structural invariants the serving layer relies on: vertex count
-// within MaxVertices, arc targets in range, positive weights, the arc
-// count exactly twice the edge count (every undirected edge is stored as
-// two symmetric arcs), and the stored total weight matching the arcs.
-//
-// A graph written before Weighted kept one arc per neighbour may repeat an
-// arc within a row. Decoding merges the repeats into the row's first arc to
-// that neighbour, summing their weights as AddEdge would have, and counts
-// the edges that remain; a graph without repeats decodes to its encoding
-// arc for arc. If repeat is not nil, it is called for each merge: row u
-// repeats its arc to v, of the given weight, onto an arc whose weight so
-// far is held.
-func DecodeWeightedBinary(r io.Reader, repeat func(u, v VertexID, held, weight int32)) (*Weighted, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	var hdr [32]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("graph: reading graph header: %w", err)
+// DecodeWeightedBinary decodes b, which must hold exactly one graph written
+// by EncodeBinary. The header's vertex and arc counts must account for every
+// byte of b — 32 header bytes, 4 per row and 8 per arc — which is checked
+// before anything is allocated, so no header can claim more memory than
+// its bytes. It then validates the structural invariants the serving layer
+// relies on: vertex count within MaxVertices, arc targets in range, one arc
+// per neighbour (a row that names a neighbour twice is corrupt), positive
+// weights, the arc count exactly twice the edge count (every undirected
+// edge is stored as two symmetric arcs), and the stored total weight
+// matching the arcs.
+func DecodeWeightedBinary(b []byte) (*Weighted, error) {
+	if len(b) < 32 {
+		return nil, fmt.Errorf("graph: graph header truncated at %d bytes", len(b))
 	}
-	n := binary.LittleEndian.Uint64(hdr[0:])
-	totalArcs := binary.LittleEndian.Uint64(hdr[8:])
-	numEdges := int64(binary.LittleEndian.Uint64(hdr[16:]))
-	totalWeight := int64(binary.LittleEndian.Uint64(hdr[24:]))
+	n := binary.LittleEndian.Uint64(b[0:])
+	totalArcs := binary.LittleEndian.Uint64(b[8:])
+	numEdges := int64(binary.LittleEndian.Uint64(b[16:]))
+	totalWeight := int64(binary.LittleEndian.Uint64(b[24:]))
 	if n > uint64(MaxVertices) {
 		return nil, fmt.Errorf("graph: encoded graph has %d vertices, past MaxVertices=%d", n, MaxVertices)
 	}
 	if numEdges < 0 || totalArcs != uint64(2*numEdges) {
 		return nil, fmt.Errorf("graph: %d arcs for %d undirected edges", totalArcs, numEdges)
 	}
-	w := &Weighted{adj: make([][]WeightedArc, n)}
+	b = b[32:]
+	if body := uint64(len(b)); body < 4*n || (body-4*n)%8 != 0 || (body-4*n)/8 != totalArcs {
+		return nil, fmt.Errorf("graph: %d bytes past the header do not hold the %d rows and %d arcs it declares",
+			len(b), n, totalArcs)
+	}
+	w := &Weighted{adj: make([][]WeightedArc, n), numEdges: numEdges}
 	// One backing array for all arcs keeps the decode allocation-light and
-	// the rows cache-adjacent, like the CSR builders elsewhere.
+	// the rows cache-adjacent, like the CSR builders elsewhere. Each row is
+	// capped at its own arcs, so appending to it copies it out instead of
+	// writing over the next row.
 	arcs := make([]WeightedArc, totalArcs)
-	// at[t] is 1 + the index of the current row's arc to t, 0 if none yet;
-	// each row clears the entries it set.
-	at := make([]int32, n)
-	var used, kept uint64
-	var weightSum int64
-	var rec [8]byte
+	seen := make([]int32, n) // seen[t] = v+1 once row v has an arc to t
+	var used uint64
 	for v := range w.adj {
-		if _, err := io.ReadFull(br, rec[:4]); err != nil {
-			return nil, fmt.Errorf("graph: reading row %d: %w", v, err)
-		}
-		deg := uint64(binary.LittleEndian.Uint32(rec[:4]))
-		if used+deg > totalArcs {
+		deg := uint64(binary.LittleEndian.Uint32(b))
+		b = b[4:]
+		if deg > totalArcs-used {
 			return nil, fmt.Errorf("graph: rows overflow the declared %d arcs at vertex %d", totalArcs, v)
 		}
-		row := arcs[used : used : used+deg]
+		row := arcs[used : used+deg : used+deg]
 		used += deg
-		for range deg {
-			if _, err := io.ReadFull(br, rec[:8]); err != nil {
-				return nil, fmt.Errorf("graph: reading arcs of %d: %w", v, err)
-			}
-			to := VertexID(binary.LittleEndian.Uint32(rec[0:]))
-			weight := int32(binary.LittleEndian.Uint32(rec[4:]))
+		for i := range row {
+			to := VertexID(binary.LittleEndian.Uint32(b))
+			weight := int32(binary.LittleEndian.Uint32(b[4:]))
+			b = b[8:]
 			if to < 0 || uint64(to) >= n || VertexID(v) == to {
 				return nil, fmt.Errorf("graph: arc %d→%d out of range", v, to)
 			}
+			if seen[to] == int32(v)+1 {
+				return nil, fmt.Errorf("graph: row %d names neighbour %d twice", v, to)
+			}
+			seen[to] = int32(v) + 1
 			if weight < 1 {
 				return nil, fmt.Errorf("graph: arc %d→%d has weight %d", v, to, weight)
 			}
-			weightSum += int64(weight)
-			if i := at[to]; i > 0 {
-				a := &row[i-1]
-				if repeat != nil {
-					repeat(VertexID(v), to, a.Weight, weight)
-				}
-				a.Weight += min(weight, math.MaxInt32-a.Weight)
-				continue
-			}
-			row = append(row, WeightedArc{To: to, Weight: weight})
-			at[to] = int32(len(row))
+			row[i] = WeightedArc{To: to, Weight: weight}
+			w.totalWeight += int64(weight)
 		}
-		for _, a := range row {
-			at[a.To] = 0
-			w.totalWeight += int64(a.Weight)
-		}
-		kept += uint64(len(row))
 		w.adj[v] = row
 	}
 	if used != totalArcs {
 		return nil, fmt.Errorf("graph: rows hold %d arcs, header declared %d", used, totalArcs)
 	}
-	if weightSum != totalWeight {
-		return nil, fmt.Errorf("graph: arc weights sum to %d, header declared %d", weightSum, totalWeight)
+	if w.totalWeight != totalWeight {
+		return nil, fmt.Errorf("graph: arc weights sum to %d, header declared %d", w.totalWeight, totalWeight)
 	}
-	w.numEdges = int64(kept / 2)
 	return w, nil
 }

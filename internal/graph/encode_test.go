@@ -3,7 +3,7 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
-	"slices"
+	"strings"
 	"testing"
 )
 
@@ -78,7 +78,7 @@ func TestWeightedBinaryRoundTrip(t *testing.T) {
 	if err := w.EncodeBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeWeightedBinary(bytes.NewReader(buf.Bytes()), nil)
+	got, err := DecodeWeightedBinary(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestWeightedBinaryRoundTrip(t *testing.T) {
 	if err := NewWeighted(0).EncodeBinary(&empty); err != nil {
 		t.Fatal(err)
 	}
-	if g, err := DecodeWeightedBinary(bytes.NewReader(empty.Bytes()), nil); err != nil || g.NumVertices() != 0 {
+	if g, err := DecodeWeightedBinary(empty.Bytes()); err != nil || g.NumVertices() != 0 {
 		t.Fatalf("empty graph: %v", err)
 	}
 }
@@ -118,7 +118,7 @@ func TestDecodeWeightedBinaryRejectsDamage(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for cut := 1; cut < len(full); cut += 3 {
-		if _, err := DecodeWeightedBinary(bytes.NewReader(full[:len(full)-cut]), nil); err == nil {
+		if _, err := DecodeWeightedBinary(full[:len(full)-cut]); err == nil {
 			t.Fatalf("truncation by %d accepted", cut)
 		}
 	}
@@ -126,54 +126,62 @@ func TestDecodeWeightedBinaryRejectsDamage(t *testing.T) {
 	bad := append([]byte(nil), full...)
 	bad[36] = 0xee // first row's first arc target
 	bad[37] = 0xee
-	if _, err := DecodeWeightedBinary(bytes.NewReader(bad), nil); err == nil {
+	if _, err := DecodeWeightedBinary(bad); err == nil {
 		t.Fatal("out-of-range arc accepted")
 	}
 }
 
-// TestDecodeWeightedBinaryMergesRepeatedArcs: an encoding written before
-// Weighted kept one arc per neighbour, by hand — rows 0 and 1 each hold
-// two arcs to the other, of weights 1 and 2, and one arc of weight 5 to
-// vertex 2 — decodes to the simple graph AddEdge builds from the same
-// edges: one arc per pair holding the pair's summed weight, the first arc's
-// place in the row, and the edge count of the merged graph. The repeat
-// callback hears of each merge, with the weight the arc held before it.
-func TestDecodeWeightedBinaryMergesRepeatedArcs(t *testing.T) {
+// encodeRows hand-encodes a graph in EncodeBinary's layout: the header
+// words (vertices, arcs, edges, total arc weight), then each row as its
+// (target, weight) pairs.
+func encodeRows(header [4]uint64, rows ...[]uint32) []byte {
 	le := binary.LittleEndian
 	var enc []byte
-	for _, x := range []uint64{3, 8, 4, 26} { // vertices, arcs, edges, 2 × total weight
+	for _, x := range header {
 		enc = le.AppendUint64(enc, x)
 	}
-	for _, row := range [][]uint32{
-		{1, 1, 2, 5, 1, 2},
-		{0, 2, 2, 5, 0, 1},
-		{0, 5, 1, 5},
-	} {
+	for _, row := range rows {
 		enc = le.AppendUint32(enc, uint32(len(row)/2))
 		for _, x := range row {
 			enc = le.AppendUint32(enc, x)
 		}
 	}
-	var repeats [][4]int32
-	got, err := DecodeWeightedBinary(bytes.NewReader(enc), func(u, v VertexID, held, weight int32) {
-		repeats = append(repeats, [4]int32{int32(u), int32(v), held, weight})
-	})
-	if err != nil {
+	return enc
+}
+
+// TestDecodeWeightedBinaryRefusesRepeatedArcs: Weighted is a simple graph,
+// so a row naming a neighbour twice — here rows 0 and 1 each hold two arcs
+// to the other, as a writer of parallel arcs left them — is corrupt, though
+// the header's counts and total weight agree with the rows.
+func TestDecodeWeightedBinaryRefusesRepeatedArcs(t *testing.T) {
+	enc := encodeRows([4]uint64{3, 8, 4, 26},
+		[]uint32{1, 1, 2, 5, 1, 2},
+		[]uint32{0, 2, 2, 5, 0, 1},
+		[]uint32{0, 5, 1, 5})
+	if _, err := DecodeWeightedBinary(enc); err == nil || !strings.Contains(err.Error(), "row 0 names neighbour 1 twice") {
+		t.Fatalf("decoding repeated arcs: err = %v", err)
+	}
+}
+
+// TestDecodeWeightedBinaryRefusesHostileHeader: a header must account for
+// every byte after it, checked before anything is allocated. Each of these
+// would otherwise allocate what the header claims: 2^40 edges over 4
+// vertices is 16 TiB of arcs, and MaxVertices empty rows are 192 MiB of
+// slice headers.
+func TestDecodeWeightedBinaryRefusesHostileHeader(t *testing.T) {
+	var ok bytes.Buffer
+	w := NewWeighted(3)
+	w.AddEdge(0, 2, 4)
+	if err := w.EncodeBinary(&ok); err != nil {
 		t.Fatal(err)
 	}
-	if want := [][4]int32{{0, 1, 1, 2}, {1, 0, 2, 1}}; !slices.Equal(repeats, want) {
-		t.Fatalf("repeats reported %v, want %v", repeats, want)
-	}
-	want := NewWeighted(3)
-	want.AddEdge(0, 1, 1)
-	want.AddEdge(0, 2, 5)
-	want.AddEdge(1, 0, 2)
-	want.AddEdge(2, 1, 5)
-	if !bytes.Equal(encoded(t, got), encoded(t, want)) {
-		t.Fatalf("decoded rows %v %v %v, want %v %v %v", got.Neighbors(0), got.Neighbors(1), got.Neighbors(2),
-			want.Neighbors(0), want.Neighbors(1), want.Neighbors(2))
-	}
-	if got.NumEdges() != 3 || got.TotalWeight() != 13 {
-		t.Fatalf("decoded %d edges of weight %d, want 3 of 13", got.NumEdges(), got.TotalWeight())
+	for name, enc := range map[string][]byte{
+		"2^40 edges over 4 vertices":    encodeRows([4]uint64{4, 1 << 41, 1 << 40, 0}, nil, nil, nil, nil),
+		"MaxVertices vertices, no rows": encodeRows([4]uint64{uint64(MaxVertices), 0, 0, 0}),
+		"one trailing byte":             append(ok.Bytes(), 0),
+	} {
+		if _, err := DecodeWeightedBinary(enc); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

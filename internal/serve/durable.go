@@ -70,6 +70,7 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -235,17 +236,13 @@ func BootstrapDurable(dir string, g *graph.Graph, cfg Config) (*Store, error) {
 // exactly the pre-delta recovery. Returns wal.ErrNoCheckpoint (wrapped)
 // when dir holds no state.
 //
-// A directory whose checkpoints carry version 1 was written while
-// graph.Weighted kept parallel arcs. Open composes its chain as that
-// writer applied the journal (see legacyArcs), refuses a record past the
-// chain that the writer applied otherwise than the live replay would,
-// and writes a full checkpoint of the current version before journaling.
-//
-// Batches that were rejected live re-reject identically during replay
-// (both phases); such errors are observable via Err, as they were, and
-// do not fail recovery. Journal or checkpoint corruption does — except a
-// damaged chain link, which just shortens the chain (wal.LatestChain)
-// and lengthens the live replay tail.
+// Every checkpoint and chain link must carry the current version, 2; one
+// that does not fails Open with ErrCheckpointVersion before the journal is
+// read, so the directory is left as it was. Batches that were rejected
+// live re-reject identically during replay (both phases); such errors are
+// observable via Err, as they were, and do not fail recovery. Journal or
+// checkpoint corruption does — except a damaged chain link, which just
+// shortens the chain (wal.LatestChain) and lengthens the live replay tail.
 func Open(dir string, cfg Config) (*Store, error) {
 	baseSeq, payload, chain, err := wal.LatestChain(ckptDir(dir))
 	if err != nil {
@@ -258,16 +255,19 @@ func Open(dir string, cfg Config) (*Store, error) {
 	if st.seq != baseSeq {
 		return nil, fmt.Errorf("serve: checkpoint file %d declares inner seq %d", baseSeq, st.seq)
 	}
+	// A link Open refuses fails it before the journal is read, since
+	// Replay truncates a torn tail.
+	for _, link := range chain {
+		if _, _, err := decodeDeltaCheckpoint(link.Payload); err != nil {
+			return nil, fmt.Errorf("serve: delta checkpoint %d in %s: %w", link.Seq, dir, err)
+		}
+	}
 	seq := baseSeq
-	if len(chain) > 0 || st.legacy != nil {
+	if len(chain) > 0 {
 		// Compose base+chain: walk the journal once from the base,
 		// overlaying each link when the replay cursor passes its sequence.
-		// Records past the tip are left to the live replay phase below,
-		// which applies the merge rule — so above a version-1 base they
-		// first replay on a copy of the graph, and one its writer applied
-		// otherwise refuses recovery.
+		// Records past the tip are left to the live replay phase below.
 		idx := 0
-		var tail *graph.Weighted
 		if _, err := wal.Replay(journalDir(dir), baseSeq, func(rec wal.Record) error {
 			for idx < len(chain) && rec.Seq > chain[idx].Seq {
 				if err := applyCkptDelta(st, chain[idx]); err != nil {
@@ -275,29 +275,10 @@ func Open(dir string, cfg Config) (*Store, error) {
 				}
 				idx++
 			}
-			if st.legacy == nil {
-				if idx == len(chain) {
-					return nil
-				}
-				return applyStructural(st.w, rec)
-			}
-			w := st.w
 			if idx == len(chain) {
-				if tail == nil {
-					tail = st.w.Clone()
-				}
-				w = tail
+				return nil
 			}
-			differs, err := st.legacy.replay(w, rec)
-			if err == nil && differs && w == tail {
-				err = fmt.Errorf("past the checkpoint chain, it removes one of several arcs of a pair, " +
-					"which replay cannot apply as its writer did; recover the directory with the release " +
-					"that wrote it and close that cleanly first")
-			}
-			if err != nil {
-				return fmt.Errorf("record %d: %w", rec.Seq, err)
-			}
-			return nil
+			return applyStructural(st.w, rec)
 		}); err != nil {
 			return nil, fmt.Errorf("serve: composing checkpoint chain in %s: %w", dir, err)
 		}
@@ -307,11 +288,9 @@ func Open(dir string, cfg Config) (*Store, error) {
 				return nil, fmt.Errorf("serve: composing checkpoint chain in %s: %w", dir, err)
 			}
 		}
-		if len(chain) > 0 {
-			// applyCkptDelta advanced st.seq to the tip; recovery resumes
-			// the journal (and the attach handshake) from there.
-			seq = chain[len(chain)-1].Seq
-		}
+		// applyCkptDelta advanced st.seq to the tip; recovery resumes the
+		// journal (and the attach handshake) from there.
+		seq = chain[len(chain)-1].Seq
 	}
 	if cfg.Shards == 0 {
 		// Default to the checkpointed layout: recovery restores the shard
@@ -386,18 +365,6 @@ func Open(dir string, cfg Config) (*Store, error) {
 	if err := s.control(s.reconcileNow); err != nil {
 		s.Close()
 		return nil, err
-	}
-	if st.legacy != nil {
-		// Rebase a version-1 directory before anything is journaled above
-		// it, so no later recovery replays a record written under the merge
-		// rule as the old writer's.
-		if err := s.control(func() (err error) {
-			s.withBarrier(func() { err = s.checkpointNow() })
-			return err
-		}); err != nil {
-			s.Close()
-			return nil, fmt.Errorf("serve: rebasing %s: %w", dir, err)
-		}
 	}
 	return s, nil
 }
@@ -624,11 +591,9 @@ func (s *Store) noteCheckpoint(res ckptResult) {
 }
 
 // checkpointNow captures, encodes and installs a checkpoint
-// synchronously. The caller must hold exclusive access to the state:
-// before start, after drainAndExit stopped the shards (the initial and
-// final checkpoints), or inside a barrier (Open's rebase of a version-1
-// directory). The live graph is encoded directly — no clone — since
-// nothing else is running.
+// synchronously: the initial checkpoint, before start, and the final one,
+// after drainAndExit stopped the shards. The live graph is encoded
+// directly — no clone — since nothing else is running.
 func (s *Store) checkpointNow() error {
 	res := s.writeCheckpointState(s.captureState(false))
 	if res.err != nil {
@@ -686,17 +651,21 @@ func (s *Store) finishDurable() {
 // with churn instead of |E|; the metadata block is re-encoded whole (it is
 // tens of bytes).
 //
-// Version 2 is the layout of version 1; the number says which rule the
-// graph and the journal above it were written under. Version 1 was
-// written while graph.Weighted kept parallel arcs, and is still read (see
-// legacyArcs).
+// Version 2 says the graph, and the journal above it, follow the rule of
+// a simple graph: one arc per neighbour, a re-added edge adding its weight.
+// Version 1 had the same layout but was written while graph.Weighted kept
+// parallel arcs; it is not read (see ErrCheckpointVersion).
 const (
-	ckptVersion   = 2
-	dckpVersion   = 2
-	legacyVersion = 1
+	ckptVersion = 2
+	dckpVersion = 2
 
 	flagWantRestab = 1 << 0
 )
+
+// ErrCheckpointVersion is wrapped by Open's error when a checkpoint or
+// chain link in the data dir does not carry the current version.
+var ErrCheckpointVersion = errors.New("serve: unsupported checkpoint version; " +
+	"a version-1 data dir is rewritten as version 2 by opening it once with commit bdaf9be")
 
 // ckptMeta is the metadata block both checkpoint formats carry: the
 // coordinator's trigger and counter state at sequence seq.
@@ -722,7 +691,6 @@ type ckptState struct {
 	ckptMeta
 	labels []int32
 	w      *graph.Weighted
-	legacy legacyArcs // non-nil when read from a version-1 checkpoint
 }
 
 // captureState snapshots the coordinator-owned state into a ckptState —
@@ -802,13 +770,12 @@ func appendMeta(buf []byte, version uint16, m *ckptMeta, labelSection func([]byt
 }
 
 // readMeta decodes the metadata block, calling labelSection (with the
-// declared label count) where the format's label section sits, and
-// reports whether it carries legacyVersion. what names the format in
-// errors; failures land in r.err.
-func readMeta(r *ckptReader, what string, version uint16, labelSection func(n int)) (m ckptMeta, legacy bool) {
-	v := r.u16()
-	if legacy = v == legacyVersion; v != version && !legacy {
-		r.fail("%s version %d, want %d", what, v, version)
+// declared label count) where the format's label section sits. what names
+// the format in errors; failures land in r.err, wrapping
+// ErrCheckpointVersion when the block does not carry version.
+func readMeta(r *ckptReader, what string, version uint16, labelSection func(n int)) (m ckptMeta) {
+	if v := r.u16(); r.err == nil && v != version {
+		r.fail("%s version %d, want %d: %w", what, v, version, ErrCheckpointVersion)
 	}
 	m.seq = r.u64()
 	m.applied = int64(r.u64())
@@ -818,6 +785,9 @@ func readMeta(r *ckptReader, what string, version uint16, labelSection func(n in
 	m.epoch = r.u64()
 	m.baseline = math.Float64frombits(r.u64())
 	if flags := r.take(1); r.err == nil {
+		if flags[0]&^flagWantRestab != 0 {
+			r.fail("%s has unknown flags %#x", what, flags[0])
+		}
 		m.wantRestab = flags[0]&flagWantRestab != 0
 	}
 	m.k = int(int32(r.u32()))
@@ -825,10 +795,10 @@ func readMeta(r *ckptReader, what string, version uint16, labelSection func(n in
 	if nShards < 1 || nShards > 1<<20 {
 		r.fail("%s declares %d shards", what, nShards)
 	}
-	if r.err == nil {
+	if raw := r.take(8 * (nShards + 1)); r.err == nil {
 		m.bounds = make([]int, nShards+1)
 		for i := range m.bounds {
-			m.bounds[i] = int(r.u64())
+			m.bounds[i] = int(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
 	}
 	m.n = int(r.u32())
@@ -850,7 +820,7 @@ func readMeta(r *ckptReader, what string, version uint16, labelSection func(n in
 			m.affected[i] = graph.VertexID(binary.LittleEndian.Uint32(raw[4*i:]))
 		}
 	}
-	return m, legacy
+	return m
 }
 
 // encodeCheckpoint serializes a captured state into the full checkpoint
@@ -873,8 +843,7 @@ func encodeCheckpoint(st *ckptState) []byte {
 func decodeCheckpoint(payload []byte) (*ckptState, error) {
 	r := &ckptReader{b: payload}
 	st := &ckptState{}
-	var legacy bool
-	st.ckptMeta, legacy = readMeta(r, "checkpoint", ckptVersion, func(n int) {
+	st.ckptMeta = readMeta(r, "checkpoint", ckptVersion, func(n int) {
 		if raw := r.take(4 * n); r.err == nil {
 			st.labels = make([]int32, n)
 			for i := range st.labels {
@@ -885,12 +854,7 @@ func decodeCheckpoint(payload []byte) (*ckptState, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	var repeated func(u, v graph.VertexID, held, weight int32)
-	if legacy {
-		st.legacy = legacyArcs{}
-		repeated = st.legacy.repeated
-	}
-	w, err := graph.DecodeWeightedBinary(bytes.NewReader(r.b), repeated)
+	w, err := graph.DecodeWeightedBinary(r.b)
 	if err != nil {
 		return nil, err
 	}
@@ -915,7 +879,7 @@ func encodeDeltaCheckpoint(st *ckptState, runs []LabelRun) []byte {
 // its own.
 func decodeDeltaCheckpoint(payload []byte) (m ckptMeta, runs []LabelRun, err error) {
 	r := &ckptReader{b: payload}
-	m, _ = readMeta(r, "delta checkpoint", dckpVersion, func(int) { runs = readRuns(r) })
+	m = readMeta(r, "delta checkpoint", dckpVersion, func(int) { runs = readRuns(r) })
 	if r.err == nil && len(r.b) != 0 {
 		r.fail("delta checkpoint has %d trailing bytes", len(r.b))
 	}

@@ -1,14 +1,14 @@
 package serve
 
-// Golden-bytes tests: the expected values below (and everything under
-// testdata/parent-21e3f19) were captured by running this file's fixtures
-// at commit 21e3f19, before the watch-frame envelope moved to
-// internal/frame, the checkpoint metadata block got one codec, and
-// recovery/follower replay got one entry point. They pin the /v1/watch
-// wire bytes, both checkpoint payload layouts, and — through the
-// checked-in data dirs — the on-disk files a whole quiesced history
-// leaves behind. A diff here means a format changed, which is a
-// compatibility break, not a refactor.
+// Golden-bytes tests: the expected values below were captured by running
+// this file's fixtures at commit 21e3f19, before the watch-frame envelope
+// moved to internal/frame, the checkpoint metadata block got one codec,
+// and recovery/follower replay got one entry point; the checkpoint
+// version became 2 when graph.Weighted became simple. They pin the
+// /v1/watch wire bytes, both checkpoint payload layouts, and — through
+// the checked-in data dir — the on-disk files a whole quiesced history
+// leaves behind and the state recovery reads back from them. A diff here
+// means a format changed, which is a compatibility break, not a refactor.
 
 import (
 	"bytes"
@@ -94,7 +94,7 @@ func goldenCkptState() (*ckptState, []LabelRun) {
 }
 
 // The version is 2 since graph.Weighted became simple; the layout is
-// version 1's, which parentDir holds and recovery still reads.
+// version 1's, which Open refuses (ErrCheckpointVersion).
 const goldenMetaHead = "0200" + // version
 	"0b00000000000000" + "0900000000000000" + "0600000000000000" + "0400000000000000" +
 	"0200000000000000" + "0300000000000000" + "000000000000c03f" + "01" +
@@ -141,23 +141,57 @@ func TestGoldenCheckpointPayloads(t *testing.T) {
 	}
 }
 
-// parentDir is a data dir written at commit 21e3f19 by playParentHistory
-// with NoFinalCheckpoint: a full base checkpoint, two .dckp chain links
-// and a journal tail past the tip, plus the state that commit recovered
-// from it (expect.json).
-const parentDir = "testdata/parent-21e3f19"
+// FuzzCheckpointPayload: neither checkpoint decoder panics on arbitrary
+// bytes, and each codec is canonical — whatever a decoder accepts
+// re-encodes to the same bytes.
+func FuzzCheckpointPayload(f *testing.F) {
+	st, runs := goldenCkptState()
+	full := encodeCheckpoint(st)
+	f.Add(full)
+	f.Add(encodeDeltaCheckpoint(st, runs))
+	v1 := bytes.Clone(full)
+	v1[0] = 1 // version 0100
+	f.Add(v1)
+	var golden bytes.Buffer
+	_ = st.w.EncodeBinary(&golden)
+	meta := full[:len(full)-golden.Len()]
+	for _, graphHex := range []string{
+		// Two vertices whose rows each name the other twice.
+		"0200000000000000" + "0400000000000000" + "0200000000000000" + "0400000000000000" +
+			"02000000" + "0100000001000000" + "0100000001000000" +
+			"02000000" + "0000000001000000" + "0000000001000000",
+		// 2^40 edges over 4 vertices, none of them in the rows.
+		"0400000000000000" + "0000000000020000" + "0000000000010000" + "0000000000000000" +
+			"00000000" + "00000000" + "00000000" + "00000000",
+	} {
+		g, err := hex.DecodeString(graphHex)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(append(bytes.Clone(meta), g...))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if st, err := decodeCheckpoint(b); err == nil {
+			if enc := encodeCheckpoint(st); !bytes.Equal(enc, b) {
+				t.Fatalf("checkpoint re-encodes to\n%x\nnot\n%x", enc, b)
+			}
+		}
+		if m, runs, err := decodeDeltaCheckpoint(b); err == nil {
+			if enc := encodeDeltaCheckpoint(&ckptState{ckptMeta: m}, runs); !bytes.Equal(enc, b) {
+				t.Fatalf("delta checkpoint re-encodes to\n%x\nnot\n%x", enc, b)
+			}
+		}
+	})
+}
 
-// writtenDir is the same history written by the first commit after
-// 5fbc4f6, where graph.Weighted became simple. Every checkpoint carries
-// version 2 (and so another CRC). Step 0 re-adds twoClusters' bridge
-// {0,20}, and the batch after the first resize removes it: the removal now
-// takes the merged edge, weight 4, where it took one of two parallel arcs.
-// So the chain link at seq 9 also carries a total weight 2 lower, the
-// label runs of restabilizations that saw the lighter graph, and the cut
-// and restabilization baseline those labels imply. The journal is
-// byte-identical to parentDir's. Recovery still reads parentDir, replaying
-// its journal as its writer applied it.
-const writtenDir = "testdata/child-5fbc4f6"
+// parentDir is the data dir playParentHistory leaves with
+// NoFinalCheckpoint — a full base checkpoint, two .dckp chain links and a
+// journal tail past the tip — as the first commit after 5fbc4f6 wrote it,
+// when graph.Weighted became simple and checkpoints version 2. Step 0
+// re-adds twoClusters' bridge {0,20}, and the batch after the first resize
+// removes the merged edge, weight 4. expect.json is the state Open at
+// commit f995940 recovered from it.
+const parentDir = "testdata/child-5fbc4f6"
 
 func parentCfg() Config {
 	cfg := durableCfg(2, 4)
@@ -255,12 +289,10 @@ func TestParentDataDir(t *testing.T) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-	parentFiles := dirFiles(t, parentDir)
-
 	// Today's code, playing the same history, must leave the same bytes
 	// on disk as when the labels last changed.
 	t.Run("writes-identical-files", func(t *testing.T) {
-		wantFiles := dirFiles(t, writtenDir)
+		wantFiles := dirFiles(t, parentDir)
 		dir := t.TempDir()
 		w, labels := twoClusters(20)
 		st, err := NewDurable(dir, w, labels, parentCfg())
@@ -282,19 +314,9 @@ func TestParentDataDir(t *testing.T) {
 		}
 	})
 
-	// And it must recover the parent's files to the state the parent did.
+	// And it must recover those files to the state the parent did.
 	t.Run("recovers-parent-state", func(t *testing.T) {
-		dir := t.TempDir()
-		for name, b := range parentFiles {
-			path := filepath.Join(dir, name)
-			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, b, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		st, err := Open(dir, parentCfg())
+		st, err := Open(copyDataDir(t, parentDir), parentCfg())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1587,7 +1587,12 @@ func (s *Store) maybeReleaseQuiescers() {
 		return
 	}
 	s.withBarrier(func() {})
-	if s.shouldRestabilize() {
+	// The barrier may have resolved fast-path batches since this turn's
+	// maybeCheckpoint read the applied count: re-evaluate the cadence on
+	// the settled count, so the checkpoint it calls for is taken before
+	// the next entry can be journaled.
+	s.maybeCheckpoint()
+	if s.d != nil && s.d.pending || s.shouldRestabilize() {
 		return
 	}
 	err := s.Err()

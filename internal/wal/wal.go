@@ -65,11 +65,7 @@
 // graph is graph.Mutation's rule when it is replayed. graph.Weighted keeps
 // one arc per neighbour, so a record that re-adds an existing edge replays
 // to the one arc with the weights summed, and a removal removes that merged
-// edge with all its weight. A journal written while Weighted still kept
-// parallel arcs — re-adding an edge appended an arc, and a removal took one
-// arc of its pair — sits above checkpoints of an older version, which
-// internal/serve tells apart: it replays such a journal as its writer did,
-// or refuses to open the directory.
+// edge with all its weight.
 package wal
 
 import (
