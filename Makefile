@@ -10,6 +10,8 @@
 #   make bench-test  — vet + unit tests of the benchmark module (its own
 #                      go.mod, so tier-1 does not see it)
 #   make bench-quick — every Go micro-benchmark compiles and runs once
+#   make examples-smoke — go run each examples/* program; fails on the first
+#                      non-zero exit (each takes about a second)
 #   make profile-core — CPU and allocation profiles of the LPA loop, from
 #                      scratch and from warm starts (BenchmarkSpinnerIteration,
 #                      BenchmarkPartitionWeighted at partition-scratch's
@@ -28,7 +30,7 @@
 #                      internal/{serve,api,api/client,replica,wal,frame};
 #                      the size figure ROADMAP quotes, not a gate
 
-.PHONY: all check build vet lint test test-race bench bench-test bench-quick profile-core profile-api fuzz loc recovery-smoke overload-smoke replication-smoke changefeed-smoke metrics-smoke
+.PHONY: all check build vet lint test test-race bench bench-test bench-quick examples-smoke profile-core profile-api fuzz loc recovery-smoke overload-smoke replication-smoke changefeed-smoke metrics-smoke
 
 CORE := internal/serve internal/api internal/api/client internal/replica internal/wal internal/frame
 # codelines prints the code lines of the non-test Go files of the package
@@ -68,6 +70,12 @@ bench-test:
 
 bench-quick:
 	go test -run='^$$' -bench=. -benchtime=1x ./...
+
+examples-smoke:
+	@for d in examples/*/; do \
+		echo "== go run ./$$d"; \
+		go run ./$$d > /dev/null || exit 1; \
+	done
 
 profile-core:
 	mkdir -p out

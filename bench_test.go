@@ -176,7 +176,7 @@ func BenchmarkFig9Applications(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (DESIGN.md §5) --------------------------------------
+// --- Ablation benches (core.Options' ablation switches) --------------------
 
 // ablationGraph is shared by the ablation benches. The hub-skewed Twitter
 // analogue is used because the probabilistic-migration ablation only shows

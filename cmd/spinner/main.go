@@ -12,6 +12,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -69,26 +70,28 @@ func run(k int, c, eps float64, window, maxIter int, seed uint64, workers int,
 		return err
 	}
 
+	if resizeFrom > 0 && adaptPath == "" {
+		return fmt.Errorf("-resize requires -adapt PREV with the previous labels")
+	}
+	var prev []int32
+	if adaptPath != "" {
+		// PREV's labels lie in [0, OLDK) for a resize, in [0, k) otherwise.
+		if prev, err = readPrev(adaptPath, g.NumVertices(), cmp.Or(resizeFrom, k)); err != nil {
+			return err
+		}
+	}
+	w := graph.Convert(g)
 	var res *core.Result
 	switch {
-	case adaptPath != "" && resizeFrom > 0:
-		return fmt.Errorf("-adapt and -resize are mutually exclusive on one run; resize reads -adapt as the previous labels")
-	case adaptPath != "":
-		prev, err := readPrev(adaptPath, g.NumVertices(), k)
-		if err != nil {
-			return err
-		}
-		res, err = p.Adapt(graph.Convert(g), prev, nil)
-		if err != nil {
-			return err
-		}
 	case resizeFrom > 0:
-		return fmt.Errorf("-resize requires -adapt PREV with the previous labels")
+		res, err = p.Resize(w, prev, resizeFrom)
+	case prev != nil:
+		res, err = p.Adapt(w, prev, nil)
 	default:
-		res, err = p.Partition(g)
-		if err != nil {
-			return err
-		}
+		res, err = p.PartitionWeighted(w)
+	}
+	if err != nil {
+		return err
 	}
 
 	var out io.Writer = os.Stdout
@@ -104,7 +107,6 @@ func run(k int, c, eps float64, window, maxIter int, seed uint64, workers int,
 		return err
 	}
 	if !quiet {
-		w := graph.Convert(g)
 		fmt.Fprintf(os.Stderr, "%s φ=%.3f ρ=%.3f runtime=%v\n",
 			res, metrics.Phi(w, res.Labels), metrics.Rho(w, res.Labels, k), res.Runtime)
 	}

@@ -106,6 +106,37 @@ func TestRunAdapt(t *testing.T) {
 	}
 }
 
+// TestRunResize: -adapt PREV -resize OLDK reads PREV as OLDK-way labels and
+// adapts them to -k partitions (§III-E).
+func TestRunResize(t *testing.T) {
+	in := writeEdgeList(t)
+	dir := t.TempDir()
+	prev := filepath.Join(dir, "parts2.txt")
+	if err := run(2, 1.05, 0.001, 5, 100, 1, 2, false, in, prev, "", 0, true); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "parts3.txt")
+	if err := run(3, 1.05, 0.001, 5, 100, 1, 2, false, in, out, prev, 2, true); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	labels, err := graph.ReadPartitioning(f, 100, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[int32]bool{}
+	for _, l := range labels {
+		used[l] = true
+	}
+	if !used[2] {
+		t.Fatalf("no vertex moved to the new partition 2: labels use %v", used)
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	in := writeEdgeList(t)
 	if err := run(0, 1.05, 0.001, 5, 100, 1, 2, false, in, "", "", 0, true); err == nil {

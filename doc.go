@@ -161,7 +161,8 @@
 // race detector over every package), `make bench-test` (vet + unit tests
 // of the benchmark module), `make bench-quick` (every micro-benchmark
 // compiled and run once, -benchtime=1x), `make fuzz` (10s on every Fuzz
-// target in the module, found by go test -list), and the daemon smokes,
+// target in the module, found by go test -list), `make examples-smoke`
+// (go run on every examples/ program), and the daemon smokes,
 // starting with `make recovery-smoke` (kill -9 a durable spinnerd
 // mid-churn — additionally simulating a crash during an in-flight
 // background checkpoint — reopen the data dir, assert health and lookup

@@ -26,8 +26,7 @@ func main() {
 		log.Fatal(err)
 	}
 	// Partition converts the directed graph to its weighted undirected form
-	// in-engine (NeighborPropagation/NeighborDiscovery supersteps) and then
-	// runs the iterative label propagation.
+	// (Eq. 3, graph.Convert) and then runs the iterative label propagation.
 	res, err := p.Partition(g)
 	if err != nil {
 		log.Fatal(err)

@@ -12,8 +12,8 @@ import (
 
 // golden is one run's fingerprint: the hash of its labels (FNV-64a over
 // the little-endian labels), its iteration count, and Result.Messages —
-// migration announcements only, plus, for Partition, the conversion
-// announcements. The count moves first when a tie or a migration differs.
+// migration announcements, the only messages a run sends. The count moves
+// first when a tie or a migration differs.
 type golden struct {
 	hash       uint64
 	iterations int
@@ -35,33 +35,34 @@ func hashLabels(labels []int32) uint64 {
 // visited, so that change moved every entry, deliberately; CHANGES.md lists
 // the entries before and after with φ, ρ and iterations. Every entry must
 // now repeat exactly: a performance change to core or pregel leaves this
-// table untouched. Partition loads a graph as graph.Convert does, so each
-// Partition entry has its weighted twin's labels. AffectedOnly is absent on
-// purpose: TestAffectedOnlyRestricts covers it. The adapt entries' message
-// counts fell when graph.Weighted became simple (the change after
-// 5fbc4f6): the growth batch re-adds pairs, whose weight now sits on one
-// arc, so a migrating vertex announces it once; labels and iterations held.
+// table untouched. Partition is graph.Convert then PartitionWeighted, so it
+// has no entries of its own: it must repeat its weighted twin exactly.
+// AffectedOnly is absent on purpose: TestAffectedOnlyRestricts covers it.
+// The adapt entries' message counts fell when graph.Weighted became simple
+// (the change after 5fbc4f6): the growth batch re-adds pairs, whose weight
+// now sits on one arc, so a migrating vertex announces it once; labels and
+// iterations held. ws/ignore-edge-weights was re-recorded when the option's
+// loads b(l) became arc counts too (the change after 025fba4): 19 of the WS
+// graph's edges weigh 2, and the loads had still summed their weights.
+// ba/ignore-edge-weights held: no BA arc is reciprocal, so every edge
+// weighs 1 and the count is the weight.
 var goldenLabels = map[string]golden{
-	"ws/w1/partition":               {0x66a2bed499824b71, 48, 74041},
 	"ws/w1/weighted":                {0x66a2bed499824b71, 48, 58055},
 	"ws/w1/adapt":                   {0xfd1ec95fca259f56, 13, 8387},
 	"ws/w1/resize-8-10":             {0x40d70c82876535ef, 23, 23604},
 	"ws/w1/resize-8-6":              {0x6afa253d438825c1, 19, 16125},
-	"ws/w4/partition":               {0xf3c2a22180a4c6d1, 38, 64071},
 	"ws/w4/weighted":                {0xf3c2a22180a4c6d1, 38, 48085},
 	"ws/w4/adapt":                   {0xc5b5f813a44f8ab7, 14, 8706},
 	"ws/w4/resize-8-10":             {0x89a1c5f022384a05, 32, 29104},
 	"ws/w4/resize-8-6":              {0x8e5d652a989f4291, 21, 20514},
-	"ws/ignore-edge-weights":        {0x2450dce705d51e55, 56, 62659},
+	"ws/ignore-edge-weights":        {0xb1772598fdac07c7, 42, 49127},
 	"ws/random-tie-break":           {0x71ce23b0471bae60, 47, 53904},
 	"ws/disable-async-worker-state": {0x339100138668e971, 40, 53870},
 	"ws/capacity-fractions":         {0x39e089be962e0163, 36, 46414},
-	"ba/w1/partition":               {0x96ec8c437e1bf646, 58, 134346},
 	"ba/w1/weighted":                {0x96ec8c437e1bf646, 58, 114445},
 	"ba/w1/adapt":                   {0xdabc817c319c7760, 23, 46104},
 	"ba/w1/resize-8-10":             {0x8ccba2700480b47a, 29, 58073},
 	"ba/w1/resize-8-6":              {0x664aff19a0321c2, 20, 38860},
-	"ba/w4/partition":               {0xdb4c29c0950b377, 54, 127470},
 	"ba/w4/weighted":                {0xdb4c29c0950b377, 54, 107569},
 	"ba/w4/adapt":                   {0x3fc7300911ba0b07, 37, 73272},
 	"ba/w4/resize-8-10":             {0xe5af9f16834125cb, 37, 73979},
@@ -70,18 +71,6 @@ var goldenLabels = map[string]golden{
 	"ba/random-tie-break":           {0xe12660dd42e015f3, 56, 112078},
 	"ba/disable-async-worker-state": {0xb4a91b535abad093, 47, 97227},
 	"ba/capacity-fractions":         {0x11bef916f9722335, 55, 104556},
-}
-
-// distinctArcs counts g's arcs without repeats and self-loops: what
-// Partition's NeighborPropagation superstep announces.
-func distinctArcs(g *graph.Graph) int64 {
-	has := map[[2]graph.VertexID]bool{}
-	g.Edges(func(u, v graph.VertexID) {
-		if u != v {
-			has[[2]graph.VertexID{u, v}] = true
-		}
-	})
-	return int64(len(has))
 }
 
 // TestGoldenLabels pins the labels of every entry point and every scoring
@@ -126,14 +115,15 @@ func TestGoldenLabels(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			pre := fmt.Sprintf("%s/w%d/", ng.name, workers)
 			p := part(k, workers, nil)
-			converted, err := p.Partition(ng.g) // directed input: conversion supersteps
-			record(pre+"partition", converted, err)
 			res, err := p.PartitionWeighted(w)
 			base := record(pre+"weighted", res, err)
-			// The same labels, so the same migrations: the runs differ by the
-			// conversion announcements alone.
-			if d := converted.Messages - base.Messages; d != distinctArcs(ng.g) {
-				t.Errorf("%s: Partition sent %d messages more than PartitionWeighted, g has %d distinct arcs", pre, d, distinctArcs(ng.g))
+			direct, err := p.Partition(ng.g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h := hashLabels(direct.Labels); h != hashLabels(base.Labels) || direct.Iterations != base.Iterations || direct.Messages != base.Messages {
+				t.Errorf("%s: Partition gave %#x after %d iterations and %d messages, its weighted twin %#x after %d and %d",
+					pre, h, direct.Iterations, direct.Messages, hashLabels(base.Labels), base.Iterations, base.Messages)
 			}
 
 			grown := w.Clone()

@@ -45,7 +45,7 @@ func runChecked(t *testing.T, what string, opts Options, prog *program, vs []ver
 	cfg := pregel.Config{
 		NumWorkers:    opts.NumWorkers,
 		Seed:          opts.Seed,
-		MaxSupersteps: 3 + 2*opts.MaxIterations + 2,
+		MaxSupersteps: maxSupersteps(opts.MaxIterations),
 		AfterSuperstep: func(step int) {
 			// The master has already advanced the phase: ComputeMigrations
 			// next means ComputeScores just ran — unless the iteration's
@@ -98,10 +98,10 @@ func runChecked(t *testing.T, what string, opts Options, prog *program, vs []ver
 
 // TestHistogramMatchesEdgeScanProperty: on random graphs (hubs above k, k
 // above every degree, pairs the churn batch re-adds), from every entry
-// point (conversion supersteps, weighted, a churned and grown graph, a
-// resize either way) and under random option mixes, the histogram that the
-// migration announcements maintain equals a scan of every arc over the
-// labels after every ComputeScores superstep. Seeds 1–40 draw k below 26;
+// point (from scratch, a churned and grown graph, a resize either way) and
+// under random option mixes, the histogram that the migration announcements
+// maintain equals a scan of every arc over the labels after every
+// ComputeScores superstep. Seeds 1–40 draw k below 26;
 // the fixed cases after them run k = 63, 64, 65 and 130 at 1 and 4 workers,
 // so a label bitmap spans one, two and three words.
 func TestHistogramMatchesEdgeScanProperty(t *testing.T) {
@@ -123,7 +123,7 @@ func TestHistogramMatchesEdgeScanProperty(t *testing.T) {
 		case 1:
 			g, gname = gen.BarabasiAlbert(n, 2+s.Intn(8), seed), "ba"
 		default:
-			g, gname = gen.WattsStrogatz(n, 2+s.Intn(10), 0.5, seed), "ws" // rewiring repeats arcs, which Partition's load drops
+			g, gname = gen.WattsStrogatz(n, 2+s.Intn(10), 0.5, seed), "ws" // rewiring repeats arcs, which Convert merges
 		}
 		k := 2 + s.Intn(24)
 		opts := DefaultOptions(k)
@@ -149,7 +149,6 @@ func TestHistogramMatchesEdgeScanProperty(t *testing.T) {
 		}
 		what := fmt.Sprintf("seed %d %s n=%d k=%d %+v", seed, gname, n, k, opts)
 
-		// From scratch, with and without the conversion supersteps.
 		check := func(what string, opts Options, prog *program, vs []vertex) {
 			checked, boundary := runChecked(t, what, opts, prog, vs)
 			total += checked
@@ -157,9 +156,10 @@ func TestHistogramMatchesEdgeScanProperty(t *testing.T) {
 				wide += boundary
 			}
 		}
-		check(what+" Partition", opts, newProgram(opts, true, n, nil, nil), verticesFromGraph(g))
+
+		// From scratch.
 		w := graph.Convert(g)
-		base := newProgram(opts, false, n, nil, nil)
+		base := newProgram(opts, n, nil, nil)
 		vs := verticesOn(w)
 		check(what+" PartitionWeighted", opts, base, vs)
 		prev := base.labels
@@ -198,7 +198,7 @@ func TestHistogramMatchesEdgeScanProperty(t *testing.T) {
 				mask[v] = true
 			}
 		}
-		check(what+" Adapt", opts, newProgram(opts, false, len(init), init, mask), verticesOn(grown))
+		check(what+" Adapt", opts, newProgram(opts, len(init), init, mask), verticesOn(grown))
 
 		// Resize up or down.
 		newK := max(1, k+s.Intn(7)-3)
@@ -209,7 +209,7 @@ func TestHistogramMatchesEdgeScanProperty(t *testing.T) {
 		ropts := opts
 		ropts.K = newK
 		ropts.CapacityFractions = nil // sized for k
-		check(what+" Resize", ropts, newProgram(ropts, false, n, relabeled, nil), verticesOn(w))
+		check(what+" Resize", ropts, newProgram(ropts, n, relabeled, nil), verticesOn(w))
 		if t.Failed() {
 			return
 		}

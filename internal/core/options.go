@@ -74,14 +74,15 @@
 // shifting the bars between the two once when it does both.
 //
 // Rows are read in place and never written. With no per-arc state, a
-// vertex's arcs are graph.WeightedArc, so PartitionWeighted, Adapt and
-// Resize hand the engine the graph's rows by reference and allocate no arc
-// storage; the graph must not change until the run returns. Partition's
-// in-engine conversion is the one phase that writes arcs (NeighborDiscovery
-// raises weights and appends reverse arcs), in an arena of its own that it
-// loads with each row sorted and its repeated arcs dropped, as Convert
-// drops them, so Partition(g) and PartitionWeighted(Convert(g)) produce the
-// same labels.
+// vertex's arcs are graph.WeightedArc, so every run hands the engine the
+// graph's rows by reference and allocates no arc storage; the graph must
+// not change until the run returns. A directed graph is converted to Eq. 3's
+// weighted undirected graph before the engine starts, by graph.Convert, the
+// one conversion the store, the journal and every caller share: Partition(g)
+// is PartitionWeighted(Convert(g)). Fig. 2 of the paper converts in two
+// Pregel supersteps instead, NeighborPropagation and NeighborDiscovery,
+// because a Giraph worker holds only out-edges; an engine that holds the
+// whole graph needs neither.
 //
 // TestHistogramMatchesEdgeScanProperty compares every histogram with a
 // fresh scan of every arc over the labels after every ComputeScores
@@ -138,7 +139,7 @@ type Options struct {
 	CapacityFractions []float64
 
 	// Ablation switches (all default false = paper behaviour). These exist
-	// for the ablation benchmarks called out in DESIGN.md §5.
+	// for the ablation benchmarks (BenchmarkAblation* in the root package).
 
 	// DisableAsyncWorkerState turns off the per-worker asynchronous load
 	// view of §IV-A4; vertices then score against the barrier-synchronized
@@ -148,8 +149,10 @@ type Options struct {
 	// (Eq. 14): every candidate migrates. Demonstrates the ρ blow-up the
 	// ComputeMigrations step prevents.
 	UnboundedMigration bool
-	// IgnoreEdgeWeights scores every edge as weight 1, discarding the
-	// directed-multiplicity weighting of Eq. 3.
+	// IgnoreEdgeWeights treats every edge as weight 1, discarding the
+	// directed-multiplicity weighting of Eq. 3: in the histogram, the
+	// degree that normalises the score, and the loads b(l) and capacities,
+	// so a run is the run on the same graph with unit weights.
 	IgnoreEdgeWeights bool
 	// RandomTieBreak breaks score ties uniformly at random instead of
 	// preferring the current label, increasing needless migrations.

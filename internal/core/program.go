@@ -13,11 +13,9 @@ import (
 // Algorithm phases (Fig. 2 of the paper). Each phase maps onto one or more
 // Pregel supersteps; the master advances the phase between supersteps.
 const (
-	phaseNeighborPropagation = iota // directed graph: announce ID to out-neighbors
-	phaseNeighborDiscovery          // create reverse edges / weight-2 reciprocal edges
-	phaseInitialization             // label assignment + load aggregation
-	phaseComputeScores              // pick candidate label maximizing Eq. 8
-	phaseComputeMigrations          // probabilistic migration (Eq. 14)
+	phaseInitialization    = iota // label assignment + load aggregation
+	phaseComputeScores            // pick candidate label maximizing Eq. 8
+	phaseComputeMigrations        // probabilistic migration (Eq. 14)
 )
 
 // vval is the per-vertex state. The vertex's label is not in it: labels
@@ -28,7 +26,7 @@ type vval struct {
 	// announcements; capacity min(deg, k).
 	hist  []bar
 	held  []uint64 // the labels hist has a bar for, a bitmap of ⌈k/64⌉ words (see rank)
-	degW  float64  // weighted degree, fixed at Initialization
+	degW  float64  // weighted degree as the bars count it, fixed at Initialization
 	cand  int32    // candidate label for this iteration, -1 if none
 	dirty bool     // AffectedOnly: may evaluate migration
 }
@@ -39,13 +37,11 @@ type bar struct {
 	weight int64 // Σ weight of the arcs to neighbours carrying label (their count under IgnoreEdgeWeights)
 }
 
-// msg is what a vertex sends along an arc. In an LPA iteration it announces
-// a migration: the sender left label old for label new, and w is the arc's
+// msg is the one message the program sends: a migration announcement along
+// an arc. The sender left label old for label new, and w is the arc's
 // weight as a bar counts it (1 under IgnoreEdgeWeights) — rows mirror each
 // other, so that is what the receiver moves from bar old to bar new, with no
-// arc lookup. Starting labels are never sent (computeScores reads them). In
-// the conversion supersteps a message announces the sender, whose ID
-// travels in old.
+// arc lookup. Starting labels are never sent (computeScores reads them).
 type msg struct {
 	old, new, w int32
 }
@@ -96,7 +92,6 @@ func carve[T any](arena *[]T, n int) []T {
 type program struct {
 	opts     Options
 	k        int
-	convert  bool   // run NeighborPropagation/Discovery first
 	affected []bool // AffectedOnly: initially-dirty vertices (nil → all dirty)
 
 	// labels is the one home of every vertex's label, indexed by vertex ID.
@@ -139,16 +134,11 @@ type program struct {
 // labels of a warm start and becomes the run's label array (the program
 // owns it from here on); nil means a from-scratch run, whose Initialization
 // superstep draws them uniformly at random.
-func newProgram(opts Options, convert bool, n int, start []int32, affected []bool) *program {
-	p := &program{opts: opts, k: opts.K, convert: convert, affected: affected,
+func newProgram(opts Options, n int, start []int32, affected []bool) *program {
+	p := &program{opts: opts, k: opts.K, affected: affected,
 		labels: start, seeded: start != nil, probs: make([]float64, opts.K)}
 	if !p.seeded {
 		p.labels = make([]int32, n)
-	}
-	if convert {
-		p.phase = phaseNeighborPropagation
-	} else {
-		p.phase = phaseInitialization
 	}
 	return p
 }
@@ -180,10 +170,6 @@ func (p *program) InitWorker(workerID, numWorkers int) any {
 // Compute implements pregel.Program.
 func (p *program) Compute(ctx *computeCtx, v *vertex, msgs []msg) {
 	switch p.phase {
-	case phaseNeighborPropagation:
-		p.neighborPropagation(ctx, v)
-	case phaseNeighborDiscovery:
-		p.neighborDiscovery(ctx, v, msgs)
 	case phaseInitialization:
 		p.initialize(ctx, v)
 	case phaseComputeScores:
@@ -193,48 +179,16 @@ func (p *program) Compute(ctx *computeCtx, v *vertex, msgs []msg) {
 	}
 }
 
-// neighborPropagation: every vertex announces its ID along its out-edges so
-// the reverse direction can be discovered (the Pregel data model only
-// stores out-edges).
-func (p *program) neighborPropagation(ctx *computeCtx, v *vertex) {
-	for _, a := range v.Edges {
-		ctx.SendTo(a.To, msg{old: int32(v.ID)})
-	}
-	ctx.CountEdges(len(v.Edges))
-}
-
-// neighborDiscovery: for each received announcement, either bump an
-// existing reciprocal edge to weight 2 (Eq. 3, AND case) or create the
-// missing reverse edge with weight 1 (XOR case).
-func (p *program) neighborDiscovery(ctx *computeCtx, v *vertex, msgs []msg) {
-	for _, m := range msgs {
-		src := graph.VertexID(m.old)
-		found := false
-		for i := range v.Edges {
-			if v.Edges[i].To == src {
-				if !p.opts.IgnoreEdgeWeights {
-					v.Edges[i].Weight = 2
-				}
-				found = true
-				break
-			}
-		}
-		if !found {
-			v.Edges = append(v.Edges, graph.WeightedArc{To: src, Weight: 1})
-		}
-	}
-	ctx.CountEdges(len(msgs))
-}
-
 // initialize: settle the starting label in the vertex's slot of p.labels
 // (a warm start seeded it; a from-scratch run draws it here), cache the
-// weighted degree and contribute it to the load counters. Nothing is sent:
-// the neighbours read the slot in iteration 1, after this superstep's
+// weighted degree — the weights the bars count, so its arc count under
+// IgnoreEdgeWeights — and contribute it to the load counters. Nothing is
+// sent: the neighbours read the slot in iteration 1, after this superstep's
 // barrier.
 func (p *program) initialize(ctx *computeCtx, v *vertex) {
 	var degW float64
 	for _, a := range v.Edges {
-		degW += float64(a.Weight)
+		degW += float64(p.arcWeight(a))
 	}
 	if !p.seeded {
 		p.labels[v.ID] = ctx.Rand().Int31n(int32(p.k))
@@ -378,13 +332,9 @@ func (p *program) computeScores(ctx *computeCtx, v *vertex, msgs []msg) {
 	// When degW is zero the locality term is defined as 0 and only the
 	// penalty drives the choice, sending isolated vertices toward the
 	// least-loaded partition.
-	normDeg := degW
-	if p.opts.IgnoreEdgeWeights {
-		normDeg = float64(len(v.Edges))
-	}
 	penalty := ws.penalty
 
-	curScore := labelScore(penalty[cur], curW, normDeg)
+	curScore := labelScore(penalty[cur], curW, degW)
 	ctx.Aggregate(p.aggScore, 0, curScore)
 	ctx.Aggregate(p.aggLocalW, 0, curW)
 
@@ -408,7 +358,7 @@ func (p *program) computeScores(ctx *computeCtx, v *vertex, msgs []msg) {
 		if l == cur {
 			continue
 		}
-		s := labelScore(penalty[l], float64(hist[i].weight), normDeg)
+		s := labelScore(penalty[l], float64(hist[i].weight), degW)
 		switch {
 		case s > bestScore+tieEps:
 			best, bestScore, ties = l, s, 1
@@ -438,9 +388,9 @@ func (p *program) computeScores(ctx *computeCtx, v *vertex, msgs []msg) {
 
 // labelScore evaluates score”(v, l) (Eq. 8) from the penalty of l and the
 // weight w of v's edges to l.
-func labelScore(penalty, w, normDeg float64) float64 {
-	if normDeg > 0 {
-		return penalty + w/normDeg
+func labelScore(penalty, w, degW float64) float64 {
+	if degW > 0 {
+		return penalty + w/degW
 	}
 	return penalty
 }
@@ -484,12 +434,6 @@ func (p *program) computeMigrations(ctx *computeCtx, v *vertex) {
 // metrics, and applies the (ε, w) halting heuristic.
 func (p *program) MasterCompute(m *pregel.Master) {
 	switch p.phase {
-	case phaseNeighborPropagation:
-		p.phase = phaseNeighborDiscovery
-
-	case phaseNeighborDiscovery:
-		p.phase = phaseInitialization
-
 	case phaseInitialization:
 		p.totalLoad = m.Agg(p.aggTotal)[0]
 		if p.totalLoad == 0 {

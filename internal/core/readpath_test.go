@@ -19,7 +19,7 @@ func runProbed(t *testing.T, opts Options, prog *program, vs []vertex, probe fun
 	eng = pregel.NewEngine[vval, graph.WeightedArc, msg](pregel.Config{
 		NumWorkers:     opts.NumWorkers,
 		Seed:           opts.Seed,
-		MaxSupersteps:  3 + 2*opts.MaxIterations + 2,
+		MaxSupersteps:  maxSupersteps(opts.MaxIterations),
 		AfterSuperstep: func(step int) { probe(eng, step) },
 	}, prog)
 	prog.register(eng)
@@ -64,7 +64,7 @@ func TestReAddedEdgesReachTheHistogram(t *testing.T) {
 		if err := opts.normalize(); err != nil {
 			t.Fatal(err)
 		}
-		prog := newProgram(opts, false, n, nil, nil)
+		prog := newProgram(opts, n, nil, nil)
 		merged, supersteps := 0, 0
 		runProbed(t, opts, prog, verticesOn(reAddedEdgeGraph(n)), func(eng *engine, step int) {
 			// The master has already advanced the phase: ComputeMigrations
@@ -108,13 +108,12 @@ func TestReAddedEdgesReachTheHistogram(t *testing.T) {
 // ComputeScores receives nothing, yet after it every vertex's histogram is
 // the scan of its arcs over its neighbours' starting labels; and every
 // message of the run is a migration announcement, so each ComputeMigrations
-// superstep sends exactly the degrees of the vertices that moved in it. From outside: Result.Messages of
-// a warm start is that sum, and the caller's previous labels are not the
-// run's array.
+// superstep sends exactly the degrees of the vertices that moved in it. From
+// outside: Result.Messages of a warm start is that sum, and the caller's
+// previous labels are not the run's array.
 func TestInitialLabelsAreReadNotSent(t *testing.T) {
 	const n, k = 2000, 8
-	g := gen.WattsStrogatz(n, 8, 0.3, 7) // rewiring repeats arcs, which Partition drops
-	w := graph.Convert(g)
+	w := graph.Convert(gen.WattsStrogatz(n, 8, 0.3, 7))
 	for _, workers := range []int{1, 2, 4} {
 		opts := DefaultOptions(k)
 		opts.Seed = 42
@@ -122,54 +121,49 @@ func TestInitialLabelsAreReadNotSent(t *testing.T) {
 		if err := opts.normalize(); err != nil {
 			t.Fatal(err)
 		}
-		for name, convert := range map[string]bool{"Partition": true, "PartitionWeighted": false} {
-			prog, vs := newProgram(opts, convert, n, nil, nil), verticesOn(w)
-			if convert {
-				vs = verticesFromGraph(g)
-			}
-			var before []int32 // the labels before the current iteration's migrations
-			var announced int64
-			iterations, histograms := 0, 0
-			runProbed(t, opts, prog, vs, func(eng *engine, step int) {
-				st := &eng.Stats()[step]
-				switch {
-				case before == nil && prog.phase == phaseComputeScores: // Initialization just ran
-					var received int64
-					for _, r := range st.Received {
-						received += r
-					}
-					if st.TotalSent() != 0 || received != 0 {
-						t.Fatalf("%s workers=%d: Initialization sent %d messages, %d delivered to iteration 1", name, workers, st.TotalSent(), received)
-					}
-					before = slices.Clone(prog.labels)
-				case len(prog.history) > iterations: // a ComputeMigrations just ran
-					iterations = len(prog.history)
-					var want int64
-					for v, l := range prog.labels {
-						if l != before[v] {
-							want += int64(len(eng.Vertices()[v].Edges))
-						}
-					}
-					if st.TotalSent() != want {
-						t.Fatalf("%s workers=%d iteration %d: %d messages sent, the migrated vertices have %d arcs",
-							name, workers, iterations, st.TotalSent(), want)
-					}
-					announced += want
-					copy(before, prog.labels)
-				case prog.iter == 1: // the first ComputeScores just ran
-					for _, v := range eng.Vertices() {
-						histograms++
-						if want := scanHistogram(v.Edges, before, false); !slices.Equal(v.Value.hist, want) {
-							t.Fatalf("%s workers=%d: vertex %d read the histogram %v, its neighbours start at %v",
-								name, workers, v.ID, v.Value.hist, want)
-						}
+		prog := newProgram(opts, n, nil, nil)
+		var before []int32 // the labels before the current iteration's migrations
+		var announced int64
+		iterations, histograms := 0, 0
+		runProbed(t, opts, prog, verticesOn(w), func(eng *engine, step int) {
+			st := &eng.Stats()[step]
+			switch {
+			case before == nil && prog.phase == phaseComputeScores: // Initialization just ran
+				var received int64
+				for _, r := range st.Received {
+					received += r
+				}
+				if st.TotalSent() != 0 || received != 0 {
+					t.Fatalf("workers=%d: Initialization sent %d messages, %d delivered to iteration 1", workers, st.TotalSent(), received)
+				}
+				before = slices.Clone(prog.labels)
+			case len(prog.history) > iterations: // a ComputeMigrations just ran
+				iterations = len(prog.history)
+				var want int64
+				for v, l := range prog.labels {
+					if l != before[v] {
+						want += int64(len(eng.Vertices()[v].Edges))
 					}
 				}
-			})
-			if announced == 0 || iterations < 5 || histograms != n {
-				t.Fatalf("%s workers=%d: %d announcements over %d iterations, %d histograms checked; the probe saw no run",
-					name, workers, announced, iterations, histograms)
+				if st.TotalSent() != want {
+					t.Fatalf("workers=%d iteration %d: %d messages sent, the migrated vertices have %d arcs",
+						workers, iterations, st.TotalSent(), want)
+				}
+				announced += want
+				copy(before, prog.labels)
+			case prog.iter == 1: // the first ComputeScores just ran
+				for _, v := range eng.Vertices() {
+					histograms++
+					if want := scanHistogram(v.Edges, before, false); !slices.Equal(v.Value.hist, want) {
+						t.Fatalf("workers=%d: vertex %d read the histogram %v, its neighbours start at %v",
+							workers, v.ID, v.Value.hist, want)
+					}
+				}
 			}
+		})
+		if announced == 0 || iterations < 5 || histograms != n {
+			t.Fatalf("workers=%d: %d announcements over %d iterations, %d histograms checked; the probe saw no run",
+				workers, announced, iterations, histograms)
 		}
 
 		// Warm starts through the public API.

@@ -40,25 +40,26 @@ type Result struct {
 	Converged bool
 	// History holds per-iteration metrics (Fig. 4 curves).
 	History []IterationMetrics
-	// Supersteps is the total number of Pregel supersteps, including
-	// conversion and initialization. The Initialization superstep sends no
-	// messages: the first iteration reads its neighbours' starting labels
-	// from the run's label array, memory an in-process engine shares (a
-	// distributed Pregel would spend that superstep's messages on them).
+	// Supersteps is the total number of Pregel supersteps: the
+	// Initialization superstep, then two per LPA iteration. Initialization
+	// sends no messages: the first iteration reads its neighbours' starting
+	// labels from the run's label array, memory an in-process engine shares
+	// (a distributed Pregel would spend that superstep's messages on them).
 	Supersteps int
 	// Messages is the total number of Pregel messages exchanged: one per
-	// arc of every vertex that changed label, in the iteration it did so
-	// (plus, for Partition, the conversion announcements). Starting labels
-	// are read, not sent, so a run in which nothing moves reports 0. The
-	// incremental-adaptation experiments (Fig. 7a) report savings in this
-	// quantity as the network-load proxy: savings over what actually moves.
+	// arc of every vertex that changed label, in the iteration it did so.
+	// Starting labels are read, not sent, so a run in which nothing moves
+	// reports 0. The incremental-adaptation experiments (Fig. 7a) report
+	// savings in this quantity as the network-load proxy: savings over what
+	// actually moves.
 	Messages int64
-	// Runtime is the wall-clock partitioning time.
+	// Runtime is the wall-clock time of the engine run. For Partition it
+	// does not include graph.Convert.
 	Runtime time.Duration
 	// SuperstepDurations holds the wall-clock time of each Pregel
-	// superstep, in order (conversion and initialization steps included).
-	// The scalability experiments (Fig. 6) report the first LPA iteration:
-	// the first ComputeScores + ComputeMigrations pair.
+	// superstep, in order, Initialization first. The scalability
+	// experiments (Fig. 6) report the first LPA iteration: the first
+	// ComputeScores + ComputeMigrations pair.
 	SuperstepDurations []time.Duration
 }
 

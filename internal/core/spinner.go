@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -28,21 +27,19 @@ func NewPartitioner(opts Options) (*Partitioner, error) {
 // Options returns the normalized options in effect.
 func (p *Partitioner) Options() Options { return p.opts }
 
-// Partition partitions g from scratch. Directed graphs are first converted
-// to the weighted undirected form with the in-engine NeighborPropagation /
-// NeighborDiscovery supersteps (Eq. 3). Eq. 3 is defined over a simple
-// graph, so repeated arcs and self-loops of g are dropped as it is loaded,
-// as graph.Convert drops them: Partition(g) and PartitionWeighted(Convert(g))
-// produce the same labels.
+// Partition partitions g from scratch: it converts g to the weighted
+// undirected graph of Eq. 3 with graph.Convert, which drops repeated arcs
+// and self-loops, and partitions that with PartitionWeighted. The package
+// doc says why the conversion runs before the engine, not in it (Fig. 2).
 func (p *Partitioner) Partition(g *graph.Graph) (*Result, error) {
-	return p.run(newProgram(p.opts, true, g.NumVertices(), nil, nil), verticesFromGraph(g))
+	return p.PartitionWeighted(graph.Convert(g))
 }
 
-// PartitionWeighted partitions an already-converted weighted undirected
-// graph from scratch, skipping the conversion supersteps. The run reads w's
-// rows in place and never writes them; w must not change until it returns.
+// PartitionWeighted partitions a weighted undirected graph from scratch.
+// The run reads w's rows in place and never writes them; w must not change
+// until it returns.
 func (p *Partitioner) PartitionWeighted(w *graph.Weighted) (*Result, error) {
-	return p.run(newProgram(p.opts, false, w.NumVertices(), nil, nil), verticesOn(w))
+	return p.run(newProgram(p.opts, w.NumVertices(), nil, nil), verticesOn(w))
 }
 
 // Adapt incrementally repartitions w after graph changes (§III-D). prev
@@ -78,7 +75,7 @@ func (p *Partitioner) Adapt(w *graph.Weighted, prev []int32, affected []graph.Ve
 			}
 		}
 	}
-	return p.run(newProgram(p.opts, false, n, init, mask), verticesOn(w))
+	return p.run(newProgram(p.opts, n, init, mask), verticesOn(w))
 }
 
 // Resize adapts a partitioning from oldK partitions to Options.K
@@ -97,8 +94,13 @@ func (p *Partitioner) Resize(w *graph.Weighted, prev []int32, oldK int) (*Result
 	if err != nil {
 		return nil, err
 	}
-	return p.run(newProgram(p.opts, false, len(init), init, nil), verticesOn(w))
+	return p.run(newProgram(p.opts, len(init), init, nil), verticesOn(w))
 }
+
+// maxSupersteps is the length of a run that reaches maxIterations: one
+// Initialization superstep, then a ComputeScores and a ComputeMigrations
+// superstep per LPA iteration.
+func maxSupersteps(maxIterations int) int { return 1 + 2*maxIterations }
 
 // run drives the Pregel engine and packages the Result.
 func (p *Partitioner) run(prog *program, vs []vertex) (*Result, error) {
@@ -106,7 +108,7 @@ func (p *Partitioner) run(prog *program, vs []vertex) (*Result, error) {
 	cfg := pregel.Config{
 		NumWorkers:    p.opts.NumWorkers,
 		Seed:          p.opts.Seed,
-		MaxSupersteps: 3 + 2*p.opts.MaxIterations + 2,
+		MaxSupersteps: maxSupersteps(p.opts.MaxIterations),
 	}
 	if hook := p.opts.IterationSnapshot; hook != nil {
 		// An LPA iteration completes when the master appends its metrics
@@ -149,45 +151,9 @@ func (p *Partitioner) run(prog *program, vs []vertex) (*Result, error) {
 	}, nil
 }
 
-// verticesFromGraph loads a (possibly directed) graph as weight-1 arcs,
-// each row sorted by target with repeated arcs and self-loops dropped; the
-// conversion supersteps then fix up weights and reverse arcs.
-func verticesFromGraph(g *graph.Graph) []vertex {
-	n := g.NumVertices()
-	vs := make([]vertex, n)
-	// All rows live in one flat arena, each vertex owning a capacity-clamped
-	// window with 2× headroom so NeighborDiscovery can append reverse arcs in
-	// place; a vertex whose in-degree outruns the headroom copies out of the
-	// arena on growth, which is safe because the windows cannot overlap.
-	var totalDeg int
-	for i := 0; i < n; i++ {
-		totalDeg += g.OutDegree(graph.VertexID(i))
-	}
-	arena := make([]graph.WeightedArc, 0, 2*totalDeg)
-	off := 0
-	for i := range vs {
-		vs[i].ID = graph.VertexID(i)
-		nbrs := g.Neighbors(graph.VertexID(i))
-		window := 2 * len(nbrs)
-		es := arena[off : off : off+window]
-		off += window
-		for _, to := range nbrs {
-			if to != graph.VertexID(i) {
-				es = append(es, graph.WeightedArc{To: to, Weight: 1})
-			}
-		}
-		slices.SortFunc(es, func(a, b graph.WeightedArc) int { return cmp.Compare(a.To, b.To) })
-		vs[i].Edges = slices.CompactFunc(es, func(a, b graph.WeightedArc) bool { return a.To == b.To })
-	}
-	// Undirected graphs store both directions, so NeighborDiscovery sees a
-	// reciprocal announcement for every edge and assigns weight 2, matching
-	// the paper's message-count semantics without special-casing here.
-	return vs
-}
-
 // verticesOn hands the engine w's rows by reference: a vertex's arcs are
-// its row of w. No program phase that runs on a converted graph writes an
-// arc, so the run costs no per-arc storage of its own.
+// its row of w. No program phase writes an arc, so the run costs no per-arc
+// storage of its own.
 func verticesOn(w *graph.Weighted) []vertex {
 	vs := make([]vertex, w.NumVertices())
 	for i := range vs {

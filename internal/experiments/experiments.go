@@ -5,8 +5,7 @@
 // (who wins, by roughly what factor) and writes a human-readable rendition
 // to the configured writer.
 //
-// The mapping from experiment to modules is indexed in DESIGN.md §3;
-// paper-vs-measured numbers are recorded in EXPERIMENTS.md.
+// cmd/experiments runs one experiment by name (-exp table4, -exp fig4, …).
 package experiments
 
 import (

@@ -2,7 +2,7 @@
 // reproduction in place of the paper's proprietary datasets (Table II:
 // LiveJournal, Tuenti, Google+, Twitter, Friendster, Yahoo!).
 //
-// The substitution rationale (documented per generator and in DESIGN.md):
+// The substitution rationale (documented per generator below):
 // Spinner's behaviour depends on the topology *class* — small-world
 // clustering, heavy-tailed hub skew, community structure, directedness —
 // not on dataset identity. The paper itself uses Watts–Strogatz graphs for

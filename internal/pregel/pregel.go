@@ -8,7 +8,8 @@
 //   - a vertex-centric Compute function with vote-to-halt semantics and
 //     reactivation on message receipt;
 //   - out-arcs of a type each program chooses, which the owning vertex may
-//     mutate (Spinner's NeighborDiscovery step creates reverse edges);
+//     mutate when the program owns them (Spinner does not: it reads a
+//     graph.Weighted's rows in place);
 //   - sharded aggregators: commutative/associative reductions accumulated
 //     per worker and merged at the barrier, with optional persistence
 //     across supersteps (Giraph's persistent aggregators, which Spinner
@@ -81,9 +82,9 @@ type VertexID = graph.VertexID
 // hands them to Compute. A bare target (VertexID) serves the analytics
 // apps; Spinner uses graph.WeightedArc, so a graph.Weighted's rows can be
 // handed in as they are. Value may be mutated freely by the owning vertex
-// during Compute, and so may Edges when the program owns them (Spinner's
-// NeighborDiscovery appends reverse arcs); rows the caller shares with
-// something else are the program's to read only.
+// during Compute, and so may Edges when the program owns them; rows the
+// caller shares with something else, as Spinner's are, are the program's
+// to read only.
 type Vertex[V, A any] struct {
 	ID     VertexID
 	Value  V

@@ -399,9 +399,9 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// Edge mutation: vertices may add edges to themselves during compute
-// (Spinner's NeighborDiscovery does exactly this), here with a weighted arc
-// type the program chose.
+// Edge mutation: a program that owns its vertices' arcs may append to them
+// during compute — here a vertex adds the reverse of each arc it hears
+// about, with a weighted arc type the program chose.
 type edgeAdder struct{}
 
 func (edgeAdder) Compute(ctx *Context[int64, graph.WeightedArc, int64], v *Vertex[int64, graph.WeightedArc], msgs []int64) {
