@@ -4,7 +4,8 @@
 #   make check       — vet + test + test-race (what CI enforces on push/PR)
 #   make test        — tier-1 gate: go build ./... && go test ./...
 #   make test-race   — go test -race ./...
-#   make lint        — gofmt -l (fails on unformatted files) + go vet
+#   make lint        — gofmt -l (fails on unformatted files) + go vet +
+#                      bash -n on every scripts/*.sh
 #   make bench       — the repo's one benchmark (BENCHMARK.json): four
 #                      workloads, end to end; see benchmark/README.md
 #   make bench-test  — vet + unit tests of the benchmark module (its own
@@ -23,14 +24,21 @@
 #   make fuzz        — 10s on every Fuzz target in the module, found by
 #                      go test -list (a new target needs no edit here)
 #   make *-smoke     — kill -9 / overload / failover / change-feed / metrics
-#                      drills against a real spinnerd over /v1 (scripts/)
+#                      drills against a real spinnerd over /v1 (scripts/);
+#                      each ends its daemons with SIGTERM and fails on a
+#                      non-zero exit or one slower than 5 s
+#   make coverage-map — which functions the benchmark, the drills, the
+#                      examples and the unit tests reach, per function and
+#                      per package, into out/coverage-map.txt (about 3 min
+#                      on a 2-vCPU host); a tool for deciding what to
+#                      delete, not a CI gate
 #   make loc         — code lines (non-test .go files, skipping blank lines
 #                      and lines that start with //) per package under
 #                      internal/ and cmd/, then the serving-core total over
 #                      internal/{serve,api,api/client,replica,wal,frame};
 #                      the size figure ROADMAP quotes, not a gate
 
-.PHONY: all check build vet lint test test-race bench bench-test bench-quick examples-smoke profile-core profile-api fuzz loc recovery-smoke overload-smoke replication-smoke changefeed-smoke metrics-smoke
+.PHONY: all check build vet lint test test-race bench bench-test bench-quick examples-smoke profile-core profile-api fuzz loc coverage-map recovery-smoke overload-smoke replication-smoke changefeed-smoke metrics-smoke
 
 CORE := internal/serve internal/api internal/api/client internal/replica internal/wal internal/frame
 # codelines prints the code lines of the non-test Go files of the package
@@ -53,6 +61,7 @@ lint:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	go vet ./...
+	@for f in scripts/*.sh; do bash -n $$f || exit 1; done
 
 test:
 	go build ./...
@@ -104,6 +113,9 @@ loc:
 		printf '%6d  %s\n' $$($(call codelines,$$d)) $$d; \
 	done
 	@printf '%6d  serving core\n' $$($(call codelines,$(CORE)))
+
+coverage-map:
+	./scripts/coverage_map.sh
 
 recovery-smoke:
 	./scripts/recovery_smoke.sh

@@ -14,9 +14,6 @@
 //	watch               tail the change feed, one line per delta
 //	  -from N             resume after delta sequence N (default 0)
 //	  -count N            exit after N deltas (default 0 = forever)
-//	  -reconnect          survive connection drops: re-dial with jittered
-//	                      backoff from the last applied sequence, resync
-//	                      via /v1/lookup when the cursor is compacted
 //	mutate              submit the line protocol from stdin ("+ u v [w]",
 //	                    "- u v", "v n")
 //	resize <k>          elastic-resize to k partitions
@@ -106,12 +103,8 @@ func dispatch(ctx context.Context, cli *client.Client, args []string, out io.Wri
 		fs := flag.NewFlagSet("watch", flag.ContinueOnError)
 		from := fs.Uint64("from", 0, "resume after this delta sequence")
 		count := fs.Int("count", 0, "exit after this many deltas (0 = forever)")
-		reconnect := fs.Bool("reconnect", false, "auto-reconnect with jittered backoff, resuming from the last applied sequence (resyncing via /v1/lookup when compacted)")
 		if err := fs.Parse(rest); err != nil {
 			return err
-		}
-		if *reconnect {
-			return watchReconnect(ctx, cli, *from, *count, out)
 		}
 		return watch(ctx, cli, *from, *count, out)
 	case "mutate":
@@ -341,43 +334,6 @@ func feedLabels(ctx context.Context, cli *client.Client) ([]int32, error) {
 			return labels, nil
 		}
 	}
-}
-
-// watchReconnect is watch behind an AutoWatcher: connection drops are
-// re-dialed from the last applied sequence with jittered backoff, and a
-// compacted cursor (410 or the mid-stream end frame) resyncs via
-// /v1/lookup before re-arming — the tail survives server restarts.
-func watchReconnect(ctx context.Context, cli *client.Client, from uint64, count int, out io.Writer) error {
-	aw := cli.WatchReconnect(ctx, from)
-	defer aw.Close()
-	seen := 0
-	for count == 0 || seen < count {
-		ev, err := aw.Recv()
-		if errors.Is(err, client.ErrCompacted) {
-			all, aerr := cli.LookupAll(ctx)
-			if aerr != nil {
-				return aerr
-			}
-			fmt.Fprintf(out, "# compacted: resynced %d labels via /v1/lookup, resuming after seq %d\n",
-				len(all.Labels), all.FromSeq)
-			aw.SetCursor(all.FromSeq)
-			continue
-		}
-		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				return nil
-			}
-			return err
-		}
-		if ev.Delta == nil {
-			continue
-		}
-		d := ev.Delta
-		fmt.Fprintf(out, "seq=%d epoch=%d gen=%d k=%d n=%d runs=%d changed=%d cross=%d total=%d\n",
-			d.Seq, d.Epoch, d.Gen, d.K, d.N, len(d.Runs), d.RunVertices(), d.Cross, d.Total)
-		seen++
-	}
-	return nil
 }
 
 func watch(ctx context.Context, cli *client.Client, from uint64, count int, out io.Writer) error {

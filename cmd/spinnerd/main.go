@@ -7,7 +7,7 @@
 // Usage:
 //
 //	spinnerd -k 32 -in graph.txt -addr :8080
-//	spinnerd -k 8 -synthetic 20000 -demo 2s
+//	spinnerd -k 8 -synthetic 20000 -addr 127.0.0.1:8080
 //	spinnerd -k 32 -shards 8 -in graph.txt          # 8-way sharded mutation application
 //	spinnerd -k 32 -in graph.txt -data-dir /var/spinner -fsync interval
 //
@@ -159,9 +159,9 @@
 // server sends a typed end frame carrying the refreshed floor/next
 // bounds before closing the stream, the client surfaces it as the same
 // "compacted" condition as the 410, and the consumer resyncs via
-// GET /v1/lookup. spinnerctl watch -reconnect automates the whole loop:
-// jittered-backoff re-dial on connection drops, resume from the last
-// applied sequence, full lookup resync on 410 or end frame.
+// GET /v1/lookup. spinnerctl feed-labels runs this loop: when a stream
+// ends it re-dials from the last applied sequence, and on a 410 or an end
+// frame it resyncs from the full lookup and watches on from its cursor.
 //
 // # HTTP API (v1)
 //
@@ -312,11 +312,6 @@
 // With -pprof-addr the daemon additionally serves net/http/pprof
 // (/debug/pprof/...) on a separate side listener, keeping profiling off
 // the serving address entirely.
-//
-// With -demo D the daemon skips the listener, drives synthetic churn
-// against the store for duration D while hammering lookups, prints the
-// serving counters, and exits — the no-network smoke mode used by tests
-// and quick evaluations.
 package main
 
 import (
@@ -325,6 +320,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -332,7 +328,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -341,7 +336,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/replica"
-	"repro/internal/rng"
 	"repro/internal/serve"
 	"repro/internal/wal"
 )
@@ -360,7 +354,6 @@ type daemonConfig struct {
 	logDepth   int
 	degrade    float64
 	shards     int
-	demo       time.Duration
 	deltaRing  int
 
 	dataDir         string
@@ -399,7 +392,6 @@ func main() {
 	flag.IntVar(&dc.logDepth, "log-depth", 64, "bounded mutation log depth")
 	flag.Float64Var(&dc.degrade, "degrade", 1.10, "cut-ratio degradation factor triggering restabilization")
 	flag.IntVar(&dc.shards, "shards", 0, "store shards for parallel mutation application (0 = GOMAXPROCS, capped at 8)")
-	flag.DurationVar(&dc.demo, "demo", 0, "run synthetic churn for this duration and exit (no listener)")
 	flag.IntVar(&dc.deltaRing, "delta-ring", 1024, "change-feed delta records retained for /v1/watch before compaction")
 	flag.StringVar(&dc.dataDir, "data-dir", "", "durable data directory (journal + checkpoints); empty = in-memory only")
 	flag.StringVar(&dc.fsync, "fsync", "interval", "journal fsync policy: never|interval|always")
@@ -419,13 +411,17 @@ func main() {
 	flag.StringVar(&dc.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this side address (empty disables)")
 	flag.IntVar(&dc.lookupSampleEvery, "lookup-sample-every", 0, "time one in N lookups into the latency histogram (0 = default 256, negative disables)")
 	flag.Parse()
-	if err := run(dc, os.Stdout); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := run(ctx, dc, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "spinnerd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dc daemonConfig, out io.Writer) error {
+// run bootstraps or recovers the store, serves it on dc.addr until ctx is
+// cancelled, then drains the listener and closes the store.
+func run(ctx context.Context, dc daemonConfig, out io.Writer) error {
 	// The flag default 0 means GOMAXPROCS (capped) on a fresh store, and
 	// "keep the checkpointed shard layout" when recovering.
 	shards := dc.shards
@@ -475,9 +471,6 @@ func run(dc daemonConfig, out io.Writer) error {
 	case dc.follow != "":
 		if dc.dataDir == "" {
 			return errors.New("-follow requires -data-dir (the follower journals and checkpoints locally)")
-		}
-		if dc.demo > 0 {
-			return errors.New("-follow and -demo are mutually exclusive")
 		}
 		pol, err := wal.ParsePolicy(dc.fsync)
 		if err != nil {
@@ -552,9 +545,6 @@ func run(dc daemonConfig, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "spinnerd: serving (cut ratio %.4f)\n", st.Summary().CutRatio)
 
-	if dc.demo > 0 {
-		return runDemo(st, dc.demo, dc.seed, out)
-	}
 	if dc.pprofAddr != "" {
 		// Profiling lives on its own listener with an explicit mux, so
 		// the serving address never exposes /debug/pprof and the side
@@ -573,9 +563,13 @@ func run(dc daemonConfig, out io.Writer) error {
 		}()
 	}
 	fmt.Fprintf(out, "spinnerd: listening on %s\n", dc.addr)
-	srv := &http.Server{Addr: dc.addr, Handler: api.NewServer(st, rep).Mux()}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	// Requests inherit ctx, so the /v1/watch and /v1/replicate streams
+	// end with it: Shutdown waits for open requests and cancels none.
+	srv := &http.Server{
+		Addr:        dc.addr,
+		Handler:     api.NewServer(st, rep).Mux(),
+		BaseContext: func(net.Listener) context.Context { return ctx },
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	select {
@@ -585,7 +579,7 @@ func run(dc daemonConfig, out io.Writer) error {
 		// Graceful shutdown: drain the listener, then Close the store —
 		// on a durable store that writes the final checkpoint, so the
 		// next start recovers without replaying.
-		fmt.Fprintln(out, "spinnerd: signal received; draining and checkpointing...")
+		fmt.Fprintln(out, "spinnerd: stopping; draining and checkpointing...")
 		sdCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(sdCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
@@ -593,61 +587,6 @@ func run(dc daemonConfig, out io.Writer) error {
 		}
 		return st.Close()
 	}
-}
-
-// runDemo drives synthetic churn + lookups against the store and prints
-// the counters — the no-network smoke mode.
-func runDemo(st *serve.Store, d time.Duration, seed uint64, out io.Writer) error {
-	n := st.Summary().Vertices
-	src := rng.New(seed ^ 0xdeadbeef)
-	var lookups atomic.Int64
-	stop := make(chan struct{})
-	lookupDone := make(chan struct{})
-	go func() {
-		defer close(lookupDone)
-		v := graph.VertexID(0)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, ok := st.Lookup(v); ok {
-				lookups.Add(1)
-			}
-			v = (v + 13) % graph.VertexID(n)
-		}
-	}()
-	deadline := time.Now().Add(d)
-	batch := 0
-	for time.Now().Before(deadline) {
-		mut := &graph.Mutation{}
-		for i := 0; i < 50; i++ {
-			u := graph.VertexID(src.Intn(n))
-			v := graph.VertexID(src.Intn(n))
-			if u != v {
-				mut.NewEdges = append(mut.NewEdges, graph.WeightedEdgeRecord{U: u, V: v, Weight: 2})
-			}
-		}
-		if err := st.Submit(mut); err != nil {
-			return err
-		}
-		batch++
-	}
-	close(stop)
-	<-lookupDone
-	if err := st.Quiesce(); err != nil {
-		fmt.Fprintf(out, "spinnerd: batch error during demo: %v\n", err)
-	}
-	fmt.Fprintf(out, "spinnerd demo: %d lookups alongside %d batches\n", lookups.Load(), batch)
-	fmt.Fprintf(out, "spinnerd demo: %v\n", st.Counters())
-	fmt.Fprintf(out, "spinnerd demo: final %s\n", describe(st.Summary()))
-	return nil
-}
-
-func describe(s serve.Summary) string {
-	return fmt.Sprintf("snapshot v%d: %d vertices, k=%d, cut=%.4f, epoch=%d",
-		s.Version, s.Vertices, s.K, s.CutRatio, s.Epoch)
 }
 
 // parseWeights parses the -quota-weights "tenant=weight,..." CSV.

@@ -2,22 +2,27 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/hex"
 	"errors"
+	"io"
 	"io/fs"
 	"maps"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/api/client"
 	"repro/internal/serve"
 	"repro/internal/wal"
 )
 
 // The HTTP surface itself is tested in internal/api; these tests cover
-// what is left in the command: flag plumbing and the demo/durable modes.
+// what is left in the command: flag plumbing, bootstrap and recovery, and
+// shutdown.
 
 func TestParseWeights(t *testing.T) {
 	w, err := parseWeights("teamA=4, teamB=1,default=2")
@@ -43,53 +48,159 @@ func TestParseWeights(t *testing.T) {
 	}
 }
 
-// The -demo smoke mode must run end to end without a listener and report
-// its counters.
-func TestDemoMode(t *testing.T) {
-	var sb strings.Builder
-	dc := daemonConfig{k: 4, c: 1.05, seed: 7, workers: 2, maxIter: 30, synthetic: 800,
-		logDepth: 16, degrade: 1.05, shards: 2, demo: 300 * time.Millisecond, fsync: "interval"}
-	if err := run(dc, &sb); err != nil {
+// cancelled returns a context that is already done: run bootstraps or
+// recovers, starts serving, and at once drains and closes.
+func cancelled() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}
+
+func testConfig() daemonConfig {
+	return daemonConfig{k: 4, c: 1.05, seed: 7, workers: 2, maxIter: 30, synthetic: 800,
+		addr: "127.0.0.1:0", logDepth: 16, degrade: 1.05, shards: 2, fsync: "never"}
+}
+
+// An in-memory run serves, then on cancellation drains and closes.
+func TestRunServesAndDrains(t *testing.T) {
+	var out strings.Builder
+	if err := run(cancelled(), testConfig(), &out); err != nil {
 		t.Fatal(err)
 	}
-	out := sb.String()
-	for _, want := range []string{"spinnerd: serving", "spinnerd demo:", "lookups", "snapshot v"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("demo output missing %q:\n%s", want, out)
+	for _, want := range []string{"spinnerd: serving", "listening on", "draining and checkpointing"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("output missing %q:\n%s", want, out.String())
 		}
 	}
 }
 
-// A durable demo run must bootstrap a data dir; a second run over the
-// same dir must recover from it (ignoring the graph flags) and keep
-// serving.
-func TestDurableDemoBootstrapAndRecover(t *testing.T) {
+// A durable run must bootstrap a data dir; a second run over the same dir
+// must recover from it (ignoring the graph flags), and both must drain and
+// checkpoint on the way out.
+func TestDurableBootstrapAndRecover(t *testing.T) {
 	dir := t.TempDir()
-	dc := daemonConfig{k: 4, c: 1.05, seed: 7, workers: 2, maxIter: 30, synthetic: 800,
-		logDepth: 16, degrade: 1.05, shards: 2, demo: 200 * time.Millisecond,
-		dataDir: dir, fsync: "never", checkpointEvery: 8}
+	dc := testConfig()
+	dc.dataDir, dc.checkpointEvery = dir, 8
 
 	var first strings.Builder
-	if err := run(dc, &first); err != nil {
+	if err := run(cancelled(), dc, &first); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(first.String(), "durable in "+dir) {
-		t.Fatalf("first run did not bootstrap durably:\n%s", first.String())
+	for _, want := range []string{"durable in " + dir, "draining and checkpointing"} {
+		if !strings.Contains(first.String(), want) {
+			t.Fatalf("first run output missing %q:\n%s", want, first.String())
+		}
 	}
 
 	var second strings.Builder
 	dc.synthetic = 0
 	dc.inPath = "/nonexistent/ignored-when-recovering"
-	if err := run(dc, &second); err != nil {
+	if err := run(cancelled(), dc, &second); err != nil {
 		t.Fatal(err)
 	}
-	out := second.String()
-	if !strings.Contains(out, "spinnerd: recovering from "+dir) {
-		t.Fatalf("second run did not recover:\n%s", out)
+	for _, want := range []string{"spinnerd: recovering from " + dir, "recovered 800 vertices", "draining and checkpointing"} {
+		if !strings.Contains(second.String(), want) {
+			t.Fatalf("second run output missing %q:\n%s", want, second.String())
+		}
 	}
-	if !strings.Contains(out, "recovered 800 vertices") {
-		t.Fatalf("recovery lost the vertex space:\n%s", out)
+}
+
+// freeAddr returns a loopback address with a port nothing listens on.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
+// daemon is one run in a goroutine, serving on addr: cancel stops it, and
+// done carries run's result.
+type daemon struct {
+	addr   string
+	cli    *client.Client
+	cancel context.CancelFunc
+	done   chan error
+}
+
+func startDaemon(t *testing.T, dc daemonConfig) *daemon {
+	t.Helper()
+	dc.addr = freeAddr(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	d := &daemon{addr: dc.addr, cli: client.New("http://" + dc.addr), cancel: cancel, done: make(chan error, 1)}
+	go func() { d.done <- run(ctx, dc, io.Discard) }()
+	t.Cleanup(func() { d.stop(t) })
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if _, err := d.cli.Health(context.Background()); err == nil {
+			return d
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon on %s never became healthy", dc.addr)
+		}
+	}
+}
+
+// stop cancels the run and returns how long it took to return; it fails
+// the test past 2 s, or if run returned an error.
+func (d *daemon) stop(t *testing.T) time.Duration {
+	t.Helper()
+	if d.done == nil {
+		return 0
+	}
+	start := time.Now()
+	d.cancel()
+	select {
+	case err := <-d.done:
+		d.done = nil
+		if err != nil {
+			t.Fatalf("run returned %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("run still serving 2 s after cancellation")
+	}
+	return time.Since(start)
+}
+
+// Shutdown must not wait for the streams a daemon serves: an open
+// /v1/watch stream or an attached follower's /v1/replicate stream ends
+// with the daemon's context (without it, Shutdown waited out its 10 s).
+func TestShutdownEndsOpenStreams(t *testing.T) {
+	t.Run("watch", func(t *testing.T) {
+		d := startDaemon(t, testConfig())
+		w, err := d.cli.Watch(context.Background(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		if took := d.stop(t); took > time.Second {
+			t.Fatalf("shutdown with an open watch stream took %v", took)
+		}
+	})
+	t.Run("follower", func(t *testing.T) {
+		dc := testConfig()
+		dc.dataDir = t.TempDir()
+		leader := startDaemon(t, dc)
+		fc := testConfig()
+		fc.synthetic, fc.dataDir, fc.follow = 0, t.TempDir(), leader.addr
+		startDaemon(t, fc)
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+			st, err := leader.cli.Stats(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Counters["ReplicaFramesSent"] > 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the follower never attached a replication stream")
+			}
+		}
+		if took := leader.stop(t); took > time.Second {
+			t.Fatalf("shutdown with an attached follower took %v", took)
+		}
+	})
 }
 
 // version1Checkpoint is the full checkpoint payload of internal/serve's
@@ -138,10 +249,9 @@ func TestRefusesVersion1DataDir(t *testing.T) {
 	before := files()
 
 	var out strings.Builder
-	dc := daemonConfig{k: 4, c: 1.05, seed: 7, workers: 2, maxIter: 30, synthetic: 800,
-		logDepth: 16, degrade: 1.05, shards: 2, demo: 200 * time.Millisecond,
-		dataDir: dir, fsync: "never"}
-	err = run(dc, &out)
+	dc := testConfig()
+	dc.dataDir = dir
+	err = run(cancelled(), dc, &out)
 	if !errors.Is(err, serve.ErrCheckpointVersion) {
 		t.Fatalf("run over a version-1 data dir returned %v, want serve.ErrCheckpointVersion\n%s", err, out.String())
 	}

@@ -90,8 +90,7 @@
 // migration volume, the sharded write plane (sub-batches, reconciles,
 // drift, rebalances) and the durability path (journal appends/bytes/
 // fsyncs, checkpoints, recovery replay length);
-// cluster.MigrationVolume/MigrationTime price the migration traffic under
-// the cost model. BENCH_pr2.json records
+// cluster.MigrationVolume measures the migration traffic. BENCH_pr2.json records
 // BenchmarkServeLookupUnderChurn (sustained lookup latency under live
 // churn and restabilization) and BENCH_pr3.json
 // BenchmarkServeMutateThroughput (the sharded write plane: shards=1/2/4

@@ -4,11 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"testing"
-	"time"
 
 	"repro/internal/api"
 	"repro/internal/serve"
@@ -16,8 +17,8 @@ import (
 
 // fakeFeed is a scripted /v1/watch server: it retains deltas
 // [floor, next), serves at most perConn delta frames per connection and
-// then closes the stream — the degenerate flappy server an
-// auto-reconnecting consumer must ride out.
+// then closes the stream — the degenerate flappy server a consumer that
+// resumes from its cursor must ride out.
 type fakeFeed struct {
 	floor, next uint64
 	deltas      map[uint64][]byte // seq -> EncodeDelta payload
@@ -83,65 +84,46 @@ func TestWatcherEndFrameSurfacesCompacted(t *testing.T) {
 	}
 }
 
-// The auto-watcher must ride out a server that drops the stream every
-// two deltas, resuming from the last applied sequence each time — six
-// deltas over three connections, no gaps, no duplicates.
-func TestAutoWatcherResumesAcrossDrops(t *testing.T) {
+// A stream the server ends after two deltas reads io.EOF, and re-dialing
+// from the last applied sequence resumes with no gap and no duplicate —
+// the loop spinnerctl feed-labels runs. A cursor the feed no longer holds
+// is refused with ErrCompacted, whether compacted away or from the future.
+func TestWatchResumesFromCursorAcrossDrops(t *testing.T) {
 	feed := newFakeFeed(1, 7, 2)
 	srv := httptest.NewServer(feed)
 	defer srv.Close()
+	cli := New(srv.URL)
+	ctx := context.Background()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	aw := New(srv.URL).WatchReconnect(ctx, 0)
-	aw.BaseBackoff = time.Millisecond // keep the test fast
-	defer aw.Close()
-
-	for want := uint64(1); want <= 6; want++ {
-		ev, err := aw.Recv()
+	var got []uint64
+	for cursor := uint64(0); cursor < 6; {
+		w, err := cli.Watch(ctx, cursor)
 		if err != nil {
-			t.Fatalf("Recv %d: %v", want, err)
+			t.Fatal(err)
 		}
-		if ev.Delta == nil || ev.Delta.Seq != want {
-			t.Fatalf("Recv %d = %+v, want delta seq %d", want, ev, want)
+		for {
+			ev, err := w.Recv()
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				t.Fatalf("Recv after seq %d: %v", cursor, err)
+			}
+			if ev.Delta != nil {
+				cursor = ev.Delta.Seq
+				got = append(got, cursor)
+			}
 		}
+		w.Close()
 	}
-	if aw.Cursor() != 6 {
-		t.Fatalf("cursor = %d, want 6", aw.Cursor())
+	if want := []uint64{1, 2, 3, 4, 5, 6}; !slices.Equal(got, want) || feed.dials != 3 {
+		t.Fatalf("deltas %v over %d connections, want %v over 3", got, feed.dials, want)
 	}
-	if aw.Reconnects != 2 || feed.dials != 3 {
-		t.Fatalf("reconnects = %d, dials = %d; want 2 re-dials over 3 connections",
-			aw.Reconnects, feed.dials)
-	}
-}
 
-// A compacted cursor is NOT hidden by the auto-watcher: the 410
-// surfaces as ErrCompacted, and after the caller resyncs and SetCursors,
-// the stream resumes from the serveable range.
-func TestAutoWatcherSurfacesCompactedAndResumes(t *testing.T) {
-	feed := newFakeFeed(5, 8, 10)
-	srv := httptest.NewServer(feed)
-	defer srv.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	aw := New(srv.URL).WatchReconnect(ctx, 0)
-	aw.BaseBackoff = time.Millisecond
-	defer aw.Close()
-
-	if _, err := aw.Recv(); !errors.Is(err, ErrCompacted) {
-		t.Fatalf("Recv with compacted cursor = %v, want ErrCompacted", err)
-	}
-	// The caller's half of the contract: resync (here: jump to the
-	// floor) and re-arm.
-	aw.SetCursor(4)
-	for want := uint64(5); want <= 7; want++ {
-		ev, err := aw.Recv()
-		if err != nil {
-			t.Fatalf("post-resync Recv %d: %v", want, err)
-		}
-		if ev.Delta == nil || ev.Delta.Seq != want {
-			t.Fatalf("post-resync Recv = %+v, want delta seq %d", ev, want)
+	feed.floor = 5
+	for _, cursor := range []uint64{0, 7} {
+		if _, err := cli.Watch(ctx, cursor); !errors.Is(err, ErrCompacted) {
+			t.Fatalf("Watch(%d) on feed [5,7) = %v, want ErrCompacted", cursor, err)
 		}
 	}
 }

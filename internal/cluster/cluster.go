@@ -50,10 +50,6 @@ type CostModel struct {
 	RecvRemoteMsg time.Duration
 	// Barrier is the fixed synchronization overhead per superstep.
 	Barrier time.Duration
-	// VertexTransfer is the fixed cost of re-homing one vertex to another
-	// partition (state handoff + routing update), charged by MigrationTime
-	// on top of the per-edge transfer volume.
-	VertexTransfer time.Duration
 }
 
 // Default returns a cost model with commodity-cluster ratios.
@@ -65,7 +61,6 @@ func Default() CostModel {
 		RecvMsg:        40 * time.Nanosecond,
 		RecvRemoteMsg:  800 * time.Nanosecond,
 		Barrier:        2 * time.Millisecond,
-		VertexTransfer: 3 * time.Microsecond,
 	}
 }
 
@@ -85,11 +80,6 @@ func (t Timing) IdleFraction() float64 {
 		return 0
 	}
 	return 1 - float64(t.Mean)/float64(t.Max)
-}
-
-// String formats the timing like Table IV's rows.
-func (t Timing) String() string {
-	return fmt.Sprintf("mean=%v max=%v min=%v idle=%.0f%%", t.Mean, t.Max, t.Min, 100*t.IdleFraction())
 }
 
 // Superstep prices one superstep's statistics.

@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"time"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // MigrationVolume measures the physical cost of moving from labeling
 // `before` to labeling `after` on w: the number of vertices whose partition
@@ -26,16 +22,4 @@ func MigrationVolume(w *graph.Weighted, before, after []int32) (vertices, weight
 		}
 	}
 	return vertices, weight
-}
-
-// MigrationTime prices a migration under the cost model: every moved vertex
-// pays a fixed re-registration cost plus remote transfer of its adjacency
-// (each unit of weighted degree crosses the wire once, at the remote
-// message rate, and is ingested at the receive rates). This is the traffic
-// an elastic k→k′ change or a restabilization merge injects into the
-// cluster, and what makes the paper's partial migration (Eq. 11's n/(k+n)
-// fraction) cheaper than a from-scratch reshuffle of nearly every vertex.
-func (m CostModel) MigrationTime(vertices, weight int64) time.Duration {
-	perUnit := m.RemoteMsg + m.RecvMsg + m.RecvRemoteMsg
-	return time.Duration(vertices)*m.VertexTransfer + time.Duration(weight)*perUnit
 }

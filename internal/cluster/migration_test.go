@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/graph"
 )
@@ -34,25 +33,5 @@ func TestMigrationVolume(t *testing.T) {
 	grown := append(append([]int32(nil), after...), 2, 2)
 	if v, _ := MigrationVolume(w, before, grown); v != 2 {
 		t.Fatalf("with appended vertices: %d migrations, want 2", v)
-	}
-}
-
-func TestMigrationTimePricing(t *testing.T) {
-	m := Default()
-	if m.VertexTransfer <= 0 {
-		t.Fatal("default cost model must price vertex transfer")
-	}
-	small := m.MigrationTime(10, 100)
-	large := m.MigrationTime(1000, 10000)
-	if small <= 0 || large <= small {
-		t.Fatalf("pricing not monotonic: small=%v large=%v", small, large)
-	}
-	// The unit prices compose linearly.
-	want := 10*m.VertexTransfer + 100*(m.RemoteMsg+m.RecvMsg+m.RecvRemoteMsg)
-	if small != want {
-		t.Fatalf("MigrationTime(10,100) = %v, want %v", small, want)
-	}
-	if m.MigrationTime(0, 0) != time.Duration(0) {
-		t.Fatal("empty migration must be free")
 	}
 }

@@ -39,11 +39,6 @@ func AppendMutationBinary(buf []byte, m *Mutation) []byte {
 	return buf
 }
 
-// MutationBinaryLen returns the exact encoded size of m in bytes.
-func MutationBinaryLen(m *Mutation) int {
-	return 12 + 12*len(m.NewEdges) + 8*len(m.RemovedEdges)
-}
-
 // DecodeMutationBinary decodes a Mutation encoded by AppendMutationBinary.
 // The buffer must contain exactly one mutation: trailing bytes are a
 // framing error. Counts are validated against the available bytes before

@@ -20,8 +20,8 @@ func TestMutationBinaryRoundTrip(t *testing.T) {
 	}
 	for i, m := range cases {
 		buf := AppendMutationBinary(nil, m)
-		if len(buf) != MutationBinaryLen(m) {
-			t.Fatalf("case %d: encoded %d bytes, MutationBinaryLen says %d", i, len(buf), MutationBinaryLen(m))
+		if want := 12 + 12*len(m.NewEdges) + 8*len(m.RemovedEdges); len(buf) != want {
+			t.Fatalf("case %d: encoded %d bytes, want %d", i, len(buf), want)
 		}
 		got, err := DecodeMutationBinary(buf)
 		if err != nil {

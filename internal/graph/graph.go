@@ -2,7 +2,7 @@
 // Spinner reproduction: directed and undirected adjacency-list graphs, the
 // directed→weighted-undirected conversion of Eq. 3 in the paper, dynamic
 // mutation batches for the incremental-repartitioning experiments, edge-list
-// I/O, and basic topology statistics.
+// I/O, and connected components.
 //
 // Vertices are dense integers in [0, NumVertices()). This mirrors the data
 // model of Pregel-style systems, where vertex identifiers are remapped to a
@@ -117,23 +117,6 @@ func (g *Graph) AddEdge(u, v VertexID) {
 	g.sorted = false
 }
 
-// AddVertices grows the graph by n isolated vertices and returns the ID of
-// the first new vertex.
-func (g *Graph) AddVertices(n int) VertexID {
-	first := VertexID(len(g.adj))
-	g.adj = append(g.adj, make([][]VertexID, n)...)
-	return first
-}
-
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{directed: g.directed, numArcs: g.numArcs, sorted: g.sorted, adj: make([][]VertexID, len(g.adj))}
-	for i, nbrs := range g.adj {
-		c.adj[i] = append([]VertexID(nil), nbrs...)
-	}
-	return c
-}
-
 // SortAdjacency sorts every adjacency list ascending. Useful for
 // deterministic iteration and for binary-search membership tests
 // (HasEdge switches to binary search afterwards).
@@ -165,19 +148,15 @@ func (g *Graph) checkVertex(u VertexID) {
 // produces a Graph. It is the recommended construction path for data read
 // from external sources.
 type Builder struct {
-	directed  bool
-	n         int
-	edges     []Edge
-	keepLoops bool
+	directed bool
+	n        int
+	edges    []Edge
 }
 
 // NewBuilder returns a Builder for a graph with n vertices.
 func NewBuilder(n int, directed bool) *Builder {
 	return &Builder{directed: directed, n: n}
 }
-
-// KeepSelfLoops makes the builder retain self-loops (dropped by default).
-func (b *Builder) KeepSelfLoops() *Builder { b.keepLoops = true; return b }
 
 // Add records the edge (u,v). Endpoints beyond the current vertex count
 // grow the graph.
@@ -206,7 +185,7 @@ func (b *Builder) Build() *Graph {
 	}
 	norm := make([]Edge, 0, len(b.edges))
 	for _, e := range b.edges {
-		if e.From == e.To && !b.keepLoops {
+		if e.From == e.To {
 			continue
 		}
 		if !b.directed && e.From > e.To {

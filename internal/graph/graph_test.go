@@ -56,28 +56,6 @@ func TestAddEdgeOutOfRangePanics(t *testing.T) {
 	New(2, true).AddEdge(0, 5)
 }
 
-func TestAddVertices(t *testing.T) {
-	g := New(2, false)
-	first := g.AddVertices(3)
-	if first != 2 || g.NumVertices() != 5 {
-		t.Fatalf("first=%d n=%d, want 2/5", first, g.NumVertices())
-	}
-	g.AddEdge(4, 0) // new vertex usable
-	if !g.HasEdge(4, 0) {
-		t.Fatal("edge to appended vertex missing")
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	g := New(3, true)
-	g.AddEdge(0, 1)
-	c := g.Clone()
-	c.AddEdge(1, 2)
-	if g.NumEdges() != 1 || c.NumEdges() != 2 {
-		t.Fatalf("clone not independent: g=%d c=%d", g.NumEdges(), c.NumEdges())
-	}
-}
-
 func TestBuilderDedup(t *testing.T) {
 	b := NewBuilder(0, true)
 	b.Add(0, 1)
@@ -101,15 +79,6 @@ func TestBuilderUndirectedDedup(t *testing.T) {
 	g := b.Build()
 	if g.NumEdges() != 2 {
 		t.Fatalf("m=%d, want 2", g.NumEdges())
-	}
-}
-
-func TestBuilderKeepSelfLoops(t *testing.T) {
-	b := NewBuilder(0, true).KeepSelfLoops()
-	b.Add(0, 0)
-	g := b.Build()
-	if g.NumEdges() != 1 {
-		t.Fatalf("m=%d, want 1 (self-loop kept)", g.NumEdges())
 	}
 }
 

@@ -1,52 +1,5 @@
 package graph
 
-import "sort"
-
-// DegreeStats summarizes a graph's degree distribution.
-type DegreeStats struct {
-	Min, Max int
-	Mean     float64
-	Median   int
-	P99      int
-}
-
-// Degrees computes out-degree statistics for g.
-func Degrees(g *Graph) DegreeStats {
-	n := g.NumVertices()
-	if n == 0 {
-		return DegreeStats{}
-	}
-	ds := make([]int, n)
-	sum := 0
-	for u := 0; u < n; u++ {
-		d := g.OutDegree(VertexID(u))
-		ds[u] = d
-		sum += d
-	}
-	sort.Ints(ds)
-	return DegreeStats{
-		Min:    ds[0],
-		Max:    ds[n-1],
-		Mean:   float64(sum) / float64(n),
-		Median: ds[n/2],
-		P99:    ds[min(n-1, n*99/100)],
-	}
-}
-
-// DegreeHistogram returns counts[d] = number of vertices with out-degree d,
-// up to maxDeg (inclusive); larger degrees are clamped into the last bucket.
-func DegreeHistogram(g *Graph, maxDeg int) []int {
-	counts := make([]int, maxDeg+1)
-	for u := 0; u < g.NumVertices(); u++ {
-		d := g.OutDegree(VertexID(u))
-		if d > maxDeg {
-			d = maxDeg
-		}
-		counts[d]++
-	}
-	return counts
-}
-
 // ConnectedComponents labels each vertex of an undirected (or symmetrized)
 // graph with a component ID in [0, count) and returns the labels and count.
 // For directed graphs it computes weakly connected components by following
@@ -91,54 +44,4 @@ func ConnectedComponents(g *Graph) (labels []int32, count int) {
 		}
 	}
 	return labels, count
-}
-
-// ClusteringCoefficient estimates the average local clustering coefficient
-// over up to sample vertices (all vertices if sample <= 0 or >= n). The
-// graph's adjacency must be sorted (call SortAdjacency) for the binary
-// searches to be correct.
-func ClusteringCoefficient(g *Graph, sample int) float64 {
-	n := g.NumVertices()
-	if n == 0 {
-		return 0
-	}
-	step := 1
-	if sample > 0 && sample < n {
-		step = n / sample
-	}
-	total, counted := 0.0, 0
-	for u := 0; u < n; u += step {
-		nbrs := g.Neighbors(VertexID(u))
-		d := len(nbrs)
-		if d < 2 {
-			continue
-		}
-		links := 0
-		for i := 0; i < d; i++ {
-			for j := i + 1; j < d; j++ {
-				if containsSorted(g.Neighbors(nbrs[i]), nbrs[j]) {
-					links++
-				}
-			}
-		}
-		total += 2 * float64(links) / float64(d*(d-1))
-		counted++
-	}
-	if counted == 0 {
-		return 0
-	}
-	return total / float64(counted)
-}
-
-func containsSorted(s []VertexID, x VertexID) bool {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(s) && s[lo] == x
 }

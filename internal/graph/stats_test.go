@@ -1,54 +1,6 @@
 package graph
 
-import (
-	"math"
-	"testing"
-)
-
-func ring(n int) *Graph {
-	g := New(n, false)
-	for i := 0; i < n; i++ {
-		g.AddEdge(VertexID(i), VertexID((i+1)%n))
-	}
-	return g
-}
-
-func TestDegreesRing(t *testing.T) {
-	st := Degrees(ring(10))
-	if st.Min != 2 || st.Max != 2 || st.Mean != 2 || st.Median != 2 {
-		t.Fatalf("ring degree stats = %+v, want all 2", st)
-	}
-}
-
-func TestDegreesEmpty(t *testing.T) {
-	st := Degrees(New(0, true))
-	if st.Max != 0 || st.Mean != 0 {
-		t.Fatalf("empty stats = %+v", st)
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := New(4, true)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	g.AddEdge(1, 2)
-	h := DegreeHistogram(g, 2)
-	// deg: v0=2 v1=1 v2=0 v3=0
-	if h[0] != 2 || h[1] != 1 || h[2] != 1 {
-		t.Fatalf("histogram = %v", h)
-	}
-}
-
-func TestDegreeHistogramClamp(t *testing.T) {
-	g := New(5, true)
-	for i := 1; i < 5; i++ {
-		g.AddEdge(0, VertexID(i))
-	}
-	h := DegreeHistogram(g, 2)
-	if h[2] != 1 { // degree 4 clamped into last bucket
-		t.Fatalf("clamped histogram = %v", h)
-	}
-}
+import "testing"
 
 func TestConnectedComponentsUndirected(t *testing.T) {
 	g := New(6, false)
@@ -80,30 +32,6 @@ func TestConnectedComponentsWeaklyDirected(t *testing.T) {
 	}
 	if labels[0] != labels[2] {
 		t.Fatal("weakly connected vertices 0 and 2 in different components")
-	}
-}
-
-func TestClusteringCoefficientTriangle(t *testing.T) {
-	g := New(3, false)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 0)
-	g.SortAdjacency()
-	cc := ClusteringCoefficient(g, 0)
-	if math.Abs(cc-1.0) > 1e-9 {
-		t.Fatalf("triangle clustering = %v, want 1", cc)
-	}
-}
-
-func TestClusteringCoefficientStar(t *testing.T) {
-	g := New(5, false)
-	for i := 1; i < 5; i++ {
-		g.AddEdge(0, VertexID(i))
-	}
-	g.SortAdjacency()
-	cc := ClusteringCoefficient(g, 0)
-	if cc != 0 {
-		t.Fatalf("star clustering = %v, want 0", cc)
 	}
 }
 

@@ -11,8 +11,7 @@ import (
 // octave is split into subCount equal sub-buckets, so the relative width of
 // any bucket — and therefore the relative error of any quantile read — is
 // bounded by 1/subCount (6.25%). The layout is fixed at compile time, which
-// is what makes the record path a handful of atomic adds with no allocation
-// and snapshots mergeable by plain element-wise addition.
+// is what makes the record path a handful of atomic adds with no allocation.
 const (
 	subBits  = 4
 	subCount = 1 << subBits
@@ -79,7 +78,7 @@ func (h *Histogram) RecordValue(v int64) {
 	}
 }
 
-// Snapshot copies the histogram into a plain-value, mergeable view. Buckets
+// Snapshot copies the histogram into a plain-value view. Buckets
 // are read individually (not under a barrier), so a snapshot racing writers
 // is consistent per-bucket with bounded cross-bucket skew — the usual
 // monitoring contract, as for ServeCounters.
@@ -97,9 +96,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// HistSnapshot is a point-in-time copy of a Histogram. Merge composes
-// snapshots from different histograms (or shards) by element-wise
-// addition — merging is associative and commutative.
+// HistSnapshot is a point-in-time copy of a Histogram.
 type HistSnapshot struct {
 	// Counts holds one count per fixed bucket (len numBuckets).
 	Counts []int64
@@ -107,22 +104,6 @@ type HistSnapshot struct {
 	Count int64
 	Sum   int64
 	Max   int64
-}
-
-// Merge folds o into s element-wise. Snapshots with no buckets (zero
-// values) merge as empty.
-func (s *HistSnapshot) Merge(o HistSnapshot) {
-	if s.Counts == nil && o.Counts != nil {
-		s.Counts = make([]int64, numBuckets)
-	}
-	for i, c := range o.Counts {
-		s.Counts[i] += c
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
 }
 
 // Quantile returns an upper bound for the q-th quantile (q in [0,1]): the
@@ -156,14 +137,6 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 		}
 	}
 	return s.Max
-}
-
-// Mean returns the mean observation (0 when empty).
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
 }
 
 // CountBelow returns the number of observations strictly below bound —

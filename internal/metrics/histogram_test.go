@@ -83,44 +83,6 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeAssociativity splits one value stream across three
-// histograms and checks (a+b)+c == a+(b+c) == whole, field by field —
-// merge must be associative for multi-shard composition to be sound.
-func TestHistogramMergeAssociativity(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	var whole, a, b, c Histogram
-	for i := 0; i < 30000; i++ {
-		v := int64(rng.Intn(1 << uint(rng.Intn(30))))
-		whole.RecordValue(v)
-		switch i % 3 {
-		case 0:
-			a.RecordValue(v)
-		case 1:
-			b.RecordValue(v)
-		default:
-			c.RecordValue(v)
-		}
-	}
-	left := a.Snapshot()
-	left.Merge(b.Snapshot())
-	left.Merge(c.Snapshot())
-	right := c.Snapshot()
-	right.Merge(b.Snapshot())
-	right.Merge(a.Snapshot())
-	want := whole.Snapshot()
-	for _, m := range []HistSnapshot{left, right} {
-		if m.Count != want.Count || m.Sum != want.Sum || m.Max != want.Max {
-			t.Fatalf("merged summary {%d %d %d}, want {%d %d %d}",
-				m.Count, m.Sum, m.Max, want.Count, want.Sum, want.Max)
-		}
-		for i := range want.Counts {
-			if m.Counts[i] != want.Counts[i] {
-				t.Fatalf("bucket %d: merged %d, want %d", i, m.Counts[i], want.Counts[i])
-			}
-		}
-	}
-}
-
 // TestHistogramConcurrentRecord hammers Record from many goroutines (run
 // under make test-race) and checks nothing is lost.
 func TestHistogramConcurrentRecord(t *testing.T) {

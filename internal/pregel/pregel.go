@@ -351,9 +351,6 @@ func (e *Engine[V, A, M]) SetVertices(vs []Vertex[V, A]) error {
 	return nil
 }
 
-// NumVertices returns the number of loaded vertices.
-func (e *Engine[V, A, M]) NumVertices() int { return len(e.vertices) }
-
 // Vertices exposes the vertex slice after a run (read-only by convention).
 func (e *Engine[V, A, M]) Vertices() []Vertex[V, A] { return e.vertices }
 
@@ -371,9 +368,6 @@ func (e *Engine[V, A, M]) AggregatedValue(name string) []float64 {
 	copy(out, a.current)
 	return out
 }
-
-// WorkerOf returns the worker owning vertex v (valid after Run starts).
-func (e *Engine[V, A, M]) WorkerOf(v VertexID) int { return int(e.place[v]) }
 
 // ErrNoVertices is returned by Run when no vertex set was loaded.
 var ErrNoVertices = errors.New("pregel: no vertices loaded")
@@ -397,7 +391,7 @@ func (e *Engine[V, A, M]) Run() (int, error) {
 		e.runSuperstep()
 		halted := false
 		if mp, ok := e.prog.(MasterProgram); ok {
-			m := &Master{aggs: e.aggs, numVertices: len(e.vertices), superstep: e.superstep}
+			m := &Master{aggs: e.aggs, superstep: e.superstep}
 			mp.MasterCompute(m)
 			halted = m.halted
 		}

@@ -285,7 +285,7 @@ func TestPlacementCustom(t *testing.T) {
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if e.WorkerOf(3) != 1 || e.WorkerOf(4) != 0 {
+	if e.place[3] != 1 || e.place[4] != 0 {
 		t.Fatal("custom placement not respected")
 	}
 }

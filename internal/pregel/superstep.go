@@ -150,17 +150,13 @@ func (c *Context[V, A, M]) CountEdges(n int) { c.edges += int64(n) }
 
 // Master is the interface handed to MasterCompute between supersteps.
 type Master struct {
-	superstep   int
-	numVertices int
-	halted      bool
-	aggs        *aggPlane
+	superstep int
+	halted    bool
+	aggs      *aggPlane
 }
 
 // Superstep returns the superstep that just finished.
 func (m *Master) Superstep() int { return m.superstep }
-
-// NumVertices returns the global vertex count.
-func (m *Master) NumVertices() int { return m.numVertices }
 
 // Halt stops the computation after this master compute.
 func (m *Master) Halt() { m.halted = true }

@@ -188,23 +188,6 @@ func TestZipfPanicsOnZero(t *testing.T) {
 	NewZipf(New(1), 0, 1.0)
 }
 
-func TestExpFloat64Positive(t *testing.T) {
-	s := New(29)
-	sum := 0.0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		v := s.ExpFloat64()
-		if v < 0 {
-			t.Fatalf("ExpFloat64 returned negative %v", v)
-		}
-		sum += v
-	}
-	mean := sum / n
-	if math.Abs(mean-1.0) > 0.02 {
-		t.Fatalf("ExpFloat64 mean = %v, want ~1", mean)
-	}
-}
-
 func TestShuffleSwapCount(t *testing.T) {
 	s := New(31)
 	arr := []string{"a", "b", "c", "d", "e"}

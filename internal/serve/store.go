@@ -264,14 +264,6 @@ type Snapshot struct {
 	Summary
 }
 
-// Lookup resolves one vertex against the composed snapshot.
-func (s *Snapshot) Lookup(v graph.VertexID) (int32, bool) {
-	if v < 0 || int(v) >= len(s.Labels) {
-		return -1, false
-	}
-	return s.Labels[v], true
-}
-
 // logEntry is one unit of maintenance work: a mutation batch, an elastic
 // resize or a control, all ordered through the same log.
 type logEntry struct {

@@ -27,6 +27,7 @@
 # Usage: scripts/changefeed_smoke.sh [port]
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 
 PORT="${1:-18577}"
 BASE="http://127.0.0.1:$PORT"
@@ -34,7 +35,7 @@ BINDIR=$(mktemp -d)
 DIR=$(mktemp -d)
 PID=""
 cleanup() {
-  [ -n "$PID" ] && kill -9 "$PID" 2>/dev/null || true
+  [ -n "$PID" ] && { stop_daemon "$PID" || true; }
   rm -rf "$DIR" "$BINDIR"
 }
 trap cleanup EXIT
@@ -194,5 +195,9 @@ $CTL labels > "$BINDIR/lookup2.txt"
 diff -q "$BINDIR/feed2.txt" "$BINDIR/lookup2.txt" >/dev/null \
   || { echo "FAIL: post-recovery feed differs from lookup truth" >&2; exit 1; }
 echo "   feed == lookup on the recovered incarnation"
+
+echo "== SIGTERM: drain, checkpoint and exit 0 within 5 s"
+stop_daemon "$PID"
+PID=""
 
 echo "PASS: change feed + incremental checkpoint smoke"

@@ -18,6 +18,7 @@
 # Usage: scripts/metrics_smoke.sh [port [pprof-port]]
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 
 PORT="${1:-18677}"
 PPROF_PORT="${2:-18678}"
@@ -27,7 +28,7 @@ BINDIR=$(mktemp -d)
 DIR=$(mktemp -d)
 PID=""
 cleanup() {
-  [ -n "$PID" ] && kill -9 "$PID" 2>/dev/null || true
+  [ -n "$PID" ] && { stop_daemon "$PID" || true; }
   rm -rf "$DIR" "$BINDIR"
 }
 trap cleanup EXIT
@@ -142,5 +143,9 @@ grep -q 'p99=' "$BINDIR/pretty.txt" \
 $CTL metrics -raw | head -1 | grep -q '^#' \
   || { echo "FAIL: spinnerctl metrics -raw did not dump the exposition" >&2; exit 1; }
 echo "   pretty print + raw dump OK"
+
+echo "== SIGTERM: drain, checkpoint and exit 0 within 5 s"
+stop_daemon "$PID"
+PID=""
 
 echo "PASS: metrics + pprof observability smoke"

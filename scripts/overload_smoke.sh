@@ -19,6 +19,7 @@
 # Usage: scripts/overload_smoke.sh [port]
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 
 PORT="${1:-18574}"
 BASE="http://127.0.0.1:$PORT"
@@ -28,7 +29,7 @@ PID=""
 FLOOD_PID=""
 cleanup() {
   [ -n "$FLOOD_PID" ] && kill -9 "$FLOOD_PID" 2>/dev/null || true
-  [ -n "$PID" ] && kill -9 "$PID" 2>/dev/null || true
+  [ -n "$PID" ] && { stop_daemon "$PID" || true; }
   rm -rf "$DIR" "$(dirname "$BIN")"
 }
 trap cleanup EXIT
@@ -137,6 +138,6 @@ echo "== admission state is fresh after recovery (buckets are not persisted)"
 code=$(mutate abuser)
 [ "$code" = "202" ] || { echo "FAIL: abuser's post-recovery burst got HTTP $code, want 202" >&2; exit 1; }
 
-kill "$PID" 2>/dev/null && wait "$PID" 2>/dev/null || true
+stop_daemon "$PID"
 PID=""
 echo "overload smoke: OK"

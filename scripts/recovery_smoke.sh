@@ -18,6 +18,7 @@
 # Usage: scripts/recovery_smoke.sh [port]
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 
 PORT="${1:-18573}"
 BASE="http://127.0.0.1:$PORT"
@@ -25,7 +26,7 @@ BIN=$(mktemp -d)/spinnerd
 DIR=$(mktemp -d)
 PID=""
 cleanup() {
-  [ -n "$PID" ] && kill -9 "$PID" 2>/dev/null || true
+  [ -n "$PID" ] && { stop_daemon "$PID" || true; }
   rm -rf "$DIR" "$(dirname "$BIN")"
 }
 trap cleanup EXIT
@@ -139,6 +140,6 @@ for v in $SAMPLE; do
   fi
 done
 
-kill "$PID" 2>/dev/null && wait "$PID" 2>/dev/null || true
+stop_daemon "$PID"
 PID=""
 echo "recovery smoke: OK"

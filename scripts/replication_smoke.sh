@@ -18,6 +18,7 @@
 # Usage: scripts/replication_smoke.sh [leader-port] [follower-port]
 set -euo pipefail
 cd "$(dirname "$0")/.."
+. scripts/lib.sh
 
 LPORT="${1:-18577}"
 FPORT="${2:-18578}"
@@ -29,8 +30,8 @@ FDIR=$(mktemp -d)
 LPID=""
 FPID=""
 cleanup() {
-  [ -n "$LPID" ] && kill -9 "$LPID" 2>/dev/null || true
-  [ -n "$FPID" ] && kill -9 "$FPID" 2>/dev/null || true
+  [ -n "$LPID" ] && { stop_daemon "$LPID" || true; }
+  [ -n "$FPID" ] && { stop_daemon "$FPID" || true; }
   rm -rf "$LDIR" "$FDIR" "$(dirname "$BIN")"
 }
 trap cleanup EXIT
@@ -167,6 +168,6 @@ NEW_APPLIED=$(stat_field "$FBASE" applied_seq)
 NEW_APPLIED=$(stat_field "$FBASE" applied_seq)
 [ "$NEW_APPLIED" -gt "$APPLIED" ] || { echo "FAIL: post-promotion write never journaled ($APPLIED -> $NEW_APPLIED)" >&2; exit 1; }
 
-kill "$FPID" 2>/dev/null && wait "$FPID" 2>/dev/null || true
+stop_daemon "$FPID"
 FPID=""
 echo "replication smoke: OK"
