@@ -29,8 +29,8 @@
 #                      non-zero exit or one slower than 5 s
 #   make coverage-map — which functions the benchmark, the drills, the
 #                      examples and the unit tests reach, per function and
-#                      per package, into out/coverage-map.txt (about 3 min
-#                      on a 2-vCPU host); a tool for deciding what to
+#                      per package, into out/coverage-map.txt (about 2.5
+#                      min on a 2-vCPU host); a tool for deciding what to
 #                      delete, not a CI gate
 #   make loc         — code lines (non-test .go files, skipping blank lines
 #                      and lines that start with //) per package under
