@@ -5,7 +5,9 @@
 #   make test        — tier-1 gate: go build ./... && go test ./...
 #   make test-race   — go test -race ./...
 #   make lint        — gofmt -l (fails on unformatted files) + go vet +
-#                      bash -n on every scripts/*.sh
+#                      bash -n on every scripts/*.sh + no stale line in
+#                      scripts/coverage_decisions.txt (a missing file, or a
+#                      function with no func declaration in it)
 #   make bench       — the repo's one benchmark (BENCHMARK.json): four
 #                      workloads, end to end; see benchmark/README.md
 #   make bench-test  — vet + unit tests of the benchmark module (its own
@@ -62,6 +64,7 @@ lint:
 	fi
 	go vet ./...
 	@for f in scripts/*.sh; do bash -n $$f || exit 1; done
+	@scripts/check_coverage_decisions.sh
 
 test:
 	go build ./...

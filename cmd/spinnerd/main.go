@@ -74,7 +74,7 @@
 // With -degrade-lookups or -degrade-staleness set, the daemon watches
 // read-path load over an EWMA (-degrade-window) and, while overloaded,
 // spends its degradation budget deliberately: background
-// restabilization and exact cut-reconcile passes are deferred, and
+// restabilization and periodic shard-boundary rebalances are deferred, and
 // /v1/resize — the most expensive write — is shed with 503 + Retry-After.
 // Lookups and mutations keep flowing.
 //

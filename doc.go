@@ -69,11 +69,11 @@
 //     partitions from per-shard load counters, and advance the counters by
 //     the batch's exact deltas (graph.Mutation.CutEdits) — never an O(E)
 //     scan or recompute per batch.
-//   - Every Config.ReconcileEvery applied batches, a reconciliation pass
-//     recomputes the per-shard counters exactly (bit-identical to the
-//     incremental values — metrics.CutWeightsRange over each owned range)
-//     and rebalances shard boundaries by weighted degree
-//     (cluster.BalancedRanges).
+//   - Every 512 applied batches a periodic pass rebalances shard
+//     boundaries by weighted degree (cluster.BalancedRanges). The
+//     counters are never recounted while serving: an exact check
+//     (metrics.CutWeightsRange over each owned range, bit-identical to the
+//     incremental values) runs once when a durable store reopens.
 //   - The coordinator composes the cut ratio from the per-shard integer
 //     counters; past a degradation threshold it clones the merged graph
 //     under a barrier and restabilizes in a background goroutine with the

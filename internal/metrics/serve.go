@@ -76,14 +76,15 @@ type ServeCounters struct {
 	// ShardBatches counts per-shard sub-batch applications on the sharded
 	// fast path (one submitted batch fans out to ≤ shards sub-batches).
 	ShardBatches atomic.Int64 `metric:"spinner_shard_batches_total" help:"Per-shard sub-batch applications on the sharded fast path."`
-	// CutReconciles counts periodic exact cut recomputations checked
-	// against the incremental per-shard counters; CutDrift counts shards
-	// whose incremental counters disagreed with the exact pass and were
+	// CutReconciles counts every exact all-shard recount made outside a
+	// relabel: each exact check (run at open and by tests) and each
+	// periodic rebalance that moved a boundary. CutDrift counts shards
+	// whose incremental counters disagreed with an exact check and were
 	// repaired (expected to stay 0 — integer deltas are exact).
 	CutReconciles atomic.Int64 `metric:"spinner_cut_reconciles_total" help:"Periodic exact cut recomputations."`
 	CutDrift      atomic.Int64 `metric:"spinner_cut_drift_total" help:"Shards whose incremental cut counters disagreed with an exact pass."`
 	// ShardRebalances counts shard-boundary recomputations that actually
-	// moved a boundary (piggybacked on the reconciliation pass).
+	// moved a boundary (the periodic pass).
 	ShardRebalances atomic.Int64 `metric:"spinner_shard_rebalances_total" help:"Shard-boundary recomputations that moved a boundary."`
 
 	// Durability path (internal/wal; zero on in-memory stores).

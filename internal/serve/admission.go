@@ -24,8 +24,8 @@ package serve
 //     pre-multi-tenant caller), group formation is the identity.
 //   - Degradation budget: the coordinator samples lookup and drain
 //     rates each Overload.Window into EWMAs; past the configured
-//     thresholds it defers background restabilization and exact
-//     reconcile passes (cut quality degrades gracefully, lookup latency
+//     thresholds it defers background restabilization and the periodic
+//     shard rebalance (cut quality degrades gracefully, lookup latency
 //     does not), and the HTTP layer sheds /resize. RetryAfter derives
 //     an honest client backoff from the observed drain rate.
 //
@@ -292,7 +292,7 @@ func (s *Store) clock() time.Time {
 func (s *Store) Degraded() bool { return s.degraded.Load() }
 
 // Overloaded reports whether the degradation budget is engaged:
-// background restabilization and reconcile passes are deferred and
+// background restabilization and the periodic rebalance are deferred and
 // callers should shed expensive writes.
 func (s *Store) Overloaded() bool { return s.overloaded.Load() }
 

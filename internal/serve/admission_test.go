@@ -142,7 +142,7 @@ func starvationHarness(t *testing.T, cfg Config) (st *Store, stop func()) {
 func TestFairDrainStarvationFreedom(t *testing.T) {
 	st, stop := starvationHarness(t, Config{
 		Options: storeOpts(2, 9), Shards: 2, LogDepth: 8,
-		DegradeFactor: 1e9, ReconcileEvery: -1,
+		DegradeFactor: 1e9,
 	})
 	defer stop()
 
@@ -223,8 +223,8 @@ func TestFairDrainStarvationFreedom(t *testing.T) {
 func TestWeightedFairShares(t *testing.T) {
 	st, stop := starvationHarness(t, Config{
 		Options: storeOpts(2, 9), Shards: 2, LogDepth: 8,
-		DegradeFactor: 1e9, ReconcileEvery: -1,
-		Quota: QuotaConfig{Weights: map[string]int{"gold": 3}},
+		DegradeFactor: 1e9,
+		Quota:         QuotaConfig{Weights: map[string]int{"gold": 3}},
 	})
 	defer stop()
 
@@ -256,8 +256,8 @@ func TestOverloadDefersMaintenance(t *testing.T) {
 	const window = 100 * time.Millisecond
 	st, stop := starvationHarness(t, Config{
 		Options: storeOpts(2, 9), Shards: 2,
-		DegradeFactor: 1e9, ReconcileEvery: 1, MidRunOff: true,
-		Overload: OverloadConfig{LookupRate: 10, Window: window},
+		DegradeFactor: 1e9,
+		Overload:      OverloadConfig{LookupRate: 10, Window: window},
 	})
 	defer stop()
 
@@ -271,7 +271,7 @@ func TestOverloadDefersMaintenance(t *testing.T) {
 	}
 
 	st.wantRestab = true
-	st.applied.Add(1) // one resolved batch past the reconcile cadence
+	st.applied.Add(reconcileEvery) // the periodic pass is due
 	for i := 0; i < 3; i++ {
 		st.maybeRestabilize()
 		st.maybeReconcile()
@@ -284,7 +284,7 @@ func TestOverloadDefersMaintenance(t *testing.T) {
 		t.Fatalf("deferrals = %d/%d, want 1/1 (one per episode, not per turn)",
 			c.DeferredRestabs.Load(), c.DeferredReconciles.Load())
 	}
-	if c.CutReconciles.Load() != 0 || c.Restabilizations.Load() != 0 {
+	if st.lastReconcile != 0 || c.Restabilizations.Load() != 0 {
 		t.Fatal("maintenance ran while overloaded")
 	}
 
@@ -303,9 +303,9 @@ func TestOverloadDefersMaintenance(t *testing.T) {
 		t.Fatal("restabilization did not start after overload cleared")
 	}
 	st.merge(<-st.restabDone)
-	if c.CutReconciles.Load() != 1 || c.Restabilizations.Load() != 1 {
-		t.Fatalf("reconciles=%d restabs=%d after overload cleared, want 1/1",
-			c.CutReconciles.Load(), c.Restabilizations.Load())
+	if st.lastReconcile != st.applied.Load() || c.Restabilizations.Load() != 1 {
+		t.Fatalf("periodic pass at %d of %d batches, restabs=%d after overload cleared, want it run and 1",
+			st.lastReconcile, st.applied.Load(), c.Restabilizations.Load())
 	}
 }
 
@@ -359,14 +359,14 @@ func TestFaultStopNeverLosesAckedBatch(t *testing.T) {
 		t.Run(fmt.Sprintf("failWrite%d", failAt), func(t *testing.T) {
 			cfg := Config{
 				Options: storeOpts(2, 9), Shards: 2,
-				DegradeFactor: 1e9, ReconcileEvery: -1,
+				DegradeFactor: 1e9,
 				Durability: DurabilityConfig{
 					Fsync: wal.SyncAlways, CheckpointEvery: -1, NoFinalCheckpoint: true,
 				},
 			}
 			w, labels := twoClusters(50)
 			ref, err := New(w, append([]int32(nil), labels...),
-				Config{Options: storeOpts(2, 9), Shards: 2, DegradeFactor: 1e9, ReconcileEvery: -1})
+				Config{Options: storeOpts(2, 9), Shards: 2, DegradeFactor: 1e9})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -445,7 +445,7 @@ func TestFaultStopNeverLosesAckedBatch(t *testing.T) {
 func TestFsyncFaultStopDegradesStore(t *testing.T) {
 	cfg := Config{
 		Options: storeOpts(2, 9), Shards: 2,
-		DegradeFactor: 1e9, ReconcileEvery: -1,
+		DegradeFactor: 1e9,
 		Durability: DurabilityConfig{
 			Fsync: wal.SyncAlways, CheckpointEvery: -1, NoFinalCheckpoint: true,
 		},

@@ -110,11 +110,11 @@ func BenchmarkServeLookupUnderChurn(b *testing.B) {
 //     their rows and fold O(batch) cut deltas in parallel. The speedup is
 //     bounded by the host's core count — on a single-core container the
 //     sub-benchmarks show fan-out overhead parity, not speedup.
-//   - exactcut: ReconcileEvery=1 forces a full exact cut recompute per
-//     applied batch — the seed's per-swap O(E) cost model — against the
-//     default incremental O(batch) deltas. This axis is hardware-
-//     independent and dominates at scale, since E keeps growing while
-//     batches do not.
+//   - exactcut: an exact check (reconcileNow) after every batch forces a
+//     full exact cut recompute per applied batch — the seed's per-swap
+//     O(E) cost model — against the default incremental O(batch)
+//     deltas. This axis is hardware-independent and dominates at scale,
+//     since E keeps growing while batches do not.
 //
 // Restabilization is disabled so the numbers isolate the write plane.
 func BenchmarkServeMutateThroughput(b *testing.B) {
@@ -148,24 +148,22 @@ func BenchmarkServeMutateThroughput(b *testing.B) {
 	}
 
 	cases := []struct {
-		name           string
-		shards         int
-		reconcileEvery int
+		name   string
+		shards int
+		exact  bool
 	}{
-		{"shards=1", 1, -1},
-		{"shards=2", 2, -1},
-		{"shards=4", 4, -1},
-		{"exactcut", 1, 1}, // seed cost model: exact O(E) pass per batch
+		{"shards=1", 1, false},
+		{"shards=2", 2, false},
+		{"shards=4", 4, false},
+		{"exactcut", 1, true}, // seed cost model: exact O(E) pass per batch
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			st, err := New(w.Clone(), append([]int32(nil), res.Labels...), Config{
-				Options:        opts,
-				Shards:         tc.shards,
-				DegradeFactor:  1e9, // isolate the write plane
-				MidRunOff:      true,
-				ReconcileEvery: tc.reconcileEvery,
-				LogDepth:       64,
+				Options:       opts,
+				Shards:        tc.shards,
+				DegradeFactor: 1e9, // isolate the write plane
+				LogDepth:      64,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -174,6 +172,11 @@ func BenchmarkServeMutateThroughput(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := st.Submit(batches[i%len(batches)]); err != nil {
 					b.Fatal(err)
+				}
+				if tc.exact {
+					if err := st.control(st.reconcileNow); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 			if err := st.Quiesce(); err != nil {
@@ -253,12 +256,10 @@ func BenchmarkServeMutateDurable(b *testing.B) {
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			cfg := Config{
-				Options:        opts,
-				Shards:         2,
-				DegradeFactor:  1e9, // isolate the write plane
-				MidRunOff:      true,
-				ReconcileEvery: -1,
-				LogDepth:       64,
+				Options:       opts,
+				Shards:        2,
+				DegradeFactor: 1e9, // isolate the write plane
+				LogDepth:      64,
 				Durability: DurabilityConfig{
 					Fsync:             tc.fsync,
 					CheckpointEvery:   -1, // isolate the journal from checkpoint cost
@@ -359,12 +360,10 @@ func BenchmarkServeFairness(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			st, err := New(w.Clone(), append([]int32(nil), res.Labels...), Config{
-				Options:        opts,
-				Shards:         2,
-				DegradeFactor:  1e9, // isolate the write plane
-				MidRunOff:      true,
-				ReconcileEvery: -1,
-				LogDepth:       16,
+				Options:       opts,
+				Shards:        2,
+				DegradeFactor: 1e9, // isolate the write plane
+				LogDepth:      16,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -449,7 +448,7 @@ func BenchmarkBarrierBatch(b *testing.B) {
 			for v := range labels {
 				labels[v] = int32(v * k / n)
 			}
-			st, err := New(w, labels, Config{Options: storeOpts(k, 7), DegradeFactor: 1e9, ReconcileEvery: -1})
+			st, err := New(w, labels, Config{Options: storeOpts(k, 7), DegradeFactor: 1e9})
 			if err != nil {
 				b.Fatal(err)
 			}

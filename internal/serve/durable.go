@@ -47,17 +47,18 @@ package serve
 //   - Recovery (Open): load the latest valid checkpoint — a full base
 //     plus any .dckp delta links chained above it, applied in order (a
 //     broken link ends the chain early; the journal tail covers the
-//     rest) — rebuild the shards over the decoded state (verifying the composed cut counters
-//     bit-for-bit against an exact recompute), then replay the journal
-//     tail through the normal shard-broadcast apply path, quiescing after
-//     each record. A torn tail is truncated; mid-log corruption fails
-//     recovery loudly. A final exact reconcile pass verifies the
-//     recovered counters (metrics CutDrift stays 0). A crash while a
-//     background checkpoint was in flight leaves, at worst, a leftover
-//     temp file (ignored) and no new checkpoint — recovery falls back to
-//     the previous valid checkpoint and replays a longer journal tail to
-//     the identical state, which is why the journal is only truncated
-//     below the oldest RETAINED checkpoint.
+//     rest) — rebuild the shards over the decoded state (their counters
+//     recomputed exactly), then replay the journal tail through the
+//     normal shard-broadcast apply path, quiescing after each record. A
+//     torn tail is truncated; mid-log corruption fails recovery loudly.
+//     A final exact check (reconcileNow) compares every shard's
+//     incrementally replayed counters with a recount (metrics CutDrift
+//     stays 0); it is the only place a serving store recounts. A crash
+//     while a background checkpoint was in flight leaves, at worst, a
+//     leftover temp file (ignored) and no new checkpoint — recovery
+//     falls back to the previous valid checkpoint and replays a longer
+//     journal tail to the identical state, which is why the journal is
+//     only truncated below the oldest RETAINED checkpoint.
 //
 // Determinism: replay re-applies the journaled entry sequence with a
 // quiesce between entries, so a store whose live history was itself a
@@ -359,8 +360,8 @@ func Open(dir string, cfg Config) (*Store, error) {
 		s.Close()
 		return nil, err
 	}
-	// Post-recovery reconcile: every shard recomputes its counters exactly
-	// inside the barrier; a mismatch with the incremental values recovered
+	// Post-recovery check: every shard's counters are recounted exactly
+	// under a barrier; a mismatch with the incremental values recovered
 	// from checkpoint+replay would surface as CutDrift (it must stay 0).
 	if err := s.control(s.reconcileNow); err != nil {
 		s.Close()
@@ -384,10 +385,25 @@ func (s *Store) control(run func() error) error {
 	}
 }
 
-// reconcileNow is the forced exact pass (reconcile without the rebalance)
-// as a control.
+// reconcileNow is the exact check, run as a control: under a barrier it
+// recomputes every shard's counters (cross, total, perPart, load) from the
+// rows it owns and compares them with the incremental ones. A shard that
+// differs counts as CutDrift, takes the exact values and republishes.
+// Open runs it after replay, where state from outside the program has
+// entered, and the tests after their histories; the serving loop never
+// does. Shard ranges are left alone.
 func (s *Store) reconcileNow() error {
-	s.reconcile(false)
+	s.withBarrier(func() {
+		for _, sh := range s.shards {
+			cross, total, perPart, load := metrics.CutWeightsRange(s.w, s.labels, s.k, sh.lo, sh.hi)
+			if cross != sh.cross || total != sh.total || !slices.Equal(perPart, sh.perPart) || !slices.Equal(load, sh.load) {
+				s.ctr.CutDrift.Add(1)
+				sh.cross, sh.total, sh.perPart, sh.load = cross, total, perPart, load
+				sh.publishFresh()
+			}
+		}
+		s.ctr.CutReconciles.Add(1)
+	})
 	return nil
 }
 
@@ -407,6 +423,8 @@ func (s *Store) journalGroup(entries []logEntry) bool {
 	if s.d == nil || !s.d.active {
 		return true
 	}
+	tJournal := time.Now()
+	defer func() { s.stageHist[stageJournal].Record(time.Since(tJournal)) }()
 	ge := s.d.groupBuf[:0]
 	for _, e := range entries {
 		switch {

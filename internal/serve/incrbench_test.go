@@ -56,11 +56,9 @@ func BenchmarkCheckpointDelta(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			cfg := Config{
-				Options:        opts,
-				Shards:         2,
-				DegradeFactor:  1e9, // isolate the checkpoint plane
-				MidRunOff:      true,
-				ReconcileEvery: -1,
+				Options:       opts,
+				Shards:        2,
+				DegradeFactor: 1e9, // isolate the checkpoint plane
 				Durability: DurabilityConfig{
 					Fsync:             wal.SyncNever,
 					CheckpointEvery:   -1, // checkpoints driven synchronously below

@@ -33,7 +33,7 @@ func addBatch(n, step, edges int) *graph.Mutation {
 // deterministic rather than timing-dependent.
 func TestHandleGroupCoalescesRuns(t *testing.T) {
 	w, labels := twoClusters(50)
-	cfg := Config{Options: storeOpts(2, 9), Shards: 3, DegradeFactor: 1e9, ReconcileEvery: -1}
+	cfg := Config{Options: storeOpts(2, 9), Shards: 3, DegradeFactor: 1e9}
 	if err := cfg.normalize(); err != nil {
 		t.Fatal(err)
 	}
@@ -108,10 +108,9 @@ func TestHandleGroupCoalescesRuns(t *testing.T) {
 func TestDurableGroupCommitBurstRecovery(t *testing.T) {
 	const batches = 48
 	cfg := Config{
-		Options:        storeOpts(2, 9),
-		Shards:         2,
-		DegradeFactor:  1e9, // no restabs: burst state must be exactly additive
-		ReconcileEvery: -1,
+		Options:       storeOpts(2, 9),
+		Shards:        2,
+		DegradeFactor: 1e9, // no restabs: burst state must be exactly additive
 		Durability: DurabilityConfig{
 			Fsync:             wal.SyncAlways,
 			CheckpointEvery:   -1,

@@ -81,10 +81,9 @@ func TestAppendedVertexPlacementMatchesScan(t *testing.T) {
 			}
 			shadow := w.Clone()
 			st, err := New(w, labels, Config{
-				Options:        storeOpts(3, 21),
-				Shards:         shards,
-				DegradeFactor:  1.05,
-				ReconcileEvery: -1, // forced below instead: a periodic pass could still be running when Quiesce returns
+				Options:       storeOpts(3, 21),
+				Shards:        shards,
+				DegradeFactor: 1.05,
 			})
 			if err != nil {
 				t.Fatal(err)

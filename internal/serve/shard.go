@@ -17,17 +17,10 @@ type batchTracker struct {
 
 // barrier synchronizes the coordinator with every shard: each shard acks
 // and parks until resume closes, handing the coordinator exclusive access
-// to all shard-owned state (labels, adjacency rows, cut counters). An
-// optional work step runs in each shard goroutine before the ack — the
-// hook the parallel reconcile pass uses to recompute per-shard counters
-// inside the shards instead of serially on the coordinator. Work running
-// in shard A may overlap shard B still applying earlier entries, which is
-// safe for reads of A's own rows (single writer per row range) and of the
-// labels (frozen outside barriers).
+// to all shard-owned state (labels, adjacency rows, cut counters).
 type barrier struct {
 	ack    chan struct{}
 	resume chan struct{}
-	work   func(*shard)
 }
 
 // shardEntry is one unit of shard work: a broadcast of one or more
@@ -103,9 +96,6 @@ func (sh *shard) run() {
 		if e.barrier != nil {
 			if sh.dirty {
 				sh.publishDelta() // coalesced counters must land first
-			}
-			if e.barrier.work != nil {
-				e.barrier.work(sh)
 			}
 			e.barrier.ack <- struct{}{}
 			<-e.barrier.resume

@@ -77,94 +77,118 @@ func (r *testRng) Intn(n int) int { return int(r.next() % uint64(n)) }
 // Acceptance criterion: the incremental per-batch cut deltas must stay
 // bit-identical to the exact O(E) recompute across randomized mutation
 // sequences — adds (fast path), removals and growth (barrier path),
-// resizes, at 1 and at 3 shards — with reconciliation disabled so nothing
-// silently repairs drift.
+// resizes, at 1, 3 and 4 shards. Nothing on the serving loop recounts, so
+// nothing silently repairs drift; after every quiesce the exact check
+// compares each shard's four counters (cross, total, perPart, load), not
+// only the composed sums. The second input lets restabilization fire and
+// submits its batches in runs of 8 with no quiesce inside a run, so
+// mid-run merges land between fast-path broadcasts.
 func TestIncrementalCutMatchesExact(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			w, labels := twoClusters(60)
-			shadow := w.Clone()
-			st, err := New(w, append([]int32(nil), labels...), Config{
-				Options:        storeOpts(2, 11),
-				Shards:         shards,
-				DegradeFactor:  1e9, // isolate the delta path from restab merges
-				ReconcileEvery: -1,
-				MidRunOff:      true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer st.Close()
+	for _, in := range []struct {
+		prefix         string // of the subtest names
+		degrade, slack float64
+		run            int // batches submitted between quiesces
+	}{
+		{"", 1e9, 0, 1}, // isolate the delta path from restab merges
+		{"restab/", 1.01, 0.0001, 8},
+	} {
+		for _, shards := range []int{1, 3, 4} {
+			t.Run(fmt.Sprintf("%sshards=%d", in.prefix, shards), func(t *testing.T) {
+				w, labels := twoClusters(60)
+				shadow := w.Clone()
+				st, err := New(w, append([]int32(nil), labels...), Config{
+					Options:       storeOpts(2, 11),
+					Shards:        shards,
+					DegradeFactor: in.degrade,
+					DegradeSlack:  in.slack,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer st.Close()
 
-			k := 2
-			for step := 0; step < 80; step++ {
-				if step == 40 {
-					k = 5
-					if err := st.Resize(k); err != nil {
+				k, checks := 2, int64(0)
+				for step := 0; step < 80; step++ {
+					if step == 40 {
+						k = 5
+						if err := st.Resize(k); err != nil {
+							t.Fatal(err)
+						}
+						// The forced repair run merges during this quiesce; its
+						// relabeling republishes exact counters, and subsequent
+						// deltas must keep matching.
+						if err := st.Quiesce(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					m := randomBatch(shadow, 77, step)
+					if _, err := copyMutation(m).Apply(shadow); err != nil {
+						t.Fatalf("step %d: shadow apply: %v", step, err)
+					}
+					if err := st.Submit(m); err != nil {
 						t.Fatal(err)
 					}
-					// The forced repair run merges during this quiesce; its
-					// relabeling republishes exact counters, and subsequent
-					// deltas must keep matching.
+					if (step+1)%in.run != 0 {
+						continue
+					}
 					if err := st.Quiesce(); err != nil {
 						t.Fatal(err)
 					}
-				}
-				m := randomBatch(shadow, 77, step)
-				if _, err := copyMutation(m).Apply(shadow); err != nil {
-					t.Fatalf("step %d: shadow apply: %v", step, err)
-				}
-				if err := st.Submit(m); err != nil {
-					t.Fatal(err)
-				}
-				if err := st.Quiesce(); err != nil {
-					t.Fatal(err)
-				}
-				snap := st.Snapshot()
-				if len(snap.Labels) != shadow.NumVertices() {
-					t.Fatalf("step %d: %d labels for %d shadow vertices", step, len(snap.Labels), shadow.NumVertices())
-				}
-				cross, total, perPart := metrics.CutWeights(shadow, snap.Labels, snap.K)
-				if snap.CutWeight != cross || snap.TotalWeight != total {
-					t.Fatalf("step %d: incremental (cut=%d,total=%d) != exact (cut=%d,total=%d)",
-						step, snap.CutWeight, snap.TotalWeight, cross, total)
-				}
-				for l := range perPart {
-					if snap.CutByPartition[l] != perPart[l] {
-						t.Fatalf("step %d: CutByPartition[%d] = %d, exact %d",
-							step, l, snap.CutByPartition[l], perPart[l])
+					snap := st.Snapshot()
+					if len(snap.Labels) != shadow.NumVertices() {
+						t.Fatalf("step %d: %d labels for %d shadow vertices", step, len(snap.Labels), shadow.NumVertices())
+					}
+					cross, total, perPart := metrics.CutWeights(shadow, snap.Labels, snap.K)
+					if snap.CutWeight != cross || snap.TotalWeight != total {
+						t.Fatalf("step %d: incremental (cut=%d,total=%d) != exact (cut=%d,total=%d)",
+							step, snap.CutWeight, snap.TotalWeight, cross, total)
+					}
+					for l := range perPart {
+						if snap.CutByPartition[l] != perPart[l] {
+							t.Fatalf("step %d: CutByPartition[%d] = %d, exact %d",
+								step, l, snap.CutByPartition[l], perPart[l])
+						}
+					}
+					if snap.CutRatio != cutRatio(cross, total) {
+						t.Fatalf("step %d: ratio %v != %v", step, snap.CutRatio, cutRatio(cross, total))
+					}
+					if err := st.control(st.reconcileNow); err != nil {
+						t.Fatal(err)
+					}
+					checks++
+					if drift := st.Counters().CutDrift.Load(); drift != 0 {
+						t.Fatalf("step %d: the exact check repaired %d shards", step, drift)
 					}
 				}
-				if snap.CutRatio != cutRatio(cross, total) {
-					t.Fatalf("step %d: ratio %v != %v", step, snap.CutRatio, cutRatio(cross, total))
+				c := st.Counters()
+				if c.CutReconciles.Load() != checks {
+					t.Fatalf("%d exact recounts for %d checks: the serving loop recounted", c.CutReconciles.Load(), checks)
 				}
-			}
-			if st.Counters().CutReconciles.Load() != 0 {
-				t.Fatal("reconciliation ran while disabled")
-			}
-		})
+				if in.degrade < 2 && c.Restabilizations.Load() < 2 {
+					t.Fatalf("restab input merged %d runs, want the trigger firing", c.Restabilizations.Load())
+				}
+			})
+		}
 	}
 }
 
-// The periodic reconciliation pass must find zero drift (the deltas are
-// exact), and its boundary rebalance must keep lookups and counters
-// correct as growth skews the vertex space toward the last shard.
+// The periodic pass fires through the ordinary loop at its constant
+// cadence: growth skews the vertex space toward the last shard, the
+// boundary rebalance moves it back, and lookups and counters stay exact.
 func TestReconcileRebalance(t *testing.T) {
 	w, labels := twoClusters(60)
 	shadow := w.Clone()
 	st, err := New(w, append([]int32(nil), labels...), Config{
-		Options:        storeOpts(2, 13),
-		Shards:         3,
-		DegradeFactor:  1e9,
-		ReconcileEvery: 4,
-		MidRunOff:      true,
+		Options:       storeOpts(2, 13),
+		Shards:        3,
+		DegradeFactor: 1e9,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
 
-	for step := 0; step < 40; step++ {
+	for step := 0; step < reconcileEvery+8; step++ {
 		m := &graph.Mutation{NewVertices: 3}
 		n := shadow.NumVertices()
 		for i := 0; i < 3; i++ {
@@ -181,13 +205,14 @@ func TestReconcileRebalance(t *testing.T) {
 	if err := st.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
+	var last int64
+	if err := st.control(func() error { last = st.lastReconcile; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if last < reconcileEvery {
+		t.Fatalf("last periodic pass at %d resolved batches, want >= %d", last, reconcileEvery)
+	}
 	c := st.Counters()
-	if c.CutReconciles.Load() == 0 {
-		t.Fatal("no reconciliation ran")
-	}
-	if c.CutDrift.Load() != 0 {
-		t.Fatalf("reconciliation repaired drift %d times; deltas must be exact", c.CutDrift.Load())
-	}
 	if c.ShardRebalances.Load() == 0 {
 		t.Fatal("growth skewed the ranges but boundaries never rebalanced")
 	}
@@ -213,6 +238,9 @@ func TestReconcileRebalance(t *testing.T) {
 			t.Fatal(err)
 		}
 		return st.Counters().CutDrift.Load()
+	}
+	if drift := forceReconcile(); drift != 0 {
+		t.Fatalf("the exact check repaired %d shards after the rebalance; deltas must be exact", drift)
 	}
 	st.shards[1].load[0] += 3
 	if drift := forceReconcile(); drift != 1 {
@@ -297,7 +325,7 @@ func TestShardedConcurrentLookups(t *testing.T) {
 	shadow := w.Clone()
 	st, err := New(w, res.Labels, Config{
 		Options: storeOpts(4, 7), Shards: 4,
-		DegradeFactor: 1.01, DegradeSlack: 0.0001, ReconcileEvery: 8,
+		DegradeFactor: 1.01, DegradeSlack: 0.0001,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -330,6 +358,11 @@ func TestShardedConcurrentLookups(t *testing.T) {
 		cp := &graph.Mutation{NewEdges: append([]graph.WeightedEdgeRecord(nil), mut.NewEdges...)}
 		if err := st.Submit(cp); err != nil {
 			t.Fatal(err)
+		}
+		if batch%8 == 7 { // exact checks race the readers too
+			if err := st.control(st.reconcileNow); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if st.Counters().Restabilizations.Load() >= 2 {
 			break
@@ -369,9 +402,6 @@ func TestShardConfigValidation(t *testing.T) {
 	w, labels := twoClusters(10)
 	if _, err := New(w.Clone(), append([]int32(nil), labels...), Config{Options: storeOpts(2, 1), Shards: -1}); err == nil {
 		t.Fatal("negative Shards accepted")
-	}
-	if _, err := New(w.Clone(), append([]int32(nil), labels...), Config{Options: storeOpts(2, 1), ShardLogDepth: -2}); err == nil {
-		t.Fatal("negative ShardLogDepth accepted")
 	}
 	// More shards than vertices clamps rather than fails.
 	st, err := New(w.Clone(), append([]int32(nil), labels...), Config{Options: storeOpts(2, 1), Shards: 1000})

@@ -42,7 +42,7 @@
 //     shards (graph.Mutation.CutEdits), and republishes — O(batch) under
 //     the barrier, never a scan of the graph. Anything else that must
 //     happen at a position in that order (a quiesce, recovery's journal
-//     attach and forced reconcile) rides the same log as a control: a
+//     attach and exact check) rides the same log as a control: a
 //     function the coordinator runs there, whose error is the reply.
 //   - Maintenance plane: the coordinator tracks the composed cut ratio
 //     cross/total from integer per-shard counters — O(shards) per check
@@ -54,13 +54,11 @@
 //     publish the same way. Elastic k→k′ (§III-E) relabels the n/(k+n)
 //     fraction under a barrier and repairs in the background; in-flight
 //     runs from the old k-space are discarded. All three land through one
-//     function, relabel: it swaps the full label array in, recomputes the
-//     shard counters, publishes the barrier delta and returns the label
-//     runs that changed. Every ReconcileEvery
-//     applied batches a reconciliation pass recomputes the per-shard
-//     counters exactly (they must match bit-for-bit — the deltas are
-//     integer arithmetic) and rebalances shard boundaries by weighted
-//     degree (cluster.BalancedRanges).
+//     function, relabel: it swaps the full label array in, republishes
+//     and returns the label runs that changed. Every 512 applied batches
+//     a periodic pass rebalances shard boundaries by weighted degree
+//     (cluster.BalancedRanges); it never recounts the counters, which
+//     are exact integer arithmetic.
 //
 // Shard counters: for the edges it owns a shard keeps the integer cut
 // counters (cross, total, perPart) and load, the owned edges' share of the
@@ -68,10 +66,12 @@
 // endpoints' labels. All four are written at the same three places — by the
 // shard goroutine as it applies a fast-path edge (shard.apply), by the
 // coordinator folding a barrier batch's CutEdits (applyGlobalBatch), and by
-// the exact recompute (metrics.CutWeightsRange) at open, after every
-// relabeling event and in reconciliation, whose drift comparison covers all
-// four. The loads are why a batch that appends vertices never reads the
-// graph: the paper's implementation has b(l) to hand as aggregators, and
+// republish, the exact recompute (metrics.CutWeightsRange) at construction,
+// after every relabeling event and after a boundary move. reconcileNow
+// compares all four with an exact recount (and repairs a shard that
+// drifted); Open runs it after replay and the tests after their histories.
+// The loads are why a batch that appends vertices never reads the graph:
+// the paper's implementation has b(l) to hand as aggregators, and
 // applyGlobalBatch sums the shards' load (O(shards·k)), adds the batch's own
 // edits at their pre-existing endpoints and passes that to
 // core.PlaceNewVertices. Loads are sums of int32 weights, hence exact: equal
@@ -130,21 +130,11 @@ type Config struct {
 	// DegradeSlack is the additive term of the trigger, guarding against a
 	// zero baseline on perfectly separable graphs. Default 0.005.
 	DegradeSlack float64
-	// MidRunOff disables the per-iteration snapshot publication from
-	// in-flight restabilization runs (on by default).
-	MidRunOff bool
 	// Shards is the number of contiguous vertex-range shards mutation
 	// application parallelizes over (clamped to the vertex count).
 	// Default 1 — a single shard reproduces the unsharded timing exactly;
 	// serving deployments set it near the core count.
 	Shards int
-	// ShardLogDepth bounds each shard's sub-batch log. Default 32.
-	ShardLogDepth int
-	// ReconcileEvery runs the exact cut reconciliation and shard-boundary
-	// rebalance after this many applied batches. Default 512; negative
-	// disables (the incremental integer deltas are exact, so this is a
-	// safety net and a rebalance point, not a correctness requirement).
-	ReconcileEvery int
 	// DeltaRing bounds the change-feed publication ring (delta.go): how
 	// many Delta records stay retrievable for watch consumers before the
 	// compaction floor rises past them. Default 1024.
@@ -167,6 +157,14 @@ type Config struct {
 	// negative disables lookup timing entirely.
 	LookupSampleEvery int
 }
+
+const (
+	// shardLogDepth bounds each shard's sub-batch log.
+	shardLogDepth = 32
+	// reconcileEvery is the cadence, in resolved batches, of the periodic
+	// shard-boundary rebalance (maybeReconcile).
+	reconcileEvery = 512
+)
 
 func (c *Config) normalize() error {
 	// Validate the partitioner configuration up front so a misconfigured
@@ -197,15 +195,6 @@ func (c *Config) normalize() error {
 	}
 	if c.Shards < 1 {
 		return fmt.Errorf("serve: Shards=%d", c.Shards)
-	}
-	if c.ShardLogDepth == 0 {
-		c.ShardLogDepth = 32
-	}
-	if c.ShardLogDepth < 1 {
-		return fmt.Errorf("serve: ShardLogDepth=%d", c.ShardLogDepth)
-	}
-	if c.ReconcileEvery == 0 {
-		c.ReconcileEvery = 512
 	}
 	if c.DeltaRing == 0 {
 		c.DeltaRing = 1024
@@ -490,19 +479,12 @@ func newStore(st *ckptState, cfg Config) (*Store, error) {
 		s.bounds = cluster.BalancedRanges(st.w, cfg.Shards)
 	}
 	for i := 0; i < len(s.bounds)-1; i++ {
-		sh := &shard{
-			st: s, id: i,
-			log:  make(chan shardEntry, cfg.ShardLogDepth),
+		s.shards = append(s.shards, &shard{
+			st: s, id: i, w: st.w,
+			log:  make(chan shardEntry, shardLogDepth),
 			done: make(chan struct{}),
-			w:    st.w, labels: st.labels,
-			lo: s.bounds[i], hi: s.bounds[i+1],
-			k: s.k, epoch: s.epoch,
-		}
-		sh.cross, sh.total, sh.perPart, sh.load = metrics.CutWeightsRange(st.w, st.labels, s.k, sh.lo, sh.hi)
-		sh.publishFresh()
-		s.shards = append(s.shards, sh)
+		})
 	}
-	s.publishRouter()
 	// Every store starts its change feed with a full-state baseline. Delta
 	// sequences are per-process: watch consumers holding sequences from a
 	// previous incarnation are told to resync.
@@ -510,7 +492,7 @@ func newStore(st *ckptState, cfg Config) (*Store, error) {
 	if n > 0 {
 		runs = []LabelRun{{Start: 0, Labels: append([]int32(nil), s.labels...)}}
 	}
-	s.emitBarrierDelta(runs, true)
+	s.republish(runs, true)
 	return s, nil
 }
 
@@ -901,16 +883,7 @@ func (s *Store) currentCut() float64 {
 // resumes the shards. Entries forwarded before the barrier are guaranteed
 // applied when fn runs (shard logs are FIFO).
 func (s *Store) withBarrier(fn func()) {
-	s.withBarrierWork(nil, fn)
-}
-
-// withBarrierWork is withBarrier with a parallel pre-step: each shard
-// goroutine runs work(sh) before acking, so per-shard computations (the
-// exact reconcile pass) fan out across the shards instead of serializing
-// on the coordinator. work may touch only the shard's own state and rows
-// and barrier-frozen shared state (labels never change outside barriers).
-func (s *Store) withBarrierWork(work func(*shard), fn func()) {
-	b := &barrier{ack: make(chan struct{}, len(s.shards)), resume: make(chan struct{}), work: work}
+	b := &barrier{ack: make(chan struct{}, len(s.shards)), resume: make(chan struct{})}
 	for _, sh := range s.shards {
 		sh.log <- shardEntry{barrier: b}
 	}
@@ -1048,14 +1021,7 @@ func (s *Store) drainAndExit() {
 // single shard broadcast. Control entries run at their submitted
 // positions.
 func (s *Store) handleGroup(entries []logEntry) {
-	var ok bool
-	if s.d != nil && s.d.active {
-		tJournal := time.Now()
-		ok = s.journalGroup(entries)
-		s.stageHist[stageJournal].Record(time.Since(tJournal))
-	} else {
-		ok = s.journalGroup(entries)
-	}
+	ok := s.journalGroup(entries)
 	tApply := time.Now()
 	defer func() { s.stageHist[stageApply].Record(time.Since(tApply)) }()
 	var run []*graph.Mutation
@@ -1180,7 +1146,7 @@ func (s *Store) applyGlobalBatch(m *graph.Mutation, ten *tenantState) {
 				sh.labels = grown
 			}
 			// The appended tail extends the last shard's range; boundaries
-			// rebalance at the next reconciliation pass.
+			// move at the next periodic rebalance.
 			s.shards[len(s.shards)-1].hi = newN
 			s.bounds[len(s.bounds)-1] = newN
 			s.ctr.VerticesAdded.Add(int64(newN - oldN))
@@ -1302,36 +1268,40 @@ func (s *Store) overlay(run []int32, base int) []int32 {
 	return merged
 }
 
-// relabel adopts a full relabeling: it swaps merged in, recomputes every
-// shard's counters and snapshot, publishes the barrier delta and returns
-// the label runs that changed (exact, see labelDiffRuns) — the whole of
-// what a replica needs to land the same relabeling. Coordinator-only,
-// under a barrier, after the caller has set the k, gen and epoch the new
-// labels live in.
+// relabel adopts a full relabeling: it swaps merged in, republishes and
+// returns the label runs that changed (exact, see labelDiffRuns) — the
+// whole of what a replica needs to land the same relabeling.
+// Coordinator-only, under a barrier, after the caller has set the k, gen
+// and epoch the new labels live in.
 func (s *Store) relabel(merged []int32) []LabelRun {
 	runs := labelDiffRuns(s.labels, merged)
 	s.labels = merged
-	s.recomputeShardCuts()
-	s.emitBarrierDelta(runs, false)
+	tPublish := time.Now()
+	s.republish(runs, false)
+	s.stageHist[stagePublish].Record(time.Since(tPublish))
 	return runs
 }
 
-// recomputeShardCuts refreshes every shard's labels view, counters (exact)
-// and snapshot. Coordinator-only, under a barrier; used by the relabeling
-// events (resize, merges), which move too many labels for per-edge deltas
-// to pay off.
-func (s *Store) recomputeShardCuts() {
-	tPublish := time.Now()
-	defer func() { s.stageHist[stagePublish].Record(time.Since(tPublish)) }()
-	s.pubGen++ // new label generation: Snapshot refuses to mix rounds
-	for _, sh := range s.shards {
-		sh.labels = s.labels
-		sh.k = s.k
-		sh.epoch = s.epoch
-		sh.pubGen = s.pubGen
+// republish is the one place shard counters are recomputed for a
+// publication — construction, every relabeling event (which moves too
+// many labels for per-edge deltas to pay off) and a boundary move. It
+// starts a new label generation, hands every shard the coordinator's
+// labels, k, epoch and its [bounds[i], bounds[i+1]) range, recomputes the
+// shard's counters exactly and publishes its snapshot; then the route
+// table when the layout changed, and the barrier delta carrying runs.
+// Coordinator-only, under a barrier (or before start).
+func (s *Store) republish(runs []LabelRun, layout bool) {
+	s.pubGen++ // new label generation: a sweep refuses to mix rounds
+	for i, sh := range s.shards {
+		sh.labels, sh.k, sh.epoch, sh.pubGen = s.labels, s.k, s.epoch, s.pubGen
+		sh.lo, sh.hi = s.bounds[i], s.bounds[i+1]
 		sh.cross, sh.total, sh.perPart, sh.load = metrics.CutWeightsRange(s.w, s.labels, s.k, sh.lo, sh.hi)
 		sh.publishFresh()
 	}
+	if layout {
+		s.publishRouter()
+	}
+	s.emitBarrierDelta(runs, layout)
 }
 
 // shouldRestabilize evaluates the degradation trigger.
@@ -1392,20 +1362,18 @@ func (s *Store) maybeRestabilize() {
 	default:
 	}
 	gen, base, epoch := s.gen, clone.NumVertices(), s.epoch
-	if !s.cfg.MidRunOff {
-		opts.IterationSnapshot = func(_ int, labels []int32) {
-			note := midrunNote{gen: gen, epoch: epoch, base: base, labels: labels}
-			// Latest-wins mailbox: drop the stale note, never block the run.
-			for {
-				select {
-				case s.midrun <- note:
-					return
-				default:
-				}
-				select {
-				case <-s.midrun:
-				default:
-				}
+	opts.IterationSnapshot = func(_ int, labels []int32) {
+		note := midrunNote{gen: gen, epoch: epoch, base: base, labels: labels}
+		// Latest-wins mailbox: drop the stale note, never block the run.
+		for {
+			select {
+			case s.midrun <- note:
+				return
+			default:
+			}
+			select {
+			case <-s.midrun:
+			default:
 			}
 		}
 	}
@@ -1467,15 +1435,13 @@ func (s *Store) merge(res restabResult) {
 	})
 }
 
-// maybeReconcile runs the periodic exact pass every ReconcileEvery
-// resolved batches, deferring it while the store is overloaded (the
-// incremental counters are exact, so postponing the safety net costs
-// nothing but the rebalance point).
+// maybeReconcile runs the periodic pass every reconcileEvery resolved
+// batches — a shard-boundary rebalance, nothing else: the incremental
+// counters are exact (reconcileNow is the check, run at Open and in the
+// tests), so the serving loop never recounts them. Under overload the
+// pass is deferred, which costs nothing but the rebalance point.
 func (s *Store) maybeReconcile() {
-	if s.cfg.ReconcileEvery <= 0 {
-		return
-	}
-	if s.applied.Load()-s.lastReconcile < int64(s.cfg.ReconcileEvery) {
+	if s.applied.Load()-s.lastReconcile < reconcileEvery {
 		return
 	}
 	if s.overloaded.Load() {
@@ -1486,79 +1452,30 @@ func (s *Store) maybeReconcile() {
 		return
 	}
 	s.reconcileDeferred = false
-	s.reconcile(true)
+	s.rebalance()
+	s.lastReconcile = s.applied.Load()
 }
 
-// reconcile is the exact pass: every shard recomputes the counters of its
-// owned edges from its own rows in parallel, inside the barrier's work
-// step (the recompute reads only the shard's rows and the barrier-frozen
-// labels, so the shards race nothing); the coordinator then verifies them
-// against the incremental values bit-for-bit and, on the periodic path,
-// rebalances the shard boundaries by weighted degree. Open runs it once
-// after replay with rebalance=false: a recovered store proves its
-// counters before serving without disturbing the recovered shard ranges
-// (or the periodic rebalance cadence, which lastReconcile carries across
-// the crash).
-func (s *Store) reconcile(rebalance bool) {
+// rebalance recomputes the shard boundaries by weighted degree
+// (cluster.BalancedRanges) under a barrier and, when one moved, adopts
+// them and republishes every shard over its new range.
+func (s *Store) rebalance() {
 	if s.w.NumVertices() < len(s.shards) {
 		// A zero-vertex store has one shard with an empty range; there is
-		// nothing to reconcile or rebalance (and BalancedRanges requires
-		// shards <= vertices).
-		if rebalance {
-			s.lastReconcile = s.applied.Load()
-		}
+		// nothing to rebalance (and BalancedRanges requires shards <=
+		// vertices).
 		return
 	}
-	type exact struct {
-		cross, total  int64
-		perPart, load []int64
-	}
-	// Computed over the CURRENT ownership before any boundary moves — a
-	// moved boundary transfers edges between shards, which is not drift.
-	// Indexed writes from the shard goroutines never alias.
-	results := make([]exact, len(s.shards))
-	s.withBarrierWork(func(sh *shard) {
-		cross, total, perPart, load := metrics.CutWeightsRange(sh.w, sh.labels, sh.k, sh.lo, sh.hi)
-		results[sh.id] = exact{cross, total, perPart, load}
-	}, func() {
-		drifted := make([]bool, len(s.shards))
-		for i, sh := range s.shards {
-			r := results[i]
-			if r.cross != sh.cross || r.total != sh.total || !slices.Equal(r.perPart, sh.perPart) || !slices.Equal(r.load, sh.load) {
-				drifted[i] = true
-				s.ctr.CutDrift.Add(1)
-				sh.cross, sh.total, sh.perPart, sh.load = r.cross, r.total, r.perPart, r.load
-			}
+	s.withBarrier(func() {
+		bounds := cluster.BalancedRanges(s.w, len(s.shards))
+		if slices.Equal(bounds, s.bounds) {
+			return
 		}
-		rebalanced := false
-		if rebalance {
-			newBounds := cluster.BalancedRanges(s.w, len(s.shards))
-			rebalanced = !slices.Equal(newBounds, s.bounds)
-			if rebalanced {
-				copy(s.bounds, newBounds)
-				s.pubGen++ // boundary move: republish every shard as one round
-				s.ctr.ShardRebalances.Add(1)
-			}
-		}
-		for i, sh := range s.shards {
-			if rebalanced {
-				sh.lo, sh.hi = s.bounds[i], s.bounds[i+1]
-				sh.pubGen = s.pubGen
-				sh.cross, sh.total, sh.perPart, sh.load = metrics.CutWeightsRange(s.w, s.labels, s.k, sh.lo, sh.hi)
-			}
-			if rebalanced || drifted[i] {
-				sh.publishFresh()
-			}
-		}
+		copy(s.bounds, bounds)
+		s.ctr.ShardRebalances.Add(1)
 		s.ctr.CutReconciles.Add(1)
-		if rebalanced {
-			s.publishRouter()
-			s.emitBarrierDelta(nil, true)
-		}
+		s.republish(nil, true)
 	})
-	if rebalance {
-		s.lastReconcile = s.applied.Load()
-	}
 }
 
 // maybeReleaseQuiescers answers pending Quiesce calls once the store is

@@ -612,11 +612,9 @@ func TestSaturatedWeightKeepsCountersExact(t *testing.T) {
 			w, labels := twoClusters(20)
 			shadow := w.Clone()
 			st, err := New(w, labels, Config{
-				Options:        storeOpts(2, 3),
-				Shards:         shards,
-				DegradeFactor:  1e9, // no restabilization: the counters alone move
-				ReconcileEvery: -1,
-				MidRunOff:      true,
+				Options:       storeOpts(2, 3),
+				Shards:        shards,
+				DegradeFactor: 1e9, // no restabilization: the counters alone move
 			})
 			if err != nil {
 				t.Fatal(err)
