@@ -7,12 +7,19 @@
 #   make lint        — gofmt -l (fails on unformatted files) + go vet +
 #                      bash -n on every scripts/*.sh + no stale line in
 #                      scripts/coverage_decisions.txt (a missing file, or a
-#                      function with no func declaration in it)
+#                      function with no func declaration in it) + the
+#                      against.sh table of each run file under
+#                      scripts/testdata/against equals the .txt beside it
 #   make bench       — the repo's one benchmark (BENCHMARK.json): four
 #                      workloads, end to end; see benchmark/README.md
 #   make bench-test  — vet + unit tests of the benchmark module (its own
 #                      go.mod, so tier-1 does not see it)
 #   make bench-quick — every Go micro-benchmark compiles and runs once
+#   make against REF=<commit> [PAIRS=6] [WORKLOAD=<name>...]
+#                    — alternating REF/working-tree pairs of the benchmark
+#                      (scripts/against.sh): medians, change, wins/N and
+#                      relative IQR per workload and metric, and one line
+#                      per workload appended to docs/bench-ledger.jsonl
 #   make examples-smoke — go run each examples/* program; fails on the first
 #                      non-zero exit (each takes about a second)
 #   make profile-core — CPU and allocation profiles of the LPA loop, from
@@ -40,7 +47,7 @@
 #                      internal/{serve,api,api/client,replica,wal,frame};
 #                      the size figure ROADMAP quotes, not a gate
 
-.PHONY: all check build vet lint test test-race bench bench-test bench-quick examples-smoke profile-core profile-api fuzz loc coverage-map recovery-smoke overload-smoke replication-smoke changefeed-smoke metrics-smoke
+.PHONY: all check build vet lint test test-race bench bench-test bench-quick against examples-smoke profile-core profile-api fuzz loc coverage-map recovery-smoke overload-smoke replication-smoke changefeed-smoke metrics-smoke
 
 CORE := internal/serve internal/api internal/api/client internal/replica internal/wal internal/frame
 # codelines prints the code lines of the non-test Go files of the package
@@ -65,6 +72,9 @@ lint:
 	go vet ./...
 	@for f in scripts/*.sh; do bash -n $$f || exit 1; done
 	@scripts/check_coverage_decisions.sh
+	@for f in scripts/testdata/against/*.jsonl; do \
+		scripts/against.sh -summarize $$f | diff -u $${f%.jsonl}.txt - || exit 1; \
+	done
 
 test:
 	go build ./...
@@ -82,6 +92,11 @@ bench-test:
 
 bench-quick:
 	go test -run='^$$' -bench=. -benchtime=1x ./...
+
+PAIRS ?= 6
+against:
+	@test -n "$(REF)" || { echo "usage: make against REF=<commit> [PAIRS=6] [WORKLOAD=<name>...]" >&2; exit 2; }
+	./scripts/against.sh $(REF) $(PAIRS) $(WORKLOAD)
 
 examples-smoke:
 	@for d in examples/*/; do \

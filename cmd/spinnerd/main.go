@@ -112,8 +112,9 @@
 // warm-standby follower: it installs the leader's checkpoint into its
 // own data dir on first contact (later starts resume from its own
 // state), replays the streamed tail through the same record-apply entry
-// recovery uses (serve.Store.ApplyRecord) — so follower state is
-// bit-identical to the leader's quiesced history — and serves /v1/lookup from its own
+// recovery uses (serve.Store.ApplyRecord), adopting the leader's journaled
+// relabels instead of restabilizing itself — so follower state is
+// bit-identical to the leader's at the same applied_seq — and serves /v1/lookup from its own
 // atomically-swapped snapshots. External writes refuse with 503
 // {"code":"read_only"}. /v1/stats exposes the watermark: "applied_seq",
 // "leader_seq" and "staleness_ms" (time since the follower last

@@ -77,10 +77,11 @@
 //   - The coordinator composes the cut ratio from the per-shard integer
 //     counters; past a degradation threshold it clones the merged graph
 //     under a barrier and restabilizes in a background goroutine with the
-//     incremental Spinner adaptation, streaming per-iteration labels back
-//     as mid-run snapshots (via the pregel AfterSuperstep hook) and
-//     merging the final labels — scattered back per shard — when the run
-//     lands.
+//     incremental Spinner adaptation. When the run lands, the label runs
+//     it changed are journaled as a relabel record and then applied —
+//     scattered back per shard — at that log position. Only the leader
+//     computes a relabeling: followers and journal replay adopt the
+//     record.
 //   - Elastic k→k′ changes relabel the paper's n/(k+n) fraction
 //     immediately — lookups never observe an out-of-range label — and
 //     repair locality with the same background machinery; runs in flight
@@ -146,11 +147,12 @@
 //     the normal shard-broadcast apply path, and runs an
 //     exact reconcile (CutDrift stays 0). Torn tails — the crash shape —
 //     are truncated; mid-log corruption fails recovery loudly rather
-//     than silently dropping acknowledged batches. For quiesced
-//     histories recovery is bit-identical: labels, k, shard ranges and
-//     integer cut counters match the uninterrupted store exactly
-//     (property-tested, including a crash during an in-flight background
-//     checkpoint).
+//     than silently dropping acknowledged batches. Recovery is
+//     bit-identical to what the store had journaled, quiesced or
+//     mid-churn, because every restabilization is a journaled relabel
+//     record it adopts: labels, k, shard ranges and integer cut counters
+//     match exactly (property-tested, including a crash during an
+//     in-flight background checkpoint and a close mid-churn).
 //
 // # CI
 //

@@ -125,8 +125,8 @@ type Options struct {
 	// 1-based iteration number and a fresh copy of the labels at that
 	// point. Because score(G) climbs monotonically toward convergence,
 	// every intermediate labeling is a valid, progressively better
-	// partitioning; the serving layer publishes them as live snapshots
-	// while a restabilization run is still converging. The callback runs
+	// partitioning. The serving layer does not use it: it publishes only a
+	// run's final labels, as one journaled relabel. The callback runs
 	// on the partitioning goroutine between supersteps, so it should
 	// return quickly. The callback owns the labels slice.
 	IterationSnapshot func(iteration int, labels []int32)

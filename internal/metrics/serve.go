@@ -56,9 +56,6 @@ type ServeCounters struct {
 	// the partition count changed while they were in flight.
 	Restabilizations atomic.Int64 `metric:"spinner_restabilizations_total" help:"Completed background restabilization runs merged."`
 	RestabDiscarded  atomic.Int64 `metric:"spinner_restabs_discarded_total" help:"Background runs discarded because the partition count changed mid-flight."`
-	// MidRunSnapshots counts snapshots published from a restabilization
-	// run still in progress (per-iteration extraction).
-	MidRunSnapshots atomic.Int64 `metric:"spinner_midrun_snapshots_total" help:"Snapshots published from in-flight restabilization runs."`
 	// MigratedVertices and MigratedWeight total the vertices that changed
 	// partition when restabilization results merged, and the weighted
 	// degree they dragged across partitions — the migration-volume figure

@@ -28,8 +28,10 @@ type FollowerConfig struct {
 	// its own state instead of re-bootstrapping.
 	Dir string
 	// Store is the serve configuration. It must match the leader's
-	// partitioner options for the replay to be bit-identical. Shards 0
-	// inherits the leader's checkpointed shard layout.
+	// partitioner options: a resize's relabel is recomputed from k and the
+	// seed (restabilizations are not; the follower adopts the leader's
+	// journaled relabels). Shards 0 inherits the leader's checkpointed
+	// shard layout.
 	Store serve.Config
 	// Client is the HTTP client for checkpoint fetch + streaming (default
 	// http.DefaultClient; tests inject the httptest client).
@@ -38,10 +40,12 @@ type FollowerConfig struct {
 	Reconnect time.Duration
 }
 
-// Follower tails a leader's journal into a read-only durable store. Reads
+// Follower tails a leader's journal into a read-only durable store, which
+// adopts the leader's relabels and restabilizes nothing of its own. Reads
 // (Store().Lookup) serve from the follower's own snapshots; AppliedSeq,
 // LeaderSeq and Staleness expose the replication watermark; Promote seals
-// the position into a new epoch and flips the store read-write.
+// the position into a new epoch and flips the store read-write, from which
+// point it restabilizes as a leader does.
 type Follower struct {
 	cfg    FollowerConfig
 	st     *serve.Store
@@ -100,11 +104,10 @@ func StartFollower(cfg FollowerConfig) (*Follower, error) {
 	} else if ok {
 		f.epoch.Store(e.Epoch)
 	}
-	st, err := serve.Open(cfg.Dir, cfg.Store)
+	st, err := serve.OpenReadOnly(cfg.Dir, cfg.Store)
 	if err != nil {
 		return nil, err
 	}
-	st.SetReadOnly(true)
 	f.st = st
 	f.appliedSeq.Store(st.JournalSeq())
 	f.caughtUpAt.Store(time.Now().UnixNano())
@@ -286,7 +289,7 @@ func (f *Follower) handleFrame(fr Frame) error {
 		return fatalErr{fmt.Errorf("replica: frame from epoch %d, fenced at %d", fr.Epoch, e)}
 	}
 	if fr.Kind == FrameRecords {
-		if err := wal.DecodeRecords(fr.Records, f.applyRecord); err != nil {
+		if err := f.applyRecords(fr.Records); err != nil {
 			return err
 		}
 	}
@@ -299,33 +302,45 @@ func (f *Follower) handleFrame(fr Frame) error {
 	return nil
 }
 
-// applyRecord pushes one leader journal record through the store's
-// ApplyRecord — the same apply-then-quiesce entry recovery replays the
-// journal through (the bit-identity contract) — and verifies the
-// follower's own journal stayed sequence-aligned with the leader's.
-func (f *Follower) applyRecord(rec wal.Record) error {
-	want := f.appliedSeq.Load() + 1
-	if rec.Seq < want {
-		return nil // overlap after a reconnect; already applied
+// applyRecords pushes one frame's leader journal records through the
+// store's ApplyRecord — the same entry recovery replays the journal
+// through (the bit-identity contract), relabels adopted as the leader
+// journaled them — then quiesces once and verifies the follower's own
+// journal stayed sequence-aligned with the leader's. A frame that fails
+// partway still lands and advances through its last enqueued record, so
+// a reconnect never applies a record twice.
+func (f *Follower) applyRecords(b []byte) error {
+	first := f.appliedSeq.Load()
+	last := first
+	err := wal.DecodeRecords(b, func(rec wal.Record) error {
+		if rec.Seq <= last {
+			return nil // overlap after a reconnect; already applied
+		}
+		if rec.Seq > last+1 {
+			return fmt.Errorf("replica: stream gap: record %d, want %d", rec.Seq, last+1)
+		}
+		if err := f.st.ApplyRecord(rec); err != nil {
+			return fatalErr{err}
+		}
+		last = rec.Seq
+		if lag := int64(f.leaderSeq.Load()) - int64(rec.Seq); lag >= 0 {
+			f.lagHist.RecordValue(lag)
+		}
+		return nil
+	})
+	if last == first {
+		return err
 	}
-	if rec.Seq > want {
-		return fmt.Errorf("replica: stream gap: record %d, want %d", rec.Seq, want)
-	}
-	if err := f.st.ApplyRecord(rec); err != nil {
-		return fatalErr{err}
-	}
+	_ = f.st.Quiesce() // batch errors re-reject as at the leader; they stay in Err
 	if f.st.Degraded() {
 		return fatalErr{errors.New("replica: follower storage degraded")}
 	}
-	if js := f.st.JournalSeq(); js != rec.Seq {
-		return fatalErr{fmt.Errorf("replica: journal misaligned: local seq %d after applying leader seq %d", js, rec.Seq)}
+	if js := f.st.JournalSeq(); js != last {
+		return fatalErr{fmt.Errorf("replica: journal misaligned: local seq %d after applying leader seq %d", js, last)}
 	}
-	f.appliedSeq.Store(rec.Seq)
-	f.st.Counters().ReplicaRecordsApplied.Add(1)
-	if lag := int64(f.leaderSeq.Load()) - int64(rec.Seq); lag >= 0 {
-		f.lagHist.RecordValue(lag)
-	}
-	return nil
+	f.appliedSeq.Store(last)
+	f.st.Counters().ReplicaRecordsApplied.Add(int64(last - first))
+	return err
 }
 
 // Store returns the follower's serving store (read-only until Promote).

@@ -59,7 +59,7 @@ func storeOpts(k int, seed uint64) core.Options {
 
 // leaderCfg is the shared store configuration: small segments so the
 // retention race is reachable, and identical partitioner options on both
-// sides so quiesced histories replay bit-identically.
+// sides so resizes replay bit-identically.
 func leaderCfg(shards, checkpointEvery int) serve.Config {
 	return serve.Config{
 		Options:       storeOpts(2, 9),
@@ -232,12 +232,71 @@ func randomHistory(t *testing.T, st *serve.Store, seed uint64, steps int) {
 	}
 }
 
+// churnHistory submits 120 batches without a quiesce between them: 20
+// random edges each, 2 appended vertices in every 10th, and a Resize(3)
+// at batch 60, so restabilizations — the resize's repair among them —
+// merge while batches arrive. It ends with one Quiesce.
+func churnHistory(t *testing.T, st *serve.Store, seed uint64) {
+	t.Helper()
+	src := rng.New(seed)
+	n := len(st.Snapshot().Labels)
+	for i := 0; i < 120; i++ {
+		if i == 60 {
+			if err := st.Resize(3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mut := &graph.Mutation{}
+		if i%10 == 9 {
+			mut.NewVertices = 2
+			for v := n; v < n+2; v++ {
+				mut.NewEdges = append(mut.NewEdges, graph.WeightedEdgeRecord{
+					U: graph.VertexID(v), V: graph.VertexID(src.Intn(n)), Weight: 2})
+			}
+			n += 2
+		}
+		for j := 0; j < 20; j++ {
+			u, v := graph.VertexID(src.Intn(n)), graph.VertexID(src.Intn(n))
+			if u != v {
+				mut.NewEdges = append(mut.NewEdges, graph.WeightedEdgeRecord{U: u, V: v, Weight: 1 + int32(src.Intn(3))})
+			}
+		}
+		if err := st.Submit(mut); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // The tentpole property: a follower that tails the stream to seq S is
 // bit-identical — labels, k, shard ranges, integer cut counters — to the
-// leader quiesced at S, at one and several shards, across a randomized
+// leader at S, at one and several shards: across a randomized quiesced
 // mutate/resize history that spans checkpoints, segment rotations and
-// journal truncation on the leader.
+// journal truncation on the leader, and across churn whose
+// restabilizations merge at whatever batch the leader has reached (the
+// follower adopts each journaled relabel where it stands).
 func TestFollowerBitIdenticalToLeader(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("churn/shards=%d", shards), func(t *testing.T) {
+			ldir, fdir := t.TempDir(), t.TempDir()
+			leader := newLeader(t, ldir, shards, 16)
+			hs, _ := leaderHTTP(t, leader, ldir)
+			fl := startFollower(t, hs.URL, fdir, followerCfg(16))
+
+			churnHistory(t, leader, 5+uint64(shards))
+			if leader.Counters().Restabilizations.Load() < 1 {
+				t.Fatal("no restabilization; the churn must at least merge the resize's repair")
+			}
+			waitApplied(t, fl, leader.JournalSeq())
+			requireSameState(t, "churned follower", fl.Store(), leader)
+			if fl.Store().Counters().Restabilizations.Load() != leader.Counters().Restabilizations.Load() {
+				t.Fatalf("follower adopted %d relabels, leader merged %d",
+					fl.Store().Counters().Restabilizations.Load(), leader.Counters().Restabilizations.Load())
+			}
+		})
+	}
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			ldir, fdir := t.TempDir(), t.TempDir()
@@ -492,10 +551,10 @@ func edgeBatch(i int) *graph.Mutation {
 // The stream is pushed, not polled: with the heartbeat an hour away the
 // only things that can move a parked stream are the coordinator's journal
 // wake-up and the request context. A batch submitted to an idle leader
-// reaches the follower, a burst of N commits arrives in at most N frames
-// with every record applied exactly once (coalesced wake-ups lose
-// nothing), and a stream still ends when its epoch changes or its client
-// goes away.
+// reaches the follower, a burst of N commits (plus the relabels its
+// restabilizations journal) arrives in at most that many frames with
+// every record applied exactly once (coalesced wake-ups lose nothing),
+// and a stream still ends when its epoch changes or its client goes away.
 func TestStreamDeliversWithoutPolling(t *testing.T) {
 	ldir, fdir := t.TempDir(), t.TempDir()
 	leader := newLeader(t, ldir, 2, -1)
@@ -516,12 +575,16 @@ func TestStreamDeliversWithoutPolling(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitApplied(t, fl, 1)
+	if err := leader.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	waitApplied(t, fl, leader.JournalSeq())
 
 	// A burst: the coordinator groups what it drains, the stream coalesces
 	// the wake-ups it was too busy to take.
 	const burst = 64
 	lctr, fctr := leader.Counters(), fl.Store().Counters()
-	frames0, applied0 := lctr.ReplicaFramesSent.Load(), fctr.ReplicaRecordsApplied.Load()
+	frames0, applied0, seq0 := lctr.ReplicaFramesSent.Load(), fctr.ReplicaRecordsApplied.Load(), leader.JournalSeq()
 	for i := 1; i <= burst; i++ {
 		if err := leader.Submit(edgeBatch(i)); err != nil {
 			t.Fatal(err)
@@ -530,12 +593,16 @@ func TestStreamDeliversWithoutPolling(t *testing.T) {
 	if err := leader.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-	waitApplied(t, fl, 1+burst)
-	if got := fctr.ReplicaRecordsApplied.Load() - applied0; got != burst {
-		t.Fatalf("follower applied %d records for a burst of %d", got, burst)
+	records := int64(leader.JournalSeq() - seq0)
+	if records < burst {
+		t.Fatalf("leader journaled %d records for a burst of %d", records, burst)
 	}
-	if got := lctr.ReplicaFramesSent.Load() - frames0; got < 1 || got > burst {
-		t.Fatalf("burst of %d commits sent %d frames, want between 1 and %d", burst, got, burst)
+	waitApplied(t, fl, leader.JournalSeq())
+	if got := fctr.ReplicaRecordsApplied.Load() - applied0; got != records {
+		t.Fatalf("follower applied %d records for the %d the burst journaled", got, records)
+	}
+	if got := lctr.ReplicaFramesSent.Load() - frames0; got < 1 || got > records {
+		t.Fatalf("burst of %d records sent %d frames, want between 1 and %d", records, got, records)
 	}
 	requireSameState(t, "pushed follower", fl.Store(), leader)
 

@@ -2,7 +2,7 @@
 // group-framed WAL journal over HTTP to followers that bootstrap from the
 // leader's latest checkpoint and then replay the tail forever — recovery
 // that never stops. A follower is a durable serve.Store over its own data
-// directory, flipped read-only; it serves ~50ns lookups from its own
+// directory, opened read-only; it serves ~50ns lookups from its own
 // atomically-swapped snapshots with a bounded staleness watermark, and
 // promotion (with epoch fencing against the deposed leader) flips it to a
 // full read-write coordinator.
@@ -33,12 +33,14 @@
 // seen, and a frame that fails its CRC there is corruption, which drops
 // the stream. Per commit the leader reads the new bytes, not the segment.
 //
-// A follower is recovery that never stops: Follower.applyRecord and
+// A follower is recovery that never stops: Follower.applyRecords and
 // serve.Open's journal replay push every record through the same
 // (*serve.Store).ApplyRecord, which is what makes follower state
-// bit-identical to the leader's quiesced history; only what legitimately
-// differs (sequence alignment, the lag histogram, which counter ticks)
-// stays with the caller.
+// bit-identical to the leader's at the same journal position, quiesced
+// or not: the leader journals each restabilization's relabel, and the
+// follower adopts it rather than computing one (it never restabilizes
+// until promoted). Only what legitimately differs (sequence alignment,
+// the lag histogram, which counter ticks) stays with the caller.
 package replica
 
 import (

@@ -381,13 +381,14 @@ func (s *Store) route(e logEntry) {
 }
 
 // transferLog moves what is currently queued in the mutation log channel
-// into the fair queues without blocking. The parked-mutation total is
-// capped at a small multiple of LogDepth: each receive frees a channel
-// slot a blocked Submit refills, so an uncapped drain would grow the
-// backlog (and defeat Submit's backpressure) without bound.
+// into the fair queues without blocking. The parked total — tenant queues
+// and the ordered queue ApplyRecord's entries join — is capped at a small
+// multiple of LogDepth: each receive frees a channel slot a blocked Submit
+// or ApplyRecord refills, so an uncapped drain would grow the backlog (and
+// defeat backpressure) without bound.
 func (s *Store) transferLog() {
 	limit := 4 * s.cfg.LogDepth
-	for s.queued < limit {
+	for s.queued+len(s.controlQ) < limit {
 		select {
 		case e := <-s.log:
 			s.route(e)

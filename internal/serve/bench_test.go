@@ -19,7 +19,7 @@ import (
 // (lookups/sec via ns/op) while the partitioning is actively maintained
 // underneath: a churn goroutine streams growth batches through the
 // mutation log, degradation triggers fire background restabilization runs,
-// and mid-run snapshots swap in as they are extracted. This is the
+// and their relabels swap in as they merge. This is the
 // serving-layer headline number recorded in BENCH_pr2.json.
 func BenchmarkServeLookupUnderChurn(b *testing.B) {
 	g := gen.WattsStrogatz(20000, 10, 0.2, 31)
@@ -92,7 +92,6 @@ func BenchmarkServeLookupUnderChurn(b *testing.B) {
 	c := st.Counters()
 	b.ReportMetric(float64(c.BatchesApplied.Load()), "batches")
 	b.ReportMetric(float64(c.Restabilizations.Load()), "restabs")
-	b.ReportMetric(float64(c.MidRunSnapshots.Load()), "midrun-swaps")
 	b.ReportMetric(float64(c.StalenessSum.Load())/float64(max(c.Lookups.Load(), 1)), "staleness")
 	if err := st.Close(); err != nil {
 		b.Fatal(err)

@@ -44,12 +44,17 @@ package serve
 //     checkpoint, chain pruned, journal truncated — so recovery cost and
 //     disk footprint stay bounded while steady-state checkpoint bytes per
 //     interval shrink by orders of magnitude (see BenchmarkCheckpointDelta).
+//   - Relabels: a completed restabilization is journaled as its own
+//     record (wal.RecordRelabel, the label runs it changed) in a group of
+//     one, then applied at that position — so the journal says where
+//     every merge landed, and nothing but the leader computes one.
 //   - Recovery (Open): load the latest valid checkpoint — a full base
 //     plus any .dckp delta links chained above it, applied in order (a
 //     broken link ends the chain early; the journal tail covers the
 //     rest) — rebuild the shards over the decoded state (their counters
 //     recomputed exactly), then replay the journal tail through the
-//     normal shard-broadcast apply path, quiescing after each record. A
+//     normal shard-broadcast apply path, adopting each relabel record
+//     where it stands and starting no restabilization of its own. A
 //     torn tail is truncated; mid-log corruption fails recovery loudly.
 //     A final exact check (reconcileNow) compares every shard's
 //     incrementally replayed counters with a recount (metrics CutDrift
@@ -60,13 +65,12 @@ package serve
 //     journal tail to the identical state, which is why the journal is
 //     only truncated below the oldest RETAINED checkpoint.
 //
-// Determinism: replay re-applies the journaled entry sequence with a
-// quiesce between entries, so a store whose live history was itself a
-// quiesced submit/await sequence (the regime the package comment's
-// determinism contract covers) recovers labels, k, shard ranges and
-// integer cut counters bit-identical to the uninterrupted run. A store
-// crashed mid-churn recovers to *a* valid quiesced state reflecting every
-// journaled entry — the same guarantee any WAL database gives.
+// Determinism: replay re-applies the journaled entry sequence, relabels
+// included, so a store recovers labels, k, shard ranges and integer cut
+// counters bit-identical to the state it had journaled through —
+// quiesced or mid-churn. A run that was in flight at the crash was never
+// journaled; the recovered leader starts it again (the checkpointed
+// wantRestab, or the cut trigger) once it is journaling.
 
 import (
 	"bytes"
@@ -230,12 +234,11 @@ func BootstrapDurable(dir string, g *graph.Graph, cfg Config) (*Store, error) {
 // k, bounds and counters it covers — rebuilds the shards over the
 // composed state (re-verifying the cut counters bit-for-bit, which
 // checks the whole chain's integrity for free), replays any records past
-// the tip through the normal apply path (quiescing after each record, so
-// quiesced histories recover bit-identically — see the durability
-// comment above), verifies the counters again with an exact reconcile,
-// and resumes journaling new entries. With no chain on disk this is
-// exactly the pre-delta recovery. Returns wal.ErrNoCheckpoint (wrapped)
-// when dir holds no state.
+// the tip through ApplyRecord (adopting relabel records, restabilizing
+// nothing — see the durability comment above), verifies the counters
+// again with an exact reconcile, and resumes journaling new entries. With
+// no chain on disk this is exactly the pre-delta recovery. Returns
+// wal.ErrNoCheckpoint (wrapped) when dir holds no state.
 //
 // Every checkpoint and chain link must carry the current version, 2; one
 // that does not fails Open with ErrCheckpointVersion before the journal is
@@ -244,7 +247,14 @@ func BootstrapDurable(dir string, g *graph.Graph, cfg Config) (*Store, error) {
 // observable via Err, as they were, and do not fail recovery. Journal or
 // checkpoint corruption does — except a damaged chain link, which just
 // shortens the chain (wal.LatestChain) and lengthens the live replay tail.
-func Open(dir string, cfg Config) (*Store, error) {
+func Open(dir string, cfg Config) (*Store, error) { return open(dir, cfg, false) }
+
+// OpenReadOnly is Open for a follower: the store is read-only from the
+// start (SetReadOnly), so it never restabilizes or journals a relabel of
+// its own — it adopts the leader's.
+func OpenReadOnly(dir string, cfg Config) (*Store, error) { return open(dir, cfg, true) }
+
+func open(dir string, cfg Config, readOnly bool) (*Store, error) {
 	baseSeq, payload, chain, err := wal.LatestChain(ckptDir(dir))
 	if err != nil {
 		return nil, fmt.Errorf("serve: opening %s: %w", dir, err)
@@ -315,20 +325,14 @@ func Open(dir string, cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("serve: checkpoint %d in %s: %w", seq, dir, err)
 	}
 	s.d = &durable{dir: dir, cfg: cfg.Durability}
+	s.readOnly.Store(readOnly)
 	s.start()
 
-	// Settle before replaying: a checkpoint can capture a pending or
-	// in-flight restabilization (folded into wantRestab). In a quiesced
-	// history that run merged before the next entry was accepted, so the
-	// replayed entries must likewise observe the merged state — quiescing
-	// here re-runs it from the same graph, epoch and generation.
-	_ = s.Quiesce()
 	next, err := wal.Replay(journalDir(dir), seq, func(rec wal.Record) error {
 		// ApplyRecord is the entry a follower feeds the leader's stream
-		// through; it quiesces after each record, so replay reproduces the
-		// quiesced apply order, and batch-application errors (deterministic
-		// re-rejections of batches rejected live) stay observable via Err
-		// without failing recovery.
+		// through. Batch-application errors (deterministic re-rejections of
+		// batches rejected live) stay observable via Err without failing
+		// recovery.
 		if err := s.ApplyRecord(rec); err != nil {
 			return err
 		}
@@ -345,8 +349,9 @@ func Open(dir string, cfg Config) (*Store, error) {
 		return nil, err
 	}
 	// The freshly opened journal is handed to the coordinator through the
-	// ordered log, so journaling activates only after every replayed
-	// entry was applied and without racing coordinator reads.
+	// ordered log, so journaling (and with it restabilization) activates
+	// only after every replayed entry was applied and without racing
+	// coordinator reads.
 	if err := s.control(func() error {
 		s.d.jrn = jrn
 		s.d.lastSeq = next - 1
@@ -410,8 +415,8 @@ func (s *Store) reconcileNow() error {
 // Durable reports whether the store journals and checkpoints to disk.
 func (s *Store) Durable() bool { return s.d != nil }
 
-// journalGroup durably records every mutation and resize in the drained
-// group — framed by wal.AppendGroup as one write and at most one fsync —
+// journalGroup durably records every mutation, resize and relabel in the
+// drained group — framed by wal.AppendGroup as one write and at most one fsync —
 // before any of them is applied. This is the group-commit stage: the
 // per-entry durability boundary (journal-before-apply) is preserved
 // because the whole group is durable before the first apply. A failed
@@ -432,6 +437,8 @@ func (s *Store) journalGroup(entries []logEntry) bool {
 			ge = append(ge, wal.GroupEntry{NewK: e.newK})
 		case e.mut != nil:
 			ge = append(ge, wal.GroupEntry{Mut: e.mut})
+		case e.relabel != nil:
+			ge = append(ge, wal.GroupEntry{Relabel: EncodeDelta(e.relabel)})
 		}
 	}
 	s.d.groupBuf = ge
@@ -719,8 +726,9 @@ type ckptState struct {
 // paths (initial and final checkpoint) pass clone=false and alias the
 // live state they exclusively own. An in-flight restabilization cannot
 // be captured (it lives in a background clone), so it is folded into the
-// wantRestab flag: recovery re-runs it from the same graph, epoch and
-// generation, which reproduces the same labels.
+// wantRestab flag: a leader recovered from the capture runs it again once
+// it journals, and a follower keeps the flag until the leader's relabel
+// record arrives and clears it.
 func (s *Store) captureState(clone bool) *ckptState {
 	cross, total := s.ownedCounters()
 	st := &ckptState{
@@ -980,7 +988,8 @@ func applyCkptDelta(st *ckptState, link wal.DeltaLink) error {
 
 // applyStructural replays one journal record's effect on the graph
 // TOPOLOGY only: labels, k, bounds and counters come from the chain-link
-// overlays, so resizes are no-ops here and label seeding is skipped.
+// overlays, so resizes and relabels are no-ops here (a link's labels
+// already include them) and label seeding is skipped.
 // Fast-path-eligible batches (fastPathEligible is graph-independent
 // beyond the vertex count, so eligibility replays identically) add the
 // same normalized edges the shard scan inserts (normArc), merging alike;
@@ -991,7 +1000,7 @@ func applyCkptDelta(st *ckptState, link wal.DeltaLink) error {
 // graph untouched.
 func applyStructural(w *graph.Weighted, rec wal.Record) error {
 	switch rec.Type {
-	case wal.RecordResize:
+	case wal.RecordResize, wal.RecordRelabel:
 		return nil
 	case wal.RecordMutation:
 		m := rec.Mut

@@ -1,14 +1,17 @@
 package serve
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
+	"repro/internal/rng"
 	"repro/internal/wal"
 )
 
@@ -133,8 +136,17 @@ func TestDurableRecoveryBitIdentical(t *testing.T) {
 			if preCrash.Checkpoints.Load() < 2 {
 				t.Fatalf("only %d periodic checkpoints; the test must exercise checkpoint+tail, not tail-only", preCrash.Checkpoints.Load())
 			}
-			if preCrash.JournalAppends.Load() != 7 {
-				t.Fatalf("journaled %d records, want 7 (6 batches + 1 resize)", preCrash.JournalAppends.Load())
+			// Per type: the 6 batches, the resize, and one relabel per merge.
+			relabels := preCrash.Restabilizations.Load()
+			if n := preCrash.BatchesApplied.Load() + preCrash.BatchesRejected.Load(); n != 6 {
+				t.Fatalf("resolved %d batches, want 6", n)
+			}
+			if preCrash.ElasticResizes.Load() != 1 || relabels < 1 {
+				t.Fatalf("%d resizes and %d relabels, want 1 and >= 1", preCrash.ElasticResizes.Load(), relabels)
+			}
+			if got := preCrash.JournalAppends.Load(); got != 7+relabels || st.JournalSeq() != uint64(got) {
+				t.Fatalf("journaled %d records (seq %d), want %d (6 batches + 1 resize + %d relabels)",
+					got, st.JournalSeq(), 7+relabels, relabels)
 			}
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
@@ -179,6 +191,89 @@ func TestDurableRecoveryBitIdentical(t *testing.T) {
 	}
 }
 
+// churnHistory submits 120 batches without a quiesce between them: 20
+// random edges each, 2 appended vertices in every 10th, and a Resize(k)
+// at batch 60, so restabilizations — the resize's repair among them —
+// merge while batches arrive. It does not quiesce at the end.
+func churnHistory(t *testing.T, st *Store, seed uint64, k int) {
+	t.Helper()
+	src := rng.New(seed)
+	n := len(st.Snapshot().Labels)
+	for i := 0; i < 120; i++ {
+		if i == 60 {
+			if err := st.Resize(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mut := &graph.Mutation{}
+		if i%10 == 9 {
+			mut.NewVertices = 2
+			for v := n; v < n+2; v++ {
+				mut.NewEdges = append(mut.NewEdges, graph.WeightedEdgeRecord{
+					U: graph.VertexID(v), V: graph.VertexID(src.Intn(n)), Weight: 2})
+			}
+			n += 2
+		}
+		for j := 0; j < 20; j++ {
+			u, v := graph.VertexID(src.Intn(n)), graph.VertexID(src.Intn(n))
+			if u != v {
+				mut.NewEdges = append(mut.NewEdges, graph.WeightedEdgeRecord{U: u, V: v, Weight: 1 + int32(src.Intn(3))})
+			}
+		}
+		if err := st.Submit(mut); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// Recovery of a leader closed mid-churn — no quiesce, so the second
+// resize's repair is typically still in flight (Close discards it), and
+// no final checkpoint — lands exactly on the state the leader had
+// journaled: every relabel it merged is adopted where the journal holds
+// it, and a read-only recovery starts none of its own.
+func TestDurableRecoveryMidChurn(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dir := t.TempDir()
+			w, labels := twoClusters(50)
+			cfg := durableCfg(shards, -1) // recovery replays the whole journal
+			st, err := NewDurable(dir, w, labels, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			churnHistory(t, st, 5+uint64(shards), 3)
+			for deadline := time.Now().Add(30 * time.Second); st.Counters().Restabilizations.Load() == 0; {
+				if time.Now().After(deadline) {
+					t.Fatal("the first resize's repair never merged")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			churnHistory(t, st, 7+uint64(shards), 4)
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			rec, err := OpenReadOnly(dir, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rec.Close()
+			if err := rec.Quiesce(); err != nil {
+				t.Fatal(err)
+			}
+			requireSameState(t, "recovered mid-churn", rec, st)
+			if got, want := rec.JournalSeq(), st.JournalSeq(); got != want {
+				t.Fatalf("recovered journal at seq %d, leader closed at %d", got, want)
+			}
+			c, merged := rec.Counters(), st.Counters().Restabilizations.Load()
+			if c.Restabilizations.Load() != merged || c.CutDrift.Load() != 0 {
+				t.Fatalf("recovery adopted %d relabels (drift %d); the leader merged %d",
+					c.Restabilizations.Load(), c.CutDrift.Load(), merged)
+			}
+		})
+	}
+}
+
 // The crash-mid-checkpoint property (ISSUE 5): a crash while a
 // background checkpoint is in flight leaves, at worst, the previous
 // checkpoint set plus a leftover temp file — wal.WriteCheckpoint installs
@@ -213,6 +308,7 @@ func TestDurableRecoveryCrashDuringCheckpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			runScript(t, st)
+			journaled := st.JournalSeq()
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -246,12 +342,11 @@ func TestDurableRecoveryCrashDuringCheckpoint(t *testing.T) {
 			}
 			requireSameState(t, "crash-during-checkpoint", rec, ref)
 			c := rec.Counters()
-			// 7 journaled records, surviving checkpoint at seq 3: the tail is
-			// records 4..7 — strictly longer than the 1-record tail the lost
-			// checkpoint at seq 6 would have left.
-			if c.ReplayedRecords.Load() != int64(7-int(seqs[len(seqs)-2])) {
+			// The tail is every record past the surviving checkpoint —
+			// strictly longer than the one the lost checkpoint would have left.
+			if want := int64(journaled - seqs[len(seqs)-2]); c.ReplayedRecords.Load() != want {
 				t.Fatalf("replayed %d records from the fallback checkpoint at seq %d, want %d",
-					c.ReplayedRecords.Load(), seqs[len(seqs)-2], 7-int(seqs[len(seqs)-2]))
+					c.ReplayedRecords.Load(), seqs[len(seqs)-2], want)
 			}
 			if c.CutDrift.Load() != 0 {
 				t.Fatalf("cut drift %d after fallback recovery", c.CutDrift.Load())
@@ -307,12 +402,15 @@ func TestDurableGracefulReopen(t *testing.T) {
 	}
 }
 
-// A torn final record — the classic crash shape — must be dropped by
-// recovery, landing exactly on the state before the torn batch.
+// A torn record — the classic crash shape — must be dropped by recovery,
+// with everything after it, landing exactly on the state before the torn
+// batch. The torn frame is step 5's mutation, not the journal's last frame
+// (the relabel its restabilization journals after it).
 func TestDurableTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	w, labels := twoClusters(50)
 	cfg := durableCfg(2, -1)
+	cfg.Durability.SegmentBytes = 0 // one segment: step 5's frame is in the last one
 	st, err := NewDurable(dir, w, append([]int32(nil), labels...), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +425,17 @@ func TestDurableTornTailRecovery(t *testing.T) {
 	defer ref.Close()
 	// Reference applies steps 0..4; the durable store also applies step 5,
 	// whose journal record we then tear.
+	seg := filepath.Join(dir, "journal", "wal-0000000000000001.log")
+	var before int64 // the segment's size, and step 5's offset, before step 5
+	var beforeSeq uint64
 	for step := 0; step < 6; step++ {
+		if step == 5 {
+			fi, err := os.Stat(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, beforeSeq = fi.Size(), st.JournalSeq()
+		}
 		if err := st.Submit(scriptedMutation(step)); err != nil {
 			t.Fatal(err)
 		}
@@ -347,16 +455,15 @@ func TestDurableTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	segs, err := filepath.Glob(filepath.Join(dir, "journal", "wal-*.log"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("no journal segments: %v", err)
+	if st.JournalSeq() == beforeSeq+1 {
+		t.Fatal("step 5 journaled no relabel after it; the test must tear a frame before the last")
 	}
-	last := segs[len(segs)-1]
-	fi, err := os.Stat(last)
+	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(last, fi.Size()-2); err != nil {
+	frameLen := 8 + int64(binary.LittleEndian.Uint32(data[before:]))
+	if err := os.Truncate(seg, before+frameLen-2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -369,8 +476,8 @@ func TestDurableTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameState(t, "torn-tail", rec, ref)
-	if c := rec.Counters(); c.ReplayedRecords.Load() != 5 || c.CutDrift.Load() != 0 {
-		t.Fatalf("replayed %d records (drift %d), want 5 (0)", c.ReplayedRecords.Load(), c.CutDrift.Load())
+	if c := rec.Counters(); c.ReplayedRecords.Load() != int64(beforeSeq) || c.CutDrift.Load() != 0 {
+		t.Fatalf("replayed %d records (drift %d), want %d (0)", c.ReplayedRecords.Load(), c.CutDrift.Load(), beforeSeq)
 	}
 }
 

@@ -190,8 +190,17 @@ func FuzzCheckpointPayload(f *testing.F) {
 // when graph.Weighted became simple and checkpoints version 2. Step 0
 // re-adds twoClusters' bridge {0,20}, and the batch after the first resize
 // removes the merged edge, weight 4. expect.json is the state Open at
-// commit f995940 recovered from it.
+// commit f995940 recovered from it, but for JournalSeq: its journal holds
+// no relabel records, so the recovered leader now restabilizes after the
+// replayed resize(2) itself and journals that relabel as seq 14 (13
+// before). Its bytes are no longer what the history writes.
 const parentDir = "testdata/child-5fbc4f6"
+
+// relabelDir is the data dir the same history leaves since relabels are
+// journaled (the first commit after a587a1e): 22 records — 11 mutations,
+// 2 resizes and 9 relabels — a full base and two .dckp links.
+// expect.json is the state Open recovered from it then.
+const relabelDir = "testdata/child-a587a1e"
 
 func parentCfg() Config {
 	cfg := durableCfg(2, 4)
@@ -281,18 +290,10 @@ func dirFiles(t *testing.T, root string) map[string][]byte {
 }
 
 func TestParentDataDir(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join(parentDir, "expect.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want parentExpect
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
 	// Today's code, playing the same history, must leave the same bytes
-	// on disk as when the labels last changed.
+	// on disk as when the labels or the journal's records last changed.
 	t.Run("writes-identical-files", func(t *testing.T) {
-		wantFiles := dirFiles(t, parentDir)
+		wantFiles := dirFiles(t, relabelDir)
 		dir := t.TempDir()
 		w, labels := twoClusters(20)
 		st, err := NewDurable(dir, w, labels, parentCfg())
@@ -314,27 +315,40 @@ func TestParentDataDir(t *testing.T) {
 		}
 	})
 
-	// And it must recover those files to the state the parent did.
+	// And both dirs, with and without relabel records, must recover to the
+	// state recorded beside them.
 	t.Run("recovers-parent-state", func(t *testing.T) {
-		st, err := Open(copyDataDir(t, parentDir), parentCfg())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer st.Close()
-		_ = st.Quiesce()
-		snap, ctr := st.Snapshot(), st.Counters()
-		got := parentExpect{
-			K: snap.K, Labels: snap.Labels, Bounds: st.Bounds(), Applied: snap.AppliedBatches,
-			CutWeight: snap.CutWeight, TotalWeight: snap.TotalWeight,
-			JournalSeq: st.JournalSeq(), Replayed: ctr.ReplayedRecords.Load(),
-		}
-		if got.K != want.K || !slices.Equal(got.Labels, want.Labels) || !slices.Equal(got.Bounds, want.Bounds) ||
-			got.Applied != want.Applied || got.CutWeight != want.CutWeight || got.TotalWeight != want.TotalWeight ||
-			got.JournalSeq != want.JournalSeq || got.Replayed != want.Replayed {
-			t.Fatalf("recovered %+v\nwant %+v", got, want)
-		}
-		if ctr.CutDrift.Load() != 0 {
-			t.Fatalf("CutDrift = %d after recovering the parent's data dir", ctr.CutDrift.Load())
+		for _, dir := range []string{parentDir, relabelDir} {
+			t.Run(filepath.Base(dir), func(t *testing.T) {
+				raw, err := os.ReadFile(filepath.Join(dir, "expect.json"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want parentExpect
+				if err := json.Unmarshal(raw, &want); err != nil {
+					t.Fatal(err)
+				}
+				st, err := Open(copyDataDir(t, dir), parentCfg())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer st.Close()
+				_ = st.Quiesce()
+				snap, ctr := st.Snapshot(), st.Counters()
+				got := parentExpect{
+					K: snap.K, Labels: snap.Labels, Bounds: st.Bounds(), Applied: snap.AppliedBatches,
+					CutWeight: snap.CutWeight, TotalWeight: snap.TotalWeight,
+					JournalSeq: st.JournalSeq(), Replayed: ctr.ReplayedRecords.Load(),
+				}
+				if got.K != want.K || !slices.Equal(got.Labels, want.Labels) || !slices.Equal(got.Bounds, want.Bounds) ||
+					got.Applied != want.Applied || got.CutWeight != want.CutWeight || got.TotalWeight != want.TotalWeight ||
+					got.JournalSeq != want.JournalSeq || got.Replayed != want.Replayed {
+					t.Fatalf("recovered %+v\nwant %+v", got, want)
+				}
+				if ctr.CutDrift.Load() != 0 {
+					t.Fatalf("CutDrift = %d after recovering %s", ctr.CutDrift.Load(), dir)
+				}
+			})
 		}
 	})
 }

@@ -1,10 +1,11 @@
 // Replication hooks: the narrow exported surface internal/replica builds
 // the replicated serving plane on. A follower is a durable Store over its
-// own data directory, flipped read-only (SetReadOnly) so external writes
-// refuse with ErrReadOnly while the streamed leader records flow through
-// ApplyRecord (store.go) — the same entry recovery replays the journal
-// through, which is what makes follower state bit-identical to the
-// leader's quiesced history. JournalSeq exposes the replication watermark
+// own data directory, opened read-only (OpenReadOnly) so external writes
+// refuse with ErrReadOnly and no restabilization starts, while the
+// streamed leader records flow through ApplyRecord (store.go) — the same
+// entry recovery replays the journal through, relabel records included,
+// which is what makes follower state bit-identical to the leader's at the
+// same journal position. JournalSeq exposes the replication watermark
 // (the follower's applied_seq, the leader's leader_seq), SubscribeJournal
 // wakes a parked stream when it advances, and SetJournalRetention pins
 // the leader's journal tail under connected followers so checkpoints
@@ -28,8 +29,9 @@ func JournalDir(dir string) string { return journalDir(dir) }
 // follower installs them.
 func CheckpointDir(dir string) string { return ckptDir(dir) }
 
-// SetReadOnly flips the external write paths on or off. Lookups, stats
-// and ApplyRecord are unaffected.
+// SetReadOnly flips the external write paths, and with them
+// restabilization, on or off. Lookups, stats and ApplyRecord are
+// unaffected.
 func (s *Store) SetReadOnly(v bool) { s.readOnly.Store(v) }
 
 // JournalSeq returns the sequence number of the last record this store

@@ -49,16 +49,21 @@
 //     instead of the seed's exact O(E) recompute per swap. Past the
 //     degradation threshold it barriers the shards, clones the merged
 //     graph, and restabilizes in a background goroutine (§III-D) while the
-//     shards keep ingesting and serving. Completed runs merge back under a
-//     barrier and scatter per shard; mid-run per-iteration labelings
-//     publish the same way. Elastic k→k′ (§III-E) relabels the n/(k+n)
-//     fraction under a barrier and repairs in the background; in-flight
-//     runs from the old k-space are discarded. All three land through one
-//     function, relabel: it swaps the full label array in, republishes
-//     and returns the label runs that changed. Every 512 applied batches
-//     a periodic pass rebalances shard boundaries by weighted degree
-//     (cluster.BalancedRanges); it never recounts the counters, which
-//     are exact integer arithmetic.
+//     shards keep ingesting and serving. A completed run becomes a relabel
+//     entry: the label runs it changed, journaled (wal.RecordRelabel) and
+//     then applied under a barrier at that log position, by the same code
+//     a follower and journal replay adopt it with (applyRelabel). Only a
+//     writable, journaling store restabilizes; a follower or a replaying
+//     store never computes a relabeling, it adopts the journaled one.
+//     Elastic k→k′ (§III-E) relabels the n/(k+n) fraction under a barrier
+//     (a function of k′ and the seed, so a resize record is enough to
+//     replay it) and repairs in the background; in-flight runs from the
+//     old k-space are discarded. Both land through one function, relabel:
+//     it swaps the full label array in, republishes and returns the label
+//     runs that changed. Every 512 applied batches a periodic pass
+//     rebalances shard boundaries by weighted degree
+//     (cluster.BalancedRanges); it never recounts the counters, which are
+//     exact integer arithmetic.
 //
 // Shard counters: for the edges it owns a shard keeps the integer cut
 // counters (cross, total, perPart) and load, the owned edges' share of the
@@ -86,7 +91,9 @@
 // wall-clock timing: fast-path batches never relabel, every relabeling
 // event runs under a barrier on the merged graph, and restabilization
 // seeds derive from the run epoch. (Unquiesced sequences interleave merges
-// with ingest nondeterministically, as any live system does.)
+// with ingest nondeterministically, as any live system does.) Whatever the
+// timing, the journal records where each merge landed, so a follower or a
+// recovery that applies the journal reaches the leader's labels exactly.
 package serve
 
 import (
@@ -254,13 +261,14 @@ type Snapshot struct {
 }
 
 // logEntry is one unit of maintenance work: a mutation batch, an elastic
-// resize or a control, all ordered through the same log.
+// resize, a relabel or a control, all ordered through the same log.
 type logEntry struct {
-	mut  *graph.Mutation
-	newK int     // >0: elastic resize
-	ctl  control // reply non-nil: a control entry
-	ten  *tenantState
-	seq  uint64 // arrival order, stamped by route; restores FIFO after DRR picking
+	mut     *graph.Mutation
+	newK    int     // >0: elastic resize
+	relabel *Delta  // non-nil: a restabilization's label runs (applyRelabel)
+	ctl     control // reply non-nil: a control entry
+	ten     *tenantState
+	seq     uint64 // arrival order, stamped by route; restores FIFO after DRR picking
 }
 
 // control is the one completion type of the log: run executes on the
@@ -275,22 +283,9 @@ type control struct {
 
 // restabResult carries a completed background run back to the loop.
 type restabResult struct {
-	gen    uint64 // resize generation the run belongs to
-	base   int    // vertex count the run saw
-	labels []int32
+	gen    uint64  // resize generation the run belongs to
+	labels []int32 // one per vertex the run saw
 	err    error
-}
-
-// midrunNote carries one per-iteration labeling out of an in-flight run.
-// Only the latest unconsumed note is kept (older ones are superseded).
-// Notes are stamped with both the resize generation and the epoch the run
-// started at, so a leftover note from a completed run can never merge into
-// a successor run's window.
-type midrunNote struct {
-	gen    uint64
-	epoch  uint64
-	base   int
-	labels []int32
 }
 
 // Store is the live partition-maintenance service. See the package comment
@@ -363,7 +358,6 @@ type Store struct {
 	pubGen          uint64 // bumped per barrier relabel/rebalance publication round
 	inflight        bool
 	restabDone      chan restabResult
-	midrun          chan midrunNote // capacity 1; latest-wins mailbox
 	ckptDone        chan ckptResult // capacity 1; background checkpointer reply
 	quiescers       []chan error
 	d               *durable // nil on in-memory stores
@@ -461,7 +455,6 @@ func newStore(st *ckptState, cfg Config) (*Store, error) {
 		lastReconcile:   st.lastReconcile,
 		affected:        make(map[graph.VertexID]struct{}, len(st.affected)),
 		restabDone:      make(chan restabResult, 1),
-		midrun:          make(chan midrunNote, 1),
 		ckptDone:        make(chan ckptResult, 1),
 	}
 	s.initMetrics()
@@ -733,28 +726,33 @@ func (s *Store) enqueue(e logEntry, try bool) error {
 	}
 	if e.mut != nil {
 		s.submitted.Add(1)
+	}
+	if e.ten != nil {
 		e.ten.submitted.Add(1)
 		e.ten.backlog.Add(1)
 	}
 	return nil
 }
 
-// ApplyRecord applies one already-journaled record and waits until the
-// store is quiescent again — the one entry both journal replay (Open) and
-// a replication follower feed records through, which is what makes a
-// follower "recovery that never stops" and its state bit-identical to the
-// leader's quiesced history. The record was admitted and acknowledged by
-// the process that journaled it, so it bypasses admission control (quota
-// state is not persisted; re-running it could refuse a durably committed
-// record) and the read-only gate (refusing it would fork the replica). A
-// resize does not claim the target k: a journal may legitimately hold a
-// same-k resize, which must still be journaled here — one local record
-// per source record keeps follower sequence numbers aligned — and which
-// the coordinator then drops as a no-op exactly as the source did.
+// ApplyRecord enqueues one already-journaled record at the end of the log
+// — the one entry both journal replay (Open) and a replication follower
+// feed records through, which is what makes a follower "recovery that
+// never stops" and its state bit-identical to the leader's at the same
+// journal position. It does not wait: Quiesce (or a control) after the
+// last record does. A relabel record is adopted as the leader computed it,
+// never recomputed. The record was admitted and acknowledged by the
+// process that journaled it, so it bypasses admission control and the
+// fair queues (quota state is not persisted, and reordering across
+// tenants would fork the replica) and the read-only gate. A resize does
+// not claim the target k: a journal may legitimately hold a same-k
+// resize, which must still be journaled here — one local record per
+// source record keeps follower sequence numbers aligned — and which the
+// coordinator then drops as a no-op exactly as the source did.
 // ErrDegraded still applies: a store with a poisoned journal must stop
-// applying, not silently drop durability. Batch-application errors
-// (deterministic re-rejections of batches rejected at the source) do not
-// fail the call; they stay observable via Err.
+// applying, not silently drop durability. Application errors
+// (deterministic re-rejections of batches rejected at the source, a
+// relabel that does not fit the store) do not fail the call; they stay
+// observable via Err.
 func (s *Store) ApplyRecord(rec wal.Record) error {
 	if s.degraded.Load() {
 		return ErrDegraded
@@ -762,20 +760,22 @@ func (s *Store) ApplyRecord(rec wal.Record) error {
 	var e logEntry
 	switch {
 	case rec.Type == wal.RecordMutation && rec.Mut != nil:
-		e = logEntry{mut: rec.Mut, ten: s.tenant(rec.Mut.Tenant)}
+		e = logEntry{mut: rec.Mut}
 	case rec.Type == wal.RecordResize && rec.NewK >= 1:
 		e = logEntry{newK: rec.NewK}
 		s.kMu.Lock()
 		s.targetK = rec.NewK
 		s.kMu.Unlock()
+	case rec.Type == wal.RecordRelabel:
+		d, err := DecodeDelta(rec.Relabel)
+		if err != nil {
+			return fmt.Errorf("serve: relabel record %d: %w", rec.Seq, err)
+		}
+		e = logEntry{relabel: d}
 	default:
 		return fmt.Errorf("serve: applying malformed record %d (type %d)", rec.Seq, rec.Type)
 	}
-	if err := s.enqueue(e, false); err != nil {
-		return err
-	}
-	_ = s.Quiesce()
-	return nil
+	return s.enqueue(e, false)
 }
 
 // Resize requests an elastic change to newK partitions (§III-E). The
@@ -817,8 +817,8 @@ func (s *Store) Resize(newK int) error {
 // Quiesce blocks until every entry submitted before the call has been
 // applied and no restabilization is in flight or pending — the state in
 // which the snapshot is fully stabilized. It returns the store's most
-// recent batch-application error, if any. Used by tests, replay and
-// orderly shutdown; a serving deployment never needs it.
+// recent batch-application error, if any. Used by tests, a follower (once
+// per stream frame) and orderly shutdown; a serving leader never needs it.
 func (s *Store) Quiesce() error {
 	return s.control(nil)
 }
@@ -950,8 +950,6 @@ func (s *Store) loop() {
 			// Fast-path batches resolved; loop to re-evaluate triggers.
 		case res := <-s.restabDone:
 			s.merge(res)
-		case note := <-s.midrun:
-			s.mergeMidrun(note)
 		case res := <-s.ckptDone:
 			s.finishCheckpoint(res)
 		case <-tickC:
@@ -1044,6 +1042,12 @@ func (s *Store) handleGroup(entries []logEntry) {
 			}
 			flush()
 			s.resize(e.newK)
+		case e.relabel != nil:
+			if !ok {
+				continue // never durable: the run is discarded
+			}
+			flush()
+			s.applyRelabel(e.relabel)
 		default:
 			if !ok {
 				continue // rejected in journalGroup
@@ -1258,16 +1262,6 @@ func (s *Store) resize(newK int) {
 	})
 }
 
-// overlay returns a background run's labeling laid over the live one: the
-// run's labels for the base vertices it saw, the live (seeded) labels for
-// any appended since.
-func (s *Store) overlay(run []int32, base int) []int32 {
-	merged := make([]int32, len(s.labels))
-	copy(merged, run[:base])
-	copy(merged[base:], s.labels[base:])
-	return merged
-}
-
 // relabel adopts a full relabeling: it swaps merged in, republishes and
 // returns the label runs that changed (exact, see labelDiffRuns) — the
 // whole of what a replica needs to land the same relabeling.
@@ -1304,8 +1298,13 @@ func (s *Store) republish(runs []LabelRun, layout bool) {
 	s.emitBarrierDelta(runs, layout)
 }
 
-// shouldRestabilize evaluates the degradation trigger.
+// shouldRestabilize evaluates the degradation trigger. Only a writable,
+// journaling store restabilizes: a follower (read-only) and a store still
+// replaying its journal (Open) adopt the relabel records instead.
 func (s *Store) shouldRestabilize() bool {
+	if s.readOnly.Load() || s.d != nil && !s.d.active {
+		return false
+	}
 	if s.wantRestab {
 		return true
 	}
@@ -1318,8 +1317,7 @@ func (s *Store) shouldRestabilize() bool {
 // degradation budget trades cut quality for lookup latency — and starts
 // at the first turn after the load clears. The clone is taken under a
 // barrier so the run sees a consistent merged graph; the shards then
-// keep ingesting and serving while the run adapts the clone, streaming
-// per-iteration labels back through the mid-run mailbox.
+// keep ingesting and serving while the run adapts the clone.
 func (s *Store) maybeRestabilize() {
 	if s.inflight || !s.shouldRestabilize() {
 		return
@@ -1354,64 +1352,27 @@ func (s *Store) maybeRestabilize() {
 	// Epoch-derived seed: deterministic across runs of the same entry
 	// sequence, distinct across restabilizations.
 	opts.Seed = s.cfg.Options.Seed ^ (0xa5a5*(s.epoch+1) + 0x51*s.gen)
-	// A completed run's final note may still sit unconsumed in the mailbox
-	// (the loop's select drains restabDone and midrun in arbitrary order);
-	// clear it so it cannot be attributed to the run starting now.
-	select {
-	case <-s.midrun:
-	default:
-	}
-	gen, base, epoch := s.gen, clone.NumVertices(), s.epoch
-	opts.IterationSnapshot = func(_ int, labels []int32) {
-		note := midrunNote{gen: gen, epoch: epoch, base: base, labels: labels}
-		// Latest-wins mailbox: drop the stale note, never block the run.
-		for {
-			select {
-			case s.midrun <- note:
-				return
-			default:
-			}
-			select {
-			case <-s.midrun:
-			default:
-			}
-		}
-	}
+	gen := s.gen
 	s.inflight = true
 	go func() {
-		p, err := core.NewPartitioner(opts)
-		if err != nil {
-			s.restabDone <- restabResult{gen: gen, base: base, err: err}
-			return
+		res := restabResult{gen: gen}
+		if p, err := core.NewPartitioner(opts); err != nil {
+			res.err = err
+		} else if r, err := p.Adapt(clone, prev, affected); err != nil {
+			res.err = err
+		} else {
+			res.labels = r.Labels
 		}
-		res, err := p.Adapt(clone, prev, affected)
-		if err != nil {
-			s.restabDone <- restabResult{gen: gen, base: base, err: err}
-			return
-		}
-		s.restabDone <- restabResult{gen: gen, base: base, labels: res.Labels}
+		s.restabDone <- res
 	}()
 }
 
-// mergeMidrun publishes an in-flight run's intermediate labeling: run
-// labels for the vertices the run saw, current (seeded) labels for any
-// appended since. Stale notes — a resize landed (gen), or the note belongs
-// to an already-merged run (epoch) — are dropped.
-func (s *Store) mergeMidrun(note midrunNote) {
-	if note.gen != s.gen || note.epoch != s.epoch || !s.inflight {
-		return
-	}
-	s.withBarrier(func() {
-		s.ctr.MidRunSnapshots.Add(1)
-		s.relabel(s.overlay(note.labels, note.base))
-	})
-}
-
-// merge lands a completed restabilization: counts the migration volume,
-// adopts the run's labels (plus seeded labels for vertices appended during
-// the run), resets the degradation baseline, and republishes every shard.
+// merge lands a completed restabilization as a relabel entry: the label
+// runs the run changed over the base vertices it saw (vertices appended
+// since keep their seeded labels), journaled and then applied at this
+// position through handleGroup — the path a follower and replay take.
 // Runs from a previous resize generation are discarded — their labels live
-// in the wrong k-space.
+// in the wrong k-space — and a discarded run writes nothing.
 func (s *Store) merge(res restabResult) {
 	s.inflight = false
 	if res.err != nil {
@@ -1423,12 +1384,36 @@ func (s *Store) merge(res restabResult) {
 		s.ctr.RestabDiscarded.Add(1)
 		return
 	}
+	d := &Delta{Epoch: s.epoch + 1, Gen: s.gen, K: s.k, N: len(s.labels),
+		Runs: labelDiffRuns(s.labels[:len(res.labels)], res.labels)}
+	s.handleGroup([]logEntry{{relabel: d}})
+}
+
+// applyRelabel adopts a relabel entry under one barrier: it counts the
+// migration volume, advances the epoch, swaps the labels in and resets the
+// degradation baseline. A journaled record is input from outside the
+// process, so one that does not fit the store — not the next epoch, another
+// generation, k or vertex count, a run outside the labels or a label
+// outside [0,k) — is refused: the error goes to Err and nothing changes.
+func (s *Store) applyRelabel(d *Delta) {
 	s.withBarrier(func() {
-		merged := s.overlay(res.labels, res.base)
+		merged, err := d.Apply(slices.Clone(s.labels))
+		if d.Epoch != s.epoch+1 || d.Gen != s.gen || d.K != s.k || d.N != len(s.labels) {
+			err = fmt.Errorf("epoch %d gen %d k=%d n=%d onto epoch %d gen %d k=%d n=%d",
+				d.Epoch, d.Gen, d.K, d.N, s.epoch, s.gen, s.k, len(s.labels))
+		} else if err == nil {
+			err = metrics.ValidateLabels(merged, s.k)
+		}
+		if err != nil {
+			err = fmt.Errorf("serve: refusing relabel: %w", err)
+			s.lastErr.Store(&err)
+			return
+		}
 		verts, weight := cluster.MigrationVolume(s.w, s.labels, merged)
 		s.ctr.MigratedVertices.Add(verts)
 		s.ctr.MigratedWeight.Add(weight)
 		s.epoch++
+		s.wantRestab = false
 		s.ctr.Restabilizations.Add(1)
 		s.relabel(merged)
 		s.baseline = cutRatio(s.ownedCounters())
@@ -1489,7 +1474,7 @@ func (s *Store) maybeReleaseQuiescers() {
 	if len(s.quiescers) == 0 {
 		return
 	}
-	if s.inflight || len(s.log) > 0 || s.queued > 0 || len(s.controlQ) > 0 || len(s.midrun) > 0 {
+	if s.inflight || len(s.log) > 0 || s.queued > 0 || len(s.controlQ) > 0 {
 		return
 	}
 	if s.d != nil && s.d.pending {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/wal"
 )
 
 // twoClusters builds a weighted graph of two dense pseudo-random clusters
@@ -661,6 +662,57 @@ func TestSaturatedWeightKeepsCountersExact(t *testing.T) {
 			if c.CutReconciles.Load() == 0 || c.CutDrift.Load() != 0 || c.BatchesRejected.Load() != 0 {
 				t.Fatalf("%d reconciles, drift %d, %d rejected; want ≥ 1, 0, 0",
 					c.CutReconciles.Load(), c.CutDrift.Load(), c.BatchesRejected.Load())
+			}
+		})
+	}
+}
+
+// A relabel record is input from outside the process: applyRelabel
+// refuses one that does not fit the store — any of these misfits — and
+// changes nothing but Err; the one that fits is adopted.
+func TestApplyRelabelRefusesMisfits(t *testing.T) {
+	fits := func() *Delta {
+		return &Delta{Epoch: 1, K: 2, N: 40, Runs: []LabelRun{{Start: 3, Labels: []int32{1, 1}}}}
+	}
+	for _, tc := range []struct {
+		name   string
+		misfit func(d *Delta)
+	}{
+		{"fits", func(*Delta) {}},
+		{"epoch", func(d *Delta) { d.Epoch = 2 }},
+		{"gen", func(d *Delta) { d.Gen = 1 }},
+		{"k", func(d *Delta) { d.K = 3 }},
+		{"n", func(d *Delta) { d.N = 41 }},
+		{"run-out-of-range", func(d *Delta) { d.Runs = []LabelRun{{Start: 39, Labels: []int32{1, 1}}} }},
+		{"label-k", func(d *Delta) { d.Runs[0].Labels[1] = 2 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, labels := twoClusters(20)
+			st, err := New(w, labels, Config{Options: storeOpts(2, 9), Shards: 2, DegradeFactor: 1e9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			before := st.Snapshot()
+			d := fits()
+			tc.misfit(d)
+			if err := st.ApplyRecord(wal.Record{Seq: 1, Type: wal.RecordRelabel, Relabel: EncodeDelta(d)}); err != nil {
+				t.Fatal(err)
+			}
+			qerr := st.Quiesce()
+			after := st.Snapshot()
+			if tc.name == "fits" {
+				if qerr != nil || after.Epoch != 1 || after.Labels[3] != 1 || after.Labels[4] != 1 ||
+					st.Counters().Restabilizations.Load() != 1 {
+					t.Fatalf("fitting relabel: err %v, epoch %d, labels[3:5] %v", qerr, after.Epoch, after.Labels[3:5])
+				}
+				return
+			}
+			if qerr == nil || qerr != st.Err() {
+				t.Fatalf("misfit relabel left Err = %v (Quiesce %v)", st.Err(), qerr)
+			}
+			if !reflect.DeepEqual(after, before) || st.Counters().Restabilizations.Load() != 0 {
+				t.Fatalf("misfit relabel changed the store:\n%+v\nwant\n%+v", after.Summary, before.Summary)
 			}
 		})
 	}

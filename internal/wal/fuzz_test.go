@@ -59,6 +59,25 @@ func FuzzJournalReplay(f *testing.F) {
 	huge := append([]byte(nil), seed...)
 	binary.LittleEndian.PutUint32(huge, 0xffffffff) // hostile length prefix
 	f.Add(huge)
+	// A relabel record after a mutation, then the same journal torn
+	// inside the relabel's opaque body.
+	rdir := f.TempDir()
+	rj, err := Open(rdir, 1, Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, _, err := rj.AppendGroup([]GroupEntry{{Mut: testMutation(1)}, {Relabel: []byte{1, 0, 7, 0, 0, 0}}}); err != nil {
+		f.Fatal(err)
+	}
+	if err := rj.Close(); err != nil {
+		f.Fatal(err)
+	}
+	relabeled, err := os.ReadFile(filepath.Join(rdir, segName(1)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(relabeled)
+	f.Add(relabeled[:len(relabeled)-3])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -79,6 +98,10 @@ func FuzzJournalReplay(f *testing.F) {
 			case RecordResize:
 				if r.NewK < 1 {
 					t.Fatalf("resize record to k=%d", r.NewK)
+				}
+			case RecordRelabel:
+				if r.Relabel == nil {
+					t.Fatal("relabel record without a body")
 				}
 			default:
 				t.Fatalf("unknown record type %d delivered", r.Type)

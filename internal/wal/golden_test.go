@@ -45,3 +45,34 @@ func TestGoldenJournalGroup(t *testing.T) {
 		t.Fatalf("journal group bytes changed (n=%d):\n got %s\nwant %s", n, g, want)
 	}
 }
+
+// One relabel record's bytes: the same frame, type 3, and a body the
+// journal carries opaque (the serving layer's EncodeDelta payload).
+func TestGoldenJournalRelabel(t *testing.T) {
+	dir := t.TempDir()
+	j, err := Open(dir, 7, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := j.AppendGroup([]GroupEntry{{Relabel: []byte{0x01, 0x00, 0xfe, 0xca}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, segName(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "0d000000" + "9ba43da3" + "0700000000000000" + "03" + "0100feca"
+	if g := hex.EncodeToString(got); g != want {
+		t.Fatalf("relabel record bytes changed:\n got %s\nwant %s", g, want)
+	}
+	var recs []Record
+	if _, err := Replay(dir, 6, func(r Record) error { recs = append(recs, r); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].Seq != 7 || recs[0].Type != RecordRelabel || hex.EncodeToString(recs[0].Relabel) != "0100feca" {
+		t.Fatalf("replayed %+v", recs)
+	}
+}

@@ -1,11 +1,22 @@
 // Package wal is the durability layer under the serving stack: a
-// segmented, CRC-framed write-ahead journal of graph mutations and
-// elastic resizes, plus atomically-installed checkpoint files. The
+// segmented, CRC-framed write-ahead journal of graph mutations, elastic
+// resizes and relabelings, plus atomically-installed checkpoint files. The
 // serving layer (internal/serve) journals every accepted entry before
 // applying it and periodically checkpoints its composed state; after a
 // crash, recovery loads the latest valid checkpoint and replays the
 // journal tail, so a maintained partitioning — the thing the paper argues
 // is too expensive to recompute from scratch — survives process death.
+//
+// # Record types
+//
+// A journal holds three record types. RecordMutation is a graph.Mutation
+// batch as it was submitted. RecordResize is an elastic change to NewK
+// partitions; its immediate relabel (§III-E) follows from NewK and the
+// partitioner seed, so a replaying node recomputes it and it stays a
+// resize record. RecordRelabel is a completed restabilization (§III-D)
+// that the leader computed once and journaled before applying it; a
+// follower or a replaying node adopts it rather than recomputing it. Its
+// body is opaque here: the serving layer encodes it (serve.EncodeDelta).
 //
 // # Journal format
 //
@@ -92,14 +103,17 @@ const (
 	RecordMutation RecordType = 1
 	// RecordResize is an elastic partition-count change.
 	RecordResize RecordType = 2
+	// RecordRelabel is a restabilization's label change, body opaque.
+	RecordRelabel RecordType = 3
 )
 
-// Record is one journaled entry: a mutation batch or a resize.
+// Record is one journaled entry: a mutation batch, a resize or a relabel.
 type Record struct {
-	Seq  uint64
-	Type RecordType
-	Mut  *graph.Mutation // RecordMutation
-	NewK int             // RecordResize
+	Seq     uint64
+	Type    RecordType
+	Mut     *graph.Mutation // RecordMutation
+	NewK    int             // RecordResize
+	Relabel []byte          // RecordRelabel
 }
 
 // Policy selects when appended records are fsynced.
@@ -278,10 +292,12 @@ func (j *Journal) openSegment() error {
 }
 
 // GroupEntry is one record of a group append: a mutation batch when Mut
-// is non-nil, otherwise an elastic resize to NewK partitions.
+// is non-nil, a relabel when Relabel is, otherwise an elastic resize to
+// NewK partitions.
 type GroupEntry struct {
-	Mut  *graph.Mutation
-	NewK int
+	Mut     *graph.Mutation
+	NewK    int
+	Relabel []byte
 }
 
 // AppendGroup journals a group of records with consecutive sequence
@@ -322,6 +338,9 @@ func (j *Journal) AppendGroup(entries []GroupEntry) (firstSeq uint64, n int, err
 			if m := entries[i].Mut; m != nil {
 				buf = append(buf, byte(RecordMutation))
 				buf = graph.AppendMutationBinary(buf, m)
+			} else if r := entries[i].Relabel; r != nil {
+				buf = append(buf, byte(RecordRelabel))
+				buf = append(buf, r...)
 			} else {
 				buf = append(buf, byte(RecordResize))
 				buf = binary.LittleEndian.AppendUint32(buf, uint32(entries[i].NewK))
@@ -754,6 +773,9 @@ func decodePayload(p []byte) (Record, error) {
 			return Record{}, fmt.Errorf("wal: resize to k=%d", newK)
 		}
 		return Record{Seq: seq, Type: typ, NewK: newK}, nil
+	case RecordRelabel:
+		// A copy: the caller's buffer may be reused (a follower's stream).
+		return Record{Seq: seq, Type: typ, Relabel: append([]byte{}, body...)}, nil
 	}
 	return Record{}, fmt.Errorf("wal: unknown record type %d", typ)
 }

@@ -48,9 +48,10 @@ stat_field() { # stat_field <jq-ish key> — crude JSON number extraction, no jq
 }
 
 echo "== boot durable spinnerd (fsync=never, checkpoint-every=4, keep-checkpoints=2)"
-# -degrade suppresses background restabilization: an unquiesced crash
-# recovers to *a* valid state, and with relabeling events excluded that
-# state's labels must match the pre-crash lookups exactly.
+# -degrade keeps the cut trigger from firing. Restabilization no longer
+# makes labels differ (recovery adopts every journaled relabel), but a run
+# the trigger started before the kill would restart on the recovered
+# leader and move labels after the pre-crash lookups were taken.
 # -keep-checkpoints/-fsync-interval exercise the ISSUE-5 durability knobs;
 # -max-delta-chain -1 makes every checkpoint a full one, so there is a
 # newest .ckpt to lose below (the incremental chain has its own drill in

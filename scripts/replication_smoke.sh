@@ -7,13 +7,15 @@
 # the leader, asserts the follower's lag gauge reads 0 within 100 ms of the
 # churn stopping (the stream is commit-woken), that it converges to the
 # same applied sequence with bounded staleness, serves lookups from its
-# own snapshots, and refuses writes (503 read_only). Then the failover
-# drill: record the leader's acknowledged-and-replicated watermark plus a
-# lookup sample,
-# kill -9 the leader, POST /v1/promote on the follower, and assert the
-# promoted node reports role=leader, has lost no acknowledged batch
-# (applied_seq >= the pre-kill watermark), answers the sample lookups
-# identically, and accepts writes.
+# own snapshots, and refuses writes (503 read_only). Then a resize to
+# k=5 with 12 batches right behind it, so the repair restabilization
+# merges while batches arrive: the follower adopts the leader's journaled
+# relabel, and its whole label map must equal the leader's. Then the
+# failover drill: record the leader's acknowledged-and-replicated
+# watermark, kill -9 the leader, POST /v1/promote on the follower, and
+# assert the promoted node reports role=leader, has lost no acknowledged
+# batch (applied_seq >= the pre-kill watermark), serves the leader's
+# whole pre-kill label map, and accepts writes.
 #
 # Usage: scripts/replication_smoke.sh [leader-port] [follower-port]
 set -euo pipefail
@@ -25,6 +27,7 @@ FPORT="${2:-18578}"
 LBASE="http://127.0.0.1:$LPORT"
 FBASE="http://127.0.0.1:$FPORT"
 BIN=$(mktemp -d)/spinnerd
+CTL=$(dirname "$BIN")/spinnerctl
 LDIR=$(mktemp -d)
 FDIR=$(mktemp -d)
 LPID=""
@@ -32,12 +35,13 @@ FPID=""
 cleanup() {
   [ -n "$LPID" ] && { stop_daemon "$LPID" || true; }
   [ -n "$FPID" ] && { stop_daemon "$FPID" || true; }
-  rm -rf "$LDIR" "$FDIR" "$(dirname "$BIN")"
+  rm -rf "$LDIR" "$FDIR" "$LDIR.labels" "$FDIR.labels" "$(dirname "$BIN")"
 }
 trap cleanup EXIT
 
-echo "== build spinnerd"
+echo "== build spinnerd and spinnerctl"
 go build -o "$BIN" ./cmd/spinnerd
+go build -o "$CTL" ./cmd/spinnerctl
 
 wait_healthy() { # wait_healthy <base-url>
   for _ in $(seq 1 100); do
@@ -79,8 +83,10 @@ wait_caught_up() {
 }
 
 echo "== boot leader (fsync=never, checkpoint-every=8)"
-# -degrade suppresses background restabilization so the follower's
-# replayed labels must match the leader's lookups exactly.
+# -degrade keeps the cut trigger from firing, so the one restabilization
+# is the repair of the resize below, and the drill knows when it merged.
+# Restabilization no longer makes labels differ: the leader journals each
+# relabel and the follower adopts it.
 "$BIN" -k 4 -synthetic 2000 -seed 11 -shards 2 -addr "127.0.0.1:$LPORT" \
   -degrade 999999 -data-dir "$LDIR" -fsync never -fsync-interval 25ms \
   -checkpoint-every 8 -keep-checkpoints 2 &
@@ -89,7 +95,7 @@ wait_healthy "$LBASE"
 
 echo "== boot follower tailing $LBASE"
 # Same partitioner flags as the leader: the journal replay path is the
-# recovery path, and identical options make it bit-identical.
+# recovery path, and a resize's relabel follows from k and the seed.
 "$BIN" -k 4 -seed 11 -addr "127.0.0.1:$FPORT" -degrade 999999 \
   -follow "127.0.0.1:$LPORT" -data-dir "$FDIR" -fsync never \
   -max-staleness 30s &
@@ -117,24 +123,31 @@ CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST --data-binary "+ 1 2 2" "$
 [ "$CODE" = "503" ] || { echo "FAIL: follower /v1/mutate returned $CODE, want 503 read_only" >&2; exit 1; }
 
 echo "== lookup sample served from the follower's own snapshots"
-SAMPLE="1 42 500 999 1500 1999"
-declare -A BEFORE
-for v in $SAMPLE; do
+for v in 1 42 500 999 1500 1999; do
   lpart=$(curl -fsS "$LBASE/v1/lookup?v=$v" | tr ',{}' '\n\n\n' | grep -m1 '"partition":' | sed 's/.*: *//')
   fpart=$(curl -fsS "$FBASE/v1/lookup?v=$v" | tr ',{}' '\n\n\n' | grep -m1 '"partition":' | sed 's/.*: *//')
   [ "$fpart" = "$lpart" ] || { echo "FAIL: lookup($v) leader=$lpart follower=$fpart" >&2; exit 1; }
-  BEFORE[$v]=$fpart
 done
 
-echo "== more churn, then record the replicated watermark"
+echo "== more churn"
 churn 12 7
-sleep 0.5
+
+echo "== resize to k=5 with 12 batches behind it: the repair merges mid-churn"
+EPOCH=$(stat_field "$LBASE" epoch)
+"$CTL" -addr "$LBASE" resize 5 >/dev/null
+churn 12 13
+for _ in $(seq 1 200); do
+  [ "$(stat_field "$LBASE" epoch)" -gt "$EPOCH" ] && break
+  sleep 0.1
+done
+[ "$(stat_field "$LBASE" epoch)" -gt "$EPOCH" ] || { echo "FAIL: the resize's repair never merged on the leader" >&2; exit 1; }
 wait_caught_up
 WATERMARK=$(stat_field "$FBASE" applied_seq)
-for v in $SAMPLE; do
-  BEFORE[$v]=$(curl -fsS "$FBASE/v1/lookup?v=$v" | tr ',{}' '\n\n\n' | grep -m1 '"partition":' | sed 's/.*: *//')
-done
-echo "   watermark=$WATERMARK (acknowledged and replicated)"
+"$CTL" -addr "$LBASE" labels > "$LDIR.labels"
+"$CTL" -addr "$FBASE" labels > "$FDIR.labels"
+cmp -s "$LDIR.labels" "$FDIR.labels" || {
+  echo "FAIL: follower labels differ from the leader's in $(diff "$LDIR.labels" "$FDIR.labels" | grep -c '^<') vertices" >&2; exit 1; }
+echo "   watermark=$WATERMARK (acknowledged and replicated), epoch=$(stat_field "$FBASE" epoch), $(wc -l < "$FDIR.labels") labels equal"
 
 echo "== kill -9 the leader"
 kill -9 "$LPID"
@@ -150,16 +163,10 @@ echo "$PROMOTE" | grep -q '"promoted": *true' || { echo "FAIL: promote response:
 APPLIED=$(stat_field "$FBASE" applied_seq)
 [ "$APPLIED" -ge "$WATERMARK" ] || { echo "FAIL: promoted applied_seq=$APPLIED lost acknowledged batches (watermark $WATERMARK)" >&2; exit 1; }
 
-echo "== lookup consistency across failover"
-for v in $SAMPLE; do
-  part=$(curl -fsS "$FBASE/v1/lookup?v=$v" | tr ',{}' '\n\n\n' | grep -m1 '"partition":' | sed 's/.*: *//')
-  if [ -z "$part" ] || [ "$part" -lt 0 ] || [ "$part" -ge 4 ]; then
-    echo "FAIL: lookup($v) = '$part' out of [0,4)" >&2; exit 1
-  fi
-  if [ "$part" != "${BEFORE[$v]}" ]; then
-    echo "FAIL: lookup($v) = $part after promotion, pre-kill ${BEFORE[$v]}" >&2; exit 1
-  fi
-done
+echo "== lookup consistency across failover: the leader's whole label map"
+"$CTL" -addr "$FBASE" labels > "$FDIR.labels"
+cmp -s "$LDIR.labels" "$FDIR.labels" || {
+  echo "FAIL: promoted labels differ from the leader's pre-kill map in $(diff "$LDIR.labels" "$FDIR.labels" | grep -c '^<') vertices" >&2; exit 1; }
 
 echo "== promoted node accepts writes"
 curl -fsS -X POST --data-binary "+ 5 6 2" "$FBASE/v1/mutate" >/dev/null || { echo "FAIL: promoted node refused a write" >&2; exit 1; }
