@@ -41,13 +41,18 @@
 #                      per package, into out/coverage-map.txt (about 2.5
 #                      min on a 2-vCPU host); a tool for deciding what to
 #                      delete, not a CI gate
+#   make reproduction — REPRODUCTION.md: the scoreboard of the paper's
+#                      claims (go run ./cmd/experiments) at the default
+#                      scale, headed by the commit, seed, scale, nproc and
+#                      GOMAXPROCS (about 35 s on a 2-vCPU host); fails
+#                      when a row fails
 #   make loc         — code lines (non-test .go files, skipping blank lines
 #                      and lines that start with //) per package under
 #                      internal/ and cmd/, then the serving-core total over
 #                      internal/{serve,api,api/client,replica,wal,frame};
 #                      the size figure ROADMAP quotes, not a gate
 
-.PHONY: all check build vet lint test test-race bench bench-test bench-quick against examples-smoke profile-core profile-api fuzz loc coverage-map recovery-smoke overload-smoke replication-smoke changefeed-smoke metrics-smoke
+.PHONY: all check build vet lint test test-race bench bench-test bench-quick against examples-smoke profile-core profile-api fuzz reproduction loc coverage-map recovery-smoke overload-smoke replication-smoke changefeed-smoke metrics-smoke
 
 CORE := internal/serve internal/api internal/api/client internal/replica internal/wal internal/frame
 # codelines prints the code lines of the non-test Go files of the package
@@ -125,6 +130,12 @@ fuzz:
 			go test -run='^$$' -fuzz="^$$target\$$" -fuzztime=10s $$pkg || exit 1; \
 		done; \
 	done
+
+reproduction:
+	@rev=$$(git describe --always --dirty); \
+	{ echo "# REPRODUCTION — the paper's claims, checked"; echo; \
+	  echo "Generated by \`make reproduction\` (\`go run ./cmd/experiments\`) at $$rev."; \
+	  go run ./cmd/experiments; } > REPRODUCTION.md
 
 loc:
 	@for d in $$(ls internal/*/*.go internal/*/*/*.go cmd/*/*.go | grep -v '_test\.go$$' | xargs -n1 dirname | sort -u); do \

@@ -1,20 +1,26 @@
-// Command experiments regenerates the tables and figures of the Spinner
-// paper's evaluation (§V) on synthetic dataset analogues.
+// Command experiments checks the claims of the Spinner paper's evaluation
+// (§V) on synthetic dataset analogues and prints them as one markdown
+// table: the row's id (a table or figure of the paper), what the paper
+// claims and the tolerance checked, the measured values, and the verdict —
+// pass, FAIL, or a deviation with its reason. The rows are
+// internal/experiments.Claims; each fixes its own sweep. It exits 1 when a
+// row fails.
 //
 // Usage:
 //
-//	experiments -exp all            # everything (several minutes at default scale)
-//	experiments -exp table1         # one experiment
+//	experiments                          # every row (about 35 s at the default scale on 2 vCPUs)
+//	experiments -exp table4,fig9         # the rows named
 //	experiments -exp fig7 -scale 50000 -seed 3
 //
-// Experiments: table1, table3, table4, fig3a, fig3b (alias of fig3), fig4,
-// fig5, fig6a, fig6b, fig6c, fig7, fig8, fig9, all.
+// `make reproduction` writes its default-scale output to REPRODUCTION.md.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
 	"strings"
 
 	"repro/internal/experiments"
@@ -22,68 +28,67 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment id (table1|table3|table4|fig3a|fig3b|fig4|fig5|fig6a|fig6b|fig6c|fig7|fig8|fig9|all)")
+		exp     = flag.String("exp", "all", "comma-separated row ids, or all: "+ids())
 		scale   = flag.Int("scale", 20000, "vertex scale for dataset analogues")
 		seed    = flag.Uint64("seed", 1, "random seed")
 		workers = flag.Int("workers", 0, "Pregel workers (0 = GOMAXPROCS)")
-		maxK    = flag.Int("maxk", 128, "largest k for the fig3 sweep")
-		runs    = flag.Int("runs", 3, "repetitions for fig5")
 	)
 	flag.Parse()
-
-	cfg := experiments.Config{Scale: *scale, Seed: *seed, Workers: *workers, Out: os.Stdout}
-	ids := strings.Split(*exp, ",")
-	if *exp == "all" {
-		ids = []string{"table1", "table3", "table4", "fig3a", "fig4", "fig5", "fig6a", "fig6b", "fig6c", "fig7", "fig8", "fig9"}
+	cfg := experiments.Config{Scale: *scale, Seed: *seed, Workers: *workers}
+	passed, err := runOne(os.Stdout, *exp, cfg)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
 	}
-	for _, id := range ids {
-		if err := runOne(id, cfg, *maxK, *runs); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		fmt.Println()
+	if !passed {
+		os.Exit(1)
 	}
 }
 
-func runOne(id string, cfg experiments.Config, maxK, runs int) error {
-	switch id {
-	case "table1":
-		_, err := experiments.Table1(cfg)
-		return err
-	case "table3":
-		_, err := experiments.Table3(cfg)
-		return err
-	case "table4":
-		_, err := experiments.Table4(cfg)
-		return err
-	case "fig3a", "fig3b", "fig3":
-		_, err := experiments.Fig3(cfg, maxK)
-		return err
-	case "fig4":
-		_, err := experiments.Fig4(cfg)
-		return err
-	case "fig5":
-		_, err := experiments.Fig5(cfg, runs)
-		return err
-	case "fig6a":
-		_, err := experiments.Fig6a(cfg, nil)
-		return err
-	case "fig6b":
-		_, err := experiments.Fig6b(cfg, nil)
-		return err
-	case "fig6c":
-		_, err := experiments.Fig6c(cfg, nil)
-		return err
-	case "fig7":
-		_, err := experiments.Fig7(cfg, nil)
-		return err
-	case "fig8":
-		_, err := experiments.Fig8(cfg, nil)
-		return err
-	case "fig9":
-		_, err := experiments.Fig9(cfg)
-		return err
-	default:
-		return fmt.Errorf("unknown experiment %q", id)
+func ids() string {
+	var out []string
+	for _, cl := range experiments.Claims {
+		out = append(out, cl.ID)
 	}
+	return strings.Join(out, ", ")
+}
+
+// runOne runs the rows exp names ("all" or comma-separated ids) and prints
+// them as one table, each as soon as it is measured. It reports whether no
+// row failed; a deviation is not a failure.
+func runOne(out io.Writer, exp string, cfg experiments.Config) (bool, error) {
+	var rows []experiments.Claim
+	if exp == "all" {
+		rows = experiments.Claims
+	} else {
+	next:
+		for _, id := range strings.Split(exp, ",") {
+			for _, cl := range experiments.Claims {
+				if cl.ID == id {
+					rows = append(rows, cl)
+					continue next
+				}
+			}
+			return false, fmt.Errorf("unknown row %q (rows: %s)", id, ids())
+		}
+	}
+	workers := "GOMAXPROCS"
+	if cfg.Workers > 0 {
+		workers = fmt.Sprint(cfg.Workers)
+	}
+	fmt.Fprintf(out, "Seed %d, scale %d, workers %s; nproc %d, GOMAXPROCS %d.\n\n",
+		cfg.Seed, cfg.Scale, workers, runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	fmt.Fprintln(out, "| id | the paper | measured | verdict |")
+	fmt.Fprintln(out, "|---|---|---|---|")
+	cell := strings.NewReplacer("|", `\|`).Replace
+	passed := true
+	for _, cl := range rows {
+		o, err := cl.Run(cfg)
+		if err != nil {
+			return false, fmt.Errorf("%s: %w", cl.ID, err)
+		}
+		passed = passed && len(o.Failed) == 0
+		fmt.Fprintf(out, "| %s | %s | %s | %s |\n", cl.ID, cell(cl.Paper), cell(strings.Join(o.Measured, "; ")), cell(o.Verdict()))
+	}
+	return passed, nil
 }

@@ -6,16 +6,12 @@
 // partitioner — lives in internal/core, built on a from-scratch
 // Pregel/Giraph BSP engine (internal/pregel). Baseline partitioners,
 // dataset analogues, analytical applications and a cluster cost model
-// complete the substrate needed to regenerate every table and figure of
-// the paper's evaluation; internal/experiments names each one and runs
-// it.
-//
-// The benchmarks in bench_test.go regenerate each experiment:
-//
-//	go test -bench=Table1 -benchtime=1x
-//	go test -bench=. -benchmem
-//
-// or run the CLI: go run ./cmd/experiments -exp all.
+// complete the substrate needed to check the paper's evaluation.
+// internal/experiments states its claims as one table, each row a table or
+// figure of the paper with its tolerance, and go run ./cmd/experiments
+// prints the measured values and the verdicts; REPRODUCTION.md is that
+// output at the default scale (make reproduction), and TestClaims checks
+// every row that reads no wall clock at a small scale.
 //
 // # Performance architecture
 //

@@ -63,15 +63,6 @@ type Result struct {
 	Stats []pregel.SuperstepStats
 }
 
-// TotalMessages sums sent messages across supersteps.
-func (r *Result) TotalMessages() int64 {
-	var t int64
-	for _, st := range r.Stats {
-		t += st.TotalSent()
-	}
-	return t
-}
-
 // RemoteMessages sums cross-worker messages across supersteps; this is the
 // network traffic a partitioning is supposed to reduce.
 func (r *Result) RemoteMessages() int64 {

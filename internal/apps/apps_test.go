@@ -226,9 +226,15 @@ func TestPlacementReducesRemoteMessages(t *testing.T) {
 	// side: messages that share a (worker, destination) pair collapse before
 	// they are counted. Locality-aware placement therefore reduces — never
 	// increases — the total physical traffic relative to hash placement.
-	if partRes.TotalMessages() > hashRes.TotalMessages() {
+	total := func(r *Result) (t int64) {
+		for _, st := range r.Stats {
+			t += st.TotalSent()
+		}
+		return t
+	}
+	if total(partRes) > total(hashRes) {
 		t.Fatalf("partitioned total=%d exceeds hash total=%d (send-side combining should shrink totals under better placement)",
-			partRes.TotalMessages(), hashRes.TotalMessages())
+			total(partRes), total(hashRes))
 	}
 }
 

@@ -3,8 +3,6 @@
 //
 //   - Hash: the de-facto standard hash partitioning that Spinner aims to
 //     replace (§I, §V-F);
-//   - Random: seeded uniform assignment (the paper's "random partitioning"
-//     starting point, Fig. 4);
 //   - LDG: the streaming linear deterministic greedy heuristic of Stanton
 //     & Kliot (KDD 2012), vertex-balanced;
 //   - Fennel: the streaming partitioner of Tsourakakis et al. (WSDM 2014)
@@ -22,29 +20,14 @@
 // higher ρ in Table I.
 package baselines
 
-import (
-	"repro/internal/graph"
-	"repro/internal/rng"
-)
-
-// Partitioner assigns each vertex of a weighted undirected graph one of k
-// labels.
-type Partitioner interface {
-	// Name identifies the approach in experiment output.
-	Name() string
-	// Partition returns a labeling of w into k parts.
-	Partition(w *graph.Weighted, k int) []int32
-}
+import "repro/internal/graph"
 
 // Hash is modulo-hash partitioning: label(v) = h(v) mod k. It is the
 // baseline every system falls back to and the comparison target of
 // Fig. 3(b), Fig. 9 and Table IV.
 type Hash struct{}
 
-// Name implements Partitioner.
-func (Hash) Name() string { return "Hash" }
-
-// Partition implements Partitioner.
+// Partition returns a labeling of w into k parts.
 func (Hash) Partition(w *graph.Weighted, k int) []int32 {
 	labels := make([]int32, w.NumVertices())
 	for v := range labels {
@@ -59,23 +42,4 @@ func hash64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
-}
-
-// Random assigns labels uniformly at random (seeded).
-type Random struct {
-	// Seed drives the assignment; the zero value is a valid seed.
-	Seed uint64
-}
-
-// Name implements Partitioner.
-func (Random) Name() string { return "Random" }
-
-// Partition implements Partitioner.
-func (r Random) Partition(w *graph.Weighted, k int) []int32 {
-	src := rng.New(r.Seed)
-	labels := make([]int32, w.NumVertices())
-	for v := range labels {
-		labels[v] = int32(src.Intn(k))
-	}
-	return labels
 }

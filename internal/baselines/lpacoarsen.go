@@ -30,10 +30,7 @@ type LPACoarsen struct {
 	MaxCommunityFrac float64
 }
 
-// Name implements Partitioner.
-func (LPACoarsen) Name() string { return "LPACoarsen" }
-
-// Partition implements Partitioner.
+// Partition returns a labeling of w into k parts.
 func (p LPACoarsen) Partition(w *graph.Weighted, k int) []int32 {
 	n := w.NumVertices()
 	if k <= 1 || n == 0 {

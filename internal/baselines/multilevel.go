@@ -29,9 +29,6 @@ type Multilevel struct {
 	Passes int
 }
 
-// Name implements Partitioner.
-func (Multilevel) Name() string { return "Multilevel" }
-
 // mlArc is a weighted arc in a coarse graph.
 type mlArc struct {
 	to int32
@@ -54,7 +51,7 @@ func (g *mlGraph) totalVwgt() float64 {
 	return t
 }
 
-// Partition implements Partitioner.
+// Partition returns a labeling of w into k parts.
 func (m Multilevel) Partition(w *graph.Weighted, k int) []int32 {
 	n := w.NumVertices()
 	if k <= 1 || n == 0 {
@@ -195,14 +192,18 @@ func coarsen(g *mlGraph, src *rng.Source) ([]int32, *mlGraph) {
 
 // growPartitions produces an initial k-way labeling by greedy region
 // growing: repeatedly BFS from a random unassigned seed, absorbing
-// vertices until the partition reaches the ideal weight.
+// vertices until the partition reaches its share of the weight not yet
+// assigned. The share is recomputed for each partition, so partitions that
+// overshoot (a heavy coarse vertex lands last) shrink the ones after them
+// instead of leaving the last partitions empty.
 func growPartitions(g *mlGraph, k int, src *rng.Source) []int32 {
 	n := g.n()
 	labels := make([]int32, n)
 	for i := range labels {
 		labels[i] = -1
 	}
-	target := g.totalVwgt() / float64(k)
+	left := g.totalVwgt()
+	target := left / float64(k)
 	queue := make([]int32, 0, n)
 	part := int32(0)
 	load := 0.0
@@ -234,6 +235,8 @@ func growPartitions(g *mlGraph, k int, src *rng.Source) []int32 {
 		}
 		if load >= target && part < int32(k-1) {
 			part++
+			left -= load
+			target = left / float64(k-int(part))
 			load = 0
 			queue = queue[:0]
 		}

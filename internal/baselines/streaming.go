@@ -24,10 +24,7 @@ type LDG struct {
 	Slack float64
 }
 
-// Name implements Partitioner.
-func (LDG) Name() string { return "LDG" }
-
-// Partition implements Partitioner.
+// Partition returns a labeling of w into k parts.
 func (l LDG) Partition(w *graph.Weighted, k int) []int32 {
 	n := w.NumVertices()
 	slack := l.Slack
@@ -87,10 +84,7 @@ type Fennel struct {
 	Nu float64
 }
 
-// Name implements Partitioner.
-func (Fennel) Name() string { return "Fennel" }
-
-// Partition implements Partitioner.
+// Partition returns a labeling of w into k parts.
 func (f Fennel) Partition(w *graph.Weighted, k int) []int32 {
 	n := w.NumVertices()
 	gamma := f.Gamma

@@ -154,11 +154,13 @@ func (m CostModel) Summarize(stats []pregel.SuperstepStats) Summary {
 	}
 }
 
-// String formats the summary like a Table IV row.
+// String formats the summary like a Table IV row: mean, max and min
+// worker time, each ± its standard deviation, in milliseconds, since a
+// priced superstep at this repository's scales takes a few of them.
 func (s Summary) String() string {
-	return fmt.Sprintf("%.2fs±%.2fs  %.2fs±%.2fs  %.2fs±%.2fs (idle %.0f%%)",
-		s.Mean.Seconds(), s.MeanStd.Seconds(), s.Max.Seconds(), s.MaxStd.Seconds(),
-		s.Min.Seconds(), s.MinStd.Seconds(), 100*s.AvgIdleFraction)
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	return fmt.Sprintf("%.2fms±%.2fms  %.2fms±%.2fms  %.2fms±%.2fms (idle %.0f%%)",
+		ms(s.Mean), ms(s.MeanStd), ms(s.Max), ms(s.MaxStd), ms(s.Min), ms(s.MinStd), 100*s.AvgIdleFraction)
 }
 
 func meanStd(xs []float64) (mean, std float64) {

@@ -85,6 +85,18 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestSummaryStringShowsMilliseconds: a Table IV row of supersteps that
+// take milliseconds prints them, not 0.00s.
+func TestSummaryStringShowsMilliseconds(t *testing.T) {
+	s := Summary{Mean: 4083 * time.Microsecond, MeanStd: 120 * time.Microsecond,
+		Max: 4550 * time.Microsecond, MaxStd: 10 * time.Microsecond,
+		Min: 3 * time.Millisecond, AvgIdleFraction: 0.11}
+	want := "4.08ms±0.12ms  4.55ms±0.01ms  3.00ms±0.00ms (idle 11%)"
+	if got := s.String(); got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
+	}
+}
+
 func TestSummarizeEmpty(t *testing.T) {
 	s := (CostModel{}).Summarize(nil)
 	if s.Mean != 0 || s.AvgIdleFraction != 0 {

@@ -41,36 +41,26 @@ func hashLabels(labels []int32) uint64 {
 // The adapt entries' message counts fell when graph.Weighted became simple
 // (the change after 5fbc4f6): the growth batch re-adds pairs, whose weight
 // now sits on one arc, so a migrating vertex announces it once; labels and
-// iterations held. ws/ignore-edge-weights was re-recorded when the option's
-// loads b(l) became arc counts too (the change after 025fba4): 19 of the WS
-// graph's edges weigh 2, and the loads had still summed their weights.
-// ba/ignore-edge-weights held: no BA arc is reciprocal, so every edge
-// weighs 1 and the count is the weight.
+// iterations held.
 var goldenLabels = map[string]golden{
-	"ws/w1/weighted":                {0x66a2bed499824b71, 48, 58055},
-	"ws/w1/adapt":                   {0xfd1ec95fca259f56, 13, 8387},
-	"ws/w1/resize-8-10":             {0x40d70c82876535ef, 23, 23604},
-	"ws/w1/resize-8-6":              {0x6afa253d438825c1, 19, 16125},
-	"ws/w4/weighted":                {0xf3c2a22180a4c6d1, 38, 48085},
-	"ws/w4/adapt":                   {0xc5b5f813a44f8ab7, 14, 8706},
-	"ws/w4/resize-8-10":             {0x89a1c5f022384a05, 32, 29104},
-	"ws/w4/resize-8-6":              {0x8e5d652a989f4291, 21, 20514},
-	"ws/ignore-edge-weights":        {0xb1772598fdac07c7, 42, 49127},
-	"ws/random-tie-break":           {0x71ce23b0471bae60, 47, 53904},
-	"ws/disable-async-worker-state": {0x339100138668e971, 40, 53870},
-	"ws/capacity-fractions":         {0x39e089be962e0163, 36, 46414},
-	"ba/w1/weighted":                {0x96ec8c437e1bf646, 58, 114445},
-	"ba/w1/adapt":                   {0xdabc817c319c7760, 23, 46104},
-	"ba/w1/resize-8-10":             {0x8ccba2700480b47a, 29, 58073},
-	"ba/w1/resize-8-6":              {0x664aff19a0321c2, 20, 38860},
-	"ba/w4/weighted":                {0xdb4c29c0950b377, 54, 107569},
-	"ba/w4/adapt":                   {0x3fc7300911ba0b07, 37, 73272},
-	"ba/w4/resize-8-10":             {0xe5af9f16834125cb, 37, 73979},
-	"ba/w4/resize-8-6":              {0x4f7001da89a74337, 33, 66027},
-	"ba/ignore-edge-weights":        {0xc341e141377de5c3, 54, 109848},
-	"ba/random-tie-break":           {0xe12660dd42e015f3, 56, 112078},
-	"ba/disable-async-worker-state": {0xb4a91b535abad093, 47, 97227},
-	"ba/capacity-fractions":         {0x11bef916f9722335, 55, 104556},
+	"ws/w1/weighted":        {0x66a2bed499824b71, 48, 58055},
+	"ws/w1/adapt":           {0xfd1ec95fca259f56, 13, 8387},
+	"ws/w1/resize-8-10":     {0x40d70c82876535ef, 23, 23604},
+	"ws/w1/resize-8-6":      {0x6afa253d438825c1, 19, 16125},
+	"ws/w4/weighted":        {0xf3c2a22180a4c6d1, 38, 48085},
+	"ws/w4/adapt":           {0xc5b5f813a44f8ab7, 14, 8706},
+	"ws/w4/resize-8-10":     {0x89a1c5f022384a05, 32, 29104},
+	"ws/w4/resize-8-6":      {0x8e5d652a989f4291, 21, 20514},
+	"ws/capacity-fractions": {0x39e089be962e0163, 36, 46414},
+	"ba/w1/weighted":        {0x96ec8c437e1bf646, 58, 114445},
+	"ba/w1/adapt":           {0xdabc817c319c7760, 23, 46104},
+	"ba/w1/resize-8-10":     {0x8ccba2700480b47a, 29, 58073},
+	"ba/w1/resize-8-6":      {0x664aff19a0321c2, 20, 38860},
+	"ba/w4/weighted":        {0xdb4c29c0950b377, 54, 107569},
+	"ba/w4/adapt":           {0x3fc7300911ba0b07, 37, 73272},
+	"ba/w4/resize-8-10":     {0xe5af9f16834125cb, 37, 73979},
+	"ba/w4/resize-8-6":      {0x4f7001da89a74337, 33, 66027},
+	"ba/capacity-fractions": {0x11bef916f9722335, 55, 104556},
 }
 
 // TestGoldenLabels pins the labels of every entry point and every scoring
@@ -141,9 +131,6 @@ func TestGoldenLabels(t *testing.T) {
 			name string
 			mod  func(*Options)
 		}{
-			{"ignore-edge-weights", func(o *Options) { o.IgnoreEdgeWeights = true }},
-			{"random-tie-break", func(o *Options) { o.RandomTieBreak = true }},
-			{"disable-async-worker-state", func(o *Options) { o.DisableAsyncWorkerState = true }},
 			{"capacity-fractions", func(o *Options) { o.CapacityFractions = []float64{4, 3, 2, 2, 1, 1, 1, 1} }},
 		} {
 			res, err := part(k, 2, opt.mod).PartitionWeighted(w)

@@ -14,14 +14,10 @@ import (
 // scanHistogram is the reference the incremental histogram must equal: a
 // fresh scan of every arc over the current labels — a bar per distinct
 // neighbour label, weights summed, sorted by label.
-func scanHistogram(arcs []graph.WeightedArc, labels []int32, ignoreWeights bool) []bar {
+func scanHistogram(arcs []graph.WeightedArc, labels []int32) []bar {
 	sum := map[int32]int64{}
 	for _, a := range arcs {
-		if ignoreWeights {
-			sum[labels[a.To]]++
-		} else {
-			sum[labels[a.To]] += int64(a.Weight)
-		}
+		sum[labels[a.To]] += int64(a.Weight)
 	}
 	out := make([]bar, 0, len(sum))
 	for l, w := range sum {
@@ -56,7 +52,7 @@ func runChecked(t *testing.T, what string, opts Options, prog *program, vs []ver
 			}
 			for i := range eng.Vertices() {
 				v := &eng.Vertices()[i]
-				want := scanHistogram(v.Edges, prog.labels, opts.IgnoreEdgeWeights)
+				want := scanHistogram(v.Edges, prog.labels)
 				if !slices.Equal(v.Value.hist, want) {
 					t.Errorf("%s: superstep %d (iteration %d) vertex %d:\nhistogram %v\narc scan  %v",
 						what, step, prog.iter, i, v.Value.hist, want)
@@ -133,9 +129,6 @@ func TestHistogramMatchesEdgeScanProperty(t *testing.T) {
 			k, opts.K, opts.NumWorkers = c.k, c.k, c.workers
 		}
 		opts.MaxIterations = 12 + s.Intn(20)
-		opts.IgnoreEdgeWeights = s.Bool(0.25)
-		opts.RandomTieBreak = s.Bool(0.25)
-		opts.DisableAsyncWorkerState = s.Bool(0.25)
 		opts.UnboundedMigration = s.Bool(0.15)
 		opts.AffectedOnly = s.Bool(0.25)
 		if s.Bool(0.25) {

@@ -27,16 +27,15 @@
 // Result.Labels is that array, and an IterationSnapshot gets a copy.
 //
 // §IV-A of the paper stores each neighbour's last known label in the edge
-// value so that only label changes travel. Here no arc holds any state:
-// what a vertex needs to know about its neighbours' labels is its
-// histogram, one bar per distinct neighbour label holding the summed weight
-// of the arcs to neighbours that carry it (their count under
-// IgnoreEdgeWeights), carved at Initialization, with capacity min(degree,
-// k), from an arena of the worker that owns the vertex. The starting labels
-// do not travel either. Initialization sends nothing; the first
-// ComputeScores scans the vertex's arcs once, reads each target's slot of
-// the label array, and builds the histogram. The array needs no lock and no
-// atomics, for the reason the master state needs none: a slot is written
+// value so that only label changes travel. Here no arc holds any state: what
+// a vertex needs to know about its neighbours' labels is its histogram, one
+// bar per distinct neighbour label holding the summed weight of the arcs to
+// neighbours that carry it, carved at Initialization, with capacity
+// min(degree, k), from an arena of the worker that owns the vertex. The
+// starting labels do not travel either. Initialization sends nothing; the
+// first ComputeScores scans the vertex's arcs once, reads each target's slot
+// of the label array, and builds the histogram. The array needs no lock and
+// no atomics, for the reason the master state needs none: a slot is written
 // only by its own vertex and only in Initialization and ComputeMigrations
 // supersteps; slots are read only in ComputeScores supersteps (a vertex's
 // own in every iteration, its neighbours' in the first); and the engine's
@@ -47,17 +46,17 @@
 // Three rules keep the histogram exact without a per-arc record.
 //
 // Messages carry old, new and w. A vertex that migrates sends
-// msg{old, new, w} along each of its arcs, w being that arc's weight (1
-// under IgnoreEdgeWeights), and that is the only kind of message an LPA
-// iteration sends — Result.Messages counts migrations times degree. The
-// receiver moves w from bar old to bar new and looks up no arc. This is
-// exact because graph.Weighted's rows mirror each other: u's arc to v has
-// the weight of v's arc to u, so the sender's weight is the receiver's. A
-// row holds one arc per neighbour — an edge added twice is one arc holding
-// both weights — so one message moves all of it. A receiver whose bar old
-// holds less than w has met rows that do not mirror, and panics naming
-// itself and the labels rather than score from a wrong histogram. A ComputeScores call
-// costs O(messages received + distinct neighbour labels), not O(degree).
+// msg{old, new, w} along each of its arcs, w being that arc's weight, and
+// that is the only kind of message an LPA iteration sends — Result.Messages
+// counts migrations times degree. The receiver moves w from bar old to bar new and looks up no
+// arc. This is exact because graph.Weighted's rows mirror each other: u's
+// arc to v has the weight of v's arc to u, so the sender's weight is the
+// receiver's. A row holds one arc per neighbour — an edge added twice is one
+// arc holding both weights — so one message moves all of it. A receiver
+// whose bar old holds less than w has met rows that do not mirror, and
+// panics naming itself and the labels rather than score from a wrong
+// histogram. A ComputeScores call costs O(messages received + distinct
+// neighbour labels), not O(degree).
 //
 // Bars are in label order. The order matters: labels whose scores tie are
 // resolved by the paper's rule — keep the current label, else draw
@@ -138,25 +137,11 @@ type Options struct {
 	// homogeneous case "often preferred ... to eliminate stragglers".
 	CapacityFractions []float64
 
-	// Ablation switches (all default false = paper behaviour). These exist
-	// for the ablation benchmarks (BenchmarkAblation* in the root package).
-
-	// DisableAsyncWorkerState turns off the per-worker asynchronous load
-	// view of §IV-A4; vertices then score against the barrier-synchronized
-	// loads only.
-	DisableAsyncWorkerState bool
 	// UnboundedMigration disables the probabilistic migration step
-	// (Eq. 14): every candidate migrates. Demonstrates the ρ blow-up the
-	// ComputeMigrations step prevents.
+	// (Eq. 14): every candidate migrates. An ablation, default false: it
+	// demonstrates the ρ blow-up the ComputeMigrations step prevents (the
+	// eq14 row of internal/experiments).
 	UnboundedMigration bool
-	// IgnoreEdgeWeights treats every edge as weight 1, discarding the
-	// directed-multiplicity weighting of Eq. 3: in the histogram, the
-	// degree that normalises the score, and the loads b(l) and capacities,
-	// so a run is the run on the same graph with unit weights.
-	IgnoreEdgeWeights bool
-	// RandomTieBreak breaks score ties uniformly at random instead of
-	// preferring the current label, increasing needless migrations.
-	RandomTieBreak bool
 	// AffectedOnly restricts migration evaluation, after an incremental
 	// restart, to vertices affected by the graph change and vertices that
 	// subsequently observe a neighbor's migration (§III-D, first strategy).

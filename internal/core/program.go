@@ -34,14 +34,14 @@ type vval struct {
 // bar is one label of a vertex's neighbour-label histogram.
 type bar struct {
 	label  int32
-	weight int64 // Σ weight of the arcs to neighbours carrying label (their count under IgnoreEdgeWeights)
+	weight int64 // Σ weight of the arcs to neighbours carrying label
 }
 
 // msg is the one message the program sends: a migration announcement along
 // an arc. The sender left label old for label new, and w is the arc's
-// weight as a bar counts it (1 under IgnoreEdgeWeights) — rows mirror each
-// other, so that is what the receiver moves from bar old to bar new, with no
-// arc lookup. Starting labels are never sent (computeScores reads them).
+// weight — rows mirror each other, so that is what the receiver moves from
+// bar old to bar new, with no arc lookup. Starting labels are never sent
+// (computeScores reads them).
 type msg struct {
 	old, new, w int32
 }
@@ -181,14 +181,13 @@ func (p *program) Compute(ctx *computeCtx, v *vertex, msgs []msg) {
 
 // initialize: settle the starting label in the vertex's slot of p.labels
 // (a warm start seeded it; a from-scratch run draws it here), cache the
-// weighted degree — the weights the bars count, so its arc count under
-// IgnoreEdgeWeights — and contribute it to the load counters. Nothing is
+// weighted degree and contribute it to the load counters. Nothing is
 // sent: the neighbours read the slot in iteration 1, after this superstep's
 // barrier.
 func (p *program) initialize(ctx *computeCtx, v *vertex) {
 	var degW float64
 	for _, a := range v.Edges {
-		degW += float64(p.arcWeight(a))
+		degW += float64(a.Weight)
 	}
 	if !p.seeded {
 		p.labels[v.ID] = ctx.Rand().Int31n(int32(p.k))
@@ -206,14 +205,6 @@ func (p *program) initialize(ctx *computeCtx, v *vertex) {
 	ctx.CountEdges(len(v.Edges))
 }
 
-// arcWeight is what an arc adds to the bar of its target's label.
-func (p *program) arcWeight(a graph.WeightedArc) int32 {
-	if p.opts.IgnoreEdgeWeights {
-		return 1
-	}
-	return a.Weight
-}
-
 // buildHistogram runs once per vertex, in iteration 1. One scan of v's
 // arcs reads every neighbour's starting label out of p.labels — the
 // Initialization superstep wrote the slots and its barrier has passed;
@@ -224,7 +215,7 @@ func (p *program) arcWeight(a graph.WeightedArc) int32 {
 func (p *program) buildHistogram(ws *workerScratch, v *vertex) {
 	for _, a := range v.Edges {
 		l := p.labels[a.To]
-		ws.sum[l] += int64(p.arcWeight(a))
+		ws.sum[l] += int64(a.Weight)
 		ws.seen[l>>6] |= 1 << (l & 63)
 	}
 	h := v.Value.hist[:0]
@@ -363,7 +354,7 @@ func (p *program) computeScores(ctx *computeCtx, v *vertex, msgs []msg) {
 		case s > bestScore+tieEps:
 			best, bestScore, ties = l, s, 1
 		case s > bestScore-tieEps: // tie
-			if best == cur && !p.opts.RandomTieBreak {
+			if best == cur {
 				continue // keep current on ties
 			}
 			ties++
@@ -375,14 +366,12 @@ func (p *program) computeScores(ctx *computeCtx, v *vertex, msgs []msg) {
 	if best != cur {
 		v.Value.cand = best
 		ctx.Aggregate(p.aggCand, int(best), degW)
-		if !p.opts.DisableAsyncWorkerState {
-			// Asynchronous per-worker view (§IV-A4): subsequent vertices on
-			// this worker see the tentative move.
-			ws.localLoads[best] += degW
-			ws.localLoads[cur] -= degW
-			p.setPenalty(ws, best)
-			p.setPenalty(ws, cur)
-		}
+		// Asynchronous per-worker view (§IV-A4): subsequent vertices on
+		// this worker see the tentative move.
+		ws.localLoads[best] += degW
+		ws.localLoads[cur] -= degW
+		p.setPenalty(ws, best)
+		p.setPenalty(ws, cur)
 	}
 }
 
@@ -396,8 +385,7 @@ func labelScore(penalty, w, degW float64) float64 {
 }
 
 // setPenalty recomputes the balance term of label l from the worker's view
-// of its load. With DisableAsyncWorkerState that view is the synchronized
-// aggregator for the whole superstep.
+// of its load.
 func (p *program) setPenalty(ws *workerScratch, l int32) {
 	ws.penalty[l] = -ws.localLoads[l] / p.capacities[l]
 }
@@ -424,7 +412,7 @@ func (p *program) computeMigrations(ctx *computeCtx, v *vertex) {
 	ctx.Aggregate(p.aggLoads, int(cand), v.Value.degW)
 	ctx.Aggregate(p.aggMigs, 0, 1)
 	for _, a := range v.Edges {
-		ctx.SendTo(a.To, msg{old: old, new: cand, w: p.arcWeight(a)})
+		ctx.SendTo(a.To, msg{old: old, new: cand, w: a.Weight})
 	}
 	ctx.CountEdges(len(v.Edges))
 }

@@ -183,51 +183,3 @@ func TestAblationUnboundedMigrationHurtsBalance(t *testing.T) {
 	}
 	t.Logf("ablation: bounded rho=%.3f unbounded rho=%.3f", rhoB, rhoU)
 }
-
-// Ablation: the remaining switches must all produce valid runs.
-func TestAblationSwitchesRun(t *testing.T) {
-	g := gen.WattsStrogatz(1000, 6, 0.3, 87)
-	w := graph.Convert(g)
-	for _, mod := range []func(*Options){
-		func(o *Options) { o.DisableAsyncWorkerState = true },
-		func(o *Options) { o.IgnoreEdgeWeights = true },
-		func(o *Options) { o.RandomTieBreak = true },
-	} {
-		opts := DefaultOptions(4)
-		opts.Seed = 89
-		opts.MaxIterations = 40
-		mod(&opts)
-		res, err := mustPartitioner(t, opts).PartitionWeighted(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := metrics.ValidateLabels(res.Labels, 4); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// The async per-worker state (§IV-A4) should not converge slower than the
-// synchronous variant on average; assert it still reaches comparable
-// quality.
-func TestAsyncStateQualityComparable(t *testing.T) {
-	g := gen.WattsStrogatz(2000, 8, 0.2, 91)
-	w := graph.Convert(g)
-	async := DefaultOptions(8)
-	async.Seed = 93
-	ra, err := mustPartitioner(t, async).PartitionWeighted(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sync := async
-	sync.DisableAsyncWorkerState = true
-	rs, err := mustPartitioner(t, sync).PartitionWeighted(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pa, ps := metrics.Phi(w, ra.Labels), metrics.Phi(w, rs.Labels)
-	if pa < 0.8*ps {
-		t.Fatalf("async phi=%.3f much worse than sync phi=%.3f", pa, ps)
-	}
-	t.Logf("async: φ=%.3f iters=%d; sync: φ=%.3f iters=%d", pa, ra.Iterations, ps, rs.Iterations)
-}

@@ -154,7 +154,7 @@ func TestInitialLabelsAreReadNotSent(t *testing.T) {
 			case prog.iter == 1: // the first ComputeScores just ran
 				for _, v := range eng.Vertices() {
 					histograms++
-					if want := scanHistogram(v.Edges, before, false); !slices.Equal(v.Value.hist, want) {
+					if want := scanHistogram(v.Edges, before); !slices.Equal(v.Value.hist, want) {
 						t.Fatalf("workers=%d: vertex %d read the histogram %v, its neighbours start at %v",
 							workers, v.ID, v.Value.hist, want)
 					}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -304,45 +303,5 @@ func TestUndirectedGraphViaConversion(t *testing.T) {
 	w := graph.Convert(g)
 	if rho := metrics.Rho(w, res.Labels, 4); rho > 1.25 {
 		t.Fatalf("rho=%.3f", rho)
-	}
-}
-
-// TestIgnoreEdgeWeightsIsUnitWeights: the ablation discards Eq. 3's weights
-// everywhere — in the bars, the score's normaliser, the loads b(l), the
-// capacities and the History's φ — so a run on w under IgnoreEdgeWeights is
-// the same run as on w with every weight set to 1.
-func TestIgnoreEdgeWeightsIsUnitWeights(t *testing.T) {
-	w := graph.Convert(gen.WattsStrogatz(2000, 8, 0.3, 7))
-	unit := graph.NewWeighted(w.NumVertices())
-	heavy := 0
-	w.EdgesOnce(func(u, v graph.VertexID, weight int32) {
-		if weight != 1 {
-			heavy++
-		}
-		unit.AddEdge(u, v, 1)
-	})
-	if heavy == 0 {
-		t.Fatal("every edge weighs 1: the case tests nothing")
-	}
-	for _, workers := range []int{1, 4} {
-		opts := DefaultOptions(8)
-		opts.Seed = 42
-		opts.NumWorkers = workers
-		opts.IgnoreEdgeWeights = true
-		p := mustPartitioner(t, opts)
-		got, err := p.PartitionWeighted(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := p.PartitionWeighted(unit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(got.Labels, want.Labels) || got.Iterations != want.Iterations ||
-			got.Messages != want.Messages || got.FinalPhi() != want.FinalPhi() {
-			t.Errorf("workers=%d: %d iterations, %d messages, φ %v; with unit weights %d, %d, φ %v (labels equal: %v)",
-				workers, got.Iterations, got.Messages, got.FinalPhi(), want.Iterations, want.Messages, want.FinalPhi(),
-				slices.Equal(got.Labels, want.Labels))
-		}
 	}
 }

@@ -1,295 +1,26 @@
 package experiments
 
-import (
-	"bytes"
-	"strings"
-	"testing"
+import "testing"
 
-	"repro/internal/gen"
-	"repro/internal/graph"
-)
-
-// smallCfg keeps experiment tests fast while preserving the shapes.
-func smallCfg() Config {
-	return Config{Scale: 4000, Seed: 7, Workers: 4}
-}
-
-func TestTable1Shape(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := smallCfg()
-	cfg.Out = &buf
-	rows, err := Table1(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5*5 {
-		t.Fatalf("rows=%d, want 25", len(rows))
-	}
-	// Indivisible-hub granularity bound for balance checks: a single
-	// celebrity vertex can exceed the slack capacity at test scale.
-	w := graph.Convert(gen.Load(gen.TwitterLike, cfg.Scale, cfg.Seed))
-	var totalLoad, maxDeg float64
-	for v := 0; v < w.NumVertices(); v++ {
-		d := float64(w.WeightedDegree(graph.VertexID(v)))
-		totalLoad += d
-		if d > maxDeg {
-			maxDeg = d
+// TestClaims runs every row of the scoreboard that reads no wall clock, at
+// 4 000 vertices and two workers, and fails on a row whose claim fails. A
+// deviation — a part of a claim that does not hold at this scale, for the
+// reason its row states — passes.
+func TestClaims(t *testing.T) {
+	cfg := Config{Scale: 4000, Seed: 1, Workers: 2}
+	for _, cl := range Claims {
+		if cl.WallClock {
+			continue
 		}
-	}
-	granularity := func(k int) float64 { return maxDeg / (totalLoad / float64(k)) }
-	get := func(app string, k int) Table1Row {
-		for _, r := range rows {
-			if r.Approach == app && r.K == k {
-				return r
+		t.Run(cl.ID, func(t *testing.T) {
+			o, err := cl.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		t.Fatalf("missing row %s k=%d", app, k)
-		return Table1Row{}
-	}
-	for _, k := range []int{2, 4, 8, 16, 32} {
-		sp := get("Spinner", k)
-		// Spinner's balance must be near c = 1.05, up to hub granularity.
-		if sp.Rho > 1.10+granularity(k) {
-			t.Errorf("k=%d: Spinner rho=%.3f (granularity %.2f)", k, sp.Rho, granularity(k))
-		}
-		// Spinner locality must be within striking distance of Metis
-		// (Table I: within 2-12% of the best) — allow 25% slack at test
-		// scale — and must beat vertex-balanced streaming at higher k.
-		me := get("Metis", k)
-		if sp.Phi < 0.75*me.Phi {
-			t.Errorf("k=%d: Spinner φ=%.3f too far below Metis φ=%.3f", k, sp.Phi, me.Phi)
-		}
-	}
-	// φ decreases in k for Spinner (Fig. 3a trend visible in Table I too).
-	if get("Spinner", 2).Phi <= get("Spinner", 32).Phi {
-		t.Error("Spinner φ did not decrease with k")
-	}
-	if !strings.Contains(buf.String(), "Spinner") {
-		t.Error("rendered output missing Spinner row")
-	}
-}
-
-func TestTable3Shape(t *testing.T) {
-	rows, err := Table3(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(gen.AllDatasets) {
-		t.Fatalf("rows=%d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Rho < 1 || r.Rho > 1.25 {
-			t.Errorf("%s: rho=%.3f outside sane band", r.Dataset, r.Rho)
-		}
-	}
-}
-
-func TestTable4Shape(t *testing.T) {
-	rows, err := Table4(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows=%d", len(rows))
-	}
-	random, spinner := rows[0], rows[1]
-	if random.Approach != "Random" || spinner.Approach != "Spinner" {
-		t.Fatalf("row order: %+v", rows)
-	}
-	// Spinner must cut the slowest-worker time and the idle fraction.
-	if spinner.Summary.Max >= random.Summary.Max {
-		t.Errorf("Spinner max %v not better than random %v", spinner.Summary.Max, random.Summary.Max)
-	}
-	if spinner.Summary.Mean >= random.Summary.Mean {
-		t.Errorf("Spinner mean %v not better than random %v", spinner.Summary.Mean, random.Summary.Mean)
-	}
-}
-
-func TestFig3Shape(t *testing.T) {
-	cfg := smallCfg()
-	rows, err := Fig3(cfg, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Per dataset: k ∈ {2,4,8,16} → 4 rows each.
-	if len(rows) != len(gen.AllDatasets)*4 {
-		t.Fatalf("rows=%d", len(rows))
-	}
-	byDS := map[gen.Dataset][]Fig3Row{}
-	for _, r := range rows {
-		byDS[r.Dataset] = append(byDS[r.Dataset], r)
-	}
-	for d, rs := range byDS {
-		// φ decreases (weakly) with k; improvement over hash grows.
-		if rs[0].Phi < rs[len(rs)-1].Phi {
-			t.Errorf("%s: φ increased with k", d)
-		}
-		if rs[len(rs)-1].Improvement <= rs[0].Improvement {
-			t.Errorf("%s: improvement did not grow with k", d)
-		}
-		for _, r := range rs {
-			if r.Improvement < 1 {
-				t.Errorf("%s k=%d: Spinner worse than hash (%.2fx)", d, r.K, r.Improvement)
+			if len(o.Failed) > 0 {
+				t.Errorf("%s\nmeasured: %v", o.Verdict(), o.Measured)
 			}
-		}
-	}
-}
-
-func TestFig4Shape(t *testing.T) {
-	series, err := Fig4(smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(series) != 2 {
-		t.Fatalf("series=%d", len(series))
-	}
-	for _, s := range series {
-		h := s.History
-		if len(h) < 3 {
-			t.Fatalf("%s: only %d iterations", s.Name, len(h))
-		}
-		last := h[len(h)-1]
-		if last.Phi <= h[0].Phi {
-			t.Errorf("%s: φ did not improve (%.3f → %.3f)", s.Name, h[0].Phi, last.Phi)
-		}
-		// Final balance: near c up to the indivisible-hub granularity.
-		if last.Rho > 1.1+s.Granularity {
-			t.Errorf("%s: final ρ=%.3f (granularity %.2f)", s.Name, last.Rho, s.Granularity)
-		}
-		// Balance improves from the random start (Fig. 4a behaviour) unless
-		// the hub floor dominates both.
-		if last.Rho > h[0].Rho+s.Granularity/2+1e-9 && h[0].Rho > 1.1 {
-			t.Errorf("%s: ρ worsened (%.3f → %.3f, granularity %.2f)", s.Name, h[0].Rho, last.Rho, s.Granularity)
-		}
-	}
-}
-
-func TestFig5Shape(t *testing.T) {
-	cfg := smallCfg()
-	rows, err := Fig5(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 16 {
-		t.Fatalf("rows=%d", len(rows))
-	}
-	var sumItersSmallC, sumItersLargeC float64
-	for _, r := range rows {
-		// ρ ≤ c up to the vertex-granularity term (a single hub can exceed
-		// the slack capacity at laptop scale) plus probabilistic slack.
-		if r.AvgRho > r.C+r.Granularity+0.03 {
-			t.Errorf("c=%.2f k=%d: avg ρ=%.3f exceeds c+granularity (%.2f)", r.C, r.K, r.AvgRho, r.C+r.Granularity)
-		}
-		switch r.C {
-		case 1.02:
-			sumItersSmallC += r.Iterations
-		case 1.20:
-			sumItersLargeC += r.Iterations
-		}
-	}
-	// Fig. 5(b): larger c converges at least as fast on average.
-	if sumItersLargeC > sumItersSmallC*1.1 {
-		t.Errorf("c=1.20 iterations (%v) slower than c=1.02 (%v)", sumItersLargeC, sumItersSmallC)
-	}
-}
-
-func TestFig7Shape(t *testing.T) {
-	cfg := smallCfg()
-	rows, err := Fig7(cfg, []float64{0.01, 0.10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows=%d", len(rows))
-	}
-	for _, r := range rows {
-		if r.MsgSavings <= 0.3 {
-			t.Errorf("+%.0f%%: msg savings %.0f%%, want > 30%%", 100*r.NewEdgeFrac, 100*r.MsgSavings)
-		}
-		if r.MovedAdaptive >= r.MovedScratch {
-			t.Errorf("+%.0f%%: adaptive moved %.0f%% >= scratch %.0f%%",
-				100*r.NewEdgeFrac, 100*r.MovedAdaptive, 100*r.MovedScratch)
-		}
-		if r.MovedScratch < 0.5 {
-			t.Errorf("scratch moved only %.0f%%, expected large shuffle", 100*r.MovedScratch)
-		}
-		if r.AdaptPhi < 0.85*r.ScratchPhi {
-			t.Errorf("adaptive φ=%.3f much worse than scratch %.3f", r.AdaptPhi, r.ScratchPhi)
-		}
-	}
-	// Small changes adapt with fewer moved vertices than large ones.
-	if rows[0].MovedAdaptive > rows[1].MovedAdaptive+0.15 {
-		t.Errorf("moved%% did not grow with change size: %v vs %v", rows[0].MovedAdaptive, rows[1].MovedAdaptive)
-	}
-}
-
-func TestFig8Shape(t *testing.T) {
-	cfg := smallCfg()
-	rows, err := Fig8(cfg, []int{1, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows=%d", len(rows))
-	}
-	for _, r := range rows {
-		if r.MovedAdaptive >= r.MovedScratch {
-			t.Errorf("+%d: adaptive moved %.0f%% >= scratch %.0f%%", r.NewPartitions,
-				100*r.MovedAdaptive, 100*r.MovedScratch)
-		}
-		if r.AdaptRho > 1.3 {
-			t.Errorf("+%d: ρ=%.3f", r.NewPartitions, r.AdaptRho)
-		}
-	}
-	// More new partitions → more vertices shuffle (Fig. 8b trend).
-	if rows[1].MovedAdaptive <= rows[0].MovedAdaptive {
-		t.Errorf("moved%% did not grow with added partitions: %v vs %v",
-			rows[0].MovedAdaptive, rows[1].MovedAdaptive)
-	}
-}
-
-func TestFig9Shape(t *testing.T) {
-	cfg := smallCfg()
-	rows, err := Fig9(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 9 {
-		t.Fatalf("rows=%d, want 3 datasets × 3 apps", len(rows))
-	}
-	improved := 0
-	for _, r := range rows {
-		if r.Improvement > 0 {
-			improved++
-		}
-	}
-	// Spinner placement must win on the (vast) majority of combinations.
-	if improved < 7 {
-		t.Errorf("only %d/9 app runs improved under Spinner placement", improved)
-	}
-}
-
-func TestFig6Shapes(t *testing.T) {
-	cfg := Config{Scale: 2000, Seed: 7, Workers: 2}
-	a, err := Fig6a(cfg, []int{2000, 8000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != 2 || a[0].Iteration <= 0 {
-		t.Fatalf("fig6a rows=%v", a)
-	}
-	b, err := Fig6b(cfg, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b) != 2 {
-		t.Fatalf("fig6b rows=%v", b)
-	}
-	c, err := Fig6c(cfg, []int{2, 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c) != 2 {
-		t.Fatalf("fig6c rows=%v", c)
+			t.Log(o.Verdict())
+		})
 	}
 }

@@ -196,31 +196,6 @@ func Difference(a, b []int32) float64 {
 	return float64(moved) / float64(len(a))
 }
 
-// Summary bundles the headline metrics for one partitioning.
-type Summary struct {
-	K     int
-	Phi   float64
-	Rho   float64
-	Cut   int64
-	Loads []int64
-}
-
-// Summarize computes a Summary for the labeling.
-func Summarize(w *graph.Weighted, labels []int32, k int) Summary {
-	return Summary{
-		K:     k,
-		Phi:   Phi(w, labels),
-		Rho:   Rho(w, labels, k),
-		Cut:   CutEdges(w, labels),
-		Loads: Loads(w, labels, k),
-	}
-}
-
-// String formats a Summary like the paper's tables (φ, ρ to two decimals).
-func (s Summary) String() string {
-	return fmt.Sprintf("k=%d φ=%.3f ρ=%.3f cut=%d", s.K, s.Phi, s.Rho, s.Cut)
-}
-
 // ValidateLabels checks that every label is in [0, k). It returns an error
 // naming the first offending vertex.
 func ValidateLabels(labels []int32, k int) error {

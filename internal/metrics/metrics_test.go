@@ -163,17 +163,6 @@ func TestValidateLabels(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	w := path4()
-	s := Summarize(w, []int32{0, 0, 1, 1}, 2)
-	if s.K != 2 || s.Cut != 1 {
-		t.Fatalf("summary %+v", s)
-	}
-	if s.String() == "" {
-		t.Fatal("empty summary string")
-	}
-}
-
 // Property: φ ∈ [0,1] and ρ ≥ 1 for any labeling of any graph.
 func TestMetricBoundsProperty(t *testing.T) {
 	f := func(seed uint16, kRaw uint8) bool {
