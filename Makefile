@@ -25,8 +25,10 @@
 #   make profile-core — CPU and allocation profiles of the LPA loop, from
 #                      scratch and from warm starts (BenchmarkSpinnerIteration,
 #                      BenchmarkPartitionWeighted at partition-scratch's
-#                      out-of-cache size, BenchmarkWarmStart), into out/; top
-#                      15 functions by CPU and top 10 by allocated bytes printed
+#                      out-of-cache size, BenchmarkWarmStart), and of the
+#                      conversion before it (BenchmarkConvert, same graphs),
+#                      into out/; top 15 functions by CPU and top 10 by
+#                      allocated bytes printed
 #   make profile-api — the same two profiles of the /v1/lookup read path
 #                      (BenchmarkHandleLookup point and whole map,
 #                      BenchmarkParseResync) into out/; top 10 of each
@@ -111,7 +113,7 @@ examples-smoke:
 
 profile-core:
 	mkdir -p out
-	go test -run '^$$' -bench 'BenchmarkSpinnerIteration|BenchmarkPartitionWeighted|BenchmarkWarmStart' -benchtime 5x \
+	go test -run '^$$' -bench 'BenchmarkSpinnerIteration|BenchmarkPartitionWeighted|BenchmarkWarmStart|BenchmarkConvert' -benchtime 5x \
 		-cpuprofile out/core.prof -memprofile out/core.mem -o out/core.test .
 	go tool pprof -top -nodecount 15 out/core.test out/core.prof
 	go tool pprof -sample_index=alloc_space -top -nodecount 10 out/core.test out/core.mem

@@ -134,11 +134,32 @@ func BenchmarkWarmStart(b *testing.B) {
 	}
 }
 
-// BenchmarkConvert measures the directed→weighted-undirected conversion.
+// BenchmarkConvert measures the directed→weighted-undirected conversion in
+// the shape partition-scratch times — WS(200 000, 16, 0.3) and BA(100 000,
+// 10), whose rows do not fit in cache — reporting ns/arc and B/arc over the
+// arcs of the converted graph.
 func BenchmarkConvert(b *testing.B) {
-	g := gen.BarabasiAlbert(20000, 10, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		graph.Convert(g)
+	for _, c := range []struct {
+		name string
+		g    func() *graph.Graph
+	}{
+		{"ws-200k", func() *graph.Graph { return gen.WattsStrogatz(200_000, 16, 0.3, 1) }},
+		{"ba-100k", func() *graph.Graph { return gen.BarabasiAlbert(100_000, 10, 1) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			g := c.g()
+			arcs := float64(2 * graph.Convert(g).NumEdges())
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				graph.Convert(g)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(arcs*float64(b.N)), "ns/arc")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/(arcs*float64(b.N)), "B/arc")
+		})
 	}
 }

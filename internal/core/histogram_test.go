@@ -12,27 +12,41 @@ import (
 )
 
 // scanHistogram is the reference the incremental histogram must equal: a
-// fresh scan of every arc over the current labels — a bar per distinct
-// neighbour label, weights summed, sorted by label.
-func scanHistogram(arcs []graph.WeightedArc, labels []int32) []bar {
+// fresh scan of every arc over the current labels — the distinct
+// neighbour labels as a bitmap of ⌈k/64⌉ words, and their weights, summed,
+// in label order.
+func scanHistogram(arcs []graph.WeightedArc, labels []int32, k int) (hist []int64, held []uint64) {
 	sum := map[int32]int64{}
+	held = make([]uint64, (k+63)/64)
 	for _, a := range arcs {
-		sum[labels[a.To]] += int64(a.Weight)
+		l := labels[a.To]
+		sum[l] += int64(a.Weight)
+		held[l>>6] |= 1 << (l & 63)
 	}
-	out := make([]bar, 0, len(sum))
-	for l, w := range sum {
-		out = append(out, bar{label: l, weight: w})
+	for _, l := range heldLabels(held) {
+		hist = append(hist, sum[l])
 	}
-	slices.SortFunc(out, func(a, b bar) int { return int(a.label) - int(b.label) })
-	return out
+	return hist, held
+}
+
+// heldLabels lists the set bits of a label bitmap in ascending order: the
+// labels of a histogram's bars.
+func heldLabels(held []uint64) []int32 {
+	var ls []int32
+	for l := range int32(64 * len(held)) {
+		if held[l>>6]&(1<<(l&63)) != 0 {
+			ls = append(ls, l)
+		}
+	}
+	return ls
 }
 
 // runChecked drives prog over vs as Partitioner.run does and, after every
 // ComputeScores superstep, compares every vertex's histogram with a fresh
 // scan of its arcs over the labels they had when the superstep ran (the
-// migrations it announced have not run yet): same labels, same weights,
-// same order, and a held bitmap whose set bits are exactly the bars'
-// labels. It returns the number of vertex-histograms compared, and how many
+// migrations it announced have not run yet): the same held labels, the
+// same weights in label order, and each label's rank its bar's index. It
+// returns the number of vertex-histograms compared, and how many
 // of their bars sit at a bitmap word boundary past the first word's start
 // (labels 63, 64, 127, 128, …), where a rank must count the words before.
 func runChecked(t *testing.T, what string, opts Options, prog *program, vs []vertex) (checked, boundary int) {
@@ -52,30 +66,24 @@ func runChecked(t *testing.T, what string, opts Options, prog *program, vs []ver
 			}
 			for i := range eng.Vertices() {
 				v := &eng.Vertices()[i]
-				want := scanHistogram(v.Edges, prog.labels)
-				if !slices.Equal(v.Value.hist, want) {
-					t.Errorf("%s: superstep %d (iteration %d) vertex %d:\nhistogram %v\narc scan  %v",
-						what, step, prog.iter, i, v.Value.hist, want)
+				want, held := scanHistogram(v.Edges, prog.labels, opts.K)
+				if !slices.Equal(v.Value.hist, want) || !slices.Equal(v.Value.held, held) {
+					t.Errorf("%s: superstep %d (iteration %d) vertex %d:\nhistogram %v of labels %v\narc scan  %v of labels %v",
+						what, step, prog.iter, i, v.Value.hist, heldLabels(v.Value.held), want, heldLabels(held))
 					return
 				}
 				if c := min(len(v.Edges), opts.K); cap(v.Value.hist) != c {
 					t.Errorf("%s: vertex %d histogram capacity %d, want min(deg, k) = %d", what, i, cap(v.Value.hist), c)
 					return
 				}
-				held := make([]uint64, (opts.K+63)/64)
-				for j, b := range want {
-					held[b.label>>6] |= 1 << (b.label & 63)
-					if b.label >= 63 && (b.label%64 == 63 || b.label%64 == 0) {
+				for j, l := range heldLabels(held) {
+					if l >= 63 && (l%64 == 63 || l%64 == 0) {
 						boundary++
 					}
-					if r, _ := rank(v.Value.held, b.label); r != j {
-						t.Errorf("%s: vertex %d: rank of label %d is %d, want %d", what, i, b.label, r, j)
+					if r, _ := rank(v.Value.held, l); r != j {
+						t.Errorf("%s: vertex %d: rank of label %d is %d, want %d", what, i, l, r, j)
 						return
 					}
-				}
-				if !slices.Equal(v.Value.held, held) {
-					t.Errorf("%s: vertex %d: held labels %x, bars hold %x", what, i, v.Value.held, held)
-					return
 				}
 				checked++
 			}
@@ -221,7 +229,7 @@ func TestHistogramMatchesEdgeScanProperty(t *testing.T) {
 func TestCarveHandsOutDisjointWindows(t *testing.T) {
 	ws := &workerScratch{}
 	s := rng.New(3)
-	var hists [][]bar
+	var hists [][]int64
 	for i := 0; i < 5000; i++ {
 		n := s.Intn(40)
 		if i%1000 == 999 {
@@ -232,14 +240,14 @@ func TestCarveHandsOutDisjointWindows(t *testing.T) {
 			t.Fatalf("carve(%d) returned len %d cap %d", n, len(h), cap(h))
 		}
 		for j := 0; j < n; j++ {
-			h = append(h, bar{label: int32(i), weight: int64(j)})
+			h = append(h, int64(i)<<32|int64(j))
 		}
 		hists = append(hists, h)
 	}
 	for i, h := range hists {
 		for j, b := range h {
-			if b.label != int32(i) || b.weight != int64(j) {
-				t.Fatalf("histogram %d bar %d overwritten: %+v", i, j, b)
+			if b != int64(i)<<32|int64(j) {
+				t.Fatalf("histogram %d bar %d overwritten: %#x", i, j, b)
 			}
 		}
 	}

@@ -63,10 +63,12 @@
 // uniformly among the tied maxima — with one reservoir draw per tied label
 // in the order the bars are visited, so the order fixes how the worker's
 // random stream is spent, though not the distribution of the outcome.
-// Label order is the order a run can keep without per-arc state, and a
-// bar is found by rank, not by search: each vertex keeps the labels of its
-// bars as a bitmap of ⌈k/64⌉ words, and label l's bar is the one at the
-// number of set bits below l. A move drops a bar whose weight reaches 0
+// Label order is the order a run can keep without per-arc state, and it
+// makes a bar just its weight: each vertex keeps the labels of its bars as
+// a bitmap of ⌈k/64⌉ words (held), and bar i's label is the i-th set bit of
+// held. Scoring walks the set bits in step with the bars; a move finds
+// label l's bar by rank, not by search — it is the one at the number of set
+// bits below l. A move drops a bar whose weight reaches 0
 // (weights are positive — graph.Weighted's invariant: Convert assigns 1 or
 // 2, Mutation.Apply raises anything lower to 1, DecodeWeightedBinary refuses
 // it — and integral, so the sums are exact) and creates a new one in place,

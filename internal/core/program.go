@@ -21,20 +21,15 @@ const (
 // vval is the per-vertex state. The vertex's label is not in it: labels
 // live in program.labels.
 type vval struct {
-	// hist is the vertex's neighbour-label histogram, sorted by label (see
-	// the package doc). Built in iteration 1, then moved by the migration
-	// announcements; capacity min(deg, k).
-	hist  []bar
+	// hist is the vertex's neighbour-label histogram (see the package doc):
+	// bar i is the Σ weight of the arcs to neighbours carrying the label
+	// that is the i-th set bit of held. Built in iteration 1, then moved by
+	// the migration announcements; capacity min(deg, k).
+	hist  []int64
 	held  []uint64 // the labels hist has a bar for, a bitmap of ⌈k/64⌉ words (see rank)
 	degW  float64  // weighted degree as the bars count it, fixed at Initialization
 	cand  int32    // candidate label for this iteration, -1 if none
 	dirty bool     // AffectedOnly: may evaluate migration
-}
-
-// bar is one label of a vertex's neighbour-label histogram.
-type bar struct {
-	label  int32
-	weight int64 // Σ weight of the arcs to neighbours carrying label
 }
 
 // msg is the one message the program sends: a migration announcement along
@@ -63,7 +58,7 @@ type workerScratch struct {
 	penalty     []float64 // −localLoads[l]/C_l, the balance term of Eq. 8, kept in step with localLoads
 	sum         []int64   // buildHistogram scratch: label → its weight so far, zero between calls
 	seen        []uint64  // buildHistogram scratch: bitmap of the labels met, zero between calls
-	bars        []bar     // current chunk of bars; carve hands out its tail
+	bars        []int64   // current chunk of bars; carve hands out its tail
 	words       []uint64  // current chunk of bitmap words, likewise
 }
 
@@ -222,8 +217,8 @@ func (p *program) buildHistogram(ws *workerScratch, v *vertex) {
 	for i, word := range ws.seen {
 		v.Value.held[i] = word
 		for ; word != 0; word &= word - 1 {
-			l := int32(i<<6 + bits.TrailingZeros64(word))
-			h = append(h, bar{label: l, weight: ws.sum[l]})
+			l := i<<6 + bits.TrailingZeros64(word)
+			h = append(h, ws.sum[l])
 			ws.sum[l] = 0
 		}
 		ws.seen[i] = 0
@@ -252,12 +247,12 @@ func rank(held []uint64, l int32) (int, bool) {
 func move(v *vertex, m msg) {
 	h, held, w := v.Value.hist, v.Value.held, int64(m.w)
 	i, ok := rank(held, m.old)
-	if !ok || h[i].weight < w {
+	if !ok || h[i] < w {
 		panic(fmt.Sprintf("core: vertex %d heard a neighbour move %d from label %d to %d, but its bar for %d holds less: "+
 			"the graph's rows do not mirror each other", v.ID, m.w, m.old, m.new, m.old))
 	}
-	h[i].weight -= w
-	emptied := h[i].weight == 0
+	h[i] -= w
+	emptied := h[i] == 0
 	if emptied {
 		held[m.old>>6] &^= 1 << (m.old & 63)
 	}
@@ -268,7 +263,7 @@ func move(v *vertex, m msg) {
 			h = slices.Delete(h, i, i+1)
 		}
 	case !emptied:
-		h = slices.Insert(h, j, bar{}) // within capacity: at most min(deg, k) distinct labels
+		h = slices.Insert(h, j, 0) // within capacity: at most min(deg, k) distinct labels
 	case j > i: // bar m.old leaves and bar m.new arrives: the bars between shift once
 		copy(h[i:j], h[i+1:j+1])
 	case j < i:
@@ -276,9 +271,9 @@ func move(v *vertex, m msg) {
 	}
 	if !ok {
 		held[m.new>>6] |= 1 << (m.new & 63)
-		h[j] = bar{label: m.new}
+		h[j] = 0
 	}
-	h[j].weight += w
+	h[j] += w
 	v.Value.hist = h
 }
 
@@ -316,7 +311,7 @@ func (p *program) computeScores(ctx *computeCtx, v *vertex, msgs []msg) {
 	hist, held := v.Value.hist, v.Value.held
 	var curW float64
 	if i, ok := rank(held, cur); ok {
-		curW = float64(hist[i].weight)
+		curW = float64(hist[i])
 	}
 
 	// score''(v, l) = w(v, l)/degW − b(l)/C  (Eq. 8), w(v, l) the bar of l.
@@ -339,27 +334,32 @@ func (p *program) computeScores(ctx *computeCtx, v *vertex, msgs []msg) {
 	// Find the best label among the neighborhood labels and the current
 	// label, with the paper's tie-break: prefer the current label, else
 	// choose uniformly among the tied maxima (reservoir sampling). The bars
-	// come in label order, which fixes the sequence of tie draws.
+	// come in label order, which fixes the sequence of tie draws; the walk
+	// of held's set bits names each bar's label in step.
 	const tieEps = 1e-12
 	best := cur
 	bestScore := curScore
 	var ties int
-	for i := range hist {
-		l := hist[i].label
-		if l == cur {
-			continue
-		}
-		s := labelScore(penalty[l], float64(hist[i].weight), degW)
-		switch {
-		case s > bestScore+tieEps:
-			best, bestScore, ties = l, s, 1
-		case s > bestScore-tieEps: // tie
-			if best == cur {
-				continue // keep current on ties
+	i := 0
+	for wi, word := range held {
+		for ; word != 0; word &= word - 1 {
+			l, weight := int32(wi<<6+bits.TrailingZeros64(word)), hist[i]
+			i++
+			if l == cur {
+				continue
 			}
-			ties++
-			if ctx.Rand().Intn(ties) == 0 {
-				best = l
+			s := labelScore(penalty[l], float64(weight), degW)
+			switch {
+			case s > bestScore+tieEps:
+				best, bestScore, ties = l, s, 1
+			case s > bestScore-tieEps: // tie
+				if best == cur {
+					continue // keep current on ties
+				}
+				ties++
+				if ctx.Rand().Intn(ties) == 0 {
+					best = l
+				}
 			}
 		}
 	}

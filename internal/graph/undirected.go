@@ -3,6 +3,9 @@ package graph
 import (
 	"math"
 	"math/bits"
+	"runtime"
+	"slices"
+	"sync"
 )
 
 // WeightedArc is one endpoint-ordered record of a weighted undirected edge.
@@ -197,113 +200,249 @@ func (w *Weighted) EdgesOnce(fn func(u, v VertexID, weight int32)) {
 // For an already-undirected input every edge simply gets weight 2: an
 // undirected edge carries messages in both directions in a Pregel system,
 // matching the paper's Tuenti/Friendster treatment where |E| counts
-// bidirectional friendships. The one enumeration serves both inputs: an
-// undirected graph stores each edge as two arcs, which is what a directed
-// pair of weight 2 is. Self-loops in the input are ignored, and an edge the
-// input stores more than once converts to one.
+// bidirectional friendships. One rule serves both inputs: an undirected
+// graph stores each edge as two arcs, which is what a directed pair of
+// weight 2 is. Self-loops in the input are ignored, and an edge the input
+// stores more than once converts to one.
 //
-// The edges are enumerated twice: once to count degrees, once to fill. Each
-// pair comes up once, so the fill appends without the merging scan of
-// AddEdge, which would cost O(Σ deg²) on hubs. All rows are
-// capacity-clamped windows of one arena, so no row is grown while it fills,
-// and a later AddEdge past a row's capacity copies that row out of the
-// arena without touching its neighbours. A window is as large as
-// append-doubling would have left the row — the next power of two at or
-// above its degree — because the serving layer appends to these rows on
-// its apply path: with exact windows every first append copied a row out,
-// and the benchmark's serve-write visibility latency rose by a tenth.
+// The order within a row is part of the output: EncodeBinary writes it, the
+// serving layer's checkpoints store it, and Mutation.Apply appends after
+// it. Row u holds its neighbours below u in ascending order, then its
+// neighbours above u in the order u's lists first name them — its
+// out-list first, then its in-list, whose sources are ascending. That is
+// the order that appending each adjacent pair to both of its rows, in
+// ascending lower endpoint, would leave.
+//
+// Each row is built in place, from its own lists only. The in-neighbour
+// lists are built first; then each row's neighbourhood, the union of its
+// out- and in-list, is counted, and once the windows are laid out it is
+// written into its own. Each pass splits the vertices into ranges of about
+// equal arcs, one goroutine each — GOMAXPROCS of them, but at most
+// convertWorkers — and since no row depends on how they are split, the
+// output does not depend on GOMAXPROCS.
+//
+// All rows are capacity-clamped windows of one arena, so a later AddEdge
+// past a row's capacity copies that row out of the arena without touching
+// its neighbours. A window is as large as append-doubling would have left
+// the row — the next power of two at or above its degree — because the
+// serving layer appends to these rows on its apply path: with exact windows
+// every first append copied a row out, and the benchmark's serve-write
+// visibility latency rose by a tenth.
 func Convert(g *Graph) *Weighted {
 	n := g.NumVertices()
-	pairs := g.adjacentPairs()
-	deg := make([]int, n)
-	pairs(func(u, v VertexID, _ int32) {
-		deg[u]++
-		deg[v]++
-	})
-	total := 0
-	for u, d := range deg {
-		if d > 0 {
-			deg[u] = 1 << bits.Len(uint(d-1))
+	parts := min(runtime.GOMAXPROCS(0), convertWorkers)
+	in, inOff := g.inNeighbours(parts)
+	rows := split(n, parts, func(u int) int { return len(g.adj[u]) + inOff[u+1] - inOff[u] })
+	scratch := make([]rowScratch, len(rows)-1)
+	// start[u+1] holds row u's degree, then its window's capacity, then the
+	// running sum: row u's window is arena[start[u]:start[u+1]].
+	start := make([]int, n+1)
+	each(rows, func(t, lo, hi int) {
+		r := &scratch[t]
+		r.mark = make([]byte, n)
+		for u := lo; u < hi; u++ {
+			start[u+1] = r.degree(VertexID(u), g.adj[u], in[inOff[u]:inOff[u+1]])
 		}
-		total += deg[u]
+	})
+	var arcs int64
+	for u := 0; u < n; u++ {
+		d := start[u+1]
+		arcs += int64(d)
+		if d > 0 {
+			d = 1 << bits.Len(uint(d-1))
+		}
+		start[u+1] = start[u] + d
 	}
 	w := NewWeighted(n)
-	arena := make([]WeightedArc, total)
-	off := 0
-	for u, c := range deg {
-		w.adj[u] = arena[off : off : off+c]
-		off += c
-	}
-	pairs(func(u, v VertexID, weight int32) {
-		w.adj[u] = append(w.adj[u], WeightedArc{To: v, Weight: weight})
-		w.adj[v] = append(w.adj[v], WeightedArc{To: u, Weight: weight})
-		w.totalWeight += 2 * int64(weight)
-		w.numEdges++
+	arena := make([]WeightedArc, start[n])
+	each(rows, func(t, lo, hi int) {
+		r := &scratch[t]
+		for u := lo; u < hi; u++ {
+			w.adj[u] = r.fill(arena[start[u]:start[u]:start[u+1]], VertexID(u), g.adj[u], in[inOff[u]:inOff[u+1]])
+		}
 	})
+	for _, r := range scratch {
+		w.totalWeight += r.weight
+	}
+	w.numEdges = arcs / 2
 	return w
 }
 
-// adjacentPairs returns the enumeration of g's unordered adjacent pairs
-// {u,v}, u < v, each once with its Eq. 3 weight, in ascending u. It builds
-// the in-neighbour lists once; the enumeration may then run any number of
-// times and always yields the same sequence.
-func (g *Graph) adjacentPairs() func(emit func(u, v VertexID, weight int32)) {
-	n := len(g.adj)
-	// In-neighbour lists in CSR form: in[inOff[v]:inOff[v+1]], ascending.
-	inOff := make([]int, n+1)
-	g.Edges(func(u, v VertexID) {
-		if u != v {
-			inOff[v+1]++
-		}
-	})
-	for v := 0; v < n; v++ {
-		inOff[v+1] += inOff[v]
-	}
-	in := make([]VertexID, inOff[n])
-	cur := make([]int, n)
-	copy(cur, inOff)
-	g.Edges(func(u, v VertexID) {
-		if u != v {
-			in[cur[v]] = u
-			cur[v]++
-		}
-	})
+// convertWorkers caps the goroutines of a Convert pass. Each holds scratch
+// of up to 5 B per vertex of the graph (a 4-byte count while the in-lists
+// are built, a 1-byte mark while the rows are), so the cap bounds
+// Convert's transient scratch at 40 B per vertex on any number of cores.
+const convertWorkers = 8
 
-	// mark[v] holds, per scan of u's combined in/out neighborhood, a
-	// bitmask: bit 0 = arc u->v present, bit 1 = arc v->u present. Every scan
-	// leaves it zeroed.
-	mark := make([]byte, n)
-	touched := make([]VertexID, 0, 64)
-	return func(emit func(u, v VertexID, weight int32)) {
-		for ui := 0; ui < n; ui++ {
-			u := VertexID(ui)
-			touched = touched[:0]
-			for _, v := range g.adj[u] {
-				if v == u {
-					continue
-				}
-				if mark[v] == 0 {
-					touched = append(touched, v)
-				}
-				mark[v] |= 1
-			}
-			for _, v := range in[inOff[u]:inOff[u+1]] {
-				if mark[v] == 0 {
-					touched = append(touched, v)
-				}
-				mark[v] |= 2
-			}
-			for _, v := range touched {
-				// Emit each unordered pair once, from the smaller endpoint.
-				if u < v {
-					if mark[v] == 3 {
-						emit(u, v, 2)
-					} else {
-						emit(u, v, 1)
-					}
-				}
-				mark[v] = 0
-			}
+// rowScratch is what one Convert goroutine needs to build a row.
+type rowScratch struct {
+	// mark is zero between rows. While fill builds one, bit 0 marks an
+	// out-arc to a vertex, bit 1 an in-arc from it, and bit 2 its arc
+	// written.
+	mark   []byte
+	below  []VertexID // fill's scratch: the out-list's entries below the row's vertex
+	weight int64      // Σ weight of the arcs fill wrote
+}
+
+// degree returns the number of u's distinct neighbours, self-loops
+// skipped, given its out- and in-list.
+func (r *rowScratch) degree(u VertexID, out, in []VertexID) int {
+	mark, d := r.mark, 0
+	for _, v := range out {
+		if v != u && mark[v] == 0 {
+			mark[v] = 1
+			d++
 		}
 	}
+	for _, v := range in {
+		if mark[v] == 0 {
+			mark[v] = 1
+			d++
+		}
+	}
+	unmark(mark, out)
+	unmark(mark, in)
+	return d
+}
+
+// fill appends u's row, in Convert's order, to row, which must have room.
+// in is u's in-list, ascending.
+func (r *rowScratch) fill(row []WeightedArc, u VertexID, out, in []VertexID) []WeightedArc {
+	mark := r.mark
+	for _, v := range out {
+		if v != u {
+			mark[v] |= 1
+		}
+	}
+	for _, v := range in {
+		mark[v] |= 2
+	}
+	weight := int64(0)
+	add := func(v VertexID) {
+		w := int32(1 + (mark[v]&3)/3) // Eq. 3: 2 if both arcs exist
+		row = append(row, WeightedArc{To: v, Weight: w})
+		weight += int64(w)
+		mark[v] |= 4
+	}
+	// Below u, ascending: the out-list's entries there, sorted, merged with
+	// the in-list's, which are its prefix.
+	below := r.below[:0]
+	for _, v := range out {
+		if v < u {
+			below = append(below, v)
+		}
+	}
+	slices.Sort(below)
+	r.below = below
+	k, _ := slices.BinarySearch(in, u)
+	inBelow := in[:k]
+	for len(below) > 0 || len(inBelow) > 0 {
+		var v VertexID
+		if len(inBelow) == 0 || len(below) > 0 && below[0] < inBelow[0] {
+			v, below = below[0], below[1:]
+		} else {
+			v, inBelow = inBelow[0], inBelow[1:]
+		}
+		if mark[v] < 4 {
+			add(v)
+		}
+	}
+	// Above u, in the order the out-list and then the in-list first name
+	// each neighbour.
+	for _, v := range out {
+		if v > u && mark[v] < 4 {
+			add(v)
+		}
+	}
+	for _, v := range in[k:] {
+		if mark[v] < 4 {
+			add(v)
+		}
+	}
+	unmark(mark, out)
+	unmark(mark, in)
+	r.weight += weight
+	return row
+}
+
+func unmark(mark []byte, vs []VertexID) {
+	for _, v := range vs {
+		mark[v] = 0
+	}
+}
+
+// inNeighbours returns g's in-neighbour lists in CSR form, self-loops
+// skipped: v's list is in[off[v]:off[v+1]], its sources ascending, one
+// entry per arc. Each of up to parts goroutines counts, per target, the
+// arcs of one range of sources, so the ranges' shares of a list can be
+// placed in source order and filled independently.
+func (g *Graph) inNeighbours(parts int) (in []VertexID, off []int) {
+	n := len(g.adj)
+	srcs := split(n, parts, func(u int) int { return len(g.adj[u]) })
+	count := make([][]int32, len(srcs)-1)
+	each(srcs, func(t, lo, hi int) {
+		c := make([]int32, n)
+		for u := lo; u < hi; u++ {
+			for _, v := range g.adj[u] {
+				if int(v) != u {
+					c[v]++
+				}
+			}
+		}
+		count[t] = c
+	})
+	// count[t][v] becomes the place in v's list of range t's first arc to v.
+	off = make([]int, n+1)
+	for v := 0; v < n; v++ {
+		var at int32
+		for _, c := range count {
+			c[v], at = at, at+c[v]
+		}
+		off[v+1] = off[v] + int(at)
+	}
+	in = make([]VertexID, off[n])
+	each(srcs, func(t, lo, hi int) {
+		c := count[t]
+		for u := lo; u < hi; u++ {
+			for _, v := range g.adj[u] {
+				if int(v) != u {
+					in[off[v]+int(c[v])] = VertexID(u)
+					c[v]++
+				}
+			}
+		}
+	})
+	return in, off
+}
+
+// split cuts [0, n) into at most parts ranges of about equal work, where
+// item i costs work(i) plus one, and returns them as the bounds
+// lo = bounds[t], hi = bounds[t+1] that each takes.
+func split(n, parts int, work func(i int) int) []int {
+	total := 0
+	for i := 0; i < n; i++ {
+		total += work(i) + 1
+	}
+	bounds, done := []int{0}, 0
+	for i := 0; i < n; i++ {
+		done += work(i) + 1
+		if done*parts >= total*len(bounds) || i == n-1 {
+			bounds = append(bounds, i+1)
+		}
+	}
+	return bounds
+}
+
+// each runs fn(t, bounds[t], bounds[t+1]) for every range of bounds, one
+// goroutine each, and waits for them.
+func each(bounds []int, fn func(t, lo, hi int)) {
+	var wg sync.WaitGroup
+	for t := 0; t+1 < len(bounds); t++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(t, bounds[t], bounds[t+1])
+		}()
+	}
+	wg.Wait()
 }
