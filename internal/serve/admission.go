@@ -327,10 +327,6 @@ func (s *Store) RetryAfter() time.Duration {
 // re-evaluates the overload predicate. Coordinator-only; now comes from
 // s.clock() (or directly from tests).
 func (s *Store) updateLoad(now time.Time) {
-	w := s.cfg.Overload.Window
-	if w <= 0 {
-		w = defaultOverloadWindow
-	}
 	if s.loadAt.IsZero() {
 		s.loadAt = now
 		s.loadLookups = s.ctr.Lookups.Load()
@@ -338,7 +334,7 @@ func (s *Store) updateLoad(now time.Time) {
 		return
 	}
 	dt := now.Sub(s.loadAt)
-	if dt < w {
+	if dt < s.cfg.Overload.Window {
 		return
 	}
 	lookups := s.ctr.Lookups.Load()
@@ -356,7 +352,7 @@ func (s *Store) updateLoad(now time.Time) {
 		oc.Staleness > 0 && float64(s.submitted.Load()-applied) > oc.Staleness
 	s.overloaded.Store(over)
 	if !over {
-		// New deferral episode next time overload engages.
+		// The episode ends: the next deferral counts again (deferred).
 		s.restabDeferred, s.reconcileDeferred = false, false
 	}
 }
@@ -367,7 +363,7 @@ func (s *Store) updateLoad(now time.Time) {
 func (s *Store) route(e logEntry) {
 	e.seq = s.arrival
 	s.arrival++
-	if e.mut == nil || e.ten == nil {
+	if e.Mut == nil || e.ten == nil {
 		s.controlQ = append(s.controlQ, e)
 		return
 	}
@@ -417,9 +413,6 @@ func (s *Store) nextGroup() []logEntry {
 	if s.queued > 0 {
 		s.ctr.FairnessPasses.Add(1)
 		budget := s.cfg.LogDepth
-		if budget < 1 {
-			budget = 1
-		}
 		n := len(s.ring)
 		for budget > 0 && s.queued > 0 {
 			progressed := false

@@ -174,7 +174,7 @@ func TestFairDrainStarvationFreedom(t *testing.T) {
 	g := st.nextGroup()
 	picked := map[string]int{}
 	for _, e := range g {
-		picked[e.mut.Tenant]++
+		picked[e.Mut.Tenant]++
 	}
 	if len(g) != 8 {
 		t.Fatalf("turn picked %d entries, want LogDepth=8", len(g))
@@ -241,7 +241,7 @@ func TestWeightedFairShares(t *testing.T) {
 	g := st.nextGroup()
 	picked := map[string]int{}
 	for _, e := range g {
-		picked[e.mut.Tenant]++
+		picked[e.Mut.Tenant]++
 	}
 	if picked["gold"] != 6 || picked["bronze"] != 2 {
 		t.Fatalf("turn picks %v, want 3:1 split of the 8-entry budget", picked)
@@ -273,8 +273,7 @@ func TestOverloadDefersMaintenance(t *testing.T) {
 	st.wantRestab = true
 	st.applied.Add(reconcileEvery) // the periodic pass is due
 	for i := 0; i < 3; i++ {
-		st.maybeRestabilize()
-		st.maybeReconcile()
+		st.maintain(now)
 	}
 	if st.inflight {
 		t.Fatal("restabilization started while overloaded")
@@ -297,8 +296,7 @@ func TestOverloadDefersMaintenance(t *testing.T) {
 		t.Fatalf("overload never cleared, lookup rate %.1f", st.LookupRate())
 	}
 
-	st.maybeReconcile()
-	st.maybeRestabilize()
+	st.maintain(now)
 	if !st.inflight {
 		t.Fatal("restabilization did not start after overload cleared")
 	}

@@ -99,8 +99,9 @@ func (d *Delta) RunVertices() int {
 }
 
 // Delta payload layout (little-endian; framing/CRC belongs to the
-// transport — internal/api's watch frames and internal/wal's delta
-// checkpoint files both wrap this payload):
+// transport — internal/api's watch frames wrap this payload, and
+// internal/wal's journal frames it as a RecordRelabel body; a delta
+// checkpoint file holds appendMeta + appendRuns instead, see durable.go):
 //
 //	u16 version | u64 seq | u64 epoch | u64 gen | u32 k | u32 n
 //	i64 cross | i64 total

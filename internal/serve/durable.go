@@ -3,13 +3,15 @@ package serve
 // Durability: the optional journal + checkpoint subsystem that lets a
 // Store survive process death without recomputing the partitioning from
 // scratch — the exact cost the paper's maintenance argument (§III-D) is
-// about avoiding. The durable write path is a staged commit pipeline:
+// about avoiding. Each coordinator turn is maintain → drain → commit; the
+// durable write path is the commit stage (handleGroup) and the
+// checkpoints maintain starts:
 //
-//   - Stage 1, group commit (journalGroup → wal.AppendGroup): each
-//     coordinator turn drains everything pending in the mutation log and
-//     durably appends the drained mutations/resizes to the segmented
-//     CRC-framed journal as ONE group — one frame-staging pass, one
-//     write syscall, and (under wal.SyncAlways) one fsync for the whole
+//   - Commit, journal (journalGroup → wal.AppendGroup): the drained
+//     group's mutations, resizes and relabels (each entry holds the
+//     wal.GroupEntry the journal writes) are durably appended to the
+//     segmented CRC-framed journal as ONE group — one frame-staging pass,
+//     one write syscall, and (under wal.SyncAlways) one fsync for the whole
 //     group, so concurrent submitters amortize the disk barrier toward
 //     the interval policy. The durability boundary is UNCHANGED by the
 //     batching: every entry is journaled (and the group's fsync has
@@ -19,15 +21,16 @@ package serve
 //     entries were journaled one at a time. (Entries still queued in the
 //     in-memory mutation log at crash time were never applied, never
 //     visible, and are dropped.)
-//   - Stage 2, coalesced apply (handleGroup): the group's entries apply
+//   - Commit, coalesced apply (handleGroup): the group's entries apply
 //     in submission order, with consecutive add-only batches merged into
 //     a single shard broadcast — one cut-delta fold and one snapshot
 //     publication per shard for the run. Sound because add-only batches
 //     never relabel: their composed effect is independent of grouping.
-//   - Stage 3, background checkpoints: every Durability.CheckpointEvery
-//     applied entries the coordinator only *captures* the composed state
-//     under the shard barrier — labels, k, shard ranges, integer cut
-//     counters, trigger state, and the graph via Weighted.Clone — and a
+//   - Maintain, background checkpoints (maybeCheckpoint): every
+//     Durability.CheckpointEvery applied entries the coordinator only
+//     *captures* the composed state under the shard barrier — labels, the
+//     coordinator state (coordState: k, shard ranges, trigger state),
+//     integer cut counters, and the graph via Weighted.Clone — and a
 //     background goroutine encodes the capture (the existing CSR binary
 //     form), writes + fsyncs + atomically installs the checkpoint file,
 //     prunes old checkpoints, and truncates covered journal segments.
@@ -432,13 +435,8 @@ func (s *Store) journalGroup(entries []logEntry) bool {
 	defer func() { s.stageHist[stageJournal].Record(time.Since(tJournal)) }()
 	ge := s.d.groupBuf[:0]
 	for _, e := range entries {
-		switch {
-		case e.newK > 0:
-			ge = append(ge, wal.GroupEntry{NewK: e.newK})
-		case e.mut != nil:
-			ge = append(ge, wal.GroupEntry{Mut: e.mut})
-		case e.relabel != nil:
-			ge = append(ge, wal.GroupEntry{Relabel: EncodeDelta(e.relabel)})
+		if e.ctl.reply == nil {
+			ge = append(ge, e.GroupEntry)
 		}
 	}
 	s.d.groupBuf = ge
@@ -451,14 +449,10 @@ func (s *Store) journalGroup(entries []logEntry) bool {
 	}
 	if err != nil {
 		err = fmt.Errorf("serve: journal append: %w", err)
-		s.lastErr.Store(&err)
+		s.lastErr.Store(&err) // also when the group holds no batch
 		for _, e := range entries {
-			if e.mut != nil && e.newK == 0 {
-				s.ctr.BatchesRejected.Add(1)
-				s.applied.Add(1) // resolved, though rejected
-				if e.ten != nil {
-					e.ten.rejected.Add(1)
-				}
+			if e.Mut != nil {
+				s.resolve(1, e.ten, err)
 			}
 		}
 		// Fail stop on storage faults: a poisoned journal (sticky write or
@@ -693,20 +687,15 @@ var ErrCheckpointVersion = errors.New("serve: unsupported checkpoint version; " 
 	"a version-1 data dir is rewritten as version 2 by opening it once with commit bdaf9be")
 
 // ckptMeta is the metadata block both checkpoint formats carry: the
-// coordinator's trigger and counter state at sequence seq.
+// checkpointed coordinator state at sequence seq, plus what a checkpoint
+// derives from the rest of the store.
 type ckptMeta struct {
-	seq             uint64
-	applied         int64
-	appliedAtRestab int64
-	lastReconcile   int64
-	gen, epoch      uint64
-	baseline        float64
-	wantRestab      bool
-	k               int
-	bounds          []int
-	n               int // vertex (and label) count
-	cross, total    int64
-	affected        []graph.VertexID
+	coordState
+	seq          uint64
+	applied      int64
+	n            int // vertex (and label) count
+	cross, total int64
+	affected     []graph.VertexID
 }
 
 // ckptState is both the capture a checkpoint writes and the composed
@@ -733,24 +722,18 @@ func (s *Store) captureState(clone bool) *ckptState {
 	cross, total := s.ownedCounters()
 	st := &ckptState{
 		ckptMeta: ckptMeta{
-			seq:             s.d.lastSeq,
-			applied:         s.applied.Load(),
-			appliedAtRestab: s.appliedAtRestab,
-			lastReconcile:   s.lastReconcile,
-			gen:             s.gen,
-			epoch:           s.epoch,
-			baseline:        s.baseline,
-			wantRestab:      s.wantRestab || s.inflight,
-			k:               s.k,
-			bounds:          s.bounds,
-			n:               len(s.labels),
-			cross:           cross,
-			total:           total,
-			affected:        make([]graph.VertexID, 0, len(s.affected)),
+			coordState: s.coordState,
+			seq:        s.d.lastSeq,
+			applied:    s.applied.Load(),
+			n:          len(s.labels),
+			cross:      cross,
+			total:      total,
+			affected:   make([]graph.VertexID, 0, len(s.affected)),
 		},
 		labels: s.labels,
 		w:      s.w,
 	}
+	st.wantRestab = s.wantRestab || s.inflight
 	for v := range s.affected {
 		st.affected = append(st.affected, v)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -399,6 +400,62 @@ func TestDurableGracefulReopen(t *testing.T) {
 		if got.Labels[v] != want.Labels[v] {
 			t.Fatalf("label of %d = %d, want %d", v, got.Labels[v], want.Labels[v])
 		}
+	}
+}
+
+// What a checkpoint persists of the coordinator is one struct, coordState,
+// and a graceful Close (final checkpoint) followed by Open restores it
+// whole: after periodic checkpoints, a resize, its repair's relabel and
+// a periodic rebalance pass, the reopened store's
+// coordState — baseline, appliedAtRestab, lastReconcile, gen, wantRestab
+// among it — equals the closed store's.
+func TestCloseOpenRestoresCoordState(t *testing.T) {
+	dir := t.TempDir()
+	w, labels := twoClusters(50)
+	cfg := durableCfg(2, 64)
+	cfg.Durability.NoFinalCheckpoint = false
+	st, err := NewDurable(dir, w, append([]int32(nil), labels...), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runScript(t, st) // growth to 105 vertices, edge additions, Resize(4) and its repair
+	for i := 0; i < reconcileEvery+8; i++ {
+		if err := st.Submit(addBatch(105, i, 4)); err != nil {
+			t.Fatal(err)
+		}
+		if i == reconcileEvery || i == reconcileEvery+7 {
+			// The periodic pass runs at the first quiesce past it, so
+			// the batches after it leave lastReconcile below applied.
+			if err := st.Quiesce(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	c := st.Counters()
+	if got := c.Checkpoints.Load(); got < 3 {
+		t.Fatalf("%d checkpoints, want the initial one and at least 2 periodic", got)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := st.coordState
+	if applied := st.applied.Load(); want.gen != 1 || want.epoch < 1 || want.lastReconcile == 0 || want.lastReconcile == applied {
+		t.Fatalf("history left gen=%d epoch=%d lastReconcile=%d of %d batches, want a resize, a relabel and a periodic pass before the last batch",
+			want.gen, want.epoch, want.lastReconcile, applied)
+	}
+
+	rec, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Counters().ReplayedRecords.Load() != 0 {
+		t.Fatalf("replayed %d records past a final checkpoint", rec.Counters().ReplayedRecords.Load())
+	}
+	if !reflect.DeepEqual(rec.coordState, want) {
+		t.Fatalf("reopened coordinator state %+v, want %+v", rec.coordState, want)
 	}
 }
 

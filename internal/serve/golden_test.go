@@ -82,9 +82,12 @@ func goldenCkptState() (*ckptState, []LabelRun) {
 	w.AddEdge(0, 5, 2)
 	st := &ckptState{
 		ckptMeta: ckptMeta{
-			seq: 11, applied: 9, appliedAtRestab: 6, lastReconcile: 4,
-			gen: 2, epoch: 3, baseline: 0.125, wantRestab: true,
-			k: 3, bounds: []int{0, 2, 6}, n: 6, cross: 5, total: 15,
+			coordState: coordState{
+				appliedAtRestab: 6, lastReconcile: 4,
+				gen: 2, epoch: 3, baseline: 0.125, wantRestab: true,
+				k: 3, bounds: []int{0, 2, 6},
+			},
+			seq: 11, applied: 9, n: 6, cross: 5, total: 15,
 			affected: []graph.VertexID{1, 4},
 		},
 		labels: []int32{0, 0, 1, 1, 2, 2},

@@ -7,15 +7,16 @@ import (
 )
 
 // Pipeline stages timed by the coordinator into per-stage histograms
-// (spinner_stage_duration_seconds{stage=...}). Each index names one seam
-// of the staged commit pipeline:
+// (spinner_stage_duration_seconds{stage=...}). A coordinator turn is
+// maintain → drain → commit (handleGroup: journal, then apply); each index
+// names one seam of it:
 //
 //	drain               log drain + group formation (transferLog + nextGroup)
-//	journal             wal group append incl. the fsync wait (journalGroup)
-//	apply               shard broadcast / barrier application of one group
-//	publish             full shard republication after a relabeling event
-//	checkpoint_capture  the under-barrier state clone (captureState)
-//	checkpoint_write    background checkpoint encode + install
+//	journal             commit: wal group append incl. the fsync wait (journalGroup)
+//	apply               commit: shard broadcast / barrier application of one group
+//	publish             inside apply: full shard republication after a relabeling event (relabel)
+//	checkpoint_capture  inside maintain: the under-barrier state clone (captureState)
+//	checkpoint_write    off the turn: background checkpoint encode + install
 const (
 	stageDrain = iota
 	stageJournal

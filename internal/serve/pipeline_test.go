@@ -60,12 +60,12 @@ func TestHandleGroupCoalescesRuns(t *testing.T) {
 			U: graph.VertexID(100 + i), V: graph.VertexID(i), Weight: 2})
 	}
 	entries := []logEntry{
-		{mut: addBatch(100, 0, 20)},
-		{mut: addBatch(100, 1, 20)},
-		{mut: &graph.Mutation{}}, // empty: resolved inline, run unbroken
-		{mut: addBatch(100, 2, 20)},
-		{mut: growth}, // barrier path: flushes the run of 3
-		{mut: addBatch(105, 3, 20)},
+		{GroupEntry: wal.GroupEntry{Mut: addBatch(100, 0, 20)}},
+		{GroupEntry: wal.GroupEntry{Mut: addBatch(100, 1, 20)}},
+		{GroupEntry: wal.GroupEntry{Mut: &graph.Mutation{}}}, // empty: resolved inline, run unbroken
+		{GroupEntry: wal.GroupEntry{Mut: addBatch(100, 2, 20)}},
+		{GroupEntry: wal.GroupEntry{Mut: growth}}, // barrier path: flushes the run of 3
+		{GroupEntry: wal.GroupEntry{Mut: addBatch(105, 3, 20)}},
 	}
 	st.handleGroup(entries)
 	st.withBarrier(func() {}) // drain the shard logs
@@ -89,7 +89,7 @@ func TestHandleGroupCoalescesRuns(t *testing.T) {
 	}
 	defer ref.Close()
 	for _, e := range entries {
-		if err := ref.Submit(e.mut); err != nil {
+		if err := ref.Submit(e.Mut); err != nil {
 			t.Fatal(err)
 		}
 		if err := ref.Quiesce(); err != nil {

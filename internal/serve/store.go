@@ -22,11 +22,12 @@
 //     callers that read labels (the /v1/lookup whole-map dump).
 //   - Write plane: graph.Mutation batches enter a bounded mutation log (a
 //     buffered channel). Submit blocks for backpressure, TrySubmit fails
-//     fast with ErrLogFull. The coordinator runs a staged commit pipeline:
-//     each turn it drains EVERYTHING pending in the log, journals the
-//     drained entries as one wal group (one write + one fsync on durable
-//     stores — group commit), then applies them in order, merging each
-//     maximal run of consecutive add-only batches into a single shard
+//     fast with ErrLogFull. Each coordinator turn has three stages:
+//     maintain (the maintenance plane below); drain, which forms
+//     everything pending in the log into one commit group; and commit,
+//     which journals the group as one wal group (one write + one fsync on
+//     durable stores — group commit), then applies it in order, merging
+//     each maximal run of consecutive add-only batches into a single shard
 //     broadcast (coalesced apply: one scan, one cut-delta fold, one
 //     snapshot publication per shard for the whole run). Edge-addition
 //     batches between existing vertices — the high-rate churn case —
@@ -44,9 +45,13 @@
 //     happen at a position in that order (a quiesce, recovery's journal
 //     attach and exact check) rides the same log as a control: a
 //     function the coordinator runs there, whose error is the reply.
-//   - Maintenance plane: the coordinator tracks the composed cut ratio
-//     cross/total from integer per-shard counters — O(shards) per check
-//     instead of the seed's exact O(E) recompute per swap. Past the
+//   - Maintenance plane: one pass at the top of every turn (maintain)
+//     decides all background work — load sampling, the periodic
+//     rebalance, checkpoints, restabilization, releasing quiescers — and
+//     is where the degradation budget defers it under overload. The
+//     coordinator tracks the composed cut ratio cross/total from integer
+//     per-shard counters — O(shards) per check instead of the seed's
+//     exact O(E) recompute per swap. Past the
 //     degradation threshold it barriers the shards, clones the merged
 //     graph, and restabilizes in a background goroutine (§III-D) while the
 //     shards keep ingesting and serving. A completed run becomes a relabel
@@ -169,7 +174,7 @@ const (
 	// shardLogDepth bounds each shard's sub-batch log.
 	shardLogDepth = 32
 	// reconcileEvery is the cadence, in resolved batches, of the periodic
-	// shard-boundary rebalance (maybeReconcile).
+	// shard-boundary rebalance (maintain).
 	reconcileEvery = 512
 )
 
@@ -260,12 +265,13 @@ type Snapshot struct {
 	Summary
 }
 
-// logEntry is one unit of maintenance work: a mutation batch, an elastic
-// resize, a relabel or a control, all ordered through the same log.
+// logEntry is one unit of maintenance work, ordered through the log: a
+// journaled record — a mutation batch (Mut), an elastic resize (NewK > 0)
+// or a restabilization's label runs (Relabel), held as the wal.GroupEntry
+// journalGroup appends — or a control, whose GroupEntry is zero.
 type logEntry struct {
-	mut     *graph.Mutation
-	newK    int     // >0: elastic resize
-	relabel *Delta  // non-nil: a restabilization's label runs (applyRelabel)
+	wal.GroupEntry
+	relabel *Delta  // Relabel decoded, for applyRelabel
 	ctl     control // reply non-nil: a control entry
 	ten     *tenantState
 	seq     uint64 // arrival order, stamped by route; restores FIFO after DRR picking
@@ -275,7 +281,7 @@ type logEntry struct {
 // coordinator goroutine at the entry's log position (every earlier entry
 // applied, no later one started) and its error is the reply. A nil run is
 // a quiesce: the reply is parked until the store is drained and stable
-// (maybeReleaseQuiescers). A closing store replies ErrClosed instead.
+// (maintain releases it). A closing store replies ErrClosed instead.
 type control struct {
 	run   func() error
 	reply chan error
@@ -286,6 +292,20 @@ type restabResult struct {
 	gen    uint64  // resize generation the run belongs to
 	labels []int32 // one per vertex the run saw
 	err    error
+}
+
+// coordState is the coordinator state a checkpoint persists, declared
+// once: Store embeds it live, ckptMeta embeds it on disk, and capture and
+// restore copy it as a value.
+type coordState struct {
+	k               int
+	bounds          []int
+	gen             uint64  // bumped by every resize; stamps in-flight runs
+	epoch           uint64  // completed restabilization merges
+	baseline        float64 // cut ratio achieved by the last stabilization
+	wantRestab      bool    // forced run requested (elastic repair)
+	appliedAtRestab int64   // batches resolved when the last run started
+	lastReconcile   int64   // batches resolved at the last periodic pass
 }
 
 // Store is the live partition-maintenance service. See the package comment
@@ -343,24 +363,17 @@ type Store struct {
 	jrnLive     atomic.Pointer[wal.Journal]
 
 	// Coordinator state (no locks: single owner between barriers).
-	w               *graph.Weighted
-	labels          []int32
-	k               int
-	shards          []*shard
-	bounds          []int
-	gen             uint64  // bumped by every resize; stamps in-flight runs
-	epoch           uint64  // completed restabilization merges
-	baseline        float64 // cut ratio achieved by the last stabilization
-	wantRestab      bool    // forced run requested (elastic repair)
-	appliedAtRestab int64   // batches resolved when the last run started
-	lastReconcile   int64   // batches resolved at the last exact pass
-	affected        map[graph.VertexID]struct{}
-	pubGen          uint64 // bumped per barrier relabel/rebalance publication round
-	inflight        bool
-	restabDone      chan restabResult
-	ckptDone        chan ckptResult // capacity 1; background checkpointer reply
-	quiescers       []chan error
-	d               *durable // nil on in-memory stores
+	coordState
+	w          *graph.Weighted
+	labels     []int32
+	shards     []*shard
+	affected   map[graph.VertexID]struct{}
+	pubGen     uint64 // bumped per barrier relabel/rebalance publication round
+	inflight   bool
+	restabDone chan restabResult
+	ckptDone   chan ckptResult // capacity 1; background checkpointer reply
+	quiescers  []chan error
+	d          *durable // nil on in-memory stores
 
 	// Fair-drain state (coordinator-only).
 	ring              []*tenantState // tenants with a registered queue, first-seen order
@@ -399,7 +412,7 @@ func New(w *graph.Weighted, labels []int32, cfg Config) (*Store, error) {
 // labels as given. cfg must already be normalized.
 func newFresh(w *graph.Weighted, labels []int32, cfg Config) (*Store, error) {
 	s, err := newStore(&ckptState{
-		ckptMeta: ckptMeta{k: cfg.Options.K, bounds: []int{0, w.NumVertices()}},
+		ckptMeta: ckptMeta{coordState: coordState{k: cfg.Options.K, bounds: []int{0, w.NumVertices()}}},
 		labels:   labels,
 		w:        w,
 	}, cfg)
@@ -437,25 +450,19 @@ func newStore(st *ckptState, cfg Config) (*Store, error) {
 		cfg.Shards = max(1, n)
 	}
 	s := &Store{
-		cfg:             cfg,
-		deltas:          newDeltaHub(cfg.DeltaRing),
-		log:             make(chan logEntry, cfg.LogDepth),
-		batchDone:       make(chan struct{}, 1),
-		closed:          make(chan struct{}),
-		done:            make(chan struct{}),
-		w:               st.w,
-		labels:          st.labels,
-		k:               st.k,
-		targetK:         st.k,
-		gen:             st.gen,
-		epoch:           st.epoch,
-		baseline:        st.baseline,
-		wantRestab:      st.wantRestab,
-		appliedAtRestab: st.appliedAtRestab,
-		lastReconcile:   st.lastReconcile,
-		affected:        make(map[graph.VertexID]struct{}, len(st.affected)),
-		restabDone:      make(chan restabResult, 1),
-		ckptDone:        make(chan ckptResult, 1),
+		cfg:        cfg,
+		deltas:     newDeltaHub(cfg.DeltaRing),
+		log:        make(chan logEntry, cfg.LogDepth),
+		batchDone:  make(chan struct{}, 1),
+		closed:     make(chan struct{}),
+		done:       make(chan struct{}),
+		coordState: st.coordState,
+		w:          st.w,
+		labels:     st.labels,
+		targetK:    st.k,
+		affected:   make(map[graph.VertexID]struct{}, len(st.affected)),
+		restabDone: make(chan restabResult, 1),
+		ckptDone:   make(chan ckptResult, 1),
 	}
 	s.initMetrics()
 	for _, v := range st.affected {
@@ -681,7 +688,7 @@ func (s *Store) submit(m *graph.Mutation, try bool) error {
 	if err := s.writable(); err != nil {
 		return err
 	}
-	e := logEntry{mut: m, ten: s.tenant(m.Tenant)}
+	e := logEntry{GroupEntry: wal.GroupEntry{Mut: m}, ten: s.tenant(m.Tenant)}
 	if err := s.admit(e.ten, try); err != nil {
 		return err
 	}
@@ -724,7 +731,7 @@ func (s *Store) enqueue(e logEntry, try bool) error {
 			return ErrClosed
 		}
 	}
-	if e.mut != nil {
+	if e.Mut != nil {
 		s.submitted.Add(1)
 	}
 	if e.ten != nil {
@@ -760,9 +767,9 @@ func (s *Store) ApplyRecord(rec wal.Record) error {
 	var e logEntry
 	switch {
 	case rec.Type == wal.RecordMutation && rec.Mut != nil:
-		e = logEntry{mut: rec.Mut}
+		e.Mut = rec.Mut
 	case rec.Type == wal.RecordResize && rec.NewK >= 1:
-		e = logEntry{newK: rec.NewK}
+		e.NewK = rec.NewK
 		s.kMu.Lock()
 		s.targetK = rec.NewK
 		s.kMu.Unlock()
@@ -771,7 +778,7 @@ func (s *Store) ApplyRecord(rec wal.Record) error {
 		if err != nil {
 			return fmt.Errorf("serve: relabel record %d: %w", rec.Seq, err)
 		}
-		e = logEntry{relabel: d}
+		e.Relabel, e.relabel = rec.Relabel, d
 	default:
 		return fmt.Errorf("serve: applying malformed record %d (type %d)", rec.Seq, rec.Type)
 	}
@@ -801,7 +808,7 @@ func (s *Store) Resize(newK int) error {
 	prev := s.targetK
 	s.targetK = newK
 	s.kMu.Unlock()
-	err := s.enqueue(logEntry{newK: newK}, false)
+	err := s.enqueue(logEntry{GroupEntry: wal.GroupEntry{NewK: newK}}, false)
 	if err != nil {
 		// The claim never reached the log; restore it unless another
 		// Resize raced past us (then the target is theirs to keep).
@@ -900,12 +907,37 @@ func (s *Store) withBarrier(fn func()) {
 	close(b.resume)
 }
 
+// resolve counts n batches as resolved — committed, or rejected with err —
+// against the store and, when ten is set, against its tenant. It is the one
+// place a batch resolves, so the conservation of Tenants (Submitted =
+// Committed + Rejected + Backlog) is kept here with one exception: the
+// shards that resolve a fast-path broadcast do not know tenants, so
+// handleGroup counts such a batch's tenant commit when it stages the batch
+// (a staged add-only batch cannot fail), and resolves the batch here with
+// ten nil.
+func (s *Store) resolve(n int64, ten *tenantState, err error) {
+	if err != nil {
+		s.ctr.BatchesRejected.Add(n)
+		rejected := err // escapes; a copy keeps the commit path allocation-free
+		s.lastErr.Store(&rejected)
+	} else {
+		s.ctr.BatchesApplied.Add(n)
+	}
+	s.applied.Add(n)
+	switch {
+	case ten == nil:
+	case err != nil:
+		ten.rejected.Add(n)
+	default:
+		ten.committed.Add(n)
+	}
+}
+
 // finishBatch resolves every batch a fast-path broadcast carried; called
 // by the shard that completed its last sub-batch.
 func (s *Store) finishBatch(tr *batchTracker) {
-	s.ctr.BatchesApplied.Add(tr.batches)
 	s.ctr.EdgesAdded.Add(tr.edges)
-	s.applied.Add(tr.batches)
+	s.resolve(tr.batches, nil, nil)
 	s.emitCounterDelta()
 	select {
 	case s.batchDone <- struct{}{}:
@@ -914,11 +946,12 @@ func (s *Store) finishBatch(tr *batchTracker) {
 }
 
 // loop is the coordinator: sole owner of the authoritative graph topology
-// and labels (jointly with the shards, exclusively under barriers). Each
-// turn transfers what is pending in the log into the per-tenant fair
-// queues, forms a commit group (deficit-round-robin across tenants,
-// capped at LogDepth — see nextGroup) and pushes it through the commit
-// pipeline (journal group → coalesced apply) as one unit. When the
+// and labels (jointly with the shards, exclusively under barriers). A turn
+// has three stages: maintain decides the background work; drain transfers
+// what is pending in the log into the per-tenant fair queues and forms a
+// commit group (deficit-round-robin across tenants, capped at LogDepth —
+// see nextGroup); commit (handleGroup) journals the group, then applies
+// it. A turn with nothing to drain waits for the next event. When the
 // degradation budget is enabled a ticker wakes the loop every sampling
 // window, so overload engages and clears on time even with no traffic.
 func (s *Store) loop() {
@@ -930,11 +963,7 @@ func (s *Store) loop() {
 		tickC = t.C
 	}
 	for {
-		s.updateLoad(s.clock())
-		s.maybeReconcile()
-		s.maybeCheckpoint()
-		s.maybeRestabilize()
-		s.maybeReleaseQuiescers()
+		s.maintain(s.clock())
 		tDrain := time.Now()
 		s.transferLog()
 		if g := s.nextGroup(); len(g) > 0 {
@@ -953,7 +982,7 @@ func (s *Store) loop() {
 		case res := <-s.ckptDone:
 			s.finishCheckpoint(res)
 		case <-tickC:
-			// Load-sampling tick; updateLoad runs at the top of the turn.
+			// Load-sampling tick; maintain samples at the top of the turn.
 		case <-s.closed:
 			s.drainAndExit()
 			return
@@ -986,7 +1015,7 @@ func (s *Store) drainAndExit() {
 		select {
 		case e := <-s.log:
 			failControl(e)
-			if e.mut != nil && e.ten != nil {
+			if e.Mut != nil && e.ten != nil {
 				e.ten.backlog.Add(-1)
 			}
 		default:
@@ -1009,15 +1038,14 @@ func (s *Store) drainAndExit() {
 	}
 }
 
-// handleGroup processes one drained group of log entries — the staged
-// commit pipeline. Stage 1 (journalGroup): every mutation/resize in the
-// group is durably framed as one wal group append BEFORE any of them is
-// applied, preserving the pre-apply durability boundary per entry while
-// paying at most one fsync for the group. Stage 2 (coalesced apply): the
-// entries are applied strictly in submission order, with each maximal
-// run of consecutive fast-path-eligible add-only batches merged into a
-// single shard broadcast. Control entries run at their submitted
-// positions.
+// handleGroup is the turn's commit stage. First journal (journalGroup):
+// every mutation, resize and relabel in the group is durably framed as one
+// wal group append BEFORE any of them is applied, preserving the pre-apply
+// durability boundary per entry while paying at most one fsync for the
+// group. Then apply: the entries are applied strictly in submission
+// order, with each maximal run of consecutive fast-path-eligible add-only
+// batches merged into a single shard broadcast. Control entries run at
+// their submitted positions.
 func (s *Store) handleGroup(entries []logEntry) {
 	ok := s.journalGroup(entries)
 	tApply := time.Now()
@@ -1036,12 +1064,12 @@ func (s *Store) handleGroup(entries []logEntry) {
 		case e.ctl.reply != nil:
 			flush()
 			e.ctl.reply <- e.ctl.run()
-		case e.newK > 0:
+		case e.NewK > 0:
 			if !ok {
 				continue // group journal failed; entry was never durable
 			}
 			flush()
-			s.resize(e.newK)
+			s.resize(e.NewK)
 		case e.relabel != nil:
 			if !ok {
 				continue // never durable: the run is discarded
@@ -1052,17 +1080,17 @@ func (s *Store) handleGroup(entries []logEntry) {
 			if !ok {
 				continue // rejected in journalGroup
 			}
-			if s.stageFastPath(e.mut, &run) {
+			if s.stageFastPath(e.Mut, &run) {
 				// Staged (or resolved inline) batches cannot fail; count the
 				// tenant's commit now rather than threading tenants through
-				// the shard broadcast.
+				// the shard broadcast (see resolve).
 				if e.ten != nil {
 					e.ten.committed.Add(1)
 				}
 				continue
 			}
 			flush()
-			s.applyGlobalBatch(e.mut, e.ten)
+			s.applyGlobalBatch(e.Mut, e.ten)
 		}
 	}
 	flush()
@@ -1084,8 +1112,7 @@ func (s *Store) stageFastPath(m *graph.Mutation, run *[]*graph.Mutation) bool {
 		return false
 	}
 	if len(m.NewEdges) == 0 { // empty batch: resolve immediately
-		s.ctr.BatchesApplied.Add(1)
-		s.applied.Add(1)
+		s.resolve(1, nil, nil)
 		return true
 	}
 	if s.cfg.Options.AffectedOnly {
@@ -1131,12 +1158,7 @@ func (s *Store) applyGlobalBatch(m *graph.Mutation, ten *tenantState) {
 		oldN := s.w.NumVertices()
 		firstNew, edits, err := m.ApplyEdits(s.w)
 		if err != nil {
-			s.ctr.BatchesRejected.Add(1)
-			s.lastErr.Store(&err)
-			s.applied.Add(1) // resolved, though rejected
-			if ten != nil {
-				ten.rejected.Add(1)
-			}
+			s.resolve(1, ten, err)
 			return
 		}
 		grew := firstNew >= 0
@@ -1170,11 +1192,7 @@ func (s *Store) applyGlobalBatch(m *graph.Mutation, ten *tenantState) {
 		}
 		s.ctr.EdgesAdded.Add(int64(len(m.NewEdges)))
 		s.ctr.EdgesRemoved.Add(int64(len(m.RemovedEdges)))
-		s.ctr.BatchesApplied.Add(1)
-		s.applied.Add(1)
-		if ten != nil {
-			ten.committed.Add(1)
-		}
+		s.resolve(1, ten, nil)
 		// The appended tail is the only label change a barrier apply makes;
 		// existing labels are untouched, so the delta's runs are exact.
 		var runs []LabelRun
@@ -1298,38 +1316,69 @@ func (s *Store) republish(runs []LabelRun, layout bool) {
 	s.emitBarrierDelta(runs, layout)
 }
 
-// shouldRestabilize evaluates the degradation trigger. Only a writable,
-// journaling store restabilizes: a follower (read-only) and a store still
-// replaying its journal (Open) adopt the relabel records instead.
-func (s *Store) shouldRestabilize() bool {
-	if s.readOnly.Load() || s.d != nil && !s.d.active {
-		return false
+// maintain is the turn's first stage, the one place background work is
+// decided, in this order: sample the load (updateLoad); every
+// reconcileEvery resolved batches, rebalance the shard boundaries; start a
+// background checkpoint when one is due; start a restabilization when the
+// trigger fires; release the quiescers. Under overload the rebalance and
+// the restabilization are deferred — the degradation budget trades cut
+// quality for lookup latency — and run at the first turn after the load
+// clears. When quiescers wait on an idle store (no log backlog, no run in
+// flight, no checkpoint pending), one empty barrier first settles the
+// shard logs, so the passes read the settled applied count; the
+// quiescers are released only if none of the passes started anything and
+// no restabilization is due. (Waiting out the checkpoint keeps quiesced
+// histories deterministic in their durability side effects — which
+// checkpoints exist — not just their labels.)
+func (s *Store) maintain(now time.Time) {
+	s.updateLoad(now)
+	settle := len(s.quiescers) > 0 && !s.inflight && !(s.d != nil && s.d.pending) &&
+		len(s.log) == 0 && s.queued == 0 && len(s.controlQ) == 0
+	if settle {
+		s.withBarrier(func() {})
 	}
-	if s.wantRestab {
-		return true
+	if s.applied.Load()-s.lastReconcile >= reconcileEvery && !s.deferred(&s.reconcileDeferred, &s.ctr.DeferredReconciles) {
+		s.rebalance()
+		s.lastReconcile = s.applied.Load()
 	}
-	return s.applied.Load() > s.appliedAtRestab &&
-		s.currentCut() > s.baseline*s.cfg.DegradeFactor+s.cfg.DegradeSlack
+	s.maybeCheckpoint()
+	// The degradation trigger. Only a writable, journaling store
+	// restabilizes: a follower (read-only) and a store still replaying its
+	// journal (Open) adopt the relabel records instead.
+	restab := !s.inflight && !s.readOnly.Load() && (s.d == nil || s.d.active) &&
+		(s.wantRestab || s.applied.Load() > s.appliedAtRestab &&
+			s.currentCut() > s.baseline*s.cfg.DegradeFactor+s.cfg.DegradeSlack)
+	if restab && !s.deferred(&s.restabDeferred, &s.ctr.DeferredRestabs) {
+		s.restabilize()
+	}
+	if !settle || restab || s.d != nil && s.d.pending {
+		return
+	}
+	err := s.Err()
+	for _, q := range s.quiescers {
+		q <- err
+	}
+	s.quiescers = nil
 }
 
-// maybeRestabilize starts a background incremental run when the trigger
-// fires and none is in flight. Under overload the run is deferred — the
-// degradation budget trades cut quality for lookup latency — and starts
-// at the first turn after the load clears. The clone is taken under a
-// barrier so the run sees a consistent merged graph; the shards then
-// keep ingesting and serving while the run adapts the clone.
-func (s *Store) maybeRestabilize() {
-	if s.inflight || !s.shouldRestabilize() {
-		return
+// deferred reports whether overload defers a due background pass, and
+// counts the deferral in ctr once per overload episode: episode is the
+// pass's flag, which updateLoad clears when the episode ends.
+func (s *Store) deferred(episode *bool, ctr *atomic.Int64) bool {
+	if !s.overloaded.Load() {
+		return false
 	}
-	if s.overloaded.Load() {
-		if !s.restabDeferred {
-			s.restabDeferred = true
-			s.ctr.DeferredRestabs.Add(1)
-		}
-		return
+	if !*episode {
+		*episode = true
+		ctr.Add(1)
 	}
-	s.restabDeferred = false
+	return true
+}
+
+// restabilize starts a background incremental run. The clone is taken
+// under a barrier so the run sees a consistent merged graph; the shards
+// then keep ingesting and serving while the run adapts the clone.
+func (s *Store) restabilize() {
 	var clone *graph.Weighted
 	var prev []int32
 	var affected []graph.VertexID
@@ -1386,7 +1435,7 @@ func (s *Store) merge(res restabResult) {
 	}
 	d := &Delta{Epoch: s.epoch + 1, Gen: s.gen, K: s.k, N: len(s.labels),
 		Runs: labelDiffRuns(s.labels[:len(res.labels)], res.labels)}
-	s.handleGroup([]logEntry{{relabel: d}})
+	s.handleGroup([]logEntry{{GroupEntry: wal.GroupEntry{Relabel: EncodeDelta(d)}, relabel: d}})
 }
 
 // applyRelabel adopts a relabel entry under one barrier: it counts the
@@ -1420,30 +1469,12 @@ func (s *Store) applyRelabel(d *Delta) {
 	})
 }
 
-// maybeReconcile runs the periodic pass every reconcileEvery resolved
-// batches — a shard-boundary rebalance, nothing else: the incremental
-// counters are exact (reconcileNow is the check, run at Open and in the
-// tests), so the serving loop never recounts them. Under overload the
-// pass is deferred, which costs nothing but the rebalance point.
-func (s *Store) maybeReconcile() {
-	if s.applied.Load()-s.lastReconcile < reconcileEvery {
-		return
-	}
-	if s.overloaded.Load() {
-		if !s.reconcileDeferred {
-			s.reconcileDeferred = true
-			s.ctr.DeferredReconciles.Add(1)
-		}
-		return
-	}
-	s.reconcileDeferred = false
-	s.rebalance()
-	s.lastReconcile = s.applied.Load()
-}
-
-// rebalance recomputes the shard boundaries by weighted degree
-// (cluster.BalancedRanges) under a barrier and, when one moved, adopts
-// them and republishes every shard over its new range.
+// rebalance is the periodic pass maintain runs every reconcileEvery
+// resolved batches, and nothing else: the incremental counters are exact
+// (reconcileNow is the check, run at Open and in the tests), so the
+// serving loop never recounts them. Under a barrier it recomputes the
+// shard boundaries by weighted degree (cluster.BalancedRanges) and, when
+// one moved, adopts them and republishes every shard over its new range.
 func (s *Store) rebalance() {
 	if s.w.NumVertices() < len(s.shards) {
 		// A zero-vertex store has one shard with an empty range; there is
@@ -1461,37 +1492,4 @@ func (s *Store) rebalance() {
 		s.ctr.CutReconciles.Add(1)
 		s.republish(nil, true)
 	})
-}
-
-// maybeReleaseQuiescers answers pending Quiesce calls once the store is
-// fully drained: no log backlog, no run in flight, no background
-// checkpoint pending, no trigger pending. The shard logs are drained
-// with an empty barrier before the final trigger evaluation, so the
-// decision is made on fully-applied counters. (Waiting out the
-// checkpoint keeps quiesced histories deterministic in their durability
-// side effects — which checkpoints exist — not just their labels.)
-func (s *Store) maybeReleaseQuiescers() {
-	if len(s.quiescers) == 0 {
-		return
-	}
-	if s.inflight || len(s.log) > 0 || s.queued > 0 || len(s.controlQ) > 0 {
-		return
-	}
-	if s.d != nil && s.d.pending {
-		return
-	}
-	s.withBarrier(func() {})
-	// The barrier may have resolved fast-path batches since this turn's
-	// maybeCheckpoint read the applied count: re-evaluate the cadence on
-	// the settled count, so the checkpoint it calls for is taken before
-	// the next entry can be journaled.
-	s.maybeCheckpoint()
-	if s.d != nil && s.d.pending || s.shouldRestabilize() {
-		return
-	}
-	err := s.Err()
-	for _, q := range s.quiescers {
-		q <- err
-	}
-	s.quiescers = nil
 }
