@@ -32,6 +32,11 @@
 #   make profile-api — the same two profiles of the /v1/lookup read path
 #                      (BenchmarkHandleLookup point and whole map,
 #                      BenchmarkParseResync) into out/; top 10 of each
+#   make scale       — the scale curve (go run ./scripts/scale): one process
+#                      per size, 2 M, 20 M, 80 M and 160 M arcs, each row
+#                      time, iterations, ns/arc/iter, B/arc and peak RSS; a
+#                      size the host cannot fit prints as a row that says
+#                      so. Not a gate; minutes, and up to the host's memory
 #   make fuzz        — 10s on every Fuzz target in the module, found by
 #                      go test -list (a new target needs no edit here)
 #   make *-smoke     — kill -9 / overload / failover / change-feed / metrics
@@ -54,7 +59,7 @@
 #                      internal/{serve,api,api/client,replica,wal,frame};
 #                      the size figure ROADMAP quotes, not a gate
 
-.PHONY: all check build vet lint test test-race bench bench-test bench-quick against examples-smoke profile-core profile-api fuzz reproduction loc coverage-map recovery-smoke overload-smoke replication-smoke changefeed-smoke metrics-smoke
+.PHONY: all check build vet lint test test-race bench bench-test bench-quick against examples-smoke profile-core profile-api scale fuzz reproduction loc coverage-map recovery-smoke overload-smoke replication-smoke changefeed-smoke metrics-smoke
 
 CORE := internal/serve internal/api internal/api/client internal/replica internal/wal internal/frame
 # codelines prints the code lines of the non-test Go files of the package
@@ -124,6 +129,9 @@ profile-api:
 		-cpuprofile out/api.prof -memprofile out/api.mem -o out/api.test ./internal/api
 	go tool pprof -top -nodecount 10 out/api.test out/api.prof
 	go tool pprof -sample_index=alloc_space -top -nodecount 10 out/api.test out/api.mem
+
+scale:
+	go run ./scripts/scale
 
 fuzz:
 	@for pkg in $$(go list ./...); do \

@@ -191,7 +191,8 @@
 //	                         chunked); the bodies are byte for byte what encoding/json
 //	                         writes. version and k are read from the shard headers:
 //	                         answering for one vertex never composes the label map,
-//	                         and neither does /v1/stats.
+//	                         and neither does /v1/stats; the whole map is encoded
+//	                         from the published shard segments, never composed.
 //	POST /v1/mutate        → 202 {"queued":true,"adds":A,"removes":R,"vertices":N}
 //	                         400 {"error":"line L: ..."}
 //	                         429 {"error":...,"code":"quota_exceeded"|"log_full"} + Retry-After

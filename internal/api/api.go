@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/graph"
@@ -146,6 +147,11 @@ type ResyncResponse struct {
 	FromSeq  uint64  `json:"from_seq"`
 }
 
+// resyncBufPool recycles the whole-map body buffers across requests, as
+// watchBufPool does the watch streams': a buffer keeps the capacity of
+// the largest map it held, so a read of a map no larger allocates none.
+var resyncBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
 func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	raw := q.Get("v")
@@ -155,10 +161,14 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		if !s.checkStaleness(w) {
 			return
 		}
+		// The body is encoded from the published shard segments into a
+		// pooled buffer: the read composes no map and allocates no body.
 		fromSeq := s.resyncFromSeq()
-		snap := s.st.Snapshot()
-		writeBody(w, AppendResync(nil, ResyncResponse{
-			K: snap.K, Vertices: snap.Vertices, Labels: snap.Labels, FromSeq: fromSeq}))
+		runs, sum := s.st.LabelRuns()
+		bufp := resyncBufPool.Get().(*[]byte)
+		*bufp = appendResync((*bufp)[:0], ResyncResponse{K: sum.K, Vertices: sum.Vertices, FromSeq: fromSeq}, runs)
+		writeBody(w, *bufp)
+		resyncBufPool.Put(bufp)
 		return
 	}
 	v, err := strconv.ParseInt(raw, 10, 32)

@@ -5,6 +5,18 @@
 // so there is still one wire format and any JSON reader decodes it.
 // TestLookupBodiesMatchEncodingJSON and FuzzParseResync hold both ends to
 // encoding/json.
+//
+// The whole map is a long run of small integers, so each end has a kernel
+// for one label. The encoder writes a label two digits at a time from
+// digitPairs — a label below 1000, so every label of a k up to 1000, in
+// one append — and calls no strconv. It takes the map as the store
+// publishes it, one run per shard, so the server never composes a copy.
+// The scanner takes a canonical label — 1 to 9 digits, no leading zero,
+// followed at once by ',' or ']', which is what the encoder writes for
+// any label in [0, 10^9) — in one tight loop. Any other bytes (whitespace,
+// a sign, a leading zero, ten or more digits, a fraction) go to the
+// general scanner from the same byte, so the general rules alone decide
+// what the scanner accepts, refuses and returns.
 package api
 
 import (
@@ -29,31 +41,97 @@ func AppendLookup(dst []byte, r LookupResponse) []byte {
 	return append(dst, "}\n"...)
 }
 
-// AppendResync appends r as the GET /v1/lookup whole-map body, growing
-// dst once: a label in [0,K) takes at most K's digits plus a comma.
+// AppendResync appends r as the GET /v1/lookup whole-map body.
 func AppendResync(dst []byte, r ResyncResponse) []byte {
+	if r.Labels == nil {
+		return appendResync(dst, r, nil)
+	}
+	return appendResync(dst, r, [][]int32{r.Labels})
+}
+
+// appendResync is the one whole-map encoder: r's header around labels
+// given as runs, concatenated in order (r.Labels is not read); nil runs
+// is a null map. dst grows once: a label in [0,K) takes at most K's digits
+// plus a comma.
+func appendResync(dst []byte, r ResyncResponse, runs [][]int32) []byte {
+	n := 0
+	for _, run := range runs {
+		n += len(run)
+	}
 	perLabel := len(strconv.Itoa(r.K)) + 1
-	dst = slices.Grow(dst, 96+len(r.Labels)*perLabel)
+	dst = slices.Grow(dst, 96+n*perLabel)
 	dst = append(dst, `{"k":`...)
 	dst = strconv.AppendInt(dst, int64(r.K), 10)
 	dst = append(dst, `,"vertices":`...)
 	dst = strconv.AppendInt(dst, int64(r.Vertices), 10)
 	dst = append(dst, `,"labels":`...)
-	if r.Labels == nil {
+	if runs == nil {
 		dst = append(dst, "null"...)
 	} else {
+		// Every label is followed by a comma; the last one becomes ']'.
 		dst = append(dst, '[')
-		for i, l := range r.Labels {
-			if i > 0 {
-				dst = append(dst, ',')
+		for _, run := range runs {
+			for _, l := range run {
+				switch u := uint32(l); {
+				case u < 10:
+					dst = append(dst, '0'+byte(u), ',')
+				case u < 100:
+					dst = append(dst, digitPairs[2*u], digitPairs[2*u+1], ',')
+				case u < 1000:
+					h, t := u/100, u%100
+					dst = append(dst, '0'+byte(h), digitPairs[2*t], digitPairs[2*t+1], ',')
+				default:
+					dst = append(appendLabel(dst, l), ',')
+				}
 			}
-			dst = strconv.AppendInt(dst, int64(l), 10)
 		}
-		dst = append(dst, ']')
+		if n == 0 {
+			dst = append(dst, ']')
+		} else {
+			dst[len(dst)-1] = ']'
+		}
 	}
 	dst = append(dst, `,"from_seq":`...)
 	dst = strconv.AppendUint(dst, r.FromSeq, 10)
 	return append(dst, "}\n"...)
+}
+
+// digitPairs is "00" through "99": digitPairs[2*i:2*i+2] spells i.
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// appendLabel appends l in decimal, two digits per division: a minus
+// sign, then the magnitude (2^31 for MinInt32 fits a uint32).
+func appendLabel(dst []byte, l int32) []byte {
+	u := uint32(l)
+	if l < 0 {
+		dst = append(dst, '-')
+		u = -u
+	}
+	var buf [10]byte
+	i := len(buf)
+	for u >= 100 {
+		r := u % 100
+		u /= 100
+		i -= 2
+		buf[i], buf[i+1] = digitPairs[2*r], digitPairs[2*r+1]
+	}
+	if u >= 10 {
+		i -= 2
+		buf[i], buf[i+1] = digitPairs[2*u], digitPairs[2*u+1]
+	} else {
+		i--
+		buf[i] = '0' + byte(u)
+	}
+	return append(dst, buf[i:]...)
 }
 
 // ParseResync decodes a GET /v1/lookup whole-map body. It accepts exactly
@@ -207,7 +285,9 @@ func (s *scanner) integer(bits int) (int64, error) {
 }
 
 // labels scans null (nil) or an array of int32. The slice is allocated
-// once: the commas left in the input bound the element count.
+// once: the commas left in the input bound the element count. A canonical
+// label is taken by the tight loop; anything else by the general scanner,
+// starting at the same byte.
 func (s *scanner) labels() ([]int32, error) {
 	if bytes.HasPrefix(s.data[s.pos:], []byte("null")) {
 		s.pos += 4
@@ -221,7 +301,27 @@ func (s *scanner) labels() ([]int32, error) {
 		s.pos++
 		return labels, nil
 	}
+	d, i := s.data, s.pos
 	for {
+		if i < len(d) && d[i]-'0' <= 9 {
+			v, j := uint32(d[i]-'0'), i+1
+			if v != 0 {
+				for ; j < len(d) && d[j]-'0' <= 9; j++ {
+					v = v*10 + uint32(d[j]-'0')
+				}
+			}
+			// A leading zero stands alone, and 9 digits stay below 2^31.
+			if j-i <= 9 && j < len(d) && (d[j] == ',' || d[j] == ']') {
+				labels = append(labels, int32(v))
+				i = j + 1
+				if d[j] == ']' {
+					s.pos = i
+					return labels, nil
+				}
+				continue
+			}
+		}
+		s.pos = i
 		s.space()
 		v, err := s.integer(32)
 		if err != nil {
@@ -232,6 +332,7 @@ func (s *scanner) labels() ([]int32, error) {
 		case ']':
 			return labels, nil
 		case ',':
+			i = s.pos
 		default:
 			return nil, s.errorf("want ',' or ']'")
 		}

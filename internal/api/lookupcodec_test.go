@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -11,9 +12,11 @@ import (
 	"reflect"
 	"runtime"
 	"strconv"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/metrics"
 	"repro/internal/serve"
 )
 
@@ -61,6 +64,11 @@ func TestLookupBodiesMatchEncodingJSON(t *testing.T) {
 		{K: 2, Vertices: 4, Labels: []int32{-1, math.MaxInt32, math.MinInt32, 0}, FromSeq: 1<<53 + 1},
 		{K: math.MinInt, Vertices: math.MaxInt, Labels: []int32{9}, FromSeq: math.MaxUint64},
 		{K: 32, Vertices: 50_000, Labels: manyLabels(50_000, 32), FromSeq: 12},
+		// Each digit-count edge of the label kernels, and the signs.
+		{K: math.MaxInt32, Vertices: 13, FromSeq: 3, Labels: []int32{
+			0, 9, 10, 99, 100, 999, 1000, 999_999_999, 1_000_000_000, math.MaxInt32,
+			-1, -10, -100, math.MinInt32}},
+		{K: 1000, Vertices: 5_000, Labels: manyLabels(5_000, 1000)},
 	} {
 		got, want := AppendResync(nil, r), jsonBody(t, r)
 		if !bytes.Equal(got, want) {
@@ -68,6 +76,21 @@ func TestLookupBodiesMatchEncodingJSON(t *testing.T) {
 		}
 		if back, err := ParseResync(got); err != nil || !reflect.DeepEqual(back, r) {
 			t.Errorf("ParseResync(AppendResync(k=%d, %d labels)): %v", r.K, len(r.Labels), err)
+		}
+	}
+
+	// Bodies the label kernel hands to the general scanner keep the
+	// meaning encoding/json gives them.
+	for _, in := range []string{
+		`{"labels":[1 ,2]}`, `{"labels":[ 3]}`, `{"labels":[-0]}`,
+		`{"labels":[5, 6,-7 ,0,1234567890]}`, `{"labels":[12,-2147483648,2147483647]}`,
+	} {
+		var want ResyncResponse
+		if err := json.Unmarshal([]byte(in), &want); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ParseResync([]byte(in)); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("ParseResync(%q) = %+v, %v; encoding/json reads %+v", in, got, err, want)
 		}
 	}
 
@@ -91,6 +114,88 @@ func TestLookupBodiesMatchEncodingJSON(t *testing.T) {
 	}
 }
 
+// The whole-map handler encodes the published shard segments in place:
+// on a 3-shard store whose boundaries moved under growth, and across a
+// resize, its body is AppendResync of the composed Snapshot, byte for
+// byte; and concurrent readers, who share the pooled body buffers, each
+// get a whole map.
+func TestWholeMapBodyFromShardRuns(t *testing.T) {
+	st := testStoreCfg(t, serve.Config{Options: testOpts(4), Shards: 3, DegradeFactor: 1e9})
+	mux := NewServer(st, nil).Mux()
+	get := func() []byte {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/lookup", nil))
+		return rec.Body.Bytes()
+	}
+	check := func(when string) {
+		t.Helper()
+		if err := st.Quiesce(); err != nil {
+			t.Fatal(err)
+		}
+		body, snap := get(), st.Snapshot()
+		_, next := st.DeltaBounds()
+		want := AppendResync(nil, ResyncResponse{K: snap.K, Vertices: snap.Vertices, Labels: snap.Labels, FromSeq: next - 1})
+		if !bytes.Equal(body, want) {
+			t.Fatalf("%s: GET /v1/lookup served %d bytes that differ from AppendResync(Snapshot()), %d bytes",
+				when, len(body), len(want))
+		}
+		if runs, sum := st.LabelRuns(); len(runs) != 3 || sum.Vertices != len(snap.Labels) {
+			t.Fatalf("%s: %d runs over %d vertices, want 3 over %d", when, len(runs), sum.Vertices, len(snap.Labels))
+		}
+	}
+	// Growth appends every vertex to the last shard; the periodic pass
+	// moves the boundaries back.
+	grow := func(steps int) {
+		for step := 0; step < steps; step++ {
+			n := st.Summary().Vertices
+			m := &graph.Mutation{NewVertices: 3}
+			for i := 0; i < 3; i++ {
+				m.NewEdges = append(m.NewEdges, graph.WeightedEdgeRecord{
+					U: graph.VertexID(n + i), V: graph.VertexID((n + i*17) % n), Weight: 2})
+			}
+			if err := st.Submit(m); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Quiesce(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check("bootstrapped")
+	grow(520)
+	if st.Counters().ShardRebalances.Load() == 0 {
+		t.Fatal("growth skewed the shard ranges but they never rebalanced")
+	}
+	check("after growth and a rebalance")
+	if err := st.Resize(7); err != nil {
+		t.Fatal(err)
+	}
+	check("after a resize and its repair")
+
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				got, err := ParseResync(get())
+				if err == nil && len(got.Labels) != got.Vertices {
+					err = fmt.Errorf("%d labels for %d vertices", len(got.Labels), got.Vertices)
+				}
+				if err == nil {
+					err = metrics.ValidateLabels(got.Labels, got.K)
+				}
+				if err != nil {
+					t.Errorf("concurrent read %d: %v", i, err)
+					return
+				}
+			}
+		}()
+	}
+	grow(50)
+	wg.Wait()
+}
+
 func TestParseResyncRefuses(t *testing.T) {
 	for _, in := range []string{
 		``, `{`, `[]`, `null`,
@@ -102,10 +207,14 @@ func TestParseResyncRefuses(t *testing.T) {
 		`{"k":null}`, `{"k":01}`, `{"k":-}`, // not an integer
 		`{"k":9223372036854775808}`,          // past int64
 		`{"from_seq":-1}`, `{"from_seq":-0}`, // unsigned
-		`{"from_seq":18446744073709551616}`,  // past uint64
-		`{"labels":[2147483648]}`,            // past int32
-		`{"labels":[-2147483649]}`,           // past int32
+		`{"from_seq":18446744073709551616}`,    // past uint64
+		`{"labels":[2147483648]}`,              // past int32
+		`{"labels":[-2147483649]}`,             // past int32
+		`{"labels":[01]}`, `{"labels":[3,00]}`, // leading zero
+		`{"labels":[7,1e2]}`, `{"labels":[4,5.0]}`, // exponent, fraction
+		`{"labels":[8,21474836470]}`,         // past int32, after canonical labels
 		`{"labels":[1,]}`, `{"labels":[,1]}`, // stray comma
+		`{"labels":[2,3,]}`, `{"labels":[2,,3]}`, // stray comma after canonical labels
 		`{"labels":[1,2`, `{"labels":[1 2]}`, // truncated, no comma
 		`{"labels":[1.5]}`, `{"labels":[[1]]}`, // float, nesting
 		`{"k":1,}`, `{"k":1}x`, `{"k":1}{"k":1}`, // trailing
@@ -131,6 +240,12 @@ func FuzzParseResync(f *testing.F) {
 		`{"k":1,"k":2}`,
 		`{"k":8,"vertices":3,"labels":[1,0,`,
 		`{"labels":[2147483647,-2147483648],"from_seq":18446744073709551615}`,
+		// Canonical labels beside ones the kernel hands back.
+		`{"labels":[0,9,10,99,100,999999999,1000000000,2147483647]}`,
+		`{"labels":[1 ,2, 3,-4,05,6]}`,
+		`{"labels":[7,1e2,8]}`,
+		`{"labels":[12,2147483648]}`,
+		`{"labels":[3,-0,0,00]}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -226,30 +341,51 @@ func TestPointLookupCostIndependentOfN(t *testing.T) {
 	}
 }
 
+// The read-path benchmarks report ns/label beside B/op, at k = 32 (one-
+// and two-digit labels) and k = 1000 (up to three digits).
+const benchLabels = 50_000
+
+var benchKs = []int{32, 1000}
+
+// reportPerLabel adds the ns/label metric to a benchmark over benchLabels.
+func reportPerLabel(b *testing.B) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchLabels, "ns/label")
+}
+
 func BenchmarkHandleLookup(b *testing.B) {
-	const n = 50_000
-	mux := NewServer(ringStore(b, n, 32), nil).Mux()
-	for _, bc := range []struct{ name, path string }{
-		{"point", "/v1/lookup?v=" + strconv.Itoa(n/2)},
-		{"all", "/v1/lookup"},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			req := httptest.NewRequest(http.MethodGet, bc.path, nil)
+	b.Run("point", func(b *testing.B) {
+		mux := NewServer(ringStore(b, benchLabels, 32), nil).Mux()
+		req := httptest.NewRequest(http.MethodGet, "/v1/lookup?v="+strconv.Itoa(benchLabels/2), nil)
+		b.ReportAllocs()
+		for b.Loop() {
+			serveDiscarding(mux, req)
+		}
+	})
+	for _, k := range benchKs {
+		b.Run("all/k="+strconv.Itoa(k), func(b *testing.B) {
+			mux := NewServer(ringStore(b, benchLabels, k), nil).Mux()
+			req := httptest.NewRequest(http.MethodGet, "/v1/lookup", nil)
 			b.ReportAllocs()
 			for b.Loop() {
 				serveDiscarding(mux, req)
 			}
+			reportPerLabel(b)
 		})
 	}
 }
 
 func BenchmarkParseResync(b *testing.B) {
-	body := AppendResync(nil, ResyncResponse{K: 32, Vertices: 50_000, Labels: manyLabels(50_000, 32), FromSeq: 12})
-	b.SetBytes(int64(len(body)))
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := ParseResync(body); err != nil {
-			b.Fatal(err)
-		}
+	for _, k := range benchKs {
+		b.Run("k="+strconv.Itoa(k), func(b *testing.B) {
+			body := AppendResync(nil, ResyncResponse{K: k, Vertices: benchLabels, Labels: manyLabels(benchLabels, k), FromSeq: 12})
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := ParseResync(body); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportPerLabel(b)
+		})
 	}
 }

@@ -459,6 +459,66 @@ func TestCloseOpenRestoresCoordState(t *testing.T) {
 	}
 }
 
+// A graceful Close with a forced repair in flight discards the run, not
+// the repair: the final checkpoint folds the run into wantRestab, and the
+// reopened leader runs it again.
+func TestCloseWithRepairInFlight(t *testing.T) {
+	dir := t.TempDir()
+	w, labels := twoClusters(20_000) // the repair runs far longer than Close takes
+	cfg := durableCfg(2, -1)
+	cfg.Durability.NoFinalCheckpoint = false
+	st, err := NewDurable(dir, w, labels, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Resize(4); err != nil {
+		t.Fatal(err)
+	}
+	// The control runs once the resize is applied; the coordinator starts
+	// the repair in that turn, before it can see Close.
+	if err := st.control(func() error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if c := st.Counters(); c.Restabilizations.Load() != 0 || c.RestabDiscarded.Load() != 1 {
+		t.Fatalf("Close saw %d restabilizations and %d discarded runs, want the repair in flight and discarded",
+			c.Restabilizations.Load(), c.RestabDiscarded.Load())
+	}
+
+	// A read-only store keeps the flag as the final checkpoint holds it.
+	ro, err := OpenReadOnly(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ro.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !ro.coordState.wantRestab {
+		t.Fatal("reopened store's wantRestab is false: the repair in flight at Close was lost")
+	}
+
+	rec, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if err := rec.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Counters().Restabilizations.Load(); got != 1 {
+		t.Fatalf("reopened leader ran %d restabilizations, want the repair again", got)
+	}
+	var want bool
+	if err := rec.control(func() error { want = rec.wantRestab; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if want || rec.Summary().Epoch != 1 {
+		t.Fatalf("after the repair: wantRestab %v at epoch %d, want false at 1", want, rec.Summary().Epoch)
+	}
+}
+
 // A torn record — the classic crash shape — must be dropped by recovery,
 // with everything after it, landing exactly on the state before the torn
 // batch. The torn frame is step 5's mutation, not the journal's last frame

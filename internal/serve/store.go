@@ -18,8 +18,10 @@
 //     snapshot is never mutated, so readers hold it as long as they like.
 //     Lookups and stats never compose: Summary reads the shard headers of
 //     one consistent sweep (vertex count, k, version, cut) in O(shards·k);
-//     Snapshot is that Summary plus an O(n) copy of every label, for the
-//     callers that read labels (the /v1/lookup whole-map dump).
+//     LabelRuns is that Summary plus the sweep's published label segments,
+//     copied by no one (the /v1/lookup whole-map body is encoded from
+//     them), and Snapshot composes those segments into one O(n) copy for
+//     the callers that want a single slice.
 //   - Write plane: graph.Mutation batches enter a bounded mutation log (a
 //     buffered channel). Submit blocks for backpressure, TrySubmit fails
 //     fast with ErrLogFull. Each coordinator turn has three stages:
@@ -638,15 +640,32 @@ func (s *Store) Summary() Summary {
 	return sum
 }
 
-// Snapshot composes the per-shard snapshots into one immutable global
-// view: Summary's sweep plus a copy of every label. Each composition
-// allocates O(n); callers that do not read labels should use Summary,
-// and lookups Lookup, which resolves against a single shard.
-func (s *Store) Snapshot() *Snapshot {
+// LabelRuns returns the label map as one consistent sweep publishes it:
+// each shard's label segment, in vertex order, so their concatenation is
+// the map (len Summary.Vertices), with the sweep's Summary. It copies no
+// label: the runs are the published segments themselves, immutable, and
+// neither the Store nor callers may write to them. Callers that encode
+// the map (the /v1/lookup whole-map body) read the runs in place; callers
+// that want one slice call Snapshot, which composes it from these runs.
+func (s *Store) LabelRuns() ([][]int32, Summary) {
 	snaps, sum := s.sweep()
-	labels := make([]int32, sum.Vertices)
-	for _, sn := range snaps {
-		copy(labels[sn.lo:], sn.labels)
+	runs := make([][]int32, len(snaps))
+	for i, sn := range snaps {
+		runs[i] = sn.labels
+	}
+	return runs, sum
+}
+
+// Snapshot composes LabelRuns into one immutable global view: the
+// sweep's Summary plus a copy of every label. Each composition allocates
+// O(n); callers that do not read labels should use Summary, callers that
+// only stream them LabelRuns, and lookups Lookup, which resolves against
+// a single shard.
+func (s *Store) Snapshot() *Snapshot {
+	runs, sum := s.LabelRuns()
+	labels := make([]int32, 0, sum.Vertices)
+	for _, run := range runs {
+		labels = append(labels, run...)
 	}
 	return &Snapshot{Labels: labels, Summary: sum}
 }
@@ -993,10 +1012,11 @@ func (s *Store) loop() {
 // drainAndExit waits out an in-flight run (discarding it), stops the
 // shards, fails pending quiescers and queued controls, and drops
 // unprocessed mutation entries (from the channel and the fair queues).
+// A discarded run stays inflight through the final checkpoint, which
+// folds it into wantRestab, so the reopened leader runs it again.
 func (s *Store) drainAndExit() {
 	if s.inflight {
 		<-s.restabDone
-		s.inflight = false
 		s.ctr.RestabDiscarded.Add(1)
 	}
 	for _, sh := range s.shards {
@@ -1006,6 +1026,7 @@ func (s *Store) drainAndExit() {
 		<-sh.done
 	}
 	s.finishDurable()
+	s.inflight = false
 	failControl := func(e logEntry) {
 		if e.ctl.reply != nil {
 			e.ctl.reply <- ErrClosed
