@@ -32,6 +32,12 @@
 #   make profile-api — the same two profiles of the /v1/lookup read path
 #                      (BenchmarkHandleLookup point and whole map,
 #                      BenchmarkParseResync) into out/; top 10 of each
+#   make profile-serve — the write path as two processes (scripts/
+#                      profile_serve.sh): a leader and a follower with
+#                      serve-write's flags under a flood of its batches from
+#                      nproc connections; per process batches/s, CPU µs per
+#                      batch, top 15 functions by CPU and top 10 by
+#                      allocated bytes, into out/profile-serve/ (about 25 s)
 #   make scale       — the scale curve (go run ./scripts/scale): one process
 #                      per size, 2 M, 20 M, 80 M and 160 M arcs, each row
 #                      time, iterations, ns/arc/iter, B/arc and peak RSS; a
@@ -59,7 +65,7 @@
 #                      internal/{serve,api,api/client,replica,wal,frame};
 #                      the size figure ROADMAP quotes, not a gate
 
-.PHONY: all check build vet lint test test-race bench bench-test bench-quick against examples-smoke profile-core profile-api scale fuzz reproduction loc coverage-map recovery-smoke overload-smoke replication-smoke changefeed-smoke metrics-smoke
+.PHONY: all check build vet lint test test-race bench bench-test bench-quick against examples-smoke profile-core profile-api profile-serve scale fuzz reproduction loc coverage-map recovery-smoke overload-smoke replication-smoke changefeed-smoke metrics-smoke
 
 CORE := internal/serve internal/api internal/api/client internal/replica internal/wal internal/frame
 # codelines prints the code lines of the non-test Go files of the package
@@ -129,6 +135,9 @@ profile-api:
 		-cpuprofile out/api.prof -memprofile out/api.mem -o out/api.test ./internal/api
 	go tool pprof -top -nodecount 10 out/api.test out/api.prof
 	go tool pprof -sample_index=alloc_space -top -nodecount 10 out/api.test out/api.mem
+
+profile-serve:
+	./scripts/profile_serve.sh
 
 scale:
 	go run ./scripts/scale

@@ -169,11 +169,11 @@
 // Every endpoint lives under /v1/; there are no unversioned routes (a
 // path without the prefix answers 404). Success responses are JSON; error responses are JSON too, shaped {"error": msg} with the
 // status carrying the class (400 malformed, 404 unknown vertex, 409
-// conflict, 410 gone, 429 quota/backpressure, 503 overload/fault/
-// shutdown). Machine-actionable rejections add a stable "code" field
-// (quota_exceeded, log_full, overloaded, degraded, read_only,
-// stale_replica, k_unchanged, unavailable, not_durable, follower,
-// not_follower, compacted, reset) and, where a backoff hint exists, a
+// conflict, 410 gone, 413 body too large, 429 quota/backpressure, 503
+// overload/fault/shutdown). Machine-actionable rejections add a stable
+// "code" field (body_too_large, quota_exceeded, log_full, overloaded,
+// degraded, read_only, stale_replica, k_unchanged, unavailable,
+// not_durable, follower, not_follower, compacted, reset) and, where a backoff hint exists, a
 // Retry-After header (whole seconds). Every response — success and
 // error alike — carries Content-Type: application/json, except the
 // binary /v1/watch and /v1/replicate streams.
@@ -195,6 +195,8 @@
 //	                         from the published shard segments, never composed.
 //	POST /v1/mutate        → 202 {"queued":true,"adds":A,"removes":R,"vertices":N}
 //	                         400 {"error":"line L: ..."}
+//	                         413 {"error":...,"code":"body_too_large"}: a body over
+//	                         api.MaxMutateBody (8 MiB); a line is capped at 4 MiB
 //	                         429 {"error":...,"code":"quota_exceeded"|"log_full"} + Retry-After
 //	                         503 {"error":...,"code":"degraded"|"read_only"|"unavailable"}
 //	                         headers: X-Tenant names the submitting tenant

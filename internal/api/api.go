@@ -9,14 +9,11 @@
 package api
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -222,7 +219,13 @@ type MutateResponse struct {
 }
 
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
-	mut, err := ParseMutation(r.Body)
+	mut, err := ParseMutation(http.MaxBytesReader(w, r.Body, MaxMutateBody))
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeErrorCode(w, http.StatusRequestEntityTooLarge, "body_too_large",
+			fmt.Sprintf("mutation body over %d bytes", MaxMutateBody), 0)
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -459,68 +462,4 @@ func writeErrorCode(w http.ResponseWriter, status int, code, msg string, retryAf
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 	}
 	writeJSON(w, status, ErrorBody{Error: msg, Code: code})
-}
-
-// ParseMutation reads the /v1/mutate line protocol: one op per line —
-// "+ u v [w]" adds an undirected edge (weight w, default 2), "- u v"
-// removes one, "v n" appends n vertices; blank lines and #-comments are
-// skipped.
-func ParseMutation(r io.Reader) (*graph.Mutation, error) {
-	mut := &graph.Mutation{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
-			continue
-		}
-		switch fields[0] {
-		case "+":
-			if len(fields) < 3 {
-				return nil, fmt.Errorf("line %d: want '+ u v [w]'", lineNo)
-			}
-			u, err1 := strconv.ParseInt(fields[1], 10, 32)
-			v, err2 := strconv.ParseInt(fields[2], 10, 32)
-			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("line %d: bad endpoints", lineNo)
-			}
-			weight := int64(2)
-			if len(fields) > 3 {
-				var err error
-				weight, err = strconv.ParseInt(fields[3], 10, 32)
-				if err != nil || weight < 1 {
-					return nil, fmt.Errorf("line %d: bad weight %q", lineNo, fields[3])
-				}
-			}
-			mut.NewEdges = append(mut.NewEdges, graph.WeightedEdgeRecord{
-				U: graph.VertexID(u), V: graph.VertexID(v), Weight: int32(weight)})
-		case "-":
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("line %d: want '- u v'", lineNo)
-			}
-			u, err1 := strconv.ParseInt(fields[1], 10, 32)
-			v, err2 := strconv.ParseInt(fields[2], 10, 32)
-			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("line %d: bad endpoints", lineNo)
-			}
-			mut.RemovedEdges = append(mut.RemovedEdges, graph.Edge{From: graph.VertexID(u), To: graph.VertexID(v)})
-		case "v":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("line %d: want 'v n'", lineNo)
-			}
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 0 || n > graph.MaxVertices || mut.NewVertices > graph.MaxVertices-n {
-				return nil, fmt.Errorf("line %d: bad vertex count %q", lineNo, fields[1])
-			}
-			mut.NewVertices += n
-		default:
-			return nil, fmt.Errorf("line %d: unknown op %q", lineNo, fields[0])
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return mut, nil
 }

@@ -1,12 +1,15 @@
 package api
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -253,6 +256,174 @@ func TestParseMutation(t *testing.T) {
 		if _, err := ParseMutation(strings.NewReader(bad)); err == nil {
 			t.Fatalf("ParseMutation(%q) accepted", bad)
 		}
+	}
+}
+
+// parseMutationOracle is the line-scanner parser ParseMutation replaced,
+// kept verbatim: FuzzParseMutation holds the one-pass parser to its
+// accepts, refusals, mutations and error text.
+func parseMutationOracle(r io.Reader) (*graph.Mutation, error) {
+	mut := &graph.Mutation{}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<16), 1<<22)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		fields := strings.Fields(sc.Text())
+		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
+			continue
+		}
+		switch fields[0] {
+		case "+":
+			if len(fields) < 3 {
+				return nil, fmt.Errorf("line %d: want '+ u v [w]'", lineNo)
+			}
+			u, err1 := strconv.ParseInt(fields[1], 10, 32)
+			v, err2 := strconv.ParseInt(fields[2], 10, 32)
+			if err1 != nil || err2 != nil {
+				return nil, fmt.Errorf("line %d: bad endpoints", lineNo)
+			}
+			weight := int64(2)
+			if len(fields) > 3 {
+				var err error
+				weight, err = strconv.ParseInt(fields[3], 10, 32)
+				if err != nil || weight < 1 {
+					return nil, fmt.Errorf("line %d: bad weight %q", lineNo, fields[3])
+				}
+			}
+			mut.NewEdges = append(mut.NewEdges, graph.WeightedEdgeRecord{
+				U: graph.VertexID(u), V: graph.VertexID(v), Weight: int32(weight)})
+		case "-":
+			if len(fields) != 3 {
+				return nil, fmt.Errorf("line %d: want '- u v'", lineNo)
+			}
+			u, err1 := strconv.ParseInt(fields[1], 10, 32)
+			v, err2 := strconv.ParseInt(fields[2], 10, 32)
+			if err1 != nil || err2 != nil {
+				return nil, fmt.Errorf("line %d: bad endpoints", lineNo)
+			}
+			mut.RemovedEdges = append(mut.RemovedEdges, graph.Edge{From: graph.VertexID(u), To: graph.VertexID(v)})
+		case "v":
+			if len(fields) != 2 {
+				return nil, fmt.Errorf("line %d: want 'v n'", lineNo)
+			}
+			n, err := strconv.Atoi(fields[1])
+			if err != nil || n < 0 || n > graph.MaxVertices || mut.NewVertices > graph.MaxVertices-n {
+				return nil, fmt.Errorf("line %d: bad vertex count %q", lineNo, fields[1])
+			}
+			mut.NewVertices += n
+		default:
+			return nil, fmt.Errorf("line %d: unknown op %q", lineNo, fields[0])
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return mut, nil
+}
+
+// checkParseMutation fails unless ParseMutation and the oracle agree on
+// body: both refuse it with the same text, or both accept it as the same
+// mutation.
+func checkParseMutation(t *testing.T, body string) {
+	t.Helper()
+	want, wantErr := parseMutationOracle(strings.NewReader(body))
+	got, err := ParseMutation(strings.NewReader(body))
+	switch {
+	case (err == nil) != (wantErr == nil):
+		t.Fatalf("ParseMutation(%q): error %v, oracle %v", body, err, wantErr)
+	case err != nil && err.Error() != wantErr.Error():
+		t.Fatalf("ParseMutation(%q): error %q, oracle %q", body, err, wantErr)
+	case !reflect.DeepEqual(got, want):
+		t.Fatalf("ParseMutation(%q) = %+v, oracle %+v", body, got, want)
+	}
+}
+
+// The bodies the fast line must hand to the general rules, and the line
+// bound at its edges, parse exactly as the line scanner parsed them.
+func TestParseMutationMatchesOracle(t *testing.T) {
+	long := strings.Repeat(" ", maxMutateLine-len("+ 1 2"))
+	for _, body := range []string{
+		"", "\n", "+ 1 2", "+ 1 2\n", "+ 1 2\r\n", "+ 0 0\n", "+ 007 1\n",
+		"+ 999999999 1\n", "+ 1000000000 1\n", "+ 2147483647 1\n", "+ 2147483648 1\n",
+		"+ -1 2\n", "+ +1 2\n", "+  1 2\n", "+ 1  2\n", "+ 1 2 \n", " + 1 2\n", "+\t1\t2\n",
+		"+ 1 2 3\n", "+ 1 2 3 junk\n", "+ 1 2 0\n", "+ 1 2x\n", "+1 2\n", "+ 1\n", "+ 1 \n",
+		"+ 1 2\n# c\n\nv 2\n- 3 4\n+ 5 6 7\n", "v 1\n+ 50000 7\n", "+ 1 2\nbogus\n",
+		"+ 1\u00a02\n", "+ 1 2\u0085\n", "- 1 2 3\n", "v 8000000\nv 8000000\n",
+		long + "+ 1 2\n", long + " + 1 2\n", "+ 1 2\n" + long + " + 1 2",
+		"+ 1 2\n" + long + "  + 1 2", long + "  + 1 2\n+ 3 4\n",
+		long[1:] + "+ 1 2\n+ 3 4\n", "+ 3 4\n" + long[1:] + "+ 1 2",
+	} {
+		checkParseMutation(t, body)
+	}
+}
+
+// FuzzParseMutation holds the one-pass parser to the line scanner it
+// replaced on arbitrary bodies.
+func FuzzParseMutation(f *testing.F) {
+	for _, seed := range []string{
+		"+ 1 2\n+ 3 4\n", "v 3\n+ 1 2\n+ 2 3 5\n- 4 5\n\n# comment\n", "+ 01 2\r\n+ 1 2",
+		"+ 1234567890 2\n", "+ 1 2 3 4\n", "? 1 2\n", "v 1\n+ 50000 7\n+ 50000 8\n",
+		"+ 1\t2\n+ -0 +0\n", "\n\n+ 1 2 x\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(checkParseMutation)
+}
+
+// A body over MaxMutateBody is refused with 413 and a stable code before
+// anything reaches the store.
+func TestMutateBodyTooLarge(t *testing.T) {
+	st := testStore(t, 4)
+	srv := testServer(t, st)
+	line := "+ 1 2\n"
+	body := strings.Repeat(line, MaxMutateBody/len(line)+1)[:MaxMutateBody+1]
+	resp, err := http.Post(srv.URL+prefix+"/mutate", "text/plain", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var eb ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || eb.Code != "body_too_large" {
+		t.Fatalf("oversized body: status %d %+v, want 413 body_too_large", resp.StatusCode, eb)
+	}
+	if err := st.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	for name, ten := range st.Tenants() {
+		if ten.Submitted != 0 {
+			t.Fatalf("tenant %q: %d batches submitted by a refused body", name, ten.Submitted)
+		}
+	}
+	if got := st.Summary().AppliedBatches; got != 0 {
+		t.Fatalf("%d batches applied after a refused body", got)
+	}
+}
+
+// One serve-write batch, 20 canonical add lines, through ParseMutation and
+// through the line scanner it replaced.
+func BenchmarkParseMutation(b *testing.B) {
+	var sb strings.Builder
+	for i := 0; i < 20; i++ {
+		fmt.Fprintf(&sb, "+ %d %d\n", (i*7919)%50000, (i*104729+1)%50000)
+	}
+	body := sb.String()
+	for _, p := range []struct {
+		name  string
+		parse func(io.Reader) (*graph.Mutation, error)
+	}{{"onepass", ParseMutation}, {"linescanner", parseMutationOracle}} {
+		b.Run(p.name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.parse(strings.NewReader(body)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

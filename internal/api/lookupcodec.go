@@ -41,14 +41,6 @@ func AppendLookup(dst []byte, r LookupResponse) []byte {
 	return append(dst, "}\n"...)
 }
 
-// AppendResync appends r as the GET /v1/lookup whole-map body.
-func AppendResync(dst []byte, r ResyncResponse) []byte {
-	if r.Labels == nil {
-		return appendResync(dst, r, nil)
-	}
-	return appendResync(dst, r, [][]int32{r.Labels})
-}
-
 // appendResync is the one whole-map encoder: r's header around labels
 // given as runs, concatenated in order (r.Labels is not read); nil runs
 // is a null map. dst grows once: a label in [0,K) takes at most K's digits

@@ -20,6 +20,16 @@ import (
 	"repro/internal/serve"
 )
 
+// AppendResync appends r as the GET /v1/lookup whole-map body, its labels
+// as one run: the form the tests compare with encoding/json and with what
+// the handler encodes from the shard runs.
+func AppendResync(dst []byte, r ResyncResponse) []byte {
+	if r.Labels == nil {
+		return appendResync(dst, r, nil)
+	}
+	return appendResync(dst, r, [][]int32{r.Labels})
+}
+
 // jsonBody is what writeJSON puts on the wire for v.
 func jsonBody(t testing.TB, v any) []byte {
 	t.Helper()

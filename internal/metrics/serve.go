@@ -73,9 +73,9 @@ type ServeCounters struct {
 	// ShardBatches counts per-shard sub-batch applications on the sharded
 	// fast path (one submitted batch fans out to ≤ shards sub-batches).
 	ShardBatches atomic.Int64 `metric:"spinner_shard_batches_total" help:"Per-shard sub-batch applications on the sharded fast path."`
-	// CutReconciles counts every exact all-shard recount made outside a
-	// relabel: each exact check (run at open and by tests) and each
-	// periodic rebalance that moved a boundary. CutDrift counts shards
+	// CutReconciles counts the exact checks, run at open and by tests; the
+	// serving loop moves the counters instead (a relabel too large to move
+	// recounts them without checking, uncounted). CutDrift counts shards
 	// whose incremental counters disagreed with an exact check and were
 	// repaired (expected to stay 0 — integer deltas are exact).
 	CutReconciles atomic.Int64 `metric:"spinner_cut_reconciles_total" help:"Periodic exact cut recomputations."`

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -470,4 +471,102 @@ func BenchmarkBarrierBatch(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkBarrierHold times the publications the serving loop makes
+// under a barrier without a batch, at serve-write's shape (50 000
+// vertices, 1.0 M arcs, k = 32, 2 shards). op=rebalance: a rebalance after
+// a churn burst of 64 add-only batches on one end of the vertex space
+// moved the boundary (the burst alternates ends); moves/op is the share of
+// rebalances that moved it. op=relabel: the publish of a relabel that
+// changes 1 % of the labels, or every label (a near-total repair merge).
+// op=resize: Store.resize's whole hold, 32 → 40 and back in turn
+// (core.ElasticRelabel and the relabel's publish); changed-% is the share
+// of labels it changed. hold-µs is one coordinator control's wall time,
+// parking and resuming the shards included; ns/op also counts the untimed
+// setup of each op (the burst, the relabeling), so read hold-µs.
+func BenchmarkBarrierHold(b *testing.B) {
+	const n, k = 50_000, 32
+	newStore := func(b *testing.B) *Store {
+		w := graph.Convert(gen.WattsStrogatz(n, 20, 0.1, 7))
+		labels := make([]int32, n)
+		for v := range labels {
+			labels[v] = int32(v * k / n)
+		}
+		st, err := New(w, labels, Config{Options: storeOpts(k, 7), Shards: 2, DegradeFactor: 1e9})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { st.Close() })
+		return st
+	}
+	hold := func(b *testing.B, st *Store, fn func()) time.Duration {
+		t0 := time.Now()
+		if err := st.control(func() error { fn(); return nil }); err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(t0)
+	}
+	b.Run("op=rebalance", func(b *testing.B) {
+		st := newStore(b)
+		var held time.Duration
+		for i := 0; i < b.N; i++ {
+			base := (i % 2) * 3 * n / 4
+			for j := 0; j < 64; j++ {
+				m := &graph.Mutation{}
+				for e := 0; e < 20; e++ {
+					u := base + (i*1280+j*20+e)*7919%(n/4)
+					m.NewEdges = append(m.NewEdges, graph.WeightedEdgeRecord{
+						U: graph.VertexID(u), V: graph.VertexID(base + (u-base+1+e)%(n/4)), Weight: 2})
+				}
+				if err := st.Submit(m); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := st.Quiesce(); err != nil {
+				b.Fatal(err)
+			}
+			held += hold(b, st, st.rebalance)
+		}
+		b.ReportMetric(float64(held.Microseconds())/float64(b.N), "hold-µs")
+		b.ReportMetric(float64(st.Counters().ShardRebalances.Load())/float64(b.N), "moves/op")
+	})
+	for _, pct := range []int{1, 10, 20, 100} {
+		b.Run(fmt.Sprintf("op=relabel/changed=%d%%", pct), func(b *testing.B) {
+			st := newStore(b)
+			var held time.Duration
+			for i := 0; i < b.N; i++ {
+				var merged []int32
+				if err := st.control(func() error {
+					merged = slices.Clone(st.labels)
+					r := rng.New(uint64(i))
+					for v := range merged {
+						if r.Intn(100) < pct {
+							merged[v] = (merged[v] + 1 + r.Int31n(k-1)) % k
+						}
+					}
+					return nil
+				}); err != nil {
+					b.Fatal(err)
+				}
+				held += hold(b, st, func() { st.withBarrier(func() { st.relabel(merged) }) })
+			}
+			b.ReportMetric(float64(held.Microseconds())/float64(b.N), "hold-µs")
+		})
+	}
+	b.Run("op=resize", func(b *testing.B) {
+		st := newStore(b)
+		var held time.Duration
+		for i := 0; i < b.N; i++ {
+			newK := 40
+			if i%2 == 1 {
+				newK = k
+			}
+			// The repair run a resize asks for is not started, so no merge
+			// lands between the timed holds.
+			held += hold(b, st, func() { st.resize(newK); st.wantRestab = false })
+		}
+		b.ReportMetric(float64(held.Microseconds())/float64(b.N), "hold-µs")
+		b.ReportMetric(100*float64(st.Counters().ElasticSeedMoved.Load())/float64(n*b.N), "changed-%")
+	})
 }

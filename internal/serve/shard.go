@@ -163,17 +163,8 @@ func (sh *shard) apply(e shardEntry) {
 				if isNew {
 					sh.dEdges++
 				}
-				w64 := int64(added)
-				sh.total += w64
-				sh.dWeight += w64
-				lu, lv := sh.labels[u], sh.labels[v]
-				sh.load[lu] += w64
-				sh.load[lv] += w64
-				if lu != lv {
-					sh.cross += w64
-					sh.perPart[lu] += w64
-					sh.perPart[lv] += w64
-				}
+				sh.dWeight += int64(added)
+				sh.count(sh.labels[u], sh.labels[v], int64(added))
 			}
 			if v >= lo && v < hi {
 				sh.w.InsertArc(v, u, wgt)
@@ -197,6 +188,34 @@ func (sh *shard) apply(e shardEntry) {
 	}
 	if e.tracker.remaining.Add(-1) == 0 {
 		sh.st.finishBatch(e.tracker)
+	}
+}
+
+// count adds an owned edge of weight wgt between labels lu and lv to the
+// shard's counters; a negative wgt takes one away. It is the one update
+// all four counters get: as an edge lands or leaves (shard.apply,
+// applyGlobalBatch), as a label at its end changes (Store.moveLabels) and
+// as its row changes owner (countRow).
+func (sh *shard) count(lu, lv int32, wgt int64) {
+	sh.total += wgt
+	sh.load[lu] += wgt
+	sh.load[lv] += wgt
+	if lu != lv {
+		sh.cross += wgt
+		sh.perPart[lu] += wgt
+		sh.perPart[lv] += wgt
+	}
+}
+
+// countRow adds sign times the edges row u owns — its arcs to higher
+// neighbours, the ones metrics.CutWeightsRange counts for u — to the
+// shard's counters. Coordinator-only, under a barrier.
+func (sh *shard) countRow(u graph.VertexID, sign int64) {
+	lu := sh.labels[u]
+	for _, a := range sh.w.Neighbors(u) {
+		if a.To > u {
+			sh.count(lu, sh.labels[a.To], sign*int64(a.Weight))
+		}
 	}
 }
 

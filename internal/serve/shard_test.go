@@ -2,10 +2,12 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -169,6 +171,187 @@ func TestIncrementalCutMatchesExact(t *testing.T) {
 				}
 			})
 		}
+	}
+	for _, shards := range []int{2, 3, 4} {
+		t.Run(fmt.Sprintf("moves/shards=%d", shards), func(t *testing.T) { checkBoundaryMoves(t, shards) })
+		t.Run(fmt.Sprintf("relabels/shards=%d", shards), func(t *testing.T) { checkRelabelMoves(t, shards) })
+	}
+}
+
+// checkRelabelMoves publishes relabels of every size — one vertex, a few
+// percent, past the 1/moveShare share of arcs where the counters are
+// counted rather than moved, all of them — and ones that grow k by a label
+// or give it back, and checks after each that the counters equal an exact
+// recount and the exact check finds no drift. Both ways a relabel lands
+// (moved, counted) must run.
+func checkRelabelMoves(t *testing.T, shards int) {
+	const n = 2000
+	w := graph.Convert(gen.WattsStrogatz(n, 10, 0.1, 3))
+	shadow := w.Clone()
+	k := 8
+	labels := make([]int32, n)
+	for v := range labels {
+		labels[v] = int32(v * k / n)
+	}
+	st, err := New(w, labels, Config{Options: storeOpts(k, 5), Shards: shards, DegradeFactor: 1e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+
+	moved, counted := 0, 0
+	for step, pct := range []int{0, 1, 5, 10, 12, 20, 50, 100, -1, 3, -2, 8, 100} {
+		src := newTestRng(31, step)
+		if err := st.control(func() error {
+			st.withBarrier(func() {
+				merged := slices.Clone(st.labels)
+				switch pct {
+				case -1: // k grows by one label, which three vertices take
+					st.k++
+					for i := 0; i < 3; i++ {
+						merged[src.Intn(n)] = int32(st.k - 1)
+					}
+				case -2: // the label k-1 is given back
+					st.k--
+					for v, l := range merged {
+						if int(l) == st.k {
+							merged[v] = int32(src.Intn(st.k))
+						}
+					}
+				default:
+					merged[src.Intn(n)] = int32((int(merged[0]) + 1) % st.k)
+					for v := range merged {
+						if src.Intn(100) < pct {
+							merged[v] = int32((int(merged[v]) + 1 + src.Intn(st.k-1)) % st.k)
+						}
+					}
+				}
+				var arcs int64
+				for _, run := range labelDiffRuns(st.labels, merged) {
+					for i := range run.Labels {
+						arcs += int64(st.w.Degree(graph.VertexID(run.Start + i)))
+					}
+				}
+				if moveShare*arcs > 2*st.w.NumEdges() {
+					counted++
+				} else {
+					moved++
+				}
+				st.relabel(merged)
+			})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		snap := st.Snapshot()
+		cross, total, perPart := metrics.CutWeights(shadow, snap.Labels, snap.K)
+		if snap.CutWeight != cross || snap.TotalWeight != total || !slices.Equal(snap.CutByPartition, perPart) {
+			t.Fatalf("step %d (%d%%): relabeled (cut=%d,total=%d,%v) != exact (cut=%d,total=%d,%v)",
+				step, pct, snap.CutWeight, snap.TotalWeight, snap.CutByPartition, cross, total, perPart)
+		}
+		if err := st.control(st.reconcileNow); err != nil {
+			t.Fatal(err)
+		}
+		if drift := st.Counters().CutDrift.Load(); drift != 0 {
+			t.Fatalf("step %d (%d%%): the exact check repaired %d shards after a relabel", step, pct, drift)
+		}
+	}
+	if moved < 4 || counted < 3 {
+		t.Fatalf("%d relabels moved the counters and %d counted them, want both ways", moved, counted)
+	}
+}
+
+// checkBoundaryMoves forces a boundary rebalance after every quiesced
+// step of a churn history — growth appending into the last shard,
+// removals, restabilization merges, a hub whose weighted degree grows
+// until two thresholds fall on it at once, and one batch so heavy near the
+// end of the vertex space that a boundary jumps past another's old
+// position — and checks after each that the bounds are exactly
+// cluster.BalancedRanges of the shadow graph, that the counters moved with
+// the rows (the exact check finds no drift) and that every lookup answers
+// the composed label.
+func checkBoundaryMoves(t *testing.T, shards int) {
+	w, labels := twoClusters(60)
+	shadow := w.Clone()
+	st, err := New(w, append([]int32(nil), labels...), Config{
+		Options:       storeOpts(2, 17),
+		Shards:        shards,
+		DegradeFactor: 1.01,
+		DegradeSlack:  0.0001,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+
+	const hub = 60
+	stacked := false // two bounds fell on the hub at once
+	crossed := false // a boundary moved past another's old position
+	prev := []int{}
+	for step := 0; step < 60; step++ {
+		m := randomBatch(shadow, 91, step)
+		if step >= 10 {
+			src := newTestRng(92, step)
+			for i := 0; i < 3; i++ {
+				if x := graph.VertexID(src.Intn(shadow.NumVertices())); x != hub {
+					m.NewEdges = append(m.NewEdges, graph.WeightedEdgeRecord{U: hub, V: x, Weight: 400})
+				}
+			}
+		}
+		if step == 30 {
+			for x := graph.VertexID(101); x <= 105; x++ {
+				m.NewEdges = append(m.NewEdges, graph.WeightedEdgeRecord{U: 100, V: x, Weight: 1 << 20})
+			}
+		}
+		if _, err := copyMutation(m).Apply(shadow); err != nil {
+			t.Fatalf("step %d: shadow apply: %v", step, err)
+		}
+		if err := st.Submit(m); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Quiesce(); err != nil {
+			t.Fatal(err)
+		}
+		var bounds []int
+		if err := st.control(func() error {
+			st.rebalance()
+			bounds = slices.Clone(st.bounds)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if want := cluster.BalancedRanges(shadow, shards); !slices.Equal(bounds, want) {
+			t.Fatalf("step %d: bounds %v, BalancedRanges %v", step, bounds, want)
+		}
+		for i := 1; i+1 < len(bounds)-1; i++ {
+			stacked = stacked || bounds[i] == hub+1 && bounds[i+1] == hub+2
+			crossed = crossed || len(prev) == len(bounds) && (bounds[i] > prev[i+1] || bounds[i+1] < prev[i])
+		}
+		prev = bounds
+		snap := st.Snapshot()
+		cross, total, _ := metrics.CutWeights(shadow, snap.Labels, snap.K)
+		if snap.CutWeight != cross || snap.TotalWeight != total {
+			t.Fatalf("step %d: moved (cut=%d,total=%d) != exact (cut=%d,total=%d)",
+				step, snap.CutWeight, snap.TotalWeight, cross, total)
+		}
+		if err := st.control(st.reconcileNow); err != nil {
+			t.Fatal(err)
+		}
+		if drift := st.Counters().CutDrift.Load(); drift != 0 {
+			t.Fatalf("step %d: the exact check repaired %d shards after a boundary move", step, drift)
+		}
+		for v, l := range snap.Labels {
+			if got, ok := st.Lookup(graph.VertexID(v)); !ok || got != l {
+				t.Fatalf("step %d: lookup(%d) = %d,%v, want %d", step, v, got, ok, l)
+			}
+		}
+	}
+	c := st.Counters()
+	if c.ShardRebalances.Load() < 3 || c.Restabilizations.Load() == 0 {
+		t.Fatalf("history too quiet: %d boundary moves, %d merges", c.ShardRebalances.Load(), c.Restabilizations.Load())
+	}
+	if shards > 2 && (!stacked || !crossed) {
+		t.Fatalf("the hub carried two thresholds: %v; a boundary crossed another's old position: %v", stacked, crossed)
 	}
 }
 

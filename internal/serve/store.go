@@ -66,22 +66,30 @@
 //     (a function of k′ and the seed, so a resize record is enough to
 //     replay it) and repairs in the background; in-flight runs from the
 //     old k-space are discarded. Both land through one function, relabel:
-//     it swaps the full label array in, republishes and returns the label
-//     runs that changed. Every 512 applied batches a periodic pass
-//     rebalances shard boundaries by weighted degree
-//     (cluster.BalancedRanges); it never recounts the counters, which are
-//     exact integer arithmetic.
+//     it swaps the full label array in, moves the counters by the arcs of
+//     the vertices whose label changed (or, past moveShare, counts them
+//     again), republishes and returns the label runs that changed. Every
+//     512 applied batches a periodic pass rebalances shard boundaries by
+//     weighted degree (cluster.BalancedRanges) and moves the counters
+//     with the rows that change owner (moveBounds); it never recounts
+//     them, they are exact integer arithmetic.
 //
 // Shard counters: for the edges it owns a shard keeps the integer cut
 // counters (cross, total, perPart) and load, the owned edges' share of the
 // partition loads b(l) (Eq. 6): every edge adds its weight at both
-// endpoints' labels. All four are written at the same three places — by the
-// shard goroutine as it applies a fast-path edge (shard.apply), by the
-// coordinator folding a barrier batch's CutEdits (applyGlobalBatch), and by
-// republish, the exact recompute (metrics.CutWeightsRange) at construction,
-// after every relabeling event and after a boundary move. reconcileNow
-// compares all four with an exact recount (and repairs a shard that
-// drifted); Open runs it after replay and the tests after their histories.
+// endpoints' labels. All four move through one update (shard.count) at
+// four places: the shard goroutine applying a fast-path edge
+// (shard.apply); the coordinator folding a barrier batch's CutEdits
+// (applyGlobalBatch); a relabeling event (moveLabels), where every edge at
+// a changed vertex leaves its old labels for its new ones, once, under the
+// shard that owns its lower endpoint — O(arcs of the changed vertices);
+// and a boundary move (moveBounds), where a row that changes owner takes
+// the edges it owns from the old shard to the new one — O(arcs of the
+// moved rows). The counters are counted from the graph
+// (metrics.CutWeightsRange) at construction, for a relabel too large to
+// move (moveShare) and by reconcileNow, the exact check, which compares
+// all four with an exact recount (and repairs a shard that drifted); Open
+// runs it after replay and the tests after their histories.
 // The loads are why a batch that appends vertices never reads the graph:
 // the paper's implementation has b(l) to hand as aggregators, and
 // applyGlobalBatch sums the shards' load (O(shards·k)), adds the batch's own
@@ -178,6 +186,10 @@ const (
 	// reconcileEvery is the cadence, in resolved batches, of the periodic
 	// shard-boundary rebalance (maintain).
 	reconcileEvery = 512
+	// moveShare bounds the relabel whose counters move (moveLabels): one
+	// whose changed vertices hold more than 1/moveShare of the arcs
+	// counts every shard from the graph instead.
+	moveShare = 8
 )
 
 func (c *Config) normalize() error {
@@ -366,11 +378,14 @@ type Store struct {
 
 	// Coordinator state (no locks: single owner between barriers).
 	coordState
-	w          *graph.Weighted
-	labels     []int32
-	shards     []*shard
-	affected   map[graph.VertexID]struct{}
-	pubGen     uint64 // bumped per barrier relabel/rebalance publication round
+	w        *graph.Weighted
+	labels   []int32
+	shards   []*shard
+	affected map[graph.VertexID]struct{}
+	// pubGen is the label generation, bumped at construction and by every
+	// relabel. A boundary move (moveBounds) keeps it: labels do not change,
+	// and sweep's tiling check alone refuses a mix of old and new ranges.
+	pubGen     uint64
 	inflight   bool
 	restabDone chan restabResult
 	ckptDone   chan ckptResult // capacity 1; background checkpointer reply
@@ -494,7 +509,18 @@ func newStore(st *ckptState, cfg Config) (*Store, error) {
 	if n > 0 {
 		runs = []LabelRun{{Start: 0, Labels: append([]int32(nil), s.labels...)}}
 	}
-	s.republish(runs, true)
+	// The one full count outside the exact check: every shard counts the
+	// edges it owns from the graph and publishes; afterwards the counters
+	// only move (shard.count).
+	s.pubGen++
+	for i, sh := range s.shards {
+		sh.labels, sh.k, sh.epoch, sh.pubGen = s.labels, s.k, s.epoch, s.pubGen
+		sh.lo, sh.hi = s.bounds[i], s.bounds[i+1]
+		sh.cross, sh.total, sh.perPart, sh.load = metrics.CutWeightsRange(s.w, s.labels, s.k, sh.lo, sh.hi)
+		sh.publishFresh()
+	}
+	s.publishRouter()
+	s.emitBarrierDelta(runs, true)
 	return s, nil
 }
 
@@ -1223,16 +1249,7 @@ func (s *Store) applyGlobalBatch(m *graph.Mutation, ten *tenantState) {
 		touched := make([]bool, len(s.shards))
 		for _, ed := range edits {
 			sh := s.shards[rangeIndex(s.bounds, ed.U)]
-			wgt := ed.Signed()
-			sh.total += wgt
-			lu, lv := s.labels[ed.U], s.labels[ed.V]
-			sh.load[lu] += wgt
-			sh.load[lv] += wgt
-			if lu != lv {
-				sh.cross += wgt
-				sh.perPart[lu] += wgt
-				sh.perPart[lv] += wgt
-			}
+			sh.count(s.labels[ed.U], s.labels[ed.V], ed.Signed())
 			touched[sh.id] = true
 		}
 		last := len(s.shards) - 1
@@ -1301,40 +1318,91 @@ func (s *Store) resize(newK int) {
 	})
 }
 
-// relabel adopts a full relabeling: it swaps merged in, republishes and
-// returns the label runs that changed (exact, see labelDiffRuns) — the
-// whole of what a replica needs to land the same relabeling.
-// Coordinator-only, under a barrier, after the caller has set the k, gen
-// and epoch the new labels live in.
+// relabel adopts a full relabeling: it swaps merged in, moves the shard
+// counters by the arcs of the vertices whose label changed (moveLabels,
+// which counts them again past moveShare), republishes
+// and returns the label runs that changed (exact, see labelDiffRuns) — the
+// whole of what a replica needs to land the same relabeling. A shard whose
+// segment holds a changed label publishes a fresh copy of it; the others
+// publish their header in the new generation over the segment they
+// already published. Coordinator-only, under a barrier, after the caller
+// has set the k, gen and epoch the new labels live in.
 func (s *Store) relabel(merged []int32) []LabelRun {
 	runs := labelDiffRuns(s.labels, merged)
-	s.labels = merged
 	tPublish := time.Now()
-	s.republish(runs, false)
+	old := s.labels
+	s.labels = merged
+	changed := s.moveLabels(old, runs)
+	s.pubGen++ // new label generation: a sweep refuses to mix rounds
+	for i, sh := range s.shards {
+		sh.labels, sh.k, sh.epoch, sh.pubGen = s.labels, s.k, s.epoch, s.pubGen
+		if changed[i] {
+			sh.publishFresh()
+		} else {
+			sh.publishDelta()
+		}
+	}
+	s.emitBarrierDelta(runs, false)
 	s.stageHist[stagePublish].Record(time.Since(tPublish))
 	return runs
 }
 
-// republish is the one place shard counters are recomputed for a
-// publication — construction, every relabeling event (which moves too
-// many labels for per-edge deltas to pay off) and a boundary move. It
-// starts a new label generation, hands every shard the coordinator's
-// labels, k, epoch and its [bounds[i], bounds[i+1]) range, recomputes the
-// shard's counters exactly and publishes its snapshot; then the route
-// table when the layout changed, and the barrier delta carrying runs.
-// Coordinator-only, under a barrier (or before start).
-func (s *Store) republish(runs []LabelRun, layout bool) {
-	s.pubGen++ // new label generation: a sweep refuses to mix rounds
-	for i, sh := range s.shards {
-		sh.labels, sh.k, sh.epoch, sh.pubGen = s.labels, s.k, s.epoch, s.pubGen
-		sh.lo, sh.hi = s.bounds[i], s.bounds[i+1]
-		sh.cross, sh.total, sh.perPart, sh.load = metrics.CutWeightsRange(s.w, s.labels, s.k, sh.lo, sh.hi)
-		sh.publishFresh()
+// moveLabels moves the shard counters from the labels old to s.labels, in
+// O(arcs of the vertices runs names): every edge at a changed vertex takes
+// its weight away at its old labels and adds it at its new ones, once,
+// under the shard that owns its lower endpoint (an edge between two
+// changed vertices is moved from the lower one). The counters span
+// max(old k, s.k) labels while they move and s.k after; a label the new k
+// drops holds no weight by then. Moving an arc costs a few times what
+// counting one does, more when the changed vertices are scattered
+// (BenchmarkBarrierHold: moving a random 10 % of the labels holds the
+// barrier about 70 % as long as counting every shard, and moving 20 %
+// holds it longer), so when the changed vertices hold more than
+// 1/moveShare of the arcs every shard is counted from the graph instead —
+// a resize's relabel, a near-total repair merge. It reports which shards' segments
+// hold a changed label. Coordinator-only, under a barrier.
+func (s *Store) moveLabels(old []int32, runs []LabelRun) []bool {
+	changed := make([]bool, len(s.shards))
+	var arcs int64
+	for _, run := range runs {
+		end := run.Start + len(run.Labels)
+		for i := rangeIndex(s.bounds, graph.VertexID(run.Start)); i <= rangeIndex(s.bounds, graph.VertexID(end-1)); i++ {
+			changed[i] = true
+		}
+		for v := run.Start; v < end; v++ {
+			arcs += int64(s.w.Degree(graph.VertexID(v)))
+		}
 	}
-	if layout {
-		s.publishRouter()
+	if moveShare*arcs > 2*s.w.NumEdges() {
+		for _, sh := range s.shards {
+			sh.cross, sh.total, sh.perPart, sh.load = metrics.CutWeightsRange(s.w, s.labels, s.k, sh.lo, sh.hi)
+		}
+		return changed
 	}
-	s.emitBarrierDelta(runs, layout)
+	for _, sh := range s.shards {
+		if grow := s.k - len(sh.load); grow > 0 {
+			sh.perPart = append(sh.perPart, make([]int64, grow)...)
+			sh.load = append(sh.load, make([]int64, grow)...)
+		}
+	}
+	for _, run := range runs {
+		for i := range run.Labels {
+			v := graph.VertexID(run.Start + i)
+			for _, a := range s.w.Neighbors(v) {
+				x := a.To
+				if x < v && old[x] != s.labels[x] {
+					continue // moved from x
+				}
+				owner := s.shards[rangeIndex(s.bounds, min(v, x))]
+				owner.count(old[v], old[x], -int64(a.Weight))
+				owner.count(s.labels[v], s.labels[x], int64(a.Weight))
+			}
+		}
+	}
+	for _, sh := range s.shards {
+		sh.perPart, sh.load = sh.perPart[:s.k], sh.load[:s.k]
+	}
+	return changed
 }
 
 // maintain is the turn's first stage, the one place background work is
@@ -1495,7 +1563,7 @@ func (s *Store) applyRelabel(d *Delta) {
 // (reconcileNow is the check, run at Open and in the tests), so the
 // serving loop never recounts them. Under a barrier it recomputes the
 // shard boundaries by weighted degree (cluster.BalancedRanges) and, when
-// one moved, adopts them and republishes every shard over its new range.
+// one moved, adopts them (moveBounds).
 func (s *Store) rebalance() {
 	if s.w.NumVertices() < len(s.shards) {
 		// A zero-vertex store has one shard with an empty range; there is
@@ -1508,9 +1576,40 @@ func (s *Store) rebalance() {
 		if slices.Equal(bounds, s.bounds) {
 			return
 		}
-		copy(s.bounds, bounds)
 		s.ctr.ShardRebalances.Add(1)
-		s.ctr.CutReconciles.Add(1)
-		s.republish(nil, true)
+		s.moveBounds(bounds)
 	})
+}
+
+// moveBounds adopts new shard bounds: each row that changes owner takes
+// its owned arcs' share of the counters from its old shard to its new
+// one, in O(arcs of the moved rows), and only the shards whose range
+// moved publish — labels are unchanged, so a sweep that races the move
+// sees ranges that do not tile and retries. Then the route table, and the
+// barrier delta carrying the bounds. Coordinator-only, under a barrier.
+func (s *Store) moveBounds(bounds []int) {
+	// The rows that change owner are those between a boundary's old and
+	// new position; both layouts are sorted, so these spans are too, and
+	// next skips the part of a span an earlier one already covered.
+	next := 0
+	for i := 1; i < len(bounds)-1; i++ {
+		lo, hi := min(s.bounds[i], bounds[i]), max(s.bounds[i], bounds[i])
+		for v := graph.VertexID(max(lo, next)); int(v) < hi; v++ {
+			from, to := s.shards[rangeIndex(s.bounds, v)], s.shards[rangeIndex(bounds, v)]
+			if from != to {
+				from.countRow(v, -1)
+				to.countRow(v, 1)
+			}
+		}
+		next = max(next, hi)
+	}
+	for i, sh := range s.shards {
+		if sh.lo != bounds[i] || sh.hi != bounds[i+1] {
+			sh.lo, sh.hi = bounds[i], bounds[i+1]
+			sh.publishFresh()
+		}
+	}
+	copy(s.bounds, bounds)
+	s.publishRouter()
+	s.emitBarrierDelta(nil, true)
 }

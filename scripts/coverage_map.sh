@@ -15,7 +15,8 @@
 # drills, examples-only, unit-only or nothing, first match wins), then a
 # per-package count of functions in each class. A unit-only or nothing row
 # carries the decision that scripts/coverage_decisions.txt records for it,
-# or UNDECIDED.
+# or UNDECIDED; the script fails, after writing the map and listing them,
+# when any row is undecided.
 #
 # Usage: scripts/coverage_map.sh    (make coverage-map)
 set -euo pipefail
@@ -131,3 +132,8 @@ awk '{ p = $1; if (!sub(/\/[^\/]*$/, "", p)) p = "."; $1 = p; print }' "$COV/row
 } > "$MAP"
 tail -n 1 "$MAP"
 echo "wrote $MAP"
+if grep -q ' UNDECIDED$' "$COV/rows"; then
+  echo "FAIL: functions with no decision in scripts/coverage_decisions.txt:" >&2
+  grep ' UNDECIDED$' "$COV/rows" >&2
+  exit 1
+fi
