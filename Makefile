@@ -28,7 +28,10 @@
 #                      out-of-cache size, BenchmarkWarmStart), and of the
 #                      conversion before it (BenchmarkConvert, same graphs),
 #                      into out/; top 15 functions by CPU and top 10 by
-#                      allocated bytes printed
+#                      allocated bytes printed; then the message plane on
+#                      its own (BenchmarkDelivery in internal/pregel, a
+#                      package of its own so a profile of its own), top 15
+#                      by CPU
 #   make profile-api — the same two profiles of the /v1/lookup read path
 #                      (BenchmarkHandleLookup point and whole map,
 #                      BenchmarkParseResync) into out/; top 10 of each
@@ -128,6 +131,9 @@ profile-core:
 		-cpuprofile out/core.prof -memprofile out/core.mem -o out/core.test .
 	go tool pprof -top -nodecount 15 out/core.test out/core.prof
 	go tool pprof -sample_index=alloc_space -top -nodecount 10 out/core.test out/core.mem
+	go test -run '^$$' -bench 'BenchmarkDelivery' -benchtime 20x -benchmem \
+		-cpuprofile out/delivery.prof -o out/pregel.test ./internal/pregel
+	go tool pprof -top -nodecount 15 out/pregel.test out/delivery.prof
 
 profile-api:
 	mkdir -p out

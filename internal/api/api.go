@@ -235,8 +235,13 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		s.writeStoreError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, MutateResponse{Queued: true,
-		Adds: len(mut.NewEdges), Removes: len(mut.RemovedEdges), Vertices: mut.NewVertices})
+	// The headers are the ones writeJSON sent, in its order: net/http adds
+	// Content-Length itself after Content-Type.
+	var buf [128]byte
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusAccepted)
+	_, _ = w.Write(AppendMutate(buf[:0], MutateResponse{Queued: true,
+		Adds: len(mut.NewEdges), Removes: len(mut.RemovedEdges), Vertices: mut.NewVertices}))
 }
 
 // writeStoreError maps a refused write (TrySubmit or Resize) onto the

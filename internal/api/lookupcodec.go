@@ -1,10 +1,12 @@
-// The /v1/lookup bodies, encoded by append and decoded by scan. A point
-// lookup and the whole-map read are the routes whose cost is the body, so
-// these two objects skip encoding/json's reflection; the bytes are the
-// same ones json.NewEncoder(w).Encode writes (trailing newline included),
-// so there is still one wire format and any JSON reader decodes it.
-// TestLookupBodiesMatchEncodingJSON and FuzzParseResync hold both ends to
-// encoding/json.
+// The /v1/lookup bodies, encoded by append and decoded by scan, and the
+// POST /v1/mutate answer, encoded by append. A point lookup and the
+// whole-map read are the routes whose cost is the body, and the mutate
+// answer is written once per accepted batch, so these objects skip
+// encoding/json's reflection; the bytes are the same ones
+// json.NewEncoder(w).Encode writes (trailing newline included), so there
+// is still one wire format and any JSON reader decodes it.
+// TestLookupBodiesMatchEncodingJSON, TestMutateBodyMatchesEncodingJSON
+// and FuzzParseResync hold both ends to encoding/json.
 //
 // The whole map is a long run of small integers, so each end has a kernel
 // for one label. The encoder writes a label two digits at a time from
@@ -38,6 +40,20 @@ func AppendLookup(dst []byte, r LookupResponse) []byte {
 	dst = strconv.AppendUint(dst, r.Version, 10)
 	dst = append(dst, `,"k":`...)
 	dst = strconv.AppendInt(dst, int64(r.K), 10)
+	return append(dst, "}\n"...)
+}
+
+// AppendMutate appends r as the POST /v1/mutate body, the answer to every
+// accepted batch. 128 bytes of capacity hold any value.
+func AppendMutate(dst []byte, r MutateResponse) []byte {
+	dst = append(dst, `{"queued":`...)
+	dst = strconv.AppendBool(dst, r.Queued)
+	dst = append(dst, `,"adds":`...)
+	dst = strconv.AppendInt(dst, int64(r.Adds), 10)
+	dst = append(dst, `,"removes":`...)
+	dst = strconv.AppendInt(dst, int64(r.Removes), 10)
+	dst = append(dst, `,"vertices":`...)
+	dst = strconv.AppendInt(dst, int64(r.Vertices), 10)
 	return append(dst, "}\n"...)
 }
 

@@ -50,6 +50,25 @@ func manyLabels(n, k int) []int32 {
 
 // There is one wire format: the appended /v1/lookup bodies are the bytes
 // encoding/json writes, and the handlers serve those bytes unchunked.
+func TestMutateBodyMatchesEncodingJSON(t *testing.T) {
+	for _, r := range []MutateResponse{
+		{},
+		{Queued: true},
+		{Queued: true, Adds: 20, Removes: 3, Vertices: 1},
+		{Queued: true, Adds: math.MaxInt, Removes: math.MaxInt, Vertices: math.MaxInt},
+		{Adds: math.MinInt, Removes: math.MinInt, Vertices: math.MinInt}, // the longest body
+	} {
+		var buf [128]byte
+		got := AppendMutate(buf[:0], r)
+		if want := jsonBody(t, r); !bytes.Equal(got, want) {
+			t.Errorf("AppendMutate(%+v) = %q, encoding/json writes %q", r, got, want)
+		}
+		if &got[0] != &buf[0] {
+			t.Errorf("AppendMutate(%+v) outgrew its 128-byte buffer (%d bytes)", r, len(got))
+		}
+	}
+}
+
 func TestLookupBodiesMatchEncodingJSON(t *testing.T) {
 	for _, r := range []LookupResponse{
 		{},

@@ -3,6 +3,7 @@ package pregel
 import (
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -135,4 +136,34 @@ func TestSendSideCombiningReducesTraffic(t *testing.T) {
 	if sent > 2 {
 		t.Fatalf("sent=%d physical messages, want ≤ 2 (send-side combining must collapse per-worker traffic)", sent)
 	}
+}
+
+// BenchmarkDelivery times the no-combiner message plane on its own:
+// stepCounter sends one message along every arc of WS(200 000, 10, 0.3)
+// every superstep over 2 workers, so SendTo, delivery and the compute
+// loop's inbox reads are nearly all the work. One op is a pair of
+// supersteps, timed after two warm-up supersteps have grown the bins and
+// arenas; ns/msg divides the timed span by the messages sent in it.
+func BenchmarkDelivery(b *testing.B) {
+	const warm = 2
+	vs := buildVertices(gen.WattsStrogatz(200_000, 10, 0.3, 7), func(VertexID) int64 { return 0 })
+	cfg := Config{NumWorkers: 2, MaxSupersteps: warm + 2*b.N, AfterSuperstep: func(s int) {
+		if s == warm-1 {
+			b.ReportAllocs()
+			b.ResetTimer()
+		}
+	}}
+	e := NewEngine[int64, VertexID, int64](cfg, &stepCounter{stopAfter: 1 << 30})
+	if err := e.SetVertices(vs); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	var msgs int64
+	for _, st := range e.Stats()[warm:] {
+		msgs += st.TotalSent()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs), "ns/msg")
 }

@@ -32,11 +32,22 @@
 // buffers are engine-owned arenas created once per Run and truncated —
 // never reallocated — between supersteps:
 //
-//   - Each worker keeps one reusable Context whose per-destination-worker
-//     outboxes retain their capacity across supersteps.
-//   - Per-vertex inboxes are truncated in place when consumed; the engine
-//     tracks which vertices hold pending messages in per-worker lists, so
-//     both the clear and the re-fill are O(messages delivered), not O(n).
+//   - Each worker keeps one reusable Context. Without a combiner its
+//     outbox is one bin per destination block: a block is 1<<blockShift
+//     consecutive entries of one worker's vertex list, and Engine.pos
+//     gives each vertex its block and slot, so SendTo is one lookup and
+//     one append. Bins retain their capacity across supersteps; a worker
+//     holds O(n/blockSize + workers) of them.
+//   - Delivery is a blocked counting sort. Each destination worker sums
+//     its bins' lengths (O(blocks × workers)), then per block counts,
+//     carves windows in vertex order and fills them, walking the source
+//     workers in order, so every scattered write lands in one block's
+//     cache-resident counters. Writing the offsets costs O(owned
+//     vertices) per superstep on top of O(messages) for count and fill;
+//     the compute loop already reads every owned vertex, so it adds no
+//     new asymptotic term. A worker's inboxes are then one offsets array
+//     over its vertex list and one arena, as in CSR, which the next
+//     compute loop reads sequentially.
 //   - When a Combiner is installed, SendTo combines on the send side: each
 //     worker stages at most one merged payload per destination vertex
 //     (epoch-stamped slots, no clearing pass), and delivery moves one
@@ -98,7 +109,7 @@ func (v *Vertex[V, A]) VoteToHalt() { v.halted = true }
 
 // Program is the user computation. Compute is invoked for every active
 // vertex every superstep; msgs holds the messages delivered this superstep
-// (nil if none). Implementations may retain no references to msgs after
+// (empty if none). Implementations may retain no references to msgs after
 // returning.
 type Program[V, A, M any] interface {
 	Compute(ctx *Context[V, A, M], v *Vertex[V, A], msgs []M)
@@ -285,12 +296,17 @@ type Engine[V, A, M any] struct {
 	place    []int32        // vertex -> worker
 	byWorker [][]VertexID   // worker -> owned vertices (deterministic order)
 
-	inbox      [][]M               // vertex -> pending messages (delivered next superstep)
-	inboxArena [][]M               // worker -> flat reusable message storage backing its inboxes
-	inboxCount []int32             // vertex -> its message count, then its inbox's write cursor, during delivery (zero otherwise)
-	pending    [][]VertexID        // worker -> owned vertices with non-empty inboxes
-	ctxs       []*Context[V, A, M] // reusable per-worker contexts (outbox arenas)
-	active     int64               // vertices staying active + messages delivered: nonzero iff the next superstep has work
+	// The no-combiner message plane (see the package doc): pos[v] is v's
+	// slot in the padded vertex order, where worker w's vertices fill
+	// blocks [blockLo[w], blockLo[w+1]) in byWorker order, so pos>>blockShift
+	// is v's block and the index of its bin in every Context.
+	pos     []int32
+	blockLo []int
+
+	inbox   [][]M               // vertex -> combined message (combiner path only)
+	pending [][]VertexID        // worker -> owned vertices with a combined message (combiner path only)
+	ctxs    []*Context[V, A, M] // reusable per-worker contexts (outbox arenas)
+	active  int64               // vertices staying active + messages delivered: nonzero iff the next superstep has work
 
 	aggs *aggPlane
 
@@ -381,7 +397,6 @@ func (e *Engine[V, A, M]) Run() (int, error) {
 	}
 	e.initPlacement()
 	e.initWorkers()
-	e.inbox = make([][]M, len(e.vertices))
 	e.initMessagePlane()
 
 	for e.superstep = 0; e.superstep < e.cfg.MaxSupersteps; e.superstep++ {
@@ -441,37 +456,42 @@ func (e *Engine[V, A, M]) initWorkers() {
 	e.aggs.initSlabs(w)
 }
 
-// initMessagePlane builds the reusable per-worker contexts and the pending
-// lists, and seeds the incremental active count with one full scan (the
-// only one the engine ever performs).
+// initMessagePlane builds the reusable per-worker contexts and the inboxes
+// of the delivery path in use, and seeds the incremental active count
+// with one pass over the vertices.
 func (e *Engine[V, A, M]) initMessagePlane() {
 	w := e.cfg.NumWorkers
 	n := len(e.vertices)
-	e.pending = make([][]VertexID, w)
-	if e.combiner == nil {
-		// The arena delivery path is only taken without a combiner; the
-		// combiner path stages into per-context slots instead.
-		e.inboxArena = make([][]M, w)
-		e.inboxCount = make([]int32, n)
+	if e.combiner != nil {
+		e.inbox = make([][]M, n)
+		e.pending = make([][]VertexID, w)
+	} else {
+		e.blockLo = make([]int, w+1)
+		e.pos = make([]int32, n)
+		for wk, vs := range e.byWorker {
+			e.blockLo[wk+1] = e.blockLo[wk] + (len(vs)+blockSize-1)>>blockShift
+			for i, v := range vs {
+				e.pos[v] = int32(e.blockLo[wk]<<blockShift + i)
+			}
+		}
 	}
 	e.ctxs = make([]*Context[V, A, M], w)
 	for wk := 0; wk < w; wk++ {
 		ctx := &Context[V, A, M]{engine: e, workerID: wk, rand: e.workerRand[wk], partials: e.aggs.slabs[wk]}
-		ctx.out = make([][]addrMsg[M], w)
 		if e.combiner != nil {
 			ctx.combVal = make([]M, n)
 			ctx.combEpoch = make([]uint32, n)
 			ctx.combDst = make([][]VertexID, w)
+		} else {
+			ctx.bins = make([][]addrMsg[M], e.blockLo[w])
+			ctx.inOff = make([]int32, len(e.byWorker[wk])+1)
+			ctx.cur = make([]int32, blockSize)
 		}
 		e.ctxs[wk] = ctx
 	}
 	e.active = 0
 	for i := range e.vertices {
-		if len(e.inbox[i]) > 0 {
-			wk := e.place[i]
-			e.pending[wk] = append(e.pending[wk], VertexID(i))
-		}
-		if !e.vertices[i].halted || len(e.inbox[i]) > 0 {
+		if !e.vertices[i].halted {
 			e.active++
 		}
 	}
