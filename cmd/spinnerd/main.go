@@ -21,9 +21,9 @@
 //
 // With -data-dir the daemon is durable: every accepted mutation/resize
 // batch is appended to a CRC-framed write-ahead journal before it is
-// applied, and the composed store state is checkpointed every
-// -checkpoint-every applied batches (plus once at graceful shutdown —
-// SIGINT/SIGTERM drains the listener and writes a final checkpoint). If
+// applied, and the composed store state is checkpointed periodically
+// (plus once at graceful shutdown — SIGINT/SIGTERM drains the listener
+// and writes a final checkpoint). If
 // the data dir already holds state, the input graph flags are ignored and
 // the daemon recovers instead: latest valid checkpoint + journal tail
 // replay, with torn tails truncated and mid-log corruption refused. The
@@ -35,15 +35,12 @@
 // checkpoint, so recovery survives the loss (or crash-interrupted write)
 // of the newest one by falling back and replaying a longer tail.
 //
-// Checkpoints are incremental by default: when the label map has barely
-// moved since the last checkpoint, the store writes a small delta
-// checkpoint (changed label runs + counters, chained onto the previous
-// encoding) instead of re-encoding the whole graph; after
-// -max-delta-chain links — or whenever a delta stops being materially
-// smaller than a full re-encode — it rebases onto a fresh full
-// checkpoint and prunes the superseded chain. Recovery composes base +
-// chain + journal tail into state bit-identical to full-checkpoint
-// recovery. -max-delta-chain < 0 disables incremental checkpoints.
+// A periodic checkpoint is due when both hold: at least -checkpoint-every
+// batches were applied since the newest checkpoint, and the journal
+// appended since it holds at least that checkpoint's bytes. So a large
+// graph is not re-encoded for a small journal, and recovery reads at most
+// about twice a checkpoint's bytes; the journal tail a recovery replayed
+// counts toward the next checkpoint.
 //
 // The durable write path is a staged commit pipeline (see internal/serve
 // and internal/wal): each coordinator turn journals everything pending
@@ -365,7 +362,6 @@ type daemonConfig struct {
 	fsyncInterval   time.Duration
 	checkpointEvery int
 	keepCheckpoints int
-	maxDeltaChain   int
 
 	quotaRate        float64
 	quotaBurst       float64
@@ -400,9 +396,8 @@ func main() {
 	flag.StringVar(&dc.dataDir, "data-dir", "", "durable data directory (journal + checkpoints); empty = in-memory only")
 	flag.StringVar(&dc.fsync, "fsync", "interval", "journal fsync policy: never|interval|always")
 	flag.DurationVar(&dc.fsyncInterval, "fsync-interval", 50*time.Millisecond, "background fsync period under -fsync interval")
-	flag.IntVar(&dc.checkpointEvery, "checkpoint-every", 4096, "applied batches between checkpoints (negative disables periodic checkpoints)")
+	flag.IntVar(&dc.checkpointEvery, "checkpoint-every", 4096, "least applied batches between periodic checkpoints, each also due only once the journal since the newest checkpoint holds its bytes (negative disables periodic checkpoints)")
 	flag.IntVar(&dc.keepCheckpoints, "keep-checkpoints", 2, "newest checkpoints retained; the journal is truncated below the oldest kept")
-	flag.IntVar(&dc.maxDeltaChain, "max-delta-chain", 0, "incremental checkpoints chained before a forced full rebase (0 = default 8, negative disables)")
 	flag.Float64Var(&dc.quotaRate, "quota-rate", 0, "per-tenant mutation admission rate (batches/sec; 0 disables quotas)")
 	flag.Float64Var(&dc.quotaBurst, "quota-burst", 0, "per-tenant admission burst (0 = max(1, quota-rate))")
 	flag.IntVar(&dc.quotaDepth, "quota-depth", 0, "per-tenant backlog cap for non-blocking submits (0 = unlimited)")
@@ -449,7 +444,6 @@ func run(ctx context.Context, dc daemonConfig, out io.Writer) error {
 			FsyncInterval:   dc.fsyncInterval,
 			CheckpointEvery: dc.checkpointEvery,
 			KeepCheckpoints: dc.keepCheckpoints,
-			MaxDeltaChain:   dc.maxDeltaChain,
 		}
 	}
 

@@ -14,8 +14,7 @@
 // POST /v1/resize to k+2 migrates only the paper's n/(k+n) fraction.
 // At the end the feed consumer's reconstructed labels are checked
 // against GET /v1/lookup truth, and the store is closed and reopened
-// from disk: the maintained partitioning — and the change feed's
-// incremental checkpoints — survive process death.
+// from disk: the maintained partitioning survives process death.
 //
 //	go run ./examples/serving
 package main

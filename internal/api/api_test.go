@@ -773,7 +773,7 @@ func TestHTTPStatsDurabilityFields(t *testing.T) {
 		t.Fatalf("counters missing: %v", stats)
 	}
 	for _, field := range []string{"JournalAppends", "JournalBytes", "JournalSyncs", "Checkpoints",
-		"ReplayedRecords", "IncrCheckpointBytes", "CheckpointRebases", "DeltasPublished", "WatchStreams",
+		"ReplayedRecords", "DeltasPublished", "WatchStreams",
 		"WatchStreamsTotal"} {
 		if _, ok := ctr[field]; !ok {
 			t.Fatalf("counters missing %s: %v", field, ctr)

@@ -7,7 +7,7 @@
 // with little-endian integers. The envelope knows nothing about kinds or
 // payload layouts: each stream validates its own kind range and parses
 // its own payload on top of Decode. (The WAL's on-disk headers — journal
-// records, .ckpt and .dckp files — have their own layouts, which are a
+// records and .ckpt files — have their own layouts, which are a
 // disk-compatibility contract and deliberately not this one.)
 package frame
 

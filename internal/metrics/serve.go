@@ -92,17 +92,10 @@ type ServeCounters struct {
 	JournalAppends atomic.Int64 `metric:"spinner_journal_appends_total" help:"Records durably framed into the write-ahead journal."`
 	JournalBytes   atomic.Int64 `metric:"spinner_journal_bytes_total" help:"Encoded bytes appended to the journal."`
 	JournalSyncs   atomic.Int64 `metric:"spinner_journal_syncs_total" help:"Journal fsyncs issued under the configured policy."`
-	// Checkpoints counts snapshot checkpoints atomically installed
-	// (full and incremental); CheckpointBytes totals their payload size.
+	// Checkpoints counts snapshot checkpoints atomically installed;
+	// CheckpointBytes totals their payload size.
 	Checkpoints     atomic.Int64 `metric:"spinner_checkpoints_total" help:"Checkpoints atomically installed (full and incremental)."`
 	CheckpointBytes atomic.Int64 `metric:"spinner_checkpoint_bytes_total" help:"Checkpoint payload bytes written."`
-	// IncrCheckpointBytes totals the payload bytes of the incremental
-	// (delta) checkpoints among them — the churn-proportional share of
-	// CheckpointBytes. CheckpointRebases counts full re-encodes forced
-	// while a delta chain was open (chain-length cap or a delta too dense
-	// to pay off).
-	IncrCheckpointBytes atomic.Int64 `metric:"spinner_checkpoint_incr_bytes_total" help:"Payload bytes of the incremental (delta) checkpoints."`
-	CheckpointRebases   atomic.Int64 `metric:"spinner_checkpoint_rebases_total" help:"Full checkpoint re-encodes forced while a delta chain was open."`
 	// ReplayedRecords counts journal records re-applied during crash
 	// recovery (serve.Open) — the recovery replay length.
 	ReplayedRecords atomic.Int64 `metric:"spinner_replayed_records_total" help:"Journal records re-applied during crash recovery."`

@@ -505,11 +505,18 @@ func TestRetentionProtectsConnectedFollower(t *testing.T) {
 	// A connected follower that has consumed nothing yet.
 	id := srv.track(1)
 
+	// Each batch adds one edge 200 times. The weights merge into one arc,
+	// and the journal grows about 2.4 KB a batch, so it outweighs the
+	// checkpoint every few batches and the checkpoint rule fires.
 	churn := func(batches int) {
 		t.Helper()
 		for i := 0; i < batches; i++ {
-			if err := leader.Submit(&graph.Mutation{NewEdges: []graph.WeightedEdgeRecord{
-				{U: graph.VertexID(i % 100), V: graph.VertexID((i*7 + 1) % 100), Weight: 2}}}); err != nil {
+			m := &graph.Mutation{}
+			for r := 0; r < 200; r++ {
+				m.NewEdges = append(m.NewEdges, graph.WeightedEdgeRecord{
+					U: graph.VertexID(i % 100), V: graph.VertexID((i*7 + 1) % 100), Weight: 2})
+			}
+			if err := leader.Submit(m); err != nil {
 				t.Fatal(err)
 			}
 			if err := leader.Quiesce(); err != nil {

@@ -8,9 +8,9 @@ package serve
 // representation, two consumers: the /v1/watch change feed streams the
 // ring to HTTP clients so routers and caches can track label movement
 // without re-pulling snapshots (the paper's "maintain, don't recompute"
-// story applied to the serving edge), and the incremental-checkpoint
-// encoder in durable.go reuses the same label-run encoding to write
-// checkpoint deltas whose size scales with churn instead of |E|.
+// story applied to the serving edge), and the journal records each
+// restabilization merge as the EncodeDelta payload of its label runs (a
+// wal.RecordRelabel), so the record's size scales with churn, not |E|.
 //
 // Sequencing: delta sequence numbers are dense, 1-based, and per-process
 // (they restart when the store restarts — a consumer holding a seq from a
@@ -100,8 +100,7 @@ func (d *Delta) RunVertices() int {
 
 // Delta payload layout (little-endian; framing/CRC belongs to the
 // transport — internal/api's watch frames wrap this payload, and
-// internal/wal's journal frames it as a RecordRelabel body; a delta
-// checkpoint file holds appendMeta + appendRuns instead, see durable.go):
+// internal/wal's journal frames it as a RecordRelabel body):
 //
 //	u16 version | u64 seq | u64 epoch | u64 gen | u32 k | u32 n
 //	i64 cross | i64 total
@@ -128,15 +127,8 @@ func EncodeDelta(d *Delta) []byte {
 	for _, b := range d.Bounds {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(b))
 	}
-	buf = appendRuns(buf, d.Runs)
-	return buf
-}
-
-// appendRuns encodes the shared label-run section (also used by the
-// incremental-checkpoint payload in durable.go).
-func appendRuns(buf []byte, runs []LabelRun) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(runs)))
-	for _, r := range runs {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(d.Runs)))
+	for _, r := range d.Runs {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Start))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Labels)))
 		for _, l := range r.Labels {
@@ -146,7 +138,7 @@ func appendRuns(buf []byte, runs []LabelRun) []byte {
 	return buf
 }
 
-// readRuns decodes the label-run section through a ckptReader.
+// readRuns decodes a delta's label-run section through a ckptReader.
 func readRuns(r *ckptReader) []LabelRun {
 	nRuns := int(r.u32())
 	if r.err != nil {
@@ -220,8 +212,8 @@ func DecodeDelta(payload []byte) (*Delta, error) {
 // labelDiffRuns computes the changed label runs taking old to new: maximal
 // blocks where the labels differ over the common prefix, plus the whole
 // appended tail when new is longer. Exact (no gap coalescing), so the run
-// bytes scale with the churn, which is what makes incremental checkpoints
-// and watch frames compact on low-churn histories.
+// bytes scale with the churn, which is what makes relabel records and
+// watch frames compact on low-churn histories.
 func labelDiffRuns(old, new []int32) []LabelRun {
 	var runs []LabelRun
 	common := min(len(old), len(new))

@@ -26,47 +26,43 @@ package serve
 //     a single shard broadcast — one cut-delta fold and one snapshot
 //     publication per shard for the run. Sound because add-only batches
 //     never relabel: their composed effect is independent of grouping.
-//   - Maintain, background checkpoints (maybeCheckpoint): every
-//     Durability.CheckpointEvery applied entries the coordinator only
-//     *captures* the composed state under the shard barrier — labels, the
-//     coordinator state (coordState: k, shard ranges, trigger state),
-//     integer cut counters, and the graph via Weighted.Clone — and a
-//     background goroutine encodes the capture (the existing CSR binary
-//     form), writes + fsyncs + atomically installs the checkpoint file,
-//     prunes old checkpoints, and truncates covered journal segments.
-//     At most one checkpoint is in flight; the write plane never stops
-//     for the state encode. Close still checkpoints synchronously (after
-//     waiting out an in-flight capture), so graceful shutdown semantics
-//     are unchanged. When the change feed is on (deltas recorded since
-//     the last checkpoint) and the chain gate passes, the interval is
-//     persisted as an INCREMENTAL checkpoint instead: a .dckp link
-//     holding just the label-run deltas since the previous link, chained
-//     by (seq, prevSeq) back to the last full base. The chain is capped
-//     (Durability.MaxDeltaChain) and a link that would not be meaningfully
-//     smaller than a full re-encode forces a rebase: a fresh full
-//     checkpoint, chain pruned, journal truncated — so recovery cost and
-//     disk footprint stay bounded while steady-state checkpoint bytes per
-//     interval shrink by orders of magnitude (see BenchmarkCheckpointDelta).
+//   - Maintain, background checkpoints (maybeCheckpoint): a checkpoint is
+//     due when both hold: at least Durability.CheckpointEvery batches
+//     were applied since the newest checkpoint, and the journal appended
+//     since it holds at least that checkpoint's payload bytes. This is
+//     log compaction by bytes (Raft, Ongaro and Ousterhout, USENIX ATC
+//     2014, §7): a large graph is not re-encoded for a small journal, and
+//     recovery reads at most about twice a checkpoint's bytes. The journal
+//     tail Open replayed counts toward the bytes, so repeated crashes do
+//     not let it grow. When one is due the coordinator only *captures* the
+//     composed state under the shard barrier — labels, the coordinator
+//     state (coordState: k, shard ranges, trigger state), integer cut
+//     counters, and the graph via Weighted.Clone — and a background
+//     goroutine encodes the capture (the CSR binary form), writes +
+//     fsyncs + atomically installs the checkpoint file, prunes old
+//     checkpoints, and truncates covered journal segments. At most one
+//     checkpoint is in flight; the write plane never stops for the state
+//     encode. NewDurable writes an initial checkpoint and Close a final
+//     one synchronously (after waiting out an in-flight capture).
 //   - Relabels: a completed restabilization is journaled as its own
 //     record (wal.RecordRelabel, the label runs it changed) in a group of
 //     one, then applied at that position — so the journal says where
 //     every merge landed, and nothing but the leader computes one.
-//   - Recovery (Open): load the latest valid checkpoint — a full base
-//     plus any .dckp delta links chained above it, applied in order (a
-//     broken link ends the chain early; the journal tail covers the
-//     rest) — rebuild the shards over the decoded state (their counters
-//     recomputed exactly), then replay the journal tail through the
-//     normal shard-broadcast apply path, adopting each relabel record
-//     where it stands and starting no restabilization of its own. A
-//     torn tail is truncated; mid-log corruption fails recovery loudly.
-//     A final exact check (reconcileNow) compares every shard's
-//     incrementally replayed counters with a recount (metrics CutDrift
-//     stays 0); it is the only place a serving store recounts. A crash
-//     while a background checkpoint was in flight leaves, at worst, a
-//     leftover temp file (ignored) and no new checkpoint — recovery
-//     falls back to the previous valid checkpoint and replays a longer
-//     journal tail to the identical state, which is why the journal is
-//     only truncated below the oldest RETAINED checkpoint.
+//   - Recovery (Open): load the newest checkpoint that verifies, rebuild
+//     the shards over it (their counters recomputed exactly and checked
+//     against the stored ones), then replay the journal tail through
+//     ApplyRecord — the entry a follower feeds the leader's stream
+//     through — adopting each relabel record where it stands and starting
+//     no restabilization of its own. A torn tail is truncated; mid-log
+//     corruption fails recovery loudly. A final exact check
+//     (reconcileNow) compares every shard's incrementally replayed
+//     counters with a recount (metrics CutDrift stays 0); it is the only
+//     place a serving store recounts. A crash while a background
+//     checkpoint was in flight leaves, at worst, a leftover temp file
+//     (ignored) and no new checkpoint — recovery falls back to the
+//     previous valid checkpoint and replays a longer journal tail to the
+//     identical state, which is why the journal is only truncated below
+//     the oldest RETAINED checkpoint.
 //
 // Determinism: replay re-applies the journaled entry sequence, relabels
 // included, so a store recovers labels, k, shard ranges and integer cut
@@ -92,9 +88,9 @@ import (
 
 // DurabilityConfig tunes the journal + checkpoint subsystem used by
 // NewDurable, BootstrapDurable and Open. The zero value means: no
-// per-append fsync (wal.SyncNever), 4 MiB segments, a checkpoint every
-// 4096 applied entries, the 2 newest checkpoints retained, and a final
-// checkpoint on Close.
+// per-append fsync (wal.SyncNever), 4 MiB segments, periodic checkpoints
+// at least 4096 applied batches apart, the 2 newest checkpoints retained,
+// and a final checkpoint on Close.
 type DurabilityConfig struct {
 	// Fsync selects when journal appends reach stable storage:
 	// wal.SyncNever (page cache; survives process crashes, not power
@@ -106,9 +102,13 @@ type DurabilityConfig struct {
 	FsyncInterval time.Duration
 	// SegmentBytes rotates journal segments past this size. Default 4 MiB.
 	SegmentBytes int64
-	// CheckpointEvery writes a checkpoint after this many applied entries.
-	// Default 4096; negative disables periodic checkpoints (the journal
-	// then grows until Close's final checkpoint truncates it).
+	// CheckpointEvery is the least number of applied batches between
+	// periodic checkpoints. A checkpoint is due only when, in addition, the
+	// journal appended since the newest checkpoint holds at least that
+	// checkpoint's payload bytes, so recovery reads at most about twice a
+	// checkpoint's bytes. Default 4096; negative disables periodic
+	// checkpoints (the journal then grows until Close's final checkpoint
+	// truncates it).
 	CheckpointEvery int
 	// KeepCheckpoints retains this many newest checkpoints; the journal is
 	// truncated below the oldest retained one, so recovery still works if
@@ -119,15 +119,6 @@ type DurabilityConfig struct {
 	// shutdown, slower next Open. (The crash-recovery tests use it to
 	// exercise replay.)
 	NoFinalCheckpoint bool
-	// MaxDeltaChain caps the chain of incremental (delta) checkpoints
-	// written between full re-encodes: after a full checkpoint, up to
-	// MaxDeltaChain checkpoints encode only the changed label runs plus
-	// the small metadata block against the previous encoding (bytes scale
-	// with churn, not |E|), then the next one rebases in full. A delta
-	// that would not undercut half the last full payload also forces a
-	// rebase. Default 8; negative disables incremental checkpoints
-	// (every checkpoint re-encodes in full, the pre-delta behavior).
-	MaxDeltaChain int
 }
 
 func (d *DurabilityConfig) normalize() {
@@ -137,9 +128,6 @@ func (d *DurabilityConfig) normalize() {
 	if d.KeepCheckpoints < 1 {
 		d.KeepCheckpoints = 2
 	}
-	if d.MaxDeltaChain == 0 {
-		d.MaxDeltaChain = 8
-	}
 }
 
 // durable is the coordinator-owned durability state. Between Open's
@@ -147,27 +135,33 @@ func (d *DurabilityConfig) normalize() {
 // (the background checkpointer works on a captured clone and reports
 // back through Store.ckptDone).
 type durable struct {
-	dir         string
-	cfg         DurabilityConfig
-	jrn         *wal.Journal
-	active      bool             // journaling live (false while Open replays)
-	lastSeq     uint64           // sequence of the last journaled record
-	ckptApplied int64            // applied count at the last installed checkpoint
-	pending     bool             // a background checkpoint is in flight
-	groupBuf    []wal.GroupEntry // group-append staging, reused per turn
+	dir      string
+	cfg      DurabilityConfig
+	jrn      *wal.Journal
+	active   bool             // journaling live (false while Open replays)
+	lastSeq  uint64           // sequence of the last journaled record
+	pending  bool             // a background checkpoint is in flight
+	groupBuf []wal.GroupEntry // group-append staging, reused per turn
 
-	// Incremental-checkpoint chain state, touched only inside
-	// writeCheckpointState: at most one checkpoint is ever in flight
-	// (pending gates the background path; the synchronous paths run with
-	// nothing else active), so the writer owns these exclusively.
-	prevLabels []int32 // labels at the last written encoding; nil until a full lands
-	tipSeq     uint64  // journal seq of the chain tip (last written encoding)
-	chainLen   int     // delta links written since the last full checkpoint
-	fullBytes  int     // payload size of the last full checkpoint
+	// The checkpoint rule's baselines (maybeCheckpoint). A failed
+	// checkpoint moves ckptApplied only, so it is retried one cadence
+	// interval later, not on every turn.
+	ckptApplied int64 // applied count at the last capture, failed ones included
+	ckptBytes   int64 // payload bytes of the newest checkpoint
+	jrnBase     int64 // journalBytes() at the newest checkpoint, less the tail Open replayed
 }
 
 func journalDir(dir string) string { return filepath.Join(dir, "journal") }
 func ckptDir(dir string) string    { return filepath.Join(dir, "checkpoints") }
+
+// journalBytes is the byte count the journal appended in this process:
+// journalBytes() - jrnBase is the journal above the newest checkpoint.
+func (d *durable) journalBytes() int64 {
+	if d.jrn == nil {
+		return 0 // the initial checkpoint, before the journal opens
+	}
+	return d.jrn.AppendedBytes()
+}
 
 func (d *durable) walOptions(ctr *metrics.ServeCounters) wal.Options {
 	return wal.Options{
@@ -230,26 +224,22 @@ func BootstrapDurable(dir string, g *graph.Graph, cfg Config) (*Store, error) {
 	return NewDurable(dir, w, labels, cfg)
 }
 
-// Open recovers a Store from dir: it loads the newest valid base
-// checkpoint plus its chain of delta checkpoints (wal.LatestChain),
-// composes the chain — structurally replaying the journal across
-// (base, tip] to rebuild the graph while each link overlays the labels,
-// k, bounds and counters it covers — rebuilds the shards over the
-// composed state (re-verifying the cut counters bit-for-bit, which
-// checks the whole chain's integrity for free), replays any records past
-// the tip through ApplyRecord (adopting relabel records, restabilizing
-// nothing — see the durability comment above), verifies the counters
-// again with an exact reconcile, and resumes journaling new entries. With
-// no chain on disk this is exactly the pre-delta recovery. Returns
-// wal.ErrNoCheckpoint (wrapped) when dir holds no state.
+// Open recovers a Store from dir: it loads the newest checkpoint that
+// verifies (falling back past a damaged newest one), rebuilds the shards
+// over it (re-verifying the stored cut counters against an exact count),
+// replays the journal past it through ApplyRecord (adopting relabel
+// records, restabilizing nothing — see the durability comment above),
+// verifies the counters again with an exact reconcile, and resumes
+// journaling new entries. Returns wal.ErrNoCheckpoint (wrapped) when dir
+// holds no state.
 //
-// Every checkpoint and chain link must carry the current version, 2; one
-// that does not fails Open with ErrCheckpointVersion before the journal is
-// read, so the directory is left as it was. Batches that were rejected
-// live re-reject identically during replay (both phases); such errors are
-// observable via Err, as they were, and do not fail recovery. Journal or
-// checkpoint corruption does — except a damaged chain link, which just
-// shortens the chain (wal.LatestChain) and lengthens the live replay tail.
+// Every checkpoint must carry the current version, 2, and no delta
+// checkpoint (a .dckp link, which older code chained above a full one)
+// may lie above the checkpoint Open loads; either fails Open with
+// ErrCheckpointVersion before the journal is read, so the directory is
+// left as it was. Batches that were rejected live re-reject identically
+// during replay; such errors are observable via Err, as they were, and do
+// not fail recovery. Journal or checkpoint corruption does.
 func Open(dir string, cfg Config) (*Store, error) { return open(dir, cfg, false) }
 
 // OpenReadOnly is Open for a follower: the store is read-only from the
@@ -258,53 +248,21 @@ func Open(dir string, cfg Config) (*Store, error) { return open(dir, cfg, false)
 func OpenReadOnly(dir string, cfg Config) (*Store, error) { return open(dir, cfg, true) }
 
 func open(dir string, cfg Config, readOnly bool) (*Store, error) {
-	baseSeq, payload, chain, err := wal.LatestChain(ckptDir(dir))
+	seq, payload, err := wal.LatestCheckpoint(ckptDir(dir))
 	if err != nil {
+		return nil, fmt.Errorf("serve: opening %s: %w", dir, err)
+	}
+	// Both refusals come before the journal is read, since Replay
+	// truncates a torn tail.
+	if err := refuseDeltaLinks(ckptDir(dir), seq); err != nil {
 		return nil, fmt.Errorf("serve: opening %s: %w", dir, err)
 	}
 	st, err := decodeCheckpoint(payload)
 	if err != nil {
-		return nil, fmt.Errorf("serve: checkpoint %d in %s: %w", baseSeq, dir, err)
+		return nil, fmt.Errorf("serve: checkpoint %d in %s: %w", seq, dir, err)
 	}
-	if st.seq != baseSeq {
-		return nil, fmt.Errorf("serve: checkpoint file %d declares inner seq %d", baseSeq, st.seq)
-	}
-	// A link Open refuses fails it before the journal is read, since
-	// Replay truncates a torn tail.
-	for _, link := range chain {
-		if _, _, err := decodeDeltaCheckpoint(link.Payload); err != nil {
-			return nil, fmt.Errorf("serve: delta checkpoint %d in %s: %w", link.Seq, dir, err)
-		}
-	}
-	seq := baseSeq
-	if len(chain) > 0 {
-		// Compose base+chain: walk the journal once from the base,
-		// overlaying each link when the replay cursor passes its sequence.
-		// Records past the tip are left to the live replay phase below.
-		idx := 0
-		if _, err := wal.Replay(journalDir(dir), baseSeq, func(rec wal.Record) error {
-			for idx < len(chain) && rec.Seq > chain[idx].Seq {
-				if err := applyCkptDelta(st, chain[idx]); err != nil {
-					return err
-				}
-				idx++
-			}
-			if idx == len(chain) {
-				return nil
-			}
-			return applyStructural(st.w, rec)
-		}); err != nil {
-			return nil, fmt.Errorf("serve: composing checkpoint chain in %s: %w", dir, err)
-		}
-		// Links at or past the final record (the tip usually is).
-		for ; idx < len(chain); idx++ {
-			if err := applyCkptDelta(st, chain[idx]); err != nil {
-				return nil, fmt.Errorf("serve: composing checkpoint chain in %s: %w", dir, err)
-			}
-		}
-		// applyCkptDelta advanced st.seq to the tip; recovery resumes the
-		// journal (and the attach handshake) from there.
-		seq = chain[len(chain)-1].Seq
+	if st.seq != seq {
+		return nil, fmt.Errorf("serve: checkpoint file %d declares inner seq %d", seq, st.seq)
 	}
 	if cfg.Shards == 0 {
 		// Default to the checkpointed layout: recovery restores the shard
@@ -317,8 +275,7 @@ func open(dir string, cfg Config, readOnly bool) (*Store, error) {
 	cfg.Durability.normalize()
 	s, err := newStore(st, cfg)
 	if err == nil {
-		// The stored composed counters must match the exact per-shard
-		// recompute — for a chain, this checks every link's integrity.
+		// The stored counters must match the exact per-shard recompute.
 		if cross, total := s.ownedCounters(); cross != st.cross || total != st.total {
 			err = fmt.Errorf("recomputed cut counters (cut=%d,total=%d) disagree with checkpoint (cut=%d,total=%d)",
 				cross, total, st.cross, st.total)
@@ -331,15 +288,15 @@ func open(dir string, cfg Config, readOnly bool) (*Store, error) {
 	s.readOnly.Store(readOnly)
 	s.start()
 
+	var replayed int64 // journal bytes above the checkpoint
 	next, err := wal.Replay(journalDir(dir), seq, func(rec wal.Record) error {
-		// ApplyRecord is the entry a follower feeds the leader's stream
-		// through. Batch-application errors (deterministic re-rejections of
-		// batches rejected live) stay observable via Err without failing
-		// recovery.
+		// Batch-application errors (deterministic re-rejections of batches
+		// rejected live) stay observable via Err without failing recovery.
 		if err := s.ApplyRecord(rec); err != nil {
 			return err
 		}
 		s.ctr.ReplayedRecords.Add(1)
+		replayed += int64(rec.Bytes)
 		return nil
 	})
 	if err != nil {
@@ -354,11 +311,14 @@ func open(dir string, cfg Config, readOnly bool) (*Store, error) {
 	// The freshly opened journal is handed to the coordinator through the
 	// ordered log, so journaling (and with it restabilization) activates
 	// only after every replayed entry was applied and without racing
-	// coordinator reads.
+	// coordinator reads. The checkpoint rule counts from the loaded
+	// checkpoint, replayed batches and bytes included.
 	if err := s.control(func() error {
 		s.d.jrn = jrn
 		s.d.lastSeq = next - 1
-		s.d.ckptApplied = s.applied.Load()
+		s.d.ckptApplied = st.applied
+		s.d.ckptBytes = int64(len(payload))
+		s.d.jrnBase = -replayed
 		s.d.active = true
 		s.jrnLive.Store(jrn)
 		s.journalSeq.Store(next - 1)
@@ -376,6 +336,27 @@ func open(dir string, cfg Config, readOnly bool) (*Store, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// refuseDeltaLinks fails with ErrCheckpointVersion when dir holds a delta
+// checkpoint above the checkpoint at base. Older code wrote such links,
+// named ckpt-%016x.dckp, with the label runs since the previous encoding;
+// in a dir written before relabels were journaled they are the only copy
+// of those labels, so a replay from base alone would not reproduce them.
+func refuseDeltaLinks(dir string, base uint64) error {
+	names, err := filepath.Glob(filepath.Join(dir, "ckpt-*.dckp"))
+	if err != nil {
+		return err
+	}
+	for _, name := range names {
+		var seq uint64
+		if _, err := fmt.Sscanf(filepath.Base(name), "ckpt-%016x.dckp", &seq); err == nil && seq > base {
+			return fmt.Errorf("delta checkpoint %d lies above checkpoint %d; run spinnerd from commit 3522d97 "+
+				"on the dir once with -max-delta-chain -1 and stop it with SIGTERM, and its final checkpoint "+
+				"prunes the delta checkpoints: %w", seq, base, ErrCheckpointVersion)
+		}
+	}
+	return nil
 }
 
 // control sends run through the ordered log as a control entry and waits
@@ -476,18 +457,21 @@ func (s *Store) journalGroup(entries []logEntry) bool {
 	return true
 }
 
-// maybeCheckpoint starts the periodic background checkpoint: every
-// CheckpointEvery applied entries, capture the composed state under a
-// barrier (clone-only — labels, bounds, counters, and the graph via
-// Weighted.Clone) and hand it to a goroutine that encodes, writes and
+// maybeCheckpoint starts the periodic background checkpoint once it is
+// due: at least CheckpointEvery batches applied since the last capture,
+// and the journal above the newest checkpoint at least that checkpoint's
+// payload bytes. It captures the composed state under a barrier
+// (clone-only — labels, bounds, counters, and the graph via
+// Weighted.Clone) and hands it to a goroutine that encodes, writes and
 // installs it off the hot path. At most one checkpoint is in flight; a
-// failed one re-arms at the next cadence point (see ckptResult), with
+// failed one moves only the batch baseline (see finishCheckpoint), with
 // the journal carrying every entry in the meantime.
 func (s *Store) maybeCheckpoint() {
-	if s.d == nil || !s.d.active || s.d.cfg.CheckpointEvery <= 0 || s.d.pending || s.degraded.Load() {
+	d := s.d
+	if d == nil || !d.active || d.cfg.CheckpointEvery <= 0 || d.pending || s.degraded.Load() {
 		return
 	}
-	if s.applied.Load()-s.d.ckptApplied < int64(s.d.cfg.CheckpointEvery) {
+	if s.applied.Load()-d.ckptApplied < int64(d.cfg.CheckpointEvery) || d.journalBytes()-d.jrnBase < d.ckptBytes {
 		return
 	}
 	var st *ckptState
@@ -496,98 +480,62 @@ func (s *Store) maybeCheckpoint() {
 		st = s.captureState(true)
 	})
 	s.stageHist[stageCkptCapture].Record(time.Since(tCapture))
-	s.d.pending = true
+	d.pending = true
 	s.ctr.CheckpointsPending.Store(1)
+	res := ckptResult{applied: st.applied, journal: d.journalBytes()}
 	go func() {
 		tWrite := time.Now()
-		res := s.writeCheckpointState(st)
+		res.bytes, res.err = s.writeCheckpoint(st)
 		s.stageHist[stageCkptWrite].Record(time.Since(tWrite))
 		s.ckptDone <- res
 	}()
 }
 
-// ckptResult is the background checkpointer's report back to the
-// coordinator loop. applied is set on success AND failure: the cadence
-// counter advances either way, so a persistently failing checkpoint
-// retries at the next cadence point instead of hot-looping (the ckptDone
-// delivery itself wakes the coordinator, so an instant re-arm would
-// barrier + clone + fail continuously with no external traffic).
+// ckptResult is a checkpoint's report to the coordinator: the baselines
+// of the checkpoint rule it moves, and how the write went.
 type ckptResult struct {
-	applied int64 // applied count at capture; ckptApplied advances to it
-	bytes   int
-	incr    bool // installed as a delta checkpoint (chain link)
-	rebase  bool // full encode forced while a chain was open (cap or size)
+	applied int64 // applied count at capture
+	journal int64 // journalBytes() at capture
+	bytes   int   // payload bytes written
 	err     error
 }
 
-// writeCheckpointState encodes a captured state, atomically installs the
+// writeCheckpoint encodes a captured state, atomically installs the
 // checkpoint file, prunes old checkpoints and truncates covered journal
-// segments. It touches only the capture, the durable chain state (which
-// it owns — at most one checkpoint is in flight), the checkpoint
-// directory and the (concurrency-safe) journal truncation API, so it is
-// safe to run off the coordinator; the tmp+fsync+rename install keeps a
-// crash mid-write invisible to recovery.
-//
-// Incremental mode: while a chain is open and under MaxDeltaChain, the
-// state is encoded as changed label runs against the previous encoding
-// plus the metadata block — no graph re-encode, so the bytes scale with
-// label churn. The chain cap, a delta that fails to undercut half the
-// last full payload, or any state with no prior encoding (first
-// checkpoint, post-recovery) forces a full rebase, after which the
-// superseded delta files are pruned. The journal is always truncated
-// below the oldest retained FULL checkpoint only: chain recovery replays
-// the journal across (base, tip] to rebuild the graph, so those records
-// must survive until a rebase supersedes the chain.
-func (s *Store) writeCheckpointState(st *ckptState) ckptResult {
+// segments, returning the payload size. It touches only the capture, the
+// checkpoint directory and the (concurrency-safe) journal truncation API,
+// so it is safe to run off the coordinator; the tmp+fsync+rename install
+// keeps a crash mid-write invisible to recovery.
+func (s *Store) writeCheckpoint(st *ckptState) (int, error) {
 	d := s.d
-	chainOpen := d.cfg.MaxDeltaChain > 0 && d.prevLabels != nil && st.seq > d.tipSeq
-	if chainOpen && d.chainLen < d.cfg.MaxDeltaChain {
-		runs := labelDiffRuns(d.prevLabels, st.labels)
-		payload := encodeDeltaCheckpoint(st, runs)
-		if 2*len(payload) < d.fullBytes {
-			if err := wal.WriteDeltaCheckpoint(ckptDir(d.dir), st.seq, d.tipSeq, payload); err != nil {
-				return ckptResult{applied: st.applied, err: err}
-			}
-			d.prevLabels = append(d.prevLabels[:0], st.labels...)
-			d.tipSeq = st.seq
-			d.chainLen++
-			return ckptResult{applied: st.applied, bytes: len(payload), incr: true}
-		}
-		// Too dense to pay off: fall through to a full rebase.
-	}
 	payload := encodeCheckpoint(st)
 	if err := wal.WriteCheckpoint(ckptDir(d.dir), st.seq, payload); err != nil {
-		return ckptResult{applied: st.applied, err: err}
+		return 0, err
 	}
 	oldest, err := wal.PruneCheckpoints(ckptDir(d.dir), d.cfg.KeepCheckpoints)
 	if err != nil {
-		return ckptResult{applied: st.applied, err: err}
-	}
-	// The new full supersedes every chain link at or below it.
-	if err := wal.PruneDeltaCheckpointsBelow(ckptDir(d.dir), st.seq); err != nil {
-		return ckptResult{applied: st.applied, err: err}
+		return 0, err
 	}
 	if d.jrn != nil {
 		if _, err := d.jrn.TruncateBelow(oldest); err != nil {
-			return ckptResult{applied: st.applied, err: err}
+			return 0, err
 		}
 	}
-	res := ckptResult{applied: st.applied, bytes: len(payload), rebase: chainOpen}
-	d.prevLabels = append(d.prevLabels[:0], st.labels...)
-	d.tipSeq = st.seq
-	d.chainLen = 0
-	d.fullBytes = len(payload)
-	return res
+	return len(payload), nil
 }
 
 // finishCheckpoint lands the background checkpointer's report on the
 // coordinator: bookkeeping on success, a recorded (non-fatal) error on
 // failure — the store keeps serving and journaling either way, and a
-// failed checkpoint just means recovery replays a longer tail.
+// failed checkpoint just means recovery replays a longer tail. The batch
+// baseline advances either way, so a persistently failing checkpoint
+// retries one cadence interval later instead of hot-looping (the ckptDone
+// delivery itself wakes the coordinator, so an instant re-arm would
+// barrier + clone + fail continuously with no external traffic).
 func (s *Store) finishCheckpoint(res ckptResult) {
 	s.d.pending = false
 	s.ctr.CheckpointsPending.Store(0)
-	s.d.ckptApplied = res.applied // success or not: re-arm at the next cadence point
+	s.d.ckptApplied = res.applied
 	if res.err != nil {
 		err := fmt.Errorf("serve: checkpoint: %w", res.err)
 		s.lastErr.Store(&err)
@@ -596,17 +544,12 @@ func (s *Store) finishCheckpoint(res ckptResult) {
 	s.noteCheckpoint(res)
 }
 
-// noteCheckpoint folds one successful checkpoint install into the
-// counters, splitting the incremental and rebase axes out of the totals.
+// noteCheckpoint makes an installed checkpoint the rule's newest one and
+// counts it.
 func (s *Store) noteCheckpoint(res ckptResult) {
+	s.d.ckptApplied, s.d.ckptBytes, s.d.jrnBase = res.applied, int64(res.bytes), res.journal
 	s.ctr.Checkpoints.Add(1)
 	s.ctr.CheckpointBytes.Add(int64(res.bytes))
-	if res.incr {
-		s.ctr.IncrCheckpointBytes.Add(int64(res.bytes))
-	}
-	if res.rebase {
-		s.ctr.CheckpointRebases.Add(1)
-	}
 }
 
 // checkpointNow captures, encodes and installs a checkpoint
@@ -614,12 +557,12 @@ func (s *Store) noteCheckpoint(res ckptResult) {
 // after drainAndExit stopped the shards. The live graph is encoded
 // directly — no clone — since nothing else is running.
 func (s *Store) checkpointNow() error {
-	res := s.writeCheckpointState(s.captureState(false))
-	if res.err != nil {
-		return res.err
+	st := s.captureState(false)
+	n, err := s.writeCheckpoint(st)
+	if err != nil {
+		return err
 	}
-	s.noteCheckpoint(res)
-	s.d.ckptApplied = res.applied
+	s.noteCheckpoint(ckptResult{applied: st.applied, journal: s.d.journalBytes(), bytes: n})
 	return nil
 }
 
@@ -651,24 +594,16 @@ func (s *Store) finishDurable() {
 	}
 }
 
-// Checkpoint payload layouts (all little-endian; the file headers, CRCs
-// and covering sequences live in internal/wal). Both formats are the same
-// metadata block wrapped around a label section — the one thing that
-// differs — and only the full format carries the graph:
+// The checkpoint payload layout (all little-endian; the file header, CRC
+// and covering sequence live in internal/wal):
 //
 //	u16 version | u64 seq | u64 applied | i64 appliedAtRestab
 //	i64 lastReconcile | u64 gen | u64 epoch | f64 baseline | u8 flags
 //	u32 k | u32 shards | (shards+1) × u64 bounds
-//	u32 n | labels: n × u32 (full)  or  label runs, appendRuns layout (delta)
-//	i64 cross | i64 total   (composed counters, verified on recovery)
+//	u32 n | n × u32 labels
+//	i64 cross | i64 total   (cut counters, verified on recovery)
 //	u32 affected | affected × u32 vertex
-//	graph (graph.Weighted).EncodeBinary   (full only)
-//
-// A delta link holds the changed label runs against the previous encoding
-// and NO graph — recovery rebuilds the graph by structurally replaying the
-// journal across the chain (see Open), which is what makes its bytes scale
-// with churn instead of |E|; the metadata block is re-encoded whole (it is
-// tens of bytes).
+//	graph (graph.Weighted).EncodeBinary
 //
 // Version 2 says the graph, and the journal above it, follow the rule of
 // a simple graph: one arc per neighbour, a re-added edge adding its weight.
@@ -676,35 +611,28 @@ func (s *Store) finishDurable() {
 // parallel arcs; it is not read (see ErrCheckpointVersion).
 const (
 	ckptVersion = 2
-	dckpVersion = 2
 
 	flagWantRestab = 1 << 0
 )
 
-// ErrCheckpointVersion is wrapped by Open's error when a checkpoint or
-// chain link in the data dir does not carry the current version.
-var ErrCheckpointVersion = errors.New("serve: unsupported checkpoint version; " +
-	"a version-1 data dir is rewritten as version 2 by opening it once with commit bdaf9be")
+// ErrCheckpointVersion is wrapped by Open's error when the data dir holds
+// a checkpoint this code does not read: one that does not carry the
+// current version, or a delta checkpoint above the newest full one. The
+// message around it says which commit rewrites the dir.
+var ErrCheckpointVersion = errors.New("serve: unsupported checkpoint format")
 
-// ckptMeta is the metadata block both checkpoint formats carry: the
-// checkpointed coordinator state at sequence seq, plus what a checkpoint
-// derives from the rest of the store.
-type ckptMeta struct {
+// ckptState is both the capture a checkpoint writes and the state a
+// recovery reads: the checkpointed coordinator state at sequence seq,
+// what the checkpoint derives from the rest of the store, the labels and
+// the graph.
+type ckptState struct {
 	coordState
 	seq          uint64
 	applied      int64
-	n            int // vertex (and label) count
 	cross, total int64
 	affected     []graph.VertexID
-}
-
-// ckptState is both the capture a checkpoint writes and the composed
-// state a recovery reads: the metadata block, the full label array and
-// the graph.
-type ckptState struct {
-	ckptMeta
-	labels []int32
-	w      *graph.Weighted
+	labels       []int32
+	w            *graph.Weighted
 }
 
 // captureState snapshots the coordinator-owned state into a ckptState —
@@ -721,17 +649,14 @@ type ckptState struct {
 func (s *Store) captureState(clone bool) *ckptState {
 	cross, total := s.ownedCounters()
 	st := &ckptState{
-		ckptMeta: ckptMeta{
-			coordState: s.coordState,
-			seq:        s.d.lastSeq,
-			applied:    s.applied.Load(),
-			n:          len(s.labels),
-			cross:      cross,
-			total:      total,
-			affected:   make([]graph.VertexID, 0, len(s.affected)),
-		},
-		labels: s.labels,
-		w:      s.w,
+		coordState: s.coordState,
+		seq:        s.d.lastSeq,
+		applied:    s.applied.Load(),
+		cross:      cross,
+		total:      total,
+		affected:   make([]graph.VertexID, 0, len(s.affected)),
+		labels:     s.labels,
+		w:          s.w,
 	}
 	st.wantRestab = s.wantRestab || s.inflight
 	for v := range s.affected {
@@ -746,120 +671,99 @@ func (s *Store) captureState(clone bool) *ckptState {
 	return st
 }
 
-// appendMeta encodes the metadata block around the label section the
-// caller supplies — the one codec behind both checkpoint formats.
-func appendMeta(buf []byte, version uint16, m *ckptMeta, labelSection func([]byte) []byte) []byte {
-	buf = binary.LittleEndian.AppendUint16(buf, version)
-	buf = binary.LittleEndian.AppendUint64(buf, m.seq)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.applied))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.appliedAtRestab))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.lastReconcile))
-	buf = binary.LittleEndian.AppendUint64(buf, m.gen)
-	buf = binary.LittleEndian.AppendUint64(buf, m.epoch)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.baseline))
+// encodeCheckpoint serializes a captured state into the checkpoint
+// payload.
+func encodeCheckpoint(st *ckptState) []byte {
+	buf := make([]byte, 0, 96+8*len(st.bounds)+4*len(st.labels)+4*len(st.affected))
+	buf = binary.LittleEndian.AppendUint16(buf, ckptVersion)
+	buf = binary.LittleEndian.AppendUint64(buf, st.seq)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.applied))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.appliedAtRestab))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.lastReconcile))
+	buf = binary.LittleEndian.AppendUint64(buf, st.gen)
+	buf = binary.LittleEndian.AppendUint64(buf, st.epoch)
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.baseline))
 	var flags byte
-	if m.wantRestab {
+	if st.wantRestab {
 		flags |= flagWantRestab
 	}
 	buf = append(buf, flags)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.k))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.bounds)-1))
-	for _, b := range m.bounds {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(st.k))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.bounds)-1))
+	for _, b := range st.bounds {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(b))
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.n))
-	buf = labelSection(buf)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.cross))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.total))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.affected)))
-	for _, v := range m.affected {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.labels)))
+	for _, l := range st.labels {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(l))
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.cross))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.total))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.affected)))
+	for _, v := range st.affected {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 	}
-	return buf
+	b := bytes.NewBuffer(buf)
+	b.Grow(int(16*st.w.NumEdges()) + 4*st.w.NumVertices() + 32)
+	_ = st.w.EncodeBinary(b) // bytes.Buffer writes cannot fail
+	return b.Bytes()
 }
 
-// readMeta decodes the metadata block, calling labelSection (with the
-// declared label count) where the format's label section sits. what names
-// the format in errors; failures land in r.err, wrapping
-// ErrCheckpointVersion when the block does not carry version.
-func readMeta(r *ckptReader, what string, version uint16, labelSection func(n int)) (m ckptMeta) {
-	if v := r.u16(); r.err == nil && v != version {
-		r.fail("%s version %d, want %d: %w", what, v, version, ErrCheckpointVersion)
-	}
-	m.seq = r.u64()
-	m.applied = int64(r.u64())
-	m.appliedAtRestab = int64(r.u64())
-	m.lastReconcile = int64(r.u64())
-	m.gen = r.u64()
-	m.epoch = r.u64()
-	m.baseline = math.Float64frombits(r.u64())
-	if flags := r.take(1); r.err == nil {
-		if flags[0]&^flagWantRestab != 0 {
-			r.fail("%s has unknown flags %#x", what, flags[0])
-		}
-		m.wantRestab = flags[0]&flagWantRestab != 0
-	}
-	m.k = int(int32(r.u32()))
-	nShards := int(r.u32())
-	if nShards < 1 || nShards > 1<<20 {
-		r.fail("%s declares %d shards", what, nShards)
-	}
-	if raw := r.take(8 * (nShards + 1)); r.err == nil {
-		m.bounds = make([]int, nShards+1)
-		for i := range m.bounds {
-			m.bounds[i] = int(binary.LittleEndian.Uint64(raw[8*i:]))
-		}
-	}
-	m.n = int(r.u32())
-	if m.n < 0 || m.n > graph.MaxVertices {
-		r.fail("%s declares %d labels", what, m.n)
-	}
-	if r.err == nil {
-		labelSection(m.n)
-	}
-	m.cross = int64(r.u64())
-	m.total = int64(r.u64())
-	nAffected := int(r.u32())
-	if nAffected < 0 || nAffected > m.n {
-		r.fail("%s declares %d affected vertices for %d labels", what, nAffected, m.n)
-	}
-	if raw := r.take(4 * nAffected); r.err == nil && nAffected > 0 {
-		m.affected = make([]graph.VertexID, nAffected)
-		for i := range m.affected {
-			m.affected[i] = graph.VertexID(binary.LittleEndian.Uint32(raw[4*i:]))
-		}
-	}
-	return m
-}
-
-// encodeCheckpoint serializes a captured state into the full checkpoint
-// payload.
-func encodeCheckpoint(st *ckptState) []byte {
-	buf := make([]byte, 0, 64+4*len(st.labels)+16*len(st.bounds))
-	buf = appendMeta(buf, ckptVersion, &st.ckptMeta, func(b []byte) []byte {
-		for _, l := range st.labels {
-			b = binary.LittleEndian.AppendUint32(b, uint32(l))
-		}
-		return b
-	})
-	var gb bytes.Buffer
-	gb.Grow(int(16*st.w.NumEdges()) + 4*st.w.NumVertices() + 32)
-	// bytes.Buffer writes cannot fail.
-	_ = st.w.EncodeBinary(&gb)
-	return append(buf, gb.Bytes()...)
-}
-
+// decodeCheckpoint parses a checkpoint payload. A payload that does not
+// carry ckptVersion fails with ErrCheckpointVersion.
 func decodeCheckpoint(payload []byte) (*ckptState, error) {
 	r := &ckptReader{b: payload}
 	st := &ckptState{}
-	st.ckptMeta = readMeta(r, "checkpoint", ckptVersion, func(n int) {
-		if raw := r.take(4 * n); r.err == nil {
-			st.labels = make([]int32, n)
-			for i := range st.labels {
-				st.labels[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
-			}
+	if v := r.u16(); r.err == nil && v != ckptVersion {
+		r.fail("checkpoint version %d, want %d; a version-1 data dir is rewritten "+
+			"as version 2 by opening it once with commit bdaf9be: %w", v, ckptVersion, ErrCheckpointVersion)
+	}
+	st.seq = r.u64()
+	st.applied = int64(r.u64())
+	st.appliedAtRestab = int64(r.u64())
+	st.lastReconcile = int64(r.u64())
+	st.gen = r.u64()
+	st.epoch = r.u64()
+	st.baseline = math.Float64frombits(r.u64())
+	if flags := r.take(1); r.err == nil {
+		if flags[0]&^flagWantRestab != 0 {
+			r.fail("checkpoint has unknown flags %#x", flags[0])
 		}
-	})
+		st.wantRestab = flags[0]&flagWantRestab != 0
+	}
+	st.k = int(int32(r.u32()))
+	nShards := int(r.u32())
+	if nShards < 1 || nShards > 1<<20 {
+		r.fail("checkpoint declares %d shards", nShards)
+	}
+	if raw := r.take(8 * (nShards + 1)); r.err == nil {
+		st.bounds = make([]int, nShards+1)
+		for i := range st.bounds {
+			st.bounds[i] = int(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+	}
+	n := int(r.u32())
+	if n < 0 || n > graph.MaxVertices {
+		r.fail("checkpoint declares %d labels", n)
+	}
+	if raw := r.take(4 * n); r.err == nil {
+		st.labels = make([]int32, n)
+		for i := range st.labels {
+			st.labels[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+	}
+	st.cross = int64(r.u64())
+	st.total = int64(r.u64())
+	nAffected := int(r.u32())
+	if nAffected < 0 || nAffected > n {
+		r.fail("checkpoint declares %d affected vertices for %d labels", nAffected, n)
+	}
+	if raw := r.take(4 * nAffected); r.err == nil && nAffected > 0 {
+		st.affected = make([]graph.VertexID, nAffected)
+		for i := range st.affected {
+			st.affected[i] = graph.VertexID(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+	}
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -869,30 +773,6 @@ func decodeCheckpoint(payload []byte) (*ckptState, error) {
 	}
 	st.w = w
 	return st, nil
-}
-
-// encodeDeltaCheckpoint serializes a captured state as a chain link:
-// runs are the label changes since the previous encoding.
-func encodeDeltaCheckpoint(st *ckptState, runs []LabelRun) []byte {
-	size := 64 + 8*len(st.bounds) + 4*len(st.affected)
-	for _, r := range runs {
-		size += 8 + 4*len(r.Labels)
-	}
-	return appendMeta(make([]byte, 0, size), dckpVersion, &st.ckptMeta, func(b []byte) []byte {
-		return appendRuns(b, runs)
-	})
-}
-
-// decodeDeltaCheckpoint parses a chain link: the metadata block at its
-// sequence plus the label runs taking the previous encoding's labels to
-// its own.
-func decodeDeltaCheckpoint(payload []byte) (m ckptMeta, runs []LabelRun, err error) {
-	r := &ckptReader{b: payload}
-	m = readMeta(r, "delta checkpoint", dckpVersion, func(int) { runs = readRuns(r) })
-	if r.err == nil && len(r.b) != 0 {
-		r.fail("delta checkpoint has %d trailing bytes", len(r.b))
-	}
-	return m, runs, r.err
 }
 
 type ckptReader struct {
@@ -939,66 +819,4 @@ func (r *ckptReader) u64() uint64 {
 		return binary.LittleEndian.Uint64(b)
 	}
 	return 0
-}
-
-// applyCkptDelta overlays one chain link onto the composing state: apply
-// its label runs, adopt its metadata block. The caller has structurally
-// replayed the journal up to the link's sequence, so the graph's vertex
-// count must already match the link's — a mismatch means the chain and
-// journal disagree, which is corruption, not a recoverable tear.
-func applyCkptDelta(st *ckptState, link wal.DeltaLink) error {
-	m, runs, err := decodeDeltaCheckpoint(link.Payload)
-	if err != nil {
-		return fmt.Errorf("delta checkpoint %d: %w", link.Seq, err)
-	}
-	if m.seq != link.Seq {
-		return fmt.Errorf("delta checkpoint file %d declares inner seq %d", link.Seq, m.seq)
-	}
-	if m.n != st.w.NumVertices() {
-		return fmt.Errorf("delta checkpoint %d covers %d vertices, journal replay produced %d",
-			link.Seq, m.n, st.w.NumVertices())
-	}
-	if m.n < len(st.labels) {
-		return fmt.Errorf("delta checkpoint %d shrinks %d labels to %d", link.Seq, len(st.labels), m.n)
-	}
-	d := Delta{Seq: link.Seq, N: m.n, Runs: runs}
-	if st.labels, err = d.Apply(st.labels); err != nil {
-		return err
-	}
-	st.ckptMeta = m
-	return nil
-}
-
-// applyStructural replays one journal record's effect on the graph
-// TOPOLOGY only: labels, k, bounds and counters come from the chain-link
-// overlays, so resizes and relabels are no-ops here (a link's labels
-// already include them) and label seeding is skipped.
-// Fast-path-eligible batches (fastPathEligible is graph-independent
-// beyond the vertex count, so eligibility replays identically) add the
-// same normalized edges the shard scan inserts (normArc), merging alike;
-// live, each row receives its arcs in submission order (single owner
-// shard, FIFO), so the rebuilt adjacency is byte-identical. Barrier-path
-// batches go through Mutation.Apply, the same validate-then-apply the live
-// barrier ran — a batch rejected live re-rejects identically, leaving the
-// graph untouched.
-func applyStructural(w *graph.Weighted, rec wal.Record) error {
-	switch rec.Type {
-	case wal.RecordResize, wal.RecordRelabel:
-		return nil
-	case wal.RecordMutation:
-		m := rec.Mut
-		if !fastPathEligible(m, w.NumVertices()) {
-			// Rejected batches rejected live too, with the graph untouched;
-			// the error stays observable via Err after the live replay phase
-			// re-runs any post-tip records.
-			_, _ = m.Apply(w)
-			return nil
-		}
-		for _, e := range m.NewEdges {
-			w.AddEdge(normArc(e))
-		}
-		return nil
-	default:
-		return fmt.Errorf("replaying unknown record type %d", rec.Type)
-	}
 }

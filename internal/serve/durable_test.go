@@ -34,9 +34,12 @@ func durableCfg(shards, checkpointEvery int) Config {
 	}
 }
 
-// scriptedEntry drives the same entry sequence as
-// TestShardCountDoesNotChangeLabels: growth at step 2, steady edge
-// additions otherwise, one elastic resize at the end.
+// scriptedMutation follows the entry sequence of
+// TestShardCountDoesNotChangeLabels, growth at step 2 and steady edge
+// additions otherwise, with each of a step's 20 edges added 8 times:
+// the weights merge into 20 arcs, and the journal grows about 1.9 KB per
+// batch, so it outweighs the checkpoint within a few batches and the
+// checkpoint rule fires.
 func scriptedMutation(step int) *graph.Mutation {
 	mut := &graph.Mutation{}
 	if step == 2 {
@@ -46,9 +49,11 @@ func scriptedMutation(step int) *graph.Mutation {
 				U: graph.VertexID(100 + i), V: graph.VertexID(i), Weight: 2})
 		}
 	}
-	for i := 0; i < 20; i++ {
-		mut.NewEdges = append(mut.NewEdges, graph.WeightedEdgeRecord{
-			U: graph.VertexID((i + 13*step) % 50), V: graph.VertexID(50 + (i*3+step)%50), Weight: 2})
+	for r := 0; r < 8; r++ {
+		for i := 0; i < 20; i++ {
+			mut.NewEdges = append(mut.NewEdges, graph.WeightedEdgeRecord{
+				U: graph.VertexID((i + 13*step) % 50), V: graph.VertexID(50 + (i*3+step)%50), Weight: 2})
+		}
 	}
 	return mut
 }
@@ -299,11 +304,7 @@ func TestDurableRecoveryCrashDuringCheckpoint(t *testing.T) {
 
 			dir := t.TempDir()
 			w2, labels2 := twoClusters(50)
-			// This test is about the FULL-checkpoint fallback: disable the
-			// incremental chain so every periodic checkpoint is a full file
-			// recovery can fall back between.
 			cfg := durableCfg(shards, 3)
-			cfg.Durability.MaxDeltaChain = -1
 			st, err := NewDurable(dir, w2, append([]int32(nil), labels2...), cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -5,7 +5,7 @@ package serve
 // moved to internal/frame, the checkpoint metadata block got one codec,
 // and recovery/follower replay got one entry point; the checkpoint
 // version became 2 when graph.Weighted became simple. They pin the
-// /v1/watch wire bytes, both checkpoint payload layouts, and — through
+// /v1/watch wire bytes, the checkpoint payload layout, and — through
 // the checked-in data dir — the on-disk files a whole quiesced history
 // leaves behind and the state recovery reads back from them. A diff here
 // means a format changed, which is a compatibility break, not a refactor.
@@ -20,7 +20,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/wal"
 )
 
 func requireHex(t *testing.T, name string, got []byte, want string) {
@@ -70,9 +69,8 @@ func TestGoldenWatchFrames(t *testing.T) {
 }
 
 // goldenCkptState is a fixed 6-vertex state with every metadata field
-// set to a distinct value, plus the label runs a chain link against the
-// all-zero labeling would carry.
-func goldenCkptState() (*ckptState, []LabelRun) {
+// set to a distinct value.
+func goldenCkptState() *ckptState {
 	w := graph.NewWeighted(6)
 	w.AddEdge(0, 1, 2)
 	w.AddEdge(1, 2, 3)
@@ -80,20 +78,17 @@ func goldenCkptState() (*ckptState, []LabelRun) {
 	w.AddEdge(3, 4, 2)
 	w.AddEdge(4, 5, 5)
 	w.AddEdge(0, 5, 2)
-	st := &ckptState{
-		ckptMeta: ckptMeta{
-			coordState: coordState{
-				appliedAtRestab: 6, lastReconcile: 4,
-				gen: 2, epoch: 3, baseline: 0.125, wantRestab: true,
-				k: 3, bounds: []int{0, 2, 6},
-			},
-			seq: 11, applied: 9, n: 6, cross: 5, total: 15,
-			affected: []graph.VertexID{1, 4},
+	return &ckptState{
+		coordState: coordState{
+			appliedAtRestab: 6, lastReconcile: 4,
+			gen: 2, epoch: 3, baseline: 0.125, wantRestab: true,
+			k: 3, bounds: []int{0, 2, 6},
 		},
-		labels: []int32{0, 0, 1, 1, 2, 2},
-		w:      w,
+		seq: 11, applied: 9, cross: 5, total: 15,
+		affected: []graph.VertexID{1, 4},
+		labels:   []int32{0, 0, 1, 1, 2, 2},
+		w:        w,
 	}
-	return st, []LabelRun{{Start: 2, Labels: []int32{1, 1, 2, 2}}}
 }
 
 // The version is 2 since graph.Weighted became simple; the layout is
@@ -107,7 +102,7 @@ const goldenMetaTail = "0500000000000000" + "0f00000000000000" +
 	"02000000" + "01000000" + "04000000"
 
 func TestGoldenCheckpointPayloads(t *testing.T) {
-	st, runs := goldenCkptState()
+	st := goldenCkptState()
 	full := encodeCheckpoint(st)
 	requireHex(t, "full checkpoint", full, goldenMetaHead+
 		"00000000"+"00000000"+"01000000"+"01000000"+"02000000"+"02000000"+
@@ -121,10 +116,6 @@ func TestGoldenCheckpointPayloads(t *testing.T) {
 		"02000000"+"0200000001000000"+"0400000002000000"+
 		"02000000"+"0300000002000000"+"0500000005000000"+
 		"02000000"+"0400000005000000"+"0000000002000000")
-	link := encodeDeltaCheckpoint(st, runs)
-	requireHex(t, "delta checkpoint", link, goldenMetaHead+
-		"01000000"+"02000000"+"04000000"+"01000000"+"01000000"+"02000000"+"02000000"+
-		goldenMetaTail)
 
 	dec, err := decodeCheckpoint(full)
 	if err != nil {
@@ -133,25 +124,16 @@ func TestGoldenCheckpointPayloads(t *testing.T) {
 	if !bytes.Equal(encodeCheckpoint(dec), full) {
 		t.Fatal("full checkpoint does not re-encode to the same bytes")
 	}
-	// A chain link overlays onto the previous encoding: same graph, the
-	// all-zero labels the runs were diffed against.
-	prev := &ckptState{labels: make([]int32, 6), w: st.w}
-	if err := applyCkptDelta(prev, wal.DeltaLink{Seq: 11, Payload: link}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encodeCheckpoint(prev), full) {
-		t.Fatal("base + chain link does not compose to the full checkpoint's bytes")
-	}
 }
 
-// FuzzCheckpointPayload: neither checkpoint decoder panics on arbitrary
-// bytes, and each codec is canonical — whatever a decoder accepts
-// re-encodes to the same bytes.
+// FuzzCheckpointPayload: the checkpoint decoder does not panic on
+// arbitrary bytes, and the codec is canonical — whatever the decoder
+// accepts re-encodes to the same bytes.
 func FuzzCheckpointPayload(f *testing.F) {
-	st, runs := goldenCkptState()
+	st := goldenCkptState()
 	full := encodeCheckpoint(st)
 	f.Add(full)
-	f.Add(encodeDeltaCheckpoint(st, runs))
+	f.Add(full[:len(full)-1]) // the graph's last arc cut short
 	v1 := bytes.Clone(full)
 	v1[0] = 1 // version 0100
 	f.Add(v1)
@@ -179,35 +161,29 @@ func FuzzCheckpointPayload(f *testing.F) {
 				t.Fatalf("checkpoint re-encodes to\n%x\nnot\n%x", enc, b)
 			}
 		}
-		if m, runs, err := decodeDeltaCheckpoint(b); err == nil {
-			if enc := encodeDeltaCheckpoint(&ckptState{ckptMeta: m}, runs); !bytes.Equal(enc, b) {
-				t.Fatalf("delta checkpoint re-encodes to\n%x\nnot\n%x", enc, b)
-			}
-		}
 	})
 }
 
-// parentDir is the data dir playParentHistory leaves with
-// NoFinalCheckpoint — a full base checkpoint, two .dckp chain links and a
-// journal tail past the tip — as the first commit after 5fbc4f6 wrote it,
-// when graph.Weighted became simple and checkpoints version 2. Step 0
-// re-adds twoClusters' bridge {0,20}, and the batch after the first resize
-// removes the merged edge, weight 4. expect.json is the state Open at
-// commit f995940 recovered from it, but for JournalSeq: its journal holds
-// no relabel records, so the recovered leader now restabilizes after the
-// replayed resize(2) itself and journals that relabel as seq 14 (13
-// before). Its bytes are no longer what the history writes.
-const parentDir = "testdata/child-5fbc4f6"
+// chainDir is the data dir playParentHistory left with NoFinalCheckpoint
+// at the first commit after 5fbc4f6, when graph.Weighted became simple
+// and checkpoints version 2: a full base checkpoint, two .dckp delta
+// checkpoints chained above it, and a journal of 13 records without
+// relabel records. Open refuses it (TestOpenRefusesDeltaCheckpoints):
+// its links are the only copy of its restabilizations' labels.
+const chainDir = "testdata/child-5fbc4f6"
 
-// relabelDir is the data dir the same history leaves since relabels are
-// journaled (the first commit after a587a1e): 22 records — 11 mutations,
-// 2 resizes and 9 relabels — a full base and two .dckp links.
-// expect.json is the state Open recovered from it then.
-const relabelDir = "testdata/child-a587a1e"
+// parentDir is the data dir the same history leaves with
+// NoFinalCheckpoint since a periodic checkpoint also waits for the
+// journal to outweigh the newest one (the first commit after 3522d97):
+// 22 records — 11 mutations, 2 resizes and 9 relabels — the initial
+// checkpoint, and one periodic checkpoint at seq 21, where the journal
+// first outweighs the initial one. expect.json is the state Open
+// recovers from it; its "Why" says why Replayed is 1 where the dir with
+// delta checkpoints that a587a1e's child wrote replayed 6.
+const parentDir = "testdata/child-3522d97"
 
 func parentCfg() Config {
 	cfg := durableCfg(2, 4)
-	cfg.Durability.MaxDeltaChain = 4
 	cfg.Durability.SegmentBytes = 0 // default: one segment per process start
 	return cfg
 }
@@ -215,8 +191,7 @@ func parentCfg() Config {
 // playParentHistory is the quiesced history behind parentDir: add-only
 // batches (including a non-positive weight and a u>v edge, the fast
 // path's two normalizations), vertex growth, a removal, an absent-edge
-// removal that rejects, and two elastic resizes — one below and one
-// above the chain tip.
+// removal that rejects, and two elastic resizes.
 func playParentHistory(t *testing.T, st *Store) {
 	t.Helper()
 	edges := func(step, n int) []graph.WeightedEdgeRecord {
@@ -255,7 +230,6 @@ func playParentHistory(t *testing.T, st *Store) {
 	submit(&graph.Mutation{NewEdges: []graph.WeightedEdgeRecord{
 		{U: 35, V: 2, Weight: 0}, {U: 41, V: 5, Weight: -4}, {U: 3, V: 30, Weight: 2}}})
 	submit(&graph.Mutation{NewEdges: edges(6, 8)})
-	// Past the chain tip: the journal tail recovery replays live.
 	submit(&graph.Mutation{RemovedEdges: []graph.Edge{{From: 1, To: 42}}}) // absent: rejected
 	submit(&graph.Mutation{NewEdges: edges(7, 6)})
 	resize(2)
@@ -294,9 +268,10 @@ func dirFiles(t *testing.T, root string) map[string][]byte {
 
 func TestParentDataDir(t *testing.T) {
 	// Today's code, playing the same history, must leave the same bytes
-	// on disk as when the labels or the journal's records last changed.
+	// on disk as when the labels, the journal's records or the checkpoint
+	// rule last changed.
 	t.Run("writes-identical-files", func(t *testing.T) {
-		wantFiles := dirFiles(t, relabelDir)
+		wantFiles := dirFiles(t, parentDir)
 		dir := t.TempDir()
 		w, labels := twoClusters(20)
 		st, err := NewDurable(dir, w, labels, parentCfg())
@@ -318,40 +293,37 @@ func TestParentDataDir(t *testing.T) {
 		}
 	})
 
-	// And both dirs, with and without relabel records, must recover to the
-	// state recorded beside them.
+	// And the dir must recover to the state recorded beside it.
 	t.Run("recovers-parent-state", func(t *testing.T) {
-		for _, dir := range []string{parentDir, relabelDir} {
-			t.Run(filepath.Base(dir), func(t *testing.T) {
-				raw, err := os.ReadFile(filepath.Join(dir, "expect.json"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				var want parentExpect
-				if err := json.Unmarshal(raw, &want); err != nil {
-					t.Fatal(err)
-				}
-				st, err := Open(copyDataDir(t, dir), parentCfg())
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer st.Close()
-				_ = st.Quiesce()
-				snap, ctr := st.Snapshot(), st.Counters()
-				got := parentExpect{
-					K: snap.K, Labels: snap.Labels, Bounds: st.Bounds(), Applied: snap.AppliedBatches,
-					CutWeight: snap.CutWeight, TotalWeight: snap.TotalWeight,
-					JournalSeq: st.JournalSeq(), Replayed: ctr.ReplayedRecords.Load(),
-				}
-				if got.K != want.K || !slices.Equal(got.Labels, want.Labels) || !slices.Equal(got.Bounds, want.Bounds) ||
-					got.Applied != want.Applied || got.CutWeight != want.CutWeight || got.TotalWeight != want.TotalWeight ||
-					got.JournalSeq != want.JournalSeq || got.Replayed != want.Replayed {
-					t.Fatalf("recovered %+v\nwant %+v", got, want)
-				}
-				if ctr.CutDrift.Load() != 0 {
-					t.Fatalf("CutDrift = %d after recovering %s", ctr.CutDrift.Load(), dir)
-				}
-			})
-		}
+		t.Run(filepath.Base(parentDir), func(t *testing.T) {
+			raw, err := os.ReadFile(filepath.Join(parentDir, "expect.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want parentExpect
+			if err := json.Unmarshal(raw, &want); err != nil {
+				t.Fatal(err)
+			}
+			st, err := Open(copyDataDir(t, parentDir), parentCfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			_ = st.Quiesce()
+			snap, ctr := st.Snapshot(), st.Counters()
+			got := parentExpect{
+				K: snap.K, Labels: snap.Labels, Bounds: st.Bounds(), Applied: snap.AppliedBatches,
+				CutWeight: snap.CutWeight, TotalWeight: snap.TotalWeight,
+				JournalSeq: st.JournalSeq(), Replayed: ctr.ReplayedRecords.Load(),
+			}
+			if got.K != want.K || !slices.Equal(got.Labels, want.Labels) || !slices.Equal(got.Bounds, want.Bounds) ||
+				got.Applied != want.Applied || got.CutWeight != want.CutWeight || got.TotalWeight != want.TotalWeight ||
+				got.JournalSeq != want.JournalSeq || got.Replayed != want.Replayed {
+				t.Fatalf("recovered %+v\nwant %+v", got, want)
+			}
+			if ctr.CutDrift.Load() != 0 {
+				t.Fatalf("CutDrift = %d after recovering %s", ctr.CutDrift.Load(), parentDir)
+			}
+		})
 	})
 }

@@ -108,10 +108,8 @@ func (sh *shard) run() {
 // fastPathEligible reports whether m may take the add-only fast path
 // against a graph of n vertices: no growth, no removals, and every new
 // edge a non-loop between existing vertices. Such a batch can never fail
-// validation and never relabels. This is the one definition the live
-// coordinator (stageFastPath) and chain composition at recovery
-// (applyStructural) both evaluate, so a batch replays down the path it
-// took live.
+// validation and never relabels. Eligibility depends on nothing but the
+// vertex count, so a replayed batch takes the path it took live.
 func fastPathEligible(m *graph.Mutation, n int) bool {
 	if m.NewVertices != 0 || len(m.RemovedEdges) != 0 {
 		return false
@@ -123,19 +121,6 @@ func fastPathEligible(m *graph.Mutation, n int) bool {
 		}
 	}
 	return true
-}
-
-// normArc is the edge the fast path inserts for e: a non-positive weight
-// clamps to 1 and the endpoints are ordered u < v (the lower endpoint's
-// shard owns the edge). Shared by the shard scan and applyStructural so
-// the rebuilt adjacency matches the live one arc for arc; small enough to
-// inline into both loops.
-func normArc(e graph.WeightedEdgeRecord) (u, v graph.VertexID, wgt int32) {
-	u, v, wgt = e.U, e.V, max(e.Weight, 1)
-	if u > v {
-		u, v = v, u
-	}
-	return u, v, wgt
 }
 
 // apply lands one broadcast of coalesced fast-path batches: the shard
@@ -156,7 +141,12 @@ func (sh *shard) apply(e shardEntry) {
 	for _, m := range e.muts {
 		owned := false
 		for _, ed := range m.NewEdges {
-			u, v, wgt := normArc(ed)
+			// A non-positive weight clamps to 1, and the lower endpoint's
+			// shard owns the edge.
+			u, v, wgt := ed.U, ed.V, max(ed.Weight, 1)
+			if u > v {
+				u, v = v, u
+			}
 			if u >= lo && u < hi {
 				added, isNew := sh.w.InsertArc(u, v, wgt)
 				owned = true

@@ -309,7 +309,7 @@ type restabResult struct {
 }
 
 // coordState is the coordinator state a checkpoint persists, declared
-// once: Store embeds it live, ckptMeta embeds it on disk, and capture and
+// once: Store embeds it live, ckptState embeds it on disk, and capture and
 // restore copy it as a value.
 type coordState struct {
 	k               int
@@ -429,9 +429,9 @@ func New(w *graph.Weighted, labels []int32, cfg Config) (*Store, error) {
 // labels as given. cfg must already be normalized.
 func newFresh(w *graph.Weighted, labels []int32, cfg Config) (*Store, error) {
 	s, err := newStore(&ckptState{
-		ckptMeta: ckptMeta{coordState: coordState{k: cfg.Options.K, bounds: []int{0, w.NumVertices()}}},
-		labels:   labels,
-		w:        w,
+		coordState: coordState{k: cfg.Options.K, bounds: []int{0, w.NumVertices()}},
+		labels:     labels,
+		w:          w,
 	}, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)

@@ -35,20 +35,13 @@ func ckptName(seq uint64) string {
 }
 
 // WriteCheckpoint atomically installs a checkpoint covering journal
-// sequence seq with the given payload.
+// sequence seq with the given payload: header and payload go to a temp
+// file that is fsynced, renamed into place, and the directory fsynced.
 func WriteCheckpoint(dir string, seq uint64, payload []byte) error {
 	var hdr [ckptHdr]byte
 	binary.LittleEndian.PutUint32(hdr[0:], ckptMagic)
 	binary.LittleEndian.PutUint64(hdr[4:], seq)
-	return installFile(dir, ckptName(seq), hdr[:], payload)
-}
-
-// installFile atomically installs a checkpoint-family file — full or
-// delta: hdr (whose last four bytes receive the payload's CRC-32C) then
-// payload go to a temp file that is fsynced, renamed to name, and the
-// directory fsynced.
-func installFile(dir, name string, hdr, payload []byte) error {
-	binary.LittleEndian.PutUint32(hdr[len(hdr)-4:], frame.Checksum(payload))
+	binary.LittleEndian.PutUint32(hdr[12:], frame.Checksum(payload))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -57,7 +50,7 @@ func installFile(dir, name string, hdr, payload []byte) error {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(hdr); err != nil {
+	if _, err := tmp.Write(hdr[:]); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -72,52 +65,41 @@ func installFile(dir, name string, hdr, payload []byte) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
+	if err := os.Rename(tmp.Name(), filepath.Join(dir, ckptName(seq))); err != nil {
 		return err
 	}
 	return syncDir(dir)
 }
 
-// ReadCheckpoint loads and verifies the checkpoint covering seq,
-// returning its payload.
-func ReadCheckpoint(dir string, seq uint64) ([]byte, error) {
-	_, payload, err := readInstalled(dir, ckptName(seq), "checkpoint", ckptMagic, ckptHdr, seq)
-	return payload, err
-}
-
-// readInstalled loads a file installFile wrote and verifies its magic,
+// ReadCheckpoint loads the checkpoint covering seq and verifies its magic,
 // the sequence its header declares against the one its name carries, and
-// the payload CRC in the header's last four bytes.
-func readInstalled(dir, name, what string, magic uint32, hdrLen int, seq uint64) (hdr, payload []byte, err error) {
-	data, err := os.ReadFile(filepath.Join(dir, name))
+// the payload CRC, returning the payload.
+func ReadCheckpoint(dir string, seq uint64) ([]byte, error) {
+	data, err := os.ReadFile(filepath.Join(dir, ckptName(seq)))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if len(data) < hdrLen {
-		return nil, nil, fmt.Errorf("wal: %s %d truncated at %d bytes", what, seq, len(data))
+	if len(data) < ckptHdr {
+		return nil, fmt.Errorf("wal: checkpoint %d truncated at %d bytes", seq, len(data))
 	}
-	if binary.LittleEndian.Uint32(data) != magic {
-		return nil, nil, fmt.Errorf("wal: %s %d has bad magic", what, seq)
+	if binary.LittleEndian.Uint32(data) != ckptMagic {
+		return nil, fmt.Errorf("wal: checkpoint %d has bad magic", seq)
 	}
 	if got := binary.LittleEndian.Uint64(data[4:]); got != seq {
-		return nil, nil, fmt.Errorf("wal: %s file for seq %d declares seq %d", what, seq, got)
+		return nil, fmt.Errorf("wal: checkpoint file for seq %d declares seq %d", seq, got)
 	}
-	hdr, payload = data[:hdrLen], data[hdrLen:]
-	if frame.Checksum(payload) != binary.LittleEndian.Uint32(hdr[hdrLen-4:]) {
-		return nil, nil, fmt.Errorf("wal: %s %d fails CRC", what, seq)
+	payload := data[ckptHdr:]
+	if frame.Checksum(payload) != binary.LittleEndian.Uint32(data[12:]) {
+		return nil, fmt.Errorf("wal: checkpoint %d fails CRC", seq)
 	}
-	return hdr, payload, nil
+	return payload, nil
 }
 
 // Checkpoints lists the checkpoint sequence numbers present in dir,
 // ascending. Files that do not match the naming scheme (including
 // leftover temp files) are ignored.
-func Checkpoints(dir string) ([]uint64, error) { return listSeqs(dir, ckptSuffix) }
-
-// listSeqs lists the sequence numbers of the ckpt-*suffix files in dir,
-// ascending.
-func listSeqs(dir, suffix string) ([]uint64, error) {
-	files, err := scanSeqFiles(dir, ckptPrefix, suffix)
+func Checkpoints(dir string) ([]uint64, error) {
+	files, err := scanSeqFiles(dir, ckptPrefix, ckptSuffix)
 	if err != nil {
 		return nil, err
 	}

@@ -114,6 +114,7 @@ type Record struct {
 	Mut     *graph.Mutation // RecordMutation
 	NewK    int             // RecordResize
 	Relabel []byte          // RecordRelabel
+	Bytes   int             // framed size in the journal, set when read back
 }
 
 // Policy selects when appended records are fsynced.
@@ -754,30 +755,31 @@ func readFrame(b []byte) (frameLen int, payload []byte, ok bool) {
 
 // decodePayload decodes a CRC-valid payload into a Record.
 func decodePayload(p []byte) (Record, error) {
-	seq := binary.LittleEndian.Uint64(p)
-	typ := RecordType(p[8])
+	rec := Record{Seq: binary.LittleEndian.Uint64(p), Type: RecordType(p[8]), Bytes: frameHeader + len(p)}
 	body := p[recHeader:]
-	switch typ {
+	switch rec.Type {
 	case RecordMutation:
 		m, err := graph.DecodeMutationBinary(body)
 		if err != nil {
 			return Record{}, err
 		}
-		return Record{Seq: seq, Type: typ, Mut: m}, nil
+		rec.Mut = m
+		return rec, nil
 	case RecordResize:
 		if len(body) != 4 {
 			return Record{}, fmt.Errorf("wal: resize body of %d bytes", len(body))
 		}
-		newK := int(int32(binary.LittleEndian.Uint32(body)))
-		if newK < 1 {
-			return Record{}, fmt.Errorf("wal: resize to k=%d", newK)
+		rec.NewK = int(int32(binary.LittleEndian.Uint32(body)))
+		if rec.NewK < 1 {
+			return Record{}, fmt.Errorf("wal: resize to k=%d", rec.NewK)
 		}
-		return Record{Seq: seq, Type: typ, NewK: newK}, nil
+		return rec, nil
 	case RecordRelabel:
 		// A copy: the caller's buffer may be reused (a follower's stream).
-		return Record{Seq: seq, Type: typ, Relabel: append([]byte{}, body...)}, nil
+		rec.Relabel = append([]byte{}, body...)
+		return rec, nil
 	}
-	return Record{}, fmt.Errorf("wal: unknown record type %d", typ)
+	return Record{}, fmt.Errorf("wal: unknown record type %d", rec.Type)
 }
 
 // syncDir fsyncs a directory so renames and creates within it are

@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
-# changefeed_smoke.sh — end-to-end smoke for the /v1 change feed and the
-# incremental checkpoint chain (ISSUE 8 / CI job).
+# changefeed_smoke.sh — end-to-end smoke for the /v1 change feed and for
+# recovery through journaled relabels (CI job).
 #
-# Boots a durable spinnerd with a small delta ring and a short
-# incremental-checkpoint chain, tails /v1/watch with a live spinnerctl
-# consumer while mutation batches churn the graph, then asserts the
-# consumer-facing contract end to end:
+# Boots a durable spinnerd with a small delta ring, tails /v1/watch with
+# a live spinnerctl consumer while mutation batches churn the graph, then
+# asserts the consumer-facing contract end to end:
 #
 #   1. a live `spinnerctl watch` stream delivers delta frames while the
 #      writes are in flight;
@@ -18,11 +17,16 @@
 #      encoded each publication exactly once regardless of stream count
 #      (DeltaEncodes == DeltasPublished), and the WatchStreams gauge
 #      drains back to zero when they hang up;
-#   4. the churn forced delta checkpoints (.dckp files) onto disk;
-#   5. after a kill -9 mid-chain, a second spinnerd over the same data
-#      dir recovers from the base checkpoint + delta chain, answers
-#      /v1/healthz, reports zero cut drift, and the feed-vs-lookup
-#      convergence holds again on the recovered incarnation.
+#   4. a `spinnerctl resize` lands in the journal above the newest
+#      checkpoint together with its repair merge, a relabel record (the
+#      churn is far too small for the journal to outweigh the boot
+#      checkpoint, so no periodic checkpoint covers them);
+#   5. after a kill -9, a second spinnerd over the same data dir recovers
+#      from that full checkpoint plus the journal tail, replaying every
+#      record above it: it answers /v1/healthz at the new k and merge
+#      epoch, reports zero cut drift, answers every lookup as before the
+#      crash, and the feed-vs-lookup convergence holds again on the
+#      recovered incarnation.
 #
 # Usage: scripts/changefeed_smoke.sh [port]
 set -euo pipefail
@@ -71,12 +75,12 @@ churn() { # churn <rounds> <salt>
   done
 }
 
-echo "== boot durable spinnerd (delta-ring=32, max-delta-chain=4, checkpoint-every=4)"
+echo "== boot durable spinnerd (delta-ring=32, checkpoint-every=4)"
 # -degrade suppresses background restabilization so the feed-vs-lookup
 # comparison races no relabeling; the tiny ring forces the 410 resync.
 "$BINDIR/spinnerd" -k 4 -synthetic 2000 -seed 11 -shards 2 -addr "127.0.0.1:$PORT" \
   -degrade 999999 -data-dir "$DIR" -fsync never -checkpoint-every 4 \
-  -max-delta-chain 4 -delta-ring 32 &
+  -delta-ring 32 &
 PID=$!
 wait_healthy
 
@@ -159,31 +163,56 @@ diff -q "$BINDIR/feed-fanout.txt" "$BINDIR/lookup-fanout.txt" >/dev/null \
   || { echo "FAIL: post-fan-out feed differs from lookup truth" >&2; exit 1; }
 echo "   50 watchers, identical frames, $ENC encodes for $PUB publications, streams drained"
 
-echo "== incremental checkpoints on disk"
-INCR_BYTES=$(stat_field IncrCheckpointBytes)
-DCKPS=$(ls "$DIR"/checkpoints/ckpt-*.dckp 2>/dev/null | wc -l)
-[ "$DCKPS" -ge 1 ] || { echo "FAIL: no .dckp chain links on disk" >&2; ls -la "$DIR/checkpoints" >&2; exit 1; }
-[ "$INCR_BYTES" -gt 0 ] || { echo "FAIL: IncrCheckpointBytes=$INCR_BYTES with $DCKPS chain links" >&2; exit 1; }
-echo "   $DCKPS chain links, $INCR_BYTES incremental bytes"
+echo "== resize 4 -> 5: the repair merge is journaled as a relabel record"
+EPOCH0=$(stat_field epoch)
+SEQ0=$(stat_field applied_seq)
+$CTL resize 5 >/dev/null
+for _ in $(seq 1 100); do
+  [ "$(stat_field epoch)" -gt "$EPOCH0" ] && break
+  sleep 0.1
+done
+EPOCH=$(stat_field epoch)
+SEQ=$(stat_field applied_seq)
+[ "$EPOCH" -gt "$EPOCH0" ] || { echo "FAIL: the resize's repair never merged (epoch $EPOCH0)" >&2; exit 1; }
+[ "$SEQ" -ge $((SEQ0 + 2)) ] || { echo "FAIL: journal went $SEQ0 -> $SEQ, want the resize and its relabel" >&2; exit 1; }
+CKPT=$(ls "$DIR"/checkpoints/ckpt-*.ckpt | tail -n 1)
+CKSEQ=$((16#$(basename "$CKPT" .ckpt | sed 's/^ckpt-//')))
+[ "$CKSEQ" -le "$SEQ0" ] || { echo "FAIL: checkpoint $CKSEQ covers the resize at $((SEQ0 + 1)); it must be in the journal tail" >&2; exit 1; }
+if ls "$DIR"/checkpoints/*.dckp >/dev/null 2>&1; then
+  echo "FAIL: delta checkpoint files on disk" >&2; ls -la "$DIR/checkpoints" >&2; exit 1
+fi
+$CTL labels > "$BINDIR/precrash.txt"
+echo "   epoch $EPOCH0 -> $EPOCH, journal $SEQ0 -> $SEQ above checkpoint $CKSEQ"
 
-echo "== crash: kill -9 mid-chain"
-printf '+ 3 4 2\n' | $CTL mutate >/dev/null || true
+echo "== crash: kill -9 with the relabel in the journal tail"
 kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 PID=""
 
-echo "== recover from base + delta chain"
-"$BINDIR/spinnerd" -addr "127.0.0.1:$PORT" -degrade 999999 -data-dir "$DIR" \
-  -fsync never -checkpoint-every 4 -max-delta-chain 4 -delta-ring 32 &
+echo "== recover from the full checkpoint plus the journal tail"
+# -seed must be the boot's: replay recomputes the resize's immediate
+# relabel from it, and only the repair merge is journaled.
+"$BINDIR/spinnerd" -addr "127.0.0.1:$PORT" -seed 11 -degrade 999999 -data-dir "$DIR" \
+  -fsync never -checkpoint-every 4 -delta-ring 32 &
 PID=$!
 wait_healthy
 VERTICES=$(stat_field vertices)
 DRIFT=$(stat_field CutDrift)
 REPLAYED=$(stat_field ReplayedRecords)
-NEWFLOOR=$(stat_field delta_floor)
-echo "   vertices=$VERTICES drift=$DRIFT replayed=$REPLAYED delta_floor=$NEWFLOOR"
+NEWK=$(stat_field k)
+NEWEPOCH=$(stat_field epoch)
+echo "   vertices=$VERTICES k=$NEWK epoch=$NEWEPOCH drift=$DRIFT replayed=$REPLAYED"
 [ "$VERTICES" = "2000" ] || { echo "FAIL: vertex space not recovered" >&2; exit 1; }
-[ "$DRIFT" = "0" ] || { echo "FAIL: cut drift $DRIFT after chain recovery" >&2; exit 1; }
+[ "$DRIFT" = "0" ] || { echo "FAIL: cut drift $DRIFT after recovery" >&2; exit 1; }
+[ "$REPLAYED" = "$((SEQ - CKSEQ))" ] || { echo "FAIL: replayed $REPLAYED records, want the $((SEQ - CKSEQ)) above checkpoint $CKSEQ" >&2; exit 1; }
+[ "$NEWK" = "5" ] && [ "$NEWEPOCH" = "$EPOCH" ] || { echo "FAIL: recovered k=$NEWK epoch=$NEWEPOCH, want k=5 epoch=$EPOCH" >&2; exit 1; }
+$CTL labels > "$BINDIR/recovered.txt"
+diff -q "$BINDIR/precrash.txt" "$BINDIR/recovered.txt" >/dev/null || {
+  echo "FAIL: recovered lookups differ from the pre-crash answers" >&2
+  diff "$BINDIR/precrash.txt" "$BINDIR/recovered.txt" | head >&2
+  exit 1
+}
+echo "   every lookup equals its pre-crash answer"
 
 echo "== post-recovery: sequences reset, feed still converges"
 # The new incarnation starts its feed over: a consumer from seq 0 sees
@@ -200,4 +229,4 @@ echo "== SIGTERM: drain, checkpoint and exit 0 within 5 s"
 stop_daemon "$PID"
 PID=""
 
-echo "PASS: change feed + incremental checkpoint smoke"
+echo "PASS: change feed + relabel recovery smoke"

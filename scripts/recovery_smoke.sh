@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # recovery_smoke.sh — end-to-end crash-recovery smoke for the durable
-# serving daemon (ISSUE 4 / CI job).
+# serving daemon (CI job).
 #
 # Boots a durable spinnerd on a synthetic graph, drives mutation batches
 # at it over HTTP, records the pre-crash partition of a sample of
 # vertices, then kill -9s the process mid-churn. On top of the plain
 # crash, the script simulates dying DURING an in-flight background
-# checkpoint (ISSUE 5): the newest checkpoint file is removed — install
+# checkpoint: the newest checkpoint file is removed — install
 # is atomic, so an interrupted checkpoint simply never appears — and a
 # torn temp file is left in the checkpoint directory. A second spinnerd
 # over the same data dir must recover (previous checkpoint + LONGER
@@ -52,13 +52,10 @@ echo "== boot durable spinnerd (fsync=never, checkpoint-every=4, keep-checkpoint
 # makes labels differ (recovery adopts every journaled relabel), but a run
 # the trigger started before the kill would restart on the recovered
 # leader and move labels after the pre-crash lookups were taken.
-# -keep-checkpoints/-fsync-interval exercise the ISSUE-5 durability knobs;
-# -max-delta-chain -1 makes every checkpoint a full one, so there is a
-# newest .ckpt to lose below (the incremental chain has its own drill in
-# changefeed_smoke.sh).
+# -keep-checkpoints/-fsync-interval exercise the durability knobs.
 "$BIN" -k 4 -synthetic 2000 -seed 11 -shards 2 -addr "127.0.0.1:$PORT" \
   -degrade 999999 -data-dir "$DIR" -fsync never -fsync-interval 25ms \
-  -checkpoint-every 4 -keep-checkpoints 2 -max-delta-chain -1 &
+  -checkpoint-every 4 -keep-checkpoints 2 &
 PID=$!
 wait_healthy
 
@@ -66,15 +63,21 @@ wait_healthy
 CODE=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/healthz")
 [ "$CODE" = "404" ] || { echo "FAIL: unversioned /healthz returned $CODE, want 404" >&2; exit 1; }
 
-echo "== churn: 24 mutation batches over HTTP"
-for i in $(seq 1 24); do
-  body=""
+# A periodic checkpoint is due only once the journal outweighs the boot
+# checkpoint (about 335 KB here), so each batch adds its 20 edges 60
+# times: their weights merge, the checkpoint barely grows, and the
+# journal grows about 14 KB a batch, enough for one periodic checkpoint.
+echo "== churn: 40 mutation batches over HTTP"
+for i in $(seq 1 40); do
+  edges=""
   for j in $(seq 1 20); do
     u=$(( (i * 131 + j * 17) % 2000 ))
     v=$(( (i * 37 + j * 113 + 1) % 2000 ))
     [ "$u" -eq "$v" ] && v=$(( (v + 1) % 2000 ))
-    body+="+ $u $v 2"$'\n'
+    edges+="+ $u $v 2"$'\n'
   done
+  body=""
+  for _ in $(seq 1 60); do body+="$edges"; done
   curl -fsS -X POST --data-binary "$body" "$BASE/v1/mutate" >/dev/null
 done
 
@@ -109,7 +112,7 @@ printf 'torn checkpoint write' > "$DIR/checkpoints/ckpt-0123456789abcdef.tmp"
 
 echo "== recover from $DIR"
 "$BIN" -addr "127.0.0.1:$PORT" -degrade 999999 -data-dir "$DIR" -fsync never -fsync-interval 25ms \
-  -checkpoint-every 4 -keep-checkpoints 2 -max-delta-chain -1 &
+  -checkpoint-every 4 -keep-checkpoints 2 &
 PID=$!
 wait_healthy
 
