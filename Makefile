@@ -28,10 +28,12 @@
 #                      out-of-cache size, BenchmarkWarmStart), and of the
 #                      conversion before it (BenchmarkConvert, same graphs),
 #                      into out/; top 15 functions by CPU and top 10 by
-#                      allocated bytes printed; then the message plane on
-#                      its own (BenchmarkDelivery in internal/pregel, a
-#                      package of its own so a profile of its own), top 15
-#                      by CPU
+#                      allocated bytes printed; then the warm starts alone
+#                      (BenchmarkWarmStart, out/warm.prof: the from-scratch
+#                      runs dominate the combined profile), top 15 by CPU;
+#                      then the message plane on its own (BenchmarkDelivery
+#                      in internal/pregel, a package of its own so a profile
+#                      of its own), top 15 by CPU
 #   make profile-api — the same two profiles of the /v1/lookup read path
 #                      (BenchmarkHandleLookup point and whole map,
 #                      BenchmarkParseResync) into out/; top 10 of each
@@ -131,6 +133,8 @@ profile-core:
 		-cpuprofile out/core.prof -memprofile out/core.mem -o out/core.test .
 	go tool pprof -top -nodecount 15 out/core.test out/core.prof
 	go tool pprof -sample_index=alloc_space -top -nodecount 10 out/core.test out/core.mem
+	out/core.test -test.run '^$$' -test.bench 'BenchmarkWarmStart' -test.benchtime 5x -test.cpuprofile out/warm.prof
+	go tool pprof -top -nodecount 15 out/core.test out/warm.prof
 	go test -run '^$$' -bench 'BenchmarkDelivery' -benchtime 20x -benchmem \
 		-cpuprofile out/delivery.prof -o out/pregel.test ./internal/pregel
 	go tool pprof -top -nodecount 15 out/pregel.test out/delivery.prof

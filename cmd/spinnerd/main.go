@@ -346,6 +346,7 @@ type daemonConfig struct {
 	k          int
 	c          float64
 	seed       uint64
+	seedSet    bool // -seed was given; a recovery refuses one that differs from the dir's
 	workers    int
 	maxIter    int
 	undirected bool
@@ -410,6 +411,7 @@ func main() {
 	flag.StringVar(&dc.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this side address (empty disables)")
 	flag.IntVar(&dc.lookupSampleEvery, "lookup-sample-every", 0, "time one in N lookups into the latency histogram (0 = default 256, negative disables)")
 	flag.Parse()
+	flag.Visit(func(f *flag.Flag) { dc.seedSet = dc.seedSet || f.Name == "seed" })
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, dc, os.Stdout); err != nil {
@@ -498,6 +500,13 @@ func run(ctx context.Context, dc daemonConfig, out io.Writer) error {
 		}
 		cfg.Durability = newDurability(pol)
 		if serve.HasState(dc.dataDir) {
+			// Open recovers with the seed the dir was created with; a
+			// -seed that differs from it is refused, not ignored.
+			if seed, ok, err := serve.RecordedSeed(dc.dataDir); err != nil {
+				return err
+			} else if ok && dc.seedSet && seed != dc.seed {
+				return fmt.Errorf("-seed %d differs from the seed %d that %s was created with; omit -seed to recover", dc.seed, seed, dc.dataDir)
+			}
 			fmt.Fprintf(out, "spinnerd: recovering from %s (fsync=%s)...\n", dc.dataDir, pol)
 			cfg.Shards = dc.shards // 0 keeps the checkpointed layout
 			st, err = serve.Open(dc.dataDir, cfg)

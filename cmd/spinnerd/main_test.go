@@ -105,6 +105,36 @@ func TestDurableBootstrapAndRecover(t *testing.T) {
 	}
 }
 
+// A recovery runs with the seed the dir was created with: without -seed
+// it adopts it, with the same -seed it recovers, and with another -seed
+// run refuses the dir before opening it.
+func TestRecoverySeed(t *testing.T) {
+	dir := t.TempDir()
+	dc := testConfig()
+	dc.dataDir, dc.seed, dc.seedSet = dir, 11, true
+	if err := run(cancelled(), dc, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	dc.seed = 12
+	var out strings.Builder
+	err := run(cancelled(), dc, &out)
+	if err == nil || !strings.Contains(err.Error(), "-seed 12 differs from the seed 11") {
+		t.Fatalf("recovery with another -seed returned %v, want a refusal", err)
+	}
+	if strings.Contains(out.String(), "recovering") {
+		t.Fatalf("run opened the dir before refusing it:\n%s", out.String())
+	}
+	for _, c := range []struct {
+		seed    uint64
+		seedSet bool
+	}{{11, true}, {1, false}} {
+		dc.seed, dc.seedSet = c.seed, c.seedSet
+		if err := run(cancelled(), dc, io.Discard); err != nil {
+			t.Fatalf("recovery with seed %d (set: %v): %v", c.seed, c.seedSet, err)
+		}
+	}
+}
+
 // freeAddr returns a loopback address with a port nothing listens on.
 func freeAddr(t *testing.T) string {
 	t.Helper()

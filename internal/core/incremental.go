@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/graph"
@@ -33,44 +32,24 @@ func SeedNewVertices(w *graph.Weighted, init []int32, firstNew, k int) {
 // the vertices below firstNew in w (a new vertex's edges to them included).
 // Loads are sums of int32 weights, exact as integers and as float64, so the
 // placement depends on their values only — not on whether a scan or a
-// maintained counter produced them. O((len(init)−firstNew)·log k + k) plus
+// maintained counter produced them. Each vertex goes to the least loaded
+// label, the lowest label among equal loads. O((len(init)−firstNew)·k) plus
 // the new vertices' rows.
 func PlaceNewVertices(w *graph.Weighted, init []int32, firstNew int, loads []int64) {
-	// A heap keeps placement O(log k) per vertex even for large k.
-	h := &loadHeap{}
+	load := make([]float64, len(loads))
 	for l, b := range loads {
-		h.items = append(h.items, loadItem{label: int32(l), load: float64(b)})
+		load[l] = float64(b)
 	}
-	heap.Init(h)
 	for v := firstNew; v < len(init); v++ {
-		it := h.items[0]
-		init[v] = it.label
-		it.load += float64(w.WeightedDegree(graph.VertexID(v))) + 1 // +1 spreads degree-0 newcomers
-		h.items[0] = it
-		heap.Fix(h, 0)
+		best := 0
+		for l, b := range load {
+			if b < load[best] {
+				best = l
+			}
+		}
+		init[v] = int32(best)
+		load[best] += float64(w.WeightedDegree(graph.VertexID(v))) + 1 // +1 spreads degree-0 newcomers
 	}
-}
-
-type loadItem struct {
-	label int32
-	load  float64
-}
-
-type loadHeap struct{ items []loadItem }
-
-func (h *loadHeap) Len() int { return len(h.items) }
-func (h *loadHeap) Less(i, j int) bool {
-	if h.items[i].load != h.items[j].load {
-		return h.items[i].load < h.items[j].load
-	}
-	return h.items[i].label < h.items[j].label
-}
-func (h *loadHeap) Swap(i, j int) { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *loadHeap) Push(x any)    { h.items = append(h.items, x.(loadItem)) }
-func (h *loadHeap) Pop() any {
-	x := h.items[len(h.items)-1]
-	h.items = h.items[:len(h.items)-1]
-	return x
 }
 
 // ElasticRelabel implements §III-E. Growing from oldK to newK partitions:

@@ -85,6 +85,33 @@
 // because a Giraph worker holds only out-edges; an engine that holds the
 // whole graph needs neither.
 //
+// # Work only where a label can change
+//
+// A warm start moves few vertices, so an iteration skips what cannot move,
+// and labels, random draws, messages and iteration counts stay what a walk
+// of every bar of every vertex gives.
+//
+// The bound. Each worker keeps penaltyUB ≥ every label's balance term: set
+// exactly when the per-superstep refresh recomputes the penalties, and
+// raised to the old label's penalty when a candidate's tentative move
+// lowers its load (the new label's penalty only falls). Before walking a
+// vertex's bars, ComputeScores takes the heaviest bar other than the
+// current label's; if that bar at penaltyUB scores at most the current
+// label's score minus the tie margin, no bar can beat or tie it, so the
+// walk would pick nothing and draw nothing, and is skipped. Rounding is
+// monotone, so the bound holds in float64 as it does in the reals;
+// TestBoundSkipsOnlyWhatCannotMoveProperty checks it at k = 32 and 130.
+//
+// Halting. A vertex that is not a candidate votes to halt in
+// ComputeScores, so the ComputeMigrations superstep computes only the
+// candidates, and the engine skips the others without reading their
+// records. The master wakes every vertex (pregel.Master.WakeAll) after
+// each ComputeMigrations superstep, and after a ComputeScores superstep
+// that produced no candidate, so that ComputeMigrations superstep, its
+// master step, the run's supersteps and History are as they were. A
+// migrating vertex announces its move through the worker's pregel.Outbox,
+// whose Send inlines into the loop over its arcs.
+//
 // TestHistogramMatchesEdgeScanProperty compares every histogram with a
 // fresh scan of every arc over the labels after every ComputeScores
 // superstep; TestReAddedEdgesReachTheHistogram checks that a re-added

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/pregel"
+	"repro/internal/rng"
 )
 
 // Algorithm phases (Fig. 2 of the paper). Each phase maps onto one or more
@@ -56,6 +57,7 @@ type workerScratch struct {
 	refreshedAt int // superstep for which localLoads is current
 	localLoads  []float64
 	penalty     []float64 // −localLoads[l]/C_l, the balance term of Eq. 8, kept in step with localLoads
+	penaltyUB   float64   // ≥ every penalty[l]: exact at the refresh, raised when a load falls
 	sum         []int64   // buildHistogram scratch: label → its weight so far, zero between calls
 	seen        []uint64  // buildHistogram scratch: bitmap of the labels met, zero between calls
 	bars        []int64   // current chunk of bars; carve hands out its tail
@@ -287,9 +289,7 @@ func (p *program) computeScores(ctx *computeCtx, v *vertex, msgs []msg) {
 	ws := ctx.WorkerState().(*workerScratch)
 	if ws.refreshedAt != ctx.Superstep() {
 		ctx.AggregatedVector(p.aggLoads, ws.localLoads)
-		for l := range ws.penalty {
-			p.setPenalty(ws, int32(l))
-		}
+		p.refreshPenalties(ws)
 		ws.refreshedAt = ctx.Superstep()
 	}
 	updates := len(msgs)
@@ -308,35 +308,63 @@ func (p *program) computeScores(ctx *computeCtx, v *vertex, msgs []msg) {
 
 	cur := p.labels[v.ID]
 	degW := v.Value.degW
-	hist, held := v.Value.hist, v.Value.held
-	var curW float64
-	if i, ok := rank(held, cur); ok {
-		curW = float64(hist[i])
-	}
-
-	// score''(v, l) = w(v, l)/degW − b(l)/C  (Eq. 8), w(v, l) the bar of l.
-	// When degW is zero the locality term is defined as 0 and only the
-	// penalty drives the choice, sending isolated vertices toward the
-	// least-loaded partition.
-	penalty := ws.penalty
-
-	curScore := labelScore(penalty[cur], curW, degW)
+	curScore, curW, movable := ws.scoreCurrent(v.Value.hist, v.Value.held, cur, degW)
 	ctx.Aggregate(p.aggScore, 0, curScore)
 	ctx.Aggregate(p.aggLocalW, 0, curW)
 
+	// A vertex that stays votes to halt, so only candidates compute in the
+	// ComputeMigrations superstep. A clean vertex (AffectedOnly) does not
+	// evaluate migration; nor does one that no label can beat.
 	v.Value.cand = -1
-	if p.opts.AffectedOnly && !v.Value.dirty {
-		// Clean vertex: contributes to the global score but does not
-		// evaluate migration.
+	if p.opts.AffectedOnly && !v.Value.dirty || !movable {
+		v.VoteToHalt()
 		return
 	}
+	best := bestLabel(ws.penalty, v.Value.hist, v.Value.held, cur, curScore, degW, ctx.Rand())
+	if best == cur {
+		v.VoteToHalt()
+		return
+	}
+	v.Value.cand = best
+	ctx.Aggregate(p.aggCand, int(best), degW)
+	p.tentativeMove(ws, cur, best, degW)
+}
 
-	// Find the best label among the neighborhood labels and the current
-	// label, with the paper's tie-break: prefer the current label, else
-	// choose uniformly among the tied maxima (reservoir sampling). The bars
-	// come in label order, which fixes the sequence of tie draws; the walk
-	// of held's set bits names each bar's label in step.
-	const tieEps = 1e-12
+// tieEps is the margin within which two scores tie.
+const tieEps = 1e-12
+
+// scoreCurrent returns score”(v, cur) (Eq. 8) and the weight of cur's
+// bar, and whether another label could beat cur: false when even the
+// heaviest other bar at the highest penalty (penaltyUB) scores at most
+// curScore−tieEps. Rounding is monotone, so every bar then does too, and
+// bestLabel would neither pick a label, nor tie, nor draw.
+func (ws *workerScratch) scoreCurrent(hist []int64, held []uint64, cur int32, degW float64) (curScore, curW float64, movable bool) {
+	i, ok := rank(held, cur)
+	rest := hist[i:]
+	if ok {
+		curW, rest = float64(hist[i]), hist[i+1:]
+	}
+	var wmax int64
+	for _, w := range hist[:i] {
+		wmax = max(wmax, w)
+	}
+	for _, w := range rest {
+		wmax = max(wmax, w)
+	}
+	curScore = labelScore(ws.penalty[cur], curW, degW)
+	return curScore, curW, labelScore(ws.penaltyUB, float64(wmax), degW) > curScore-tieEps
+}
+
+// bestLabel finds the best label among the neighborhood labels and the
+// current label, with the paper's tie-break: prefer the current label,
+// else choose uniformly among the tied maxima (reservoir sampling). The
+// bars come in label order, which fixes the sequence of tie draws; the
+// walk of held's set bits names each bar's label in step.
+//
+// score”(v, l) = w(v, l)/degW − b(l)/C  (Eq. 8), w(v, l) the bar of l.
+// When degW is zero the locality term is defined as 0 and only the
+// penalty counts; such a vertex has no bars, so it never moves.
+func bestLabel(penalty []float64, hist []int64, held []uint64, cur int32, curScore, degW float64, rnd *rng.Source) int32 {
 	best := cur
 	bestScore := curScore
 	var ties int
@@ -357,22 +385,24 @@ func (p *program) computeScores(ctx *computeCtx, v *vertex, msgs []msg) {
 					continue // keep current on ties
 				}
 				ties++
-				if ctx.Rand().Intn(ties) == 0 {
+				if rnd.Intn(ties) == 0 {
 					best = l
 				}
 			}
 		}
 	}
-	if best != cur {
-		v.Value.cand = best
-		ctx.Aggregate(p.aggCand, int(best), degW)
-		// Asynchronous per-worker view (§IV-A4): subsequent vertices on
-		// this worker see the tentative move.
-		ws.localLoads[best] += degW
-		ws.localLoads[cur] -= degW
-		p.setPenalty(ws, best)
-		p.setPenalty(ws, cur)
-	}
+	return best
+}
+
+// tentativeMove is the asynchronous per-worker view (§IV-A4): subsequent
+// vertices on this worker see a candidate's move from cur to best. Only
+// cur's load falls, so only penalty[cur] can raise the bound.
+func (p *program) tentativeMove(ws *workerScratch, cur, best int32, degW float64) {
+	ws.localLoads[best] += degW
+	ws.localLoads[cur] -= degW
+	p.setPenalty(ws, best)
+	p.setPenalty(ws, cur)
+	ws.penaltyUB = max(ws.penaltyUB, ws.penalty[cur])
 }
 
 // labelScore evaluates score”(v, l) (Eq. 8) from the penalty of l and the
@@ -390,6 +420,16 @@ func (p *program) setPenalty(ws *workerScratch, l int32) {
 	ws.penalty[l] = -ws.localLoads[l] / p.capacities[l]
 }
 
+// refreshPenalties recomputes every balance term from localLoads, and the
+// bound exactly.
+func (p *program) refreshPenalties(ws *workerScratch) {
+	ws.penaltyUB = math.Inf(-1)
+	for l := range ws.penalty {
+		p.setPenalty(ws, int32(l))
+		ws.penaltyUB = max(ws.penaltyUB, ws.penalty[l])
+	}
+}
+
 // computeMigrations is the second superstep of an iteration: each candidate
 // migrates with probability p = r(l)/m(l) (Eq. 14), updates the load
 // counters, and announces the move along every arc.
@@ -398,7 +438,6 @@ func (p *program) computeMigrations(ctx *computeCtx, v *vertex) {
 	if cand < 0 {
 		return
 	}
-	v.Value.cand = -1
 	prob := 1.0
 	if !p.opts.UnboundedMigration {
 		prob = ctx.AggregatedValue(p.aggProbs, int(cand))
@@ -411,8 +450,9 @@ func (p *program) computeMigrations(ctx *computeCtx, v *vertex) {
 	ctx.Aggregate(p.aggLoads, int(old), -v.Value.degW)
 	ctx.Aggregate(p.aggLoads, int(cand), v.Value.degW)
 	ctx.Aggregate(p.aggMigs, 0, 1)
+	out := ctx.Outbox()
 	for _, a := range v.Edges {
-		ctx.SendTo(a.To, msg{old: old, new: cand, w: a.Weight})
+		out.Send(a.To, msg{old: old, new: cand, w: a.Weight})
 	}
 	ctx.CountEdges(len(v.Edges))
 }
@@ -464,6 +504,11 @@ func (p *program) MasterCompute(m *pregel.Master) {
 		p.pendingPhi = m.Agg(p.aggLocalW)[0] / p.totalLoad
 		p.pendingCand = candTotal
 		p.phase = phaseComputeMigrations
+		if candTotal == 0 {
+			// Every vertex voted to halt; the ComputeMigrations superstep
+			// still runs, so the iteration is recorded as any other.
+			m.WakeAll()
+		}
 
 	case phaseComputeMigrations:
 		loads := m.Agg(p.aggLoads)
@@ -514,5 +559,6 @@ func (p *program) MasterCompute(m *pregel.Master) {
 		}
 		p.iter++
 		p.phase = phaseComputeScores
+		m.WakeAll()
 	}
 }

@@ -94,7 +94,7 @@ type ServeCounters struct {
 	JournalSyncs   atomic.Int64 `metric:"spinner_journal_syncs_total" help:"Journal fsyncs issued under the configured policy."`
 	// Checkpoints counts snapshot checkpoints atomically installed;
 	// CheckpointBytes totals their payload size.
-	Checkpoints     atomic.Int64 `metric:"spinner_checkpoints_total" help:"Checkpoints atomically installed (full and incremental)."`
+	Checkpoints     atomic.Int64 `metric:"spinner_checkpoints_total" help:"Checkpoints atomically installed."`
 	CheckpointBytes atomic.Int64 `metric:"spinner_checkpoint_bytes_total" help:"Checkpoint payload bytes written."`
 	// ReplayedRecords counts journal records re-applied during crash
 	// recovery (serve.Open) — the recovery replay length.

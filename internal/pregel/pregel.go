@@ -5,8 +5,9 @@
 //
 //   - supersteps with synchronous message delivery (messages sent during
 //     superstep s are visible at superstep s+1);
-//   - a vertex-centric Compute function with vote-to-halt semantics and
-//     reactivation on message receipt;
+//   - a vertex-centric Compute function with vote-to-halt semantics,
+//     reactivation on message receipt, and a master that can wake every
+//     vertex (Master.WakeAll);
 //   - out-arcs of a type each program chooses, which the owning vertex may
 //     mutate when the program owns them (Spinner does not: it reads a
 //     graph.Weighted's rows in place);
@@ -35,9 +36,12 @@
 //   - Each worker keeps one reusable Context. Without a combiner its
 //     outbox is one bin per destination block: a block is 1<<blockShift
 //     consecutive entries of one worker's vertex list, and Engine.pos
-//     gives each vertex its block and slot, so SendTo is one lookup and
-//     one append. Bins retain their capacity across supersteps; a worker
-//     holds O(n/blockSize + workers) of them.
+//     gives each vertex its block and slot, so a send is one lookup and
+//     one append. Context.Outbox hands a program that pair, Engine.pos and
+//     the bins, by value: a loop of Outbox.Send inlines to the lookup and
+//     the append, and SendTo without a combiner is the same Send. Bins
+//     retain their capacity across supersteps; a worker holds
+//     O(n/blockSize + workers) of them.
 //   - Delivery is a blocked counting sort. Each destination worker sums
 //     its bins' lengths (O(blocks × workers)), then per block counts,
 //     carves windows in vertex order and fills them, walking the source
@@ -57,9 +61,14 @@
 //     cross the wire. Without a combiner every message is queued and
 //     delivered individually, uncombined.
 //   - Vote-to-halt bookkeeping is incremental: another superstep runs iff
-//     a computed vertex did not vote to halt or a message was delivered,
-//     counted at compute and delivery time, so the engine never rescans
-//     the vertex set, and delivery never reads a vertex record.
+//     a computed vertex did not vote to halt, a message was delivered, or
+//     the master called WakeAll, counted at compute and delivery time, so
+//     the engine never rescans the vertex set, and delivery never reads a
+//     vertex record. Each worker mirrors its vertices' votes, one byte per
+//     slot of its vertex list, so the compute loop skips a halted vertex
+//     without reading its record; WakeAll clears the mirrors.
+//     SuperstepStats.Active counts the vertices computed: those that had
+//     not voted to halt, those a message woke, or all after WakeAll.
 //   - Aggregators are reached by handle, never by name. RegisterAggregator
 //     returns an Aggregator that Context.Aggregate, AggregatedValue and
 //     AggregatedVector and Master.Agg and SetAgg take; a call costs a
@@ -268,7 +277,7 @@ func (a *aggregator) resetPartials(slabs [][]float64) {
 // cluster cost model and the scalability figures.
 type SuperstepStats struct {
 	Superstep      int
-	Active         int64
+	Active         int64   // vertices computed (see the package doc's vote-to-halt bullet)
 	SentLocal      []int64 // per source worker
 	SentRemote     []int64 // per source worker
 	Received       []int64 // per destination worker (all sources)
@@ -307,6 +316,10 @@ type Engine[V, A, M any] struct {
 	pending [][]VertexID        // worker -> owned vertices with a combined message (combiner path only)
 	ctxs    []*Context[V, A, M] // reusable per-worker contexts (outbox arenas)
 	active  int64               // vertices staying active + messages delivered: nonzero iff the next superstep has work
+
+	// halted[w][i] mirrors the vote of worker w's i-th vertex, so the
+	// compute loop skips a halted vertex without reading its record.
+	halted [][]bool
 
 	aggs *aggPlane
 
@@ -399,16 +412,18 @@ func (e *Engine[V, A, M]) Run() (int, error) {
 	e.initWorkers()
 	e.initMessagePlane()
 
+	wake := false
 	for e.superstep = 0; e.superstep < e.cfg.MaxSupersteps; e.superstep++ {
-		if e.active == 0 && e.superstep > 0 {
+		if e.active == 0 && !wake && e.superstep > 0 {
 			return e.superstep, nil
 		}
-		e.runSuperstep()
+		e.runSuperstep(wake)
 		halted := false
+		wake = false
 		if mp, ok := e.prog.(MasterProgram); ok {
 			m := &Master{aggs: e.aggs, superstep: e.superstep}
 			mp.MasterCompute(m)
-			halted = m.halted
+			halted, wake = m.halted, m.woken
 		}
 		if e.cfg.AfterSuperstep != nil {
 			e.cfg.AfterSuperstep(e.superstep)
@@ -457,8 +472,8 @@ func (e *Engine[V, A, M]) initWorkers() {
 }
 
 // initMessagePlane builds the reusable per-worker contexts and the inboxes
-// of the delivery path in use, and seeds the incremental active count
-// with one pass over the vertices.
+// of the delivery path in use, and seeds the halted mirror and the
+// incremental active count with one pass over the vertices.
 func (e *Engine[V, A, M]) initMessagePlane() {
 	w := e.cfg.NumWorkers
 	n := len(e.vertices)
@@ -490,9 +505,15 @@ func (e *Engine[V, A, M]) initMessagePlane() {
 		e.ctxs[wk] = ctx
 	}
 	e.active = 0
-	for i := range e.vertices {
-		if !e.vertices[i].halted {
-			e.active++
+	e.halted = make([][]bool, w)
+	flags := make([]bool, n)
+	for wk, vs := range e.byWorker {
+		e.halted[wk], flags = flags[:len(vs):len(vs)], flags[len(vs):]
+		for i, v := range vs {
+			e.halted[wk][i] = e.vertices[v].halted
+			if !e.vertices[v].halted {
+				e.active++
+			}
 		}
 	}
 }

@@ -98,8 +98,7 @@ func (c *Context[V, A, M]) Rand() *rng.Source { return c.rand }
 // a combiner is installed the message is merged into this worker's staging
 // slot for dst instead of being queued, so at most one message per
 // (worker, destination) pair travels to the barrier; the sent counters
-// then reflect post-combining traffic. Without one it is appended to the
-// bin of dst's block.
+// then reflect post-combining traffic. Without one it is Outbox().Send.
 func (c *Context[V, A, M]) SendTo(dst VertexID, msg M) {
 	e := c.engine
 	if e.combiner != nil {
@@ -118,8 +117,33 @@ func (c *Context[V, A, M]) SendTo(dst VertexID, msg M) {
 		}
 		return
 	}
-	p := e.pos[dst]
-	c.bins[p>>blockShift] = append(c.bins[p>>blockShift], addrMsg[M]{at: p, payload: msg})
+	Outbox[M]{e.pos, c.bins}.Send(dst, msg)
+}
+
+// Outbox is a worker's no-combiner outbox for the current superstep: the
+// slots of Engine.pos and the Context's bins, by value, so a loop that
+// sends along many arcs reads neither through the Context. It is valid
+// for the Compute call it was taken in, like the Context.
+type Outbox[M any] struct {
+	pos  []int32
+	bins [][]addrMsg[M]
+}
+
+// Outbox returns this worker's outbox. It panics when a combiner is
+// installed: messages then go through SendTo, which combines them.
+func (c *Context[V, A, M]) Outbox() Outbox[M] {
+	if c.engine.combiner != nil {
+		panic("pregel: Outbox with a combiner installed; use SendTo")
+	}
+	return Outbox[M]{c.engine.pos, c.bins}
+}
+
+// Send queues msg for delivery to dst at the next superstep: one lookup
+// and one append to the bin of dst's block.
+func (o Outbox[M]) Send(dst VertexID, msg M) {
+	p := o.pos[dst]
+	bin := &o.bins[p>>blockShift]
+	*bin = append(*bin, addrMsg[M]{at: p, payload: msg})
 }
 
 // Aggregate contributes value to element idx of the aggregator. The
@@ -170,6 +194,7 @@ func (c *Context[V, A, M]) CountEdges(n int) { c.edges += int64(n) }
 type Master struct {
 	superstep int
 	halted    bool
+	woken     bool
 	aggs      *aggPlane
 }
 
@@ -178,6 +203,11 @@ func (m *Master) Superstep() int { return m.superstep }
 
 // Halt stops the computation after this master compute.
 func (m *Master) Halt() { m.halted = true }
+
+// WakeAll makes every vertex compute in the next superstep, halted or
+// not, and keeps the run from ending before it for lack of active
+// vertices. Halt still ends the run.
+func (m *Master) WakeAll() { m.woken = true }
 
 // Agg returns the merged value of the aggregator (live slice; treat as
 // read-only and use SetAgg to modify).
@@ -198,7 +228,8 @@ func (m *Master) SetAgg(h Aggregator, v []float64) {
 // routing, aggregator merge. All message buffers are engine-owned arenas
 // reused across supersteps; in steady state the only per-superstep
 // allocations are the stats record and the worker goroutines themselves.
-func (e *Engine[V, A, M]) runSuperstep() {
+// When wake is set (Master.WakeAll), every vertex computes.
+func (e *Engine[V, A, M]) runSuperstep(wake bool) {
 	start := time.Now()
 	w := e.cfg.NumWorkers
 	var wg sync.WaitGroup
@@ -208,21 +239,25 @@ func (e *Engine[V, A, M]) runSuperstep() {
 		wg.Add(1)
 		go func(wk int, ctx *Context[V, A, M]) {
 			defer wg.Done()
-			off, arena := ctx.inOff, ctx.inArena
+			off, arena, halted := ctx.inOff, ctx.inArena, e.halted[wk]
+			if wake {
+				clear(halted)
+			}
 			for i, vid := range e.byWorker[wk] {
-				v := &e.vertices[vid]
 				var msgs []M
 				if e.combiner != nil {
 					msgs = e.inbox[vid]
 				} else {
 					msgs = arena[off[i]:off[i+1]:off[i+1]]
 				}
-				if v.halted && len(msgs) == 0 {
+				if halted[i] && len(msgs) == 0 {
 					continue
 				}
+				v := &e.vertices[vid]
 				v.halted = false
 				ctx.computed++
 				e.prog.Compute(ctx, v, msgs)
+				halted[i] = v.halted
 				if !v.halted {
 					ctx.stayActive++
 				}

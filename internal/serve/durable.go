@@ -48,6 +48,11 @@ package serve
 //     record (wal.RecordRelabel, the label runs it changed) in a group of
 //     one, then applied at that position — so the journal says where
 //     every merge landed, and nothing but the leader computes one.
+//   - The seed (NewDurable): replay recomputes a resize's immediate
+//     relabel from core.Options.Seed, so NewDurable records the seed in
+//     the dir (a file installed atomically) and Open adopts it, whatever
+//     seed its caller passes. A dir without the record, written before it
+//     existed, opens with the caller's seed.
 //   - Recovery (Open): load the newest checkpoint that verifies, rebuild
 //     the shards over it (their counters recomputed exactly and checked
 //     against the stored ones), then replay the journal tail through
@@ -77,8 +82,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/graph"
@@ -153,6 +161,51 @@ type durable struct {
 
 func journalDir(dir string) string { return filepath.Join(dir, "journal") }
 func ckptDir(dir string) string    { return filepath.Join(dir, "checkpoints") }
+func seedPath(dir string) string   { return filepath.Join(dir, "seed") }
+
+// writeSeed installs the seed record: a temp file, fsynced, renamed into
+// place, and the dir fsynced.
+func writeSeed(dir string, seed uint64) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	tmp := seedPath(dir) + ".tmp"
+	if err := os.WriteFile(tmp, []byte(strconv.FormatUint(seed, 10)+"\n"), 0o644); err != nil {
+		return err
+	}
+	f, err := os.Open(tmp)
+	if err == nil {
+		err = errors.Join(f.Sync(), f.Close())
+	}
+	if err == nil {
+		err = os.Rename(tmp, seedPath(dir))
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	return errors.Join(d.Sync(), d.Close())
+}
+
+// RecordedSeed returns the core.Options.Seed that dir's store was created
+// with, which Open adopts; ok is false when dir holds no record.
+func RecordedSeed(dir string) (seed uint64, ok bool, err error) {
+	b, err := os.ReadFile(seedPath(dir))
+	if errors.Is(err, os.ErrNotExist) {
+		return 0, false, nil
+	}
+	if err == nil {
+		seed, err = strconv.ParseUint(strings.TrimSpace(string(b)), 10, 64)
+	}
+	if err != nil {
+		return 0, false, fmt.Errorf("serve: seed record in %s: %w", dir, err)
+	}
+	return seed, true, nil
+}
 
 // journalBytes is the byte count the journal appended in this process:
 // journalBytes() - jrnBase is the journal above the newest checkpoint.
@@ -181,10 +234,11 @@ func HasState(dir string) bool {
 	return err == nil && len(seqs) > 0
 }
 
-// NewDurable is New plus durability: it writes an initial checkpoint of
-// the starting state into dir, opens the journal, and returns a Store
-// that journals every accepted entry before applying it. dir must not
-// already hold store state (use Open to recover).
+// NewDurable is New plus durability: it records cfg.Options.Seed and
+// writes an initial checkpoint of the starting state into dir, opens the
+// journal, and returns a Store that journals every accepted entry before
+// applying it. dir must not already hold store state (use Open to
+// recover).
 func NewDurable(dir string, w *graph.Weighted, labels []int32, cfg Config) (*Store, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -198,6 +252,9 @@ func NewDurable(dir string, w *graph.Weighted, labels []int32, cfg Config) (*Sto
 		return nil, err
 	}
 	s.d = &durable{dir: dir, cfg: cfg.Durability}
+	if err := writeSeed(dir, cfg.Options.Seed); err != nil {
+		return nil, err
+	}
 	// Initial checkpoint at sequence 0: recovery of an empty journal must
 	// reproduce exactly the construction-time state.
 	if err := s.checkpointNow(); err != nil {
@@ -230,8 +287,9 @@ func BootstrapDurable(dir string, g *graph.Graph, cfg Config) (*Store, error) {
 // replays the journal past it through ApplyRecord (adopting relabel
 // records, restabilizing nothing — see the durability comment above),
 // verifies the counters again with an exact reconcile, and resumes
-// journaling new entries. Returns wal.ErrNoCheckpoint (wrapped) when dir
-// holds no state.
+// journaling new entries. It runs with the seed dir records (see
+// RecordedSeed) in place of cfg.Options.Seed. Returns wal.ErrNoCheckpoint
+// (wrapped) when dir holds no state.
 //
 // Every checkpoint must carry the current version, 2, and no delta
 // checkpoint (a .dckp link, which older code chained above a full one)
@@ -268,6 +326,11 @@ func open(dir string, cfg Config, readOnly bool) (*Store, error) {
 		// Default to the checkpointed layout: recovery restores the shard
 		// ranges bit-identically unless the caller asks for a new count.
 		cfg.Shards = len(st.bounds) - 1
+	}
+	if seed, ok, err := RecordedSeed(dir); err != nil {
+		return nil, err
+	} else if ok {
+		cfg.Options.Seed = seed
 	}
 	if err := cfg.normalize(); err != nil {
 		return nil, err

@@ -404,6 +404,49 @@ func TestDurableGracefulReopen(t *testing.T) {
 	}
 }
 
+// Replay recomputes a resize's immediate relabel from the seed, so a
+// recovery must run with the seed the store was created with: NewDurable
+// records it, and Open adopts it over the one its caller passes. Booted
+// with seed 11, resized and crashed with the resize in the journal, the
+// store recovers its labels when reopened with the default seed.
+func TestOpenAdoptsRecordedSeed(t *testing.T) {
+	dir := t.TempDir()
+	w, labels := twoClusters(50)
+	cfg := durableCfg(2, -1) // no periodic checkpoint: replay carries the resize
+	cfg.Options.Seed = 11
+	st, err := NewDurable(dir, w, append([]int32(nil), labels...), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runScript(t, st)
+	want := st.Snapshot()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if seed, ok, err := RecordedSeed(dir); err != nil || !ok || seed != 11 {
+		t.Fatalf("RecordedSeed = %d, %v, %v; want 11, true, nil", seed, ok, err)
+	}
+
+	cfg.Options.Seed = 0
+	rec, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if rec.Counters().ReplayedRecords.Load() == 0 {
+		t.Fatal("nothing replayed: the resize was not recomputed")
+	}
+	got := rec.Snapshot()
+	if got.K != want.K {
+		t.Fatalf("recovered k=%d, want %d", got.K, want.K)
+	}
+	for v := range want.Labels {
+		if got.Labels[v] != want.Labels[v] {
+			t.Fatalf("label of %d = %d, want %d", v, got.Labels[v], want.Labels[v])
+		}
+	}
+}
+
 // What a checkpoint persists of the coordinator is one struct, coordState,
 // and a graceful Close (final checkpoint) followed by Open restores it
 // whole: after periodic checkpoints, a resize, its repair's relabel and

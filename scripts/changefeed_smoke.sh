@@ -190,9 +190,9 @@ wait "$PID" 2>/dev/null || true
 PID=""
 
 echo "== recover from the full checkpoint plus the journal tail"
-# -seed must be the boot's: replay recomputes the resize's immediate
-# relabel from it, and only the repair merge is journaled.
-"$BINDIR/spinnerd" -addr "127.0.0.1:$PORT" -seed 11 -degrade 999999 -data-dir "$DIR" \
+# No -seed: replay recomputes the resize's immediate relabel from the
+# seed the data dir recorded at boot.
+"$BINDIR/spinnerd" -addr "127.0.0.1:$PORT" -degrade 999999 -data-dir "$DIR" \
   -fsync never -checkpoint-every 4 -delta-ring 32 &
 PID=$!
 wait_healthy
