@@ -8,14 +8,12 @@
 //
 //	spinnerd -k 32 -in graph.txt -addr :8080
 //	spinnerd -k 8 -synthetic 20000 -addr 127.0.0.1:8080
-//	spinnerd -k 32 -shards 8 -in graph.txt          # 8-way sharded mutation application
 //	spinnerd -k 32 -in graph.txt -data-dir /var/spinner -fsync interval
 //
-// The store is sharded (-shards, default GOMAXPROCS capped at 8): each
-// shard owns a contiguous vertex range and applies mutation sub-batches in
-// parallel with incremental cut tracking; /v1/stats reports the composed
-// integer cut counters (cut_weight, total_weight, cut_by_partition) and
-// the shard count.
+// The store has one writer: a coordinator goroutine applies every
+// mutation batch in log order with incremental cut tracking and publishes
+// one immutable snapshot that lookups read lock-free; /v1/stats reports
+// its integer cut counters (cut_weight, total_weight, cut_by_partition).
 //
 // # Durability
 //
@@ -46,9 +44,9 @@
 // and internal/wal): each coordinator turn journals everything pending
 // as one group (one write + one fsync — under -fsync always, concurrent
 // submitters amortize the disk barrier), coalesces consecutive add-only
-// batches into single shard broadcasts, and runs checkpoints in the
-// background (the write plane only pauses to clone the state, never for
-// the encode + write + fsync). /v1/stats reports the pipeline's shape:
+// batches into single applies, and runs checkpoints in the background
+// (the write plane only pauses to clone the graph, never for the encode +
+// write + fsync). /v1/stats reports the pipeline's shape:
 // GroupCommits/GroupedEntries (and the derived journal_group_depth —
 // mean entries per fsync), ApplyCoalesces/CoalescedBatches, and
 // CheckpointsPending (1 while a background checkpoint is in flight).
@@ -71,8 +69,7 @@
 // With -degrade-lookups or -degrade-staleness set, the daemon watches
 // read-path load over an EWMA (-degrade-window) and, while overloaded,
 // spends its degradation budget deliberately: background
-// restabilization and periodic shard-boundary rebalances are deferred, and
-// /v1/resize — the most expensive write — is shed with 503 + Retry-After.
+// restabilization is deferred, and /v1/resize — the most expensive write — is shed with 503 + Retry-After.
 // Lookups and mutations keep flowing.
 //
 // Storage faults fail stop: if a journal write or fsync fails, the
@@ -86,7 +83,8 @@
 //
 // A durable daemon is also a replication leader: followers bootstrap
 // from GET /v1/replicate/checkpoint (the latest checkpoint payload, with
-// X-Replica-Epoch and X-Checkpoint-Seq headers) and then tail
+// X-Replica-Epoch, X-Checkpoint-Seq and X-Replica-Seed headers) and then
+// tail
 // GET /v1/replicate?after_seq=N&epoch=E — a chunked stream of the
 // journal's own CRC-framed records wrapped in epoch-stamped stream
 // frames (internal/replica). While a follower is connected the leader
@@ -107,8 +105,9 @@
 //
 // With -follow <leader-addr> (requires -data-dir) the daemon runs as a
 // warm-standby follower: it installs the leader's checkpoint into its
-// own data dir on first contact (later starts resume from its own
-// state), replays the streamed tail through the same record-apply entry
+// own data dir on first contact, with the leader's seed, which it
+// adopts (later starts resume from its own state, and an explicit -seed
+// that differs is refused), replays the streamed tail through the same record-apply entry
 // recovery uses (serve.Store.ApplyRecord), adopting the leader's journaled
 // relabels instead of restabilizing itself — so follower state is
 // bit-identical to the leader's at the same applied_seq — and serves /v1/lookup from its own
@@ -128,8 +127,8 @@
 // # Change feed
 //
 // Every label-changing event in the store also publishes a compact
-// delta record (changed vertex→label runs, partition-count and
-// shard-boundary changes, integer cut counters) into a bounded ring
+// delta record (changed vertex→label runs, partition-count changes,
+// integer cut counters) into a bounded ring
 // (-delta-ring records; the oldest are compacted away). GET /v1/watch
 // streams those records so an external consumer — a cache, an index, a
 // router — can mirror the vertex→partition map without polling:
@@ -186,10 +185,10 @@
 //	                         the change feed from — the resync path after a 410)
 //	                         Both 200s carry Content-Length (the whole map used to be
 //	                         chunked); the bodies are byte for byte what encoding/json
-//	                         writes. version and k are read from the shard headers:
-//	                         answering for one vertex never composes the label map,
+//	                         writes. version and k are read from the snapshot header:
+//	                         answering for one vertex never reads the label map,
 //	                         and neither does /v1/stats; the whole map is encoded
-//	                         from the published shard segments, never composed.
+//	                         from the published labels, never copied.
 //	POST /v1/mutate        → 202 {"queued":true,"adds":A,"removes":R,"vertices":N}
 //	                         400 {"error":"line L: ..."}
 //	                         413 {"error":...,"code":"body_too_large"}: a body over
@@ -207,7 +206,7 @@
 //	GET  /v1/stats         → 200 snapshot + serving counters (one documented JSON
 //	                         struct — see api.StatsResponse): vertices, k, version,
 //	                         epoch, applied, cut, cut_weight, total_weight,
-//	                         cut_by_partition, shards, durable, journal_group_depth,
+//	                         cut_by_partition, durable, journal_group_depth,
 //	                         counters, degraded, overloaded, drain_rate, lookup_rate,
 //	                         tenants, delta_floor, delta_next, role, applied_seq,
 //	                         leader_seq (+ follower-only staleness_ms,
@@ -272,9 +271,9 @@
 //	spinner_stage_duration_seconds         histogram {stage}
 //	    per-turn commit-pipeline stage timing: drain (log drain + group
 //	    formation), journal (wal group append incl. fsync wait), apply
-//	    (shard broadcast/barrier application), publish (full shard
-//	    republication after relabeling), checkpoint_capture (the
-//	    under-barrier state clone), checkpoint_write (background encode
+//	    (application of the group), publish (counter move and
+//	    publication after relabeling), checkpoint_capture (the state
+//	    capture and graph clone), checkpoint_write (background encode
 //	    + install).
 //	spinner_replica_lag_records            gauge (follower only)
 //	    leader seq − applied seq at scrape time.
@@ -326,7 +325,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -341,12 +339,24 @@ import (
 	"repro/internal/wal"
 )
 
+// refuseOtherSeed refuses a -seed that differs from the seed dc's data
+// dir records: a recovering store and a follower (which records its
+// leader's) run with the recorded seed, so a differing one is refused,
+// not ignored.
+func refuseOtherSeed(dc daemonConfig) error {
+	seed, ok, err := serve.RecordedSeed(dc.dataDir)
+	if err == nil && ok && dc.seedSet && seed != dc.seed {
+		err = fmt.Errorf("-seed %d differs from the seed %d that %s records; omit -seed", dc.seed, seed, dc.dataDir)
+	}
+	return err
+}
+
 // daemonConfig carries the parsed flags into run.
 type daemonConfig struct {
 	k          int
 	c          float64
 	seed       uint64
-	seedSet    bool // -seed was given; a recovery refuses one that differs from the dir's
+	seedSet    bool // -seed was given; recovery and -follow refuse one that differs from the dir's
 	workers    int
 	maxIter    int
 	undirected bool
@@ -355,7 +365,6 @@ type daemonConfig struct {
 	addr       string
 	logDepth   int
 	degrade    float64
-	shards     int
 	deltaRing  int
 
 	dataDir         string
@@ -392,7 +401,6 @@ func main() {
 	flag.StringVar(&dc.addr, "addr", ":8080", "HTTP listen address")
 	flag.IntVar(&dc.logDepth, "log-depth", 64, "bounded mutation log depth")
 	flag.Float64Var(&dc.degrade, "degrade", 1.10, "cut-ratio degradation factor triggering restabilization")
-	flag.IntVar(&dc.shards, "shards", 0, "store shards for parallel mutation application (0 = GOMAXPROCS, capped at 8)")
 	flag.IntVar(&dc.deltaRing, "delta-ring", 1024, "change-feed delta records retained for /v1/watch before compaction")
 	flag.StringVar(&dc.dataDir, "data-dir", "", "durable data directory (journal + checkpoints); empty = in-memory only")
 	flag.StringVar(&dc.fsync, "fsync", "interval", "journal fsync policy: never|interval|always")
@@ -423,19 +431,13 @@ func main() {
 // run bootstraps or recovers the store, serves it on dc.addr until ctx is
 // cancelled, then drains the listener and closes the store.
 func run(ctx context.Context, dc daemonConfig, out io.Writer) error {
-	// The flag default 0 means GOMAXPROCS (capped) on a fresh store, and
-	// "keep the checkpointed shard layout" when recovering.
-	shards := dc.shards
-	if shards == 0 {
-		shards = min(runtime.GOMAXPROCS(0), 8)
-	}
 	opts := core.Options{K: dc.k, C: dc.c, Seed: dc.seed, NumWorkers: dc.workers, MaxIterations: dc.maxIter}
 	weights, err := parseWeights(dc.quotaWeights)
 	if err != nil {
 		return err
 	}
 	cfg := serve.Config{
-		Options: opts, LogDepth: dc.logDepth, DegradeFactor: dc.degrade, Shards: shards,
+		Options: opts, LogDepth: dc.logDepth, DegradeFactor: dc.degrade,
 		DeltaRing: dc.deltaRing, LookupSampleEvery: dc.lookupSampleEvery,
 		Quota:    serve.QuotaConfig{Rate: dc.quotaRate, Burst: dc.quotaBurst, TenantDepth: dc.quotaDepth, Weights: weights},
 		Overload: serve.OverloadConfig{LookupRate: dc.degradeLookups, Staleness: dc.degradeStaleness, Window: dc.degradeWindow},
@@ -477,7 +479,6 @@ func run(ctx context.Context, dc daemonConfig, out io.Writer) error {
 			return err
 		}
 		cfg.Durability = newDurability(pol)
-		cfg.Shards = dc.shards // 0 inherits the leader's checkpointed layout
 		fmt.Fprintf(out, "spinnerd: following %s from %s (fsync=%s)...\n", dc.follow, dc.dataDir, pol)
 		fl, err := replica.StartFollower(replica.FollowerConfig{
 			Leader: dc.follow, Dir: dc.dataDir, Store: cfg,
@@ -486,6 +487,9 @@ func run(ctx context.Context, dc daemonConfig, out io.Writer) error {
 			return err
 		}
 		defer fl.Close()
+		if err := refuseOtherSeed(dc); err != nil {
+			return err
+		}
 		st = fl.Store()
 		rep = &api.Replica{
 			Fl:           fl,
@@ -500,15 +504,10 @@ func run(ctx context.Context, dc daemonConfig, out io.Writer) error {
 		}
 		cfg.Durability = newDurability(pol)
 		if serve.HasState(dc.dataDir) {
-			// Open recovers with the seed the dir was created with; a
-			// -seed that differs from it is refused, not ignored.
-			if seed, ok, err := serve.RecordedSeed(dc.dataDir); err != nil {
+			if err := refuseOtherSeed(dc); err != nil {
 				return err
-			} else if ok && dc.seedSet && seed != dc.seed {
-				return fmt.Errorf("-seed %d differs from the seed %d that %s was created with; omit -seed to recover", dc.seed, seed, dc.dataDir)
 			}
 			fmt.Fprintf(out, "spinnerd: recovering from %s (fsync=%s)...\n", dc.dataDir, pol)
-			cfg.Shards = dc.shards // 0 keeps the checkpointed layout
 			st, err = serve.Open(dc.dataDir, cfg)
 			if err != nil {
 				return err
@@ -520,8 +519,8 @@ func run(ctx context.Context, dc daemonConfig, out io.Writer) error {
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(out, "spinnerd: partitioning %d vertices into %d partitions (%d store shards, durable in %s, fsync=%s)...\n",
-				g.NumVertices(), dc.k, shards, dc.dataDir, pol)
+			fmt.Fprintf(out, "spinnerd: partitioning %d vertices into %d partitions (durable in %s, fsync=%s)...\n",
+				g.NumVertices(), dc.k, dc.dataDir, pol)
 			st, err = serve.BootstrapDurable(dc.dataDir, g, cfg)
 			if err != nil {
 				return err
@@ -532,8 +531,8 @@ func run(ctx context.Context, dc daemonConfig, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "spinnerd: partitioning %d vertices into %d partitions (%d store shards)...\n",
-			g.NumVertices(), dc.k, shards)
+		fmt.Fprintf(out, "spinnerd: partitioning %d vertices into %d partitions...\n",
+			g.NumVertices(), dc.k)
 		st, err = serve.Bootstrap(g, cfg)
 		if err != nil {
 			return err

@@ -58,7 +58,7 @@ func cancelled() context.Context {
 
 func testConfig() daemonConfig {
 	return daemonConfig{k: 4, c: 1.05, seed: 7, workers: 2, maxIter: 30, synthetic: 800,
-		addr: "127.0.0.1:0", logDepth: 16, degrade: 1.05, shards: 2, fsync: "never"}
+		addr: "127.0.0.1:0", logDepth: 16, degrade: 1.05, fsync: "never"}
 }
 
 // An in-memory run serves, then on cancellation drains and closes.
@@ -132,6 +132,22 @@ func TestRecoverySeed(t *testing.T) {
 		if err := run(cancelled(), dc, io.Discard); err != nil {
 			t.Fatalf("recovery with seed %d (set: %v): %v", c.seed, c.seedSet, err)
 		}
+	}
+}
+
+// A follower runs with the seed its dir records (its leader's, from the
+// bootstrap checkpoint), so -follow with another -seed is refused too.
+func TestFollowRefusesOtherSeed(t *testing.T) {
+	dir := t.TempDir()
+	dc := testConfig()
+	dc.dataDir, dc.seed, dc.seedSet = dir, 11, true
+	if err := run(cancelled(), dc, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	dc.seed, dc.follow = 12, freeAddr(t)
+	err := run(cancelled(), dc, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "-seed 12 differs from the seed 11") {
+		t.Fatalf("-follow with another -seed returned %v, want a refusal", err)
 	}
 }
 

@@ -47,51 +47,45 @@
 // partitions are maintained, not recomputed), exposed by cmd/spinnerd and
 // walked through in examples/serving:
 //
-//   - The store is sharded (Config.Shards): each shard owns a contiguous
-//     vertex range — its adjacency rows, its label segment, and the
-//     integer cut counters of the edges whose lower endpoint it owns —
-//     behind an atomically-swapped vertex→shard route table.
-//   - Lookups are lock-free: readers load the route table and the target
-//     shard's immutable snapshot through two atomic pointers; a published
-//     snapshot is never mutated.
-//   - graph.Mutation batches flow through a bounded mutation log into a
-//     coordinator goroutine. Add-only batches between existing vertices
-//     broadcast to the shards, which add to their rows (an existing edge
-//     gains weight: graph.Weighted keeps one arc per neighbour) and fold
-//     O(batch) incremental cut deltas in parallel (labels are frozen
-//     between barriers), publishing O(k) snapshots that reuse the previous
-//     label copy. Batches that append vertices or remove edges apply atomically
-//     under a full shard barrier, place new vertices on the least loaded
-//     partitions from per-shard load counters, and advance the counters by
-//     the batch's exact deltas (graph.Mutation.CutEdits) — never an O(E)
-//     scan or recompute per batch.
-//   - Every 512 applied batches a periodic pass rebalances shard
-//     boundaries by weighted degree (cluster.BalancedRanges). The
-//     counters are never recounted while serving: an exact check
-//     (metrics.CutWeightsRange over each owned range, bit-identical to the
-//     incremental values) runs once when a durable store reopens.
-//   - The coordinator composes the cut ratio from the per-shard integer
-//     counters; past a degradation threshold it clones the merged graph
-//     under a barrier and restabilizes in a background goroutine with the
-//     incremental Spinner adaptation. When the run lands, the label runs
-//     it changed are journaled as a relabel record and then applied —
-//     scattered back per shard — at that log position. Only the leader
-//     computes a relabeling: followers and journal replay adopt the
-//     record.
+//   - The store has one writer: a coordinator goroutine owns the graph,
+//     the labels and the integer cut counters, applies every batch itself
+//     and publishes one immutable snapshot after each change.
+//   - Lookups are lock-free: a lookup is one atomic load of the published
+//     snapshot and a bounds check. A published label array is never
+//     written: a relabel or resize swaps in a new one, and growth writes
+//     only past the published length, so no publication copies labels.
+//   - graph.Mutation batches flow through a bounded mutation log into the
+//     coordinator. A run of add-only batches between existing vertices
+//     adds to the rows (an existing edge gains weight: graph.Weighted
+//     keeps one arc per neighbour), folds O(batch) incremental cut deltas
+//     and publishes once. Batches that append vertices or remove edges
+//     apply atomically, place new vertices on the least loaded partitions
+//     from the maintained load counters, and advance the counters by the
+//     batch's exact deltas (graph.Mutation.CutEdits) — never an O(E) scan
+//     or recompute per batch.
+//   - The counters are never recounted while serving: an exact check
+//     (metrics.CutWeightsRange, bit-identical to the incremental values)
+//     runs once when a durable store reopens.
+//   - Past a degradation threshold of the tracked cut ratio the
+//     coordinator clones the graph and restabilizes in a background
+//     goroutine with the incremental Spinner adaptation. When the run
+//     lands, the label runs it changed are journaled as a relabel record
+//     and then applied at that log position. Only the leader computes a
+//     relabeling: followers and journal replay adopt the record.
 //   - Elastic k→k′ changes relabel the paper's n/(k+n) fraction
 //     immediately — lookups never observe an out-of-range label — and
 //     repair locality with the same background machinery; runs in flight
 //     across a resize are discarded, not merged.
 //
 // internal/metrics.ServeCounters instruments lookups, staleness,
-// migration volume, the sharded write plane (sub-batches, reconciles,
-// drift, rebalances) and the durability path (journal appends/bytes/
+// migration volume, the write plane (coalesced applies, reconciles,
+// drift) and the durability path (journal appends/bytes/
 // fsyncs, checkpoints, recovery replay length);
 // cluster.MigrationVolume measures the migration traffic. BENCH_pr2.json records
 // BenchmarkServeLookupUnderChurn (sustained lookup latency under live
 // churn and restabilization) and BENCH_pr3.json
-// BenchmarkServeMutateThroughput (the sharded write plane: shards=1/2/4
-// fan-out plus incremental-vs-exact cut tracking); `make test-race` runs
+// BenchmarkServeMutateThroughput (the write plane, incremental-vs-exact
+// cut tracking); `make test-race` runs
 // every package under the race detector.
 //
 // # Durability
@@ -124,12 +118,12 @@
 //     with ≥8 submitters group commit amortizes fsync=always toward the
 //     interval policy.
 //   - Coalesced apply: consecutive add-only batches drained in one turn
-//     merge into a single shard broadcast — one scan, one cut-delta
-//     fold, one snapshot publication per shard for the run (sound
-//     because add-only batches never relabel).
-//   - Background checkpoints: every CheckpointEvery applied entries the
-//     barrier only *captures* the composed state — graph (Weighted.Clone),
-//     labels, k, shard ranges, generation/epoch, trigger state — and a
+//     merge into one apply — one counter delta and one snapshot
+//     publication for the run (sound because add-only batches never
+//     relabel).
+//   - Background checkpoints: when one is due the coordinator only
+//     *captures* the state — graph (Weighted.Clone), the published
+//     labels, k, generation/epoch, trigger state — and a
 //     background goroutine encodes and atomically installs it
 //     (tmp+fsync+rename), prunes old checkpoints, and deletes journal
 //     segments below the oldest retained one; at most one is in flight,
@@ -139,14 +133,14 @@
 //     back past a damaged newest file — or one that never finished
 //     installing because the crash hit mid-checkpoint, in which case the
 //     longer journal tail replays to the identical state), rebuilds the
-//     shards (counting the cut afresh), replays the journal tail through
-//     the normal shard-broadcast apply path, and runs an
+//     store (counting the cut afresh), replays the journal tail through
+//     the normal apply path, and runs an
 //     exact reconcile (CutDrift stays 0). Torn tails — the crash shape —
 //     are truncated; mid-log corruption fails recovery loudly rather
 //     than silently dropping acknowledged batches. Recovery is
 //     bit-identical to what the store had journaled, quiesced or
 //     mid-churn, because every restabilization is a journaled relabel
-//     record it adopts: labels, k, shard ranges and integer cut counters
+//     record it adopts: labels, k and integer cut counters
 //     match exactly (property-tested, including a crash during an
 //     in-flight background checkpoint and a close mid-churn).
 //

@@ -3,8 +3,8 @@
 // the paper — this time through the wire protocol a real deployment
 // would use.
 //
-// A social graph is partitioned once and served from a 4-way sharded
-// durable store behind the /v1 HTTP API (internal/api) on a loopback
+// A social graph is partitioned once and served from a durable store
+// behind the /v1 HTTP API (internal/api) on a loopback
 // listener. Everything below talks to it through the typed client
 // (internal/api/client): reader goroutines resolve vertex→partition
 // lookups with GET /v1/lookup, a change-feed consumer tails GET
@@ -53,8 +53,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	cfg := serve.Config{Options: opts, DegradeFactor: 1.05, Shards: 4}
-	fmt.Printf("bootstrapping: %d vertices into %d partitions (4 store shards, journal+checkpoints in %s)...\n",
+	cfg := serve.Config{Options: opts, DegradeFactor: 1.05}
+	fmt.Printf("bootstrapping: %d vertices into %d partitions (journal+checkpoints in %s)...\n",
 		g.NumVertices(), k, dir)
 	st, err := serve.BootstrapDurable(dir, g, cfg)
 	if err != nil {

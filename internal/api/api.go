@@ -158,12 +158,12 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		if !s.checkStaleness(w) {
 			return
 		}
-		// The body is encoded from the published shard segments into a
-		// pooled buffer: the read composes no map and allocates no body.
+		// The body is encoded from the published labels into a pooled
+		// buffer: the read copies no label and allocates no body.
 		fromSeq := s.resyncFromSeq()
-		runs, sum := s.st.LabelRuns()
+		snap := s.st.Snapshot()
 		bufp := resyncBufPool.Get().(*[]byte)
-		*bufp = appendResync((*bufp)[:0], ResyncResponse{K: sum.K, Vertices: sum.Vertices, FromSeq: fromSeq}, runs)
+		*bufp = appendResync((*bufp)[:0], ResyncResponse{K: snap.K, Vertices: snap.Vertices, Labels: snap.Labels, FromSeq: fromSeq})
 		writeBody(w, *bufp)
 		resyncBufPool.Put(bufp)
 		return
@@ -181,8 +181,8 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "vertex not found")
 		return
 	}
-	// Version and k come from the shard headers: answering for one vertex
-	// never composes the label map.
+	// Version and k come from the snapshot header: answering for one
+	// vertex never reads the label map.
 	sum := s.st.Summary()
 	var buf [128]byte
 	writeBody(w, AppendLookup(buf[:0], LookupResponse{Vertex: v, Partition: part, Version: sum.Version, K: sum.K}))
@@ -307,7 +307,6 @@ type StatsResponse struct {
 	CutWeight      int64   `json:"cut_weight"`
 	TotalWeight    int64   `json:"total_weight"`
 	CutByPartition []int64 `json:"cut_by_partition"`
-	Shards         int     `json:"shards"`
 	Durable        bool    `json:"durable"`
 	// JournalGroupDepth is the mean journal records framed per group
 	// append — the entries amortizing each fsync under -fsync always.
@@ -352,7 +351,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		CutWeight:         sum.CutWeight,
 		TotalWeight:       sum.TotalWeight,
 		CutByPartition:    sum.CutByPartition,
-		Shards:            sum.Shards,
 		Durable:           s.st.Durable(),
 		JournalGroupDepth: s.st.Counters().GroupCommitDepth(),
 		Counters:          s.st.Metrics().Counters(),

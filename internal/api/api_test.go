@@ -666,7 +666,7 @@ func TestHTTPResizeShedUnderOverload(t *testing.T) {
 // to 503 {"status":"degraded"}, writes refuse with code "degraded", and
 // lookups keep serving the last applied state.
 func TestHTTPDegradedAfterStorageFault(t *testing.T) {
-	cfg := serve.Config{Options: testOpts(4), Shards: 2,
+	cfg := serve.Config{Options: testOpts(4),
 		Durability: serve.DurabilityConfig{Fsync: wal.SyncNever}}
 	st, err := serve.BootstrapDurable(t.TempDir(), gen.WattsStrogatz(600, 8, 0.2, 7), cfg)
 	if err != nil {
@@ -761,7 +761,7 @@ func TestHTTPStatsDurabilityFields(t *testing.T) {
 	}
 	// The documented field names are a contract: assert the exact keys.
 	for _, field := range []string{"vertices", "k", "version", "epoch", "applied", "cut",
-		"cut_weight", "total_weight", "cut_by_partition", "shards", "durable",
+		"cut_weight", "total_weight", "cut_by_partition", "durable",
 		"journal_group_depth", "counters", "degraded", "overloaded", "drain_rate",
 		"lookup_rate", "tenants", "delta_floor", "delta_next", "role", "applied_seq", "leader_seq"} {
 		if _, ok := stats[field]; !ok {
@@ -834,7 +834,7 @@ func readWatch(t *testing.T, url string) (serve.WatchFrame, []*serve.Delta) {
 // exact label map the lookup path serves — across growth, removal,
 // resize, and restabilization churn.
 func TestWatchConvergesToLookupTruth(t *testing.T) {
-	st := testStoreCfg(t, serve.Config{Options: testOpts(4), Shards: 2, DegradeFactor: 1.01})
+	st := testStoreCfg(t, serve.Config{Options: testOpts(4), DegradeFactor: 1.01})
 	srv := testServer(t, st)
 
 	// Churn: growth batches plus a resize, then quiesce.
@@ -914,7 +914,7 @@ func TestWatchConvergesToLookupTruth(t *testing.T) {
 // cursor from a later incarnation gets 410 {"code":"reset"}; the
 // /v1/lookup resync dump then pairs with a servable cursor.
 func TestWatchGoneAndResync(t *testing.T) {
-	st := testStoreCfg(t, serve.Config{Options: testOpts(4), Shards: 2, DeltaRing: 4})
+	st := testStoreCfg(t, serve.Config{Options: testOpts(4), DeltaRing: 4})
 	srv := testServer(t, st)
 
 	// Push enough deltas through the 4-slot ring to compact seq 1 away.

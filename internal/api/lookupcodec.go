@@ -11,8 +11,8 @@
 // The whole map is a long run of small integers, so each end has a kernel
 // for one label. The encoder writes a label two digits at a time from
 // digitPairs — a label below 1000, so every label of a k up to 1000, in
-// one append — and calls no strconv. It takes the map as the store
-// publishes it, one run per shard, so the server never composes a copy.
+// one append — and calls no strconv. It takes the labels the store
+// publishes, so the server never copies the map.
 // The scanner takes a canonical label — 1 to 9 digits, no leading zero,
 // followed at once by ',' or ']', which is what the encoder writes for
 // any label in [0, 10^9) — in one tight loop. Any other bytes (whitespace,
@@ -57,43 +57,36 @@ func AppendMutate(dst []byte, r MutateResponse) []byte {
 	return append(dst, "}\n"...)
 }
 
-// appendResync is the one whole-map encoder: r's header around labels
-// given as runs, concatenated in order (r.Labels is not read); nil runs
-// is a null map. dst grows once: a label in [0,K) takes at most K's digits
-// plus a comma.
-func appendResync(dst []byte, r ResyncResponse, runs [][]int32) []byte {
-	n := 0
-	for _, run := range runs {
-		n += len(run)
-	}
+// appendResync is the one whole-map encoder: r with its labels; nil
+// labels is a null map. dst grows once: a label in [0,K) takes at most K's
+// digits plus a comma.
+func appendResync(dst []byte, r ResyncResponse) []byte {
 	perLabel := len(strconv.Itoa(r.K)) + 1
-	dst = slices.Grow(dst, 96+n*perLabel)
+	dst = slices.Grow(dst, 96+len(r.Labels)*perLabel)
 	dst = append(dst, `{"k":`...)
 	dst = strconv.AppendInt(dst, int64(r.K), 10)
 	dst = append(dst, `,"vertices":`...)
 	dst = strconv.AppendInt(dst, int64(r.Vertices), 10)
 	dst = append(dst, `,"labels":`...)
-	if runs == nil {
+	if r.Labels == nil {
 		dst = append(dst, "null"...)
 	} else {
 		// Every label is followed by a comma; the last one becomes ']'.
 		dst = append(dst, '[')
-		for _, run := range runs {
-			for _, l := range run {
-				switch u := uint32(l); {
-				case u < 10:
-					dst = append(dst, '0'+byte(u), ',')
-				case u < 100:
-					dst = append(dst, digitPairs[2*u], digitPairs[2*u+1], ',')
-				case u < 1000:
-					h, t := u/100, u%100
-					dst = append(dst, '0'+byte(h), digitPairs[2*t], digitPairs[2*t+1], ',')
-				default:
-					dst = append(appendLabel(dst, l), ',')
-				}
+		for _, l := range r.Labels {
+			switch u := uint32(l); {
+			case u < 10:
+				dst = append(dst, '0'+byte(u), ',')
+			case u < 100:
+				dst = append(dst, digitPairs[2*u], digitPairs[2*u+1], ',')
+			case u < 1000:
+				h, t := u/100, u%100
+				dst = append(dst, '0'+byte(h), digitPairs[2*t], digitPairs[2*t+1], ',')
+			default:
+				dst = append(appendLabel(dst, l), ',')
 			}
 		}
-		if n == 0 {
+		if len(r.Labels) == 0 {
 			dst = append(dst, ']')
 		} else {
 			dst[len(dst)-1] = ']'

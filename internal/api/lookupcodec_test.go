@@ -20,15 +20,10 @@ import (
 	"repro/internal/serve"
 )
 
-// AppendResync appends r as the GET /v1/lookup whole-map body, its labels
-// as one run: the form the tests compare with encoding/json and with what
-// the handler encodes from the shard runs.
-func AppendResync(dst []byte, r ResyncResponse) []byte {
-	if r.Labels == nil {
-		return appendResync(dst, r, nil)
-	}
-	return appendResync(dst, r, [][]int32{r.Labels})
-}
+// AppendResync appends r as the GET /v1/lookup whole-map body: the form
+// the tests compare with encoding/json and with what the handler encodes
+// from the published labels.
+func AppendResync(dst []byte, r ResyncResponse) []byte { return appendResync(dst, r) }
 
 // jsonBody is what writeJSON puts on the wire for v.
 func jsonBody(t testing.TB, v any) []byte {
@@ -143,13 +138,13 @@ func TestLookupBodiesMatchEncodingJSON(t *testing.T) {
 	}
 }
 
-// The whole-map handler encodes the published shard segments in place:
-// on a 3-shard store whose boundaries moved under growth, and across a
-// resize, its body is AppendResync of the composed Snapshot, byte for
-// byte; and concurrent readers, who share the pooled body buffers, each
-// get a whole map.
+// The whole-map handler encodes the published labels in place: after
+// growth and across a resize, its body is AppendResync of the Snapshot,
+// byte for byte; and concurrent readers, who share the pooled body
+// buffers, each get a whole map. (The name is from the sharded store,
+// whose map was published as one run per shard.)
 func TestWholeMapBodyFromShardRuns(t *testing.T) {
-	st := testStoreCfg(t, serve.Config{Options: testOpts(4), Shards: 3, DegradeFactor: 1e9})
+	st := testStoreCfg(t, serve.Config{Options: testOpts(4), DegradeFactor: 1e9})
 	mux := NewServer(st, nil).Mux()
 	get := func() []byte {
 		rec := httptest.NewRecorder()
@@ -168,12 +163,8 @@ func TestWholeMapBodyFromShardRuns(t *testing.T) {
 			t.Fatalf("%s: GET /v1/lookup served %d bytes that differ from AppendResync(Snapshot()), %d bytes",
 				when, len(body), len(want))
 		}
-		if runs, sum := st.LabelRuns(); len(runs) != 3 || sum.Vertices != len(snap.Labels) {
-			t.Fatalf("%s: %d runs over %d vertices, want 3 over %d", when, len(runs), sum.Vertices, len(snap.Labels))
-		}
 	}
-	// Growth appends every vertex to the last shard; the periodic pass
-	// moves the boundaries back.
+	// Growth writes past the published labels.
 	grow := func(steps int) {
 		for step := 0; step < steps; step++ {
 			n := st.Summary().Vertices
@@ -192,10 +183,7 @@ func TestWholeMapBodyFromShardRuns(t *testing.T) {
 	}
 	check("bootstrapped")
 	grow(520)
-	if st.Counters().ShardRebalances.Load() == 0 {
-		t.Fatal("growth skewed the shard ranges but they never rebalanced")
-	}
-	check("after growth and a rebalance")
+	check("after growth")
 	if err := st.Resize(7); err != nil {
 		t.Fatal(err)
 	}

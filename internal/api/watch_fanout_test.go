@@ -21,7 +21,7 @@ import (
 // have encoded each delta exactly once no matter how many streams were
 // attached.
 func TestWatchManyConcurrentStreamsBitIdentical(t *testing.T) {
-	st := testStoreCfg(t, serve.Config{Options: testOpts(4), Shards: 2})
+	st := testStoreCfg(t, serve.Config{Options: testOpts(4)})
 	srv := testServer(t, st)
 	const streams = 150
 	const wantDeltas = 25
@@ -157,7 +157,7 @@ func (g *gapFeed) FramedDeltasSince(after uint64, max int) ([]serve.FramedDelta,
 // frame carrying the new bounds before the stream closes — not a bare
 // connection drop.
 func TestWatchMidStreamCompactionEndFrame(t *testing.T) {
-	st := testStoreCfg(t, serve.Config{Options: testOpts(4), Shards: 2})
+	st := testStoreCfg(t, serve.Config{Options: testOpts(4)})
 	as := NewServer(st, nil)
 	as.feed = &gapFeed{Store: st}
 	srv := httptest.NewServer(as.Mux())

@@ -29,9 +29,6 @@ type RunConfig struct {
 	// (contiguous ranges). Use PlacementFromLabels to derive one from a
 	// partitioning.
 	Placement func(graph.VertexID) int
-	// Seed seeds worker random streams (unused by these deterministic
-	// apps, present for uniformity).
-	Seed uint64
 }
 
 // PlacementFromLabels maps each vertex to worker labels[v] mod numWorkers,
@@ -118,7 +115,7 @@ func PageRank(g *graph.Graph, iterations int, cfg RunConfig) ([]float64, *Result
 		vs[i].Edges = g.Neighbors(graph.VertexID(i)) // read in place, never written
 	}
 	eng := pregel.NewEngine[float64, graph.VertexID, float64](pregel.Config{
-		NumWorkers: cfg.NumWorkers, Placement: cfg.Placement, Seed: cfg.Seed,
+		NumWorkers: cfg.NumWorkers, Placement: cfg.Placement,
 		MaxSupersteps: iterations + 2,
 	}, &prProg{iterations: iterations})
 	eng.SetCombiner(func(a, b float64) float64 { return a + b })
@@ -187,7 +184,7 @@ func SSSP(g *graph.Graph, source graph.VertexID, cfg RunConfig) ([]float64, *Res
 		vs[i].Edges = sym[i]
 	}
 	eng := pregel.NewEngine[float64, graph.VertexID, float64](pregel.Config{
-		NumWorkers: cfg.NumWorkers, Placement: cfg.Placement, Seed: cfg.Seed,
+		NumWorkers: cfg.NumWorkers, Placement: cfg.Placement,
 	}, &ssspProg{source: source})
 	eng.SetCombiner(func(a, b float64) float64 {
 		if a < b {
@@ -253,7 +250,7 @@ func WCC(g *graph.Graph, cfg RunConfig) ([]int32, *Result, error) {
 		vs[i].Edges = sym[i]
 	}
 	eng := pregel.NewEngine[float64, graph.VertexID, float64](pregel.Config{
-		NumWorkers: cfg.NumWorkers, Placement: cfg.Placement, Seed: cfg.Seed,
+		NumWorkers: cfg.NumWorkers, Placement: cfg.Placement,
 	}, wccProg{})
 	eng.SetCombiner(func(a, b float64) float64 {
 		if a < b {

@@ -32,8 +32,8 @@ func (e CutEdit) Signed() int64 {
 // mutating w. Folding each edit's signed weight into counters produced by
 // metrics.CutWeights — total += ±weight, and for edits whose endpoint
 // labels differ, cross and both endpoints' per-partition external weight
-// likewise — keeps them exactly equal to a fresh recompute; the sharded
-// store (internal/serve) does this per owning shard.
+// likewise — keeps them exactly equal to a fresh recompute; the serving
+// store (internal/serve) does this for every batch that is not add-only.
 //
 // CutEdits must be called against the pre-mutation graph. It replays the
 // batch's effect on each pair it names, in Apply's order: an addition adds

@@ -56,8 +56,8 @@ func (m *Mutation) Apply(w *Weighted) (firstNew VertexID, err error) {
 
 // ApplyEdits is Apply that also returns the batch's CutEdits against the
 // pre-mutation graph, found by the pass that validates the batch: a caller
-// that folds them into counters, as the sharded store's barrier path does,
-// validates once, not twice.
+// that folds them into counters, as the serving store's general path
+// does, validates once, not twice.
 func (m *Mutation) ApplyEdits(w *Weighted) (firstNew VertexID, edits []CutEdit, err error) {
 	return m.apply(w, true)
 }

@@ -62,9 +62,10 @@ func TestMutationCostIsLinearInBatch(t *testing.T) {
 	}
 }
 
-// BenchmarkMutationApply is the barrier path's graph work, ApplyEdits, on a
-// 100 000-vertex graph for batches of 1 k, 10 k and 100 k edges, a quarter
-// of them removals. ns/edge must stay flat across the sizes.
+// BenchmarkMutationApply is the graph work of the serving store's general
+// path, ApplyEdits, on a 100 000-vertex graph for batches of 1 k, 10 k and
+// 100 k edges, a quarter of them removals. ns/edge must stay flat across
+// the sizes.
 func BenchmarkMutationApply(b *testing.B) {
 	for _, edges := range []int{1_000, 10_000, 100_000} {
 		b.Run(fmt.Sprintf("edges=%d", edges), func(b *testing.B) {

@@ -135,12 +135,12 @@ func (w *Weighted) EdgeWeight(u, v VertexID) int32 {
 // InsertArc adds weight to u's arc to v, appending the arc if u's row has
 // none, without touching v's row or the edge/weight totals. It returns the
 // weight actually added — less than weight where the sum saturates at
-// math.MaxInt32 — and whether the arc is new. It exists for sharded writers
-// (internal/serve): two shards owning u's and v's rows insert the two arcs
-// of an undirected edge independently — writes to distinct rows never race,
-// and rows that mirror each other merge alike — and the owner reconciles
-// the totals via AdjustTotals. Any other use breaks the symmetry invariant
-// the rest of the package relies on; prefer AddEdge.
+// math.MaxInt32 — and whether the arc is new. It exists for the serving
+// store's add-only path (internal/serve), which needs the weight an edge
+// actually added for its cut counters: it inserts both arcs of each edge
+// (rows that mirror each other merge alike) and folds a run's totals in
+// via AdjustTotals. Any other use breaks the symmetry invariant the rest
+// of the package relies on; prefer AddEdge.
 func (w *Weighted) InsertArc(u, v VertexID, weight int32) (added int32, isNew bool) {
 	row := w.adj[u]
 	for i := range row {
@@ -156,8 +156,7 @@ func (w *Weighted) InsertArc(u, v VertexID, weight int32) (added int32, isNew bo
 
 // AdjustTotals folds dEdges new undirected edges and dWeight added weight
 // into the graph's edge and weight totals — the bookkeeping counterpart of
-// InsertArc, applied once per edge (not per arc) by the coordinating
-// owner after concurrent shard writers have quiesced.
+// InsertArc, counted once per edge (not per arc).
 func (w *Weighted) AdjustTotals(dEdges, dWeight int64) {
 	w.numEdges += dEdges
 	w.totalWeight += 2 * dWeight

@@ -73,8 +73,7 @@ func CutWeights(w *graph.Weighted, labels []int32, k int) (cross, total int64, p
 // CutWeightsRange is CutWeights restricted to the edges owned by the
 // contiguous vertex range [lo, hi): an edge {u,v} with u < v is owned by
 // the range containing u. Summing the results over a partition of the
-// vertex space into disjoint ranges reproduces CutWeights exactly — the
-// sharded store reconciles each shard's incremental counters this way.
+// vertex space into disjoint ranges reproduces CutWeights exactly.
 // load is the owned edges' share of b(l) (Eq. 6): every owned edge, cut or
 // not, adds its weight at both endpoints' labels, so the ranges' loads sum
 // to Loads on a graph without self-loops (which no mutation, Convert or

@@ -219,7 +219,7 @@ func TestGroundTruthPhiHigh(t *testing.T) {
 
 // CutWeights must agree with Phi exactly, and range-restricted sums over a
 // disjoint partition of the vertex space must reproduce the global counters
-// bit-for-bit — the invariant the sharded store's reconciliation relies on.
+// bit-for-bit.
 func TestCutWeightsMatchPhiAndCompose(t *testing.T) {
 	g, _ := gen.PlantedPartition(500, 3, 10, 3, 11)
 	w := graph.Convert(g)

@@ -68,21 +68,15 @@ type ServeCounters struct {
 	ElasticResizes   atomic.Int64 `metric:"spinner_elastic_resizes_total" help:"Elastic partition-count changes applied."`
 	ElasticSeedMoved atomic.Int64 `metric:"spinner_elastic_seed_moved_total" help:"Vertices moved by the probabilistic elastic relabeling itself."`
 
-	// Sharded-store path.
+	// Cut-counter path.
 
-	// ShardBatches counts per-shard sub-batch applications on the sharded
-	// fast path (one submitted batch fans out to ≤ shards sub-batches).
-	ShardBatches atomic.Int64 `metric:"spinner_shard_batches_total" help:"Per-shard sub-batch applications on the sharded fast path."`
 	// CutReconciles counts the exact checks, run at open and by tests; the
 	// serving loop moves the counters instead (a relabel too large to move
-	// recounts them without checking, uncounted). CutDrift counts shards
-	// whose incremental counters disagreed with an exact check and were
-	// repaired (expected to stay 0 — integer deltas are exact).
+	// recounts them without checking, uncounted). CutDrift counts exact
+	// checks that found the incremental counters disagreeing with a recount
+	// and repaired them (expected to stay 0 — integer deltas are exact).
 	CutReconciles atomic.Int64 `metric:"spinner_cut_reconciles_total" help:"Periodic exact cut recomputations."`
-	CutDrift      atomic.Int64 `metric:"spinner_cut_drift_total" help:"Shards whose incremental cut counters disagreed with an exact pass."`
-	// ShardRebalances counts shard-boundary recomputations that actually
-	// moved a boundary (the periodic pass).
-	ShardRebalances atomic.Int64 `metric:"spinner_shard_rebalances_total" help:"Shard-boundary recomputations that moved a boundary."`
+	CutDrift      atomic.Int64 `metric:"spinner_cut_drift_total" help:"Exact checks that found the incremental cut counters disagreeing with a recount."`
 
 	// Durability path (internal/wal; zero on in-memory stores).
 
@@ -108,12 +102,12 @@ type ServeCounters struct {
 	// number of entries amortizing each fsync under wal.SyncAlways.
 	GroupCommits   atomic.Int64 `metric:"spinner_group_commits_total" help:"Journal group appends (one write, at most one fsync each)."`
 	GroupedEntries atomic.Int64 `metric:"spinner_grouped_entries_total" help:"Records framed into group appends."`
-	// ApplyCoalesces counts shard broadcasts that merged a run of two or
-	// more consecutive add-only batches into one fan-out (one cut-delta
-	// fold, one snapshot publication); CoalescedBatches totals the
-	// batches so merged.
-	ApplyCoalesces   atomic.Int64 `metric:"spinner_apply_coalesces_total" help:"Shard broadcasts that merged two or more consecutive add-only batches."`
-	CoalescedBatches atomic.Int64 `metric:"spinner_coalesced_batches_total" help:"Batches merged by coalesced broadcasts."`
+	// ApplyCoalesces counts applies that merged a run of two or more
+	// consecutive add-only batches into one (one counter delta, one
+	// snapshot publication); CoalescedBatches totals the batches so
+	// merged.
+	ApplyCoalesces   atomic.Int64 `metric:"spinner_apply_coalesces_total" help:"Applies that merged two or more consecutive add-only batches."`
+	CoalescedBatches atomic.Int64 `metric:"spinner_coalesced_batches_total" help:"Batches merged by coalesced applies."`
 	// CheckpointsPending is a 0/1 gauge: 1 while a captured checkpoint is
 	// being encoded/written/installed by the background checkpointer.
 	CheckpointsPending atomic.Int64 `metric:"spinner_checkpoints_pending" help:"1 while a background checkpoint is being encoded/written/installed."`
@@ -126,11 +120,10 @@ type ServeCounters struct {
 	// ShedRequests counts HTTP requests shed under overload with 503 +
 	// Retry-After (currently /resize, the most expensive write).
 	ShedRequests atomic.Int64 `metric:"spinner_shed_requests_total" help:"HTTP requests shed under overload with 503 + Retry-After."`
-	// DeferredRestabs and DeferredReconciles count maintenance passes the
-	// degradation budget pushed back because the store was overloaded —
-	// one per deferral episode, not per skipped turn.
-	DeferredRestabs    atomic.Int64 `metric:"spinner_deferred_restabs_total" help:"Restabilization passes deferred by the degradation budget."`
-	DeferredReconciles atomic.Int64 `metric:"spinner_deferred_reconciles_total" help:"Reconcile passes deferred by the degradation budget."`
+	// DeferredRestabs counts restabilizations the degradation budget
+	// pushed back because the store was overloaded — one per deferral
+	// episode, not per skipped turn.
+	DeferredRestabs atomic.Int64 `metric:"spinner_deferred_restabs_total" help:"Restabilization passes deferred by the degradation budget."`
 	// FairnessPasses counts deficit-round-robin passes over the tenant
 	// ring when the coordinator forms a commit group from the backlog.
 	FairnessPasses atomic.Int64 `metric:"spinner_fairness_passes_total" help:"Deficit-round-robin passes over the tenant ring."`
@@ -138,7 +131,7 @@ type ServeCounters struct {
 	// Change-feed path (the delta plane; see internal/serve/delta.go).
 
 	// DeltasPublished counts Delta records published into the change-feed
-	// ring (baselines, barrier deltas and counter-only deltas).
+	// ring (baselines, label-changing deltas and counter-only deltas).
 	DeltasPublished atomic.Int64 `metric:"spinner_deltas_published_total" help:"Delta records published into the change-feed ring."`
 	// DeltaEncodes counts EncodeDelta calls on the publish path. The
 	// encode-once fan-out invariant is DeltaEncodes == DeltasPublished

@@ -18,7 +18,7 @@ import (
 // BenchmarkFollowerLookupStaleness measures follower-side Lookup latency
 // while the leader churns and the stream replicates underneath — the
 // read-replica serving path. ns/op should sit at the leader's ~50ns
-// Lookup cost (same lock-free route-table read); the staleness-ms metric
+// Lookup cost (the same lock-free snapshot read); the staleness-ms metric
 // reports the worst replication lag observed during the run.
 func BenchmarkFollowerLookupStaleness(b *testing.B) {
 	const n = 4000
@@ -28,7 +28,6 @@ func BenchmarkFollowerLookupStaleness(b *testing.B) {
 	opts.MaxIterations = 30
 	cfg := serve.Config{
 		Options: opts,
-		Shards:  2,
 		Durability: serve.DurabilityConfig{
 			Fsync:             wal.SyncNever,
 			CheckpointEvery:   -1,
@@ -43,10 +42,8 @@ func BenchmarkFollowerLookupStaleness(b *testing.B) {
 	defer leader.Close()
 	hs, _ := leaderHTTP(b, leader, ldir)
 
-	fcfg := cfg
-	fcfg.Shards = 0
 	fl, err := StartFollower(FollowerConfig{
-		Leader: hs.URL, Dir: b.TempDir(), Store: fcfg, Reconnect: 10 * time.Millisecond,
+		Leader: hs.URL, Dir: b.TempDir(), Store: cfg, Reconnect: 10 * time.Millisecond,
 	})
 	if err != nil {
 		b.Fatal(err)

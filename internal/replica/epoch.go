@@ -4,8 +4,8 @@ package replica
 // bootstrap leader starts at epoch 1; /promote seals the follower's
 // applied journal position into epoch+1 and persists it BEFORE the node
 // starts accepting writes, so a restart of a promoted node keeps fencing
-// the deposed leader's stream. The file is one fixed-size record written
-// atomically (tmp + fsync + rename), mirroring wal.WriteCheckpoint.
+// the deposed leader's stream. The file is one fixed-size record
+// installed atomically by wal.InstallFile, the directory fsync included.
 
 import (
 	"encoding/binary"
@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/frame"
+	"repro/internal/wal"
 )
 
 const (
@@ -40,29 +41,7 @@ func SaveEpoch(dir string, e Epoch) error {
 	binary.LittleEndian.PutUint64(buf[4:], e.Epoch)
 	binary.LittleEndian.PutUint64(buf[12:], e.SealedSeq)
 	binary.LittleEndian.PutUint32(buf[20:], frame.Checksum(buf[:20]))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp := filepath.Join(dir, epochFile+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf[:]); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(dir, epochFile))
+	return wal.InstallFile(dir, epochFile, buf[:])
 }
 
 // LoadEpoch reads the epoch record from dir. ok=false (with a nil error)

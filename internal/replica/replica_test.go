@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -60,10 +61,9 @@ func storeOpts(k int, seed uint64) core.Options {
 // leaderCfg is the shared store configuration: small segments so the
 // retention race is reachable, and identical partitioner options on both
 // sides so resizes replay bit-identically.
-func leaderCfg(shards, checkpointEvery int) serve.Config {
+func leaderCfg(checkpointEvery int) serve.Config {
 	return serve.Config{
 		Options:       storeOpts(2, 9),
-		Shards:        shards,
 		DegradeFactor: 1.05,
 		Durability: serve.DurabilityConfig{
 			CheckpointEvery:   checkpointEvery,
@@ -73,10 +73,10 @@ func leaderCfg(shards, checkpointEvery int) serve.Config {
 	}
 }
 
-func newLeader(t *testing.T, dir string, shards, checkpointEvery int) *serve.Store {
+func newLeader(t *testing.T, dir string, checkpointEvery int) *serve.Store {
 	t.Helper()
 	w, labels := twoClusters(50)
-	st, err := serve.NewDurable(dir, w, labels, leaderCfg(shards, checkpointEvery))
+	st, err := serve.NewDurable(dir, w, labels, leaderCfg(checkpointEvery))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,14 +100,6 @@ func leaderHTTP(t testing.TB, st *serve.Store, dir string) (*httptest.Server, *S
 	hs := httptest.NewServer(mux)
 	t.Cleanup(hs.Close)
 	return hs, srv
-}
-
-// followerCfg matches leaderCfg minus the shard count: Shards 0 inherits
-// the leader's checkpointed layout.
-func followerCfg(checkpointEvery int) serve.Config {
-	cfg := leaderCfg(0, checkpointEvery)
-	cfg.Shards = 0
-	return cfg
 }
 
 func startFollower(t *testing.T, leaderURL, dir string, cfg serve.Config) *Follower {
@@ -149,8 +141,7 @@ func waitApplied(t *testing.T, fl *Follower, seq uint64) {
 }
 
 // requireSameState is the replication bit-identity comparator: labels, k,
-// shard ranges, and the integer cut counters, all over the exported
-// surface.
+// and the integer cut counters, all over the exported surface.
 func requireSameState(t *testing.T, name string, got, want *serve.Store) {
 	t.Helper()
 	gs, ws := got.Snapshot(), want.Snapshot()
@@ -171,15 +162,6 @@ func requireSameState(t *testing.T, name string, got, want *serve.Store) {
 			t.Fatalf("%s: CutByPartition[%d] = %d, want %d", name, l, gs.CutByPartition[l], ws.CutByPartition[l])
 		}
 	}
-	gb, wb := got.Bounds(), want.Bounds()
-	if len(gb) != len(wb) {
-		t.Fatalf("%s: %d shard bounds, want %d", name, len(gb), len(wb))
-	}
-	for i := range wb {
-		if gb[i] != wb[i] {
-			t.Fatalf("%s: shard bounds %v, want %v", name, gb, wb)
-		}
-	}
 	if gs.AppliedBatches != ws.AppliedBatches {
 		t.Fatalf("%s: applied %d, want %d", name, gs.AppliedBatches, ws.AppliedBatches)
 	}
@@ -187,7 +169,7 @@ func requireSameState(t *testing.T, name string, got, want *serve.Store) {
 
 // randomHistory drives a randomized quiesced mutate/resize history against
 // the leader: growth, random edges, and interleaved elastic resizes — the
-// scripted TestShardCountDoesNotChangeLabels shape with rng-driven edges.
+// scripted shape of serve's runScript with rng-driven edges.
 func randomHistory(t *testing.T, st *serve.Store, seed uint64, steps int) {
 	t.Helper()
 	src := rng.New(seed)
@@ -271,19 +253,21 @@ func churnHistory(t *testing.T, st *serve.Store, seed uint64) {
 }
 
 // The tentpole property: a follower that tails the stream to seq S is
-// bit-identical — labels, k, shard ranges, integer cut counters — to the
-// leader at S, at one and several shards: across a randomized quiesced
+// bit-identical — labels, k, integer cut counters — to the leader at S:
+// across a randomized quiesced
 // mutate/resize history that spans checkpoints, segment rotations and
 // journal truncation on the leader, and across churn whose
 // restabilizations merge at whatever batch the leader has reached (the
-// follower adopts each journaled relabel where it stands).
+// follower adopts each journaled relabel where it stands). The subtests
+// keep the names they had when the store was split into shards=N vertex
+// ranges; N seeds each history.
 func TestFollowerBitIdenticalToLeader(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("churn/shards=%d", shards), func(t *testing.T) {
 			ldir, fdir := t.TempDir(), t.TempDir()
-			leader := newLeader(t, ldir, shards, 16)
+			leader := newLeader(t, ldir, 16)
 			hs, _ := leaderHTTP(t, leader, ldir)
-			fl := startFollower(t, hs.URL, fdir, followerCfg(16))
+			fl := startFollower(t, hs.URL, fdir, leaderCfg(16))
 
 			churnHistory(t, leader, 5+uint64(shards))
 			if leader.Counters().Restabilizations.Load() < 1 {
@@ -300,9 +284,9 @@ func TestFollowerBitIdenticalToLeader(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			ldir, fdir := t.TempDir(), t.TempDir()
-			leader := newLeader(t, ldir, shards, 4)
+			leader := newLeader(t, ldir, 4)
 			hs, _ := leaderHTTP(t, leader, ldir)
-			fl := startFollower(t, hs.URL, fdir, followerCfg(4))
+			fl := startFollower(t, hs.URL, fdir, leaderCfg(4))
 
 			randomHistory(t, leader, 42+uint64(shards), 6)
 			waitApplied(t, fl, leader.JournalSeq())
@@ -343,7 +327,7 @@ func (lw *limitedWriter) Write(p []byte) (int, error) {
 // and still converge bit-identically.
 func TestFollowerResumesAfterTornStream(t *testing.T) {
 	ldir, fdir := t.TempDir(), t.TempDir()
-	leader := newLeader(t, ldir, 2, -1) // no periodic checkpoints: the full history streams
+	leader := newLeader(t, ldir, -1) // no periodic checkpoints: the full history streams
 	srv := fastServer(leader, ldir, func() uint64 { return 1 })
 
 	// History first, so the torn connection cuts through real record
@@ -368,7 +352,7 @@ func TestFollowerResumesAfterTornStream(t *testing.T) {
 	hs := httptest.NewServer(mux)
 	t.Cleanup(hs.Close)
 
-	fl := startFollower(t, hs.URL, fdir, followerCfg(-1))
+	fl := startFollower(t, hs.URL, fdir, leaderCfg(-1))
 	waitApplied(t, fl, S)
 	requireSameState(t, "torn-stream follower", fl.Store(), leader)
 
@@ -388,9 +372,9 @@ func TestFollowerResumesAfterTornStream(t *testing.T) {
 // at the frame handler and at the stream handshake (409).
 func TestPromoteFencesDeposedLeader(t *testing.T) {
 	ldir, fdir := t.TempDir(), t.TempDir()
-	leader := newLeader(t, ldir, 2, 4)
+	leader := newLeader(t, ldir, 4)
 	hs, _ := leaderHTTP(t, leader, ldir)
-	fl := startFollower(t, hs.URL, fdir, followerCfg(4))
+	fl := startFollower(t, hs.URL, fdir, leaderCfg(4))
 
 	randomHistory(t, leader, 11, 4)
 	waitApplied(t, fl, leader.JournalSeq())
@@ -450,7 +434,7 @@ func TestPromoteFencesDeposedLeader(t *testing.T) {
 // leader checkpoint fetch happens once, on first bootstrap only.
 func TestFollowerCrashResumesFromOwnCheckpoint(t *testing.T) {
 	ldir, fdir := t.TempDir(), t.TempDir()
-	leader := newLeader(t, ldir, 2, 4)
+	leader := newLeader(t, ldir, 4)
 	srv := fastServer(leader, ldir, func() uint64 { return 1 })
 
 	var ckptFetches atomic.Int64
@@ -463,7 +447,7 @@ func TestFollowerCrashResumesFromOwnCheckpoint(t *testing.T) {
 	hs := httptest.NewServer(mux)
 	t.Cleanup(hs.Close)
 
-	fl := startFollower(t, hs.URL, fdir, followerCfg(4))
+	fl := startFollower(t, hs.URL, fdir, leaderCfg(4))
 	randomHistory(t, leader, 23, 4)
 	waitApplied(t, fl, leader.JournalSeq())
 	resumeAt := fl.AppliedSeq()
@@ -475,7 +459,7 @@ func TestFollowerCrashResumesFromOwnCheckpoint(t *testing.T) {
 	// The leader moves on while the follower is down.
 	randomHistory(t, leader, 29, 3)
 
-	fl2 := startFollower(t, hs.URL, fdir, followerCfg(4))
+	fl2 := startFollower(t, hs.URL, fdir, leaderCfg(4))
 	if got := fl2.AppliedSeq(); got < resumeAt {
 		t.Fatalf("restart resumed at seq %d, want >= %d (own state, not re-bootstrap)", got, resumeAt)
 	}
@@ -492,7 +476,7 @@ func TestFollowerCrashResumesFromOwnCheckpoint(t *testing.T) {
 func TestRetentionProtectsConnectedFollower(t *testing.T) {
 	ldir := t.TempDir()
 	w, labels := twoClusters(50)
-	cfg := leaderCfg(2, 2)
+	cfg := leaderCfg(2)
 	cfg.Durability.SegmentBytes = 256 // many small segments
 	cfg.Durability.KeepCheckpoints = 1
 	leader, err := serve.NewDurable(ldir, w, labels, cfg)
@@ -564,7 +548,7 @@ func edgeBatch(i int) *graph.Mutation {
 // and a stream still ends when its epoch changes or its client goes away.
 func TestStreamDeliversWithoutPolling(t *testing.T) {
 	ldir, fdir := t.TempDir(), t.TempDir()
-	leader := newLeader(t, ldir, 2, -1)
+	leader := newLeader(t, ldir, -1)
 	var epoch atomic.Uint64
 	epoch.Store(1)
 	srv := NewServer(leader, ldir, epoch.Load)
@@ -574,7 +558,7 @@ func TestStreamDeliversWithoutPolling(t *testing.T) {
 	mux.HandleFunc("GET /v1/replicate/checkpoint", srv.ServeCheckpoint)
 	hs := httptest.NewServer(mux)
 	t.Cleanup(hs.Close)
-	fl := startFollower(t, hs.URL, fdir, followerCfg(-1))
+	fl := startFollower(t, hs.URL, fdir, leaderCfg(-1))
 	waitFor(t, 30*time.Second, "the follower's stream", func() bool { return srv.streamCount() == 1 })
 
 	// Idle leader, one batch.
@@ -660,5 +644,55 @@ func TestStreamDeliversWithoutPolling(t *testing.T) {
 			t.Fatalf("deposed stream sent a kind-%d frame under epoch %d", fr.Kind, fr.Epoch)
 		}
 		body = body[n:]
+	}
+}
+
+// A follower adopts its leader's seed: one started with another seed
+// still recomputes a streamed resize's relabel as the leader did, because
+// bootstrap records the leader's seed (X-Replica-Seed) in the follower's
+// dir before the store opens, and Open adopts it.
+func TestFollowerAdoptsLeaderSeed(t *testing.T) {
+	ldir, fdir := t.TempDir(), t.TempDir()
+	lcfg := leaderCfg(-1)
+	lcfg.Options.Seed = 11
+	w, labels := twoClusters(50)
+	leader, err := serve.NewDurable(ldir, w, labels, lcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { leader.Close() })
+	hs, _ := leaderHTTP(t, leader, ldir)
+	fcfg := leaderCfg(-1)
+	fcfg.Options.Seed = 0
+	fl := startFollower(t, hs.URL, fdir, fcfg)
+
+	if err := leader.Resize(4); err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	waitApplied(t, fl, leader.JournalSeq())
+	requireSameState(t, "follower started with seed 0", fl.Store(), leader)
+	if seed, ok, err := serve.RecordedSeed(fdir); err != nil || !ok || seed != 11 {
+		t.Fatalf("follower dir records seed %d (ok %v, err %v), want the leader's 11", seed, ok, err)
+	}
+}
+
+// SaveEpoch installs through wal.InstallFile: the record round-trips
+// through LoadEpoch, a second save replaces the first, and no temp file is
+// left behind.
+func TestSaveEpochRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	for _, e := range []Epoch{{Epoch: 1}, {Epoch: 3, SealedSeq: 42}} {
+		if err := SaveEpoch(dir, e); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok, err := LoadEpoch(dir); err != nil || !ok || got != e {
+			t.Fatalf("LoadEpoch = %+v, %v, %v; want %+v", got, ok, err, e)
+		}
+		if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+			t.Fatalf("temp files left: %v", tmps)
+		}
 	}
 }

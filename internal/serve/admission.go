@@ -24,9 +24,9 @@ package serve
 //     pre-multi-tenant caller), group formation is the identity.
 //   - Degradation budget: the coordinator samples lookup and drain
 //     rates each Overload.Window into EWMAs; past the configured
-//     thresholds it defers background restabilization and the periodic
-//     shard rebalance (cut quality degrades gracefully, lookup latency
-//     does not), and the HTTP layer sheds /resize. RetryAfter derives
+//     thresholds it defers background restabilization (cut quality
+//     degrades gracefully, lookup latency does not), and the HTTP layer
+//     sheds /resize. RetryAfter derives
 //     an honest client backoff from the observed drain rate.
 //
 // Everything here is off by default: a zero QuotaConfig admits
@@ -353,7 +353,7 @@ func (s *Store) updateLoad(now time.Time) {
 	s.overloaded.Store(over)
 	if !over {
 		// The episode ends: the next deferral counts again (deferred).
-		s.restabDeferred, s.reconcileDeferred = false, false
+		s.restabDeferred = false
 	}
 }
 

@@ -110,9 +110,9 @@ func TestQuotaTenantDepth(t *testing.T) {
 	}
 }
 
-// starvationHarness builds an unstarted coordinator with running shards,
-// so tests drive turns (transferLog/nextGroup/handleGroup) by hand.
-func starvationHarness(t *testing.T, cfg Config) (st *Store, stop func()) {
+// starvationHarness builds an unstarted coordinator, so tests drive turns
+// (transferLog/nextGroup/handleGroup) by hand.
+func starvationHarness(t *testing.T, cfg Config) *Store {
 	t.Helper()
 	if err := cfg.normalize(); err != nil {
 		t.Fatal(err)
@@ -122,17 +122,7 @@ func starvationHarness(t *testing.T, cfg Config) (st *Store, stop func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sh := range st.shards {
-		go sh.run()
-	}
-	return st, func() {
-		for _, sh := range st.shards {
-			close(sh.log)
-		}
-		for _, sh := range st.shards {
-			<-sh.done
-		}
-	}
+	return st
 }
 
 // One tenant flooding the log cannot starve trickle tenants: the
@@ -140,11 +130,10 @@ func starvationHarness(t *testing.T, cfg Config) (st *Store, stop func()) {
 // single coordinator turn, and the per-tenant counters reconcile exactly
 // once the backlog drains.
 func TestFairDrainStarvationFreedom(t *testing.T) {
-	st, stop := starvationHarness(t, Config{
-		Options: storeOpts(2, 9), Shards: 2, LogDepth: 8,
+	st := starvationHarness(t, Config{
+		Options: storeOpts(2, 9), LogDepth: 8,
 		DegradeFactor: 1e9,
 	})
-	defer stop()
 
 	// Park 25 flood batches (under the 4×LogDepth transfer cap, leaving
 	// room for the trickles): TrySubmit fills the channel, transferLog
@@ -202,8 +191,6 @@ func TestFairDrainStarvationFreedom(t *testing.T) {
 			clear(g)
 		}
 	}
-	st.withBarrier(func() {}) // settle the shard logs
-
 	if got := st.ctr.FairnessPasses.Load(); got < 2 {
 		t.Fatalf("FairnessPasses = %d, want one per non-empty turn", got)
 	}
@@ -221,12 +208,11 @@ func TestFairDrainStarvationFreedom(t *testing.T) {
 // Drain shares converge to the configured weights while both tenants
 // stay backlogged.
 func TestWeightedFairShares(t *testing.T) {
-	st, stop := starvationHarness(t, Config{
-		Options: storeOpts(2, 9), Shards: 2, LogDepth: 8,
+	st := starvationHarness(t, Config{
+		Options: storeOpts(2, 9), LogDepth: 8,
 		DegradeFactor: 1e9,
 		Quota:         QuotaConfig{Weights: map[string]int{"gold": 3}},
 	})
-	defer stop()
 
 	for i := 0; i < 10; i++ {
 		for _, tenant := range []string{"gold", "bronze"} {
@@ -249,17 +235,16 @@ func TestWeightedFairShares(t *testing.T) {
 	st.handleGroup(g)
 }
 
-// Under overload the maintenance plane defers restabilization and
-// reconcile passes (counted once per episode), and both resume at the
-// first turn after the load clears.
+// Under overload the maintenance plane defers restabilization (counted
+// once per episode), and it resumes at the first turn after the load
+// clears.
 func TestOverloadDefersMaintenance(t *testing.T) {
 	const window = 100 * time.Millisecond
-	st, stop := starvationHarness(t, Config{
-		Options: storeOpts(2, 9), Shards: 2,
+	st := starvationHarness(t, Config{
+		Options:       storeOpts(2, 9),
 		DegradeFactor: 1e9,
 		Overload:      OverloadConfig{LookupRate: 10, Window: window},
 	})
-	defer stop()
 
 	now := time.Unix(1000, 0)
 	st.updateLoad(now) // arm the sampler
@@ -271,7 +256,6 @@ func TestOverloadDefersMaintenance(t *testing.T) {
 	}
 
 	st.wantRestab = true
-	st.applied.Add(reconcileEvery) // the periodic pass is due
 	for i := 0; i < 3; i++ {
 		st.maintain(now)
 	}
@@ -279,11 +263,10 @@ func TestOverloadDefersMaintenance(t *testing.T) {
 		t.Fatal("restabilization started while overloaded")
 	}
 	c := &st.ctr
-	if c.DeferredRestabs.Load() != 1 || c.DeferredReconciles.Load() != 1 {
-		t.Fatalf("deferrals = %d/%d, want 1/1 (one per episode, not per turn)",
-			c.DeferredRestabs.Load(), c.DeferredReconciles.Load())
+	if c.DeferredRestabs.Load() != 1 {
+		t.Fatalf("deferrals = %d, want 1 (one per episode, not per turn)", c.DeferredRestabs.Load())
 	}
-	if st.lastReconcile != 0 || c.Restabilizations.Load() != 0 {
+	if c.Restabilizations.Load() != 0 {
 		t.Fatal("maintenance ran while overloaded")
 	}
 
@@ -301,9 +284,8 @@ func TestOverloadDefersMaintenance(t *testing.T) {
 		t.Fatal("restabilization did not start after overload cleared")
 	}
 	st.merge(<-st.restabDone)
-	if st.lastReconcile != st.applied.Load() || c.Restabilizations.Load() != 1 {
-		t.Fatalf("periodic pass at %d of %d batches, restabs=%d after overload cleared, want it run and 1",
-			st.lastReconcile, st.applied.Load(), c.Restabilizations.Load())
+	if c.Restabilizations.Load() != 1 {
+		t.Fatalf("restabs=%d after overload cleared, want 1", c.Restabilizations.Load())
 	}
 }
 
@@ -356,7 +338,7 @@ func TestFaultStopNeverLosesAckedBatch(t *testing.T) {
 	for _, failAt := range []int{1, 2, 5, 9} {
 		t.Run(fmt.Sprintf("failWrite%d", failAt), func(t *testing.T) {
 			cfg := Config{
-				Options: storeOpts(2, 9), Shards: 2,
+				Options:       storeOpts(2, 9),
 				DegradeFactor: 1e9,
 				Durability: DurabilityConfig{
 					Fsync: wal.SyncAlways, CheckpointEvery: -1, NoFinalCheckpoint: true,
@@ -364,7 +346,7 @@ func TestFaultStopNeverLosesAckedBatch(t *testing.T) {
 			}
 			w, labels := twoClusters(50)
 			ref, err := New(w, append([]int32(nil), labels...),
-				Config{Options: storeOpts(2, 9), Shards: 2, DegradeFactor: 1e9})
+				Config{Options: storeOpts(2, 9), DegradeFactor: 1e9})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -442,7 +424,7 @@ func TestFaultStopNeverLosesAckedBatch(t *testing.T) {
 // for the unacknowledged), but every acked batch survives.
 func TestFsyncFaultStopDegradesStore(t *testing.T) {
 	cfg := Config{
-		Options: storeOpts(2, 9), Shards: 2,
+		Options:       storeOpts(2, 9),
 		DegradeFactor: 1e9,
 		Durability: DurabilityConfig{
 			Fsync: wal.SyncAlways, CheckpointEvery: -1, NoFinalCheckpoint: true,

@@ -103,13 +103,11 @@ func BenchmarkServeLookupUnderChurn(b *testing.B) {
 }
 
 // BenchmarkServeMutateThroughput measures sustained mutation-application
-// throughput (ns per 256-edge batch) along the two axes this PR changes
-// (recorded in BENCH_pr3.json):
+// throughput (ns per 256-edge batch), incremental against exact cut
+// tracking (BENCH_pr3.json records it from when the store was sharded):
 //
-//   - shards=1/2/4: each batch broadcasts to the shards, which append
-//     their rows and fold O(batch) cut deltas in parallel. The speedup is
-//     bounded by the host's core count — on a single-core container the
-//     sub-benchmarks show fan-out overhead parity, not speedup.
+//   - incremental: the coordinator applies each batch (coalesced with
+//     whatever queued beside it) and folds O(batch) cut deltas.
 //   - exactcut: an exact check (reconcileNow) after every batch forces a
 //     full exact cut recompute per applied batch — the seed's per-swap
 //     O(E) cost model — against the default incremental O(batch)
@@ -148,20 +146,16 @@ func BenchmarkServeMutateThroughput(b *testing.B) {
 	}
 
 	cases := []struct {
-		name   string
-		shards int
-		exact  bool
+		name  string
+		exact bool
 	}{
-		{"shards=1", 1, false},
-		{"shards=2", 2, false},
-		{"shards=4", 4, false},
-		{"exactcut", 1, true}, // seed cost model: exact O(E) pass per batch
+		{"incremental", false},
+		{"exactcut", true}, // seed cost model: exact O(E) pass per batch
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			st, err := New(w.Clone(), append([]int32(nil), res.Labels...), Config{
 				Options:       opts,
-				Shards:        tc.shards,
 				DegradeFactor: 1e9, // isolate the write plane
 				LogDepth:      64,
 			})
@@ -205,7 +199,7 @@ func BenchmarkServeMutateThroughput(b *testing.B) {
 //     With one submitter the coordinator journals mostly one entry per
 //     group; with 8 submitters the log backs up behind each fsync and
 //     the next turn drains the backlog into ONE group append (one write,
-//     one fsync) and coalesced shard broadcasts — so fsync=always
+//     one fsync) and coalesced applies — so fsync=always
 //     amortizes toward the interval policy (the PR-5 gate: within ~3x of
 //     fsync=never at 8 submitters, down from ~7x serial). The group-depth
 //     metric reports entries per group append.
@@ -257,7 +251,6 @@ func BenchmarkServeMutateDurable(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			cfg := Config{
 				Options:       opts,
-				Shards:        2,
 				DegradeFactor: 1e9, // isolate the write plane
 				LogDepth:      64,
 				Durability: DurabilityConfig{
@@ -361,7 +354,6 @@ func BenchmarkServeFairness(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			st, err := New(w.Clone(), append([]int32(nil), res.Labels...), Config{
 				Options:       opts,
-				Shards:        2,
 				DegradeFactor: 1e9, // isolate the write plane
 				LogDepth:      16,
 			})
@@ -384,8 +376,8 @@ func BenchmarkServeFairness(b *testing.B) {
 						m.Tenant = "flood"
 						if err := st.TrySubmit(&m); errors.Is(err, ErrLogFull) {
 							// Back off instead of hot-spinning: a spin loop
-							// would measure CPU starvation of the shard
-							// goroutines, not queueing fairness.
+							// would measure CPU starvation of the
+							// coordinator, not queueing fairness.
 							time.Sleep(20 * time.Microsecond)
 						} else if err != nil {
 							b.Error(err)
@@ -433,13 +425,13 @@ func BenchmarkServeFairness(b *testing.B) {
 	}
 }
 
-// BenchmarkBarrierBatch is one batch, submitted and quiesced, on a graph of
+// BenchmarkAppendBatch is one batch, submitted and quiesced, on a graph of
 // the benchmark's serving size (50 000 vertices, 1.0 M arcs): an add-only
-// batch rides the fast path; one that appends a vertex takes the barrier,
-// where it is placed from the shards' maintained loads. The second must
+// batch rides the fast path; one that appends a vertex takes the general
+// path, where it is placed from the maintained loads. The second must
 // stay within a small multiple of the first — it cost an O(E) scan, 100
 // times the first, while placement re-derived the loads from the graph.
-func BenchmarkBarrierBatch(b *testing.B) {
+func BenchmarkAppendBatch(b *testing.B) {
 	const n, k = 50_000, 8
 	for _, mode := range []string{"add-only", "append-vertex"} {
 		b.Run("batch="+mode, func(b *testing.B) {
@@ -473,19 +465,16 @@ func BenchmarkBarrierBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkBarrierHold times the publications the serving loop makes
-// under a barrier without a batch, at serve-write's shape (50 000
-// vertices, 1.0 M arcs, k = 32, 2 shards). op=rebalance: a rebalance after
-// a churn burst of 64 add-only batches on one end of the vertex space
-// moved the boundary (the burst alternates ends); moves/op is the share of
-// rebalances that moved it. op=relabel: the publish of a relabel that
-// changes 1 % of the labels, or every label (a near-total repair merge).
-// op=resize: Store.resize's whole hold, 32 → 40 and back in turn
-// (core.ElasticRelabel and the relabel's publish); changed-% is the share
-// of labels it changed. hold-µs is one coordinator control's wall time,
-// parking and resuming the shards included; ns/op also counts the untimed
-// setup of each op (the burst, the relabeling), so read hold-µs.
-func BenchmarkBarrierHold(b *testing.B) {
+// BenchmarkRelabel times the relabeling events the serving loop lands
+// without a batch, at serve-write's shape (50 000 vertices, 1.0 M arcs,
+// k = 32). op=relabel: Store.relabel of a relabeling that changes a
+// random 1 / 10 / 20 / 100 % of the labels (the counters move, or past
+// moveShare are counted, and the new array is published). op=resize:
+// Store.resize's whole cost, 32 → 40 and back in turn
+// (core.ElasticRelabel and the relabel); changed-% is the share of labels
+// it changed. hold-µs is one coordinator control's wall time; ns/op also
+// counts the untimed setup of each op (the relabeling), so read hold-µs.
+func BenchmarkRelabel(b *testing.B) {
 	const n, k = 50_000, 32
 	newStore := func(b *testing.B) *Store {
 		w := graph.Convert(gen.WattsStrogatz(n, 20, 0.1, 7))
@@ -493,7 +482,7 @@ func BenchmarkBarrierHold(b *testing.B) {
 		for v := range labels {
 			labels[v] = int32(v * k / n)
 		}
-		st, err := New(w, labels, Config{Options: storeOpts(k, 7), Shards: 2, DegradeFactor: 1e9})
+		st, err := New(w, labels, Config{Options: storeOpts(k, 7), DegradeFactor: 1e9})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -507,30 +496,6 @@ func BenchmarkBarrierHold(b *testing.B) {
 		}
 		return time.Since(t0)
 	}
-	b.Run("op=rebalance", func(b *testing.B) {
-		st := newStore(b)
-		var held time.Duration
-		for i := 0; i < b.N; i++ {
-			base := (i % 2) * 3 * n / 4
-			for j := 0; j < 64; j++ {
-				m := &graph.Mutation{}
-				for e := 0; e < 20; e++ {
-					u := base + (i*1280+j*20+e)*7919%(n/4)
-					m.NewEdges = append(m.NewEdges, graph.WeightedEdgeRecord{
-						U: graph.VertexID(u), V: graph.VertexID(base + (u-base+1+e)%(n/4)), Weight: 2})
-				}
-				if err := st.Submit(m); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := st.Quiesce(); err != nil {
-				b.Fatal(err)
-			}
-			held += hold(b, st, st.rebalance)
-		}
-		b.ReportMetric(float64(held.Microseconds())/float64(b.N), "hold-µs")
-		b.ReportMetric(float64(st.Counters().ShardRebalances.Load())/float64(b.N), "moves/op")
-	})
 	for _, pct := range []int{1, 10, 20, 100} {
 		b.Run(fmt.Sprintf("op=relabel/changed=%d%%", pct), func(b *testing.B) {
 			st := newStore(b)
@@ -549,7 +514,7 @@ func BenchmarkBarrierHold(b *testing.B) {
 				}); err != nil {
 					b.Fatal(err)
 				}
-				held += hold(b, st, func() { st.withBarrier(func() { st.relabel(merged) }) })
+				held += hold(b, st, func() { st.relabel(merged) })
 			}
 			b.ReportMetric(float64(held.Microseconds())/float64(b.N), "hold-µs")
 		})

@@ -29,7 +29,7 @@ import (
 func TestCheckpointRuleBoundsJournal(t *testing.T) {
 	const every, burst = 4, 3
 	dir := t.TempDir()
-	cfg := durableCfg(2, every)
+	cfg := durableCfg(every)
 	cfg.DegradeFactor = 1e9                  // no restabilization: every record is a batch
 	cfg.Durability.KeepCheckpoints = 1 << 10 // keep every checkpoint, and so the whole journal
 

@@ -1,10 +1,8 @@
 package serve
 
-// The delta plane: every publication event the coordinator (or, for
-// counter-only publications, the finishing shard) goes through emits a
-// compact Delta record — publication sequence, epoch/generation, the
-// changed vertex→label runs, shard-bound changes, and the integer cut
-// counters — into a bounded in-memory ring with a compaction floor. One
+// The delta plane: every publication event the coordinator goes through
+// emits a compact Delta record — publication sequence, epoch/generation,
+// the changed vertex→label runs, and the integer cut counters — into a bounded in-memory ring with a compaction floor. One
 // representation, two consumers: the /v1/watch change feed streams the
 // ring to HTTP clients so routers and caches can track label movement
 // without re-pulling snapshots (the paper's "maintain, don't recompute"
@@ -20,17 +18,15 @@ package serve
 // seq 0 reconstructs the exact composed labeling; once the ring compacts
 // past seq 1, such a consumer is told to resync via a full lookup.
 //
-// Label truth: every label-changing event runs under a shard barrier and
-// emits its delta synchronously with exact coordinator-owned state, in
-// event order. Counter-only deltas (fast-path broadcasts, which never
-// relabel) carry no runs and may trail the live counters by a publication;
-// consumers must treat Cross/Total as monotone-converging hints and the
-// runs as the authoritative label stream.
+// Label truth: the coordinator emits every delta from its own state, in
+// event order, right after the snapshot it describes is published.
+// Counter-only deltas (coalesced add-only runs, which never relabel) carry
+// no runs; consumers must treat Cross/Total as hints and the runs as the
+// authoritative label stream.
 
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -46,9 +42,8 @@ type LabelRun struct {
 }
 
 // Delta is one change-feed record. The zero value of K/N means
-// "unchanged" (counter-only deltas); Bounds is nil unless the shard
-// boundaries changed (growth, rebalance) or the delta is a baseline.
-// A Delta and everything it references is immutable after publication.
+// "unchanged" (counter-only deltas). A Delta and everything it references
+// is immutable after publication.
 type Delta struct {
 	// Seq is the publication sequence: dense, 1-based, per-process.
 	Seq uint64
@@ -60,7 +55,8 @@ type Delta struct {
 	K int
 	// N is the vertex count after this delta (0 = unchanged).
 	N int
-	// Bounds are the shard boundaries after this delta, when they changed.
+	// Bounds is a field of the codec that the store no longer fills:
+	// older stores wrote their shard boundaries here.
 	Bounds []int
 	// Runs are the changed label runs, ascending and non-overlapping.
 	Runs []LabelRun
@@ -280,14 +276,11 @@ type deltaRing struct {
 	entries []FramedDelta
 }
 
-// deltaHub is the bounded publication ring. Publications come from the
-// coordinator (barrier events, exact) and from shard goroutines
-// (counter-only fast-path publications); the mutex serializes
-// publishers only — readers go through the atomic ring snapshot and
-// the atomic next seq, so caught-up checks and catch-up reads never
-// contend with a publish, and a publish never stalls behind readers.
+// deltaHub is the bounded publication ring. The coordinator is its one
+// publisher; readers go through the atomic ring snapshot and the atomic
+// next seq, so caught-up checks and catch-up reads never contend with a
+// publish, and a publish never stalls behind readers.
 type deltaHub struct {
-	mu   sync.Mutex // serializes publishers; no reader ever takes it
 	max  int
 	ring atomic.Pointer[deltaRing]
 	next atomic.Uint64 // seq the next publication gets
@@ -311,9 +304,8 @@ func newDeltaHub(max int) *deltaHub {
 
 // publish assigns d its sequence, memoizes its encodings, swaps in the
 // new ring snapshot, and wakes subscribers. The caller must not mutate
-// d afterwards.
+// d afterwards. Coordinator-only.
 func (h *deltaHub) publish(d *Delta) {
-	h.mu.Lock()
 	d.Seq = h.next.Load()
 	payload := EncodeDelta(d)
 	h.encodes.Add(1)
@@ -336,7 +328,6 @@ func (h *deltaHub) publish(d *Delta) {
 	// observe it; the ring swap is the sole publication point.
 	h.ring.Store(&deltaRing{entries: append(keep, entry)})
 	h.next.Add(1)
-	h.mu.Unlock()
 
 	h.subs.wake()
 }
@@ -401,18 +392,19 @@ func (s *Store) FramedDeltasSince(after uint64, max int) ([]FramedDelta, uint64)
 // Cancel when done.
 func (s *Store) SubscribeDeltas() *WakeSub { return s.deltas.subs.subscribe() }
 
-// emitBarrierDelta publishes an exact delta from coordinator-owned state.
-// Coordinator-only, under a barrier (or with the goroutines stopped).
-func (s *Store) emitBarrierDelta(runs []LabelRun, includeBounds bool) {
-	cross, total := s.ownedCounters()
-	d := &Delta{
-		Epoch: s.epoch, Gen: s.gen, K: s.k, N: s.w.NumVertices(),
-		Runs: runs, Cross: cross, Total: total,
-	}
-	if includeBounds {
-		d.Bounds = append([]int(nil), s.bounds...)
-	}
-	s.publishDelta(d)
+// emitDelta publishes a delta of the coordinator state with the label
+// runs that changed. Coordinator-only.
+func (s *Store) emitDelta(runs []LabelRun) {
+	s.publishDelta(&Delta{
+		Epoch: s.epoch, Gen: s.gen, K: s.k, N: len(s.labels),
+		Runs: runs, Cross: s.cross, Total: s.total,
+	})
+}
+
+// emitCounterDelta publishes a counter-only delta after an add-only run:
+// no runs, K and N unchanged. Coordinator-only.
+func (s *Store) emitCounterDelta() {
+	s.publishDelta(&Delta{Epoch: s.epoch, Cross: s.cross, Total: s.total})
 }
 
 // publishDelta hands d to the hub and counts the publication and its one
@@ -421,23 +413,4 @@ func (s *Store) publishDelta(d *Delta) {
 	s.deltas.publish(d)
 	s.ctr.DeltasPublished.Add(1)
 	s.ctr.DeltaEncodes.Add(1)
-}
-
-// emitCounterDelta publishes a counter-only delta composed from the
-// published shard snapshots — safe from any goroutine (it reads only
-// atomics); the counters may trail in-flight sub-batches by one
-// publication, and Epoch is advisory (labels never change on the fast
-// path, so the label stream stays exact regardless).
-func (s *Store) emitCounterDelta() {
-	var cross, total int64
-	var epoch uint64
-	for _, sh := range s.router.Load().shards {
-		sn := sh.snap.Load()
-		cross += sn.cross
-		total += sn.total
-		if sn.epoch > epoch {
-			epoch = sn.epoch
-		}
-	}
-	s.publishDelta(&Delta{Epoch: epoch, Cross: cross, Total: total})
 }

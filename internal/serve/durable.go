@@ -23,9 +23,9 @@ package serve
 //     visible, and are dropped.)
 //   - Commit, coalesced apply (handleGroup): the group's entries apply
 //     in submission order, with consecutive add-only batches merged into
-//     a single shard broadcast — one cut-delta fold and one snapshot
-//     publication per shard for the run. Sound because add-only batches
-//     never relabel: their composed effect is independent of grouping.
+//     one apply — one counter delta and one snapshot publication for the
+//     run. Sound because add-only batches never relabel: their composed
+//     effect is independent of grouping.
 //   - Maintain, background checkpoints (maybeCheckpoint): a checkpoint is
 //     due when both hold: at least Durability.CheckpointEvery batches
 //     were applied since the newest checkpoint, and the journal appended
@@ -35,12 +35,12 @@ package serve
 //     recovery reads at most about twice a checkpoint's bytes. The journal
 //     tail Open replayed counts toward the bytes, so repeated crashes do
 //     not let it grow. When one is due the coordinator only *captures* the
-//     composed state under the shard barrier — labels, the coordinator
-//     state (coordState: k, shard ranges, trigger state), integer cut
-//     counters, and the graph via Weighted.Clone — and a background
-//     goroutine encodes the capture (the CSR binary form), writes +
-//     fsyncs + atomically installs the checkpoint file, prunes old
-//     checkpoints, and truncates covered journal segments. At most one
+//     state — the published labels, the coordinator state (coordState: k
+//     and trigger state), integer cut counters, and the graph via
+//     Weighted.Clone — and a background goroutine encodes the capture
+//     (the CSR binary form), writes + fsyncs + atomically installs the
+//     checkpoint file, prunes old checkpoints, and truncates covered
+//     journal segments. At most one
 //     checkpoint is in flight; the write plane never stops for the state
 //     encode. NewDurable writes an initial checkpoint and Close a final
 //     one synchronously (after waiting out an in-flight capture).
@@ -50,19 +50,20 @@ package serve
 //     every merge landed, and nothing but the leader computes one.
 //   - The seed (NewDurable): replay recomputes a resize's immediate
 //     relabel from core.Options.Seed, so NewDurable records the seed in
-//     the dir (a file installed atomically) and Open adopts it, whatever
-//     seed its caller passes. A dir without the record, written before it
-//     existed, opens with the caller's seed.
+//     the dir (RecordSeed, a file installed atomically) and Open adopts
+//     it, whatever seed its caller passes. A follower records its
+//     leader's seed before it opens. A dir without the record, written
+//     before it existed, opens with the caller's seed.
 //   - Recovery (Open): load the newest checkpoint that verifies, rebuild
-//     the shards over it (their counters recomputed exactly and checked
+//     the store over it (its counters recomputed exactly and checked
 //     against the stored ones), then replay the journal tail through
 //     ApplyRecord — the entry a follower feeds the leader's stream
 //     through — adopting each relabel record where it stands and starting
 //     no restabilization of its own. A torn tail is truncated; mid-log
 //     corruption fails recovery loudly. A final exact check
-//     (reconcileNow) compares every shard's incrementally replayed
-//     counters with a recount (metrics CutDrift stays 0); it is the only
-//     place a serving store recounts. A crash while a background
+//     (reconcileNow) compares the incrementally replayed counters with a
+//     recount (metrics CutDrift stays 0); it is the only place a serving
+//     store recounts. A crash while a background
 //     checkpoint was in flight leaves, at worst, a leftover temp file
 //     (ignored) and no new checkpoint — recovery falls back to the
 //     previous valid checkpoint and replays a longer journal tail to the
@@ -70,9 +71,9 @@ package serve
 //     the oldest RETAINED checkpoint.
 //
 // Determinism: replay re-applies the journaled entry sequence, relabels
-// included, so a store recovers labels, k, shard ranges and integer cut
-// counters bit-identical to the state it had journaled through —
-// quiesced or mid-churn. A run that was in flight at the crash was never
+// included, so a store recovers labels, k and integer cut counters
+// bit-identical to the state it had journaled through — quiesced or
+// mid-churn. A run that was in flight at the crash was never
 // journaled; the recovered leader starts it again (the checkpointed
 // wantRestab, or the cut trigger) once it is journaling.
 
@@ -161,34 +162,16 @@ type durable struct {
 
 func journalDir(dir string) string { return filepath.Join(dir, "journal") }
 func ckptDir(dir string) string    { return filepath.Join(dir, "checkpoints") }
-func seedPath(dir string) string   { return filepath.Join(dir, "seed") }
+func seedPath(dir string) string   { return filepath.Join(dir, seedFile) }
 
-// writeSeed installs the seed record: a temp file, fsynced, renamed into
-// place, and the dir fsynced.
-func writeSeed(dir string, seed uint64) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp := seedPath(dir) + ".tmp"
-	if err := os.WriteFile(tmp, []byte(strconv.FormatUint(seed, 10)+"\n"), 0o644); err != nil {
-		return err
-	}
-	f, err := os.Open(tmp)
-	if err == nil {
-		err = errors.Join(f.Sync(), f.Close())
-	}
-	if err == nil {
-		err = os.Rename(tmp, seedPath(dir))
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	return errors.Join(d.Sync(), d.Close())
+// seedFile names the seed record in a data dir.
+const seedFile = "seed"
+
+// RecordSeed installs dir's seed record (wal.InstallFile), which Open
+// adopts: NewDurable records its caller's seed, and a follower records
+// its leader's before it opens.
+func RecordSeed(dir string, seed uint64) error {
+	return wal.InstallFile(dir, seedFile, []byte(strconv.FormatUint(seed, 10)+"\n"))
 }
 
 // RecordedSeed returns the core.Options.Seed that dir's store was created
@@ -252,7 +235,7 @@ func NewDurable(dir string, w *graph.Weighted, labels []int32, cfg Config) (*Sto
 		return nil, err
 	}
 	s.d = &durable{dir: dir, cfg: cfg.Durability}
-	if err := writeSeed(dir, cfg.Options.Seed); err != nil {
+	if err := RecordSeed(dir, cfg.Options.Seed); err != nil {
 		return nil, err
 	}
 	// Initial checkpoint at sequence 0: recovery of an empty journal must
@@ -282,7 +265,7 @@ func BootstrapDurable(dir string, g *graph.Graph, cfg Config) (*Store, error) {
 }
 
 // Open recovers a Store from dir: it loads the newest checkpoint that
-// verifies (falling back past a damaged newest one), rebuilds the shards
+// verifies (falling back past a damaged newest one), rebuilds the store
 // over it (re-verifying the stored cut counters against an exact count),
 // replays the journal past it through ApplyRecord (adopting relabel
 // records, restabilizing nothing — see the durability comment above),
@@ -322,11 +305,6 @@ func open(dir string, cfg Config, readOnly bool) (*Store, error) {
 	if st.seq != seq {
 		return nil, fmt.Errorf("serve: checkpoint file %d declares inner seq %d", seq, st.seq)
 	}
-	if cfg.Shards == 0 {
-		// Default to the checkpointed layout: recovery restores the shard
-		// ranges bit-identically unless the caller asks for a new count.
-		cfg.Shards = len(st.bounds) - 1
-	}
 	if seed, ok, err := RecordedSeed(dir); err != nil {
 		return nil, err
 	} else if ok {
@@ -338,10 +316,10 @@ func open(dir string, cfg Config, readOnly bool) (*Store, error) {
 	cfg.Durability.normalize()
 	s, err := newStore(st, cfg)
 	if err == nil {
-		// The stored counters must match the exact per-shard recompute.
-		if cross, total := s.ownedCounters(); cross != st.cross || total != st.total {
+		// The stored counters must match the exact recompute.
+		if s.cross != st.cross || s.total != st.total {
 			err = fmt.Errorf("recomputed cut counters (cut=%d,total=%d) disagree with checkpoint (cut=%d,total=%d)",
-				cross, total, st.cross, st.total)
+				s.cross, s.total, st.cross, st.total)
 		}
 	}
 	if err != nil {
@@ -391,9 +369,9 @@ func open(dir string, cfg Config, readOnly bool) (*Store, error) {
 		s.Close()
 		return nil, err
 	}
-	// Post-recovery check: every shard's counters are recounted exactly
-	// under a barrier; a mismatch with the incremental values recovered
-	// from checkpoint+replay would surface as CutDrift (it must stay 0).
+	// Post-recovery check: the counters are recounted exactly; a mismatch
+	// with the incremental values recovered from checkpoint+replay would
+	// surface as CutDrift (it must stay 0).
 	if err := s.control(s.reconcileNow); err != nil {
 		s.Close()
 		return nil, err
@@ -437,25 +415,20 @@ func (s *Store) control(run func() error) error {
 	}
 }
 
-// reconcileNow is the exact check, run as a control: under a barrier it
-// recomputes every shard's counters (cross, total, perPart, load) from the
-// rows it owns and compares them with the incremental ones. A shard that
-// differs counts as CutDrift, takes the exact values and republishes.
-// Open runs it after replay, where state from outside the program has
-// entered, and the tests after their histories; the serving loop never
-// does. Shard ranges are left alone.
+// reconcileNow is the exact check, run as a control: it recounts the
+// counters (cross, total, perPart, load) from the graph and compares them
+// with the incremental ones. A mismatch counts as CutDrift, takes the
+// exact values and republishes. Open runs it after replay, where state
+// from outside the program has entered, and the tests after their
+// histories; the serving loop never does.
 func (s *Store) reconcileNow() error {
-	s.withBarrier(func() {
-		for _, sh := range s.shards {
-			cross, total, perPart, load := metrics.CutWeightsRange(s.w, s.labels, s.k, sh.lo, sh.hi)
-			if cross != sh.cross || total != sh.total || !slices.Equal(perPart, sh.perPart) || !slices.Equal(load, sh.load) {
-				s.ctr.CutDrift.Add(1)
-				sh.cross, sh.total, sh.perPart, sh.load = cross, total, perPart, load
-				sh.publishFresh()
-			}
-		}
-		s.ctr.CutReconciles.Add(1)
-	})
+	exact := countCut(s.w, s.labels, s.k)
+	if exact.cross != s.cross || exact.total != s.total || !slices.Equal(exact.perPart, s.perPart) || !slices.Equal(exact.load, s.load) {
+		s.ctr.CutDrift.Add(1)
+		s.cutCounters = exact
+		s.publish()
+	}
+	s.ctr.CutReconciles.Add(1)
 	return nil
 }
 
@@ -523,10 +496,9 @@ func (s *Store) journalGroup(entries []logEntry) bool {
 // maybeCheckpoint starts the periodic background checkpoint once it is
 // due: at least CheckpointEvery batches applied since the last capture,
 // and the journal above the newest checkpoint at least that checkpoint's
-// payload bytes. It captures the composed state under a barrier
-// (clone-only — labels, bounds, counters, and the graph via
-// Weighted.Clone) and hands it to a goroutine that encodes, writes and
-// installs it off the hot path. At most one checkpoint is in flight; a
+// payload bytes. It captures the state (the published labels, the
+// counters, and the graph via Weighted.Clone) and hands it to a goroutine
+// that encodes, writes and installs it off the hot path. At most one checkpoint is in flight; a
 // failed one moves only the batch baseline (see finishCheckpoint), with
 // the journal carrying every entry in the meantime.
 func (s *Store) maybeCheckpoint() {
@@ -537,11 +509,8 @@ func (s *Store) maybeCheckpoint() {
 	if s.applied.Load()-d.ckptApplied < int64(d.cfg.CheckpointEvery) || d.journalBytes()-d.jrnBase < d.ckptBytes {
 		return
 	}
-	var st *ckptState
 	tCapture := time.Now()
-	s.withBarrier(func() {
-		st = s.captureState(true)
-	})
+	st := s.captureState(true)
 	s.stageHist[stageCkptCapture].Record(time.Since(tCapture))
 	d.pending = true
 	s.ctr.CheckpointsPending.Store(1)
@@ -594,7 +563,7 @@ func (s *Store) writeCheckpoint(st *ckptState) (int, error) {
 // baseline advances either way, so a persistently failing checkpoint
 // retries one cadence interval later instead of hot-looping (the ckptDone
 // delivery itself wakes the coordinator, so an instant re-arm would
-// barrier + clone + fail continuously with no external traffic).
+// clone + fail continuously with no external traffic).
 func (s *Store) finishCheckpoint(res ckptResult) {
 	s.d.pending = false
 	s.ctr.CheckpointsPending.Store(0)
@@ -617,8 +586,8 @@ func (s *Store) noteCheckpoint(res ckptResult) {
 
 // checkpointNow captures, encodes and installs a checkpoint
 // synchronously: the initial checkpoint, before start, and the final one,
-// after drainAndExit stopped the shards. The live graph is encoded
-// directly — no clone — since nothing else is running.
+// from drainAndExit. The live graph is encoded directly — no clone —
+// since nothing else is running.
 func (s *Store) checkpointNow() error {
 	st := s.captureState(false)
 	n, err := s.writeCheckpoint(st)
@@ -629,8 +598,7 @@ func (s *Store) checkpointNow() error {
 	return nil
 }
 
-// finishDurable runs during drainAndExit, after the shards stopped: wait
-// out an in-flight background checkpoint, write the graceful-shutdown
+// finishDurable runs during drainAndExit: wait out an in-flight background checkpoint, write the graceful-shutdown
 // final checkpoint (unless disabled), and close the journal.
 func (s *Store) finishDurable() {
 	if s.d == nil {
@@ -662,11 +630,17 @@ func (s *Store) finishDurable() {
 //
 //	u16 version | u64 seq | u64 applied | i64 appliedAtRestab
 //	i64 lastReconcile | u64 gen | u64 epoch | f64 baseline | u8 flags
-//	u32 k | u32 shards | (shards+1) × u64 bounds
+//	u32 k | u32 ranges | (ranges+1) × u64 bounds
 //	u32 n | n × u32 labels
 //	i64 cross | i64 total   (cut counters, verified on recovery)
 //	u32 affected | affected × u32 vertex
 //	graph (graph.Weighted).EncodeBinary
+//
+// The bounds and lastReconcile fields are kept for the layout: older,
+// sharded stores wrote their shard ranges and the batch count of their
+// last periodic rebalance there. The store writes one range [0, n] and 0;
+// decoding checks that the ranges tile the vertex space, and nothing
+// reads them.
 //
 // Version 2 says the graph, and the journal above it, follow the rule of
 // a simple graph: one arc per neighbour, a re-added edge adding its weight.
@@ -690,35 +664,38 @@ var ErrCheckpointVersion = errors.New("serve: unsupported checkpoint format")
 // the graph.
 type ckptState struct {
 	coordState
-	seq          uint64
-	applied      int64
-	cross, total int64
-	affected     []graph.VertexID
-	labels       []int32
-	w            *graph.Weighted
+	bounds        []int // on disk only (see the layout)
+	lastReconcile int64 // on disk only (see the layout)
+	seq           uint64
+	applied       int64
+	cross, total  int64
+	affected      []graph.VertexID
+	labels        []int32
+	w             *graph.Weighted
 }
 
 // captureState snapshots the coordinator-owned state into a ckptState —
-// the barrier-time half of a background checkpoint. With clone set the
-// graph is deep-copied (Weighted.Clone, a flat-array memcpy much cheaper
-// than the binary encode) and labels/bounds/affected are copied, so the
-// capture stays consistent while the shards resume; the synchronous
-// paths (initial and final checkpoint) pass clone=false and alias the
-// live state they exclusively own. An in-flight restabilization cannot
-// be captured (it lives in a background clone), so it is folded into the
-// wantRestab flag: a leader recovered from the capture runs it again once
-// it journals, and a follower keeps the flag until the leader's relabel
-// record arrives and clears it.
+// the coordinator's half of a background checkpoint. The labels are the
+// published array, which no one writes; with clone set the graph is
+// deep-copied (Weighted.Clone, a flat-array memcpy much cheaper than the
+// binary encode) so the capture stays consistent while the coordinator
+// goes on, and the synchronous paths (initial and final checkpoint) pass
+// clone=false and alias the live graph they exclusively own. An in-flight
+// restabilization cannot be captured (it lives in a background clone), so
+// it is folded into the wantRestab flag: a leader recovered from the
+// capture runs it again once it journals, and a follower keeps the flag
+// until the leader's relabel record arrives and clears it.
 func (s *Store) captureState(clone bool) *ckptState {
-	cross, total := s.ownedCounters()
+	n := len(s.labels)
 	st := &ckptState{
 		coordState: s.coordState,
+		bounds:     []int{0, n},
 		seq:        s.d.lastSeq,
 		applied:    s.applied.Load(),
-		cross:      cross,
-		total:      total,
+		cross:      s.cross,
+		total:      s.total,
 		affected:   make([]graph.VertexID, 0, len(s.affected)),
-		labels:     s.labels,
+		labels:     s.labels[:n:n],
 		w:          s.w,
 	}
 	st.wantRestab = s.wantRestab || s.inflight
@@ -727,8 +704,6 @@ func (s *Store) captureState(clone bool) *ckptState {
 	}
 	slices.Sort(st.affected)
 	if clone {
-		st.bounds = append([]int(nil), s.bounds...)
-		st.labels = append([]int32(nil), s.labels...)
 		st.w = s.w.Clone()
 	}
 	return st
@@ -795,12 +770,12 @@ func decodeCheckpoint(payload []byte) (*ckptState, error) {
 		st.wantRestab = flags[0]&flagWantRestab != 0
 	}
 	st.k = int(int32(r.u32()))
-	nShards := int(r.u32())
-	if nShards < 1 || nShards > 1<<20 {
-		r.fail("checkpoint declares %d shards", nShards)
+	nRanges := int(r.u32())
+	if nRanges < 1 || nRanges > 1<<20 {
+		r.fail("checkpoint declares %d ranges", nRanges)
 	}
-	if raw := r.take(8 * (nShards + 1)); r.err == nil {
-		st.bounds = make([]int, nShards+1)
+	if raw := r.take(8 * (nRanges + 1)); r.err == nil {
+		st.bounds = make([]int, nRanges+1)
 		for i := range st.bounds {
 			st.bounds[i] = int(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
@@ -808,6 +783,9 @@ func decodeCheckpoint(payload []byte) (*ckptState, error) {
 	n := int(r.u32())
 	if n < 0 || n > graph.MaxVertices {
 		r.fail("checkpoint declares %d labels", n)
+	}
+	if r.err == nil && (st.bounds[0] != 0 || st.bounds[nRanges] != n || !slices.IsSorted(st.bounds)) {
+		r.fail("checkpoint ranges %v do not tile %d vertices", st.bounds, n)
 	}
 	if raw := r.take(4 * n); r.err == nil {
 		st.labels = make([]int32, n)

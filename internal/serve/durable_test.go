@@ -21,10 +21,9 @@ import (
 // exist, NoFinalCheckpoint so Close simulates a crash (the journal tail
 // must carry the recovery), and the same partitioner seed everywhere so
 // quiesced histories are deterministic.
-func durableCfg(shards, checkpointEvery int) Config {
+func durableCfg(checkpointEvery int) Config {
 	return Config{
 		Options:       storeOpts(2, 9),
-		Shards:        shards,
 		DegradeFactor: 1.05,
 		Durability: DurabilityConfig{
 			CheckpointEvery:   checkpointEvery,
@@ -34,9 +33,8 @@ func durableCfg(shards, checkpointEvery int) Config {
 	}
 }
 
-// scriptedMutation follows the entry sequence of
-// TestShardCountDoesNotChangeLabels, growth at step 2 and steady edge
-// additions otherwise, with each of a step's 20 edges added 8 times:
+// scriptedMutation is growth at step 2 and steady edge additions
+// otherwise, with each of a step's 20 edges added 8 times:
 // the weights merge into 20 arcs, and the journal grows about 1.9 KB per
 // batch, so it outweighs the checkpoint within a few batches and the
 // checkpoint rule fires.
@@ -96,31 +94,25 @@ func requireSameState(t *testing.T, name string, got, want *Store) {
 			t.Fatalf("%s: CutByPartition[%d] = %d, want %d", name, l, gs.CutByPartition[l], ws.CutByPartition[l])
 		}
 	}
-	gb, wb := got.router.Load().bounds, want.router.Load().bounds
-	if len(gb) != len(wb) {
-		t.Fatalf("%s: %d shard bounds, want %d", name, len(gb), len(wb))
-	}
-	for i := range wb {
-		if gb[i] != wb[i] {
-			t.Fatalf("%s: shard bounds %v, want %v", name, gb, wb)
-		}
-	}
 	if gs.AppliedBatches != ws.AppliedBatches {
 		t.Fatalf("%s: applied %d, want %d", name, gs.AppliedBatches, ws.AppliedBatches)
 	}
 }
 
 // The acceptance property: checkpoint + journal replay reproduces labels,
-// k, shard ranges and integer cut counters bit-identical to the
-// uninterrupted store, at one and several shards — and the post-recovery
-// exact reconcile finds zero drift.
+// k and integer cut counters bit-identical to the uninterrupted store —
+// and the post-recovery exact reconcile finds zero drift. The subtests
+// keep the names they had when the store was split into shards=N vertex
+// ranges; each now runs the one writer with its own partitioner seed.
 func TestDurableRecoveryBitIdentical(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := durableCfg(3)
+			cfg.Options.Seed = 8 + uint64(shards)
 			// Uninterrupted in-memory reference.
 			w, labels := twoClusters(50)
 			ref, err := New(w, append([]int32(nil), labels...), Config{
-				Options: storeOpts(2, 9), Shards: shards, DegradeFactor: 1.05,
+				Options: cfg.Options, DegradeFactor: 1.05,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -132,7 +124,7 @@ func TestDurableRecoveryBitIdentical(t *testing.T) {
 			// NoFinalCheckpoint leaves the tail only in the journal.
 			dir := t.TempDir()
 			w2, labels2 := twoClusters(50)
-			st, err := NewDurable(dir, w2, append([]int32(nil), labels2...), durableCfg(shards, 3))
+			st, err := NewDurable(dir, w2, append([]int32(nil), labels2...), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,7 +151,7 @@ func TestDurableRecoveryBitIdentical(t *testing.T) {
 			}
 
 			// Recover and require bit-identical state.
-			rec, err := Open(dir, durableCfg(shards, 3))
+			rec, err := Open(dir, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +234,7 @@ func TestDurableRecoveryMidChurn(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			dir := t.TempDir()
 			w, labels := twoClusters(50)
-			cfg := durableCfg(shards, -1) // recovery replays the whole journal
+			cfg := durableCfg(-1) // recovery replays the whole journal
 			st, err := NewDurable(dir, w, labels, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -286,15 +278,18 @@ func TestDurableRecoveryMidChurn(t *testing.T) {
 // atomically, so the in-flight checkpoint simply never appears. Recovery
 // must ignore the temp file, fall back to the previous valid checkpoint,
 // and replay the LONGER journal tail to a state bit-identical to the
-// uninterrupted run, at one and several shards. (The journal makes this
-// possible because it is only truncated below the oldest RETAINED
-// checkpoint, never below the newest.)
+// uninterrupted run. (The journal makes this possible because it is only
+// truncated below the oldest RETAINED checkpoint, never below the
+// newest.) The subtests keep their names from the sharded store; each
+// runs its own partitioner seed.
 func TestDurableRecoveryCrashDuringCheckpoint(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := durableCfg(3)
+			cfg.Options.Seed = 8 + uint64(shards)
 			w, labels := twoClusters(50)
 			ref, err := New(w, append([]int32(nil), labels...), Config{
-				Options: storeOpts(2, 9), Shards: shards, DegradeFactor: 1.05,
+				Options: cfg.Options, DegradeFactor: 1.05,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -304,7 +299,6 @@ func TestDurableRecoveryCrashDuringCheckpoint(t *testing.T) {
 
 			dir := t.TempDir()
 			w2, labels2 := twoClusters(50)
-			cfg := durableCfg(shards, 3)
 			st, err := NewDurable(dir, w2, append([]int32(nil), labels2...), cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -372,7 +366,7 @@ func TestDurableRecoveryCrashDuringCheckpoint(t *testing.T) {
 func TestDurableGracefulReopen(t *testing.T) {
 	dir := t.TempDir()
 	w, labels := twoClusters(50)
-	cfg := durableCfg(2, -1) // no periodic checkpoints: Close's final one carries everything
+	cfg := durableCfg(-1) // no periodic checkpoints: Close's final one carries everything
 	cfg.Durability.NoFinalCheckpoint = false
 	st, err := NewDurable(dir, w, append([]int32(nil), labels...), cfg)
 	if err != nil {
@@ -412,7 +406,7 @@ func TestDurableGracefulReopen(t *testing.T) {
 func TestOpenAdoptsRecordedSeed(t *testing.T) {
 	dir := t.TempDir()
 	w, labels := twoClusters(50)
-	cfg := durableCfg(2, -1) // no periodic checkpoint: replay carries the resize
+	cfg := durableCfg(-1) // no periodic checkpoint: replay carries the resize
 	cfg.Options.Seed = 11
 	st, err := NewDurable(dir, w, append([]int32(nil), labels...), cfg)
 	if err != nil {
@@ -425,6 +419,17 @@ func TestOpenAdoptsRecordedSeed(t *testing.T) {
 	}
 	if seed, ok, err := RecordedSeed(dir); err != nil || !ok || seed != 11 {
 		t.Fatalf("RecordedSeed = %d, %v, %v; want 11, true, nil", seed, ok, err)
+	}
+	// The record was installed whole (wal.InstallFile), and a record
+	// installed again replaces it the same way.
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Fatalf("temp files left: %v", tmps)
+	}
+	if err := RecordSeed(dir, 11); err != nil {
+		t.Fatal(err)
+	}
+	if seed, ok, err := RecordedSeed(dir); err != nil || !ok || seed != 11 {
+		t.Fatalf("RecordedSeed after RecordSeed = %d, %v, %v; want 11, true, nil", seed, ok, err)
 	}
 
 	cfg.Options.Seed = 0
@@ -449,31 +454,26 @@ func TestOpenAdoptsRecordedSeed(t *testing.T) {
 
 // What a checkpoint persists of the coordinator is one struct, coordState,
 // and a graceful Close (final checkpoint) followed by Open restores it
-// whole: after periodic checkpoints, a resize, its repair's relabel and
-// a periodic rebalance pass, the reopened store's
-// coordState — baseline, appliedAtRestab, lastReconcile, gen, wantRestab
-// among it — equals the closed store's.
+// whole: after periodic checkpoints, a resize and its repair's relabel,
+// the reopened store's coordState — baseline, appliedAtRestab, gen,
+// wantRestab among it — equals the closed store's.
 func TestCloseOpenRestoresCoordState(t *testing.T) {
 	dir := t.TempDir()
 	w, labels := twoClusters(50)
-	cfg := durableCfg(2, 64)
+	cfg := durableCfg(64)
 	cfg.Durability.NoFinalCheckpoint = false
 	st, err := NewDurable(dir, w, append([]int32(nil), labels...), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	runScript(t, st) // growth to 105 vertices, edge additions, Resize(4) and its repair
-	for i := 0; i < reconcileEvery+8; i++ {
+	for i := 0; i < 520; i++ {
 		if err := st.Submit(addBatch(105, i, 4)); err != nil {
 			t.Fatal(err)
 		}
-		if i == reconcileEvery || i == reconcileEvery+7 {
-			// The periodic pass runs at the first quiesce past it, so
-			// the batches after it leave lastReconcile below applied.
-			if err := st.Quiesce(); err != nil {
-				t.Fatal(err)
-			}
-		}
+	}
+	if err := st.Quiesce(); err != nil {
+		t.Fatal(err)
 	}
 	c := st.Counters()
 	if got := c.Checkpoints.Load(); got < 3 {
@@ -483,9 +483,8 @@ func TestCloseOpenRestoresCoordState(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := st.coordState
-	if applied := st.applied.Load(); want.gen != 1 || want.epoch < 1 || want.lastReconcile == 0 || want.lastReconcile == applied {
-		t.Fatalf("history left gen=%d epoch=%d lastReconcile=%d of %d batches, want a resize, a relabel and a periodic pass before the last batch",
-			want.gen, want.epoch, want.lastReconcile, applied)
+	if want.gen != 1 || want.epoch < 1 {
+		t.Fatalf("history left gen=%d epoch=%d, want a resize and a relabel", want.gen, want.epoch)
 	}
 
 	rec, err := Open(dir, cfg)
@@ -509,7 +508,7 @@ func TestCloseOpenRestoresCoordState(t *testing.T) {
 func TestCloseWithRepairInFlight(t *testing.T) {
 	dir := t.TempDir()
 	w, labels := twoClusters(20_000) // the repair runs far longer than Close takes
-	cfg := durableCfg(2, -1)
+	cfg := durableCfg(-1)
 	cfg.Durability.NoFinalCheckpoint = false
 	st, err := NewDurable(dir, w, labels, cfg)
 	if err != nil {
@@ -570,7 +569,7 @@ func TestCloseWithRepairInFlight(t *testing.T) {
 func TestDurableTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	w, labels := twoClusters(50)
-	cfg := durableCfg(2, -1)
+	cfg := durableCfg(-1)
 	cfg.Durability.SegmentBytes = 0 // one segment: step 5's frame is in the last one
 	st, err := NewDurable(dir, w, append([]int32(nil), labels...), cfg)
 	if err != nil {
@@ -578,7 +577,7 @@ func TestDurableTornTailRecovery(t *testing.T) {
 	}
 	w2, labels2 := twoClusters(50)
 	ref, err := New(w2, append([]int32(nil), labels2...), Config{
-		Options: storeOpts(2, 9), Shards: 2, DegradeFactor: 1.05,
+		Options: storeOpts(2, 9), DegradeFactor: 1.05,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -647,7 +646,7 @@ func TestDurableTornTailRecovery(t *testing.T) {
 func TestDurableMidLogCorruptionFailsOpen(t *testing.T) {
 	dir := t.TempDir()
 	w, labels := twoClusters(50)
-	cfg := durableCfg(1, -1)
+	cfg := durableCfg(-1)
 	cfg.Durability.SegmentBytes = 256 // force several segments
 	st, err := NewDurable(dir, w, append([]int32(nil), labels...), cfg)
 	if err != nil {
@@ -679,7 +678,7 @@ func TestOpenWithoutState(t *testing.T) {
 	if HasState(dir) {
 		t.Fatal("empty dir reports state")
 	}
-	if _, err := Open(dir, durableCfg(1, -1)); !errors.Is(err, wal.ErrNoCheckpoint) {
+	if _, err := Open(dir, durableCfg(-1)); !errors.Is(err, wal.ErrNoCheckpoint) {
 		t.Fatalf("Open of empty dir: %v", err)
 	}
 }
@@ -687,7 +686,7 @@ func TestOpenWithoutState(t *testing.T) {
 func TestNewDurableRefusesExistingState(t *testing.T) {
 	dir := t.TempDir()
 	w, labels := twoClusters(20)
-	st, err := NewDurable(dir, w, append([]int32(nil), labels...), durableCfg(1, -1))
+	st, err := NewDurable(dir, w, append([]int32(nil), labels...), durableCfg(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -701,7 +700,7 @@ func TestNewDurableRefusesExistingState(t *testing.T) {
 		t.Fatal("dir with checkpoints reports no state")
 	}
 	w2, labels2 := twoClusters(20)
-	if _, err := NewDurable(dir, w2, labels2, durableCfg(1, -1)); err == nil {
+	if _, err := NewDurable(dir, w2, labels2, durableCfg(-1)); err == nil {
 		t.Fatal("NewDurable clobbered an existing data dir")
 	}
 }
@@ -712,7 +711,7 @@ func TestNewDurableRefusesExistingState(t *testing.T) {
 func TestDurableCheckpointTruncatesJournal(t *testing.T) {
 	dir := t.TempDir()
 	w, labels := twoClusters(50)
-	cfg := durableCfg(1, 2)
+	cfg := durableCfg(2)
 	cfg.Durability.SegmentBytes = 512
 	st, err := NewDurable(dir, w, append([]int32(nil), labels...), cfg)
 	if err != nil {
@@ -720,7 +719,7 @@ func TestDurableCheckpointTruncatesJournal(t *testing.T) {
 	}
 	w2, labels2 := twoClusters(50)
 	ref, err := New(w2, append([]int32(nil), labels2...), Config{
-		Options: storeOpts(2, 9), Shards: 1, DegradeFactor: 1.05,
+		Options: storeOpts(2, 9), DegradeFactor: 1.05,
 	})
 	if err != nil {
 		t.Fatal(err)

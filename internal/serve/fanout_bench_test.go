@@ -77,7 +77,7 @@ func benchWatchFanout(b *testing.B, subs int, encodePerSub bool) {
 		}(sub)
 	}
 
-	// 64 changed labels per publication — low-churn barrier deltas, the
+	// 64 changed labels per publication — low-churn relabel deltas, the
 	// steady-state frame mix on a live store.
 	labels := make([]int32, 64)
 	for i := range labels {

@@ -16,7 +16,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"slices"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -80,10 +80,10 @@ func goldenCkptState() *ckptState {
 	w.AddEdge(0, 5, 2)
 	return &ckptState{
 		coordState: coordState{
-			appliedAtRestab: 6, lastReconcile: 4,
-			gen: 2, epoch: 3, baseline: 0.125, wantRestab: true,
-			k: 3, bounds: []int{0, 2, 6},
+			appliedAtRestab: 6, gen: 2, epoch: 3,
+			baseline: 0.125, wantRestab: true, k: 3,
 		},
+		bounds: []int{0, 2, 6}, lastReconcile: 4,
 		seq: 11, applied: 9, cross: 5, total: 15,
 		affected: []graph.VertexID{1, 4},
 		labels:   []int32{0, 0, 1, 1, 2, 2},
@@ -172,18 +172,26 @@ func FuzzCheckpointPayload(f *testing.F) {
 // its links are the only copy of its restabilizations' labels.
 const chainDir = "testdata/child-5fbc4f6"
 
-// parentDir is the data dir the same history leaves with
+// shardedDir is the data dir the same history leaves with
 // NoFinalCheckpoint since a periodic checkpoint also waits for the
-// journal to outweigh the newest one (the first commit after 3522d97):
-// 22 records — 11 mutations, 2 resizes and 9 relabels — the initial
-// checkpoint, and one periodic checkpoint at seq 21, where the journal
-// first outweighs the initial one. expect.json is the state Open
-// recovers from it; its "Why" says why Replayed is 1 where the dir with
-// delta checkpoints that a587a1e's child wrote replayed 6.
-const parentDir = "testdata/child-3522d97"
+// journal to outweigh the newest one (the first commit after 3522d97),
+// written by the sharded store at two shards: 22 records — 11 mutations,
+// 2 resizes and 9 relabels — the initial checkpoint, and one periodic
+// checkpoint at seq 21, where the journal first outweighs the initial
+// one. Its checkpoints record two vertex ranges, which Open checks and
+// ignores. expect.json is the state Open recovers from it; its "Why" says
+// why Replayed is 1 where the dir with delta checkpoints that a587a1e's
+// child wrote replayed 6.
+const shardedDir = "testdata/child-3522d97"
+
+// parentDir is the dir the one-writer store leaves after the same
+// history (the first commit after 1cabcb4): shardedDir's journal, and
+// checkpoints that record one range [0, n] where shardedDir's record
+// two.
+const parentDir = "testdata/child-1cabcb4"
 
 func parentCfg() Config {
-	cfg := durableCfg(2, 4)
+	cfg := durableCfg(4)
 	cfg.Durability.SegmentBytes = 0 // default: one segment per process start
 	return cfg
 }
@@ -239,7 +247,6 @@ func playParentHistory(t *testing.T, st *Store) {
 type parentExpect struct {
 	K           int
 	Labels      []int32
-	Bounds      []int
 	Applied     uint64
 	CutWeight   int64
 	TotalWeight int64
@@ -293,37 +300,40 @@ func TestParentDataDir(t *testing.T) {
 		}
 	})
 
-	// And the dir must recover to the state recorded beside it.
+	// And both dirs must recover to the state recorded beside the sharded
+	// one.
 	t.Run("recovers-parent-state", func(t *testing.T) {
-		t.Run(filepath.Base(parentDir), func(t *testing.T) {
-			raw, err := os.ReadFile(filepath.Join(parentDir, "expect.json"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var want parentExpect
-			if err := json.Unmarshal(raw, &want); err != nil {
-				t.Fatal(err)
-			}
-			st, err := Open(copyDataDir(t, parentDir), parentCfg())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer st.Close()
-			_ = st.Quiesce()
-			snap, ctr := st.Snapshot(), st.Counters()
-			got := parentExpect{
-				K: snap.K, Labels: snap.Labels, Bounds: st.Bounds(), Applied: snap.AppliedBatches,
-				CutWeight: snap.CutWeight, TotalWeight: snap.TotalWeight,
-				JournalSeq: st.JournalSeq(), Replayed: ctr.ReplayedRecords.Load(),
-			}
-			if got.K != want.K || !slices.Equal(got.Labels, want.Labels) || !slices.Equal(got.Bounds, want.Bounds) ||
-				got.Applied != want.Applied || got.CutWeight != want.CutWeight || got.TotalWeight != want.TotalWeight ||
-				got.JournalSeq != want.JournalSeq || got.Replayed != want.Replayed {
-				t.Fatalf("recovered %+v\nwant %+v", got, want)
-			}
-			if ctr.CutDrift.Load() != 0 {
-				t.Fatalf("CutDrift = %d after recovering %s", ctr.CutDrift.Load(), parentDir)
-			}
-		})
+		for _, dir := range []string{shardedDir, parentDir} {
+			t.Run(filepath.Base(dir), func(t *testing.T) { recoverParentState(t, dir) })
+		}
 	})
+}
+
+func recoverParentState(t *testing.T, dir string) {
+	raw, err := os.ReadFile(filepath.Join(shardedDir, "expect.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want parentExpect
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(copyDataDir(t, dir), parentCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	_ = st.Quiesce()
+	snap, ctr := st.Snapshot(), st.Counters()
+	got := parentExpect{
+		K: snap.K, Labels: snap.Labels, Applied: snap.AppliedBatches,
+		CutWeight: snap.CutWeight, TotalWeight: snap.TotalWeight,
+		JournalSeq: st.JournalSeq(), Replayed: ctr.ReplayedRecords.Load(),
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %+v\nwant %+v", got, want)
+	}
+	if ctr.CutDrift.Load() != 0 {
+		t.Fatalf("CutDrift = %d after recovering %s", ctr.CutDrift.Load(), dir)
+	}
 }

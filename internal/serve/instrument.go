@@ -13,9 +13,9 @@ import (
 //
 //	drain               log drain + group formation (transferLog + nextGroup)
 //	journal             commit: wal group append incl. the fsync wait (journalGroup)
-//	apply               commit: shard broadcast / barrier application of one group
-//	publish             inside apply: full shard republication after a relabeling event (relabel)
-//	checkpoint_capture  inside maintain: the under-barrier state clone (captureState)
+//	apply               commit: application of one group, publications included
+//	publish             inside apply: counter move and publication of a relabeling event (relabel)
+//	checkpoint_capture  inside maintain: the state capture and graph clone (captureState)
 //	checkpoint_write    off the turn: background checkpoint encode + install
 const (
 	stageDrain = iota

@@ -14,7 +14,7 @@ import (
 func TestStageHistogramsFillUnderChurn(t *testing.T) {
 	dir := t.TempDir()
 	w, labels := twoClusters(50)
-	st, err := NewDurable(dir, w, labels, durableCfg(2, 3)) // checkpoints at least 3 batches apart
+	st, err := NewDurable(dir, w, labels, durableCfg(3)) // checkpoints at least 3 batches apart
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,15 +25,15 @@ func addBatch(n, step, edges int) *graph.Mutation {
 	return m
 }
 
-// handleGroup must merge consecutive add-only batches into single shard
-// broadcasts, flush the run at barrier-path entries (growth), resolve
-// empty batches inline — and land on a state bit-identical to the same
-// batches applied one at a time. Driven directly against an unstarted
-// coordinator (the test plays its role), so the grouping is
-// deterministic rather than timing-dependent.
+// handleGroup must merge consecutive add-only batches into single
+// applies, flush the run at general-path entries (growth), resolve empty
+// batches inline — and land on a state bit-identical to the same batches
+// applied one at a time. Driven directly against an unstarted coordinator
+// (the test plays its role), so the grouping is deterministic rather than
+// timing-dependent.
 func TestHandleGroupCoalescesRuns(t *testing.T) {
 	w, labels := twoClusters(50)
-	cfg := Config{Options: storeOpts(2, 9), Shards: 3, DegradeFactor: 1e9}
+	cfg := Config{Options: storeOpts(2, 9), DegradeFactor: 1e9}
 	if err := cfg.normalize(); err != nil {
 		t.Fatal(err)
 	}
@@ -41,18 +41,6 @@ func TestHandleGroupCoalescesRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sh := range st.shards {
-		go sh.run()
-	}
-	stopShards := func() {
-		for _, sh := range st.shards {
-			close(sh.log)
-		}
-		for _, sh := range st.shards {
-			<-sh.done
-		}
-	}
-	defer stopShards()
 
 	growth := &graph.Mutation{NewVertices: 5}
 	for i := 0; i < 5; i++ {
@@ -64,15 +52,14 @@ func TestHandleGroupCoalescesRuns(t *testing.T) {
 		{GroupEntry: wal.GroupEntry{Mut: addBatch(100, 1, 20)}},
 		{GroupEntry: wal.GroupEntry{Mut: &graph.Mutation{}}}, // empty: resolved inline, run unbroken
 		{GroupEntry: wal.GroupEntry{Mut: addBatch(100, 2, 20)}},
-		{GroupEntry: wal.GroupEntry{Mut: growth}}, // barrier path: flushes the run of 3
+		{GroupEntry: wal.GroupEntry{Mut: growth}}, // general path: flushes the run of 3
 		{GroupEntry: wal.GroupEntry{Mut: addBatch(105, 3, 20)}},
 	}
 	st.handleGroup(entries)
-	st.withBarrier(func() {}) // drain the shard logs
 
 	c := &st.ctr
 	if c.ApplyCoalesces.Load() != 1 || c.CoalescedBatches.Load() != 3 {
-		t.Fatalf("coalesces=%d batches=%d, want 1 coalesced broadcast of 3", c.ApplyCoalesces.Load(), c.CoalescedBatches.Load())
+		t.Fatalf("coalesces=%d batches=%d, want 1 coalesced apply of 3", c.ApplyCoalesces.Load(), c.CoalescedBatches.Load())
 	}
 	if c.BatchesApplied.Load() != 6 || st.applied.Load() != 6 {
 		t.Fatalf("applied %d batches (counter %d), want 6", c.BatchesApplied.Load(), st.applied.Load())
@@ -109,7 +96,6 @@ func TestDurableGroupCommitBurstRecovery(t *testing.T) {
 	const batches = 48
 	cfg := Config{
 		Options:       storeOpts(2, 9),
-		Shards:        2,
 		DegradeFactor: 1e9, // no restabs: burst state must be exactly additive
 		Durability: DurabilityConfig{
 			Fsync:             wal.SyncAlways,

@@ -77,16 +77,16 @@ func playHistory(t *testing.T, st *Store, muts []*graph.Mutation, resizeAt, resi
 // Recovery over randomized histories: a store that crashed (no final
 // checkpoint) and recovered incrementally — its newest periodic
 // checkpoint plus the journal tail above it — is bit-identical to an
-// in-memory store that played the full history: labels, k, shard bounds
-// and the integer cut counters, at one and several shards. Both then
-// keep working identically.
+// in-memory store that played the full history: labels, k and the
+// integer cut counters. Both then keep working identically. The shards=N
+// subtests keep their names from the sharded store; N seeds the history.
 func TestIncrementalRecoveryBitIdenticalToFull(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
 				muts := randomHistory(rand.New(rand.NewSource(seed*1000+int64(shards))), 60)
 				w, labels := twoClusters(50)
-				ref, err := New(w, labels, Config{Options: storeOpts(2, 9), Shards: shards, DegradeFactor: 1.05})
+				ref, err := New(w, labels, Config{Options: storeOpts(2, 9), DegradeFactor: 1.05})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -95,7 +95,7 @@ func TestIncrementalRecoveryBitIdenticalToFull(t *testing.T) {
 
 				dir := t.TempDir()
 				w2, labels2 := twoClusters(50)
-				st, err := NewDurable(dir, w2, labels2, durableCfg(shards, 3))
+				st, err := NewDurable(dir, w2, labels2, durableCfg(3))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -109,7 +109,7 @@ func TestIncrementalRecoveryBitIdenticalToFull(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				rec, err := Open(dir, durableCfg(shards, 3))
+				rec, err := Open(dir, durableCfg(3))
 				if err != nil {
 					t.Fatal(err)
 				}

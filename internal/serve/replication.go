@@ -57,11 +57,3 @@ func (s *Store) SetJournalRetention(floor uint64) {
 		j.SetRetention(floor)
 	}
 }
-
-// Bounds returns a copy of the current shard boundaries (len(shards)+1;
-// shard i owns [Bounds[i], Bounds[i+1])) — the "shard ranges" leg of the
-// replication bit-identity contract.
-func (s *Store) Bounds() []int {
-	rt := s.router.Load()
-	return append([]int(nil), rt.bounds...)
-}

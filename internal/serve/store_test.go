@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -529,13 +530,13 @@ func TestBootstrap(t *testing.T) {
 	}
 }
 
-// Summary is Snapshot without the labels, from the same sweep: equal field
+// Summary is Snapshot without the labels, from the same publication: equal field
 // for field at quiescence, and under concurrent growth and a resize its
 // version never goes back and its (K, Vertices) is a pair the log's order
 // allows a Snapshot to hold.
 func TestSummaryMatchesSnapshot(t *testing.T) {
 	const n0, before, after, oldK, newK = 600, 10, 10, 4, 6
-	st, err := Bootstrap(gen.WattsStrogatz(n0, 8, 0.2, 7), Config{Options: storeOpts(oldK, 7), Shards: 3})
+	st, err := Bootstrap(gen.WattsStrogatz(n0, 8, 0.2, 7), Config{Options: storeOpts(oldK, 7)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -603,18 +604,20 @@ func TestSummaryMatchesSnapshot(t *testing.T) {
 
 // An edge re-added at weight MaxInt32 saturates instead of wrapping, on the
 // fast path (add-only batches, the same pair twice in one of them) and on
-// the barrier path (a batch that also appends a vertex): the graph holds
-// MaxInt32 on one arc per row, every shard counter folds the weight the
-// insertion actually added, and an exact pass finds no drift.
+// the general path (a batch that also appends a vertex): the graph holds
+// MaxInt32 on one arc per row, the counters fold the weight the insertion
+// actually added, and an exact pass finds no drift. The subtests keep the
+// names they had when the store was split into shards=N vertex ranges;
+// each now runs the one writer at GOMAXPROCS N.
 func TestSaturatedWeightKeepsCountersExact(t *testing.T) {
 	const big = math.MaxInt32
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(shards))
 			w, labels := twoClusters(20)
 			shadow := w.Clone()
 			st, err := New(w, labels, Config{
 				Options:       storeOpts(2, 3),
-				Shards:        shards,
 				DegradeFactor: 1e9, // no restabilization: the counters alone move
 			})
 			if err != nil {
@@ -688,7 +691,7 @@ func TestApplyRelabelRefusesMisfits(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w, labels := twoClusters(20)
-			st, err := New(w, labels, Config{Options: storeOpts(2, 9), Shards: 2, DegradeFactor: 1e9})
+			st, err := New(w, labels, Config{Options: storeOpts(2, 9), DegradeFactor: 1e9})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -35,28 +35,36 @@ func ckptName(seq uint64) string {
 }
 
 // WriteCheckpoint atomically installs a checkpoint covering journal
-// sequence seq with the given payload: header and payload go to a temp
-// file that is fsynced, renamed into place, and the directory fsynced.
+// sequence seq with the given payload (InstallFile: header and payload).
 func WriteCheckpoint(dir string, seq uint64, payload []byte) error {
 	var hdr [ckptHdr]byte
 	binary.LittleEndian.PutUint32(hdr[0:], ckptMagic)
 	binary.LittleEndian.PutUint64(hdr[4:], seq)
 	binary.LittleEndian.PutUint32(hdr[12:], frame.Checksum(payload))
+	return InstallFile(dir, ckptName(seq), hdr[:], payload)
+}
+
+// InstallFile atomically installs the file name in dir (created if
+// missing) holding parts in order — the one install every data-dir file
+// takes: the parts go to a temp file in dir, which is fsynced and renamed
+// into place, and then the directory is fsynced, so a crash leaves the
+// old file or the new one, never a torn one, and the rename survives
+// power loss. The temp file's name ends in .tmp, and a failed install
+// removes it.
+func InstallFile(dir, name string, parts ...[]byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, ckptPrefix+"*.tmp")
+	tmp, err := os.CreateTemp(dir, name+".*.tmp")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(hdr[:]); err != nil {
-		tmp.Close()
-		return err
-	}
-	if _, err := tmp.Write(payload); err != nil {
-		tmp.Close()
-		return err
+	for _, p := range parts {
+		if _, err := tmp.Write(p); err != nil {
+			tmp.Close()
+			return err
+		}
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -65,7 +73,7 @@ func WriteCheckpoint(dir string, seq uint64, payload []byte) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, ckptName(seq))); err != nil {
+	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
 		return err
 	}
 	return syncDir(dir)

@@ -78,7 +78,7 @@ churn() { # churn <rounds> <salt>
 echo "== boot durable spinnerd (delta-ring=32, checkpoint-every=4)"
 # -degrade suppresses background restabilization so the feed-vs-lookup
 # comparison races no relabeling; the tiny ring forces the 410 resync.
-"$BINDIR/spinnerd" -k 4 -synthetic 2000 -seed 11 -shards 2 -addr "127.0.0.1:$PORT" \
+"$BINDIR/spinnerd" -k 4 -synthetic 2000 -seed 11 -addr "127.0.0.1:$PORT" \
   -degrade 999999 -data-dir "$DIR" -fsync never -checkpoint-every 4 \
   -delta-ring 32 &
 PID=$!

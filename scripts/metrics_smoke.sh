@@ -67,7 +67,7 @@ metric() {
 }
 
 echo "== boot durable spinnerd with pprof side listener"
-"$BINDIR/spinnerd" -k 4 -synthetic 2000 -seed 11 -shards 2 -addr "127.0.0.1:$PORT" \
+"$BINDIR/spinnerd" -k 4 -synthetic 2000 -seed 11 -addr "127.0.0.1:$PORT" \
   -degrade 999999 -data-dir "$DIR" -fsync never -checkpoint-every 8 \
   -pprof-addr "127.0.0.1:$PPROF_PORT" -lookup-sample-every 4 &
 PID=$!

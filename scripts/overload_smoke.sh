@@ -57,7 +57,7 @@ mutate() {
 }
 
 echo "== boot durable spinnerd with per-tenant quotas (rate=2, burst=3, weights trickle=2)"
-"$BIN" -k 4 -synthetic 2000 -seed 11 -shards 2 -addr "127.0.0.1:$PORT" \
+"$BIN" -k 4 -synthetic 2000 -seed 11 -addr "127.0.0.1:$PORT" \
   -degrade 999999 -data-dir "$DIR" -fsync never \
   -quota-rate 2 -quota-burst 3 -quota-depth 8 -quota-weights "trickle-a=2" &
 PID=$!

@@ -53,7 +53,7 @@ echo "== boot durable spinnerd (fsync=never, checkpoint-every=4, keep-checkpoint
 # the trigger started before the kill would restart on the recovered
 # leader and move labels after the pre-crash lookups were taken.
 # -keep-checkpoints/-fsync-interval exercise the durability knobs.
-"$BIN" -k 4 -synthetic 2000 -seed 11 -shards 2 -addr "127.0.0.1:$PORT" \
+"$BIN" -k 4 -synthetic 2000 -seed 11 -addr "127.0.0.1:$PORT" \
   -degrade 999999 -data-dir "$DIR" -fsync never -fsync-interval 25ms \
   -checkpoint-every 4 -keep-checkpoints 2 &
 PID=$!

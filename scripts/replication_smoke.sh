@@ -87,7 +87,7 @@ echo "== boot leader (fsync=never, checkpoint-every=8)"
 # is the repair of the resize below, and the drill knows when it merged.
 # Restabilization no longer makes labels differ: the leader journals each
 # relabel and the follower adopts it.
-"$BIN" -k 4 -synthetic 2000 -seed 11 -shards 2 -addr "127.0.0.1:$LPORT" \
+"$BIN" -k 4 -synthetic 2000 -seed 11 -addr "127.0.0.1:$LPORT" \
   -degrade 999999 -data-dir "$LDIR" -fsync never -fsync-interval 25ms \
   -checkpoint-every 8 -keep-checkpoints 2 &
 LPID=$!
