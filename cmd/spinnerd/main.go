@@ -43,8 +43,9 @@
 // The durable write path is a staged commit pipeline (see internal/serve
 // and internal/wal): each coordinator turn journals everything pending
 // as one group (one write + one fsync — under -fsync always, concurrent
-// submitters amortize the disk barrier), coalesces consecutive add-only
-// batches into single applies, and runs checkpoints in the background
+// submitters amortize the disk barrier), applies every batch through one
+// path with consecutive add-only batches sharing one publication (one
+// snapshot, one change-feed delta), and runs checkpoints in the background
 // (the write plane only pauses to clone the graph, never for the encode +
 // write + fsync). /v1/stats reports the pipeline's shape:
 // GroupCommits/GroupedEntries (and the derived journal_group_depth —

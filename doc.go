@@ -55,14 +55,13 @@
 //     written: a relabel or resize swaps in a new one, and growth writes
 //     only past the published length, so no publication copies labels.
 //   - graph.Mutation batches flow through a bounded mutation log into the
-//     coordinator. A run of add-only batches between existing vertices
-//     adds to the rows (an existing edge gains weight: graph.Weighted
-//     keeps one arc per neighbour), folds O(batch) incremental cut deltas
-//     and publishes once. Batches that append vertices or remove edges
-//     apply atomically, place new vertices on the least loaded partitions
-//     from the maintained load counters, and advance the counters by the
-//     batch's exact deltas (graph.Mutation.CutEdits) — never an O(E) scan
-//     or recompute per batch.
+//     coordinator, which applies every batch one way
+//     (graph.Mutation.ApplyEdits): atomically, adding to the rows (an
+//     existing edge gains weight: graph.Weighted keeps one arc per
+//     neighbour), placing appended vertices on the least loaded
+//     partitions from the maintained load counters, and advancing the
+//     counters by the batch's exact cut edits — never an O(E) scan or
+//     recompute per batch. A run of add-only batches publishes once.
 //   - The counters are never recounted while serving: an exact check
 //     (metrics.CutWeightsRange, bit-identical to the incremental values)
 //     runs once when a durable store reopens.
@@ -118,9 +117,8 @@
 //     with ≥8 submitters group commit amortizes fsync=always toward the
 //     interval policy.
 //   - Coalesced apply: consecutive add-only batches drained in one turn
-//     merge into one apply — one counter delta and one snapshot
-//     publication for the run (sound because add-only batches never
-//     relabel).
+//     share one publication — one snapshot and one counter-only delta
+//     for the run (sound because add-only batches never relabel).
 //   - Background checkpoints: when one is due the coordinator only
 //     *captures* the state — graph (Weighted.Clone), the published
 //     labels, k, generation/epoch, trigger state — and a

@@ -28,38 +28,31 @@ func (e CutEdit) Signed() int64 {
 	return -int64(e.Weight)
 }
 
-// CutEdits enumerates the edge-level effects of applying m to w, without
-// mutating w. Folding each edit's signed weight into counters produced by
-// metrics.CutWeights — total += ±weight, and for edits whose endpoint
-// labels differ, cross and both endpoints' per-partition external weight
-// likewise — keeps them exactly equal to a fresh recompute; the serving
-// store (internal/serve) does this for every batch that is not add-only.
+// effects is the one definition of a valid batch, which Apply and
+// ApplyEdits share: the vertex append must stay within MaxVertices,
+// every endpoint must be in range after it, additions must not be
+// self-loops, and every removal must name an edge that exists when it runs
+// — in w or added by the batch, and not deleted by an earlier removal. An
+// absent-edge error names the first removal, in batch order, that finds
+// its pair gone.
 //
-// CutEdits must be called against the pre-mutation graph. It replays the
-// batch's effect on each pair it names, in Apply's order: an addition adds
-// the weight AddEdge would add (the normalized weight, less where the
-// edge's weight saturates), and a removal removes the weight the edge then
-// holds — its weight in w plus the batch's additions of it. Additions may
-// reference vertices the batch itself appends.
-//
-// A batch Apply would reject yields the error Apply reports: both check it
-// with effects.
+// With emit set it also returns the batch's cut edits. It must be called
+// against the pre-mutation graph, and it replays the batch's effect on
+// each pair it names in Apply's order: an addition adds the weight AddEdge
+// would add (the normalized weight, less where the edge's weight
+// saturates), and a removal removes the weight the edge then holds — its
+// weight in w plus the batch's additions of it. Additions may reference
+// vertices the batch itself appends. Folding each edit's signed weight
+// into counters produced by metrics.CutWeights — total += ±weight, and for
+// edits whose endpoint labels differ, cross and both endpoints'
+// per-partition external weight likewise — keeps them exactly equal to a
+// fresh recompute; the serving store (internal/serve) does this for every
+// batch.
 //
 // Cost: O(|batch| + Σ over distinct removed pairs of the shorter endpoint
 // row) — one row scan per pair, never one per batch entry. Added pairs are
 // looked up too only when the graph's and the batch's weight together
 // could push an edge past math.MaxInt32.
-func (m *Mutation) CutEdits(w *Weighted) ([]CutEdit, error) {
-	return m.effects(w, true)
-}
-
-// effects is the one definition of a valid batch, which Apply, ApplyEdits
-// and CutEdits share: the vertex append must stay within MaxVertices,
-// every endpoint must be in range after it, additions must not be
-// self-loops, and every removal must name an edge that exists when it runs
-// — in w or added by the batch, and not deleted by an earlier removal. An
-// absent-edge error names the first removal, in batch order, that finds
-// its pair gone. With emit set it also returns the batch's cut edits.
 func (m *Mutation) effects(w *Weighted, emit bool) ([]CutEdit, error) {
 	if m.NewVertices < 0 {
 		return nil, fmt.Errorf("graph: mutation appends %d vertices", m.NewVertices)

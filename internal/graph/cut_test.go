@@ -88,18 +88,18 @@ func TestCutDeltaMatchesExactRecompute(t *testing.T) {
 				grown[v] = int32(src.Intn(k))
 			}
 		}
-		edits, derr := m.CutEdits(w)
+		edits, derr := m.effects(w, true)
 		if _, err := m.Apply(w); err != nil {
 			// Random removals can collide (one edge twice); the batch is
-			// rejected atomically, for the reason CutEdits gives.
+			// rejected atomically, for the reason effects gives.
 			if derr == nil || derr.Error() != err.Error() {
-				t.Fatalf("step %d: Apply rejected the batch with %v, CutEdits with %v", step, err, derr)
+				t.Fatalf("step %d: Apply rejected the batch with %v, effects with %v", step, err, derr)
 			}
 			continue
 		}
 		labels = grown
 		if derr != nil {
-			t.Fatalf("step %d: CutEdits failed on a batch Apply accepted: %v", step, derr)
+			t.Fatalf("step %d: effects failed on a batch Apply accepted: %v", step, derr)
 		}
 		// Fold the edits the way the serving layer does.
 		for _, e := range edits {
@@ -137,53 +137,28 @@ func TestCutEditsErrors(t *testing.T) {
 		{RemovedEdges: []Edge{{From: 0, To: 1}, {From: 1, To: 0}}},
 		{NewVertices: -1},
 	} {
-		if _, err := m.CutEdits(w); err == nil {
-			t.Fatalf("CutEdits(%+v) accepted an invalid batch", m)
+		if _, err := m.effects(w, true); err == nil {
+			t.Fatalf("effects(%+v) accepted an invalid batch", m)
 		}
 	}
 	// A re-added edge is one edge: its added weights, then all of it, leave
 	// with one removal — and a second removal finds it gone.
 	w.AddEdge(0, 1, 5)
 	readd := &Mutation{NewEdges: []WeightedEdgeRecord{{U: 1, V: 0, Weight: 3}}, RemovedEdges: []Edge{{From: 0, To: 1}}}
-	edits, err := readd.CutEdits(w)
+	edits, err := readd.effects(w, true)
 	if want := []CutEdit{{U: 0, V: 1, Weight: 3, Add: true}, {U: 0, V: 1, Weight: 10}}; err != nil || !slices.Equal(edits, want) {
 		t.Fatalf("re-add then remove: edits=%v err=%v, want %v", edits, err, want)
 	}
 	readd.RemovedEdges = append(readd.RemovedEdges, Edge{From: 1, To: 0})
-	if _, err := readd.CutEdits(w); err == nil {
+	if _, err := readd.effects(w, true); err == nil {
 		t.Fatal("a second removal of a merged edge accepted")
 	}
 	// Weights saturate: an edit carries the weight actually added.
 	w2 := NewWeighted(2)
 	w2.AddEdge(0, 1, math.MaxInt32-1)
 	sat := &Mutation{NewEdges: []WeightedEdgeRecord{{U: 0, V: 1, Weight: 5}, {U: 1, V: 0, Weight: 5}}}
-	edits, err = sat.CutEdits(w2)
+	edits, err = sat.effects(w2, true)
 	if want := []CutEdit{{U: 0, V: 1, Weight: 1, Add: true}, {U: 0, V: 1, Weight: 0, Add: true}}; err != nil || !slices.Equal(edits, want) {
 		t.Fatalf("saturating additions: edits=%v err=%v, want %v", edits, err, want)
-	}
-}
-
-func TestInsertArcAndAdjustTotals(t *testing.T) {
-	w := NewWeighted(3)
-	w.InsertArc(0, 1, 4)
-	w.InsertArc(1, 0, 4)
-	w.AdjustTotals(1, 4)
-	if w.NumEdges() != 1 || w.TotalWeight() != 4 {
-		t.Fatalf("totals after arc insert: edges=%d weight=%d", w.NumEdges(), w.TotalWeight())
-	}
-	if w.WeightedDegree(0) != 4 || w.WeightedDegree(1) != 4 {
-		t.Fatalf("degrees %d,%d", w.WeightedDegree(0), w.WeightedDegree(1))
-	}
-	// A second insertion merges into the arc and says so.
-	if added, isNew := w.InsertArc(0, 1, 3); added != 3 || isNew || len(w.Neighbors(0)) != 1 || w.Neighbors(0)[0].Weight != 7 {
-		t.Fatalf("re-insert: added %d, new %v, row %v", added, isNew, w.Neighbors(0))
-	}
-	w.InsertArc(1, 0, 3)
-	w.AdjustTotals(0, 3)
-	if !w.RemoveEdge(0, 1) {
-		t.Fatal("arc-inserted edge not removable")
-	}
-	if w.NumEdges() != 0 || w.TotalWeight() != 0 {
-		t.Fatalf("totals after removal: edges=%d weight=%d", w.NumEdges(), w.TotalWeight())
 	}
 }

@@ -54,10 +54,10 @@ func (m *Mutation) Apply(w *Weighted) (firstNew VertexID, err error) {
 	return firstNew, err
 }
 
-// ApplyEdits is Apply that also returns the batch's CutEdits against the
-// pre-mutation graph, found by the pass that validates the batch: a caller
-// that folds them into counters, as the serving store's general path
-// does, validates once, not twice.
+// ApplyEdits is Apply that also returns the batch's edits (CutEdit)
+// against the pre-mutation graph, found by the pass that validates the
+// batch: a caller that folds them into counters, as the serving store does
+// for every batch, validates once, not twice.
 func (m *Mutation) ApplyEdits(w *Weighted) (firstNew VertexID, edits []CutEdit, err error) {
 	return m.apply(w, true)
 }

@@ -42,15 +42,15 @@ func churnCase(n, adds, removals int) (*Weighted, *Mutation) {
 func TestMutationCostIsLinearInBatch(t *testing.T) {
 	w, m := churnCase(100_000, 200_000, 50_000)
 	start := time.Now()
-	edits, err := m.CutEdits(w)
+	edits, err := m.effects(w, true)
 	if err != nil || len(edits) != 250_000 {
-		t.Fatalf("CutEdits = %d edits, %v", len(edits), err)
+		t.Fatalf("effects = %d edits, %v", len(edits), err)
 	}
 	if _, err := m.Apply(w); err != nil {
 		t.Fatal(err)
 	}
 	if d := time.Since(start); d > 2*time.Second {
-		t.Fatalf("CutEdits + Apply of 200 000 additions and 50 000 removals took %v, want under 2 s", d)
+		t.Fatalf("effects + Apply of 200 000 additions and 50 000 removals took %v, want under 2 s", d)
 	}
 	start = time.Now()
 	touched := m.TouchedVertices()

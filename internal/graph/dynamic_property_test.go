@@ -236,7 +236,7 @@ func pairsOf(w *Weighted) map[Edge]int32 {
 }
 
 // batchOracle is the rule Mutation states, kept the slow and obvious way as
-// the reference for Apply and CutEdits: the graph as a map from pairs to
+// the reference for Apply and effects: the graph as a map from pairs to
 // weights, each addition adding its weight (saturating) to its pair, then
 // each removal deleting its pair. It returns the edits the batch makes and
 // the pairs it leaves, or the error that rejects it: the first bad endpoint
@@ -339,7 +339,7 @@ func diffCase(intn func(int) int) (*Weighted, *Mutation) {
 
 // checkAgainstOracles applies m to w and reports which way the batch went:
 // "merged" (valid, and some addition lands on a pair already held),
-// "valid" or "rejected". CutEdits and Apply must return batchOracle's edits
+// "valid" or "rejected". effects and Apply must return batchOracle's edits
 // and error, and ApplyEdits both, leaving the graph Apply leaves. A
 // rejected batch must leave the graph untouched; an accepted one must
 // produce, arc for arc, the graph that adding and removing the batch's
@@ -347,9 +347,9 @@ func diffCase(intn func(int) int) (*Weighted, *Mutation) {
 func checkAgainstOracles(t *testing.T, w *Weighted, m *Mutation) string {
 	t.Helper()
 	wantEdits, wantPairs, wantErr := batchOracle(m, w)
-	gotEdits, gotErr := m.CutEdits(w)
+	gotEdits, gotErr := m.effects(w, true)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !slices.Equal(gotEdits, wantEdits) {
-		t.Fatalf("CutEdits = %v, %v; oracle %v, %v\nbatch %+v", gotEdits, gotErr, wantEdits, wantErr, m)
+		t.Fatalf("effects = %v, %v; oracle %v, %v\nbatch %+v", gotEdits, gotErr, wantEdits, wantErr, m)
 	}
 
 	held, merged := pairsOf(w), false
@@ -377,7 +377,7 @@ func checkAgainstOracles(t *testing.T, w *Weighted, m *Mutation) string {
 		t.Fatalf("Apply = (%d, %v), oracle error %v\nbatch %+v", firstNew, err, wantErr, m)
 	}
 	if firstNewE != firstNew || fmt.Sprint(errE) != fmt.Sprint(err) || !slices.Equal(appliedEdits, gotEdits) {
-		t.Fatalf("ApplyEdits = (%d, %v, %v), Apply (%d, %v) and CutEdits %v\nbatch %+v",
+		t.Fatalf("ApplyEdits = (%d, %v, %v), Apply (%d, %v) and effects %v\nbatch %+v",
 			firstNewE, appliedEdits, errE, firstNew, err, gotEdits, m)
 	}
 	if w.NumVertices() != want.NumVertices() || w.NumEdges() != want.NumEdges() || w.TotalWeight() != want.TotalWeight() {
@@ -434,7 +434,7 @@ func requireMirrored(t *testing.T, w *Weighted, m *Mutation) {
 }
 
 // Differential property: over seeded random batches on small graphs,
-// CutEdits and Apply follow the model of the rule.
+// effects and Apply follow the model of the rule.
 func TestMutationMatchesOracles(t *testing.T) {
 	outcomes := map[string]int{}
 	for seed := uint64(1); seed <= 4000; seed++ {

@@ -78,12 +78,12 @@ func (w *Weighted) AddEdge(u, v VertexID, weight int32) {
 	if len(w.adj[u]) > len(w.adj[v]) {
 		u, v = v, u // scan the shorter row; the other is scanned only to merge
 	}
-	added, isNew := w.InsertArc(u, v, weight)
+	added, isNew := w.insertArc(u, v, weight)
 	if isNew {
 		w.adj[v] = append(w.adj[v], WeightedArc{To: u, Weight: weight})
 		w.numEdges++
 	} else {
-		w.InsertArc(v, u, added)
+		w.insertArc(v, u, added)
 	}
 	w.totalWeight += 2 * int64(added)
 }
@@ -132,16 +132,11 @@ func (w *Weighted) EdgeWeight(u, v VertexID) int32 {
 	return 0
 }
 
-// InsertArc adds weight to u's arc to v, appending the arc if u's row has
-// none, without touching v's row or the edge/weight totals. It returns the
-// weight actually added — less than weight where the sum saturates at
-// math.MaxInt32 — and whether the arc is new. It exists for the serving
-// store's add-only path (internal/serve), which needs the weight an edge
-// actually added for its cut counters: it inserts both arcs of each edge
-// (rows that mirror each other merge alike) and folds a run's totals in
-// via AdjustTotals. Any other use breaks the symmetry invariant the rest
-// of the package relies on; prefer AddEdge.
-func (w *Weighted) InsertArc(u, v VertexID, weight int32) (added int32, isNew bool) {
+// insertArc adds weight to u's arc to v, appending the arc if u's row has
+// none, without touching v's row or the edge/weight totals — AddEdge's
+// half of an edge. It returns the weight actually added (less than weight
+// where the sum saturates at math.MaxInt32) and whether the arc is new.
+func (w *Weighted) insertArc(u, v VertexID, weight int32) (added int32, isNew bool) {
 	row := w.adj[u]
 	for i := range row {
 		if row[i].To == v {
@@ -152,14 +147,6 @@ func (w *Weighted) InsertArc(u, v VertexID, weight int32) (added int32, isNew bo
 	}
 	w.adj[u] = append(row, WeightedArc{To: v, Weight: weight})
 	return weight, true
-}
-
-// AdjustTotals folds dEdges new undirected edges and dWeight added weight
-// into the graph's edge and weight totals — the bookkeeping counterpart of
-// InsertArc, counted once per edge (not per arc).
-func (w *Weighted) AdjustTotals(dEdges, dWeight int64) {
-	w.numEdges += dEdges
-	w.totalWeight += 2 * dWeight
 }
 
 // AddVertices grows the graph by n isolated vertices and returns the ID of

@@ -102,10 +102,9 @@ type ServeCounters struct {
 	// number of entries amortizing each fsync under wal.SyncAlways.
 	GroupCommits   atomic.Int64 `metric:"spinner_group_commits_total" help:"Journal group appends (one write, at most one fsync each)."`
 	GroupedEntries atomic.Int64 `metric:"spinner_grouped_entries_total" help:"Records framed into group appends."`
-	// ApplyCoalesces counts applies that merged a run of two or more
-	// consecutive add-only batches into one (one counter delta, one
-	// snapshot publication); CoalescedBatches totals the batches so
-	// merged.
+	// ApplyCoalesces counts the publications a run of two or more
+	// consecutive add-only batches shared (one snapshot, one counter-only
+	// delta); CoalescedBatches totals the batches in those runs.
 	ApplyCoalesces   atomic.Int64 `metric:"spinner_apply_coalesces_total" help:"Applies that merged two or more consecutive add-only batches."`
 	CoalescedBatches atomic.Int64 `metric:"spinner_coalesced_batches_total" help:"Batches merged by coalesced applies."`
 	// CheckpointsPending is a 0/1 gauge: 1 while a captured checkpoint is

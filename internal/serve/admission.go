@@ -292,8 +292,8 @@ func (s *Store) clock() time.Time {
 func (s *Store) Degraded() bool { return s.degraded.Load() }
 
 // Overloaded reports whether the degradation budget is engaged:
-// background restabilization and the periodic rebalance are deferred and
-// callers should shed expensive writes.
+// background restabilization is deferred and callers should shed
+// expensive writes.
 func (s *Store) Overloaded() bool { return s.overloaded.Load() }
 
 // DrainRate returns the EWMA rate at which the coordinator resolves

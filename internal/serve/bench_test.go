@@ -113,6 +113,10 @@ func BenchmarkServeLookupUnderChurn(b *testing.B) {
 //     O(E) cost model — against the default incremental O(batch)
 //     deltas. This axis is hardware-independent and dominates at scale,
 //     since E keeps growing while batches do not.
+//   - fresh: incremental over b.N distinct batches. The two cases above
+//     cycle 64 batches, so past the first 64 iterations every edge they
+//     add exists and merges its weight; here the edges are new and append
+//     arcs, the shape of serve-write's marker traffic.
 //
 // Restabilization is disabled so the numbers isolate the write plane.
 func BenchmarkServeMutateThroughput(b *testing.B) {
@@ -130,30 +134,39 @@ func BenchmarkServeMutateThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Pre-generate add-only batches (the fast path); reusing them is safe:
-	// the store reads NewEdges but never retains or mutates the batch.
-	src := rng.New(4242)
-	batches := make([]*graph.Mutation, 64)
-	for i := range batches {
-		m := &graph.Mutation{NewEdges: make([]graph.WeightedEdgeRecord, 0, batchEdges)}
-		for len(m.NewEdges) < batchEdges {
-			u, v := graph.VertexID(src.Intn(n)), graph.VertexID(src.Intn(n))
-			if u != v {
-				m.NewEdges = append(m.NewEdges, graph.WeightedEdgeRecord{U: u, V: v, Weight: 2})
+	// Pre-generated add-only batches; reusing them is safe: the store reads
+	// NewEdges but never retains or mutates the batch.
+	makeBatches := func(count int, seed uint64) []*graph.Mutation {
+		src := rng.New(seed)
+		batches := make([]*graph.Mutation, count)
+		for i := range batches {
+			m := &graph.Mutation{NewEdges: make([]graph.WeightedEdgeRecord, 0, batchEdges)}
+			for len(m.NewEdges) < batchEdges {
+				u, v := graph.VertexID(src.Intn(n)), graph.VertexID(src.Intn(n))
+				if u != v {
+					m.NewEdges = append(m.NewEdges, graph.WeightedEdgeRecord{U: u, V: v, Weight: 2})
+				}
 			}
+			batches[i] = m
 		}
-		batches[i] = m
+		return batches
 	}
+	cycled := makeBatches(64, 4242)
 
 	cases := []struct {
-		name  string
-		exact bool
+		name         string
+		exact, fresh bool
 	}{
-		{"incremental", false},
-		{"exactcut", true}, // seed cost model: exact O(E) pass per batch
+		{"incremental", false, false},
+		{"exactcut", true, false}, // seed cost model: exact O(E) pass per batch
+		{"fresh", false, true},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
+			batches := cycled
+			if tc.fresh {
+				batches = makeBatches(b.N, 4243)
+			}
 			st, err := New(w.Clone(), append([]int32(nil), res.Labels...), Config{
 				Options:       opts,
 				DegradeFactor: 1e9, // isolate the write plane

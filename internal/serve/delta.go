@@ -20,8 +20,9 @@ package serve
 //
 // Label truth: the coordinator emits every delta from its own state, in
 // event order, right after the snapshot it describes is published.
-// Counter-only deltas (coalesced add-only runs, which never relabel) carry
-// no runs; consumers must treat Cross/Total as hints and the runs as the
+// Counter-only deltas (coalesced runs of edge additions, which never
+// relabel, and the exact check's repair of drifted counters) carry no
+// runs; consumers must treat Cross/Total as hints and the runs as the
 // authoritative label stream.
 
 import (
@@ -55,9 +56,6 @@ type Delta struct {
 	K int
 	// N is the vertex count after this delta (0 = unchanged).
 	N int
-	// Bounds is a field of the codec that the store no longer fills:
-	// older stores wrote their shard boundaries here.
-	Bounds []int
 	// Runs are the changed label runs, ascending and non-overlapping.
 	Runs []LabelRun
 	// Cross and Total are the composed integer cut counters.
@@ -100,13 +98,17 @@ func (d *Delta) RunVertices() int {
 //
 //	u16 version | u64 seq | u64 epoch | u64 gen | u32 k | u32 n
 //	i64 cross | i64 total
-//	u32 nbounds | nbounds × u64        (0 = no bound change)
+//	u32 nbounds | nbounds × u64
 //	u32 nruns | per run: u32 start | u32 len | len × u32 labels
+//
+// The bounds section is written empty. Older, sharded stores wrote their
+// shard boundaries there, in watch frames and relabel records; decoding
+// checks its length and skips it.
 const deltaVersion = 1
 
 // EncodeDelta serializes d into its binary payload.
 func EncodeDelta(d *Delta) []byte {
-	size := 2 + 8*3 + 4*2 + 8*2 + 4 + 8*len(d.Bounds) + 4
+	size := 2 + 8*3 + 4*2 + 8*2 + 4 + 4
 	for _, r := range d.Runs {
 		size += 8 + 4*len(r.Labels)
 	}
@@ -119,10 +121,7 @@ func EncodeDelta(d *Delta) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(d.N))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(d.Cross))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(d.Total))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(d.Bounds)))
-	for _, b := range d.Bounds {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(b))
-	}
+	buf = binary.LittleEndian.AppendUint32(buf, 0) // no bounds
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(d.Runs)))
 	for _, r := range d.Runs {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Start))
@@ -189,12 +188,7 @@ func DecodeDelta(payload []byte) (*Delta, error) {
 	if r.err == nil && (nBounds < 0 || nBounds > 1<<20) {
 		return nil, fmt.Errorf("serve: delta declares %d bounds", nBounds)
 	}
-	if r.err == nil && nBounds > 0 {
-		d.Bounds = make([]int, nBounds)
-		for i := range d.Bounds {
-			d.Bounds[i] = int(r.u64())
-		}
-	}
+	r.take(8 * nBounds)
 	d.Runs = readRuns(r)
 	if r.err != nil {
 		return nil, fmt.Errorf("serve: delta: %w", r.err)
@@ -391,26 +385,3 @@ func (s *Store) FramedDeltasSince(after uint64, max int) ([]FramedDelta, uint64)
 // single-slot wakeup channel — the watch-stream hook. Callers must
 // Cancel when done.
 func (s *Store) SubscribeDeltas() *WakeSub { return s.deltas.subs.subscribe() }
-
-// emitDelta publishes a delta of the coordinator state with the label
-// runs that changed. Coordinator-only.
-func (s *Store) emitDelta(runs []LabelRun) {
-	s.publishDelta(&Delta{
-		Epoch: s.epoch, Gen: s.gen, K: s.k, N: len(s.labels),
-		Runs: runs, Cross: s.cross, Total: s.total,
-	})
-}
-
-// emitCounterDelta publishes a counter-only delta after an add-only run:
-// no runs, K and N unchanged. Coordinator-only.
-func (s *Store) emitCounterDelta() {
-	s.publishDelta(&Delta{Epoch: s.epoch, Cross: s.cross, Total: s.total})
-}
-
-// publishDelta hands d to the hub and counts the publication and its one
-// encode.
-func (s *Store) publishDelta(d *Delta) {
-	s.deltas.publish(d)
-	s.ctr.DeltasPublished.Add(1)
-	s.ctr.DeltaEncodes.Add(1)
-}

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -327,7 +329,7 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 	cases := []*Delta{
 		{},
 		{Seq: 1, Epoch: 2, Gen: 3, K: 4, N: 5, Cross: -7, Total: 100},
-		{Seq: 9, K: 2, N: 8, Bounds: []int{0, 4, 8},
+		{Seq: 9, K: 2, N: 8,
 			Runs: []LabelRun{{Start: 0, Labels: []int32{0, 1, 0, 1}}, {Start: 6, Labels: []int32{1}}}},
 	}
 	for i, d := range cases {
@@ -338,13 +340,8 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 		}
 		if got.Seq != d.Seq || got.Epoch != d.Epoch || got.Gen != d.Gen ||
 			got.K != d.K || got.N != d.N || got.Cross != d.Cross || got.Total != d.Total ||
-			len(got.Bounds) != len(d.Bounds) || len(got.Runs) != len(d.Runs) {
+			len(got.Runs) != len(d.Runs) {
 			t.Fatalf("case %d: %+v != %+v", i, got, d)
-		}
-		for j := range d.Bounds {
-			if got.Bounds[j] != d.Bounds[j] {
-				t.Fatalf("case %d bounds %v != %v", i, got.Bounds, d.Bounds)
-			}
 		}
 		for j := range d.Runs {
 			if got.Runs[j].Start != d.Runs[j].Start || len(got.Runs[j].Labels) != len(d.Runs[j].Labels) {
@@ -352,14 +349,37 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// Corruption is rejected: trailing garbage and truncation.
+	// A payload with bounds, as sharded stores wrote them, decodes with the
+	// bounds skipped and re-encodes without them.
 	payload := EncodeDelta(cases[2])
+	sharded := withDeltaBounds(payload, 0, 4, 8)
+	if got, err := DecodeDelta(sharded); err != nil || !bytes.Equal(EncodeDelta(got), payload) {
+		t.Fatalf("payload with bounds: %v, re-encoded %x, want %x", err, EncodeDelta(got), payload)
+	}
+	if _, err := DecodeDelta(sharded[:deltaBoundsAt+4+8]); err == nil {
+		t.Fatal("payload torn inside its bounds accepted")
+	}
+	// Corruption is rejected: trailing garbage and truncation.
 	if _, err := DecodeDelta(append(payload, 0)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 	if _, err := DecodeDelta(payload[:len(payload)-1]); err == nil {
 		t.Fatal("truncated payload accepted")
 	}
+}
+
+// deltaBoundsAt is the offset of a delta payload's bounds count.
+const deltaBoundsAt = 2 + 8*3 + 4*2 + 8*2
+
+// withDeltaBounds returns payload, written with no bounds, with bounds in
+// its bounds section.
+func withDeltaBounds(payload []byte, bounds ...uint64) []byte {
+	out := slices.Clone(payload[:deltaBoundsAt])
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(bounds)))
+	for _, b := range bounds {
+		out = binary.LittleEndian.AppendUint64(out, b)
+	}
+	return append(out, payload[deltaBoundsAt+4:]...)
 }
 
 // Every store opens its feed with a baseline delta at seq 1 that alone
@@ -403,17 +423,20 @@ func TestBaselineDeltaReconstructsLabels(t *testing.T) {
 
 func FuzzDeltaCodec(f *testing.F) {
 	f.Add(EncodeDelta(&Delta{}))
-	f.Add(EncodeDelta(&Delta{Seq: 3, Epoch: 1, Gen: 2, K: 4, N: 6, Cross: 5, Total: 9,
-		Bounds: []int{0, 3, 6}, Runs: []LabelRun{{Start: 2, Labels: []int32{1, 0}}}}))
+	f.Add(withDeltaBounds(EncodeDelta(&Delta{Seq: 3, Epoch: 1, Gen: 2, K: 4, N: 6, Cross: 5, Total: 9,
+		Runs: []LabelRun{{Start: 2, Labels: []int32{1, 0}}}}), 0, 3, 6))
 	f.Add([]byte{1, 0})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		d, err := DecodeDelta(b)
 		if err != nil {
 			return
 		}
-		// The codec is canonical: re-encoding must be byte-identical.
-		if enc := EncodeDelta(d); !bytes.Equal(enc, b) {
-			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", enc, b)
+		// The codec is canonical but for the bounds, which decoding skips:
+		// re-encoding must give the same bytes with an empty bounds section.
+		nBounds := int(binary.LittleEndian.Uint32(b[deltaBoundsAt:]))
+		want := slices.Concat(b[:deltaBoundsAt], make([]byte, 4), b[deltaBoundsAt+4+8*nBounds:])
+		if enc := EncodeDelta(d); !bytes.Equal(enc, want) {
+			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", enc, want)
 		}
 		// Every strict prefix is torn and must be rejected.
 		for cut := 0; cut < len(b); cut += 1 + cut/4 {

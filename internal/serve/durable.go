@@ -21,11 +21,13 @@ package serve
 //     entries were journaled one at a time. (Entries still queued in the
 //     in-memory mutation log at crash time were never applied, never
 //     visible, and are dropped.)
-//   - Commit, coalesced apply (handleGroup): the group's entries apply
-//     in submission order, with consecutive add-only batches merged into
-//     one apply — one counter delta and one snapshot publication for the
-//     run. Sound because add-only batches never relabel: their composed
-//     effect is independent of grouping.
+//   - Commit, apply (handleGroup): the group's entries apply in
+//     submission order, every batch through the one apply path
+//     (applyBatch, on graph.Mutation.ApplyEdits), and a run of
+//     consecutive batches that append no vertex and remove no edge
+//     shares one publication — one snapshot and one counter-only delta
+//     for the run (coalesced apply). Sound because such batches never
+//     relabel: their composed effect is independent of grouping.
 //   - Maintain, background checkpoints (maybeCheckpoint): a checkpoint is
 //     due when both hold: at least Durability.CheckpointEvery batches
 //     were applied since the newest checkpoint, and the journal appended
@@ -426,7 +428,7 @@ func (s *Store) reconcileNow() error {
 	if exact.cross != s.cross || exact.total != s.total || !slices.Equal(exact.perPart, s.perPart) || !slices.Equal(exact.load, s.load) {
 		s.ctr.CutDrift.Add(1)
 		s.cutCounters = exact
-		s.publish()
+		s.publish(nil, true)
 	}
 	s.ctr.CutReconciles.Add(1)
 	return nil
@@ -636,11 +638,10 @@ func (s *Store) finishDurable() {
 //	u32 affected | affected × u32 vertex
 //	graph (graph.Weighted).EncodeBinary
 //
-// The bounds and lastReconcile fields are kept for the layout: older,
-// sharded stores wrote their shard ranges and the batch count of their
-// last periodic rebalance there. The store writes one range [0, n] and 0;
-// decoding checks that the ranges tile the vertex space, and nothing
-// reads them.
+// The lastReconcile and ranges sections are kept for the layout: older,
+// sharded stores wrote the batch count of their last periodic rebalance
+// and their shard ranges there. The store writes 0 and one range [0, n];
+// decoding checks that the ranges tile the vertex space and skips both.
 //
 // Version 2 says the graph, and the journal above it, follow the rule of
 // a simple graph: one arc per neighbour, a re-added edge adding its weight.
@@ -664,14 +665,12 @@ var ErrCheckpointVersion = errors.New("serve: unsupported checkpoint format")
 // the graph.
 type ckptState struct {
 	coordState
-	bounds        []int // on disk only (see the layout)
-	lastReconcile int64 // on disk only (see the layout)
-	seq           uint64
-	applied       int64
-	cross, total  int64
-	affected      []graph.VertexID
-	labels        []int32
-	w             *graph.Weighted
+	seq          uint64
+	applied      int64
+	cross, total int64
+	affected     []graph.VertexID
+	labels       []int32
+	w            *graph.Weighted
 }
 
 // captureState snapshots the coordinator-owned state into a ckptState —
@@ -689,7 +688,6 @@ func (s *Store) captureState(clone bool) *ckptState {
 	n := len(s.labels)
 	st := &ckptState{
 		coordState: s.coordState,
-		bounds:     []int{0, n},
 		seq:        s.d.lastSeq,
 		applied:    s.applied.Load(),
 		cross:      s.cross,
@@ -712,12 +710,12 @@ func (s *Store) captureState(clone bool) *ckptState {
 // encodeCheckpoint serializes a captured state into the checkpoint
 // payload.
 func encodeCheckpoint(st *ckptState) []byte {
-	buf := make([]byte, 0, 96+8*len(st.bounds)+4*len(st.labels)+4*len(st.affected))
+	buf := make([]byte, 0, 112+4*len(st.labels)+4*len(st.affected))
 	buf = binary.LittleEndian.AppendUint16(buf, ckptVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, st.seq)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.applied))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.appliedAtRestab))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.lastReconcile))
+	buf = binary.LittleEndian.AppendUint64(buf, 0) // lastReconcile
 	buf = binary.LittleEndian.AppendUint64(buf, st.gen)
 	buf = binary.LittleEndian.AppendUint64(buf, st.epoch)
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.baseline))
@@ -727,10 +725,9 @@ func encodeCheckpoint(st *ckptState) []byte {
 	}
 	buf = append(buf, flags)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(st.k))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.bounds)-1))
-	for _, b := range st.bounds {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(b))
-	}
+	buf = binary.LittleEndian.AppendUint32(buf, 1) // one range, [0, n]
+	buf = binary.LittleEndian.AppendUint64(buf, 0)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(st.labels)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.labels)))
 	for _, l := range st.labels {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(l))
@@ -759,7 +756,7 @@ func decodeCheckpoint(payload []byte) (*ckptState, error) {
 	st.seq = r.u64()
 	st.applied = int64(r.u64())
 	st.appliedAtRestab = int64(r.u64())
-	st.lastReconcile = int64(r.u64())
+	r.u64() // lastReconcile
 	st.gen = r.u64()
 	st.epoch = r.u64()
 	st.baseline = math.Float64frombits(r.u64())
@@ -774,18 +771,19 @@ func decodeCheckpoint(payload []byte) (*ckptState, error) {
 	if nRanges < 1 || nRanges > 1<<20 {
 		r.fail("checkpoint declares %d ranges", nRanges)
 	}
+	var bounds []uint64
 	if raw := r.take(8 * (nRanges + 1)); r.err == nil {
-		st.bounds = make([]int, nRanges+1)
-		for i := range st.bounds {
-			st.bounds[i] = int(binary.LittleEndian.Uint64(raw[8*i:]))
+		bounds = make([]uint64, nRanges+1)
+		for i := range bounds {
+			bounds[i] = binary.LittleEndian.Uint64(raw[8*i:])
 		}
 	}
 	n := int(r.u32())
 	if n < 0 || n > graph.MaxVertices {
 		r.fail("checkpoint declares %d labels", n)
 	}
-	if r.err == nil && (st.bounds[0] != 0 || st.bounds[nRanges] != n || !slices.IsSorted(st.bounds)) {
-		r.fail("checkpoint ranges %v do not tile %d vertices", st.bounds, n)
+	if r.err == nil && (bounds[0] != 0 || bounds[nRanges] != uint64(n) || !slices.IsSorted(bounds)) {
+		r.fail("checkpoint ranges %v do not tile %d vertices", bounds, n)
 	}
 	if raw := r.take(4 * n); r.err == nil {
 		st.labels = make([]int32, n)

@@ -12,11 +12,13 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -32,9 +34,8 @@ func requireHex(t *testing.T, name string, got []byte, want string) {
 func TestGoldenWatchFrames(t *testing.T) {
 	delta := &Delta{
 		Seq: 5, Epoch: 2, Gen: 1, K: 4, N: 6,
-		Bounds: []int{0, 3, 6},
-		Runs:   []LabelRun{{Start: 1, Labels: []int32{2, 0}}, {Start: 5, Labels: []int32{3}}},
-		Cross:  7, Total: 40,
+		Runs:  []LabelRun{{Start: 1, Labels: []int32{2, 0}}, {Start: 5, Labels: []int32{3}}},
+		Cross: 7, Total: 40,
 	}
 	frames := []struct {
 		name string
@@ -44,10 +45,10 @@ func TestGoldenWatchFrames(t *testing.T) {
 		{"handshake", WatchFrame{Kind: WatchHandshake, Floor: 3, Next: 17},
 			"0110000000" + "8a8ec29c" + "0300000000000000" + "1100000000000000"},
 		{"delta", WatchFrame{Kind: WatchDelta, Delta: EncodeDelta(delta)},
-			"026e000000" + "7e0845fa" +
+			"0256000000" + "c7d0b41b" +
 				"0100" + "0500000000000000" + "0200000000000000" + "0100000000000000" +
 				"04000000" + "06000000" + "0700000000000000" + "2800000000000000" +
-				"03000000" + "0000000000000000" + "0300000000000000" + "0600000000000000" +
+				"00000000" +
 				"02000000" + "01000000" + "02000000" + "02000000" + "00000000" +
 				"05000000" + "01000000" + "03000000"},
 		{"heartbeat", WatchFrame{Kind: WatchHeartbeat, Floor: 3, Next: 18},
@@ -83,7 +84,6 @@ func goldenCkptState() *ckptState {
 			appliedAtRestab: 6, gen: 2, epoch: 3,
 			baseline: 0.125, wantRestab: true, k: 3,
 		},
-		bounds: []int{0, 2, 6}, lastReconcile: 4,
 		seq: 11, applied: 9, cross: 5, total: 15,
 		affected: []graph.VertexID{1, 4},
 		labels:   []int32{0, 0, 1, 1, 2, 2},
@@ -94,10 +94,18 @@ func goldenCkptState() *ckptState {
 // The version is 2 since graph.Weighted became simple; the layout is
 // version 1's, which Open refuses (ErrCheckpointVersion).
 const goldenMetaHead = "0200" + // version
+	"0b00000000000000" + "0900000000000000" + "0600000000000000" + "0000000000000000" +
+	"0200000000000000" + "0300000000000000" + "000000000000c03f" + "01" +
+	"03000000" + "01000000" + "0000000000000000" + "0600000000000000" +
+	"06000000" // n
+// goldenShardedHead is goldenMetaHead as a sharded store wrote it: the
+// batch count of its last periodic rebalance (4) and two shard ranges,
+// [0, 2) and [2, 6).
+const goldenShardedHead = "0200" +
 	"0b00000000000000" + "0900000000000000" + "0600000000000000" + "0400000000000000" +
 	"0200000000000000" + "0300000000000000" + "000000000000c03f" + "01" +
 	"03000000" + "02000000" + "0000000000000000" + "0200000000000000" + "0600000000000000" +
-	"06000000" // n
+	"06000000"
 const goldenMetaTail = "0500000000000000" + "0f00000000000000" +
 	"02000000" + "01000000" + "04000000"
 
@@ -124,11 +132,41 @@ func TestGoldenCheckpointPayloads(t *testing.T) {
 	if !bytes.Equal(encodeCheckpoint(dec), full) {
 		t.Fatal("full checkpoint does not re-encode to the same bytes")
 	}
+	// A sharded store's checkpoint decodes with those two sections skipped,
+	// to the same state.
+	head, _ := hex.DecodeString(goldenMetaHead)
+	sharded, _ := hex.DecodeString(goldenShardedHead)
+	sharded = append(sharded, full[len(head):]...)
+	if dec, err := decodeCheckpoint(sharded); err != nil || !bytes.Equal(encodeCheckpoint(dec), full) {
+		t.Fatalf("sharded checkpoint: %v, or it re-encodes to other bytes", err)
+	}
+	sharded[ckptRangesAt+4+8] = 7 // ranges [0, 7) and [7, 6) do not tile
+	if _, err := decodeCheckpoint(sharded); err == nil {
+		t.Fatal("checkpoint whose ranges do not tile its vertices decoded")
+	}
+}
+
+// ckptRangesAt is the offset of a checkpoint payload's range count, and
+// ckptReconcileAt that of its lastReconcile field.
+const ckptRangesAt, ckptReconcileAt = 63, 26
+
+// canonicalCkpt returns b, a payload decodeCheckpoint accepted, with the
+// sections decoding skips as the store writes them: lastReconcile 0 and
+// one range [0, n].
+func canonicalCkpt(b []byte) []byte {
+	end := ckptRangesAt + 4 + 8*(int(binary.LittleEndian.Uint32(b[ckptRangesAt:]))+1)
+	out := slices.Clone(b[:ckptRangesAt])
+	clear(out[ckptReconcileAt : ckptReconcileAt+8])
+	out = binary.LittleEndian.AppendUint32(out, 1)
+	out = binary.LittleEndian.AppendUint64(out, 0)
+	out = append(out, b[end-8:end]...) // the last bound, n
+	return append(out, b[end:]...)
 }
 
 // FuzzCheckpointPayload: the checkpoint decoder does not panic on
-// arbitrary bytes, and the codec is canonical — whatever the decoder
-// accepts re-encodes to the same bytes.
+// arbitrary bytes, and the codec is canonical but for the two sections
+// decoding skips — whatever the decoder accepts re-encodes to the same
+// bytes with those sections as the store writes them.
 func FuzzCheckpointPayload(f *testing.F) {
 	st := goldenCkptState()
 	full := encodeCheckpoint(st)
@@ -137,6 +175,8 @@ func FuzzCheckpointPayload(f *testing.F) {
 	v1 := bytes.Clone(full)
 	v1[0] = 1 // version 0100
 	f.Add(v1)
+	head, _ := hex.DecodeString(goldenShardedHead)
+	f.Add(append(head, full[len(head):]...))
 	var golden bytes.Buffer
 	_ = st.w.EncodeBinary(&golden)
 	meta := full[:len(full)-golden.Len()]
@@ -157,8 +197,8 @@ func FuzzCheckpointPayload(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if st, err := decodeCheckpoint(b); err == nil {
-			if enc := encodeCheckpoint(st); !bytes.Equal(enc, b) {
-				t.Fatalf("checkpoint re-encodes to\n%x\nnot\n%x", enc, b)
+			if enc, want := encodeCheckpoint(st), canonicalCkpt(b); !bytes.Equal(enc, want) {
+				t.Fatalf("checkpoint re-encodes to\n%x\nnot\n%x", enc, want)
 			}
 		}
 	})

@@ -25,8 +25,10 @@ func addBatch(n, step, edges int) *graph.Mutation {
 	return m
 }
 
-// handleGroup must merge consecutive add-only batches into single
-// applies, flush the run at general-path entries (growth), resolve empty
+// handleGroup must merge consecutive batches that append no vertex and
+// remove no edge into single publications, flush the run before a growth
+// batch, a removal batch and a rejected batch (a self-loop, an
+// out-of-range endpoint, a removal of an absent edge), resolve empty
 // batches inline — and land on a state bit-identical to the same batches
 // applied one at a time. Driven directly against an unstarted coordinator
 // (the test plays its role), so the grouping is deterministic rather than
@@ -47,25 +49,68 @@ func TestHandleGroupCoalescesRuns(t *testing.T) {
 		growth.NewEdges = append(growth.NewEdges, graph.WeightedEdgeRecord{
 			U: graph.VertexID(100 + i), V: graph.VertexID(i), Weight: 2})
 	}
+	// addBatch(105, 3, 20)'s first edge is {93,16}: the removal batch takes
+	// it away, and the last rejected batch removes it again.
+	removal := &graph.Mutation{RemovedEdges: []graph.Edge{{From: 16, To: 93}}}
+	selfLoop := &graph.Mutation{NewEdges: []graph.WeightedEdgeRecord{{U: 3, V: 3, Weight: 2}}}
+	outOfRange := &graph.Mutation{NewEdges: []graph.WeightedEdgeRecord{{U: 0, V: 1000, Weight: 2}}}
+	absent := &graph.Mutation{RemovedEdges: []graph.Edge{{From: 93, To: 16}}}
 	entries := []logEntry{
 		{GroupEntry: wal.GroupEntry{Mut: addBatch(100, 0, 20)}},
 		{GroupEntry: wal.GroupEntry{Mut: addBatch(100, 1, 20)}},
 		{GroupEntry: wal.GroupEntry{Mut: &graph.Mutation{}}}, // empty: resolved inline, run unbroken
 		{GroupEntry: wal.GroupEntry{Mut: addBatch(100, 2, 20)}},
-		{GroupEntry: wal.GroupEntry{Mut: growth}}, // general path: flushes the run of 3
+		{GroupEntry: wal.GroupEntry{Mut: growth}}, // flushes the run of 3
 		{GroupEntry: wal.GroupEntry{Mut: addBatch(105, 3, 20)}},
+		{GroupEntry: wal.GroupEntry{Mut: addBatch(105, 4, 20)}},
+		{GroupEntry: wal.GroupEntry{Mut: removal}}, // flushes the run of 2
+		{GroupEntry: wal.GroupEntry{Mut: addBatch(105, 5, 20)}},
+		{GroupEntry: wal.GroupEntry{Mut: selfLoop}}, // rejected: flushes the run of 1
+		{GroupEntry: wal.GroupEntry{Mut: addBatch(105, 6, 20)}},
+		{GroupEntry: wal.GroupEntry{Mut: addBatch(105, 7, 20)}},
+		{GroupEntry: wal.GroupEntry{Mut: outOfRange}}, // rejected: flushes the run of 2
+		{GroupEntry: wal.GroupEntry{Mut: addBatch(105, 8, 20)}},
+		{GroupEntry: wal.GroupEntry{Mut: absent}}, // rejected: flushes the run of 1
+		{GroupEntry: wal.GroupEntry{Mut: addBatch(105, 9, 20)}},
+		{GroupEntry: wal.GroupEntry{Mut: addBatch(105, 10, 20)}}, // the run of 2 the group ends with
 	}
+	rejected := map[*graph.Mutation]bool{selfLoop: true, outOfRange: true, absent: true}
 	st.handleGroup(entries)
 
 	c := &st.ctr
-	if c.ApplyCoalesces.Load() != 1 || c.CoalescedBatches.Load() != 3 {
-		t.Fatalf("coalesces=%d batches=%d, want 1 coalesced apply of 3", c.ApplyCoalesces.Load(), c.CoalescedBatches.Load())
+	if c.ApplyCoalesces.Load() != 4 || c.CoalescedBatches.Load() != 9 {
+		t.Fatalf("coalesces=%d batches=%d, want 4 coalesced applies of 9 batches", c.ApplyCoalesces.Load(), c.CoalescedBatches.Load())
 	}
-	if c.BatchesApplied.Load() != 6 || st.applied.Load() != 6 {
-		t.Fatalf("applied %d batches (counter %d), want 6", c.BatchesApplied.Load(), st.applied.Load())
+	if c.BatchesApplied.Load() != 14 || c.BatchesRejected.Load() != 3 || st.applied.Load() != 17 {
+		t.Fatalf("applied %d, rejected %d (resolved %d), want 14, 3 (17)", c.BatchesApplied.Load(), c.BatchesRejected.Load(), st.applied.Load())
 	}
-	if c.EdgesAdded.Load() != 85 {
-		t.Fatalf("EdgesAdded=%d, want 85", c.EdgesAdded.Load())
+	if c.EdgesAdded.Load() != 225 || c.EdgesRemoved.Load() != 1 {
+		t.Fatalf("EdgesAdded=%d EdgesRemoved=%d, want 225 and 1", c.EdgesAdded.Load(), c.EdgesRemoved.Load())
+	}
+	// One publication for the baseline, then one per run, growth and
+	// removal: runs of 3, 2, 1, 2, 1 and 2, the growth and the removal.
+	if c.SnapshotSwaps.Load() != 9 || c.DeltasPublished.Load() != 9 {
+		t.Fatalf("SnapshotSwaps=%d DeltasPublished=%d, want 9 and 9", c.SnapshotSwaps.Load(), c.DeltasPublished.Load())
+	}
+	// Each delta's shape: the baseline names every label; a run's delta is
+	// counter-only (no K, N or runs); the growth's carries the appended
+	// labels; the removal's K and N and no runs. The last one carries the
+	// counters the snapshot holds.
+	type shape struct{ k, n, runVertices int }
+	want := []shape{{2, 100, 100}, {}, {2, 105, 5}, {}, {2, 105, 0}, {}, {}, {}, {}}
+	fds, _ := st.deltas.framedSince(0, 0)
+	if len(fds) != len(want) {
+		t.Fatalf("%d deltas in the ring, want %d", len(fds), len(want))
+	}
+	for i, fd := range fds {
+		d := fd.Delta
+		if got := (shape{d.K, d.N, d.RunVertices()}); got != want[i] || d.Seq != uint64(i+1) {
+			t.Fatalf("delta %d: seq %d k=%d n=%d with %d run vertices, want seq %d %+v", i, d.Seq, d.K, d.N, d.RunVertices(), i+1, want[i])
+		}
+	}
+	snap := st.Snapshot()
+	if last := fds[len(fds)-1].Delta; last.Cross != snap.CutWeight || last.Total != snap.TotalWeight {
+		t.Fatalf("last delta counters %d/%d, snapshot %d/%d", last.Cross, last.Total, snap.CutWeight, snap.TotalWeight)
 	}
 
 	// Reference: the same batches, one per submit, fully quiesced.
@@ -79,9 +124,14 @@ func TestHandleGroupCoalescesRuns(t *testing.T) {
 		if err := ref.Submit(e.Mut); err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.Quiesce(); err != nil {
-			t.Fatal(err)
+		// Quiesce returns the most recent rejection; the first is expected
+		// at the first rejected batch.
+		if err := ref.Quiesce(); (err != nil) != (rejected[e.Mut] || ref.Counters().BatchesRejected.Load() > 0) {
+			t.Fatalf("quiesce after %+v: %v", e.Mut, err)
 		}
+	}
+	if got := ref.Counters().BatchesRejected.Load(); got != 3 {
+		t.Fatalf("reference rejected %d batches, want 3", got)
 	}
 	requireSameState(t, "coalesced-vs-sequential", st, ref)
 }

@@ -27,21 +27,20 @@
 //     maintain (the maintenance plane below); drain, which forms
 //     everything pending in the log into one commit group; and commit,
 //     which journals the group as one wal group (one write + one fsync on
-//     durable stores — group commit), then applies it in order, merging
-//     each maximal run of consecutive add-only batches into one apply
-//     (coalesced apply: one counter delta and one snapshot publication
-//     for the whole run). Edge-addition batches between existing
-//     vertices — the high-rate churn case — take that fast path
-//     (applyRun): each edge inserts its two arcs and folds an O(1) delta
-//     into the cut counters. Batches that append vertices or remove edges
-//     take the general path (applyGlobalBatch): the batch is validated
-//     and applied atomically, new vertices are placed on the least loaded
-//     partitions (§III-D) from the maintained loads, and the batch's
-//     exact cut deltas (graph.Mutation.CutEdits) are folded in — O(batch),
-//     never a scan of the graph. Anything else that must happen at a
-//     position in that order (a quiesce, recovery's journal attach and
-//     exact check) rides the same log as a control: a function the
-//     coordinator runs there, whose error is the reply.
+//     durable stores — group commit), then applies it in order. One
+//     function applies every batch (applyBatch): graph.Mutation.ApplyEdits
+//     validates the batch and applies it atomically, returning its exact
+//     cut edits, which are folded into the counters — O(batch), never a
+//     scan of the graph — and appended vertices are placed on the least
+//     loaded partitions (§III-D) from the maintained loads. Each maximal
+//     run of consecutive batches that append no vertex and remove no edge
+//     — edge additions, the high-rate churn case — shares one publication
+//     (coalesced apply: one snapshot and one counter-only delta for the
+//     whole run); a growth or removal batch publishes its own, and a
+//     rejected batch, which changes nothing, publishes none. Anything else
+//     that must happen at a position in that order (a quiesce, recovery's
+//     journal attach and exact check) rides the same log as a control: a
+//     function the coordinator runs there, whose error is the reply.
 //   - Maintenance plane: one pass at the top of every turn (maintain)
 //     decides all background work — load sampling, checkpoints,
 //     restabilization, releasing quiescers — and is where the
@@ -63,23 +62,25 @@
 //     Both land through one function, relabel: it swaps the new label
 //     array in, moves the counters by the arcs of the vertices whose
 //     label changed (or, past moveShare, counts them again), publishes
-//     and returns the label runs that changed.
+//     and returns the label runs that changed. Every publication, of a
+//     batch, a run, a relabel or the exact check's repair, is one call
+//     of publish: it swaps the snapshot and hands the change feed its
+//     delta.
 //
 // Counters: the coordinator keeps one set of integer cut counters
 // (cross, total, perPart) and load, each partition's b(l) (Eq. 6): every
 // edge adds its weight at both endpoints' labels. All four move through
-// one update (count) at three places: the fast path applying an edge
-// (applyRun); the general path folding a batch's CutEdits
-// (applyGlobalBatch); and a relabeling event (moveLabels), where every
-// edge at a changed vertex leaves its old labels for its new ones, once —
-// O(arcs of the changed vertices). The counters are counted from the
+// one update (count) at two places: a batch folding its cut edits
+// (applyBatch); and a relabeling event (moveLabels), where every edge at a
+// changed vertex leaves its old labels for its new ones, once — O(arcs of
+// the changed vertices). The counters are counted from the
 // graph (metrics.CutWeightsRange) at construction, for a relabel too
 // large to move (moveShare) and by reconcileNow, the exact check, which
 // compares all four with an exact recount (and repairs them on a
 // mismatch); Open runs it after replay and the tests after their
 // histories. The loads are why a batch that appends vertices never reads
 // the graph: the paper's implementation has b(l) to hand as aggregators,
-// and applyGlobalBatch takes the maintained loads (O(k)), adds the
+// and applyBatch takes the maintained loads (O(k)), adds the
 // batch's own edits at their pre-existing endpoints and passes that to
 // core.PlaceNewVertices. Loads are sums of int32 weights, hence exact:
 // equal to what a scan of the graph (core.SeedNewVertices) sums, whatever
@@ -90,7 +91,7 @@
 //
 // Determinism: with a fixed Options.Seed and Options.NumWorkers, a
 // quiesced submit/await sequence yields identical labels regardless of
-// wall-clock timing: fast-path batches never relabel, every relabeling
+// wall-clock timing: a batch relabels no existing vertex, every relabeling
 // event runs on the coordinator in log order, and restabilization seeds
 // derive from the run epoch. The labels do depend on NumWorkers:
 // restabilization runs core with it, and core's per-worker random streams
@@ -305,8 +306,8 @@ func countCut(w *graph.Weighted, labels []int32, k int) cutCounters {
 
 // count adds an edge of weight wgt between labels lu and lv to the
 // counters; a negative wgt takes one away. It is the one update all four
-// counters get: as an edge lands or leaves (applyRun, applyGlobalBatch)
-// and as a label at its end changes (moveLabels).
+// counters get: as an edge lands or leaves (applyBatch) and as a label
+// at its end changes (moveLabels).
 func (c *cutCounters) count(lu, lv int32, wgt int64) {
 	c.total += wgt
 	c.load[lu] += wgt
@@ -391,7 +392,7 @@ type Store struct {
 	queued         int            // mutation entries parked in tenant queues
 	arrival        uint64         // monotonic arrival stamp
 	groupBuf       []logEntry     // group-formation buffer, reused across turns
-	runBuf         []logEntry     // the add-only run handleGroup gathers, reused across turns
+	runBuf         []logEntry     // the run of batches handleGroup gathers, reused across turns
 	loadAt         time.Time      // load-sampling state (updateLoad)
 	loadLookups    int64
 	loadApplied    int64
@@ -470,7 +471,6 @@ func newStore(st *ckptState, cfg Config) (*Store, error) {
 	// The one full count outside the exact check; afterwards the counters
 	// only move (count).
 	s.cutCounters = countCut(s.w, s.labels, s.k)
-	s.publish()
 	// Every store starts its change feed with a full-state baseline. Delta
 	// sequences are per-process: watch consumers holding sequences from a
 	// previous incarnation are told to resync.
@@ -478,7 +478,7 @@ func newStore(st *ckptState, cfg Config) (*Store, error) {
 	if n > 0 {
 		runs = []LabelRun{{Start: 0, Labels: s.labels[:n:n]}}
 	}
-	s.emitDelta(runs)
+	s.publish(runs, false)
 	return s, nil
 }
 
@@ -559,11 +559,14 @@ func (s *Store) Snapshot() *Snapshot {
 	return &snap
 }
 
-// publish swaps in a snapshot of the coordinator state: the labels as
-// they stand (a published array is never written below its length, so
-// nothing is copied but the per-partition cut), k, epoch, a new version
-// and the counters. Coordinator-only.
-func (s *Store) publish() {
+// publish makes one publication of the coordinator state: it swaps in a
+// snapshot — the labels as they stand (a published array is never
+// written below its length, so nothing is copied but the per-partition
+// cut), k, epoch, a new version and the counters — and hands the hub its
+// delta: the label runs that changed with k and the vertex count, or,
+// with counterOnly, the counters alone (a run of batches, which relabels
+// nothing, and the exact check's repair). Coordinator-only.
+func (s *Store) publish(runs []LabelRun, counterOnly bool) {
 	s.version++
 	n := len(s.labels)
 	s.view.Store(&Snapshot{Labels: s.labels[:n:n], Summary: Summary{
@@ -572,6 +575,13 @@ func (s *Store) publish() {
 		CutByPartition: slices.Clone(s.perPart),
 	}})
 	s.ctr.SnapshotSwaps.Add(1)
+	d := &Delta{Epoch: s.epoch, Cross: s.cross, Total: s.total}
+	if !counterOnly {
+		d.Gen, d.K, d.N, d.Runs = s.gen, s.k, n, runs
+	}
+	s.deltas.publish(d)
+	s.ctr.DeltasPublished.Add(1)
+	s.ctr.DeltaEncodes.Add(1)
 }
 
 // Counters exposes the serving metrics.
@@ -900,19 +910,33 @@ func (s *Store) drainAndExit() {
 // wal group append BEFORE any of them is applied, preserving the pre-apply
 // durability boundary per entry while paying at most one fsync for the
 // group. Then apply: the entries are applied strictly in submission
-// order, with each maximal run of consecutive add-only batches merged into
-// one apply (applyRun). Control entries run at their submitted positions.
+// order, every batch by applyBatch. A maximal run of consecutive batches
+// that append no vertex and remove no edge shares one publication — one
+// snapshot and one counter-only delta, after which its batches resolve;
+// a growth or removal batch, a rejected batch, a control, a resize and a
+// relabel each flush the run first. Such a run never relabels, so its
+// composed effect is independent of how the pipeline grouped it. An empty
+// batch resolves where it stands and leaves the run unbroken. Control
+// entries run at their submitted positions.
 func (s *Store) handleGroup(entries []logEntry) {
 	ok := s.journalGroup(entries)
 	tApply := time.Now()
 	defer func() { s.stageHist[stageApply].Record(time.Since(tApply)) }()
 	run := s.runBuf[:0]
 	flush := func() {
-		if len(run) > 0 {
-			s.applyRun(run)
-			clear(run) // drop batch references; the buffer outlives the turn
-			run = run[:0]
+		if len(run) == 0 {
+			return
 		}
+		if len(run) > 1 {
+			s.ctr.ApplyCoalesces.Add(1)
+			s.ctr.CoalescedBatches.Add(int64(len(run)))
+		}
+		s.publish(nil, true)
+		for _, e := range run {
+			s.resolve(1, e.ten, nil)
+		}
+		clear(run) // drop batch references; the buffer outlives the turn
+		run = run[:0]
 	}
 	for _, e := range entries {
 		switch {
@@ -930,93 +954,44 @@ func (s *Store) handleGroup(entries []logEntry) {
 		case e.relabel != nil:
 			flush()
 			s.applyRelabel(e.relabel)
-		case !fastPathEligible(e.Mut, s.w.NumVertices()):
-			flush()
-			s.applyGlobalBatch(e.Mut, e.ten)
-		case len(e.Mut.NewEdges) == 0:
-			s.resolve(1, e.ten, nil) // an empty batch leaves the run unbroken
 		default:
-			run = append(run, e)
+			m := e.Mut
+			joins := m.NewVertices == 0 && len(m.RemovedEdges) == 0
+			if !joins {
+				flush()
+			}
+			runs, err := s.applyBatch(m)
+			switch {
+			case err != nil:
+				flush() // a rejected batch left the graph as the run left it
+				s.resolve(1, e.ten, err)
+			case !joins:
+				s.publish(runs, false)
+				s.resolve(1, e.ten, nil)
+			case len(m.NewEdges) == 0:
+				s.resolve(1, e.ten, nil)
+			default:
+				run = append(run, e)
+			}
 		}
 	}
 	flush()
 	s.runBuf = run
 }
 
-// fastPathEligible reports whether m may take the add-only fast path
-// against a graph of n vertices: no growth, no removals, and every new
-// edge a non-loop between existing vertices. Such a batch can never fail
-// validation and never relabels, which is also why coalescing runs of
-// them is sound: the composed effect of consecutive add-only batches is
-// independent of how they are grouped. Eligibility depends on nothing but
-// the vertex count, so a replayed batch takes the path it took live.
-func fastPathEligible(m *graph.Mutation, n int) bool {
-	if m.NewVertices != 0 || len(m.RemovedEdges) != 0 {
-		return false
-	}
-	nv := graph.VertexID(n)
-	for _, e := range m.NewEdges {
-		if e.U < 0 || e.U >= nv || e.V < 0 || e.V >= nv || e.U == e.V {
-			return false
-		}
-	}
-	return true
-}
-
-// applyRun lands a coalesced run of add-only batches: each edge inserts
-// its two arcs — merging into an existing arc as AddEdge does — and
-// counts the weight the insertion actually added, an O(1) counter delta
-// in place of the seed's exact O(E) recompute per swap. The run pays one
-// snapshot publication and one counter delta however many batches it
-// holds.
-func (s *Store) applyRun(run []logEntry) {
-	var edges, newEdges, weight int64
-	for _, e := range run {
-		for _, ed := range e.Mut.NewEdges {
-			u, v := ed.U, ed.V
-			// A non-positive weight clamps to 1.
-			added, isNew := s.w.InsertArc(u, v, max(ed.Weight, 1))
-			s.w.InsertArc(v, u, added)
-			if isNew {
-				newEdges++
-			}
-			weight += int64(added)
-			s.count(s.labels[u], s.labels[v], int64(added))
-			if s.cfg.Options.AffectedOnly {
-				s.affected[u], s.affected[v] = struct{}{}, struct{}{}
-			}
-		}
-		edges += int64(len(e.Mut.NewEdges))
-	}
-	s.w.AdjustTotals(newEdges, weight)
-	if len(run) > 1 {
-		s.ctr.ApplyCoalesces.Add(1)
-		s.ctr.CoalescedBatches.Add(int64(len(run)))
-	}
-	s.ctr.EdgesAdded.Add(edges)
-	s.publish()
-	for _, e := range run {
-		s.resolve(1, e.ten, nil)
-	}
-	s.emitCounterDelta()
-}
-
-// applyGlobalBatch applies one batch that is not add-only: vertex growth,
-// removals, and invalid batches land here. Application is atomic
-// (Mutation.ApplyEdits validates first); a rejected batch is counted,
-// recorded and dropped with the graph untouched. Cut counters advance by
-// the batch's O(batch) exact deltas (the CutEdits ApplyEdits returns),
-// never an O(E) recompute, and appended vertices are placed from the
-// maintained loads (loadsBelow), written past the published labels.
-func (s *Store) applyGlobalBatch(m *graph.Mutation, ten *tenantState) {
+// applyBatch applies one batch through Mutation.ApplyEdits, which
+// validates it against the graph and applies it atomically: a rejected
+// batch returns its error with the graph untouched. The batch's cut edits
+// move the counters (count) — O(batch), never a scan of the graph — and
+// appended vertices are placed from the maintained loads (loadsBelow),
+// written past the published labels; their run is returned, the one
+// label change a batch makes. Publishing and resolving are handleGroup's.
+func (s *Store) applyBatch(m *graph.Mutation) ([]LabelRun, error) {
 	oldN := s.w.NumVertices()
 	firstNew, edits, err := m.ApplyEdits(s.w)
 	if err != nil {
-		s.resolve(1, ten, err)
-		return
+		return nil, err
 	}
-	// The appended tail is the only label change this path makes;
-	// existing labels are untouched, so the delta's runs are exact.
 	var runs []LabelRun
 	if firstNew >= 0 {
 		newN := s.w.NumVertices()
@@ -1044,9 +1019,7 @@ func (s *Store) applyGlobalBatch(m *graph.Mutation, ten *tenantState) {
 	}
 	s.ctr.EdgesAdded.Add(int64(len(m.NewEdges)))
 	s.ctr.EdgesRemoved.Add(int64(len(m.RemovedEdges)))
-	s.publish()
-	s.resolve(1, ten, nil)
-	s.emitDelta(runs)
+	return runs, nil
 }
 
 // loadsBelow returns b(l) over the vertices below oldN in the graph a batch
@@ -1104,8 +1077,7 @@ func (s *Store) relabel(merged []int32) []LabelRun {
 	old := s.labels
 	s.labels = merged
 	s.moveLabels(old, runs)
-	s.publish()
-	s.emitDelta(runs)
+	s.publish(runs, false)
 	s.stageHist[stagePublish].Record(time.Since(tPublish))
 	return runs
 }
