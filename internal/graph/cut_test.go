@@ -162,3 +162,40 @@ func TestCutEditsErrors(t *testing.T) {
 		t.Fatalf("saturating additions: edits=%v err=%v, want %v", edits, err, want)
 	}
 }
+
+// insertArc is half an edge and leaves the totals alone; AddEdge adjusts
+// them by the weight insertArc reports, saturation included.
+func TestInsertArcAndAdjustTotals(t *testing.T) {
+	w := NewWeighted(3)
+	if added, isNew := w.insertArc(0, 1, 4); added != 4 || !isNew {
+		t.Fatalf("first insert: added %d, new %v", added, isNew)
+	}
+	if w.NumEdges() != 0 || w.TotalWeight() != 0 || len(w.Neighbors(1)) != 0 {
+		t.Fatalf("insertArc touched totals or the other row: edges=%d weight=%d row1=%v", w.NumEdges(), w.TotalWeight(), w.Neighbors(1))
+	}
+	// A second insertion merges into the arc and says so.
+	if added, isNew := w.insertArc(0, 1, 3); added != 3 || isNew || len(w.Neighbors(0)) != 1 || w.Neighbors(0)[0].Weight != 7 {
+		t.Fatalf("re-insert: added %d, new %v, row %v", added, isNew, w.Neighbors(0))
+	}
+	w.removeArc(0, 1)
+
+	w.AddEdge(0, 1, 4)
+	w.AddEdge(1, 0, 3)
+	if w.NumEdges() != 1 || w.TotalWeight() != 7 {
+		t.Fatalf("totals after merged add: edges=%d weight=%d", w.NumEdges(), w.TotalWeight())
+	}
+	if w.WeightedDegree(0) != 7 || w.WeightedDegree(1) != 7 {
+		t.Fatalf("degrees %d,%d", w.WeightedDegree(0), w.WeightedDegree(1))
+	}
+	// Saturation: the totals grow by what the arc could take, not by weight.
+	w.AddEdge(0, 1, math.MaxInt32)
+	if got := w.EdgeWeight(0, 1); got != math.MaxInt32 || w.TotalWeight() != math.MaxInt32 {
+		t.Fatalf("saturated add: edge weight %d, total %d", got, w.TotalWeight())
+	}
+	if !w.RemoveEdge(0, 1) {
+		t.Fatal("merged edge not removable")
+	}
+	if w.NumEdges() != 0 || w.TotalWeight() != 0 {
+		t.Fatalf("totals after removal: edges=%d weight=%d", w.NumEdges(), w.TotalWeight())
+	}
+}
