@@ -1,9 +1,13 @@
 # Development targets for the Spinner reproduction. Architecture lives in
 # the package docs (doc.go, internal/serve, cmd/spinnerd), not here.
 #
-#   make check       — vet + test + test-race (what CI enforces on push/PR)
+#   make check       — vet + test + test-race + test-cpu (what CI enforces
+#                      on push/PR)
 #   make test        — tier-1 gate: go build ./... && go test ./...
 #   make test-race   — go test -race ./...
+#   make test-cpu    — the partitioner, the engine and the analytics apps
+#                      under GOMAXPROCS 1 and 4 (go test -cpu 1,4): what
+#                      they pin must not depend on the host
 #   make lint        — gofmt -l (fails on unformatted files) + go vet +
 #                      bash -n on every scripts/*.sh + no stale line in
 #                      scripts/coverage_decisions.txt (a missing file, or a
@@ -70,7 +74,7 @@
 #                      internal/{serve,api,api/client,replica,wal,frame};
 #                      the size figure ROADMAP quotes, not a gate
 
-.PHONY: all check build vet lint test test-race bench bench-test bench-quick against examples-smoke profile-core profile-api profile-serve scale fuzz reproduction loc coverage-map recovery-smoke overload-smoke replication-smoke changefeed-smoke metrics-smoke
+.PHONY: all check build vet lint test test-race test-cpu bench bench-test bench-quick against examples-smoke profile-core profile-api profile-serve scale fuzz reproduction loc coverage-map recovery-smoke overload-smoke replication-smoke changefeed-smoke metrics-smoke
 
 CORE := internal/serve internal/api internal/api/client internal/replica internal/wal internal/frame
 # codelines prints the code lines of the non-test Go files of the package
@@ -79,7 +83,7 @@ codelines = for d in $(1); do ls $$d/*.go | grep -v '_test\.go$$'; done | xargs 
 
 all: check
 
-check: vet test test-race
+check: vet test test-race test-cpu
 
 build:
 	go build ./...
@@ -105,6 +109,9 @@ test:
 
 test-race:
 	go test -race ./...
+
+test-cpu:
+	go test -cpu 1,4 ./internal/core/... ./internal/pregel/... ./internal/apps/...
 
 bench:
 	go -C benchmark run .

@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
+	"repro/internal/pregel"
 )
 
 func main() {
@@ -31,7 +32,7 @@ func main() {
 		exp     = flag.String("exp", "all", "comma-separated row ids, or all: "+ids())
 		scale   = flag.Int("scale", 20000, "vertex scale for dataset analogues")
 		seed    = flag.Uint64("seed", 1, "random seed")
-		workers = flag.Int("workers", 0, "Pregel workers (0 = GOMAXPROCS)")
+		workers = flag.Int("workers", 0, "Pregel workers, each its own §IV-A4 load view, so the labels depend on it (0 = 8 on every host)")
 	)
 	flag.Parse()
 	cfg := experiments.Config{Scale: *scale, Seed: *seed, Workers: *workers}
@@ -72,7 +73,7 @@ func runOne(out io.Writer, exp string, cfg experiments.Config) (bool, error) {
 			return false, fmt.Errorf("unknown row %q (rows: %s)", id, ids())
 		}
 	}
-	workers := "GOMAXPROCS"
+	workers := fmt.Sprintf("%d (the default)", pregel.DefaultWorkers)
 	if cfg.Workers > 0 {
 		workers = fmt.Sprint(cfg.Workers)
 	}

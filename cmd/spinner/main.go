@@ -31,7 +31,7 @@ func main() {
 		window     = flag.Int("w", 5, "halting window w")
 		maxIter    = flag.Int("max-iterations", 200, "iteration cap")
 		seed       = flag.Uint64("seed", 1, "random seed")
-		workers    = flag.Int("workers", 0, "Pregel workers (0 = GOMAXPROCS)")
+		workers    = flag.Int("workers", 0, "Pregel workers, each its own §IV-A4 load view, so the labels depend on it (0 = 8 on every host)")
 		undirected = flag.Bool("undirected", false, "treat input edges as undirected")
 		inPath     = flag.String("in", "", "input edge list (default stdin)")
 		outPath    = flag.String("out", "", "output partitioning (default stdout)")

@@ -394,7 +394,7 @@ func main() {
 	flag.IntVar(&dc.k, "k", 32, "number of partitions")
 	flag.Float64Var(&dc.c, "c", 1.05, "additional capacity (c > 1)")
 	flag.Uint64Var(&dc.seed, "seed", 1, "random seed")
-	flag.IntVar(&dc.workers, "workers", 0, "Pregel workers (0 = GOMAXPROCS)")
+	flag.IntVar(&dc.workers, "workers", 0, "Pregel workers, each its own §IV-A4 load view, so the labels depend on it (0 = 8 on every host)")
 	flag.IntVar(&dc.maxIter, "max-iterations", 200, "iteration cap per maintenance run")
 	flag.BoolVar(&dc.undirected, "undirected", false, "treat input edges as undirected")
 	flag.StringVar(&dc.inPath, "in", "", "input edge list (default stdin; ignored with -synthetic or when -data-dir holds state)")

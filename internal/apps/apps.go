@@ -23,7 +23,8 @@ import (
 
 // RunConfig configures an application run.
 type RunConfig struct {
-	// NumWorkers is the number of Pregel workers (defaults to GOMAXPROCS).
+	// NumWorkers is the number of Pregel workers (default
+	// pregel.DefaultWorkers, 8, on every host).
 	NumWorkers int
 	// Placement maps vertices to workers. Nil means the engine default
 	// (contiguous ranges). Use PlacementFromLabels to derive one from a

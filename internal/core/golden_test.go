@@ -30,37 +30,34 @@ func hashLabels(labels []int32) uint64 {
 	return h.Sum64()
 }
 
-// goldenLabels were recorded when the histogram's bars moved to label
-// order, the change after 64e4504. Ties are drawn in the order the bars are
-// visited, so that change moved every entry, deliberately; CHANGES.md lists
-// the entries before and after with φ, ρ and iterations. Every entry must
-// now repeat exactly: a performance change to core or pregel leaves this
-// table untouched. Partition is graph.Convert then PartitionWeighted, so it
-// has no entries of its own: it must repeat its weighted twin exactly.
-// AffectedOnly is absent on purpose: TestAffectedOnlyRestricts covers it.
-// The adapt entries' message counts fell when graph.Weighted became simple
-// (the change after 5fbc4f6): the growth batch re-adds pairs, whose weight
-// now sits on one arc, so a migrating vertex announces it once; labels and
-// iterations held.
+// goldenLabels were recorded when every draw of a run became a pure
+// function of (seed, superstep, vertex, site) instead of a position in a
+// worker's random stream, the change after 182a728: that moved every
+// entry, deliberately; CHANGES.md lists the entries before and after with
+// φ, ρ and iterations. Every entry must now repeat exactly: a performance
+// change to core or pregel leaves this table untouched. Partition is
+// graph.Convert then PartitionWeighted, so it has no entries of its own:
+// it must repeat its weighted twin exactly. AffectedOnly is absent on
+// purpose: TestAffectedOnlyRestricts covers it.
 var goldenLabels = map[string]golden{
-	"ws/w1/weighted":        {0x66a2bed499824b71, 48, 58055},
-	"ws/w1/adapt":           {0xfd1ec95fca259f56, 13, 8387},
-	"ws/w1/resize-8-10":     {0x40d70c82876535ef, 23, 23604},
-	"ws/w1/resize-8-6":      {0x6afa253d438825c1, 19, 16125},
-	"ws/w4/weighted":        {0xf3c2a22180a4c6d1, 38, 48085},
-	"ws/w4/adapt":           {0xc5b5f813a44f8ab7, 14, 8706},
-	"ws/w4/resize-8-10":     {0x89a1c5f022384a05, 32, 29104},
-	"ws/w4/resize-8-6":      {0x8e5d652a989f4291, 21, 20514},
-	"ws/capacity-fractions": {0x39e089be962e0163, 36, 46414},
-	"ba/w1/weighted":        {0x96ec8c437e1bf646, 58, 114445},
-	"ba/w1/adapt":           {0xdabc817c319c7760, 23, 46104},
-	"ba/w1/resize-8-10":     {0x8ccba2700480b47a, 29, 58073},
-	"ba/w1/resize-8-6":      {0x664aff19a0321c2, 20, 38860},
-	"ba/w4/weighted":        {0xdb4c29c0950b377, 54, 107569},
-	"ba/w4/adapt":           {0x3fc7300911ba0b07, 37, 73272},
-	"ba/w4/resize-8-10":     {0xe5af9f16834125cb, 37, 73979},
-	"ba/w4/resize-8-6":      {0x4f7001da89a74337, 33, 66027},
-	"ba/capacity-fractions": {0x11bef916f9722335, 55, 104556},
+	"ws/w1/weighted":        {0xf79d296dc5b8c325, 34, 45792},
+	"ws/w1/adapt":           {0xa979f05f0bff26f2, 7, 4491},
+	"ws/w1/resize-8-10":     {0xfe9aa107ab8c54f, 26, 27672},
+	"ws/w1/resize-8-6":      {0x27999c61b7b8c410, 20, 17206},
+	"ws/w4/weighted":        {0x4a9d72d9f3b78bb1, 45, 51935},
+	"ws/w4/adapt":           {0x5cee2d36ad90d476, 7, 3592},
+	"ws/w4/resize-8-10":     {0xd1999242dc38c5bb, 27, 29040},
+	"ws/w4/resize-8-6":      {0x3d8c04753e3c8284, 20, 13897},
+	"ws/capacity-fractions": {0x8716954a95640e85, 35, 50040},
+	"ba/w1/weighted":        {0x4b8d4b652f550914, 59, 117317},
+	"ba/w1/adapt":           {0x1cf8849101f429f0, 11, 22334},
+	"ba/w1/resize-8-10":     {0xe42852a79883baab, 29, 56838},
+	"ba/w1/resize-8-6":      {0xbbb0d324b5aab6b3, 38, 73805},
+	"ba/w4/weighted":        {0xa1a5df7f4283aca4, 54, 110974},
+	"ba/w4/adapt":           {0x477e12eed39a4175, 19, 38405},
+	"ba/w4/resize-8-10":     {0xd0f51f44894f223a, 33, 66472},
+	"ba/w4/resize-8-6":      {0x530c8969db544470, 27, 54351},
+	"ba/capacity-fractions": {0x98f4e3c820fa0663, 40, 87324},
 }
 
 // TestGoldenLabels pins the labels of every entry point and every scoring

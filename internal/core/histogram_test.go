@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -54,7 +56,6 @@ func runChecked(t *testing.T, what string, opts Options, prog *program, vs []ver
 	var eng *engine
 	cfg := pregel.Config{
 		NumWorkers:    opts.NumWorkers,
-		Seed:          opts.Seed,
 		MaxSupersteps: maxSupersteps(opts.MaxIterations),
 		AfterSuperstep: func(step int) {
 			// The master has already advanced the phase: ComputeMigrations
@@ -250,6 +251,43 @@ func TestCarveHandsOutDisjointWindows(t *testing.T) {
 				t.Fatalf("histogram %d bar %d overwritten: %#x", i, j, b)
 			}
 		}
+	}
+}
+
+// TestWorkerScratchDoesNotShareCacheLines: no 64-byte line holds the hot
+// scratch of two workers — the struct's fields and the vectors a worker
+// writes on every vertex — at label counts whose vectors fall into the
+// allocator's small size classes.
+func TestWorkerScratchDoesNotShareCacheLines(t *testing.T) {
+	const workers = 8
+	for _, k := range []int{1, 3, 10, 32, 65} {
+		p := newProgram(DefaultOptions(k), 1, nil, nil)
+		var live []*workerScratch // keeps every worker's scratch allocated until the check ends
+		owner := map[uintptr]int{}
+		for wk := 0; wk < workers; wk++ {
+			ws := p.InitWorker(wk, workers).(*workerScratch)
+			live = append(live, ws)
+			fields := unsafe.Offsetof(ws.words) + unsafe.Sizeof(ws.words) - unsafe.Offsetof(ws.refreshedAt)
+			for _, r := range []struct {
+				what string
+				at   unsafe.Pointer
+				size uintptr
+			}{
+				{"fields", unsafe.Pointer(&ws.refreshedAt), fields},
+				{"localLoads", unsafe.Pointer(unsafe.SliceData(ws.localLoads)), uintptr(len(ws.localLoads)) * 8},
+				{"penalty", unsafe.Pointer(unsafe.SliceData(ws.penalty)), uintptr(len(ws.penalty)) * 8},
+				{"sum", unsafe.Pointer(unsafe.SliceData(ws.sum)), uintptr(len(ws.sum)) * 8},
+				{"seen", unsafe.Pointer(unsafe.SliceData(ws.seen)), uintptr(len(ws.seen)) * 8},
+			} {
+				for line := uintptr(r.at) / 64; line <= (uintptr(r.at)+r.size-1)/64; line++ {
+					if o, ok := owner[line]; ok && o != wk {
+						t.Fatalf("k=%d: worker %d's %s shares the line at %#x with worker %d", k, wk, r.what, line*64, o)
+					}
+					owner[line] = wk
+				}
+			}
+		}
+		runtime.KeepAlive(live)
 	}
 }
 

@@ -61,8 +61,8 @@
 // Bars are in label order. The order matters: labels whose scores tie are
 // resolved by the paper's rule — keep the current label, else draw
 // uniformly among the tied maxima — with one reservoir draw per tied label
-// in the order the bars are visited, so the order fixes how the worker's
-// random stream is spent, though not the distribution of the outcome.
+// in the order the bars are visited, so the order fixes which draw goes
+// to which label, though not the distribution of the outcome.
 // Label order is the order a run can keep without per-arc state, and it
 // makes a bar just its weight: each vertex keeps the labels of its bars as
 // a bitmap of ⌈k/64⌉ words (held), and bar i's label is the i-th set bit of
@@ -84,6 +84,22 @@
 // Pregel supersteps instead, NeighborPropagation and NeighborDiscovery,
 // because a Giraph worker holds only out-edges; an engine that holds the
 // whole graph needs neither.
+//
+// # Draws, and the worker count
+//
+// A run is a function of (graph, options, seed), never of the host. Every
+// draw belongs to one vertex in one superstep — a from-scratch run's
+// starting label, the tie-breaks of a ComputeScores walk, the Eq. 14 coin
+// of a ComputeMigrations — and is a pure function of (seed, superstep,
+// vertex, site) (rng.At: the counter-based draws of Salmon et al., SC
+// 2011), so it depends on neither the worker that makes it nor the draws
+// made before it; the engine keeps no random stream. The labels do depend
+// on the worker count, because each worker keeps its own §IV-A4 view of
+// the loads, so NumWorkers defaults to the same 8 on every host, and the
+// engine runs one goroutine per worker whatever GOMAXPROCS is, delivering
+// and merging in worker order. TestLabelsIndependentOfGOMAXPROCS (package
+// repro) checks Partition, Adapt and Resize, and the analytics programs,
+// under GOMAXPROCS 1, 2 and 4.
 //
 // # Work only where a label can change
 //
@@ -123,6 +139,8 @@ package core
 import (
 	"errors"
 	"fmt"
+
+	"repro/internal/pregel"
 )
 
 // Options configures a Partitioner. The zero value is not valid; use
@@ -146,7 +164,10 @@ type Options struct {
 	// Seed drives all randomness (initialization, tie-breaks, migration
 	// coin flips, elastic re-labeling). Runs are reproducible per seed.
 	Seed uint64
-	// NumWorkers is the Pregel worker count. Default GOMAXPROCS.
+	// NumWorkers is the Pregel worker count, and so the number of §IV-A4
+	// load views: the labels depend on it. Default pregel.DefaultWorkers
+	// (8) on every host, so a run is a function of (graph, options, seed)
+	// and not of GOMAXPROCS.
 	NumWorkers int
 	// IterationSnapshot, when non-nil, is called after every completed LPA
 	// iteration (each ComputeScores + ComputeMigrations pair) with the
@@ -212,6 +233,9 @@ func (o *Options) normalize() error {
 	}
 	if o.MaxIterations < 1 {
 		return errors.New("core: MaxIterations must be >= 1")
+	}
+	if o.NumWorkers <= 0 {
+		o.NumWorkers = pregel.DefaultWorkers
 	}
 	if o.CapacityFractions != nil {
 		if len(o.CapacityFractions) != o.K {

@@ -52,8 +52,12 @@ type (
 
 // workerScratch is the per-worker shared state of §IV-A4: an
 // asynchronously updated view of the partition loads, plus the arenas the
-// worker's vertices carve their histograms and label bitmaps from.
+// worker's vertices carve their histograms and label bitmaps from. Every
+// worker writes its own on every vertex, so a cache line of padding keeps
+// the struct's fields, and each of its vectors, off any line that another
+// worker writes (see padded).
 type workerScratch struct {
+	_           [cacheLine]byte
 	refreshedAt int // superstep for which localLoads is current
 	localLoads  []float64
 	penalty     []float64 // −localLoads[l]/C_l, the balance term of Eq. 8, kept in step with localLoads
@@ -62,13 +66,25 @@ type workerScratch struct {
 	seen        []uint64  // buildHistogram scratch: bitmap of the labels met, zero between calls
 	bars        []int64   // current chunk of bars; carve hands out its tail
 	words       []uint64  // current chunk of bitmap words, likewise
+	_           [cacheLine]byte
+}
+
+// cacheLine is the size of a cache line in bytes.
+const cacheLine = 64
+
+// padded returns n zeroed elements with a cache line of padding on both
+// sides, so that nothing another goroutine writes shares a line with them.
+func padded[T float64 | int64 | uint64](n int) []T {
+	const pad = cacheLine / 8
+	return make([]T, pad+n+pad)[pad : pad+n : pad+n]
 }
 
 // Arena chunks double from histChunkMin up to histChunkMax elements, so a
-// small run allocates little and a large one wastes under 1 MB a worker.
+// small run allocates little and a large one wastes under 128 KB a
+// worker.
 const (
 	histChunkMin = 1 << 8
-	histChunkMax = 1 << 16
+	histChunkMax = 1 << 14
 )
 
 // carve returns an empty window of capacity n from the tail of *arena,
@@ -157,10 +173,10 @@ func (p *program) register(e *engine) {
 func (p *program) InitWorker(workerID, numWorkers int) any {
 	return &workerScratch{
 		refreshedAt: -1,
-		localLoads:  make([]float64, p.k),
-		penalty:     make([]float64, p.k),
-		sum:         make([]int64, p.k),
-		seen:        make([]uint64, (p.k+63)/64),
+		localLoads:  padded[float64](p.k),
+		penalty:     padded[float64](p.k),
+		sum:         padded[int64](p.k),
+		seen:        padded[uint64]((p.k + 63) / 64),
 	}
 }
 
@@ -176,6 +192,22 @@ func (p *program) Compute(ctx *computeCtx, v *vertex, msgs []msg) {
 	}
 }
 
+// Draw sites. Every draw of a run belongs to one vertex and one superstep,
+// and the site names which of the vertex's draws it is.
+const (
+	siteLabel = iota // Initialization: a from-scratch run's starting label
+	siteTie          // ComputeScores: bestLabel's tie-breaks, in bar order
+	siteCoin         // ComputeMigrations: the Eq. 14 coin
+)
+
+// rand returns the source of v's draws at site in this superstep, a pure
+// function of (seed, superstep, vertex, site) (rng.At). No draw depends
+// on which worker makes it, on the worker count or on what other vertices
+// drew before it.
+func (p *program) rand(ctx *computeCtx, v *vertex, site uint64) rng.Source {
+	return rng.At(p.opts.Seed, uint64(ctx.Superstep())<<2|site, uint64(v.ID))
+}
+
 // initialize: settle the starting label in the vertex's slot of p.labels
 // (a warm start seeded it; a from-scratch run draws it here), cache the
 // weighted degree and contribute it to the load counters. Nothing is
@@ -187,7 +219,8 @@ func (p *program) initialize(ctx *computeCtx, v *vertex) {
 		degW += float64(a.Weight)
 	}
 	if !p.seeded {
-		p.labels[v.ID] = ctx.Rand().Int31n(int32(p.k))
+		r := p.rand(ctx, v, siteLabel)
+		p.labels[v.ID] = r.Int31n(int32(p.k))
 	}
 	dirty := true
 	if p.affected != nil {
@@ -320,7 +353,8 @@ func (p *program) computeScores(ctx *computeCtx, v *vertex, msgs []msg) {
 		v.VoteToHalt()
 		return
 	}
-	best := bestLabel(ws.penalty, v.Value.hist, v.Value.held, cur, curScore, degW, ctx.Rand())
+	r := p.rand(ctx, v, siteTie)
+	best := bestLabel(ws.penalty, v.Value.hist, v.Value.held, cur, curScore, degW, &r)
 	if best == cur {
 		v.VoteToHalt()
 		return
@@ -442,8 +476,10 @@ func (p *program) computeMigrations(ctx *computeCtx, v *vertex) {
 	if !p.opts.UnboundedMigration {
 		prob = ctx.AggregatedValue(p.aggProbs, int(cand))
 	}
-	if prob < 1 && !ctx.Rand().Bool(prob) {
-		return // retry in a later iteration
+	if prob < 1 {
+		if r := p.rand(ctx, v, siteCoin); !r.Bool(prob) {
+			return // retry in a later iteration
+		}
 	}
 	old := p.labels[v.ID]
 	p.labels[v.ID] = cand
@@ -526,7 +562,6 @@ func (p *program) MasterCompute(m *pregel.Master) {
 			Rho:           rho,
 			Migrations:    int64(m.Agg(p.aggMigs)[0]),
 			CandidateLoad: p.pendingCand,
-			Loads:         append([]float64(nil), loads...),
 		})
 
 		// Halting heuristic (§III-C): the run is in a steady state once the

@@ -18,7 +18,6 @@ func runProbed(t *testing.T, opts Options, prog *program, vs []vertex, probe fun
 	var eng *engine
 	eng = pregel.NewEngine[vval, graph.WeightedArc, msg](pregel.Config{
 		NumWorkers:     opts.NumWorkers,
-		Seed:           opts.Seed,
 		MaxSupersteps:  maxSupersteps(opts.MaxIterations),
 		AfterSuperstep: func(step int) { probe(eng, step) },
 	}, prog)
@@ -56,7 +55,7 @@ func reAddedEdgeGraph(n int) *graph.Weighted {
 // arcs, each announced: merging them moved no label.
 func TestReAddedEdgesReachTheHistogram(t *testing.T) {
 	const n, k = 120, 4
-	want := map[int]uint64{1: 0x1442f5c75d12a65, 4: 0x57b709d9888185e4}
+	want := map[int]uint64{1: 0x90928194f01a6897, 4: 0x881aaaa50683aea5}
 	for _, workers := range []int{1, 4} {
 		opts := DefaultOptions(k)
 		opts.Seed = 42

@@ -21,10 +21,6 @@ type IterationMetrics struct {
 	Migrations int64
 	// CandidateLoad is Σ_l m(l): the total load that wanted to move.
 	CandidateLoad float64
-	// Loads is the post-migration load vector b(l) — the state vector x_t
-	// of the §III-C convergence analysis. Used by the analysis helpers to
-	// verify Proposition 1's exponential convergence empirically.
-	Loads []float64
 }
 
 // Result is the outcome of a partitioning run.

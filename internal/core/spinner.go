@@ -107,7 +107,6 @@ func (p *Partitioner) run(prog *program, vs []vertex) (*Result, error) {
 	start := time.Now()
 	cfg := pregel.Config{
 		NumWorkers:    p.opts.NumWorkers,
-		Seed:          p.opts.Seed,
 		MaxSupersteps: maxSupersteps(p.opts.MaxIterations),
 	}
 	if hook := p.opts.IterationSnapshot; hook != nil {

@@ -224,10 +224,7 @@ func fig6(cfg Config) (Outcome, error) {
 		}
 		return float64(best.Nanoseconds()) / float64(2*w.NumEdges()), nil
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := cfg.Workers // 0: core's default
 	lo, hi := 0.0, 0.0
 	for n := cfg.scale() / 4; n <= 4*cfg.scale(); n *= 2 {
 		ns, err := perArc(n, workers)

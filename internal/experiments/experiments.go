@@ -33,7 +33,8 @@ type Config struct {
 	Scale int
 	// Seed drives every random choice.
 	Seed uint64
-	// Workers is the Pregel worker count (default GOMAXPROCS).
+	// Workers is the Pregel worker count; 0 takes core's default (8, on
+	// every host). Rows that price simulated workers fix their own.
 	Workers int
 }
 

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // CutEdit is one edge-level effect of applying a Mutation: an undirected
@@ -36,12 +37,13 @@ func (e CutEdit) Signed() int64 {
 // absent-edge error names the first removal, in batch order, that finds
 // its pair gone.
 //
-// With emit set it also returns the batch's cut edits. It must be called
-// against the pre-mutation graph, and it replays the batch's effect on
-// each pair it names in Apply's order: an addition adds the weight AddEdge
-// would add (the normalized weight, less where the edge's weight
-// saturates), and a removal removes the weight the edge then holds — its
-// weight in w plus the batch's additions of it. Additions may reference
+// With emit set it also appends the batch's cut edits to edits and
+// returns the result; on an error it returns edits as it came. It must be
+// called against the pre-mutation graph, and it replays the batch's
+// effect on each pair it names in Apply's order: an addition adds the
+// weight AddEdge would add (the normalized weight, less where the edge's
+// weight saturates), and a removal removes the weight the edge then holds
+// — its weight in w plus the batch's additions of it. Additions may reference
 // vertices the batch itself appends. Folding each edit's signed weight
 // into counters produced by metrics.CutWeights — total += ±weight, and for
 // edits whose endpoint labels differ, cross and both endpoints'
@@ -53,12 +55,12 @@ func (e CutEdit) Signed() int64 {
 // row) — one row scan per pair, never one per batch entry. Added pairs are
 // looked up too only when the graph's and the batch's weight together
 // could push an edge past math.MaxInt32.
-func (m *Mutation) effects(w *Weighted, emit bool) ([]CutEdit, error) {
+func (m *Mutation) effects(w *Weighted, edits []CutEdit, emit bool) ([]CutEdit, error) {
 	if m.NewVertices < 0 {
-		return nil, fmt.Errorf("graph: mutation appends %d vertices", m.NewVertices)
+		return edits, fmt.Errorf("graph: mutation appends %d vertices", m.NewVertices)
 	}
 	if m.NewVertices > MaxVertices-w.NumVertices() {
-		return nil, fmt.Errorf("graph: mutation grows graph to %d vertices, past MaxVertices=%d",
+		return edits, fmt.Errorf("graph: mutation grows graph to %d vertices, past MaxVertices=%d",
 			w.NumVertices()+m.NewVertices, MaxVertices)
 	}
 	old := VertexID(w.NumVertices())
@@ -66,16 +68,16 @@ func (m *Mutation) effects(w *Weighted, emit bool) ([]CutEdit, error) {
 	var batchWeight int64
 	for _, e := range m.NewEdges {
 		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
-			return nil, fmt.Errorf("graph: mutation edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
+			return edits, fmt.Errorf("graph: mutation edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
 		}
 		if e.U == e.V {
-			return nil, fmt.Errorf("graph: mutation self-loop at %d", e.U)
+			return edits, fmt.Errorf("graph: mutation self-loop at %d", e.U)
 		}
 		batchWeight += int64(max(e.Weight, 1))
 	}
 	for _, e := range m.RemovedEdges {
 		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
-			return nil, fmt.Errorf("graph: removal (%d,%d) out of range [0,%d)", e.From, e.To, n)
+			return edits, fmt.Errorf("graph: removal (%d,%d) out of range [0,%d)", e.From, e.To, n)
 		}
 	}
 	weightIn := func(key Edge) int32 {
@@ -96,9 +98,9 @@ func (m *Mutation) effects(w *Weighted, emit bool) ([]CutEdit, error) {
 		held[key] = weightIn(key)
 	}
 	followAll := emit && w.TotalWeight()+batchWeight > math.MaxInt32
-	var edits []CutEdit
+	given := len(edits)
 	if emit {
-		edits = make([]CutEdit, 0, len(m.NewEdges)+len(m.RemovedEdges))
+		edits = slices.Grow(edits, len(m.NewEdges)+len(m.RemovedEdges))
 	}
 	for _, e := range m.NewEdges {
 		key := normEdge(e.U, e.V)
@@ -118,7 +120,7 @@ func (m *Mutation) effects(w *Weighted, emit bool) ([]CutEdit, error) {
 	for _, e := range m.RemovedEdges {
 		key := normEdge(e.From, e.To)
 		if held[key] == 0 {
-			return nil, fmt.Errorf("graph: removal of absent edge {%d,%d}", key.From, key.To)
+			return edits[:given], fmt.Errorf("graph: removal of absent edge {%d,%d}", key.From, key.To)
 		}
 		if emit {
 			edits = append(edits, CutEdit{U: key.From, V: key.To, Weight: held[key]})

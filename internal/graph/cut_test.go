@@ -88,7 +88,7 @@ func TestCutDeltaMatchesExactRecompute(t *testing.T) {
 				grown[v] = int32(src.Intn(k))
 			}
 		}
-		edits, derr := m.effects(w, true)
+		edits, derr := m.effects(w, nil, true)
 		if _, err := m.Apply(w); err != nil {
 			// Random removals can collide (one edge twice); the batch is
 			// rejected atomically, for the reason effects gives.
@@ -137,7 +137,7 @@ func TestCutEditsErrors(t *testing.T) {
 		{RemovedEdges: []Edge{{From: 0, To: 1}, {From: 1, To: 0}}},
 		{NewVertices: -1},
 	} {
-		if _, err := m.effects(w, true); err == nil {
+		if _, err := m.effects(w, nil, true); err == nil {
 			t.Fatalf("effects(%+v) accepted an invalid batch", m)
 		}
 	}
@@ -145,19 +145,19 @@ func TestCutEditsErrors(t *testing.T) {
 	// with one removal — and a second removal finds it gone.
 	w.AddEdge(0, 1, 5)
 	readd := &Mutation{NewEdges: []WeightedEdgeRecord{{U: 1, V: 0, Weight: 3}}, RemovedEdges: []Edge{{From: 0, To: 1}}}
-	edits, err := readd.effects(w, true)
+	edits, err := readd.effects(w, nil, true)
 	if want := []CutEdit{{U: 0, V: 1, Weight: 3, Add: true}, {U: 0, V: 1, Weight: 10}}; err != nil || !slices.Equal(edits, want) {
 		t.Fatalf("re-add then remove: edits=%v err=%v, want %v", edits, err, want)
 	}
 	readd.RemovedEdges = append(readd.RemovedEdges, Edge{From: 1, To: 0})
-	if _, err := readd.effects(w, true); err == nil {
+	if _, err := readd.effects(w, nil, true); err == nil {
 		t.Fatal("a second removal of a merged edge accepted")
 	}
 	// Weights saturate: an edit carries the weight actually added.
 	w2 := NewWeighted(2)
 	w2.AddEdge(0, 1, math.MaxInt32-1)
 	sat := &Mutation{NewEdges: []WeightedEdgeRecord{{U: 0, V: 1, Weight: 5}, {U: 1, V: 0, Weight: 5}}}
-	edits, err = sat.effects(w2, true)
+	edits, err = sat.effects(w2, nil, true)
 	if want := []CutEdit{{U: 0, V: 1, Weight: 1, Add: true}, {U: 0, V: 1, Weight: 0, Add: true}}; err != nil || !slices.Equal(edits, want) {
 		t.Fatalf("saturating additions: edits=%v err=%v, want %v", edits, err, want)
 	}

@@ -50,21 +50,23 @@ type WeightedEdgeRecord struct {
 // each addition and removal scans its endpoints' rows; nothing is
 // |removed| × |added|.
 func (m *Mutation) Apply(w *Weighted) (firstNew VertexID, err error) {
-	firstNew, _, err = m.apply(w, false)
+	firstNew, _, err = m.apply(w, nil, false)
 	return firstNew, err
 }
 
-// ApplyEdits is Apply that also returns the batch's edits (CutEdit)
-// against the pre-mutation graph, found by the pass that validates the
-// batch: a caller that folds them into counters, as the serving store does
-// for every batch, validates once, not twice.
-func (m *Mutation) ApplyEdits(w *Weighted) (firstNew VertexID, edits []CutEdit, err error) {
-	return m.apply(w, true)
+// ApplyEdits is Apply that also appends the batch's edits (CutEdit)
+// against the pre-mutation graph to edits and returns the result, as
+// append does; on an error it returns edits as it came. The edits are
+// found by the pass that validates the batch: a caller that folds them
+// into counters, as the serving store does for every batch, validates
+// once, not twice, and can pass the same buffer, truncated, every time.
+func (m *Mutation) ApplyEdits(w *Weighted, edits []CutEdit) (firstNew VertexID, _ []CutEdit, err error) {
+	return m.apply(w, edits, true)
 }
 
-func (m *Mutation) apply(w *Weighted, emit bool) (firstNew VertexID, edits []CutEdit, err error) {
-	if edits, err = m.effects(w, emit); err != nil {
-		return -1, nil, err
+func (m *Mutation) apply(w *Weighted, edits []CutEdit, emit bool) (firstNew VertexID, _ []CutEdit, err error) {
+	if edits, err = m.effects(w, edits, emit); err != nil {
+		return -1, edits, err
 	}
 	firstNew = -1
 	if m.NewVertices > 0 {

@@ -42,7 +42,7 @@ func churnCase(n, adds, removals int) (*Weighted, *Mutation) {
 func TestMutationCostIsLinearInBatch(t *testing.T) {
 	w, m := churnCase(100_000, 200_000, 50_000)
 	start := time.Now()
-	edits, err := m.effects(w, true)
+	edits, err := m.effects(w, nil, true)
 	if err != nil || len(edits) != 250_000 {
 		t.Fatalf("effects = %d edits, %v", len(edits), err)
 	}
@@ -75,7 +75,7 @@ func BenchmarkMutationApply(b *testing.B) {
 				b.StopTimer()
 				w := base.Clone() // ApplyEdits consumes the graph
 				b.StartTimer()
-				if _, _, err := m.ApplyEdits(w); err != nil {
+				if _, _, err := m.ApplyEdits(w, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -340,14 +340,15 @@ func diffCase(intn func(int) int) (*Weighted, *Mutation) {
 // checkAgainstOracles applies m to w and reports which way the batch went:
 // "merged" (valid, and some addition lands on a pair already held),
 // "valid" or "rejected". effects and Apply must return batchOracle's edits
-// and error, and ApplyEdits both, leaving the graph Apply leaves. A
+// and error, and ApplyEdits both, appended to its buffer, leaving the
+// graph Apply leaves. A
 // rejected batch must leave the graph untouched; an accepted one must
 // produce, arc for arc, the graph that adding and removing the batch's
 // edges one by one produces, holding exactly the oracle's pairs.
 func checkAgainstOracles(t *testing.T, w *Weighted, m *Mutation) string {
 	t.Helper()
 	wantEdits, wantPairs, wantErr := batchOracle(m, w)
-	gotEdits, gotErr := m.effects(w, true)
+	gotEdits, gotErr := m.effects(w, nil, true)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !slices.Equal(gotEdits, wantEdits) {
 		t.Fatalf("effects = %v, %v; oracle %v, %v\nbatch %+v", gotEdits, gotErr, wantEdits, wantErr, m)
 	}
@@ -371,12 +372,14 @@ func checkAgainstOracles(t *testing.T, w *Weighted, m *Mutation) string {
 		}
 	}
 	viaEdits := w.Clone()
-	firstNewE, appliedEdits, errE := m.ApplyEdits(viaEdits)
+	// ApplyEdits appends to the caller's buffer and keeps what it held.
+	buf := append(make([]CutEdit, 0, 2), CutEdit{U: -1, V: -1})
+	firstNewE, appliedEdits, errE := m.ApplyEdits(viaEdits, buf)
 	firstNew, err := m.Apply(w)
 	if fmt.Sprint(err) != fmt.Sprint(wantErr) || (err != nil && firstNew != -1) {
 		t.Fatalf("Apply = (%d, %v), oracle error %v\nbatch %+v", firstNew, err, wantErr, m)
 	}
-	if firstNewE != firstNew || fmt.Sprint(errE) != fmt.Sprint(err) || !slices.Equal(appliedEdits, gotEdits) {
+	if firstNewE != firstNew || fmt.Sprint(errE) != fmt.Sprint(err) || !slices.Equal(appliedEdits, append(buf[:1:1], gotEdits...)) {
 		t.Fatalf("ApplyEdits = (%d, %v, %v), Apply (%d, %v) and effects %v\nbatch %+v",
 			firstNewE, appliedEdits, errE, firstNew, err, gotEdits, m)
 	}

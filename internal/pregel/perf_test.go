@@ -70,7 +70,7 @@ func TestStatsDeterministicAcrossRuns(t *testing.T) {
 			g.AddEdge(VertexID(i), VertexID(i+1))
 			g.AddEdge(VertexID(i), VertexID((i*13+5)%200))
 		}
-		e := NewEngine[int64, VertexID, int64](Config{NumWorkers: workers, Seed: 11}, &stepCounter{stopAfter: 6})
+		e := NewEngine[int64, VertexID, int64](Config{NumWorkers: workers}, &stepCounter{stopAfter: 6})
 		if err := e.SetVertices(buildVertices(g, func(VertexID) int64 { return 0 })); err != nil {
 			t.Fatal(err)
 		}

@@ -87,11 +87,9 @@ package pregel
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/rng"
 )
 
 // VertexID aliases the graph package's vertex identifier.
@@ -148,15 +146,15 @@ type Combiner[M any] func(a, b M) M
 
 // Config configures an Engine.
 type Config struct {
-	// NumWorkers is the number of parallel workers (goroutines). Defaults
-	// to GOMAXPROCS.
+	// NumWorkers is the number of workers, one goroutine each. Defaults to
+	// DefaultWorkers, whatever the host: a run's outcome may depend on the
+	// worker count (Spinner's per-worker load views do), never on
+	// GOMAXPROCS.
 	NumWorkers int
 	// Placement maps a vertex to a worker in [0, NumWorkers). Defaults to
 	// contiguous ranges. Experiments on partitioning-aware placement
 	// (Fig. 9 / Table IV) supply label-based placements here.
 	Placement func(VertexID) int
-	// Seed seeds the per-worker deterministic random streams.
-	Seed uint64
 	// MaxSupersteps bounds the run; 0 means 10_000.
 	MaxSupersteps int
 	// AfterSuperstep, when non-nil, is invoked single-threaded after each
@@ -169,6 +167,9 @@ type Config struct {
 	// run is still converging.
 	AfterSuperstep func(superstep int)
 }
+
+// DefaultWorkers is the worker count of a Config that names none.
+const DefaultWorkers = 8
 
 type aggOp int
 
@@ -324,7 +325,6 @@ type Engine[V, A, M any] struct {
 	aggs *aggPlane
 
 	workerState []any
-	workerRand  []*rng.Source
 
 	superstep int
 	stats     []SuperstepStats
@@ -333,7 +333,7 @@ type Engine[V, A, M any] struct {
 // NewEngine builds an engine over the given program.
 func NewEngine[V, A, M any](cfg Config, prog Program[V, A, M]) *Engine[V, A, M] {
 	if cfg.NumWorkers <= 0 {
-		cfg.NumWorkers = runtime.GOMAXPROCS(0)
+		cfg.NumWorkers = DefaultWorkers
 	}
 	if cfg.MaxSupersteps <= 0 {
 		cfg.MaxSupersteps = 10000
@@ -435,22 +435,32 @@ func (e *Engine[V, A, M]) Run() (int, error) {
 	return e.superstep, nil
 }
 
+// initPlacement places every vertex and lists each worker's vertices in
+// ID order, all the lists carved from one array of n.
 func (e *Engine[V, A, M]) initPlacement() {
 	n := len(e.vertices)
 	w := e.cfg.NumWorkers
 	e.place = make([]int32, n)
-	e.byWorker = make([][]VertexID, w)
 	placeFn := e.cfg.Placement
 	if placeFn == nil {
 		chunk := (n + w - 1) / w
 		placeFn = func(v VertexID) int { return int(v) / chunk }
 	}
+	owned := make([]int, w)
 	for v := 0; v < n; v++ {
 		wk := placeFn(VertexID(v))
 		if wk < 0 || wk >= w {
 			wk = ((wk % w) + w) % w
 		}
 		e.place[v] = int32(wk)
+		owned[wk]++
+	}
+	e.byWorker = make([][]VertexID, w)
+	ids := make([]VertexID, n)
+	for wk, c := range owned {
+		e.byWorker[wk], ids = ids[:0:c], ids[c:]
+	}
+	for v, wk := range e.place {
 		e.byWorker[wk] = append(e.byWorker[wk], VertexID(v))
 	}
 }
@@ -458,11 +468,6 @@ func (e *Engine[V, A, M]) initPlacement() {
 func (e *Engine[V, A, M]) initWorkers() {
 	w := e.cfg.NumWorkers
 	e.workerState = make([]any, w)
-	e.workerRand = make([]*rng.Source, w)
-	master := rng.New(e.cfg.Seed)
-	for i := 0; i < w; i++ {
-		e.workerRand[i] = master.Split()
-	}
 	if wi, ok := e.prog.(WorkerInitializer); ok {
 		for i := 0; i < w; i++ {
 			e.workerState[i] = wi.InitWorker(i, w)
@@ -492,7 +497,7 @@ func (e *Engine[V, A, M]) initMessagePlane() {
 	}
 	e.ctxs = make([]*Context[V, A, M], w)
 	for wk := 0; wk < w; wk++ {
-		ctx := &Context[V, A, M]{engine: e, workerID: wk, rand: e.workerRand[wk], partials: e.aggs.slabs[wk]}
+		ctx := &Context[V, A, M]{engine: e, workerID: wk, partials: e.aggs.slabs[wk]}
 		if e.combiner != nil {
 			ctx.combVal = make([]M, n)
 			ctx.combEpoch = make([]uint32, n)

@@ -43,7 +43,7 @@ func TestMaxPropagation(t *testing.T) {
 	// Symmetrize so the max can reach everyone.
 	und := graph.New(500, false)
 	g.Edges(func(u, v VertexID) { und.AddEdge(u, v) })
-	e := NewEngine[int64, VertexID, int64](Config{NumWorkers: 4, Seed: 1}, maxProg{})
+	e := NewEngine[int64, VertexID, int64](Config{NumWorkers: 4}, maxProg{})
 	if err := e.SetVertices(buildVertices(und, func(v VertexID) int64 { return int64(v) })); err != nil {
 		t.Fatal(err)
 	}
@@ -345,13 +345,13 @@ func TestLocalVsRemoteAccounting(t *testing.T) {
 	}
 }
 
-// Determinism: identical seeds and worker counts produce identical results.
+// Determinism: identical worker counts produce identical results.
 func TestEngineDeterminism(t *testing.T) {
 	run := func() []int64 {
 		g := gen.WattsStrogatz(300, 4, 0.3, 2)
 		und := graph.New(300, false)
 		g.Edges(func(u, v VertexID) { und.AddEdge(u, v) })
-		e := NewEngine[int64, VertexID, int64](Config{NumWorkers: 4, Seed: 9}, maxProg{})
+		e := NewEngine[int64, VertexID, int64](Config{NumWorkers: 4}, maxProg{})
 		if err := e.SetVertices(buildVertices(und, func(v VertexID) int64 { return int64(v * 7 % 301) })); err != nil {
 			t.Fatal(err)
 		}
@@ -378,7 +378,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		g := gen.WattsStrogatz(200, 4, 0.3, 3)
 		und := graph.New(200, false)
 		g.Edges(func(u, v VertexID) { und.AddEdge(u, v) })
-		e := NewEngine[int64, VertexID, int64](Config{NumWorkers: workers, Seed: 5}, maxProg{})
+		e := NewEngine[int64, VertexID, int64](Config{NumWorkers: workers}, maxProg{})
 		if err := e.SetVertices(buildVertices(und, func(v VertexID) int64 { return int64(v) })); err != nil {
 			t.Fatal(err)
 		}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"repro/internal/rng"
 )
 
 // addrMsg is a message in flight, addressed to its destination's slot in
@@ -57,7 +55,6 @@ type Context[V, A, M any] struct {
 	edges      int64
 	computed   int64
 	stayActive int64 // computed vertices that did not vote to halt
-	rand       *rng.Source
 
 	// The counters above change on every vertex; a cache line of padding
 	// keeps the next worker's Context, allocated beside this one, off
@@ -90,9 +87,6 @@ func (c *Context[V, A, M]) NumVertices() int { return len(c.engine.vertices) }
 // computed on the same worker see the same value — this is the mechanism
 // behind §IV-A4's asynchronous per-worker computation.
 func (c *Context[V, A, M]) WorkerState() any { return c.engine.workerState[c.workerID] }
-
-// Rand returns this worker's deterministic random stream.
-func (c *Context[V, A, M]) Rand() *rng.Source { return c.rand }
 
 // SendTo queues a message for delivery to dst at the next superstep. When
 // a combiner is installed the message is merged into this worker's staging

@@ -4,45 +4,54 @@
 // All randomness in the Spinner reproduction flows through this package so
 // that experiments are exactly reproducible from a single seed: the graph
 // generators, the initial random labeling, the probabilistic migration step
-// (Eq. 14 in the paper), and the elastic re-labeling (Eq. 11) all derive
-// their streams from an rng.Source.
+// (Eq. 14 in the paper), and the elastic re-labeling (Eq. 11) all draw
+// from an rng.Source.
 //
 // The generator is splitmix64 (Steele, Lea, Flood; also used as the seeding
-// procedure of xoshiro). It is tiny, allocation free, passes BigCrush, and
-// supports cheap stream splitting, which we use to give every worker
-// goroutine an independent deterministic stream.
+// procedure of xoshiro). It is tiny, allocation free and passes BigCrush.
+// A sequential component owns one stream (New). Where many goroutines
+// draw, as the partitioner's vertices do, each draw site gets its own
+// Source from At, a pure function of the seed and the site's coordinates:
+// the counter-based construction of Salmon et al., "Parallel random
+// numbers: as easy as 1, 2, 3" (SC 2011). A draw then depends on neither
+// the goroutine that makes it nor the draws made before it.
 package rng
 
 import "math"
 
 // Source is a splitmix64 pseudo-random number generator.
 // The zero value is a valid generator seeded with 0.
-// Source is NOT safe for concurrent use; use Split to derive
-// independent per-goroutine streams.
+// Source is NOT safe for concurrent use.
 type Source struct {
 	state uint64
 }
+
+// golden is splitmix64's increment, the odd integer nearest 2^64/φ.
+const golden = 0x9e3779b97f4a7c15
 
 // New returns a Source seeded with seed.
 func New(seed uint64) *Source {
 	return &Source{state: seed}
 }
 
-// Split derives a new independent Source from s. The derived stream is a
-// deterministic function of s's current state, so calling Split n times
-// yields n reproducible, statistically independent streams.
-func (s *Source) Split() *Source {
-	// Advance twice so the child does not share its first output with the
-	// parent's next output.
-	a := s.Uint64()
-	b := s.Uint64()
-	return &Source{state: a ^ (b << 1) ^ 0x9e3779b97f4a7c15}
+// At returns the Source of one draw site named by the coordinates a and
+// b under seed. Its state is the site's key: splitmix64's output function
+// (mix, a bijection) applied to the seed, then to the result xor a, then
+// to that xor b. Under one seed, sites that share a and differ in b, or
+// share b and differ in a, never share a key; any other two share one
+// with probability 2^-64.
+func At(seed, a, b uint64) Source {
+	return Source{state: mix(mix(mix(seed)^a) ^ b)}
 }
 
 // Uint64 returns the next 64 pseudo-random bits.
 func (s *Source) Uint64() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
+	s.state += golden
+	return mix(s.state)
+}
+
+// mix is splitmix64's output function.
+func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)

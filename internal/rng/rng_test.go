@@ -30,23 +30,46 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(7)
-	c1 := parent.Split()
-	c2 := parent.Split()
-	if c1.Uint64() == c2.Uint64() {
-		t.Fatal("split children produced identical first output")
+func TestAtSitesDiffer(t *testing.T) {
+	seen := make(map[uint64][2]uint64)
+	for a := uint64(0); a < 64; a++ {
+		for b := uint64(0); b < 64; b++ {
+			s := At(7, a, b)
+			x := s.Uint64()
+			if prev, ok := seen[x]; ok {
+				t.Fatalf("sites %v and (%d, %d) drew the same first output", prev, a, b)
+			}
+			seen[x] = [2]uint64{a, b}
+		}
+	}
+	s1, s2 := At(7, 1, 2), At(8, 1, 2)
+	if s1.Uint64() == s2.Uint64() {
+		t.Fatal("seeds 7 and 8 drew the same first output at one site")
 	}
 }
 
-func TestSplitDeterministic(t *testing.T) {
-	p1 := New(7)
-	p2 := New(7)
-	c1 := p1.Split()
-	c2 := p2.Split()
+func TestAtDeterministic(t *testing.T) {
+	s1, s2 := At(7, 3, 5), At(7, 3, 5)
 	for i := 0; i < 100; i++ {
-		if c1.Uint64() != c2.Uint64() {
-			t.Fatalf("split not deterministic at step %d", i)
+		if s1.Uint64() != s2.Uint64() {
+			t.Fatalf("At not deterministic at step %d", i)
+		}
+	}
+}
+
+// TestAtUniform checks that the first draw of consecutive sites, the way
+// a run keys its vertices, is uniform.
+func TestAtUniform(t *testing.T) {
+	const buckets, n = 16, 160000
+	var counts [buckets]int
+	for v := uint64(0); v < n; v++ {
+		s := At(1, 4, v)
+		counts[s.Intn(buckets)]++
+	}
+	want := float64(n) / buckets
+	for i, c := range counts {
+		if math.Abs(float64(c)-want) > 5*math.Sqrt(want) {
+			t.Fatalf("bucket %d holds %d, want about %.0f", i, c, want)
 		}
 	}
 }

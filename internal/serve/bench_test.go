@@ -440,10 +440,10 @@ func BenchmarkServeFairness(b *testing.B) {
 
 // BenchmarkAppendBatch is one batch, submitted and quiesced, on a graph of
 // the benchmark's serving size (50 000 vertices, 1.0 M arcs): an add-only
-// batch rides the fast path; one that appends a vertex takes the general
-// path, where it is placed from the maintained loads. The second must
-// stay within a small multiple of the first — it cost an O(E) scan, 100
-// times the first, while placement re-derived the loads from the graph.
+// batch, and one that appends a vertex, placed from the maintained loads;
+// both take the one apply path. The second must stay within a small
+// multiple of the first — it cost an O(E) scan, 100 times the first, while
+// placement re-derived the loads from the graph.
 func BenchmarkAppendBatch(b *testing.B) {
 	const n, k = 50_000, 8
 	for _, mode := range []string{"add-only", "append-vertex"} {

@@ -564,17 +564,49 @@ func TestCloseWithRepairInFlight(t *testing.T) {
 
 // A torn record — the classic crash shape — must be dropped by recovery,
 // with everything after it, landing exactly on the state before the torn
-// batch. The torn frame is step 5's mutation, not the journal's last frame
-// (the relabel its restabilization journals after it).
+// batch. The torn frame is the last mutation whose restabilization
+// journaled a relabel after it, so it is not the journal's last frame.
 func TestDurableTornTailRecovery(t *testing.T) {
+	const steps = 6
 	dir := t.TempDir()
 	w, labels := twoClusters(50)
 	cfg := durableCfg(-1)
-	cfg.Durability.SegmentBytes = 0 // one segment: step 5's frame is in the last one
+	cfg.Durability.SegmentBytes = 0 // one segment: every step's frame is in it
 	st, err := NewDurable(dir, w, append([]int32(nil), labels...), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	seg := filepath.Join(dir, "journal", "wal-0000000000000001.log")
+	var offset [steps]int64 // the segment's size, and so the step's offset, before each step
+	var seqBefore [steps + 1]uint64
+	for step := 0; step < steps; step++ {
+		fi, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		offset[step], seqBefore[step] = fi.Size(), st.JournalSeq()
+		if err := st.Submit(scriptedMutation(step)); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Quiesce(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seqBefore[steps] = st.JournalSeq()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	torn := -1
+	for step := 0; step < steps; step++ {
+		if seqBefore[step+1] > seqBefore[step]+1 {
+			torn = step
+		}
+	}
+	if torn < 0 {
+		t.Fatal("no step journaled a relabel after its mutation; the test must tear a frame before the last")
+	}
+
+	// The reference applies the steps before the torn one.
 	w2, labels2 := twoClusters(50)
 	ref, err := New(w2, append([]int32(nil), labels2...), Config{
 		Options: storeOpts(2, 9), DegradeFactor: 1.05,
@@ -583,41 +615,16 @@ func TestDurableTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	// Reference applies steps 0..4; the durable store also applies step 5,
-	// whose journal record we then tear.
-	seg := filepath.Join(dir, "journal", "wal-0000000000000001.log")
-	var before int64 // the segment's size, and step 5's offset, before step 5
-	var beforeSeq uint64
-	for step := 0; step < 6; step++ {
-		if step == 5 {
-			fi, err := os.Stat(seg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			before, beforeSeq = fi.Size(), st.JournalSeq()
-		}
-		if err := st.Submit(scriptedMutation(step)); err != nil {
+	for step := 0; step < torn; step++ {
+		if err := ref.Submit(scriptedMutation(step)); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.Quiesce(); err != nil {
+		if err := ref.Quiesce(); err != nil {
 			t.Fatal(err)
 		}
-		if step < 5 {
-			if err := ref.Submit(scriptedMutation(step)); err != nil {
-				t.Fatal(err)
-			}
-			if err := ref.Quiesce(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
 	}
 
-	if st.JournalSeq() == beforeSeq+1 {
-		t.Fatal("step 5 journaled no relabel after it; the test must tear a frame before the last")
-	}
+	before, beforeSeq := offset[torn], seqBefore[torn]
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)

@@ -224,11 +224,19 @@ const chainDir = "testdata/child-5fbc4f6"
 // child wrote replayed 6.
 const shardedDir = "testdata/child-3522d97"
 
-// parentDir is the dir the one-writer store leaves after the same
+// oneWriterDir is the dir the one-writer store left after the same
 // history (the first commit after 1cabcb4): shardedDir's journal, and
 // checkpoints that record one range [0, n] where shardedDir's record
 // two.
-const parentDir = "testdata/child-1cabcb4"
+const oneWriterDir = "testdata/child-1cabcb4"
+
+// parentDir is the dir the same history leaves since the first commit
+// after 182a728, when every draw of a run became a pure function of
+// (seed, superstep, vertex, site): the restabilizations draw anew, and
+// the journal holds 8 relabels where oneWriterDir's holds 9. Its
+// expect.json is the state Open recovers from it; its "Why" says how that
+// differs from shardedDir's.
+const parentDir = "testdata/child-182a728"
 
 func parentCfg() Config {
 	cfg := durableCfg(4)
@@ -340,17 +348,20 @@ func TestParentDataDir(t *testing.T) {
 		}
 	})
 
-	// And both dirs must recover to the state recorded beside the sharded
-	// one.
+	// And every dir must recover to its recorded state: the two older ones
+	// to the state recorded beside the sharded one.
 	t.Run("recovers-parent-state", func(t *testing.T) {
-		for _, dir := range []string{shardedDir, parentDir} {
-			t.Run(filepath.Base(dir), func(t *testing.T) { recoverParentState(t, dir) })
+		for _, dir := range []string{shardedDir, oneWriterDir} {
+			t.Run(filepath.Base(dir), func(t *testing.T) { recoverParentState(t, dir, shardedDir) })
 		}
+		t.Run(filepath.Base(parentDir), func(t *testing.T) { recoverParentState(t, parentDir, parentDir) })
 	})
 }
 
-func recoverParentState(t *testing.T, dir string) {
-	raw, err := os.ReadFile(filepath.Join(shardedDir, "expect.json"))
+// recoverParentState opens a copy of dir and compares what it recovers
+// with expectDir's expect.json.
+func recoverParentState(t *testing.T, dir, expectDir string) {
+	raw, err := os.ReadFile(filepath.Join(expectDir, "expect.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

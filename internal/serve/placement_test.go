@@ -70,12 +70,16 @@ func placementBatch(shadow *graph.Weighted, src *testRng) *graph.Mutation {
 // 0xc5d0892f0d1cfa14 until the commit after 5fbc4f6 made graph.Weighted
 // simple: the history removes pairs it added more than once (step 110 on
 // purpose), which now takes the merged edge, where it took one of the
-// parallel arcs, so the restabilizations see other graphs. The subtests
+// parallel arcs, so the restabilizations see other graphs; then
+// 0x59a3991e12213f94 until the commit after 182a728 made every draw of a
+// run a pure function of (seed, superstep, vertex, site) instead of a
+// position in a worker's stream, which draws the restabilizations'
+// labels anew. The subtests
 // keep the names they had when the store was split into shards=N vertex
 // ranges; each now runs the one writer at GOMAXPROCS N, which must not
 // move the hash.
 func TestAppendedVertexPlacementMatchesScan(t *testing.T) {
-	const wantHash = 0x59a3991e12213f94
+	const wantHash = 0x5f354ae837307644
 	for _, shards := range []int{1, 3, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(shards))

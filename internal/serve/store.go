@@ -93,9 +93,9 @@
 // quiesced submit/await sequence yields identical labels regardless of
 // wall-clock timing: a batch relabels no existing vertex, every relabeling
 // event runs on the coordinator in log order, and restabilization seeds
-// derive from the run epoch. The labels do depend on NumWorkers:
-// restabilization runs core with it, and core's per-worker random streams
-// and §IV-A4 load views change the labels (ROADMAP item 13). (Unquiesced
+// derive from the run epoch. The labels depend on NumWorkers, never on
+// the host: restabilization runs core with it, core's §IV-A4 load views
+// are one per worker, and its default is the same 8 everywhere. (Unquiesced
 // sequences interleave merges with ingest nondeterministically, as any
 // live system does.) Whatever the timing, the journal records where each
 // merge landed, so a follower or a recovery that applies the journal
@@ -386,14 +386,15 @@ type Store struct {
 	d          *durable // nil on in-memory stores
 
 	// Fair-drain state (coordinator-only).
-	ring           []*tenantState // tenants with a registered queue, first-seen order
-	cursor         int            // DRR rotation point in ring
-	controlQ       []logEntry     // routed control entries awaiting the next group
-	queued         int            // mutation entries parked in tenant queues
-	arrival        uint64         // monotonic arrival stamp
-	groupBuf       []logEntry     // group-formation buffer, reused across turns
-	runBuf         []logEntry     // the run of batches handleGroup gathers, reused across turns
-	loadAt         time.Time      // load-sampling state (updateLoad)
+	ring           []*tenantState  // tenants with a registered queue, first-seen order
+	cursor         int             // DRR rotation point in ring
+	controlQ       []logEntry      // routed control entries awaiting the next group
+	queued         int             // mutation entries parked in tenant queues
+	arrival        uint64          // monotonic arrival stamp
+	groupBuf       []logEntry      // group-formation buffer, reused across turns
+	runBuf         []logEntry      // the run of batches handleGroup gathers, reused across turns
+	editBuf        []graph.CutEdit // applyBatch's cut edits, reused across batches
+	loadAt         time.Time       // load-sampling state (updateLoad)
 	loadLookups    int64
 	loadApplied    int64
 	restabDeferred bool // current overload episode already counted a deferred restab
@@ -981,14 +982,16 @@ func (s *Store) handleGroup(entries []logEntry) {
 
 // applyBatch applies one batch through Mutation.ApplyEdits, which
 // validates it against the graph and applies it atomically: a rejected
-// batch returns its error with the graph untouched. The batch's cut edits
-// move the counters (count) — O(batch), never a scan of the graph — and
+// batch returns its error with the graph untouched. The batch's cut edits,
+// appended to a buffer the coordinator reuses, move the counters (count) —
+// O(batch), never a scan of the graph — and
 // appended vertices are placed from the maintained loads (loadsBelow),
 // written past the published labels; their run is returned, the one
 // label change a batch makes. Publishing and resolving are handleGroup's.
 func (s *Store) applyBatch(m *graph.Mutation) ([]LabelRun, error) {
 	oldN := s.w.NumVertices()
-	firstNew, edits, err := m.ApplyEdits(s.w)
+	firstNew, edits, err := m.ApplyEdits(s.w, s.editBuf[:0])
+	s.editBuf = edits
 	if err != nil {
 		return nil, err
 	}
