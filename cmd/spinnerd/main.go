@@ -145,7 +145,10 @@
 // at publish time, and every connected stream writes the same immutable
 // bytes — one encode and one CRC per publication whether one stream or
 // ten thousand are attached (BenchmarkWatchFanout; BENCH_pr10.json holds
-// the recorded curve). Idle streams park on
+// the recorded curve). The whole-map GET /v1/lookup body, the resync
+// after a 410, is likewise encoded once per publication: the first read
+// at a new snapshot version encodes it, and every later read at that
+// version and from_seq writes the same bytes. Idle streams park on
 // per-subscriber coalesced wakeups (a single-slot channel each) rather
 // than a shared broadcast channel, so a publication wakes each stream
 // at most once — a stream that fell several publications behind wakes
@@ -186,10 +189,13 @@
 //	                         the change feed from — the resync path after a 410)
 //	                         Both 200s carry Content-Length (the whole map used to be
 //	                         chunked); the bodies are byte for byte what encoding/json
-//	                         writes. version and k are read from the snapshot header:
+//	                         writes. A point lookup takes partition, version and k
+//	                         from one snapshot, so the partition is below that k;
 //	                         answering for one vertex never reads the label map,
-//	                         and neither does /v1/stats; the whole map is encoded
-//	                         from the published labels, never copied.
+//	                         and neither does /v1/stats. The whole map is encoded
+//	                         from the published labels, never copied, and once per
+//	                         publication: later reads at that snapshot version and
+//	                         from_seq write the same bytes.
 //	POST /v1/mutate        → 202 {"queued":true,"adds":A,"removes":R,"vertices":N}
 //	                         400 {"error":"line L: ..."}
 //	                         413 {"error":...,"code":"body_too_large"}: a body over

@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -64,6 +65,10 @@ type Server struct {
 	// fanoutHist records publish-to-delivery latency of delta frames
 	// written to watch streams (spinner_watch_fanout_duration_seconds).
 	fanoutHist *metrics.Histogram
+	// resync is the newest whole-map body encoded (resyncBody);
+	// resyncMu serializes its encodes.
+	resync   atomic.Pointer[resyncMemo]
+	resyncMu sync.Mutex
 }
 
 // watchFeed is the change-feed surface handleWatch consumes.
@@ -144,56 +149,62 @@ type ResyncResponse struct {
 	FromSeq  uint64  `json:"from_seq"`
 }
 
-// resyncBufPool recycles the whole-map body buffers across requests, as
-// watchBufPool does the watch streams': a buffer keeps the capacity of
-// the largest map it held, so a read of a map no larger allocates none.
-var resyncBufPool = sync.Pool{New: func() any { return new([]byte) }}
+// resyncMemo is one encoded whole-map body: the snapshot at version with
+// fromSeq as its watch cursor. Its bytes are never written once stored.
+type resyncMemo struct {
+	version, fromSeq uint64
+	body             []byte
+}
 
 func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	raw := q.Get("v")
-	if !q.Has("v") {
-		// Full resync for change-feed consumers that fell past the
-		// compaction floor.
-		if !s.checkStaleness(w) {
-			return
-		}
-		// The body is encoded from the published labels into a pooled
-		// buffer: the read copies no label and allocates no body.
-		fromSeq := s.resyncFromSeq()
-		snap := s.st.Snapshot()
-		bufp := resyncBufPool.Get().(*[]byte)
-		*bufp = appendResync((*bufp)[:0], ResyncResponse{K: snap.K, Vertices: snap.Vertices, Labels: snap.Labels, FromSeq: fromSeq})
-		writeBody(w, *bufp)
-		resyncBufPool.Put(bufp)
-		return
-	}
-	v, err := strconv.ParseInt(raw, 10, 32)
-	if err != nil {
+	v, err := strconv.ParseInt(q.Get("v"), 10, 32)
+	if q.Has("v") && err != nil {
 		writeError(w, http.StatusBadRequest, "bad vertex id")
 		return
 	}
 	if !s.checkStaleness(w) {
 		return
 	}
-	part, ok := s.st.Lookup(graph.VertexID(v))
+	if !q.Has("v") {
+		// Full resync for change-feed consumers that fell past the
+		// compaction floor.
+		writeBody(w, s.resyncBody())
+		return
+	}
+	// The partition, version and k come from one snapshot, so the
+	// partition is below the k it is answered with.
+	part, snap, ok := s.st.LookupIn(graph.VertexID(v))
 	if !ok {
 		writeError(w, http.StatusNotFound, "vertex not found")
 		return
 	}
-	// Version and k come from the snapshot header: answering for one
-	// vertex never reads the label map.
-	sum := s.st.Summary()
 	var buf [128]byte
-	writeBody(w, AppendLookup(buf[:0], LookupResponse{Vertex: v, Partition: part, Version: sum.Version, K: sum.K}))
+	writeBody(w, AppendLookup(buf[:0], LookupResponse{Vertex: v, Partition: part, Version: snap.Version, K: snap.K}))
 }
 
-// resyncFromSeq returns the watch cursor a fresh full dump pairs with:
-// the newest published delta sequence, read before the snapshot so the
-// dump can only be newer than the cursor claims, never older.
-func (s *Server) resyncFromSeq() uint64 {
+// resyncBody returns the whole-map body: the published snapshot with the
+// watch cursor it pairs with, the newest published delta sequence. The
+// cursor is read before the snapshot, so the map can only be newer than
+// the cursor claims, never older. The map changes only at a publication,
+// so the body is memoized by (version, from_seq): a burst of reads at one
+// version encodes the map once, and a miss encodes under resyncMu, so
+// concurrent misses do not repeat it.
+func (s *Server) resyncBody() []byte {
 	_, next := s.st.DeltaBounds()
-	return next - 1
+	fromSeq, snap := next-1, s.st.Snapshot()
+	if m := s.resync.Load(); m != nil && m.version == snap.Version && m.fromSeq == fromSeq {
+		return m.body
+	}
+	s.resyncMu.Lock()
+	defer s.resyncMu.Unlock()
+	if m := s.resync.Load(); m != nil && m.version == snap.Version && m.fromSeq == fromSeq {
+		return m.body
+	}
+	m := &resyncMemo{version: snap.Version, fromSeq: fromSeq,
+		body: appendResync(nil, ResyncResponse{K: snap.K, Vertices: snap.Vertices, Labels: snap.Labels, FromSeq: fromSeq})}
+	s.resync.Store(m)
+	return m.body
 }
 
 // checkStaleness enforces the follower staleness bound on the read

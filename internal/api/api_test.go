@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -147,6 +148,49 @@ func TestHTTPLookupAndStats(t *testing.T) {
 	r.Body.Close()
 	if r.StatusCode != http.StatusOK || err != nil || health.Status != "ok" {
 		t.Fatalf("%s/healthz status %d body %+v err %v", prefix, r.StatusCode, health, err)
+	}
+}
+
+// A point lookup answers from one snapshot: beside resizes that swing k
+// between 8 and 3, every 200 names a partition below the k it reports.
+func TestPointLookupPartitionBelowItsK(t *testing.T) {
+	st := testStoreCfg(t, serve.Config{Options: testOpts(8), DegradeFactor: 1e9})
+	mux := NewServer(st, nil).Mux()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(stop)
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i += 4 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rec := httptest.NewRecorder()
+				mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/lookup?v="+strconv.Itoa(i*37%600), nil))
+				var got LookupResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &got); rec.Code != http.StatusOK || err != nil {
+					t.Errorf("lookup %d: status %d, %v", i, rec.Code, err)
+					return
+				}
+				if got.Partition < 0 || int(got.Partition) >= got.K {
+					t.Errorf("lookup of %d at version %d: partition %d, k %d", got.Vertex, got.Version, got.Partition, got.K)
+					return
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < 60; i++ {
+		if err := st.Resize(3 + 5*(i%2)); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Quiesce(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -138,20 +140,31 @@ func TestLookupBodiesMatchEncodingJSON(t *testing.T) {
 	}
 }
 
-// The whole-map handler encodes the published labels in place: after
-// growth and across a resize, its body is AppendResync of the Snapshot,
-// byte for byte; and concurrent readers, who share the pooled body
-// buffers, each get a whole map. (The name is from the sharded store,
-// whose map was published as one run per shard.)
-func TestWholeMapBodyFromShardRuns(t *testing.T) {
-	st := testStoreCfg(t, serve.Config{Options: testOpts(4), DegradeFactor: 1e9})
-	mux := NewServer(st, nil).Mux()
+// The whole-map body follows every publication: after a counter-only
+// run, growth, a resize with its repair and a restabilization's relabel,
+// the next read is AppendResync of the new snapshot with its from_seq,
+// and a second read at that version is the same memoized body. Readers
+// beside growth each get a whole map.
+func TestWholeMapBodyFollowsPublications(t *testing.T) {
+	st := testStoreCfg(t, serve.Config{Options: testOpts(4), DegradeFactor: 1.01})
+	srv := NewServer(st, nil)
+	mux := srv.Mux()
 	get := func() []byte {
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/lookup", nil))
 		return rec.Body.Bytes()
 	}
-	check := func(when string) {
+	submit := func(m *graph.Mutation) {
+		t.Helper()
+		if err := st.Submit(m); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Quiesce(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prev := st.Snapshot()
+	check := func(when string) *serve.Snapshot {
 		t.Helper()
 		if err := st.Quiesce(); err != nil {
 			t.Fatal(err)
@@ -163,6 +176,30 @@ func TestWholeMapBodyFromShardRuns(t *testing.T) {
 			t.Fatalf("%s: GET /v1/lookup served %d bytes that differ from AppendResync(Snapshot()), %d bytes",
 				when, len(body), len(want))
 		}
+		memo := srv.resync.Load()
+		if memo.version != snap.Version || memo.fromSeq != next-1 {
+			t.Fatalf("%s: memo keyed (%d, %d), snapshot (%d, %d)", when, memo.version, memo.fromSeq, snap.Version, next-1)
+		}
+		if when != "bootstrapped" && snap.Version <= prev.Version {
+			t.Fatalf("%s: version %d, want above %d", when, snap.Version, prev.Version)
+		}
+		if again := get(); !bytes.Equal(again, want) || srv.resync.Load() != memo {
+			t.Fatalf("%s: a second read at version %d was not the memoized body", when, snap.Version)
+		}
+		prev = snap
+		return snap
+	}
+	// edges returns count edges whose endpoints share a label (same) or
+	// do not (!same).
+	edges := func(snap *serve.Snapshot, count int, same bool) *graph.Mutation {
+		m := &graph.Mutation{}
+		for i := 0; len(m.NewEdges) < count; i++ {
+			u, v := i%snap.Vertices, (i*131+7)%snap.Vertices
+			if u != v && (snap.Labels[u] == snap.Labels[v]) == same {
+				m.NewEdges = append(m.NewEdges, graph.WeightedEdgeRecord{U: graph.VertexID(u), V: graph.VertexID(v), Weight: 2})
+			}
+		}
+		return m
 	}
 	// Growth writes past the published labels.
 	grow := func(steps int) {
@@ -173,21 +210,30 @@ func TestWholeMapBodyFromShardRuns(t *testing.T) {
 				m.NewEdges = append(m.NewEdges, graph.WeightedEdgeRecord{
 					U: graph.VertexID(n + i), V: graph.VertexID((n + i*17) % n), Weight: 2})
 			}
-			if err := st.Submit(m); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.Quiesce(); err != nil {
-				t.Fatal(err)
-			}
+			submit(m)
 		}
 	}
-	check("bootstrapped")
+	snap := check("bootstrapped")
+
+	// Internal edges lower the cut: the run publishes counters only.
+	submit(edges(snap, 4, true))
+	if next := check("after a counter-only run"); next.Epoch != snap.Epoch || !slices.Equal(next.Labels, snap.Labels) {
+		t.Fatalf("the counter-only run moved labels (epoch %d → %d)", snap.Epoch, next.Epoch)
+	}
 	grow(520)
 	check("after growth")
 	if err := st.Resize(7); err != nil {
 		t.Fatal(err)
 	}
-	check("after a resize and its repair")
+	snap = check("after a resize and its repair")
+	// Cut edges degrade the cut until a restabilization relabels.
+	for tries := 0; st.Summary().Epoch == snap.Epoch; tries++ {
+		if tries == 200 {
+			t.Fatal("200 batches of cut edges ran no restabilization")
+		}
+		submit(edges(st.Snapshot(), 40, false))
+	}
+	check("after a relabel")
 
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
@@ -211,6 +257,147 @@ func TestWholeMapBodyFromShardRuns(t *testing.T) {
 	}
 	grow(50)
 	wg.Wait()
+}
+
+// A whole-map read is encoded once per publication: eight concurrent
+// reads at a new version allocate about one body between them, and every
+// later read at that version gets the same bytes from the same memo.
+func TestWholeMapEncodedOncePerPublication(t *testing.T) {
+	st := ringStore(t, benchLabels, 32)
+	srv := NewServer(st, nil)
+	mux := srv.Mux()
+	// A request per read: the mux writes to the request it routes.
+	newReq := func() *http.Request { return httptest.NewRequest(http.MethodGet, "/v1/lookup", nil) }
+	version := st.Summary().Version
+	concurrently := func(read func()) {
+		var wg sync.WaitGroup
+		for r := 0; r < 8; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				read()
+			}()
+		}
+		wg.Wait()
+	}
+
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// One encode's allocation is the unit, measured in this build: the
+	// race detector's build allocates twice the body for it.
+	snap := st.Snapshot()
+	var body []byte
+	encode := allocated(func() {
+		body = AppendResync(nil, ResyncResponse{K: snap.K, Vertices: snap.Vertices, Labels: snap.Labels})
+	})
+	reads := allocated(func() { concurrently(func() { serveDiscarding(mux, newReq()) }) })
+	memo := srv.resync.Load()
+	if memo == nil || memo.version != version {
+		t.Fatalf("no memo at version %d after the first reads", version)
+	}
+	t.Logf("8 concurrent first reads allocated %d B, one encode %d B; the body is %d B (%d B resident)", reads, encode, len(body), cap(memo.body))
+	if reads >= encode*3/2 {
+		t.Fatalf("8 concurrent first reads allocated %d B, one encode %d B: encoded more than once", reads, encode)
+	}
+
+	_, next := st.DeltaBounds()
+	want := AppendResync(nil, ResyncResponse{K: snap.K, Vertices: snap.Vertices, Labels: snap.Labels, FromSeq: next - 1})
+	read := func() {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, newReq())
+		if !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Errorf("a read at version %d served %d bytes, not the %d of its snapshot", version, rec.Body.Len(), len(want))
+		}
+	}
+	for i := 0; i < 20; i++ {
+		read()
+	}
+	concurrently(read)
+	if st.Summary().Version != version || srv.resync.Load() != memo {
+		t.Fatalf("the memo was encoded again at version %d", version)
+	}
+}
+
+// A consumer that resyncs from a whole-map read taken under churn and
+// replays the watch from that read's from_seq reaches the quiesced map:
+// the memo never pairs a body with a cursor newer than its labels.
+func TestWholeMapReadsUnderChurnReplayToTruth(t *testing.T) {
+	st := testStoreCfg(t, serve.Config{Options: testOpts(4), DegradeFactor: 1.01, DeltaRing: 1 << 14})
+	url := testServer(t, st).URL
+	mux := NewServer(st, nil).Mux()
+	var reads []ResyncResponse
+	stop, done := make(chan struct{}), make(chan struct{})
+	stopReads := sync.OnceFunc(func() { close(stop); <-done })
+	defer stopReads()
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rec := httptest.NewRecorder()
+			mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/lookup", nil))
+			r, err := ParseResync(rec.Body.Bytes())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			reads = append(reads, r)
+		}
+	}()
+	for b := 0; b < 60; b++ {
+		n := st.Summary().Vertices
+		m := &graph.Mutation{NewVertices: 2}
+		for i := 0; i < 20; i++ {
+			m.NewEdges = append(m.NewEdges, graph.WeightedEdgeRecord{
+				U: graph.VertexID((b*31 + i*7) % (n + 2)), V: graph.VertexID((b*17 + i*13 + 1) % n), Weight: 2})
+		}
+		if err := st.Submit(m); err != nil {
+			t.Fatal(err)
+		}
+		if b == 30 {
+			if err := st.Resize(6); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := st.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	stopReads()
+	final := st.Snapshot()
+	cursors := map[uint64]bool{}
+	for _, r := range reads {
+		cursors[r.FromSeq] = true
+	}
+	t.Logf("%d reads at %d cursors", len(reads), len(cursors))
+	if len(cursors) < 3 {
+		t.Fatalf("%d reads saw %d cursors: not under churn", len(reads), len(cursors))
+	}
+	_, next := st.DeltaBounds()
+	for i, r := range reads {
+		labels := slices.Clone(r.Labels)
+		if limit := next - 1 - r.FromSeq; limit > 0 {
+			_, deltas := readWatch(t, url+"/v1/watch?from_seq="+strconv.FormatUint(r.FromSeq, 10)+"&limit="+strconv.FormatUint(limit, 10))
+			var err error
+			for _, d := range deltas {
+				if labels, err = d.Apply(labels); err != nil {
+					t.Fatalf("read %d (from_seq %d): %v", i, r.FromSeq, err)
+				}
+			}
+		}
+		if !slices.Equal(labels, final.Labels) {
+			t.Fatalf("read %d (from_seq %d, %d labels) replayed to a map that differs from the quiesced one (%d labels)",
+				i, r.FromSeq, len(r.Labels), len(final.Labels))
+		}
+	}
 }
 
 func TestParseResyncRefuses(t *testing.T) {
@@ -306,7 +493,18 @@ func FuzzParseResync(f *testing.F) {
 	})
 }
 
-// ringStore serves n vertices on a ring labeled v mod k: a store of any
+// randomLabels is n labels drawn uniformly from [0,k) by a fixed seed:
+// unlike v mod k, a sequence branch prediction does not learn.
+func randomLabels(n, k int) []int32 {
+	rng := rand.New(rand.NewPCG(7, uint64(k)))
+	labels := make([]int32, n)
+	for v := range labels {
+		labels[v] = rng.Int32N(int32(k))
+	}
+	return labels
+}
+
+// ringStore serves n vertices on a ring with randomLabels: a store of any
 // size without a partitioning run.
 func ringStore(t testing.TB, n, k int) *serve.Store {
 	t.Helper()
@@ -314,7 +512,7 @@ func ringStore(t testing.TB, n, k int) *serve.Store {
 	for v := 0; v < n; v++ {
 		w.AddEdge(graph.VertexID(v), graph.VertexID((v+1)%n), 2)
 	}
-	st, err := serve.New(w, manyLabels(n, k), serve.Config{Options: testOpts(k)})
+	st, err := serve.New(w, randomLabels(n, k), serve.Config{Options: testOpts(k)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +557,8 @@ func TestPointLookupCostIndependentOfN(t *testing.T) {
 }
 
 // The read-path benchmarks report ns/label beside B/op, at k = 32 (one-
-// and two-digit labels) and k = 1000 (up to three digits).
+// and two-digit labels) and k = 1000 (up to three digits), over
+// randomLabels.
 const benchLabels = 50_000
 
 var benchKs = []int{32, 1000}
@@ -369,6 +568,9 @@ func reportPerLabel(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchLabels, "ns/label")
 }
 
+// BenchmarkHandleLookup/all/k=K/hit reads one publication again and again
+// (served from the memo); /miss drops the memo before each read, so every
+// read encodes the map, as the first read after a publication does.
 func BenchmarkHandleLookup(b *testing.B) {
 	b.Run("point", func(b *testing.B) {
 		mux := NewServer(ringStore(b, benchLabels, 32), nil).Mux()
@@ -379,22 +581,28 @@ func BenchmarkHandleLookup(b *testing.B) {
 		}
 	})
 	for _, k := range benchKs {
-		b.Run("all/k="+strconv.Itoa(k), func(b *testing.B) {
-			mux := NewServer(ringStore(b, benchLabels, k), nil).Mux()
-			req := httptest.NewRequest(http.MethodGet, "/v1/lookup", nil)
-			b.ReportAllocs()
-			for b.Loop() {
-				serveDiscarding(mux, req)
-			}
-			reportPerLabel(b)
-		})
+		for _, memo := range []string{"hit", "miss"} {
+			b.Run("all/k="+strconv.Itoa(k)+"/"+memo, func(b *testing.B) {
+				srv := NewServer(ringStore(b, benchLabels, k), nil)
+				mux := srv.Mux()
+				req := httptest.NewRequest(http.MethodGet, "/v1/lookup", nil)
+				b.ReportAllocs()
+				for b.Loop() {
+					if memo == "miss" {
+						srv.resync.Store(nil)
+					}
+					serveDiscarding(mux, req)
+				}
+				reportPerLabel(b)
+			})
+		}
 	}
 }
 
 func BenchmarkParseResync(b *testing.B) {
 	for _, k := range benchKs {
 		b.Run("k="+strconv.Itoa(k), func(b *testing.B) {
-			body := AppendResync(nil, ResyncResponse{K: k, Vertices: benchLabels, Labels: manyLabels(benchLabels, k), FromSeq: 12})
+			body := AppendResync(nil, ResyncResponse{K: k, Vertices: benchLabels, Labels: randomLabels(benchLabels, k), FromSeq: 12})
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
 			for b.Loop() {

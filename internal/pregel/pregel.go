@@ -312,6 +312,7 @@ type Engine[V, A, M any] struct {
 	// is v's block and the index of its bin in every Context.
 	pos     []int32
 	blockLo []int
+	inArena []M // every worker's inboxes, carved per superstep (carveInboxes)
 
 	inbox   [][]M               // vertex -> combined message (combiner path only)
 	pending [][]VertexID        // worker -> owned vertices with a combined message (combiner path only)

@@ -33,8 +33,9 @@ type Context[V, A, M any] struct {
 	partials []float64 // this worker's aggregator slab (aggPlane.slabs[workerID])
 
 	// The no-combiner plane: bins is the outbox, indexed by destination
-	// block; inArena[inOff[i]:inOff[i+1]] is the inbox of this worker's
-	// i-th vertex; cur holds one block's window cursors during delivery.
+	// block; inArena is this worker's window of the engine's one inbox
+	// arena, and inArena[inOff[i]:inOff[i+1]] the inbox of its i-th
+	// vertex; cur holds one block's window cursors during delivery.
 	bins    [][]addrMsg[M]
 	inOff   []int32
 	inArena []M
@@ -285,6 +286,9 @@ func (e *Engine[V, A, M]) runSuperstep(wake bool) {
 		st.SentRemote[wk] = ctx.sentRem
 		st.ComputeEdges[wk] = ctx.edges
 	}
+	if e.combiner == nil {
+		e.carveInboxes(&st)
+	}
 
 	// Delivery: each destination worker drains, in source-worker order for
 	// determinism, the bins (deliverBlocks) or the combiner staging slots
@@ -298,7 +302,7 @@ func (e *Engine[V, A, M]) runSuperstep(wake bool) {
 		go func(wk int) {
 			defer wg.Done()
 			if e.combiner == nil {
-				e.deliverBlocks(wk, &st)
+				e.deliverBlocks(wk)
 				return
 			}
 			pend := e.pending[wk]
@@ -368,29 +372,47 @@ func (e *Engine[V, A, M]) runSuperstep(wake bool) {
 	e.stats = append(e.stats, st)
 }
 
-// deliverBlocks lays out worker wk's inboxes for the next superstep: a
-// counting sort of the bins of its blocks, one block at a time. Per block
-// it counts each slot's messages, carves the windows in vertex order and
-// fills them in source-worker order, then send order. The arena only
-// grows, so once it has reached the high-water message volume a superstep
+// carveInboxes counts what each worker receives this superstep and
+// carves the workers' windows, in worker order, out of one arena sized to
+// the superstep's total, before any delivery starts. The arena only
+// grows, so once it has reached the run's peak message volume a superstep
 // allocates nothing here.
-func (e *Engine[V, A, M]) deliverBlocks(wk int, st *SuperstepStats) {
-	lo, hi := e.blockLo[wk], e.blockLo[wk+1]
-	var total, remote int
-	for src, ctx := range e.ctxs {
-		for _, bin := range ctx.bins[lo:hi] {
-			total += len(bin)
-			if src != wk {
-				remote += len(bin)
+func (e *Engine[V, A, M]) carveInboxes(st *SuperstepStats) {
+	total := 0
+	for wk := range e.ctxs {
+		lo, hi := e.blockLo[wk], e.blockLo[wk+1]
+		var got, remote int
+		for src, ctx := range e.ctxs {
+			for _, bin := range ctx.bins[lo:hi] {
+				got += len(bin)
+				if src != wk {
+					remote += len(bin)
+				}
 			}
 		}
+		st.Received[wk] = int64(got)
+		st.ReceivedRemote[wk] = int64(remote)
+		total += got
 	}
-	st.Received[wk] = int64(total)
-	st.ReceivedRemote[wk] = int64(remote)
+	if total > len(e.inArena) {
+		e.inArena = make([]M, total)
+	}
+	base := 0
+	for wk, ctx := range e.ctxs {
+		end := base + int(st.Received[wk])
+		ctx.inArena = e.inArena[base:end:end]
+		base = end
+	}
+}
+
+// deliverBlocks lays out worker wk's inboxes for the next superstep in the
+// window carveInboxes gave it: a counting sort of the bins of its blocks,
+// one block at a time. Per block it counts each slot's messages, carves
+// the windows in vertex order and fills them in source-worker order, then
+// send order.
+func (e *Engine[V, A, M]) deliverBlocks(wk int) {
+	lo, hi := e.blockLo[wk], e.blockLo[wk+1]
 	ctx := e.ctxs[wk]
-	if total > len(ctx.inArena) {
-		ctx.inArena = make([]M, total)
-	}
 	arena, off, cur := ctx.inArena, ctx.inOff, ctx.cur
 	var next int32
 	for b := lo; b < hi; b++ {

@@ -520,6 +520,14 @@ func partitionFromScratch(g *graph.Graph, cfg Config) (*graph.Weighted, []int32,
 // (yet) visible: either never created, or appended by a batch whose
 // snapshot has not been published.
 func (s *Store) Lookup(v graph.VertexID) (int32, bool) {
+	l, _, ok := s.LookupIn(v)
+	return l, ok
+}
+
+// LookupIn is Lookup that also returns the snapshot the label was read
+// from, so a caller's version and k agree with the label. The snapshot is
+// the published one, shared and read-only; its AppliedBatches is 0.
+func (s *Store) LookupIn(v graph.VertexID) (int32, *Snapshot, bool) {
 	// Latency sampling rides the counter every lookup already pays for:
 	// unsampled lookups add one mask compare (~1ns), sampled ones pay the
 	// two clock reads. See Config.LookupSampleEvery.
@@ -532,16 +540,16 @@ func (s *Store) Lookup(v graph.VertexID) (int32, bool) {
 	if lag := s.submitted.Load() - s.applied.Load(); lag > 0 {
 		s.ctr.StalenessSum.Add(lag)
 	}
-	l, ok := int32(-1), false
-	if labels := s.view.Load().Labels; v >= 0 && int(v) < len(labels) {
-		l, ok = labels[v], true
+	l, ok, view := int32(-1), false, s.view.Load()
+	if v >= 0 && int(v) < len(view.Labels) {
+		l, ok = view.Labels[v], true
 	} else {
 		s.ctr.LookupMisses.Add(1)
 	}
 	if sampled {
 		s.lookupHist.Record(time.Since(t0))
 	}
-	return l, ok
+	return l, view, ok
 }
 
 // Summary returns the header of the published snapshot: no label copied.
