@@ -15,6 +15,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -326,12 +327,29 @@ func TestWholeMapEncodedOncePerPublication(t *testing.T) {
 // A consumer that resyncs from a whole-map read taken under churn and
 // replays the watch from that read's from_seq reaches the quiesced map:
 // the memo never pairs a body with a cursor newer than its labels.
+//
+// Submit only queues a batch, so a fast writer can queue all of them
+// before the reader runs once. The writer therefore waits for a read
+// after every batch, and quiesces every tenth batch before that read, so
+// the reads race with the coordinator's applies yet span the history.
 func TestWholeMapReadsUnderChurnReplayToTruth(t *testing.T) {
 	st := testStoreCfg(t, serve.Config{Options: testOpts(4), DegradeFactor: 1.01, DeltaRing: 1 << 14})
 	url := testServer(t, st).URL
 	mux := NewServer(st, nil).Mux()
 	var reads []ResyncResponse
+	var finished atomic.Int64
 	stop, done := make(chan struct{}), make(chan struct{})
+	// awaitRead returns once a read that began after the call has ended
+	// (two more finish), or once the reader has stopped on an error.
+	awaitRead := func() {
+		for target := finished.Load() + 2; finished.Load() < target; runtime.Gosched() {
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}
 	stopReads := sync.OnceFunc(func() { close(stop); <-done })
 	defer stopReads()
 	go func() {
@@ -350,6 +368,7 @@ func TestWholeMapReadsUnderChurnReplayToTruth(t *testing.T) {
 				return
 			}
 			reads = append(reads, r)
+			finished.Add(1)
 		}
 	}()
 	for b := 0; b < 60; b++ {
@@ -367,6 +386,12 @@ func TestWholeMapReadsUnderChurnReplayToTruth(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		if b%10 == 9 {
+			if err := st.Quiesce(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		awaitRead()
 	}
 	if err := st.Quiesce(); err != nil {
 		t.Fatal(err)
@@ -382,10 +407,15 @@ func TestWholeMapReadsUnderChurnReplayToTruth(t *testing.T) {
 		t.Fatalf("%d reads saw %d cursors: not under churn", len(reads), len(cursors))
 	}
 	_, next := st.DeltaBounds()
+	watched := map[uint64][]*serve.Delta{} // one watch read per cursor
 	for i, r := range reads {
 		labels := slices.Clone(r.Labels)
 		if limit := next - 1 - r.FromSeq; limit > 0 {
-			_, deltas := readWatch(t, url+"/v1/watch?from_seq="+strconv.FormatUint(r.FromSeq, 10)+"&limit="+strconv.FormatUint(limit, 10))
+			deltas, ok := watched[r.FromSeq]
+			if !ok {
+				_, deltas = readWatch(t, url+"/v1/watch?from_seq="+strconv.FormatUint(r.FromSeq, 10)+"&limit="+strconv.FormatUint(limit, 10))
+				watched[r.FromSeq] = deltas
+			}
 			var err error
 			for _, d := range deltas {
 				if labels, err = d.Apply(labels); err != nil {
