@@ -84,8 +84,7 @@
 //
 // A durable daemon is also a replication leader: followers bootstrap
 // from GET /v1/replicate/checkpoint (the latest checkpoint payload, with
-// X-Replica-Epoch, X-Checkpoint-Seq and X-Replica-Seed headers) and then
-// tail
+// X-Replica-Epoch and X-Checkpoint-Seq headers) and then tail
 // GET /v1/replicate?after_seq=N&epoch=E — a chunked stream of the
 // journal's own CRC-framed records wrapped in epoch-stamped stream
 // frames (internal/replica). While a follower is connected the leader
@@ -106,11 +105,11 @@
 //
 // With -follow <leader-addr> (requires -data-dir) the daemon runs as a
 // warm-standby follower: it installs the leader's checkpoint into its
-// own data dir on first contact, with the leader's seed, which it
-// adopts (later starts resume from its own state, and an explicit -seed
-// that differs is refused), replays the streamed tail through the same record-apply entry
+// own data dir on first contact (later starts resume from its own
+// state), replays the streamed tail through the same record-apply entry
 // recovery uses (serve.Store.ApplyRecord), adopting the leader's journaled
-// relabels instead of restabilizing itself — so follower state is
+// relabels — merges and resizes alike — instead of computing any, so its
+// -seed need not be the leader's and follower state is
 // bit-identical to the leader's at the same applied_seq — and serves /v1/lookup from its own
 // atomically-swapped snapshots. External writes refuse with 503
 // {"code":"read_only"}. /v1/stats exposes the watermark: "applied_seq",
@@ -346,24 +345,11 @@ import (
 	"repro/internal/wal"
 )
 
-// refuseOtherSeed refuses a -seed that differs from the seed dc's data
-// dir records: a recovering store and a follower (which records its
-// leader's) run with the recorded seed, so a differing one is refused,
-// not ignored.
-func refuseOtherSeed(dc daemonConfig) error {
-	seed, ok, err := serve.RecordedSeed(dc.dataDir)
-	if err == nil && ok && dc.seedSet && seed != dc.seed {
-		err = fmt.Errorf("-seed %d differs from the seed %d that %s records; omit -seed", dc.seed, seed, dc.dataDir)
-	}
-	return err
-}
-
 // daemonConfig carries the parsed flags into run.
 type daemonConfig struct {
 	k          int
 	c          float64
 	seed       uint64
-	seedSet    bool // -seed was given; recovery and -follow refuse one that differs from the dir's
 	workers    int
 	maxIter    int
 	undirected bool
@@ -399,7 +385,7 @@ func main() {
 	var dc daemonConfig
 	flag.IntVar(&dc.k, "k", 32, "number of partitions")
 	flag.Float64Var(&dc.c, "c", 1.05, "additional capacity (c > 1)")
-	flag.Uint64Var(&dc.seed, "seed", 1, "random seed")
+	flag.Uint64Var(&dc.seed, "seed", 1, "random seed of a new boot's partitioning and of the leader's restabilizations and resizes (a recovery or a follower takes its labels from the journal, whatever the seed)")
 	flag.IntVar(&dc.workers, "workers", 0, "Pregel workers, each its own §IV-A4 load view, so the labels depend on it (0 = 8 on every host)")
 	flag.IntVar(&dc.maxIter, "max-iterations", 200, "iteration cap per maintenance run")
 	flag.BoolVar(&dc.undirected, "undirected", false, "treat input edges as undirected")
@@ -426,7 +412,6 @@ func main() {
 	flag.StringVar(&dc.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this side address (empty disables)")
 	flag.IntVar(&dc.lookupSampleEvery, "lookup-sample-every", 0, "time one in N lookups into the latency histogram (0 = default 256, negative disables)")
 	flag.Parse()
-	flag.Visit(func(f *flag.Flag) { dc.seedSet = dc.seedSet || f.Name == "seed" })
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := run(ctx, dc, os.Stdout); err != nil {
@@ -494,9 +479,6 @@ func run(ctx context.Context, dc daemonConfig, out io.Writer) error {
 			return err
 		}
 		defer fl.Close()
-		if err := refuseOtherSeed(dc); err != nil {
-			return err
-		}
 		st = fl.Store()
 		rep = &api.Replica{
 			Fl:           fl,
@@ -511,9 +493,6 @@ func run(ctx context.Context, dc daemonConfig, out io.Writer) error {
 		}
 		cfg.Durability = newDurability(pol)
 		if serve.HasState(dc.dataDir) {
-			if err := refuseOtherSeed(dc); err != nil {
-				return err
-			}
 			fmt.Fprintf(out, "spinnerd: recovering from %s (fsync=%s)...\n", dc.dataDir, pol)
 			st, err = serve.Open(dc.dataDir, cfg)
 			if err != nil {

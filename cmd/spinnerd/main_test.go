@@ -11,6 +11,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -105,49 +106,44 @@ func TestDurableBootstrapAndRecover(t *testing.T) {
 	}
 }
 
-// A recovery runs with the seed the dir was created with: without -seed
-// it adopts it, with the same -seed it recovers, and with another -seed
-// run refuses the dir before opening it.
+// A recovery takes its labels from the dir, whatever its -seed: a daemon
+// booted with -seed 11 resizes and repairs, and the same dir recovered
+// with -seed 12 serves the same k and labels. (-degrade is set out of
+// reach, so only the resize's repair run moves labels.)
 func TestRecoverySeed(t *testing.T) {
-	dir := t.TempDir()
 	dc := testConfig()
-	dc.dataDir, dc.seed, dc.seedSet = dir, 11, true
-	if err := run(cancelled(), dc, io.Discard); err != nil {
+	dc.dataDir, dc.seed, dc.degrade = t.TempDir(), 11, 1e9
+	ctx := context.Background()
+	first := startDaemon(t, dc)
+	if _, err := first.cli.Resize(ctx, 6); err != nil {
 		t.Fatal(err)
 	}
-	dc.seed = 12
-	var out strings.Builder
-	err := run(cancelled(), dc, &out)
-	if err == nil || !strings.Contains(err.Error(), "-seed 12 differs from the seed 11") {
-		t.Fatalf("recovery with another -seed returned %v, want a refusal", err)
-	}
-	if strings.Contains(out.String(), "recovering") {
-		t.Fatalf("run opened the dir before refusing it:\n%s", out.String())
-	}
-	for _, c := range []struct {
-		seed    uint64
-		seedSet bool
-	}{{11, true}, {1, false}} {
-		dc.seed, dc.seedSet = c.seed, c.seedSet
-		if err := run(cancelled(), dc, io.Discard); err != nil {
-			t.Fatalf("recovery with seed %d (set: %v): %v", c.seed, c.seedSet, err)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		st, err := first.cli.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.K == 6 && st.Counters["Restabilizations"] > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the resize and its repair never landed")
 		}
 	}
-}
-
-// A follower runs with the seed its dir records (its leader's, from the
-// bootstrap checkpoint), so -follow with another -seed is refused too.
-func TestFollowRefusesOtherSeed(t *testing.T) {
-	dir := t.TempDir()
-	dc := testConfig()
-	dc.dataDir, dc.seed, dc.seedSet = dir, 11, true
-	if err := run(cancelled(), dc, io.Discard); err != nil {
+	want, err := first.cli.LookupAll(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	dc.seed, dc.follow = 12, freeAddr(t)
-	err := run(cancelled(), dc, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "-seed 12 differs from the seed 11") {
-		t.Fatalf("-follow with another -seed returned %v, want a refusal", err)
+	first.stop(t)
+
+	dc.seed = 12
+	got, err := startDaemon(t, dc).cli.LookupAll(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.K != 6 || !slices.Equal(got.Labels, want.Labels) {
+		t.Fatalf("recovered with -seed 12: k=%d, labels equal: %v; want k=6 and the labels served before",
+			got.K, slices.Equal(got.Labels, want.Labels))
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/replica"
@@ -285,7 +286,7 @@ type ResizeResponse struct {
 
 func (s *Server) handleResize(w http.ResponseWriter, r *http.Request) {
 	k, err := strconv.Atoi(r.URL.Query().Get("k"))
-	if err != nil || k < 1 {
+	if err != nil || k < 1 || k > core.MaxK {
 		writeError(w, http.StatusBadRequest, "bad k")
 		return
 	}

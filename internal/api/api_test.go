@@ -491,7 +491,9 @@ func TestHTTPErrorPathsLeaveStoreUntouched(t *testing.T) {
 		{"POST", "/resize?k=0", "", http.StatusBadRequest},
 		{"POST", "/resize?k=-3", "", http.StatusBadRequest},
 		{"POST", "/resize?k=abc", "", http.StatusBadRequest},
-		{"POST", "/resize?k=4", "", http.StatusBadRequest}, // unchanged
+		{"POST", "/resize?k=65537", "", http.StatusBadRequest},      // core.MaxK+1
+		{"POST", "/resize?k=1000000000", "", http.StatusBadRequest}, // about 190 GB of coordinator state
+		{"POST", "/resize?k=4", "", http.StatusBadRequest},          // unchanged
 		// /mutate: malformed bodies.
 		{"POST", "/mutate", "bogus 1 2\n", http.StatusBadRequest},
 		{"POST", "/mutate", "+ 1\n", http.StatusBadRequest},

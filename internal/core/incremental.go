@@ -59,7 +59,10 @@ func PlaceNewVertices(w *graph.Weighted, init []int32, firstNew int, loads []int
 // move to a uniformly chosen surviving partition. Equal counts return a
 // copy unchanged. Resize composes this with an LPA repair run; the serving
 // layer calls it directly so lookups see valid [0,newK) labels immediately
-// while the repair converges in the background.
+// while the repair converges in the background, and journals the result.
+// The draws come from one sequential stream, not rng.At as the rest of
+// the package's do; nothing recomputes a relabel from the seed any more,
+// and the stream is kept only so the golden labels do not move.
 func ElasticRelabel(prev []int32, oldK, newK int, seed uint64) ([]int32, error) {
 	if newK < 1 {
 		return nil, fmt.Errorf("core: newK=%d", newK)

@@ -143,10 +143,16 @@ import (
 	"repro/internal/pregel"
 )
 
+// MaxK is the largest partition count anything accepts: a Partitioner's
+// options, a store's resize, a relabel record and a checkpoint. The state
+// a partitioner or a serving store keeps grows linearly in k, and labels
+// are int32. The largest k any claim or workload uses is 64.
+const MaxK = 1 << 16
+
 // Options configures a Partitioner. The zero value is not valid; use
 // DefaultOptions or fill in at least K.
 type Options struct {
-	// K is the number of partitions (labels). Required, >= 1.
+	// K is the number of partitions (labels). Required, in [1, MaxK].
 	K int
 	// C is the additional-capacity constant c > 1 of Eq. 5. Each partition
 	// may hold up to c·T/k load. Larger values converge faster but allow
@@ -207,8 +213,8 @@ func DefaultOptions(k int) Options {
 
 // normalize fills defaults and validates.
 func (o *Options) normalize() error {
-	if o.K < 1 {
-		return fmt.Errorf("core: K=%d, want >= 1", o.K)
+	if o.K < 1 || o.K > MaxK {
+		return fmt.Errorf("core: K=%d, want 1..%d", o.K, MaxK)
 	}
 	if o.C == 0 {
 		o.C = 1.05

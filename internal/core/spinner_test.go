@@ -21,6 +21,12 @@ func TestNewPartitionerValidation(t *testing.T) {
 	if _, err := NewPartitioner(Options{K: 0}); err == nil {
 		t.Fatal("K=0 accepted")
 	}
+	if _, err := NewPartitioner(Options{K: MaxK + 1}); err == nil {
+		t.Fatal("K=MaxK+1 accepted")
+	}
+	if _, err := NewPartitioner(Options{K: MaxK}); err != nil {
+		t.Fatalf("K=MaxK refused: %v", err)
+	}
 	if _, err := NewPartitioner(Options{K: 4, C: 0.9}); err == nil {
 		t.Fatal("C<=1 accepted")
 	}

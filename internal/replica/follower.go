@@ -27,11 +27,9 @@ type FollowerConfig struct {
 	// into it exactly like a leader, so a crashed follower resumes from
 	// its own state instead of re-bootstrapping.
 	Dir string
-	// Store is the serve configuration. Its partitioner options must match
-	// the leader's but for the seed: a resize's relabel is recomputed from
-	// k and the seed, and the follower records the leader's seed at
-	// bootstrap, which Open adopts (restabilizations are not recomputed;
-	// the follower adopts the leader's journaled relabels).
+	// Store is the serve configuration. Its seed need not match the
+	// leader's: the follower adopts every label change the leader
+	// journaled, restabilizations and resizes alike, and computes none.
 	Store serve.Config
 	// Client is the HTTP client for checkpoint fetch + streaming (default
 	// http.DefaultClient; tests inject the httptest client).
@@ -171,17 +169,6 @@ func (f *Follower) bootstrap() error {
 	payload, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return err
-	}
-	// The leader's seed goes in before the checkpoint, which makes the
-	// dir one that Open recovers: a bootstrap cut short leaves no state.
-	if raw := resp.Header.Get("X-Replica-Seed"); raw != "" {
-		seed, err := strconv.ParseUint(raw, 10, 64)
-		if err != nil {
-			return fmt.Errorf("replica: leader seed: %w", err)
-		}
-		if err := serve.RecordSeed(f.cfg.Dir, seed); err != nil {
-			return err
-		}
 	}
 	if err := wal.WriteCheckpoint(serve.CheckpointDir(f.cfg.Dir), seq, payload); err != nil {
 		return err

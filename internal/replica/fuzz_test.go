@@ -27,7 +27,7 @@ func journalFrames(tb testing.TB) []byte {
 		NewEdges: []graph.WeightedEdgeRecord{{U: 0, V: 1, Weight: 3}}}}}); err != nil {
 		tb.Fatal(err)
 	}
-	if _, _, err := j.AppendGroup([]wal.GroupEntry{{NewK: 5}}); err != nil {
+	if _, _, err := j.AppendGroup([]wal.GroupEntry{{Relabel: []byte{2, 0, 5}}}); err != nil {
 		tb.Fatal(err)
 	}
 	if err := j.Close(); err != nil {

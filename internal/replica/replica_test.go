@@ -6,7 +6,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,6 +17,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/serve"
+	"repro/internal/wal"
 )
 
 // twoClusters mirrors the serve test graph: two dense pseudo-random
@@ -647,35 +650,122 @@ func TestStreamDeliversWithoutPolling(t *testing.T) {
 	}
 }
 
-// A follower adopts its leader's seed: one started with another seed
-// still recomputes a streamed resize's relabel as the leader did, because
-// bootstrap records the leader's seed (X-Replica-Seed) in the follower's
-// dir before the store opens, and Open adopts it.
-func TestFollowerAdoptsLeaderSeed(t *testing.T) {
+// The journal, not a seed, says what the labels are: a leader booted with
+// seed 11 resizes inside an unquiesced group, with growth batches before
+// and after the resize in the same drained group, and both a follower
+// bootstrapped with seed 12 and the leader recovered with seed 12 reach
+// its labels, k and counters bit for bit. The group is held together by a
+// journal write that blocks until the rest of it is queued.
+func TestOtherSeedReachesJournaledLabels(t *testing.T) {
 	ldir, fdir := t.TempDir(), t.TempDir()
-	lcfg := leaderCfg(-1)
-	lcfg.Options.Seed = 11
+	cfg := leaderCfg(-1) // only the initial checkpoint: the journal carries the resize
+	cfg.Options.Seed = 11
 	w, labels := twoClusters(50)
-	leader, err := serve.NewDurable(ldir, w, labels, lcfg)
+	leader, err := serve.NewDurable(ldir, w, labels, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { leader.Close() })
-	hs, _ := leaderHTTP(t, leader, ldir)
-	fcfg := leaderCfg(-1)
-	fcfg.Options.Seed = 0
-	fl := startFollower(t, hs.URL, fdir, fcfg)
+	n := len(labels)
+	grow := func() *graph.Mutation {
+		m := &graph.Mutation{NewVertices: 3}
+		for i := 0; i < 3; i++ {
+			m.NewEdges = append(m.NewEdges,
+				graph.WeightedEdgeRecord{U: graph.VertexID(n + i), V: graph.VertexID((7*n + 13*i) % 100), Weight: 2},
+				graph.WeightedEdgeRecord{U: graph.VertexID(n + i), V: graph.VertexID((n + i + 1) % (n + 3)), Weight: 1})
+		}
+		n += 3
+		return m
+	}
+	submit := func(m *graph.Mutation) {
+		t.Helper()
+		if err := leader.Submit(m); err != nil {
+			t.Fatal(err)
+		}
+	}
 
+	// The first batch's journal write parks the coordinator until the
+	// group behind it is queued.
+	var parked atomic.Bool
+	parked.Store(true)
+	entered, release := make(chan struct{}), make(chan struct{})
+	restore := wal.InjectFaults(func(f *os.File, b []byte) (int, error) {
+		if parked.CompareAndSwap(true, false) {
+			close(entered)
+			<-release
+		}
+		return f.Write(b)
+	}, nil)
+	defer restore()
+	submit(&graph.Mutation{NewEdges: []graph.WeightedEdgeRecord{{U: 1, V: 60, Weight: 3}}})
+	<-entered
+	submit(grow())
+	submit(grow())
 	if err := leader.Resize(4); err != nil {
 		t.Fatal(err)
 	}
+	submit(grow())
+	submit(grow())
+	close(release)
 	if err := leader.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
+	restore()
+
+	// The resize's relabel sits between the growth batches that came
+	// before it and those that came after it.
+	var kinds []string
+	if _, err := wal.Replay(serve.JournalDir(ldir), 0, func(r wal.Record) error {
+		kind := "mutation"
+		if r.Type == wal.RecordRelabel {
+			d, err := serve.DecodeDelta(r.Relabel)
+			if err != nil {
+				return err
+			}
+			kind = fmt.Sprintf("relabel gen %d k=%d", d.Gen, d.K)
+		}
+		kinds = append(kinds, kind)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"mutation", "mutation", "mutation", "relabel gen 1 k=4", "mutation", "mutation"}
+	if len(kinds) < len(want) || !slices.Equal(kinds[:len(want)], want) {
+		t.Fatalf("journal holds %v, want it to start %v", kinds, want)
+	}
+	if got := leader.Snapshot(); got.K != 4 || len(got.Labels) != 112 {
+		t.Fatalf("leader at k=%d with %d labels, want k=4 with 112", got.K, len(got.Labels))
+	}
+
+	elastic := func(st *serve.Store) [2]int64 {
+		c := st.Counters()
+		return [2]int64{c.ElasticResizes.Load(), c.ElasticSeedMoved.Load()}
+	}
+	hs, _ := leaderHTTP(t, leader, ldir)
+	other := leaderCfg(-1)
+	other.Options.Seed = 12
+	fl := startFollower(t, hs.URL, fdir, other)
 	waitApplied(t, fl, leader.JournalSeq())
-	requireSameState(t, "follower started with seed 0", fl.Store(), leader)
-	if seed, ok, err := serve.RecordedSeed(fdir); err != nil || !ok || seed != 11 {
-		t.Fatalf("follower dir records seed %d (ok %v, err %v), want the leader's 11", seed, ok, err)
+	requireSameState(t, "follower started with seed 12", fl.Store(), leader)
+	if got, want := elastic(fl.Store()), elastic(leader); got != want || want[0] != 1 {
+		t.Fatalf("follower's resizes and seed-moved vertices %v, leader's %v", got, want)
+	}
+
+	if err := leader.Close(); err != nil {
+		t.Fatal(err)
+	}
+	other.DegradeFactor = 1e9 // the recovered leader starts no run of its own before the comparison
+	rec, err := serve.Open(ldir, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	requireSameState(t, "leader recovered with seed 12", rec, leader)
+	if got, want := elastic(rec), elastic(leader); got != want {
+		t.Fatalf("recovered resizes and seed-moved vertices %v, leader's %v", got, want)
+	}
+	if err := rec.Resize(4); err != serve.ErrKUnchanged {
+		t.Fatalf("Resize(4) after recovery = %v, want ErrKUnchanged", err)
 	}
 }
 

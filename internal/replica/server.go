@@ -87,22 +87,12 @@ func (s *Server) applyRetentionLocked() {
 
 // ServeCheckpoint streams the leader's latest checkpoint payload for
 // follower bootstrap; X-Replica-Epoch and X-Checkpoint-Seq headers carry
-// the fencing epoch and the sequence the payload covers through, and
-// X-Replica-Seed the seed the leader's dir records (serve.RecordedSeed),
-// which the follower adopts: a resize's relabel is recomputed from it.
+// the fencing epoch and the sequence the payload covers through.
 func (s *Server) ServeCheckpoint(w http.ResponseWriter, r *http.Request) {
 	seq, payload, err := wal.LatestCheckpoint(serve.CheckpointDir(s.dir))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
-	}
-	seed, ok, err := serve.RecordedSeed(s.dir)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	if ok {
-		w.Header().Set("X-Replica-Seed", strconv.FormatUint(seed, 10))
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Replica-Epoch", strconv.FormatUint(s.epoch(), 10))

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/wal"
 )
@@ -300,6 +301,11 @@ func TestResizeKUnchangedAtomic(t *testing.T) {
 	}
 	defer st.Close()
 
+	// A k past core.MaxK is refused synchronously and claims nothing: the
+	// target stays 2.
+	if err := st.Resize(core.MaxK + 1); err == nil || errors.Is(err, ErrKUnchanged) {
+		t.Fatalf("resize to MaxK+1 err = %v, want a range error", err)
+	}
 	if err := st.Resize(2); !errors.Is(err, ErrKUnchanged) {
 		t.Fatalf("resize to current k err = %v, want ErrKUnchanged", err)
 	}

@@ -78,11 +78,12 @@ func TestOpenChecksCheckpointCounters(t *testing.T) {
 	}
 }
 
-// requireRefused journals a batch past dir's last record, next-1, followed
-// by a torn write, and requires Open to fail with ErrCheckpointVersion and
-// leave every file as it found it: the torn tail is not truncated, and
-// nothing is replayed or checkpointed.
-func requireRefused(t *testing.T, dir string, next uint64) {
+// requireRefused journals a batch at next, in a segment of its own past
+// dir's last record, followed by a torn write, and requires Open to fail
+// with ErrCheckpointVersion and leave every file as it found it: the torn
+// tail is not truncated, and nothing is replayed or checkpointed. It
+// returns Open's error.
+func requireRefused(t *testing.T, dir string, next uint64) error {
 	t.Helper()
 	appendJournal(t, dir, next, &graph.Mutation{NewEdges: []graph.WeightedEdgeRecord{{U: 43, V: 12, Weight: 2}}})
 	seg, err := os.OpenFile(filepath.Join(journalDir(dir), fmt.Sprintf("wal-%016x.log", next)), os.O_APPEND|os.O_WRONLY, 0)
@@ -107,10 +108,11 @@ func requireRefused(t *testing.T, dir string, next uint64) {
 	if after := dirFiles(t, dir); !maps.EqualFunc(after, before, bytes.Equal) {
 		t.Fatalf("Open changed the refused dir: %d files before, %d after", len(before), len(after))
 	}
+	return err
 }
 
-// TestOpenRefusesVersion1: Open reads version 2 only. parentDir with its
-// newest checkpoint rewritten as version 1 is refused.
+// TestOpenRefusesVersion1: parentDir with its newest checkpoint
+// rewritten as version 1 is refused.
 func TestOpenRefusesVersion1(t *testing.T) {
 	t.Run("base", func(t *testing.T) {
 		dir := copyDataDir(t, parentDir)
@@ -122,13 +124,24 @@ func TestOpenRefusesVersion1(t *testing.T) {
 		if err := wal.WriteCheckpoint(ckptDir(dir), seq, payload); err != nil {
 			t.Fatal(err)
 		}
-		requireRefused(t, dir, 23)
+		requireRefused(t, dir, 22)
 	})
 }
 
-// TestOpenRefusesDeltaCheckpoints: chainDir, as checked in, holds two
-// delta checkpoints above its full one, which Open no longer composes;
-// it is refused before its 13-record journal is read.
-func TestOpenRefusesDeltaCheckpoints(t *testing.T) {
-	requireRefused(t, copyDataDir(t, chainDir), 14)
+// TestOpenRefusesVersion2DataDirs: Open reads version 3 only. Each
+// version-2 dir as checked in is refused before its journal is read —
+// child-5fbc4f6 with its .dckp delta checkpoints, the only copy of its
+// restabilizations' labels, among them — and the message names the last
+// commit that opens it.
+func TestOpenRefusesVersion2DataDirs(t *testing.T) {
+	for _, dir := range version2Dirs {
+		t.Run(filepath.Base(dir), func(t *testing.T) {
+			// Each dir's journal is one segment of at most 22 records, so
+			// a segment starting at 100 is one of its own.
+			err := requireRefused(t, copyDataDir(t, dir), 100)
+			if !strings.Contains(err.Error(), "a37e735") {
+				t.Fatalf("the refusal does not name the last commit that opens the dir: %v", err)
+			}
+		})
+	}
 }

@@ -7,8 +7,9 @@ package serve
 // ring to HTTP clients so routers and caches can track label movement
 // without re-pulling snapshots (the paper's "maintain, don't recompute"
 // story applied to the serving edge), and the journal records each
-// restabilization merge as the EncodeDelta payload of its label runs (a
-// wal.RecordRelabel), so the record's size scales with churn, not |E|.
+// restabilization merge and each resize's relabel as the EncodeDelta
+// payload of its label runs (a wal.RecordRelabel), so the record's size
+// scales with churn, not |E|.
 //
 // Sequencing: delta sequence numbers are dense, 1-based, and per-process
 // (they restart when the store restarts — a consumer holding a seq from a
@@ -98,17 +99,16 @@ func (d *Delta) RunVertices() int {
 //
 //	u16 version | u64 seq | u64 epoch | u64 gen | u32 k | u32 n
 //	i64 cross | i64 total
-//	u32 nbounds | nbounds × u64
 //	u32 nruns | per run: u32 start | u32 len | len × u32 labels
 //
-// The bounds section is written empty. Older, sharded stores wrote their
-// shard boundaries there, in watch frames and relabel records; decoding
-// checks its length and skips it.
-const deltaVersion = 1
+// Every byte is read: whatever decodes re-encodes to the same payload.
+// Version 1 carried a shard-bounds section before the runs, dead since the
+// store had one writer; it is not read.
+const deltaVersion = 2
 
 // EncodeDelta serializes d into its binary payload.
 func EncodeDelta(d *Delta) []byte {
-	size := 2 + 8*3 + 4*2 + 8*2 + 4 + 4
+	size := 2 + 8*3 + 4*2 + 8*2 + 4
 	for _, r := range d.Runs {
 		size += 8 + 4*len(r.Labels)
 	}
@@ -121,7 +121,6 @@ func EncodeDelta(d *Delta) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(d.N))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(d.Cross))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(d.Total))
-	buf = binary.LittleEndian.AppendUint32(buf, 0) // no bounds
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(d.Runs)))
 	for _, r := range d.Runs {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Start))
@@ -184,11 +183,6 @@ func DecodeDelta(payload []byte) (*Delta, error) {
 	if d.K < 0 || d.N < 0 || d.N > graph.MaxVertices {
 		return nil, fmt.Errorf("serve: delta declares k=%d n=%d", d.K, d.N)
 	}
-	nBounds := int(r.u32())
-	if r.err == nil && (nBounds < 0 || nBounds > 1<<20) {
-		return nil, fmt.Errorf("serve: delta declares %d bounds", nBounds)
-	}
-	r.take(8 * nBounds)
 	d.Runs = readRuns(r)
 	if r.err != nil {
 		return nil, fmt.Errorf("serve: delta: %w", r.err)

@@ -2,11 +2,11 @@ package serve
 
 import (
 	"bytes"
-	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -349,37 +349,19 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// A payload with bounds, as sharded stores wrote them, decodes with the
-	// bounds skipped and re-encodes without them.
-	payload := EncodeDelta(cases[2])
-	sharded := withDeltaBounds(payload, 0, 4, 8)
-	if got, err := DecodeDelta(sharded); err != nil || !bytes.Equal(EncodeDelta(got), payload) {
-		t.Fatalf("payload with bounds: %v, re-encoded %x, want %x", err, EncodeDelta(got), payload)
-	}
-	if _, err := DecodeDelta(sharded[:deltaBoundsAt+4+8]); err == nil {
-		t.Fatal("payload torn inside its bounds accepted")
+	// A version-1 payload, with its bounds section, is refused.
+	v1, _ := hex.DecodeString(goldenDeltaV1)
+	if _, err := DecodeDelta(v1); err == nil || !strings.Contains(err.Error(), "delta version 1") {
+		t.Fatalf("version-1 payload: %v, want a version error", err)
 	}
 	// Corruption is rejected: trailing garbage and truncation.
+	payload := EncodeDelta(cases[2])
 	if _, err := DecodeDelta(append(payload, 0)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 	if _, err := DecodeDelta(payload[:len(payload)-1]); err == nil {
 		t.Fatal("truncated payload accepted")
 	}
-}
-
-// deltaBoundsAt is the offset of a delta payload's bounds count.
-const deltaBoundsAt = 2 + 8*3 + 4*2 + 8*2
-
-// withDeltaBounds returns payload, written with no bounds, with bounds in
-// its bounds section.
-func withDeltaBounds(payload []byte, bounds ...uint64) []byte {
-	out := slices.Clone(payload[:deltaBoundsAt])
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(bounds)))
-	for _, b := range bounds {
-		out = binary.LittleEndian.AppendUint64(out, b)
-	}
-	return append(out, payload[deltaBoundsAt+4:]...)
 }
 
 // Every store opens its feed with a baseline delta at seq 1 that alone
@@ -423,20 +405,20 @@ func TestBaselineDeltaReconstructsLabels(t *testing.T) {
 
 func FuzzDeltaCodec(f *testing.F) {
 	f.Add(EncodeDelta(&Delta{}))
-	f.Add(withDeltaBounds(EncodeDelta(&Delta{Seq: 3, Epoch: 1, Gen: 2, K: 4, N: 6, Cross: 5, Total: 9,
-		Runs: []LabelRun{{Start: 2, Labels: []int32{1, 0}}}}), 0, 3, 6))
+	f.Add(EncodeDelta(&Delta{Seq: 3, Epoch: 1, Gen: 2, K: 4, N: 6, Cross: 5, Total: 9,
+		Runs: []LabelRun{{Start: 2, Labels: []int32{1, 0}}}}))
 	f.Add([]byte{1, 0})
+	v1, _ := hex.DecodeString(goldenDeltaV1) // refused: a previous version
+	f.Add(v1)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		d, err := DecodeDelta(b)
 		if err != nil {
 			return
 		}
-		// The codec is canonical but for the bounds, which decoding skips:
-		// re-encoding must give the same bytes with an empty bounds section.
-		nBounds := int(binary.LittleEndian.Uint32(b[deltaBoundsAt:]))
-		want := slices.Concat(b[:deltaBoundsAt], make([]byte, 4), b[deltaBoundsAt+4+8*nBounds:])
-		if enc := EncodeDelta(d); !bytes.Equal(enc, want) {
-			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", enc, want)
+		// The codec is canonical: whatever decodes re-encodes to exactly
+		// the input.
+		if enc := EncodeDelta(d); !bytes.Equal(enc, b) {
+			t.Fatalf("re-encode mismatch:\n got %x\nwant %x", enc, b)
 		}
 		// Every strict prefix is torn and must be rejected.
 		for cut := 0; cut < len(b); cut += 1 + cut/4 {

@@ -8,7 +8,7 @@ package serve
 // checkpoints maintain starts:
 //
 //   - Commit, journal (journalGroup → wal.AppendGroup): the drained
-//     group's mutations, resizes and relabels (each entry holds the
+//     group's mutations and relabels (each entry holds the
 //     wal.GroupEntry the journal writes) are durably appended to the
 //     segmented CRC-framed journal as ONE group — one frame-staging pass,
 //     one write syscall, and (under wal.SyncAlways) one fsync for the whole
@@ -46,16 +46,15 @@ package serve
 //     checkpoint is in flight; the write plane never stops for the state
 //     encode. NewDurable writes an initial checkpoint and Close a final
 //     one synchronously (after waiting out an in-flight capture).
-//   - Relabels: a completed restabilization is journaled as its own
-//     record (wal.RecordRelabel, the label runs it changed) in a group of
-//     one, then applied at that position — so the journal says where
-//     every merge landed, and nothing but the leader computes one.
-//   - The seed (NewDurable): replay recomputes a resize's immediate
-//     relabel from core.Options.Seed, so NewDurable records the seed in
-//     the dir (RecordSeed, a file installed atomically) and Open adopts
-//     it, whatever seed its caller passes. A follower records its
-//     leader's seed before it opens. A dir without the record, written
-//     before it existed, opens with the caller's seed.
+//   - Relabels: a completed restabilization and a resize's immediate
+//     relabel are each journaled as a record of their own
+//     (wal.RecordRelabel, the label runs it changed) in a group of one,
+//     then applied at that position — so the journal says what every label is, and nothing but
+//     the leader computes one. A resize request splits the group it was
+//     drained in: the entries before it commit first, the ones after it
+//     last. Recovery and followers therefore need no seed: a store opened
+//     with any core.Options.Seed reaches the journaled labels, and the
+//     seed only drives new boots and the leader's own runs.
 //   - Recovery (Open): load the newest checkpoint that verifies, rebuild
 //     the store over it (its counters recomputed exactly and checked
 //     against the stored ones), then replay the journal tail through
@@ -85,13 +84,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
-	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/wal"
@@ -164,33 +161,6 @@ type durable struct {
 
 func journalDir(dir string) string { return filepath.Join(dir, "journal") }
 func ckptDir(dir string) string    { return filepath.Join(dir, "checkpoints") }
-func seedPath(dir string) string   { return filepath.Join(dir, seedFile) }
-
-// seedFile names the seed record in a data dir.
-const seedFile = "seed"
-
-// RecordSeed installs dir's seed record (wal.InstallFile), which Open
-// adopts: NewDurable records its caller's seed, and a follower records
-// its leader's before it opens.
-func RecordSeed(dir string, seed uint64) error {
-	return wal.InstallFile(dir, seedFile, []byte(strconv.FormatUint(seed, 10)+"\n"))
-}
-
-// RecordedSeed returns the core.Options.Seed that dir's store was created
-// with, which Open adopts; ok is false when dir holds no record.
-func RecordedSeed(dir string) (seed uint64, ok bool, err error) {
-	b, err := os.ReadFile(seedPath(dir))
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, false, nil
-	}
-	if err == nil {
-		seed, err = strconv.ParseUint(strings.TrimSpace(string(b)), 10, 64)
-	}
-	if err != nil {
-		return 0, false, fmt.Errorf("serve: seed record in %s: %w", dir, err)
-	}
-	return seed, true, nil
-}
 
 // journalBytes is the byte count the journal appended in this process:
 // journalBytes() - jrnBase is the journal above the newest checkpoint.
@@ -219,10 +189,9 @@ func HasState(dir string) bool {
 	return err == nil && len(seqs) > 0
 }
 
-// NewDurable is New plus durability: it records cfg.Options.Seed and
-// writes an initial checkpoint of the starting state into dir, opens the
-// journal, and returns a Store that journals every accepted entry before
-// applying it. dir must not already hold store state (use Open to
+// NewDurable is New plus durability: it writes an initial checkpoint of
+// the starting state into dir, opens the journal, and returns a Store that
+// journals every accepted entry before applying it. dir must not already hold store state (use Open to
 // recover).
 func NewDurable(dir string, w *graph.Weighted, labels []int32, cfg Config) (*Store, error) {
 	if err := cfg.normalize(); err != nil {
@@ -237,9 +206,6 @@ func NewDurable(dir string, w *graph.Weighted, labels []int32, cfg Config) (*Sto
 		return nil, err
 	}
 	s.d = &durable{dir: dir, cfg: cfg.Durability}
-	if err := RecordSeed(dir, cfg.Options.Seed); err != nil {
-		return nil, err
-	}
 	// Initial checkpoint at sequence 0: recovery of an empty journal must
 	// reproduce exactly the construction-time state.
 	if err := s.checkpointNow(); err != nil {
@@ -272,15 +238,14 @@ func BootstrapDurable(dir string, g *graph.Graph, cfg Config) (*Store, error) {
 // replays the journal past it through ApplyRecord (adopting relabel
 // records, restabilizing nothing — see the durability comment above),
 // verifies the counters again with an exact reconcile, and resumes
-// journaling new entries. It runs with the seed dir records (see
-// RecordedSeed) in place of cfg.Options.Seed. Returns wal.ErrNoCheckpoint
-// (wrapped) when dir holds no state.
+// journaling new entries. The journal says what every label is, so any
+// cfg.Options.Seed recovers the same state; the seed drives only the runs
+// the recovered leader starts. Returns wal.ErrNoCheckpoint (wrapped) when
+// dir holds no state.
 //
-// Every checkpoint must carry the current version, 2, and no delta
-// checkpoint (a .dckp link, which older code chained above a full one)
-// may lie above the checkpoint Open loads; either fails Open with
-// ErrCheckpointVersion before the journal is read, so the directory is
-// left as it was. Batches that were rejected live re-reject identically
+// The checkpoint must carry the current version, 3; another fails Open
+// with ErrCheckpointVersion before the journal is read, so the directory
+// is left as it was. Batches that were rejected live re-reject identically
 // during replay; such errors are observable via Err, as they were, and do
 // not fail recovery. Journal or checkpoint corruption does.
 func Open(dir string, cfg Config) (*Store, error) { return open(dir, cfg, false) }
@@ -295,22 +260,14 @@ func open(dir string, cfg Config, readOnly bool) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: opening %s: %w", dir, err)
 	}
-	// Both refusals come before the journal is read, since Replay
+	// The version check comes before the journal is read, since Replay
 	// truncates a torn tail.
-	if err := refuseDeltaLinks(ckptDir(dir), seq); err != nil {
-		return nil, fmt.Errorf("serve: opening %s: %w", dir, err)
-	}
 	st, err := decodeCheckpoint(payload)
 	if err != nil {
 		return nil, fmt.Errorf("serve: checkpoint %d in %s: %w", seq, dir, err)
 	}
 	if st.seq != seq {
 		return nil, fmt.Errorf("serve: checkpoint file %d declares inner seq %d", seq, st.seq)
-	}
-	if seed, ok, err := RecordedSeed(dir); err != nil {
-		return nil, err
-	} else if ok {
-		cfg.Options.Seed = seed
 	}
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -381,27 +338,6 @@ func open(dir string, cfg Config, readOnly bool) (*Store, error) {
 	return s, nil
 }
 
-// refuseDeltaLinks fails with ErrCheckpointVersion when dir holds a delta
-// checkpoint above the checkpoint at base. Older code wrote such links,
-// named ckpt-%016x.dckp, with the label runs since the previous encoding;
-// in a dir written before relabels were journaled they are the only copy
-// of those labels, so a replay from base alone would not reproduce them.
-func refuseDeltaLinks(dir string, base uint64) error {
-	names, err := filepath.Glob(filepath.Join(dir, "ckpt-*.dckp"))
-	if err != nil {
-		return err
-	}
-	for _, name := range names {
-		var seq uint64
-		if _, err := fmt.Sscanf(filepath.Base(name), "ckpt-%016x.dckp", &seq); err == nil && seq > base {
-			return fmt.Errorf("delta checkpoint %d lies above checkpoint %d; run spinnerd from commit 3522d97 "+
-				"on the dir once with -max-delta-chain -1 and stop it with SIGTERM, and its final checkpoint "+
-				"prunes the delta checkpoints: %w", seq, base, ErrCheckpointVersion)
-		}
-	}
-	return nil
-}
-
 // control sends run through the ordered log as a control entry and waits
 // for its reply (see the control type; a nil run is a quiesce).
 func (s *Store) control(run func() error) error {
@@ -437,7 +373,7 @@ func (s *Store) reconcileNow() error {
 // Durable reports whether the store journals and checkpoints to disk.
 func (s *Store) Durable() bool { return s.d != nil }
 
-// journalGroup durably records every mutation, resize and relabel in the
+// journalGroup durably records every mutation and relabel in the
 // drained group — framed by wal.AppendGroup as one write and at most one fsync —
 // before any of them is applied. This is the group-commit stage: the
 // per-entry durability boundary (journal-before-apply) is preserved
@@ -631,32 +567,32 @@ func (s *Store) finishDurable() {
 // and covering sequence live in internal/wal):
 //
 //	u16 version | u64 seq | u64 applied | i64 appliedAtRestab
-//	i64 lastReconcile | u64 gen | u64 epoch | f64 baseline | u8 flags
-//	u32 k | u32 ranges | (ranges+1) × u64 bounds
-//	u32 n | n × u32 labels
+//	u64 gen | u64 epoch | f64 baseline | u8 flags
+//	u32 k | u32 n | n × u32 labels
 //	i64 cross | i64 total   (cut counters, verified on recovery)
 //	u32 affected | affected × u32 vertex
 //	graph (graph.Weighted).EncodeBinary
 //
-// The lastReconcile and ranges sections are kept for the layout: older,
-// sharded stores wrote the batch count of their last periodic rebalance
-// and their shard ranges there. The store writes 0 and one range [0, n];
-// decoding checks that the ranges tile the vertex space and skips both.
-//
-// Version 2 says the graph, and the journal above it, follow the rule of
-// a simple graph: one arc per neighbour, a re-added edge adding its weight.
-// Version 1 had the same layout but was written while graph.Weighted kept
-// parallel arcs; it is not read (see ErrCheckpointVersion).
+// Every byte is read: whatever decodes re-encodes to the same payload.
+// Version 3 says, besides, that the journal above the checkpoint holds
+// every label change as a relabel record, and that the graph follows the
+// rule of a simple graph: one arc per neighbour, a re-added edge adding
+// its weight. Version 2 held a lastReconcile field after appliedAtRestab
+// and a shard-ranges section after k, both dead since the store had one
+// writer, and its journal recorded a resize as the new k alone, which
+// replay recomputed from the seed. Version 1 was written while
+// graph.Weighted kept parallel arcs. Neither is read (see
+// ErrCheckpointVersion).
 const (
-	ckptVersion = 2
+	ckptVersion = 3
 
 	flagWantRestab = 1 << 0
 )
 
 // ErrCheckpointVersion is wrapped by Open's error when the data dir holds
 // a checkpoint this code does not read: one that does not carry the
-// current version, or a delta checkpoint above the newest full one. The
-// message around it says which commit rewrites the dir.
+// current version. The message around it names the last commit that
+// opens the dir.
 var ErrCheckpointVersion = errors.New("serve: unsupported checkpoint format")
 
 // ckptState is both the capture a checkpoint writes and the state a
@@ -710,12 +646,11 @@ func (s *Store) captureState(clone bool) *ckptState {
 // encodeCheckpoint serializes a captured state into the checkpoint
 // payload.
 func encodeCheckpoint(st *ckptState) []byte {
-	buf := make([]byte, 0, 112+4*len(st.labels)+4*len(st.affected))
+	buf := make([]byte, 0, 84+4*len(st.labels)+4*len(st.affected))
 	buf = binary.LittleEndian.AppendUint16(buf, ckptVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, st.seq)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.applied))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(st.appliedAtRestab))
-	buf = binary.LittleEndian.AppendUint64(buf, 0) // lastReconcile
 	buf = binary.LittleEndian.AppendUint64(buf, st.gen)
 	buf = binary.LittleEndian.AppendUint64(buf, st.epoch)
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(st.baseline))
@@ -725,9 +660,6 @@ func encodeCheckpoint(st *ckptState) []byte {
 	}
 	buf = append(buf, flags)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(st.k))
-	buf = binary.LittleEndian.AppendUint32(buf, 1) // one range, [0, n]
-	buf = binary.LittleEndian.AppendUint64(buf, 0)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(st.labels)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(st.labels)))
 	for _, l := range st.labels {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(l))
@@ -750,13 +682,12 @@ func decodeCheckpoint(payload []byte) (*ckptState, error) {
 	r := &ckptReader{b: payload}
 	st := &ckptState{}
 	if v := r.u16(); r.err == nil && v != ckptVersion {
-		r.fail("checkpoint version %d, want %d; a version-1 data dir is rewritten "+
-			"as version 2 by opening it once with commit bdaf9be: %w", v, ckptVersion, ErrCheckpointVersion)
+		r.fail("checkpoint version %d, want %d; commit a37e735 is the last that opens a version-2 "+
+			"data dir, and bdaf9be the last that opens a version-1 one: %w", v, ckptVersion, ErrCheckpointVersion)
 	}
 	st.seq = r.u64()
 	st.applied = int64(r.u64())
 	st.appliedAtRestab = int64(r.u64())
-	r.u64() // lastReconcile
 	st.gen = r.u64()
 	st.epoch = r.u64()
 	st.baseline = math.Float64frombits(r.u64())
@@ -767,23 +698,12 @@ func decodeCheckpoint(payload []byte) (*ckptState, error) {
 		st.wantRestab = flags[0]&flagWantRestab != 0
 	}
 	st.k = int(int32(r.u32()))
-	nRanges := int(r.u32())
-	if nRanges < 1 || nRanges > 1<<20 {
-		r.fail("checkpoint declares %d ranges", nRanges)
-	}
-	var bounds []uint64
-	if raw := r.take(8 * (nRanges + 1)); r.err == nil {
-		bounds = make([]uint64, nRanges+1)
-		for i := range bounds {
-			bounds[i] = binary.LittleEndian.Uint64(raw[8*i:])
-		}
+	if r.err == nil && (st.k < 1 || st.k > core.MaxK) {
+		r.fail("checkpoint declares k=%d, want 1..%d", st.k, core.MaxK)
 	}
 	n := int(r.u32())
 	if n < 0 || n > graph.MaxVertices {
 		r.fail("checkpoint declares %d labels", n)
-	}
-	if r.err == nil && (bounds[0] != 0 || bounds[nRanges] != uint64(n) || !slices.IsSorted(bounds)) {
-		r.fail("checkpoint ranges %v do not tile %d vertices", bounds, n)
 	}
 	if raw := r.take(4 * n); r.err == nil {
 		st.labels = make([]int32, n)

@@ -4,7 +4,9 @@ package serve
 // this file's fixtures at commit 21e3f19, before the watch-frame envelope
 // moved to internal/frame, the checkpoint metadata block got one codec,
 // and recovery/follower replay got one entry point; the checkpoint
-// version became 2 when graph.Weighted became simple. They pin the
+// version became 2 when graph.Weighted became simple, and 3, with the
+// delta codec's version 2, when the dead sections were dropped and a
+// resize began to journal its relabel. They pin the
 // /v1/watch wire bytes, the checkpoint payload layout, and — through
 // the checked-in data dir — the on-disk files a whole quiesced history
 // leaves behind and the state recovery reads back from them. A diff here
@@ -15,12 +17,14 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
-	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -45,12 +49,7 @@ func TestGoldenWatchFrames(t *testing.T) {
 		{"handshake", WatchFrame{Kind: WatchHandshake, Floor: 3, Next: 17},
 			"0110000000" + "8a8ec29c" + "0300000000000000" + "1100000000000000"},
 		{"delta", WatchFrame{Kind: WatchDelta, Delta: EncodeDelta(delta)},
-			"0256000000" + "c7d0b41b" +
-				"0100" + "0500000000000000" + "0200000000000000" + "0100000000000000" +
-				"04000000" + "06000000" + "0700000000000000" + "2800000000000000" +
-				"00000000" +
-				"02000000" + "01000000" + "02000000" + "02000000" + "00000000" +
-				"05000000" + "01000000" + "03000000"},
+			"0252000000" + "ea663427" + goldenDelta},
 		{"heartbeat", WatchFrame{Kind: WatchHeartbeat, Floor: 3, Next: 18},
 			"0310000000" + "e3098647" + "0300000000000000" + "1200000000000000"},
 		{"end", WatchFrame{Kind: WatchEnd, Floor: 9, Next: 20},
@@ -68,6 +67,21 @@ func TestGoldenWatchFrames(t *testing.T) {
 		}
 	}
 }
+
+// goldenDelta is TestGoldenWatchFrames' delta as EncodeDelta writes it,
+// and goldenDeltaV1 the same delta in version 1, with the empty bounds
+// section that DecodeDelta no longer reads.
+const (
+	goldenDelta = "0200" + "0500000000000000" + "0200000000000000" + "0100000000000000" +
+		"04000000" + "06000000" + "0700000000000000" + "2800000000000000" +
+		"02000000" + "01000000" + "02000000" + "02000000" + "00000000" +
+		"05000000" + "01000000" + "03000000"
+	goldenDeltaV1 = "0100" + "0500000000000000" + "0200000000000000" + "0100000000000000" +
+		"04000000" + "06000000" + "0700000000000000" + "2800000000000000" +
+		"00000000" +
+		"02000000" + "01000000" + "02000000" + "02000000" + "00000000" +
+		"05000000" + "01000000" + "03000000"
+)
 
 // goldenCkptState is a fixed 6-vertex state with every metadata field
 // set to a distinct value.
@@ -91,20 +105,19 @@ func goldenCkptState() *ckptState {
 	}
 }
 
-// The version is 2 since graph.Weighted became simple; the layout is
-// version 1's, which Open refuses (ErrCheckpointVersion).
-const goldenMetaHead = "0200" + // version
+// The version is 3 since the lastReconcile field and the ranges section
+// were dropped. goldenMetaHeadV2 is the same state in version 2, with
+// lastReconcile 0 after appliedAtRestab and one range [0, 6] after k,
+// which Open refuses (ErrCheckpointVersion).
+const goldenMetaHead = "0300" + // version
+	"0b00000000000000" + "0900000000000000" + "0600000000000000" +
+	"0200000000000000" + "0300000000000000" + "000000000000c03f" + "01" +
+	"03000000" + // k
+	"06000000" // n
+const goldenMetaHeadV2 = "0200" +
 	"0b00000000000000" + "0900000000000000" + "0600000000000000" + "0000000000000000" +
 	"0200000000000000" + "0300000000000000" + "000000000000c03f" + "01" +
 	"03000000" + "01000000" + "0000000000000000" + "0600000000000000" +
-	"06000000" // n
-// goldenShardedHead is goldenMetaHead as a sharded store wrote it: the
-// batch count of its last periodic rebalance (4) and two shard ranges,
-// [0, 2) and [2, 6).
-const goldenShardedHead = "0200" +
-	"0b00000000000000" + "0900000000000000" + "0600000000000000" + "0400000000000000" +
-	"0200000000000000" + "0300000000000000" + "000000000000c03f" + "01" +
-	"03000000" + "02000000" + "0000000000000000" + "0200000000000000" + "0600000000000000" +
 	"06000000"
 const goldenMetaTail = "0500000000000000" + "0f00000000000000" +
 	"02000000" + "01000000" + "04000000"
@@ -132,41 +145,27 @@ func TestGoldenCheckpointPayloads(t *testing.T) {
 	if !bytes.Equal(encodeCheckpoint(dec), full) {
 		t.Fatal("full checkpoint does not re-encode to the same bytes")
 	}
-	// A sharded store's checkpoint decodes with those two sections skipped,
-	// to the same state.
-	head, _ := hex.DecodeString(goldenMetaHead)
-	sharded, _ := hex.DecodeString(goldenShardedHead)
-	sharded = append(sharded, full[len(head):]...)
-	if dec, err := decodeCheckpoint(sharded); err != nil || !bytes.Equal(encodeCheckpoint(dec), full) {
-		t.Fatalf("sharded checkpoint: %v, or it re-encodes to other bytes", err)
+	if _, err := decodeCheckpoint(goldenCkptV2(full)); !errors.Is(err, ErrCheckpointVersion) {
+		t.Fatalf("version-2 checkpoint: %v, want ErrCheckpointVersion", err)
 	}
-	sharded[ckptRangesAt+4+8] = 7 // ranges [0, 7) and [7, 6) do not tile
-	if _, err := decodeCheckpoint(sharded); err == nil {
-		t.Fatal("checkpoint whose ranges do not tile its vertices decoded")
+	// A k past core.MaxK is refused before anything is sized by it.
+	huge := bytes.Clone(full)
+	binary.LittleEndian.PutUint32(huge[len(goldenMetaHead)/2-8:], core.MaxK+1)
+	if _, err := decodeCheckpoint(huge); err == nil || !strings.Contains(err.Error(), "k=65537") {
+		t.Fatalf("checkpoint at k=MaxK+1: %v, want a k error", err)
 	}
 }
 
-// ckptRangesAt is the offset of a checkpoint payload's range count, and
-// ckptReconcileAt that of its lastReconcile field.
-const ckptRangesAt, ckptReconcileAt = 63, 26
-
-// canonicalCkpt returns b, a payload decodeCheckpoint accepted, with the
-// sections decoding skips as the store writes them: lastReconcile 0 and
-// one range [0, n].
-func canonicalCkpt(b []byte) []byte {
-	end := ckptRangesAt + 4 + 8*(int(binary.LittleEndian.Uint32(b[ckptRangesAt:]))+1)
-	out := slices.Clone(b[:ckptRangesAt])
-	clear(out[ckptReconcileAt : ckptReconcileAt+8])
-	out = binary.LittleEndian.AppendUint32(out, 1)
-	out = binary.LittleEndian.AppendUint64(out, 0)
-	out = append(out, b[end-8:end]...) // the last bound, n
-	return append(out, b[end:]...)
+// goldenCkptV2 returns full, goldenCkptState's payload, as version 2
+// wrote it.
+func goldenCkptV2(full []byte) []byte {
+	v2, _ := hex.DecodeString(goldenMetaHeadV2)
+	return append(v2, full[len(goldenMetaHead)/2:]...)
 }
 
 // FuzzCheckpointPayload: the checkpoint decoder does not panic on
-// arbitrary bytes, and the codec is canonical but for the two sections
-// decoding skips — whatever the decoder accepts re-encodes to the same
-// bytes with those sections as the store writes them.
+// arbitrary bytes, and the codec is canonical — whatever the decoder
+// accepts re-encodes to exactly the input.
 func FuzzCheckpointPayload(f *testing.F) {
 	st := goldenCkptState()
 	full := encodeCheckpoint(st)
@@ -175,8 +174,7 @@ func FuzzCheckpointPayload(f *testing.F) {
 	v1 := bytes.Clone(full)
 	v1[0] = 1 // version 0100
 	f.Add(v1)
-	head, _ := hex.DecodeString(goldenShardedHead)
-	f.Add(append(head, full[len(head):]...))
+	f.Add(goldenCkptV2(full)) // refused: the previous version
 	var golden bytes.Buffer
 	_ = st.w.EncodeBinary(&golden)
 	meta := full[:len(full)-golden.Len()]
@@ -197,46 +195,30 @@ func FuzzCheckpointPayload(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if st, err := decodeCheckpoint(b); err == nil {
-			if enc, want := encodeCheckpoint(st), canonicalCkpt(b); !bytes.Equal(enc, want) {
-				t.Fatalf("checkpoint re-encodes to\n%x\nnot\n%x", enc, want)
+			if enc := encodeCheckpoint(st); !bytes.Equal(enc, b) {
+				t.Fatalf("checkpoint re-encodes to\n%x\nnot\n%x", enc, b)
 			}
 		}
 	})
 }
 
-// chainDir is the data dir playParentHistory left with NoFinalCheckpoint
-// at the first commit after 5fbc4f6, when graph.Weighted became simple
-// and checkpoints version 2: a full base checkpoint, two .dckp delta
-// checkpoints chained above it, and a journal of 13 records without
-// relabel records. Open refuses it (TestOpenRefusesDeltaCheckpoints):
-// its links are the only copy of its restabilizations' labels.
-const chainDir = "testdata/child-5fbc4f6"
+// parentDir is the data dir playParentHistory leaves since the first
+// commit after a37e735, when checkpoints became version 3 and a resize
+// began to journal its relabel: the initial checkpoint, one periodic
+// checkpoint at seq 19, and a journal of 21 records — 11 mutations, 2
+// resize relabels and 8 merge relabels. Its expect.json is the state Open
+// recovers from it; its "Why" says how that differs from child-182a728's.
+const parentDir = "testdata/child-a37e735"
 
-// shardedDir is the data dir the same history leaves with
-// NoFinalCheckpoint since a periodic checkpoint also waits for the
-// journal to outweigh the newest one (the first commit after 3522d97),
-// written by the sharded store at two shards: 22 records — 11 mutations,
-// 2 resizes and 9 relabels — the initial checkpoint, and one periodic
-// checkpoint at seq 21, where the journal first outweighs the initial
-// one. Its checkpoints record two vertex ranges, which Open checks and
-// ignores. expect.json is the state Open recovers from it; its "Why" says
-// why Replayed is 1 where the dir with delta checkpoints that a587a1e's
-// child wrote replayed 6.
-const shardedDir = "testdata/child-3522d97"
-
-// oneWriterDir is the dir the one-writer store left after the same
-// history (the first commit after 1cabcb4): shardedDir's journal, and
-// checkpoints that record one range [0, n] where shardedDir's record
-// two.
-const oneWriterDir = "testdata/child-1cabcb4"
-
-// parentDir is the dir the same history leaves since the first commit
-// after 182a728, when every draw of a run became a pure function of
-// (seed, superstep, vertex, site): the restabilizations draw anew, and
-// the journal holds 8 relabels where oneWriterDir's holds 9. Its
-// expect.json is the state Open recovers from it; its "Why" says how that
-// differs from shardedDir's.
-const parentDir = "testdata/child-182a728"
+// version2Dirs are the data dirs the same history left with
+// NoFinalCheckpoint while checkpoints were version 2, each named after
+// the commit whose child wrote it: child-5fbc4f6 chained two .dckp delta
+// checkpoints above its full one; child-3522d97's sharded store recorded
+// two vertex ranges, and child-1cabcb4's one writer one; child-182a728
+// drew every run from rng.At. Their journals hold resize records (type
+// 2), which replay recomputed from the seed. Open refuses each
+// (TestOpenRefusesVersion2DataDirs).
+var version2Dirs = []string{"testdata/child-182a728", "testdata/child-1cabcb4", "testdata/child-3522d97", "testdata/child-5fbc4f6"}
 
 func parentCfg() Config {
 	cfg := durableCfg(4)
@@ -323,8 +305,8 @@ func dirFiles(t *testing.T, root string) map[string][]byte {
 
 func TestParentDataDir(t *testing.T) {
 	// Today's code, playing the same history, must leave the same bytes
-	// on disk as when the labels, the journal's records or the checkpoint
-	// rule last changed.
+	// on disk as when the labels, the journal's records, the checkpoint
+	// layout or the checkpoint rule last changed.
 	t.Run("writes-identical-files", func(t *testing.T) {
 		wantFiles := dirFiles(t, parentDir)
 		dir := t.TempDir()
@@ -348,20 +330,16 @@ func TestParentDataDir(t *testing.T) {
 		}
 	})
 
-	// And every dir must recover to its recorded state: the two older ones
-	// to the state recorded beside the sharded one.
+	// And the dir must recover to its recorded state.
 	t.Run("recovers-parent-state", func(t *testing.T) {
-		for _, dir := range []string{shardedDir, oneWriterDir} {
-			t.Run(filepath.Base(dir), func(t *testing.T) { recoverParentState(t, dir, shardedDir) })
-		}
-		t.Run(filepath.Base(parentDir), func(t *testing.T) { recoverParentState(t, parentDir, parentDir) })
+		t.Run(filepath.Base(parentDir), func(t *testing.T) { recoverParentState(t, parentDir) })
 	})
 }
 
 // recoverParentState opens a copy of dir and compares what it recovers
-// with expectDir's expect.json.
-func recoverParentState(t *testing.T, dir, expectDir string) {
-	raw, err := os.ReadFile(filepath.Join(expectDir, "expect.json"))
+// with its expect.json.
+func recoverParentState(t *testing.T, dir string) {
+	raw, err := os.ReadFile(filepath.Join(dir, "expect.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

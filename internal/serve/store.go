@@ -53,12 +53,13 @@
 //     relabel entry: the label runs it changed, journaled
 //     (wal.RecordRelabel) and then applied at that log position, by the
 //     same code a follower and journal replay adopt it with
-//     (applyRelabel). Only a writable, journaling store restabilizes; a
-//     follower or a replaying store never computes a relabeling, it
-//     adopts the journaled one. Elastic k→k′ (§III-E) relabels the
-//     n/(k+n) fraction at once (a function of k′ and the seed, so a
-//     resize record is enough to replay it) and repairs in the
-//     background; in-flight runs from the old k-space are discarded.
+//     (applyRelabel). Elastic k→k′ (§III-E) relabels the n/(k+n)
+//     fraction at once and repairs in the background; the coordinator
+//     computes that relabel at the resize's log position and journals it
+//     the same way, in-flight runs from the old k-space are discarded, and
+//     the journal, not a seed, says what the labels are. Only a writable,
+//     journaling store restabilizes or resizes; a follower or a replaying
+//     store never computes a relabeling, it adopts the journaled one.
 //     Both land through one function, relabel: it swaps the new label
 //     array in, moves the counters by the arcs of the vertices whose
 //     label changed (or, past moveShare, counts them again), publishes
@@ -249,12 +250,14 @@ type Snapshot struct {
 }
 
 // logEntry is one unit of maintenance work, ordered through the log: a
-// journaled record — a mutation batch (Mut), an elastic resize (NewK > 0)
-// or a restabilization's label runs (Relabel), held as the wal.GroupEntry
-// journalGroup appends — or a control, whose GroupEntry is zero.
+// journaled record — a mutation batch (Mut) or a label change's runs
+// (Relabel), held as the wal.GroupEntry journalGroup appends — a resize
+// request (newK > 0), which the coordinator turns into a relabel at its
+// position, or a control; the last two have a zero GroupEntry.
 type logEntry struct {
 	wal.GroupEntry
 	relabel *Delta  // Relabel decoded, for applyRelabel
+	newK    int     // a resize request
 	ctl     control // reply non-nil: a control entry
 	ten     *tenantState
 	seq     uint64 // arrival order, stamped by route; restores FIFO after DRR picking
@@ -692,13 +695,11 @@ func (s *Store) enqueue(e logEntry, try bool) error {
 // never recomputed. The record was admitted and acknowledged by the
 // process that journaled it, so it bypasses admission control and the
 // fair queues (quota state is not persisted, and reordering across
-// tenants would fork the replica) and the read-only gate. A resize does
-// not claim the target k: a journal may legitimately hold a same-k
-// resize, which must still be journaled here — one local record per
-// source record keeps follower sequence numbers aligned — and which the
-// coordinator then drops as a no-op exactly as the source did.
-// ErrDegraded still applies: a store with a poisoned journal must stop
-// applying, not silently drop durability. Application errors
+// tenants would fork the replica) and the read-only gate. A relabel
+// record's k becomes the target k, so a Resize after recovery or
+// promotion compares against the k the journal leaves. ErrDegraded still
+// applies: a store with a poisoned journal must stop applying, not
+// silently drop durability. Application errors
 // (deterministic re-rejections of batches rejected at the source, a
 // relabel that does not fit the store) do not fail the call; they stay
 // observable via Err.
@@ -710,34 +711,32 @@ func (s *Store) ApplyRecord(rec wal.Record) error {
 	switch {
 	case rec.Type == wal.RecordMutation && rec.Mut != nil:
 		e.Mut = rec.Mut
-	case rec.Type == wal.RecordResize && rec.NewK >= 1:
-		e.NewK = rec.NewK
-		s.kMu.Lock()
-		s.targetK = rec.NewK
-		s.kMu.Unlock()
 	case rec.Type == wal.RecordRelabel:
 		d, err := DecodeDelta(rec.Relabel)
 		if err != nil {
 			return fmt.Errorf("serve: relabel record %d: %w", rec.Seq, err)
 		}
 		e.Relabel, e.relabel = rec.Relabel, d
+		s.kMu.Lock()
+		s.targetK = d.K
+		s.kMu.Unlock()
 	default:
 		return fmt.Errorf("serve: applying malformed record %d (type %d)", rec.Seq, rec.Type)
 	}
 	return s.enqueue(e, false)
 }
 
-// Resize requests an elastic change to newK partitions (§III-E). The
-// relabeling of the n/(k+n) fraction is applied as soon as the entry is
-// processed — lookups immediately see valid [0,newK) labels — and a
-// background repair run restores locality. Ordered with Submit through the
-// same log. Requesting the store's target k — the current count composed
-// with every resize already queued — returns ErrKUnchanged; the check is
-// atomic with the coordinator, so concurrent duplicate requests cannot
-// both pass it.
+// Resize requests an elastic change to newK partitions (§III-E), 1 ≤ newK
+// ≤ core.MaxK. The relabeling of the n/(k+n) fraction is journaled and
+// applied as soon as the entry is processed — lookups immediately see
+// valid [0,newK) labels — and a background repair run restores locality.
+// Ordered with Submit through the same log. Requesting the store's target
+// k — the current count composed with every resize already queued —
+// returns ErrKUnchanged; the check is atomic with the coordinator, so
+// concurrent duplicate requests cannot both pass it.
 func (s *Store) Resize(newK int) error {
-	if newK < 1 {
-		return fmt.Errorf("serve: resize to k=%d", newK)
+	if newK < 1 || newK > core.MaxK {
+		return fmt.Errorf("serve: resize to k=%d, want 1..%d", newK, core.MaxK)
 	}
 	if err := s.writable(); err != nil {
 		return err
@@ -750,7 +749,7 @@ func (s *Store) Resize(newK int) error {
 	prev := s.targetK
 	s.targetK = newK
 	s.kMu.Unlock()
-	err := s.enqueue(logEntry{GroupEntry: wal.GroupEntry{NewK: newK}}, false)
+	err := s.enqueue(logEntry{newK: newK}, false)
 	if err != nil {
 		// The claim never reached the log; restore it unless another
 		// Resize raced past us (then the target is theirs to keep).
@@ -914,20 +913,42 @@ func (s *Store) drainAndExit() {
 	}
 }
 
-// handleGroup is the turn's commit stage. First journal (journalGroup):
-// every mutation, resize and relabel in the group is durably framed as one
-// wal group append BEFORE any of them is applied, preserving the pre-apply
-// durability boundary per entry while paying at most one fsync for the
-// group. Then apply: the entries are applied strictly in submission
-// order, every batch by applyBatch. A maximal run of consecutive batches
-// that append no vertex and remove no edge shares one publication — one
-// snapshot and one counter-only delta, after which its batches resolve;
-// a growth or removal batch, a rejected batch, a control, a resize and a
-// relabel each flush the run first. Such a run never relabels, so its
-// composed effect is independent of how the pipeline grouped it. An empty
-// batch resolves where it stands and leaves the run unbroken. Control
-// entries run at their submitted positions.
+// handleGroup is the turn's commit stage. A resize request splits its
+// group: the entries before it commit, then its relabel as a group of one
+// (resize), then the entries after it — a group is journaled whole before
+// any of it applies, and a resize's relabel is computed from the labels at
+// its position.
 func (s *Store) handleGroup(entries []logEntry) {
+	for {
+		i := slices.IndexFunc(entries, func(e logEntry) bool { return e.newK > 0 })
+		if i < 0 {
+			break
+		}
+		if i > 0 {
+			s.commit(entries[:i])
+		}
+		s.resize(entries[i].newK)
+		entries = entries[i+1:]
+	}
+	if len(entries) > 0 {
+		s.commit(entries)
+	}
+}
+
+// commit journals and applies a group that holds no resize request. First
+// journal (journalGroup): every mutation and relabel in the group is
+// durably framed as one wal group append BEFORE any of them is applied,
+// preserving the pre-apply durability boundary per entry while paying at
+// most one fsync for the group. Then apply: the entries are applied
+// strictly in submission order, every batch by applyBatch. A maximal run
+// of consecutive batches that append no vertex and remove no edge shares
+// one publication — one snapshot and one counter-only delta, after which
+// its batches resolve; a growth or removal batch, a rejected batch, a
+// control and a relabel each flush the run first. Such a run never
+// relabels, so its composed effect is independent of how the pipeline
+// grouped it. An empty batch resolves where it stands and leaves the run
+// unbroken. Control entries run at their submitted positions.
+func (s *Store) commit(entries []logEntry) {
 	ok := s.journalGroup(entries)
 	tApply := time.Now()
 	defer func() { s.stageHist[stageApply].Record(time.Since(tApply)) }()
@@ -957,9 +978,6 @@ func (s *Store) handleGroup(entries []logEntry) {
 		case !ok:
 			// The group journal failed: the entry was never durable, and a
 			// batch was rejected in journalGroup.
-		case e.NewK > 0:
-			flush()
-			s.resize(e.NewK)
 		case e.relabel != nil:
 			flush()
 			s.applyRelabel(e.relabel)
@@ -1049,11 +1067,11 @@ func (s *Store) loadsBelow(oldN int, edits []graph.CutEdit) []int64 {
 	return loads
 }
 
-// resize performs the elastic step of §III-E: relabel the n/(k+n)
-// fraction (or collapse removed partitions) immediately and
-// deterministically, then schedule a background repair run. An in-flight
-// restabilization belongs to the old k-space; bumping the generation
-// invalidates it.
+// resize computes the elastic step of §III-E at the request's log
+// position — the n/(k+n) fraction relabeled, or removed partitions
+// collapsed — and commits it as a relabel entry of the next generation in
+// a group of one: journaled, then applied by applyRelabel, the path a
+// follower and replay take. A request for the current k changes nothing.
 func (s *Store) resize(newK int) {
 	if newK == s.k {
 		return
@@ -1064,15 +1082,13 @@ func (s *Store) resize(newK int) {
 		s.lastErr.Store(&err)
 		return
 	}
-	s.k = newK
-	s.gen++
-	s.wantRestab = true
-	s.ctr.ElasticResizes.Add(1)
-	moved := 0
-	for _, run := range s.relabel(relabeled) {
-		moved += len(run.Labels)
-	}
-	s.ctr.ElasticSeedMoved.Add(int64(moved))
+	s.commit([]logEntry{relabelEntry(&Delta{Epoch: s.epoch, Gen: s.gen + 1, K: newK, N: len(s.labels),
+		Runs: labelDiffRuns(s.labels, relabeled)})})
+}
+
+// relabelEntry is the log entry of a relabel the coordinator computed.
+func relabelEntry(d *Delta) logEntry {
+	return logEntry{GroupEntry: wal.GroupEntry{Relabel: EncodeDelta(d)}, relabel: d}
 }
 
 // relabel adopts a full relabeling: it swaps merged in as the published
@@ -1218,7 +1234,7 @@ func (s *Store) restabilize() {
 // merge lands a completed restabilization as a relabel entry: the label
 // runs the run changed over the base vertices it saw (vertices appended
 // since keep their seeded labels), journaled and then applied at this
-// position through handleGroup — the path a follower and replay take.
+// position through commit — the path a follower and replay take.
 // Runs from a previous resize generation are discarded — their labels live
 // in the wrong k-space — and a discarded run writes nothing.
 func (s *Store) merge(res restabResult) {
@@ -1232,28 +1248,46 @@ func (s *Store) merge(res restabResult) {
 		s.ctr.RestabDiscarded.Add(1)
 		return
 	}
-	d := &Delta{Epoch: s.epoch + 1, Gen: s.gen, K: s.k, N: len(s.labels),
-		Runs: labelDiffRuns(s.labels[:len(res.labels)], res.labels)}
-	s.handleGroup([]logEntry{{GroupEntry: wal.GroupEntry{Relabel: EncodeDelta(d)}, relabel: d}})
+	s.commit([]logEntry{relabelEntry(&Delta{Epoch: s.epoch + 1, Gen: s.gen, K: s.k, N: len(s.labels),
+		Runs: labelDiffRuns(s.labels[:len(res.labels)], res.labels)})})
 }
 
-// applyRelabel adopts a relabel entry: it counts the migration volume,
-// advances the epoch, swaps the labels in and resets the degradation
-// baseline. A journaled record is input from outside the process, so one
-// that does not fit the store — not the next epoch, another generation, k
-// or vertex count, a run outside the labels or a label outside [0,k) — is
-// refused: the error goes to Err and nothing changes.
+// applyRelabel adopts a relabel entry, the one place leader, follower and
+// replay land a label change of either kind, told apart by the generation.
+// The next merge (epoch + 1, same generation and k) counts the migration
+// volume, advances the epoch, swaps the labels in and resets the
+// degradation baseline. The next resize (same epoch, generation + 1,
+// another k up to core.MaxK) moves to its k and generation, swaps the
+// labels in and asks for a repair run; bumping the generation discards an
+// in-flight run, whose labels live in the old k-space. A journaled record
+// is input from outside the process, so one that is neither — or names
+// another vertex count, a run outside the labels or a label outside
+// [0,k) — is refused: the error goes to Err and nothing changes.
 func (s *Store) applyRelabel(d *Delta) {
+	merge := d.Epoch == s.epoch+1 && d.Gen == s.gen && d.K == s.k
+	resize := d.Epoch == s.epoch && d.Gen == s.gen+1 && d.K != s.k && d.K >= 1 && d.K <= core.MaxK
 	merged, err := d.Apply(slices.Clone(s.labels))
-	if d.Epoch != s.epoch+1 || d.Gen != s.gen || d.K != s.k || d.N != len(s.labels) {
+	if !merge && !resize || d.N != len(s.labels) {
 		err = fmt.Errorf("epoch %d gen %d k=%d n=%d onto epoch %d gen %d k=%d n=%d",
 			d.Epoch, d.Gen, d.K, d.N, s.epoch, s.gen, s.k, len(s.labels))
 	} else if err == nil {
-		err = metrics.ValidateLabels(merged, s.k)
+		err = metrics.ValidateLabels(merged, d.K)
 	}
 	if err != nil {
 		err = fmt.Errorf("serve: refusing relabel: %w", err)
 		s.lastErr.Store(&err)
+		return
+	}
+	if resize {
+		s.k = d.K
+		s.gen++
+		s.wantRestab = true
+		s.ctr.ElasticResizes.Add(1)
+		moved := 0
+		for _, run := range s.relabel(merged) {
+			moved += len(run.Labels)
+		}
+		s.ctr.ElasticSeedMoved.Add(int64(moved))
 		return
 	}
 	verts, weight := cluster.MigrationVolume(s.w, s.labels, merged)

@@ -671,8 +671,10 @@ func TestSaturatedWeightKeepsCountersExact(t *testing.T) {
 }
 
 // A relabel record is input from outside the process: applyRelabel
-// refuses one that does not fit the store — any of these misfits — and
-// changes nothing but Err; the one that fits is adopted.
+// refuses one that is neither the next merge nor the next resize, or does
+// not fit the store — any of these misfits, a k past core.MaxK among them
+// — and changes nothing but Err; the merge and the resize that fit are
+// adopted.
 func TestApplyRelabelRefusesMisfits(t *testing.T) {
 	fits := func() *Delta {
 		return &Delta{Epoch: 1, K: 2, N: 40, Runs: []LabelRun{{Start: 3, Labels: []int32{1, 1}}}}
@@ -688,6 +690,10 @@ func TestApplyRelabelRefusesMisfits(t *testing.T) {
 		{"n", func(d *Delta) { d.N = 41 }},
 		{"run-out-of-range", func(d *Delta) { d.Runs = []LabelRun{{Start: 39, Labels: []int32{1, 1}}} }},
 		{"label-k", func(d *Delta) { d.Runs[0].Labels[1] = 2 }},
+		{"resize", func(d *Delta) { d.Epoch, d.Gen, d.K = 0, 1, 3 }},
+		{"resize-epoch", func(d *Delta) { d.Gen, d.K = 1, 3 }},
+		{"resize-same-k", func(d *Delta) { d.Epoch, d.Gen = 0, 1 }},
+		{"resize-max-k", func(d *Delta) { d.Epoch, d.Gen, d.K = 0, 1, core.MaxK+1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w, labels := twoClusters(20)
@@ -708,6 +714,14 @@ func TestApplyRelabelRefusesMisfits(t *testing.T) {
 				if qerr != nil || after.Epoch != 1 || after.Labels[3] != 1 || after.Labels[4] != 1 ||
 					st.Counters().Restabilizations.Load() != 1 {
 					t.Fatalf("fitting relabel: err %v, epoch %d, labels[3:5] %v", qerr, after.Epoch, after.Labels[3:5])
+				}
+				return
+			}
+			if tc.name == "resize" { // its repair run may move labels again before Quiesce returns
+				ctr := st.Counters()
+				if qerr != nil || after.K != 3 || ctr.ElasticResizes.Load() != 1 || ctr.ElasticSeedMoved.Load() != 2 {
+					t.Fatalf("fitting resize: err %v, k=%d, %d resizes moving %d vertices",
+						qerr, after.K, ctr.ElasticResizes.Load(), ctr.ElasticSeedMoved.Load())
 				}
 				return
 			}

@@ -16,7 +16,7 @@ func buildSeedJournal(tb testing.TB, dir string) []byte {
 	}
 	for i := 0; i < 6; i++ {
 		if i == 3 {
-			if _, _, err := j.AppendGroup([]GroupEntry{{NewK: 7}}); err != nil {
+			if _, _, err := j.AppendGroup([]GroupEntry{{Relabel: []byte{2, 0, 7}}}); err != nil {
 				tb.Fatal(err)
 			}
 			continue
@@ -94,10 +94,6 @@ func FuzzJournalReplay(f *testing.F) {
 			case RecordMutation:
 				if r.Mut == nil {
 					t.Fatal("mutation record without mutation")
-				}
-			case RecordResize:
-				if r.NewK < 1 {
-					t.Fatalf("resize record to k=%d", r.NewK)
 				}
 			case RecordRelabel:
 				if r.Relabel == nil {

@@ -11,6 +11,8 @@ import (
 
 // The journal's on-disk bytes for one group append, captured at commit
 // 21e3f19: per record u32 len | u32 crc32c | u64 seq | u8 type | body.
+// Its middle record, a resize (type 2, the new k), became a relabel
+// (type 3, an opaque body) when a resize began to journal its relabel.
 // The journal header is a disk-compat contract; it does not share the
 // wire envelope in internal/frame.
 func TestGoldenJournalGroup(t *testing.T) {
@@ -23,7 +25,7 @@ func TestGoldenJournalGroup(t *testing.T) {
 		{Mut: &graph.Mutation{NewVertices: 1,
 			NewEdges:     []graph.WeightedEdgeRecord{{U: 0, V: 3, Weight: 2}, {U: 4, V: 1, Weight: -1}},
 			RemovedEdges: []graph.Edge{{From: 1, To: 2}}}},
-		{NewK: 5},
+		{Relabel: []byte{2, 0, 5}},
 		{Mut: &graph.Mutation{}},
 	})
 	if err != nil || first != 1 {
@@ -39,7 +41,7 @@ func TestGoldenJournalGroup(t *testing.T) {
 	const want = "35000000" + "447af42b" + "0100000000000000" + "01" +
 		"01000000" + "02000000" + "00000000" + "03000000" + "02000000" + "04000000" + "01000000" + "ffffffff" +
 		"01000000" + "01000000" + "02000000" +
-		"0d000000" + "3d91ba0b" + "0200000000000000" + "02" + "05000000" +
+		"0c000000" + "15d23f51" + "0200000000000000" + "03" + "020005" +
 		"15000000" + "c3de96e9" + "0300000000000000" + "01" + "00000000" + "00000000" + "00000000"
 	if g := hex.EncodeToString(got); g != want || n != len(got) {
 		t.Fatalf("journal group bytes changed (n=%d):\n got %s\nwant %s", n, g, want)

@@ -14,10 +14,10 @@ import (
 )
 
 // tailEntry is record number r (1-based) of the property test's history:
-// mostly mutations of varying size, a resize every 17th.
+// mostly mutations of varying size, a relabel every 17th.
 func tailEntry(r int) GroupEntry {
 	if r%17 == 0 {
-		return GroupEntry{NewK: 2 + r%5}
+		return GroupEntry{Relabel: []byte{2, 0, byte(r)}}
 	}
 	return GroupEntry{Mut: testMutation(r)}
 }

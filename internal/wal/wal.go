@@ -1,6 +1,6 @@
 // Package wal is the durability layer under the serving stack: a
-// segmented, CRC-framed write-ahead journal of graph mutations, elastic
-// resizes and relabelings, plus atomically-installed checkpoint files. The
+// segmented, CRC-framed write-ahead journal of graph mutations and
+// relabelings, plus atomically-installed checkpoint files. The
 // serving layer (internal/serve) journals every accepted entry before
 // applying it and periodically checkpoints its composed state; after a
 // crash, recovery loads the latest valid checkpoint and replays the
@@ -9,14 +9,14 @@
 //
 // # Record types
 //
-// A journal holds three record types. RecordMutation is a graph.Mutation
-// batch as it was submitted. RecordResize is an elastic change to NewK
-// partitions; its immediate relabel (§III-E) follows from NewK and the
-// partitioner seed, so a replaying node recomputes it and it stays a
-// resize record. RecordRelabel is a completed restabilization (§III-D)
-// that the leader computed once and journaled before applying it; a
+// A journal holds two record types. RecordMutation is a graph.Mutation
+// batch as it was submitted. RecordRelabel is a label change the leader
+// computed once and journaled before applying it — a restabilization's
+// merge (§III-D) or an elastic resize's immediate relabel (§III-E); a
 // follower or a replaying node adopts it rather than recomputing it. Its
 // body is opaque here: the serving layer encodes it (serve.EncodeDelta).
+// Type byte 2, which once held a resize's new k alone, is an unknown
+// type.
 //
 // # Journal format
 //
@@ -101,18 +101,15 @@ type RecordType uint8
 const (
 	// RecordMutation is a graph.Mutation batch.
 	RecordMutation RecordType = 1
-	// RecordResize is an elastic partition-count change.
-	RecordResize RecordType = 2
-	// RecordRelabel is a restabilization's label change, body opaque.
+	// RecordRelabel is a label change (a merge or a resize), body opaque.
 	RecordRelabel RecordType = 3
 )
 
-// Record is one journaled entry: a mutation batch, a resize or a relabel.
+// Record is one journaled entry: a mutation batch or a relabel.
 type Record struct {
 	Seq     uint64
 	Type    RecordType
 	Mut     *graph.Mutation // RecordMutation
-	NewK    int             // RecordResize
 	Relabel []byte          // RecordRelabel
 	Bytes   int             // framed size in the journal, set when read back
 }
@@ -293,11 +290,9 @@ func (j *Journal) openSegment() error {
 }
 
 // GroupEntry is one record of a group append: a mutation batch when Mut
-// is non-nil, a relabel when Relabel is, otherwise an elastic resize to
-// NewK partitions.
+// is non-nil, otherwise a relabel whose body is Relabel.
 type GroupEntry struct {
 	Mut     *graph.Mutation
-	NewK    int
 	Relabel []byte
 }
 
@@ -339,12 +334,9 @@ func (j *Journal) AppendGroup(entries []GroupEntry) (firstSeq uint64, n int, err
 			if m := entries[i].Mut; m != nil {
 				buf = append(buf, byte(RecordMutation))
 				buf = graph.AppendMutationBinary(buf, m)
-			} else if r := entries[i].Relabel; r != nil {
-				buf = append(buf, byte(RecordRelabel))
-				buf = append(buf, r...)
 			} else {
-				buf = append(buf, byte(RecordResize))
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(entries[i].NewK))
+				buf = append(buf, byte(RecordRelabel))
+				buf = append(buf, entries[i].Relabel...)
 			}
 			payload := buf[off+frameHeader:]
 			if len(payload) > MaxRecordBytes {
@@ -764,15 +756,6 @@ func decodePayload(p []byte) (Record, error) {
 			return Record{}, err
 		}
 		rec.Mut = m
-		return rec, nil
-	case RecordResize:
-		if len(body) != 4 {
-			return Record{}, fmt.Errorf("wal: resize body of %d bytes", len(body))
-		}
-		rec.NewK = int(int32(binary.LittleEndian.Uint32(body)))
-		if rec.NewK < 1 {
-			return Record{}, fmt.Errorf("wal: resize to k=%d", rec.NewK)
-		}
 		return rec, nil
 	case RecordRelabel:
 		// A copy: the caller's buffer may be reused (a follower's stream).

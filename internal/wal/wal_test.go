@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -10,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/frame"
 	"repro/internal/graph"
 )
 
@@ -54,7 +57,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	want := make([]*graph.Mutation, 0, n)
 	for i := 0; i < n; i++ {
 		if i%9 == 8 {
-			if _, _, err := j.AppendGroup([]GroupEntry{{NewK: 4 + i}}); err != nil {
+			if _, _, err := j.AppendGroup([]GroupEntry{{Relabel: []byte{2, 0, byte(i)}}}); err != nil {
 				t.Fatal(err)
 			}
 			want = append(want, nil)
@@ -100,8 +103,8 @@ func TestJournalRoundTrip(t *testing.T) {
 			t.Fatalf("record %d has seq %d", i, r.Seq)
 		}
 		if want[i] == nil {
-			if r.Type != RecordResize || r.NewK != 4+i {
-				t.Fatalf("record %d: %+v, want resize to %d", i, r, 4+i)
+			if r.Type != RecordRelabel || !bytes.Equal(r.Relabel, []byte{2, 0, byte(i)}) {
+				t.Fatalf("record %d: %+v, want relabel body 0200%02x", i, r, i)
 			}
 		} else if r.Type != RecordMutation || !mutationsEqual(r.Mut, want[i]) {
 			t.Fatalf("record %d round-trip mismatch: %+v vs %+v", i, r.Mut, want[i])
@@ -325,6 +328,28 @@ func TestJournalSyncPoliciesAndClose(t *testing.T) {
 	}
 }
 
+// Type byte 2 held a resize's new k alone before a resize journaled its
+// relabel; it is an unknown type now. A CRC-valid record of it was written
+// in full, so replay fails on it as corruption rather than truncating it.
+func TestReplayRefusesType2(t *testing.T) {
+	dir := t.TempDir()
+	payload := binary.LittleEndian.AppendUint64(nil, 1)
+	payload = append(payload, 2, 5, 0, 0, 0)
+	rec := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	rec = binary.LittleEndian.AppendUint32(rec, frame.Checksum(payload))
+	rec = append(rec, payload...)
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Replay(dir, 0, func(Record) error { t.Fatal("a type-2 record was delivered"); return nil })
+	if err == nil || !strings.Contains(err.Error(), "unknown record type 2") {
+		t.Fatalf("Replay = %v, want an unknown-type error", err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, segName(1))); err != nil || !bytes.Equal(got, rec) {
+		t.Fatalf("Replay changed the segment: %x, %v", got, err)
+	}
+}
+
 // AppendGroup must land N records with contiguous sequence numbers and,
 // under SyncAlways, a single fsync for the whole group — the group-commit
 // contract the serving coordinator's drained-log appends rely on.
@@ -337,7 +362,7 @@ func TestJournalAppendGroup(t *testing.T) {
 	group := []GroupEntry{
 		{Mut: testMutation(1)},
 		{Mut: testMutation(2)},
-		{NewK: 7},
+		{Relabel: []byte{2, 0, 7}},
 		{Mut: testMutation(3)},
 	}
 	first, n, err := j.AppendGroup(group)
@@ -375,8 +400,8 @@ func TestJournalAppendGroup(t *testing.T) {
 			t.Fatalf("record %d has seq %d", i, r.Seq)
 		}
 	}
-	if got[2].Type != RecordResize || got[2].NewK != 7 {
-		t.Fatalf("mid-group resize round-trip: %+v", got[2])
+	if got[2].Type != RecordRelabel || !bytes.Equal(got[2].Relabel, group[2].Relabel) {
+		t.Fatalf("mid-group relabel round-trip: %+v", got[2])
 	}
 	if !mutationsEqual(got[3].Mut, group[3].Mut) || !mutationsEqual(got[4].Mut, testMutation(9)) {
 		t.Fatal("group-framed mutations did not round-trip")

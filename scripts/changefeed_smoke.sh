@@ -18,12 +18,13 @@
 #      (DeltaEncodes == DeltasPublished), and the WatchStreams gauge
 #      drains back to zero when they hang up;
 #   4. a `spinnerctl resize` lands in the journal above the newest
-#      checkpoint together with its repair merge, a relabel record (the
+#      checkpoint as a relabel record, and so does its repair merge (the
 #      churn is far too small for the journal to outweigh the boot
 #      checkpoint, so no periodic checkpoint covers them);
-#   5. after a kill -9, a second spinnerd over the same data dir recovers
-#      from that full checkpoint plus the journal tail, replaying every
-#      record above it: it answers /v1/healthz at the new k and merge
+#   5. after a kill -9, a second spinnerd over the same data dir, started
+#      with another -seed, recovers from that full checkpoint plus the
+#      journal tail, replaying every record above it: it answers
+#      /v1/healthz at the new k and merge
 #      epoch, reports zero cut drift, answers every lookup as before the
 #      crash, and the feed-vs-lookup convergence holds again on the
 #      recovered incarnation.
@@ -163,7 +164,7 @@ diff -q "$BINDIR/feed-fanout.txt" "$BINDIR/lookup-fanout.txt" >/dev/null \
   || { echo "FAIL: post-fan-out feed differs from lookup truth" >&2; exit 1; }
 echo "   50 watchers, identical frames, $ENC encodes for $PUB publications, streams drained"
 
-echo "== resize 4 -> 5: the repair merge is journaled as a relabel record"
+echo "== resize 4 -> 5: the resize and its repair merge are journaled as relabel records"
 EPOCH0=$(stat_field epoch)
 SEQ0=$(stat_field applied_seq)
 $CTL resize 5 >/dev/null
@@ -174,7 +175,7 @@ done
 EPOCH=$(stat_field epoch)
 SEQ=$(stat_field applied_seq)
 [ "$EPOCH" -gt "$EPOCH0" ] || { echo "FAIL: the resize's repair never merged (epoch $EPOCH0)" >&2; exit 1; }
-[ "$SEQ" -ge $((SEQ0 + 2)) ] || { echo "FAIL: journal went $SEQ0 -> $SEQ, want the resize and its relabel" >&2; exit 1; }
+[ "$SEQ" -ge $((SEQ0 + 2)) ] || { echo "FAIL: journal went $SEQ0 -> $SEQ, want the resize's relabel and its repair merge's" >&2; exit 1; }
 CKPT=$(ls "$DIR"/checkpoints/ckpt-*.ckpt | tail -n 1)
 CKSEQ=$((16#$(basename "$CKPT" .ckpt | sed 's/^ckpt-//')))
 [ "$CKSEQ" -le "$SEQ0" ] || { echo "FAIL: checkpoint $CKSEQ covers the resize at $((SEQ0 + 1)); it must be in the journal tail" >&2; exit 1; }
@@ -189,10 +190,10 @@ kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 PID=""
 
-echo "== recover from the full checkpoint plus the journal tail"
-# No -seed: replay recomputes the resize's immediate relabel from the
-# seed the data dir recorded at boot.
-"$BINDIR/spinnerd" -addr "127.0.0.1:$PORT" -degrade 999999 -data-dir "$DIR" \
+echo "== recover from the full checkpoint plus the journal tail, with -seed 12"
+# Not the boot's -seed 11: the journal holds the resize's relabel, so
+# replay adopts it and the seed does not change what is recovered.
+"$BINDIR/spinnerd" -seed 12 -addr "127.0.0.1:$PORT" -degrade 999999 -data-dir "$DIR" \
   -fsync never -checkpoint-every 4 -delta-ring 32 &
 PID=$!
 wait_healthy

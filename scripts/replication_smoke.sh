@@ -9,8 +9,9 @@
 # same applied sequence with bounded staleness, serves lookups from its
 # own snapshots, and refuses writes (503 read_only). Then a resize to
 # k=5 with 12 batches right behind it, so the repair restabilization
-# merges while batches arrive: the follower adopts the leader's journaled
-# relabel, and its whole label map must equal the leader's. Then the
+# merges while batches arrive: the follower, booted with another -seed,
+# adopts the leader's journaled relabels, the resize's and the merge's,
+# and its whole label map must equal the leader's. Then the
 # failover drill: record the leader's acknowledged-and-replicated
 # watermark, kill -9 the leader, POST /v1/promote on the follower, and
 # assert the promoted node reports role=leader, has lost no acknowledged
@@ -94,9 +95,10 @@ LPID=$!
 wait_healthy "$LBASE"
 
 echo "== boot follower tailing $LBASE"
-# Same partitioner flags as the leader: the journal replay path is the
-# recovery path, and a resize's relabel follows from k and the seed.
-"$BIN" -k 4 -seed 11 -addr "127.0.0.1:$FPORT" -degrade 999999 \
+# -seed 12, not the leader's 11: the journal replay path is the recovery
+# path, and the follower adopts every relabel the leader journaled, the
+# resize's below among them, so its labels do not depend on its seed.
+"$BIN" -k 4 -seed 12 -addr "127.0.0.1:$FPORT" -degrade 999999 \
   -follow "127.0.0.1:$LPORT" -data-dir "$FDIR" -fsync never \
   -max-staleness 30s &
 FPID=$!
