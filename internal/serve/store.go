@@ -695,10 +695,8 @@ func (s *Store) enqueue(e logEntry, try bool) error {
 // never recomputed. The record was admitted and acknowledged by the
 // process that journaled it, so it bypasses admission control and the
 // fair queues (quota state is not persisted, and reordering across
-// tenants would fork the replica) and the read-only gate. A relabel
-// record's k becomes the target k, so a Resize after recovery or
-// promotion compares against the k the journal leaves. ErrDegraded still
-// applies: a store with a poisoned journal must stop applying, not
+// tenants would fork the replica) and the read-only gate. ErrDegraded
+// still applies: a store with a poisoned journal must stop applying, not
 // silently drop durability. Application errors
 // (deterministic re-rejections of batches rejected at the source, a
 // relabel that does not fit the store) do not fail the call; they stay
@@ -717,9 +715,6 @@ func (s *Store) ApplyRecord(rec wal.Record) error {
 			return fmt.Errorf("serve: relabel record %d: %w", rec.Seq, err)
 		}
 		e.Relabel, e.relabel = rec.Relabel, d
-		s.kMu.Lock()
-		s.targetK = d.K
-		s.kMu.Unlock()
 	default:
 		return fmt.Errorf("serve: applying malformed record %d (type %d)", rec.Seq, rec.Type)
 	}
@@ -1259,7 +1254,10 @@ func (s *Store) merge(res restabResult) {
 // degradation baseline. The next resize (same epoch, generation + 1,
 // another k up to core.MaxK) moves to its k and generation, swaps the
 // labels in and asks for a repair run; bumping the generation discards an
-// in-flight run, whose labels live in the old k-space. A journaled record
+// in-flight run, whose labels live in the old k-space. A resize adopted
+// from a journal (a follower, or Open's replay) also becomes the target
+// k, which no Resize claimed, so a Resize after promotion or recovery
+// compares against the k the journal leaves. A journaled record
 // is input from outside the process, so one that is neither — or names
 // another vertex count, a run outside the labels or a label outside
 // [0,k) — is refused: the error goes to Err and nothing changes.
@@ -1279,6 +1277,11 @@ func (s *Store) applyRelabel(d *Delta) {
 		return
 	}
 	if resize {
+		if s.readOnly.Load() || s.d != nil && !s.d.active {
+			s.kMu.Lock()
+			s.targetK = d.K
+			s.kMu.Unlock()
+		}
 		s.k = d.K
 		s.gen++
 		s.wantRestab = true

@@ -702,6 +702,7 @@ func TestApplyRelabelRefusesMisfits(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer st.Close()
+			st.SetReadOnly(true) // a follower's store
 			before := st.Snapshot()
 			d := fits()
 			tc.misfit(d)
@@ -717,11 +718,15 @@ func TestApplyRelabelRefusesMisfits(t *testing.T) {
 				}
 				return
 			}
-			if tc.name == "resize" { // its repair run may move labels again before Quiesce returns
+			st.SetReadOnly(false) // promoted: Resize compares against the adopted k
+			if tc.name == "resize" {
 				ctr := st.Counters()
-				if qerr != nil || after.K != 3 || ctr.ElasticResizes.Load() != 1 || ctr.ElasticSeedMoved.Load() != 2 {
-					t.Fatalf("fitting resize: err %v, k=%d, %d resizes moving %d vertices",
-						qerr, after.K, ctr.ElasticResizes.Load(), ctr.ElasticSeedMoved.Load())
+				if qerr != nil || after.K != 3 || after.Labels[4] != 1 || ctr.ElasticResizes.Load() != 1 || ctr.ElasticSeedMoved.Load() != 2 {
+					t.Fatalf("fitting resize: err %v, k=%d, labels[3:5] %v, %d resizes moving %d vertices",
+						qerr, after.K, after.Labels[3:5], ctr.ElasticResizes.Load(), ctr.ElasticSeedMoved.Load())
+				}
+				if err := st.Resize(3); !errors.Is(err, ErrKUnchanged) {
+					t.Fatalf("Resize(3) after adopting a resize to 3 = %v, want ErrKUnchanged", err)
 				}
 				return
 			}
@@ -730,6 +735,9 @@ func TestApplyRelabelRefusesMisfits(t *testing.T) {
 			}
 			if !reflect.DeepEqual(after, before) || st.Counters().Restabilizations.Load() != 0 {
 				t.Fatalf("misfit relabel changed the store:\n%+v\nwant\n%+v", after.Summary, before.Summary)
+			}
+			if err := st.Resize(2); !errors.Is(err, ErrKUnchanged) { // the target k did not move
+				t.Fatalf("Resize(2) after a misfit = %v, want ErrKUnchanged", err)
 			}
 		})
 	}
