@@ -769,6 +769,55 @@ func TestOtherSeedReachesJournaledLabels(t *testing.T) {
 	}
 }
 
+// A follower reaches its leader's labels whatever seed it was started
+// with: a streamed resize carries its relabel in the journal, so the
+// follower applies the leader's labels rather than recomputing them from
+// its own seed, and its own journal holds the same relabel.
+func TestFollowerAdoptsLeaderSeed(t *testing.T) {
+	ldir, fdir := t.TempDir(), t.TempDir()
+	lcfg := leaderCfg(-1)
+	lcfg.Options.Seed = 11
+	w, labels := twoClusters(50)
+	leader, err := serve.NewDurable(ldir, w, labels, lcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { leader.Close() })
+	hs, _ := leaderHTTP(t, leader, ldir)
+	fcfg := leaderCfg(-1)
+	fcfg.Options.Seed = 0
+	fl := startFollower(t, hs.URL, fdir, fcfg)
+
+	if err := leader.Resize(4); err != nil {
+		t.Fatal(err)
+	}
+	if err := leader.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	waitApplied(t, fl, leader.JournalSeq())
+	requireSameState(t, "follower started with seed 0", fl.Store(), leader)
+	relabelK := func(dir string) []int {
+		t.Helper()
+		var ks []int
+		if _, err := wal.Replay(serve.JournalDir(dir), 0, func(r wal.Record) error {
+			if r.Type == wal.RecordRelabel {
+				d, err := serve.DecodeDelta(r.Relabel)
+				if err != nil {
+					return err
+				}
+				ks = append(ks, d.K)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return ks
+	}
+	if got, want := relabelK(fdir), relabelK(ldir); len(want) == 0 || !slices.Equal(got, want) {
+		t.Fatalf("follower journals relabels to k %v, leader %v; want the same, non-empty", got, want)
+	}
+}
+
 // SaveEpoch installs through wal.InstallFile: the record round-trips
 // through LoadEpoch, a second save replaces the first, and no temp file is
 // left behind.

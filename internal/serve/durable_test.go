@@ -398,6 +398,65 @@ func TestDurableGracefulReopen(t *testing.T) {
 	}
 }
 
+// A recovery reaches the recorded labels whatever seed it runs with: a
+// resize's relabel is journaled, so replay applies it rather than
+// recomputing it from the seed. Booted with seed 11, resized and crashed
+// with the resize in the journal, the store recovers its labels and
+// counters when reopened with the default seed.
+func TestOpenAdoptsRecordedSeed(t *testing.T) {
+	dir := t.TempDir()
+	w, labels := twoClusters(50)
+	cfg := durableCfg(-1) // no periodic checkpoint: replay carries the resize
+	cfg.Options.Seed = 11
+	st, err := NewDurable(dir, w, append([]int32(nil), labels...), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runScript(t, st)
+	want := st.Snapshot()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	relabels := 0
+	if _, err := wal.Replay(journalDir(dir), 0, func(r wal.Record) error {
+		if r.Type == wal.RecordRelabel {
+			d, err := DecodeDelta(r.Relabel)
+			if err != nil {
+				return err
+			}
+			if d.K == 4 {
+				relabels++
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if relabels == 0 {
+		t.Fatal("the journal holds no relabel to the resize's k=4")
+	}
+
+	cfg.Options.Seed = 0
+	rec, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if rec.Counters().ReplayedRecords.Load() == 0 {
+		t.Fatal("nothing replayed: the resize was not recovered from the journal")
+	}
+	got := rec.Snapshot()
+	if got.K != want.K || got.CutWeight != want.CutWeight || got.TotalWeight != want.TotalWeight {
+		t.Fatalf("recovered k=%d cut=%d total=%d, want k=%d cut=%d total=%d",
+			got.K, got.CutWeight, got.TotalWeight, want.K, want.CutWeight, want.TotalWeight)
+	}
+	for v := range want.Labels {
+		if got.Labels[v] != want.Labels[v] {
+			t.Fatalf("label of %d = %d, want %d", v, got.Labels[v], want.Labels[v])
+		}
+	}
+}
+
 // What a checkpoint persists of the coordinator is one struct, coordState,
 // and a graceful Close (final checkpoint) followed by Open restores it
 // whole: after periodic checkpoints, a resize and its repair's relabel,
