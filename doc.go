@@ -102,11 +102,11 @@
 //     mutations/resizes to the segmented, CRC-framed write-ahead log
 //     (binary graph.Mutation encoding, monotonic sequence numbers) as
 //     ONE wal group — one frame-staging pass, one write syscall, at most
-//     one fsync (wal.AppendGroup; the wal layer also combines fsyncs
-//     across concurrent appenders). The durability boundary stays
-//     pre-apply per entry: the whole group is durable before any entry
-//     of it is applied, so no state a lookup has ever observed can be
-//     forgotten by a crash.
+//     one fsync (wal.AppendGroup; the coordinator is the journal's one
+//     appender, so the group is what amortizes the fsync). The
+//     durability boundary stays pre-apply per entry: the whole group is
+//     durable before any entry of it is applied, so no state a lookup
+//     has ever observed can be forgotten by a crash.
 //   - Fsync policy: never (page cache — survives process death, the
 //     common crash), interval (bounded loss window against OS/power
 //     death), always (every acknowledged batch survives power loss).

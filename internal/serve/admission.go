@@ -394,21 +394,29 @@ func (s *Store) transferLog() {
 	}
 }
 
-// nextGroup forms the commit group for this coordinator turn: every
-// pending control entry, plus up to LogDepth mutations picked
-// deficit-round-robin across the backlogged tenants — each pass grants
-// every tenant its weight in credits, so over any contention interval
-// tenant shares converge to the weight ratio and a trickle tenant's
-// entry is picked within one pass of arriving. The picked entries are
-// then sorted back into arrival order, so the apply order within a
-// tenant is exactly FIFO (and with a single tenant the whole group is
-// FIFO — the determinism contract is untouched). Returns a buffer
-// reused across turns; the caller clears it after handling.
+// nextGroup forms the commit group for this coordinator turn: up to
+// LogDepth mutations picked deficit-round-robin across the backlogged
+// tenants — each pass grants every tenant its weight in credits, so over
+// any contention interval tenant shares converge to the weight ratio and
+// a trickle tenant's entry is picked within one pass of arriving — plus
+// the parked control entries that may join. A control keeps its log
+// position: no mutation that arrived after the first parked control is
+// picked, and a control joins only once no mutation that arrived before
+// it is still parked (a follower, which parks no mutation, takes all its
+// records in one group). The picked entries are then sorted back into
+// arrival order, so the apply order within a tenant is exactly FIFO (and
+// with a single tenant the whole group is FIFO — the determinism contract
+// is untouched). Returns a buffer reused across turns; the caller clears
+// it after handling.
 func (s *Store) nextGroup() []logEntry {
 	g := s.groupBuf[:0]
-	g = append(g, s.controlQ...)
-	clear(s.controlQ)
-	s.controlQ = s.controlQ[:0]
+	// fence is the first parked control's arrival, oldest the oldest
+	// mutation's still parked after the picking.
+	fence, oldest := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	if len(s.controlQ) > 0 {
+		fence = s.controlQ[0].seq
+	}
+	eligible := func(t *tenantState) bool { return t.qlen() > 0 && t.queue[t.qhead].seq < fence }
 
 	if s.queued > 0 {
 		s.ctr.FairnessPasses.Add(1)
@@ -422,8 +430,11 @@ func (s *Store) nextGroup() []logEntry {
 					t.deficit = 0
 					continue
 				}
+				if !eligible(t) {
+					continue
+				}
 				t.deficit += t.weight
-				for t.deficit >= 1 && t.qlen() > 0 && budget > 0 {
+				for t.deficit >= 1 && eligible(t) && budget > 0 {
 					g = append(g, t.pop())
 					t.deficit--
 					t.backlog.Add(-1)
@@ -439,7 +450,18 @@ func (s *Store) nextGroup() []logEntry {
 		if n > 0 {
 			s.cursor = (s.cursor + 1) % n
 		}
+		for _, t := range s.ring {
+			if t.qlen() > 0 {
+				oldest = min(oldest, t.queue[t.qhead].seq)
+			}
+		}
 	}
+	join := 0
+	for join < len(s.controlQ) && s.controlQ[join].seq < oldest {
+		join++
+	}
+	g = append(g, s.controlQ[:join]...)
+	s.controlQ = slices.Delete(s.controlQ, 0, join)
 	if len(g) == 0 {
 		s.groupBuf = g
 		return nil

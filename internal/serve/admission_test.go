@@ -236,6 +236,90 @@ func TestWeightedFairShares(t *testing.T) {
 	st.handleGroup(g)
 }
 
+// A resize and a control keep their log positions behind a backlog: no
+// mutation that arrived after them is applied before them, and neither
+// runs before every mutation that arrived ahead of it was applied — even
+// when the backlog spans several LogDepth-sized turns. A follower's
+// records, which ride the control queue, still join one group per turn.
+func TestControlsKeepLogPositionBehindBacklog(t *testing.T) {
+	st := starvationHarness(t, Config{Options: storeOpts(2, 9), LogDepth: 8, DegradeFactor: 1e9})
+	submit := func(from, to int) {
+		for i := from; i < to; i++ {
+			err := st.TrySubmit(tenantBatch("", 100, i, 4))
+			if errors.Is(err, ErrLogFull) {
+				st.transferLog()
+				err = st.TrySubmit(tenantBatch("", 100, i, 4))
+			}
+			if err != nil {
+				t.Fatalf("submit %d: %v", i, err)
+			}
+		}
+		st.transferLog()
+	}
+	submit(0, 20)
+	if err := st.Resize(3); err != nil {
+		t.Fatal(err)
+	}
+	submit(20, 24)
+	type seen struct {
+		applied int64
+		k       int
+	}
+	var ran []seen
+	reply := make(chan error, 1)
+	if err := st.enqueue(logEntry{ctl: control{run: func() error {
+		ran = append(ran, seen{st.applied.Load(), st.k})
+		return nil
+	}, reply: reply}}, false); err != nil {
+		t.Fatal(err)
+	}
+	submit(24, 28)
+
+	var resizedAfter int64 = -1
+	for st.queued > 0 || len(st.controlQ) > 0 || len(st.log) > 0 {
+		st.transferLog()
+		g := st.nextGroup()
+		if len(g) == 0 {
+			t.Fatal("an empty group with entries parked")
+		}
+		applied := st.applied.Load()
+		for _, e := range g {
+			if e.newK > 0 {
+				resizedAfter = applied
+			}
+			if e.Mut != nil {
+				applied++
+			}
+		}
+		st.handleGroup(g)
+		clear(g)
+	}
+	if resizedAfter != 20 {
+		t.Fatalf("the resize ran after %d batches, want the 20 that arrived before it", resizedAfter)
+	}
+	if len(ran) != 1 || ran[0] != (seen{24, 3}) {
+		t.Fatalf("the control saw %+v, want one run after 24 batches at k=3", ran)
+	}
+	if err := <-reply; err != nil {
+		t.Fatal(err)
+	}
+	if got := st.applied.Load(); got != 28 {
+		t.Fatalf("applied %d batches, want 28", got)
+	}
+
+	// A follower parks no mutation: all its records form one group.
+	fol := starvationHarness(t, Config{Options: storeOpts(2, 9), LogDepth: 8, DegradeFactor: 1e9})
+	for i := 0; i < 5; i++ {
+		if err := fol.ApplyRecord(wal.Record{Seq: uint64(i + 1), Type: wal.RecordMutation, Mut: addBatch(100, i, 4)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fol.transferLog()
+	if g := fol.nextGroup(); len(g) != 5 {
+		t.Fatalf("a follower's 5 parked records formed a group of %d", len(g))
+	}
+}
+
 // Under overload the maintenance plane defers restabilization (counted
 // once per episode), and it resumes at the first turn after the load
 // clears.

@@ -273,10 +273,10 @@ type deltaHub struct {
 	ring atomic.Pointer[deltaRing]
 	next atomic.Uint64 // seq the next publication gets
 
-	// encodes counts EncodeDelta calls on the publish path — the
-	// "encode-once" invariant under test: it tracks publications, not
+	// encodes is the store's DeltaEncodes: publish counts each
+	// EncodeDelta call into it, so it tracks publications, not
 	// subscribers.
-	encodes atomic.Int64
+	encodes *atomic.Int64
 
 	// subs is woken by publish after the ring swap: the snapshot holding
 	// a delta is visible before its token is sent, so "read the ring,
@@ -284,8 +284,8 @@ type deltaHub struct {
 	subs wakeSet
 }
 
-func newDeltaHub(max int) *deltaHub {
-	h := &deltaHub{max: max}
+func newDeltaHub(max int, encodes *atomic.Int64) *deltaHub {
+	h := &deltaHub{max: max, encodes: encodes}
 	h.next.Store(1)
 	return h
 }

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -15,7 +16,7 @@ import (
 )
 
 func TestDeltaHubPublishCompactionAndBounds(t *testing.T) {
-	h := newDeltaHub(4)
+	h := newDeltaHub(4, new(atomic.Int64))
 	if floor, next := h.bounds(); floor != 1 || next != 1 {
 		t.Fatalf("empty hub bounds [%d, %d), want [1, 1)", floor, next)
 	}
@@ -52,7 +53,7 @@ func TestDeltaHubPublishCompactionAndBounds(t *testing.T) {
 // and frames each delta exactly once at publish time, and every reader
 // shares the same immutable frame bytes.
 func TestDeltaHubFramedSinceSharesMemoizedFrames(t *testing.T) {
-	h := newDeltaHub(8)
+	h := newDeltaHub(8, new(atomic.Int64))
 	for i := 0; i < 5; i++ {
 		h.publish(&Delta{Cross: int64(i), Runs: []LabelRun{{Start: i, Labels: []int32{1, 2}}}})
 	}
@@ -109,7 +110,7 @@ func TestDeltaHubFramedSinceSharesMemoizedFrames(t *testing.T) {
 // token no matter how many publications it slept through, publish never
 // blocks on a full slot, and Cancel removes the registration.
 func TestDeltaHubSubscribeCoalescedWakeups(t *testing.T) {
-	h := newDeltaHub(8)
+	h := newDeltaHub(8, new(atomic.Int64))
 	sub := h.subs.subscribe()
 	if n := h.subs.len(); n != 1 {
 		t.Fatalf("subscribers = %d, want 1", n)
@@ -167,7 +168,7 @@ func TestDeltaHubBroadcastUnderConcurrentPublish(t *testing.T) {
 		perPublisher = 1200
 		subscribers  = 8
 	)
-	h := newDeltaHub(64)
+	h := newDeltaHub(64, new(atomic.Int64))
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 

@@ -162,14 +162,10 @@ type durable struct {
 func journalDir(dir string) string { return filepath.Join(dir, "journal") }
 func ckptDir(dir string) string    { return filepath.Join(dir, "checkpoints") }
 
-// journalBytes is the byte count the journal appended in this process:
+// journalBytes is the byte count the journal appended in this process,
+// the store's JournalBytes counter (a store has one journal):
 // journalBytes() - jrnBase is the journal above the newest checkpoint.
-func (d *durable) journalBytes() int64 {
-	if d.jrn == nil {
-		return 0 // the initial checkpoint, before the journal opens
-	}
-	return d.jrn.AppendedBytes()
-}
+func (s *Store) journalBytes() int64 { return s.ctr.JournalBytes.Load() }
 
 func (d *durable) walOptions(ctr *metrics.ServeCounters) wal.Options {
 	return wal.Options{
@@ -444,7 +440,7 @@ func (s *Store) maybeCheckpoint() {
 	if d == nil || !d.active || d.cfg.CheckpointEvery <= 0 || d.pending || s.degraded.Load() {
 		return
 	}
-	if s.applied.Load()-d.ckptApplied < int64(d.cfg.CheckpointEvery) || d.journalBytes()-d.jrnBase < d.ckptBytes {
+	if s.applied.Load()-d.ckptApplied < int64(d.cfg.CheckpointEvery) || s.journalBytes()-d.jrnBase < d.ckptBytes {
 		return
 	}
 	tCapture := time.Now()
@@ -452,7 +448,7 @@ func (s *Store) maybeCheckpoint() {
 	s.stageHist[stageCkptCapture].Record(time.Since(tCapture))
 	d.pending = true
 	s.ctr.CheckpointsPending.Store(1)
-	res := ckptResult{applied: st.applied, journal: d.journalBytes()}
+	res := ckptResult{applied: st.applied, journal: s.journalBytes()}
 	go func() {
 		tWrite := time.Now()
 		res.bytes, res.err = s.writeCheckpoint(st)
@@ -532,7 +528,7 @@ func (s *Store) checkpointNow() error {
 	if err != nil {
 		return err
 	}
-	s.noteCheckpoint(ckptResult{applied: st.applied, journal: s.d.journalBytes(), bytes: n})
+	s.noteCheckpoint(ckptResult{applied: st.applied, journal: s.journalBytes(), bytes: n})
 	return nil
 }
 

@@ -31,7 +31,7 @@ func benchWatchFanout(b *testing.B, subs int, encodePerSub bool) {
 		ringMax = 4096
 		batch   = 64 // mirrors the /v1/watch handler's per-wakeup batch
 	)
-	h := newDeltaHub(ringMax)
+	h := newDeltaHub(ringMax, new(atomic.Int64))
 	hist := &metrics.Histogram{}
 	var subEncodes atomic.Int64
 

@@ -454,7 +454,6 @@ func newStore(st *ckptState, cfg Config) (*Store, error) {
 	}
 	s := &Store{
 		cfg:        cfg,
-		deltas:     newDeltaHub(cfg.DeltaRing),
 		log:        make(chan logEntry, cfg.LogDepth),
 		closed:     make(chan struct{}),
 		done:       make(chan struct{}),
@@ -466,6 +465,7 @@ func newStore(st *ckptState, cfg Config) (*Store, error) {
 		restabDone: make(chan restabResult, 1),
 		ckptDone:   make(chan ckptResult, 1),
 	}
+	s.deltas = newDeltaHub(cfg.DeltaRing, &s.ctr.DeltaEncodes)
 	s.initMetrics()
 	for _, v := range st.affected {
 		s.affected[v] = struct{}{}
@@ -593,7 +593,6 @@ func (s *Store) publish(runs []LabelRun, counterOnly bool) {
 	}
 	s.deltas.publish(d)
 	s.ctr.DeltasPublished.Add(1)
-	s.ctr.DeltaEncodes.Add(1)
 }
 
 // Counters exposes the serving metrics.

@@ -277,7 +277,7 @@ func TestTailCorruptionBelowAckedIsAnError(t *testing.T) {
 func TestTailSteadyStateAllocs(t *testing.T) {
 	j, tail := openTestTail(t, Options{}, 50, 0)
 	for { // catch up; this sizes the buffer
-		frames, _, err := tail.Next(j.NextSeq()-1, 64<<10)
+		frames, _, err := tail.Next(j.nextSeq-1, 64<<10)
 		if err != nil {
 			t.Fatal(err)
 		}

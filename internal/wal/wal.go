@@ -56,19 +56,18 @@
 //
 // # Group commit
 //
-// The cost of SyncAlways is the disk barrier, not the framing, so the
-// journal amortizes it two ways. AppendGroup frames any number of records
-// into one staging buffer and lands them with a single write syscall and
-// (under SyncAlways) a single fsync — the serving coordinator drains its
-// whole pending mutation log into one group, so the barrier is paid per
-// burst, not per record. Independently, concurrent AppendGroup callers
-// combine fsyncs: the first caller needing durability becomes the sync
-// leader and fsyncs once for every record written before the sync
-// started, while later callers park on a condition variable; when the
-// leader finishes it wakes all waiters, whose records are either already
-// covered (they return) or lead the next combined sync. Records are never
-// acknowledged before the fsync that covers them completes, so the
-// durability guarantee of SyncAlways is unchanged — only its price.
+// The cost of SyncAlways is the disk barrier, not the framing. A journal
+// has one appender — in the serving layer, the store's coordinator — and
+// the barrier is amortized by AppendGroup: it frames any number of
+// records into one staging buffer and lands them with a single write
+// syscall and (under SyncAlways) a single fsync, so the coordinator,
+// which drains its whole pending log into one group, pays the barrier per
+// burst, not per record. AppendGroup returns only after the fsync that
+// covers the group, so an acknowledged record under SyncAlways is
+// durable. Concurrent AppendGroup calls are safe but run one after
+// another, each paying for its own fsync. Under SyncEvery the background
+// syncer fsyncs without holding the append lock, so appends that fit the
+// active segment go on during its fsync.
 //
 // # Replaying mutations
 //
@@ -162,9 +161,10 @@ type Options struct {
 	// SyncInterval is the background fsync period under SyncEvery.
 	// Default 50ms.
 	SyncInterval time.Duration
-	// AppendsCounter, BytesCounter and SyncsCounter, when non-nil, are
-	// incremented alongside the journal's internal counters so callers
-	// (metrics.ServeCounters) see journal traffic without polling.
+	// AppendsCounter, BytesCounter and SyncsCounter count the records
+	// acknowledged, their framed bytes and the fsyncs issued — the
+	// journal's only counts (metrics.ServeCounters passes its own). A nil
+	// one counts into a counter nobody reads.
 	AppendsCounter, BytesCounter, SyncsCounter *atomic.Int64
 }
 
@@ -174,6 +174,11 @@ func (o *Options) normalize() {
 	}
 	if o.SyncInterval <= 0 {
 		o.SyncInterval = 50 * time.Millisecond
+	}
+	for _, c := range []**atomic.Int64{&o.AppendsCounter, &o.BytesCounter, &o.SyncsCounter} {
+		if *c == nil {
+			*c = new(atomic.Int64)
+		}
 	}
 }
 
@@ -188,11 +193,9 @@ const (
 	segSuffix = ".log"
 )
 
-// fsyncFile is the fsync used by the combined-sync path
-// (ensureDurableLocked); a package variable so tests can gate it to
-// deterministically observe leader/follower combining, and so
-// InjectFaults can make it fail. Rotation and Close sync directly — they
-// are not part of the combining protocol.
+// fsyncFile is the policy fsync: AppendGroup's under SyncAlways and the
+// background syncer's under SyncEvery. A package variable so InjectFaults
+// can make it fail or hold it open. Rotation and Close sync directly.
 var fsyncFile = (*os.File).Sync
 
 // writeFile is the segment write used by AppendGroup; a package variable
@@ -200,7 +203,7 @@ var fsyncFile = (*os.File).Sync
 // short-count journal writes deterministically.
 var writeFile = (*os.File).Write
 
-// InjectFaults swaps the journal append-write and combined-fsync seams
+// InjectFaults swaps the journal append-write and policy-fsync seams
 // for the given implementations and returns a func that restores the
 // real ones. A nil write or sync leaves that seam untouched. Test-only:
 // the seams are package-global, so callers must restore before any
@@ -217,29 +220,25 @@ func InjectFaults(write func(*os.File, []byte) (int, error), sync func(*os.File)
 	return func() { writeFile, fsyncFile = prevWrite, prevSync }
 }
 
-// Journal is an append-only segmented log. Appends are safe for
-// concurrent use; concurrent callers under SyncAlways share fsyncs (see
-// the group-commit section of the package comment). In the serving layer
-// the coordinator goroutine is the only writer and amortization comes
-// from AppendGroup instead.
+// Journal is an append-only segmented log with one appender (see the
+// group-commit section of the package comment). Appends hold mu from
+// staging through the policy fsync; concurrent appends are safe and run
+// one after another. The SyncEvery syncer fsyncs with mu released and
+// fileMu held, and a rotation takes fileMu before it closes a segment.
 type Journal struct {
 	dir string
 	opt Options
 
 	mu       sync.Mutex
-	syncCond *sync.Cond // signals sync completion (synced advance, err, leader exit)
-	syncing  bool       // a leader fsync is in flight with mu released
-	synced   uint64     // highest sequence number known durable
+	synced   uint64 // highest sequence number known durable
 	f        *os.File
 	segBytes int64
 	nextSeq  uint64
 	buf      []byte // frame staging buffer, reused across appends
 	err      error  // sticky I/O error; all appends fail after it
 
-	appends atomic.Int64
-	bytes   atomic.Int64
-	syncs   atomic.Int64
-	retain  atomic.Uint64 // lowest seq a connected follower still needs; 0 = none
+	fileMu sync.Mutex    // held across the syncer's fsync of f
+	retain atomic.Uint64 // lowest seq a connected follower still needs; 0 = none
 
 	stop chan struct{} // closes the background syncer
 	done chan struct{}
@@ -260,7 +259,6 @@ func Open(dir string, nextSeq uint64, opt Options) (*Journal, error) {
 		return nil, err
 	}
 	j := &Journal{dir: dir, opt: opt, nextSeq: nextSeq, synced: nextSeq - 1}
-	j.syncCond = sync.NewCond(&j.mu)
 	if err := j.openSegment(); err != nil {
 		return nil, err
 	}
@@ -314,53 +312,34 @@ func (j *Journal) AppendGroup(entries []GroupEntry) (firstSeq uint64, n int, err
 	}
 
 	// Stage every frame back to back, then write them with one syscall:
-	// per record a header placeholder, payload header, body. Staging and
-	// rotation run entirely under j.mu — EXCEPT when rotation must wait
-	// out an in-flight combined sync, which releases the mutex: another
-	// appender may then reuse the staging buffer and claim our sequence
-	// numbers, so after such a wait the whole group is re-staged from the
-	// fresh j.nextSeq rather than rotated on stale state.
-	var buf []byte
-	for {
-		if j.err != nil {
-			return 0, 0, j.err
+	// per record a header placeholder, payload header, body.
+	firstSeq = j.nextSeq
+	buf := j.buf[:0]
+	for i := range entries {
+		off := len(buf)
+		buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // length+crc, patched below
+		buf = binary.LittleEndian.AppendUint64(buf, firstSeq+uint64(i))
+		if m := entries[i].Mut; m != nil {
+			buf = append(buf, byte(RecordMutation))
+			buf = graph.AppendMutationBinary(buf, m)
+		} else {
+			buf = append(buf, byte(RecordRelabel))
+			buf = append(buf, entries[i].Relabel...)
 		}
-		firstSeq = j.nextSeq
-		buf = j.buf[:0]
-		for i := range entries {
-			off := len(buf)
-			buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // length+crc, patched below
-			buf = binary.LittleEndian.AppendUint64(buf, firstSeq+uint64(i))
-			if m := entries[i].Mut; m != nil {
-				buf = append(buf, byte(RecordMutation))
-				buf = graph.AppendMutationBinary(buf, m)
-			} else {
-				buf = append(buf, byte(RecordRelabel))
-				buf = append(buf, entries[i].Relabel...)
-			}
-			payload := buf[off+frameHeader:]
-			if len(payload) > MaxRecordBytes {
-				j.buf = buf[:0]
-				return 0, 0, fmt.Errorf("wal: record of %d bytes exceeds MaxRecordBytes", len(payload))
-			}
-			binary.LittleEndian.PutUint32(buf[off:], uint32(len(payload)))
-			binary.LittleEndian.PutUint32(buf[off+4:], frame.Checksum(payload))
+		payload := buf[off+frameHeader:]
+		if len(payload) > MaxRecordBytes {
+			j.buf = buf[:0]
+			return 0, 0, fmt.Errorf("wal: record of %d bytes exceeds MaxRecordBytes", len(payload))
 		}
-		j.buf = buf
-		if j.segBytes == 0 || j.segBytes+int64(len(buf)) <= j.opt.SegmentBytes {
-			break // fits the active segment
-		}
-		if j.syncing {
-			for j.syncing {
-				j.syncCond.Wait()
-			}
-			continue // mutex was released: restage before deciding again
-		}
+		binary.LittleEndian.PutUint32(buf[off:], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(buf[off+4:], frame.Checksum(payload))
+	}
+	j.buf = buf
+	if j.segBytes > 0 && j.segBytes+int64(len(buf)) > j.opt.SegmentBytes {
 		if err := j.rotateLocked(); err != nil {
 			j.err = err
 			return 0, 0, err
 		}
-		break // fresh segment; the staged frames are still valid
 	}
 	if n, err := writeFile(j.f, buf); err != nil || n != len(buf) {
 		// A failed or short write leaves the segment tail in an unknown
@@ -375,100 +354,32 @@ func (j *Journal) AppendGroup(entries []GroupEntry) (firstSeq uint64, n int, err
 	j.segBytes += int64(len(buf))
 	j.nextSeq += uint64(len(entries))
 	if j.opt.Sync == SyncAlways {
-		if err := j.ensureDurableLocked(j.nextSeq - 1); err != nil {
+		if err := fsyncFile(j.f); err != nil {
+			j.err = err
 			return 0, 0, err
 		}
+		j.opt.SyncsCounter.Add(1)
 	}
-	j.appends.Add(int64(len(entries)))
-	j.bytes.Add(int64(len(buf)))
-	if j.opt.AppendsCounter != nil {
-		j.opt.AppendsCounter.Add(int64(len(entries)))
-	}
-	if j.opt.BytesCounter != nil {
-		j.opt.BytesCounter.Add(int64(len(buf)))
-	}
+	j.opt.AppendsCounter.Add(int64(len(entries)))
+	j.opt.BytesCounter.Add(int64(len(buf)))
 	return firstSeq, len(buf), nil
 }
 
-// ensureDurableLocked blocks until every record with sequence <= seq is
-// fsynced, combining concurrent callers into shared fsyncs: the first
-// waiter becomes the sync leader and fsyncs once for everything written
-// before the sync started (releasing j.mu for the fsync itself, so
-// writers keep appending into the group the NEXT sync will cover); later
-// waiters park on the condition variable and are woken when the leader
-// finishes — either covered, or leading the next combined sync.
-// Callers hold j.mu.
-func (j *Journal) ensureDurableLocked(seq uint64) error {
-	for {
-		// Durability first, THEN the sticky error: a caller whose records
-		// an earlier combined sync already covered must be acknowledged
-		// even if another appender poisoned the journal afterwards —
-		// reporting a durably-synced group as failed would let recovery
-		// resurrect a batch its writer was told was rejected.
-		if j.synced >= seq {
-			return nil
-		}
-		if j.err != nil {
-			return j.err
-		}
-		if j.syncing {
-			j.syncCond.Wait()
-			continue
-		}
-		j.syncing = true
-		f, mark := j.f, j.nextSeq-1
-		j.mu.Unlock()
-		err := fsyncFile(f)
-		j.mu.Lock()
-		j.syncing = false
-		j.syncCond.Broadcast()
-		if err != nil {
-			if j.err == nil {
-				j.err = err
-			}
-			return err
-		}
-		j.countSyncLocked()
-		if mark > j.synced {
-			j.synced = mark
-		}
-	}
-}
-
 // rotateLocked seals the active segment (sync + close) and opens the
-// next. Callers hold j.mu and must have checked that no combined sync is
-// in flight (j.syncing false); the mutex is never released here, so no
-// other appender can interleave with the rotation.
+// next. Callers hold j.mu; fileMu waits out an in-flight interval fsync
+// of the segment before it is closed.
 func (j *Journal) rotateLocked() error {
+	j.fileMu.Lock()
+	defer j.fileMu.Unlock()
 	if err := j.f.Sync(); err != nil {
 		return err
 	}
-	j.countSyncLocked()
-	if j.nextSeq-1 > j.synced {
-		j.synced = j.nextSeq - 1 // everything written so far is in this file
-	}
+	j.opt.SyncsCounter.Add(1)
+	j.synced = j.nextSeq - 1 // everything written so far is in this file
 	if err := j.f.Close(); err != nil {
 		return err
 	}
 	return j.openSegment()
-}
-
-func (j *Journal) countSyncLocked() {
-	j.syncs.Add(1)
-	if j.opt.SyncsCounter != nil {
-		j.opt.SyncsCounter.Add(1)
-	}
-}
-
-// Sync makes every appended record durable regardless of policy,
-// sharing an in-flight combined fsync when one covers the tail.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return j.err
-	}
-	return j.ensureDurableLocked(j.nextSeq - 1)
 }
 
 func (j *Journal) syncLoop() {
@@ -478,15 +389,39 @@ func (j *Journal) syncLoop() {
 	for {
 		select {
 		case <-t.C:
-			j.mu.Lock()
-			if j.err == nil && j.synced < j.nextSeq-1 {
-				_ = j.ensureDurableLocked(j.nextSeq - 1) // failure is sticky in j.err
-			}
-			j.mu.Unlock()
+			j.intervalSync()
 		case <-j.stop:
 			return
 		}
 	}
+}
+
+// intervalSync is the SyncEvery fsync of everything appended since the
+// last sync. It copies the file and the mark under j.mu and fsyncs with
+// j.mu released and fileMu held, so appends that fit the active segment
+// go on meanwhile and a rotation cannot close the file under the fsync.
+// A failure poisons the journal.
+func (j *Journal) intervalSync() {
+	j.mu.Lock()
+	if j.err != nil || j.synced >= j.nextSeq-1 {
+		j.mu.Unlock()
+		return
+	}
+	f, mark := j.f, j.nextSeq-1
+	j.fileMu.Lock()
+	j.mu.Unlock()
+	err := fsyncFile(f)
+	j.fileMu.Unlock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err != nil {
+		if j.err == nil {
+			j.err = err
+		}
+		return
+	}
+	j.opt.SyncsCounter.Add(1)
+	j.synced = max(j.synced, mark)
 }
 
 // Close stops the background syncer, flushes a final fsync of the active
@@ -499,19 +434,13 @@ func (j *Journal) Close() error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for j.syncing {
-		j.syncCond.Wait() // an in-flight combined sync still holds the file
-	}
 	if j.f == nil {
 		return j.err
 	}
 	err := j.err
 	if err == nil {
 		if err = j.f.Sync(); err == nil {
-			j.countSyncLocked()
-			if j.nextSeq-1 > j.synced {
-				j.synced = j.nextSeq - 1
-			}
+			j.opt.SyncsCounter.Add(1)
 		}
 	}
 	if cerr := j.f.Close(); err == nil {
@@ -534,18 +463,6 @@ func (j *Journal) Err() error {
 	defer j.mu.Unlock()
 	return j.err
 }
-
-// NextSeq returns the sequence number the next append will carry.
-func (j *Journal) NextSeq() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.nextSeq
-}
-
-// Appends, AppendedBytes and Syncs report lifetime journal traffic.
-func (j *Journal) Appends() int64       { return j.appends.Load() }
-func (j *Journal) AppendedBytes() int64 { return j.bytes.Load() }
-func (j *Journal) Syncs() int64         { return j.syncs.Load() }
 
 // SetRetention establishes a truncation floor: records with sequence
 // numbers >= floor stay on disk regardless of what TruncateBelow is asked

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -299,7 +300,8 @@ func TestJournalSyncPoliciesAndClose(t *testing.T) {
 	for _, pol := range []Policy{SyncNever, SyncEvery, SyncAlways} {
 		t.Run(pol.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			j, err := Open(dir, 1, Options{Sync: pol})
+			var appends, nbytes, syncs atomic.Int64
+			j, err := Open(dir, 1, Options{Sync: pol, AppendsCounter: &appends, BytesCounter: &nbytes, SyncsCounter: &syncs})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -308,11 +310,11 @@ func TestJournalSyncPoliciesAndClose(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if pol == SyncAlways && j.Syncs() < 10 {
-				t.Fatalf("SyncAlways issued %d fsyncs for 10 appends", j.Syncs())
+			if pol == SyncAlways && syncs.Load() < 10 {
+				t.Fatalf("SyncAlways issued %d fsyncs for 10 appends", syncs.Load())
 			}
-			if j.Appends() != 10 || j.AppendedBytes() == 0 {
-				t.Fatalf("counters: appends=%d bytes=%d", j.Appends(), j.AppendedBytes())
+			if appends.Load() != 10 || nbytes.Load() == 0 {
+				t.Fatalf("counters: appends=%d bytes=%d", appends.Load(), nbytes.Load())
 			}
 			if err := j.Close(); err != nil {
 				t.Fatal(err)
@@ -355,7 +357,8 @@ func TestReplayRefusesType2(t *testing.T) {
 // contract the serving coordinator's drained-log appends rely on.
 func TestJournalAppendGroup(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, 1, Options{Sync: SyncAlways})
+	var appends, syncs atomic.Int64
+	j, err := Open(dir, 1, Options{Sync: SyncAlways, AppendsCounter: &appends, SyncsCounter: &syncs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,10 +375,10 @@ func TestJournalAppendGroup(t *testing.T) {
 	if first != 1 || n <= 0 {
 		t.Fatalf("group landed at seq %d (%d bytes), want 1", first, n)
 	}
-	if got := j.Syncs(); got != 1 {
+	if got := syncs.Load(); got != 1 {
 		t.Fatalf("group of %d records issued %d fsyncs, want 1", len(group), got)
 	}
-	if got := j.Appends(); got != int64(len(group)) {
+	if got := appends.Load(); got != int64(len(group)) {
 		t.Fatalf("appends counter %d, want %d", got, len(group))
 	}
 	if first, _, err := j.AppendGroup(nil); err != nil || first != 0 {
@@ -450,7 +453,8 @@ func TestJournalAppendGroupOversized(t *testing.T) {
 // the page cache alone after a clean shutdown.
 func TestJournalSyncEveryCloseFlushes(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, 1, Options{Sync: SyncEvery, SyncInterval: time.Hour})
+	var syncs atomic.Int64
+	j, err := Open(dir, 1, Options{Sync: SyncEvery, SyncInterval: time.Hour, SyncsCounter: &syncs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,14 +463,14 @@ func TestJournalSyncEveryCloseFlushes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := j.Syncs(); got != 0 {
+	if got := syncs.Load(); got != 0 {
 		t.Fatalf("%d fsyncs before the first interval tick", got)
 	}
 	done := j.done
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := j.Syncs(); got < 1 {
+	if got := syncs.Load(); got < 1 {
 		t.Fatal("Close did not flush a final sync")
 	}
 	select {
@@ -483,83 +487,95 @@ func TestJournalSyncEveryCloseFlushes(t *testing.T) {
 	}
 }
 
-// Leader/follower fsync combining, observed deterministically by gating
-// the fsync hook: while appender A's fsync is held open, B and C write
-// their frames and park as followers; A's sync only covers what was
-// written when it STARTED, so exactly one more combined fsync — led by
-// B or C, covering both — must follow. Three concurrent SyncAlways
-// appends, exactly two fsyncs, and nobody is acknowledged before the
-// fsync that covers their record completes.
-func TestJournalFsyncCombining(t *testing.T) {
-	entered := make(chan struct{}, 8)
+// The SyncEvery syncer fsyncs without holding the append lock. While its
+// fsync is held open, appends that fit the active segment return; an
+// append that must rotate waits until the fsync ends, so no segment is
+// closed under it; and Close stops the syncer.
+func TestJournalIntervalSyncLeavesAppendsFree(t *testing.T) {
+	entered := make(chan struct{})
 	gate := make(chan struct{})
-	orig := fsyncFile
-	fsyncFile = func(f *os.File) error {
-		entered <- struct{}{}
+	var held atomic.Bool
+	var gatedErr error
+	restore := InjectFaults(nil, func(f *os.File) error {
+		if !held.CompareAndSwap(false, true) {
+			return f.Sync()
+		}
+		close(entered)
 		<-gate
-		return orig(f)
-	}
-	defer func() { fsyncFile = orig }()
+		gatedErr = f.Sync()
+		return gatedErr
+	})
+	defer restore()
+	var openGate sync.Once
+	release := func() { openGate.Do(func() { close(gate) }) }
+	defer release()
 
 	dir := t.TempDir()
-	j, err := Open(dir, 1, Options{Sync: SyncAlways})
+	j, err := Open(dir, 1, Options{Sync: SyncEvery, SyncInterval: time.Millisecond, SegmentBytes: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	appendOne := func(i int) {
-		defer wg.Done()
-		if _, _, err := j.AppendGroup([]GroupEntry{{Mut: testMutation(i)}}); err != nil {
-			t.Error(err)
+	appendAsync := func(e GroupEntry) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := j.AppendGroup([]GroupEntry{e})
+			done <- err
+		}()
+		return done
+	}
+	if err := <-appendAsync(GroupEntry{Mut: testMutation(0)}); err != nil {
+		t.Fatal(err)
+	}
+	<-entered // the syncer is inside its fsync of record 1
+
+	for i := 1; i <= 3; i++ {
+		select {
+		case err := <-appendAsync(GroupEntry{Mut: testMutation(i)}):
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("append %d, which fits the segment, waited on the interval fsync", i)
 		}
 	}
-	wg.Add(1)
-	go appendOne(0)
-	<-entered // A wrote record 1 and is the sync leader, parked in fsync
-	wg.Add(2)
-	go appendOne(1)
-	go appendOne(2)
-	// Wait until B and C have staged+written their frames (they then park
-	// as followers on the condition variable: records 2 and 3 exist but
-	// are not covered by A's in-flight sync).
-	deadline := time.Now().Add(5 * time.Second)
-	for j.NextSeq() != 4 {
-		if time.Now().After(deadline) {
-			t.Fatal("followers never wrote their records")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	gate <- struct{}{} // release A's fsync: covers record 1 only
-	<-entered          // one follower leads the next combined sync (records 2+3)
-	gate <- struct{}{} // release it
-	wg.Wait()
+	rotating := appendAsync(GroupEntry{Relabel: make([]byte, 64<<10)})
 	select {
-	case <-entered:
-		t.Fatal("a third fsync ran; followers did not share the combined sync")
-	default:
+	case err := <-rotating:
+		t.Fatalf("an append that rotates returned (err %v) while the interval fsync was held", err)
+	case <-time.After(100 * time.Millisecond):
 	}
-	if got := j.Syncs(); got != 2 {
-		t.Fatalf("%d fsyncs for 3 concurrent appends, want exactly 2 (leader + one combined)", got)
+	release()
+	if err := <-rotating; err != nil {
+		t.Fatal(err)
 	}
+	if gatedErr != nil || j.Err() != nil {
+		t.Fatalf("interval fsync err %v, journal err %v: the segment was closed under the fsync", gatedErr, j.Err())
+	}
+
+	done := j.done
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	count := 0
-	if _, err := Replay(dir, 0, func(Record) error { count++; return nil }); err != nil || count != 3 {
-		t.Fatalf("replay: %d records, err %v", count, err)
+	select {
+	case <-done:
+	default:
+		t.Fatal("Close returned with the background syncer still running")
+	}
+	if got := len(replayCount(t, dir)); got != 5 {
+		t.Fatalf("replayed %d records, want 5", got)
 	}
 }
 
 // Concurrent appenders under SyncAlways must all be acknowledged durable
-// with every record replaying in contiguous sequence order. Small
-// segments force rotations to interleave with in-flight combined syncs —
-// the case where an appender must restage its frames rather than rotate
-// on stale state. (Fsync sharing itself is asserted deterministically by
-// TestJournalFsyncCombining; the sync-count bound here only sanity-checks
-// that no path double-syncs.) Run with -race via make test-race.
+// with every record replaying in contiguous sequence order. A journal has
+// one appender in the serving layer, but concurrent AppendGroup calls are
+// safe: they run one after another, each with its own fsync, and small
+// segments make rotations fall between them. Run with -race via make
+// test-race.
 func TestJournalConcurrentGroupCommit(t *testing.T) {
 	dir := t.TempDir()
-	j, err := Open(dir, 1, Options{Sync: SyncAlways, SegmentBytes: 512})
+	var appends, syncs atomic.Int64
+	j, err := Open(dir, 1, Options{Sync: SyncAlways, SegmentBytes: 512, AppendsCounter: &appends, SyncsCounter: &syncs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,15 +598,12 @@ func TestJournalConcurrentGroupCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sanity bound, not a combining assertion (see TestJournalFsyncCombining):
-	// each append leads at most one policy sync and rotations add one per
-	// sealed segment, so anything above that means a path double-syncs.
-	if total := j.Syncs(); total > j.Appends()+int64(len(segs)) {
-		t.Fatalf("%d fsyncs for %d appends across %d segments: some path double-syncs",
-			total, j.Appends(), len(segs))
+	// Each append issues one policy fsync and each sealed segment one more.
+	if total, want := syncs.Load(), appends.Load()+int64(len(segs)-1); total != want {
+		t.Fatalf("%d fsyncs for %d appends across %d segments, want %d", total, appends.Load(), len(segs), want)
 	}
 	if len(segs) < 2 {
-		t.Fatalf("only %d segments; rotation never interleaved with the combined syncs", len(segs))
+		t.Fatalf("only %d segments; no rotation fell between the appends", len(segs))
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)

@@ -65,7 +65,9 @@ SEED=${SEED:-7}
 
 PARENT=$(git rev-parse --short "$REF^{commit}")
 CHILD=$(git rev-parse --short HEAD)
-git diff --quiet HEAD || CHILD="$CHILD+dirty"
+# The ledger is left out: this script appends to it, so its own append
+# would mark the next run's child dirty.
+git diff --quiet HEAD -- . ':(exclude)docs/bench-ledger.jsonl' || CHILD="$CHILD+dirty"
 mkdir -p out/against
 TREE=out/against-tree-$$
 RUNS=out/against/$(date -u +%Y%m%dT%H%M%SZ).jsonl
